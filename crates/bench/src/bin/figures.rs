@@ -23,9 +23,6 @@ use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_partition::experiment::{run_sweep, SweepConfig};
 use pgrid_partition::probabilities::{alpha_of_p, alpha_second_derivative, q_of_p};
-// Every sweep and the deployment run through the scenario executor (the
-// canned programs are bit-identical to the historical direct drivers —
-// pinned by pgrid-scenario's timeline_parity test).
 use pgrid_scenario::deployment::run_deployment;
 use pgrid_scenario::sweeps::{
     population_sweep, replication_sweep, run_repeated, sample_size_sweep,
@@ -33,6 +30,26 @@ use pgrid_scenario::sweeps::{
 use pgrid_sim::config::{ConstructionStrategy, SimConfig};
 use pgrid_sim::sequential::construct_sequentially;
 use pgrid_workload::distributions::Distribution;
+use std::process::ExitCode;
+
+/// Every name the command line accepts besides the two flags.
+const FIGURES: &[&str] = &[
+    "all",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6a",
+    "fig6b",
+    "fig6c",
+    "fig6d",
+    "fig6e",
+    "fig6f",
+    "complexity",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table5",
+];
 
 struct Effort {
     repetitions: usize,
@@ -60,7 +77,7 @@ impl Effort {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let effort = if quick {
@@ -74,6 +91,14 @@ fn main() {
         .map(String::as_str)
         .filter(|a| *a != "--quick" && *a != "--assert-reference")
         .collect();
+    if let Some(unknown) = requested.iter().find(|name| !FIGURES.contains(name)) {
+        eprintln!("figures: unknown figure `{unknown}`");
+        eprintln!(
+            "usage: figures [--quick] [--assert-reference] [{}]...",
+            FIGURES.join("|")
+        );
+        return ExitCode::from(2);
+    }
     // Bare `--assert-reference` runs only the reference check; naming
     // figures (or `all`) alongside it runs those too.
     let all = requested.contains(&"all") || (requested.is_empty() && !assert_reference);
@@ -142,6 +167,7 @@ fn main() {
              REFERENCE_* constants in figures.rs"
         );
     }
+    ExitCode::SUCCESS
 }
 
 /// Key Section 5.2 numbers of the reference `figures -- all` run recorded

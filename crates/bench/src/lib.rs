@@ -1,15 +1,12 @@
 //! # pgrid-bench
 //!
-//! Benchmark and figure-regeneration harness of the P-Grid reproduction.
+//! Figure-regeneration harness of the P-Grid reproduction.
 //!
-//! * The Criterion benches under `benches/` measure the primitive costs
-//!   (single bisection, whole construction, lookups) and double as the
-//!   scaling/ablation experiments of `DESIGN.md`.
-//! * The `figures` binary regenerates every table and figure of the paper's
-//!   evaluation section as plain-text series (see `EXPERIMENTS.md`).
-//!
-//! This library only contains small formatting helpers shared between the
-//! two.
+//! The `figures` binary regenerates every table and figure of the paper's
+//! evaluation section as plain-text series (see `EXPERIMENTS.md`); this
+//! library holds its small formatting and statistics helpers.  Performance
+//! is measured by the standalone package under `harness/` (see
+//! `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -236,14 +236,6 @@ fn print_report(report: &DeploymentReport, workers: usize) {
             reactor.dropped_frames
         );
     }
-    if report.transport.frames_compressed > 0 {
-        println!(
-            "  compression: {} frames, {} -> {} bytes",
-            report.transport.frames_compressed,
-            report.transport.compressed_bytes_raw,
-            report.transport.compressed_bytes_wire
-        );
-    }
 }
 
 fn main() -> ExitCode {

@@ -47,7 +47,7 @@ const MAGIC: u16 = 0x5047; // "PG"
 /// v6 adds the warm-restart handshake (`Rejoin` / `Resume`: a relaunched
 /// worker offers its durability-log shard back instead of waiting for a
 /// `Welcome`) and the replica-pull retry pacing fields of the run config.
-const VERSION: u8 = 7;
+const VERSION: u8 = 8;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -397,11 +397,8 @@ impl ClusterMsg {
                     buf.put_u64(link.reconnects);
                     buf.put_u64(link.send_failures);
                 }
-                // v7: frame-compression counters and the optional reactor
-                // block (flag byte, then the eight reactor fields).
-                buf.put_u64(report.transport.frames_compressed);
-                buf.put_u64(report.transport.compressed_bytes_raw);
-                buf.put_u64(report.transport.compressed_bytes_wire);
+                // The optional reactor block: flag byte, then the eight
+                // reactor fields.
                 match &report.transport.reactor {
                     Some(reactor) => {
                         buf.put_u8(1);
@@ -626,9 +623,6 @@ impl ClusterMsg {
                     };
                     transport.per_peer.insert(peer, link);
                 }
-                transport.frames_compressed = get_u64(&mut data)?;
-                transport.compressed_bytes_raw = get_u64(&mut data)?;
-                transport.compressed_bytes_wire = get_u64(&mut data)?;
                 if get_u8(&mut data)? != 0 {
                     transport.reactor = Some(ReactorStats {
                         registered_peers: get_u64(&mut data)?,
@@ -775,7 +769,6 @@ fn put_config(buf: &mut BytesMut, config: &NetConfig) {
             buf.put_f64(exponent);
         }
     }
-    buf.put_u8(config.batch_per_tick as u8);
     buf.put_u8(config.route_cache as u8);
     buf.put_u64(config.query_sample_cap as u64);
     buf.put_u64(config.recovery_retry_ms);
@@ -813,7 +806,6 @@ fn get_config(data: &mut Bytes) -> Option<NetConfig> {
         },
         _ => return None,
     };
-    let batch_per_tick = get_u8(data)? != 0;
     let route_cache = get_u8(data)? != 0;
     let query_sample_cap = get_u64(data)? as usize;
     let recovery_retry_ms = get_u64(data)?;
@@ -831,7 +823,6 @@ fn get_config(data: &mut Bytes) -> Option<NetConfig> {
         routing_fanout,
         seed,
         distribution,
-        batch_per_tick,
         route_cache,
         query_sample_cap,
         recovery_retry_ms,
@@ -1300,9 +1291,6 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
-                frames_compressed: 12,
-                compressed_bytes_raw: 48_000,
-                compressed_bytes_wire: 1_900,
                 reactor: Some(ReactorStats {
                     registered_peers: 32,
                     registered_fds: 3,

@@ -13,8 +13,9 @@
 
 use pgrid_cluster::local::{run_local, LocalOptions};
 use pgrid_cluster::worker::TransportChoice;
-use pgrid_net::experiment::{run_deployment, Timeline};
+use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::run_deployment;
 use pgrid_workload::distributions::Distribution;
 use std::path::PathBuf;
 

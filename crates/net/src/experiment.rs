@@ -1,22 +1,23 @@
-//! The PlanetLab-style deployment experiment (Section 5).
+//! Timeline and report of the PlanetLab-style deployment experiment
+//! (Section 5).
 //!
 //! The timeline follows the paper's Section 5.1: peers join the network and
 //! form an unstructured overlay, replicate their data, construct the
 //! structured overlay, answer queries, and finally experience churn (each
 //! peer repeatedly goes offline for 1–5 minutes every 5–10 minutes).  The
-//! driver samples the time series reported in Figures 7–9: the number of
-//! online peers, the aggregate bandwidth split into maintenance and query
-//! traffic, and the query latency.
+//! run itself is driven by `pgrid_scenario::deployment` (one process) or the
+//! `pgrid-cluster` coordinator (many); both hand what they collected to
+//! [`assemble_report`], which computes the time series reported in Figures
+//! 7–9: the number of online peers, the aggregate bandwidth split into
+//! maintenance and query traffic, and the query latency.
 
-use crate::runtime::{BandwidthSample, NetConfig, QueryAggregates, Runtime};
+use crate::runtime::{BandwidthSample, QueryAggregates, Runtime};
 use pgrid_core::balance::compare_to_reference;
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::key::Key;
 use pgrid_core::path::Path;
 use pgrid_core::reference::{BalanceParams, ReferencePartitioning};
 use pgrid_transport::{Transport, TransportStats};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Phase boundaries of the experiment, in minutes of virtual time (the
@@ -30,7 +31,7 @@ pub struct Timeline {
     /// Construction runs until this minute.
     pub construct_end_min: u64,
     /// Range queries run between `construct_end_min` and this minute; any
-    /// value at or below `construct_end_min` (the historical timelines use
+    /// value at or below `construct_end_min` (the reference timelines use
     /// `0`) disables the range window entirely.
     pub range_end_min: u64,
     /// Queries run until this minute.
@@ -207,125 +208,6 @@ impl DeploymentReport {
     }
 }
 
-/// Runs the full deployment experiment over the deterministic loopback
-/// transport (the emulated wide-area network of Section 5).
-pub fn run_deployment(config: &NetConfig, timeline: &Timeline) -> DeploymentReport {
-    let runtime = Runtime::new(config.clone());
-    drive_deployment(runtime, timeline)
-}
-
-/// Runs the full deployment experiment over the given transport backend
-/// (e.g. [`pgrid_transport::tcp::TcpTransport`] for real sockets).
-pub fn run_deployment_with<T: Transport>(
-    config: &NetConfig,
-    timeline: &Timeline,
-    transport: T,
-) -> Result<DeploymentReport, pgrid_transport::TransportError> {
-    let runtime = Runtime::with_transport(config.clone(), transport)?;
-    Ok(drive_deployment(runtime, timeline))
-}
-
-/// Drives an already constructed runtime through the Section 5 timeline.
-fn drive_deployment<T: Transport>(
-    mut runtime: Runtime<T>,
-    timeline: &Timeline,
-) -> DeploymentReport {
-    let config = runtime.config.clone();
-    let config = &config;
-    let mut control_rng = StdRng::seed_from_u64(config.seed ^ 0xD13);
-    let minute = 60_000u64;
-
-    // --- Phase 1: joining ---------------------------------------------------
-    let join_end = timeline.join_end_min * minute;
-    for peer in 0..config.n_peers {
-        let at = (peer as u64 * join_end) / config.n_peers as u64;
-        runtime.run_until(at);
-        runtime.join_peer(peer, 6);
-    }
-    runtime.run_until(join_end);
-    pgrid_obs::debug!(
-        "net::experiment",
-        "join phase done: {} peers online at minute {}",
-        config.n_peers,
-        timeline.join_end_min
-    );
-
-    // --- Phase 2: replication -------------------------------------------------
-    runtime.replication_phase();
-    runtime.run_until(timeline.replicate_end_min * minute);
-    pgrid_obs::debug!(
-        "net::experiment",
-        "replication phase done at minute {}",
-        timeline.replicate_end_min
-    );
-
-    // --- Phase 3: construction -------------------------------------------------
-    runtime.start_construction();
-    runtime.run_until(timeline.construct_end_min * minute);
-    pgrid_obs::debug!(
-        "net::experiment",
-        "construction phase done at minute {}",
-        timeline.construct_end_min
-    );
-
-    // --- Phase 4: queries -------------------------------------------------------
-    let keys: Vec<_> = runtime.original_entries.iter().map(|e| e.key).collect();
-    let query_end = timeline.query_end_min * minute;
-    let churn_end = timeline.end_min * minute;
-    // Each peer queries every 1–2 minutes, as in the paper.
-    let mut next_query = runtime.now();
-    while runtime.now() < query_end {
-        let step = control_rng
-            .gen_range(60_000 / config.n_peers as u64 / 2..=60_000 / config.n_peers as u64);
-        next_query += step.max(1);
-        runtime.run_until(next_query);
-        let key = keys[control_rng.gen_range(0..keys.len())];
-        runtime.issue_query(key);
-    }
-    pgrid_obs::debug!(
-        "net::experiment",
-        "query phase done at minute {}: {} queries issued",
-        timeline.query_end_min,
-        runtime
-            .metrics
-            .query_stats
-            .values()
-            .map(|agg| agg.issued)
-            .sum::<u64>()
-    );
-
-    // --- Phase 5: churn + queries -----------------------------------------------
-    // Each peer independently goes offline for 1–5 minutes every 5–10 minutes.
-    for peer in 0..config.n_peers {
-        let mut at = query_end + control_rng.gen_range(0..5 * minute);
-        while at < churn_end {
-            let downtime = control_rng.gen_range(minute..=5 * minute);
-            runtime.schedule_churn(peer, at, downtime);
-            at += downtime + control_rng.gen_range(5 * minute..=10 * minute);
-        }
-    }
-    while runtime.now() < churn_end {
-        let step = control_rng
-            .gen_range(60_000 / config.n_peers as u64 / 2..=60_000 / config.n_peers as u64);
-        next_query += step.max(1);
-        runtime.run_until(next_query.min(churn_end));
-        if runtime.now() >= churn_end {
-            break;
-        }
-        let key = keys[control_rng.gen_range(0..keys.len())];
-        runtime.issue_query(key);
-    }
-    // Drain outstanding query timeouts.
-    runtime.run_until(churn_end + runtime.config.query_timeout_ms);
-    pgrid_obs::debug!(
-        "net::experiment",
-        "churn phase done at minute {}, building report",
-        timeline.end_min
-    );
-
-    build_report(&runtime, timeline)
-}
-
 /// The raw material a [`DeploymentReport`] is computed from.
 ///
 /// A single-process run fills this straight from its [`Runtime`]
@@ -448,100 +330,5 @@ pub fn assemble_report(inputs: &ReportInputs, timeline: &Timeline) -> Deployment
             .map(|b| b.query_bytes)
             .sum(),
         transport: inputs.transport.clone(),
-    }
-}
-
-fn build_report<T: Transport>(runtime: &Runtime<T>, timeline: &Timeline) -> DeploymentReport {
-    assemble_report(&ReportInputs::from_runtime(runtime), timeline)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_report() -> DeploymentReport {
-        let config = NetConfig {
-            n_peers: 64,
-            seed: 11,
-            ..NetConfig::default()
-        };
-        run_deployment(&config, &Timeline::default())
-    }
-
-    #[test]
-    fn deployment_produces_a_complete_timeline() {
-        let report = small_report();
-        let timeline = Timeline::default();
-        assert_eq!(report.timeline.len() as u64, timeline.end_min + 1);
-        // peers ramp up during the join phase and are all online afterwards
-        assert!(report.timeline[2].peers_online < 64);
-        assert!(report.timeline[timeline.join_end_min as usize + 1].peers_online == 64);
-    }
-
-    #[test]
-    fn construction_phase_dominates_maintenance_bandwidth() {
-        let report = small_report();
-        let timeline = Timeline::default();
-        let construction_bw: f64 = report
-            .timeline
-            .iter()
-            .filter(|s| {
-                s.minute > timeline.replicate_end_min && s.minute <= timeline.construct_end_min
-            })
-            .map(|s| s.maintenance_bps)
-            .sum();
-        let query_phase_maintenance: f64 = report
-            .timeline
-            .iter()
-            .filter(|s| {
-                s.minute > timeline.construct_end_min + 5 && s.minute <= timeline.query_end_min
-            })
-            .map(|s| s.maintenance_bps)
-            .sum();
-        assert!(
-            construction_bw > query_phase_maintenance,
-            "maintenance bandwidth should peak during construction: {construction_bw} vs {query_phase_maintenance}"
-        );
-        assert!(report.total_maintenance_bytes > 0);
-        assert!(report.total_query_bytes > 0);
-    }
-
-    #[test]
-    fn queries_mostly_succeed_with_low_hop_counts() {
-        let report = small_report();
-        assert!(
-            report.query_success_rate > 0.8,
-            "success rate {}",
-            report.query_success_rate
-        );
-        assert!(report.mean_query_hops <= report.mean_path_length + 1.0);
-        assert!(report.mean_path_length > 1.0);
-    }
-
-    #[test]
-    fn overlay_quality_matches_the_simulation_ballpark() {
-        let report = small_report();
-        assert!(
-            report.balance_deviation < 1.5,
-            "deviation {}",
-            report.balance_deviation
-        );
-        assert!(report.mean_replication >= 1.0);
-    }
-
-    #[test]
-    fn report_metrics_text_carries_summary_and_transport_series() {
-        let report = small_report();
-        let text = report.metrics_text();
-        assert!(text.contains("# TYPE pgrid_deployment_balance_deviation gauge"));
-        assert!(text.contains("pgrid_deployment_query_success_rate "));
-        assert!(text.contains("pgrid_transport_frames_sent_total "));
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(
-                line.split_whitespace().count(),
-                2,
-                "bad series line: {line}"
-            );
-        }
     }
 }

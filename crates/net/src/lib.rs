@@ -9,10 +9,10 @@
 //! backend: the deterministic loopback transport emulates the wide-area
 //! network (latency, jitter, frame loss) as a substitute for the paper's
 //! PlanetLab deployment, while the TCP backend runs the same protocol over
-//! real sockets.  The [`experiment`] module reproduces the timeline of
-//! Section 5 (join → replicate → construct → query → churn) and produces the
+//! real sockets.  The [`experiment`] module defines the timeline of
+//! Section 5 (join → replicate → construct → query → churn) and computes the
 //! time series behind Figures 7, 8 and 9 plus the summary statistics of
-//! Section 5.2.
+//! Section 5.2 from a finished run.
 //!
 //! ```
 //! use pgrid_net::prelude::*;
@@ -31,17 +31,10 @@ pub mod experiment;
 pub mod message;
 pub mod runtime;
 
-/// Lower bound on the balanced-split probability.
-#[deprecated(note = "moved to pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY")]
-pub const MIN_BALANCED_SPLIT_PROBABILITY: f64 =
-    pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY;
-
 /// Convenient re-exports of the most frequently used items.
 ///
-/// The deployment *drivers* (`run_deployment`, `run_deployment_with`) are
-/// re-exported by `pgrid_scenario::prelude` instead: the scenario-driven
-/// versions are the public path (bit-identical to the direct ones kept in
-/// [`experiment`] as the parity reference).
+/// The deployment drivers (`run_deployment`, `run_deployment_with`) live in
+/// `pgrid_scenario::deployment` and are re-exported by its prelude.
 pub mod prelude {
     pub use crate::experiment::{
         assemble_report, DeploymentReport, MinuteSample, ReportInputs, Timeline,

@@ -7,8 +7,7 @@
 //! jitter, emulated loss, reproducible experiments); with the TCP backend
 //! the very same protocol code paths run over real sockets.  Messages sent
 //! to the same destination while one event is processed are batched into a
-//! single frame (the per-tick batching of exchange messages) unless
-//! [`NetConfig::batch_per_tick`] is disabled.
+//! single frame (the per-tick batching of exchange messages).
 
 use crate::message::{ExchangeOutcome, Message};
 use bytes::Bytes;
@@ -73,11 +72,6 @@ pub struct NetConfig {
     pub seed: u64,
     /// The key distribution.
     pub distribution: pgrid_workload::distributions::Distribution,
-    /// Whether messages to the same destination produced while one event is
-    /// processed are batched into a single frame (on by default; turning it
-    /// off sends every message as its own frame, the configuration the
-    /// transport bench compares against).
-    pub batch_per_tick: bool,
     /// Whether peers memoise their prefix-routing resolution per
     /// `(index, mismatch level)` on the query hot path.  Off by default:
     /// the cache skips the per-hop random reference shuffle, which changes
@@ -117,7 +111,6 @@ impl Default for NetConfig {
                 vocabulary: 5_000,
                 exponent: 1.0,
             },
-            batch_per_tick: true,
             route_cache: false,
             query_sample_cap: DEFAULT_QUERY_SAMPLE_CAP,
             recovery_retry_ms: 2_000,
@@ -360,7 +353,7 @@ pub struct NetMetrics {
     /// broken stream from ordinary loss.
     pub decode_failures: usize,
     /// Frames that carried more than one message (the per-tick batching at
-    /// work; always zero with [`NetConfig::batch_per_tick`] disabled).
+    /// work).
     pub multi_message_frames: usize,
     /// Links that entered the Suspect state (a send to the peer failed and
     /// the link backed off); always zero on virtual-time transports.
@@ -1728,8 +1721,7 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Queues a message for the next frame to `to`: accounts its bandwidth
-    /// and either batches it until the current event finishes or (with
-    /// batching disabled) flushes it as a single-message frame right away.
+    /// and batches it until the current event finishes.
     ///
     /// Query traffic sent while handling a traced lookup is wrapped in a
     /// [`Message::Traced`] envelope carrying the trace ID to the next
@@ -1748,12 +1740,6 @@ impl<T: Transport> Runtime<T> {
         self.metrics.account(self.now, &message);
         self.pending.entry(to).or_default().push(message);
         self.pending_from.entry(to).or_insert(self.current_actor);
-        if !self.config.batch_per_tick {
-            if let Some(messages) = self.pending.remove(&to) {
-                let from = self.pending_from.remove(&to).unwrap_or(to);
-                self.flush_frame(from, to, messages);
-            }
-        }
     }
 
     /// Flushes every per-destination batch as one frame each.

@@ -16,13 +16,11 @@
 //! `connect_with_backoff`.
 
 use crate::linux::{Command, Link, Shared, ThreadShared};
-use crate::mux::{encode_record, MuxReader, FLAG_ACCEPT_RLE, KIND_RAW, KIND_RLE};
+use crate::mux::{encode_record, MuxReader, KIND_RAW};
 use crate::sys::{
     accept_nonblocking, close_fd, connect_nonblocking, read_fd, set_nodelay, take_socket_error,
     write_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use bytes::Bytes;
-use pgrid_transport::frame::{Compression, FrameCodec};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
@@ -72,10 +70,8 @@ struct Conn {
     link: Option<Arc<Link>>,
     /// Non-blocking connect still in flight (awaiting `EPOLLOUT`).
     connecting: bool,
-    /// Peer hello received; resets the reconnect budget and enables
-    /// compression if the peer advertised it.
+    /// Peer hello received; resets the reconnect budget.
     established: bool,
-    peer_flags: u8,
     reader: MuxReader,
     out_buf: Vec<u8>,
     out_pos: usize,
@@ -94,7 +90,6 @@ impl Conn {
             link,
             connecting,
             established: false,
-            peer_flags: 0,
             reader: MuxReader::new(),
             out_buf: Vec::new(),
             out_pos: 0,
@@ -113,8 +108,6 @@ pub(crate) struct EventLoop {
     shared: Arc<Shared>,
     threads: Arc<Vec<Arc<ThreadShared>>>,
     listener: Option<RawFd>,
-    codec: FrameCodec,
-    accept_rle: bool,
     conns: HashMap<u64, Conn>,
     by_addr: HashMap<SocketAddr, u64>,
     next_token: u64,
@@ -130,7 +123,6 @@ impl EventLoop {
         shared: Arc<Shared>,
         threads: Arc<Vec<Arc<ThreadShared>>>,
         listener: Option<RawFd>,
-        codec: FrameCodec,
     ) -> std::io::Result<EventLoop> {
         let epoll = Epoll::new()?;
         epoll.add(threads[index].waker.fd(), EPOLLIN, TOKEN_WAKER)?;
@@ -139,15 +131,12 @@ impl EventLoop {
             epoll.add(fd, EPOLLIN, TOKEN_LISTENER)?;
             shared.registered_fds.fetch_add(1, Ordering::Relaxed);
         }
-        let accept_rle = codec.compression != Compression::None;
         Ok(EventLoop {
             index,
             epoll,
             shared,
             threads,
             listener,
-            codec,
-            accept_rle,
             conns: HashMap::new(),
             by_addr: HashMap::new(),
             next_token: TOKEN_BASE,
@@ -216,7 +205,7 @@ impl EventLoop {
                     conn.connecting = false;
                     conn.writable = true;
                     set_nodelay(conn.fd);
-                    conn.out_buf = crate::mux::hello(self.accept_rle).to_vec();
+                    conn.out_buf = crate::mux::hello().to_vec();
                     conn.out_pos = 0;
                 }
                 Err(_) => {
@@ -274,7 +263,7 @@ impl EventLoop {
         self.shared.registered_fds.fetch_add(1, Ordering::Relaxed);
         let mut conn = Conn::new(fd, None, false, 0);
         conn.writable = true;
-        conn.out_buf = crate::mux::hello(self.accept_rle).to_vec();
+        conn.out_buf = crate::mux::hello().to_vec();
         self.conns.insert(token, conn);
     }
 
@@ -320,7 +309,7 @@ impl EventLoop {
                 if connected {
                     set_nodelay(fd);
                     conn.writable = true;
-                    conn.out_buf = crate::mux::hello(self.accept_rle).to_vec();
+                    conn.out_buf = crate::mux::hello().to_vec();
                 }
                 self.conns.insert(token, conn);
                 self.by_addr.insert(addr, token);
@@ -411,8 +400,7 @@ impl EventLoop {
             // Parse buffered bytes first: hello, then records.
             if !conn.established {
                 match conn.reader.take_hello() {
-                    Ok(Some(flags)) => {
-                        conn.peer_flags = flags;
+                    Ok(Some(_reserved_flags)) => {
                         conn.established = true;
                         conn.attempt = 0;
                     }
@@ -482,15 +470,7 @@ impl EventLoop {
                 Ok(None) => return Ok(()),
                 Err(_) => return Err(()),
             };
-            let (kind, dest, payload) = record;
-            let frame = match kind {
-                KIND_RAW => payload,
-                KIND_RLE => match FrameCodec::decompress(payload.as_slice()) {
-                    Ok(raw) => Bytes::from(raw),
-                    Err(_) => return Err(()),
-                },
-                _ => return Err(()),
-            };
+            let (_kind, dest, frame) = record;
             self.shared
                 .inbox
                 .lock()
@@ -568,27 +548,7 @@ impl EventLoop {
         link.space.notify_all();
         conn.out_buf.clear();
         conn.out_pos = 0;
-        let compress = conn.established && conn.peer_flags & FLAG_ACCEPT_RLE != 0;
-        let compressed = if compress {
-            self.codec.compress(frame.as_slice())
-        } else {
-            None
-        };
-        match compressed {
-            Some(wire) => {
-                self.shared
-                    .frames_compressed
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .compressed_bytes_raw
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                self.shared
-                    .compressed_bytes_wire
-                    .fetch_add(wire.len() as u64, Ordering::Relaxed);
-                encode_record(&mut conn.out_buf, KIND_RLE, dest, &wire);
-            }
-            None => encode_record(&mut conn.out_buf, KIND_RAW, dest, frame.as_slice()),
-        }
+        encode_record(&mut conn.out_buf, KIND_RAW, dest, frame.as_slice());
         true
     }
 

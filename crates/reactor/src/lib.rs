@@ -17,10 +17,7 @@
 //!   readiness, and partial-write resume,
 //! * a fixed pool of `n_event_threads` event threads multiplexes every
 //!   socket; reconnects use the same capped backoff + deterministic jitter
-//!   as the threaded backend,
-//! * per-link compression negotiation (RLE/varint, off by default) via the
-//!   connection hello — the frame-compression hook the threaded wire
-//!   format never had room for.
+//!   as the threaded backend.
 //!
 //! [`ReactorTransport`] implements `Transport` *and* `SocketTransport`, so
 //! `net::Runtime<T>`, the scenario executor, and the cluster worker adopt
@@ -48,7 +45,6 @@ mod stub;
 #[cfg(not(target_os = "linux"))]
 pub use stub::ReactorTransport;
 
-use pgrid_transport::frame::FrameCodec;
 use std::time::Duration;
 
 /// Whether this platform can run the reactor (epoll is Linux-only).
@@ -75,9 +71,6 @@ pub struct ReactorConfig {
     /// How long a send may wait for write-queue space before it errors
     /// (feeding the runtime's Suspect/Dead link life-cycle).
     pub send_timeout: Duration,
-    /// Frame compression offered during link negotiation (off by default;
-    /// both ends must opt in for compressed records to flow).
-    pub codec: FrameCodec,
 }
 
 impl Default for ReactorConfig {
@@ -87,7 +80,6 @@ impl Default for ReactorConfig {
             inbox_capacity: 4096,
             write_queue_bytes: 8 << 20,
             send_timeout: Duration::from_secs(2),
-            codec: FrameCodec::disabled(),
         }
     }
 }

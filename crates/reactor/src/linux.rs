@@ -57,9 +57,6 @@ pub(crate) struct Shared {
     pub reconnects: AtomicU64,
     pub dropped_frames: AtomicU64,
     pub registered_fds: AtomicU64,
-    pub frames_compressed: AtomicU64,
-    pub compressed_bytes_raw: AtomicU64,
-    pub compressed_bytes_wire: AtomicU64,
 }
 
 impl Shared {
@@ -73,9 +70,6 @@ impl Shared {
             reconnects: AtomicU64::new(0),
             dropped_frames: AtomicU64::new(0),
             registered_fds: AtomicU64::new(0),
-            frames_compressed: AtomicU64::new(0),
-            compressed_bytes_raw: AtomicU64::new(0),
-            compressed_bytes_wire: AtomicU64::new(0),
         }
     }
 }
@@ -220,7 +214,6 @@ impl ReactorTransport {
                 self.shared.clone(),
                 thread_shared.clone(),
                 (index == 0).then_some(listener_fd),
-                self.config.codec,
             );
             let Ok(event_loop) = event_loop else {
                 // Unwind the half-started pool before reporting.  Thread 0
@@ -420,9 +413,6 @@ impl Transport for ReactorTransport {
 
     fn stats(&self) -> TransportStats {
         let mut stats = self.stats.clone();
-        stats.frames_compressed = self.shared.frames_compressed.load(Ordering::Relaxed);
-        stats.compressed_bytes_raw = self.shared.compressed_bytes_raw.load(Ordering::Relaxed);
-        stats.compressed_bytes_wire = self.shared.compressed_bytes_wire.load(Ordering::Relaxed);
         let mut queue_frames = 0u64;
         let mut queue_bytes = 0u64;
         for link in self.links.values() {

@@ -8,20 +8,15 @@
 //! [u8 kind] [u64 dest_peer] [u32 len] [len bytes]     (big-endian)
 //! ```
 //!
-//! `kind` 0 is a raw frame exactly as [`pgrid_transport::frame::encode_frame`]
-//! produced it; `kind` 1 is the same frame RLE-compressed (see
-//! [`pgrid_transport::frame::FrameCodec`]) — only sent after the peer's
-//! hello advertised that it accepts compressed records.
+//! `kind` 0 ([`KIND_RAW`]) is a frame exactly as
+//! [`pgrid_transport::frame::encode_frame`] produced it; it is the only
+//! kind, and any other value is rejected as [`MuxError::BadKind`].
 //!
 //! Every connection opens with a 6-byte hello in each direction:
 //!
 //! ```text
-//! [b"PGRX"] [u8 version] [u8 flags]      flags bit 0: accepts RLE records
+//! [b"PGRX"] [u8 version] [u8 flags]      flags: reserved, sent as 0
 //! ```
-//!
-//! The hello is the negotiation channel the threaded TCP backend never had:
-//! compression is strictly opt-in per link, and a reactor with compression
-//! off interoperates with one that has it on (frames simply travel raw).
 
 use bytes::Bytes;
 use pgrid_transport::frame::MAX_FRAME_BYTES;
@@ -35,14 +30,8 @@ pub const MUX_VERSION: u8 = 1;
 /// Hello length in bytes.
 pub const HELLO_LEN: usize = 6;
 
-/// Hello flag: the sender accepts RLE-compressed records.
-pub const FLAG_ACCEPT_RLE: u8 = 1;
-
 /// Record kind: raw frame bytes.
 pub const KIND_RAW: u8 = 0;
-
-/// Record kind: RLE-compressed frame bytes.
-pub const KIND_RLE: u8 = 1;
 
 /// Fixed record header length (`kind + dest + len`).
 pub const RECORD_HEADER: usize = 1 + 8 + 4;
@@ -73,20 +62,19 @@ impl std::fmt::Display for MuxError {
 
 impl std::error::Error for MuxError {}
 
-/// Builds the connection-opening hello.
-pub fn hello(accept_rle: bool) -> [u8; HELLO_LEN] {
-    let flags = if accept_rle { FLAG_ACCEPT_RLE } else { 0 };
+/// Builds the connection-opening hello (flags byte reserved, `0`).
+pub fn hello() -> [u8; HELLO_LEN] {
     [
         MUX_MAGIC[0],
         MUX_MAGIC[1],
         MUX_MAGIC[2],
         MUX_MAGIC[3],
         MUX_VERSION,
-        flags,
+        0,
     ]
 }
 
-/// Validates a received hello, returning its flags byte.
+/// Validates a received hello, returning its (reserved) flags byte.
 pub fn parse_hello(bytes: &[u8]) -> Result<u8, MuxError> {
     debug_assert_eq!(bytes.len(), HELLO_LEN);
     if bytes[..4] != MUX_MAGIC {
@@ -153,13 +141,12 @@ impl MuxReader {
             return Ok(None);
         }
         let kind = self.buf[0];
-        if kind != KIND_RAW && kind != KIND_RLE {
+        if kind != KIND_RAW {
             return Err(MuxError::BadKind(kind));
         }
         let dest = u64::from_be_bytes(self.buf[1..9].try_into().expect("8 bytes"));
         let len = u32::from_be_bytes(self.buf[9..13].try_into().expect("4 bytes")) as usize;
-        // A compressed payload is never larger than raw (the codec declines
-        // otherwise), so one bound covers both kinds.
+        // A whole frame: its body bound plus the 4-byte length prefix.
         if len > MAX_FRAME_BYTES + 4 {
             return Err(MuxError::Oversized(len));
         }
@@ -180,11 +167,8 @@ mod tests {
 
     #[test]
     fn hello_roundtrips_and_rejects_garbage() {
-        for accept in [false, true] {
-            let h = hello(accept);
-            let flags = parse_hello(&h).unwrap();
-            assert_eq!(flags & FLAG_ACCEPT_RLE != 0, accept);
-        }
+        assert_eq!(hello().len(), HELLO_LEN);
+        assert_eq!(parse_hello(&hello()), Ok(0));
         assert_eq!(parse_hello(b"PGRY\x01\x00"), Err(MuxError::BadMagic));
         assert_eq!(
             parse_hello(b"PGRX\x63\x00"),
@@ -197,9 +181,9 @@ mod tests {
         let payloads: Vec<(u8, u64, Vec<u8>)> = vec![
             (KIND_RAW, 0, vec![]),
             (KIND_RAW, 42, vec![7u8; 300]),
-            (KIND_RLE, u64::MAX, (0..=255u8).collect()),
+            (KIND_RAW, u64::MAX, (0..=255u8).collect()),
         ];
-        let mut stream: Vec<u8> = hello(true).to_vec();
+        let mut stream: Vec<u8> = hello().to_vec();
         for (kind, dest, payload) in &payloads {
             encode_record(&mut stream, *kind, *dest, payload);
         }
@@ -219,7 +203,7 @@ mod tests {
                     got.push(record);
                 }
             }
-            assert_eq!(hello_flags, Some(FLAG_ACCEPT_RLE), "chunks of {chunk_size}");
+            assert_eq!(hello_flags, Some(0), "chunks of {chunk_size}");
             assert_eq!(got.len(), payloads.len());
             for ((kind, dest, payload), (got_kind, got_dest, got_payload)) in
                 payloads.iter().zip(&got)
@@ -237,6 +221,12 @@ mod tests {
         let mut reader = MuxReader::new();
         reader.extend(&[9u8; RECORD_HEADER]);
         assert!(matches!(reader.next_record(), Err(MuxError::BadKind(9))));
+        // Kind 1 is unassigned, like every other non-zero kind.
+        let mut reader = MuxReader::new();
+        let mut kind_one = Vec::new();
+        encode_record(&mut kind_one, 1, 7, b"payload");
+        reader.extend(&kind_one);
+        assert_eq!(reader.next_record(), Err(MuxError::BadKind(1)));
         let mut reader = MuxReader::new();
         let mut huge = vec![KIND_RAW];
         huge.extend_from_slice(&0u64.to_be_bytes());

@@ -3,14 +3,13 @@
 //! boundary (partial writes / short reads), and the reader must reassemble
 //! bit-identical frames regardless of where the cuts land.
 
-use pgrid_reactor::mux::{encode_record, hello, parse_hello, MuxReader, KIND_RAW, KIND_RLE};
-use pgrid_transport::frame::FrameCodec;
+use pgrid_reactor::mux::{encode_record, hello, parse_hello, MuxReader, KIND_RAW};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Draws a batch of (dest, frame) pairs mixing noise (stays raw) with
-/// run-heavy payloads (large enough to trigger the RLE path).
+/// Draws a batch of (dest, frame) pairs mixing short noise with longer
+/// run-heavy payloads.
 fn arbitrary_frames(rng: &mut StdRng, max: usize) -> Vec<(u64, Vec<u8>)> {
     let count = rng.gen_range(1..=max);
     (0..count)
@@ -28,27 +27,18 @@ fn arbitrary_frames(rng: &mut StdRng, max: usize) -> Vec<(u64, Vec<u8>)> {
 }
 
 /// Encodes a full sender-side stream exactly as the event loop would:
-/// a hello followed by one record per frame, compressing when the codec
-/// and the negotiated flag both allow it.
-fn encode_stream(frames: &[(u64, Vec<u8>)], compress: bool) -> Vec<u8> {
-    let codec = if compress {
-        FrameCodec::rle()
-    } else {
-        FrameCodec::disabled()
-    };
+/// a hello followed by one record per frame.
+fn encode_stream(frames: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut stream = Vec::new();
-    stream.extend_from_slice(&hello(compress));
+    stream.extend_from_slice(&hello());
     for (dest, frame) in frames {
-        match codec.compress(frame) {
-            Some(compressed) => encode_record(&mut stream, KIND_RLE, *dest, &compressed),
-            None => encode_record(&mut stream, KIND_RAW, *dest, frame),
-        }
+        encode_record(&mut stream, KIND_RAW, *dest, frame);
     }
     stream
 }
 
 /// Feeds `stream` into a reader in chunks cut at `splits`, returning every
-/// decoded record (after decompression) in order.
+/// decoded record in order.
 fn decode_split(stream: &[u8], splits: &[usize]) -> Vec<(u64, Vec<u8>)> {
     let mut reader = MuxReader::new();
     let mut out = Vec::new();
@@ -68,13 +58,8 @@ fn decode_split(stream: &[u8], splits: &[usize]) -> Vec<(u64, Vec<u8>)> {
                 None => continue,
             }
         }
-        while let Some((kind, dest, payload)) = reader.next_record().expect("records must parse") {
-            let frame = if kind == KIND_RLE {
-                FrameCodec::decompress(payload.as_slice()).expect("valid rle")
-            } else {
-                payload.as_slice().to_vec()
-            };
-            out.push((dest, frame));
+        while let Some((_kind, dest, payload)) = reader.next_record().expect("records must parse") {
+            out.push((dest, payload.as_slice().to_vec()));
         }
     }
     out
@@ -83,17 +68,16 @@ fn decode_split(stream: &[u8], splits: &[usize]) -> Vec<(u64, Vec<u8>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Arbitrary split positions, raw and compressed, reassemble the exact
-    // frames in the exact order.
+    // Arbitrary split positions reassemble the exact frames in the exact
+    // order.
     #[test]
     fn partial_writes_reassemble_identical_frames(
         seed in any::<u64>(),
         splits in proptest::collection::vec(any::<usize>(), 0..24),
-        compress in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frames = arbitrary_frames(&mut rng, 12);
-        let stream = encode_stream(&frames, compress);
+        let stream = encode_stream(&frames);
         let decoded = decode_split(&stream, &splits);
         prop_assert_eq!(decoded, frames);
     }
@@ -101,30 +85,28 @@ proptest! {
     // Byte-at-a-time delivery — the worst partial write the kernel can
     // inflict — still yields identical frames.
     #[test]
-    fn single_byte_trickle_reassembles(
-        seed in any::<u64>(),
-        compress in any::<bool>(),
-    ) {
+    fn single_byte_trickle_reassembles(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frames = arbitrary_frames(&mut rng, 4);
-        let stream = encode_stream(&frames, compress);
+        let stream = encode_stream(&frames);
         let every_byte: Vec<usize> = (0..stream.len()).collect();
         let decoded = decode_split(&stream, &every_byte);
         prop_assert_eq!(decoded, frames);
     }
 
-    // The hello round-trips whichever flag byte is negotiated.
+    // Whatever the reserved flags byte carries, a hello with the right
+    // magic and version parses and hands the byte back.
     #[test]
-    fn hello_roundtrips(accept_rle in any::<bool>()) {
-        let bytes = hello(accept_rle);
-        let flags = parse_hello(&bytes).expect("self-encoded hello parses");
-        prop_assert_eq!(flags & pgrid_reactor::mux::FLAG_ACCEPT_RLE != 0, accept_rle);
+    fn hello_roundtrips(flags in any::<u8>()) {
+        let mut bytes = hello();
+        bytes[5] = flags;
+        prop_assert_eq!(parse_hello(&bytes), Ok(flags));
     }
 
     // Corrupting the magic or version is rejected, never mis-parsed.
     #[test]
     fn corrupt_hellos_are_rejected(pos in 0usize..5, delta in 1u8..=255) {
-        let mut bytes = hello(true);
+        let mut bytes = hello();
         bytes[pos] = bytes[pos].wrapping_add(delta);
         let mut reader = MuxReader::new();
         reader.extend(&bytes);

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_reactor::{ReactorConfig, ReactorTransport};
-use pgrid_transport::frame::{decode_frame, encode_frame, FrameCodec};
+use pgrid_transport::frame::{decode_frame, encode_frame};
 use pgrid_transport::{PeerAddr, SocketTransport, Transport, TransportError};
 use std::time::{Duration, Instant};
 
@@ -87,65 +87,6 @@ fn frames_cross_processes_in_order_over_one_connection() {
     }
     let reactor = host.stats().reactor.expect("reactor stats");
     assert!(reactor.epoll_wakeups > 0, "wire traffic wakes the loop");
-}
-
-#[test]
-fn compression_is_negotiated_and_counted() {
-    let config = ReactorConfig {
-        codec: FrameCodec::rle(),
-        ..ReactorConfig::default()
-    };
-    let mut host = ReactorTransport::with_config(config);
-    let mut sender = ReactorTransport::with_config(config);
-    let addr = socket_addr(host.register(PeerId(5)).unwrap());
-    sender.register_remote(PeerId(5), addr).unwrap();
-    // Highly compressible replicate-batch-shaped frame.  Frames queued
-    // before the hello handshake completes travel raw, so keep sending
-    // until a post-handshake frame takes the compressed path.
-    let frame = encode_frame(&[payload(0, 64 * 1024)]);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut sent = 0usize;
-    let mut received = 0usize;
-    loop {
-        sender.send(0, PeerId(5), frame.clone()).unwrap();
-        sent += 1;
-        let got = poll_n(&mut host, 1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, frame, "decompression is bit-exact");
-        received += 1;
-        let stats = sender.stats();
-        if stats.frames_compressed >= 1 {
-            assert_eq!(
-                stats.compressed_bytes_raw,
-                stats.frames_compressed * frame.len() as u64
-            );
-            assert!(stats.compressed_bytes_wire < stats.compressed_bytes_raw / 8);
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "compression counters never moved"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(sent, received);
-}
-
-#[test]
-fn uncompressed_sender_interoperates_with_compressing_receiver() {
-    let mut host = ReactorTransport::with_config(ReactorConfig {
-        codec: FrameCodec::rle(),
-        ..ReactorConfig::default()
-    });
-    let mut sender = ReactorTransport::new(); // compression off
-    let addr = socket_addr(host.register(PeerId(9)).unwrap());
-    sender.register_remote(PeerId(9), addr).unwrap();
-    let frame = encode_frame(&[payload(3, 8192)]);
-    sender.send(0, PeerId(9), frame.clone()).unwrap();
-    let got = poll_n(&mut host, 1);
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0].1, frame);
-    assert_eq!(sender.stats().frames_compressed, 0);
 }
 
 #[test]

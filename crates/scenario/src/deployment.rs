@@ -1,11 +1,11 @@
 //! The Section-5 deployment as a canned scenario.
 //!
-//! These are the drop-in replacements for the historical direct drivers in
-//! `pgrid_net::experiment`: the same configuration and timeline produce a
-//! byte-equal [`DeploymentReport`] (pinned by the `timeline_parity`
-//! integration test), but the run goes through [`crate::exec::run`] — so
-//! anything the scenario API can express (extra churn windows, secondary
-//! indexes, snapshots) composes with the canned timeline.
+//! [`Scenario::from_timeline`] turns a [`Timeline`] into the join →
+//! replicate → construct → query → churn program, [`crate::exec::run`]
+//! drives a [`Runtime`] through it, and `pgrid_net::experiment` computes the
+//! [`DeploymentReport`] — so anything the scenario API can express (extra
+//! churn windows, secondary indexes, snapshots) composes with the canned
+//! timeline.
 
 use crate::exec;
 use crate::scenario::Scenario;

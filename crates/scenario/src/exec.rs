@@ -128,9 +128,9 @@ where
 /// Executor state threaded through the phases.
 ///
 /// `next_query` is the query pacing clock: a [`Phase::QueryLoad`] resets it
-/// to the phase start, a churn phase with queries *continues* it — exactly
-/// the bookkeeping of the historical Section-5 driver, which is what makes
-/// the canned timeline scenario bit-identical.
+/// to the phase start, a churn phase with queries *continues* it — the
+/// Section-5 reference figures in `EXPERIMENTS.md` are pinned to exactly
+/// this bookkeeping.
 struct Context {
     rng: StdRng,
     boundary_min: u64,
@@ -350,8 +350,7 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
 
 /// The query/advance loop shared by both churn phases: the pacing clock
 /// *continues* from the preceding query phase, advances are clamped to the
-/// window, and no query is issued at or past the boundary (the historical
-/// churn-phase semantics).
+/// window, and no query is issued at or past the boundary.
 fn churn_window<O: Overlay + ?Sized>(
     overlay: &mut O,
     ctx: &mut Context,

@@ -3,9 +3,8 @@
 //! Composable experiment API of the P-Grid reproduction.
 //!
 //! The paper's evaluation (Sections 4–5) is *one* apparatus exercised under
-//! many regimes — construction, replication, churn, query load — yet each
-//! engine historically grew its own hard-coded driver.  This crate unifies
-//! them behind three pieces:
+//! many regimes — construction, replication, churn, query load.  This crate
+//! drives every engine through it with three pieces:
 //!
 //! * the [`Overlay`] trait ([`overlay`]) — the operations every engine
 //!   already shares (join, leave/churn, insert, query, advance time,
@@ -20,12 +19,12 @@
 //! * one executor ([`exec::run`] / [`exec::run_with_hooks`]) producing a
 //!   unified [`ScenarioReport`].
 //!
-//! The historical drivers are thin adapters on top: the Section-5
+//! The paper's experiments are thin adapters on top: the Section-5
 //! [`pgrid_net::experiment::Timeline`] is a canned scenario
-//! ([`Scenario::from_timeline`], bit-identical to the direct driver — see
-//! [`deployment`]), the Figure-6 simulation sweeps run every construction
-//! through the executor ([`sweeps`]), and the `pgrid-cluster` worker drives
-//! its shard through [`exec::run_with_hooks`] with phase-barrier hooks.
+//! ([`Scenario::from_timeline`], run by [`deployment`]), the Figure-6
+//! simulation sweeps run every construction through the executor
+//! ([`sweeps`]), and the `pgrid-cluster` worker drives its shard through
+//! [`exec::run_with_hooks`] with phase-barrier hooks.
 //!
 //! ```
 //! use pgrid_scenario::prelude::*;

@@ -8,9 +8,8 @@ use pgrid_net::experiment::Timeline;
 use pgrid_workload::distributions::Distribution;
 
 /// Salt folded into the seed for the executor's control RNG (query pacing,
-/// churn schedules, workload key draws) — the same stream the historical
-/// Section-5 driver used, so [`Scenario::from_timeline`] reproduces it bit
-/// for bit.
+/// churn schedules, workload key draws).  The Section-5 reference figures
+/// in `EXPERIMENTS.md` are pinned to this stream.
 pub const CONTROL_SEED_SALT: u64 = 0xD13;
 
 /// How a query-issuing phase paces its load.
@@ -228,8 +227,8 @@ impl Scenario {
     /// replication, construction, query load, churn with queries, drain.
     ///
     /// Executed against a [`pgrid_net::runtime::Runtime`] built from a
-    /// config with the same `seed`, this reproduces the historical direct
-    /// driver bit for bit (pinned by the `timeline_parity` test).
+    /// config with the same `seed`, this is the run `figures --
+    /// --assert-reference` checks against `EXPERIMENTS.md`.
     pub fn from_timeline(seed: u64, timeline: &Timeline) -> Scenario {
         let mut builder = Scenario::builder(seed)
             .join_wave(timeline.join_end_min, 6)
@@ -237,9 +236,8 @@ impl Scenario {
             .start_construction(IndexId::PRIMARY)
             .run_until(timeline.construct_end_min);
         // The optional range window sits between construction and the
-        // lookup load; the historical timelines leave it disabled
-        // (`range_end_min: 0`), which keeps this conversion bit-identical
-        // to the old direct driver.
+        // lookup load; the reference timelines leave it disabled
+        // (`range_end_min: 0`), so it draws nothing from the control RNG.
         if timeline.range_end_min > timeline.construct_end_min {
             builder = builder.range_load(
                 IndexId::PRIMARY,

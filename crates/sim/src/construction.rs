@@ -49,11 +49,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Lower bound on the balanced-split probability.
-#[deprecated(note = "moved to pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY")]
-pub const MIN_BALANCED_SPLIT_PROBABILITY: f64 =
-    pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY;
-
 /// How many times the normal fruitless budget a locally-overloaded peer may
 /// keep initiating before it, too, backs off and waits to be contacted.
 const OVERLOADED_PATIENCE: u32 = 8;

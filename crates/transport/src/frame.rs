@@ -168,189 +168,6 @@ impl FrameReader {
     }
 }
 
-/// Per-frame wire compression scheme.
-///
-/// Applied *outside* the frame layout: a backend that negotiates
-/// compression on a link compresses the fully encoded frame bytes and marks
-/// the wire record accordingly; the receiver decompresses back to the exact
-/// original frame before it reaches [`decode_frame`].  The frame layout,
-/// [`FrameReader`], and every non-negotiating backend are untouched.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Compression {
-    /// No compression (the default — frames travel verbatim).
-    #[default]
-    None,
-    /// Byte-wise run-length encoding with LEB128 varint token headers.
-    /// Cheap and dependency-free; effective on large replicate batches,
-    /// whose payloads repeat key prefixes and zero padding.
-    Rle,
-}
-
-/// Compression policy of one transport: the scheme plus the threshold
-/// below which frames are never worth compressing.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct FrameCodec {
-    /// The scheme offered during link negotiation.
-    pub compression: Compression,
-    /// Frames smaller than this always travel raw.
-    pub min_bytes: usize,
-}
-
-impl Default for FrameCodec {
-    fn default() -> FrameCodec {
-        FrameCodec::disabled()
-    }
-}
-
-impl FrameCodec {
-    /// Default size floor: headers dominate below this, so compression
-    /// only burns CPU.
-    pub const DEFAULT_MIN_BYTES: usize = 512;
-
-    /// Codec that never compresses (the default everywhere).
-    pub fn disabled() -> FrameCodec {
-        FrameCodec {
-            compression: Compression::None,
-            min_bytes: FrameCodec::DEFAULT_MIN_BYTES,
-        }
-    }
-
-    /// Codec offering RLE compression for frames of at least the default
-    /// size floor.
-    pub fn rle() -> FrameCodec {
-        FrameCodec {
-            compression: Compression::Rle,
-            min_bytes: FrameCodec::DEFAULT_MIN_BYTES,
-        }
-    }
-
-    /// Compresses one encoded frame, or `None` when the codec is off, the
-    /// frame is below the size floor, or compression would not shrink it —
-    /// in every `None` case the caller sends the frame raw.
-    pub fn compress(&self, frame: &[u8]) -> Option<Vec<u8>> {
-        match self.compression {
-            Compression::None => None,
-            Compression::Rle => {
-                if frame.len() < self.min_bytes {
-                    return None;
-                }
-                let compressed = rle_compress(frame);
-                (compressed.len() < frame.len()).then_some(compressed)
-            }
-        }
-    }
-
-    /// Decompresses bytes produced by [`FrameCodec::compress`] back into
-    /// the original frame.  Scheme-independent: the wire record says which
-    /// scheme was used, and today there is only one.
-    pub fn decompress(compressed: &[u8]) -> Result<Vec<u8>, FrameError> {
-        rle_decompress(compressed, MAX_FRAME_BYTES + 4)
-    }
-}
-
-/// Appends `value` as a LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads a LEB128 varint starting at `*pos`, advancing it.
-fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, FrameError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = data
-            .get(*pos)
-            .ok_or(FrameError::Malformed("truncated varint"))?;
-        *pos += 1;
-        if shift >= 63 && byte > 1 {
-            return Err(FrameError::Malformed("varint overflow"));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-    }
-}
-
-/// Minimum run length worth a run token: a run token costs 2–3 bytes
-/// (header varint + value), and breaking a literal in two adds another
-/// header, so shorter runs are cheaper left inside the literal.
-const RLE_MIN_RUN: usize = 4;
-
-/// Token stream: each token is a varint header `h` whose low bit selects
-/// the kind — `h & 1 == 1` is a run (`h >> 1` copies of the next byte),
-/// `h & 1 == 0` a literal (`h >> 1` verbatim bytes follow).  Lengths are
-/// never zero.
-fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-    while i < data.len() {
-        let mut run_end = i + 1;
-        while run_end < data.len() && data[run_end] == data[i] {
-            run_end += 1;
-        }
-        let run_len = run_end - i;
-        if run_len >= RLE_MIN_RUN {
-            if literal_start < i {
-                let literal = &data[literal_start..i];
-                put_varint(&mut out, (literal.len() as u64) << 1);
-                out.extend_from_slice(literal);
-            }
-            put_varint(&mut out, ((run_len as u64) << 1) | 1);
-            out.push(data[i]);
-            literal_start = run_end;
-        }
-        i = run_end;
-    }
-    if literal_start < data.len() {
-        let literal = &data[literal_start..];
-        put_varint(&mut out, (literal.len() as u64) << 1);
-        out.extend_from_slice(literal);
-    }
-    out
-}
-
-/// Inverse of [`rle_compress`]; `max_len` bounds the decoded size so a
-/// corrupt header cannot balloon memory.
-fn rle_decompress(data: &[u8], max_len: usize) -> Result<Vec<u8>, FrameError> {
-    let mut out = Vec::with_capacity(data.len().min(max_len));
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let header = get_varint(data, &mut pos)?;
-        let len = (header >> 1) as usize;
-        if len == 0 {
-            return Err(FrameError::Malformed("zero-length rle token"));
-        }
-        if out.len() + len > max_len {
-            return Err(FrameError::Oversized(out.len() + len));
-        }
-        if header & 1 == 1 {
-            let &value = data
-                .get(pos)
-                .ok_or(FrameError::Malformed("truncated rle run"))?;
-            pos += 1;
-            out.resize(out.len() + len, value);
-        } else {
-            let literal = data
-                .get(pos..pos + len)
-                .ok_or(FrameError::Malformed("truncated rle literal"))?;
-            pos += len;
-            out.extend_from_slice(literal);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,74 +220,6 @@ mod tests {
         assert_eq!(reader.next_frame().unwrap(), None);
         reader.extend(&frame.as_slice()[frame.len() - 1..]);
         assert_eq!(reader.next_frame().unwrap(), Some(frame));
-    }
-
-    #[test]
-    fn rle_roundtrips_every_shape() {
-        let mut mixed = Vec::new();
-        for i in 0..2000u32 {
-            mixed.push((i % 251) as u8);
-            if i % 7 == 0 {
-                mixed.extend(std::iter::repeat(0u8).take((i % 13) as usize));
-            }
-        }
-        for data in [
-            Vec::new(),
-            vec![0u8; 1],
-            vec![7u8; 10_000],
-            (0..=255u8).collect::<Vec<u8>>(),
-            mixed,
-        ] {
-            let compressed = rle_compress(&data);
-            let back = rle_decompress(&compressed, data.len().max(1)).unwrap();
-            assert_eq!(back, data);
-        }
-    }
-
-    #[test]
-    fn codec_compresses_runs_and_skips_noise() {
-        let codec = FrameCodec::rle();
-        // A replicate-batch-shaped frame: long zero padding compresses well.
-        let padded = encode_frame(&[Bytes::from(vec![0u8; 4096])]);
-        let compressed = codec.compress(padded.as_slice()).expect("compressible");
-        assert!(compressed.len() < padded.len() / 8);
-        assert_eq!(
-            FrameCodec::decompress(&compressed).unwrap(),
-            padded.as_slice()
-        );
-        // Incompressible bytes are declined, not inflated.
-        let noise: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let noisy = encode_frame(&[Bytes::from(noise)]);
-        assert_eq!(codec.compress(noisy.as_slice()), None);
-        // Below the size floor nothing is compressed, however repetitive.
-        let small = encode_frame(&[Bytes::from(vec![0u8; 64])]);
-        assert_eq!(codec.compress(small.as_slice()), None);
-        // And the default codec never compresses at all.
-        assert_eq!(FrameCodec::disabled().compress(padded.as_slice()), None);
-    }
-
-    #[test]
-    fn corrupt_rle_streams_are_rejected() {
-        // Zero-length token.
-        assert!(rle_decompress(&[0u8], 1024).is_err());
-        // Run past the output bound.
-        let mut huge = Vec::new();
-        put_varint(&mut huge, (1_000_000u64 << 1) | 1);
-        huge.push(0xaa);
-        assert!(matches!(
-            rle_decompress(&huge, 1024),
-            Err(FrameError::Oversized(_))
-        ));
-        // Truncated literal and truncated run value.
-        let mut trunc = Vec::new();
-        put_varint(&mut trunc, 8u64 << 1);
-        trunc.extend_from_slice(&[1, 2, 3]);
-        assert!(rle_decompress(&trunc, 1024).is_err());
-        let mut run = Vec::new();
-        put_varint(&mut run, (4u64 << 1) | 1);
-        assert!(rle_decompress(&run, 1024).is_err());
     }
 
     #[test]

@@ -185,12 +185,6 @@ pub struct TransportStats {
     pub bytes_sent: u64,
     /// Total frame bytes handed out by [`Transport::poll`].
     pub bytes_delivered: u64,
-    /// Frames that crossed the wire compressed (per-link negotiation).
-    pub frames_compressed: u64,
-    /// Pre-compression byte total of those frames.
-    pub compressed_bytes_raw: u64,
-    /// Post-compression (wire) byte total of those frames.
-    pub compressed_bytes_wire: u64,
     /// Per-peer connection counters (socket backends only; empty on
     /// loopback).
     pub per_peer: std::collections::BTreeMap<u64, LinkStats>,
@@ -223,21 +217,6 @@ impl TransportStats {
                 "pgrid_transport_bytes_delivered_total",
                 "Total frame bytes delivered.",
                 self.bytes_delivered,
-            ),
-            (
-                "pgrid_transport_frames_compressed_total",
-                "Frames that crossed the wire compressed.",
-                self.frames_compressed,
-            ),
-            (
-                "pgrid_transport_compressed_bytes_raw_total",
-                "Pre-compression byte total of compressed frames.",
-                self.compressed_bytes_raw,
-            ),
-            (
-                "pgrid_transport_compressed_bytes_wire_total",
-                "Post-compression (wire) byte total of compressed frames.",
-                self.compressed_bytes_wire,
             ),
         ] {
             registry.counter(name, help, &[], value);
@@ -348,9 +327,6 @@ impl TransportStats {
         self.frames_delivered += other.frames_delivered;
         self.bytes_sent += other.bytes_sent;
         self.bytes_delivered += other.bytes_delivered;
-        self.frames_compressed += other.frames_compressed;
-        self.compressed_bytes_raw += other.compressed_bytes_raw;
-        self.compressed_bytes_wire += other.compressed_bytes_wire;
         if let Some(other_reactor) = &other.reactor {
             self.reactor
                 .get_or_insert_with(ReactorStats::default)
@@ -462,7 +438,7 @@ pub trait SocketTransport: Transport {
 
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
-    pub use crate::frame::{decode_frame, encode_frame, Compression, FrameCodec, FrameReader};
+    pub use crate::frame::{decode_frame, encode_frame, FrameReader};
     pub use crate::loopback::{LoopbackConfig, LoopbackTransport};
     pub use crate::tcp::TcpTransport;
     pub use crate::{

@@ -46,7 +46,7 @@ fn main() {
 
     // The Section-5 timeline, spelled out with the scenario builder (the
     // canned `Scenario::from_timeline` builds the same program), plus two
-    // snapshots the historical driver could not express.
+    // snapshots.
     let scenario = Scenario::builder(config.seed)
         .join_wave(timeline.join_end_min, 6)
         .replicate(IndexId::PRIMARY, timeline.replicate_end_min)

@@ -162,46 +162,27 @@ fn reactor_tcp_and_loopback_deployments_agree() {
 
 #[test]
 fn per_tick_batching_packs_messages_into_shared_frames() {
-    // The two runs follow different random trajectories (loss is drawn per
-    // frame), so total frame counts are not directly comparable; what the
-    // batching knob guarantees is the frame *shape*: multi-message frames
-    // exist exactly when batching is on.
-    let run = |batch_per_tick| {
-        let mut rt = Runtime::new(NetConfig {
-            batch_per_tick,
-            ..config(33)
-        });
-        for peer in 0..36 {
-            rt.join_peer(peer, 4);
-        }
-        rt.replication_phase();
-        rt.run_until(30_000);
-        rt.start_construction();
-        rt.run_until(600_000);
-        rt
-    };
-    let batched = run(true);
-    let unbatched = run(false);
+    let mut rt = Runtime::new(config(33));
+    for peer in 0..36 {
+        rt.join_peer(peer, 4);
+    }
+    rt.replication_phase();
+    rt.run_until(30_000);
+    rt.start_construction();
+    rt.run_until(600_000);
 
     assert!(
-        batched.metrics.multi_message_frames > 0,
-        "batching on but every frame carried a single message"
-    );
-    assert_eq!(
-        unbatched.metrics.multi_message_frames, 0,
-        "batching off must mean one message per frame"
+        rt.metrics.multi_message_frames > 0,
+        "every frame carried a single message"
     );
     // Batching strictly packs: fewer frames than messages on the wire.
-    let batched_stats = batched.transport_stats();
+    let stats = rt.transport_stats();
     assert!(
-        (batched_stats.frames_delivered as usize)
-            < batched.metrics.messages_delivered + batched.metrics.messages_to_offline,
-        "{batched_stats:?} vs {} delivered messages",
-        batched.metrics.messages_delivered
+        (stats.frames_delivered as usize)
+            < rt.metrics.messages_delivered + rt.metrics.messages_to_offline,
+        "{stats:?} vs {} delivered messages",
+        rt.metrics.messages_delivered
     );
-    // Construction converges either way.
-    for rt in [&batched, &unbatched] {
-        let max_depth = rt.nodes.iter().map(|n| n.state.path.len()).max().unwrap();
-        assert!(max_depth >= 2, "max depth {max_depth}");
-    }
+    let max_depth = rt.nodes.iter().map(|n| n.state.path.len()).max().unwrap();
+    assert!(max_depth >= 2, "max depth {max_depth}");
 }
