@@ -39,14 +39,8 @@ use std::time::{Duration, Instant};
 
 /// Protocol magic, checked on every message.
 const MAGIC: u16 = 0x5047; // "PG"
-/// Protocol version; bump on any wire-format change.
-///
-/// v5 adds the self-healing control plane: liveness heartbeats, membership
-/// epochs, and the worker-failure / shard-reassignment / recovery messages.
-///
-/// v6 adds the warm-restart handshake (`Rejoin` / `Resume`: a relaunched
-/// worker offers its durability-log shard back instead of waiting for a
-/// `Welcome`) and the replica-pull retry pacing fields of the run config.
+/// Protocol version; bump on any wire-format change (one binary speaks
+/// exactly one version).
 const VERSION: u8 = 8;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
@@ -1004,27 +998,14 @@ fn get_string(data: &mut Bytes) -> Option<String> {
 }
 
 fn put_path(buf: &mut BytesMut, path: &Path) {
-    buf.put_u8(path.len() as u8);
-    let mut bits: u64 = 0;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
-        }
-    }
+    let (len, bits) = path.wire_parts();
+    buf.put_u8(len);
     buf.put_u64(bits);
 }
 
 fn get_path(data: &mut Bytes) -> Option<Path> {
-    let len = get_u8(data)? as usize;
-    if len > pgrid_core::path::MAX_PATH_LEN {
-        return None;
-    }
-    let bits = get_u64(data)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Some(path)
+    let len = get_u8(data)?;
+    Path::from_wire_parts(len, get_u64(data)?)
 }
 
 fn get_u8(data: &mut Bytes) -> Option<u8> {

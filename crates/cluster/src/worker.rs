@@ -20,7 +20,7 @@
 //!   a real-time settle after each one, so exchange replies crossing the
 //!   wire from other processes are handled within roughly one construct
 //!   interval of the tick that triggered them.
-//! * **Barriers.**  [`BarrierHooks`] reports `PhaseDone` after each
+//! * **Barriers.**  `BarrierHooks` reports `PhaseDone` after each
 //!   boundary phase and parks until the coordinator releases the barrier —
 //!   while continuing to service the data transport, so peers of slower
 //!   shards still get their exchanges answered.
@@ -391,7 +391,7 @@ impl<T: SocketTransport> ShardOverlay<T> {
             .chain(self.runtime.adopted_peers())
             .collect();
         for peer in hosted {
-            let state = &self.runtime.nodes[peer].state;
+            let state = self.runtime.peer_state(IndexId::PRIMARY, peer);
             let routing: Vec<(u8, u64, Path)> = state
                 .routing
                 .entries()
@@ -744,7 +744,7 @@ fn send_report<T: Transport>(
         shard_start,
         paths: shard
             .clone()
-            .map(|peer| runtime.nodes[peer].state.path)
+            .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
             .collect(),
         query_stats: runtime
             .metrics
@@ -759,7 +759,7 @@ fn send_report<T: Transport>(
         extra_paths: runtime
             .adopted_peers()
             .into_iter()
-            .map(|peer| (peer as u64, runtime.nodes[peer].state.path))
+            .map(|peer| (peer as u64, runtime.peer_state(IndexId::PRIMARY, peer).path))
             .collect(),
     }))
 }
@@ -1479,7 +1479,7 @@ fn barrier<T: SocketTransport>(
         let paths: Vec<Path> = overlay
             .runtime
             .shard()
-            .map(|peer| overlay.runtime.nodes[peer].state.path)
+            .map(|peer| overlay.runtime.peer_state(IndexId::PRIMARY, peer).path)
             .collect();
         ctl.borrow_mut().send(&ClusterMsg::ShardPaths {
             shard_start: overlay.runtime.shard().start as u64,

@@ -19,7 +19,7 @@
 //!   interactions of Figure 2 (split / replicate / refer);
 //! * [`search`] — prefix-routing lookups and order-preserving range queries
 //!   over any [`search::NetworkView`];
-//! * [`reference`] — the global reference partitioner (Algorithm 1) that
+//! * [`mod@reference`] — the global reference partitioner (Algorithm 1) that
 //!   defines optimal load balancing;
 //! * [`exchange`] — the shared split/replicate/refer exchange engine of
 //!   Figure 2: partition assessment, adaptive decision probabilities and

@@ -232,6 +232,29 @@ impl Path {
         }
     }
 
+    /// The path's wire form `(len, bits)`: the bits left-aligned in a
+    /// `u64` (path bit `i` is bit `63 - i`), unused low bits zero — which
+    /// is exactly how a `Path` is stored.
+    pub fn wire_parts(&self) -> (u8, u64) {
+        (self.len, self.bits)
+    }
+
+    /// Rebuilds a path from its [`Path::wire_parts`].  `None` when `len`
+    /// exceeds [`MAX_PATH_LEN`]; bits past `len` are ignored.
+    pub fn from_wire_parts(len: u8, bits: u64) -> Option<Path> {
+        if len as usize > MAX_PATH_LEN {
+            return None;
+        }
+        let mask = match len {
+            0 => 0,
+            len => !0u64 << (64 - len as u32),
+        };
+        Some(Path {
+            bits: bits & mask,
+            len,
+        })
+    }
+
     /// Iterator over the bits of the path.
     pub fn bits_iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len()).map(move |i| self.bit(i))
@@ -346,6 +369,26 @@ mod tests {
         assert!(Path::parse("01").disjoint_with(&Path::parse("10")));
         assert!(!Path::parse("01").disjoint_with(&Path::parse("010")));
         assert!(!Path::root().disjoint_with(&Path::parse("1")));
+    }
+
+    #[test]
+    fn wire_parts_roundtrip_and_reject_or_mask_bad_input() {
+        for s in ["", "0", "1", "0110", &"10".repeat(32)] {
+            let p = if s.is_empty() {
+                Path::ROOT
+            } else {
+                Path::parse(s)
+            };
+            let (len, bits) = p.wire_parts();
+            assert_eq!(len as usize, p.len());
+            assert_eq!(Path::from_wire_parts(len, bits), Some(p));
+        }
+        assert_eq!(Path::parse("101").wire_parts(), (3, 0b101 << 61));
+        // Too long is rejected; stray bits past `len` are masked away, as
+        // rebuilding bit by bit did.
+        assert_eq!(Path::from_wire_parts(65, 0), None);
+        assert_eq!(Path::from_wire_parts(2, u64::MAX), Some(Path::parse("11")));
+        assert_eq!(Path::from_wire_parts(0, u64::MAX), Some(Path::ROOT));
     }
 
     #[test]

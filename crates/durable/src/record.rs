@@ -7,7 +7,7 @@
 //! delta applies on top of whatever image replay has built so far.
 
 use pgrid_core::key::{DataEntry, DataId, Key};
-use pgrid_core::path::{Path, MAX_PATH_LEN};
+use pgrid_core::path::Path;
 
 /// Worker-level metadata: which shard this log belongs to and how far
 /// the run had progressed at the last sync.
@@ -227,13 +227,8 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 }
 
 fn put_path(buf: &mut Vec<u8>, path: &Path) {
-    buf.push(path.len() as u8);
-    let mut bits = 0u64;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
-        }
-    }
+    let (len, bits) = path.wire_parts();
+    buf.push(len);
     put_u64(buf, bits);
 }
 
@@ -280,16 +275,10 @@ fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64, String> {
 }
 
 fn get_path(buf: &[u8], at: &mut usize) -> Result<Path, String> {
-    let len = get_u8(buf, at)? as usize;
-    if len > MAX_PATH_LEN {
-        return Err(format!("path length {len} exceeds MAX_PATH_LEN"));
-    }
+    let len = get_u8(buf, at)?;
     let bits = get_u64(buf, at)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Ok(path)
+    Path::from_wire_parts(len, bits)
+        .ok_or_else(|| format!("path length {len} exceeds MAX_PATH_LEN"))
 }
 
 fn get_entries(buf: &[u8], at: &mut usize) -> Result<Vec<DataEntry>, String> {

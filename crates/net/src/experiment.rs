@@ -14,6 +14,7 @@
 use crate::runtime::{BandwidthSample, QueryAggregates, Runtime};
 use pgrid_core::balance::compare_to_reference;
 use pgrid_core::histogram::LogHistogram;
+use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
 use pgrid_core::path::Path;
 use pgrid_core::reference::{BalanceParams, ReferencePartitioning};
@@ -243,8 +244,14 @@ impl ReportInputs {
         ReportInputs {
             n_peers: runtime.config.n_peers,
             params: runtime.params(),
-            original_keys: runtime.original_entries.iter().map(|e| e.key).collect(),
-            paths: runtime.nodes.iter().map(|n| n.state.path).collect(),
+            original_keys: runtime
+                .original_entries_of(IndexId::PRIMARY)
+                .iter()
+                .map(|e| e.key)
+                .collect(),
+            paths: (0..runtime.config.n_peers)
+                .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
+                .collect(),
             queries: runtime.metrics.merged_stats(),
             bandwidth_per_minute: runtime.metrics.bandwidth_per_minute.clone(),
             online_at_end: runtime.online_count(),

@@ -557,27 +557,14 @@ impl Message {
 }
 
 fn put_path(buf: &mut BytesMut, path: &Path) {
-    buf.put_u8(path.len() as u8);
-    let mut bits: u64 = 0;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
-        }
-    }
+    let (len, bits) = path.wire_parts();
+    buf.put_u8(len);
     buf.put_u64(bits);
 }
 
 fn get_path(data: &mut Bytes) -> Option<Path> {
-    let len = checked_u8(data)? as usize;
-    if len > pgrid_core::path::MAX_PATH_LEN {
-        return None;
-    }
-    let bits = checked_u64(data)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Some(path)
+    let len = checked_u8(data)?;
+    Path::from_wire_parts(len, checked_u64(data)?)
 }
 
 fn put_entries(buf: &mut BytesMut, entries: &[DataEntry]) {

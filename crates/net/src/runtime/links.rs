@@ -1,0 +1,460 @@
+//! The wire side of the runtime: per-destination batch buffers, the
+//! transport and the link life-cycle ([`Links`]); `send`/`send_on` queue a
+//! message, `flush_pending` ships the batches as frames, `deliver_frame`
+//! decodes an arrived frame and dispatches its messages to the planes.
+
+use super::{Millis, Runtime};
+use crate::message::Message;
+use bytes::Bytes;
+use pgrid_core::index::IndexId;
+use pgrid_core::routing::PeerId;
+use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
+use pgrid_transport::frame;
+use pgrid_transport::{LinkFault, PeerAddr, Transport, TransportStats};
+use rand::Rng;
+use std::collections::{BTreeMap, HashMap};
+
+/// Per-frame payload budget, well below [`frame::MAX_FRAME_BYTES`]: batches
+/// whose encoded size would exceed it are split across frames instead of
+/// producing a frame the receiver rejects.
+const MAX_FRAME_PAYLOAD_BYTES: usize = frame::MAX_FRAME_BYTES / 4;
+
+/// First backoff window after a send failure marks a link Suspect;
+/// doubles per further failure, capped at [`LINK_BACKOFF_CAP_MS`].
+pub(super) const LINK_SUSPECT_BACKOFF_MS: Millis = 250;
+
+/// Upper bound of the Suspect retry backoff.
+const LINK_BACKOFF_CAP_MS: Millis = 2_000;
+
+/// Consecutive send failures after which a link is declared Dead.
+const LINK_DEAD_AFTER: u32 = 3;
+
+/// Life-cycle of the link to one (remote) peer, driven by transport send
+/// failures.  Virtual-time transports never fail a send, so every link
+/// stays `Connected` in single-process runs; over TCP a dead worker's
+/// endpoints walk Connected → Suspect → Dead, and the data plane keeps
+/// advancing — sends to a suppressed link count as loss instead of
+/// stalling the virtual clock on connect timeouts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkHealth {
+    /// Sends flow normally.
+    Connected,
+    /// A recent send failed; further sends are dropped (as loss) until
+    /// `retry_at`, with exponential backoff per consecutive failure.
+    Suspect {
+        /// Virtual time at which the next send may be attempted.
+        retry_at: Millis,
+        /// Consecutive failures so far.
+        failures: u32,
+    },
+    /// Too many consecutive failures: sends are suppressed and the peer is
+    /// skipped as a query-forwarding candidate until the link is revived
+    /// by recovery ([`Runtime::revive_link`]).
+    Dead,
+}
+
+/// The transport and everything queued towards it.
+pub(super) struct Links<T> {
+    pub(super) transport: T,
+    addrs: Vec<PeerAddr>,
+    /// Link life-cycle per destination peer (absent = Connected).  Only
+    /// ever populated by transport send failures, which virtual-time
+    /// backends never produce.
+    health: HashMap<usize, LinkHealth>,
+    /// Per-destination batch buffer, flushed as one frame per destination
+    /// after every processed event (BTreeMap so the flush order — and with
+    /// it the loss and latency draws — is deterministic).
+    pending: BTreeMap<usize, Vec<Message>>,
+    /// First sending peer of each pending per-destination batch — the
+    /// sender identity a frame is stamped with so link-level faults
+    /// (partitions) can tell which side of a split it crosses.
+    pending_from: HashMap<usize, usize>,
+    /// The peer whose handler/event is currently executing (the `from` of
+    /// anything it sends).
+    pub(super) actor: usize,
+    /// Frames shipped while tracing is enabled (drives the 1-in-64
+    /// sampling of ambient frame-send trace events).
+    frames_traced: u64,
+}
+
+impl<T> Links<T> {
+    pub(super) fn new(transport: T, addrs: Vec<PeerAddr>) -> Links<T> {
+        Links {
+            transport,
+            addrs,
+            health: HashMap::new(),
+            pending: BTreeMap::new(),
+            pending_from: HashMap::new(),
+            actor: 0,
+            frames_traced: 0,
+        }
+    }
+
+    /// Whether the link to `peer` is usable as a forwarding target (hosted
+    /// peers always are; remote ones unless their link is Dead).
+    pub(super) fn ok(&self, peer: usize) -> bool {
+        !matches!(self.health.get(&peer), Some(LinkHealth::Dead))
+    }
+}
+
+impl<T: Transport> Runtime<T> {
+    /// The transport address of a peer.
+    pub fn peer_addr(&self, peer: usize) -> PeerAddr {
+        self.links.addrs[peer]
+    }
+
+    /// Frame-level counters of the underlying transport.
+    pub fn transport_stats(&self) -> TransportStats {
+        self.links.transport.stats()
+    }
+
+    /// The transport backend, mutable — cluster shard reassignment uses
+    /// this to take over a dead worker's endpoints
+    /// ([`pgrid_transport::tcp::TcpTransport::register_takeover`]) and
+    /// re-point moved ones.
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.links.transport
+    }
+
+    /// Injects a link-level fault into the transport (per-link jitter, a
+    /// healing partition window); returns whether the backend emulates it.
+    pub fn inject_link_fault(&mut self, fault: LinkFault) -> bool {
+        self.links.transport.inject_fault(fault)
+    }
+
+    /// Replaces the cached address of `peer` after its endpoint moved
+    /// during recovery, and clears any Suspect/Dead link state towards it.
+    pub fn set_peer_addr(&mut self, peer: usize, addr: PeerAddr) {
+        self.links.addrs[peer] = addr;
+        self.revive_link(peer);
+    }
+
+    /// Clears the link life-cycle state towards `peer` (its endpoint came
+    /// back or moved to a live process).
+    pub fn revive_link(&mut self, peer: usize) {
+        self.links.health.remove(&peer);
+    }
+
+    /// The link life-cycle state towards `to` (Connected when no failure
+    /// was ever recorded).
+    pub fn link_health(&self, to: usize) -> LinkHealth {
+        self.links
+            .health
+            .get(&to)
+            .copied()
+            .unwrap_or(LinkHealth::Connected)
+    }
+
+    /// Whether `peer` can be forwarded to: online (liveness is shared by
+    /// all indexes) and not behind a Dead link.
+    pub(super) fn reachable(&self, peer: PeerId) -> bool {
+        let peer = peer.0 as usize;
+        self.nodes[peer].online && self.links.ok(peer)
+    }
+
+    /// `send` qualified by an index: primary-index messages go out
+    /// unchanged (the single-index wire format), secondary-index ones are
+    /// enveloped in [`Message::ForIndex`].
+    pub(super) fn send_on(&mut self, index: IndexId, to: usize, message: Message) {
+        if index.is_primary() {
+            self.send(to, message);
+        } else {
+            self.send(
+                to,
+                Message::ForIndex {
+                    index: index.0,
+                    inner: Box::new(message),
+                },
+            );
+        }
+    }
+
+    /// Queues a message for the next frame to `to`: accounts its bandwidth
+    /// and batches it until the current event finishes.
+    ///
+    /// Query traffic sent while handling a traced lookup is wrapped in a
+    /// [`Message::Traced`] envelope carrying the trace ID to the next
+    /// peer (and, through the transport, to the next worker process).
+    /// With tracing disabled `current_trace` is always [`NO_TRACE`], so
+    /// no envelope — and no extra wire byte — ever exists.
+    pub(super) fn send(&mut self, to: usize, message: Message) {
+        let message = if self.current_trace != NO_TRACE && message.is_query_traffic() {
+            Message::Traced {
+                trace_id: self.current_trace,
+                inner: Box::new(message),
+            }
+        } else {
+            message
+        };
+        self.metrics.account(self.clock.now, &message);
+        self.links.pending.entry(to).or_default().push(message);
+        self.links
+            .pending_from
+            .entry(to)
+            .or_insert(self.links.actor);
+    }
+
+    /// Flushes every per-destination batch as one frame each.
+    pub(super) fn flush_pending(&mut self) {
+        for (to, messages) in std::mem::take(&mut self.links.pending) {
+            let from = self.links.pending_from.remove(&to).unwrap_or(to);
+            self.flush_frame(from, to, messages);
+        }
+        self.links.pending_from.clear();
+    }
+
+    /// Encodes `messages` into frames for `to` and hands them to the
+    /// transport.  A batch normally fits one frame; batches that would
+    /// exceed the framing bounds (which the receiver rejects as corrupt)
+    /// are split across several frames.
+    fn flush_frame(&mut self, from: usize, to: usize, messages: Vec<Message>) {
+        let mut chunk: Vec<Bytes> = Vec::with_capacity(messages.len());
+        let mut chunk_bytes = 0usize;
+        for message in &messages {
+            let payload = message.encode();
+            if !chunk.is_empty()
+                && (chunk.len() >= frame::MAX_BATCH_LEN
+                    || chunk_bytes + payload.len() + 4 > MAX_FRAME_PAYLOAD_BYTES)
+            {
+                let full = std::mem::take(&mut chunk);
+                chunk_bytes = 0;
+                self.ship_frame(from, to, full);
+            }
+            chunk_bytes += payload.len() + 4;
+            chunk.push(payload);
+        }
+        if !chunk.is_empty() {
+            self.ship_frame(from, to, chunk);
+        }
+    }
+
+    /// Puts one frame on the wire, applying the emulated frame loss and the
+    /// link life-cycle: frames to a Suspect link in its backoff window or
+    /// to a Dead link are dropped as loss instead of hitting the transport,
+    /// so a dead worker's endpoints cannot stall the clock on every send.
+    fn ship_frame(&mut self, from: usize, to: usize, payloads: Vec<Bytes>) {
+        let now = self.clock.now;
+        let lost = self
+            .rng
+            .gen_bool(self.config.loss_probability.clamp(0.0, 1.0));
+        let suppressed = match self.links.health.get(&to) {
+            Some(LinkHealth::Dead) => true,
+            Some(LinkHealth::Suspect { retry_at, .. }) => now < *retry_at,
+            _ => false,
+        };
+        if lost || suppressed {
+            self.metrics.messages_lost += payloads.len();
+            return;
+        }
+        if payloads.len() > 1 {
+            self.metrics.multi_message_frames += 1;
+        }
+        // Frame-level tracing is sampled (1 in 64) so an enabled tracer's
+        // buffer is not drowned in construction-phase frames.
+        if self.tracer.is_enabled() {
+            self.links.frames_traced += 1;
+            if self.links.frames_traced % 64 == 1 {
+                let n = payloads.len();
+                self.tracer
+                    .record(AMBIENT_TRACE, "frame_sent", to as u64, now, || {
+                        format!("messages={n} sample=1/64")
+                    });
+            }
+        }
+        let frame = frame::encode_frame(&payloads);
+        if self
+            .links
+            .transport
+            .send_from(now, PeerId(from as u64), PeerId(to as u64), frame)
+            .is_err()
+        {
+            // A broken connection behaves like loss on the wire — and
+            // escalates the link's life-cycle state.
+            self.metrics.messages_lost += payloads.len();
+            self.record_link_failure(to);
+        } else {
+            // A successful retry heals the link.
+            self.links.health.remove(&to);
+        }
+    }
+
+    /// Escalates the link to `to` after a transport send failure:
+    /// Connected → Suspect (with exponential backoff per consecutive
+    /// failure) → Dead after [`LINK_DEAD_AFTER`] failures.
+    pub(super) fn record_link_failure(&mut self, to: usize) {
+        let now = self.clock.now;
+        let failures = match self.links.health.get(&to) {
+            Some(LinkHealth::Suspect { failures, .. }) => failures + 1,
+            Some(LinkHealth::Dead) => return,
+            _ => 1,
+        };
+        if failures >= LINK_DEAD_AFTER {
+            self.metrics.links_dead += 1;
+            self.links.health.insert(to, LinkHealth::Dead);
+            self.recorder.note(
+                now,
+                "link_dead",
+                format!("link to peer {to} declared dead after {failures} send failures"),
+            );
+        } else {
+            if failures == 1 {
+                self.metrics.links_suspected += 1;
+            }
+            let backoff = (LINK_SUSPECT_BACKOFF_MS << (failures - 1)).min(LINK_BACKOFF_CAP_MS);
+            self.links.health.insert(
+                to,
+                LinkHealth::Suspect {
+                    retry_at: now + backoff,
+                    failures,
+                },
+            );
+        }
+    }
+
+    /// Decodes an arrived frame and handles its messages.
+    pub(super) fn deliver_frame(&mut self, to: PeerId, frame_bytes: Bytes) {
+        let to = to.0 as usize;
+        // A frame for a peer this runtime does not host can only come from
+        // a mis-wired address book — or from a sender that has not yet
+        // learnt about a shard reassignment; never apply it to a stub.
+        if !self.hosted(to) {
+            self.metrics.decode_failures += 1;
+            return;
+        }
+        let Ok(payloads) = frame::decode_frame(&frame_bytes) else {
+            self.metrics.decode_failures += 1;
+            self.recorder.note(
+                self.clock.now,
+                "decode_failure",
+                format!(
+                    "undecodable frame of {} bytes for peer {to}",
+                    frame_bytes.len()
+                ),
+            );
+            return;
+        };
+        if self.tracer.is_enabled() && self.links.frames_traced % 64 == 1 {
+            let n = payloads.len();
+            self.tracer.record(
+                AMBIENT_TRACE,
+                "frame_received",
+                to as u64,
+                self.clock.now,
+                || format!("messages={n} sample=1/64"),
+            );
+        }
+        for payload in payloads {
+            let Some(message) = Message::decode(payload) else {
+                self.metrics.decode_failures += 1;
+                continue;
+            };
+            // A replica snapshot is what brings a recovering peer back
+            // online, so it must reach the peer while it is still offline.
+            if !self.nodes[to].online && !matches!(message, Message::ReplicaPush { .. }) {
+                self.metrics.messages_to_offline += 1;
+                continue;
+            }
+            self.metrics.messages_delivered += 1;
+            self.links.actor = to;
+            self.handle_message(to, message);
+        }
+    }
+
+    /// Runs `handle` as peer `actor` under trace context `trace_id`, so
+    /// everything it triggers (forwards, responses) carries the same trace
+    /// ID onwards.
+    pub(super) fn with_trace(
+        &mut self,
+        actor: usize,
+        trace_id: u64,
+        handle: impl FnOnce(&mut Self),
+    ) {
+        let previous = std::mem::replace(&mut self.current_trace, trace_id);
+        self.links.actor = actor;
+        handle(self);
+        self.current_trace = previous;
+    }
+
+    fn handle_message(&mut self, to: usize, message: Message) {
+        match message {
+            Message::ForIndex { index, inner } => {
+                let index = IndexId(index);
+                if !self.has_index_state(index) {
+                    // An envelope for an index this runtime never
+                    // registered: version skew, not ordinary traffic.
+                    self.metrics.decode_failures += 1;
+                    return;
+                }
+                self.handle_message_on(to, index, *inner);
+            }
+            // Adopt the sender's trace context for the inner message.
+            Message::Traced { trace_id, inner } => {
+                self.with_trace(to, trace_id, |rt| rt.handle_message(to, *inner))
+            }
+            other => self.handle_message_on(to, IndexId::PRIMARY, other),
+        }
+    }
+
+    /// Hands one message for peer `to` on `index` to the plane it belongs
+    /// to.
+    pub(super) fn handle_message_on(&mut self, to: usize, index: IndexId, message: Message) {
+        match message {
+            Message::Join { .. } | Message::JoinAck { .. } => {
+                // Join traffic is handled synchronously in `join_peer`; these
+                // messages only exist for bandwidth accounting.
+            }
+            Message::Replicate { entries } => {
+                self.indexes.state_mut(index, to).store.merge_from(entries);
+            }
+            Message::Exchange {
+                from,
+                path,
+                entries,
+            } => self.handle_exchange(index, to, from, path, &entries),
+            Message::ExchangeReply {
+                from,
+                path,
+                outcome,
+            } => self.apply_exchange_reply(index, to, from, path, outcome),
+            Message::Query {
+                origin,
+                id,
+                key,
+                hops,
+            } => self.handle_query_message(index, to, origin, id, key, hops),
+            Message::QueryResponse {
+                id,
+                entries,
+                hops,
+                found,
+            } => self.resolve_query(index, to, id, found && !entries.is_empty(), hops),
+            Message::RangeQuery {
+                origin,
+                id,
+                lo,
+                hi,
+                cursor,
+                hops,
+            } => self.handle_range_message(index, to, origin, id, lo, hi, cursor, hops),
+            Message::RangeResponse {
+                id,
+                from,
+                upto,
+                entries,
+                hops,
+            } => self.absorb_range_slice(index, to, id, from, upto, entries, hops),
+            Message::ReplicaPull { origin } => self.answer_replica_pull(index, to, origin),
+            Message::ReplicaPush {
+                path,
+                entries,
+                routing,
+                replicas,
+            } => self.apply_replica_push(index, to, path, entries, routing, replicas),
+            Message::ForIndex { .. } | Message::Traced { .. } => {
+                // Nested envelopes are rejected at decode time; reaching
+                // one here means a hand-crafted message — drop it.
+                self.metrics.decode_failures += 1;
+            }
+        }
+    }
+}

@@ -12,7 +12,7 @@
 //!   Prometheus text encoder, and a compact wire codec so sharded worker
 //!   processes can stream registry snapshots to the coordinator for a
 //!   merged cluster-wide view.
-//! * [`trace`] — cheap structured `TraceEvent` records (virtual-time plus
+//! * [`mod@trace`] — cheap structured `TraceEvent` records (virtual-time plus
 //!   wall-time stamps) on the hot paths, keyed by a per-query trace ID
 //!   that the message envelope propagates across process boundaries.
 //!   Tracing is **off by default**: a disabled [`trace::Tracer`] records

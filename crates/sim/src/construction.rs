@@ -24,9 +24,9 @@
 //!
 //! Since the exchange engine is stateless and every interaction touches
 //! only the peers in its claim set, the rounds are executed as conflict-free
-//! interaction batches spread across worker threads: [`crate::schedule`]
+//! interaction batches spread across worker threads: `crate::schedule`
 //! plans each round's interactions and partitions them into batches with
-//! pairwise disjoint claim sets, [`crate::parallel`] executes a batch with
+//! pairwise disjoint claim sets, `crate::parallel` executes a batch with
 //! exclusive `&mut PeerState` access per interaction and merges the metric
 //! deltas afterwards.  Randomness comes from per-peer counter-derived
 //! streams, so the result is bit-identical for every

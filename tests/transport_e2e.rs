@@ -183,6 +183,9 @@ fn per_tick_batching_packs_messages_into_shared_frames() {
         "{stats:?} vs {} delivered messages",
         rt.metrics.messages_delivered
     );
-    let max_depth = rt.nodes.iter().map(|n| n.state.path.len()).max().unwrap();
+    let max_depth = (0..rt.config.n_peers)
+        .map(|peer| rt.peer_state(IndexId::PRIMARY, peer).path.len())
+        .max()
+        .unwrap();
     assert!(max_depth >= 2, "max depth {max_depth}");
 }
