@@ -16,7 +16,7 @@ use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
 use pgrid_core::store::KeyStore;
 use pgrid_durable::{
-    DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
+    crc32, DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -198,10 +198,15 @@ fn snapshot(store: &DurableStore) -> Snapshot {
 }
 
 /// Builds a multi-peer journal one record at a time, remembering the
-/// mirror after every append and the byte boundary each record ends at.
-fn build_reference(dir: &std::path::Path, seed: u64) -> (Vec<u64>, Vec<Snapshot>) {
+/// mirror after every append and the byte boundary each record ends at
+/// (the boundaries are file offsets only while the log fits one segment).
+fn build_reference(
+    dir: &std::path::Path,
+    seed: u64,
+    options: LogOptions,
+) -> (DurableStore, Vec<u64>, Vec<Snapshot>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = DurableStore::open(dir, LogOptions::default()).unwrap();
+    let mut store = DurableStore::open(dir, options).unwrap();
     let mut stores: BTreeMap<u32, (KeyStore, Path)> = (0..3u32)
         .map(|p| (p, (KeyStore::new(), Path::root())))
         .collect();
@@ -245,8 +250,61 @@ fn build_reference(dir: &std::path::Path, seed: u64) -> (Vec<u64>, Vec<Snapshot>
         }
     }
     store.sync().unwrap();
-    assert_eq!(store.segment_count(), 1, "matrix must fit one segment");
-    (boundaries, snapshots)
+    (store, boundaries, snapshots)
+}
+
+/// `(file name, length, crc32 of the whole file)` of every segment in
+/// `dir`, in sequence order.
+fn segment_fingerprints(dir: &std::path::Path) -> Vec<(String, u64, u32)> {
+    let mut files: Vec<(String, u64, u32)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let bytes = std::fs::read(entry.path()).unwrap();
+            (
+                entry.file_name().into_string().unwrap(),
+                bytes.len() as u64,
+                crc32(&bytes),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The log's bytes are a contract with every log already on disk: the
+/// same seeded 3-peer journal, rotated through tiny segments and then
+/// compacted once, must keep producing exactly the files it produced when
+/// these constants were recorded (format version 1, before the writer
+/// learnt to buffer and frame in place).
+#[test]
+fn log_bytes_are_pinned() {
+    let dir = temp_dir("bytes-pin");
+    let (mut store, _, _) = build_reference(&dir, 0xD15C, LogOptions { segment_bytes: 512 });
+    let name = |seq: u64| format!("seg-{seq:010}.log");
+    assert_eq!(
+        segment_fingerprints(&dir),
+        vec![
+            (name(1), 517, 3_400_326_994),
+            (name(2), 529, 521_033_830),
+            (name(3), 520, 3_358_628_413),
+            (name(4), 567, 3_959_153_881),
+            (name(5), 529, 1_939_815_408),
+            (name(6), 56, 2_319_624_165),
+        ],
+        "segments after the journaled sequence"
+    );
+    store.compact().unwrap();
+    assert_eq!(
+        segment_fingerprints(&dir),
+        vec![
+            (name(7), 1_240, 3_027_430_345),
+            (name(8), 14, 3_848_163_973)
+        ],
+        "segments after one compaction"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -258,7 +316,10 @@ proptest! {
     #[test]
     fn killed_writer_replays_to_a_consistent_cut(cut_seed in any::<u64>()) {
         let source = temp_dir("matrix-src");
-        let (boundaries, snapshots) = build_reference(&source, 0xD15C);
+        let (store, boundaries, snapshots) =
+            build_reference(&source, 0xD15C, LogOptions::default());
+        prop_assert!(store.segment_count() == 1, "matrix must fit one segment");
+        drop(store);
         let bytes = std::fs::read(source.join("seg-0000000001.log")).unwrap();
         prop_assert_eq!(bytes.len() as u64, *boundaries.last().unwrap());
 
