@@ -379,7 +379,9 @@ impl<T: SocketTransport> ShardOverlay<T> {
     /// Journals every hosted peer whose state changed since the last
     /// observation, plus the run metadata, and fsyncs when anything was
     /// appended (at most one sync per pacing slice).  Write errors are
-    /// logged, not fatal: a full disk degrades durability, not the run.
+    /// logged, not fatal: a full disk degrades durability, not the run —
+    /// a failed observation ends the cut early, and what the cut had
+    /// appended until then is still synced.
     fn persist(&mut self) {
         let Some(durable) = self.durable.as_mut() else {
             return;
@@ -409,7 +411,7 @@ impl<T: SocketTransport> ShardOverlay<T> {
                 Ok(appended) => dirty |= appended,
                 Err(e) => {
                     pgrid_obs::warn!("cluster::worker", "durable observe of peer {peer}: {e}");
-                    return;
+                    break;
                 }
             }
         }

@@ -9,7 +9,9 @@
 //! Design in one paragraph: the worker observes its hosted peers after
 //! each pacing slice and at every phase barrier; `DurableStore` diffs
 //! each peer against an in-memory mirror of the last journaled image
-//! and appends one delta record per changed peer.  Records are framed
+//! (sharing the live store's storage, so an untouched peer costs a
+//! pointer compare) and appends one delta record per changed peer,
+//! buffered until the slice's one `sync`.  Records are framed
 //! `[len | crc32 | payload]` inside `seg-<seq>.log` files; recovery
 //! scans segments in sequence order, truncates the first torn tail,
 //! and rebuilds the mirror by last-writer-wins replay.  Compaction
@@ -24,5 +26,5 @@ pub mod segment;
 pub mod store;
 
 pub use record::{MetaImage, PeerDelta, PeerImage, Record};
-pub use segment::{crc32, Log, LogOptions, ReplayOutcome, SegmentScan};
+pub use segment::{crc32, Log, LogOptions, ReplayOutcome, SegmentWriter};
 pub use store::{DurableStats, DurableStore, MirrorImage};

@@ -108,54 +108,33 @@ impl Record {
     /// Encodes the record as one segment payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the record's payload encoding to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Record::Meta(meta) => {
                 buf.push(TAG_META);
-                put_u32(&mut buf, meta.shard_start);
-                put_u32(&mut buf, meta.shard_len);
-                put_u64(&mut buf, meta.epoch);
+                put_u32(buf, meta.shard_start);
+                put_u32(buf, meta.shard_len);
+                put_u64(buf, meta.epoch);
                 buf.push(meta.phase);
-                put_u64(&mut buf, meta.now_ms);
-                put_u64(&mut buf, meta.seed);
+                put_u64(buf, meta.now_ms);
+                put_u64(buf, meta.seed);
             }
-            Record::Image { index, peer, image } => {
-                buf.push(TAG_IMAGE);
-                put_u32(&mut buf, *index);
-                put_u32(&mut buf, *peer);
-                put_path(&mut buf, &image.path);
-                put_entries(&mut buf, &image.entries);
-                put_routing(&mut buf, &image.routing);
-                put_peers(&mut buf, &image.replicas);
-            }
-            Record::Delta { index, peer, delta } => {
-                buf.push(TAG_DELTA);
-                put_u32(&mut buf, *index);
-                put_u32(&mut buf, *peer);
-                let mut flags = 0u8;
-                if delta.path.is_some() {
-                    flags |= DELTA_PATH;
-                }
-                if delta.routing.is_some() {
-                    flags |= DELTA_ROUTING;
-                }
-                if delta.replicas.is_some() {
-                    flags |= DELTA_REPLICAS;
-                }
-                buf.push(flags);
-                if let Some(path) = &delta.path {
-                    put_path(&mut buf, path);
-                }
-                put_entries(&mut buf, &delta.added);
-                put_entries(&mut buf, &delta.removed);
-                if let Some(routing) = &delta.routing {
-                    put_routing(&mut buf, routing);
-                }
-                if let Some(replicas) = &delta.replicas {
-                    put_peers(&mut buf, replicas);
-                }
-            }
+            Record::Image { index, peer, image } => encode_image_into(
+                *index,
+                *peer,
+                &image.path,
+                image.entries.iter(),
+                &image.routing,
+                &image.replicas,
+                buf,
+            ),
+            Record::Delta { index, peer, delta } => encode_delta_into(*index, *peer, delta, buf),
         }
-        buf
     }
 
     /// Decodes one segment payload.  The payload passed its checksum, so
@@ -218,6 +197,50 @@ impl Record {
     }
 }
 
+/// Appends the payload of a [`Record::Image`] built from borrowed parts
+/// (`entries` in store order), so a live store is journaled without a copy.
+pub(crate) fn encode_image_into<'a>(
+    index: u32,
+    peer: u32,
+    path: &Path,
+    entries: impl Iterator<Item = &'a DataEntry>,
+    routing: &[(u8, u64, Path)],
+    replicas: &[u64],
+    buf: &mut Vec<u8>,
+) {
+    buf.push(TAG_IMAGE);
+    put_u32(buf, index);
+    put_u32(buf, peer);
+    put_path(buf, path);
+    put_entries(buf, entries);
+    put_routing(buf, routing);
+    put_peers(buf, replicas);
+}
+
+/// Appends the payload of a [`Record::Delta`] built from a borrowed delta.
+pub(crate) fn encode_delta_into(index: u32, peer: u32, delta: &PeerDelta, buf: &mut Vec<u8>) {
+    buf.push(TAG_DELTA);
+    put_u32(buf, index);
+    put_u32(buf, peer);
+    let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+    buf.push(
+        flag(delta.path.is_some(), DELTA_PATH)
+            | flag(delta.routing.is_some(), DELTA_ROUTING)
+            | flag(delta.replicas.is_some(), DELTA_REPLICAS),
+    );
+    if let Some(path) = &delta.path {
+        put_path(buf, path);
+    }
+    put_entries(buf, delta.added.iter());
+    put_entries(buf, delta.removed.iter());
+    if let Some(routing) = &delta.routing {
+        put_routing(buf, routing);
+    }
+    if let Some(replicas) = &delta.replicas {
+        put_peers(buf, replicas);
+    }
+}
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -232,12 +255,17 @@ fn put_path(buf: &mut Vec<u8>, path: &Path) {
     put_u64(buf, bits);
 }
 
-fn put_entries(buf: &mut Vec<u8>, entries: &[DataEntry]) {
-    put_u32(buf, entries.len() as u32);
+/// The count is back-patched: the iterator need not know its length.
+fn put_entries<'a>(buf: &mut Vec<u8>, entries: impl Iterator<Item = &'a DataEntry>) {
+    let count_at = buf.len();
+    put_u32(buf, 0);
+    let mut count = 0u32;
     for e in entries {
         put_u64(buf, e.key.0);
         put_u64(buf, e.id.0);
+        count += 1;
     }
+    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 fn put_routing(buf: &mut Vec<u8>, routing: &[(u8, u64, Path)]) {

@@ -42,10 +42,12 @@ pub const RECORD_HEADER_LEN: u64 = 8;
 /// field is treated as tail corruption.
 pub const MAX_RECORD_LEN: u32 = 64 << 20;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slice-by-8 tables: `CRC_TABLES[t][b]` is byte `b` advanced through
+/// `t` further zero bytes, so eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -58,17 +60,30 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    while i < 8 * 256 {
+        let prev = tables[i / 256 - 1][i % 256];
+        tables[i / 256][i % 256] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3, reflected) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)")) ^ u64::from(c);
+        c = 0;
+        for (t, b) in word.to_le_bytes().into_iter().enumerate() {
+            c ^= CRC_TABLES[7 - t][b as usize];
+        }
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -98,52 +113,45 @@ pub struct SegmentInfo {
     pub records: u64,
 }
 
-/// The verified contents of one segment file.
-#[derive(Debug)]
-pub struct SegmentScan {
-    /// Sequence number from the header (0 when the header itself is torn).
-    pub seq: u64,
-    /// The record payloads whose checksums verified, in write order.
-    pub records: Vec<Vec<u8>>,
-    /// Length of the valid prefix; everything past it is a torn tail.
-    pub valid_len: u64,
-    /// Actual file length on disk.
-    pub file_len: u64,
-}
-
-/// Reads a segment file, keeping the longest checksum-valid prefix.
+/// Reads a segment file, handing `on_record` each payload of the longest
+/// checksum-valid prefix (a slice of the one file buffer).  Returns that
+/// prefix and the file's length; what lies past `bytes` is a torn tail.
 ///
 /// A file too short to hold the header (a crash immediately after
-/// creation) scans as `valid_len == 0` with no records — recovery
-/// deletes it.  A wrong magic or format version is real corruption and
-/// an error, not a torn tail.
-pub fn read_segment(path: &Path) -> io::Result<SegmentScan> {
+/// creation) scans as `bytes == 0` with no records — recovery deletes
+/// it.  A wrong magic or format version is real corruption and an
+/// error, not a torn tail.
+pub fn read_segment(
+    path: PathBuf,
+    mut on_record: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<(SegmentInfo, u64)> {
     let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
+    File::open(&path)?.read_to_end(&mut data)?;
     let file_len = data.len() as u64;
+    let mut info = SegmentInfo {
+        seq: 0,
+        path,
+        bytes: 0,
+        records: 0,
+    };
     if file_len < SEGMENT_HEADER_LEN {
-        return Ok(SegmentScan {
-            seq: 0,
-            records: Vec::new(),
-            valid_len: 0,
-            file_len,
-        });
+        return Ok((info, file_len));
     }
     if data[0..4] != MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{}: not a segment file (bad magic)", path.display()),
+            format!("{}: not a segment file (bad magic)", info.path.display()),
         ));
     }
     let version = u16::from_le_bytes([data[4], data[5]]);
     if version != FORMAT_VERSION {
+        let path = info.path.display();
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{}: unsupported segment version {version}", path.display()),
+            format!("{path}: unsupported segment version {version}"),
         ));
     }
-    let seq = u64::from_le_bytes(data[6..14].try_into().unwrap());
-    let mut records = Vec::new();
+    info.seq = u64::from_le_bytes(data[6..14].try_into().unwrap());
     let mut at = SEGMENT_HEADER_LEN as usize;
     while let Some(header) = data.get(at..at + RECORD_HEADER_LEN as usize) {
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
@@ -158,24 +166,25 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentScan> {
         if crc32(payload) != crc {
             break;
         }
-        records.push(payload.to_vec());
+        on_record(payload)?;
+        info.records += 1;
         at = start + len as usize;
     }
-    Ok(SegmentScan {
-        seq,
-        records,
-        valid_len: at as u64,
-        file_len,
-    })
+    info.bytes = at as u64;
+    Ok((info, file_len))
 }
 
-/// The active (append) segment.
-struct SegmentWriter {
+/// Pending frames are written out once they pass this size, so a burst
+/// of first observations does not sit in memory until the next sync.
+const FLUSH_BYTES: usize = 1 << 20;
+
+/// A segment being written — a [`Log`]'s active one, or the checkpoint
+/// [`Log::compact`] fills.  Frames collect in `pending` until a flush.
+pub struct SegmentWriter {
     file: File,
-    path: PathBuf,
-    seq: u64,
-    bytes: u64,
-    records: u64,
+    /// What the file holds once `pending` is written out.
+    info: SegmentInfo,
+    pending: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -191,32 +200,62 @@ impl SegmentWriter {
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&seq.to_le_bytes());
         file.write_all(&header)?;
-        Ok(SegmentWriter {
-            file,
-            path,
+        let info = SegmentInfo {
             seq,
+            path,
             bytes: SEGMENT_HEADER_LEN,
             records: 0,
+        };
+        let pending = Vec::new();
+        Ok(SegmentWriter {
+            file,
+            info,
+            pending,
         })
     }
 
-    fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+    /// Frames the payload `encode` appends to the buffer, in place: the
+    /// header is reserved first, then back-patched with length and
+    /// checksum.  Returns the frame's bytes; on an error nothing was added.
+    pub fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
+        if self.pending.len() >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        let header = self.pending.len();
+        let start = header + RECORD_HEADER_LEN as usize;
+        self.pending.resize(start, 0);
+        encode(&mut self.pending);
+        let len = self.pending.len() - start;
         assert!(
-            payload.len() as u64 <= MAX_RECORD_LEN as u64,
+            len as u64 <= MAX_RECORD_LEN as u64,
             "record payload exceeds MAX_RECORD_LEN"
         );
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
-        self.records += 1;
-        Ok(frame.len() as u64)
+        let crc = crc32(&self.pending[start..]);
+        self.pending[header..header + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.pending[header + 4..start].copy_from_slice(&crc.to_le_bytes());
+        self.info.bytes += RECORD_HEADER_LEN + len as u64;
+        self.info.records += 1;
+        Ok(RECORD_HEADER_LEN + len as u64)
+    }
+
+    /// Hands the pending frames to the file in one write.
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.write_all(&self.pending)?;
+        self.pending.clear();
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
         self.file.sync_data()
+    }
+}
+
+/// Best effort: a writer dropped without a sync still hands its frames
+/// to the file, but only a sync acknowledges them.
+impl Drop for SegmentWriter {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -267,11 +306,15 @@ pub struct Log {
 }
 
 impl Log {
-    /// Opens (or creates) the log in `dir`, replaying every verified
-    /// record in segment order.  Torn tails are truncated on disk;
-    /// headerless files are deleted; a fresh segment is started for new
-    /// appends so sealed files are never rewritten.
-    pub fn open(dir: &Path, options: LogOptions) -> io::Result<(Log, Vec<Vec<u8>>, ReplayOutcome)> {
+    /// Opens (or creates) the log in `dir`, handing `replay` every
+    /// verified record payload in segment order.  Torn tails are
+    /// truncated on disk; headerless files are deleted; a fresh segment
+    /// is started for new appends so sealed files are never rewritten.
+    pub fn open(
+        dir: &Path,
+        options: LogOptions,
+        mut replay: impl FnMut(&[u8]) -> io::Result<()>,
+    ) -> io::Result<(Log, ReplayOutcome)> {
         std::fs::create_dir_all(dir)?;
         let mut found: Vec<(u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -285,118 +328,93 @@ impl Log {
         found.sort_by_key(|(seq, _)| *seq);
 
         let mut outcome = ReplayOutcome::default();
-        let mut payloads = Vec::new();
         let mut sealed = Vec::new();
         let mut max_seq = 0u64;
         for (name_seq, path) in found {
             max_seq = max_seq.max(name_seq);
-            let scan = read_segment(&path)?;
-            if scan.valid_len == 0 {
+            let (info, file_len) = read_segment(path, &mut replay)?;
+            if info.bytes == 0 {
                 // Crash before the header made it to disk: nothing to keep.
-                std::fs::remove_file(&path)?;
+                std::fs::remove_file(&info.path)?;
                 outcome.deleted_segments += 1;
                 continue;
             }
-            if scan.valid_len < scan.file_len {
+            if info.bytes < file_len {
                 OpenOptions::new()
                     .write(true)
-                    .open(&path)?
-                    .set_len(scan.valid_len)?;
+                    .open(&info.path)?
+                    .set_len(info.bytes)?;
                 outcome.torn_truncations += 1;
             }
-            outcome.records += scan.records.len();
-            sealed.push(SegmentInfo {
-                seq: scan.seq,
-                path,
-                bytes: scan.valid_len,
-                records: scan.records.len() as u64,
-            });
-            payloads.extend(scan.records);
+            outcome.records += info.records as usize;
+            sealed.push(info);
         }
         let writer = SegmentWriter::create(dir, max_seq + 1)?;
-        Ok((
-            Log {
-                dir: dir.to_path_buf(),
-                options,
-                sealed,
-                writer,
-            },
-            payloads,
-            outcome,
-        ))
+        let log = Log {
+            dir: dir.to_path_buf(),
+            options,
+            sealed,
+            writer,
+        };
+        Ok((log, outcome))
     }
 
-    /// Appends one record, rotating the active segment first when it is
-    /// full.  Returns the bytes written (frame, not payload).
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        if self.writer.records > 0 && self.writer.bytes >= self.options.segment_bytes {
+    /// Appends the record `encode` writes, rotating the active segment
+    /// first when it is full.  Returns the bytes appended (frame, not payload).
+    pub fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
+        if self.writer.info.records > 0 && self.writer.info.bytes >= self.options.segment_bytes {
             self.rotate()?;
         }
-        self.writer.append(payload)
+        self.writer.append(encode)
     }
 
     fn rotate(&mut self) -> io::Result<()> {
         self.writer.sync()?;
-        let next = self.writer.seq + 1;
-        self.sealed.push(SegmentInfo {
-            seq: self.writer.seq,
-            path: self.writer.path.clone(),
-            bytes: self.writer.bytes,
-            records: self.writer.records,
-        });
-        self.writer = SegmentWriter::create(&self.dir, next)?;
+        let next = SegmentWriter::create(&self.dir, self.writer.info.seq + 1)?;
+        self.sealed.push(self.writer.info.clone());
+        self.writer = next;
         Ok(())
     }
 
-    /// Fsyncs the active segment, returning the measured sync latency.
+    /// Writes the pending frames out and fsyncs the active segment,
+    /// returning the latency of the fsync alone.
     pub fn sync(&mut self) -> io::Result<Duration> {
+        self.writer.flush()?;
         let started = Instant::now();
-        self.writer.sync()?;
+        self.writer.file.sync_data()?;
         Ok(started.elapsed())
     }
 
-    /// Rewrites the log as one checkpoint: `live` payloads go into a
-    /// fresh segment, every older segment is deleted, and a new empty
-    /// segment becomes the active writer.
+    /// Rewrites the log as one checkpoint: the records `write_live`
+    /// appends go into a fresh segment, every older segment is deleted,
+    /// and a new empty segment becomes the active writer.
     ///
     /// Crash-safe without a manifest file because replay is
     /// last-writer-wins: a crash *before* the deletions replays the old
     /// segments first and the (possibly partial) checkpoint after, and
     /// checkpoint records are full images, so whatever prefix of the
     /// checkpoint survived simply overwrites the corresponding state.
-    pub fn compact<'a, I>(&mut self, live: I) -> io::Result<CompactOutcome>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
+    pub fn compact(
+        &mut self,
+        write_live: impl FnOnce(&mut SegmentWriter) -> io::Result<()>,
+    ) -> io::Result<CompactOutcome> {
         self.writer.sync()?;
-        let old_tail = SegmentInfo {
-            seq: self.writer.seq,
-            path: self.writer.path.clone(),
-            bytes: self.writer.bytes,
-            records: self.writer.records,
-        };
-        let checkpoint_seq = self.writer.seq + 1;
+        let checkpoint_seq = self.writer.info.seq + 1;
         let mut checkpoint = SegmentWriter::create(&self.dir, checkpoint_seq)?;
-        for payload in live {
-            checkpoint.append(payload)?;
-        }
+        write_live(&mut checkpoint)?;
         checkpoint.sync()?;
 
         let mut outcome = CompactOutcome {
-            checkpoint_bytes: checkpoint.bytes,
+            checkpoint_bytes: checkpoint.info.bytes,
             ..CompactOutcome::default()
         };
+        let old_tail = self.writer.info.clone();
         for old in self.sealed.drain(..).chain(std::iter::once(old_tail)) {
             outcome.reclaimed_bytes += old.bytes;
             outcome.segments_removed += 1;
             std::fs::remove_file(&old.path)?;
         }
-        self.sealed.push(SegmentInfo {
-            seq: checkpoint.seq,
-            path: checkpoint.path.clone(),
-            bytes: checkpoint.bytes,
-            records: checkpoint.records,
-        });
+        self.sealed.push(checkpoint.info.clone());
         self.writer = SegmentWriter::create(&self.dir, checkpoint_seq + 1)?;
         Ok(outcome)
     }
@@ -408,7 +426,7 @@ impl Log {
 
     /// Total bytes across all segments.
     pub fn total_bytes(&self) -> u64 {
-        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.writer.bytes
+        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.writer.info.bytes
     }
 
     /// The directory this log lives in.
@@ -421,10 +439,35 @@ impl Log {
 mod tests {
     use super::*;
 
+    /// Opens the log, collecting a copy of every replayed payload.
+    fn open_log(dir: &Path, options: LogOptions) -> (Log, Vec<Vec<u8>>, ReplayOutcome) {
+        let mut payloads = Vec::new();
+        let (log, outcome) = Log::open(dir, options, |payload| {
+            payloads.push(payload.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (log, payloads, outcome)
+    }
+
+    /// Appends `payload` as one record.
+    fn put(log: &mut Log, payload: &[u8]) {
+        log.append(|buf| buf.extend_from_slice(payload)).unwrap();
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pgrid-durable-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The one-byte-per-step CRC the slice-by-8 version replaced.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
     }
 
     #[test]
@@ -438,16 +481,73 @@ mod tests {
     }
 
     #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // 8-aligned backing store, so `offset` is the slice's alignment.
+        let words: Vec<u64> = (0..10u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5)
+            .collect();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn appends_reach_the_file_at_sync_and_in_one_piece() {
+        let dir = temp_dir("group");
+        // No rotation: everything below is about one segment file.
+        let options = LogOptions {
+            segment_bytes: u64::MAX,
+        };
+        let (mut log, _, _) = open_log(&dir, options);
+        let seg = dir.join(segment_file_name(1));
+        for i in 0u32..100 {
+            put(&mut log, &i.to_le_bytes());
+        }
+        // Counted, but not yet written.
+        assert_eq!(log.total_bytes(), SEGMENT_HEADER_LEN + 100 * 12);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), SEGMENT_HEADER_LEN);
+        log.sync().unwrap();
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), log.total_bytes());
+        // A buffer past FLUSH_BYTES is written out by the next append.
+        let big = vec![7u8; FLUSH_BYTES];
+        put(&mut log, &big);
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            SEGMENT_HEADER_LEN + 1_200
+        );
+        put(&mut log, b"x");
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            log.total_bytes() - 9
+        );
+        // Dropping the log writes the rest out, best effort.
+        drop(log);
+        let (_, replayed, _) = open_log(&dir, LogOptions::default());
+        assert_eq!(replayed.len(), 102);
+        assert_eq!(replayed[100], big);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn append_sync_reopen_replays_in_order() {
         let dir = temp_dir("basic");
-        let (mut log, replayed, _) = Log::open(&dir, LogOptions::default()).unwrap();
+        let (mut log, replayed, _) = open_log(&dir, LogOptions::default());
         assert!(replayed.is_empty());
         for i in 0u32..100 {
-            log.append(&i.to_le_bytes()).unwrap();
+            put(&mut log, &i.to_le_bytes());
         }
         log.sync().unwrap();
         drop(log);
-        let (_, replayed, outcome) = Log::open(&dir, LogOptions::default()).unwrap();
+        let (_, replayed, outcome) = open_log(&dir, LogOptions::default());
         assert_eq!(outcome.records, 100);
         assert_eq!(outcome.torn_truncations, 0);
         let values: Vec<u32> = replayed
@@ -462,14 +562,14 @@ mod tests {
     fn rotation_seals_segments_and_replay_spans_them() {
         let dir = temp_dir("rotate");
         let options = LogOptions { segment_bytes: 64 };
-        let (mut log, _, _) = Log::open(&dir, options).unwrap();
+        let (mut log, _, _) = open_log(&dir, options);
         for i in 0u32..50 {
-            log.append(&i.to_le_bytes()).unwrap();
+            put(&mut log, &i.to_le_bytes());
         }
         log.sync().unwrap();
         assert!(log.segment_count() > 2, "tiny segments must rotate");
         drop(log);
-        let (_, replayed, _) = Log::open(&dir, options).unwrap();
+        let (_, replayed, _) = open_log(&dir, options);
         assert_eq!(replayed.len(), 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -477,9 +577,9 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_prefix_survives() {
         let dir = temp_dir("torn");
-        let (mut log, _, _) = Log::open(&dir, LogOptions::default()).unwrap();
+        let (mut log, _, _) = open_log(&dir, LogOptions::default());
         for i in 0u64..10 {
-            log.append(&i.to_le_bytes()).unwrap();
+            put(&mut log, &i.to_le_bytes());
         }
         log.sync().unwrap();
         drop(log);
@@ -492,12 +592,12 @@ mod tests {
             .unwrap()
             .set_len(len - 3)
             .unwrap();
-        let (_, replayed, outcome) = Log::open(&dir, LogOptions::default()).unwrap();
+        let (_, replayed, outcome) = open_log(&dir, LogOptions::default());
         assert_eq!(outcome.torn_truncations, 1);
         assert_eq!(replayed.len(), 9, "only the torn record is lost");
         // The truncated file now ends exactly at the valid prefix.
-        let scan = read_segment(&seg).unwrap();
-        assert_eq!(scan.valid_len, scan.file_len);
+        let (info, file_len) = read_segment(seg, |_| Ok(())).unwrap();
+        assert_eq!(info.bytes, file_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -505,20 +605,27 @@ mod tests {
     fn compaction_reclaims_history_and_survives_reopen() {
         let dir = temp_dir("compact");
         let options = LogOptions { segment_bytes: 128 };
-        let (mut log, _, _) = Log::open(&dir, options).unwrap();
+        let (mut log, _, _) = open_log(&dir, options);
         for i in 0u64..200 {
-            log.append(&i.to_le_bytes()).unwrap();
+            put(&mut log, &i.to_le_bytes());
         }
         log.sync().unwrap();
         let before = log.total_bytes();
         let live: Vec<Vec<u8>> = vec![b"live-1".to_vec(), b"live-2".to_vec()];
-        let outcome = log.compact(live.iter().map(|p| p.as_slice())).unwrap();
+        let outcome = log
+            .compact(|checkpoint| {
+                for payload in &live {
+                    checkpoint.append(|buf| buf.extend_from_slice(payload))?;
+                }
+                Ok(())
+            })
+            .unwrap();
         assert!(outcome.reclaimed_bytes > 0);
         assert!(outcome.segments_removed > 0);
         assert!(log.total_bytes() < before);
         assert_eq!(log.segment_count(), 2, "checkpoint + fresh active segment");
         drop(log);
-        let (_, replayed, _) = Log::open(&dir, options).unwrap();
+        let (_, replayed, _) = open_log(&dir, options);
         assert_eq!(replayed, live);
         std::fs::remove_dir_all(&dir).unwrap();
     }

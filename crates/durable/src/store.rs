@@ -7,14 +7,24 @@
 //! call, so every record boundary in the log is a consistent cut of one
 //! peer's state — replay after a crash reconstructs exactly the mirror
 //! as of the last acknowledged (synced) record, never a hybrid.
+//!
+//! The mirror's entry set is a copy-on-write handle on the live
+//! [`KeyStore`] it last journaled: an untouched store is recognised by
+//! pointer, and a peer pays for the sharing only when it next mutates.
+//! Appended records wait in the log's buffer until [`DurableStore::sync`]
+//! (or a full buffer) writes them out, so an appended but never synced
+//! record no longer survives a mere process kill in the page cache;
+//! nothing acknowledged is affected.
 
-use crate::record::{MetaImage, PeerDelta, PeerImage, Record};
+use crate::record::{
+    encode_delta_into, encode_image_into, MetaImage, PeerDelta, PeerImage, Record,
+};
 use crate::segment::{Log, LogOptions};
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path as TriePath;
 use pgrid_core::store::KeyStore;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::time::Duration;
@@ -48,30 +58,23 @@ pub struct DurableStats {
 pub struct MirrorImage {
     /// The peer's trie path.
     pub path: TriePath,
-    /// Every stored entry.
-    pub entries: BTreeSet<DataEntry>,
+    /// Every stored entry: a handle sharing the live store's storage
+    /// until that store next mutates.
+    pub entries: KeyStore,
     /// Routing references as `(level, peer, path)`.
     pub routing: Vec<(u8, u64, TriePath)>,
     /// Replica peers of this peer's partition.
     pub replicas: Vec<u64>,
 }
 
+/// Replay only: `observe` journals from the live state and keeps its handle.
 impl MirrorImage {
     fn from_image(image: PeerImage) -> MirrorImage {
         MirrorImage {
             path: image.path,
-            entries: image.entries.into_iter().collect(),
+            entries: KeyStore::from_entries(image.entries),
             routing: image.routing,
             replicas: image.replicas,
-        }
-    }
-
-    fn to_image(&self) -> PeerImage {
-        PeerImage {
-            path: self.path,
-            entries: self.entries.iter().copied().collect(),
-            routing: self.routing.clone(),
-            replicas: self.replicas.clone(),
         }
     }
 
@@ -112,11 +115,26 @@ impl DurableStore {
     /// Opens the journal in `dir`, replaying whatever survived — an
     /// empty or missing directory yields a fresh, unrecovered store.
     pub fn open(dir: &Path, options: LogOptions) -> io::Result<DurableStore> {
-        let (log, payloads, outcome) = Log::open(dir, options)?;
-        let mut store = DurableStore {
+        let mut mirror: BTreeMap<(u32, u32), MirrorImage> = BTreeMap::new();
+        let mut meta = None;
+        let (log, outcome) = Log::open(dir, options, |payload| {
+            match Record::decode(payload)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            {
+                Record::Meta(image) => meta = Some(image),
+                Record::Image { index, peer, image } => {
+                    mirror.insert((index, peer), MirrorImage::from_image(image));
+                }
+                Record::Delta { index, peer, delta } => {
+                    mirror.entry((index, peer)).or_default().apply(delta);
+                }
+            }
+            Ok(())
+        })?;
+        Ok(DurableStore {
             log,
-            mirror: BTreeMap::new(),
-            meta: None,
+            mirror,
+            meta,
             stats: DurableStats {
                 replayed_records: outcome.records as u64,
                 torn_truncations: outcome.torn_truncations as u64,
@@ -124,26 +142,7 @@ impl DurableStore {
                 ..DurableStats::default()
             },
             last_checkpoint_bytes: 0,
-        };
-        for payload in payloads {
-            let record = Record::decode(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            store.replay(record);
-        }
-        Ok(store)
-    }
-
-    fn replay(&mut self, record: Record) {
-        match record {
-            Record::Meta(meta) => self.meta = Some(meta),
-            Record::Image { index, peer, image } => {
-                self.mirror
-                    .insert((index, peer), MirrorImage::from_image(image));
-            }
-            Record::Delta { index, peer, delta } => {
-                self.mirror.entry((index, peer)).or_default().apply(delta);
-            }
-        }
+        })
     }
 
     /// Whether the log held any prior state.
@@ -161,7 +160,9 @@ impl DurableStore {
         if self.meta.as_ref() == Some(&meta) {
             return Ok(false);
         }
-        self.append(&Record::Meta(meta.clone()))?;
+        append(&mut self.log, &mut self.stats, |buf| {
+            Record::Meta(meta.clone()).encode_into(buf)
+        })?;
         self.meta = Some(meta);
         Ok(true)
     }
@@ -188,24 +189,27 @@ impl DurableStore {
         routing: &[(u8, u64, TriePath)],
         replicas: &[u64],
     ) -> io::Result<bool> {
-        let Some(mirror) = self.mirror.get(&(index, peer)) else {
-            let image = PeerImage {
+        let Some(mirror) = self.mirror.get_mut(&(index, peer)) else {
+            append(&mut self.log, &mut self.stats, |buf| {
+                encode_image_into(index, peer, &path, store.iter(), routing, replicas, buf)
+            })?;
+            let image = MirrorImage {
                 path,
-                entries: store.iter().copied().collect(),
+                entries: store.clone(),
                 routing: routing.to_vec(),
                 replicas: replicas.to_vec(),
             };
-            self.append(&Record::Image {
-                index,
-                peer,
-                image: image.clone(),
-            })?;
-            self.mirror
-                .insert((index, peer), MirrorImage::from_image(image));
+            self.mirror.insert((index, peer), image);
             return Ok(true);
         };
 
-        let (added, removed) = set_diff(store, &mirror.entries);
+        // Shared storage means the store was not touched since its last
+        // observation; only a store that was copied needs the walk.
+        let (added, removed) = if store.shares_storage_with(&mirror.entries) {
+            (Vec::new(), Vec::new())
+        } else {
+            set_diff(store, &mirror.entries)
+        };
         let delta = PeerDelta {
             path: (mirror.path != path).then_some(path),
             added,
@@ -213,31 +217,28 @@ impl DurableStore {
             routing: (mirror.routing.as_slice() != routing).then(|| routing.to_vec()),
             replicas: (mirror.replicas.as_slice() != replicas).then(|| replicas.to_vec()),
         };
-        if delta.is_empty() {
-            return Ok(false);
+        let dirty = !delta.is_empty();
+        if dirty {
+            append(&mut self.log, &mut self.stats, |buf| {
+                encode_delta_into(index, peer, &delta, buf)
+            })?;
         }
-        self.append(&Record::Delta {
-            index,
-            peer,
-            delta: delta.clone(),
-        })?;
-        self.mirror
-            .get_mut(&(index, peer))
-            .expect("mirror entry checked above")
-            .apply(delta);
-        Ok(true)
+        // The log now says what the store holds: (re-)share its storage.
+        mirror.entries = store.clone();
+        mirror.path = path;
+        if let Some(routing) = delta.routing {
+            mirror.routing = routing;
+        }
+        if let Some(replicas) = delta.replicas {
+            mirror.replicas = replicas;
+        }
+        Ok(dirty)
     }
 
-    fn append(&mut self, record: &Record) -> io::Result<()> {
-        let bytes = self.log.append(&record.encode())?;
-        self.stats.appended_records += 1;
-        self.stats.appended_bytes += bytes;
-        Ok(())
-    }
-
-    /// Fsyncs the journal; the sync latency lands in the stats
-    /// histogram.  A record is only *acknowledged* — guaranteed to
-    /// survive a crash — once a sync after it returned.
+    /// Writes the buffered records out and fsyncs the journal; the fsync
+    /// latency alone is returned and lands in the stats histogram.  A
+    /// record is only *acknowledged* — guaranteed to survive a crash —
+    /// once a sync after it returned.
     pub fn sync(&mut self) -> io::Result<Duration> {
         let elapsed = self.log.sync()?;
         self.stats.syncs += 1;
@@ -259,23 +260,21 @@ impl DurableStore {
         Ok(true)
     }
 
-    /// Unconditionally rewrites the log as one checkpoint of the mirror.
+    /// Unconditionally rewrites the log as one checkpoint of the mirror,
+    /// each image encoded straight from its store into the checkpoint.
     pub fn compact(&mut self) -> io::Result<()> {
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.mirror.len() + 1);
-        if let Some(meta) = &self.meta {
-            payloads.push(Record::Meta(meta.clone()).encode());
-        }
-        for (&(index, peer), image) in &self.mirror {
-            payloads.push(
-                Record::Image {
-                    index,
-                    peer,
-                    image: image.to_image(),
-                }
-                .encode(),
-            );
-        }
-        let outcome = self.log.compact(payloads.iter().map(|p| p.as_slice()))?;
+        let outcome = self.log.compact(|checkpoint| {
+            if let Some(meta) = &self.meta {
+                checkpoint.append(|buf| Record::Meta(meta.clone()).encode_into(buf))?;
+            }
+            for (&(index, peer), m) in &self.mirror {
+                checkpoint.append(|buf| {
+                    let entries = m.entries.iter();
+                    encode_image_into(index, peer, &m.path, entries, &m.routing, &m.replicas, buf)
+                })?;
+            }
+            Ok(())
+        })?;
         self.stats.compactions += 1;
         self.stats.compacted_bytes += outcome.reclaimed_bytes;
         self.last_checkpoint_bytes = outcome.checkpoint_bytes;
@@ -298,9 +297,20 @@ impl DurableStore {
     }
 }
 
+/// Appends one record to `log`, counting it in `stats`.
+fn append(
+    log: &mut Log,
+    stats: &mut DurableStats,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    stats.appended_bytes += log.append(encode)?;
+    stats.appended_records += 1;
+    Ok(())
+}
+
 /// `(added, removed)` between a live store and a mirror set, both
 /// iterated in sorted order (a single merge walk, no hashing).
-fn set_diff(live: &KeyStore, mirror: &BTreeSet<DataEntry>) -> (Vec<DataEntry>, Vec<DataEntry>) {
+fn set_diff(live: &KeyStore, mirror: &KeyStore) -> (Vec<DataEntry>, Vec<DataEntry>) {
     let mut added = Vec::new();
     let mut removed = Vec::new();
     let mut a = live.iter().copied().peekable();
@@ -421,5 +431,68 @@ mod tests {
         let reopened = DurableStore::open(&dir, LogOptions::default()).unwrap();
         assert_eq!(reopened.images().next().unwrap().1.entries.len(), 200);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_untouched_store_is_recognised_by_its_storage_and_appends_nothing() {
+        let dir = temp_dir("untouched");
+        let mut store = DurableStore::open(&dir, LogOptions::default()).unwrap();
+        let mut live: KeyStore = (0..50).map(|i| entry(i, i)).collect();
+        let path = TriePath::parse("01");
+        let shared = |store: &DurableStore, live: &KeyStore| {
+            let mirror = store.images().next().unwrap().1;
+            mirror.entries.shares_storage_with(live)
+        };
+        let observe = |store: &mut DurableStore, live: &KeyStore| {
+            let before = store.stats().appended_bytes;
+            let appended = store.observe(0, 7, path, live, &[], &[9]).unwrap();
+            assert_eq!(appended, store.stats().appended_bytes > before);
+            assert!(shared(store, live));
+            appended
+        };
+        assert!(observe(&mut store, &live), "first observation");
+        assert!(!observe(&mut store, &live), "untouched");
+
+        // Mutate and revert: the store was copied, its content is the
+        // mirror's again — nothing to journal, and the two re-share.
+        live.insert(entry(99, 99));
+        live.remove(&entry(99, 99));
+        assert!(!shared(&store, &live));
+        assert!(!observe(&mut store, &live), "mutated and reverted");
+        assert!(!observe(&mut store, &live.deep_clone()), "deep clone");
+
+        live.insert(entry(99, 99));
+        assert!(observe(&mut store, &live), "a real mutation");
+        assert_eq!(store.stats().appended_records, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_after_a_failed_append_leaves_a_replayable_prefix() {
+        let dir = temp_dir("failed-append");
+        let moved = temp_dir("failed-append-moved");
+        // One record fills a segment, so every further append rotates.
+        let mut store = DurableStore::open(&dir, LogOptions { segment_bytes: 16 }).unwrap();
+        let live: KeyStore = (0..4).map(|i| entry(i, i)).collect();
+        let observe = |store: &mut DurableStore, peer| {
+            store.observe(0, peer, TriePath::root(), &live, &[], &[])
+        };
+        assert!(observe(&mut store, 0).unwrap());
+        assert!(observe(&mut store, 1).unwrap());
+        // Mid-cut the directory goes away: the open segment stays
+        // writable, the next one cannot be created.
+        std::fs::rename(&dir, &moved).unwrap();
+        assert!(observe(&mut store, 2).is_err());
+        assert_eq!(store.peer_count(), 2, "a failed append is not mirrored");
+        assert_eq!(store.stats().appended_records, 2);
+        // What was appended before the failure can still be acknowledged.
+        store.sync().unwrap();
+        std::mem::forget(store);
+
+        let reopened = DurableStore::open(&moved, LogOptions::default()).unwrap();
+        let peers: Vec<u32> = reopened.images().map(|(key, _)| key.1).collect();
+        assert_eq!(peers, vec![0, 1]);
+        assert!(reopened.images().all(|(_, image)| image.entries == live));
+        std::fs::remove_dir_all(&moved).unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Crash-safety properties of the durable log.
 //!
-//! Three layers of the same guarantee:
+//! Four layers of the same guarantee:
 //!
 //! * the record codec round-trips arbitrary records and rejects every
 //!   strict prefix (property test);
@@ -10,13 +10,18 @@
 //! * the [`DurableStore`] mirror, rebuilt from a log killed at randomized
 //!   byte offsets, always equals the in-memory reference state after some
 //!   prefix of the appended records — one `observe` is one record, so
-//!   every record boundary is a consistent cut.
+//!   every record boundary is a consistent cut;
+//! * appends are buffered until `sync`: a process killed with unsynced
+//!   appends replays to exactly its last synced state, and a reopen after
+//!   any `sync` equals the live peers whatever mix of untouched, copied,
+//!   split and compacted stores led there.
 
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
 use pgrid_core::store::KeyStore;
 use pgrid_durable::{
     crc32, DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
+    ReplayOutcome,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -35,6 +40,22 @@ fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pgrid-durable-crash-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Opens the log, collecting a copy of every replayed payload.
+fn open_log(dir: &std::path::Path, options: LogOptions) -> (Log, Vec<Vec<u8>>, ReplayOutcome) {
+    let mut payloads = Vec::new();
+    let (log, outcome) = Log::open(dir, options, |payload| {
+        payloads.push(payload.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    (log, payloads, outcome)
+}
+
+/// Appends `payload` as one record.
+fn put(log: &mut Log, payload: &[u8]) {
+    log.append(|buf| buf.extend_from_slice(payload)).unwrap();
 }
 
 fn entry(key: u64, id: u64) -> DataEntry {
@@ -134,11 +155,11 @@ fn torn_tail_at_every_byte_offset_recovers_the_valid_prefix() {
     let payloads: Vec<Vec<u8>> = (0u8..10)
         .map(|i| (0..=i).map(|j| i * 16 + j).collect())
         .collect();
-    let (mut log, replayed, _) = Log::open(&source, LogOptions::default()).unwrap();
+    let (mut log, replayed, _) = open_log(&source, LogOptions::default());
     assert!(replayed.is_empty());
     let mut boundaries = vec![SEGMENT_HEADER_LEN];
     for payload in &payloads {
-        log.append(payload).unwrap();
+        put(&mut log, payload);
         boundaries.push(boundaries.last().unwrap() + RECORD_HEADER_LEN + payload.len() as u64);
     }
     log.sync().unwrap();
@@ -158,7 +179,7 @@ fn torn_tail_at_every_byte_offset_recovers_the_valid_prefix() {
             .filter(|&&b| b <= cut as u64)
             .count()
             .saturating_sub(1);
-        let (log, recovered, outcome) = Log::open(&work, LogOptions::default()).unwrap();
+        let (log, recovered, outcome) = open_log(&work, LogOptions::default());
         assert_eq!(
             recovered,
             payloads[..expected].to_vec(),
@@ -172,7 +193,7 @@ fn torn_tail_at_every_byte_offset_recovers_the_valid_prefix() {
         drop(log);
         // Recovery truncated the tail on disk: a second open replays the
         // same prefix without finding anything more to repair.
-        let (_, again, outcome) = Log::open(&work, LogOptions::default()).unwrap();
+        let (_, again, outcome) = open_log(&work, LogOptions::default());
         assert_eq!(again, recovered, "reopen after cut at byte {cut}");
         assert_eq!(
             outcome.torn_truncations, 0,
@@ -305,6 +326,106 @@ fn log_bytes_are_pinned() {
     );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process killed (no `Drop`, no sync) after appending past its last
+/// sync loses exactly the unsynced appends: they never left its memory.
+#[test]
+fn unsynced_appends_die_with_the_process() {
+    let dir = temp_dir("forgotten");
+    let (mut store, _, _) = build_reference(&dir, 0xF0, LogOptions::default());
+    let synced = snapshot(&store);
+    let synced_records = store.stats().appended_records;
+
+    let ks: KeyStore = (0..20).map(|i| entry(i, i)).collect();
+    for peer in 10..15u32 {
+        assert!(store.observe(0, peer, Path::root(), &ks, &[], &[]).unwrap());
+    }
+    assert_eq!(store.stats().appended_records, synced_records + 5);
+    assert_ne!(snapshot(&store), synced);
+    std::mem::forget(store);
+
+    let reopened = DurableStore::open(&dir, LogOptions::default()).unwrap();
+    assert_eq!(reopened.stats().replayed_records, synced_records);
+    assert_eq!(reopened.stats().torn_truncations, 0);
+    assert_eq!(snapshot(&reopened), synced);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Random insert / remove / split / mutate-and-revert / untouched
+    // sequences over three peers, one cut after each round, a compaction
+    // now and then: after every sync a reopen of the files on disk must
+    // equal both the writer's mirror and the live peers.
+    #[test]
+    fn reopen_after_every_sync_equals_the_live_peers(seed in any::<u64>()) {
+        let dir = temp_dir("cow-src");
+        let work = temp_dir("cow-reopen");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let options = LogOptions { segment_bytes: 2_048 };
+        let mut store = DurableStore::open(&dir, options).unwrap();
+        let mut live: Vec<(KeyStore, Path)> = vec![(KeyStore::new(), Path::root()); 3];
+        for cut in 0..12 {
+            for (ks, path) in &mut live {
+                match rng.gen_range(0..5) {
+                    0 => {}
+                    1 => {
+                        for _ in 0..rng.gen_range(1..20) {
+                            ks.insert(entry(rng.gen(), rng.gen()));
+                        }
+                    }
+                    2 => {
+                        let victims: Vec<DataEntry> =
+                            ks.iter().take(rng.gen_range(1..4)).copied().collect();
+                        for victim in &victims {
+                            ks.remove(victim);
+                        }
+                    }
+                    3 => {
+                        *path = path.child(rng.gen_bool(0.5));
+                        ks.split_retain(path);
+                    }
+                    _ => {
+                        let probe = entry(rng.gen(), rng.gen());
+                        ks.insert(probe);
+                        ks.remove(&probe);
+                    }
+                }
+            }
+            for (peer, (ks, path)) in live.iter().enumerate() {
+                let peer = peer as u32;
+                store.observe(0, peer, *path, ks, &[(0, 1, *path)], &[u64::from(peer)]).unwrap();
+            }
+            store.sync().unwrap();
+            if rng.gen_bool(0.2) {
+                store.compact().unwrap();
+            }
+
+            let _ = std::fs::remove_dir_all(&work);
+            std::fs::create_dir_all(&work).unwrap();
+            for file in std::fs::read_dir(&dir).unwrap() {
+                let file = file.unwrap();
+                std::fs::copy(file.path(), work.join(file.file_name())).unwrap();
+            }
+            let reopened = DurableStore::open(&work, options).unwrap();
+            prop_assert_eq!(reopened.peer_count(), live.len());
+            for ((replayed, mirrored), (ks, path)) in
+                reopened.images().zip(store.images()).zip(&live)
+            {
+                prop_assert!(replayed == mirrored, "replay != mirror at cut {}", cut);
+                prop_assert!(
+                    mirrored.1.path == *path && mirrored.1.entries.shares_storage_with(ks),
+                    "mirror of peer {} is not the live peer at cut {}",
+                    mirrored.0 .1,
+                    cut
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&work);
+    }
 }
 
 proptest! {
