@@ -10,18 +10,39 @@
 //!
 //! The loop never blocks on anything but `epoll_wait`: a full inbox pauses
 //! reading (retried on a short tick or when the caller's poll rings the
-//! waker), write queues are drained frame-by-frame under a briefly held
-//! lock, and reconnects are driven by a timer list with the same capped
+//! waker), and reconnects are driven by a timer list with the same capped
 //! backoff + deterministic jitter as the threaded backend's
 //! `connect_with_backoff`.
+//!
+//! **A frame pays a share of a batch's syscalls and locks, not its own.**
+//! The write queue is taken up to [`BATCH_BYTES`] of records at a time
+//! under one short lock (pairs are moved, nothing is encoded under it),
+//! encoded into the out-buffer and handed to one `write`; a read's worth
+//! of records is parsed into a connection-local queue and moved into the
+//! inbox under one lock.  When a connection dies mid-batch the one record
+//! the cursor cut in half is lost; the records behind it go back to the
+//! head of the link queue ([`split_batch`]).
+//!
+//! **Park/wake.**  A sender rings the eventfd only when the thread is
+//! parked: the thread stores `parked = true`, *then* looks once more at
+//! what a caller can hand it (stop flag, command mailbox, write queues of
+//! writable connections) and blocks only if that look found nothing; the
+//! sender publishes its work first and then does
+//! `if parked.swap(false) { ring }`.  Work published before the look is
+//! seen by it; work published after it finds the flag set and rings — both
+//! sides go through the mailbox or queue mutex, which orders the look
+//! against the push.  The idle timeout is therefore never what delivers a
+//! frame.  The rare rings (an accepted connection, `poll` freeing a full
+//! inbox, shutdown) stay unconditional, which is always safe.
 
-use crate::linux::{Command, Link, Shared, ThreadShared};
-use crate::mux::{encode_record, MuxReader, KIND_RAW};
+use crate::linux::{lock, Command, Link, Shared, ThreadShared};
+use crate::mux::{encode_record, MuxError, MuxReader, KIND_RAW, RECORD_HEADER};
 use crate::sys::{
     accept_nonblocking, close_fd, connect_nonblocking, read_fd, set_nodelay, take_socket_error,
     write_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use std::collections::HashMap;
+use bytes::Bytes;
+use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::os::fd::RawFd;
@@ -46,6 +67,11 @@ const IDLE_TIMEOUT_MS: i32 = 500;
 /// Retry tick while any connection is paused on a full inbox.
 const INBOX_RETRY_MS: i32 = 5;
 
+/// Encoded bytes one refill takes from a write queue (and one `read`
+/// asks for): a batch always holds one record, then whole records up to
+/// this.
+const BATCH_BYTES: usize = 64 * 1024;
+
 const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_BASE: u64 = 2;
@@ -62,6 +88,22 @@ fn backoff_delay(addr: SocketAddr, attempt: u32) -> Duration {
     Duration::from_millis(delay_ms + j % (delay_ms / 2 + 1))
 }
 
+/// Where the write cursor `out_pos` left a batch encoded back to back from
+/// offset 0: `(written, cut)` — records wholly on the wire, and whether
+/// the next one is cut in half.  The records after those were not started.
+/// A buffer holding only the hello has an empty batch.
+fn split_batch(batch: &[(u64, Bytes)], out_pos: usize) -> (usize, bool) {
+    let mut end = 0;
+    for (written, (_, frame)) in batch.iter().enumerate() {
+        let start = end;
+        end += RECORD_HEADER + frame.len();
+        if end > out_pos {
+            return (written, start < out_pos);
+        }
+    }
+    (batch.len(), false)
+}
+
 /// One connection owned by an event thread.
 struct Conn {
     fd: RawFd,
@@ -73,11 +115,16 @@ struct Conn {
     /// Peer hello received; resets the reconnect budget.
     established: bool,
     reader: MuxReader,
+    /// Parsed records the inbox had no room for yet, oldest first.
+    parsed: VecDeque<(u64, Bytes)>,
+    /// The records encoded in `out_buf`, kept until the next refill so a
+    /// dying connection can give back the ones it never started.
+    batch: Vec<(u64, Bytes)>,
     out_buf: Vec<u8>,
     out_pos: usize,
     writable: bool,
     readable: bool,
-    /// Parsing stopped because the inbox was full; bytes wait in `reader`.
+    /// Reading stopped because the inbox was full; records wait in `parsed`.
     paused_on_inbox: bool,
     /// Dial attempt this connection represents (outbound, pre-hello).
     attempt: u32,
@@ -91,6 +138,8 @@ impl Conn {
             connecting,
             established: false,
             reader: MuxReader::new(),
+            parsed: VecDeque::new(),
+            batch: Vec::new(),
             out_buf: Vec::new(),
             out_pos: 0,
             writable: false,
@@ -115,6 +164,8 @@ pub(crate) struct EventLoop {
     timers: Vec<(Instant, Arc<Link>, u32)>,
     /// Round-robin target for accepted connections (thread 0 only).
     next_inbound: usize,
+    /// Every connection's `read` lands here before its reader copies it.
+    read_buf: Vec<u8>,
 }
 
 impl EventLoop {
@@ -142,19 +193,25 @@ impl EventLoop {
             next_token: TOKEN_BASE,
             timers: Vec::new(),
             next_inbound: 0,
+            read_buf: vec![0; BATCH_BYTES],
         })
     }
 
     pub(crate) fn run(mut self) {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
         loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
+            // Park protocol (module docs): flag, look again, only then block.
+            let me = &self.threads[self.index];
+            me.parked.store(true, Ordering::SeqCst);
+            let timeout = if self.handed_work() {
+                0
+            } else {
+                self.compute_timeout()
+            };
+            let n = self.epoll.wait(&mut events, timeout);
+            me.parked.store(false, Ordering::SeqCst);
+            let Ok(n) = n else {
                 break;
-            }
-            let timeout = self.compute_timeout();
-            let n = match self.epoll.wait(&mut events, timeout) {
-                Ok(n) => n,
-                Err(_) => break,
             };
             if n > 0 {
                 self.shared.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -176,6 +233,17 @@ impl EventLoop {
             self.service_all();
         }
         self.shutdown();
+    }
+
+    /// Whether the caller has published work this thread has not picked up.
+    fn handed_work(&self) -> bool {
+        self.shared.stop.load(Ordering::SeqCst)
+            || !lock(&self.threads[self.index].commands).is_empty()
+            || self.conns.values().any(|conn| {
+                conn.link.as_ref().is_some_and(|link| {
+                    conn.writable && !conn.connecting && !lock(&link.queue).frames.is_empty()
+                })
+            })
     }
 
     fn compute_timeout(&self) -> i32 {
@@ -234,11 +302,7 @@ impl EventLoop {
                     if target == self.index {
                         self.adopt_inbound(fd);
                     } else {
-                        self.threads[target]
-                            .commands
-                            .lock()
-                            .expect("command mailbox poisoned")
-                            .push(Command::Inbound(fd));
+                        lock(&self.threads[target].commands).push(Command::Inbound(fd));
                         self.threads[target].waker.ring();
                     }
                 }
@@ -268,12 +332,7 @@ impl EventLoop {
     }
 
     fn drain_commands(&mut self) {
-        let commands = std::mem::take(
-            &mut *self.threads[self.index]
-                .commands
-                .lock()
-                .expect("command mailbox poisoned"),
-        );
+        let commands = std::mem::take(&mut *lock(&self.threads[self.index].commands));
         for command in commands {
             match command {
                 Command::Dial(link) => {
@@ -336,11 +395,12 @@ impl EventLoop {
     /// re-dial.
     fn fail_link(&mut self, link: &Arc<Link>) {
         let dropped = {
-            let mut queue = link.queue.lock().expect("link queue poisoned");
+            let mut queue = lock(&link.queue);
             queue.failed = true;
             let dropped = queue.frames.len() as u64;
             queue.frames.clear();
             queue.bytes = 0;
+            link.notify_space(&queue);
             dropped
         };
         if dropped > 0 {
@@ -349,7 +409,6 @@ impl EventLoop {
                 .fetch_add(dropped, Ordering::Relaxed);
         }
         link.active.store(false, Ordering::SeqCst);
-        link.space.notify_all();
         pgrid_obs::warn!(
             "reactor",
             "link to {} failed after {} connect attempts ({} queued frames dropped)",
@@ -374,7 +433,7 @@ impl EventLoop {
             }
         });
         for (link, attempt) in due {
-            let closed = link.queue.lock().expect("link queue poisoned").closed;
+            let closed = lock(&link.queue).closed;
             if !closed && !self.by_addr.contains_key(&link.addr) {
                 self.dial(link, attempt);
             }
@@ -398,41 +457,19 @@ impl EventLoop {
                 return false;
             };
             // Parse buffered bytes first: hello, then records.
-            if !conn.established {
-                match conn.reader.take_hello() {
-                    Ok(Some(_reserved_flags)) => {
-                        conn.established = true;
-                        conn.attempt = 0;
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        self.close_conn(token, true);
-                        return false;
-                    }
-                }
-            }
-            if self.conns.get(&token).map(|c| c.established) == Some(true) {
-                match self.parse_records(token) {
-                    Ok(()) => {}
-                    Err(()) => {
-                        self.close_conn(token, true);
-                        return false;
-                    }
-                }
-            }
-            let Some(conn) = self.conns.get_mut(&token) else {
+            if Self::deliver(&self.shared, conn).is_err() {
+                self.close_conn(token, true);
                 return false;
-            };
+            }
             if conn.paused_on_inbox || !conn.readable {
                 return true;
             }
-            let mut buf = [0u8; 64 * 1024];
-            match read_fd(conn.fd, &mut buf) {
+            match read_fd(conn.fd, &mut self.read_buf) {
                 Ok(0) => {
                     self.close_conn(token, true);
                     return false;
                 }
-                Ok(n) => conn.reader.extend(&buf[..n]),
+                Ok(n) => conn.reader.extend(&self.read_buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     conn.readable = false;
                 }
@@ -445,38 +482,36 @@ impl EventLoop {
         }
     }
 
-    /// Parses complete records into the inbox, pausing on a full inbox.
-    fn parse_records(&mut self, token: u64) -> Result<(), ()> {
-        loop {
-            let capacity = self.shared.inbox_capacity;
-            {
-                let inbox = self.shared.inbox.lock().expect("inbox poisoned");
-                if inbox.len() >= capacity {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.paused_on_inbox = conn.reader.buffered() > 0;
-                        if conn.paused_on_inbox {
-                            return Ok(());
-                        }
-                    }
-                    return Ok(());
-                }
-            }
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return Err(());
+    /// Past the peer's hello, parses every complete record out of the
+    /// reader, then moves as many as the inbox has room for under one lock;
+    /// the rest wait in `conn.parsed` with the connection paused.
+    fn deliver(shared: &Shared, conn: &mut Conn) -> Result<(), MuxError> {
+        if !conn.established {
+            let Some(_reserved_flags) = conn.reader.take_hello()? else {
+                return Ok(());
             };
-            conn.paused_on_inbox = false;
-            let record = match conn.reader.next_record() {
-                Ok(Some(record)) => record,
-                Ok(None) => return Ok(()),
-                Err(_) => return Err(()),
-            };
-            let (_kind, dest, frame) = record;
-            self.shared
-                .inbox
-                .lock()
-                .expect("inbox poisoned")
-                .push_back((dest, frame));
+            conn.established = true;
+            conn.attempt = 0;
         }
+        let parsed = loop {
+            match conn.reader.next_record() {
+                Ok(Some((_kind, dest, frame))) => conn.parsed.push_back((dest, frame)),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        if !conn.parsed.is_empty() {
+            let mut inbox = lock(&shared.inbox);
+            let room = shared.inbox_capacity.saturating_sub(inbox.len());
+            inbox.extend(conn.parsed.drain(..room.min(conn.parsed.len())));
+        }
+        conn.paused_on_inbox = !conn.parsed.is_empty();
+        // A corrupt record stays at the reader's cursor: it is reported once
+        // the intact records before it have been delivered.
+        if conn.paused_on_inbox {
+            return Ok(());
+        }
+        parsed
     }
 
     /// Flushes the out-buffer and refills it from the link's write queue.
@@ -489,12 +524,9 @@ impl EventLoop {
             if conn.connecting || !conn.writable {
                 return true;
             }
-            if conn.out_pos == conn.out_buf.len() && !self.refill_out_buf(token) {
+            if conn.out_pos == conn.out_buf.len() && !Self::refill_out_buf(conn) {
                 return true;
             }
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
             let remaining = conn.out_buf.len() - conn.out_pos;
             match write_fd(conn.fd, &conn.out_buf[conn.out_pos..]) {
                 Ok(0) => {
@@ -520,42 +552,39 @@ impl EventLoop {
         }
     }
 
-    /// Encodes the next queued frame into the out-buffer.  Returns whether
-    /// there is anything to write.
-    fn refill_out_buf(&mut self, token: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        let Some(link) = conn.link.clone() else {
-            // Inbound connections only ever write their hello.
-            return false;
-        };
-        let next = {
-            let mut queue = link.queue.lock().expect("link queue poisoned");
-            match queue.frames.pop_front() {
-                Some((dest, frame)) => {
-                    queue.bytes -= frame.len();
-                    Some((dest, frame))
-                }
-                None => None,
-            }
-        };
-        let Some((dest, frame)) = next else {
-            conn.out_buf.clear();
-            conn.out_pos = 0;
-            return false;
-        };
-        link.space.notify_all();
+    /// Moves the next batch off the link's write queue and encodes it into
+    /// the out-buffer.  Returns whether there is anything to write.
+    fn refill_out_buf(conn: &mut Conn) -> bool {
         conn.out_buf.clear();
         conn.out_pos = 0;
-        encode_record(&mut conn.out_buf, KIND_RAW, dest, frame.as_slice());
-        true
+        conn.batch.clear();
+        // Inbound connections only ever write their hello.
+        let Some(link) = &conn.link else {
+            return false;
+        };
+        {
+            let mut queue = lock(&link.queue);
+            let mut encoded = 0;
+            while let Some((_, frame)) = queue.frames.front() {
+                encoded += RECORD_HEADER + frame.len();
+                if encoded > BATCH_BYTES && !conn.batch.is_empty() {
+                    break;
+                }
+                queue.bytes -= frame.len();
+                conn.batch.extend(queue.frames.pop_front());
+            }
+            link.notify_space(&queue);
+        }
+        for (dest, frame) in &conn.batch {
+            encode_record(&mut conn.out_buf, KIND_RAW, *dest, frame.as_slice());
+        }
+        !conn.batch.is_empty()
     }
 
     /// Closes a connection; when it carried a link, runs the reconnect
     /// policy (`errored` distinguishes failure from shutdown).
     fn close_conn(&mut self, token: u64, errored: bool) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
         self.epoll.del(conn.fd);
@@ -566,10 +595,19 @@ impl EventLoop {
         };
         self.by_addr.remove(&link.addr);
         // A record half-written when the connection died is gone for good
-        // (the remote drops the truncated tail); frames still queued get
+        // (the remote drops the truncated tail); the records of the batch
+        // behind it rejoin the queued frames, ahead of them, and get
         // another chance after the redial.
-        if conn.out_pos > 0 && conn.out_pos < conn.out_buf.len() && conn.established {
+        let (written, cut) = split_batch(&conn.batch, conn.out_pos);
+        if cut {
             self.shared.dropped_frames.fetch_add(1, Ordering::Relaxed);
+        }
+        {
+            let mut queue = lock(&link.queue);
+            for (dest, frame) in conn.batch.drain(written + usize::from(cut)..).rev() {
+                queue.bytes += frame.len();
+                queue.frames.push_front((dest, frame));
+            }
         }
         if !errored {
             return;
@@ -595,5 +633,147 @@ impl EventLoop {
             self.shared.registered_fds.fetch_sub(1, Ordering::Relaxed);
         }
         self.shared.registered_fds.fetch_sub(1, Ordering::Relaxed); // waker
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every place a dying connection's write cursor can stand in a batch,
+    /// against what is then on the wire, lost, and owed a second chance.
+    #[test]
+    fn split_batch_at_every_kind_of_cursor() {
+        let batch: Vec<(u64, Bytes)> = [5usize, 0, 300]
+            .iter()
+            .map(|&len| (len as u64, Bytes::from(vec![0xAB; len])))
+            .collect();
+        // Record i occupies [bounds[i], bounds[i + 1]) of the out-buffer.
+        let bounds = [0, 18, 31, 344];
+        let mut encoded = Vec::new();
+        for (dest, frame) in &batch {
+            encode_record(&mut encoded, KIND_RAW, *dest, frame.as_slice());
+        }
+        assert_eq!(
+            encoded.len(),
+            bounds[3],
+            "the table below assumes this layout"
+        );
+        // (out_pos, written, cut); requeued = batch[written + cut..].
+        let table = [
+            (0, 0, false),   // nothing started: all three go back
+            (1, 0, true),    // mid-header of the first
+            (12, 0, true),   // last header byte of the first
+            (13, 0, true),   // header written, payload not
+            (17, 0, true),   // mid-payload
+            (18, 1, false),  // on the first boundary
+            (19, 1, true),   // mid-header of the empty record
+            (30, 1, true),   // one byte short of the second boundary
+            (31, 2, false),  // on the second boundary
+            (32, 2, true),   // third record's header
+            (200, 2, true),  // third record's payload
+            (343, 2, true),  // one byte short of the end
+            (344, 3, false), // everything written
+        ];
+        for (out_pos, written, cut) in table {
+            assert_eq!(
+                split_batch(&batch, out_pos),
+                (written, cut),
+                "out_pos {out_pos}"
+            );
+            // The three parts account for every record exactly once.
+            let requeued = &batch[written + usize::from(cut)..];
+            assert_eq!(written + usize::from(cut) + requeued.len(), batch.len());
+        }
+        // A buffer holding only the hello carries no record: a half-written
+        // hello is not a dropped frame, wherever the cursor stands.
+        for out_pos in 0..=crate::mux::HELLO_LEN {
+            assert_eq!(split_batch(&[], out_pos), (0, false));
+        }
+        // A batch of one: the cut record is the only loss, nothing requeues.
+        assert_eq!(split_batch(&batch[..1], 9), (0, true));
+        assert_eq!(split_batch(&batch[..1], 18), (1, false));
+    }
+
+    fn one_thread_loop() -> (EventLoop, Arc<ThreadShared>, Arc<Shared>) {
+        let shared = Arc::new(Shared::new(16));
+        let thread = Arc::new(ThreadShared {
+            commands: Default::default(),
+            waker: crate::sys::EventFd::new().unwrap(),
+            parked: Default::default(),
+        });
+        let threads = Arc::new(vec![thread.clone()]);
+        let event_loop = EventLoop::new(0, shared.clone(), threads, None).unwrap();
+        (event_loop, thread, shared)
+    }
+
+    fn link_to_nowhere() -> Arc<Link> {
+        Arc::new(Link::new("127.0.0.1:9".parse().unwrap(), 1 << 20, 1))
+    }
+
+    /// The two halves of the park protocol, each on its own: the look the
+    /// thread takes after raising `parked` sees everything `send` publishes
+    /// (and nothing it could not act on — that would spin), and `wake`
+    /// rings exactly when the flag was up.
+    #[test]
+    fn the_look_sees_published_work_and_wake_rings_only_the_parked() {
+        let (mut event_loop, thread, _shared) = one_thread_loop();
+        let link = link_to_nowhere();
+        assert!(!event_loop.handed_work());
+        lock(&thread.commands).push(Command::Dial(link.clone()));
+        assert!(event_loop.handed_work(), "a command in the mailbox");
+        lock(&thread.commands).clear();
+
+        // No descriptor behind it: nothing here touches the socket.
+        let mut conn = Conn::new(-1, Some(link.clone()), false, 0);
+        conn.writable = true;
+        event_loop.conns.insert(TOKEN_BASE, conn);
+        assert!(!event_loop.handed_work(), "an empty queue");
+        lock(&link.queue).frames.push_back((1, Bytes::new()));
+        assert!(event_loop.handed_work(), "a frame for a writable socket");
+        event_loop.conns.get_mut(&TOKEN_BASE).unwrap().writable = false;
+        assert!(!event_loop.handed_work(), "EPOLLOUT will wake for this one");
+
+        let rung = || {
+            let mut count = [0u8; 8];
+            read_fd(thread.waker.fd(), &mut count).is_ok()
+        };
+        thread.wake();
+        assert!(!rung(), "an awake thread is not rung");
+        thread.parked.store(true, Ordering::SeqCst);
+        thread.wake();
+        assert!(rung(), "a parked thread is");
+        assert!(!thread.parked.load(Ordering::SeqCst), "and only once");
+        thread.wake();
+        assert!(!rung());
+    }
+
+    /// `close_conn` acts on that split: the cut record is counted lost, the
+    /// records behind it go back *ahead of* what was still queued, in order.
+    #[test]
+    fn a_dying_connection_requeues_what_it_never_started() {
+        let (mut event_loop, _thread, shared) = one_thread_loop();
+        let link = link_to_nowhere();
+        let frame = |dest: u64| (dest, Bytes::from(vec![dest as u8; 100]));
+        {
+            let mut queue = lock(&link.queue);
+            queue.frames.extend([frame(10), frame(11)]);
+            queue.bytes = 200;
+        }
+        // No descriptor behind it: closing -1 fails harmlessly.
+        let mut conn = Conn::new(-1, Some(link.clone()), false, 0);
+        conn.batch = (0..4).map(frame).collect();
+        for (dest, frame) in &conn.batch {
+            encode_record(&mut conn.out_buf, KIND_RAW, *dest, frame.as_slice());
+        }
+        // Record 0 written, record 1 cut mid-payload, 2 and 3 never started.
+        conn.out_pos = (RECORD_HEADER + 100) + RECORD_HEADER + 50;
+        event_loop.conns.insert(TOKEN_BASE, conn);
+        event_loop.close_conn(TOKEN_BASE, false);
+        let queue = lock(&link.queue);
+        let dests: Vec<u64> = queue.frames.iter().map(|(dest, _)| *dest).collect();
+        assert_eq!(dests, [2, 3, 10, 11]);
+        assert_eq!(queue.bytes, 400);
+        assert_eq!(shared.dropped_frames.load(Ordering::Relaxed), 1);
     }
 }

@@ -6,15 +6,20 @@
 //! points, none of which ever blocks an event thread:
 //!
 //! * **write queues** — `send` parks the frame in the destination link's
-//!   bounded queue and rings the owning event thread's eventfd; a full
-//!   queue makes the *caller* wait (bounded, surfacing as a send error on
-//!   timeout, which feeds the runtime's Suspect/Dead link life-cycle).
-//! * **the shared inbox** — event threads push fully reassembled frames;
+//!   bounded queue and rings the owning event thread's eventfd *only when
+//!   that thread is parked* ([`ThreadShared::wake`]; the protocol is in
+//!   [`crate::event`]'s docs), so a burst of sends costs one ring; the
+//!   thread takes the queue a batch at a time.  A full queue makes the
+//!   *caller* wait (bounded, surfacing as a send error on timeout, which
+//!   feeds the runtime's Suspect/Dead link life-cycle).
+//! * **the shared inbox** — event threads move each read's reassembled
+//!   frames in under one lock, `poll` takes the whole deque under one;
 //!   when the inbox is at capacity they *pause reading* that connection
 //!   instead of blocking, so TCP flow control pushes back on the remote
 //!   writer exactly as the threaded backend's bounded inbox does.
 //! * **commands** — new links and accepted connections are handed to the
-//!   owning event thread through a tiny mailbox plus eventfd ring.
+//!   owning event thread through a tiny mailbox plus (unconditional)
+//!   eventfd ring.
 //!
 //! Frames between two *locally hosted* peers never touch a socket: they go
 //! straight into the inbox, which is what lets one worker host 50k+ peers
@@ -37,9 +42,17 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::{IntoRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Locks `mutex`, recovering the guard from a poisoned one: every critical
+/// section in this crate leaves its data valid at each step, and one
+/// panicking caller must not turn every later send, poll and event-loop
+/// pass into a second panic.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// State shared between the caller and every event thread.
 pub(crate) struct Shared {
@@ -60,7 +73,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(inbox_capacity: usize) -> Shared {
+    pub fn new(inbox_capacity: usize) -> Shared {
         Shared {
             inbox: Mutex::new(VecDeque::new()),
             inbox_capacity: inbox_capacity.max(1),
@@ -80,6 +93,8 @@ pub(crate) struct LinkQueue {
     /// (several peers share one link when they live in the same process).
     pub frames: VecDeque<(u64, Bytes)>,
     pub bytes: usize,
+    /// Senders blocked in `space.wait_timeout` right now.
+    pub waiters: usize,
     /// Set by the event thread when the link died with its reconnect
     /// budget exhausted; the next `send` consumes it as an error.
     pub failed: bool,
@@ -96,21 +111,35 @@ pub(crate) struct Link {
     /// connection; cleared when it gives up so a later send re-dials.
     pub active: AtomicBool,
     pub capacity_bytes: usize,
+    /// Index of the event thread owning this link's connection.
+    pub thread: usize,
 }
 
 impl Link {
-    fn new(addr: SocketAddr, capacity_bytes: usize) -> Link {
+    pub fn new(addr: SocketAddr, capacity_bytes: usize, n_threads: usize) -> Link {
+        let mut hasher = DefaultHasher::new();
+        addr.hash(&mut hasher);
         Link {
             addr,
+            thread: (hasher.finish() as usize) % n_threads.max(1),
             queue: Mutex::new(LinkQueue {
                 frames: VecDeque::new(),
                 bytes: 0,
+                waiters: 0,
                 failed: false,
                 closed: false,
             }),
             space: Condvar::new(),
             active: AtomicBool::new(false),
             capacity_bytes: capacity_bytes.max(1),
+        }
+    }
+
+    /// Wakes senders waiting for queue space, if any: std's condvar pays
+    /// a `futex_wake` whether or not anyone waits.
+    pub fn notify_space(&self, queue: &LinkQueue) {
+        if queue.waiters > 0 {
+            self.space.notify_all();
         }
     }
 }
@@ -127,6 +156,19 @@ pub(crate) enum Command {
 pub(crate) struct ThreadShared {
     pub commands: Mutex<Vec<Command>>,
     pub waker: EventFd,
+    /// Set by the thread before it blocks in `epoll_wait`, cleared by
+    /// whoever wakes it (or by itself on return).
+    pub parked: AtomicBool,
+}
+
+impl ThreadShared {
+    /// Rings the eventfd if the thread is parked; call *after* publishing
+    /// the work.  An awake thread looks again before it parks.
+    pub fn wake(&self) {
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.waker.ring();
+        }
+    }
 }
 
 /// The poll-driven multiplexed transport (Linux).
@@ -204,6 +246,7 @@ impl ReactorTransport {
             thread_shared.push(Arc::new(ThreadShared {
                 commands: Mutex::new(Vec::new()),
                 waker: EventFd::new()?,
+                parked: AtomicBool::new(false),
             }));
         }
         let thread_shared = Arc::new(thread_shared);
@@ -243,12 +286,6 @@ impl ReactorTransport {
         Ok(())
     }
 
-    fn thread_for(&self, addr: SocketAddr) -> usize {
-        let mut hasher = DefaultHasher::new();
-        addr.hash(&mut hasher);
-        (hasher.finish() as usize) % self.thread_shared.len().max(1)
-    }
-
     fn send_remote(
         &mut self,
         to: PeerId,
@@ -256,14 +293,15 @@ impl ReactorTransport {
         frame: Bytes,
     ) -> Result<(), TransportError> {
         self.ensure_started()?;
+        let (capacity, n_threads) = (self.config.write_queue_bytes, self.thread_shared.len());
         let link = self
             .links
             .entry(addr)
-            .or_insert_with(|| Arc::new(Link::new(addr, self.config.write_queue_bytes)))
+            .or_insert_with(|| Arc::new(Link::new(addr, capacity, n_threads)))
             .clone();
         let frame_len = frame.len();
         let enqueue_error: Option<io::Error> = {
-            let mut queue = link.queue.lock().expect("link queue poisoned");
+            let mut queue = lock(&link.queue);
             let deadline = Instant::now() + self.config.send_timeout;
             let mut timed_out = false;
             while !queue.failed
@@ -275,11 +313,13 @@ impl ReactorTransport {
                     timed_out = true;
                     break;
                 };
+                queue.waiters += 1;
                 let (guard, wait) = link
                     .space
                     .wait_timeout(queue, remaining)
-                    .expect("link queue poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 queue = guard;
+                queue.waiters -= 1;
                 if wait.timed_out() {
                     timed_out = true;
                     break;
@@ -316,31 +356,17 @@ impl ReactorTransport {
             peer_link.send_failures += 1;
             return Err(TransportError::Io(error));
         }
-        let thread = self.thread_for(addr);
+        let thread = &self.thread_shared[link.thread];
         if !link.active.swap(true, Ordering::SeqCst) {
-            self.thread_shared[thread]
-                .commands
-                .lock()
-                .expect("command mailbox poisoned")
-                .push(Command::Dial(link.clone()));
+            lock(&thread.commands).push(Command::Dial(link.clone()));
         }
-        self.thread_shared[thread].waker.ring();
+        thread.wake();
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame_len as u64;
         let peer_link = self.stats.per_peer.entry(to.0).or_default();
         peer_link.frames_sent += 1;
         peer_link.bytes_sent += frame_len as u64;
         Ok(())
-    }
-
-    fn account_deliveries(&mut self, drained: &[(u64, Bytes)]) {
-        for (dest, frame) in drained {
-            self.stats.frames_delivered += 1;
-            self.stats.bytes_delivered += frame.len() as u64;
-            let link = self.stats.per_peer.entry(*dest).or_default();
-            link.frames_received += 1;
-            link.bytes_received += frame.len() as u64;
-        }
     }
 }
 
@@ -359,11 +385,7 @@ impl Transport for ReactorTransport {
             // Local delivery: straight into the inbox, no socket, no
             // capacity wait (the caller is the drainer).
             let frame_len = frame.len() as u64;
-            self.shared
-                .inbox
-                .lock()
-                .expect("inbox poisoned")
-                .push_back((to.0, frame));
+            lock(&self.shared.inbox).push_back((to.0, frame));
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += frame_len;
             self.local_frames_sent += 1;
@@ -377,23 +399,24 @@ impl Transport for ReactorTransport {
     }
 
     fn poll(&mut self, _now: Millis) -> Vec<(PeerId, Bytes)> {
-        let (drained, was_full) = {
-            let mut inbox = self.shared.inbox.lock().expect("inbox poisoned");
-            let was_full = inbox.len() >= self.shared.inbox_capacity;
-            (inbox.drain(..).collect::<Vec<_>>(), was_full)
-        };
-        if was_full {
+        let drained = std::mem::take(&mut *lock(&self.shared.inbox));
+        if drained.len() >= self.shared.inbox_capacity {
             // Event threads paused reading while the inbox was full; tell
             // them space opened up rather than waiting for their retry tick.
             for ts in self.thread_shared.iter() {
                 ts.waker.ring();
             }
         }
-        self.account_deliveries(&drained);
-        drained
-            .into_iter()
-            .map(|(dest, frame)| (PeerId(dest), frame))
-            .collect()
+        let mut delivered = Vec::with_capacity(drained.len());
+        for (dest, frame) in drained {
+            self.stats.frames_delivered += 1;
+            self.stats.bytes_delivered += frame.len() as u64;
+            let link = self.stats.per_peer.entry(dest).or_default();
+            link.frames_received += 1;
+            link.bytes_received += frame.len() as u64;
+            delivered.push((PeerId(dest), frame));
+        }
+        delivered
     }
 
     fn next_due(&self) -> Option<Millis> {
@@ -416,7 +439,7 @@ impl Transport for ReactorTransport {
         let mut queue_frames = 0u64;
         let mut queue_bytes = 0u64;
         for link in self.links.values() {
-            let queue = link.queue.lock().expect("link queue poisoned");
+            let queue = lock(&link.queue);
             queue_frames += queue.frames.len() as u64;
             queue_bytes += queue.bytes as u64;
         }
@@ -481,9 +504,9 @@ impl Drop for ReactorTransport {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for link in self.links.values() {
-            let mut queue = link.queue.lock().expect("link queue poisoned");
+            let mut queue = lock(&link.queue);
             queue.closed = true;
-            link.space.notify_all();
+            link.notify_space(&queue);
         }
         for ts in self.thread_shared.iter() {
             ts.waker.ring();

@@ -106,6 +106,9 @@ pub type Record = (u8, u64, Bytes);
 #[derive(Debug, Default)]
 pub struct MuxReader {
     buf: Vec<u8>,
+    /// Read cursor: `buf[..pos]` is consumed and dropped by the next
+    /// [`MuxReader::extend`], so parsing a chunk never moves its tail.
+    pos: usize,
 }
 
 impl MuxReader {
@@ -116,48 +119,52 @@ impl MuxReader {
 
     /// Appends freshly received bytes.
     pub fn extend(&mut self, chunk: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(chunk);
     }
 
     /// Number of buffered, not yet consumed bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Consumes the peer hello once its 6 bytes are buffered, returning the
     /// flags byte; `None` while incomplete.
     pub fn take_hello(&mut self) -> Result<Option<u8>, MuxError> {
-        if self.buf.len() < HELLO_LEN {
+        let Some(hello) = self.buf[self.pos..].get(..HELLO_LEN) else {
             return Ok(None);
-        }
-        let flags = parse_hello(&self.buf[..HELLO_LEN])?;
-        self.buf.drain(..HELLO_LEN);
+        };
+        let flags = parse_hello(hello)?;
+        self.pos += HELLO_LEN;
         Ok(Some(flags))
     }
 
     /// Returns the next complete record, `None` when more bytes are needed.
+    ///
+    /// The payload is copied out once: a frame the caller holds on to must
+    /// not pin the whole read chunk it arrived in.
     pub fn next_record(&mut self) -> Result<Option<Record>, MuxError> {
-        if self.buf.len() < RECORD_HEADER {
+        let buf = &self.buf[self.pos..];
+        if buf.len() < RECORD_HEADER {
             return Ok(None);
         }
-        let kind = self.buf[0];
+        let kind = buf[0];
         if kind != KIND_RAW {
             return Err(MuxError::BadKind(kind));
         }
-        let dest = u64::from_be_bytes(self.buf[1..9].try_into().expect("8 bytes"));
-        let len = u32::from_be_bytes(self.buf[9..13].try_into().expect("4 bytes")) as usize;
+        let dest = u64::from_be_bytes(buf[1..9].try_into().expect("8 bytes"));
+        let len = u32::from_be_bytes(buf[9..13].try_into().expect("4 bytes")) as usize;
         // A whole frame: its body bound plus the 4-byte length prefix.
         if len > MAX_FRAME_BYTES + 4 {
             return Err(MuxError::Oversized(len));
         }
-        let total = RECORD_HEADER + len;
-        if self.buf.len() < total {
+        let Some(payload) = buf.get(RECORD_HEADER..RECORD_HEADER + len) else {
             return Ok(None);
-        }
-        let rest = self.buf.split_off(total);
-        let mut record = std::mem::replace(&mut self.buf, rest);
-        record.drain(..RECORD_HEADER);
-        Ok(Some((kind, dest, Bytes::from(record))))
+        };
+        let payload = Bytes::from(payload);
+        self.pos += RECORD_HEADER + len;
+        Ok(Some((kind, dest, payload)))
     }
 }
 

@@ -3,7 +3,9 @@
 //! boundary (partial writes / short reads), and the reader must reassemble
 //! bit-identical frames regardless of where the cuts land.
 
-use pgrid_reactor::mux::{encode_record, hello, parse_hello, MuxReader, KIND_RAW};
+use pgrid_reactor::mux::{
+    encode_record, hello, parse_hello, MuxReader, HELLO_LEN, KIND_RAW, RECORD_HEADER,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +96,42 @@ proptest! {
         prop_assert_eq!(decoded, frames);
     }
 
+    // The read cursor is invisible from outside: after every `extend`,
+    // `take_hello` and `next_record` step, `buffered()` is exactly the
+    // bytes fed minus the bytes those calls consumed.
+    #[test]
+    fn buffered_is_bytes_fed_minus_bytes_consumed(
+        seed in any::<u64>(),
+        splits in proptest::collection::vec(any::<usize>(), 0..24),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream = encode_stream(&arbitrary_frames(&mut rng, 12));
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut reader = MuxReader::new();
+        let (mut fed, mut consumed, mut saw_hello) = (0, 0, false);
+        for cut in cuts {
+            reader.extend(&stream[fed..cut]);
+            fed = cut;
+            prop_assert_eq!(reader.buffered(), fed - consumed);
+            if !saw_hello {
+                saw_hello = reader.take_hello().expect("hello must parse").is_some();
+                consumed += if saw_hello { HELLO_LEN } else { 0 };
+                prop_assert_eq!(reader.buffered(), fed - consumed);
+            }
+            if !saw_hello {
+                continue;
+            }
+            while let Some((_, _, payload)) = reader.next_record().expect("records must parse") {
+                consumed += RECORD_HEADER + payload.len();
+                prop_assert_eq!(reader.buffered(), fed - consumed);
+            }
+            prop_assert_eq!(reader.buffered(), fed - consumed);
+        }
+        prop_assert_eq!(consumed, stream.len());
+    }
+
     // Whatever the reserved flags byte carries, a hello with the right
     // magic and version parses and hands the byte back.
     #[test]
@@ -112,4 +150,21 @@ proptest! {
         reader.extend(&bytes);
         prop_assert!(reader.take_hello().is_err());
     }
+}
+
+/// A 1 MiB stream of the benchmark's 207-byte records parses to the same
+/// records whether it arrives in the event loop's 64 KiB reads (≈316
+/// records per `extend`, most chunks ending mid-record) or byte by byte.
+#[test]
+fn socket_sized_chunks_parse_like_a_byte_trickle() {
+    let frames: Vec<(u64, Vec<u8>)> = (0..(1usize << 20) / 207)
+        .map(|i| (i as u64, (0..194).map(|j| (i * 31 + j) as u8).collect()))
+        .collect();
+    let stream = encode_stream(&frames);
+    let chunked: Vec<usize> = (0..stream.len()).step_by(64 << 10).collect();
+    let trickled: Vec<usize> = (0..stream.len()).collect();
+    let by_chunk = decode_split(&stream, &chunked);
+    assert_eq!(by_chunk.len(), frames.len());
+    assert!(by_chunk == frames, "64 KiB chunks changed a record");
+    assert!(decode_split(&stream, &trickled) == by_chunk);
 }

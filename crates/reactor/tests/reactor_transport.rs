@@ -137,10 +137,120 @@ fn bounded_inbox_backpressure_loses_nothing() {
     for frame in &frames {
         sender.send(0, PeerId(3), frame.clone()).unwrap();
     }
-    let got = poll_n(&mut host, frames.len());
+    // Wire deliveries only (nothing is sent to a peer `host` could deliver
+    // locally), so no poll may ever see more than the bound.
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < frames.len() && Instant::now() < deadline {
+        let batch = host.poll(0);
+        assert!(batch.len() <= 4, "a poll returned {} frames", batch.len());
+        if batch.is_empty() {
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        got.extend(batch);
+    }
     assert_eq!(got.len(), frames.len());
     for (received, sent) in got.iter().zip(&frames) {
         assert_eq!(&received.1, sent);
+    }
+}
+
+#[test]
+fn a_parked_event_thread_never_misses_a_send() {
+    // Strict ping-pong: one frame in flight, so each side's event thread
+    // has nothing to do — and parks — between two sends.  A send that
+    // fails to wake it is only rescued by the 500 ms idle timeout.
+    let mut a = ReactorTransport::new();
+    let mut b = ReactorTransport::new();
+    let addr_a = socket_addr(a.register(PeerId(1)).unwrap());
+    let addr_b = socket_addr(b.register(PeerId(2)).unwrap());
+    a.register_remote(PeerId(2), addr_b).unwrap();
+    b.register_remote(PeerId(1), addr_a).unwrap();
+    let start = Instant::now();
+    let one_way = |from: &mut ReactorTransport, to: &mut ReactorTransport, dest, round: u32| {
+        let frame = encode_frame(&[Bytes::from(round.to_be_bytes().to_vec())]);
+        from.send(0, dest, frame.clone()).unwrap();
+        let got = loop {
+            let got = to.poll(0);
+            if !got.is_empty() {
+                break got;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "round {round}: wake-ups are being lost"
+            );
+            std::thread::sleep(Duration::from_micros(50));
+        };
+        assert_eq!(got, [(dest, frame)]);
+    };
+    for round in 0..2000 {
+        one_way(&mut a, &mut b, PeerId(2), round);
+        one_way(&mut b, &mut a, PeerId(1), round);
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "2 000 round trips took {:?}: wake-ups are being lost",
+        start.elapsed()
+    );
+}
+
+#[test]
+fn batch_edges_deliver_the_multiset_sent_in_per_destination_order() {
+    // The write path takes whole records off the queue up to 64 KiB of
+    // encoded bytes (record header + frame): sizes that end a
+    // record just under, at and just over that bound, far over it, and
+    // the degenerate small ones, interleaved over three destinations.
+    // What must hold is the admissible outcome — every frame once, FIFO
+    // per destination — not where the batches happened to be cut.
+    const BATCH: usize = 64 * 1024;
+    const HEADER: usize = pgrid_reactor::mux::RECORD_HEADER;
+    let sizes = [
+        0,
+        1,
+        BATCH - HEADER - 1,
+        BATCH - HEADER,
+        BATCH - HEADER + 1,
+        3 * BATCH,
+        1 << 20,
+        // Small records first, so the edge record ends a batch already begun.
+        100,
+        BATCH - 2 * HEADER - 100 - 1,
+        100,
+        BATCH - 2 * HEADER - 100,
+        100,
+        BATCH - 2 * HEADER - 100 + 1,
+    ];
+    let mut host = ReactorTransport::new();
+    let mut sender = ReactorTransport::new();
+    for peer in 0..3 {
+        let addr = socket_addr(host.register(PeerId(peer)).unwrap());
+        sender.register_remote(PeerId(peer), addr).unwrap();
+    }
+    // Raw bytes, not `encode_frame`: the mux carries them opaquely.
+    let sent: Vec<(PeerId, Bytes)> = (0..3 * sizes.len())
+        .map(|i| {
+            let mut body = vec![i as u8; sizes[i % sizes.len()]];
+            if let Some(first) = body.first_mut() {
+                *first = (i / sizes.len()) as u8;
+            }
+            (PeerId((i % 3) as u64), Bytes::from(body))
+        })
+        .collect();
+    for (to, frame) in &sent {
+        sender.send(0, *to, frame.clone()).unwrap();
+    }
+    let got = poll_n(&mut host, sent.len());
+    assert_eq!(got.len(), sent.len());
+    for peer in 0..3 {
+        let of = |frames: &[(PeerId, Bytes)]| -> Vec<Bytes> {
+            let to_peer = frames.iter().filter(|(to, _)| *to == PeerId(peer));
+            to_peer.map(|(_, frame)| frame.clone()).collect()
+        };
+        let (got, sent) = (of(&got), of(&sent));
+        assert_eq!(got.len(), sent.len(), "peer {peer}");
+        for (i, (got, sent)) in got.iter().zip(&sent).enumerate() {
+            assert!(got == sent, "peer {peer}, frame {i}: {} B", sent.len());
+        }
     }
 }
 
