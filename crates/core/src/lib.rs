@@ -12,8 +12,8 @@
 //!   mappings from application identifiers (e.g. index terms) into it;
 //! * [`path`] — trie paths / key space partitions induced by recursive
 //!   binary bisection;
-//! * [`store`] — the local key store of a peer, including the sampling
-//!   estimator used by the decentralized partitioning decisions;
+//! * [`store`] — the local key store of a peer: one sorted copy-on-write
+//!   run that partition counts, overlaps, splits and merges are read off;
 //! * [`routing`] — distributed prefix-routing tables;
 //! * [`peer`] — the complete local state of one peer and the local
 //!   interactions of Figure 2 (split / replicate / refer);

@@ -4,7 +4,7 @@
 use crate::key::DataEntry;
 use crate::path::Path;
 use crate::routing::{PeerId, RoutingEntry, RoutingTable};
-use crate::store::KeyStore;
+use crate::store::{KeyStore, StoreRead};
 use rand::Rng;
 
 /// Complete local state of one peer.
@@ -60,7 +60,7 @@ impl PeerState {
     }
 
     /// Number of locally stored entries that actually belong to the peer's
-    /// current partition.
+    /// current partition (two binary searches).
     pub fn responsible_load(&self) -> usize {
         self.store.count_in(&self.path)
     }
@@ -86,19 +86,6 @@ impl PeerState {
         // next interactions at the new level.
         self.replicas.clear();
         self.store.split_retain(&self.path)
-    }
-
-    /// Records `other` as a replica of this peer (same partition) and
-    /// returns the entries `other` is missing from our store, so the caller
-    /// can ship them (anti-entropy push).
-    ///
-    /// This is "possibility 2" of Figure 2: become replicas and reconcile
-    /// content.
-    pub fn add_replica(&mut self, other: PeerId, other_store: &KeyStore) -> Vec<DataEntry> {
-        if other != self.id && !self.replicas.contains(&other) {
-            self.replicas.push(other);
-        }
-        other_store.missing_from(&self.store)
     }
 
     /// Adds a routing reference at the level where `other_path` diverges
@@ -179,20 +166,6 @@ mod tests {
         assert!(shipped.iter().all(|e| e.key.as_fraction() >= 0.5));
         assert_eq!(p.routing.level(0)[0].peer, PeerId(2));
         assert!(p.invariants_hold());
-    }
-
-    #[test]
-    fn replica_reconciliation_returns_missing_entries() {
-        let mut a = PeerState::with_entries(PeerId(1), 3, entries(&[0.1, 0.2]));
-        let b = PeerState::with_entries(PeerId(2), 3, entries(&[0.2, 0.3]));
-        // note: ids differ, so the only shared entry is none; `missing` is
-        // what b lacks relative to a, i.e. entries of a not in b.
-        let to_b = a.add_replica(b.id, &b.store);
-        assert!(a.replicas.contains(&PeerId(2)));
-        assert_eq!(to_b.len(), 2);
-        // adding the same replica twice does not duplicate it
-        a.add_replica(b.id, &b.store);
-        assert_eq!(a.replicas.len(), 1);
     }
 
     #[test]

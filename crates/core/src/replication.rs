@@ -9,9 +9,16 @@
 //! sets of two interacting peers (Section 4.2): initially every key is
 //! replicated `n_min` times, so sparse overlap between two random replicas
 //! indicates that the partition's keys are spread over many peers.
+//!
+//! Reconciled replicas hold the same set, so [`reconcile`] leaves them
+//! holding the same *storage*: one walk over the two sorted runs says what
+//! each side misses, the union is written at most once, and both
+//! [`KeyStore`]s end up as copy-on-write handles on it.  A partition
+//! replicated `m` times therefore costs one run, not `m`, until a replica's
+//! content next changes — and that replica then writes its own new run,
+//! leaving the others' untouched.
 
-use crate::key::DataEntry;
-use crate::store::KeyStore;
+use crate::store::{KeyStore, StoreRead};
 
 /// Estimates the number of peers associated with the current partition from
 /// the key sets of two interacting peers.
@@ -37,7 +44,7 @@ pub fn estimate_replica_count(a: &KeyStore, b: &KeyStore, replication: usize) ->
     if a.is_empty() || b.is_empty() {
         return None;
     }
-    let overlap = a.intersection_size(b);
+    let overlap = a.intersection_size_with(b);
     let (ka, kb) = (a.len() as f64, b.len() as f64);
     if overlap == 0 {
         return Some(f64::INFINITY);
@@ -65,27 +72,38 @@ impl ReconcileOutcome {
 /// stores ("possibility 2" of Figure 2): afterwards both stores hold the
 /// union of the two original key sets.  Returns how many entries travelled
 /// in each direction, which the simulators account as bandwidth.
+///
+/// Afterwards `a.shares_storage_with(b)`: a side that missed nothing keeps
+/// its run and the other side takes a handle on it; only when both miss
+/// something is a new run (the union) written, once.
 pub fn reconcile(a: &mut KeyStore, b: &mut KeyStore) -> ReconcileOutcome {
-    let to_b: Vec<DataEntry> = b.missing_from(a);
-    let to_a: Vec<DataEntry> = a.missing_from(b);
+    let common = a.intersection_size_with(b);
     let outcome = ReconcileOutcome {
-        a_to_b: to_b.len(),
-        b_to_a: to_a.len(),
+        a_to_b: a.len() - common,
+        b_to_a: b.len() - common,
     };
-    a.merge_from(to_a);
-    b.merge_from(to_b);
+    if outcome.b_to_a > 0 {
+        if outcome.a_to_b == 0 {
+            *a = b.clone();
+        } else {
+            a.merge_run(b.as_slice(), outcome.b_to_a);
+        }
+    }
+    *b = a.clone();
     outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{DataId, Key};
+    use crate::key::{DataEntry, DataId, Key};
+
+    fn entry(i: u64) -> DataEntry {
+        DataEntry::new(Key::from_fraction(i as f64 / 1000.0), DataId(i))
+    }
 
     fn store(range: std::ops::Range<u64>) -> KeyStore {
-        range
-            .map(|i| DataEntry::new(Key::from_fraction(i as f64 / 1000.0), DataId(i)))
-            .collect()
+        range.map(entry).collect()
     }
 
     #[test]
@@ -150,5 +168,37 @@ mod tests {
         // reconciling again moves nothing
         let out2 = reconcile(&mut a, &mut b);
         assert_eq!(out2.total_transferred(), 0);
+    }
+
+    #[test]
+    fn reconciled_replicas_share_one_run_in_every_case() {
+        // (a, b, a_to_b, b_to_a): equal / a ⊇ b / a ⊆ b / both miss something.
+        for (range_a, range_b, a_to_b, b_to_a) in [
+            (0..50, 0..50, 0, 0),
+            (0..50, 10..30, 30, 0),
+            (10..30, 0..50, 0, 30),
+            (0..60, 40..100, 40, 40),
+        ] {
+            let (mut a, mut b) = (store(range_a.clone()), store(range_b.clone()));
+            let (before_a, before_b) = (a.clone(), b.clone());
+            let union: KeyStore = range_a.clone().chain(range_b.clone()).map(entry).collect();
+            assert!(!a.shares_storage_with(&b));
+
+            let out = reconcile(&mut a, &mut b);
+            assert_eq!(out, ReconcileOutcome { a_to_b, b_to_a });
+            assert!(a.shares_storage_with(&b), "{range_a:?} / {range_b:?}");
+            assert_eq!(a, union);
+            // A side that missed nothing kept its run.
+            assert_eq!(a.shares_storage_with(&before_a), b_to_a == 0);
+            assert_eq!(b.shares_storage_with(&before_b), a_to_b == 0 && b_to_a > 0);
+
+            // Mutating one replica afterwards leaves the other untouched.
+            assert!(a.insert(entry(500)));
+            assert!(!a.shares_storage_with(&b));
+            assert_eq!(b, union);
+            let given = b.split_retain(&crate::path::Path::parse("1"));
+            assert_eq!(given.len(), union.len());
+            assert_eq!(a.len(), union.len() + 1);
+        }
     }
 }

@@ -5,78 +5,157 @@
 //! to hold).  Construction decisions in the paper are driven entirely by the
 //! locally stored keys — the fraction of keys falling into the two halves of
 //! the current partition is the estimator `p̂` of the data skew `p` — so the
-//! store supports cheap range counting, splitting along a path bit, and
-//! uniform sampling.
+//! store is the inner loop of every interaction.
+//!
+//! # Representation
+//!
+//! A store is **one sorted run**: an `Arc<Vec<DataEntry>>` whose entries are
+//! strictly ascending by `(key, id)` (sorted, no duplicates).  Everything
+//! the exchange path asks of it is a binary search or a single merge walk
+//! over that run (`k` = entries stored, `b` = batch size):
+//!
+//! | operation | cost |
+//! |---|---|
+//! | `len`, `iter`, `clone`, `shares_storage_with` | O(1) |
+//! | `contains`, `contains_key`, `range`, `restricted`, `count_in`, `key_span_in` | O(log k) |
+//! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares |
+//! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run iff something is new |
+//! | `split_retain` | O(log k) + two `memcpy`s |
+//! | `from_entries` | sort + dedup, O(k log k) (O(k) on sorted input) |
+//! | `insert`, `remove` | binary search + shift, **O(k)** — population and tests only |
+//! | first mutation of a shared run | one `memcpy` of the run |
+//!
+//! The run is copy-on-write: [`Clone`] shares it, and so do two replicas
+//! after [`crate::replication::reconcile`]; whoever mutates first writes a
+//! new run and leaves the other handle untouched.
 
 use crate::key::{DataEntry, Key};
 use crate::path::Path;
-use rand::seq::SliceRandom;
-use rand::Rng;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Read-only access to a set of entries, implemented both by the owning
-/// [`KeyStore`] and by the borrowed [`RestrictedView`].
+/// Index bounds of the entries of the ascending `run` whose key lies in the
+/// **inclusive** range `[lo, hi]` (empty when `lo > hi`).
+fn key_bounds(run: &[DataEntry], lo: Key, hi: Key) -> Range<usize> {
+    let start = run.partition_point(|e| e.key < lo);
+    let end = start + run[start..].partition_point(|e| e.key <= hi);
+    start..end
+}
+
+/// The entries of the ascending `run` covered by `path`.
+fn covered<'a>(run: &'a [DataEntry], path: &Path) -> &'a [DataEntry] {
+    &run[key_bounds(run, path.lower_key(), path.upper_key())]
+}
+
+/// Number of entries two ascending runs have in common: one merge walk, or
+/// no walk at all when both are the same piece of one shared run (two
+/// reconciled replicas assessing each other again).
+fn common_len(a: &[DataEntry], b: &[DataEntry]) -> usize {
+    if std::ptr::eq(a, b) {
+        return a.len();
+    }
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    common
+}
+
+/// Read-only access to a set of entries held as one ascending run,
+/// implemented both by the owning [`KeyStore`] and by the borrowed
+/// [`RestrictedView`].
 ///
 /// The exchange engine's partition assessment only ever *reads* the two
-/// interacting stores, so it is written against this trait; that lets the
-/// hot construction path hand it zero-copy range views instead of cloning a
-/// `BTreeSet` per interaction.
+/// interacting stores, so it is written against this trait.  The run is the
+/// only thing an implementor supplies; every query is derived from it.
 pub trait StoreRead {
+    /// The entries, strictly ascending by `(key, id)`.
+    fn as_slice(&self) -> &[DataEntry];
+
     /// Number of entries.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
 
     /// Whether there are no entries.
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.as_slice().is_empty()
     }
 
     /// Whether the given entry is present.
-    fn contains(&self, entry: &DataEntry) -> bool;
+    fn contains(&self, entry: &DataEntry) -> bool {
+        self.as_slice().binary_search(entry).is_ok()
+    }
 
     /// Iterator over all entries in key order.
-    fn entries(&self) -> impl Iterator<Item = &DataEntry>;
+    fn entries(&self) -> std::slice::Iter<'_, DataEntry> {
+        self.as_slice().iter()
+    }
 
     /// Number of entries covered by the given partition path.
-    fn count_in(&self, path: &Path) -> usize;
+    fn count_in(&self, path: &Path) -> usize {
+        covered(self.as_slice(), path).len()
+    }
 
     /// The smallest and largest key stored within `path`, if any.
-    fn key_span_in(&self, path: &Path) -> Option<(Key, Key)>;
+    ///
+    /// A partition whose span is a single point (all stored entries share one
+    /// key, e.g. the postings of one very popular index term) cannot be
+    /// balanced by bisection; callers use this to detect that case.
+    fn key_span_in(&self, path: &Path) -> Option<(Key, Key)> {
+        let run = covered(self.as_slice(), path);
+        Some((run.first()?.key, run.last()?.key))
+    }
 
     /// Size of the set intersection with another readable store (number of
     /// common entries).
     fn intersection_size_with(&self, other: &impl StoreRead) -> usize {
-        if self.len() <= other.len() {
-            self.entries().filter(|e| other.contains(e)).count()
-        } else {
-            other.entries().filter(|e| self.contains(e)).count()
-        }
+        common_len(self.as_slice(), other.as_slice())
     }
 
     /// Entries of `self` that are missing in `target` (what anti-entropy
-    /// would push from here to there).
+    /// would push from here to there), ascending.
     fn missing_in(&self, target: &impl StoreRead) -> Vec<DataEntry> {
-        self.entries()
-            .filter(|e| !target.contains(e))
-            .copied()
-            .collect()
+        let theirs = target.as_slice();
+        let mut missing = Vec::new();
+        let mut j = 0;
+        for entry in self.as_slice() {
+            while j < theirs.len() && theirs[j] < *entry {
+                j += 1;
+            }
+            if theirs.get(j) != Some(entry) {
+                missing.push(*entry);
+            }
+        }
+        missing
     }
 }
 
-/// Ordered local store of indexed entries.
+/// Ordered local store of indexed entries: one sorted, deduplicated run
+/// behind a copy-on-write [`Arc`] (see the module documentation for the
+/// cost of each operation).
 ///
-/// Entries are kept in a `BTreeSet` ordered by `(key, id)` so that range
-/// queries and per-partition counting are logarithmic plus output size.
-///
-/// The set lives behind an [`Arc`] with copy-on-write semantics:
-/// [`Clone`] is an O(1) snapshot sharing the same storage, and the first
-/// mutation after a snapshot copies the set exactly once (the
-/// log-structured pattern — a sealed shared run, copied only before
-/// diverging).  Use [`KeyStore::shares_storage_with`] to assert sharing
-/// and [`KeyStore::deep_clone`] when an eager private copy is wanted.
+/// [`Clone`] is an O(1) snapshot sharing the run, and a mutator that
+/// changes the content writes a new run instead of touching the shared one,
+/// so a snapshot — a durable-journal mirror, a reconciled replica — never
+/// observes a later mutation.  A mutator that turns out to change nothing
+/// (an all-duplicate batch, a split that gives nothing away) keeps the
+/// handle, and with it the sharing.  Use [`KeyStore::shares_storage_with`]
+/// to assert sharing and [`KeyStore::deep_clone`] when an eager private copy
+/// is wanted.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyStore {
-    entries: Arc<BTreeSet<DataEntry>>,
+    /// Invariant: strictly ascending by `(key, id)`.
+    entries: Arc<Vec<DataEntry>>,
 }
 
 impl KeyStore {
@@ -85,40 +164,55 @@ impl KeyStore {
         KeyStore::default()
     }
 
-    /// Builds a store from an iterator of entries.
+    /// Builds a store from an iterator of entries in any order, duplicates
+    /// tolerated (caller and wire order are never trusted).
     pub fn from_entries<I: IntoIterator<Item = DataEntry>>(entries: I) -> KeyStore {
+        let mut run: Vec<DataEntry> = entries.into_iter().collect();
+        run.sort_unstable();
+        run.dedup();
         KeyStore {
-            entries: Arc::new(entries.into_iter().collect()),
+            entries: Arc::new(run),
         }
     }
 
-    /// Mutable access to the set, copying it first iff a snapshot still
-    /// shares it (the single copy-on-write point of every mutator).
-    fn make_mut(&mut self) -> &mut BTreeSet<DataEntry> {
-        Arc::make_mut(&mut self.entries)
-    }
-
     /// Inserts an entry; returns `true` if it was not present before.
+    ///
+    /// O(k): binary search plus a shift of the tail (and a copy of the run
+    /// when it is shared).  Meant for population and tests; anything that
+    /// adds more than a few entries goes through [`KeyStore::merge_batch`].
     pub fn insert(&mut self, entry: DataEntry) -> bool {
-        self.make_mut().insert(entry)
+        match self.entries.binary_search(&entry) {
+            Ok(_) => false,
+            Err(at) => {
+                Arc::make_mut(&mut self.entries).insert(at, entry);
+                true
+            }
+        }
     }
 
-    /// Removes an entry; returns `true` if it was present.
+    /// Removes an entry; returns `true` if it was present.  O(k), like
+    /// [`KeyStore::insert`].
     pub fn remove(&mut self, entry: &DataEntry) -> bool {
-        self.make_mut().remove(entry)
+        match self.entries.binary_search(entry) {
+            Ok(at) => {
+                Arc::make_mut(&mut self.entries).remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
-    /// An eager private copy that shares no storage with `self` (the
-    /// pre-COW `Clone` semantics, kept for cost comparisons).
+    /// An eager private copy that shares no storage with `self`.
     pub fn deep_clone(&self) -> KeyStore {
         KeyStore {
             entries: Arc::new((*self.entries).clone()),
         }
     }
 
-    /// Whether this store and `other` currently share one underlying
-    /// entry set (true right after a [`Clone`], false once either side
-    /// mutated or after [`KeyStore::deep_clone`]).
+    /// Whether this store and `other` currently share one underlying run
+    /// (true right after a [`Clone`] or a
+    /// [`crate::replication::reconcile`], false once either side's content
+    /// changed or after [`KeyStore::deep_clone`]).
     pub fn shares_storage_with(&self, other: &KeyStore) -> bool {
         Arc::ptr_eq(&self.entries, &other.entries)
     }
@@ -135,302 +229,129 @@ impl KeyStore {
 
     /// Whether the given entry is stored.
     pub fn contains(&self, entry: &DataEntry) -> bool {
-        self.entries.contains(entry)
+        StoreRead::contains(self, entry)
     }
 
     /// Whether any entry with the given key is stored.
     pub fn contains_key(&self, key: Key) -> bool {
-        self.range(key, key).next().is_some()
+        !key_bounds(&self.entries, key, key).is_empty()
     }
 
     /// Iterator over all entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &DataEntry> {
+    pub fn iter(&self) -> std::slice::Iter<'_, DataEntry> {
         self.entries.iter()
     }
 
     /// Iterator over entries whose key lies in the **inclusive** range
-    /// `[lo, hi]`.
-    pub fn range(&self, lo: Key, hi: Key) -> impl Iterator<Item = &DataEntry> {
-        let start = DataEntry {
-            key: lo,
-            id: crate::key::DataId(0),
-        };
-        let end = DataEntry {
-            key: hi,
-            id: crate::key::DataId(u64::MAX),
-        };
-        self.entries.range(start..=end)
+    /// `[lo, hi]`, i.e. from `(lo, DataId(0))` to `(hi, DataId(u64::MAX))`.
+    pub fn range(&self, lo: Key, hi: Key) -> std::slice::Iter<'_, DataEntry> {
+        self.entries[key_bounds(&self.entries, lo, hi)].iter()
     }
 
-    /// Number of entries covered by the given partition path.
-    pub fn count_in(&self, path: &Path) -> usize {
-        self.range(path.lower_key(), path.upper_key()).count()
-    }
-
-    /// Splits off and returns all entries **not** covered by `path`,
-    /// retaining only the covered ones.
+    /// Splits off and returns all entries **not** covered by `path`
+    /// (ascending), retaining only the covered ones.
     ///
     /// This is the "split the key space and exchange content" interaction of
     /// Figure 2: after two peers agree to extend their paths with opposite
     /// bits, each keeps the entries of its new partition and hands the rest
-    /// to the other peer.
+    /// to the other peer.  The covered entries are one contiguous piece of
+    /// the run, so the split is two searches and two copies.
     pub fn split_retain(&mut self, path: &Path) -> Vec<DataEntry> {
-        let (keep, give): (BTreeSet<DataEntry>, BTreeSet<DataEntry>) = self
-            .entries
-            .iter()
-            .copied()
-            .partition(|e| path.covers(e.key));
-        self.entries = Arc::new(keep);
-        give.into_iter().collect()
+        let run = self.entries.as_slice();
+        let keep = key_bounds(run, path.lower_key(), path.upper_key());
+        if keep.len() == run.len() {
+            return Vec::new();
+        }
+        let mut given = Vec::with_capacity(run.len() - keep.len());
+        given.extend_from_slice(&run[..keep.start]);
+        given.extend_from_slice(&run[keep.end..]);
+        self.entries = Arc::new(run[keep].to_vec());
+        given
     }
 
-    /// Merges another peer's entries into this store (the "become replicas
-    /// and reconcile content" interaction), returning the number of entries
+    /// Merges a whole batch of entries at once (split handover, replication
+    /// push, forwarded complement keys), returning the number of entries
     /// that were actually new.
-    pub fn merge_from<I: IntoIterator<Item = DataEntry>>(&mut self, entries: I) -> usize {
-        let set = self.make_mut();
-        let mut added = 0;
-        for e in entries {
-            if set.insert(e) {
-                added += 1;
+    ///
+    /// The batch may arrive in any order; duplicates inside it and entries
+    /// already stored are tolerated and not counted.  When nothing is new
+    /// the handle (and any sharing) is left alone.
+    pub fn merge_batch(&mut self, mut entries: Vec<DataEntry>) -> usize {
+        entries.sort_unstable();
+        entries.dedup();
+        let new = entries.len() - common_len(&self.entries, &entries);
+        self.merge_run(&entries, new);
+        new
+    }
+
+    /// Merges a strictly ascending `run`, `new` of whose entries are not
+    /// stored yet, into the store: the union is written once, at its exact
+    /// size, unless there is nothing to add.
+    pub(crate) fn merge_run(&mut self, run: &[DataEntry], new: usize) {
+        if new == 0 {
+            return;
+        }
+        let old = self.entries.as_slice();
+        let mut union = Vec::with_capacity(old.len() + new);
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < run.len() {
+            match old[i].cmp(&run[j]) {
+                Ordering::Less => {
+                    union.push(old[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    union.push(run[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    union.push(old[i]);
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        added
-    }
-
-    /// Merges a whole batch of entries at once, returning the number of
-    /// entries that were actually new.
-    ///
-    /// Semantically identical to [`KeyStore::merge_from`], but the batch is
-    /// sorted up front and handed to the set in one `extend` call, so a
-    /// reconciliation transfer (split handover, replication push, forwarded
-    /// complement keys) costs one bulk operation instead of a per-entry
-    /// insert-and-count loop.  The added count is derived from the length
-    /// difference, which is exact because the set deduplicates.
-    pub fn merge_batch(&mut self, mut entries: Vec<DataEntry>) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        entries.sort_unstable();
-        let set = self.make_mut();
-        let before = set.len();
-        set.extend(entries);
-        set.len() - before
-    }
-
-    /// Draws `count` entries uniformly at random (without replacement) from
-    /// the entries covered by `path`.  If fewer are available, all of them
-    /// are returned.
-    ///
-    /// The paper's error analysis (Section 3.2) models exactly this: peers
-    /// estimate the load ratio `p` of a partition from a small uniform
-    /// sample of their locally stored keys.
-    pub fn sample_in<R: Rng + ?Sized>(
-        &self,
-        path: &Path,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<DataEntry> {
-        let mut covered: Vec<DataEntry> = self
-            .range(path.lower_key(), path.upper_key())
-            .copied()
-            .collect();
-        covered.shuffle(rng);
-        covered.truncate(count);
-        covered
-    }
-
-    /// Estimates, from at most `sample_size` locally stored keys inside
-    /// `path`, the fraction of that partition's load falling into the
-    /// **lower** half (`path + 0`).
-    ///
-    /// Returns `None` if no local key falls inside `path` (the peer has no
-    /// information at all).  With `sample_size == usize::MAX` this is the
-    /// exact local fraction.
-    pub fn estimate_lower_fraction<R: Rng + ?Sized>(
-        &self,
-        path: &Path,
-        sample_size: usize,
-        rng: &mut R,
-    ) -> Option<f64> {
-        let sample = if sample_size == usize::MAX {
-            self.range(path.lower_key(), path.upper_key())
-                .copied()
-                .collect::<Vec<_>>()
-        } else {
-            self.sample_in(path, sample_size, rng)
-        };
-        if sample.is_empty() {
-            return None;
-        }
-        let lower = path.child(false);
-        let in_lower = sample.iter().filter(|e| lower.covers(e.key)).count();
-        Some(in_lower as f64 / sample.len() as f64)
+        union.extend_from_slice(&old[i..]);
+        union.extend_from_slice(&run[j..]);
+        debug_assert_eq!(union.len(), old.len() + new);
+        self.entries = Arc::new(union);
     }
 
     /// A borrowed view of this store restricted to the entries covered by
-    /// `path`.
-    ///
-    /// The view implements [`StoreRead`] over the partition's key range
-    /// without copying anything; construction interactions assess partitions
-    /// through it, which removes the per-interaction `BTreeSet` clone from
-    /// the hot path.
+    /// `path`: the sub-slice of the run, located by two binary searches.
     pub fn restricted(&self, path: &Path) -> RestrictedView<'_> {
         RestrictedView {
-            set: &self.entries,
-            lo: path.lower_key(),
-            hi: path.upper_key(),
-            len: std::cell::Cell::new(None),
+            run: covered(&self.entries, path),
         }
     }
 
-    /// An owned copy of this store restricted to the entries covered by
-    /// `path` (only needed when the restriction must outlive the store
-    /// borrow; interactions use the zero-copy [`KeyStore::restricted`]).
-    pub fn restricted_owned(&self, path: &Path) -> KeyStore {
-        KeyStore::from_entries(self.range(path.lower_key(), path.upper_key()).copied())
-    }
-
-    /// The smallest and largest key stored within `path`, if any.
-    ///
-    /// A partition whose span is a single point (all stored entries share one
-    /// key, e.g. the postings of one very popular index term) cannot be
-    /// balanced by bisection; callers use this to detect that case.
-    pub fn key_span_in(&self, path: &Path) -> Option<(Key, Key)> {
-        let mut iter = self.range(path.lower_key(), path.upper_key());
-        let first = iter.next()?.key;
-        let last = iter.last().map(|e| e.key).unwrap_or(first);
-        Some((first, last))
-    }
-
-    /// All stored keys (with multiplicity per distinct `(key, id)` entry).
-    pub fn keys(&self) -> Vec<Key> {
-        self.entries.iter().map(|e| e.key).collect()
-    }
-
-    /// Removes and returns all entries, leaving the store empty.
+    /// Removes and returns all entries (ascending), leaving the store empty.
     pub fn drain(&mut self) -> Vec<DataEntry> {
-        let set = std::mem::take(&mut self.entries);
-        match Arc::try_unwrap(set) {
-            Ok(owned) => owned.into_iter().collect(),
-            // A snapshot still shares the set: leave its copy untouched.
-            Err(shared) => shared.iter().copied().collect(),
-        }
-    }
-
-    /// Size of the set intersection with another store (number of common
-    /// entries).  Used by the replica-count estimator (Section 4.2).
-    ///
-    /// Thin wrapper over [`StoreRead::intersection_size_with`] so the
-    /// size-ordered intersection algorithm exists once.
-    pub fn intersection_size(&self, other: &KeyStore) -> usize {
-        self.intersection_size_with(other)
-    }
-
-    /// Size of the set union with another store.
-    pub fn union_size(&self, other: &KeyStore) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
-    }
-
-    /// Entries present in `other` but missing here (what anti-entropy would
-    /// pull from a replica); the mirror image of [`StoreRead::missing_in`].
-    pub fn missing_from(&self, other: &KeyStore) -> Vec<DataEntry> {
-        other.missing_in(self)
+        // A snapshot that still shares the run keeps it; we take a copy.
+        Arc::try_unwrap(std::mem::take(&mut self.entries)).unwrap_or_else(|run| (*run).clone())
     }
 }
 
 impl StoreRead for KeyStore {
-    fn len(&self) -> usize {
-        KeyStore::len(self)
-    }
-
-    fn contains(&self, entry: &DataEntry) -> bool {
-        KeyStore::contains(self, entry)
-    }
-
-    fn entries(&self) -> impl Iterator<Item = &DataEntry> {
-        self.entries.iter()
-    }
-
-    fn count_in(&self, path: &Path) -> usize {
-        KeyStore::count_in(self, path)
-    }
-
-    fn key_span_in(&self, path: &Path) -> Option<(Key, Key)> {
-        KeyStore::key_span_in(self, path)
+    fn as_slice(&self) -> &[DataEntry] {
+        &self.entries
     }
 }
 
 /// A zero-copy view of a [`KeyStore`] restricted to one partition's key
-/// range, created by [`KeyStore::restricted`].
+/// range, created by [`KeyStore::restricted`]: the sub-slice of the store's
+/// run that the partition covers.
 ///
-/// All [`StoreRead`] queries (including nested `count_in`/`key_span_in` for
-/// child partitions) are answered directly from the underlying `BTreeSet`
-/// by clamping the queried range to the view's bounds.  The entry count is
-/// computed lazily and memoised, so iterate-only callers never pay for it.
-#[derive(Clone, Debug)]
+/// Nested queries (`count_in`/`key_span_in` for child partitions) search
+/// inside the sub-slice, so they are clamped to the view by construction.
+#[derive(Copy, Clone, Debug)]
 pub struct RestrictedView<'a> {
-    set: &'a BTreeSet<DataEntry>,
-    lo: Key,
-    hi: Key,
-    len: std::cell::Cell<Option<usize>>,
-}
-
-impl RestrictedView<'_> {
-    /// The queried range clamped to the view's bounds, or `None` when they
-    /// are disjoint.
-    fn clamped(
-        &self,
-        lo: Key,
-        hi: Key,
-    ) -> Option<std::collections::btree_set::Range<'_, DataEntry>> {
-        let lo = lo.max(self.lo);
-        let hi = hi.min(self.hi);
-        if lo > hi {
-            return None;
-        }
-        let start = DataEntry {
-            key: lo,
-            id: crate::key::DataId(0),
-        };
-        let end = DataEntry {
-            key: hi,
-            id: crate::key::DataId(u64::MAX),
-        };
-        Some(self.set.range(start..=end))
-    }
+    run: &'a [DataEntry],
 }
 
 impl StoreRead for RestrictedView<'_> {
-    fn len(&self) -> usize {
-        match self.len.get() {
-            Some(len) => len,
-            None => {
-                let len = self.clamped(self.lo, self.hi).map_or(0, |r| r.count());
-                self.len.set(Some(len));
-                len
-            }
-        }
-    }
-
-    fn contains(&self, entry: &DataEntry) -> bool {
-        entry.key >= self.lo && entry.key <= self.hi && self.set.contains(entry)
-    }
-
-    fn entries(&self) -> impl Iterator<Item = &DataEntry> {
-        self.clamped(self.lo, self.hi).into_iter().flatten()
-    }
-
-    fn count_in(&self, path: &Path) -> usize {
-        self.clamped(path.lower_key(), path.upper_key())
-            .map_or(0, |range| range.count())
-    }
-
-    fn key_span_in(&self, path: &Path) -> Option<(Key, Key)> {
-        let mut range = self.clamped(path.lower_key(), path.upper_key())?;
-        let first = range.next()?.key;
-        let last = range.last().map(|e| e.key).unwrap_or(first);
-        Some((first, last))
+    fn as_slice(&self) -> &[DataEntry] {
+        self.run
     }
 }
 
@@ -444,8 +365,6 @@ impl FromIterator<DataEntry> for KeyStore {
 mod tests {
     use super::*;
     use crate::key::DataId;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn entry(x: f64, id: u64) -> DataEntry {
         DataEntry::new(Key::from_fraction(x), DataId(id))
@@ -510,33 +429,20 @@ mod tests {
         let mut a2 = KeyStore::new();
         a2.insert(entry(0.1, 1));
         a2.insert(entry(0.2, 2));
-        let added = a2.merge_from(vec![entry(0.2, 2), entry(0.3, 3)]);
+        // Unsorted, with an in-batch duplicate and an entry already stored.
+        let added = a2.merge_batch(vec![entry(0.3, 3), entry(0.2, 2), entry(0.3, 3)]);
         assert_eq!(added, 1);
         assert_eq!(a2.len(), 3);
-        // also exercise missing_from
-        let missing = a.missing_from(&b);
+        assert!(a2.iter().is_sorted());
+        // A batch with nothing new leaves the handle (and its sharing) alone.
+        let snapshot = a2.clone();
+        assert_eq!(a2.merge_batch(vec![entry(0.2, 2), entry(0.1, 1)]), 0);
+        assert!(a2.shares_storage_with(&snapshot));
+        // also exercise missing_in
+        let missing = b.missing_in(&a);
         assert_eq!(missing.len(), 2);
-        a.merge_from(missing);
+        a.merge_batch(missing);
         assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    fn estimate_lower_fraction_exact_and_sampled() {
-        let s = store_with(&[0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.85, 0.9]);
-        let mut rng = StdRng::seed_from_u64(7);
-        let exact = s
-            .estimate_lower_fraction(&Path::root(), usize::MAX, &mut rng)
-            .unwrap();
-        assert!((exact - 3.0 / 8.0).abs() < 1e-12);
-        let sampled = s
-            .estimate_lower_fraction(&Path::root(), 4, &mut rng)
-            .unwrap();
-        assert!((0.0..=1.0).contains(&sampled));
-        assert!(
-            s.estimate_lower_fraction(&Path::parse("111111"), 4, &mut rng)
-                .is_none()
-                || s.count_in(&Path::parse("111111")) > 0
-        );
     }
 
     #[test]
@@ -549,23 +455,10 @@ mod tests {
         for i in 5..15 {
             b.insert(entry(i as f64 / 20.0, i));
         }
-        assert_eq!(a.intersection_size(&b), 5);
-        assert_eq!(b.intersection_size(&a), 5);
-        assert_eq!(a.union_size(&b), 15);
-    }
-
-    #[test]
-    fn sample_without_replacement() {
-        let s = store_with(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]);
-        let mut rng = StdRng::seed_from_u64(42);
-        let sample = s.sample_in(&Path::root(), 5, &mut rng);
-        assert_eq!(sample.len(), 5);
-        let mut dedup = sample.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 5);
-        // asking for more than available returns everything
-        assert_eq!(s.sample_in(&Path::root(), 100, &mut rng).len(), 8);
+        assert_eq!(a.intersection_size_with(&b), 5);
+        assert_eq!(b.intersection_size_with(&a), 5);
+        assert_eq!(a.intersection_size_with(&KeyStore::new()), 0);
+        assert_eq!(a.missing_in(&b).len() + b.len(), 15, "size of the union");
     }
 
     #[test]
@@ -625,20 +518,12 @@ mod tests {
         for path in ["", "0", "1", "01", "00", "111", "0000"] {
             let path = Path::parse(path);
             let view = s.restricted(&path);
-            let owned = s.restricted_owned(&path);
-            assert_eq!(StoreRead::len(&view), KeyStore::len(&owned), "{path}");
-            let via_view: Vec<DataEntry> = view.entries().copied().collect();
-            let via_owned: Vec<DataEntry> = owned.iter().copied().collect();
-            assert_eq!(via_view, via_owned, "{path}");
+            let owned = KeyStore::from_entries(s.iter().copied().filter(|e| path.covers(e.key)));
+            assert_eq!(view.len(), owned.len(), "{path}");
+            assert_eq!(view.as_slice(), owned.as_slice(), "{path}");
             for child in [path.child(false), path.child(true)] {
-                assert_eq!(
-                    StoreRead::count_in(&view, &child),
-                    KeyStore::count_in(&owned, &child)
-                );
-                assert_eq!(
-                    StoreRead::key_span_in(&view, &child),
-                    KeyStore::key_span_in(&owned, &child)
-                );
+                assert_eq!(view.count_in(&child), owned.count_in(&child));
+                assert_eq!(view.key_span_in(&child), owned.key_span_in(&child));
             }
         }
     }
@@ -651,14 +536,13 @@ mod tests {
         let view_a = a.restricted(&path);
         assert_eq!(
             view_a.intersection_size_with(&b),
-            a.intersection_size(&b),
+            a.intersection_size_with(&b),
             "view intersection must match the owned store's"
         );
-        // missing_in(self, target) mirrors target.missing_from(self).
-        assert_eq!(view_a.missing_in(&b), b.missing_from(&a));
+        assert_eq!(view_a.missing_in(&b), a.missing_in(&b));
         // A view only sees entries inside its bounds.
         let lower = a.restricted(&Path::parse("0"));
-        assert_eq!(StoreRead::len(&lower), 3);
+        assert_eq!(lower.len(), 3);
         assert!(!lower.contains(&entry(0.6, 3)));
     }
 }

@@ -21,9 +21,8 @@ use crate::record::{
 };
 use crate::segment::{Log, LogOptions};
 use pgrid_core::histogram::LogHistogram;
-use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path as TriePath;
-use pgrid_core::store::KeyStore;
+use pgrid_core::store::{KeyStore, StoreRead};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -82,12 +81,13 @@ impl MirrorImage {
         if let Some(path) = delta.path {
             self.path = path;
         }
-        for e in delta.removed {
-            self.entries.remove(&e);
+        // One walk each, however large the delta (a split removes half a
+        // store): `entries \ removed`, then one merge of `added`.
+        if !delta.removed.is_empty() {
+            let removed = KeyStore::from_entries(delta.removed);
+            self.entries = KeyStore::from_entries(self.entries.missing_in(&removed));
         }
-        for e in delta.added {
-            self.entries.insert(e);
-        }
+        self.entries.merge_batch(delta.added);
         if let Some(routing) = delta.routing {
             self.routing = routing;
         }
@@ -208,7 +208,10 @@ impl DurableStore {
         let (added, removed) = if store.shares_storage_with(&mirror.entries) {
             (Vec::new(), Vec::new())
         } else {
-            set_diff(store, &mirror.entries)
+            (
+                store.missing_in(&mirror.entries),
+                mirror.entries.missing_in(store),
+            )
         };
         let delta = PeerDelta {
             path: (mirror.path != path).then_some(path),
@@ -308,45 +311,11 @@ fn append(
     Ok(())
 }
 
-/// `(added, removed)` between a live store and a mirror set, both
-/// iterated in sorted order (a single merge walk, no hashing).
-fn set_diff(live: &KeyStore, mirror: &KeyStore) -> (Vec<DataEntry>, Vec<DataEntry>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let mut a = live.iter().copied().peekable();
-    let mut b = mirror.iter().copied().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => {
-                if x < y {
-                    added.push(x);
-                    a.next();
-                } else if y < x {
-                    removed.push(y);
-                    b.next();
-                } else {
-                    a.next();
-                    b.next();
-                }
-            }
-            (Some(_), None) => {
-                added.extend(a.by_ref());
-                break;
-            }
-            (None, Some(_)) => {
-                removed.extend(b.by_ref());
-                break;
-            }
-            (None, None) => break,
-        }
-    }
-    (added, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgrid_core::key::{DataId, Key};
+    use pgrid_core::key::{DataEntry, DataId, Key};
+    use std::collections::BTreeSet;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -461,9 +430,49 @@ mod tests {
         assert!(!observe(&mut store, &live), "mutated and reverted");
         assert!(!observe(&mut store, &live.deep_clone()), "deep clone");
 
+        // A reconcile with an equal replica only swaps the handle: the
+        // store now shares the replica's run instead of the mirror's.
+        let mut replica = live.deep_clone();
+        pgrid_core::replication::reconcile(&mut replica, &mut live);
+        assert!(live.shares_storage_with(&replica) && !shared(&store, &live));
+        assert!(!observe(&mut store, &live), "re-shared by a reconcile");
+
         live.insert(entry(99, 99));
         assert!(observe(&mut store, &live), "a real mutation");
         assert_eq!(store.stats().appended_records, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_applies_a_large_delta_and_ends_equal_to_the_model() {
+        let dir = temp_dir("large-delta");
+        let mut store = DurableStore::open(&dir, LogOptions::default()).unwrap();
+        // 20 000 entries spread over the key space, half under each root bit.
+        let spread = |i: u64, id: u64| entry(i * ((1 << 63) / 10_000 + 1), id);
+        let mut model: BTreeSet<DataEntry> = (0..20_000).map(|i| spread(i, i)).collect();
+        let mut live: KeyStore = model.iter().copied().collect();
+        store
+            .observe(0, 1, TriePath::root(), &live, &[], &[])
+            .unwrap();
+
+        // One delta the shape of a split: half the image goes, a third of
+        // it arrives (interleaved with what stays, new ids).
+        let upper = TriePath::parse("1");
+        let given = live.split_retain(&upper);
+        assert_eq!(given.len(), 10_000);
+        model.retain(|e| upper.covers(e.key));
+        let arrived: Vec<DataEntry> = (0..6_667).map(|i| spread(10_000 + i, 20_000 + i)).collect();
+        assert_eq!(live.merge_batch(arrived.clone()), 6_667);
+        model.extend(arrived);
+        store.observe(0, 1, upper, &live, &[], &[]).unwrap();
+        store.sync().unwrap();
+        drop(store);
+
+        let reopened = DurableStore::open(&dir, LogOptions::default()).unwrap();
+        assert_eq!(reopened.stats().replayed_records, 2, "image + one delta");
+        let image = reopened.images().next().unwrap().1;
+        assert_eq!(image.path, upper);
+        assert!(image.entries.iter().eq(model.iter()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

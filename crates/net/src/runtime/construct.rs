@@ -199,12 +199,7 @@ impl<T: Transport> Runtime<T> {
             slot.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&slot.states[peer]);
         if let Some(target) = self.random_contact(peer) {
             let state = self.indexes.state(index, peer);
-            let entries: Vec<DataEntry> = state
-                .store
-                .restricted(&state.path)
-                .entries()
-                .copied()
-                .collect();
+            let entries = state.store.restricted(&state.path).as_slice().to_vec();
             let message = Message::Exchange {
                 from: PeerId(peer as u64),
                 path: state.path,
@@ -333,7 +328,7 @@ impl<T: Transport> Runtime<T> {
                     if !state.replicas.contains(&initiator) {
                         state.replicas.push(initiator);
                     }
-                    state.store.merge_from(to_responder);
+                    state.store.merge_batch(to_responder);
                     ExchangeOutcome::Replicate {
                         entries: to_initiator,
                     }
@@ -357,12 +352,9 @@ impl<T: Transport> Runtime<T> {
                     // Keep the initiator's entries that belong to our new
                     // side.
                     let own_path = state.path;
-                    state.store.merge_from(
-                        initiator_entries
-                            .iter()
-                            .copied()
-                            .filter(|e| own_path.covers(e.key)),
-                    );
+                    state
+                        .store
+                        .merge_batch(initiator_store.restricted(&own_path).as_slice().to_vec());
                     ExchangeOutcome::Split {
                         partition,
                         initiator_bit,
@@ -407,11 +399,13 @@ impl<T: Transport> Runtime<T> {
                 None
             };
             let initiator_new_path = partition.child(initiator_bit);
-            let handover: Vec<DataEntry> = responder_store
-                .entries()
-                .copied()
-                .filter(|e| initiator_new_path.covers(e.key))
-                .collect();
+            let handover = self
+                .indexes
+                .state(index, responder)
+                .store
+                .restricted(&initiator_new_path)
+                .as_slice()
+                .to_vec();
             return ExchangeOutcome::Split {
                 partition,
                 initiator_bit,
@@ -473,7 +467,7 @@ impl<T: Transport> Runtime<T> {
                 false
             }
             ExchangeOutcome::Replicate { entries } => {
-                let added = state.store.merge_from(entries);
+                let added = state.store.merge_batch(entries);
                 if !state.replicas.contains(&responder) {
                     state.replicas.push(responder);
                 }
@@ -506,7 +500,7 @@ impl<T: Transport> Runtime<T> {
                         },
                     };
                     let shipped = state.split_towards(initiator_bit, reference, &mut self.rng);
-                    state.store.merge_from(entries);
+                    state.store.merge_batch(entries);
                     // Hand the entries of the other side back to the
                     // responder (content exchange).
                     if !shipped.is_empty() {

@@ -404,7 +404,7 @@ impl<T: Transport> Runtime<T> {
                 // messages only exist for bandwidth accounting.
             }
             Message::Replicate { entries } => {
-                self.indexes.state_mut(index, to).store.merge_from(entries);
+                self.indexes.state_mut(index, to).store.merge_batch(entries);
             }
             Message::Exchange {
                 from,

@@ -13,6 +13,7 @@ use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::peer::PeerState;
 use pgrid_core::routing::{PeerId, RoutingEntry};
+use pgrid_core::store::StoreRead;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -170,8 +171,8 @@ fn construct_sequentially_with_rng<R: Rng + ?Sized>(
                 )
             };
             keys_moved += from_joiner.len();
-            joiner.store.merge_from(to_joiner);
-            peers[current].store.merge_from(from_joiner);
+            joiner.store.merge_batch(to_joiner);
+            peers[current].store.merge_batch(from_joiner);
         } else {
             // Replicate the host partition.
             joiner.path = peers[current].path;
