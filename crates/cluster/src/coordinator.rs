@@ -403,14 +403,6 @@ fn poll_routine(
     }
 }
 
-/// Length of the common prefix of two trie paths.
-fn common_prefix(a: &Path, b: &Path) -> usize {
-    a.bits_iter()
-        .zip(b.bits_iter())
-        .take_while(|(x, y)| x == y)
-        .count()
-}
-
 fn coordinate(
     listener: TcpListener,
     cluster: &ClusterConfig,
@@ -1055,7 +1047,7 @@ fn heal_round(
             // Prefer true replicas (identical path) over mere prefix
             // neighbours ...
             let score = |p: usize| {
-                let lcp = common_prefix(&path, &membership.last_paths[p]);
+                let lcp = path.common_prefix_len(&membership.last_paths[p]);
                 (usize::from(membership.last_paths[p] == path), lcp)
             };
             let candidates: Vec<usize> = (0..cluster.net.n_peers)

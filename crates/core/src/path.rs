@@ -174,14 +174,21 @@ impl Path {
         lead.min(max)
     }
 
+    /// The first bit position at which this path disagrees with `key` —
+    /// the trie level a search for `key` is forwarded at — or `None` when
+    /// the path is a prefix of the key (the partition covers it).
+    #[inline]
+    pub fn first_mismatch(&self, key: Key) -> Option<usize> {
+        // Both are left-aligned and the path's unused low bits are zero, so
+        // a difference past `len` is the key's own tail, not a mismatch.
+        let level = (self.bits ^ key.0).leading_zeros() as usize;
+        (level < self.len()).then_some(level)
+    }
+
     /// Whether the partition identified by this path contains `key`.
+    #[inline]
     pub fn covers(&self, key: Key) -> bool {
-        for i in 0..self.len() {
-            if key.bit(i) != self.bit(i) {
-                return false;
-            }
-        }
-        true
+        self.first_mismatch(key).is_none()
     }
 
     /// The half-open key interval `[lower, upper)` covered by this
@@ -389,6 +396,37 @@ mod tests {
         assert_eq!(Path::from_wire_parts(65, 0), None);
         assert_eq!(Path::from_wire_parts(2, u64::MAX), Some(Path::parse("11")));
         assert_eq!(Path::from_wire_parts(0, u64::MAX), Some(Path::ROOT));
+    }
+
+    #[test]
+    fn first_mismatch_equals_the_bit_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for len in 0..=MAX_PATH_LEN {
+            for _ in 0..64 {
+                let path = Path::from_wire_parts(len as u8, rng.gen()).unwrap();
+                // Random keys mismatch early; keys under the path, its
+                // sibling and the extremes reach the late and `None` cases.
+                let tail = path.lower_key().0 ^ path.upper_key().0;
+                let under = Key(path.lower_key().0 | (rng.gen::<u64>() & tail));
+                let beside = path.sibling().map_or(Key::MIN, |s| s.upper_key());
+                let keys = [
+                    Key(rng.gen()),
+                    under,
+                    beside,
+                    path.lower_key(),
+                    path.upper_key(),
+                    Key::MIN,
+                    Key::MAX,
+                ];
+                for key in keys {
+                    let by_bits = (0..path.len()).find(|&i| path.bit(i) != key.bit(i));
+                    assert_eq!(path.first_mismatch(key), by_bits, "{path} vs {key:?}");
+                    assert_eq!(path.covers(key), by_bits.is_none(), "{path} vs {key:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn lookup<N: NetworkView, R: Rng + ?Sized>(
         };
 
         // Find the first bit of the peer's path that disagrees with the key.
-        let mismatch = (0..path.len()).find(|&i| path.bit(i) != key.bit(i));
+        let mismatch = path.first_mismatch(key);
         match mismatch {
             None => {
                 // The peer's path is a prefix of the key: responsible peer.

@@ -5,8 +5,21 @@
 //! measures.  The codec is a simple hand-rolled binary format over
 //! [`bytes`]: self-describing enough for tests, compact enough that the
 //! byte counts are meaningful.
+//!
+//! There is one encoder and one decoder, generic over the [`bytes::BufMut`]
+//! / [`bytes::Buf`] traits.  The runtime encodes a message exactly once,
+//! straight into the bytes that go on the wire (its staging arena, a
+//! `Vec<u8>`), and decodes an arrived payload where it lies
+//! ([`Message::decode_slice`] over a slice of the frame);
+//! [`Message::encode`] / [`Message::decode`] are the owned-`Bytes` wrappers
+//! of the same two functions and [`Message::wire_size`] runs the encoder
+//! over a sink that only counts, so the three cannot disagree.  Decoding is
+//! total: every read is bounds-checked, a claimed element count must fit
+//! the bytes that are left before anything is reserved for it, envelope
+//! nesting is refused on the inner tag (no recursion on hostile input), and
+//! a payload must be consumed exactly.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
@@ -200,17 +213,28 @@ pub enum ExchangeOutcome {
     Nothing,
 }
 
+/// A [`BufMut`] that keeps only the number of bytes written to it.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
 impl Message {
-    /// Encodes the message into a byte buffer.
+    /// Encodes the message into a byte buffer of its own.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
-    /// Appends the encoding to an existing buffer (used by the envelope so
-    /// wrapping never buffers the inner message twice).
-    fn encode_into(&self, buf: &mut BytesMut) {
+    /// Appends the encoding to `buf` — the one encoder.  The runtime points
+    /// it at its staging arena, [`Message::encode`] at a fresh vector,
+    /// [`Message::wire_size`] at a byte counter, and an envelope at the
+    /// buffer its own header just went into.
+    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             Message::Join { peer } => {
                 buf.put_u8(0);
@@ -379,47 +403,55 @@ impl Message {
 
     /// Decodes a message previously produced by [`Message::encode`].
     ///
-    /// Returns `None` for malformed input.
+    /// Returns `None` for malformed input, which includes bytes left over
+    /// after the message.
     pub fn decode(mut data: Bytes) -> Option<Message> {
-        if data.remaining() < 1 {
-            return None;
-        }
-        let tag = data.get_u8();
+        Message::decode_exact(&mut data)
+    }
+
+    /// [`Message::decode`] over a borrowed slice: what the runtime calls on
+    /// each payload of an arrived frame, in place.
+    pub fn decode_slice(mut data: &[u8]) -> Option<Message> {
+        Message::decode_exact(&mut data)
+    }
+
+    /// Decodes one message that must consume `data` exactly.
+    fn decode_exact<B: Buf>(data: &mut B) -> Option<Message> {
+        let message = Message::decode_from(data)?;
+        (data.remaining() == 0).then_some(message)
+    }
+
+    /// Decodes one message from the front of `data` — the one decoder.
+    /// Every read is bounds-checked and every claimed element count is
+    /// checked against the bytes that are actually there before anything
+    /// is allocated for it.
+    fn decode_from<B: Buf>(data: &mut B) -> Option<Message> {
+        let tag = checked_u8(data)?;
         Some(match tag {
             0 => Message::Join {
-                peer: PeerId(checked_u64(&mut data)?),
+                peer: PeerId(checked_u64(data)?),
             },
-            1 => {
-                let n = checked_u32(&mut data)? as usize;
-                let mut neighbours = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    neighbours.push(PeerId(checked_u64(&mut data)?));
-                }
-                Message::JoinAck { neighbours }
-            }
+            1 => Message::JoinAck {
+                neighbours: get_peers(data, u32::MAX as usize)?,
+            },
             2 => Message::Replicate {
-                entries: get_entries(&mut data)?,
+                entries: get_entries(data)?,
             },
             3 => Message::Exchange {
-                from: PeerId(checked_u64(&mut data)?),
-                path: get_path(&mut data)?,
-                entries: get_entries(&mut data)?,
+                from: PeerId(checked_u64(data)?),
+                path: get_path(data)?,
+                entries: get_entries(data)?,
             },
             4 => {
-                let from = PeerId(checked_u64(&mut data)?);
-                let path = get_path(&mut data)?;
-                let outcome_tag = if data.remaining() >= 1 {
-                    data.get_u8()
-                } else {
-                    return None;
-                };
-                let outcome = match outcome_tag {
+                let from = PeerId(checked_u64(data)?);
+                let path = get_path(data)?;
+                let outcome = match checked_u8(data)? {
                     0 => {
-                        let partition = get_path(&mut data)?;
-                        let initiator_bit = checked_u8(&mut data)? != 0;
-                        let entries = get_entries(&mut data)?;
-                        let complement = if checked_u8(&mut data)? != 0 {
-                            Some((PeerId(checked_u64(&mut data)?), get_path(&mut data)?))
+                        let partition = get_path(data)?;
+                        let initiator_bit = checked_u8(data)? != 0;
+                        let entries = get_entries(data)?;
+                        let complement = if checked_u8(data)? != 0 {
+                            Some((PeerId(checked_u64(data)?), get_path(data)?))
                         } else {
                             None
                         };
@@ -431,11 +463,11 @@ impl Message {
                         }
                     }
                     1 => ExchangeOutcome::Replicate {
-                        entries: get_entries(&mut data)?,
+                        entries: get_entries(data)?,
                     },
                     2 => ExchangeOutcome::Refer {
-                        peer: PeerId(checked_u64(&mut data)?),
-                        path: get_path(&mut data)?,
+                        peer: PeerId(checked_u64(data)?),
+                        path: get_path(data)?,
                     },
                     3 => ExchangeOutcome::Nothing,
                     _ => return None,
@@ -447,83 +479,72 @@ impl Message {
                 }
             }
             5 => Message::Query {
-                origin: PeerId(checked_u64(&mut data)?),
-                id: checked_u64(&mut data)?,
-                key: Key(checked_u64(&mut data)?),
-                hops: checked_u32(&mut data)?,
+                origin: PeerId(checked_u64(data)?),
+                id: checked_u64(data)?,
+                key: Key(checked_u64(data)?),
+                hops: checked_u32(data)?,
             },
             6 => Message::QueryResponse {
-                id: checked_u64(&mut data)?,
-                entries: get_entries(&mut data)?,
-                hops: checked_u32(&mut data)?,
-                found: checked_u8(&mut data)? != 0,
+                id: checked_u64(data)?,
+                entries: get_entries(data)?,
+                hops: checked_u32(data)?,
+                found: checked_u8(data)? != 0,
             },
             8 => Message::RangeQuery {
-                origin: PeerId(checked_u64(&mut data)?),
-                id: checked_u64(&mut data)?,
-                lo: Key(checked_u64(&mut data)?),
-                hi: Key(checked_u64(&mut data)?),
-                cursor: Key(checked_u64(&mut data)?),
-                hops: checked_u32(&mut data)?,
+                origin: PeerId(checked_u64(data)?),
+                id: checked_u64(data)?,
+                lo: Key(checked_u64(data)?),
+                hi: Key(checked_u64(data)?),
+                cursor: Key(checked_u64(data)?),
+                hops: checked_u32(data)?,
             },
             9 => Message::RangeResponse {
-                id: checked_u64(&mut data)?,
-                from: Key(checked_u64(&mut data)?),
-                upto: Key(checked_u64(&mut data)?),
-                entries: get_entries(&mut data)?,
-                hops: checked_u32(&mut data)?,
+                id: checked_u64(data)?,
+                from: Key(checked_u64(data)?),
+                upto: Key(checked_u64(data)?),
+                entries: get_entries(data)?,
+                hops: checked_u32(data)?,
             },
             7 => {
-                let index = checked_u16(&mut data)?;
-                let inner = Message::decode(data)?;
+                let index = checked_u16(data)?;
                 // Envelopes carry a non-zero index and never nest; a trace
                 // envelope is strictly outermost so it cannot appear here.
-                if index == 0 || matches!(inner, Message::ForIndex { .. } | Message::Traced { .. })
-                {
+                // Decided on the inner tag, before recursing, so hostile
+                // nesting is rejected at depth one instead of on the stack.
+                if index == 0 || matches!(data.chunk().first(), Some(7 | 10)) {
                     return None;
                 }
                 Message::ForIndex {
                     index,
-                    inner: Box::new(inner),
+                    inner: Box::new(Message::decode_from(data)?),
                 }
             }
             10 => {
-                let trace_id = checked_u64(&mut data)?;
-                let inner = Message::decode(data)?;
+                let trace_id = checked_u64(data)?;
                 // Trace envelopes carry a non-zero ID and never nest.
-                if trace_id == 0 || matches!(inner, Message::Traced { .. }) {
+                if trace_id == 0 || data.chunk().first() == Some(&10) {
                     return None;
                 }
                 Message::Traced {
                     trace_id,
-                    inner: Box::new(inner),
+                    inner: Box::new(Message::decode_from(data)?),
                 }
             }
             11 => Message::ReplicaPull {
-                origin: PeerId(checked_u64(&mut data)?),
+                origin: PeerId(checked_u64(data)?),
             },
             12 => {
-                let path = get_path(&mut data)?;
-                let entries = get_entries(&mut data)?;
-                let n = checked_u32(&mut data)? as usize;
-                if n > 65_536 {
-                    return None;
-                }
-                let mut routing = Vec::with_capacity(n.min(4096));
+                let path = get_path(data)?;
+                let entries = get_entries(data)?;
+                let n = checked_count(data, 65_536, ROUTING_REF_BYTES)?;
+                let mut routing = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let level = checked_u8(&mut data)?;
-                    let peer = PeerId(checked_u64(&mut data)?);
-                    let path = get_path(&mut data)?;
+                    let level = checked_u8(data)?;
+                    let peer = PeerId(checked_u64(data)?);
+                    let path = get_path(data)?;
                     routing.push((level, peer, path));
                 }
-                let n = checked_u32(&mut data)? as usize;
-                if n > 65_536 {
-                    return None;
-                }
-                let mut replicas = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    replicas.push(PeerId(checked_u64(&mut data)?));
-                }
+                let replicas = get_peers(data, 65_536)?;
                 Message::ReplicaPush {
                     path,
                     entries,
@@ -538,7 +559,9 @@ impl Message {
     /// Size of the encoded message in bytes (what the bandwidth accounting
     /// charges for this message).
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        let mut count = ByteCount(0);
+        self.encode_into(&mut count);
+        count.0
     }
 
     /// Whether this message belongs to the query traffic class (everything
@@ -556,18 +579,27 @@ impl Message {
     }
 }
 
-fn put_path(buf: &mut BytesMut, path: &Path) {
+/// Encoded size of one path: length byte plus left-aligned bits.
+const PATH_BYTES: usize = 1 + 8;
+
+/// Encoded size of one data entry: key plus id.
+const ENTRY_BYTES: usize = 8 + 8;
+
+/// Encoded size of one `ReplicaPush` routing reference: level, peer, path.
+const ROUTING_REF_BYTES: usize = 1 + 8 + PATH_BYTES;
+
+fn put_path<B: BufMut>(buf: &mut B, path: &Path) {
     let (len, bits) = path.wire_parts();
     buf.put_u8(len);
     buf.put_u64(bits);
 }
 
-fn get_path(data: &mut Bytes) -> Option<Path> {
+fn get_path<B: Buf>(data: &mut B) -> Option<Path> {
     let len = checked_u8(data)?;
     Path::from_wire_parts(len, checked_u64(data)?)
 }
 
-fn put_entries(buf: &mut BytesMut, entries: &[DataEntry]) {
+fn put_entries<B: BufMut>(buf: &mut B, entries: &[DataEntry]) {
     buf.put_u32(entries.len() as u32);
     for e in entries {
         buf.put_u64(e.key.0);
@@ -575,12 +607,9 @@ fn put_entries(buf: &mut BytesMut, entries: &[DataEntry]) {
     }
 }
 
-fn get_entries(data: &mut Bytes) -> Option<Vec<DataEntry>> {
-    let n = checked_u32(data)? as usize;
-    if n > 1_000_000 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n.min(65536));
+fn get_entries<B: Buf>(data: &mut B) -> Option<Vec<DataEntry>> {
+    let n = checked_count(data, 1_000_000, ENTRY_BYTES)?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let key = Key(checked_u64(data)?);
         let id = DataId(checked_u64(data)?);
@@ -589,25 +618,43 @@ fn get_entries(data: &mut Bytes) -> Option<Vec<DataEntry>> {
     Some(entries)
 }
 
-fn checked_u64(data: &mut Bytes) -> Option<u64> {
+fn get_peers<B: Buf>(data: &mut B, cap: usize) -> Option<Vec<PeerId>> {
+    let n = checked_count(data, cap, 8)?;
+    let mut peers = Vec::with_capacity(n);
+    for _ in 0..n {
+        peers.push(PeerId(checked_u64(data)?));
+    }
+    Some(peers)
+}
+
+/// Reads a `u32` element count and accepts it only if it is at most `cap`
+/// and `n` elements of `element_bytes` each can still follow in `data` — so
+/// a decoder never reserves more than the input could hold.
+fn checked_count<B: Buf>(data: &mut B, cap: usize, element_bytes: usize) -> Option<usize> {
+    let n = checked_u32(data)? as usize;
+    (n <= cap && n.checked_mul(element_bytes)? <= data.remaining()).then_some(n)
+}
+
+fn checked_u64<B: Buf>(data: &mut B) -> Option<u64> {
     (data.remaining() >= 8).then(|| data.get_u64())
 }
 
-fn checked_u32(data: &mut Bytes) -> Option<u32> {
+fn checked_u32<B: Buf>(data: &mut B) -> Option<u32> {
     (data.remaining() >= 4).then(|| data.get_u32())
 }
 
-fn checked_u16(data: &mut Bytes) -> Option<u16> {
+fn checked_u16<B: Buf>(data: &mut B) -> Option<u16> {
     (data.remaining() >= 2).then(|| data.get_u16())
 }
 
-fn checked_u8(data: &mut Bytes) -> Option<u8> {
+fn checked_u8<B: Buf>(data: &mut B) -> Option<u8> {
     (data.remaining() >= 1).then(|| data.get_u8())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn entries(n: u64) -> Vec<DataEntry> {
         (0..n)
@@ -763,6 +810,89 @@ mod tests {
         buf.put_u32(0); // no entries
         buf.put_u32(1 << 20); // routing count over the cap
         assert!(Message::decode(buf.freeze()).is_none());
+        // bytes after the message: the frame layer rejects trailing bytes,
+        // and so does a payload — through both entry points
+        let query = Message::Query {
+            origin: PeerId(3),
+            id: 77,
+            key: Key::from_fraction(0.33),
+            hops: 2,
+        };
+        let mut bytes = query.encode().as_slice().to_vec();
+        assert_eq!(Message::decode_slice(&bytes), Some(query.clone()));
+        bytes.push(0);
+        assert!(Message::decode_slice(&bytes).is_none());
+        assert!(Message::decode(Bytes::from(bytes)).is_none());
+        // ... including after an envelope's inner message
+        let mut bytes = Message::Traced {
+            trace_id: 9,
+            inner: Box::new(query),
+        }
+        .encode()
+        .as_slice()
+        .to_vec();
+        bytes.push(0);
+        assert!(Message::decode_slice(&bytes).is_none());
+    }
+
+    #[test]
+    fn claimed_counts_must_fit_the_input() {
+        // The three counted shapes: an entry list, a peer list and the
+        // routing references of a replica push.  A count the remaining
+        // bytes cannot hold is rejected before anything is reserved for
+        // it; a count that exactly fits decodes.
+        let counted = |tag: u8, n: u32, body: usize| {
+            let mut buf = vec![tag];
+            buf.put_u32(n);
+            buf.resize(buf.len() + body, 0);
+            buf
+        };
+        let entry_list = |n, body| counted(2, n, body);
+        let peer_list = |n, body| counted(1, n, body);
+        let routing_refs = |n: u32, body: usize| {
+            let mut buf = vec![12u8];
+            buf.put_u8(0); // root path
+            buf.put_u64(0);
+            buf.put_u32(0); // no entries
+            buf.put_u32(n);
+            buf.resize(buf.len() + body, 0);
+            buf.put_u32(0); // no replicas
+            buf
+        };
+        type Shape<'a> = (&'a dyn Fn(u32, usize) -> Vec<u8>, u32, usize);
+        let shapes: [Shape<'_>; 3] = [
+            (&entry_list, 65_536, ENTRY_BYTES),
+            (&peer_list, 4_096, 8),
+            (&routing_refs, 4_096, ROUTING_REF_BYTES),
+        ];
+        for (shape, huge, element_bytes) in shapes {
+            assert!(Message::decode_slice(&shape(huge, 0)).is_none());
+            assert!(Message::decode_slice(&shape(3, 3 * element_bytes - 1)).is_none());
+            assert!(Message::decode_slice(&shape(3, 3 * element_bytes)).is_some());
+        }
+        // The replica list of a push is the fourth counted field.
+        let mut push = routing_refs(0, 0);
+        let at = push.len() - 4;
+        push[at..].copy_from_slice(&4_096u32.to_be_bytes());
+        assert!(Message::decode_slice(&push).is_none());
+    }
+
+    #[test]
+    fn hostile_envelope_nesting_is_rejected_without_recursing() {
+        // A megabyte of trace-envelope headers: rejected at the second
+        // header, not after a call frame per header.
+        let mut buf = Vec::new();
+        for _ in 0..(1 << 20) / 9 {
+            buf.put_u8(10);
+            buf.put_u64(1);
+        }
+        assert!(Message::decode_slice(&buf).is_none());
+        let mut buf = Vec::new();
+        for _ in 0..(1 << 20) / 3 {
+            buf.put_u8(7);
+            buf.put_u16(1);
+        }
+        assert!(Message::decode_slice(&buf).is_none());
     }
 
     #[test]

@@ -56,11 +56,14 @@ impl<T: Transport> Runtime<T> {
         // only exist for bandwidth accounting.
         if account && !neighbours.is_empty() {
             let now = self.clock.now;
-            self.metrics.account(now, &Message::Join { peer: me });
+            let join = Message::Join { peer: me };
             let ack = Message::JoinAck {
                 neighbours: neighbours.clone(),
             };
-            self.metrics.account(now, &ack);
+            for message in [join, ack] {
+                self.metrics
+                    .account(now, message.wire_size(), message.is_query_traffic());
+            }
         }
         // Symmetric neighbour links keep the unstructured overlay
         // connected; applied identically in every process, they keep the

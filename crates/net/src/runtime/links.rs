@@ -1,7 +1,28 @@
-//! The wire side of the runtime: per-destination batch buffers, the
-//! transport and the link life-cycle ([`Links`]); `send`/`send_on` queue a
-//! message, `flush_pending` ships the batches as frames, `deliver_frame`
-//! decodes an arrived frame and dispatches its messages to the planes.
+//! The wire side of the runtime: the staging arena, the transport and the
+//! link life-cycle ([`Links`]); `send`/`send_on` encode a message into the
+//! arena, `flush_pending` ships what is staged as one frame per
+//! destination, `deliver_frame` validates an arrived frame and dispatches
+//! its messages to the planes.
+//!
+//! **A message is encoded once.**  `send` writes it straight into
+//! `Links::staged`, one byte vector shared by everything the current event
+//! sends, and notes `(to, from, byte range)` in `Links::staged_index`; the
+//! length of that range is what the bandwidth accounting is charged.  No
+//! `Message` is kept, nothing is allocated per message, and both buffers
+//! are reused from one flush to the next.
+//!
+//! **Ordering contract of a flush** (what the seeded trajectories are
+//! pinned to): frames leave in ascending destination order; inside a frame
+//! the payloads keep their send order; a frame is stamped with the *first*
+//! sender of its destination's run; a run is cut before the payload that
+//! would make it `MAX_BATCH_LEN` payloads or `MAX_FRAME_PAYLOAD_BYTES`
+//! long, every piece carrying the same sender; and each frame costs one
+//! loss draw from the runtime's RNG, taken before the link-health check
+//! and before the transport draws its latency.
+//!
+//! **Arrival** is the mirror image: [`frame::payload_slices`] validates the
+//! whole frame before the first message is dispatched, and each payload is
+//! decoded in place from its borrowed slice.
 
 use super::{Millis, Runtime};
 use crate::message::Message;
@@ -12,12 +33,17 @@ use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
 use pgrid_transport::frame;
 use pgrid_transport::{LinkFault, PeerAddr, Transport, TransportStats};
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Per-frame payload budget, well below [`frame::MAX_FRAME_BYTES`]: batches
 /// whose encoded size would exceed it are split across frames instead of
 /// producing a frame the receiver rejects.
 const MAX_FRAME_PAYLOAD_BYTES: usize = frame::MAX_FRAME_BYTES / 4;
+
+/// Staging and frame-buffer capacity kept from one flush to the next; what
+/// a larger batch (a 16 MiB `ReplicaPush`) grew beyond it is released as
+/// soon as that batch has been shipped.
+pub(super) const STAGING_RETAIN_BYTES: usize = 1 << 20;
 
 /// First backoff window after a send failure marks a link Suspect;
 /// doubles per further failure, capped at [`LINK_BACKOFF_CAP_MS`].
@@ -53,6 +79,23 @@ pub enum LinkHealth {
     Dead,
 }
 
+/// Where one staged message lies in [`Links::staged`], whom it is for and
+/// who sent it — the sender identity a frame is stamped with so link-level
+/// faults (partitions) can tell which side of a split it crosses.
+struct Staged {
+    to: usize,
+    from: usize,
+    start: usize,
+    end: usize,
+}
+
+/// Empties `buf` for reuse, giving back whatever it grew beyond
+/// [`STAGING_RETAIN_BYTES`].
+fn recycle<E>(buf: &mut Vec<E>) {
+    buf.clear();
+    buf.shrink_to(STAGING_RETAIN_BYTES / std::mem::size_of::<E>());
+}
+
 /// The transport and everything queued towards it.
 pub(super) struct Links<T> {
     pub(super) transport: T,
@@ -61,14 +104,13 @@ pub(super) struct Links<T> {
     /// ever populated by transport send failures, which virtual-time
     /// backends never produce.
     health: HashMap<usize, LinkHealth>,
-    /// Per-destination batch buffer, flushed as one frame per destination
-    /// after every processed event (BTreeMap so the flush order — and with
-    /// it the loss and latency draws — is deterministic).
-    pending: BTreeMap<usize, Vec<Message>>,
-    /// First sending peer of each pending per-destination batch — the
-    /// sender identity a frame is stamped with so link-level faults
-    /// (partitions) can tell which side of a split it crosses.
-    pending_from: HashMap<usize, usize>,
+    /// The encoded bytes of every message sent since the last flush, back
+    /// to back in send order.
+    staged: Vec<u8>,
+    /// One entry per staged message, in send order.
+    staged_index: Vec<Staged>,
+    /// Scratch the frame being shipped is laid out in.
+    frame_buf: Vec<u8>,
     /// The peer whose handler/event is currently executing (the `from` of
     /// anything it sends).
     pub(super) actor: usize,
@@ -83,11 +125,18 @@ impl<T> Links<T> {
             transport,
             addrs,
             health: HashMap::new(),
-            pending: BTreeMap::new(),
-            pending_from: HashMap::new(),
+            staged: Vec::new(),
+            staged_index: Vec::new(),
+            frame_buf: Vec::new(),
             actor: 0,
             frames_traced: 0,
         }
+    }
+
+    /// Bytes the staging arena and the frame scratch currently hold on to.
+    #[cfg(test)]
+    pub(super) fn retained_bytes(&self) -> usize {
+        self.staged.capacity() + self.frame_buf.capacity()
     }
 
     /// Whether the link to `peer` is usable as a forwarding target (hosted
@@ -169,8 +218,8 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// Queues a message for the next frame to `to`: accounts its bandwidth
-    /// and batches it until the current event finishes.
+    /// Stages a message for the next frame to `to`: encodes it into the
+    /// arena and charges the bytes it took to the bandwidth accounting.
     ///
     /// Query traffic sent while handling a traced lookup is wrapped in a
     /// [`Message::Traced`] envelope carrying the trace ID to the next
@@ -186,53 +235,68 @@ impl<T: Transport> Runtime<T> {
         } else {
             message
         };
-        self.metrics.account(self.clock.now, &message);
-        self.links.pending.entry(to).or_default().push(message);
-        self.links
-            .pending_from
-            .entry(to)
-            .or_insert(self.links.actor);
+        let links = &mut self.links;
+        let start = links.staged.len();
+        message.encode_into(&mut links.staged);
+        let end = links.staged.len();
+        links.staged_index.push(Staged {
+            to,
+            from: links.actor,
+            start,
+            end,
+        });
+        self.metrics
+            .account(self.clock.now, end - start, message.is_query_traffic());
     }
 
-    /// Flushes every per-destination batch as one frame each.
+    /// Ships everything staged, one frame per destination (see the module
+    /// docs for the order).  A run that would exceed the framing bounds
+    /// (which the receiver rejects as corrupt) is split across several
+    /// frames.
     pub(super) fn flush_pending(&mut self) {
-        for (to, messages) in std::mem::take(&mut self.links.pending) {
-            let from = self.links.pending_from.remove(&to).unwrap_or(to);
-            self.flush_frame(from, to, messages);
+        if self.links.staged_index.is_empty() {
+            return;
         }
-        self.links.pending_from.clear();
-    }
-
-    /// Encodes `messages` into frames for `to` and hands them to the
-    /// transport.  A batch normally fits one frame; batches that would
-    /// exceed the framing bounds (which the receiver rejects as corrupt)
-    /// are split across several frames.
-    fn flush_frame(&mut self, from: usize, to: usize, messages: Vec<Message>) {
-        let mut chunk: Vec<Bytes> = Vec::with_capacity(messages.len());
-        let mut chunk_bytes = 0usize;
-        for message in &messages {
-            let payload = message.encode();
-            if !chunk.is_empty()
-                && (chunk.len() >= frame::MAX_BATCH_LEN
-                    || chunk_bytes + payload.len() + 4 > MAX_FRAME_PAYLOAD_BYTES)
-            {
-                let full = std::mem::take(&mut chunk);
-                chunk_bytes = 0;
-                self.ship_frame(from, to, full);
+        // Nothing below sends, so the arena can be lent out for the flush.
+        let mut staged = std::mem::take(&mut self.links.staged);
+        let mut index = std::mem::take(&mut self.links.staged_index);
+        // Stable: send order survives inside a destination.
+        index.sort_by_key(|s| s.to);
+        let mut rest = index.as_slice();
+        while let Some(first) = rest.first() {
+            let (from, to) = (first.from, first.to);
+            let run_len = rest.iter().take_while(|s| s.to == to).count();
+            let (run, tail) = rest.split_at(run_len);
+            rest = tail;
+            let mut chunk_start = 0;
+            let mut chunk_bytes = 0usize;
+            for (i, s) in run.iter().enumerate() {
+                let len = s.end - s.start;
+                if i > chunk_start
+                    && (i - chunk_start >= frame::MAX_BATCH_LEN
+                        || chunk_bytes + len + 4 > MAX_FRAME_PAYLOAD_BYTES)
+                {
+                    self.ship_frame(from, to, &staged, &run[chunk_start..i]);
+                    chunk_start = i;
+                    chunk_bytes = 0;
+                }
+                chunk_bytes += len + 4;
             }
-            chunk_bytes += payload.len() + 4;
-            chunk.push(payload);
+            self.ship_frame(from, to, &staged, &run[chunk_start..]);
         }
-        if !chunk.is_empty() {
-            self.ship_frame(from, to, chunk);
-        }
+        recycle(&mut staged);
+        recycle(&mut index);
+        recycle(&mut self.links.frame_buf);
+        self.links.staged = staged;
+        self.links.staged_index = index;
     }
 
-    /// Puts one frame on the wire, applying the emulated frame loss and the
-    /// link life-cycle: frames to a Suspect link in its backoff window or
-    /// to a Dead link are dropped as loss instead of hitting the transport,
-    /// so a dead worker's endpoints cannot stall the clock on every send.
-    fn ship_frame(&mut self, from: usize, to: usize, payloads: Vec<Bytes>) {
+    /// Puts one frame — the `payloads` ranges of `staged` — on the wire,
+    /// applying the emulated frame loss and the link life-cycle: frames to
+    /// a Suspect link in its backoff window or to a Dead link are dropped
+    /// as loss instead of hitting the transport, so a dead worker's
+    /// endpoints cannot stall the clock on every send.
+    fn ship_frame(&mut self, from: usize, to: usize, staged: &[u8], payloads: &[Staged]) {
         let now = self.clock.now;
         let lost = self
             .rng
@@ -261,9 +325,14 @@ impl<T: Transport> Runtime<T> {
                     });
             }
         }
-        let frame = frame::encode_frame(&payloads);
-        if self
-            .links
+        let links = &mut self.links;
+        links.frame_buf.clear();
+        frame::write_frame(
+            &mut links.frame_buf,
+            payloads.iter().map(|s| &staged[s.start..s.end]),
+        );
+        let frame = Bytes::copy_from_slice(&links.frame_buf);
+        if links
             .transport
             .send_from(now, PeerId(from as u64), PeerId(to as u64), frame)
             .is_err()
@@ -311,7 +380,8 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// Decodes an arrived frame and handles its messages.
+    /// Validates an arrived frame — all of it, before anything is
+    /// dispatched — and handles its messages, each decoded in place.
     pub(super) fn deliver_frame(&mut self, to: PeerId, frame_bytes: Bytes) {
         let to = to.0 as usize;
         // A frame for a peer this runtime does not host can only come from
@@ -321,7 +391,7 @@ impl<T: Transport> Runtime<T> {
             self.metrics.decode_failures += 1;
             return;
         }
-        let Ok(payloads) = frame::decode_frame(&frame_bytes) else {
+        let Ok(payloads) = frame::payload_slices(frame_bytes.as_slice()) else {
             self.metrics.decode_failures += 1;
             self.recorder.note(
                 self.clock.now,
@@ -344,7 +414,7 @@ impl<T: Transport> Runtime<T> {
             );
         }
         for payload in payloads {
-            let Some(message) = Message::decode(payload) else {
+            let Some(message) = Message::decode_slice(payload) else {
                 self.metrics.decode_failures += 1;
                 continue;
             };

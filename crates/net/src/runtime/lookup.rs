@@ -577,7 +577,7 @@ impl<T: Transport> Runtime<T> {
             key,
             hops: hops + 1,
         };
-        let Some(level) = (0..path.len()).find(|&i| path.bit(i) != key.bit(i)) else {
+        let Some(level) = path.first_mismatch(key) else {
             // Responsible peer: answer directly to the origin.  If this
             // replica happens to miss the entry (it may still be in
             // transit from the construction phase), try an online
@@ -658,7 +658,7 @@ impl<T: Transport> Runtime<T> {
         let now = self.clock.now;
         let state = self.indexes.state(index, at);
         let path = state.path;
-        let Some(level) = (0..path.len()).find(|&i| path.bit(i) != cursor.bit(i)) else {
+        let Some(level) = path.first_mismatch(cursor) else {
             // Responsible for the cursor's partition: answer the slice
             // this partition covers straight to the origin, then walk
             // on to the next partition if the range extends past it.

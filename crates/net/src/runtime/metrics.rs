@@ -5,7 +5,6 @@
 //! [`NetMetrics::merged_stats`] and [`NetMetrics::to_registry`].
 
 use super::Millis;
-use crate::message::Message;
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, Key};
@@ -505,11 +504,11 @@ impl NetMetrics {
         registry.encode()
     }
 
-    pub(super) fn account(&mut self, now: Millis, message: &Message) {
-        let bucket = now / 60_000;
-        let entry = self.bandwidth_per_minute.entry(bucket).or_default();
-        let size = message.wire_size();
-        if message.is_query_traffic() {
+    /// Charges `size` wire bytes sent at `now` to the query or the
+    /// maintenance class of that minute's bucket.
+    pub(super) fn account(&mut self, now: Millis, size: usize, query_traffic: bool) {
+        let entry = self.bandwidth_per_minute.entry(now / 60_000).or_default();
+        if query_traffic {
             entry.query_bytes += size;
         } else {
             entry.maintenance_bytes += size;

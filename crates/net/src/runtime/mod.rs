@@ -19,9 +19,10 @@
 //!   slot 0), constructors and accessors;
 //! - `clock` — virtual time and the timer queue; [`Runtime::run_until`],
 //!   [`Runtime::service_network`], [`Runtime::schedule_churn`];
-//! - `links` — per-destination batch buffers, the transport, link health
-//!   ([`LinkHealth`]); `send`/`send_on`, frame shipping and delivery, message
-//!   dispatch;
+//! - `links` — the staging arena (messages encoded once, at `send`, into
+//!   the bytes their frame is cut from), the transport, link health
+//!   ([`LinkHealth`]); `send`/`send_on`, frame shipping and in-place
+//!   delivery, message dispatch;
 //! - `lookup` — outstanding lookups and range walks, their timeout queues
 //!   and the route cache; [`Runtime::issue_query_on`],
 //!   [`Runtime::issue_range_query_on`], the one `next_hop` decision;

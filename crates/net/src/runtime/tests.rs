@@ -1,7 +1,11 @@
-use super::links::LINK_SUSPECT_BACKOFF_MS;
+use super::links::{LINK_SUSPECT_BACKOFF_MS, STAGING_RETAIN_BYTES};
 use super::*;
+use crate::message::Message;
+use bytes::Bytes;
 use pgrid_core::path::Path;
 use pgrid_core::routing::RoutingEntry;
+use pgrid_transport::frame::{self, encode_frame, payload_slices};
+use pgrid_transport::LinkFault;
 
 /// The primary-index overlay state of `peer`.
 fn primary(rt: &Runtime, peer: usize) -> &PeerState {
@@ -756,4 +760,214 @@ fn next_hop_resolves_through_the_cache_or_a_shuffle() {
         assert_eq!(drew, !cached, "{name}: only a fresh resolution draws");
         assert_eq!(now_memo, route_cache.then_some(peer), "{name}");
     }
+}
+
+/// A lossless runtime whose loopback latency is constant, so
+/// `transport.poll` hands frames back in the order they were shipped.
+fn fixed_latency_runtime() -> Runtime {
+    let mut rt = Runtime::new(NetConfig {
+        n_peers: 8,
+        loss_probability: 0.0,
+        latency_min_ms: 10,
+        latency_max_ms: 10,
+        ..NetConfig::default()
+    });
+    for peer in 0..8 {
+        rt.join_peer(peer, 3);
+    }
+    rt
+}
+
+/// Everything the transport has in flight, in shipping order.
+fn shipped_frames(rt: &mut Runtime) -> Vec<(usize, Bytes)> {
+    let frames = rt.links.transport.poll(rt.now() + 10);
+    frames
+        .into_iter()
+        .map(|(to, frame)| (to.0 as usize, frame))
+        .collect()
+}
+
+fn replicate_of(n: usize) -> Message {
+    Message::Replicate {
+        entries: vec![DataEntry::new(Key(7), DataId(7)); n],
+    }
+}
+
+#[test]
+fn a_flush_ships_one_frame_per_destination_in_order() {
+    let query = |id| Message::Query {
+        origin: PeerId(1),
+        id,
+        key: Key(id << 40),
+        hops: id as u32,
+    };
+    // (actor, destination, message): three destinations, interleaved, from
+    // two actors; destination 5 hears from 2 first, destination 3 from 1.
+    let sends = [
+        (2, 5, query(0)),
+        (1, 3, Message::Join { peer: PeerId(1) }),
+        (2, 3, query(2)),
+        (1, 5, replicate_of(3)),
+        (2, 4, query(4)),
+        (2, 5, query(5)),
+        (1, 3, query(6)),
+    ];
+    let expected = |to: usize| {
+        let batch: Vec<Bytes> = sends
+            .iter()
+            .filter(|(_, dest, _)| *dest == to)
+            .map(|(_, _, message)| message.encode())
+            .collect();
+        (to, encode_frame(&batch))
+    };
+    let stage = |rt: &mut Runtime| {
+        for (actor, to, message) in &sends {
+            rt.links.actor = *actor;
+            rt.send(*to, message.clone());
+        }
+        rt.flush_pending();
+    };
+
+    let charged = |rt: &Runtime| -> usize {
+        let buckets = rt.metrics.bandwidth_per_minute.values();
+        buckets.map(|b| b.maintenance_bytes + b.query_bytes).sum()
+    };
+
+    let mut rt = fixed_latency_runtime();
+    let charged_before = charged(&rt);
+    stage(&mut rt);
+    // Ascending destination, send order inside a frame, the bytes of
+    // `encode_frame` over the individually encoded messages.
+    assert_eq!(
+        shipped_frames(&mut rt),
+        vec![expected(3), expected(4), expected(5)]
+    );
+    assert_eq!(rt.metrics.multi_message_frames, 2);
+    // What was charged is what was sent.
+    let sent: usize = sends.iter().map(|(_, _, m)| m.encode().len()).sum();
+    assert_eq!(charged(&rt) - charged_before, sent);
+
+    // A frame is stamped with the *first* sender of its batch: with peer 1
+    // split off, only the frame to 3 (first heard from 1) is dropped — the
+    // frame to 5 also carries a message of 1 but was opened by 2.
+    let now = rt.now();
+    assert!(rt.inject_link_fault(LinkFault::Partition {
+        groups: vec![vec![PeerId(1)], (2..8).map(PeerId).collect()],
+        from: now,
+        until: now + 1_000,
+    }));
+    stage(&mut rt);
+    assert_eq!(shipped_frames(&mut rt), vec![expected(4), expected(5)]);
+    assert_eq!(rt.links.transport.frames_dropped(), 1);
+    // Nothing stays behind: an empty flush ships nothing.
+    rt.flush_pending();
+    assert!(shipped_frames(&mut rt).is_empty());
+}
+
+#[test]
+fn an_oversized_batch_splits_before_the_message_that_crosses_the_budget() {
+    // The budget (16 MiB) counts every payload plus its 4-byte length.  A
+    // `Replicate` of n entries is 5 + 16n bytes, so two of them holding
+    // 1 048 574 entries come to 16 MiB − 14: a 9-byte `Join` behind them
+    // still fits (one byte to spare), a 13-byte `JoinAck` does not, and
+    // with one entry more the second `Replicate` itself crosses the line.
+    let budget = frame::MAX_FRAME_BYTES / 4;
+    let join = Message::Join { peer: PeerId(2) };
+    let ack = Message::JoinAck {
+        neighbours: vec![PeerId(2)],
+    };
+    let cases: [(usize, &Message, &[usize]); 3] = [
+        (48_574, &join, &[3]),
+        (48_574, &ack, &[2, 1]),
+        (48_575, &join, &[1, 2]),
+    ];
+    let mut rt = fixed_latency_runtime();
+    for (second, third, frames) in cases {
+        let batch = [replicate_of(1_000_000), replicate_of(second), third.clone()];
+        let lens: Vec<usize> = batch.iter().map(Message::wire_size).collect();
+        // The expectation, re-derived from the rule itself.
+        let mut want: Vec<Vec<usize>> = vec![Vec::new()];
+        for &len in &lens {
+            let open: usize = want.last().unwrap().iter().map(|l| l + 4).sum();
+            if open > 0 && open + len + 4 > budget {
+                want.push(Vec::new());
+            }
+            want.last_mut().unwrap().push(len);
+        }
+        let counts: Vec<usize> = want.iter().map(Vec::len).collect();
+        assert_eq!(counts, frames, "the case straddles the budget as described");
+
+        rt.links.actor = 2;
+        for message in batch {
+            rt.send(6, message);
+        }
+        rt.flush_pending();
+        let got: Vec<Vec<usize>> = shipped_frames(&mut rt)
+            .iter()
+            .map(|(to, frame)| {
+                assert_eq!(*to, 6);
+                let payloads = payload_slices(frame.as_slice()).expect("valid frame");
+                payloads.map(<[u8]>::len).collect()
+            })
+            .collect();
+        assert_eq!(got, want, "second message of {second} entries");
+    }
+}
+
+#[test]
+fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
+    let mut rt = fixed_latency_runtime();
+    let join = Message::Join { peer: PeerId(1) }.encode();
+    let counters = |rt: &Runtime| (rt.metrics.messages_delivered, rt.metrics.decode_failures);
+
+    // Control: the intact frame delivers both messages.
+    let intact = encode_frame(&[join.clone(), join.clone()]);
+    rt.deliver_frame(PeerId(3), intact.clone());
+    assert_eq!(counters(&rt), (2, 0));
+
+    // The second payload claims more bytes than the frame holds (the
+    // outer length prefix is consistent): the first, perfectly valid
+    // message must not be delivered either.
+    let mut bytes = intact.as_slice().to_vec();
+    bytes.pop();
+    let body_len = (bytes.len() - 4) as u32;
+    bytes[..4].copy_from_slice(&body_len.to_be_bytes());
+    rt.deliver_frame(PeerId(3), Bytes::from(bytes));
+    assert_eq!(counters(&rt), (2, 1));
+
+    // A well-formed frame around an undecodable payload: that payload is
+    // one failure, its neighbours are delivered.  A payload with bytes
+    // after its message is such a payload.
+    let mut padded = join.as_slice().to_vec();
+    padded.push(0);
+    let mixed = encode_frame(&[
+        join.clone(),
+        Bytes::from_static(&[99]),
+        Bytes::from(padded),
+        join,
+    ]);
+    rt.deliver_frame(PeerId(3), mixed);
+    assert_eq!(counters(&rt), (4, 3));
+}
+
+#[test]
+fn staging_capacity_is_released_after_a_large_message() {
+    let mut rt = fixed_latency_runtime();
+    rt.links.actor = 2;
+    rt.send(6, Message::Join { peer: PeerId(2) });
+    rt.flush_pending();
+    assert!(rt.links.retained_bytes() > 0, "small buffers are kept");
+    assert!(rt.links.retained_bytes() <= 2 * STAGING_RETAIN_BYTES);
+
+    let large = replicate_of(3 * STAGING_RETAIN_BYTES / 16);
+    assert!(large.wire_size() > 3 * STAGING_RETAIN_BYTES);
+    rt.send(6, large.clone());
+    rt.flush_pending();
+    assert!(
+        rt.links.retained_bytes() <= 2 * STAGING_RETAIN_BYTES,
+        "{} bytes retained",
+        rt.links.retained_bytes()
+    );
+    let frames = shipped_frames(&mut rt);
+    assert_eq!(frames[1], (6, encode_frame(&[large.encode()])));
 }

@@ -17,8 +17,17 @@
 //! the frame over verbatim, the TCP backend writes it to the socket and
 //! reassembles it on the other side with a [`FrameReader`] (which copes
 //! with frames split across arbitrary read boundaries).
+//!
+//! The layout is written in one place and checked in one place.
+//! [`write_frame`] appends a frame to a caller-owned `Vec<u8>` from
+//! borrowed payload slices (nothing is collected, the buffer can be
+//! reused); [`payload_slices`] validates a whole frame and only then hands
+//! out its payloads as slices of the input — *validate, then yield*, so no
+//! caller can act on the head of a frame whose tail is corrupt.
+//! [`encode_frame`] / [`decode_frame`] are the owned-[`Bytes`] wrappers of
+//! those two.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 /// Upper bound on the encoded size of one frame (sanity check against
 /// corrupted length prefixes).
@@ -49,7 +58,9 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encodes a batch of payloads into one self-delimiting frame.
+/// Appends one self-delimiting frame holding `payloads` to `out` — the one
+/// place the layout above is written.  The two length fields are patched in
+/// after the payloads, so the batch is walked once and never collected.
 ///
 /// # Panics
 ///
@@ -58,66 +69,132 @@ impl std::error::Error for FrameError {}
 /// only get it rejected (or, past 4 GiB, silently corrupt the `u32` length
 /// prefix) at the other end.  Callers with unbounded batches must split
 /// them first, as the deployment runtime does.
-pub fn encode_frame(payloads: &[Bytes]) -> Bytes {
+pub fn write_frame<'a>(out: &mut Vec<u8>, payloads: impl Iterator<Item = &'a [u8]>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let mut count = 0usize;
+    for payload in payloads {
+        count += 1;
+        out.put_u32(payload.len() as u32);
+        out.put_slice(payload);
+    }
     assert!(
-        payloads.len() <= MAX_BATCH_LEN,
-        "frame batch of {} payloads exceeds MAX_BATCH_LEN",
-        payloads.len()
+        count <= MAX_BATCH_LEN,
+        "frame batch of {count} payloads exceeds MAX_BATCH_LEN"
     );
-    let body_len: usize = 4 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>();
+    let body_len = out.len() - start - 4;
     assert!(
         body_len <= MAX_FRAME_BYTES,
         "frame body of {body_len} bytes exceeds MAX_FRAME_BYTES"
     );
-    let mut buf = BytesMut::with_capacity(4 + body_len);
-    buf.put_u32(body_len as u32);
-    buf.put_u32(payloads.len() as u32);
-    for payload in payloads {
-        buf.put_u32(payload.len() as u32);
-        buf.put_slice(payload.as_slice());
-    }
-    buf.freeze()
+    out[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    out[start + 4..start + 8].copy_from_slice(&(count as u32).to_be_bytes());
 }
 
-/// Decodes one complete frame (as produced by [`encode_frame`]) back into
-/// its payloads.
-pub fn decode_frame(frame: &Bytes) -> Result<Vec<Bytes>, FrameError> {
-    let mut data = frame.clone();
-    if data.remaining() < 4 {
-        return Err(FrameError::Malformed("missing length prefix"));
+/// Encodes a batch of payloads into one self-delimiting frame
+/// ([`write_frame`] into a fresh buffer).
+///
+/// # Panics
+///
+/// As [`write_frame`].
+pub fn encode_frame(payloads: &[Bytes]) -> Bytes {
+    let body_len: usize = 4 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(4 + body_len);
+    write_frame(&mut out, payloads.iter().map(Bytes::as_slice));
+    Bytes::from(out)
+}
+
+/// The payloads of one validated frame, borrowed from its bytes.
+///
+/// Only [`payload_slices`] creates one, after the whole frame has passed
+/// every structural check — iterating cannot fail and yields exactly
+/// [`ExactSizeIterator::len`] slices.
+#[derive(Clone, Debug)]
+pub struct PayloadSlices<'a> {
+    /// The not yet yielded `[u32 len][len bytes]` records.
+    rest: &'a [u8],
+    remaining: usize,
+}
+
+impl<'a> Iterator for PayloadSlices<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (len, rest) = split_u32(self.rest)?;
+        let (payload, rest) = split_bytes(rest, len)?;
+        self.rest = rest;
+        self.remaining -= 1;
+        Some(payload)
     }
-    let body_len = data.get_u32() as usize;
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for PayloadSlices<'_> {}
+
+/// Splits a big-endian `u32` off the front of `data`.
+fn split_u32(data: &[u8]) -> Option<(usize, &[u8])> {
+    let (head, rest) = split_bytes(data, 4)?;
+    Some((u32::from_be_bytes(head.try_into().ok()?) as usize, rest))
+}
+
+/// Splits the first `n` bytes off `data`; `None` when it is shorter.
+fn split_bytes(data: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
+    (data.len() >= n).then(|| data.split_at(n))
+}
+
+/// Validates one complete frame (as produced by [`write_frame`]) and
+/// returns its payloads as slices of `frame` — the one place the layout is
+/// checked.  Validate, then yield: the length prefix, [`MAX_FRAME_BYTES`],
+/// the batch count, every payload length and the absence of trailing bytes
+/// are all checked *before* the first slice is handed out, so a caller
+/// never acts on the head of a frame whose tail is corrupt.
+pub fn payload_slices(frame: &[u8]) -> Result<PayloadSlices<'_>, FrameError> {
+    let Some((body_len, body)) = split_u32(frame) else {
+        return Err(FrameError::Malformed("missing length prefix"));
+    };
     if body_len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized(body_len));
     }
-    if data.remaining() != body_len {
+    if body.len() != body_len {
         return Err(FrameError::Malformed(
             "length prefix disagrees with frame size",
         ));
     }
-    if body_len < 4 {
+    let Some((count, records)) = split_u32(body) else {
         return Err(FrameError::Malformed("missing batch count"));
-    }
-    let count = data.get_u32() as usize;
+    };
     if count > MAX_BATCH_LEN {
         return Err(FrameError::Oversized(count));
     }
-    let mut payloads = Vec::with_capacity(count.min(4096));
+    let mut rest = records;
     for _ in 0..count {
-        if data.remaining() < 4 {
+        let Some((len, tail)) = split_u32(rest) else {
             return Err(FrameError::Malformed("truncated payload length"));
-        }
-        let len = data.get_u32() as usize;
-        if data.remaining() < len {
+        };
+        let Some((_, tail)) = split_bytes(tail, len) else {
             return Err(FrameError::Malformed("truncated payload"));
-        }
-        // Zero-copy: the payload is a bounded view into the frame bytes.
-        payloads.push(data.split_to(len));
+        };
+        rest = tail;
     }
-    if data.remaining() != 0 {
+    if !rest.is_empty() {
         return Err(FrameError::Malformed("trailing bytes after last payload"));
     }
-    Ok(payloads)
+    Ok(PayloadSlices {
+        rest: records,
+        remaining: count,
+    })
+}
+
+/// Decodes one complete frame (as produced by [`encode_frame`]) back into
+/// its payloads: [`payload_slices`] with each slice turned into a zero-copy
+/// view sharing the frame's allocation.
+pub fn decode_frame(frame: &Bytes) -> Result<Vec<Bytes>, FrameError> {
+    Ok(payload_slices(frame.as_slice())?
+        .map(|payload| frame.slice_ref(payload))
+        .collect())
 }
 
 /// Incremental frame reassembly over a byte stream.
@@ -150,11 +227,9 @@ impl FrameReader {
     /// or an error when the buffered prefix cannot be a valid frame (the
     /// stream should then be dropped).
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        if self.buf.len() < 4 {
+        let Some((body_len, _)) = split_u32(&self.buf) else {
             return Ok(None);
-        }
-        let body_len =
-            u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
         if body_len > MAX_FRAME_BYTES {
             return Err(FrameError::Oversized(body_len));
         }
@@ -186,6 +261,54 @@ mod tests {
             let batch = payloads(&sizes);
             let frame = encode_frame(&batch);
             assert_eq!(decode_frame(&frame).unwrap(), batch);
+        }
+    }
+
+    #[test]
+    fn writer_appends_and_slices_borrow() {
+        let batch = payloads(&[3, 0, 5]);
+        let mut out = vec![0xEE];
+        write_frame(&mut out, batch.iter().map(Bytes::as_slice));
+        assert_eq!(&out[1..], encode_frame(&batch).as_slice());
+        let slices = payload_slices(&out[1..]).unwrap();
+        assert_eq!(slices.len(), 3);
+        let got: Vec<&[u8]> = slices.collect();
+        assert_eq!(got, [&[0u8; 3][..], &[], &[2; 5]]);
+    }
+
+    #[test]
+    fn every_structural_check_runs_before_the_first_payload() {
+        /// `body` behind an honest length prefix.
+        fn framed(body: &[u8]) -> Vec<u8> {
+            [&(body.len() as u32).to_be_bytes()[..], body].concat()
+        }
+        // Count 2, payloads [1] and [2, 3].
+        let body = [0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 2, 2, 3];
+        assert_eq!(payload_slices(&framed(&body)).unwrap().count(), 2);
+        let mut long_prefix = framed(&body);
+        long_prefix[3] += 1;
+        let malformed = FrameError::Malformed;
+        let cases = [
+            (vec![0, 0, 0], malformed("missing length prefix")),
+            (vec![0x7F, 0, 0, 0], FrameError::Oversized(0x7F00_0000)),
+            (
+                long_prefix,
+                malformed("length prefix disagrees with frame size"),
+            ),
+            (framed(&body[..2]), malformed("missing batch count")),
+            (framed(&[1, 0, 0, 2]), FrameError::Oversized(0x0100_0002)),
+            (framed(&body[..11]), malformed("truncated payload length")),
+            // The *second* payload is cut short: the intact first one is
+            // not handed out either.
+            (framed(&body[..14]), malformed("truncated payload")),
+            (
+                framed(&[&body[..], &[0]].concat()),
+                malformed("trailing bytes after last payload"),
+            ),
+        ];
+        for (bytes, error) in cases {
+            assert_eq!(payload_slices(&bytes).map(|_| ()), Err(error.clone()));
+            assert_eq!(decode_frame(&Bytes::from(bytes)).map(|_| ()), Err(error));
         }
     }
 

@@ -15,7 +15,7 @@
 //!   and reader threads that reassemble length-prefixed frames from the
 //!   byte stream.  No external dependencies.
 //!
-//! Both carry the same bytes: frames built by [`frame::encode_frame`],
+//! Both carry the same bytes: frames laid out by [`frame::write_frame`],
 //! batching any number of encoded protocol messages into one length-prefixed
 //! unit (the per-tick batching of exchange messages).  The runtime encodes
 //! and decodes messages; the transport never looks inside a payload.
