@@ -403,6 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn covered_is_the_run_filtered_by_the_path() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for case in 0..200 {
+            // Runs of 0..300 entries over all keys or over a thousand of
+            // them (so keys repeat); paths along stored and random keys.
+            let len = rng.gen_range(0..300usize);
+            let mask = if case % 2 == 0 {
+                u64::MAX
+            } else {
+                0xFF00_0000_0000_0003
+            };
+            let run: KeyStore = (0..len)
+                .map(|i| DataEntry::new(Key(rng.gen::<u64>() & mask), DataId(i as u64 % 3)))
+                .collect();
+            for _ in 0..8 {
+                let along = match run.as_slice().get(rng.gen_range(0..len.max(1))) {
+                    Some(entry) if rng.gen_bool(0.5) => entry.key,
+                    _ => Key(rng.gen()),
+                };
+                let depth = rng.gen_range(0..=crate::path::MAX_PATH_LEN.min(12));
+                let path = (0..depth).fold(Path::root(), |p, i| p.child(along.bit(i)));
+                let expected: Vec<DataEntry> =
+                    run.iter().copied().filter(|e| path.covers(e.key)).collect();
+                assert_eq!(covered(run.as_slice(), &path), expected, "{path}");
+                assert_eq!(run.count_in(&path), expected.len(), "{path}");
+            }
+        }
+    }
+
+    #[test]
     fn count_in_partition() {
         let s = store_with(&[0.1, 0.2, 0.3, 0.6, 0.7, 0.9]);
         assert_eq!(s.count_in(&Path::root()), 6);

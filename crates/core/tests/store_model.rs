@@ -219,8 +219,79 @@ fn step(
     Ok(())
 }
 
+/// `store.range(lo, hi)` is the model filtered by key, in order.
+fn check_range(store: &KeyStore, model: &Model, lo: Key, hi: Key) -> TestCaseResult {
+    let expected: Vec<DataEntry> = model
+        .iter()
+        .copied()
+        .filter(|e| lo <= e.key && e.key <= hi)
+        .collect();
+    let got: Vec<DataEntry> = store.range(lo, hi).copied().collect();
+    prop_assert!(
+        got == expected,
+        "range({lo:?}, {hi:?}) of {} entries",
+        model.len()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 2048 }))]
+
+    // `range` on stores the pool above never builds: hundreds of distinct
+    // keys (so a bound lies many entries from where a search starts),
+    // several ids under one key, empty and one-entry stores — probed with
+    // point ranges on present and absent keys, the first and the last key,
+    // narrow, full-width and inverted ranges.
+    #[test]
+    fn range_agrees_with_a_filter_over_the_model(
+        shape in any::<u64>(),
+        words in proptest::collection::vec(any::<u64>(), 0..48),
+    ) {
+        let size = match shape % 8 {
+            0 => 0,
+            1 => 1,
+            _ => (shape >> 8) as usize % 700,
+        };
+        // Fewer distinct keys than entries: up to five ids share a key.
+        let n_keys = 1 + (shape >> 24) % (size as u64 / 2 + 1);
+        let key_at = |j: u64| match j % n_keys {
+            0 if shape & 8 == 0 => Key::MIN,
+            1 if shape & 16 == 0 => Key::MAX,
+            j => Key(j.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        };
+        let model: Model = (0..size as u64)
+            .map(|i| {
+                let w = (shape ^ i).wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(29);
+                DataEntry::new(key_at(w), IDS[((w >> 32) % IDS.len() as u64) as usize])
+            })
+            .collect();
+        let store: KeyStore = model.iter().rev().copied().collect();
+        let keys: Vec<Key> = model.iter().map(|e| e.key).collect();
+
+        check_range(&store, &model, Key::MIN, Key::MAX)?;
+        check_range(&store, &model, Key::MAX, Key::MIN)?;
+        for edge in [keys.first(), keys.last()].into_iter().flatten() {
+            check_range(&store, &model, *edge, *edge)?;
+            check_range(&store, &model, Key::MIN, *edge)?;
+            check_range(&store, &model, *edge, Key::MAX)?;
+        }
+        for w in words {
+            // A stored key (when there is one) and whatever lies next to it.
+            let at = keys.get(w as usize % keys.len().max(1)).copied().unwrap_or(Key(w));
+            let near = Key(at.0.wrapping_add((w >> 20) % 3).wrapping_sub(1));
+            check_range(&store, &model, at, at)?;
+            check_range(&store, &model, near, near)?;
+            check_range(&store, &model, Key(w), Key(w))?;
+            // From it to a key a few entries on, and to anywhere at all.
+            let on = keys.get(w as usize % keys.len().max(1) + (w >> 40) as usize % 9);
+            let on = on.copied().unwrap_or(Key::MAX);
+            check_range(&store, &model, at, on)?;
+            check_range(&store, &model, near, on)?;
+            check_range(&store, &model, on, at)?;
+            check_range(&store, &model, at.min(Key(w)), at.max(Key(w)))?;
+        }
+    }
 
     #[test]
     fn key_store_agrees_with_a_btree_set_model(

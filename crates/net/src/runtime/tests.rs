@@ -951,6 +951,68 @@ fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
 }
 
 #[test]
+fn frames_due_in_one_millisecond_reach_their_handlers_in_send_order() {
+    // Four queries that all fall due in the same millisecond.  The first
+    // travels a link whose jitter offset is far beyond anything a bounded
+    // delivery horizon covers; the other three are sent that much later,
+    // jitter off, and travel the plain 10 ms.  Every handler answers the
+    // same origin, so the one response frame lists them in handling order.
+    let query = |id| Message::Query {
+        origin: PeerId(1),
+        id,
+        key: Key(id << 40),
+        hops: 0,
+    };
+    let mut rt = fixed_latency_runtime();
+    let ship = |rt: &mut Runtime, actor: usize, to: usize, id: u64| {
+        rt.links.actor = actor;
+        rt.send(to, query(id));
+        rt.flush_pending();
+    };
+    assert!(rt.inject_link_fault(LinkFault::Jitter { max_ms: 1_000_000 }));
+    ship(&mut rt, 2, 6, 0);
+    let due = rt.links.transport.next_due().expect("one frame in flight");
+    assert!(due > 10 + 8_192, "the offset drawn for 2 → 6: {}", due - 10);
+    rt.run_until(due - 10);
+    assert_eq!((rt.now(), rt.links.transport.in_flight()), (due - 10, 1));
+    assert!(rt.inject_link_fault(LinkFault::Jitter { max_ms: 0 }));
+    ship(&mut rt, 3, 6, 1);
+    ship(&mut rt, 4, 5, 2);
+    ship(&mut rt, 2, 6, 3);
+    assert_eq!(rt.links.transport.in_flight(), 4);
+    assert_eq!(rt.links.transport.next_due(), Some(due));
+
+    rt.run_until(due);
+    let responses = shipped_frames(&mut rt);
+    assert_eq!(responses.len(), 1, "one frame, to the origin");
+    let (to, frame) = &responses[0];
+    let answered: Vec<u64> = payload_slices(frame.as_slice())
+        .expect("valid frame")
+        .map(|payload| match Message::decode_slice(payload) {
+            Some(Message::QueryResponse { id, found, .. }) => {
+                assert!(!found, "the stores are empty");
+                id
+            }
+            other => panic!("unexpected payload {other:?}"),
+        })
+        .collect();
+    assert_eq!((*to, answered), (1, vec![0, 1, 2, 3]));
+    let stats = rt.transport_stats();
+    assert_eq!((stats.frames_sent, stats.frames_delivered), (5, 5));
+    let m = &rt.metrics;
+    assert_eq!(
+        (
+            m.messages_delivered,
+            m.multi_message_frames,
+            m.messages_lost,
+            m.messages_to_offline,
+            m.decode_failures,
+        ),
+        (4, 1, 0, 0, 0)
+    );
+}
+
+#[test]
 fn staging_capacity_is_released_after_a_large_message() {
     let mut rt = fixed_latency_runtime();
     rt.links.actor = 2;
