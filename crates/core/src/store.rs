@@ -244,8 +244,24 @@ impl KeyStore {
 
     /// Iterator over entries whose key lies in the **inclusive** range
     /// `[lo, hi]`, i.e. from `(lo, DataId(0))` to `(hi, DataId(u64::MAX))`.
+    ///
+    /// The upper bound is found by galloping from the lower one — probes
+    /// 1, 2, 4, … entries on, then one search inside the last doubling — so
+    /// a point probe (`lo == hi`, the lookup path) touches only the cache
+    /// lines next to its first hit, and a wide range pays at most one extra
+    /// search.
     pub fn range(&self, lo: Key, hi: Key) -> std::slice::Iter<'_, DataEntry> {
-        self.entries[key_bounds(&self.entries, lo, hi)].iter()
+        let run = self.entries.as_slice();
+        let from = &run[run.partition_point(|e| e.key < lo)..];
+        // `from[..within]` is known to be in range.
+        let (mut within, mut step) = (0, 1);
+        while within + step <= from.len() && from[within + step - 1].key <= hi {
+            within += step;
+            step *= 2;
+        }
+        let last_doubling = &from[within..from.len().min(within + step - 1)];
+        let end = within + last_doubling.partition_point(|e| e.key <= hi);
+        from[..end].iter()
     }
 
     /// Splits off and returns all entries **not** covered by `path`

@@ -1,6 +1,7 @@
 //! The event clock: virtual time, the timer queue ([`Clock`]) and the loop
 //! that merges timer events with frame arrivals ([`Runtime::run_until`]).
 
+use super::links::recycle;
 use super::{Millis, Runtime};
 use pgrid_core::index::IndexId;
 use pgrid_transport::Transport;
@@ -61,11 +62,15 @@ impl<T: Transport> Runtime<T> {
     /// cross-shard exchanges initiated by slower processes are still
     /// answered while the local timeline waits.
     pub fn service_network(&mut self) -> usize {
-        let frames = self.links.transport.poll(self.clock.now);
-        let handled = frames.len();
-        for (to, frame_bytes) in frames {
+        // No handler polls, so the inbox can be lent out for the loop.
+        let mut inbox = std::mem::take(&mut self.links.inbox);
+        self.links.transport.poll_into(self.clock.now, &mut inbox);
+        let handled = inbox.len();
+        for (to, frame_bytes) in inbox.drain(..) {
             self.deliver_frame(to, frame_bytes);
         }
+        recycle(&mut inbox);
+        self.links.inbox = inbox;
         self.flush_pending();
         handled
     }
@@ -88,13 +93,8 @@ impl<T: Transport> Runtime<T> {
                 // late response, never as a success (the timeout verdict
                 // is final — see `expire_timeouts`).
                 self.expire_timeouts(self.clock.now, false);
-                let frames = self.links.transport.poll(self.clock.now);
-                if !frames.is_empty() {
+                if self.service_network() > 0 {
                     stalls = 0;
-                    for (to, frame_bytes) in frames {
-                        self.deliver_frame(to, frame_bytes);
-                    }
-                    self.flush_pending();
                     continue;
                 }
                 if self.links.transport.in_flight() > 0 && stalls < MAX_REALTIME_STALLS {

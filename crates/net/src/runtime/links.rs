@@ -20,9 +20,11 @@
 //! loss draw from the runtime's RNG, taken before the link-health check
 //! and before the transport draws its latency.
 //!
-//! **Arrival** is the mirror image: [`frame::payload_slices`] validates the
-//! whole frame before the first message is dispatched, and each payload is
-//! decoded in place from its borrowed slice.
+//! **Arrival** is the mirror image: a poll's frames land in `Links::inbox`
+//! (kept, like the arena, from one poll to the next),
+//! [`frame::payload_slices`] validates the whole frame before the first
+//! message is dispatched, and each payload is decoded in place from its
+//! borrowed slice.
 
 use super::{Millis, Runtime};
 use crate::message::Message;
@@ -91,7 +93,7 @@ struct Staged {
 
 /// Empties `buf` for reuse, giving back whatever it grew beyond
 /// [`STAGING_RETAIN_BYTES`].
-fn recycle<E>(buf: &mut Vec<E>) {
+pub(super) fn recycle<E>(buf: &mut Vec<E>) {
     buf.clear();
     buf.shrink_to(STAGING_RETAIN_BYTES / std::mem::size_of::<E>());
 }
@@ -111,6 +113,8 @@ pub(super) struct Links<T> {
     staged_index: Vec<Staged>,
     /// Scratch the frame being shipped is laid out in.
     frame_buf: Vec<u8>,
+    /// The frames one poll handed over, kept (empty) from poll to poll.
+    pub(super) inbox: Vec<(PeerId, Bytes)>,
     /// The peer whose handler/event is currently executing (the `from` of
     /// anything it sends).
     pub(super) actor: usize,
@@ -128,15 +132,19 @@ impl<T> Links<T> {
             staged: Vec::new(),
             staged_index: Vec::new(),
             frame_buf: Vec::new(),
+            inbox: Vec::new(),
             actor: 0,
             frames_traced: 0,
         }
     }
 
-    /// Bytes the staging arena and the frame scratch currently hold on to.
+    /// Bytes the staging arena, the frame scratch and the inbox currently
+    /// hold on to.
     #[cfg(test)]
     pub(super) fn retained_bytes(&self) -> usize {
-        self.staged.capacity() + self.frame_buf.capacity()
+        self.staged.capacity()
+            + self.frame_buf.capacity()
+            + self.inbox.capacity() * std::mem::size_of::<(PeerId, Bytes)>()
     }
 
     /// Whether the link to `peer` is usable as a forwarding target (hosted

@@ -5,6 +5,7 @@
 //! [`Runtime::issue_range_query_on`], and both planes forward through the
 //! one `next_hop` decision.
 
+use super::links::recycle;
 use super::{Millis, QueryRecord, RangeSample, Runtime};
 use crate::message::Message;
 use pgrid_core::index::IndexId;
@@ -148,6 +149,9 @@ pub(super) struct Lookups {
     /// level)`; only consulted with `NetConfig::route_cache` on, and
     /// invalidated whenever a peer's path or routing table changes.
     pub(super) route_cache: HashMap<(usize, IndexId, usize), PeerId>,
+    /// Where `next_hop` shuffles a level's references, kept (empty) from
+    /// hop to hop.
+    pub(super) hop_scratch: Vec<PeerId>,
 }
 
 impl Lookups {
@@ -513,16 +517,14 @@ impl<T: Transport> Runtime<T> {
         }
         // Offline targets are detected (failed connection) and an
         // alternative is tried, as a socket implementation would.
-        let mut refs: Vec<PeerId> = self
-            .indexes
-            .state(index, at)
-            .routing
-            .level(level)
-            .iter()
-            .map(|e| e.peer)
-            .collect();
+        let mut refs = std::mem::take(&mut self.lookups.hop_scratch);
+        let references = self.indexes.state(index, at).routing.level(level);
+        refs.extend(references.iter().map(|e| e.peer));
         refs.shuffle(&mut self.rng);
-        let peer = refs.into_iter().find(|&p| self.reachable(p))?;
+        let peer = refs.iter().copied().find(|&p| self.reachable(p));
+        recycle(&mut refs);
+        self.lookups.hop_scratch = refs;
+        let peer = peer?;
         if self.config.route_cache {
             self.lookups.route_cache.insert((at, index, level), peer);
         }

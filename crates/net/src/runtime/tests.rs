@@ -1032,4 +1032,27 @@ fn staging_capacity_is_released_after_a_large_message() {
     );
     let frames = shipped_frames(&mut rt);
     assert_eq!(frames[1], (6, encode_frame(&[large.encode()])));
+
+    // The inbox follows the same rule: a poll that handed over 100 000
+    // frames (4 MB of handles) does not pin their vector.
+    let join = encode_frame(&[Message::Join { peer: PeerId(2) }.encode()]);
+    let now = rt.now();
+    for _ in 0..100_000 {
+        let sent = rt.links.transport.send(now, PeerId(6), join.clone());
+        sent.expect("peer 6 is registered");
+    }
+    rt.run_until(now + 10);
+    assert_eq!(rt.metrics.messages_delivered, 100_000);
+    assert!(rt.links.inbox.capacity() > 0, "a small inbox is kept");
+    assert!(
+        rt.links.retained_bytes() <= 3 * STAGING_RETAIN_BYTES,
+        "{} bytes retained",
+        rt.links.retained_bytes()
+    );
+
+    // And so does the scratch `next_hop` shuffles in.
+    rt.lookups.hop_scratch.reserve(STAGING_RETAIN_BYTES);
+    assert_eq!(rt.next_hop(0, IndexId::PRIMARY, 0), None);
+    let kept = rt.lookups.hop_scratch.capacity() * std::mem::size_of::<PeerId>();
+    assert!(kept <= STAGING_RETAIN_BYTES, "{kept} bytes retained");
 }

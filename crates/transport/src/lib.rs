@@ -383,6 +383,12 @@ pub trait Transport {
     /// `now`, in arrival order, as `(destination, frame)` pairs.
     fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)>;
 
+    /// [`Transport::poll`] into a buffer the caller keeps: appends what has
+    /// arrived to `out` instead of returning a fresh vector per call.
+    fn poll_into(&mut self, now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
+        out.extend(self.poll(now));
+    }
+
     /// Virtual time at which the next queued frame becomes deliverable.
     /// `None` for real-time backends (and when nothing is queued).
     fn next_due(&self) -> Option<Millis>;

@@ -9,8 +9,9 @@
 //! transport keeps its frames in, the order it hands them out in is *the*
 //! `(due, seq)` order for any call sequence the trait allows: `now` moving
 //! forward by a millisecond or by minutes, standing still, going backwards,
-//! `poll(u64::MAX)`, per-link jitter of a few milliseconds or of far more
-//! than any latency, partition windows, unknown and doubly registered peers.
+//! sitting a few milliseconds before `u64::MAX`, `poll(u64::MAX)`, per-link
+//! jitter of a few milliseconds or of far more than any latency, partition
+//! windows, unknown and doubly registered peers.
 
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
@@ -282,11 +283,18 @@ fn step(
                 until,
             });
         }
-        // Time: a millisecond or two, a latency's worth, minutes, backwards.
-        10 => *now += word() % 3,
-        11 => *now += word() % 400,
-        12 => *now += 100_000 + word() % 1_000_000,
+        // Time: a millisecond or two, a latency's worth, minutes, backwards,
+        // to the end of time (where a due time saturates) and back.
+        10 => *now = now.saturating_add(word() % 3),
+        11 => *now = now.saturating_add(word() % 400),
+        12 => *now = now.saturating_add(100_000 + word() % 1_000_000),
         13 => *now = now.saturating_sub(word() % 2_000),
+        15 if word() % 4 == 0 => {
+            *now = match word() % 3 {
+                0 => word() % 1_000,
+                _ => u64::MAX - word() % 300,
+            }
+        }
         14 => {
             // Everything still in flight, whenever it is due.
             prop_assert_eq!(delivered(transport.poll(u64::MAX)), model.poll(u64::MAX));
