@@ -3,21 +3,8 @@
 //! The control plane is deliberately tiny: one TCP connection per worker,
 //! carrying [`ClusterMsg`]s as single-payload frames (the same
 //! length-prefixed framing the data plane uses, so both sides reuse
-//! [`pgrid_transport::frame::FrameReader`] for reassembly).  The lifecycle
-//! is:
-//!
-//! ```text
-//! worker                          coordinator
-//!   | ---------- connect ------------> |
-//!   | <--------- Welcome ------------- |   shard assignment + run config
-//!   | ---------- Hello --------------> |   per-peer listen addresses
-//!   | <--------- AddressBook --------- |   all peers of all shards
-//!   |                                  |
-//!   | ---- Minutes*, PhaseDone(p) ---> |   per phase p = 0..=5
-//!   | <--------- Proceed(p) ---------- |   barrier release
-//!   |                                  |
-//!   | ---- Minutes*, Report ---------> |   final shard report
-//! ```
+//! [`pgrid_transport::frame::FrameReader`] for reassembly).  The order the
+//! messages travel in is in the [crate docs](crate).
 //!
 //! Like the peer protocol, the codec is a hand-rolled big-endian binary
 //! format over [`bytes`]: no registry dependencies, self-describing enough
@@ -490,12 +477,13 @@ impl ClusterMsg {
     }
 
     /// Decodes a message previously produced by [`ClusterMsg::encode`];
-    /// `None` for malformed input or a version mismatch.
+    /// `None` for malformed input, a version mismatch, or bytes left over
+    /// after the message.
     pub fn decode(mut data: Bytes) -> Option<ClusterMsg> {
         if get_u16(&mut data)? != MAGIC || get_u8(&mut data)? != VERSION {
             return None;
         }
-        Some(match get_u8(&mut data)? {
+        let msg = match get_u8(&mut data)? {
             0 => ClusterMsg::Welcome {
                 worker_index: get_u32(&mut data)?,
                 n_workers: get_u32(&mut data)?,
@@ -532,11 +520,8 @@ impl ClusterMsg {
                 phase: get_u8(&mut data)?,
             },
             5 => {
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 20 {
-                    return None;
-                }
-                let mut samples = Vec::with_capacity(n.min(4096));
+                let n = get_count(&mut data, 1 << 20, 24)?;
+                let mut samples = Vec::with_capacity(n);
                 for _ in 0..n {
                     samples.push((
                         get_u64(&mut data)?,
@@ -547,11 +532,8 @@ impl ClusterMsg {
                 ClusterMsg::Minutes { samples }
             }
             7 => {
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 20 {
-                    return None;
-                }
-                let mut events = Vec::with_capacity(n.min(4096));
+                let n = get_count(&mut data, 1 << 20, TRACE_EVENT_MIN_BYTES)?;
+                let mut events = Vec::with_capacity(n);
                 for _ in 0..n {
                     let trace_id = get_u64(&mut data)?;
                     let kind = pgrid_obs::trace::intern_kind(&get_string(&mut data)?);
@@ -567,28 +549,15 @@ impl ClusterMsg {
                 ClusterMsg::TraceBatch { events }
             }
             8 => {
-                let len = get_u32(&mut data)? as usize;
-                if len > 1 << 26 || data.remaining() < len {
-                    return None;
-                }
+                let len = get_count(&mut data, 1 << 26, 1)?;
                 let registry = data.split_to(len).as_slice().to_vec();
                 ClusterMsg::MetricsSnapshot { registry }
             }
             6 => {
                 let shard_start = get_u64(&mut data)?;
-                let n_paths = get_u32(&mut data)? as usize;
-                if n_paths > 1 << 24 {
-                    return None;
-                }
-                let mut paths = Vec::with_capacity(n_paths.min(65536));
-                for _ in 0..n_paths {
-                    paths.push(get_path(&mut data)?);
-                }
-                let n_indexes = get_u32(&mut data)? as usize;
-                if n_indexes > 1 << 16 {
-                    return None;
-                }
-                let mut query_stats = Vec::with_capacity(n_indexes.min(1024));
+                let paths = get_paths(&mut data)?;
+                let n_indexes = get_count(&mut data, 1 << 16, 2 + AGGREGATES_MIN_BYTES)?;
+                let mut query_stats = Vec::with_capacity(n_indexes);
                 for _ in 0..n_indexes {
                     let index = IndexId(get_u16(&mut data)?);
                     query_stats.push((index, get_aggregates(&mut data)?));
@@ -601,10 +570,7 @@ impl ClusterMsg {
                     bytes_delivered: get_u64(&mut data)?,
                     ..TransportStats::default()
                 };
-                let n_links = get_u32(&mut data)? as usize;
-                if n_links > 1 << 24 {
-                    return None;
-                }
+                let n_links = get_count(&mut data, 1 << 24, 56)?;
                 for _ in 0..n_links {
                     let peer = get_u64(&mut data)?;
                     let link = LinkStats {
@@ -631,11 +597,8 @@ impl ClusterMsg {
                 }
                 let messages_delivered = get_u64(&mut data)?;
                 let messages_lost = get_u64(&mut data)?;
-                let n_extra = get_u32(&mut data)? as usize;
-                if n_extra > 1 << 24 {
-                    return None;
-                }
-                let mut extra_paths = Vec::with_capacity(n_extra.min(65536));
+                let n_extra = get_count(&mut data, 1 << 24, 8 + PATH_BYTES)?;
+                let mut extra_paths = Vec::with_capacity(n_extra);
                 for _ in 0..n_extra {
                     let peer = get_u64(&mut data)?;
                     extra_paths.push((peer, get_path(&mut data)?));
@@ -654,18 +617,10 @@ impl ClusterMsg {
             9 => ClusterMsg::Heartbeat {
                 epoch: get_u64(&mut data)?,
             },
-            10 => {
-                let shard_start = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut paths = Vec::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    paths.push(get_path(&mut data)?);
-                }
-                ClusterMsg::ShardPaths { shard_start, paths }
-            }
+            10 => ClusterMsg::ShardPaths {
+                shard_start: get_u64(&mut data)?,
+                paths: get_paths(&mut data)?,
+            },
             11 => ClusterMsg::WorkerFailed {
                 epoch: get_u64(&mut data)?,
                 worker_index: get_u32(&mut data)?,
@@ -674,11 +629,8 @@ impl ClusterMsg {
             },
             12 => {
                 let epoch = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut moves = Vec::with_capacity(n.min(65536));
+                let n = get_count(&mut data, 1 << 24, 20 + PATH_BYTES)?;
+                let mut moves = Vec::with_capacity(n);
                 for _ in 0..n {
                     moves.push(ReassignMove {
                         peer: get_u64(&mut data)?,
@@ -695,11 +647,8 @@ impl ClusterMsg {
             },
             14 => {
                 let epoch = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut recovered = Vec::with_capacity(n.min(65536));
+                let n = get_count(&mut data, 1 << 24, 9)?;
+                let mut recovered = Vec::with_capacity(n);
                 for _ in 0..n {
                     let peer = get_u64(&mut data)?;
                     recovered.push((peer, get_u8(&mut data)? != 0));
@@ -719,11 +668,79 @@ impl ClusterMsg {
                 phase: get_u8(&mut data)?,
             },
             _ => return None,
-        })
+        };
+        data.is_empty().then_some(msg)
+    }
+
+    /// Checks every peer id and shard range the message carries against
+    /// the run's population.  Both sides index per-peer tables with these
+    /// values, so the receive paths call this before acting on a message;
+    /// a violation is `InvalidData`, never a panic.
+    pub fn check_ranges(&self, n_peers: usize) -> std::io::Result<()> {
+        let n = n_peers as u64;
+        let shard = |start: u64, len: u64| start.checked_add(len).is_some_and(|end| end <= n);
+        let addrs = |addrs: &[(u64, SocketAddr)]| addrs.iter().all(|&(peer, _)| peer < n);
+        let ok = match self {
+            ClusterMsg::Hello {
+                shard_start,
+                peer_addrs,
+                ..
+            } => shard(*shard_start, peer_addrs.len() as u64) && addrs(peer_addrs),
+            ClusterMsg::AddressBook { peer_addrs }
+            | ClusterMsg::RecoveryAddrs { peer_addrs, .. } => addrs(peer_addrs),
+            ClusterMsg::Report(report) => {
+                shard(report.shard_start, report.paths.len() as u64)
+                    && report.extra_paths.iter().all(|&(peer, _)| peer < n)
+            }
+            ClusterMsg::ShardPaths { shard_start, paths } => {
+                shard(*shard_start, paths.len() as u64)
+            }
+            ClusterMsg::WorkerFailed {
+                shard_start,
+                shard_len,
+                ..
+            }
+            | ClusterMsg::Rejoin {
+                shard_start,
+                shard_len,
+                ..
+            } => shard(*shard_start, *shard_len),
+            ClusterMsg::ShardReassign { moves, .. } => {
+                moves.iter().all(|m| m.peer < n && m.source_peer < n)
+            }
+            ClusterMsg::RecoveryDone { recovered, .. } => {
+                recovered.iter().all(|&(peer, _)| peer < n)
+            }
+            _ => true,
+        };
+        if ok {
+            return Ok(());
+        }
+        Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("peer id or shard range outside the {n_peers}-peer population: {self:?}"),
+        ))
     }
 }
 
+/// The error for a control message that is valid but not the one the
+/// protocol allows at this point.
+pub(crate) fn protocol_error(what: &str, got: &ClusterMsg) -> std::io::Error {
+    std::io::Error::new(
+        ErrorKind::InvalidData,
+        format!("expected {what}, got {got:?}"),
+    )
+}
+
 // ----- field codecs ----------------------------------------------------------
+
+/// Encoded size of a [`Path`]: length byte plus the bit word.
+const PATH_BYTES: usize = 9;
+/// Shortest encoded trace event: four words and two empty strings.
+const TRACE_EVENT_MIN_BYTES: usize = 4 * 8 + 2 * 4;
+/// Shortest encoded [`QueryAggregates`]: eight counters, two empty
+/// histograms (count, sum, max) and an empty per-minute map.
+const AGGREGATES_MIN_BYTES: usize = 8 * 8 + 2 * 20 + 4;
 
 fn put_config(buf: &mut BytesMut, config: &NetConfig) {
     buf.put_u64(config.n_peers as u64);
@@ -836,10 +853,7 @@ fn put_histogram(buf: &mut BytesMut, histogram: &LogHistogram) {
 }
 
 fn get_histogram(data: &mut Bytes) -> Option<LogHistogram> {
-    let n = get_u32(data)? as usize;
-    if n > pgrid_core::histogram::NUM_BUCKETS {
-        return None;
-    }
+    let n = get_count(data, pgrid_core::histogram::NUM_BUCKETS, 10)?;
     let mut sparse = Vec::with_capacity(n);
     for _ in 0..n {
         sparse.push((get_u16(data)?, get_u64(data)?));
@@ -880,10 +894,7 @@ fn get_aggregates(data: &mut Bytes) -> Option<QueryAggregates> {
     let ranges_issued = get_u64(data)?;
     let ranges_complete = get_u64(data)?;
     let range_latency = get_histogram(data)?;
-    let n_minutes = get_u32(data)? as usize;
-    if n_minutes > 1 << 24 {
-        return None;
-    }
+    let n_minutes = get_count(data, 1 << 24, 32)?;
     let mut per_minute = std::collections::BTreeMap::new();
     for _ in 0..n_minutes {
         let minute = get_u64(data)?;
@@ -972,11 +983,9 @@ fn put_addrs(buf: &mut BytesMut, addrs: &[(u64, SocketAddr)]) {
 }
 
 fn get_addrs(data: &mut Bytes) -> Option<Vec<(u64, SocketAddr)>> {
-    let n = get_u32(data)? as usize;
-    if n > 1 << 24 {
-        return None;
-    }
-    let mut addrs = Vec::with_capacity(n.min(65536));
+    // The shortest entry is a peer id plus an IPv4 address.
+    let n = get_count(data, 1 << 24, 8 + 1 + 4 + 2)?;
+    let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
         let peer = get_u64(data)?;
         addrs.push((peer, get_addr(data)?));
@@ -990,10 +999,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 }
 
 fn get_string(data: &mut Bytes) -> Option<String> {
-    let len = get_u32(data)? as usize;
-    if len > 1 << 16 || data.remaining() < len {
-        return None;
-    }
+    let len = get_count(data, 1 << 16, 1)?;
     String::from_utf8(data.split_to(len).as_slice().to_vec()).ok()
 }
 
@@ -1006,6 +1012,23 @@ fn put_path(buf: &mut BytesMut, path: &Path) {
 fn get_path(data: &mut Bytes) -> Option<Path> {
     let len = get_u8(data)?;
     Path::from_wire_parts(len, get_u64(data)?)
+}
+
+fn get_paths(data: &mut Bytes) -> Option<Vec<Path>> {
+    let n = get_count(data, 1 << 24, PATH_BYTES)?;
+    let mut paths = Vec::with_capacity(n);
+    for _ in 0..n {
+        paths.push(get_path(data)?);
+    }
+    Some(paths)
+}
+
+/// Reads a `u32` element count and accepts it only if it is at most `cap`
+/// and `n` elements of at least `element_bytes` each can still follow in
+/// `data` — so the decoder never reserves more than the input could hold.
+fn get_count(data: &mut Bytes, cap: usize, element_bytes: usize) -> Option<usize> {
+    let n = get_u32(data)? as usize;
+    (n <= cap && n.checked_mul(element_bytes)? <= data.remaining()).then_some(n)
 }
 
 fn get_u8(data: &mut Bytes) -> Option<u8> {
@@ -1398,6 +1421,95 @@ mod tests {
         assert!(ClusterMsg::decode(Bytes::from(good)).is_none());
         // unknown tag
         assert!(ClusterMsg::decode(Bytes::from_static(&[0x50, 0x47, 1, 200])).is_none());
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_message_are_rejected() {
+        let mut bytes = ClusterMsg::Proceed { phase: 3 }
+            .encode()
+            .as_slice()
+            .to_vec();
+        assert!(ClusterMsg::decode(Bytes::from(bytes.clone())).is_some());
+        bytes.push(0);
+        assert!(ClusterMsg::decode(Bytes::from(bytes)).is_none());
+    }
+
+    #[test]
+    fn a_claimed_count_is_checked_against_what_follows_before_reserving() {
+        // 2^24 paths claimed, nine bytes behind the count: one path's worth.
+        let mut data = Bytes::from([&[1u8, 0, 0, 0][..], &[0u8; 9][..]].concat());
+        assert_eq!(get_count(&mut data, 1 << 24, PATH_BYTES), None);
+        let mut data = Bytes::from([&[0u8, 0, 0, 1][..], &[0u8; 9][..]].concat());
+        assert_eq!(get_count(&mut data, 1 << 24, PATH_BYTES), Some(1));
+        let mut data = Bytes::from([&[0u8, 0, 0, 2][..], &[0u8; 9][..]].concat());
+        assert_eq!(get_count(&mut data, 1, PATH_BYTES), None, "over the cap");
+    }
+
+    #[test]
+    fn ids_and_ranges_outside_the_population_are_invalid_data() {
+        let addr: SocketAddr = "127.0.0.1:4000".parse().unwrap();
+        let report = |shard_start, n_paths, extra| {
+            ClusterMsg::Report(ShardReport {
+                shard_start,
+                paths: vec![Path::root(); n_paths],
+                query_stats: Vec::new(),
+                online_at_end: 0,
+                transport: TransportStats::default(),
+                messages_delivered: 0,
+                messages_lost: 0,
+                extra_paths: vec![(extra, Path::root())],
+            })
+        };
+        let reassign = |peer, source_peer| ClusterMsg::ShardReassign {
+            epoch: 1,
+            moves: vec![ReassignMove {
+                peer,
+                to_worker: 0,
+                source_peer,
+                path: Path::root(),
+            }],
+        };
+        let cases = [
+            (
+                ClusterMsg::RecoveryDone {
+                    epoch: 1,
+                    recovered: vec![(7, true)],
+                },
+                ClusterMsg::RecoveryDone {
+                    epoch: 1,
+                    recovered: vec![(7, true), (8, false)],
+                },
+            ),
+            (report(4, 4, 0), report(5, 4, 0)),
+            (report(4, 4, 7), report(4, 4, 8)),
+            (report(0, 8, 0), report(u64::MAX, 2, 0)),
+            (reassign(7, 0), reassign(8, 0)),
+            (reassign(7, 7), reassign(7, 8)),
+            (
+                ClusterMsg::ShardPaths {
+                    shard_start: 6,
+                    paths: vec![Path::root(); 2],
+                },
+                ClusterMsg::ShardPaths {
+                    shard_start: 7,
+                    paths: vec![Path::root(); 2],
+                },
+            ),
+            (
+                ClusterMsg::AddressBook {
+                    peer_addrs: vec![(7, addr)],
+                },
+                ClusterMsg::AddressBook {
+                    peer_addrs: vec![(8, addr)],
+                },
+            ),
+        ];
+        for (inside, outside) in cases {
+            assert!(inside.check_ranges(8).is_ok(), "{inside:?}");
+            let error = outside.check_ranges(8).unwrap_err();
+            assert_eq!(error.kind(), ErrorKind::InvalidData, "{outside:?}");
+        }
+        assert!(ClusterMsg::Heartbeat { epoch: 9 }.check_ranges(0).is_ok());
     }
 
     #[test]

@@ -25,22 +25,19 @@
 //!   while continuing to service the data transport, so peers of slower
 //!   shards still get their exchanges answered.
 //!
-//! Since proto v5 the worker is also one node of the self-healing loop: it
-//! heartbeats on the control channel while advancing and while parked, and
-//! when the coordinator reassigns a dead worker's shard it takes over the
-//! orphaned endpoints ([`SocketTransport::register_takeover`]), adopts the
-//! peers, and rebuilds their state from live P-Grid replicas — the paper's
-//! own replication doubling as the recovery mechanism — with the seeded
-//! local regeneration as the guaranteed-termination fallback.
-//!
-//! Since proto v6 a worker given `--data-dir` journals its shard through
-//! [`pgrid_durable::DurableStore`] (one observation per pacing slice, one
-//! fsync per slice that changed anything) and can **warm-restart**: a
-//! relaunched worker that finds a matching log replays it locally, sends
-//! [`ClusterMsg::Rejoin`] instead of waiting for `Welcome`, re-enters the
-//! run at the barrier the cluster is parked at, and reconciles each
-//! replayed peer against a live remote replica with an anti-entropy diff
-//! ([`Runtime::begin_replica_diff`]) instead of a cold full pull.
+//! The worker is also one node of the self-healing loop (message orders in
+//! the [crate docs](crate)): it heartbeats on the control channel while
+//! advancing and while parked; when the coordinator reassigns a dead
+//! worker's shard it takes over the orphaned endpoints
+//! ([`SocketTransport::register_takeover`]), adopts the peers, and rebuilds
+//! their state from live P-Grid replicas, with the seeded local
+//! regeneration as the guaranteed-termination fallback.  Given `--data-dir`
+//! it journals its shard through [`pgrid_durable::DurableStore`] (one
+//! observation per pacing slice, one fsync per slice that changed
+//! anything), and a relaunch over a matching log warm-restarts: it replays
+//! the log and reconciles each replayed peer against a live remote replica
+//! with an anti-entropy diff ([`Runtime::begin_replica_diff`]) instead of
+//! a cold full pull.
 //!
 //! [`Phase::JoinSchedule`]: pgrid_scenario::Phase::JoinSchedule
 //! [`Phase::ChurnSchedule`]: pgrid_scenario::Phase::ChurnSchedule
@@ -49,8 +46,8 @@
 
 use crate::plan::{churn_plan, join_plan, MINUTE_MS};
 use crate::proto::{
-    ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_CONSTRUCTED, PHASE_DONE,
-    PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
+    protocol_error, ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_CONSTRUCTED,
+    PHASE_DONE, PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
 };
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
@@ -117,13 +114,6 @@ const REJOIN_WELCOME_TIMEOUT: Duration = Duration::from_secs(600);
 /// injection); [`crate::local`] tolerates this many non-success children
 /// as the coordinator observed failures.
 pub const KILL_EXIT_CODE: i32 = 113;
-
-fn protocol_error(what: &str, got: &ClusterMsg) -> Error {
-    Error::new(
-        ErrorKind::InvalidData,
-        format!("expected {what}, got {got:?}"),
-    )
-}
 
 /// Largest trace batch shipped in one control frame; bigger drains are
 /// split.
@@ -359,6 +349,9 @@ pub struct ShardOverlay<T: SocketTransport = TcpTransport> {
     /// Last phase barrier this worker passed, journaled in the log's
     /// metadata so a relaunch knows where the run stood.
     durable_phase: u8,
+    /// Bandwidth minutes already streamed to the coordinator.
+    streamed: BTreeSet<u64>,
+    obs: WorkerObs,
 }
 
 impl<T: SocketTransport> ShardOverlay<T> {
@@ -544,33 +537,31 @@ impl<T: SocketTransport> Overlay for ShardOverlay<T> {
 
 /// Phase hooks of the worker: after each boundary phase, stream completed
 /// bandwidth minutes and park at the coordinator's barrier.
-struct BarrierHooks<'a> {
-    streamed: &'a mut BTreeSet<u64>,
-    obs: &'a mut WorkerObs,
+struct BarrierHooks {
     /// The barrier each phase index parks at, precomputed by
     /// [`barrier_plan`] so a barrier class spanning several phases (range
     /// load followed by lookup load) reports exactly once.
     plan: Vec<Option<u8>>,
 }
 
+/// The barrier class a scenario phase completes (`None` for phases that
+/// only arm something: start-construction, churn windows).
+fn barrier_class(phase: &Phase) -> Option<u8> {
+    match phase {
+        Phase::JoinSchedule { .. } | Phase::JoinWave { .. } => Some(PHASE_JOINED),
+        Phase::Replicate { .. } => Some(PHASE_REPLICATED),
+        Phase::RunUntil { .. } | Phase::ConstructUntilQuiescent { .. } => Some(PHASE_CONSTRUCTED),
+        Phase::QueryLoad { .. } | Phase::RangeLoad { .. } => Some(PHASE_QUERIED),
+        Phase::Drain => Some(PHASE_DONE),
+        _ => None,
+    }
+}
+
 /// The barrier class of each scenario phase, keeping only the *last* phase
 /// of each class: the coordinator releases every barrier exactly once, so
 /// back-to-back query-plane phases must park together at their end.
 fn barrier_plan(scenario: &Scenario) -> Vec<Option<u8>> {
-    let mut plan: Vec<Option<u8>> = scenario
-        .phases
-        .iter()
-        .map(|phase| match phase {
-            Phase::JoinSchedule { .. } | Phase::JoinWave { .. } => Some(PHASE_JOINED),
-            Phase::Replicate { .. } => Some(PHASE_REPLICATED),
-            Phase::RunUntil { .. } | Phase::ConstructUntilQuiescent { .. } => {
-                Some(PHASE_CONSTRUCTED)
-            }
-            Phase::QueryLoad { .. } | Phase::RangeLoad { .. } => Some(PHASE_QUERIED),
-            Phase::Drain => Some(PHASE_DONE),
-            _ => None,
-        })
-        .collect();
+    let mut plan: Vec<Option<u8>> = scenario.phases.iter().map(barrier_class).collect();
     let mut seen = BTreeSet::new();
     for slot in plan.iter_mut().rev() {
         if let Some(class) = *slot {
@@ -582,7 +573,7 @@ fn barrier_plan(scenario: &Scenario) -> Vec<Option<u8>> {
     plan
 }
 
-impl<T: SocketTransport> ScenarioHooks<ShardOverlay<T>> for BarrierHooks<'_> {
+impl<T: SocketTransport> ScenarioHooks<ShardOverlay<T>> for BarrierHooks {
     type Error = Error;
 
     fn after_phase(
@@ -594,7 +585,7 @@ impl<T: SocketTransport> ScenarioHooks<ShardOverlay<T>> for BarrierHooks<'_> {
         let Some(barrier_phase) = self.plan.get(phase_index).copied().flatten() else {
             return Ok(());
         };
-        barrier(overlay, barrier_phase, self.streamed, self.obs)
+        barrier(overlay, barrier_phase)
     }
 }
 
@@ -659,25 +650,6 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
     }
 }
 
-/// [`run_worker`] once the backend is chosen.
-fn run_worker_on<T: SocketTransport>(
-    coordinator: SocketAddr,
-    options: &WorkerOptions,
-    transport: T,
-) -> Result<()> {
-    let durable = match &options.data_dir {
-        Some(dir) => {
-            let store = DurableStore::open(dir, LogOptions::default())?;
-            if store.recovered() && store.meta().is_some() && store.peer_count() > 0 {
-                return run_rejoin(coordinator, options, store, transport);
-            }
-            Some(store)
-        }
-        None => None,
-    };
-    run_fresh(coordinator, options, durable, transport)
-}
-
 /// Builds the worker's observability state: the optional scrape endpoint
 /// and the control-plane flight recorder (wired into the panic hook).
 fn worker_obs(
@@ -721,33 +693,38 @@ fn register_shard<T: SocketTransport>(
 ) -> Result<Vec<(u64, SocketAddr)>> {
     let mut peer_addrs = Vec::with_capacity(shard.len());
     for peer in shard.clone() {
-        let addr = transport
-            .register(PeerId(peer as u64))
-            .map_err(|e| Error::other(e.to_string()))?;
-        let PeerAddr::Socket(addr) = addr else {
-            unreachable!("socket transports return socket addresses");
-        };
+        let addr = socket_addr(transport.register(PeerId(peer as u64)))?;
         peer_addrs.push((peer as u64, addr));
     }
     Ok(peer_addrs)
 }
 
+/// The socket address a [`SocketTransport`] bound an endpoint at.
+fn socket_addr(
+    bound: std::result::Result<PeerAddr, pgrid_transport::TransportError>,
+) -> Result<SocketAddr> {
+    match bound.map_err(|e| Error::other(e.to_string()))? {
+        PeerAddr::Socket(addr) => Ok(addr),
+        _ => unreachable!("socket transports return socket addresses"),
+    }
+}
+
+/// Current path of every originally hosted peer, in shard order.
+fn shard_paths<T: Transport>(runtime: &Runtime<T>) -> Vec<Path> {
+    runtime
+        .shard()
+        .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
+        .collect()
+}
+
 /// Streams the remaining bandwidth minutes and sends the final
 /// [`ShardReport`].
-fn send_report<T: Transport>(
-    ctl: &mut ControlChannel,
-    runtime: &Runtime<T>,
-    shard_start: u64,
-    streamed: &mut BTreeSet<u64>,
-) -> Result<()> {
-    stream_minutes(ctl, runtime, streamed, u64::MAX)?;
-    let shard = runtime.shard();
-    ctl.send(&ClusterMsg::Report(ShardReport {
-        shard_start,
-        paths: shard
-            .clone()
-            .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
-            .collect(),
+fn send_report<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> {
+    stream_minutes(overlay, u64::MAX)?;
+    let runtime = &overlay.runtime;
+    let report = ClusterMsg::Report(ShardReport {
+        shard_start: runtime.shard().start as u64,
+        paths: shard_paths(runtime),
         query_stats: runtime
             .metrics
             .query_stats
@@ -763,37 +740,96 @@ fn send_report<T: Transport>(
             .into_iter()
             .map(|peer| (peer as u64, runtime.peer_state(IndexId::PRIMARY, peer).path))
             .collect(),
-    }))
+    });
+    overlay.ctl.borrow_mut().send(&report)
 }
 
-/// The fresh-rendezvous worker run (the only path before proto v6).
-fn run_fresh<T: SocketTransport>(
+/// [`run_worker`] once the backend is chosen: one rendezvous, one run.
+///
+/// A fresh worker waits silently for `Welcome`, parks at the
+/// [`PHASE_WIRED`] barrier and runs the whole phase program.  A worker
+/// whose `data_dir` already holds a matching log **warm-restarts** through
+/// the same rendezvous — the rejoiner speaks first, with
+/// [`ClusterMsg::Rejoin`] — and, once the coordinator's healing round
+/// accepts it, re-enters the run at the barrier the cluster is parked at:
+///
+/// 1. replay the journal into the sharded runtime ([`replay_log`]), which
+///    also starts an anti-entropy diff of every replayed peer against a
+///    live remote replica,
+/// 2. acknowledge with `RecoveryDone` (the diffs settle while pacing),
+/// 3. advance to the parked barrier's boundary minute, wait for `Proceed`
+///    *without* re-reporting `PhaseDone` (the coordinator collected that
+///    barrier without us), and
+/// 4. run the remaining suffix of the phase program.
+fn run_worker_on<T: SocketTransport>(
     coordinator: SocketAddr,
     options: &WorkerOptions,
-    durable: Option<DurableStore>,
     mut transport: T,
 ) -> Result<()> {
+    let durable = match &options.data_dir {
+        Some(dir) => Some(DurableStore::open(dir, LogOptions::default())?),
+        None => None,
+    };
+    // What a recovered, non-empty log says about the run it belongs to.
+    let log_meta: Option<MetaImage> = durable
+        .as_ref()
+        .filter(|store| store.recovered() && store.peer_count() > 0)
+        .and_then(|store| store.meta().cloned());
     let stream = connect_with_retry(coordinator)?;
     let ctl = Rc::new(RefCell::new(ControlChannel::new(stream)?));
 
     // --- rendezvous: assignment, endpoints, address book -------------------
-    let welcome = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
+    let mut welcome_timeout = HANDSHAKE_TIMEOUT;
+    if let Some(meta) = &log_meta {
+        pgrid_obs::info!(
+            "cluster::worker",
+            "durable log holds shard {}+{} at phase {} (virtual minute {}): attempting warm rejoin",
+            meta.shard_start,
+            meta.shard_len,
+            meta.phase,
+            meta.now_ms / MINUTE_MS
+        );
+        ctl.borrow_mut().send(&ClusterMsg::Rejoin {
+            shard_start: meta.shard_start as u64,
+            shard_len: meta.shard_len as u64,
+            epoch: meta.epoch,
+            phase: meta.phase,
+            now_ms: meta.now_ms,
+            seed: meta.seed,
+        })?;
+        welcome_timeout = REJOIN_WELCOME_TIMEOUT;
+    }
+    let welcome = ctl.borrow_mut().recv_timeout(welcome_timeout)?;
     let ClusterMsg::Welcome {
         worker_index,
-        n_workers: _,
         shard_start,
         shard_len,
         config,
         timeline,
         tracing,
         heartbeat_ms,
-        failure_timeout_ms: _,
         heal,
         kill_at_min,
+        ..
     } = welcome
     else {
         return Err(protocol_error("Welcome", &welcome));
     };
+    if let Some(meta) = &log_meta {
+        if shard_start != meta.shard_start as u64
+            || shard_len != meta.shard_len as u64
+            || config.seed != meta.seed
+        {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                format!(
+                    "rejoin mismatch: log holds shard {}+{} of seed {}, coordinator assigned \
+                     {shard_start}+{shard_len} of seed {}",
+                    meta.shard_start, meta.shard_len, meta.seed, config.seed
+                ),
+            ));
+        }
+    }
     let shard = shard_start as usize..(shard_start + shard_len) as usize;
     pgrid_obs::info!(
         "cluster::worker",
@@ -803,7 +839,7 @@ fn run_fresh<T: SocketTransport>(
         if heal { "on" } else { "off" }
     );
 
-    let mut obs = worker_obs(options, worker_index, shard_start, shard_len)?;
+    let obs = worker_obs(options, worker_index, shard_start, shard_len)?;
     let peer_addrs = register_shard(&mut transport, &shard)?;
     ctl.borrow_mut().send(&ClusterMsg::Hello {
         shard_start,
@@ -812,6 +848,7 @@ fn run_fresh<T: SocketTransport>(
     })?;
 
     let book = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
+    book.check_ranges(config.n_peers)?;
     let ClusterMsg::AddressBook { peer_addrs: book } = book else {
         return Err(protocol_error("AddressBook", &book));
     };
@@ -831,6 +868,7 @@ fn run_fresh<T: SocketTransport>(
         runtime.enable_tracing_with_base(worker_index as u64 + 1);
     }
     runtime.flight_dump = options.flight_dump.clone();
+
     let mut overlay = ShardOverlay {
         runtime,
         ctl: Rc::clone(&ctl),
@@ -839,166 +877,116 @@ fn run_fresh<T: SocketTransport>(
             heartbeat_ms,
             last_heartbeat: Instant::now(),
             epoch: 0,
+            // The coordinator sends no kill plan with a rejoin's Welcome.
             kill_at: kill_at_min.map(|m| m * MINUTE_MS),
             pending: Vec::new(),
             worker_index,
         },
         durable,
         durable_phase: PHASE_WIRED,
+        streamed: BTreeSet::new(),
+        obs,
     };
-    let mut streamed_minutes: BTreeSet<u64> = BTreeSet::new();
-    barrier(&mut overlay, PHASE_WIRED, &mut streamed_minutes, &mut obs)?;
 
     // --- the timeline as a scenario ------------------------------------------
     // Same phase program as the single-process Section-5 scenario, with the
     // deterministic plans substituted for the random draws (all workers
     // agree on joins/churn of peers they do not host) and the query rate
     // scaled to the shard; the worker index decorrelates the query streams.
-    let scenario = worker_scenario(&config, &timeline, worker_index, shard.len());
-    let plan = barrier_plan(&scenario);
+    let mut scenario = worker_scenario(&config, &timeline, worker_index, shard.len());
+    match &log_meta {
+        None => barrier(&mut overlay, PHASE_WIRED)?,
+        Some(meta) => {
+            // A rejoiner is told which barrier the cluster is parked at,
+            // and replays its log up to there.
+            let msg = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
+            let ClusterMsg::Resume { epoch, phase } = msg else {
+                return Err(protocol_error("Resume", &msg));
+            };
+            overlay.heal.epoch = epoch;
+            overlay.durable_phase = phase;
+            let durable = overlay
+                .durable
+                .as_ref()
+                .expect("the log the meta came from");
+            let recovered = replay_log(&mut overlay.runtime, durable, meta, phase);
+            pgrid_obs::info!(
+                "cluster::worker",
+                "worker {worker_index}: warm rejoin accepted — {} peers replayed from the log, \
+                 resuming at phase {phase} (epoch {epoch})",
+                recovered.len()
+            );
+            overlay.obs.control.lock().unwrap().note(
+                overlay.runtime.now(),
+                "recovery",
+                format!(
+                    "warm rejoin: {} peers replayed, resume phase {phase} epoch {epoch}",
+                    recovered.len()
+                ),
+            );
+            ctl.borrow_mut()
+                .send(&ClusterMsg::RecoveryDone { epoch, recovered })?;
+            // Catch up to the parked barrier's boundary minute (peers
+            // exchange on the way — the survivors answer from their park
+            // loops), then wait for the release without re-reporting
+            // PhaseDone.
+            let boundary = phase_boundary_min(&timeline, phase) * MINUTE_MS;
+            let deadline = Instant::now() + BARRIER_TIMEOUT;
+            let mut proceeded = false;
+            loop {
+                if overlay.runtime.now() < boundary {
+                    let next = (overlay.runtime.now() + PACE_SLICE_MS).min(boundary);
+                    Overlay::advance_to(&mut overlay, next);
+                } else if proceeded {
+                    break;
+                } else {
+                    overlay.runtime.service_network();
+                    overlay.maybe_heartbeat();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                proceeded |= poll_parked(&mut overlay, phase, deadline)?;
+            }
+            scenario = resume_scenario(scenario, phase);
+        }
+    }
     let mut hooks = BarrierHooks {
-        streamed: &mut streamed_minutes,
-        obs: &mut obs,
-        plan,
+        plan: barrier_plan(&scenario),
     };
     pgrid_scenario::run_with_hooks(&mut overlay, &scenario, &mut hooks)?;
 
     // --- final report --------------------------------------------------------
-    send_report(
-        &mut ctl.borrow_mut(),
-        &overlay.runtime,
-        shard_start,
-        &mut streamed_minutes,
-    )?;
+    send_report(&mut overlay)?;
     pgrid_obs::info!(
         "cluster::worker",
         "worker {worker_index}: shard report sent, exiting"
     );
-    if let Some((server, _)) = obs.scrape.take() {
+    if let Some((server, _)) = overlay.obs.scrape.take() {
         server.shutdown();
     }
     Ok(())
 }
 
-/// Warm restart: the relaunched worker replays its durable log, announces
-/// itself with [`ClusterMsg::Rejoin`] (the rejoiner speaks first; a fresh
-/// worker waits silently for `Welcome`), and — once the coordinator's
-/// healing round accepts it — re-enters the run at the barrier the
-/// cluster is parked at:
-///
-/// 1. replay the journal into the sharded runtime ([`Runtime::restore_peer`]),
-/// 2. reconcile every replayed peer against a live remote replica with an
-///    anti-entropy diff ([`Runtime::begin_replica_diff`]) — merging what
-///    the crash window lost instead of re-pulling whole partitions,
-/// 3. acknowledge with `RecoveryDone` (the diffs settle while pacing),
-/// 4. advance to the parked barrier's boundary minute, wait for `Proceed`
-///    *without* re-reporting `PhaseDone` (the coordinator collected that
-///    barrier without us), and
-/// 5. run the remaining suffix of the phase program.
-fn run_rejoin<T: SocketTransport>(
-    coordinator: SocketAddr,
-    options: &WorkerOptions,
-    durable: DurableStore,
-    mut transport: T,
-) -> Result<()> {
-    let meta = durable.meta().expect("caller checked recovery").clone();
-    pgrid_obs::info!(
-        "cluster::worker",
-        "durable log holds shard {}+{} at phase {} (virtual minute {}): attempting warm rejoin",
-        meta.shard_start,
-        meta.shard_len,
-        meta.phase,
-        meta.now_ms / MINUTE_MS
-    );
-    let stream = connect_with_retry(coordinator)?;
-    let ctl = Rc::new(RefCell::new(ControlChannel::new(stream)?));
-    ctl.borrow_mut().send(&ClusterMsg::Rejoin {
-        shard_start: meta.shard_start as u64,
-        shard_len: meta.shard_len as u64,
-        epoch: meta.epoch,
-        phase: meta.phase,
-        now_ms: meta.now_ms,
-        seed: meta.seed,
-    })?;
-    let welcome = ctl.borrow_mut().recv_timeout(REJOIN_WELCOME_TIMEOUT)?;
-    let ClusterMsg::Welcome {
-        worker_index,
-        n_workers: _,
-        shard_start,
-        shard_len,
-        config,
-        timeline,
-        tracing,
-        heartbeat_ms,
-        failure_timeout_ms: _,
-        heal,
-        kill_at_min: _,
-    } = welcome
-    else {
-        return Err(protocol_error("Welcome", &welcome));
-    };
-    if shard_start != meta.shard_start as u64
-        || shard_len != meta.shard_len as u64
-        || config.seed != meta.seed
-    {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "rejoin mismatch: log holds shard {}+{} of seed {}, coordinator assigned \
-                 {shard_start}+{shard_len} of seed {}",
-                meta.shard_start, meta.shard_len, meta.seed, config.seed
-            ),
-        ));
-    }
-    let shard = shard_start as usize..(shard_start + shard_len) as usize;
-    let mut obs = worker_obs(options, worker_index, shard_start, shard_len)?;
-    let peer_addrs = register_shard(&mut transport, &shard)?;
-    ctl.borrow_mut().send(&ClusterMsg::Hello {
-        shard_start,
-        peer_addrs,
-        metrics_addr: obs.scrape.as_ref().map(|(server, _)| server.addr()),
-    })?;
-    let book = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
-    let ClusterMsg::AddressBook { peer_addrs: book } = book else {
-        return Err(protocol_error("AddressBook", &book));
-    };
-    for (peer, addr) in book {
-        if !shard.contains(&(peer as usize)) {
-            transport
-                .register_remote(PeerId(peer), addr)
-                .map_err(|e| Error::other(e.to_string()))?;
-        }
-    }
-    let resume = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
-    let ClusterMsg::Resume {
-        epoch,
-        phase: resume_phase,
-    } = resume
-    else {
-        return Err(protocol_error("Resume", &resume));
-    };
-
-    let mut runtime = Runtime::with_transport_sharded(config.clone(), transport, shard.clone())
-        .map_err(|e| Error::other(e.to_string()))?;
-    if tracing {
-        runtime.enable_tracing_with_base(worker_index as u64 + 1);
-    }
-    runtime.flight_dump = options.flight_dump.clone();
-
-    // Replay: jump the fresh runtime's clock to the journaled instant (no
-    // peer has joined yet, so only time moves), graft every mirrored peer
-    // state on top, then start an anti-entropy diff against a live remote
-    // replica for each — the crash window's lost mutations flow back as a
-    // merge, not a full rebuild.
+/// Replays the durable log into a freshly built runtime: jumps the clock
+/// to the journaled instant (no peer has joined yet, so only time moves),
+/// grafts every mirrored peer state on top ([`Runtime::restore_peer`]),
+/// then starts an anti-entropy diff against a live remote replica for each
+/// ([`Runtime::begin_replica_diff`]) — the crash window's lost mutations
+/// flow back as a merge, not a full rebuild.  Returns the `RecoveryDone`
+/// list: every replayed peer, marked as recovered from a replica.
+fn replay_log<T: SocketTransport>(
+    runtime: &mut Runtime<T>,
+    durable: &DurableStore,
+    meta: &MetaImage,
+    resume_phase: u8,
+) -> Vec<(u64, bool)> {
     runtime.run_until(meta.now_ms);
     let constructing = resume_phase >= PHASE_CONSTRUCTED;
-    let images: Vec<(u32, pgrid_durable::MirrorImage)> = durable
+    let images: Vec<(usize, &pgrid_durable::MirrorImage)> = durable
         .images()
         .filter(|(key, _)| key.0 == 0)
-        .map(|(key, image)| (key.1, image.clone()))
+        .map(|(key, image)| (key.1 as usize, image))
         .collect();
-    let mut recovered: Vec<(u64, bool)> = Vec::with_capacity(images.len());
-    for (peer, image) in &images {
+    for &(peer, image) in &images {
         let routing: Vec<(u8, PeerId, Path)> = image
             .routing
             .iter()
@@ -1007,129 +995,28 @@ fn run_rejoin<T: SocketTransport>(
         let replicas: Vec<PeerId> = image.replicas.iter().map(|&p| PeerId(p)).collect();
         runtime.restore_peer(
             IndexId::PRIMARY,
-            *peer as usize,
+            peer,
             image.path,
             image.entries.iter().copied().collect(),
             routing,
             replicas,
             constructing,
         );
-        recovered.push((*peer as u64, true));
     }
-    for (peer, image) in &images {
+    for &(peer, image) in &images {
         let source = image
             .replicas
             .iter()
             .map(|&p| p as usize)
             .find(|&p| !runtime.hosted(p));
         if let Some(source) = source {
-            runtime.begin_replica_diff(*peer as usize, source);
+            runtime.begin_replica_diff(peer, source);
         }
     }
-    pgrid_obs::info!(
-        "cluster::worker",
-        "worker {worker_index}: warm rejoin accepted — {} peers replayed from the log, \
-         resuming at phase {resume_phase} (epoch {epoch})",
-        recovered.len()
-    );
-    obs.control.lock().unwrap().note(
-        runtime.now(),
-        "recovery",
-        format!(
-            "warm rejoin: {} peers replayed, resume phase {resume_phase} epoch {epoch}",
-            recovered.len()
-        ),
-    );
-
-    let mut overlay = ShardOverlay {
-        runtime,
-        ctl: Rc::clone(&ctl),
-        heal: HealState {
-            heal,
-            heartbeat_ms,
-            last_heartbeat: Instant::now(),
-            epoch,
-            kill_at: None,
-            pending: Vec::new(),
-            worker_index,
-        },
-        durable: Some(durable),
-        durable_phase: resume_phase,
-    };
-    ctl.borrow_mut()
-        .send(&ClusterMsg::RecoveryDone { epoch, recovered })?;
-
-    // Catch up to the parked barrier's boundary minute (peers exchange on
-    // the way — the survivors answer from their park loops), then wait
-    // for the release without re-reporting PhaseDone.
-    let boundary = phase_boundary_min(&timeline, resume_phase) * MINUTE_MS;
-    let deadline = Instant::now() + BARRIER_TIMEOUT;
-    let mut proceeded = false;
-    loop {
-        if overlay.runtime.now() < boundary {
-            let next = (overlay.runtime.now() + PACE_SLICE_MS).min(boundary);
-            Overlay::advance_to(&mut overlay, next);
-        } else if proceeded {
-            break;
-        } else {
-            overlay.runtime.service_network();
-            overlay.maybe_heartbeat();
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let msg = ctl.borrow_mut().try_recv()?;
-        match msg {
-            Some(ClusterMsg::Proceed { phase }) if phase == resume_phase => proceeded = true,
-            Some(ClusterMsg::WorkerFailed { epoch, .. }) => {
-                overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-            }
-            Some(ClusterMsg::ShardReassign { epoch, moves }) => {
-                overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-                handle_reassign(&mut overlay, epoch, &moves, &mut obs)?;
-            }
-            Some(ClusterMsg::AddressBook { peer_addrs }) => {
-                apply_book(&mut overlay, &peer_addrs);
-                run_recovery(&mut overlay, &mut obs)?;
-            }
-            Some(other) => return Err(protocol_error("Proceed", &other)),
-            None => {
-                if Instant::now() >= deadline {
-                    return Err(Error::new(
-                        ErrorKind::TimedOut,
-                        format!("resume barrier for phase {resume_phase} never released"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // --- the remaining timeline ---------------------------------------------
-    let scenario = resume_scenario(
-        worker_scenario(&config, &timeline, worker_index, shard.len()),
-        resume_phase,
-    );
-    let plan = barrier_plan(&scenario);
-    let mut streamed_minutes: BTreeSet<u64> = BTreeSet::new();
-    let mut hooks = BarrierHooks {
-        streamed: &mut streamed_minutes,
-        obs: &mut obs,
-        plan,
-    };
-    pgrid_scenario::run_with_hooks(&mut overlay, &scenario, &mut hooks)?;
-
-    send_report(
-        &mut ctl.borrow_mut(),
-        &overlay.runtime,
-        shard_start,
-        &mut streamed_minutes,
-    )?;
-    pgrid_obs::info!(
-        "cluster::worker",
-        "worker {worker_index}: shard report sent after warm rejoin, exiting"
-    );
-    if let Some((server, _)) = obs.scrape.take() {
-        server.shutdown();
-    }
-    Ok(())
+    images
+        .iter()
+        .map(|&(peer, _)| (peer as u64, true))
+        .collect()
 }
 
 /// The timeline minute a barrier class completes at: where a rejoining
@@ -1152,33 +1039,19 @@ fn phase_boundary_min(timeline: &Timeline, phase: u8) -> u64 {
 /// a resume past the construct barrier while the churn window survives a
 /// resume past the query barrier.
 fn resume_scenario(mut scenario: Scenario, resume_phase: u8) -> Scenario {
-    let mut classes: Vec<Option<u8>> = scenario
+    let mut next = PHASE_DONE;
+    let mut keep: Vec<bool> = scenario
         .phases
         .iter()
-        .map(|phase| match phase {
-            Phase::JoinSchedule { .. } | Phase::JoinWave { .. } => Some(PHASE_JOINED),
-            Phase::Replicate { .. } => Some(PHASE_REPLICATED),
-            Phase::RunUntil { .. } | Phase::ConstructUntilQuiescent { .. } => {
-                Some(PHASE_CONSTRUCTED)
-            }
-            Phase::QueryLoad { .. } | Phase::RangeLoad { .. } => Some(PHASE_QUERIED),
-            Phase::Drain => Some(PHASE_DONE),
-            _ => None,
+        .rev()
+        .map(|phase| {
+            next = barrier_class(phase).unwrap_or(next);
+            next > resume_phase
         })
         .collect();
-    let mut next = PHASE_DONE;
-    for slot in classes.iter_mut().rev() {
-        match *slot {
-            Some(class) => next = class,
-            None => *slot = Some(next),
-        }
-    }
-    let mut index = 0;
-    scenario.phases.retain(|_| {
-        let keep = classes[index].expect("filled above") > resume_phase;
-        index += 1;
-        keep
-    });
+    scenario
+        .phases
+        .retain(|_| keep.pop().expect("one flag per phase"));
     scenario
 }
 
@@ -1229,27 +1102,26 @@ pub fn worker_scenario(
 
 /// Streams every completed, not-yet-reported bandwidth minute below
 /// `before` to the coordinator.
-fn stream_minutes<T: Transport>(
-    ctl: &mut ControlChannel,
-    runtime: &Runtime<T>,
-    streamed: &mut BTreeSet<u64>,
-    before: u64,
-) -> Result<()> {
-    let mut samples: Vec<(u64, u64, u64)> = runtime
+fn stream_minutes<T: SocketTransport>(overlay: &mut ShardOverlay<T>, before: u64) -> Result<()> {
+    let mut samples: Vec<(u64, u64, u64)> = overlay
+        .runtime
         .metrics
         .bandwidth_per_minute
         .iter()
-        .filter(|(&minute, _)| minute < before && !streamed.contains(&minute))
+        .filter(|(&minute, _)| minute < before && !overlay.streamed.contains(&minute))
         .map(|(&minute, bw)| (minute, bw.maintenance_bytes as u64, bw.query_bytes as u64))
         .collect();
     samples.sort_unstable();
     if samples.is_empty() {
         return Ok(());
     }
-    for &(minute, _, _) in &samples {
-        streamed.insert(minute);
-    }
-    ctl.send(&ClusterMsg::Minutes { samples })
+    overlay
+        .streamed
+        .extend(samples.iter().map(|&(minute, _, _)| minute));
+    overlay
+        .ctl
+        .borrow_mut()
+        .send(&ClusterMsg::Minutes { samples })
 }
 
 /// Takes over the endpoints of every orphan reassigned to this worker,
@@ -1259,7 +1131,6 @@ fn handle_reassign<T: SocketTransport>(
     overlay: &mut ShardOverlay<T>,
     epoch: u64,
     moves: &[ReassignMove],
-    obs: &mut WorkerObs,
 ) -> Result<()> {
     let mut addrs: Vec<(u64, SocketAddr)> = Vec::new();
     for m in moves
@@ -1267,21 +1138,19 @@ fn handle_reassign<T: SocketTransport>(
         .filter(|m| m.to_worker == overlay.heal.worker_index)
     {
         let peer = m.peer as usize;
-        let addr = overlay
-            .runtime
-            .transport_mut()
-            .register_takeover(PeerId(m.peer))
-            .map_err(|e| Error::other(e.to_string()))?;
-        let PeerAddr::Socket(sock) = addr else {
-            unreachable!("the TCP backend returns socket addresses");
-        };
+        let sock = socket_addr(
+            overlay
+                .runtime
+                .transport_mut()
+                .register_takeover(PeerId(m.peer)),
+        )?;
         overlay.runtime.adopt_peer(peer);
         overlay
             .heal
             .pending
             .push((peer, m.source_peer as usize, m.path));
         addrs.push((m.peer, sock));
-        obs.control.lock().unwrap().note(
+        overlay.obs.control.lock().unwrap().note(
             overlay.runtime.now(),
             "recovery",
             format!(
@@ -1322,10 +1191,7 @@ fn apply_book<T: SocketTransport>(overlay: &mut ShardOverlay<T>, book: &[(u64, S
 /// (local replica scan first, then the coordinator's hint), the seeded
 /// local regeneration as the fallback, and a `RecoveryDone` acknowledgment
 /// once the shard is whole again.
-fn run_recovery<T: SocketTransport>(
-    overlay: &mut ShardOverlay<T>,
-    obs: &mut WorkerObs,
-) -> Result<()> {
+fn run_recovery<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> {
     if overlay.heal.pending.is_empty() {
         return Ok(());
     }
@@ -1404,21 +1270,20 @@ fn run_recovery<T: SocketTransport>(
         .iter()
         .map(|&(peer, _, _)| (peer as u64, !local.contains(&peer)))
         .collect();
-    obs.control.lock().unwrap().note(
+    let from_replicas = recovered.iter().filter(|(_, via)| *via).count();
+    overlay.obs.control.lock().unwrap().note(
         overlay.runtime.now(),
         "recovery",
         format!(
-            "epoch={epoch} rebuilt {} peers ({} from replicas)",
-            recovered.len(),
-            recovered.iter().filter(|(_, via)| *via).count()
+            "epoch={epoch} rebuilt {} peers ({from_replicas} from replicas)",
+            recovered.len()
         ),
     );
     pgrid_obs::info!(
         "cluster::worker",
-        "worker {}: rebuilt {} adopted peers ({} from replicas, {} locally)",
+        "worker {}: rebuilt {} adopted peers ({from_replicas} from replicas, {} locally)",
         overlay.heal.worker_index,
         recovered.len(),
-        recovered.iter().filter(|(_, via)| *via).count(),
         local.len()
     );
     overlay
@@ -1431,12 +1296,7 @@ fn run_recovery<T: SocketTransport>(
 /// Reports the end of `phase` and parks until the coordinator releases the
 /// barrier, servicing the data transport (and the healing protocol) the
 /// whole time.
-fn barrier<T: SocketTransport>(
-    overlay: &mut ShardOverlay<T>,
-    phase: u8,
-    streamed: &mut BTreeSet<u64>,
-    obs: &mut WorkerObs,
-) -> Result<()> {
+fn barrier<T: SocketTransport>(overlay: &mut ShardOverlay<T>, phase: u8) -> Result<()> {
     let ctl = Rc::clone(&overlay.ctl);
     // Let stragglers from faster shards drain before declaring the phase
     // over: keep answering until the wire stays quiet for a moment.
@@ -1460,15 +1320,10 @@ fn barrier<T: SocketTransport>(
     overlay.durable_phase = phase;
     overlay.persist();
     // Buckets below the current minute can no longer grow in this phase.
-    stream_minutes(
-        &mut ctl.borrow_mut(),
-        &overlay.runtime,
-        streamed,
-        overlay.runtime.now() / MINUTE_MS,
-    )?;
+    stream_minutes(overlay, overlay.runtime.now() / MINUTE_MS)?;
     // Fresh registry snapshot and drained trace events ride along with
     // every barrier, so the coordinator's merged view stays current.
-    obs.publish(
+    overlay.obs.publish(
         &mut ctl.borrow_mut(),
         &mut overlay.runtime,
         overlay.durable.as_ref(),
@@ -1478,20 +1333,15 @@ fn barrier<T: SocketTransport>(
         // The coordinator keeps every peer's last barrier path: the raw
         // material of replica hints and of partial reports for unhealed
         // shards.
-        let paths: Vec<Path> = overlay
-            .runtime
-            .shard()
-            .map(|peer| overlay.runtime.peer_state(IndexId::PRIMARY, peer).path)
-            .collect();
         ctl.borrow_mut().send(&ClusterMsg::ShardPaths {
             shard_start: overlay.runtime.shard().start as u64,
-            paths,
+            paths: shard_paths(&overlay.runtime),
         })?;
     }
     pgrid_obs::debug!(
         "cluster::worker",
         "worker {}: phase {phase} done at virtual minute {}",
-        obs.worker_index,
+        overlay.heal.worker_index,
         overlay.runtime.now() / MINUTE_MS
     );
     ctl.borrow_mut().send(&ClusterMsg::PhaseDone { phase })?;
@@ -1499,40 +1349,172 @@ fn barrier<T: SocketTransport>(
     loop {
         overlay.runtime.service_network();
         overlay.maybe_heartbeat();
-        let msg = ctl.borrow_mut().try_recv()?;
-        match msg {
-            Some(ClusterMsg::Proceed { phase: p }) if p == phase => return Ok(()),
-            Some(ClusterMsg::WorkerFailed {
-                epoch,
-                worker_index,
-                shard_start,
-                shard_len,
-            }) => {
-                overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-                pgrid_obs::info!(
-                    "cluster::worker",
-                    "worker {}: told worker {worker_index} died \
-                     (shard {shard_start}+{shard_len}, epoch {epoch})",
-                    overlay.heal.worker_index
+        if poll_parked(overlay, phase, deadline)? {
+            return Ok(());
+        }
+    }
+}
+
+/// One poll of the control channel at a worker parked at `phase`'s
+/// barrier: `Ok(true)` once `Proceed(phase)` arrived.  Until then the
+/// healing protocol is served from here — a new epoch is noted, a
+/// reassignment adopts its orphans, a fresh address book re-points the
+/// remotes and starts the rebuilds — and anything else is a protocol error;
+/// silence past `deadline` is `TimedOut`.  Every message is range-checked
+/// before it is looked at.
+fn poll_parked<T: SocketTransport>(
+    overlay: &mut ShardOverlay<T>,
+    phase: u8,
+    deadline: Instant,
+) -> Result<bool> {
+    let msg = overlay.ctl.borrow_mut().try_recv()?;
+    let Some(msg) = msg else {
+        if Instant::now() >= deadline {
+            return Err(Error::new(
+                ErrorKind::TimedOut,
+                format!("barrier for phase {phase} never released"),
+            ));
+        }
+        return Ok(false);
+    };
+    msg.check_ranges(overlay.runtime.config.n_peers)?;
+    match msg {
+        ClusterMsg::Proceed { phase: p } if p == phase => return Ok(true),
+        ClusterMsg::WorkerFailed {
+            epoch,
+            worker_index,
+            shard_start,
+            shard_len,
+        } => {
+            overlay.heal.epoch = overlay.heal.epoch.max(epoch);
+            pgrid_obs::info!(
+                "cluster::worker",
+                "worker {}: told worker {worker_index} died \
+                 (shard {shard_start}+{shard_len}, epoch {epoch})",
+                overlay.heal.worker_index
+            );
+        }
+        ClusterMsg::ShardReassign { epoch, moves } => {
+            overlay.heal.epoch = overlay.heal.epoch.max(epoch);
+            handle_reassign(overlay, epoch, &moves)?;
+        }
+        ClusterMsg::AddressBook { peer_addrs } => {
+            apply_book(overlay, &peer_addrs);
+            run_recovery(overlay)?;
+        }
+        other => return Err(protocol_error("Proceed", &other)),
+    }
+    Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SMOKE: Timeline = Timeline {
+        join_end_min: 3,
+        replicate_end_min: 5,
+        construct_end_min: 18,
+        range_end_min: 0,
+        query_end_min: 22,
+        end_min: 25,
+    };
+
+    /// The default and the smoke timeline, plus one with a range window
+    /// (two back-to-back phases of the query class).
+    fn timelines() -> [Timeline; 3] {
+        let with_ranges = Timeline {
+            range_end_min: 70,
+            ..Timeline::default()
+        };
+        [Timeline::default(), SMOKE, with_ranges]
+    }
+
+    fn scenario(timeline: &Timeline) -> Scenario {
+        let config = NetConfig {
+            n_peers: 16,
+            ..NetConfig::default()
+        };
+        worker_scenario(&config, timeline, 1, 8)
+    }
+
+    const CLASSES: [u8; 5] = [
+        PHASE_JOINED,
+        PHASE_REPLICATED,
+        PHASE_CONSTRUCTED,
+        PHASE_QUERIED,
+        PHASE_DONE,
+    ];
+
+    #[test]
+    fn every_barrier_class_reports_exactly_once_and_in_order() {
+        for timeline in timelines() {
+            let scenario = scenario(&timeline);
+            let plan = barrier_plan(&scenario);
+            assert_eq!(plan.len(), scenario.phases.len());
+            let reported: Vec<u8> = plan.iter().copied().flatten().collect();
+            assert_eq!(reported, CLASSES, "{timeline:?}");
+            // A class spanning several phases parks at its last one.
+            for (index, class) in plan.iter().enumerate() {
+                let Some(class) = class else { continue };
+                let later = &scenario.phases[index + 1..];
+                assert!(
+                    later
+                        .iter()
+                        .all(|phase| barrier_class(phase) != Some(*class)),
+                    "class {class} parks before its last phase ({timeline:?})"
                 );
             }
-            Some(ClusterMsg::ShardReassign { epoch, moves }) => {
-                overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-                handle_reassign(overlay, epoch, &moves, obs)?;
+        }
+    }
+
+    #[test]
+    fn resuming_at_a_phase_keeps_exactly_the_suffix_behind_its_barrier() {
+        for timeline in timelines() {
+            let full = scenario(&timeline);
+            let plan = barrier_plan(&full);
+            assert_eq!(resume_scenario(full.clone(), PHASE_WIRED), full);
+            for resume_phase in CLASSES {
+                let parked_at = plan
+                    .iter()
+                    .position(|&class| class == Some(resume_phase))
+                    .expect("every class parks somewhere");
+                let resumed = resume_scenario(full.clone(), resume_phase);
+                // Construction is armed before the construct barrier, the
+                // churn window opens after the query barrier: a classless
+                // phase goes with the classed phase that follows it.
+                assert_eq!(
+                    resumed.phases,
+                    full.phases[parked_at + 1..],
+                    "resume at {resume_phase}"
+                );
+                assert_eq!(resumed.control_seed, full.control_seed);
+                assert_eq!(
+                    barrier_plan(&resumed).iter().flatten().count(),
+                    CLASSES.iter().filter(|&&c| c > resume_phase).count()
+                );
             }
-            Some(ClusterMsg::AddressBook { peer_addrs }) => {
-                apply_book(overlay, &peer_addrs);
-                run_recovery(overlay, obs)?;
-            }
-            Some(other) => return Err(protocol_error("Proceed", &other)),
-            None => {
-                if Instant::now() >= deadline {
-                    return Err(Error::new(
-                        ErrorKind::TimedOut,
-                        format!("barrier for phase {phase} never released"),
-                    ));
-                }
-            }
+        }
+    }
+
+    #[test]
+    fn phase_boundaries_are_the_timelines_minutes() {
+        for timeline in timelines() {
+            let boundaries: Vec<u64> = (PHASE_WIRED..=PHASE_DONE)
+                .map(|phase| phase_boundary_min(&timeline, phase))
+                .collect();
+            assert_eq!(
+                boundaries,
+                [
+                    0,
+                    timeline.join_end_min,
+                    timeline.replicate_end_min,
+                    timeline.construct_end_min,
+                    timeline.query_end_min,
+                    timeline.end_min
+                ]
+            );
+            assert!(boundaries.windows(2).all(|pair| pair[0] <= pair[1]));
         }
     }
 }
