@@ -194,3 +194,38 @@ fn lint_catches_duplicate_series() {
     });
     assert!(result.is_err(), "duplicate series must fail the lint");
 }
+
+/// The bytes [`MetricsRegistry::encode_wire`] must keep producing for the
+/// golden registry: a refactor of the snapshot codec leaves them as they
+/// are, and a snapshot a parent build wrote still decodes.
+const GOLDEN_WIRE: &[u8] = b"\
+      \x05\x00\x00\x00\x17\x00\x00\x00pgrid_balance_deviation9\x00\x00\x00\
+      Relative deviation of the storage balance (paper Fig. 6).\x01\x01\
+      \x00\x00\x00\x00\'1\x08\xac\x1cZ\xe4?\x17\x00\x00\x00pgrid_frames_se\
+      nt_total,\x00\x00\x00Frames handed to the transport for delivery.\
+      \x00\x01\x00\x00\x00\x00\xd2\x04\x00\x00\x00\x00\x00\x00\x1c\x00\x00\
+      \x00pgrid_peer_frames_sent_total\x19\x00\x00\x00Frames sent to this \
+      peer.\x00\x02\x00\x00\x00\x01\x04\x00\x00\x00peer\x02\x00\x00\x0011\
+      \x07\x00\x00\x00\x00\x00\x00\x00\x01\x04\x00\x00\x00peer\x01\x00\x00\
+      \x003(\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x00pgrid_phase>\x00\
+      \x00\x00Current phase with an escaped label: quote=\" backslash=\\ d\
+      one.\x01\x01\x00\x00\x00\x01\x04\x00\x00\x00name\x10\x00\x00\x00con\
+      \"struct\\t\nion\x00\x00\x00\x00\x00\x00\x08@\x16\x00\x00\x00pgrid_q\
+      uery_latency_ms*\x00\x00\x00Per-query latency in virtual millisecond\
+      s.\x02\x01\x00\x00\x00\x01\x05\x00\x00\x00index\x01\x00\x00\x000\x05\
+      \x00\x00\x00\x01\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x01\x00\
+      \x00\x00\x00\x00\x00\x00\t\x00\x01\x00\x00\x00\x00\x00\x00\x00(\x00\
+      \x02\x00\x00\x00\x00\x00\x00\x00G\x00\x01\x00\x00\x00\x00\x00\x00\
+      \x00\xe2\x08\x00\x00\x00\x00\x00\x00\xd0\x07\x00\x00\x00\x00\x00\x00";
+
+#[test]
+fn wire_snapshot_bytes_are_pinned() {
+    let registry = golden_registry();
+    assert_eq!(GOLDEN_WIRE.len(), 591);
+    assert_eq!(
+        registry.encode_wire().escape_ascii().to_string(),
+        GOLDEN_WIRE.escape_ascii().to_string(),
+        "registry snapshot bytes changed"
+    );
+    assert_eq!(MetricsRegistry::decode_wire(GOLDEN_WIRE), Ok(registry));
+}

@@ -168,3 +168,21 @@ fn socket_sized_chunks_parse_like_a_byte_trickle() {
     assert!(by_chunk == frames, "64 KiB chunks changed a record");
     assert!(decode_split(&stream, &trickled) == by_chunk);
 }
+
+/// The bytes of one record, spelled out: kind, big-endian destination,
+/// big-endian payload length, payload.  A refactor of the mux codec leaves
+/// them as they are.
+#[test]
+fn record_bytes_are_pinned() {
+    let mut wire = vec![0xEE];
+    encode_record(&mut wire, KIND_RAW, 0x0102_0304_0506_0708, b"pgrid");
+    assert_eq!(
+        wire,
+        [0xEE, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 5, b'p', b'g', b'r', b'i', b'd']
+    );
+    let mut reader = MuxReader::new();
+    reader.extend(&wire[1..]);
+    let (kind, dest, payload) = reader.next_record().unwrap().unwrap();
+    assert_eq!((kind, dest), (KIND_RAW, 0x0102_0304_0506_0708));
+    assert_eq!(payload.as_slice(), b"pgrid");
+}
