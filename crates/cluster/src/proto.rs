@@ -7,14 +7,15 @@
 //! messages travel in is in the [crate docs](crate).
 //!
 //! Like the peer protocol, the codec is a hand-rolled big-endian binary
-//! format over [`bytes`]: no registry dependencies, self-describing enough
-//! for round-trip tests, and versioned by a leading magic/version pair so a
-//! stale worker fails loudly instead of mis-parsing.
+//! format built from the workspace's one codec kit ([`pgrid_core::wire`]):
+//! no registry dependencies, self-describing enough for round-trip tests,
+//! and versioned by a leading magic/version pair so a stale worker fails
+//! loudly instead of mis-parsing.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pgrid_core::histogram::LogHistogram;
+use bytes::Bytes;
 use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
+use pgrid_core::wire::{Be, Order, Sink, HISTOGRAM_MIN_BYTES, PATH_BYTES};
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
@@ -261,9 +262,9 @@ pub enum ClusterMsg {
 impl ClusterMsg {
     /// Encodes the message (including the magic/version header).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u16(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = Vec::with_capacity(64);
+        Be::put_u16(&mut buf, MAGIC);
+        Be::put_u8(&mut buf, VERSION);
         match self {
             ClusterMsg::Welcome {
                 worker_index,
@@ -278,23 +279,23 @@ impl ClusterMsg {
                 heal,
                 kill_at_min,
             } => {
-                buf.put_u8(0);
-                buf.put_u32(*worker_index);
-                buf.put_u32(*n_workers);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
+                Be::put_u8(&mut buf, 0);
+                Be::put_u32(&mut buf, *worker_index);
+                Be::put_u32(&mut buf, *n_workers);
+                Be::put_u64(&mut buf, *shard_start);
+                Be::put_u64(&mut buf, *shard_len);
                 put_config(&mut buf, config);
                 put_timeline(&mut buf, timeline);
-                buf.put_u8(*tracing as u8);
-                buf.put_u64(*heartbeat_ms);
-                buf.put_u64(*failure_timeout_ms);
-                buf.put_u8(*heal as u8);
+                Be::put_u8(&mut buf, *tracing as u8);
+                Be::put_u64(&mut buf, *heartbeat_ms);
+                Be::put_u64(&mut buf, *failure_timeout_ms);
+                Be::put_u8(&mut buf, *heal as u8);
                 match kill_at_min {
                     Some(at) => {
-                        buf.put_u8(1);
-                        buf.put_u64(*at);
+                        Be::put_u8(&mut buf, 1);
+                        Be::put_u64(&mut buf, *at);
                     }
-                    None => buf.put_u8(0),
+                    None => Be::put_u8(&mut buf, 0),
                 }
             }
             ClusterMsg::Hello {
@@ -302,117 +303,111 @@ impl ClusterMsg {
                 peer_addrs,
                 metrics_addr,
             } => {
-                buf.put_u8(1);
-                buf.put_u64(*shard_start);
+                Be::put_u8(&mut buf, 1);
+                Be::put_u64(&mut buf, *shard_start);
                 put_addrs(&mut buf, peer_addrs);
                 match metrics_addr {
                     Some(addr) => {
-                        buf.put_u8(1);
+                        Be::put_u8(&mut buf, 1);
                         put_addr(&mut buf, addr);
                     }
-                    None => buf.put_u8(0),
+                    None => Be::put_u8(&mut buf, 0),
                 }
             }
             ClusterMsg::AddressBook { peer_addrs } => {
-                buf.put_u8(2);
+                Be::put_u8(&mut buf, 2);
                 put_addrs(&mut buf, peer_addrs);
             }
             ClusterMsg::PhaseDone { phase } => {
-                buf.put_u8(3);
-                buf.put_u8(*phase);
+                Be::put_u8(&mut buf, 3);
+                Be::put_u8(&mut buf, *phase);
             }
             ClusterMsg::Proceed { phase } => {
-                buf.put_u8(4);
-                buf.put_u8(*phase);
+                Be::put_u8(&mut buf, 4);
+                Be::put_u8(&mut buf, *phase);
             }
             ClusterMsg::Minutes { samples } => {
-                buf.put_u8(5);
-                buf.put_u32(samples.len() as u32);
+                Be::put_u8(&mut buf, 5);
+                Be::put_count(&mut buf, samples.len());
                 for (minute, maintenance, query) in samples {
-                    buf.put_u64(*minute);
-                    buf.put_u64(*maintenance);
-                    buf.put_u64(*query);
+                    Be::put_u64(&mut buf, *minute);
+                    Be::put_u64(&mut buf, *maintenance);
+                    Be::put_u64(&mut buf, *query);
                 }
             }
             ClusterMsg::TraceBatch { events } => {
-                buf.put_u8(7);
-                buf.put_u32(events.len() as u32);
+                Be::put_u8(&mut buf, 7);
+                Be::put_count(&mut buf, events.len());
                 for event in events {
-                    buf.put_u64(event.trace_id);
-                    put_str(&mut buf, event.kind);
-                    buf.put_u64(event.peer);
-                    buf.put_u64(event.virtual_ms);
-                    buf.put_u64(event.wall_micros);
-                    put_str(&mut buf, &event.detail);
+                    Be::put_u64(&mut buf, event.trace_id);
+                    Be::put_str(&mut buf, event.kind);
+                    Be::put_u64(&mut buf, event.peer);
+                    Be::put_u64(&mut buf, event.virtual_ms);
+                    Be::put_u64(&mut buf, event.wall_micros);
+                    Be::put_str(&mut buf, &event.detail);
                 }
             }
             ClusterMsg::MetricsSnapshot { registry } => {
-                buf.put_u8(8);
-                buf.put_u32(registry.len() as u32);
-                buf.put_slice(registry);
+                Be::put_u8(&mut buf, 8);
+                Be::put_count(&mut buf, registry.len());
+                buf.put(registry);
             }
             ClusterMsg::Report(report) => {
-                buf.put_u8(6);
-                buf.put_u64(report.shard_start);
-                buf.put_u32(report.paths.len() as u32);
-                for path in &report.paths {
-                    put_path(&mut buf, path);
-                }
-                buf.put_u32(report.query_stats.len() as u32);
+                Be::put_u8(&mut buf, 6);
+                Be::put_u64(&mut buf, report.shard_start);
+                Be::put_paths(&mut buf, &report.paths);
+                Be::put_count(&mut buf, report.query_stats.len());
                 for (index, stats) in &report.query_stats {
-                    buf.put_u16(index.0);
+                    Be::put_u16(&mut buf, index.0);
                     put_aggregates(&mut buf, stats);
                 }
-                buf.put_u64(report.online_at_end);
-                buf.put_u64(report.transport.frames_sent);
-                buf.put_u64(report.transport.frames_delivered);
-                buf.put_u64(report.transport.bytes_sent);
-                buf.put_u64(report.transport.bytes_delivered);
-                buf.put_u32(report.transport.per_peer.len() as u32);
+                Be::put_u64(&mut buf, report.online_at_end);
+                Be::put_u64(&mut buf, report.transport.frames_sent);
+                Be::put_u64(&mut buf, report.transport.frames_delivered);
+                Be::put_u64(&mut buf, report.transport.bytes_sent);
+                Be::put_u64(&mut buf, report.transport.bytes_delivered);
+                Be::put_count(&mut buf, report.transport.per_peer.len());
                 for (&peer, link) in &report.transport.per_peer {
-                    buf.put_u64(peer);
-                    buf.put_u64(link.frames_sent);
-                    buf.put_u64(link.bytes_sent);
-                    buf.put_u64(link.frames_received);
-                    buf.put_u64(link.bytes_received);
-                    buf.put_u64(link.reconnects);
-                    buf.put_u64(link.send_failures);
+                    Be::put_u64(&mut buf, peer);
+                    Be::put_u64(&mut buf, link.frames_sent);
+                    Be::put_u64(&mut buf, link.bytes_sent);
+                    Be::put_u64(&mut buf, link.frames_received);
+                    Be::put_u64(&mut buf, link.bytes_received);
+                    Be::put_u64(&mut buf, link.reconnects);
+                    Be::put_u64(&mut buf, link.send_failures);
                 }
                 // The optional reactor block: flag byte, then the eight
                 // reactor fields.
                 match &report.transport.reactor {
                     Some(reactor) => {
-                        buf.put_u8(1);
-                        buf.put_u64(reactor.registered_peers);
-                        buf.put_u64(reactor.registered_fds);
-                        buf.put_u64(reactor.epoll_wakeups);
-                        buf.put_u64(reactor.write_queue_frames);
-                        buf.put_u64(reactor.write_queue_bytes);
-                        buf.put_u64(reactor.partial_writes);
-                        buf.put_u64(reactor.reconnects);
-                        buf.put_u64(reactor.dropped_frames);
+                        Be::put_u8(&mut buf, 1);
+                        Be::put_u64(&mut buf, reactor.registered_peers);
+                        Be::put_u64(&mut buf, reactor.registered_fds);
+                        Be::put_u64(&mut buf, reactor.epoll_wakeups);
+                        Be::put_u64(&mut buf, reactor.write_queue_frames);
+                        Be::put_u64(&mut buf, reactor.write_queue_bytes);
+                        Be::put_u64(&mut buf, reactor.partial_writes);
+                        Be::put_u64(&mut buf, reactor.reconnects);
+                        Be::put_u64(&mut buf, reactor.dropped_frames);
                     }
-                    None => buf.put_u8(0),
+                    None => Be::put_u8(&mut buf, 0),
                 }
-                buf.put_u64(report.messages_delivered);
-                buf.put_u64(report.messages_lost);
-                buf.put_u32(report.extra_paths.len() as u32);
+                Be::put_u64(&mut buf, report.messages_delivered);
+                Be::put_u64(&mut buf, report.messages_lost);
+                Be::put_count(&mut buf, report.extra_paths.len());
                 for (peer, path) in &report.extra_paths {
-                    buf.put_u64(*peer);
-                    put_path(&mut buf, path);
+                    Be::put_u64(&mut buf, *peer);
+                    Be::put_path(&mut buf, path);
                 }
             }
             ClusterMsg::Heartbeat { epoch } => {
-                buf.put_u8(9);
-                buf.put_u64(*epoch);
+                Be::put_u8(&mut buf, 9);
+                Be::put_u64(&mut buf, *epoch);
             }
             ClusterMsg::ShardPaths { shard_start, paths } => {
-                buf.put_u8(10);
-                buf.put_u64(*shard_start);
-                buf.put_u32(paths.len() as u32);
-                for path in paths {
-                    put_path(&mut buf, path);
-                }
+                Be::put_u8(&mut buf, 10);
+                Be::put_u64(&mut buf, *shard_start);
+                Be::put_paths(&mut buf, paths);
             }
             ClusterMsg::WorkerFailed {
                 epoch,
@@ -420,35 +415,35 @@ impl ClusterMsg {
                 shard_start,
                 shard_len,
             } => {
-                buf.put_u8(11);
-                buf.put_u64(*epoch);
-                buf.put_u32(*worker_index);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
+                Be::put_u8(&mut buf, 11);
+                Be::put_u64(&mut buf, *epoch);
+                Be::put_u32(&mut buf, *worker_index);
+                Be::put_u64(&mut buf, *shard_start);
+                Be::put_u64(&mut buf, *shard_len);
             }
             ClusterMsg::ShardReassign { epoch, moves } => {
-                buf.put_u8(12);
-                buf.put_u64(*epoch);
-                buf.put_u32(moves.len() as u32);
+                Be::put_u8(&mut buf, 12);
+                Be::put_u64(&mut buf, *epoch);
+                Be::put_count(&mut buf, moves.len());
                 for m in moves {
-                    buf.put_u64(m.peer);
-                    buf.put_u32(m.to_worker);
-                    buf.put_u64(m.source_peer);
-                    put_path(&mut buf, &m.path);
+                    Be::put_u64(&mut buf, m.peer);
+                    Be::put_u32(&mut buf, m.to_worker);
+                    Be::put_u64(&mut buf, m.source_peer);
+                    Be::put_path(&mut buf, &m.path);
                 }
             }
             ClusterMsg::RecoveryAddrs { epoch, peer_addrs } => {
-                buf.put_u8(13);
-                buf.put_u64(*epoch);
+                Be::put_u8(&mut buf, 13);
+                Be::put_u64(&mut buf, *epoch);
                 put_addrs(&mut buf, peer_addrs);
             }
             ClusterMsg::RecoveryDone { epoch, recovered } => {
-                buf.put_u8(14);
-                buf.put_u64(*epoch);
-                buf.put_u32(recovered.len() as u32);
+                Be::put_u8(&mut buf, 14);
+                Be::put_u64(&mut buf, *epoch);
+                Be::put_count(&mut buf, recovered.len());
                 for (peer, via_replica) in recovered {
-                    buf.put_u64(*peer);
-                    buf.put_u8(*via_replica as u8);
+                    Be::put_u64(&mut buf, *peer);
+                    Be::put_u8(&mut buf, *via_replica as u8);
                 }
             }
             ClusterMsg::Rejoin {
@@ -459,52 +454,53 @@ impl ClusterMsg {
                 now_ms,
                 seed,
             } => {
-                buf.put_u8(15);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
-                buf.put_u64(*epoch);
-                buf.put_u8(*phase);
-                buf.put_u64(*now_ms);
-                buf.put_u64(*seed);
+                Be::put_u8(&mut buf, 15);
+                Be::put_u64(&mut buf, *shard_start);
+                Be::put_u64(&mut buf, *shard_len);
+                Be::put_u64(&mut buf, *epoch);
+                Be::put_u8(&mut buf, *phase);
+                Be::put_u64(&mut buf, *now_ms);
+                Be::put_u64(&mut buf, *seed);
             }
             ClusterMsg::Resume { epoch, phase } => {
-                buf.put_u8(16);
-                buf.put_u64(*epoch);
-                buf.put_u8(*phase);
+                Be::put_u8(&mut buf, 16);
+                Be::put_u64(&mut buf, *epoch);
+                Be::put_u8(&mut buf, *phase);
             }
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes a message previously produced by [`ClusterMsg::encode`];
     /// `None` for malformed input, a version mismatch, or bytes left over
     /// after the message.
-    pub fn decode(mut data: Bytes) -> Option<ClusterMsg> {
-        if get_u16(&mut data)? != MAGIC || get_u8(&mut data)? != VERSION {
+    pub fn decode(data: Bytes) -> Option<ClusterMsg> {
+        let mut data = data.as_slice();
+        if Be::u16(&mut data)? != MAGIC || Be::u8(&mut data)? != VERSION {
             return None;
         }
-        let msg = match get_u8(&mut data)? {
+        let msg = match Be::u8(&mut data)? {
             0 => ClusterMsg::Welcome {
-                worker_index: get_u32(&mut data)?,
-                n_workers: get_u32(&mut data)?,
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
+                worker_index: Be::u32(&mut data)?,
+                n_workers: Be::u32(&mut data)?,
+                shard_start: Be::u64(&mut data)?,
+                shard_len: Be::u64(&mut data)?,
                 config: get_config(&mut data)?,
                 timeline: get_timeline(&mut data)?,
-                tracing: get_u8(&mut data)? != 0,
-                heartbeat_ms: get_u64(&mut data)?,
-                failure_timeout_ms: get_u64(&mut data)?,
-                heal: get_u8(&mut data)? != 0,
-                kill_at_min: match get_u8(&mut data)? {
+                tracing: Be::u8(&mut data)? != 0,
+                heartbeat_ms: Be::u64(&mut data)?,
+                failure_timeout_ms: Be::u64(&mut data)?,
+                heal: Be::u8(&mut data)? != 0,
+                kill_at_min: match Be::u8(&mut data)? {
                     0 => None,
-                    1 => Some(get_u64(&mut data)?),
+                    1 => Some(Be::u64(&mut data)?),
                     _ => return None,
                 },
             },
             1 => ClusterMsg::Hello {
-                shard_start: get_u64(&mut data)?,
+                shard_start: Be::u64(&mut data)?,
                 peer_addrs: get_addrs(&mut data)?,
-                metrics_addr: match get_u8(&mut data)? {
+                metrics_addr: match Be::u8(&mut data)? {
                     0 => None,
                     1 => Some(get_addr(&mut data)?),
                     _ => return None,
@@ -514,95 +510,80 @@ impl ClusterMsg {
                 peer_addrs: get_addrs(&mut data)?,
             },
             3 => ClusterMsg::PhaseDone {
-                phase: get_u8(&mut data)?,
+                phase: Be::u8(&mut data)?,
             },
             4 => ClusterMsg::Proceed {
-                phase: get_u8(&mut data)?,
+                phase: Be::u8(&mut data)?,
             },
-            5 => {
-                let n = get_count(&mut data, 1 << 20, 24)?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    samples.push((
-                        get_u64(&mut data)?,
-                        get_u64(&mut data)?,
-                        get_u64(&mut data)?,
-                    ));
-                }
-                ClusterMsg::Minutes { samples }
-            }
-            7 => {
-                let n = get_count(&mut data, 1 << 20, TRACE_EVENT_MIN_BYTES)?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let trace_id = get_u64(&mut data)?;
-                    let kind = pgrid_obs::trace::intern_kind(&get_string(&mut data)?);
-                    events.push(pgrid_obs::trace::TraceEvent {
+            5 => ClusterMsg::Minutes {
+                samples: Be::list(&mut data, 1 << 20, 24, |data| {
+                    Some((Be::u64(data)?, Be::u64(data)?, Be::u64(data)?))
+                })?,
+            },
+            7 => ClusterMsg::TraceBatch {
+                events: Be::list(&mut data, 1 << 20, TRACE_EVENT_MIN_BYTES, |data| {
+                    let trace_id = Be::u64(data)?;
+                    let kind = pgrid_obs::trace::intern_kind(&Be::string(data, MAX_STR)?);
+                    Some(pgrid_obs::trace::TraceEvent {
                         trace_id,
                         kind,
-                        peer: get_u64(&mut data)?,
-                        virtual_ms: get_u64(&mut data)?,
-                        wall_micros: get_u64(&mut data)?,
-                        detail: get_string(&mut data)?,
-                    });
-                }
-                ClusterMsg::TraceBatch { events }
-            }
+                        peer: Be::u64(data)?,
+                        virtual_ms: Be::u64(data)?,
+                        wall_micros: Be::u64(data)?,
+                        detail: Be::string(data, MAX_STR)?,
+                    })
+                })?,
+            },
             8 => {
-                let len = get_count(&mut data, 1 << 26, 1)?;
-                let registry = data.split_to(len).as_slice().to_vec();
+                let len = Be::count(&mut data, 1 << 26, 1)?;
+                let registry = Be::bytes(&mut data, len)?.to_vec();
                 ClusterMsg::MetricsSnapshot { registry }
             }
             6 => {
-                let shard_start = get_u64(&mut data)?;
-                let paths = get_paths(&mut data)?;
-                let n_indexes = get_count(&mut data, 1 << 16, 2 + AGGREGATES_MIN_BYTES)?;
-                let mut query_stats = Vec::with_capacity(n_indexes);
-                for _ in 0..n_indexes {
-                    let index = IndexId(get_u16(&mut data)?);
-                    query_stats.push((index, get_aggregates(&mut data)?));
-                }
-                let online_at_end = get_u64(&mut data)?;
+                let shard_start = Be::u64(&mut data)?;
+                let paths = Be::paths(&mut data, MAX_LIST)?;
+                let query_stats = Be::list(&mut data, 1 << 16, 2 + AGGREGATES_MIN_BYTES, |data| {
+                    let index = IndexId(Be::u16(data)?);
+                    Some((index, get_aggregates(data)?))
+                })?;
+                let online_at_end = Be::u64(&mut data)?;
                 let mut transport = TransportStats {
-                    frames_sent: get_u64(&mut data)?,
-                    frames_delivered: get_u64(&mut data)?,
-                    bytes_sent: get_u64(&mut data)?,
-                    bytes_delivered: get_u64(&mut data)?,
+                    frames_sent: Be::u64(&mut data)?,
+                    frames_delivered: Be::u64(&mut data)?,
+                    bytes_sent: Be::u64(&mut data)?,
+                    bytes_delivered: Be::u64(&mut data)?,
                     ..TransportStats::default()
                 };
-                let n_links = get_count(&mut data, 1 << 24, 56)?;
+                let n_links = Be::count(&mut data, MAX_LIST, 56)?;
                 for _ in 0..n_links {
-                    let peer = get_u64(&mut data)?;
+                    let peer = Be::u64(&mut data)?;
                     let link = LinkStats {
-                        frames_sent: get_u64(&mut data)?,
-                        bytes_sent: get_u64(&mut data)?,
-                        frames_received: get_u64(&mut data)?,
-                        bytes_received: get_u64(&mut data)?,
-                        reconnects: get_u64(&mut data)?,
-                        send_failures: get_u64(&mut data)?,
+                        frames_sent: Be::u64(&mut data)?,
+                        bytes_sent: Be::u64(&mut data)?,
+                        frames_received: Be::u64(&mut data)?,
+                        bytes_received: Be::u64(&mut data)?,
+                        reconnects: Be::u64(&mut data)?,
+                        send_failures: Be::u64(&mut data)?,
                     };
                     transport.per_peer.insert(peer, link);
                 }
-                if get_u8(&mut data)? != 0 {
+                if Be::u8(&mut data)? != 0 {
                     transport.reactor = Some(ReactorStats {
-                        registered_peers: get_u64(&mut data)?,
-                        registered_fds: get_u64(&mut data)?,
-                        epoll_wakeups: get_u64(&mut data)?,
-                        write_queue_frames: get_u64(&mut data)?,
-                        write_queue_bytes: get_u64(&mut data)?,
-                        partial_writes: get_u64(&mut data)?,
-                        reconnects: get_u64(&mut data)?,
-                        dropped_frames: get_u64(&mut data)?,
+                        registered_peers: Be::u64(&mut data)?,
+                        registered_fds: Be::u64(&mut data)?,
+                        epoll_wakeups: Be::u64(&mut data)?,
+                        write_queue_frames: Be::u64(&mut data)?,
+                        write_queue_bytes: Be::u64(&mut data)?,
+                        partial_writes: Be::u64(&mut data)?,
+                        reconnects: Be::u64(&mut data)?,
+                        dropped_frames: Be::u64(&mut data)?,
                     });
                 }
-                let messages_delivered = get_u64(&mut data)?;
-                let messages_lost = get_u64(&mut data)?;
-                let n_extra = get_count(&mut data, 1 << 24, 8 + PATH_BYTES)?;
-                let mut extra_paths = Vec::with_capacity(n_extra);
-                for _ in 0..n_extra {
-                    let peer = get_u64(&mut data)?;
-                    extra_paths.push((peer, get_path(&mut data)?));
-                }
+                let messages_delivered = Be::u64(&mut data)?;
+                let messages_lost = Be::u64(&mut data)?;
+                let extra_paths = Be::list(&mut data, MAX_LIST, 8 + PATH_BYTES, |data| {
+                    Some((Be::u64(data)?, Be::path(data)?))
+                })?;
                 ClusterMsg::Report(ShardReport {
                     shard_start,
                     paths,
@@ -615,57 +596,50 @@ impl ClusterMsg {
                 })
             }
             9 => ClusterMsg::Heartbeat {
-                epoch: get_u64(&mut data)?,
+                epoch: Be::u64(&mut data)?,
             },
             10 => ClusterMsg::ShardPaths {
-                shard_start: get_u64(&mut data)?,
-                paths: get_paths(&mut data)?,
+                shard_start: Be::u64(&mut data)?,
+                paths: Be::paths(&mut data, MAX_LIST)?,
             },
             11 => ClusterMsg::WorkerFailed {
-                epoch: get_u64(&mut data)?,
-                worker_index: get_u32(&mut data)?,
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
+                epoch: Be::u64(&mut data)?,
+                worker_index: Be::u32(&mut data)?,
+                shard_start: Be::u64(&mut data)?,
+                shard_len: Be::u64(&mut data)?,
             },
-            12 => {
-                let epoch = get_u64(&mut data)?;
-                let n = get_count(&mut data, 1 << 24, 20 + PATH_BYTES)?;
-                let mut moves = Vec::with_capacity(n);
-                for _ in 0..n {
-                    moves.push(ReassignMove {
-                        peer: get_u64(&mut data)?,
-                        to_worker: get_u32(&mut data)?,
-                        source_peer: get_u64(&mut data)?,
-                        path: get_path(&mut data)?,
-                    });
-                }
-                ClusterMsg::ShardReassign { epoch, moves }
-            }
+            12 => ClusterMsg::ShardReassign {
+                epoch: Be::u64(&mut data)?,
+                moves: Be::list(&mut data, MAX_LIST, 20 + PATH_BYTES, |data| {
+                    Some(ReassignMove {
+                        peer: Be::u64(data)?,
+                        to_worker: Be::u32(data)?,
+                        source_peer: Be::u64(data)?,
+                        path: Be::path(data)?,
+                    })
+                })?,
+            },
             13 => ClusterMsg::RecoveryAddrs {
-                epoch: get_u64(&mut data)?,
+                epoch: Be::u64(&mut data)?,
                 peer_addrs: get_addrs(&mut data)?,
             },
-            14 => {
-                let epoch = get_u64(&mut data)?;
-                let n = get_count(&mut data, 1 << 24, 9)?;
-                let mut recovered = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let peer = get_u64(&mut data)?;
-                    recovered.push((peer, get_u8(&mut data)? != 0));
-                }
-                ClusterMsg::RecoveryDone { epoch, recovered }
-            }
+            14 => ClusterMsg::RecoveryDone {
+                epoch: Be::u64(&mut data)?,
+                recovered: Be::list(&mut data, MAX_LIST, 9, |data| {
+                    Some((Be::u64(data)?, Be::u8(data)? != 0))
+                })?,
+            },
             15 => ClusterMsg::Rejoin {
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
-                epoch: get_u64(&mut data)?,
-                phase: get_u8(&mut data)?,
-                now_ms: get_u64(&mut data)?,
-                seed: get_u64(&mut data)?,
+                shard_start: Be::u64(&mut data)?,
+                shard_len: Be::u64(&mut data)?,
+                epoch: Be::u64(&mut data)?,
+                phase: Be::u8(&mut data)?,
+                now_ms: Be::u64(&mut data)?,
+                seed: Be::u64(&mut data)?,
             },
             16 => ClusterMsg::Resume {
-                epoch: get_u64(&mut data)?,
-                phase: get_u8(&mut data)?,
+                epoch: Be::u64(&mut data)?,
+                phase: Be::u8(&mut data)?,
             },
             _ => return None,
         };
@@ -734,93 +708,95 @@ pub(crate) fn protocol_error(what: &str, got: &ClusterMsg) -> std::io::Error {
 
 // ----- field codecs ----------------------------------------------------------
 
-/// Encoded size of a [`Path`]: length byte plus the bit word.
-const PATH_BYTES: usize = 9;
+/// Most elements a per-peer list (paths, addresses, moves) may claim.
+const MAX_LIST: usize = 1 << 24;
+/// Longest string (a trace event's kind or detail) in bytes.
+const MAX_STR: usize = 1 << 16;
 /// Shortest encoded trace event: four words and two empty strings.
 const TRACE_EVENT_MIN_BYTES: usize = 4 * 8 + 2 * 4;
 /// Shortest encoded [`QueryAggregates`]: eight counters, two empty
-/// histograms (count, sum, max) and an empty per-minute map.
-const AGGREGATES_MIN_BYTES: usize = 8 * 8 + 2 * 20 + 4;
+/// histograms and an empty per-minute map.
+const AGGREGATES_MIN_BYTES: usize = 8 * 8 + 2 * HISTOGRAM_MIN_BYTES + 4;
 
-fn put_config(buf: &mut BytesMut, config: &NetConfig) {
-    buf.put_u64(config.n_peers as u64);
-    buf.put_u64(config.keys_per_peer as u64);
-    buf.put_u64(config.n_min as u64);
+fn put_config(buf: &mut Vec<u8>, config: &NetConfig) {
+    Be::put_u64(buf, config.n_peers as u64);
+    Be::put_u64(buf, config.keys_per_peer as u64);
+    Be::put_u64(buf, config.n_min as u64);
     match config.delta_max {
         Some(d) => {
-            buf.put_u8(1);
-            buf.put_u64(d as u64);
+            Be::put_u8(buf, 1);
+            Be::put_u64(buf, d as u64);
         }
-        None => buf.put_u8(0),
+        None => Be::put_u8(buf, 0),
     }
-    buf.put_u64(config.latency_min_ms);
-    buf.put_u64(config.latency_max_ms);
-    buf.put_f64(config.loss_probability);
-    buf.put_u64(config.construct_interval_ms);
-    buf.put_u64(config.query_timeout_ms);
-    buf.put_u64(config.routing_fanout as u64);
-    buf.put_u64(config.seed);
+    Be::put_u64(buf, config.latency_min_ms);
+    Be::put_u64(buf, config.latency_max_ms);
+    Be::put_f64(buf, config.loss_probability);
+    Be::put_u64(buf, config.construct_interval_ms);
+    Be::put_u64(buf, config.query_timeout_ms);
+    Be::put_u64(buf, config.routing_fanout as u64);
+    Be::put_u64(buf, config.seed);
     match config.distribution {
-        Distribution::Uniform => buf.put_u8(0),
+        Distribution::Uniform => Be::put_u8(buf, 0),
         Distribution::Pareto { shape } => {
-            buf.put_u8(1);
-            buf.put_f64(shape);
+            Be::put_u8(buf, 1);
+            Be::put_f64(buf, shape);
         }
         Distribution::Normal { mean, std_dev } => {
-            buf.put_u8(2);
-            buf.put_f64(mean);
-            buf.put_f64(std_dev);
+            Be::put_u8(buf, 2);
+            Be::put_f64(buf, mean);
+            Be::put_f64(buf, std_dev);
         }
         Distribution::Text {
             vocabulary,
             exponent,
         } => {
-            buf.put_u8(3);
-            buf.put_u64(vocabulary as u64);
-            buf.put_f64(exponent);
+            Be::put_u8(buf, 3);
+            Be::put_u64(buf, vocabulary as u64);
+            Be::put_f64(buf, exponent);
         }
     }
-    buf.put_u8(config.route_cache as u8);
-    buf.put_u64(config.query_sample_cap as u64);
-    buf.put_u64(config.recovery_retry_ms);
-    buf.put_u64(config.recovery_retry_max_ms);
+    Be::put_u8(buf, config.route_cache as u8);
+    Be::put_u64(buf, config.query_sample_cap as u64);
+    Be::put_u64(buf, config.recovery_retry_ms);
+    Be::put_u64(buf, config.recovery_retry_max_ms);
 }
 
-fn get_config(data: &mut Bytes) -> Option<NetConfig> {
-    let n_peers = get_u64(data)? as usize;
-    let keys_per_peer = get_u64(data)? as usize;
-    let n_min = get_u64(data)? as usize;
-    let delta_max = if get_u8(data)? != 0 {
-        Some(get_u64(data)? as usize)
+fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
+    let n_peers = Be::u64(data)? as usize;
+    let keys_per_peer = Be::u64(data)? as usize;
+    let n_min = Be::u64(data)? as usize;
+    let delta_max = if Be::u8(data)? != 0 {
+        Some(Be::u64(data)? as usize)
     } else {
         None
     };
-    let latency_min_ms = get_u64(data)?;
-    let latency_max_ms = get_u64(data)?;
-    let loss_probability = get_f64(data)?;
-    let construct_interval_ms = get_u64(data)?;
-    let query_timeout_ms = get_u64(data)?;
-    let routing_fanout = get_u64(data)? as usize;
-    let seed = get_u64(data)?;
-    let distribution = match get_u8(data)? {
+    let latency_min_ms = Be::u64(data)?;
+    let latency_max_ms = Be::u64(data)?;
+    let loss_probability = Be::f64(data)?;
+    let construct_interval_ms = Be::u64(data)?;
+    let query_timeout_ms = Be::u64(data)?;
+    let routing_fanout = Be::u64(data)? as usize;
+    let seed = Be::u64(data)?;
+    let distribution = match Be::u8(data)? {
         0 => Distribution::Uniform,
         1 => Distribution::Pareto {
-            shape: get_f64(data)?,
+            shape: Be::f64(data)?,
         },
         2 => Distribution::Normal {
-            mean: get_f64(data)?,
-            std_dev: get_f64(data)?,
+            mean: Be::f64(data)?,
+            std_dev: Be::f64(data)?,
         },
         3 => Distribution::Text {
-            vocabulary: get_u64(data)? as usize,
-            exponent: get_f64(data)?,
+            vocabulary: Be::u64(data)? as usize,
+            exponent: Be::f64(data)?,
         },
         _ => return None,
     };
-    let route_cache = get_u8(data)? != 0;
-    let query_sample_cap = get_u64(data)? as usize;
-    let recovery_retry_ms = get_u64(data)?;
-    let recovery_retry_max_ms = get_u64(data)?;
+    let route_cache = Be::u8(data)? != 0;
+    let query_sample_cap = Be::u64(data)? as usize;
+    let recovery_retry_ms = Be::u64(data)?;
+    let recovery_retry_max_ms = Be::u64(data)?;
     Some(NetConfig {
         n_peers,
         keys_per_peer,
@@ -841,69 +817,47 @@ fn get_config(data: &mut Bytes) -> Option<NetConfig> {
     })
 }
 
-fn put_histogram(buf: &mut BytesMut, histogram: &LogHistogram) {
-    let sparse = histogram.sparse_buckets();
-    buf.put_u32(sparse.len() as u32);
-    for (bucket, count) in sparse {
-        buf.put_u16(bucket);
-        buf.put_u64(count);
-    }
-    buf.put_u64(histogram.sum());
-    buf.put_u64(histogram.max());
-}
-
-fn get_histogram(data: &mut Bytes) -> Option<LogHistogram> {
-    let n = get_count(data, pgrid_core::histogram::NUM_BUCKETS, 10)?;
-    let mut sparse = Vec::with_capacity(n);
-    for _ in 0..n {
-        sparse.push((get_u16(data)?, get_u64(data)?));
-    }
-    let sum = get_u64(data)?;
-    let max = get_u64(data)?;
-    Some(LogHistogram::from_sparse(&sparse, sum, max))
-}
-
-fn put_aggregates(buf: &mut BytesMut, stats: &QueryAggregates) {
-    buf.put_u64(stats.issued);
-    buf.put_u64(stats.answered);
-    buf.put_u64(stats.succeeded);
-    buf.put_u64(stats.timed_out);
-    buf.put_u64(stats.late_responses);
-    buf.put_u64(stats.hops_sum_successful);
-    put_histogram(buf, &stats.latency);
-    buf.put_u64(stats.ranges_issued);
-    buf.put_u64(stats.ranges_complete);
-    put_histogram(buf, &stats.range_latency);
-    buf.put_u32(stats.per_minute.len() as u32);
+fn put_aggregates(buf: &mut Vec<u8>, stats: &QueryAggregates) {
+    Be::put_u64(buf, stats.issued);
+    Be::put_u64(buf, stats.answered);
+    Be::put_u64(buf, stats.succeeded);
+    Be::put_u64(buf, stats.timed_out);
+    Be::put_u64(buf, stats.late_responses);
+    Be::put_u64(buf, stats.hops_sum_successful);
+    Be::put_histogram(buf, &stats.latency);
+    Be::put_u64(buf, stats.ranges_issued);
+    Be::put_u64(buf, stats.ranges_complete);
+    Be::put_histogram(buf, &stats.range_latency);
+    Be::put_count(buf, stats.per_minute.len());
     for (minute, bucket) in &stats.per_minute {
-        buf.put_u64(*minute);
-        buf.put_u64(bucket.count);
-        buf.put_f64(bucket.sum_s);
-        buf.put_f64(bucket.sum_sq_s);
+        Be::put_u64(buf, *minute);
+        Be::put_u64(buf, bucket.count);
+        Be::put_f64(buf, bucket.sum_s);
+        Be::put_f64(buf, bucket.sum_sq_s);
     }
 }
 
-fn get_aggregates(data: &mut Bytes) -> Option<QueryAggregates> {
-    let issued = get_u64(data)?;
-    let answered = get_u64(data)?;
-    let succeeded = get_u64(data)?;
-    let timed_out = get_u64(data)?;
-    let late_responses = get_u64(data)?;
-    let hops_sum_successful = get_u64(data)?;
-    let latency = get_histogram(data)?;
-    let ranges_issued = get_u64(data)?;
-    let ranges_complete = get_u64(data)?;
-    let range_latency = get_histogram(data)?;
-    let n_minutes = get_count(data, 1 << 24, 32)?;
+fn get_aggregates(data: &mut &[u8]) -> Option<QueryAggregates> {
+    let issued = Be::u64(data)?;
+    let answered = Be::u64(data)?;
+    let succeeded = Be::u64(data)?;
+    let timed_out = Be::u64(data)?;
+    let late_responses = Be::u64(data)?;
+    let hops_sum_successful = Be::u64(data)?;
+    let latency = Be::histogram(data)?;
+    let ranges_issued = Be::u64(data)?;
+    let ranges_complete = Be::u64(data)?;
+    let range_latency = Be::histogram(data)?;
+    let n_minutes = Be::count(data, MAX_LIST, 32)?;
     let mut per_minute = std::collections::BTreeMap::new();
     for _ in 0..n_minutes {
-        let minute = get_u64(data)?;
+        let minute = Be::u64(data)?;
         per_minute.insert(
             minute,
             MinuteLatency {
-                count: get_u64(data)?,
-                sum_s: get_f64(data)?,
-                sum_sq_s: get_f64(data)?,
+                count: Be::u64(data)?,
+                sum_s: Be::f64(data)?,
+                sum_sq_s: Be::f64(data)?,
             },
         );
     }
@@ -922,143 +876,63 @@ fn get_aggregates(data: &mut Bytes) -> Option<QueryAggregates> {
     })
 }
 
-fn put_timeline(buf: &mut BytesMut, timeline: &Timeline) {
-    buf.put_u64(timeline.join_end_min);
-    buf.put_u64(timeline.replicate_end_min);
-    buf.put_u64(timeline.construct_end_min);
-    buf.put_u64(timeline.range_end_min);
-    buf.put_u64(timeline.query_end_min);
-    buf.put_u64(timeline.end_min);
+fn put_timeline(buf: &mut Vec<u8>, timeline: &Timeline) {
+    Be::put_u64(buf, timeline.join_end_min);
+    Be::put_u64(buf, timeline.replicate_end_min);
+    Be::put_u64(buf, timeline.construct_end_min);
+    Be::put_u64(buf, timeline.range_end_min);
+    Be::put_u64(buf, timeline.query_end_min);
+    Be::put_u64(buf, timeline.end_min);
 }
 
-fn get_timeline(data: &mut Bytes) -> Option<Timeline> {
+fn get_timeline(data: &mut &[u8]) -> Option<Timeline> {
     Some(Timeline {
-        join_end_min: get_u64(data)?,
-        replicate_end_min: get_u64(data)?,
-        construct_end_min: get_u64(data)?,
-        range_end_min: get_u64(data)?,
-        query_end_min: get_u64(data)?,
-        end_min: get_u64(data)?,
+        join_end_min: Be::u64(data)?,
+        replicate_end_min: Be::u64(data)?,
+        construct_end_min: Be::u64(data)?,
+        range_end_min: Be::u64(data)?,
+        query_end_min: Be::u64(data)?,
+        end_min: Be::u64(data)?,
     })
 }
 
-fn put_addr(buf: &mut BytesMut, addr: &SocketAddr) {
+fn put_addr(buf: &mut Vec<u8>, addr: &SocketAddr) {
     match addr.ip() {
         IpAddr::V4(ip) => {
-            buf.put_u8(4);
-            buf.put_slice(&ip.octets());
+            Be::put_u8(buf, 4);
+            buf.put(&ip.octets());
         }
         IpAddr::V6(ip) => {
-            buf.put_u8(6);
-            buf.put_slice(&ip.octets());
+            Be::put_u8(buf, 6);
+            buf.put(&ip.octets());
         }
     }
-    buf.put_u16(addr.port());
+    Be::put_u16(buf, addr.port());
 }
 
-fn get_addr(data: &mut Bytes) -> Option<SocketAddr> {
-    let ip: IpAddr = match get_u8(data)? {
-        4 => {
-            let mut octets = [0u8; 4];
-            get_bytes(data, &mut octets)?;
-            Ipv4Addr::from(octets).into()
-        }
-        6 => {
-            let mut octets = [0u8; 16];
-            get_bytes(data, &mut octets)?;
-            Ipv6Addr::from(octets).into()
-        }
+fn get_addr(data: &mut &[u8]) -> Option<SocketAddr> {
+    let ip: IpAddr = match Be::u8(data)? {
+        4 => Ipv4Addr::from(<[u8; 4]>::try_from(Be::bytes(data, 4)?).ok()?).into(),
+        6 => Ipv6Addr::from(<[u8; 16]>::try_from(Be::bytes(data, 16)?).ok()?).into(),
         _ => return None,
     };
-    let port = get_u16(data)?;
+    let port = Be::u16(data)?;
     Some(SocketAddr::new(ip, port))
 }
 
-fn put_addrs(buf: &mut BytesMut, addrs: &[(u64, SocketAddr)]) {
-    buf.put_u32(addrs.len() as u32);
+fn put_addrs(buf: &mut Vec<u8>, addrs: &[(u64, SocketAddr)]) {
+    Be::put_count(buf, addrs.len());
     for (peer, addr) in addrs {
-        buf.put_u64(*peer);
+        Be::put_u64(buf, *peer);
         put_addr(buf, addr);
     }
 }
 
-fn get_addrs(data: &mut Bytes) -> Option<Vec<(u64, SocketAddr)>> {
+fn get_addrs(data: &mut &[u8]) -> Option<Vec<(u64, SocketAddr)>> {
     // The shortest entry is a peer id plus an IPv4 address.
-    let n = get_count(data, 1 << 24, 8 + 1 + 4 + 2)?;
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let peer = get_u64(data)?;
-        addrs.push((peer, get_addr(data)?));
-    }
-    Some(addrs)
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(data: &mut Bytes) -> Option<String> {
-    let len = get_count(data, 1 << 16, 1)?;
-    String::from_utf8(data.split_to(len).as_slice().to_vec()).ok()
-}
-
-fn put_path(buf: &mut BytesMut, path: &Path) {
-    let (len, bits) = path.wire_parts();
-    buf.put_u8(len);
-    buf.put_u64(bits);
-}
-
-fn get_path(data: &mut Bytes) -> Option<Path> {
-    let len = get_u8(data)?;
-    Path::from_wire_parts(len, get_u64(data)?)
-}
-
-fn get_paths(data: &mut Bytes) -> Option<Vec<Path>> {
-    let n = get_count(data, 1 << 24, PATH_BYTES)?;
-    let mut paths = Vec::with_capacity(n);
-    for _ in 0..n {
-        paths.push(get_path(data)?);
-    }
-    Some(paths)
-}
-
-/// Reads a `u32` element count and accepts it only if it is at most `cap`
-/// and `n` elements of at least `element_bytes` each can still follow in
-/// `data` — so the decoder never reserves more than the input could hold.
-fn get_count(data: &mut Bytes, cap: usize, element_bytes: usize) -> Option<usize> {
-    let n = get_u32(data)? as usize;
-    (n <= cap && n.checked_mul(element_bytes)? <= data.remaining()).then_some(n)
-}
-
-fn get_u8(data: &mut Bytes) -> Option<u8> {
-    (data.remaining() >= 1).then(|| data.get_u8())
-}
-
-fn get_u16(data: &mut Bytes) -> Option<u16> {
-    (data.remaining() >= 2).then(|| data.get_u16())
-}
-
-fn get_u32(data: &mut Bytes) -> Option<u32> {
-    (data.remaining() >= 4).then(|| data.get_u32())
-}
-
-fn get_u64(data: &mut Bytes) -> Option<u64> {
-    (data.remaining() >= 8).then(|| data.get_u64())
-}
-
-fn get_f64(data: &mut Bytes) -> Option<f64> {
-    get_u64(data).map(f64::from_bits)
-}
-
-fn get_bytes(data: &mut Bytes, out: &mut [u8]) -> Option<()> {
-    if data.remaining() < out.len() {
-        return None;
-    }
-    for byte in out.iter_mut() {
-        *byte = data.get_u8();
-    }
-    Some(())
+    Be::list(data, MAX_LIST, 8 + 1 + 4 + 2, |data| {
+        Some((Be::u64(data)?, get_addr(data)?))
+    })
 }
 
 // ----- control channel -------------------------------------------------------
@@ -1437,12 +1311,46 @@ mod tests {
     #[test]
     fn a_claimed_count_is_checked_against_what_follows_before_reserving() {
         // 2^24 paths claimed, nine bytes behind the count: one path's worth.
-        let mut data = Bytes::from([&[1u8, 0, 0, 0][..], &[0u8; 9][..]].concat());
-        assert_eq!(get_count(&mut data, 1 << 24, PATH_BYTES), None);
-        let mut data = Bytes::from([&[0u8, 0, 0, 1][..], &[0u8; 9][..]].concat());
-        assert_eq!(get_count(&mut data, 1 << 24, PATH_BYTES), Some(1));
-        let mut data = Bytes::from([&[0u8, 0, 0, 2][..], &[0u8; 9][..]].concat());
-        assert_eq!(get_count(&mut data, 1, PATH_BYTES), None, "over the cap");
+        let data = [&[1u8, 0, 0, 0][..], &[0u8; 9][..]].concat();
+        assert_eq!(Be::count(&mut &data[..], 1 << 24, PATH_BYTES), None);
+        let data = [&[0u8, 0, 0, 1][..], &[0u8; 9][..]].concat();
+        assert_eq!(Be::count(&mut &data[..], 1 << 24, PATH_BYTES), Some(1));
+        let data = [&[0u8, 0, 0, 2][..], &[0u8; 9][..]].concat();
+        assert_eq!(
+            Be::count(&mut &data[..], 1, PATH_BYTES),
+            None,
+            "over the cap"
+        );
+    }
+
+    #[test]
+    fn a_report_histogram_of_full_buckets_decodes_and_merges_without_overflow() {
+        let report = ClusterMsg::Report(ShardReport {
+            shard_start: 0,
+            paths: Vec::new(),
+            query_stats: vec![(IndexId::PRIMARY, QueryAggregates::default())],
+            online_at_end: 0,
+            transport: TransportStats::default(),
+            messages_delivered: 0,
+            messages_lost: 0,
+            extra_paths: Vec::new(),
+        });
+        // The latency histogram sits behind the header (4), the shard start,
+        // two counts, the index id and six counters; give it two buckets of
+        // `u64::MAX`, which nothing in the format forbids.
+        let mut bytes = report.encode().as_slice().to_vec();
+        let at = 4 + 8 + 4 + 4 + 2 + 6 * 8;
+        assert_eq!(bytes[at..at + 4], [0, 0, 0, 0]);
+        bytes[at + 3] = 2;
+        let buckets = [[0, 3], [0, 9]].map(|bucket| [&bucket[..], &[0xFF; 8]].concat());
+        bytes.splice(at + 4..at + 4, buckets.concat());
+        let Some(ClusterMsg::Report(decoded)) = ClusterMsg::decode(Bytes::from(bytes)) else {
+            panic!("the hostile report is well-formed");
+        };
+        let mut merged = decoded.query_stats[0].1.clone();
+        merged.merge(&decoded.query_stats[0].1);
+        assert_eq!(merged.latency.total(), u64::MAX);
+        assert!(format!("{merged:?}").contains("p99"));
     }
 
     #[test]

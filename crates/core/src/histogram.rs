@@ -127,7 +127,7 @@ impl LogHistogram {
         let target = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
         for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= target {
                 return Some(bucket_upper(bucket).min(self.max));
             }
@@ -150,12 +150,13 @@ impl LogHistogram {
         self.quantile(0.999)
     }
 
-    /// Adds every bucket of `other` into `self` (shard merge).
+    /// Adds every bucket of `other` into `self` (shard merge).  Counts
+    /// saturate, as the sum does: `other` may have come off the wire.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
-        self.total += other.total;
+        self.total = self.total.saturating_add(other.total);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
@@ -173,14 +174,14 @@ impl LogHistogram {
 
     /// Rebuilds a histogram from its sparse form plus the carried extremes.
     ///
-    /// Out-of-range bucket indices are clamped into the top bucket so a
-    /// malformed frame cannot panic the decoder.
+    /// Out-of-range bucket indices are clamped into the top bucket and
+    /// counts saturate, so a malformed frame cannot panic the decoder.
     pub fn from_sparse(buckets: &[(u16, u64)], sum: u64, max: u64) -> Self {
         let mut h = LogHistogram::new();
         for &(bucket, count) in buckets {
             let idx = (bucket as usize).min(NUM_BUCKETS - 1);
-            h.counts[idx] += count;
-            h.total += count;
+            h.counts[idx] = h.counts[idx].saturating_add(count);
+            h.total = h.total.saturating_add(count);
         }
         h.sum = sum;
         h.max = max;
@@ -198,7 +199,7 @@ impl LogHistogram {
             .enumerate()
             .filter(|(_, &count)| count != 0)
             .map(|(bucket, &count)| {
-                cumulative += count;
+                cumulative = cumulative.saturating_add(count);
                 (bucket_upper(bucket), cumulative)
             })
             .collect()
@@ -313,6 +314,32 @@ mod tests {
         let h = LogHistogram::from_sparse(&[(u16::MAX, 2)], 10, 5);
         assert_eq!(h.total(), 2);
         assert_eq!(h.quantile(1.0), Some(5));
+    }
+
+    #[test]
+    fn sparse_decode_saturates_instead_of_overflowing() {
+        // Two buckets of `u64::MAX`: what a hostile frame can claim.
+        let h = LogHistogram::from_sparse(&[(3, u64::MAX), (3, 1), (9, u64::MAX)], 0, 9);
+        assert_eq!(h.total(), u64::MAX);
+        assert_eq!(h.sparse_buckets(), [(3, u64::MAX), (9, u64::MAX)]);
+        // Reading it back out must not overflow either.
+        assert_eq!(h.quantile(1.0), Some(3));
+        assert_eq!(h.cumulative_buckets(), [(3, u64::MAX), (9, u64::MAX)]);
+        let nearly = LogHistogram::from_sparse(&[(3, u64::MAX - 1), (9, u64::MAX - 1)], 0, 9);
+        assert_eq!(nearly.quantile(1.0), Some(9));
+        assert!(format!("{nearly:?}").contains("p99"));
+    }
+
+    #[test]
+    fn merge_saturates_instead_of_overflowing() {
+        let full = LogHistogram::from_sparse(&[(3, u64::MAX)], u64::MAX, 3);
+        let mut merged = full.clone();
+        merged.merge(&full);
+        assert_eq!(merged, full);
+        let mut one = LogHistogram::new();
+        one.record(3);
+        merged.merge(&one);
+        assert_eq!(merged, full);
     }
 
     #[test]

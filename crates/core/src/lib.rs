@@ -31,7 +31,10 @@
 //!   accounting at production query rates;
 //! * [`replication`] — replica-count estimation from key-set overlap and
 //!   anti-entropy reconciliation;
-//! * [`trie`] — an explicit trie representation used by analyses and tests.
+//! * [`trie`] — an explicit trie representation used by analyses and tests;
+//! * [`wire`] — the one codec kit every wire and log format of the workspace
+//!   is written with: checked integer reads, counts, paths, entry lists,
+//!   routing references, strings and histograms, in either byte order.
 //!
 //! # Quick example
 //!
@@ -67,6 +70,7 @@ pub mod routing;
 pub mod search;
 pub mod store;
 pub mod trie;
+pub mod wire;
 
 /// Convenient re-exports of the most frequently used types.
 pub mod prelude {

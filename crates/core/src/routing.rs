@@ -27,6 +27,18 @@ impl fmt::Display for PeerId {
     }
 }
 
+impl From<u64> for PeerId {
+    fn from(id: u64) -> PeerId {
+        PeerId(id)
+    }
+}
+
+impl From<PeerId> for u64 {
+    fn from(peer: PeerId) -> u64 {
+        peer.0
+    }
+}
+
 /// A single routing reference: a peer believed to be responsible for the
 /// complementary subtree at some level.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]

@@ -6,8 +6,9 @@
 //! torn-tail truncation safe: a full image can always be re-applied, a
 //! delta applies on top of whatever image replay has built so far.
 
-use pgrid_core::key::{DataEntry, DataId, Key};
+use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
+use pgrid_core::wire::{Le, Order, UNCAPPED};
 
 /// Worker-level metadata: which shard this log belongs to and how far
 /// the run had progressed at the last sync.
@@ -116,19 +117,19 @@ impl Record {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Record::Meta(meta) => {
-                buf.push(TAG_META);
-                put_u32(buf, meta.shard_start);
-                put_u32(buf, meta.shard_len);
-                put_u64(buf, meta.epoch);
-                buf.push(meta.phase);
-                put_u64(buf, meta.now_ms);
-                put_u64(buf, meta.seed);
+                Le::put_u8(buf, TAG_META);
+                Le::put_u32(buf, meta.shard_start);
+                Le::put_u32(buf, meta.shard_len);
+                Le::put_u64(buf, meta.epoch);
+                Le::put_u8(buf, meta.phase);
+                Le::put_u64(buf, meta.now_ms);
+                Le::put_u64(buf, meta.seed);
             }
             Record::Image { index, peer, image } => encode_image_into(
                 *index,
                 *peer,
                 &image.path,
-                image.entries.iter(),
+                &image.entries,
                 &image.routing,
                 &image.replicas,
                 buf,
@@ -140,211 +141,120 @@ impl Record {
     /// Decodes one segment payload.  The payload passed its checksum, so
     /// a decode failure means a format mismatch, not crash damage.
     pub fn decode(buf: &[u8]) -> Result<Record, String> {
-        let mut at = 0usize;
-        let record = match get_u8(buf, &mut at)? {
+        let mut data = buf;
+        let record = Record::decode_from(&mut data).ok_or_else(|| {
+            let (len, tag) = (buf.len(), buf.first());
+            format!("record of {len} bytes (tag {tag:?}) is truncated, malformed or of unknown tag")
+        })?;
+        if !data.is_empty() {
+            return Err(format!("{} trailing bytes after record", data.len()));
+        }
+        Ok(record)
+    }
+
+    /// Decodes one record from the front of `data`.
+    fn decode_from(data: &mut &[u8]) -> Option<Record> {
+        Some(match Le::u8(data)? {
             TAG_META => Record::Meta(MetaImage {
-                shard_start: get_u32(buf, &mut at)?,
-                shard_len: get_u32(buf, &mut at)?,
-                epoch: get_u64(buf, &mut at)?,
-                phase: get_u8(buf, &mut at)?,
-                now_ms: get_u64(buf, &mut at)?,
-                seed: get_u64(buf, &mut at)?,
+                shard_start: Le::u32(data)?,
+                shard_len: Le::u32(data)?,
+                epoch: Le::u64(data)?,
+                phase: Le::u8(data)?,
+                now_ms: Le::u64(data)?,
+                seed: Le::u64(data)?,
             }),
             TAG_IMAGE => Record::Image {
-                index: get_u32(buf, &mut at)?,
-                peer: get_u32(buf, &mut at)?,
+                index: Le::u32(data)?,
+                peer: Le::u32(data)?,
                 image: PeerImage {
-                    path: get_path(buf, &mut at)?,
-                    entries: get_entries(buf, &mut at)?,
-                    routing: get_routing(buf, &mut at)?,
-                    replicas: get_peers(buf, &mut at)?,
+                    path: Le::path(data)?,
+                    entries: Le::entries(data, UNCAPPED)?,
+                    routing: Le::routing(data, UNCAPPED)?,
+                    replicas: Le::peers(data, UNCAPPED)?,
                 },
             },
             TAG_DELTA => {
-                let index = get_u32(buf, &mut at)?;
-                let peer = get_u32(buf, &mut at)?;
-                let flags = get_u8(buf, &mut at)?;
+                let index = Le::u32(data)?;
+                let peer = Le::u32(data)?;
+                let flags = Le::u8(data)?;
                 Record::Delta {
                     index,
                     peer,
                     delta: PeerDelta {
                         path: if flags & DELTA_PATH != 0 {
-                            Some(get_path(buf, &mut at)?)
+                            Some(Le::path(data)?)
                         } else {
                             None
                         },
-                        added: get_entries(buf, &mut at)?,
-                        removed: get_entries(buf, &mut at)?,
+                        added: Le::entries(data, UNCAPPED)?,
+                        removed: Le::entries(data, UNCAPPED)?,
                         routing: if flags & DELTA_ROUTING != 0 {
-                            Some(get_routing(buf, &mut at)?)
+                            Some(Le::routing(data, UNCAPPED)?)
                         } else {
                             None
                         },
                         replicas: if flags & DELTA_REPLICAS != 0 {
-                            Some(get_peers(buf, &mut at)?)
+                            Some(Le::peers(data, UNCAPPED)?)
                         } else {
                             None
                         },
                     },
                 }
             }
-            tag => return Err(format!("unknown record tag {tag}")),
-        };
-        if at != buf.len() {
-            return Err(format!("{} trailing bytes after record", buf.len() - at));
-        }
-        Ok(record)
+            _ => return None,
+        })
     }
 }
 
 /// Appends the payload of a [`Record::Image`] built from borrowed parts
 /// (`entries` in store order), so a live store is journaled without a copy.
-pub(crate) fn encode_image_into<'a>(
+pub(crate) fn encode_image_into(
     index: u32,
     peer: u32,
     path: &Path,
-    entries: impl Iterator<Item = &'a DataEntry>,
+    entries: &[DataEntry],
     routing: &[(u8, u64, Path)],
     replicas: &[u64],
     buf: &mut Vec<u8>,
 ) {
-    buf.push(TAG_IMAGE);
-    put_u32(buf, index);
-    put_u32(buf, peer);
-    put_path(buf, path);
-    put_entries(buf, entries);
-    put_routing(buf, routing);
-    put_peers(buf, replicas);
+    Le::put_u8(buf, TAG_IMAGE);
+    Le::put_u32(buf, index);
+    Le::put_u32(buf, peer);
+    Le::put_path(buf, path);
+    Le::put_entries(buf, entries);
+    Le::put_routing(buf, routing);
+    Le::put_peers(buf, replicas);
 }
 
 /// Appends the payload of a [`Record::Delta`] built from a borrowed delta.
 pub(crate) fn encode_delta_into(index: u32, peer: u32, delta: &PeerDelta, buf: &mut Vec<u8>) {
-    buf.push(TAG_DELTA);
-    put_u32(buf, index);
-    put_u32(buf, peer);
+    Le::put_u8(buf, TAG_DELTA);
+    Le::put_u32(buf, index);
+    Le::put_u32(buf, peer);
     let flag = |set: bool, bit: u8| if set { bit } else { 0 };
-    buf.push(
+    Le::put_u8(
+        buf,
         flag(delta.path.is_some(), DELTA_PATH)
             | flag(delta.routing.is_some(), DELTA_ROUTING)
             | flag(delta.replicas.is_some(), DELTA_REPLICAS),
     );
     if let Some(path) = &delta.path {
-        put_path(buf, path);
+        Le::put_path(buf, path);
     }
-    put_entries(buf, delta.added.iter());
-    put_entries(buf, delta.removed.iter());
+    Le::put_entries(buf, &delta.added);
+    Le::put_entries(buf, &delta.removed);
     if let Some(routing) = &delta.routing {
-        put_routing(buf, routing);
+        Le::put_routing(buf, routing);
     }
     if let Some(replicas) = &delta.replicas {
-        put_peers(buf, replicas);
+        Le::put_peers(buf, replicas);
     }
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_path(buf: &mut Vec<u8>, path: &Path) {
-    let (len, bits) = path.wire_parts();
-    buf.push(len);
-    put_u64(buf, bits);
-}
-
-/// The count is back-patched: the iterator need not know its length.
-fn put_entries<'a>(buf: &mut Vec<u8>, entries: impl Iterator<Item = &'a DataEntry>) {
-    let count_at = buf.len();
-    put_u32(buf, 0);
-    let mut count = 0u32;
-    for e in entries {
-        put_u64(buf, e.key.0);
-        put_u64(buf, e.id.0);
-        count += 1;
-    }
-    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-}
-
-fn put_routing(buf: &mut Vec<u8>, routing: &[(u8, u64, Path)]) {
-    put_u32(buf, routing.len() as u32);
-    for (level, peer, path) in routing {
-        buf.push(*level);
-        put_u64(buf, *peer);
-        put_path(buf, path);
-    }
-}
-
-fn put_peers(buf: &mut Vec<u8>, peers: &[u64]) {
-    put_u32(buf, peers.len() as u32);
-    for p in peers {
-        put_u64(buf, *p);
-    }
-}
-
-fn get_u8(buf: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *buf.get(*at).ok_or("record truncated (u8)")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32, String> {
-    let bytes = buf.get(*at..*at + 4).ok_or("record truncated (u32)")?;
-    *at += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64, String> {
-    let bytes = buf.get(*at..*at + 8).ok_or("record truncated (u64)")?;
-    *at += 8;
-    Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_path(buf: &[u8], at: &mut usize) -> Result<Path, String> {
-    let len = get_u8(buf, at)?;
-    let bits = get_u64(buf, at)?;
-    Path::from_wire_parts(len, bits)
-        .ok_or_else(|| format!("path length {len} exceeds MAX_PATH_LEN"))
-}
-
-fn get_entries(buf: &[u8], at: &mut usize) -> Result<Vec<DataEntry>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        entries.push(DataEntry {
-            key: Key(get_u64(buf, at)?),
-            id: DataId(get_u64(buf, at)?),
-        });
-    }
-    Ok(entries)
-}
-
-fn get_routing(buf: &[u8], at: &mut usize) -> Result<Vec<(u8, u64, Path)>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut routing = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let level = get_u8(buf, at)?;
-        let peer = get_u64(buf, at)?;
-        let path = get_path(buf, at)?;
-        routing.push((level, peer, path));
-    }
-    Ok(routing)
-}
-
-fn get_peers(buf: &[u8], at: &mut usize) -> Result<Vec<u64>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut peers = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        peers.push(get_u64(buf, at)?);
-    }
-    Ok(peers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgrid_core::key::{DataId, Key};
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -402,6 +312,65 @@ mod tests {
         for record in sample_records() {
             let decoded = Record::decode(&record.encode()).unwrap();
             assert_eq!(decoded, record);
+        }
+    }
+
+    #[test]
+    fn payloads_the_parent_commit_wrote_still_decode() {
+        // An image and a delta as the codec wrote them before it moved
+        // onto the kit: a log of either build replays at the other.
+        let image = Record::Image {
+            index: 1,
+            peer: 0x0A0B,
+            image: PeerImage {
+                path: Path::parse("0110"),
+                entries: vec![DataEntry {
+                    key: Key(0x0102_0304_0506_0708),
+                    id: DataId(9),
+                }],
+                routing: vec![(1, 0x0A0B, Path::parse("00"))],
+                replicas: vec![5, 0xFFFF_FFFF_FFFF_FFFE],
+            },
+        };
+        let image_wire = [
+            2, 1, 0, 0, 0, 11, 10, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 96, 1, 0, 0, 0, 8, 7, 6, 5, 4, 3,
+            2, 1, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 11, 10, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0,
+            0, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 254, 255, 255, 255, 255, 255, 255, 255,
+        ];
+        let delta = Record::Delta {
+            index: 2,
+            peer: 3,
+            delta: PeerDelta {
+                path: Some(Path::parse("1")),
+                added: vec![],
+                removed: vec![DataEntry {
+                    key: Key(7),
+                    id: DataId(8),
+                }],
+                routing: None,
+                replicas: Some(vec![4]),
+            },
+        };
+        let delta_wire = [
+            3, 2, 0, 0, 0, 3, 0, 0, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 1, 0, 0, 0, 7,
+            0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        for (record, wire) in [(image, &image_wire[..]), (delta, &delta_wire[..])] {
+            assert_eq!(record.encode(), wire);
+            assert_eq!(Record::decode(wire), Ok(record));
+        }
+    }
+
+    #[test]
+    fn a_claimed_count_is_refused_before_anything_is_reserved() {
+        // An image of the root path claiming `u32::MAX` entries, routing
+        // references or replicas, with nothing behind the claim.
+        for lists_before in 0..3 {
+            let mut wire = vec![TAG_IMAGE, 0, 0, 0, 0, 0, 0, 0, 0];
+            wire.extend([0; 9]);
+            wire.extend(vec![0; 4 * lists_before]);
+            wire.extend([0xFF; 4]);
+            assert!(Record::decode(&wire).is_err(), "list {lists_before}");
         }
     }
 

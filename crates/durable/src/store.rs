@@ -191,7 +191,7 @@ impl DurableStore {
     ) -> io::Result<bool> {
         let Some(mirror) = self.mirror.get_mut(&(index, peer)) else {
             append(&mut self.log, &mut self.stats, |buf| {
-                encode_image_into(index, peer, &path, store.iter(), routing, replicas, buf)
+                encode_image_into(index, peer, &path, store.as_slice(), routing, replicas, buf)
             })?;
             let image = MirrorImage {
                 path,
@@ -272,7 +272,7 @@ impl DurableStore {
             }
             for (&(index, peer), m) in &self.mirror {
                 checkpoint.append(|buf| {
-                    let entries = m.entries.iter();
+                    let entries = m.entries.as_slice();
                     encode_image_into(index, peer, &m.path, entries, &m.routing, &m.replicas, buf)
                 })?;
             }

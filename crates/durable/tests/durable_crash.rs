@@ -2,8 +2,12 @@
 //!
 //! Four layers of the same guarantee:
 //!
-//! * the record codec round-trips arbitrary records and rejects every
-//!   strict prefix (property test);
+//! * the record codec round-trips arbitrary records, rejects every strict
+//!   prefix, is total on bit flips and arbitrary bytes, consumes an
+//!   accepted payload exactly and never lets a claimed count outrun the
+//!   input; a segment scan over a valid header and arbitrary bytes stays
+//!   inside the file and surfaces only checksum-valid records (property
+//!   tests);
 //! * the segment layer, truncated at **every** byte offset — the crash
 //!   matrix a torn write can produce — recovers exactly the records whose
 //!   frames fit below the cut (exhaustive);
@@ -19,9 +23,10 @@
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
 use pgrid_core::store::KeyStore;
+use pgrid_core::wire::{ENTRY_BYTES, PATH_BYTES, ROUTING_REF_BYTES};
 use pgrid_durable::{
-    crc32, DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
-    ReplayOutcome,
+    crc32, segment, DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage,
+    Record, ReplayOutcome,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -142,6 +147,125 @@ proptest! {
         let cut = cut % wire.len();
         prop_assert!(Record::decode(&wire[..cut]).is_err(), "prefix of length {} decoded", cut);
     }
+
+    #[test]
+    fn single_bit_flips_never_panic_and_never_leave_bytes_over(
+        seed in any::<u64>(),
+        variant in 0u8..3,
+        bit in 0usize..1 << 20,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wire = arbitrary_record(variant, &mut rng).encode();
+        let bit = bit % (wire.len() * 8);
+        wire[bit / 8] ^= 1 << (bit % 8);
+        assert_decode_is_exact(&wire)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_and_never_leave_bytes_over(
+        tag in 0u8..5,
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // A plausible tag in front, so the garbage reaches the field
+        // decoders instead of dying at the first byte.
+        let mut wire = vec![tag];
+        wire.extend(body);
+        assert_decode_is_exact(&wire)?;
+    }
+
+    #[test]
+    fn a_claimed_count_never_outruns_the_input(
+        seed in any::<u64>(),
+        list in 0usize..3,
+        claimed in 1u32..=u32::MAX,
+    ) {
+        // An image is a fixed head (tag, index, peer, path) and three
+        // counted lists.  Claim `claimed` more elements than one of them
+        // holds and append nothing: the decoder must refuse — before
+        // reserving room for the claim, which the kit's own unit test of
+        // `count` pins.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let record = arbitrary_record(1, &mut rng);
+        let mut wire = record.encode();
+        let Record::Image { image, .. } = record else {
+            unreachable!("variant 1 is an image");
+        };
+        let entries_at = 1 + 4 + 4 + PATH_BYTES;
+        let routing_at = entries_at + 4 + ENTRY_BYTES * image.entries.len();
+        let replicas_at = routing_at + 4 + ROUTING_REF_BYTES * image.routing.len();
+        let count_at = [entries_at, routing_at, replicas_at][list];
+        let field: [u8; 4] = wire[count_at..count_at + 4].try_into().unwrap();
+        let Some(inflated) = u32::from_le_bytes(field).checked_add(claimed) else {
+            return Ok(());
+        };
+        wire[count_at..count_at + 4].copy_from_slice(&inflated.to_le_bytes());
+        prop_assert!(Record::decode(&wire).is_err());
+    }
+
+    #[test]
+    fn a_segment_scan_surfaces_only_checksummed_records_and_stays_inside_the_file(
+        seed in any::<u64>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        // A valid header, a few honest frames (of arbitrary payload bytes),
+        // then arbitrary bytes — a torn or scribbled-over tail.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payloads: Vec<Vec<u8>> = (0..rng.gen_range(0..4))
+            .map(|_| (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect())
+            .collect();
+        let mut file = segment::MAGIC.to_vec();
+        file.extend(segment::FORMAT_VERSION.to_le_bytes());
+        file.extend(rng.gen::<u64>().to_le_bytes());
+        for payload in &payloads {
+            file.extend((payload.len() as u32).to_le_bytes());
+            file.extend(crc32(payload).to_le_bytes());
+            file.extend(payload);
+        }
+        let honest = file.len() as u64;
+        file.extend(&tail);
+        let dir = temp_dir(&format!("scan-{seed:x}-{}", tail.len()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg-0000000001.log");
+        std::fs::write(&path, &file).unwrap();
+        let mut surfaced = Vec::new();
+        let scan = segment::read_segment(path, |payload| {
+            surfaced.push(payload.to_vec());
+            Ok(())
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        let (info, file_len) = scan.unwrap();
+        prop_assert_eq!(file_len, file.len() as u64);
+        prop_assert!(honest <= info.bytes && info.bytes <= file_len);
+        prop_assert_eq!(info.records, surfaced.len() as u64);
+        prop_assert_eq!(&surfaced[..payloads.len()], &payloads[..]);
+        // Whatever else surfaced lies in the file, frame after frame, under
+        // a checksum that matches.
+        let mut at = SEGMENT_HEADER_LEN as usize;
+        for payload in &surfaced {
+            let header = &file[at..at + RECORD_HEADER_LEN as usize];
+            prop_assert_eq!(&header[..4], &(payload.len() as u32).to_le_bytes()[..]);
+            prop_assert_eq!(&header[4..], &crc32(payload).to_le_bytes()[..]);
+            at += RECORD_HEADER_LEN as usize + payload.len();
+            prop_assert_eq!(&file[at - payload.len()..at], &payload[..]);
+        }
+        prop_assert_eq!(at as u64, info.bytes);
+    }
+}
+
+/// What every decode must satisfy, whatever the input: no panic (running
+/// this is the check), and an accepted payload was consumed to its last
+/// byte — one more byte, or one fewer, is no longer a record.
+fn assert_decode_is_exact(wire: &[u8]) -> Result<(), TestCaseError> {
+    if Record::decode(wire).is_err() {
+        return Ok(());
+    }
+    let longer = [wire, &[0]].concat();
+    prop_assert!(Record::decode(&longer).is_err(), "trailing byte accepted");
+    prop_assert!(
+        Record::decode(&wire[..wire.len() - 1]).is_err(),
+        "an accepted record had a byte to spare"
+    );
+    Ok(())
 }
 
 /// Truncating one segment at *every* byte offset must recover exactly the

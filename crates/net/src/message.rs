@@ -2,12 +2,13 @@
 //!
 //! Peers only communicate through these messages; the encoded size of every
 //! message is what the bandwidth accounting of the Figure 8 experiment
-//! measures.  The codec is a simple hand-rolled binary format over
-//! [`bytes`]: self-describing enough for tests, compact enough that the
-//! byte counts are meaningful.
+//! measures.  The codec is a simple hand-rolled big-endian binary format
+//! built from the workspace's one codec kit ([`pgrid_core::wire`]):
+//! self-describing enough for tests, compact enough that the byte counts
+//! are meaningful.
 //!
-//! There is one encoder and one decoder, generic over the [`bytes::BufMut`]
-//! / [`bytes::Buf`] traits.  The runtime encodes a message exactly once,
+//! There is one encoder, generic over the kit's [`Sink`], and one decoder
+//! over a byte slice.  The runtime encodes a message exactly once,
 //! straight into the bytes that go on the wire (its staging arena, a
 //! `Vec<u8>`), and decodes an arrived payload where it lies
 //! ([`Message::decode_slice`] over a slice of the frame);
@@ -19,10 +20,11 @@
 //! nesting is refused on the inner tag (no recursion on hostile input), and
 //! a payload must be consumed exactly.
 
-use bytes::{Buf, BufMut, Bytes};
-use pgrid_core::key::{DataEntry, DataId, Key};
+use bytes::Bytes;
+use pgrid_core::key::{DataEntry, Key};
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
+use pgrid_core::wire::{Be, Order, Sink, UNCAPPED};
 
 /// A protocol message exchanged between peers.
 #[derive(Clone, Debug, PartialEq)]
@@ -213,12 +215,13 @@ pub enum ExchangeOutcome {
     Nothing,
 }
 
-/// A [`BufMut`] that keeps only the number of bytes written to it.
+/// A [`Sink`] that keeps only the number of bytes written to it.
 struct ByteCount(usize);
 
-impl BufMut for ByteCount {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0 += src.len();
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
@@ -234,41 +237,38 @@ impl Message {
     /// it at its staging arena, [`Message::encode`] at a fresh vector,
     /// [`Message::wire_size`] at a byte counter, and an envelope at the
     /// buffer its own header just went into.
-    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode_into<S: Sink>(&self, buf: &mut S) {
         match self {
             Message::Join { peer } => {
-                buf.put_u8(0);
-                buf.put_u64(peer.0);
+                Be::put_u8(buf, 0);
+                Be::put_u64(buf, peer.0);
             }
             Message::JoinAck { neighbours } => {
-                buf.put_u8(1);
-                buf.put_u32(neighbours.len() as u32);
-                for n in neighbours {
-                    buf.put_u64(n.0);
-                }
+                Be::put_u8(buf, 1);
+                Be::put_peers(buf, neighbours);
             }
             Message::Replicate { entries } => {
-                buf.put_u8(2);
-                put_entries(buf, entries);
+                Be::put_u8(buf, 2);
+                Be::put_entries(buf, entries);
             }
             Message::Exchange {
                 from,
                 path,
                 entries,
             } => {
-                buf.put_u8(3);
-                buf.put_u64(from.0);
-                put_path(buf, path);
-                put_entries(buf, entries);
+                Be::put_u8(buf, 3);
+                Be::put_u64(buf, from.0);
+                Be::put_path(buf, path);
+                Be::put_entries(buf, entries);
             }
             Message::ExchangeReply {
                 from,
                 path,
                 outcome,
             } => {
-                buf.put_u8(4);
-                buf.put_u64(from.0);
-                put_path(buf, path);
+                Be::put_u8(buf, 4);
+                Be::put_u64(buf, from.0);
+                Be::put_path(buf, path);
                 match outcome {
                     ExchangeOutcome::Split {
                         partition,
@@ -276,29 +276,29 @@ impl Message {
                         entries,
                         complement,
                     } => {
-                        buf.put_u8(0);
-                        put_path(buf, partition);
-                        buf.put_u8(*initiator_bit as u8);
-                        put_entries(buf, entries);
+                        Be::put_u8(buf, 0);
+                        Be::put_path(buf, partition);
+                        Be::put_u8(buf, *initiator_bit as u8);
+                        Be::put_entries(buf, entries);
                         match complement {
                             Some((peer, path)) => {
-                                buf.put_u8(1);
-                                buf.put_u64(peer.0);
-                                put_path(buf, path);
+                                Be::put_u8(buf, 1);
+                                Be::put_u64(buf, peer.0);
+                                Be::put_path(buf, path);
                             }
-                            None => buf.put_u8(0),
+                            None => Be::put_u8(buf, 0),
                         }
                     }
                     ExchangeOutcome::Replicate { entries } => {
-                        buf.put_u8(1);
-                        put_entries(buf, entries);
+                        Be::put_u8(buf, 1);
+                        Be::put_entries(buf, entries);
                     }
                     ExchangeOutcome::Refer { peer, path } => {
-                        buf.put_u8(2);
-                        buf.put_u64(peer.0);
-                        put_path(buf, path);
+                        Be::put_u8(buf, 2);
+                        Be::put_u64(buf, peer.0);
+                        Be::put_path(buf, path);
                     }
-                    ExchangeOutcome::Nothing => buf.put_u8(3),
+                    ExchangeOutcome::Nothing => Be::put_u8(buf, 3),
                 }
             }
             Message::Query {
@@ -307,11 +307,11 @@ impl Message {
                 key,
                 hops,
             } => {
-                buf.put_u8(5);
-                buf.put_u64(origin.0);
-                buf.put_u64(*id);
-                buf.put_u64(key.0);
-                buf.put_u32(*hops);
+                Be::put_u8(buf, 5);
+                Be::put_u64(buf, origin.0);
+                Be::put_u64(buf, *id);
+                Be::put_u64(buf, key.0);
+                Be::put_u32(buf, *hops);
             }
             Message::QueryResponse {
                 id,
@@ -319,11 +319,11 @@ impl Message {
                 hops,
                 found,
             } => {
-                buf.put_u8(6);
-                buf.put_u64(*id);
-                put_entries(buf, entries);
-                buf.put_u32(*hops);
-                buf.put_u8(*found as u8);
+                Be::put_u8(buf, 6);
+                Be::put_u64(buf, *id);
+                Be::put_entries(buf, entries);
+                Be::put_u32(buf, *hops);
+                Be::put_u8(buf, *found as u8);
             }
             Message::RangeQuery {
                 origin,
@@ -333,13 +333,13 @@ impl Message {
                 cursor,
                 hops,
             } => {
-                buf.put_u8(8);
-                buf.put_u64(origin.0);
-                buf.put_u64(*id);
-                buf.put_u64(lo.0);
-                buf.put_u64(hi.0);
-                buf.put_u64(cursor.0);
-                buf.put_u32(*hops);
+                Be::put_u8(buf, 8);
+                Be::put_u64(buf, origin.0);
+                Be::put_u64(buf, *id);
+                Be::put_u64(buf, lo.0);
+                Be::put_u64(buf, hi.0);
+                Be::put_u64(buf, cursor.0);
+                Be::put_u32(buf, *hops);
             }
             Message::RangeResponse {
                 id,
@@ -348,20 +348,20 @@ impl Message {
                 entries,
                 hops,
             } => {
-                buf.put_u8(9);
-                buf.put_u64(*id);
-                buf.put_u64(from.0);
-                buf.put_u64(upto.0);
-                put_entries(buf, entries);
-                buf.put_u32(*hops);
+                Be::put_u8(buf, 9);
+                Be::put_u64(buf, *id);
+                Be::put_u64(buf, from.0);
+                Be::put_u64(buf, upto.0);
+                Be::put_entries(buf, entries);
+                Be::put_u32(buf, *hops);
             }
             Message::ForIndex { index, inner } => {
                 debug_assert!(
                     !matches!(**inner, Message::ForIndex { .. } | Message::Traced { .. }),
                     "index envelopes do not nest"
                 );
-                buf.put_u8(7);
-                buf.put_u16(*index);
+                Be::put_u8(buf, 7);
+                Be::put_u16(buf, *index);
                 inner.encode_into(buf);
             }
             Message::Traced { trace_id, inner } => {
@@ -370,13 +370,13 @@ impl Message {
                     "trace envelopes do not nest"
                 );
                 debug_assert!(*trace_id != 0, "trace id 0 is never enveloped");
-                buf.put_u8(10);
-                buf.put_u64(*trace_id);
+                Be::put_u8(buf, 10);
+                Be::put_u64(buf, *trace_id);
                 inner.encode_into(buf);
             }
             Message::ReplicaPull { origin } => {
-                buf.put_u8(11);
-                buf.put_u64(origin.0);
+                Be::put_u8(buf, 11);
+                Be::put_u64(buf, origin.0);
             }
             Message::ReplicaPush {
                 path,
@@ -384,19 +384,11 @@ impl Message {
                 routing,
                 replicas,
             } => {
-                buf.put_u8(12);
-                put_path(buf, path);
-                put_entries(buf, entries);
-                buf.put_u32(routing.len() as u32);
-                for (level, peer, path) in routing {
-                    buf.put_u8(*level);
-                    buf.put_u64(peer.0);
-                    put_path(buf, path);
-                }
-                buf.put_u32(replicas.len() as u32);
-                for r in replicas {
-                    buf.put_u64(r.0);
-                }
+                Be::put_u8(buf, 12);
+                Be::put_path(buf, path);
+                Be::put_entries(buf, entries);
+                Be::put_routing(buf, routing);
+                Be::put_peers(buf, replicas);
             }
         }
     }
@@ -405,53 +397,49 @@ impl Message {
     ///
     /// Returns `None` for malformed input, which includes bytes left over
     /// after the message.
-    pub fn decode(mut data: Bytes) -> Option<Message> {
-        Message::decode_exact(&mut data)
+    pub fn decode(data: Bytes) -> Option<Message> {
+        Message::decode_slice(data.as_slice())
     }
 
     /// [`Message::decode`] over a borrowed slice: what the runtime calls on
-    /// each payload of an arrived frame, in place.
+    /// each payload of an arrived frame, in place.  The message must
+    /// consume `data` exactly.
     pub fn decode_slice(mut data: &[u8]) -> Option<Message> {
-        Message::decode_exact(&mut data)
-    }
-
-    /// Decodes one message that must consume `data` exactly.
-    fn decode_exact<B: Buf>(data: &mut B) -> Option<Message> {
-        let message = Message::decode_from(data)?;
-        (data.remaining() == 0).then_some(message)
+        let message = Message::decode_from(&mut data)?;
+        data.is_empty().then_some(message)
     }
 
     /// Decodes one message from the front of `data` — the one decoder.
     /// Every read is bounds-checked and every claimed element count is
     /// checked against the bytes that are actually there before anything
     /// is allocated for it.
-    fn decode_from<B: Buf>(data: &mut B) -> Option<Message> {
-        let tag = checked_u8(data)?;
+    fn decode_from(data: &mut &[u8]) -> Option<Message> {
+        let tag = Be::u8(data)?;
         Some(match tag {
             0 => Message::Join {
-                peer: PeerId(checked_u64(data)?),
+                peer: PeerId(Be::u64(data)?),
             },
             1 => Message::JoinAck {
-                neighbours: get_peers(data, u32::MAX as usize)?,
+                neighbours: Be::peers(data, UNCAPPED)?,
             },
             2 => Message::Replicate {
-                entries: get_entries(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
             },
             3 => Message::Exchange {
-                from: PeerId(checked_u64(data)?),
-                path: get_path(data)?,
-                entries: get_entries(data)?,
+                from: PeerId(Be::u64(data)?),
+                path: Be::path(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
             },
             4 => {
-                let from = PeerId(checked_u64(data)?);
-                let path = get_path(data)?;
-                let outcome = match checked_u8(data)? {
+                let from = PeerId(Be::u64(data)?);
+                let path = Be::path(data)?;
+                let outcome = match Be::u8(data)? {
                     0 => {
-                        let partition = get_path(data)?;
-                        let initiator_bit = checked_u8(data)? != 0;
-                        let entries = get_entries(data)?;
-                        let complement = if checked_u8(data)? != 0 {
-                            Some((PeerId(checked_u64(data)?), get_path(data)?))
+                        let partition = Be::path(data)?;
+                        let initiator_bit = Be::u8(data)? != 0;
+                        let entries = Be::entries(data, MAX_ENTRIES)?;
+                        let complement = if Be::u8(data)? != 0 {
+                            Some((PeerId(Be::u64(data)?), Be::path(data)?))
                         } else {
                             None
                         };
@@ -463,11 +451,11 @@ impl Message {
                         }
                     }
                     1 => ExchangeOutcome::Replicate {
-                        entries: get_entries(data)?,
+                        entries: Be::entries(data, MAX_ENTRIES)?,
                     },
                     2 => ExchangeOutcome::Refer {
-                        peer: PeerId(checked_u64(data)?),
-                        path: get_path(data)?,
+                        peer: PeerId(Be::u64(data)?),
+                        path: Be::path(data)?,
                     },
                     3 => ExchangeOutcome::Nothing,
                     _ => return None,
@@ -479,39 +467,39 @@ impl Message {
                 }
             }
             5 => Message::Query {
-                origin: PeerId(checked_u64(data)?),
-                id: checked_u64(data)?,
-                key: Key(checked_u64(data)?),
-                hops: checked_u32(data)?,
+                origin: PeerId(Be::u64(data)?),
+                id: Be::u64(data)?,
+                key: Key(Be::u64(data)?),
+                hops: Be::u32(data)?,
             },
             6 => Message::QueryResponse {
-                id: checked_u64(data)?,
-                entries: get_entries(data)?,
-                hops: checked_u32(data)?,
-                found: checked_u8(data)? != 0,
+                id: Be::u64(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                hops: Be::u32(data)?,
+                found: Be::u8(data)? != 0,
             },
             8 => Message::RangeQuery {
-                origin: PeerId(checked_u64(data)?),
-                id: checked_u64(data)?,
-                lo: Key(checked_u64(data)?),
-                hi: Key(checked_u64(data)?),
-                cursor: Key(checked_u64(data)?),
-                hops: checked_u32(data)?,
+                origin: PeerId(Be::u64(data)?),
+                id: Be::u64(data)?,
+                lo: Key(Be::u64(data)?),
+                hi: Key(Be::u64(data)?),
+                cursor: Key(Be::u64(data)?),
+                hops: Be::u32(data)?,
             },
             9 => Message::RangeResponse {
-                id: checked_u64(data)?,
-                from: Key(checked_u64(data)?),
-                upto: Key(checked_u64(data)?),
-                entries: get_entries(data)?,
-                hops: checked_u32(data)?,
+                id: Be::u64(data)?,
+                from: Key(Be::u64(data)?),
+                upto: Key(Be::u64(data)?),
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                hops: Be::u32(data)?,
             },
             7 => {
-                let index = checked_u16(data)?;
+                let index = Be::u16(data)?;
                 // Envelopes carry a non-zero index and never nest; a trace
                 // envelope is strictly outermost so it cannot appear here.
                 // Decided on the inner tag, before recursing, so hostile
                 // nesting is rejected at depth one instead of on the stack.
-                if index == 0 || matches!(data.chunk().first(), Some(7 | 10)) {
+                if index == 0 || matches!(data.first(), Some(7 | 10)) {
                     return None;
                 }
                 Message::ForIndex {
@@ -520,9 +508,9 @@ impl Message {
                 }
             }
             10 => {
-                let trace_id = checked_u64(data)?;
+                let trace_id = Be::u64(data)?;
                 // Trace envelopes carry a non-zero ID and never nest.
-                if trace_id == 0 || data.chunk().first() == Some(&10) {
+                if trace_id == 0 || data.first() == Some(&10) {
                     return None;
                 }
                 Message::Traced {
@@ -531,27 +519,14 @@ impl Message {
                 }
             }
             11 => Message::ReplicaPull {
-                origin: PeerId(checked_u64(data)?),
+                origin: PeerId(Be::u64(data)?),
             },
-            12 => {
-                let path = get_path(data)?;
-                let entries = get_entries(data)?;
-                let n = checked_count(data, 65_536, ROUTING_REF_BYTES)?;
-                let mut routing = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let level = checked_u8(data)?;
-                    let peer = PeerId(checked_u64(data)?);
-                    let path = get_path(data)?;
-                    routing.push((level, peer, path));
-                }
-                let replicas = get_peers(data, 65_536)?;
-                Message::ReplicaPush {
-                    path,
-                    entries,
-                    routing,
-                    replicas,
-                }
-            }
+            12 => Message::ReplicaPush {
+                path: Be::path(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                routing: Be::routing(data, 65_536)?,
+                replicas: Be::peers(data, 65_536)?,
+            },
             _ => return None,
         })
     }
@@ -579,82 +554,15 @@ impl Message {
     }
 }
 
-/// Encoded size of one path: length byte plus left-aligned bits.
-const PATH_BYTES: usize = 1 + 8;
-
-/// Encoded size of one data entry: key plus id.
-const ENTRY_BYTES: usize = 8 + 8;
-
-/// Encoded size of one `ReplicaPush` routing reference: level, peer, path.
-const ROUTING_REF_BYTES: usize = 1 + 8 + PATH_BYTES;
-
-fn put_path<B: BufMut>(buf: &mut B, path: &Path) {
-    let (len, bits) = path.wire_parts();
-    buf.put_u8(len);
-    buf.put_u64(bits);
-}
-
-fn get_path<B: Buf>(data: &mut B) -> Option<Path> {
-    let len = checked_u8(data)?;
-    Path::from_wire_parts(len, checked_u64(data)?)
-}
-
-fn put_entries<B: BufMut>(buf: &mut B, entries: &[DataEntry]) {
-    buf.put_u32(entries.len() as u32);
-    for e in entries {
-        buf.put_u64(e.key.0);
-        buf.put_u64(e.id.0);
-    }
-}
-
-fn get_entries<B: Buf>(data: &mut B) -> Option<Vec<DataEntry>> {
-    let n = checked_count(data, 1_000_000, ENTRY_BYTES)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = Key(checked_u64(data)?);
-        let id = DataId(checked_u64(data)?);
-        entries.push(DataEntry::new(key, id));
-    }
-    Some(entries)
-}
-
-fn get_peers<B: Buf>(data: &mut B, cap: usize) -> Option<Vec<PeerId>> {
-    let n = checked_count(data, cap, 8)?;
-    let mut peers = Vec::with_capacity(n);
-    for _ in 0..n {
-        peers.push(PeerId(checked_u64(data)?));
-    }
-    Some(peers)
-}
-
-/// Reads a `u32` element count and accepts it only if it is at most `cap`
-/// and `n` elements of `element_bytes` each can still follow in `data` — so
-/// a decoder never reserves more than the input could hold.
-fn checked_count<B: Buf>(data: &mut B, cap: usize, element_bytes: usize) -> Option<usize> {
-    let n = checked_u32(data)? as usize;
-    (n <= cap && n.checked_mul(element_bytes)? <= data.remaining()).then_some(n)
-}
-
-fn checked_u64<B: Buf>(data: &mut B) -> Option<u64> {
-    (data.remaining() >= 8).then(|| data.get_u64())
-}
-
-fn checked_u32<B: Buf>(data: &mut B) -> Option<u32> {
-    (data.remaining() >= 4).then(|| data.get_u32())
-}
-
-fn checked_u16<B: Buf>(data: &mut B) -> Option<u16> {
-    (data.remaining() >= 2).then(|| data.get_u16())
-}
-
-fn checked_u8<B: Buf>(data: &mut B) -> Option<u8> {
-    (data.remaining() >= 1).then(|| data.get_u8())
-}
+/// Most entries one list of a message may carry.
+const MAX_ENTRIES: usize = 1_000_000;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{BufMut, BytesMut};
+    use pgrid_core::key::DataId;
+    use pgrid_core::wire::{ENTRY_BYTES, ROUTING_REF_BYTES};
 
     fn entries(n: u64) -> Vec<DataEntry> {
         (0..n)
@@ -1007,6 +915,26 @@ mod tests {
         assert!(Message::decode(buf.freeze()).is_none());
         // Truncated trace id.
         assert!(Message::decode(Bytes::from_static(&[10, 0, 0])).is_none());
+    }
+
+    #[test]
+    fn bytes_the_parent_commit_encoded_still_decode() {
+        // A `ReplicaPush` as the codec wrote it before it moved onto the
+        // kit: a peer of either build decodes the other's frames.
+        let push = Message::ReplicaPush {
+            path: Path::parse("0110"),
+            entries: vec![DataEntry::new(Key(0x0102_0304_0506_0708), DataId(9))],
+            routing: vec![(1, PeerId(0x0A0B), Path::parse("00"))],
+            replicas: vec![PeerId(5), PeerId(0xFFFF_FFFF_FFFF_FFFE)],
+        };
+        let wire = [
+            12, 4, 96, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0,
+            0, 9, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 10, 11, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2,
+            0, 0, 0, 0, 0, 0, 0, 5, 255, 255, 255, 255, 255, 255, 255, 254,
+        ];
+        assert_eq!(push.encode().as_slice(), wire);
+        assert_eq!(push.wire_size(), wire.len());
+        assert_eq!(Message::decode_slice(&wire), Some(push));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! series; help text and label values are escaped at encode time.
 
 use pgrid_core::histogram::LogHistogram;
+use pgrid_core::wire::{Le, Order, UNCAPPED};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -329,35 +330,29 @@ impl MetricsRegistry {
     /// stream snapshots to the coordinator at each phase barrier).
     pub fn encode_wire(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u32(&mut buf, self.families.len() as u32);
+        Le::put_count(&mut buf, self.families.len());
         for (name, family) in &self.families {
-            put_str(&mut buf, name);
-            put_str(&mut buf, &family.help);
-            buf.push(match family.kind {
-                MetricKind::Counter => 0,
-                MetricKind::Gauge => 1,
-                MetricKind::Histogram => 2,
-            });
-            put_u32(&mut buf, family.series.len() as u32);
+            Le::put_str(&mut buf, name);
+            Le::put_str(&mut buf, &family.help);
+            Le::put_u8(
+                &mut buf,
+                match family.kind {
+                    MetricKind::Counter => 0,
+                    MetricKind::Gauge => 1,
+                    MetricKind::Histogram => 2,
+                },
+            );
+            Le::put_count(&mut buf, family.series.len());
             for (labels, value) in &family.series {
-                buf.push(labels.len() as u8);
+                Le::put_u8(&mut buf, labels.len() as u8);
                 for (k, v) in labels {
-                    put_str(&mut buf, k);
-                    put_str(&mut buf, v);
+                    Le::put_str(&mut buf, k);
+                    Le::put_str(&mut buf, v);
                 }
                 match value {
-                    Value::Counter(v) => put_u64(&mut buf, *v),
-                    Value::Gauge(v) => put_u64(&mut buf, v.to_bits()),
-                    Value::Histogram(h) => {
-                        let sparse = h.sparse_buckets();
-                        put_u32(&mut buf, sparse.len() as u32);
-                        for (bucket, count) in sparse {
-                            put_u16(&mut buf, bucket);
-                            put_u64(&mut buf, count);
-                        }
-                        put_u64(&mut buf, h.sum());
-                        put_u64(&mut buf, h.max());
-                    }
+                    Value::Counter(v) => Le::put_u64(&mut buf, *v),
+                    Value::Gauge(v) => Le::put_f64(&mut buf, *v),
+                    Value::Histogram(h) => Le::put_histogram(&mut buf, h),
                 }
             }
         }
@@ -365,120 +360,66 @@ impl MetricsRegistry {
     }
 
     /// Decodes a registry produced by [`MetricsRegistry::encode_wire`].
+    /// Total on arbitrary bytes: every claimed count is checked against
+    /// the bytes behind it before anything is reserved for it.
     pub fn decode_wire(buf: &[u8]) -> Result<Self, String> {
-        let mut at = 0usize;
+        let mut data = buf;
+        let registry = Self::decode_from(&mut data).ok_or_else(|| {
+            let len = buf.len();
+            format!("registry snapshot of {len} bytes is truncated or carries an invalid kind, name or label")
+        })?;
+        if !data.is_empty() {
+            return Err(format!("{} trailing bytes after registry", data.len()));
+        }
+        Ok(registry)
+    }
+
+    fn decode_from(data: &mut &[u8]) -> Option<Self> {
         let mut reg = MetricsRegistry::new();
-        let n_families = get_u32(buf, &mut at)?;
-        for _ in 0..n_families {
-            let name = get_str(buf, &mut at)?;
-            let help = get_str(buf, &mut at)?;
-            let kind = match get_u8(buf, &mut at)? {
+        // The shortest family: two empty strings, a kind and a series count.
+        for _ in 0..Le::count(data, UNCAPPED, 4 + 4 + 1 + 4)? {
+            let name = Le::string(data, UNCAPPED)?;
+            let help = Le::string(data, UNCAPPED)?;
+            let kind = match Le::u8(data)? {
                 0 => MetricKind::Counter,
                 1 => MetricKind::Gauge,
                 2 => MetricKind::Histogram,
-                k => return Err(format!("unknown metric kind {k}")),
+                _ => return None,
             };
             if !valid_metric_name(&name) {
-                return Err(format!("invalid metric name on the wire: {name:?}"));
+                return None;
             }
-            let n_series = get_u32(buf, &mut at)?;
             let family = reg.families.entry(name).or_insert_with(|| Family {
                 help,
                 kind,
                 series: BTreeMap::new(),
             });
-            for _ in 0..n_series {
-                let n_labels = get_u8(buf, &mut at)?;
-                let mut labels = Vec::with_capacity(n_labels as usize);
-                for _ in 0..n_labels {
-                    let k = get_str(buf, &mut at)?;
+            // A family that appears twice must not change its kind: every
+            // value of a family is of the family's kind.
+            if family.kind != kind {
+                return None;
+            }
+            // The shortest series: a label count and a counter or gauge.
+            for _ in 0..Le::count(data, UNCAPPED, 1 + 8)? {
+                let mut labels = Vec::new();
+                for _ in 0..Le::u8(data)? {
+                    let k = Le::string(data, UNCAPPED)?;
                     if !valid_label_name(&k) {
-                        return Err(format!("invalid label name on the wire: {k:?}"));
+                        return None;
                     }
-                    let v = get_str(buf, &mut at)?;
-                    labels.push((k, v));
+                    labels.push((k, Le::string(data, UNCAPPED)?));
                 }
                 labels.sort();
                 let value = match kind {
-                    MetricKind::Counter => Value::Counter(get_u64(buf, &mut at)?),
-                    MetricKind::Gauge => Value::Gauge(f64::from_bits(get_u64(buf, &mut at)?)),
-                    MetricKind::Histogram => {
-                        let n_buckets = get_u32(buf, &mut at)?;
-                        let mut sparse = Vec::with_capacity(n_buckets as usize);
-                        for _ in 0..n_buckets {
-                            let bucket = get_u16(buf, &mut at)?;
-                            let count = get_u64(buf, &mut at)?;
-                            sparse.push((bucket, count));
-                        }
-                        let sum = get_u64(buf, &mut at)?;
-                        let max = get_u64(buf, &mut at)?;
-                        Value::Histogram(LogHistogram::from_sparse(&sparse, sum, max))
-                    }
+                    MetricKind::Counter => Value::Counter(Le::u64(data)?),
+                    MetricKind::Gauge => Value::Gauge(Le::f64(data)?),
+                    MetricKind::Histogram => Value::Histogram(Le::histogram(data)?),
                 };
                 family.series.insert(labels, value);
             }
         }
-        if at != buf.len() {
-            return Err(format!("{} trailing bytes after registry", buf.len() - at));
-        }
-        Ok(reg)
+        Some(reg)
     }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_u8(buf: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *buf.get(*at).ok_or("registry frame truncated (u8)")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn get_u16(buf: &[u8], at: &mut usize) -> Result<u16, String> {
-    let bytes = buf
-        .get(*at..*at + 2)
-        .ok_or("registry frame truncated (u16)")?;
-    *at += 2;
-    Ok(u16::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32, String> {
-    let bytes = buf
-        .get(*at..*at + 4)
-        .ok_or("registry frame truncated (u32)")?;
-    *at += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64, String> {
-    let bytes = buf
-        .get(*at..*at + 8)
-        .ok_or("registry frame truncated (u64)")?;
-    *at += 8;
-    Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_str(buf: &[u8], at: &mut usize) -> Result<String, String> {
-    let len = get_u32(buf, at)? as usize;
-    let bytes = buf
-        .get(*at..*at + len)
-        .ok_or("registry frame truncated (str)")?;
-    *at += len;
-    String::from_utf8(bytes.to_vec()).map_err(|e| format!("non-utf8 string on the wire: {e}"))
 }
 
 #[cfg(test)]
@@ -589,6 +530,67 @@ mod tests {
         let rebuilt = MetricsRegistry::decode_wire(&reg.encode_wire()).unwrap();
         assert_eq!(rebuilt, reg);
         assert_eq!(rebuilt.encode(), reg.encode());
+    }
+
+    /// One histogram family, no labels, no buckets: 56 bytes on the wire.
+    const EMPTY_HISTOGRAM_SNAPSHOT: &[u8; 56] = b"\x01\0\0\0\x10\0\0\0pgrid_latency_ms\
+        \x02\0\0\0ms\x02\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0";
+
+    #[test]
+    fn a_claimed_bucket_count_is_refused_not_reserved_for() {
+        let mut reg = MetricsRegistry::new();
+        reg.histogram("pgrid_latency_ms", "ms", &[], &LogHistogram::new());
+        assert_eq!(&reg.encode_wire()[..], EMPTY_HISTOGRAM_SNAPSHOT);
+        assert_eq!(
+            MetricsRegistry::decode_wire(EMPTY_HISTOGRAM_SNAPSHOT),
+            Ok(reg)
+        );
+        // The bucket count patched to `u32::MAX`: four bytes that used to
+        // ask the allocator for 64 GiB and abort the coordinator.
+        let mut hostile = *EMPTY_HISTOGRAM_SNAPSHOT;
+        hostile[36..40].copy_from_slice(&[0xFF; 4]);
+        assert!(MetricsRegistry::decode_wire(&hostile).is_err());
+        // ... and so for every other count of the format.
+        for count_at in [0, 4, 24, 31] {
+            let mut hostile = *EMPTY_HISTOGRAM_SNAPSHOT;
+            hostile[count_at..count_at + 4].copy_from_slice(&[0xFF; 4]);
+            assert!(
+                MetricsRegistry::decode_wire(&hostile).is_err(),
+                "{count_at}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_decoded_histogram_of_full_buckets_merges_without_overflow() {
+        // Two buckets of `u64::MAX` behind an honest bucket count of 2.
+        let mut wire = EMPTY_HISTOGRAM_SNAPSHOT[..36].to_vec();
+        wire.extend([2, 0, 0, 0]);
+        for bucket in [3u8, 9] {
+            wire.extend([bucket, 0]);
+            wire.extend([0xFF; 8]);
+        }
+        wire.extend([0xFF; 8]);
+        wire.extend([9, 0, 0, 0, 0, 0, 0, 0]);
+        let worker = MetricsRegistry::decode_wire(&wire).unwrap();
+        let mut merged = MetricsRegistry::new();
+        merged.absorb(&worker, None);
+        merged.absorb(&worker, None);
+        assert!(merged
+            .encode()
+            .contains("pgrid_latency_ms_count 18446744073709551615"));
+    }
+
+    #[test]
+    fn a_family_that_changes_kind_mid_snapshot_is_refused() {
+        let mut counter = MetricsRegistry::new();
+        counter.counter("pgrid_x_total", "x", &[], 1);
+        let mut gauge = MetricsRegistry::new();
+        gauge.gauge("pgrid_x_total", "x", &[], 1.0);
+        let mut wire = vec![2, 0, 0, 0];
+        wire.extend(&counter.encode_wire()[4..]);
+        wire.extend(&gauge.encode_wire()[4..]);
+        assert!(MetricsRegistry::decode_wire(&wire).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! ```
 
 use bytes::Bytes;
+use pgrid_core::wire::{Be, Order, Sink};
 use pgrid_transport::frame::MAX_FRAME_BYTES;
 
 /// First four bytes of every connection, both directions.
@@ -89,10 +90,15 @@ pub fn parse_hello(bytes: &[u8]) -> Result<u8, MuxError> {
 /// Appends one record to `out`.
 pub fn encode_record(out: &mut Vec<u8>, kind: u8, dest: u64, payload: &[u8]) {
     out.reserve(RECORD_HEADER + payload.len());
-    out.push(kind);
-    out.extend_from_slice(&dest.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
+    Be::put_u8(out, kind);
+    Be::put_u64(out, dest);
+    Be::put_count(out, payload.len());
+    out.put(payload);
+}
+
+/// Reads one record header: kind, destination peer, payload length.
+fn record_header(data: &mut &[u8]) -> Option<(u8, u64, usize)> {
+    Some((Be::u8(data)?, Be::u64(data)?, Be::u32(data)? as usize))
 }
 
 /// One parsed record: kind, destination peer, payload bytes.
@@ -145,21 +151,18 @@ impl MuxReader {
     /// The payload is copied out once: a frame the caller holds on to must
     /// not pin the whole read chunk it arrived in.
     pub fn next_record(&mut self) -> Result<Option<Record>, MuxError> {
-        let buf = &self.buf[self.pos..];
-        if buf.len() < RECORD_HEADER {
+        let mut data = &self.buf[self.pos..];
+        let Some((kind, dest, len)) = record_header(&mut data) else {
             return Ok(None);
-        }
-        let kind = buf[0];
+        };
         if kind != KIND_RAW {
             return Err(MuxError::BadKind(kind));
         }
-        let dest = u64::from_be_bytes(buf[1..9].try_into().expect("8 bytes"));
-        let len = u32::from_be_bytes(buf[9..13].try_into().expect("4 bytes")) as usize;
         // A whole frame: its body bound plus the 4-byte length prefix.
         if len > MAX_FRAME_BYTES + 4 {
             return Err(MuxError::Oversized(len));
         }
-        let Some(payload) = buf.get(RECORD_HEADER..RECORD_HEADER + len) else {
+        let Some(payload) = Be::bytes(&mut data, len) else {
             return Ok(None);
         };
         let payload = Bytes::from(payload);

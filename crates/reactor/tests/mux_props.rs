@@ -4,8 +4,9 @@
 //! bit-identical frames regardless of where the cuts land.
 
 use pgrid_reactor::mux::{
-    encode_record, hello, parse_hello, MuxReader, HELLO_LEN, KIND_RAW, RECORD_HEADER,
+    encode_record, hello, parse_hello, MuxError, MuxReader, HELLO_LEN, KIND_RAW, RECORD_HEADER,
 };
+use pgrid_transport::frame::MAX_FRAME_BYTES;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,6 +131,73 @@ proptest! {
             prop_assert_eq!(reader.buffered(), fed - consumed);
         }
         prop_assert_eq!(consumed, stream.len());
+    }
+
+    // Arbitrary bytes at arbitrary chunking: the reader never panics, never
+    // yields a record longer than the bytes it was fed, reports a bad kind
+    // or an oversized length as exactly that, and otherwise consumes what
+    // it yields and nothing more.
+    #[test]
+    fn arbitrary_streams_never_panic_and_never_yield_more_than_was_fed(
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        splits in proptest::collection::vec(any::<usize>(), 0..16),
+    ) {
+        // Honest records first, so the garbage is met mid-stream too; half
+        // the time its first byte is a valid kind, so the length field is
+        // what gets judged.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stream = Vec::new();
+        for (dest, frame) in arbitrary_frames(&mut rng, 3) {
+            encode_record(&mut stream, KIND_RAW, dest, &frame);
+        }
+        if rng.gen_bool(0.5) {
+            stream.push(KIND_RAW);
+        }
+        stream.extend(noise);
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut reader = MuxReader::new();
+        let (mut fed, mut consumed) = (0, 0);
+        'feed: for cut in cuts {
+            reader.extend(&stream[fed..cut]);
+            fed = cut;
+            loop {
+                // What the reader is looking at, read independently.
+                let head = &stream[consumed..fed];
+                match reader.next_record() {
+                    Ok(Some((kind, dest, payload))) => {
+                        prop_assert_eq!(kind, KIND_RAW);
+                        prop_assert!(RECORD_HEADER + payload.len() <= head.len());
+                        prop_assert_eq!(&dest.to_be_bytes()[..], &head[1..9]);
+                        prop_assert_eq!(
+                            payload.as_slice(),
+                            &head[RECORD_HEADER..RECORD_HEADER + payload.len()]
+                        );
+                        consumed += RECORD_HEADER + payload.len();
+                        prop_assert_eq!(reader.buffered(), fed - consumed);
+                    }
+                    Ok(None) => {
+                        prop_assert_eq!(reader.buffered(), fed - consumed);
+                        break;
+                    }
+                    Err(MuxError::BadKind(kind)) => {
+                        prop_assert!(head.len() >= RECORD_HEADER);
+                        prop_assert_eq!(kind, head[0]);
+                        prop_assert_ne!(kind, KIND_RAW);
+                        break 'feed;
+                    }
+                    Err(MuxError::Oversized(len)) => {
+                        let field: [u8; 4] = head[9..13].try_into().unwrap();
+                        prop_assert_eq!(len, u32::from_be_bytes(field) as usize);
+                        prop_assert!(len > MAX_FRAME_BYTES + 4);
+                        break 'feed;
+                    }
+                    Err(other) => prop_assert!(false, "a record error of the hello: {other}"),
+                }
+            }
+        }
     }
 
     // Whatever the reserved flags byte carries, a hello with the right

@@ -27,7 +27,8 @@
 //! [`encode_frame`] / [`decode_frame`] are the owned-[`Bytes`] wrappers of
 //! those two.
 
-use bytes::{BufMut, Bytes};
+use bytes::Bytes;
+use pgrid_core::wire::{Be, Order, Sink};
 
 /// Upper bound on the encoded size of one frame (sanity check against
 /// corrupted length prefixes).
@@ -75,8 +76,8 @@ pub fn write_frame<'a>(out: &mut Vec<u8>, payloads: impl Iterator<Item = &'a [u8
     let mut count = 0usize;
     for payload in payloads {
         count += 1;
-        out.put_u32(payload.len() as u32);
-        out.put_slice(payload);
+        Be::put_count(out, payload.len());
+        out.put(payload);
     }
     assert!(
         count <= MAX_BATCH_LEN,
@@ -120,9 +121,8 @@ impl<'a> Iterator for PayloadSlices<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        let (len, rest) = split_u32(self.rest)?;
-        let (payload, rest) = split_bytes(rest, len)?;
-        self.rest = rest;
+        let len = length(&mut self.rest)?;
+        let payload = Be::bytes(&mut self.rest, len)?;
         self.remaining -= 1;
         Some(payload)
     }
@@ -134,15 +134,9 @@ impl<'a> Iterator for PayloadSlices<'a> {
 
 impl ExactSizeIterator for PayloadSlices<'_> {}
 
-/// Splits a big-endian `u32` off the front of `data`.
-fn split_u32(data: &[u8]) -> Option<(usize, &[u8])> {
-    let (head, rest) = split_bytes(data, 4)?;
-    Some((u32::from_be_bytes(head.try_into().ok()?) as usize, rest))
-}
-
-/// Splits the first `n` bytes off `data`; `None` when it is shorter.
-fn split_bytes(data: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
-    (data.len() >= n).then(|| data.split_at(n))
+/// Reads one of the layout's `u32` length or count fields.
+fn length(data: &mut &[u8]) -> Option<usize> {
+    Be::u32(data).map(|n| n as usize)
 }
 
 /// Validates one complete frame (as produced by [`write_frame`]) and
@@ -152,7 +146,8 @@ fn split_bytes(data: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
 /// are all checked *before* the first slice is handed out, so a caller
 /// never acts on the head of a frame whose tail is corrupt.
 pub fn payload_slices(frame: &[u8]) -> Result<PayloadSlices<'_>, FrameError> {
-    let Some((body_len, body)) = split_u32(frame) else {
+    let mut body = frame;
+    let Some(body_len) = length(&mut body) else {
         return Err(FrameError::Malformed("missing length prefix"));
     };
     if body_len > MAX_FRAME_BYTES {
@@ -163,7 +158,8 @@ pub fn payload_slices(frame: &[u8]) -> Result<PayloadSlices<'_>, FrameError> {
             "length prefix disagrees with frame size",
         ));
     }
-    let Some((count, records)) = split_u32(body) else {
+    let mut records = body;
+    let Some(count) = length(&mut records) else {
         return Err(FrameError::Malformed("missing batch count"));
     };
     if count > MAX_BATCH_LEN {
@@ -171,13 +167,12 @@ pub fn payload_slices(frame: &[u8]) -> Result<PayloadSlices<'_>, FrameError> {
     }
     let mut rest = records;
     for _ in 0..count {
-        let Some((len, tail)) = split_u32(rest) else {
+        let Some(len) = length(&mut rest) else {
             return Err(FrameError::Malformed("truncated payload length"));
         };
-        let Some((_, tail)) = split_bytes(tail, len) else {
+        if Be::bytes(&mut rest, len).is_none() {
             return Err(FrameError::Malformed("truncated payload"));
-        };
-        rest = tail;
+        }
     }
     if !rest.is_empty() {
         return Err(FrameError::Malformed("trailing bytes after last payload"));
@@ -227,7 +222,7 @@ impl FrameReader {
     /// or an error when the buffered prefix cannot be a valid frame (the
     /// stream should then be dropped).
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        let Some((body_len, _)) = split_u32(&self.buf) else {
+        let Some(body_len) = length(&mut self.buf.as_slice()) else {
             return Ok(None);
         };
         if body_len > MAX_FRAME_BYTES {
