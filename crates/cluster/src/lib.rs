@@ -12,8 +12,8 @@
 //!   death (EOF or heartbeat silence) and heals it, and folds the workers'
 //!   streamed samples and final shard reports into one
 //!   [`pgrid_net::experiment::DeploymentReport`];
-//! * a **worker** ([`worker`]) hosts its shard on a socket transport
-//!   (threaded TCP or the epoll reactor), wires every foreign peer as a
+//! * a **worker** ([`worker`]) hosts its shard on the epoll reactor
+//!   (`pgrid_reactor::ReactorTransport`), wires every foreign peer as a
 //!   transport remote, and drives the join → replicate → construct → query
 //!   → churn timeline over the shard, journaling it when given a data
 //!   directory;
@@ -70,7 +70,5 @@ pub mod prelude {
     pub use crate::local::{run_local, run_local_observed, LocalOptions};
     pub use crate::plan::{churn_plan, join_plan, shard_assignment};
     pub use crate::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport};
-    pub use crate::worker::{
-        run_worker, worker_scenario, ShardOverlay, TransportChoice, WorkerOptions,
-    };
+    pub use crate::worker::{run_worker, worker_scenario, ShardOverlay, WorkerOptions};
 }

@@ -10,7 +10,7 @@
 use crate::coordinator::{
     run_coordinator_observed, ClusterConfig, HealConfig, ObsOptions, ObsReport,
 };
-use crate::worker::{TransportChoice, KILL_EXIT_CODE};
+use crate::worker::KILL_EXIT_CODE;
 use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
 use std::io::{Error, Result};
@@ -53,9 +53,6 @@ pub struct LocalOptions {
     /// durable log.  Requires `data_dir` to be useful and a
     /// `heal.rejoin_grace_ms > 0` coordinator to be accepted.
     pub relaunch: bool,
-    /// Data-plane backend every spawned worker hosts its shard on
-    /// (`--transport` passthrough).
-    pub transport: TransportChoice,
     /// Reactor event threads per worker (0 = one per core); forwarded as
     /// `--event-threads` when non-zero.
     pub n_event_threads: usize,
@@ -73,7 +70,6 @@ impl Default for LocalOptions {
             heal: HealConfig::default(),
             data_dir: None,
             relaunch: false,
-            transport: TransportChoice::default(),
             n_event_threads: 0,
         }
     }
@@ -135,11 +131,6 @@ pub fn run_local_observed(
             command
                 .arg("--data-dir")
                 .arg(dir.join(format!("worker-{index}")));
-        }
-        if options.transport != TransportChoice::default() {
-            command
-                .arg("--transport")
-                .arg(options.transport.to_string());
         }
         if options.n_event_threads > 0 {
             command

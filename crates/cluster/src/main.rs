@@ -47,9 +47,9 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 const USAGE: &str = "\
-usage: pgrid-cluster local --workers N [--peers N] [--seed S] [--n-min N] [--smoke] [--data-dir DIR] [--relaunch] [--transport tcp|reactor] [--event-threads N] [HEAL] [OBS]
+usage: pgrid-cluster local --workers N [--peers N] [--seed S] [--n-min N] [--smoke] [--data-dir DIR] [--relaunch] [--event-threads N] [HEAL] [OBS]
        pgrid-cluster coordinator --listen ADDR --workers N [--peers N] [--seed S] [--n-min N] [--smoke] [HEAL] [OBS]
-       pgrid-cluster worker --connect ADDR [--metrics-addr ADDR] [--flight-dump PATH] [--data-dir DIR] [--transport tcp|reactor] [--event-threads N]
+       pgrid-cluster worker --connect ADDR [--metrics-addr ADDR] [--flight-dump PATH] [--data-dir DIR] [--event-threads N]
        HEAL: [--heartbeat-ms MS] [--failure-timeout-ms MS] [--no-heal]
              [--rejoin-grace-ms MS] [--kill-worker INDEX [--kill-at-min MIN]]
        OBS: [--metrics-out PATH] [--metrics-addr ADDR] [--trace] [--trace-out PATH]
@@ -67,7 +67,6 @@ const FLAGS: &[(&str, &str, bool)] = &[
     ("--connect", "w", true),
     ("--data-dir", "lw", true),
     ("--relaunch", "l", false),
-    ("--transport", "lw", true),
     ("--event-threads", "lw", true),
     ("--heartbeat-ms", "lc", true),
     ("--failure-timeout-ms", "lc", true),
@@ -165,7 +164,6 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                     heal: heal_config(args)?,
                     data_dir: parsed(args, "--data-dir")?,
                     relaunch: switch(args, "--relaunch"),
-                    transport: parsed(args, "--transport")?.unwrap_or_default(),
                     n_event_threads: parsed(args, "--event-threads")?.unwrap_or(0),
                     ..LocalOptions::default()
                 },
@@ -192,7 +190,6 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                 metrics_addr: parsed(args, "--metrics-addr")?,
                 flight_dump: parsed(args, "--flight-dump")?,
                 data_dir: parsed(args, "--data-dir")?,
-                transport: parsed(args, "--transport")?.unwrap_or_default(),
                 n_event_threads: parsed(args, "--event-threads")?.unwrap_or(0),
             },
         }),
@@ -412,7 +409,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgrid_cluster::worker::TransportChoice;
 
     fn parse_line(line: &str) -> Result<Invocation, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -449,7 +445,6 @@ mod tests {
         for line in [
             "local --peers x",
             "local --workers -1",
-            "local --transport udp",
             "local --kill-worker 1 --kill-at-min soon",
             "coordinator --listen 127.0.0.1:7071 --metrics-addr nowhere",
             "worker --connect localhost",
@@ -468,7 +463,7 @@ mod tests {
     #[test]
     fn a_full_local_line_lands_in_the_options() {
         let line = "local --workers 3 --peers 48 --seed 7 --n-min 4 --smoke --data-dir logs \
-                    --relaunch --transport reactor --event-threads 2 --heartbeat-ms 200 \
+                    --relaunch --event-threads 2 --heartbeat-ms 200 \
                     --failure-timeout-ms 8000 --rejoin-grace-ms 30000 --kill-worker 2 \
                     --trace-out t.jsonl --metrics-addr 127.0.0.1:0 --worker-metrics";
         let Invocation::Local {
@@ -485,7 +480,6 @@ mod tests {
         assert_eq!(options.workers, 3);
         assert_eq!(options.data_dir, Some(PathBuf::from("logs")));
         assert!(options.relaunch && options.worker_metrics && options.inherit_stderr);
-        assert_eq!(options.transport, TransportChoice::Reactor);
         assert_eq!(options.n_event_threads, 2);
         let heal = &options.heal;
         assert_eq!(
@@ -531,6 +525,6 @@ mod tests {
         };
         assert_eq!(connect.port(), 7071);
         assert_eq!(options.flight_dump, Some(PathBuf::from("w.jsonl")));
-        assert_eq!(options.transport, TransportChoice::Threaded);
+        assert_eq!(options.n_event_threads, 0, "one event thread per core");
     }
 }

@@ -55,7 +55,8 @@ pub struct ShardReport {
     /// instead of raw per-query records; the coordinator folds them with
     /// [`QueryAggregates::merge`]).
     pub query_stats: Vec<(IndexId, QueryAggregates)>,
-    /// Hosted peers online when the run ended.
+    /// Hosted peers online when the run ended: at most one per entry of
+    /// `paths` and `extra_paths` ([`ClusterMsg::check_ranges`]).
     pub online_at_end: u64,
     /// The worker's transport counters, including its per-peer link stats
     /// (send side keyed by destination, receive side by hosted peer); the
@@ -663,8 +664,10 @@ impl ClusterMsg {
             ClusterMsg::AddressBook { peer_addrs }
             | ClusterMsg::RecoveryAddrs { peer_addrs, .. } => addrs(peer_addrs),
             ClusterMsg::Report(report) => {
+                let hosted = report.paths.len() + report.extra_paths.len();
                 shard(report.shard_start, report.paths.len() as u64)
                     && report.extra_paths.iter().all(|&(peer, _)| peer < n)
+                    && report.online_at_end <= hosted as u64
             }
             ClusterMsg::ShardPaths { shard_start, paths } => {
                 shard(*shard_start, paths.len() as u64)

@@ -2,12 +2,10 @@
 //! boundary.
 //!
 //! A worker connects to the coordinator, receives its shard assignment and
-//! the run configuration, registers a wire endpoint for every hosted peer
-//! on its configured backend ([`TransportChoice`]: the threaded
-//! [`TcpTransport`] or the epoll-driven
-//! [`pgrid_reactor::ReactorTransport`]), publishes the listen addresses,
-//! wires every *other* peer as a remote
-//! via [`SocketTransport::register_remote`], and then drives the Section-5
+//! the run configuration, registers every hosted peer behind the one
+//! listener of its [`ReactorTransport`], publishes that address, wires
+//! every *other* peer as a remote via
+//! [`SocketTransport::register_remote`], and then drives the Section-5
 //! timeline over its shard **through the scenario executor**: the phases
 //! are the same [`pgrid_scenario::Scenario`] program the single-process
 //! driver runs, with the deterministic join/churn plans substituted for
@@ -41,8 +39,6 @@
 //!
 //! [`Phase::JoinSchedule`]: pgrid_scenario::Phase::JoinSchedule
 //! [`Phase::ChurnSchedule`]: pgrid_scenario::Phase::ChurnSchedule
-//! [`SocketTransport::register_takeover`]: pgrid_transport::SocketTransport::register_takeover
-//! [`SocketTransport::register_remote`]: pgrid_transport::SocketTransport::register_remote
 
 use crate::plan::{churn_plan, join_plan, MINUTE_MS};
 use crate::proto::{
@@ -62,7 +58,6 @@ use pgrid_obs::scrape::{ScrapeServer, ScrapeState};
 use pgrid_reactor::{ReactorConfig, ReactorTransport};
 use pgrid_scenario::scenario::CONTROL_SEED_SALT;
 use pgrid_scenario::{Overlay, OverlaySnapshot, Phase, QuerySpec, Scenario, ScenarioHooks};
-use pgrid_transport::tcp::TcpTransport;
 use pgrid_transport::{PeerAddr, SocketTransport, Transport};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -119,44 +114,7 @@ pub const KILL_EXIT_CODE: i32 = 113;
 /// split.
 const TRACE_BATCH_MAX: usize = 4_096;
 
-/// Which data-plane backend a worker hosts its shard on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportChoice {
-    /// The threaded TCP backend: one listener and one reader thread per
-    /// hosted peer ([`TcpTransport`]).
-    #[default]
-    Threaded,
-    /// The poll-driven multiplexed backend: all hosted peers behind one
-    /// listener, serviced by a fixed epoll worker pool
-    /// ([`ReactorTransport`]).  Falls back to the threaded backend (with
-    /// one warning) on platforms without epoll.
-    Reactor,
-}
-
-impl std::str::FromStr for TransportChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<TransportChoice, String> {
-        match s {
-            "tcp" | "threaded" => Ok(TransportChoice::Threaded),
-            "reactor" => Ok(TransportChoice::Reactor),
-            other => Err(format!(
-                "unknown transport {other:?} (expected \"tcp\" or \"reactor\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for TransportChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportChoice::Threaded => f.write_str("tcp"),
-            TransportChoice::Reactor => f.write_str("reactor"),
-        }
-    }
-}
-
-/// Observability options of one worker process.
+/// Options of one worker process.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerOptions {
     /// Bind address of the worker's `/metrics`+`/trace` scrape endpoint
@@ -171,10 +129,7 @@ pub struct WorkerOptions {
     /// holds a matching log at startup, the worker attempts a warm rejoin
     /// instead of a fresh rendezvous.
     pub data_dir: Option<PathBuf>,
-    /// The data-plane backend hosting this worker's shard.
-    pub transport: TransportChoice,
-    /// Reactor event threads (0 = one per core); ignored by the threaded
-    /// backend.
+    /// Event threads of the worker's reactor transport (0 = one per core).
     pub n_event_threads: usize,
 }
 
@@ -194,9 +149,9 @@ impl WorkerObs {
     /// Renders the worker's current metrics registry: the runtime's
     /// network counters, the transport link stats, the shard assignment,
     /// and — when journaling — the durability counters.
-    fn registry<T: Transport>(
+    fn registry(
         &self,
-        runtime: &Runtime<T>,
+        runtime: &Runtime<ReactorTransport>,
         durable: Option<&DurableStore>,
     ) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
@@ -282,10 +237,10 @@ impl WorkerObs {
 
     /// Publishes the current registry and any freshly drained trace
     /// events locally, and streams both to the coordinator.
-    fn publish<T: Transport>(
+    fn publish(
         &mut self,
         ctl: &mut ControlChannel,
-        runtime: &mut Runtime<T>,
+        runtime: &mut Runtime<ReactorTransport>,
         durable: Option<&DurableStore>,
         phase: u8,
     ) -> Result<()> {
@@ -339,9 +294,9 @@ struct HealState {
 /// delegates to the sharded [`Runtime`], except that advancing virtual
 /// time is paced against the wire (see the module docs), heartbeats the
 /// control channel, and honours a scheduled self-kill.
-pub struct ShardOverlay<T: SocketTransport = TcpTransport> {
+pub struct ShardOverlay {
     /// The sharded runtime this worker hosts.
-    pub runtime: Runtime<T>,
+    pub runtime: Runtime<ReactorTransport>,
     ctl: Rc<RefCell<ControlChannel>>,
     heal: HealState,
     /// The shard's durable journal, when `--data-dir` was given.
@@ -354,7 +309,7 @@ pub struct ShardOverlay<T: SocketTransport = TcpTransport> {
     obs: WorkerObs,
 }
 
-impl<T: SocketTransport> ShardOverlay<T> {
+impl ShardOverlay {
     /// Sends a heartbeat if the interval elapsed; send errors are ignored
     /// here (a dead coordinator surfaces at the next barrier anyway).
     fn maybe_heartbeat(&mut self) {
@@ -427,7 +382,7 @@ impl<T: SocketTransport> ShardOverlay<T> {
     }
 }
 
-impl<T: SocketTransport> Overlay for ShardOverlay<T> {
+impl Overlay for ShardOverlay {
     fn n_peers(&self) -> usize {
         Overlay::n_peers(&self.runtime)
     }
@@ -573,12 +528,12 @@ fn barrier_plan(scenario: &Scenario) -> Vec<Option<u8>> {
     plan
 }
 
-impl<T: SocketTransport> ScenarioHooks<ShardOverlay<T>> for BarrierHooks {
+impl ScenarioHooks<ShardOverlay> for BarrierHooks {
     type Error = Error;
 
     fn after_phase(
         &mut self,
-        overlay: &mut ShardOverlay<T>,
+        overlay: &mut ShardOverlay,
         phase_index: usize,
         _phase: &Phase,
     ) -> Result<()> {
@@ -623,33 +578,6 @@ fn connect_with_retry(coordinator: SocketAddr) -> Result<TcpStream> {
     Err(last.unwrap_or_else(|| Error::new(ErrorKind::ConnectionRefused, "no connect attempt ran")))
 }
 
-/// Connects to the coordinator at `coordinator` and runs one worker to
-/// completion: rendezvous, the full sharded timeline, and the final shard
-/// report.
-///
-/// With a `data_dir`, the shard is journaled along the way; a directory
-/// already holding a matching log routes through the warm-rejoin path
-/// instead of the fresh rendezvous.
-pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()> {
-    match options.transport {
-        TransportChoice::Reactor if pgrid_reactor::supported() => {
-            let transport = ReactorTransport::with_config(ReactorConfig {
-                n_event_threads: options.n_event_threads,
-                ..ReactorConfig::default()
-            });
-            run_worker_on(coordinator, options, transport)
-        }
-        TransportChoice::Reactor => {
-            pgrid_obs::warn!(
-                "cluster::worker",
-                "--transport reactor needs Linux epoll; falling back to the threaded TCP backend"
-            );
-            run_worker_on(coordinator, options, TcpTransport::new())
-        }
-        TransportChoice::Threaded => run_worker_on(coordinator, options, TcpTransport::new()),
-    }
-}
-
 /// Builds the worker's observability state: the optional scrape endpoint
 /// and the control-plane flight recorder (wired into the panic hook).
 fn worker_obs(
@@ -684,33 +612,27 @@ fn worker_obs(
     })
 }
 
-/// Registers a wire endpoint for every hosted peer and returns the
-/// announced `(peer, address)` pairs.  Under the threaded backend every
-/// peer gets its own listener; under the reactor they all share one.
-fn register_shard<T: SocketTransport>(
-    transport: &mut T,
+/// Registers every hosted peer and returns the announced `(peer, address)`
+/// pairs.  The reactor has one listener, so every hosted peer is announced
+/// at its [`ReactorTransport::listen_addr`], bound by the first
+/// registration.
+fn register_shard(
+    transport: &mut ReactorTransport,
     shard: &std::ops::Range<usize>,
 ) -> Result<Vec<(u64, SocketAddr)>> {
-    let mut peer_addrs = Vec::with_capacity(shard.len());
     for peer in shard.clone() {
-        let addr = socket_addr(transport.register(PeerId(peer as u64)))?;
-        peer_addrs.push((peer as u64, addr));
+        transport
+            .register(PeerId(peer as u64))
+            .map_err(|e| Error::other(e.to_string()))?;
     }
-    Ok(peer_addrs)
-}
-
-/// The socket address a [`SocketTransport`] bound an endpoint at.
-fn socket_addr(
-    bound: std::result::Result<PeerAddr, pgrid_transport::TransportError>,
-) -> Result<SocketAddr> {
-    match bound.map_err(|e| Error::other(e.to_string()))? {
-        PeerAddr::Socket(addr) => Ok(addr),
-        _ => unreachable!("socket transports return socket addresses"),
-    }
+    let Some(listen) = transport.listen_addr() else {
+        return Ok(Vec::new()); // an empty shard binds nothing
+    };
+    Ok(shard.clone().map(|peer| (peer as u64, listen)).collect())
 }
 
 /// Current path of every originally hosted peer, in shard order.
-fn shard_paths<T: Transport>(runtime: &Runtime<T>) -> Vec<Path> {
+fn shard_paths(runtime: &Runtime<ReactorTransport>) -> Vec<Path> {
     runtime
         .shard()
         .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
@@ -719,7 +641,7 @@ fn shard_paths<T: Transport>(runtime: &Runtime<T>) -> Vec<Path> {
 
 /// Streams the remaining bandwidth minutes and sends the final
 /// [`ShardReport`].
-fn send_report<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> {
+fn send_report(overlay: &mut ShardOverlay) -> Result<()> {
     stream_minutes(overlay, u64::MAX)?;
     let runtime = &overlay.runtime;
     let report = ClusterMsg::Report(ShardReport {
@@ -744,16 +666,21 @@ fn send_report<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> 
     overlay.ctl.borrow_mut().send(&report)
 }
 
-/// [`run_worker`] once the backend is chosen: one rendezvous, one run.
+/// Connects to the coordinator at `coordinator` and runs one worker to
+/// completion: rendezvous, the full sharded timeline, and the final shard
+/// report.  The shard is hosted on a [`ReactorTransport`]; on a platform
+/// without epoll ([`pgrid_reactor::supported`] is `false`) the worker
+/// refuses to start with `ErrorKind::Unsupported`.
 ///
-/// A fresh worker waits silently for `Welcome`, parks at the
-/// [`PHASE_WIRED`] barrier and runs the whole phase program.  A worker
+/// With a `data_dir`, the shard is journaled along the way.  A fresh
+/// worker waits silently for `Welcome`, parks at the [`PHASE_WIRED`]
+/// barrier and runs the whole phase program.  A worker
 /// whose `data_dir` already holds a matching log **warm-restarts** through
 /// the same rendezvous — the rejoiner speaks first, with
 /// [`ClusterMsg::Rejoin`] — and, once the coordinator's healing round
 /// accepts it, re-enters the run at the barrier the cluster is parked at:
 ///
-/// 1. replay the journal into the sharded runtime ([`replay_log`]), which
+/// 1. replay the journal into the sharded runtime (`replay_log`), which
 ///    also starts an anti-entropy diff of every replayed peer against a
 ///    live remote replica,
 /// 2. acknowledge with `RecoveryDone` (the diffs settle while pacing),
@@ -761,11 +688,17 @@ fn send_report<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> 
 ///    *without* re-reporting `PhaseDone` (the coordinator collected that
 ///    barrier without us), and
 /// 4. run the remaining suffix of the phase program.
-fn run_worker_on<T: SocketTransport>(
-    coordinator: SocketAddr,
-    options: &WorkerOptions,
-    mut transport: T,
-) -> Result<()> {
+pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()> {
+    if !pgrid_reactor::supported() {
+        return Err(Error::new(
+            ErrorKind::Unsupported,
+            "the cluster worker's data plane is the reactor transport, which needs Linux epoll",
+        ));
+    }
+    let mut transport = ReactorTransport::with_config(ReactorConfig {
+        n_event_threads: options.n_event_threads,
+        ..ReactorConfig::default()
+    });
     let durable = match &options.data_dir {
         Some(dir) => Some(DurableStore::open(dir, LogOptions::default())?),
         None => None,
@@ -973,8 +906,8 @@ fn run_worker_on<T: SocketTransport>(
 /// ([`Runtime::begin_replica_diff`]) — the crash window's lost mutations
 /// flow back as a merge, not a full rebuild.  Returns the `RecoveryDone`
 /// list: every replayed peer, marked as recovered from a replica.
-fn replay_log<T: SocketTransport>(
-    runtime: &mut Runtime<T>,
+fn replay_log(
+    runtime: &mut Runtime<ReactorTransport>,
     durable: &DurableStore,
     meta: &MetaImage,
     resume_phase: u8,
@@ -1102,7 +1035,7 @@ pub fn worker_scenario(
 
 /// Streams every completed, not-yet-reported bandwidth minute below
 /// `before` to the coordinator.
-fn stream_minutes<T: SocketTransport>(overlay: &mut ShardOverlay<T>, before: u64) -> Result<()> {
+fn stream_minutes(overlay: &mut ShardOverlay, before: u64) -> Result<()> {
     let mut samples: Vec<(u64, u64, u64)> = overlay
         .runtime
         .metrics
@@ -1125,31 +1058,27 @@ fn stream_minutes<T: SocketTransport>(overlay: &mut ShardOverlay<T>, before: u64
 }
 
 /// Takes over the endpoints of every orphan reassigned to this worker,
-/// adopts the peers, and reports the fresh listen addresses; the actual
-/// state rebuild waits for the updated address book (see [`run_recovery`]).
-fn handle_reassign<T: SocketTransport>(
-    overlay: &mut ShardOverlay<T>,
-    epoch: u64,
-    moves: &[ReassignMove],
-) -> Result<()> {
-    let mut addrs: Vec<(u64, SocketAddr)> = Vec::new();
+/// adopts the peers, and reports where they are reachable now — the
+/// reactor's one listener; the actual state rebuild waits for the updated
+/// address book (see [`run_recovery`]).
+fn handle_reassign(overlay: &mut ShardOverlay, epoch: u64, moves: &[ReassignMove]) -> Result<()> {
+    let mut adopted: Vec<u64> = Vec::new();
     for m in moves
         .iter()
         .filter(|m| m.to_worker == overlay.heal.worker_index)
     {
         let peer = m.peer as usize;
-        let sock = socket_addr(
-            overlay
-                .runtime
-                .transport_mut()
-                .register_takeover(PeerId(m.peer)),
-        )?;
+        overlay
+            .runtime
+            .transport_mut()
+            .register_takeover(PeerId(m.peer))
+            .map_err(|e| Error::other(e.to_string()))?;
         overlay.runtime.adopt_peer(peer);
         overlay
             .heal
             .pending
             .push((peer, m.source_peer as usize, m.path));
-        addrs.push((m.peer, sock));
+        adopted.push(m.peer);
         overlay.obs.control.lock().unwrap().note(
             overlay.runtime.now(),
             "recovery",
@@ -1159,10 +1088,12 @@ fn handle_reassign<T: SocketTransport>(
             ),
         );
     }
-    if !addrs.is_empty() {
+    // A takeover binds the one listener; no adoption, nothing to announce.
+    let listen = overlay.runtime.transport_mut().listen_addr();
+    if let Some(listen) = listen.filter(|_| !adopted.is_empty()) {
         overlay.ctl.borrow_mut().send(&ClusterMsg::RecoveryAddrs {
             epoch,
-            peer_addrs: addrs,
+            peer_addrs: adopted.into_iter().map(|peer| (peer, listen)).collect(),
         })?;
     }
     Ok(())
@@ -1171,7 +1102,7 @@ fn handle_reassign<T: SocketTransport>(
 /// Re-points every non-hosted peer at its (possibly moved) endpoint and
 /// clears the link state towards it: a peer that was unreachable because
 /// its worker died is reachable again once a survivor re-hosts it.
-fn apply_book<T: SocketTransport>(overlay: &mut ShardOverlay<T>, book: &[(u64, SocketAddr)]) {
+fn apply_book(overlay: &mut ShardOverlay, book: &[(u64, SocketAddr)]) {
     for &(peer, addr) in book {
         let p = peer as usize;
         if overlay.runtime.hosted(p) {
@@ -1191,14 +1122,14 @@ fn apply_book<T: SocketTransport>(overlay: &mut ShardOverlay<T>, book: &[(u64, S
 /// (local replica scan first, then the coordinator's hint), the seeded
 /// local regeneration as the fallback, and a `RecoveryDone` acknowledgment
 /// once the shard is whole again.
-fn run_recovery<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()> {
+fn run_recovery(overlay: &mut ShardOverlay) -> Result<()> {
     if overlay.heal.pending.is_empty() {
         return Ok(());
     }
     let pending = std::mem::take(&mut overlay.heal.pending);
     let epoch = overlay.heal.epoch;
     let mut local: BTreeSet<usize> = BTreeSet::new();
-    let source_of = |overlay: &ShardOverlay<T>, peer: usize, hint: usize| {
+    let source_of = |overlay: &ShardOverlay, peer: usize, hint: usize| {
         overlay
             .runtime
             .find_replica_source(peer)
@@ -1296,7 +1227,7 @@ fn run_recovery<T: SocketTransport>(overlay: &mut ShardOverlay<T>) -> Result<()>
 /// Reports the end of `phase` and parks until the coordinator releases the
 /// barrier, servicing the data transport (and the healing protocol) the
 /// whole time.
-fn barrier<T: SocketTransport>(overlay: &mut ShardOverlay<T>, phase: u8) -> Result<()> {
+fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
     let ctl = Rc::clone(&overlay.ctl);
     // Let stragglers from faster shards drain before declaring the phase
     // over: keep answering until the wire stays quiet for a moment.
@@ -1362,11 +1293,7 @@ fn barrier<T: SocketTransport>(overlay: &mut ShardOverlay<T>, phase: u8) -> Resu
 /// remotes and starts the rebuilds — and anything else is a protocol error;
 /// silence past `deadline` is `TimedOut`.  Every message is range-checked
 /// before it is looked at.
-fn poll_parked<T: SocketTransport>(
-    overlay: &mut ShardOverlay<T>,
-    phase: u8,
-    deadline: Instant,
-) -> Result<bool> {
+fn poll_parked(overlay: &mut ShardOverlay, phase: u8, deadline: Instant) -> Result<bool> {
     let msg = overlay.ctl.borrow_mut().try_recv()?;
     let Some(msg) = msg else {
         if Instant::now() >= deadline {

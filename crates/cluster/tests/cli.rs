@@ -18,6 +18,8 @@ fn refused(args: &[&str]) {
 fn a_misspelt_flag_prints_usage_and_exits_2() {
     // Ran a two-worker cluster before: `--worker` is not `--workers`.
     refused(&["local", "--worker", "3", "--smoke"]);
+    // The reactor is the only socket backend; there is nothing to choose.
+    refused(&["worker", "--connect", "127.0.0.1:1", "--transport", "tcp"]);
 }
 
 #[test]

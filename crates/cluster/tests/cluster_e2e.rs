@@ -4,15 +4,16 @@
 //! The test runs the same configuration twice — once in-process over the
 //! deterministic loopback transport (`run_deployment`, the reference) and
 //! once as a coordinator plus **two real worker processes** spawned from
-//! the `pgrid-cluster` binary, each hosting half the peers on its own
-//! `TcpTransport` and reaching the other half through remote
-//! registrations.  The merged cluster report must satisfy the same
+//! the `pgrid-cluster` binary, each hosting half the peers behind the one
+//! listener of its `ReactorTransport` and reaching the other half through
+//! remote registrations.  The merged cluster report must satisfy the same
 //! balance/replication invariants as the single-process run: protocol
 //! state genuinely crossed the process boundary, or the trie could never
 //! have mixed the two shards.
 
+#![cfg(target_os = "linux")]
+
 use pgrid_cluster::local::{run_local, LocalOptions};
-use pgrid_cluster::worker::TransportChoice;
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_scenario::deployment::run_deployment;
@@ -75,7 +76,7 @@ fn two_worker_processes_converge_like_the_single_process_run() {
         cluster.balance_deviation
     );
     // ... and agree on the balance statistics (same bound as the
-    // TCP-vs-loopback parity test).
+    // reactor-vs-loopback parity test).
     assert!(
         (single.balance_deviation - cluster.balance_deviation).abs() < 0.75,
         "deployment modes disagree on balance: single {:.3} vs cluster {:.3}",
@@ -146,6 +147,21 @@ fn two_worker_processes_converge_like_the_single_process_run() {
         .sum();
     assert_eq!(link_sent, cluster.transport.frames_sent);
     assert_eq!(link_received, cluster.transport.frames_delivered);
+
+    // Frames of all 16 peers per process share one multiplexed connection
+    // pair, and both shards' reactor stats merge.
+    let stats = cluster
+        .transport
+        .reactor
+        .expect("reactor workers report reactor stats in the merged view");
+    assert_eq!(
+        stats.registered_peers, config.n_peers as u64,
+        "both shards' registrations must merge: {stats:?}"
+    );
+    assert!(
+        stats.registered_fds < 32,
+        "fds must not scale with peers: {stats:?}"
+    );
 }
 
 #[test]
@@ -189,63 +205,6 @@ fn two_worker_processes_resolve_range_queries_across_shards() {
         "query success rate {}",
         cluster.query_success_rate
     );
-}
-
-#[test]
-fn two_reactor_worker_processes_complete_the_timeline() {
-    // The same two-process smoke run with every worker hosting its shard
-    // on the epoll reactor (`--transport reactor`): frames of all 16 peers
-    // per process share one multiplexed connection pair instead of 16x16
-    // threaded links.  On platforms without epoll the flag falls back to
-    // the threaded backend, so the run must complete either way.
-    let config = config();
-    let timeline = short_timeline();
-    let cluster = run_local(
-        &config,
-        &timeline,
-        &LocalOptions {
-            workers: 2,
-            worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_pgrid-cluster"))),
-            inherit_stderr: true,
-            transport: TransportChoice::Reactor,
-            ..LocalOptions::default()
-        },
-    )
-    .expect("the 2-process reactor run must complete");
-    assert!(
-        cluster.balance_deviation < 1.5,
-        "deviation {}",
-        cluster.balance_deviation
-    );
-    assert!(
-        cluster.mean_path_length >= 1.5,
-        "mean path length {:.2}: the shards never mixed",
-        cluster.mean_path_length
-    );
-    assert!(
-        cluster.query_success_rate > 0.8,
-        "query success rate {}",
-        cluster.query_success_rate
-    );
-    assert!(
-        cluster.transport.frames_sent > 500,
-        "{:?}",
-        cluster.transport
-    );
-    if pgrid_reactor::supported() {
-        let stats = cluster
-            .transport
-            .reactor
-            .expect("reactor workers report reactor stats in the merged view");
-        assert_eq!(
-            stats.registered_peers, config.n_peers as u64,
-            "both shards' registrations must merge: {stats:?}"
-        );
-        assert!(
-            stats.registered_fds < 32,
-            "fds must not scale with peers: {stats:?}"
-        );
-    }
 }
 
 #[test]

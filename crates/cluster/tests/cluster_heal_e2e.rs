@@ -15,6 +15,8 @@
 //! failure, dumps the flight recorder, and assembles a partial report from
 //! the survivor.
 
+#![cfg(target_os = "linux")]
+
 use pgrid_cluster::coordinator::{HealConfig, KillPlan};
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
 use pgrid_net::experiment::Timeline;

@@ -10,6 +10,8 @@
 //! loop: a lookup issued in one worker process must reassemble into a
 //! complete hop chain whose events span peers of *both* shards.
 
+#![cfg(target_os = "linux")]
+
 use pgrid_cluster::coordinator::ObsOptions;
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
 use pgrid_net::experiment::Timeline;

@@ -13,6 +13,8 @@
 //! envelope — and its healing round must beat the cold rebuild (or stay
 //! sub-second when a lucky cold round dodges the pull-retry race).
 
+#![cfg(target_os = "linux")]
+
 use pgrid_cluster::coordinator::{HealConfig, KillPlan, ObsReport};
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
 use pgrid_net::experiment::{DeploymentReport, Timeline};

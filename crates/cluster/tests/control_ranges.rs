@@ -1,7 +1,10 @@
-//! A control message naming a peer or a shard outside the population is an
-//! `InvalidData` error at the process that receives it, never a panic: one
-//! test per message that used to index a per-peer table unchecked, each
-//! driving the public entry point against a scripted counterpart.
+//! A control message naming a peer or a shard outside the population, or a
+//! report counting more online peers than it carries, is an `InvalidData`
+//! error at the process that receives it, never a panic: one test per
+//! message that used to index a per-peer table (or feed a sum) unchecked,
+//! each driving the public entry point against a scripted counterpart.
+
+#![cfg(target_os = "linux")]
 
 use pgrid_cluster::coordinator::{run_coordinator, ClusterConfig, HealConfig};
 use pgrid_cluster::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_DONE};
@@ -64,12 +67,13 @@ fn drain(mut ctl: ControlChannel) {
     while ctl.recv_timeout(WAIT).is_ok() {}
 }
 
-#[test]
-fn a_report_for_a_shard_outside_the_population_is_invalid_data() {
+/// A script passes every barrier honestly, then reports `make(shard_start,
+/// shard_len)`: the coordinator must refuse it as `InvalidData`.
+fn report_is_invalid_data(make: fn(u64, u64) -> ShardReport) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let worker = std::thread::spawn(move || {
-        let (mut ctl, _, _, shard_len) = rendezvous(addr);
+        let (mut ctl, _, shard_start, shard_len) = rendezvous(addr);
         for phase in 0..=PHASE_DONE {
             ctl.send(&ClusterMsg::PhaseDone { phase }).unwrap();
             assert_eq!(
@@ -77,22 +81,38 @@ fn a_report_for_a_shard_outside_the_population_is_invalid_data() {
                 ClusterMsg::Proceed { phase }
             );
         }
-        ctl.send(&ClusterMsg::Report(ShardReport {
-            shard_start: 1 << 40,
-            paths: vec![Path::root(); shard_len as usize],
-            query_stats: Vec::new(),
-            online_at_end: 0,
-            transport: Default::default(),
-            messages_delivered: 0,
-            messages_lost: 0,
-            extra_paths: Vec::new(),
-        }))
-        .unwrap();
+        ctl.send(&ClusterMsg::Report(make(shard_start, shard_len)))
+            .unwrap();
         drain(ctl);
     });
     let error = run_coordinator(listener, &cluster(1)).expect_err("the report is out of range");
     assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
     worker.join().unwrap();
+}
+
+fn report(shard_start: u64, shard_len: u64, online_at_end: u64) -> ShardReport {
+    ShardReport {
+        shard_start,
+        paths: vec![Path::root(); shard_len as usize],
+        query_stats: Vec::new(),
+        online_at_end,
+        transport: Default::default(),
+        messages_delivered: 0,
+        messages_lost: 0,
+        extra_paths: Vec::new(),
+    }
+}
+
+#[test]
+fn a_report_for_a_shard_outside_the_population_is_invalid_data() {
+    report_is_invalid_data(|_, shard_len| report(1 << 40, shard_len, 0));
+}
+
+#[test]
+fn a_report_with_more_peers_online_than_it_hosts_is_invalid_data() {
+    // The coordinator sums these claims into the run's online count; one
+    // past the peers the report carries was accepted before.
+    report_is_invalid_data(|shard_start, shard_len| report(shard_start, shard_len, shard_len + 1));
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! an encoded wire protocol carried by a pluggable [`pgrid_transport`]
 //! backend: the deterministic loopback transport emulates the wide-area
 //! network (latency, jitter, frame loss) as a substitute for the paper's
-//! PlanetLab deployment, while the TCP backend runs the same protocol over
-//! real sockets.  The [`experiment`] module defines the timeline of
+//! PlanetLab deployment, while the socket backend (`pgrid-reactor`) runs the
+//! same protocol over real sockets.  The [`experiment`] module defines the timeline of
 //! Section 5 (join → replicate → construct → query → churn) and computes the
 //! time series behind Figures 7, 8 and 9 plus the summary statistics of
 //! Section 5.2 from a finished run.

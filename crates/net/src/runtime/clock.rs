@@ -80,7 +80,7 @@ impl<T: Transport> Runtime<T> {
     ///
     /// With a virtual-time transport (loopback) frame arrivals are merged
     /// deterministically with the timer queue.  With a real-time transport
-    /// (TCP) arrived frames are always drained first, and while frames are
+    /// (the reactor) arrived frames are always drained first, and while frames are
     /// still in flight the virtual clock briefly waits for the wire instead
     /// of racing ahead (for a bounded number of polls, `MAX_REALTIME_STALLS`).
     pub fn run_until(&mut self, until: Millis) {

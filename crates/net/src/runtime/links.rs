@@ -59,7 +59,7 @@ const LINK_DEAD_AFTER: u32 = 3;
 
 /// Life-cycle of the link to one (remote) peer, driven by transport send
 /// failures.  Virtual-time transports never fail a send, so every link
-/// stays `Connected` in single-process runs; over TCP a dead worker's
+/// stays `Connected` in single-process runs; over sockets a dead worker's
 /// endpoints walk Connected → Suspect → Dead, and the data plane keeps
 /// advancing — sends to a suppressed link count as loss instead of
 /// stalling the virtual clock on connect timeouts.
@@ -167,7 +167,7 @@ impl<T: Transport> Runtime<T> {
 
     /// The transport backend, mutable — cluster shard reassignment uses
     /// this to take over a dead worker's endpoints
-    /// ([`pgrid_transport::tcp::TcpTransport::register_takeover`]) and
+    /// ([`pgrid_transport::SocketTransport::register_takeover`]) and
     /// re-point moved ones.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.links.transport

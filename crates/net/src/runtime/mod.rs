@@ -5,10 +5,10 @@
 //! batches by a [`pgrid_transport::Transport`] backend.  With the
 //! deterministic loopback backend this replaces the paper's PlanetLab
 //! testbed (seeded latency and jitter, emulated loss, reproducible
-//! experiments); with the TCP backend the very same protocol code paths run
-//! over real sockets.  Messages sent to the same destination while one
-//! event is processed are batched into a single frame (the per-tick
-//! batching of exchange messages).
+//! experiments); with the socket backend (`pgrid-reactor`) the very same
+//! protocol code paths run over real sockets.  Messages sent to the same
+//! destination while one event is processed are batched into a single frame
+//! (the per-tick batching of exchange messages).
 //!
 //! The runtime is split along its seams, one module each; a seam's private
 //! state lives in one struct the module owns, and whatever needs the whole
@@ -248,8 +248,8 @@ impl IndexTable {
 /// Generic over the [`Transport`] backend; [`Runtime::new`] builds the
 /// deterministic loopback deployment (the emulated wide-area network of the
 /// paper's experiments), [`Runtime::with_transport`] accepts any backend —
-/// in particular [`pgrid_transport::tcp::TcpTransport`] for runs over real
-/// sockets.
+/// in particular a [`pgrid_transport::SocketTransport`] (the reactor of
+/// `pgrid-reactor`) for runs over real sockets.
 ///
 /// A runtime normally hosts every peer of the deployment, but it can also
 /// host only a contiguous *shard* of them
@@ -362,7 +362,7 @@ impl<T: Transport> Runtime<T> {
     ///
     /// Hosted peers get a transport endpoint registered here; every peer
     /// outside the shard must already be reachable through the transport
-    /// (e.g. via [`pgrid_transport::tcp::TcpTransport::register_remote`]) —
+    /// (e.g. via [`pgrid_transport::SocketTransport::register_remote`]) —
     /// otherwise this fails with [`TransportError::UnknownPeer`].  All peers
     /// are generated (same seed, same data assignment in every process);
     /// non-hosted ones stay local stubs that only track identity, neighbour

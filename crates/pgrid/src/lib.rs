@@ -16,7 +16,8 @@
 //! | [`partition`] | `pgrid-partition` | AEP decision probabilities, mean-value models, discrete split simulation |
 //! | [`workload`] | `pgrid-workload` | key distributions, synthetic corpus, query workloads |
 //! | [`sim`] | `pgrid-sim` | whole-system construction simulator, sequential baseline, query evaluation |
-//! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, `std::net` TCP |
+//! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, the `SocketTransport` trait |
+//! | [`reactor`] | `pgrid-reactor` | the one socket backend: every hosted peer behind one listener, epoll event threads (Linux) |
 //! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport, multi-index capable) and the PlanetLab-style experiment |
 //! | [`scenario`] | `pgrid-scenario` | the composable experiment API: `Overlay` trait, declarative `Scenario` programs, one executor for every engine |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |

@@ -10,9 +10,8 @@
 //!
 //! The loop never blocks on anything but `epoll_wait`: a full inbox pauses
 //! reading (retried on a short tick or when the caller's poll rings the
-//! waker), and reconnects are driven by a timer list with the same capped
-//! backoff + deterministic jitter as the threaded backend's
-//! `connect_with_backoff`.
+//! waker), and reconnects are driven by a timer list with capped
+//! exponential backoff plus deterministic jitter ([`backoff_delay`]).
 //!
 //! **A frame pays a share of a batch's syscalls and locks, not its own.**
 //! The write queue is taken up to [`BATCH_BYTES`] of records at a time
@@ -50,8 +49,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Dial attempts before a link is declared failed (parity with the
-/// threaded backend's `CONNECT_ATTEMPTS`).
+/// Dial attempts before a link is declared failed.  A refused dial is
+/// retried after [`backoff_delay`], so a listener that is still coming up
+/// during startup — or restarting while a shard is reassigned — does not
+/// make the first send fatal.
 const CONNECT_ATTEMPTS: u32 = 3;
 
 /// First reconnect backoff in milliseconds; doubles per attempt.
@@ -76,8 +77,10 @@ const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_BASE: u64 = 2;
 
-/// Deterministic jitter on the reconnect backoff, derived from the address
-/// and attempt exactly like the threaded backend (no RNG state consumed).
+/// The reconnect backoff before dial `attempt`: doubling from
+/// [`CONNECT_BACKOFF_MS`] up to [`CONNECT_BACKOFF_CAP_MS`], plus up to half
+/// of it again as jitter derived from the address and the attempt (no RNG
+/// state, so nothing observable by parity tests is consumed).
 fn backoff_delay(addr: SocketAddr, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(16);
     let delay_ms = (CONNECT_BACKOFF_MS << exp).min(CONNECT_BACKOFF_CAP_MS);

@@ -1,14 +1,12 @@
 //! # pgrid-reactor
 //!
 //! Poll-driven multiplexed transport: tens of thousands of P-Grid peers
-//! per process on a handful of file descriptors.
+//! per process on a handful of file descriptors.  It is the one socket
+//! backend of the repository and the data plane of every `pgrid-cluster`
+//! worker.
 //!
-//! The threaded TCP backend (`pgrid_transport::tcp`) spawns one listener +
-//! acceptor thread per hosted peer and one reader thread per connection,
-//! which caps a `pgrid-cluster` worker at a few hundred peers.  This crate
-//! replaces that with a hand-rolled **epoll** (Linux) event loop — no
-//! external dependencies, raw FFI against the C library `std` already
-//! links:
+//! A hand-rolled **epoll** (Linux) event loop — no external dependencies,
+//! raw FFI against the C library `std` already links:
 //!
 //! * **one** listening socket serves *all* locally hosted peers; each wire
 //!   record carries its destination peer id (see [`mux`]),
@@ -16,14 +14,15 @@
 //!   crossing it, with a bounded per-link write queue, edge-triggered
 //!   readiness, and partial-write resume,
 //! * a fixed pool of `n_event_threads` event threads multiplexes every
-//!   socket; reconnects use the same capped backoff + deterministic jitter
-//!   as the threaded backend.
+//!   socket; a failed dial is retried with capped exponential backoff plus
+//!   deterministic jitter.
 //!
 //! [`ReactorTransport`] implements `Transport` *and* `SocketTransport`, so
-//! `net::Runtime<T>`, the scenario executor, and the cluster worker adopt
-//! it with zero call-site changes.  On non-Linux platforms the type exists
-//! but refuses to start ([`supported`] returns `false`); `pgrid-cluster`
-//! falls back to the threaded backend with a warning.
+//! `net::Runtime<T>`, the scenario executor, and the cluster worker drive
+//! it through the same traits as the loopback backend.  On non-Linux
+//! platforms the type exists but refuses to start ([`supported`] returns
+//! `false`); the `pgrid-cluster` worker refuses to start too, and such
+//! builds keep the loopback transport and the simulator.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -49,8 +48,9 @@ use std::time::Duration;
 
 /// Whether this platform can run the reactor (epoll is Linux-only).
 ///
-/// Callers offering `--transport reactor` should fall back to the threaded
-/// backend — with a warning, not an error — when this is `false`.
+/// When this is `false`, callers that need real sockets (the cluster
+/// worker) refuse to start with `ErrorKind::Unsupported`; there is no
+/// second socket backend to fall back to.
 pub fn supported() -> bool {
     cfg!(target_os = "linux")
 }
@@ -62,8 +62,9 @@ pub struct ReactorConfig {
     /// core.
     pub n_event_threads: usize,
     /// Wire-side inbox bound in frames: event threads pause reading (TCP
-    /// flow control pushes back on the remote) rather than buffer past it.
-    /// Mirrors the threaded backend's bounded inbox.
+    /// flow control pushes back on the remote) rather than buffer past it,
+    /// so a slow shard surfaces as wire backpressure, not as unbounded
+    /// memory growth in the receiving process.
     pub inbox_capacity: usize,
     /// Per-link write queue bound in bytes; a full queue makes `send` wait
     /// up to [`ReactorConfig::send_timeout`] before reporting failure.

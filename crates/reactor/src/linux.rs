@@ -16,7 +16,8 @@
 //!   frames in under one lock, `poll` takes the whole deque under one;
 //!   when the inbox is at capacity they *pause reading* that connection
 //!   instead of blocking, so TCP flow control pushes back on the remote
-//!   writer exactly as the threaded backend's bounded inbox does.
+//!   writer and a slow receiver costs the sender wire backpressure, not
+//!   the receiver unbounded memory.
 //! * **commands** — new links and accepted connections are handed to the
 //!   owning event thread through a tiny mailbox plus (unconditional)
 //!   eventfd ring.
@@ -328,8 +329,8 @@ impl ReactorTransport {
             if queue.failed {
                 // The event thread gave up on this link; this send reports
                 // the failure (resetting the flag so a later send re-dials),
-                // exactly as a threaded-backend send reports its reconnect
-                // failure synchronously.
+                // so the runtime's link life-cycle sees a dead endpoint as a
+                // failed send, not as silence.
                 queue.failed = false;
                 Some(io::Error::new(
                     io::ErrorKind::BrokenPipe,
@@ -428,8 +429,11 @@ impl Transport for ReactorTransport {
     }
 
     fn in_flight(&self) -> usize {
-        // Same estimate as the threaded backend: only frames addressed to
-        // locally hosted peers can ever show up in this process's poll.
+        // Only frames addressed to locally hosted peers can ever show up in
+        // this process's poll; frames to remote peers are delivered by the
+        // process that hosts them and must not stall the local clock.
+        // Saturating: with remote peers this transport also receives frames
+        // it never sent, so delivered may exceed the local send count.
         self.local_frames_sent
             .saturating_sub(self.stats.frames_delivered) as usize
     }

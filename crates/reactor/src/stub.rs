@@ -1,6 +1,7 @@
 //! Non-Linux stand-in: the type exists so callers compile everywhere, but
 //! every operation that would need epoll reports `Unsupported`.  Callers
-//! check [`crate::supported`] and fall back to the threaded backend.
+//! check [`crate::supported`] and refuse to start (the cluster worker
+//! returns `ErrorKind::Unsupported`); loopback and the simulator remain.
 
 use crate::ReactorConfig;
 use bytes::Bytes;

@@ -90,6 +90,31 @@ fn frames_cross_processes_in_order_over_one_connection() {
 }
 
 #[test]
+fn per_peer_link_stats_agree_across_a_real_socket() {
+    // What one process counts as sent to a remote peer, the process hosting
+    // it counts as received for it: frame for frame, byte for byte.
+    let mut host = ReactorTransport::new();
+    let mut sender = ReactorTransport::new();
+    let peer = PeerId(11);
+    let addr = socket_addr(host.register(peer).unwrap());
+    sender.register_remote(peer, addr).unwrap();
+    let frame = encode_frame(&[payload(1, 100)]);
+    sender.send(0, peer, frame.clone()).unwrap();
+    sender.send(0, peer, frame.clone()).unwrap();
+    assert_eq!(poll_n(&mut host, 2).len(), 2);
+    let sent = sender.stats().per_peer[&peer.0];
+    let received = host.stats().per_peer[&peer.0];
+    let bytes = 2 * frame.len() as u64;
+    assert_eq!((sent.frames_sent, sent.bytes_sent), (2, bytes));
+    assert_eq!(
+        (received.frames_received, received.bytes_received),
+        (sent.frames_sent, sent.bytes_sent)
+    );
+    assert_eq!(sent.send_failures, 0);
+    assert_eq!(host.stats().bytes_delivered, bytes);
+}
+
+#[test]
 fn takeover_adopts_a_remote_peer_without_new_sockets() {
     let peer = PeerId(21);
     let mut dead_host = ReactorTransport::new();

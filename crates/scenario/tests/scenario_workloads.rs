@@ -1,5 +1,6 @@
 //! The two ROADMAP workloads opened by the scenario API, end-to-end on
-//! both transports:
+//! both transports (loopback in virtual time, the reactor in real time —
+//! the `*_on_tcp` runs drive the runtime's real-time clock path):
 //!
 //! * **churn-heavy construction** — joins and leaves interleaved with
 //!   partitioning: churn windows overlap the construction phase instead of
@@ -10,11 +11,20 @@
 
 use pgrid_core::index::IndexId;
 use pgrid_net::runtime::{NetConfig, Runtime};
+use pgrid_reactor::ReactorTransport;
 use pgrid_scenario::prelude::*;
-use pgrid_transport::tcp::TcpTransport;
 use pgrid_workload::distributions::Distribution;
 
 const MINUTE: u64 = 60_000;
+
+/// A runtime hosting every peer on the reactor; `None` (skip) off Linux.
+fn on_reactor(config: &NetConfig) -> Option<Runtime<ReactorTransport>> {
+    if !pgrid_reactor::supported() {
+        eprintln!("skipping: the reactor transport needs Linux epoll");
+        return None;
+    }
+    Some(Runtime::with_transport(config.clone(), ReactorTransport::new()).expect("register"))
+}
 
 fn config(n_peers: usize, seed: u64) -> NetConfig {
     NetConfig {
@@ -99,8 +109,9 @@ fn churn_heavy_construction_on_loopback() {
 #[test]
 fn churn_heavy_construction_on_tcp() {
     let config = config(16, 71);
-    let mut overlay =
-        Runtime::with_transport(config.clone(), TcpTransport::new()).expect("register");
+    let Some(mut overlay) = on_reactor(&config) else {
+        return;
+    };
     let report = pgrid_scenario::run(&mut overlay, &churn_heavy_scenario(config.seed));
     let fin = report.final_snapshot().index(IndexId::PRIMARY).unwrap();
     assert!(fin.mean_path_length >= 1.0, "{:.2}", fin.mean_path_length);
@@ -154,8 +165,9 @@ fn range_load_completes_on_loopback() {
 #[test]
 fn range_load_completes_on_tcp() {
     let config = config(16, 73);
-    let mut overlay =
-        Runtime::with_transport(config.clone(), TcpTransport::new()).expect("register");
+    let Some(mut overlay) = on_reactor(&config) else {
+        return;
+    };
     let report = pgrid_scenario::run(&mut overlay, &range_load_scenario(config.seed));
     assert_range_load(&report);
 }
@@ -216,8 +228,9 @@ fn multi_index_overlay_on_loopback() {
 #[test]
 fn multi_index_overlay_on_tcp() {
     let config = config(16, 23);
-    let mut overlay =
-        Runtime::with_transport(config.clone(), TcpTransport::new()).expect("register");
+    let Some(mut overlay) = on_reactor(&config) else {
+        return;
+    };
     overlay.register_index(IndexId(1), &Distribution::Pareto { shape: 1.0 });
     let report = pgrid_scenario::run(&mut overlay, &multi_index_scenario(config.seed));
     let fin = report.final_snapshot();

@@ -14,9 +14,10 @@
 //! ```
 //!
 //! The same bytes travel over every backend: the loopback transport hands
-//! the frame over verbatim, the TCP backend writes it to the socket and
-//! reassembles it on the other side with a [`FrameReader`] (which copes
-//! with frames split across arbitrary read boundaries).
+//! the frame over verbatim, the reactor carries it as the body of one mux
+//! record, and the cluster's control channel reassembles frames from its
+//! TCP stream with a [`FrameReader`] (which copes with frames split across
+//! arbitrary read boundaries).
 //!
 //! The layout is written in one place and checked in one place.
 //! [`write_frame`] appends a frame to a caller-owned `Vec<u8>` from

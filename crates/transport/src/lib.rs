@@ -4,16 +4,15 @@
 //!
 //! The paper distinguishes the simulated construction from the *deployed*
 //! one, where peers only interact through messages on a real network.  This
-//! crate supplies that wire layer as a small trait with two backends:
+//! crate supplies that wire layer as a small trait, the frame format, and
+//! the in-memory backend:
 //!
-//! * [`loopback::LoopbackTransport`] — an in-memory backend that delivers
-//!   frames in **virtual time** with deterministic, seeded latency.  Tests
-//!   and parity checks run on it: same seed, same delivery order, every
-//!   time.
-//! * [`tcp::TcpTransport`] — a real `std::net` TCP backend: one listener
-//!   and acceptor thread per registered peer, cached outbound connections,
-//!   and reader threads that reassemble length-prefixed frames from the
-//!   byte stream.  No external dependencies.
+//! * [`loopback::LoopbackTransport`] delivers frames in **virtual time**
+//!   with deterministic, seeded latency.  Tests and parity checks run on
+//!   it: same seed, same delivery order, every time.
+//! * The one socket backend is `pgrid_reactor::ReactorTransport`: every
+//!   hosted peer behind one listener, served by a pool of epoll threads.
+//!   It lives in its own crate and implements [`SocketTransport`].
 //!
 //! Both carry the same bytes: frames laid out by [`frame::write_frame`],
 //! batching any number of encoded protocol messages into one length-prefixed
@@ -25,7 +24,6 @@
 
 pub mod frame;
 pub mod loopback;
-pub mod tcp;
 
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
@@ -38,7 +36,7 @@ pub type Millis = u64;
 pub enum PeerAddr {
     /// An in-process endpoint of the loopback backend.
     Local(PeerId),
-    /// A socket address of the TCP backend.
+    /// A socket address of a [`SocketTransport`] (the reactor's listener).
     Socket(std::net::SocketAddr),
 }
 
@@ -110,13 +108,12 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// Per-peer link counters of a connection-oriented backend.
+/// Per-peer link counters of a socket backend.
 ///
-/// The TCP backend keeps one entry per peer it has exchanged frames with:
-/// the send side is keyed by the destination peer of the cached outbound
-/// connection, the receive side by the local peer a frame was addressed to.
-/// Virtual-time backends (loopback) have no connections and leave the map
-/// empty.
+/// The reactor keeps one entry per peer it has exchanged frames with: the
+/// send side is keyed by the destination peer, the receive side by the
+/// local peer a frame was addressed to.  Virtual-time backends (loopback)
+/// have no connections and leave the map empty.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Frames sent to this peer.
@@ -163,15 +160,21 @@ impl ReactorStats {
     /// Folds another snapshot into this one (sums everything; gauges sum
     /// too, which is what the coordinator wants when it merges workers).
     pub fn merge(&mut self, other: &ReactorStats) {
-        self.registered_peers += other.registered_peers;
-        self.registered_fds += other.registered_fds;
-        self.epoll_wakeups += other.epoll_wakeups;
-        self.write_queue_frames += other.write_queue_frames;
-        self.write_queue_bytes += other.write_queue_bytes;
-        self.partial_writes += other.partial_writes;
-        self.reconnects += other.reconnects;
-        self.dropped_frames += other.dropped_frames;
+        add(&mut self.registered_peers, other.registered_peers);
+        add(&mut self.registered_fds, other.registered_fds);
+        add(&mut self.epoll_wakeups, other.epoll_wakeups);
+        add(&mut self.write_queue_frames, other.write_queue_frames);
+        add(&mut self.write_queue_bytes, other.write_queue_bytes);
+        add(&mut self.partial_writes, other.partial_writes);
+        add(&mut self.reconnects, other.reconnects);
+        add(&mut self.dropped_frames, other.dropped_frames);
     }
+}
+
+/// `*sum += value`, saturating: the merged counters were decoded from
+/// workers' reports, so any `u64` may arrive.
+fn add(sum: &mut u64, value: u64) {
+    *sum = sum.saturating_add(value);
 }
 
 /// Counters every backend maintains.
@@ -323,10 +326,10 @@ impl TransportStats {
     /// counters and merging the per-peer maps), as the cluster coordinator
     /// does when it combines the reports of several worker processes.
     pub fn merge(&mut self, other: &TransportStats) {
-        self.frames_sent += other.frames_sent;
-        self.frames_delivered += other.frames_delivered;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_delivered += other.bytes_delivered;
+        add(&mut self.frames_sent, other.frames_sent);
+        add(&mut self.frames_delivered, other.frames_delivered);
+        add(&mut self.bytes_sent, other.bytes_sent);
+        add(&mut self.bytes_delivered, other.bytes_delivered);
         if let Some(other_reactor) = &other.reactor {
             self.reactor
                 .get_or_insert_with(ReactorStats::default)
@@ -334,12 +337,12 @@ impl TransportStats {
         }
         for (&peer, link) in &other.per_peer {
             let entry = self.per_peer.entry(peer).or_default();
-            entry.frames_sent += link.frames_sent;
-            entry.bytes_sent += link.bytes_sent;
-            entry.frames_received += link.frames_received;
-            entry.bytes_received += link.bytes_received;
-            entry.reconnects += link.reconnects;
-            entry.send_failures += link.send_failures;
+            add(&mut entry.frames_sent, link.frames_sent);
+            add(&mut entry.bytes_sent, link.bytes_sent);
+            add(&mut entry.frames_received, link.frames_received);
+            add(&mut entry.bytes_received, link.bytes_received);
+            add(&mut entry.reconnects, link.reconnects);
+            add(&mut entry.send_failures, link.send_failures);
         }
     }
 }
@@ -348,8 +351,8 @@ impl TransportStats {
 ///
 /// The caller owns time: virtual-time backends (loopback) stamp deliveries
 /// on the virtual clock passed to [`Transport::send`] and release them from
-/// [`Transport::poll`] once `now` has caught up; real-time backends (TCP)
-/// ignore the virtual clock and deliver whatever the wire has produced.
+/// [`Transport::poll`] once `now` has caught up; real-time backends (the
+/// reactor) ignore the virtual clock and deliver whatever the wire has produced.
 pub trait Transport {
     /// Registers a peer endpoint and returns its address.
     fn register(&mut self, peer: PeerId) -> Result<PeerAddr, TransportError>;
@@ -413,9 +416,12 @@ pub trait Transport {
 /// Beyond plain frame carriage, a multi-process deployment needs to amend
 /// the address book mid-run: peers hosted by *other* processes are
 /// registered by socket address, re-pointed when a shard moves, and adopted
-/// locally when their host dies.  Both the threaded TCP backend and the
-/// reactor backend implement this, which is what lets the worker be generic
-/// over its transport.
+/// locally when their host dies.
+///
+/// `pgrid_reactor::ReactorTransport` is the one implementor.  The trait
+/// stays because the benchmark harness (`harness/src/workloads/wire.rs`)
+/// imports it and calls `register_remote` through it, and `pgrid-net`
+/// documents the address-book verbs here without depending on the reactor.
 pub trait SocketTransport: Transport {
     /// Registers a peer that listens in *another* process at `addr`;
     /// frames can be sent to it but its inbound traffic is handled by that
@@ -446,7 +452,6 @@ pub trait SocketTransport: Transport {
 pub mod prelude {
     pub use crate::frame::{decode_frame, encode_frame, FrameReader};
     pub use crate::loopback::{LoopbackConfig, LoopbackTransport};
-    pub use crate::tcp::TcpTransport;
     pub use crate::{
         LinkFault, LinkStats, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError,
         TransportStats,
@@ -497,5 +502,48 @@ mod tests {
                 "bad series line: {line}"
             );
         }
+    }
+
+    #[test]
+    fn transport_stats_merge_saturates_on_wire_maxima() {
+        // Reports are decoded from arbitrary `u64`s: no panic, no wrap.
+        let link = LinkStats {
+            frames_sent: u64::MAX,
+            bytes_sent: u64::MAX,
+            frames_received: u64::MAX,
+            bytes_received: u64::MAX,
+            reconnects: u64::MAX,
+            send_failures: u64::MAX,
+        };
+        let report = TransportStats {
+            frames_sent: u64::MAX,
+            frames_delivered: u64::MAX,
+            bytes_sent: u64::MAX,
+            bytes_delivered: u64::MAX,
+            per_peer: [(3, link)].into(),
+            reactor: None,
+        };
+        let mut merged = TransportStats::default();
+        merged.merge(&report);
+        merged.merge(&report);
+        assert_eq!(merged, report);
+    }
+
+    #[test]
+    fn reactor_stats_merge_saturates_on_wire_maxima() {
+        let report = ReactorStats {
+            registered_peers: u64::MAX,
+            registered_fds: u64::MAX,
+            epoll_wakeups: u64::MAX,
+            write_queue_frames: u64::MAX,
+            write_queue_bytes: u64::MAX,
+            partial_writes: u64::MAX,
+            reconnects: u64::MAX,
+            dropped_frames: u64::MAX,
+        };
+        let mut merged = ReactorStats::default();
+        merged.merge(&report);
+        merged.merge(&report);
+        assert_eq!(merged, report);
     }
 }

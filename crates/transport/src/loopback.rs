@@ -5,7 +5,7 @@
 //! time.  With a fixed seed the delivery order is identical across runs,
 //! which is what the cross-backend parity tests build on: loopback stands in
 //! for the emulated wide-area network of the deployment experiments, while
-//! carrying the exact same frame bytes as the TCP backend.
+//! carrying the exact same frame bytes as the reactor's sockets.
 //!
 //! # Ordering contract
 //!

@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run -p pgrid --example churn_construction
 //! cargo run -p pgrid --example churn_construction -- smoke   # small & fast, for CI
-//! cargo run -p pgrid --example churn_construction -- tcp     # over real sockets
 //! ```
 //!
 //! The paper constructs the overlay on a stable population and only churns
@@ -42,26 +41,8 @@ fn scenario(seed: u64) -> Scenario {
         .build()
 }
 
-fn print_report(report: &pgrid::scenario::ScenarioReport) {
-    for snapshot in &report.snapshots {
-        let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
-        println!(
-            "  {:<20} @ minute {:>3}: {:>3} online, mean depth {:.2}, deviation {:.3}, \
-             {} queries ({:.0}% ok)",
-            snapshot.label,
-            snapshot.at_min,
-            snapshot.online,
-            primary.mean_path_length,
-            primary.balance_deviation,
-            primary.queries_issued,
-            100.0 * primary.query_success_rate()
-        );
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke");
-    let tcp = std::env::args().any(|a| a == "tcp");
     let n_peers = if smoke { 24 } else { 64 };
     let config = NetConfig {
         n_peers,
@@ -76,16 +57,21 @@ fn main() {
     println!(
         "churn-heavy construction: {n_peers} peers, churn overlaps partitioning from minute 5"
     );
-    if tcp {
-        println!("running over TCP (real sockets, 127.0.0.1) ...");
-        let mut overlay = Runtime::with_transport(config.clone(), TcpTransport::new())
-            .expect("TCP endpoints must register");
-        let report = pgrid::scenario::run(&mut overlay, &scenario);
-        print_report(&report);
-    } else {
-        println!("running over loopback (emulated WAN, virtual time) ...");
-        let mut overlay = Runtime::new(config.clone());
-        let report = pgrid::scenario::run(&mut overlay, &scenario);
-        print_report(&report);
+    println!("running over loopback (emulated WAN, virtual time) ...");
+    let mut overlay = Runtime::new(config);
+    let report = pgrid::scenario::run(&mut overlay, &scenario);
+    for snapshot in &report.snapshots {
+        let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
+        println!(
+            "  {:<20} @ minute {:>3}: {:>3} online, mean depth {:.2}, deviation {:.3}, \
+             {} queries ({:.0}% ok)",
+            snapshot.label,
+            snapshot.at_min,
+            snapshot.online,
+            primary.mean_path_length,
+            primary.balance_deviation,
+            primary.queries_issued,
+            100.0 * primary.query_success_rate()
+        );
     }
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p pgrid --example multi_index
 //! cargo run -p pgrid --example multi_index -- smoke   # small & fast, for CI
-//! cargo run -p pgrid --example multi_index -- tcp     # over real sockets
 //! ```
 //!
 //! Heterogeneous peer-database work (e.g. HepToX) argues for one peer
@@ -32,26 +31,8 @@ fn scenario(seed: u64) -> Scenario {
         .build()
 }
 
-fn print_report(report: &pgrid::scenario::ScenarioReport) {
-    let fin = report.final_snapshot();
-    println!("\n  index     | mean depth | deviation | replication | queries (ok)");
-    println!("  --------- | ---------- | --------- | ----------- | ------------");
-    for idx in &fin.indexes {
-        println!(
-            "  {:<9} | {:>10.2} | {:>9.3} | {:>11.2} | {:>4} ({:.0}%)",
-            idx.index.to_string(),
-            idx.mean_path_length,
-            idx.balance_deviation,
-            idx.mean_replication,
-            idx.queries_issued,
-            100.0 * idx.query_success_rate()
-        );
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke");
-    let tcp = std::env::args().any(|a| a == "tcp");
     let n_peers = if smoke { 24 } else { 64 };
     let config = NetConfig {
         n_peers,
@@ -66,18 +47,22 @@ fn main() {
     println!(
         "multi-index overlay: {n_peers} peers hosting a uniform and a Pareto index side by side"
     );
-    if tcp {
-        println!("running over TCP (real sockets, 127.0.0.1) ...");
-        let mut overlay = Runtime::with_transport(config.clone(), TcpTransport::new())
-            .expect("TCP endpoints must register");
-        overlay.register_index(SECONDARY, &Distribution::Pareto { shape: 1.0 });
-        let report = pgrid::scenario::run(&mut overlay, &scenario);
-        print_report(&report);
-    } else {
-        println!("running over loopback (emulated WAN, virtual time) ...");
-        let mut overlay = Runtime::new(config.clone());
-        overlay.register_index(SECONDARY, &Distribution::Pareto { shape: 1.0 });
-        let report = pgrid::scenario::run(&mut overlay, &scenario);
-        print_report(&report);
+    println!("running over loopback (emulated WAN, virtual time) ...");
+    let mut overlay = Runtime::new(config);
+    overlay.register_index(SECONDARY, &Distribution::Pareto { shape: 1.0 });
+    let report = pgrid::scenario::run(&mut overlay, &scenario);
+    let fin = report.final_snapshot();
+    println!("\n  index     | mean depth | deviation | replication | queries (ok)");
+    println!("  --------- | ---------- | --------- | ----------- | ------------");
+    for idx in &fin.indexes {
+        println!(
+            "  {:<9} | {:>10.2} | {:>9.3} | {:>11.2} | {:>4} ({:.0}%)",
+            idx.index.to_string(),
+            idx.mean_path_length,
+            idx.balance_deviation,
+            idx.mean_replication,
+            idx.queries_issued,
+            100.0 * idx.query_success_rate()
+        );
     }
 }

@@ -1,11 +1,12 @@
-//! End-to-end transport parity: a full construction run over the real TCP
-//! backend must converge to the same balance/decision statistics as the
+//! End-to-end transport parity: a full construction run over the epoll
+//! reactor must converge to the same balance/decision statistics as the
 //! deterministic loopback backend.
 //!
 //! The two backends carry identical frame bytes (the batched exchange
 //! framing of `pgrid-transport`), but loopback delivers them in seeded
-//! virtual time while TCP pushes them through real sockets with threaded
-//! acceptors.  The protocol — engine decisions included — must not care.
+//! virtual time while the reactor hands them over in real time.  The
+//! protocol — engine decisions included — must not care.  Cross-process
+//! socket traffic is checked in `crates/cluster/tests/cluster_e2e.rs`.
 
 use pgrid::prelude::*;
 
@@ -34,64 +35,10 @@ fn short_timeline() -> Timeline {
 }
 
 #[test]
-fn tcp_and_loopback_deployments_converge_to_comparable_overlays() {
-    let config = config(21);
-    let timeline = short_timeline();
-
-    let loopback = run_deployment(&config, &timeline);
-    let tcp = run_deployment_with(&config, &timeline, TcpTransport::new())
-        .expect("tcp endpoints must register");
-
-    // Both runs must produce a balanced overlay at all ...
-    assert!(
-        loopback.balance_deviation < 1.5,
-        "loopback deviation {}",
-        loopback.balance_deviation
-    );
-    assert!(
-        tcp.balance_deviation < 1.5,
-        "tcp deviation {}",
-        tcp.balance_deviation
-    );
-    // ... and must agree with each other on the balance statistics.
-    assert!(
-        (loopback.balance_deviation - tcp.balance_deviation).abs() < 0.75,
-        "backends disagree on balance: loopback {:.3} vs tcp {:.3}",
-        loopback.balance_deviation,
-        tcp.balance_deviation
-    );
-    assert!(
-        (loopback.mean_path_length - tcp.mean_path_length).abs() < 1.5,
-        "backends disagree on trie depth: loopback {:.2} vs tcp {:.2}",
-        loopback.mean_path_length,
-        tcp.mean_path_length
-    );
-
-    // Queries are answered over real sockets too.
-    assert!(
-        tcp.query_success_rate > 0.8,
-        "tcp query success rate {}",
-        tcp.query_success_rate
-    );
-
-    // The socket path was actually exercised: frames travelled and came
-    // back, and (nearly) everything sent was delivered — TCP does not lose
-    // frames, only the emulated per-frame loss drops messages.
-    assert!(tcp.transport.frames_sent > 500, "{:?}", tcp.transport);
-    assert!(
-        tcp.transport.frames_delivered >= tcp.transport.frames_sent * 9 / 10,
-        "{:?}",
-        tcp.transport
-    );
-    assert!(tcp.transport.bytes_sent > 0);
-}
-
-#[test]
-fn reactor_tcp_and_loopback_deployments_agree() {
-    // Three backends, one seed: the deterministic loopback, the threaded
-    // TCP backend (one listener per peer), and the epoll reactor (every
-    // peer behind one multiplexed listener).  The protocol statistics must
-    // not care which one carried the frames.
+fn reactor_and_loopback_deployments_agree() {
+    // Two backends, one seed: the deterministic loopback and the epoll
+    // reactor (every peer behind one multiplexed listener).  The protocol
+    // statistics must not care which one carried the frames.
     if !pgrid::reactor::supported() {
         eprintln!("skipping: the reactor transport needs Linux epoll");
         return;
@@ -100,41 +47,33 @@ fn reactor_tcp_and_loopback_deployments_agree() {
     let timeline = short_timeline();
 
     let loopback = run_deployment(&config, &timeline);
-    let tcp = run_deployment_with(&config, &timeline, TcpTransport::new())
-        .expect("tcp endpoints must register");
     let reactor = run_deployment_with(&config, &timeline, ReactorTransport::new())
         .expect("reactor endpoints must register");
 
-    for (name, report) in [
-        ("loopback", &loopback),
-        ("tcp", &tcp),
-        ("reactor", &reactor),
-    ] {
+    for (name, report) in [("loopback", &loopback), ("reactor", &reactor)] {
         assert!(
             report.balance_deviation < 1.5,
             "{name} deviation {}",
             report.balance_deviation
         );
     }
-    for (name, report) in [("tcp", &tcp), ("reactor", &reactor)] {
-        assert!(
-            (loopback.balance_deviation - report.balance_deviation).abs() < 0.75,
-            "{name} disagrees on balance: loopback {:.3} vs {name} {:.3}",
-            loopback.balance_deviation,
-            report.balance_deviation
-        );
-        assert!(
-            (loopback.mean_path_length - report.mean_path_length).abs() < 1.5,
-            "{name} disagrees on trie depth: loopback {:.2} vs {name} {:.2}",
-            loopback.mean_path_length,
-            report.mean_path_length
-        );
-        assert!(
-            report.query_success_rate > 0.8,
-            "{name} query success rate {}",
-            report.query_success_rate
-        );
-    }
+    assert!(
+        (loopback.balance_deviation - reactor.balance_deviation).abs() < 0.75,
+        "reactor disagrees on balance: loopback {:.3} vs reactor {:.3}",
+        loopback.balance_deviation,
+        reactor.balance_deviation
+    );
+    assert!(
+        (loopback.mean_path_length - reactor.mean_path_length).abs() < 1.5,
+        "reactor disagrees on trie depth: loopback {:.2} vs reactor {:.2}",
+        loopback.mean_path_length,
+        reactor.mean_path_length
+    );
+    assert!(
+        reactor.query_success_rate > 0.8,
+        "reactor query success rate {}",
+        reactor.query_success_rate
+    );
 
     // The reactor actually moved the frames (single-process, so they ride
     // the local fast path) and hosted the whole population on a handful of
