@@ -147,21 +147,6 @@ fn two_worker_processes_converge_like_the_single_process_run() {
         .sum();
     assert_eq!(link_sent, cluster.transport.frames_sent);
     assert_eq!(link_received, cluster.transport.frames_delivered);
-
-    // Frames of all 16 peers per process share one multiplexed connection
-    // pair, and both shards' reactor stats merge.
-    let stats = cluster
-        .transport
-        .reactor
-        .expect("reactor workers report reactor stats in the merged view");
-    assert_eq!(
-        stats.registered_peers, config.n_peers as u64,
-        "both shards' registrations must merge: {stats:?}"
-    );
-    assert!(
-        stats.registered_fds < 32,
-        "fds must not scale with peers: {stats:?}"
-    );
 }
 
 #[test]
@@ -204,6 +189,59 @@ fn two_worker_processes_resolve_range_queries_across_shards() {
         cluster.query_success_rate > 0.8,
         "query success rate {}",
         cluster.query_success_rate
+    );
+}
+
+#[test]
+fn two_reactor_worker_processes_complete_the_timeline() {
+    // The two-process smoke run seen from the reactor: every worker hosts
+    // its shard behind one epoll reactor, so frames of all 16 peers per
+    // process share one multiplexed connection pair instead of 16x16
+    // links, and both shards' reactor stats merge at the coordinator.
+    let config = config();
+    let timeline = short_timeline();
+    let cluster = run_local(
+        &config,
+        &timeline,
+        &LocalOptions {
+            workers: 2,
+            worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_pgrid-cluster"))),
+            inherit_stderr: true,
+            ..LocalOptions::default()
+        },
+    )
+    .expect("the 2-process reactor run must complete");
+    assert!(
+        cluster.balance_deviation < 1.5,
+        "deviation {}",
+        cluster.balance_deviation
+    );
+    assert!(
+        cluster.mean_path_length >= 1.5,
+        "mean path length {:.2}: the shards never mixed",
+        cluster.mean_path_length
+    );
+    assert!(
+        cluster.query_success_rate > 0.8,
+        "query success rate {}",
+        cluster.query_success_rate
+    );
+    assert!(
+        cluster.transport.frames_sent > 500,
+        "{:?}",
+        cluster.transport
+    );
+    let stats = cluster
+        .transport
+        .reactor
+        .expect("reactor workers report reactor stats in the merged view");
+    assert_eq!(
+        stats.registered_peers, config.n_peers as u64,
+        "both shards' registrations must merge: {stats:?}"
+    );
+    assert!(
+        stats.registered_fds < 32,
+        "fds must not scale with peers: {stats:?}"
     );
 }
 
