@@ -24,10 +24,8 @@ use pgrid_net::runtime::NetConfig;
 use pgrid_partition::experiment::{run_sweep, SweepConfig};
 use pgrid_partition::probabilities::{alpha_of_p, alpha_second_derivative, q_of_p};
 use pgrid_scenario::deployment::run_deployment;
-use pgrid_scenario::sweeps::{
-    population_sweep, replication_sweep, run_repeated, sample_size_sweep,
-};
 use pgrid_sim::config::{ConstructionStrategy, SimConfig};
+use pgrid_sim::runner::{population_sweep, replication_sweep, run_repeated, sample_size_sweep};
 use pgrid_sim::sequential::construct_sequentially;
 use pgrid_workload::distributions::Distribution;
 use std::process::ExitCode;

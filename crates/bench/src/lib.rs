@@ -30,23 +30,8 @@ pub fn format_header(label: &str, columns: &[String]) -> String {
     out
 }
 
-/// Mean of a slice (0 for an empty slice).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Sample standard deviation of a slice (0 for fewer than two values).
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64).sqrt()
-}
+/// The sample statistics the Figure-6 sweeps aggregate repetitions with.
+pub use pgrid_sim::runner::{mean, std_dev};
 
 #[cfg(test)]
 mod tests {

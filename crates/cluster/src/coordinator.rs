@@ -256,7 +256,12 @@ impl ObsMerge {
         for (index, registry) in self.worker_regs.iter().enumerate() {
             let worker = index.to_string();
             if let Some(registry) = registry {
-                merged.absorb(registry, Some(("worker", &worker)));
+                if let Err(error) = merged.absorb(registry, Some(("worker", &worker))) {
+                    pgrid_obs::warn!(
+                        "cluster::coordinator",
+                        "left worker {worker}'s metrics snapshot out of the merge: {error}"
+                    );
+                }
             }
             if let Some(Some(addr)) = observed.worker_metrics_addrs.get(index) {
                 merged.gauge(
@@ -533,8 +538,9 @@ impl<'a> Coordinator<'a> {
                 ClusterMsg::Minutes { samples } => {
                     for (minute, maintenance, query) in samples {
                         let entry = self.bandwidth.entry(minute).or_default();
-                        entry.maintenance_bytes += maintenance as usize;
-                        entry.query_bytes += query as usize;
+                        entry.maintenance_bytes =
+                            entry.maintenance_bytes.saturating_add(maintenance as usize);
+                        entry.query_bytes = entry.query_bytes.saturating_add(query as usize);
                     }
                 }
                 ClusterMsg::TraceBatch { events } => self.observed.trace_events.extend(events),
@@ -1256,6 +1262,10 @@ mod tests {
                 ClusterMsg::Minutes {
                     samples: vec![(3, 10, 20)],
                 },
+                // A worker's counters come off the wire: they saturate.
+                ClusterMsg::Minutes {
+                    samples: vec![(4, u64::MAX, u64::MAX), (4, u64::MAX, 1)],
+                },
                 ClusterMsg::ShardPaths {
                     shard_start: 2,
                     paths: vec![Path::parse("01"), Path::parse("1")],
@@ -1281,6 +1291,8 @@ mod tests {
         assert_eq!(addrs, [(5, addr(4005))]);
         assert_eq!(coordinator.bandwidth[&3].maintenance_bytes, 10);
         assert_eq!(coordinator.bandwidth[&3].query_bytes, 20);
+        assert_eq!(coordinator.bandwidth[&4].maintenance_bytes, usize::MAX);
+        assert_eq!(coordinator.bandwidth[&4].query_bytes, usize::MAX);
         assert_eq!(coordinator.membership.last_paths[2], Path::parse("01"));
         assert_eq!(coordinator.membership.last_paths[3], Path::parse("1"));
         drop(coordinator);

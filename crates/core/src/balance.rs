@@ -16,8 +16,9 @@
 //! for a super-partition) contributes to each covered reference leaf in
 //! proportion to the leaf's share of the peer's partition.
 
+use crate::key::Key;
 use crate::path::Path;
-use crate::reference::ReferencePartitioning;
+use crate::reference::{BalanceParams, ReferencePartitioning};
 
 /// Per-leaf comparison between the reference partitioning and an observed
 /// peer placement.
@@ -94,6 +95,45 @@ pub fn compare_to_reference(
     }
 }
 
+/// The overlay-quality numbers every engine reports about a peer placement.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct OverlayQuality {
+    /// Load-balance deviation from the reference partitioning (see
+    /// [`compare_to_reference`]).
+    pub deviation: f64,
+    /// Mean trie depth of the peer paths (≈ mean search path length).
+    pub mean_path_length: f64,
+    /// Mean number of peers per distinct leaf partition of the observed
+    /// trie (not the reference's).
+    pub mean_replication: f64,
+}
+
+/// Measures a peer placement: computes the reference partitioning of
+/// `keys` over `n_peers` peers under `params`, compares `peer_paths` with
+/// it, and averages depth and replication over the observed trie.
+pub fn measure_overlay(
+    keys: &[Key],
+    n_peers: usize,
+    params: BalanceParams,
+    peer_paths: &[Path],
+) -> OverlayQuality {
+    let reference = ReferencePartitioning::compute(keys, n_peers, params);
+    let deviation = compare_to_reference(&reference, peer_paths).deviation;
+    let mean_path_length =
+        peer_paths.iter().map(|p| p.len() as f64).sum::<f64>() / peer_paths.len().max(1) as f64;
+    let replication = crate::trie::peer_count_trie(peer_paths);
+    let mean_replication = if replication.is_empty() {
+        0.0
+    } else {
+        replication.iter().map(|(_, &n)| n as f64).sum::<f64>() / replication.len() as f64
+    };
+    OverlayQuality {
+        deviation,
+        mean_path_length,
+        mean_replication,
+    }
+}
+
 /// Storage-balance statistics over a set of peers: per-peer responsible
 /// load, useful for checking the `delta_max` criterion directly.
 #[derive(Clone, Debug, Default)]
@@ -131,8 +171,6 @@ pub fn storage_stats(loads: &[usize]) -> StorageStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Key;
-    use crate::reference::{BalanceParams, ReferencePartitioning};
 
     fn uniform_reference(n_keys: usize, n_peers: usize) -> ReferencePartitioning {
         let keys: Vec<Key> = (0..n_keys)

@@ -74,7 +74,9 @@ pub mod wire;
 
 /// Convenient re-exports of the most frequently used types.
 pub mod prelude {
-    pub use crate::balance::{compare_to_reference, BalanceReport};
+    pub use crate::balance::{
+        compare_to_reference, measure_overlay, BalanceReport, OverlayQuality,
+    };
     pub use crate::error::OverlayError;
     pub use crate::exchange::{Assessment, ExchangeDecision, ExchangeEngine, ProbabilityStrategy};
     pub use crate::histogram::LogHistogram;

@@ -12,12 +12,12 @@
 //! maintenance and query traffic, and the query latency.
 
 use crate::runtime::{BandwidthSample, QueryAggregates, Runtime};
-use pgrid_core::balance::compare_to_reference;
+use pgrid_core::balance::measure_overlay;
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
 use pgrid_core::path::Path;
-use pgrid_core::reference::{BalanceParams, ReferencePartitioning};
+use pgrid_core::reference::BalanceParams;
 use pgrid_transport::{Transport, TransportStats};
 use std::collections::HashMap;
 
@@ -296,33 +296,20 @@ pub fn assemble_report(inputs: &ReportInputs, timeline: &Timeline) -> Deployment
     }
 
     // Final overlay quality.
-    let reference =
-        ReferencePartitioning::compute(&inputs.original_keys, inputs.n_peers, inputs.params);
-    let balance = compare_to_reference(&reference, &inputs.paths);
-    let mean_path_length =
-        inputs.paths.iter().map(|p| p.len() as f64).sum::<f64>() / inputs.paths.len().max(1) as f64;
-
-    let mean_query_hops = inputs.queries.mean_hops_successful();
-    let query_success_rate = inputs.queries.success_rate();
-
-    let replication_factors = pgrid_core::trie::peer_count_trie(inputs.paths.iter());
-    let mean_replication = if replication_factors.is_empty() {
-        0.0
-    } else {
-        replication_factors
-            .iter()
-            .map(|(_, &n)| n as f64)
-            .sum::<f64>()
-            / replication_factors.len() as f64
-    };
+    let quality = measure_overlay(
+        &inputs.original_keys,
+        inputs.n_peers,
+        inputs.params,
+        &inputs.paths,
+    );
 
     DeploymentReport {
         timeline: samples,
-        balance_deviation: balance.deviation,
-        mean_path_length,
-        mean_query_hops,
-        query_success_rate,
-        mean_replication,
+        balance_deviation: quality.deviation,
+        mean_path_length: quality.mean_path_length,
+        mean_query_hops: inputs.queries.mean_hops_successful(),
+        query_success_rate: inputs.queries.success_rate(),
+        mean_replication: quality.mean_replication,
         query_latency: inputs.queries.latency.clone(),
         ranges_issued: inputs.queries.ranges_issued,
         ranges_complete: inputs.queries.ranges_complete,

@@ -87,9 +87,10 @@ impl MinuteLatency {
         self.sum_sq_s += latency_s * latency_s;
     }
 
-    /// Adds another bucket into this one (shard merge).
+    /// Adds another bucket into this one (shard merge; the count saturates,
+    /// since a worker's bucket arrives decoded from the wire).
     pub fn merge(&mut self, other: &MinuteLatency) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum_s += other.sum_s;
         self.sum_sq_s += other.sum_sq_s;
     }
@@ -167,17 +168,20 @@ impl QueryAggregates {
         }
     }
 
-    /// Adds another shard's aggregates into this one.
+    /// Adds another shard's aggregates into this one.  Counters saturate:
+    /// a worker's aggregates arrive decoded from the wire.
     pub fn merge(&mut self, other: &QueryAggregates) {
-        self.issued += other.issued;
-        self.answered += other.answered;
-        self.succeeded += other.succeeded;
-        self.timed_out += other.timed_out;
-        self.late_responses += other.late_responses;
-        self.hops_sum_successful += other.hops_sum_successful;
+        self.issued = self.issued.saturating_add(other.issued);
+        self.answered = self.answered.saturating_add(other.answered);
+        self.succeeded = self.succeeded.saturating_add(other.succeeded);
+        self.timed_out = self.timed_out.saturating_add(other.timed_out);
+        self.late_responses = self.late_responses.saturating_add(other.late_responses);
+        self.hops_sum_successful = self
+            .hops_sum_successful
+            .saturating_add(other.hops_sum_successful);
         self.latency.merge(&other.latency);
-        self.ranges_issued += other.ranges_issued;
-        self.ranges_complete += other.ranges_complete;
+        self.ranges_issued = self.ranges_issued.saturating_add(other.ranges_issued);
+        self.ranges_complete = self.ranges_complete.saturating_add(other.ranges_complete);
         self.range_latency.merge(&other.range_latency);
         for (minute, bucket) in &other.per_minute {
             self.per_minute.entry(*minute).or_default().merge(bucket);

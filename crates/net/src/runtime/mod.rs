@@ -501,7 +501,9 @@ impl<T: Transport> Runtime<T> {
     /// index's ground truth (continuing its `DataId` numbering) and, when
     /// the peer is hosted here, its local store.  Construction anti-entropy
     /// spreads them to replicas from there (the re-indexing / distribution
-    /// shift workload).
+    /// shift workload).  A hosted peer's fruitless-exchange count on the
+    /// index restarts at zero, so fresh data takes it out of back-off and
+    /// [`Runtime::construction_quiescent`] waits for it again.
     pub fn insert_entries(&mut self, index: IndexId, peer: usize, keys: Vec<Key>) {
         let hosted = self.hosted(peer);
         let slot = self.indexes.slot_mut(index);
@@ -511,6 +513,9 @@ impl<T: Transport> Runtime<T> {
             if hosted {
                 slot.states[peer].store.insert(entry);
             }
+        }
+        if hosted {
+            slot.fruitless[peer] = 0;
         }
     }
 

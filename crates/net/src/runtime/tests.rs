@@ -1056,3 +1056,36 @@ fn staging_capacity_is_released_after_a_large_message() {
     let kept = rt.lookups.hop_scratch.capacity() * std::mem::size_of::<PeerId>();
     assert!(kept <= STAGING_RETAIN_BYTES, "{kept} bytes retained");
 }
+
+#[test]
+fn a_minute_bucket_of_full_counts_merges_without_overflow() {
+    let full = MinuteLatency {
+        count: u64::MAX,
+        sum_s: 1.0,
+        sum_sq_s: 1.0,
+    };
+    let mut merged = MinuteLatency::default();
+    merged.merge(&full);
+    merged.merge(&full);
+    assert_eq!(merged.count, u64::MAX);
+    assert_eq!(merged.sum_s, 2.0);
+}
+
+#[test]
+fn query_aggregates_of_full_counters_merge_without_overflow() {
+    let full = QueryAggregates {
+        issued: u64::MAX,
+        answered: u64::MAX,
+        succeeded: u64::MAX,
+        timed_out: u64::MAX,
+        late_responses: u64::MAX,
+        hops_sum_successful: u64::MAX,
+        ranges_issued: u64::MAX,
+        ranges_complete: u64::MAX,
+        ..QueryAggregates::default()
+    };
+    let mut merged = QueryAggregates::default();
+    merged.merge(&full);
+    merged.merge(&full);
+    assert_eq!(merged, full);
+}

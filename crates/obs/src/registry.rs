@@ -252,8 +252,26 @@ impl MetricsRegistry {
     /// `worker="<shard>"`, so merged series stay distinguishable and no
     /// cross-process summing semantics are needed.  Series that collide
     /// exactly (same name, same final label set) are summed for counters
-    /// and histograms and overwritten for gauges.
-    pub fn absorb(&mut self, other: &MetricsRegistry, extra: Option<(&str, &str)>) {
+    /// and histograms and overwritten for gauges; sums saturate, since a
+    /// snapshot may arrive decoded from the wire.
+    ///
+    /// A family of `other` whose kind differs from the same-named family
+    /// here is an `Err`, and then nothing of `other` is merged.
+    pub fn absorb(
+        &mut self,
+        other: &MetricsRegistry,
+        extra: Option<(&str, &str)>,
+    ) -> Result<(), String> {
+        for (name, family) in &other.families {
+            let clash = self.families.get(name).filter(|f| f.kind != family.kind);
+            if let Some(mine) = clash {
+                return Err(format!(
+                    "metric {name} is a {} here and a {} in the absorbed snapshot",
+                    mine.kind.as_str(),
+                    family.kind.as_str()
+                ));
+            }
+        }
         for (name, family) in &other.families {
             let mine = self.family(name, &family.help, family.kind);
             for (labels, value) in &family.series {
@@ -270,13 +288,16 @@ impl MetricsRegistry {
                     }),
                     value,
                 ) {
-                    (Value::Counter(mine), Value::Counter(theirs)) => *mine += theirs,
+                    (Value::Counter(mine), Value::Counter(theirs)) => {
+                        *mine = mine.saturating_add(*theirs)
+                    }
                     (Value::Gauge(mine), Value::Gauge(theirs)) => *mine = *theirs,
                     (Value::Histogram(mine), Value::Histogram(theirs)) => mine.merge(theirs),
                     _ => unreachable!("family kind already checked"),
                 }
             }
         }
+        Ok(())
     }
 
     /// Renders the registry in the Prometheus text exposition format:
@@ -503,8 +524,8 @@ mod tests {
         worker.histogram("pgrid_latency_ms", "latency", &[], &h);
 
         let mut merged = MetricsRegistry::new();
-        merged.absorb(&worker, Some(("worker", "0")));
-        merged.absorb(&worker, Some(("worker", "1")));
+        merged.absorb(&worker, Some(("worker", "0"))).unwrap();
+        merged.absorb(&worker, Some(("worker", "1"))).unwrap();
         let text = merged.encode();
         assert!(text.contains("pgrid_frames_total{worker=\"0\"} 10"));
         assert!(text.contains("pgrid_frames_total{worker=\"1\"} 10"));
@@ -512,9 +533,35 @@ mod tests {
 
         // Absorbing without a tag sums counters exactly.
         let mut sum = MetricsRegistry::new();
-        sum.absorb(&worker, None);
-        sum.absorb(&worker, None);
+        sum.absorb(&worker, None).unwrap();
+        sum.absorb(&worker, None).unwrap();
         assert!(sum.encode().contains("pgrid_frames_total 20"));
+    }
+
+    #[test]
+    fn absorbed_counters_saturate() {
+        let mut worker = MetricsRegistry::new();
+        worker.counter("pgrid_frames_total", "frames", &[], u64::MAX);
+        let mut merged = MetricsRegistry::new();
+        merged.absorb(&worker, None).unwrap();
+        merged.absorb(&worker, None).unwrap();
+        assert_eq!(merged, worker);
+    }
+
+    #[test]
+    fn a_snapshot_that_changes_a_familys_kind_is_refused_whole() {
+        // What the coordinator holds before it absorbs any worker.
+        let mut merged = MetricsRegistry::new();
+        merged.gauge("pgrid_cluster_phase", "phase", &[], 3.0);
+        // A snapshot `decode_wire` accepts, with that family as a counter.
+        let mut worker = MetricsRegistry::new();
+        worker.counter("pgrid_a_total", "a", &[], 1);
+        worker.counter("pgrid_cluster_phase", "phase", &[], 9);
+        let worker = MetricsRegistry::decode_wire(&worker.encode_wire()).unwrap();
+        let before = merged.clone();
+        let error = merged.absorb(&worker, Some(("worker", "0"))).unwrap_err();
+        assert!(error.contains("pgrid_cluster_phase"), "{error}");
+        assert_eq!(merged, before, "nothing of the refused snapshot is merged");
     }
 
     #[test]
@@ -574,8 +621,8 @@ mod tests {
         wire.extend([9, 0, 0, 0, 0, 0, 0, 0]);
         let worker = MetricsRegistry::decode_wire(&wire).unwrap();
         let mut merged = MetricsRegistry::new();
-        merged.absorb(&worker, None);
-        merged.absorb(&worker, None);
+        merged.absorb(&worker, None).unwrap();
+        merged.absorb(&worker, None).unwrap();
         assert!(merged
             .encode()
             .contains("pgrid_latency_ms_count 18446744073709551615"));

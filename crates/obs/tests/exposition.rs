@@ -180,7 +180,9 @@ fn merged_multi_worker_output_passes_the_lint() {
     let worker = golden_registry();
     let mut merged = MetricsRegistry::new();
     for shard in 0..3 {
-        merged.absorb(&worker, Some(("worker", &shard.to_string())));
+        merged
+            .absorb(&worker, Some(("worker", &shard.to_string())))
+            .unwrap();
     }
     let text = merged.encode();
     lint_exposition(&text);

@@ -15,11 +15,11 @@
 //! | [`core`] | `pgrid-core` | keys, paths, routing tables, peer state, search, reference partitioner, balance metric, and the shared split/replicate/refer exchange engine ([`core::exchange`]) both runtimes delegate to |
 //! | [`partition`] | `pgrid-partition` | AEP decision probabilities, mean-value models, discrete split simulation |
 //! | [`workload`] | `pgrid-workload` | key distributions, synthetic corpus, query workloads |
-//! | [`sim`] | `pgrid-sim` | whole-system construction simulator, sequential baseline, query evaluation |
+//! | [`sim`] | `pgrid-sim` | whole-system construction simulator (its own round driver), Figure-6 sweeps, sequential baseline, query evaluation |
 //! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, the `SocketTransport` trait |
 //! | [`reactor`] | `pgrid-reactor` | the one socket backend: every hosted peer behind one listener, epoll event threads (Linux) |
 //! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport, multi-index capable) and the PlanetLab-style experiment |
-//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: `Overlay` trait, declarative `Scenario` programs, one executor for every engine |
+//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: `Overlay` trait, declarative `Scenario` programs, one executor for the message-level engines |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |
 //!
 //! See the repository-level `examples/` directory for runnable end-to-end

@@ -4,14 +4,13 @@
 //!
 //! The paper's evaluation (Sections 4–5) is *one* apparatus exercised under
 //! many regimes — construction, replication, churn, query load.  This crate
-//! drives every engine through it with three pieces:
+//! drives the message-level engines through it with three pieces:
 //!
-//! * the [`Overlay`] trait ([`overlay`]) — the operations every engine
-//!   already shares (join, leave/churn, insert, query, advance time,
-//!   replication and construction control, metric snapshots), implemented
-//!   for the message-level [`pgrid_net::runtime::Runtime`] over *any*
-//!   transport and for the whole-system simulator (wrapped as
-//!   [`sim::SimOverlay`]);
+//! * the [`Overlay`] trait ([`overlay`]) — the operations every
+//!   message-level engine shares (join, leave/churn, insert, query, advance
+//!   time, replication and construction control, metric snapshots),
+//!   implemented for [`pgrid_net::runtime::Runtime`] over *any* transport
+//!   and for the cluster worker's shard;
 //! * the declarative [`Scenario`] ([`scenario`]) — an ordered program of
 //!   phases ([`Phase`]: join waves, replication, construction, churn
 //!   windows, query load, distribution shifts, snapshots) whose event
@@ -21,10 +20,11 @@
 //!
 //! The paper's experiments are thin adapters on top: the Section-5
 //! [`pgrid_net::experiment::Timeline`] is a canned scenario
-//! ([`Scenario::from_timeline`], run by [`deployment`]), the Figure-6
-//! simulation sweeps run every construction through the executor
-//! ([`sweeps`]), and the `pgrid-cluster` worker drives its shard through
-//! [`exec::run_with_hooks`] with phase-barrier hooks.
+//! ([`Scenario::from_timeline`], run by [`deployment`]), and the
+//! `pgrid-cluster` worker drives its shard through
+//! [`exec::run_with_hooks`] with phase-barrier hooks.  The round-based
+//! whole-system simulator (`pgrid-sim`, Figure 6) has its own driver and
+//! sweeps and does not go through this crate.
 //!
 //! ```
 //! use pgrid_scenario::prelude::*;
@@ -52,8 +52,6 @@ pub mod exec;
 pub mod net;
 pub mod overlay;
 pub mod scenario;
-pub mod sim;
-pub mod sweeps;
 
 pub use exec::{run, run_with_hooks, NoHooks, ScenarioHooks, ScenarioReport, StoreCapture};
 pub use overlay::{IndexSnapshot, Overlay, OverlaySnapshot};
@@ -69,6 +67,5 @@ pub mod prelude {
     pub use crate::scenario::{
         ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,
     };
-    pub use crate::sim::SimOverlay;
     pub use pgrid_core::index::IndexId;
 }

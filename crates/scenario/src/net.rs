@@ -1,10 +1,9 @@
 //! [`Overlay`] for the message-level deployment runtime (any transport).
 
 use crate::overlay::{IndexSnapshot, Millis, Overlay, OverlaySnapshot, MINUTE_MS};
-use pgrid_core::balance::compare_to_reference;
+use pgrid_core::balance::measure_overlay;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
-use pgrid_core::reference::ReferencePartitioning;
 use pgrid_core::routing::PeerId;
 use pgrid_net::runtime::Runtime;
 use pgrid_transport::Transport;
@@ -98,29 +97,14 @@ impl<T: Transport> Overlay for Runtime<T> {
                 let paths: Vec<_> = (0..self.config.n_peers)
                     .map(|peer| self.peer_state(index, peer).path)
                     .collect();
-                let keys: Vec<Key> = self
-                    .original_entries_of(index)
-                    .iter()
-                    .map(|e| e.key)
-                    .collect();
-                let reference =
-                    ReferencePartitioning::compute(&keys, self.config.n_peers, self.params());
-                let balance = compare_to_reference(&reference, &paths);
-                let mean_path_length =
-                    paths.iter().map(|p| p.len() as f64).sum::<f64>() / paths.len().max(1) as f64;
-                let replication = pgrid_core::trie::peer_count_trie(paths.iter());
-                let mean_replication = if replication.is_empty() {
-                    0.0
-                } else {
-                    replication.iter().map(|(_, &n)| n as f64).sum::<f64>()
-                        / replication.len() as f64
-                };
+                let keys = self.query_keys(index);
+                let quality = measure_overlay(&keys, self.config.n_peers, self.params(), &paths);
                 let stats = self.metrics.stats(index);
                 IndexSnapshot {
                     index,
-                    mean_path_length,
-                    balance_deviation: balance.deviation,
-                    mean_replication,
+                    mean_path_length: quality.mean_path_length,
+                    balance_deviation: quality.deviation,
+                    mean_replication: quality.mean_replication,
                     queries_issued: stats.issued as usize,
                     queries_succeeded: stats.succeeded as usize,
                     ranges_issued: stats.ranges_issued as usize,

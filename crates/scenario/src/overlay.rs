@@ -10,19 +10,20 @@ pub type Millis = u64;
 /// Milliseconds per minute of virtual time.
 pub const MINUTE_MS: Millis = 60_000;
 
-/// An overlay engine a [`crate::Scenario`] can be executed against.
+/// A message-level overlay engine a [`crate::Scenario`] can be executed
+/// against.
 ///
 /// Implementations: [`pgrid_net::runtime::Runtime`] over any transport
-/// (see [`crate::net`]), the whole-system simulator wrapped as
-/// [`crate::sim::SimOverlay`], and the cluster worker's paced shard
-/// wrapper in `pgrid-cluster`.
+/// (see [`crate::net`]) and the cluster worker's paced shard wrapper
+/// (`ShardOverlay` in `pgrid-cluster`).  The round-based simulator is not
+/// one: `pgrid_sim::construction` drives it directly.
 ///
 /// Indexes: every engine hosts the implicit primary index
 /// ([`IndexId::PRIMARY`]); engines that support multiple indexes over one
-/// peer population (the net runtime) answer [`Overlay::has_index`] for the
-/// secondary ids they registered.  Index-qualified operations on an
-/// unhosted index panic — scenarios must only reference indexes the
-/// overlay was set up with.
+/// peer population answer [`Overlay::has_index`] for the secondary ids
+/// they registered.  Index-qualified operations on an unhosted index
+/// panic — scenarios must only reference indexes the overlay was set up
+/// with.
 pub trait Overlay {
     /// Number of peers in the population.
     fn n_peers(&self) -> usize;

@@ -261,16 +261,6 @@ impl Scenario {
             .drain()
             .build()
     }
-
-    /// The simulator's plain construction run as a scenario: replicate,
-    /// then construct until quiescent (at most `max_rounds` rounds).
-    pub fn construction(max_rounds: usize) -> Scenario {
-        Scenario::builder(0)
-            .replicate(IndexId::PRIMARY, 0)
-            .start_construction(IndexId::PRIMARY)
-            .construct_until_quiescent(1, max_rounds as u64)
-            .build()
-    }
 }
 
 /// Fluent builder of [`Scenario`]s.

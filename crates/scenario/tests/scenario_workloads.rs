@@ -288,6 +288,43 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
 }
 
 #[test]
+fn a_distribution_shift_re_engages_construction_on_loopback() {
+    // Fresh keys take every peer out of back-off: construction must run
+    // again after the shift instead of reporting quiescence at once.
+    let config = config(48, 7);
+    let mut overlay = Runtime::new(config.clone());
+    let scenario = Scenario::builder(config.seed)
+        .join_wave(3, 6)
+        .replicate(IndexId::PRIMARY, 5)
+        .start_construction(IndexId::PRIMARY)
+        .construct_until_quiescent(1, 60)
+        .snapshot("constructed")
+        .shift_distribution(
+            IndexId::PRIMARY,
+            Distribution::Pareto { shape: 1.0 },
+            config.keys_per_peer,
+        )
+        .snapshot("shifted")
+        .construct_until_quiescent(1, 60)
+        .snapshot("rebuilt")
+        .build();
+    let keys_before = overlay.query_keys(IndexId::PRIMARY).len();
+    let report = pgrid_scenario::run(&mut overlay, &scenario);
+    assert_eq!(
+        overlay.query_keys(IndexId::PRIMARY).len(),
+        keys_before + config.n_peers * config.keys_per_peer
+    );
+    let shifted = report.snapshot("shifted").unwrap();
+    let rebuilt = report.snapshot("rebuilt").unwrap();
+    assert!(
+        rebuilt.at_min > shifted.at_min,
+        "construction did not re-engage after the shift (minute {} -> {})",
+        shifted.at_min,
+        rebuilt.at_min
+    );
+}
+
+#[test]
 fn secondary_index_does_not_perturb_the_primary_trajectory() {
     // Registering (but never exercising) a secondary index must leave the
     // primary index's deployment byte-identical: the assignment comes from

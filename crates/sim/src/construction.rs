@@ -133,8 +133,9 @@ impl NetworkView for ConstructedOverlay {
 ///
 /// [`construct`] drives it straight through (replication, then rounds
 /// until quiescence) and reproduces the historical monolithic constructor
-/// bit for bit; scenario drivers can instead interleave rounds with churn,
-/// data insertion or measurements between any two steps.
+/// bit for bit; a caller that steps it itself (the benchmark harness) can
+/// instead interleave rounds with churn, data insertion or measurements
+/// between any two steps.
 pub struct SimNetwork {
     config: SimConfig,
     engine: ExchangeEngine,
@@ -436,8 +437,7 @@ pub fn construct(config: &SimConfig) -> ConstructedOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgrid_core::balance::compare_to_reference;
-    use pgrid_core::reference::ReferencePartitioning;
+    use pgrid_core::balance::measure_overlay;
     use pgrid_workload::distributions::Distribution;
 
     fn small_config() -> SimConfig {
@@ -535,13 +535,10 @@ mod tests {
             };
             let overlay = construct(&config);
             let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-            let reference = ReferencePartitioning::compute(&keys, config.n_peers, overlay.params);
-            let report = compare_to_reference(&reference, &overlay.peer_paths());
-            assert!(
-                report.deviation < 1.5,
-                "{dist}: deviation {} too large",
-                report.deviation
-            );
+            let paths = overlay.peer_paths();
+            let deviation =
+                measure_overlay(&keys, config.n_peers, overlay.params, &paths).deviation;
+            assert!(deviation < 1.5, "{dist}: deviation {deviation} too large");
         }
     }
 

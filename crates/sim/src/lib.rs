@@ -19,6 +19,12 @@
 //! Section 4.3, and query evaluation reproduces the search statistics of
 //! Section 5.2.
 //!
+//! [`construction::construct`] is the simulator's one driver: the Figure-6
+//! sweeps of [`runner`], the examples and the benchmark harness all run
+//! [`construction::SimNetwork`]'s round loop through it or directly, never
+//! through the scenario executor of `pgrid-scenario` (which drives the
+//! message-level engines only).
+//!
 //! ```
 //! use pgrid_sim::prelude::*;
 //!
@@ -47,8 +53,7 @@ pub mod prelude {
     pub use crate::metrics::{ConstructionMetrics, MetricsDelta};
     pub use crate::query::{data_availability, run_queries, QueryStats};
     pub use crate::runner::{
-        population_sweep, replication_sweep, run_repeated, sample_size_sweep, theory_vs_heuristics,
-        ConstructionResult,
+        population_sweep, replication_sweep, run_repeated, sample_size_sweep, ConstructionResult,
     };
     pub use crate::sequential::{construct_sequentially, SequentialOutcome};
     pub use crate::unstructured::{run_initiation_vote, UnstructuredOverlay, VoteOutcome};

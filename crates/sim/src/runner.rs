@@ -9,8 +9,7 @@
 
 use crate::config::{ConstructionStrategy, SimConfig};
 use crate::construction::construct;
-use pgrid_core::balance::compare_to_reference;
-use pgrid_core::reference::{BalanceParams, ReferencePartitioning};
+use pgrid_core::balance::measure_overlay;
 use pgrid_workload::distributions::Distribution;
 
 /// Aggregated result of repeated construction runs for one configuration.
@@ -41,24 +40,9 @@ pub struct ConstructionResult {
     pub mean_depth: f64,
 }
 
-/// A pluggable constructor: anything that turns a configuration into a
-/// constructed overlay.  The sweeps default to the direct
-/// [`construct`] driver; the scenario layer substitutes its executor here
-/// so the very same aggregation runs over scenario-driven constructions.
-pub type Constructor<'a> = &'a dyn Fn(&SimConfig) -> crate::construction::ConstructedOverlay;
-
 /// Runs `repetitions` constructions of the given configuration (varying the
 /// seed) and aggregates the figure metrics.
 pub fn run_repeated(config: &SimConfig, repetitions: usize) -> ConstructionResult {
-    run_repeated_with(config, repetitions, &construct)
-}
-
-/// [`run_repeated`] with a pluggable constructor.
-pub fn run_repeated_with(
-    config: &SimConfig,
-    repetitions: usize,
-    constructor: Constructor<'_>,
-) -> ConstructionResult {
     assert!(repetitions > 0);
     let params = config.balance_params();
     let mut deviations = Vec::with_capacity(repetitions);
@@ -72,15 +56,14 @@ pub fn run_repeated_with(
             seed: config.seed.wrapping_add(rep as u64 * 7919),
             ..config.clone()
         };
-        let overlay = constructor(&run_config);
+        let overlay = construct(&run_config);
         let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-        let reference = ReferencePartitioning::compute(&keys, run_config.n_peers, params);
-        let report = compare_to_reference(&reference, &overlay.peer_paths());
-        deviations.push(report.deviation);
+        let quality = measure_overlay(&keys, run_config.n_peers, params, &overlay.peer_paths());
+        deviations.push(quality.deviation);
         interactions.push(overlay.metrics.interactions_per_peer());
         keys_moved.push(overlay.metrics.keys_moved_per_peer());
         rounds.push(overlay.metrics.rounds as f64);
-        depths.push(overlay.mean_depth());
+        depths.push(quality.mean_path_length);
     }
 
     ConstructionResult {
@@ -105,18 +88,6 @@ pub fn population_sweep(
     strategy: ConstructionStrategy,
     seed: u64,
 ) -> Vec<ConstructionResult> {
-    population_sweep_with(populations, n_min, repetitions, strategy, seed, &construct)
-}
-
-/// [`population_sweep`] with a pluggable constructor.
-pub fn population_sweep_with(
-    populations: &[usize],
-    n_min: usize,
-    repetitions: usize,
-    strategy: ConstructionStrategy,
-    seed: u64,
-    constructor: Constructor<'_>,
-) -> Vec<ConstructionResult> {
     let mut rows = Vec::new();
     for &n in populations {
         for dist in Distribution::paper_suite() {
@@ -128,7 +99,7 @@ pub fn population_sweep_with(
                 seed,
                 ..SimConfig::default()
             };
-            rows.push(run_repeated_with(&config, repetitions, constructor));
+            rows.push(run_repeated(&config, repetitions));
         }
     }
     rows
@@ -141,17 +112,6 @@ pub fn replication_sweep(
     repetitions: usize,
     seed: u64,
 ) -> Vec<ConstructionResult> {
-    replication_sweep_with(n_peers, n_mins, repetitions, seed, &construct)
-}
-
-/// [`replication_sweep`] with a pluggable constructor.
-pub fn replication_sweep_with(
-    n_peers: usize,
-    n_mins: &[usize],
-    repetitions: usize,
-    seed: u64,
-    constructor: Constructor<'_>,
-) -> Vec<ConstructionResult> {
     let mut rows = Vec::new();
     for &n_min in n_mins {
         for dist in Distribution::paper_suite() {
@@ -162,7 +122,7 @@ pub fn replication_sweep_with(
                 seed,
                 ..SimConfig::default()
             };
-            rows.push(run_repeated_with(&config, repetitions, constructor));
+            rows.push(run_repeated(&config, repetitions));
         }
     }
     rows
@@ -177,25 +137,6 @@ pub fn sample_size_sweep(
     repetitions: usize,
     seed: u64,
 ) -> Vec<ConstructionResult> {
-    sample_size_sweep_with(
-        n_peers,
-        n_min,
-        delta_multipliers,
-        repetitions,
-        seed,
-        &construct,
-    )
-}
-
-/// [`sample_size_sweep`] with a pluggable constructor.
-pub fn sample_size_sweep_with(
-    n_peers: usize,
-    n_min: usize,
-    delta_multipliers: &[usize],
-    repetitions: usize,
-    seed: u64,
-    constructor: Constructor<'_>,
-) -> Vec<ConstructionResult> {
     let mut rows = Vec::new();
     for &m in delta_multipliers {
         for dist in Distribution::paper_suite() {
@@ -207,68 +148,22 @@ pub fn sample_size_sweep_with(
                 seed,
                 ..SimConfig::default()
             };
-            rows.push(run_repeated_with(&config, repetitions, constructor));
+            rows.push(run_repeated(&config, repetitions));
         }
     }
     rows
 }
 
-/// Figure 6d: theoretically derived probabilities versus the heuristic ones.
-pub fn theory_vs_heuristics(
-    n_peers: usize,
-    n_mins: &[usize],
-    repetitions: usize,
-    seed: u64,
-) -> Vec<(ConstructionResult, ConstructionResult)> {
-    theory_vs_heuristics_with(n_peers, n_mins, repetitions, seed, &construct)
-}
-
-/// [`theory_vs_heuristics`] with a pluggable constructor.
-pub fn theory_vs_heuristics_with(
-    n_peers: usize,
-    n_mins: &[usize],
-    repetitions: usize,
-    seed: u64,
-    constructor: Constructor<'_>,
-) -> Vec<(ConstructionResult, ConstructionResult)> {
-    let mut rows = Vec::new();
-    for &n_min in n_mins {
-        for dist in Distribution::paper_suite() {
-            let theory = SimConfig {
-                n_peers,
-                n_min,
-                distribution: dist,
-                strategy: ConstructionStrategy::Aep,
-                seed,
-                ..SimConfig::default()
-            };
-            let heuristic = SimConfig {
-                strategy: ConstructionStrategy::Heuristic,
-                ..theory.clone()
-            };
-            rows.push((
-                run_repeated_with(&theory, repetitions, constructor),
-                run_repeated_with(&heuristic, repetitions, constructor),
-            ));
-        }
-    }
-    rows
-}
-
-/// The balance parameters that `run_repeated` would use for a configuration
-/// (exposed for reporting).
-pub fn effective_params(config: &SimConfig) -> BalanceParams {
-    config.balance_params()
-}
-
-fn mean(xs: &[f64]) -> f64 {
+/// Mean of a slice (0 for an empty slice).
+pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-fn std_dev(xs: &[f64]) -> f64 {
+/// Sample standard deviation of a slice (0 for fewer than two values).
+pub fn std_dev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -310,13 +205,20 @@ mod tests {
         // overlay; the quantitative comparison itself is produced by the
         // figures binary with the full repetition count (a couple of
         // repetitions at this size are dominated by run-to-run noise).
-        let pairs = theory_vs_heuristics(96, &[5], 1, 21);
-        assert_eq!(pairs.len(), 6);
-        for (theory, heuristic) in pairs {
-            assert!(theory.deviation >= 0.0 && theory.deviation.is_finite());
-            assert!(heuristic.deviation >= 0.0 && heuristic.deviation.is_finite());
-            assert!(theory.interactions_per_peer > 0.0);
-            assert!(heuristic.interactions_per_peer > 0.0);
+        for distribution in Distribution::paper_suite() {
+            for strategy in [ConstructionStrategy::Aep, ConstructionStrategy::Heuristic] {
+                let config = SimConfig {
+                    n_peers: 96,
+                    n_min: 5,
+                    distribution,
+                    strategy,
+                    seed: 21,
+                    ..SimConfig::default()
+                };
+                let result = run_repeated(&config, 1);
+                assert!(result.deviation >= 0.0 && result.deviation.is_finite());
+                assert!(result.interactions_per_peer > 0.0);
+            }
         }
     }
 }

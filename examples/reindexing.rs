@@ -8,47 +8,50 @@
 //!
 //! The paper's motivation: when the indexing method changes (new key
 //! extraction, new term selection), the existing overlay becomes useless
-//! and a new one has to be constructed.  This example drives the simulator
-//! through one scenario: construct under uniform keys, snapshot, *shift*
-//! the key distribution to a skewed extraction function (Pareto) with
-//! [`Phase::ShiftDistribution`], re-construct, snapshot — showing the
-//! dynamic re-balancing.  It then compares the parallel construction
-//! against the sequential join-based maintenance model, as before.
+//! and a new one has to be constructed.  This example drives the
+//! message-level runtime (loopback, virtual time) through one scenario:
+//! construct under uniform keys, snapshot, *shift* the key distribution to
+//! a skewed extraction function (Pareto) with [`Phase::ShiftDistribution`],
+//! re-construct, snapshot — showing the dynamic re-balancing.  It then
+//! builds the shifted workload from scratch in the simulator, once with the
+//! parallel construction and once with the sequential join-based
+//! maintenance model, and compares their latency.
 //!
 //! [`Phase::ShiftDistribution`]: pgrid::scenario::Phase::ShiftDistribution
 
 use pgrid::prelude::*;
 
+/// Upper bound on each construction phase, in minutes of virtual time.
+const CONSTRUCT_MAX_MIN: u64 = 120;
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke");
     let populations: &[usize] = if smoke { &[64] } else { &[128, 256, 512] };
+    let shifted = Distribution::Pareto { shape: 1.0 };
 
     for &n_peers in populations {
-        let config = SimConfig {
+        let config = NetConfig {
             n_peers,
             keys_per_peer: 10,
             n_min: 5,
             distribution: Distribution::Uniform,
             seed: 7,
-            ..SimConfig::default()
+            ..NetConfig::default()
         };
 
         // One scenario: build the uniform index, then shift the extraction
         // function to Pareto and let the network re-balance.
         let scenario = Scenario::builder(config.seed)
-            .replicate(IndexId::PRIMARY, 0)
+            .join_wave(3, 6)
+            .replicate(IndexId::PRIMARY, 5)
             .start_construction(IndexId::PRIMARY)
-            .construct_until_quiescent(1, config.max_rounds as u64)
+            .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
             .snapshot("uniform index")
-            .shift_distribution(
-                IndexId::PRIMARY,
-                Distribution::Pareto { shape: 1.0 },
-                config.keys_per_peer,
-            )
-            .construct_until_quiescent(1, config.max_rounds as u64)
+            .shift_distribution(IndexId::PRIMARY, shifted, config.keys_per_peer)
+            .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
             .snapshot("after shift")
             .build();
-        let mut overlay = SimOverlay::new(&config);
+        let mut overlay = Runtime::new(config.clone());
         let report = pgrid::scenario::run(&mut overlay, &scenario);
 
         println!("== {n_peers} peers ==");
@@ -56,23 +59,37 @@ fn main() {
             let snapshot = report.snapshot(label).expect("snapshot taken");
             let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
             println!(
-                "  {label:<14}: mean depth {:.2}, deviation {:.3}, replication {:.2}",
-                primary.mean_path_length, primary.balance_deviation, primary.mean_replication
+                "  {label:<14} @ minute {:>3}: mean depth {:.2}, deviation {:.3}, replication {:.2}",
+                snapshot.at_min,
+                primary.mean_path_length,
+                primary.balance_deviation,
+                primary.mean_replication
             );
         }
-        let parallel = overlay.network();
-        let rounds = parallel.metrics.rounds;
-        let interactions = parallel.metrics.interactions;
 
-        // The standard maintenance model (sequential joins) on the shifted
-        // workload, for the latency comparison of the paper.
-        let sequential = construct_sequentially(&SimConfig {
-            distribution: Distribution::Pareto { shape: 1.0 },
-            ..config.clone()
-        });
+        // The shifted workload built from scratch in the simulator: the
+        // parallel construction against the standard maintenance model
+        // (sequential joins), for the latency comparison of the paper.
+        let sim_config = SimConfig {
+            n_peers,
+            keys_per_peer: config.keys_per_peer,
+            n_min: config.n_min,
+            distribution: shifted,
+            seed: config.seed,
+            ..SimConfig::default()
+        };
+        let parallel = construct(&sim_config);
+        let keys: Vec<Key> = parallel.original_entries.iter().map(|e| e.key).collect();
+        let quality = measure_overlay(&keys, n_peers, parallel.params, &parallel.peer_paths());
+        let rounds = parallel.metrics.rounds;
+        let sequential = construct_sequentially(&sim_config);
+        println!(
+            "  simulator, from scratch: mean depth {:.2}, deviation {:.3}, replication {:.2}",
+            quality.mean_path_length, quality.deviation, quality.mean_replication
+        );
         println!(
             "  parallel:   {:>6} interactions, {:>4} rounds of latency",
-            interactions, rounds
+            parallel.metrics.interactions, rounds
         );
         println!(
             "  sequential: {:>6} messages,     {:>6} serial steps of latency",
