@@ -12,6 +12,7 @@
 //! and versioned by a leading magic/version pair so a stale worker fails
 //! loudly instead of mis-parsing.
 
+use crate::plan::MINUTE_MS;
 use bytes::Bytes;
 use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
@@ -651,11 +652,41 @@ impl ClusterMsg {
     /// the run's population.  Both sides index per-peer tables with these
     /// values, so the receive paths call this before acting on a message;
     /// a violation is `InvalidData`, never a panic.
+    ///
+    /// A `Welcome` is checked against the population its own `config`
+    /// names (the worker receiving it knows no other, so `n_peers` is not
+    /// read): a shard inside it, at most `MAX_LIST` peers, and a kill
+    /// minute and timeline minutes that still fit in milliseconds.
     pub fn check_ranges(&self, n_peers: usize) -> std::io::Result<()> {
         let n = n_peers as u64;
         let shard = |start: u64, len: u64| start.checked_add(len).is_some_and(|end| end <= n);
         let addrs = |addrs: &[(u64, SocketAddr)]| addrs.iter().all(|&(peer, _)| peer < n);
         let ok = match self {
+            ClusterMsg::Welcome {
+                shard_start,
+                shard_len,
+                config,
+                timeline,
+                kill_at_min,
+                ..
+            } => {
+                let minutes = [
+                    timeline.join_end_min,
+                    timeline.replicate_end_min,
+                    timeline.construct_end_min,
+                    timeline.range_end_min,
+                    timeline.query_end_min,
+                    timeline.end_min,
+                ];
+                config.n_peers <= MAX_LIST
+                    && shard_start
+                        .checked_add(*shard_len)
+                        .is_some_and(|end| end <= config.n_peers as u64)
+                    && kill_at_min
+                        .iter()
+                        .chain(&minutes)
+                        .all(|&m| m <= u64::MAX / MINUTE_MS)
+            }
             ClusterMsg::Hello {
                 shard_start,
                 peer_addrs,
@@ -1380,7 +1411,42 @@ mod tests {
                 path: Path::root(),
             }],
         };
+        let welcome = |shard_start, n_peers, kill_at_min, end_min| ClusterMsg::Welcome {
+            worker_index: 0,
+            n_workers: 1,
+            shard_start,
+            shard_len: 4,
+            config: NetConfig {
+                n_peers,
+                ..NetConfig::default()
+            },
+            timeline: Timeline {
+                end_min,
+                ..Timeline::default()
+            },
+            tracing: false,
+            heartbeat_ms: 0,
+            failure_timeout_ms: 0,
+            heal: false,
+            kill_at_min,
+        };
+        let last_minute = u64::MAX / MINUTE_MS;
         let cases = [
+            // A Welcome is checked against its own `config.n_peers`.
+            (welcome(4, 8, None, 120), welcome(5, 8, None, 120)),
+            (welcome(4, 8, None, 120), welcome(u64::MAX, 8, None, 120)),
+            (
+                welcome(0, MAX_LIST, None, 120),
+                welcome(0, MAX_LIST + 1, None, 120),
+            ),
+            (
+                welcome(4, 8, Some(last_minute), 120),
+                welcome(4, 8, Some(last_minute + 1), 120),
+            ),
+            (
+                welcome(4, 8, None, last_minute),
+                welcome(4, 8, None, last_minute + 1),
+            ),
             (
                 ClusterMsg::RecoveryDone {
                     epoch: 1,

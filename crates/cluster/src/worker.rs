@@ -13,15 +13,15 @@
 //! and the query rate scaled to the shard.  Two distribution-imposed
 //! behaviours live in the glue:
 //!
-//! * **Pacing.**  [`ShardOverlay`] implements
-//!   [`pgrid_scenario::Overlay::advance_to`] as short virtual slices with
-//!   a real-time settle after each one, so exchange replies crossing the
-//!   wire from other processes are handled within roughly one construct
-//!   interval of the tick that triggered them.
-//! * **Barriers.**  `BarrierHooks` reports `PhaseDone` after each
-//!   boundary phase and parks until the coordinator releases the barrier —
-//!   while continuing to service the data transport, so peers of slower
-//!   shards still get their exchanges answered.
+//! * **Pacing.**  [`ShardOverlay`] is the executor's
+//!   [`RuntimeHost`]: its [`RuntimeHost::advance_to`] runs short virtual
+//!   slices with a real-time settle after each one, so exchange replies
+//!   crossing the wire from other processes are handled within roughly one
+//!   construct interval of the tick that triggered them.
+//! * **Barriers.**  Its [`RuntimeHost::after_phase`] reports `PhaseDone`
+//!   after each boundary phase and parks until the coordinator releases the
+//!   barrier — while continuing to service the data transport, so peers of
+//!   slower shards still get their exchanges answered.
 //!
 //! The worker is also one node of the self-healing loop (message orders in
 //! the [crate docs](crate)): it heartbeats on the control channel while
@@ -46,7 +46,6 @@ use crate::proto::{
     PHASE_DONE, PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
 };
 use pgrid_core::index::IndexId;
-use pgrid_core::key::Key;
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
 use pgrid_durable::{DurableStore, LogOptions, MetaImage};
@@ -57,7 +56,7 @@ use pgrid_obs::registry::MetricsRegistry;
 use pgrid_obs::scrape::{ScrapeServer, ScrapeState};
 use pgrid_reactor::{ReactorConfig, ReactorTransport};
 use pgrid_scenario::scenario::CONTROL_SEED_SALT;
-use pgrid_scenario::{Overlay, OverlaySnapshot, Phase, QuerySpec, Scenario, ScenarioHooks};
+use pgrid_scenario::{Phase, QuerySpec, RuntimeHost, Scenario};
 use pgrid_transport::{PeerAddr, SocketTransport, Transport};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -290,10 +289,11 @@ struct HealState {
     worker_index: u32,
 }
 
-/// The worker's shard wrapped as a scenario overlay: every operation
-/// delegates to the sharded [`Runtime`], except that advancing virtual
-/// time is paced against the wire (see the module docs), heartbeats the
-/// control channel, and honours a scheduled self-kill.
+/// The worker's shard as the scenario executor's [`RuntimeHost`]: the
+/// executor drives the sharded [`Runtime`] directly, except that advancing
+/// virtual time is paced against the wire (see the module docs),
+/// heartbeats the control channel and honours a scheduled self-kill, and
+/// that boundary phases park at the coordinator's barriers.
 pub struct ShardOverlay {
     /// The sharded runtime this worker hosts.
     pub runtime: Runtime<ReactorTransport>,
@@ -307,6 +307,10 @@ pub struct ShardOverlay {
     /// Bandwidth minutes already streamed to the coordinator.
     streamed: BTreeSet<u64>,
     obs: WorkerObs,
+    /// The barrier each phase index parks at, precomputed by
+    /// [`barrier_plan`] so a barrier class spanning several phases (range
+    /// load followed by lookup load) reports exactly once.
+    barriers: Vec<Option<u8>>,
 }
 
 impl ShardOverlay {
@@ -382,13 +386,12 @@ impl ShardOverlay {
     }
 }
 
-impl Overlay for ShardOverlay {
-    fn n_peers(&self) -> usize {
-        Overlay::n_peers(&self.runtime)
-    }
+impl RuntimeHost for ShardOverlay {
+    type Transport = ReactorTransport;
+    type Error = Error;
 
-    fn now(&self) -> Millis {
-        self.runtime.now()
+    fn runtime(&mut self) -> &mut Runtime<ReactorTransport> {
+        &mut self.runtime
     }
 
     fn advance_to(&mut self, until: Millis) {
@@ -429,74 +432,14 @@ impl Overlay for ShardOverlay {
         }
     }
 
-    fn join(&mut self, peer: usize, fanout: usize) {
-        Overlay::join(&mut self.runtime, peer, fanout)
+    /// After each boundary phase, streams the completed bandwidth minutes
+    /// and parks at the coordinator's barrier.
+    fn after_phase(&mut self, index: usize, _phase: &Phase) -> Result<()> {
+        match self.barriers.get(index).copied().flatten() {
+            Some(phase) => barrier(self, phase),
+            None => Ok(()),
+        }
     }
-
-    fn join_with_neighbours(&mut self, peer: usize, neighbours: Vec<PeerId>) {
-        Overlay::join_with_neighbours(&mut self.runtime, peer, neighbours)
-    }
-
-    fn schedule_leave(&mut self, peer: usize, at: Millis, downtime: Millis) {
-        Overlay::schedule_leave(&mut self.runtime, peer, at, downtime)
-    }
-
-    fn begin_replication(&mut self, index: IndexId) {
-        Overlay::begin_replication(&mut self.runtime, index)
-    }
-
-    fn begin_construction(&mut self, index: IndexId) {
-        Overlay::begin_construction(&mut self.runtime, index)
-    }
-
-    fn quiescent(&self) -> bool {
-        Overlay::quiescent(&self.runtime)
-    }
-
-    fn has_index(&self, index: IndexId) -> bool {
-        Overlay::has_index(&self.runtime, index)
-    }
-
-    fn insert(&mut self, index: IndexId, peer: usize, keys: Vec<Key>) {
-        Overlay::insert(&mut self.runtime, index, peer, keys)
-    }
-
-    fn issue_query(&mut self, index: IndexId, key: Key) {
-        Overlay::issue_query(&mut self.runtime, index, key)
-    }
-
-    fn issue_range_query(&mut self, index: IndexId, lo: Key, hi: Key) {
-        Overlay::issue_range_query(&mut self.runtime, index, lo, hi)
-    }
-
-    fn query_keys(&self, index: IndexId) -> Vec<Key> {
-        Overlay::query_keys(&self.runtime, index)
-    }
-
-    fn query_timeout_ms(&self) -> Millis {
-        Overlay::query_timeout_ms(&self.runtime)
-    }
-
-    fn schedule_kill(&mut self, at: Millis) {
-        self.heal.kill_at = Some(at);
-    }
-
-    fn inject_partition(&mut self, groups: &[Vec<usize>], from: Millis, until: Millis) -> bool {
-        Overlay::inject_partition(&mut self.runtime, groups, from, until)
-    }
-
-    fn snapshot(&self, label: &str) -> OverlaySnapshot {
-        Overlay::snapshot(&self.runtime, label)
-    }
-}
-
-/// Phase hooks of the worker: after each boundary phase, stream completed
-/// bandwidth minutes and park at the coordinator's barrier.
-struct BarrierHooks {
-    /// The barrier each phase index parks at, precomputed by
-    /// [`barrier_plan`] so a barrier class spanning several phases (range
-    /// load followed by lookup load) reports exactly once.
-    plan: Vec<Option<u8>>,
 }
 
 /// The barrier class a scenario phase completes (`None` for phases that
@@ -526,22 +469,6 @@ fn barrier_plan(scenario: &Scenario) -> Vec<Option<u8>> {
         }
     }
     plan
-}
-
-impl ScenarioHooks<ShardOverlay> for BarrierHooks {
-    type Error = Error;
-
-    fn after_phase(
-        &mut self,
-        overlay: &mut ShardOverlay,
-        phase_index: usize,
-        _phase: &Phase,
-    ) -> Result<()> {
-        let Some(barrier_phase) = self.plan.get(phase_index).copied().flatten() else {
-            return Ok(());
-        };
-        barrier(overlay, barrier_phase)
-    }
 }
 
 /// Connects to the coordinator with capped exponential backoff and
@@ -733,6 +660,8 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         welcome_timeout = REJOIN_WELCOME_TIMEOUT;
     }
     let welcome = ctl.borrow_mut().recv_timeout(welcome_timeout)?;
+    // A `Welcome` is checked against the population its own config names.
+    welcome.check_ranges(usize::MAX)?;
     let ClusterMsg::Welcome {
         worker_index,
         shard_start,
@@ -819,6 +748,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         durable_phase: PHASE_WIRED,
         streamed: BTreeSet::new(),
         obs,
+        barriers: Vec::new(),
     };
 
     // --- the timeline as a scenario ------------------------------------------
@@ -869,7 +799,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
             loop {
                 if overlay.runtime.now() < boundary {
                     let next = (overlay.runtime.now() + PACE_SLICE_MS).min(boundary);
-                    Overlay::advance_to(&mut overlay, next);
+                    overlay.advance_to(next);
                 } else if proceeded {
                     break;
                 } else {
@@ -882,10 +812,8 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
             scenario = resume_scenario(scenario, phase);
         }
     }
-    let mut hooks = BarrierHooks {
-        plan: barrier_plan(&scenario),
-    };
-    pgrid_scenario::run_with_hooks(&mut overlay, &scenario, &mut hooks)?;
+    overlay.barriers = barrier_plan(&scenario);
+    pgrid_scenario::run_hosted(&mut overlay, &scenario)?;
 
     // --- final report --------------------------------------------------------
     send_report(&mut overlay)?;

@@ -1,12 +1,14 @@
-//! A control message naming a peer or a shard outside the population, or a
-//! report counting more online peers than it carries, is an `InvalidData`
-//! error at the process that receives it, never a panic: one test per
-//! message that used to index a per-peer table (or feed a sum) unchecked,
-//! each driving the public entry point against a scripted counterpart.
+//! A control message naming a peer or a shard outside the population, a
+//! report counting more online peers than it carries, or a `Welcome` whose
+//! minutes overflow milliseconds, is an `InvalidData` error at the process
+//! that receives it, never a panic: one test per message that used to
+//! index a per-peer table (or feed a sum or a product) unchecked, each
+//! driving the public entry point against a scripted counterpart.
 
 #![cfg(target_os = "linux")]
 
 use pgrid_cluster::coordinator::{run_coordinator, ClusterConfig, HealConfig};
+use pgrid_cluster::plan::MINUTE_MS;
 use pgrid_cluster::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_DONE};
 use pgrid_cluster::worker::{run_worker, WorkerOptions};
 use pgrid_core::path::Path;
@@ -155,6 +157,60 @@ fn a_recovery_done_for_a_peer_outside_the_population_is_invalid_data() {
     assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
     victim.join().unwrap();
     survivor.join().unwrap();
+}
+
+fn welcome(shard_start: u64, n_peers: usize, kill_at_min: Option<u64>, end_min: u64) -> ClusterMsg {
+    ClusterMsg::Welcome {
+        worker_index: 0,
+        n_workers: 1,
+        shard_start,
+        shard_len: 4,
+        config: NetConfig {
+            n_peers,
+            ..cluster(1).net
+        },
+        timeline: Timeline {
+            end_min,
+            ..Timeline::default()
+        },
+        tracing: false,
+        heartbeat_ms: 0,
+        failure_timeout_ms: 0,
+        heal: false,
+        kill_at_min,
+    }
+}
+
+#[test]
+fn a_welcome_outside_its_own_population_or_past_the_clock_is_invalid_data() {
+    let end_min = Timeline::default().end_min;
+    let past_the_clock = u64::MAX / MINUTE_MS + 1;
+    for bad in [
+        welcome(u64::MAX, N_PEERS, None, end_min),
+        welcome(N_PEERS as u64 - 2, N_PEERS, None, end_min),
+        welcome(0, (1 << 24) + 1, None, end_min),
+        welcome(0, N_PEERS, Some(past_the_clock), end_min),
+        welcome(0, N_PEERS, None, past_the_clock),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || run_worker(addr, &WorkerOptions::default()));
+        let mut ctl = ControlChannel::new(listener.accept().unwrap().0).unwrap();
+        ctl.send(&bad).unwrap();
+        // Answer the rendezvous honestly, so a worker that takes the bad
+        // fields any further meets them; hang up once it stops talking.
+        while let Ok(msg) = ctl.recv_timeout(WAIT) {
+            if let ClusterMsg::Hello { peer_addrs, .. } = msg {
+                let _ = ctl.send(&ClusterMsg::AddressBook { peer_addrs });
+            }
+        }
+        drop(ctl);
+        let error = worker
+            .join()
+            .expect("the worker must not panic")
+            .expect_err("the Welcome is out of range");
+        assert_eq!(error.kind(), ErrorKind::InvalidData, "{bad:?}: {error}");
+    }
 }
 
 #[test]

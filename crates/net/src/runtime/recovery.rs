@@ -123,19 +123,6 @@ impl<T: Transport> Runtime<T> {
         self.metrics.peers_recovered_replica
     }
 
-    /// Copy-on-write snapshots of the hosted peers' primary stores, as
-    /// `(peer, store)` pairs ascending by peer.  Each handle shares
-    /// storage with the live peer (`Arc`-backed) until either side
-    /// mutates, so this is O(1) per peer, not O(entries).
-    pub fn capture_primary_stores(&self) -> Vec<(usize, KeyStore)> {
-        let mut out: Vec<(usize, KeyStore)> = self
-            .hosted_peers()
-            .map(|p| (p, self.peer_state(IndexId::PRIMARY, p).store.clone()))
-            .collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
-    }
-
     /// A live hosted peer that lists `peer` as a replica, if any — the
     /// cheapest replica source for a pull, since the snapshot never leaves
     /// the process.

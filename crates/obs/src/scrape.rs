@@ -155,27 +155,36 @@ fn respond(mut stream: TcpStream, state: &ScrapeState) -> std::io::Result<()> {
             break;
         }
     }
-    let request = String::from_utf8_lossy(&head);
+    stream.write_all(&response(&head, state))?;
+    stream.flush()
+}
+
+/// The whole HTTP response — status line, headers and body — to a request
+/// `head` of arbitrary bytes.  A `GET` of `/metrics`, `/trace[?id=N]` or
+/// `/healthz` is answered from `state`; anything else is a 404.  Never
+/// panics, and `Content-Length` is always the body's length in bytes.
+pub fn response(head: &[u8], state: &ScrapeState) -> Vec<u8> {
+    let request = String::from_utf8_lossy(head);
     let target = request
         .lines()
         .next()
         .and_then(|line| {
             let mut parts = line.split_whitespace();
             match (parts.next(), parts.next()) {
-                (Some("GET"), Some(path)) => Some(path.to_string()),
+                (Some("GET"), Some(path)) => Some(path),
                 _ => None,
             }
         })
         .unwrap_or_default();
 
-    let (status, content_type, body) = route(&target, state);
-    let response = format!(
+    let (status, content_type, body) = route(target, state);
+    let mut response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    )
+    .into_bytes();
+    response.extend_from_slice(body.as_bytes());
+    response
 }
 
 fn route(target: &str, state: &ScrapeState) -> (&'static str, &'static str, String) {

@@ -19,7 +19,7 @@
 //! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, the `SocketTransport` trait |
 //! | [`reactor`] | `pgrid-reactor` | the one socket backend: every hosted peer behind one listener, epoll event threads (Linux) |
 //! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport, multi-index capable) and the PlanetLab-style experiment |
-//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: `Overlay` trait, declarative `Scenario` programs, one executor for the message-level engines |
+//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: declarative `Scenario` programs and one executor that drives the message-level runtime |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |
 //!
 //! See the repository-level `examples/` directory for runnable end-to-end

@@ -1,7 +1,12 @@
-//! The scenario executor: one driver for every [`Overlay`] engine.
+//! The scenario executor: one driver over [`Runtime`].
 
-use crate::overlay::{Millis, Overlay, OverlaySnapshot, MINUTE_MS};
-use crate::scenario::{Phase, QuerySpec, Scenario};
+use crate::scenario::{Phase, QuerySpec, Scenario, MINUTE_MS};
+use crate::snapshot::{query_keys, OverlaySnapshot};
+use pgrid_core::index::IndexId;
+use pgrid_core::key::Key;
+use pgrid_core::routing::PeerId;
+use pgrid_net::runtime::{Millis, Runtime};
+use pgrid_transport::{LinkFault, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,10 +20,6 @@ pub struct ScenarioReport {
     pub phases_run: usize,
     /// Virtual time at the end of the run, in minutes.
     pub end_min: u64,
-    /// Opt-in store captures, one per [`Phase::Snapshot`]; empty unless
-    /// [`Scenario::capture_stores`] is set (the default takes none and
-    /// allocates nothing).
-    pub store_captures: Vec<StoreCapture>,
 }
 
 impl ScenarioReport {
@@ -31,97 +32,80 @@ impl ScenarioReport {
     pub fn final_snapshot(&self) -> &OverlaySnapshot {
         self.snapshots.last().expect("every run takes one")
     }
-
-    /// The store capture with the given label, if taken.
-    pub fn store_capture(&self, label: &str) -> Option<&StoreCapture> {
-        self.store_captures.iter().find(|c| c.label == label)
-    }
 }
 
-/// The key stores of the hosted peers at one [`Phase::Snapshot`], captured
-/// through [`Overlay::capture_stores`].  On copy-on-write engines every
-/// handle shares storage with the live peer until either side mutates, so
-/// a capture is O(1) per peer, not O(entries).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoreCapture {
-    /// The label of the snapshot phase that took this capture.
-    pub label: String,
-    /// Virtual time of the capture, in minutes.
-    pub at_min: u64,
-    /// `(peer, store)` pairs, one per hosted peer.
-    pub stores: Vec<(usize, pgrid_core::store::KeyStore)>,
-}
-
-/// Hooks called between phases — the cluster worker uses them to report
-/// phase completion and park at coordinator barriers while keeping its
-/// data plane serviced.
-pub trait ScenarioHooks<O: Overlay + ?Sized> {
-    /// Error the hook can fail with (aborts the run).
+/// What [`run_hosted`] drives: a [`Runtime`], how virtual time advances on
+/// it, and what happens between phases.
+///
+/// A plain [`Runtime`] is its own host.  The cluster worker's shard is the
+/// other one: it paces time against the wire and parks at the
+/// coordinator's barriers after each phase.
+pub trait RuntimeHost {
+    /// The transport of the hosted runtime.
+    type Transport: Transport;
+    /// Error [`RuntimeHost::after_phase`] can fail with (aborts the run).
     type Error;
 
-    /// Called after each phase finished executing.
-    fn after_phase(
-        &mut self,
-        overlay: &mut O,
-        phase_index: usize,
-        phase: &Phase,
-    ) -> Result<(), Self::Error>;
-}
+    /// The hosted runtime.
+    fn runtime(&mut self) -> &mut Runtime<Self::Transport>;
 
-/// The no-op hooks of a plain [`run`].
-pub struct NoHooks;
+    /// Advances virtual time to `until`.
+    fn advance_to(&mut self, until: Millis) {
+        self.runtime().run_until(until);
+    }
 
-impl<O: Overlay + ?Sized> ScenarioHooks<O> for NoHooks {
-    type Error = std::convert::Infallible;
-
-    fn after_phase(&mut self, _: &mut O, _: usize, _: &Phase) -> Result<(), Self::Error> {
+    /// Called after phase `index` finished executing.
+    fn after_phase(&mut self, _index: usize, _phase: &Phase) -> Result<(), Self::Error> {
         Ok(())
     }
 }
 
-/// Executes `scenario` against `overlay` and reports the snapshots.
-pub fn run<O: Overlay + ?Sized>(overlay: &mut O, scenario: &Scenario) -> ScenarioReport {
-    match run_with_hooks(overlay, scenario, &mut NoHooks) {
+impl<T: Transport> RuntimeHost for Runtime<T> {
+    type Transport = T;
+    type Error = std::convert::Infallible;
+
+    fn runtime(&mut self) -> &mut Runtime<T> {
+        self
+    }
+}
+
+/// Executes `scenario` against `runtime` and reports the snapshots.
+pub fn run<T: Transport>(runtime: &mut Runtime<T>, scenario: &Scenario) -> ScenarioReport {
+    match run_hosted(runtime, scenario) {
         Ok(report) => report,
         Err(infallible) => match infallible {},
     }
 }
 
-/// Executes `scenario` against `overlay`, calling `hooks` after every
-/// phase.  A hook error aborts the run.
-pub fn run_with_hooks<O, H>(
-    overlay: &mut O,
+/// Executes `scenario` against the runtime of `host`, calling
+/// [`RuntimeHost::after_phase`] after every phase.  An error there aborts
+/// the run.
+pub fn run_hosted<H: RuntimeHost>(
+    host: &mut H,
     scenario: &Scenario,
-    hooks: &mut H,
-) -> Result<ScenarioReport, H::Error>
-where
-    O: Overlay + ?Sized,
-    H: ScenarioHooks<O>,
-{
+) -> Result<ScenarioReport, H::Error> {
     let mut ctx = Context {
         rng: StdRng::seed_from_u64(scenario.control_seed),
         boundary_min: 0,
         next_query: None,
         snapshots: Vec::new(),
-        capture_stores: scenario.capture_stores,
-        store_captures: Vec::new(),
     };
     for (i, phase) in scenario.phases.iter().enumerate() {
-        execute_phase(overlay, &mut ctx, phase);
+        execute_phase(host, &mut ctx, phase);
         pgrid_obs::debug!(
             "scenario::exec",
             "phase {i} ({}) done at minute {}",
             phase_kind(phase),
-            overlay.now() / MINUTE_MS
+            host.runtime().now() / MINUTE_MS
         );
-        hooks.after_phase(overlay, i, phase)?;
+        host.after_phase(i, phase)?;
     }
-    ctx.snapshots.push(overlay.snapshot("final"));
+    let runtime = host.runtime();
+    ctx.snapshots.push(OverlaySnapshot::of(runtime, "final"));
     Ok(ScenarioReport {
         snapshots: ctx.snapshots,
         phases_run: scenario.phases.len(),
-        end_min: overlay.now() / MINUTE_MS,
-        store_captures: ctx.store_captures,
+        end_min: runtime.now() / MINUTE_MS,
     })
 }
 
@@ -136,8 +120,6 @@ struct Context {
     boundary_min: u64,
     next_query: Option<Millis>,
     snapshots: Vec<OverlaySnapshot>,
-    capture_stores: bool,
-    store_captures: Vec<StoreCapture>,
 }
 
 /// Stable phase label of the executor's progress logs.
@@ -154,82 +136,80 @@ fn phase_kind(phase: &Phase) -> &'static str {
         Phase::Churn { .. } => "churn",
         Phase::ChurnSchedule { .. } => "churn_schedule",
         Phase::ShiftDistribution { .. } => "shift_distribution",
-        Phase::KillWorker { .. } => "kill_worker",
         Phase::Partition { .. } => "partition",
         Phase::Snapshot { .. } => "snapshot",
         Phase::Drain => "drain",
     }
 }
 
-fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase: &Phase) {
+fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase) {
     match phase {
         Phase::JoinWave { until_min, fanout } => {
             let end = until_min * MINUTE_MS;
-            let n = overlay.n_peers();
+            let n = host.runtime().config.n_peers;
             for peer in 0..n {
                 let at = (peer as u64 * end) / n as u64;
-                overlay.advance_to(at);
-                overlay.join(peer, *fanout);
+                host.advance_to(at);
+                host.runtime().join_peer(peer, *fanout);
             }
-            overlay.advance_to(end);
+            host.advance_to(end);
             ctx.boundary_min = *until_min;
         }
         Phase::JoinSchedule { until_min, events } => {
             for event in events {
-                overlay.advance_to(event.at);
-                overlay.join_with_neighbours(event.peer, event.neighbours.clone());
+                host.advance_to(event.at);
+                host.runtime()
+                    .join_peer_with_neighbours(event.peer, event.neighbours.clone());
             }
-            overlay.advance_to(until_min * MINUTE_MS);
+            host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
         }
         Phase::Replicate { index, until_min } => {
-            assert!(overlay.has_index(*index), "{index} is not hosted");
-            overlay.begin_replication(*index);
-            overlay.advance_to(until_min * MINUTE_MS);
+            hosted(host.runtime(), *index).replication_phase_on(*index);
+            host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
         }
         Phase::StartConstruction { index } => {
-            assert!(overlay.has_index(*index), "{index} is not hosted");
-            overlay.begin_construction(*index);
+            hosted(host.runtime(), *index).start_construction_on(*index);
         }
         Phase::RunUntil { until_min } => {
-            overlay.advance_to(until_min * MINUTE_MS);
+            host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
         }
         Phase::ConstructUntilQuiescent {
             check_every_min,
             max_min,
         } => {
-            let deadline = overlay.now() + max_min * MINUTE_MS;
-            while !overlay.quiescent() && overlay.now() < deadline {
-                let next = (overlay.now() + (*check_every_min).max(1) * MINUTE_MS).min(deadline);
-                overlay.advance_to(next);
+            let deadline = host.runtime().now() + max_min * MINUTE_MS;
+            loop {
+                let runtime = host.runtime();
+                let now = runtime.now();
+                if runtime.construction_quiescent() || now >= deadline {
+                    break;
+                }
+                host.advance_to((now + (*check_every_min).max(1) * MINUTE_MS).min(deadline));
             }
-            ctx.boundary_min = overlay.now() / MINUTE_MS;
+            ctx.boundary_min = host.runtime().now() / MINUTE_MS;
         }
         Phase::QueryLoad {
             index,
             until_min,
             issuers,
         } => {
-            assert!(overlay.has_index(*index), "{index} is not hosted");
             let end = until_min * MINUTE_MS;
-            let keys = overlay.query_keys(*index);
-            let issuers = effective_issuers(overlay, *issuers);
+            let keys = query_keys(hosted(host.runtime(), *index), *index);
+            let issuers = effective_issuers(host.runtime(), *issuers);
             // The pacing clock restarts at the phase start (a fresh query
             // window).
-            let mut next_query = overlay.now();
+            let mut next_query = host.runtime().now();
             if keys.is_empty() {
-                overlay.advance_to(end);
+                host.advance_to(end);
             } else {
-                while overlay.now() < end {
-                    let step = ctx
-                        .rng
-                        .gen_range(MINUTE_MS / issuers / 2..=MINUTE_MS / issuers);
-                    next_query += step.max(1);
-                    overlay.advance_to(next_query);
+                while host.runtime().now() < end {
+                    next_query += pacing_step(&mut ctx.rng, issuers);
+                    host.advance_to(next_query);
                     let key = keys[ctx.rng.gen_range(0..keys.len())];
-                    overlay.issue_query(*index, key);
+                    host.runtime().issue_query_on(*index, key);
                 }
             }
             ctx.next_query = Some(next_query);
@@ -241,24 +221,19 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
             issuers,
             width,
         } => {
-            assert!(overlay.has_index(*index), "{index} is not hosted");
             let end = until_min * MINUTE_MS;
-            let issuers = effective_issuers(overlay, *issuers);
+            let issuers = effective_issuers(hosted(host.runtime(), *index), *issuers);
             let width = width.clamp(f64::EPSILON, 1.0);
             // Range load paces like query load but draws `[lo, hi]` bounds
             // from the control RNG instead of corpus keys.
-            let mut next_query = overlay.now();
-            while overlay.now() < end {
-                let step = ctx
-                    .rng
-                    .gen_range(MINUTE_MS / issuers / 2..=MINUTE_MS / issuers);
-                next_query += step.max(1);
-                overlay.advance_to(next_query);
+            let mut next_query = host.runtime().now();
+            while host.runtime().now() < end {
+                next_query += pacing_step(&mut ctx.rng, issuers);
+                host.advance_to(next_query);
                 let start = ctx.rng.gen_range(0.0..(1.0 - width).max(f64::EPSILON));
-                let lo = pgrid_core::key::Key::from_fraction(start);
-                let hi =
-                    pgrid_core::key::Key::from_fraction((start + width).min(1.0 - f64::EPSILON));
-                overlay.issue_range_query(*index, lo, hi.max(lo));
+                let lo = Key::from_fraction(start);
+                let hi = Key::from_fraction((start + width).min(1.0 - f64::EPSILON));
+                host.runtime().issue_range_query_on(*index, lo, hi.max(lo));
             }
             ctx.next_query = Some(next_query);
             ctx.boundary_min = *until_min;
@@ -272,7 +247,8 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
         } => {
             let end = until_min * MINUTE_MS;
             let base = ctx.boundary_min * MINUTE_MS;
-            for peer in 0..overlay.n_peers() {
+            let runtime = host.runtime();
+            for peer in 0..runtime.config.n_peers {
                 let mut at = base
                     + if *lead_ms == 0 {
                         0
@@ -281,11 +257,11 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
                     };
                 while at < end {
                     let downtime = ctx.rng.gen_range(downtime_ms.0..=downtime_ms.1);
-                    overlay.schedule_leave(peer, at, downtime);
+                    runtime.schedule_churn(peer, at, downtime);
                     at += downtime + ctx.rng.gen_range(gap_ms.0..=gap_ms.1);
                 }
             }
-            churn_window(overlay, ctx, end, queries);
+            churn_window(host, ctx, end, queries);
             ctx.boundary_min = *until_min;
         }
         Phase::ChurnSchedule {
@@ -293,10 +269,11 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
             events,
             queries,
         } => {
+            let runtime = host.runtime();
             for event in events {
-                overlay.schedule_leave(event.peer, event.at, event.downtime);
+                runtime.schedule_churn(event.peer, event.at, event.downtime);
             }
-            churn_window(overlay, ctx, until_min * MINUTE_MS, queries);
+            churn_window(host, ctx, until_min * MINUTE_MS, queries);
             ctx.boundary_min = *until_min;
         }
         Phase::ShiftDistribution {
@@ -304,26 +281,30 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
             distribution,
             keys_per_peer,
         } => {
-            assert!(overlay.has_index(*index), "{index} is not hosted");
-            for peer in 0..overlay.n_peers() {
+            let runtime = hosted(host.runtime(), *index);
+            for peer in 0..runtime.config.n_peers {
                 let keys = (0..*keys_per_peer)
                     .map(|_| distribution.sample(&mut ctx.rng))
                     .collect();
-                overlay.insert(*index, peer, keys);
+                runtime.insert_entries(*index, peer, keys);
             }
             // Fresh data re-opens the partitioning question.
-            overlay.begin_construction(*index);
-        }
-        Phase::KillWorker { at_min } => {
-            overlay.schedule_kill(at_min * MINUTE_MS);
+            runtime.start_construction_on(*index);
         }
         Phase::Partition {
             groups,
             from_min,
             until_min,
         } => {
-            let supported =
-                overlay.inject_partition(groups, from_min * MINUTE_MS, until_min * MINUTE_MS);
+            let groups = groups
+                .iter()
+                .map(|g| g.iter().map(|&p| PeerId(p as u64)).collect())
+                .collect();
+            let supported = host.runtime().inject_link_fault(LinkFault::Partition {
+                groups,
+                from: from_min * MINUTE_MS,
+                until: until_min * MINUTE_MS,
+            });
             if !supported {
                 pgrid_obs::debug!(
                     "scenario::exec",
@@ -332,60 +313,65 @@ fn execute_phase<O: Overlay + ?Sized>(overlay: &mut O, ctx: &mut Context, phase:
             }
         }
         Phase::Snapshot { label } => {
-            let snapshot = overlay.snapshot(label);
-            ctx.snapshots.push(snapshot);
-            if ctx.capture_stores {
-                ctx.store_captures.push(StoreCapture {
-                    label: label.clone(),
-                    at_min: overlay.now() / MINUTE_MS,
-                    stores: overlay.capture_stores(),
-                });
-            }
+            ctx.snapshots
+                .push(OverlaySnapshot::of(host.runtime(), label));
         }
         Phase::Drain => {
-            overlay.advance_to(ctx.boundary_min * MINUTE_MS + overlay.query_timeout_ms());
+            let timeout = host.runtime().config.query_timeout_ms;
+            host.advance_to(ctx.boundary_min * MINUTE_MS + timeout);
         }
     }
+}
+
+/// `runtime`, after checking that it hosts `index`: scenarios must only
+/// reference indexes the runtime was set up with.
+fn hosted<T: Transport>(runtime: &mut Runtime<T>, index: IndexId) -> &mut Runtime<T> {
+    assert!(runtime.has_index_state(index), "{index} is not hosted");
+    runtime
 }
 
 /// The query/advance loop shared by both churn phases: the pacing clock
 /// *continues* from the preceding query phase, advances are clamped to the
 /// window, and no query is issued at or past the boundary.
-fn churn_window<O: Overlay + ?Sized>(
-    overlay: &mut O,
+fn churn_window<H: RuntimeHost>(
+    host: &mut H,
     ctx: &mut Context,
     end: Millis,
     queries: &Option<QuerySpec>,
 ) {
     let Some(spec) = queries else {
-        overlay.advance_to(end);
+        host.advance_to(end);
         return;
     };
-    let keys = overlay.query_keys(spec.index);
-    let issuers = effective_issuers(overlay, spec.issuers);
-    let mut next_query = ctx.next_query.unwrap_or_else(|| overlay.now());
+    let keys = query_keys(host.runtime(), spec.index);
+    let issuers = effective_issuers(host.runtime(), spec.issuers);
+    let mut next_query = ctx.next_query.unwrap_or_else(|| host.runtime().now());
     if keys.is_empty() {
-        overlay.advance_to(end);
+        host.advance_to(end);
         return;
     }
-    while overlay.now() < end {
-        let step = ctx
-            .rng
-            .gen_range(MINUTE_MS / issuers / 2..=MINUTE_MS / issuers);
-        next_query += step.max(1);
-        overlay.advance_to(next_query.min(end));
-        if overlay.now() >= end {
+    while host.runtime().now() < end {
+        next_query += pacing_step(&mut ctx.rng, issuers);
+        host.advance_to(next_query.min(end));
+        if host.runtime().now() >= end {
             break;
         }
         let key = keys[ctx.rng.gen_range(0..keys.len())];
-        overlay.issue_query(spec.index, key);
+        host.runtime().issue_query_on(spec.index, key);
     }
     ctx.next_query = Some(next_query);
 }
 
-fn effective_issuers<O: Overlay + ?Sized>(overlay: &O, issuers: usize) -> u64 {
+/// The gap to the next query of `issuers` notional issuers, drawn from the
+/// control RNG.
+fn pacing_step(rng: &mut StdRng, issuers: u64) -> Millis {
+    rng.gen_range(MINUTE_MS / issuers / 2..=MINUTE_MS / issuers)
+        .max(1)
+}
+
+fn effective_issuers<T: Transport>(runtime: &Runtime<T>, issuers: usize) -> u64 {
     let n = if issuers == 0 {
-        overlay.n_peers()
+        runtime.config.n_peers
     } else {
         issuers
     };

@@ -1,11 +1,14 @@
 //! Declarative scenario programs: ordered phases with seed-derived event
 //! schedules.
 
-use crate::overlay::{Millis, MINUTE_MS};
 use pgrid_core::index::IndexId;
 use pgrid_core::routing::PeerId;
 use pgrid_net::experiment::Timeline;
+use pgrid_net::runtime::Millis;
 use pgrid_workload::distributions::Distribution;
+
+/// Milliseconds per minute of virtual time.
+pub const MINUTE_MS: Millis = 60_000;
 
 /// Salt folded into the seed for the executor's control RNG (query pacing,
 /// churn schedules, workload key draws).  The Section-5 reference figures
@@ -56,7 +59,7 @@ pub struct ChurnEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Phase {
     /// Ramp-join peers `0..n` evenly across the window, each bootstrapped
-    /// with `fanout` engine-drawn contacts (the Section-5.1 join phase).
+    /// with `fanout` runtime-drawn contacts (the Section-5.1 join phase).
     JoinWave {
         /// End of the join window, in minutes.
         until_min: u64,
@@ -159,19 +162,11 @@ pub enum Phase {
         /// Fresh keys per peer.
         keys_per_peer: usize,
     },
-    /// Abruptly kill the hosting worker process once virtual time reaches
-    /// `at_min` (the cluster's unplanned-death fault injection;
-    /// single-process engines ignore it).  Instantaneous: the phase arms
-    /// the kill, the death happens while a later phase advances time.
-    KillWorker {
-        /// Minute of virtual time at which the process dies.
-        at_min: u64,
-    },
     /// Inject a healing network partition: peers in different `groups`
     /// cannot exchange frames during `[from_min, until_min)`.
     /// Instantaneous: the phase schedules the window, the partition plays
     /// out (and heals) while later phases advance time.  Ignored by
-    /// engines whose transport has no fault hooks.
+    /// transports without fault hooks.
     Partition {
         /// The isolated peer groups (peer indices; peers in different
         /// groups lose all frames between them).
@@ -205,11 +200,6 @@ pub struct Scenario {
     pub control_seed: u64,
     /// The phases, executed in order.
     pub phases: Vec<Phase>,
-    /// Whether [`Phase::Snapshot`] also captures the hosted peers' key
-    /// stores through [`crate::Overlay::capture_stores`].  Off by default:
-    /// plain metric snapshots allocate nothing extra (engines with
-    /// copy-on-write stores make the opt-in capture O(1) per peer).
-    pub capture_stores: bool,
 }
 
 impl Scenario {
@@ -219,7 +209,6 @@ impl Scenario {
         ScenarioBuilder {
             control_seed: seed ^ CONTROL_SEED_SALT,
             phases: Vec::new(),
-            capture_stores: false,
         }
     }
 
@@ -268,7 +257,6 @@ impl Scenario {
 pub struct ScenarioBuilder {
     control_seed: u64,
     phases: Vec<Phase>,
-    capture_stores: bool,
 }
 
 impl ScenarioBuilder {
@@ -403,11 +391,6 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Appends a [`Phase::KillWorker`].
-    pub fn kill_worker(self, at_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::KillWorker { at_min })
-    }
-
     /// Appends a [`Phase::Partition`].
     pub fn partition(
         self,
@@ -434,19 +417,11 @@ impl ScenarioBuilder {
         self.phase(Phase::Drain)
     }
 
-    /// Makes every [`Phase::Snapshot`] also capture the hosted peers' key
-    /// stores (copy-on-write handles on engines that support it).
-    pub fn capture_stores(mut self) -> ScenarioBuilder {
-        self.capture_stores = true;
-        self
-    }
-
     /// Finishes the program.
     pub fn build(self) -> Scenario {
         Scenario {
             control_seed: self.control_seed,
             phases: self.phases,
-            capture_stores: self.capture_stores,
         }
     }
 }

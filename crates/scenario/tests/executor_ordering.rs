@@ -4,7 +4,7 @@
 use pgrid_core::index::IndexId;
 use pgrid_net::runtime::{NetConfig, Runtime};
 use pgrid_scenario::prelude::*;
-use pgrid_scenario::ChurnEvent;
+use pgrid_scenario::{ChurnEvent, RuntimeHost};
 
 fn runtime(n_peers: usize, seed: u64) -> Runtime {
     Runtime::new(NetConfig {
@@ -24,7 +24,7 @@ fn identical_timestamps_resolve_in_schedule_order() {
     // the second interval ends at t = 4000ms.
     let mut overlay = runtime(8, 3);
     for peer in 0..8 {
-        overlay.join(peer, 3);
+        overlay.join_peer(peer, 3);
     }
     let scenario = Scenario::builder(3)
         .churn_schedule(
@@ -48,7 +48,7 @@ fn identical_timestamps_resolve_in_schedule_order() {
     // Drive manually to observe the intermediate states.
     let mut probe = runtime(8, 3);
     for peer in 0..8 {
-        probe.join(peer, 3);
+        probe.join_peer(peer, 3);
     }
     probe.schedule_churn(0, 1_000, 2_000);
     probe.schedule_churn(0, 3_000, 1_000);
@@ -112,16 +112,15 @@ fn runs_are_deterministic_and_phase_order_is_declaration_order() {
 
 #[test]
 fn hooks_observe_every_phase_in_order() {
-    struct Recorder(Vec<usize>);
-    impl<O: Overlay + ?Sized> ScenarioHooks<O> for Recorder {
+    struct Recorder(Runtime, Vec<usize>);
+    impl RuntimeHost for Recorder {
+        type Transport = pgrid_transport::loopback::LoopbackTransport;
         type Error = std::convert::Infallible;
-        fn after_phase(
-            &mut self,
-            _: &mut O,
-            phase_index: usize,
-            _: &Phase,
-        ) -> Result<(), Self::Error> {
-            self.0.push(phase_index);
+        fn runtime(&mut self) -> &mut Runtime {
+            &mut self.0
+        }
+        fn after_phase(&mut self, phase_index: usize, _: &Phase) -> Result<(), Self::Error> {
+            self.1.push(phase_index);
             Ok(())
         }
     }
@@ -130,8 +129,7 @@ fn hooks_observe_every_phase_in_order() {
         .run_until(2)
         .drain()
         .build();
-    let mut overlay = runtime(8, 1);
-    let mut recorder = Recorder(Vec::new());
-    pgrid_scenario::run_with_hooks(&mut overlay, &scenario, &mut recorder).unwrap();
-    assert_eq!(recorder.0, vec![0, 1, 2]);
+    let mut recorder = Recorder(runtime(8, 1), Vec::new());
+    pgrid_scenario::run_hosted(&mut recorder, &scenario).unwrap();
+    assert_eq!(recorder.1, vec![0, 1, 2]);
 }

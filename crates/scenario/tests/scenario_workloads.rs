@@ -272,7 +272,7 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
         .build();
     let report = pgrid_scenario::run(&mut overlay, &scenario);
     assert!(
-        Overlay::quiescent(&overlay),
+        overlay.construction_quiescent(),
         "construction must settle after the churn window"
     );
     let after_churn = report.snapshot("after-churn").unwrap();
@@ -308,10 +308,10 @@ fn a_distribution_shift_re_engages_construction_on_loopback() {
         .construct_until_quiescent(1, 60)
         .snapshot("rebuilt")
         .build();
-    let keys_before = overlay.query_keys(IndexId::PRIMARY).len();
+    let keys_before = overlay.original_entries_of(IndexId::PRIMARY).len();
     let report = pgrid_scenario::run(&mut overlay, &scenario);
     assert_eq!(
-        overlay.query_keys(IndexId::PRIMARY).len(),
+        overlay.original_entries_of(IndexId::PRIMARY).len(),
         keys_before + config.n_peers * config.keys_per_peer
     );
     let shifted = report.snapshot("shifted").unwrap();
@@ -343,47 +343,4 @@ fn secondary_index_does_not_perturb_the_primary_trajectory() {
         &timeline,
     );
     assert_eq!(plain, with_idle_index);
-}
-
-#[test]
-fn store_captures_are_copy_on_write_and_opt_in() {
-    let config = config(16, 21);
-    let base = Scenario::builder(config.seed)
-        .join_wave(2, 6)
-        .replicate(IndexId::PRIMARY, 4)
-        .start_construction(IndexId::PRIMARY)
-        .run_until(12)
-        .snapshot("constructed");
-
-    // Default: snapshots are metric-only, no store captures at all.
-    let mut overlay = Runtime::new(config.clone());
-    let plain = pgrid_scenario::run(&mut overlay, &base.clone().build());
-    assert!(
-        plain.store_captures.is_empty(),
-        "captures must be strictly opt-in"
-    );
-
-    // Opted in: one capture per Snapshot phase, each store an O(1)
-    // copy-on-write handle still sharing storage with the live peer.
-    let mut overlay = Runtime::new(config);
-    let report = pgrid_scenario::run(&mut overlay, &base.capture_stores().build());
-    let capture = report.store_capture("constructed").expect("captured");
-    assert_eq!(capture.stores.len(), 16);
-    let mut entries = 0;
-    for (peer, store) in &capture.stores {
-        let live = &overlay.peer_state(IndexId::PRIMARY, *peer).store;
-        assert!(
-            store.shares_storage_with(live) || store != live,
-            "an unchanged capture must still share the live peer's storage"
-        );
-        entries += store.len();
-    }
-    assert!(entries > 0, "captured stores must hold the corpus");
-    // At least one peer was untouched between the snapshot minute and the
-    // end of the run — its capture still aliases the live set.
-    assert!(
-        capture.stores.iter().any(|(peer, store)| store
-            .shares_storage_with(&overlay.peer_state(IndexId::PRIMARY, *peer).store)),
-        "COW handles must alias live storage until a mutation"
-    );
 }

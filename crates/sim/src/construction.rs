@@ -223,10 +223,7 @@ impl SimNetwork {
     }
 
     /// Whether the construction has terminated: no peer is active any
-    /// more.  An *offline* active peer still counts as pending work — it
-    /// resumes initiating when it returns ([`SimNetwork::set_online`]) —
-    /// so a churn window does not fake quiescence while the last active
-    /// peers happen to be down.
+    /// more.
     pub fn quiescent(&self) -> bool {
         !self.active.iter().any(|&a| a)
     }
@@ -338,45 +335,6 @@ impl SimNetwork {
             pending = deferred;
         }
         self.active.iter().any(|&a| a)
-    }
-
-    /// Takes a peer offline (it stops initiating; churn model) or brings
-    /// it back online (re-activated so it re-engages with the
-    /// construction).
-    pub fn set_online(&mut self, peer: usize, online: bool) {
-        self.peers[peer].online = online;
-        if online {
-            self.active[peer] = true;
-            self.fruitless[peer] = 0;
-        }
-    }
-
-    /// Re-activates every online peer (e.g. after new data arrived through
-    /// [`SimNetwork::insert_entries`]).
-    pub fn activate_all(&mut self) {
-        for i in 0..self.peers.len() {
-            if self.peers[i].online {
-                self.active[i] = true;
-                self.fruitless[i] = 0;
-            }
-        }
-    }
-
-    /// Assigns fresh `keys` to `peer`, extending the ground truth
-    /// (continuing its `DataId` numbering) and the peer's local store, and
-    /// re-activates the peer (the re-indexing / distribution-shift
-    /// workload).
-    pub fn insert_entries(&mut self, peer: usize, keys: Vec<pgrid_core::key::Key>) {
-        for key in keys {
-            let entry = DataEntry::new(
-                key,
-                pgrid_core::key::DataId(self.original_entries.len() as u64),
-            );
-            self.original_entries.push(entry);
-            self.peers[peer].store.insert(entry);
-        }
-        self.active[peer] = true;
-        self.fruitless[peer] = 0;
     }
 
     /// Finishes the run, yielding the constructed overlay.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example churn_construction
-//! cargo run -p pgrid --example churn_construction -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example churn_construction -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! The paper constructs the overlay on a stable population and only churns
@@ -41,8 +41,13 @@ fn scenario(seed: u64) -> Scenario {
         .build()
 }
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke");
+    run(std::env::args().any(|a| a == "smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let n_peers = if smoke { 24 } else { 64 };
     let config = NetConfig {
         n_peers,
@@ -73,5 +78,13 @@ fn main() {
             primary.queries_issued,
             100.0 * primary.query_success_rate()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
     }
 }

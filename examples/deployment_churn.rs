@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example deployment_churn
-//! cargo run -p pgrid --example deployment_churn -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example deployment_churn -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! Builds the paper's Section-5 timeline — join, replicate, construct,
@@ -16,8 +16,13 @@ use pgrid::prelude::*;
 
 const MINUTE: u64 = 60_000;
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke");
+    run(std::env::args().any(|a| a == "smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let (n_peers, timeline) = if smoke {
         (
             32,
@@ -124,4 +129,12 @@ fn main() {
         "  total bandwidth        : {} maintenance bytes, {} query bytes",
         report.total_maintenance_bytes, report.total_query_bytes
     );
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
+    }
 }

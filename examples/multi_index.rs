@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example multi_index
-//! cargo run -p pgrid --example multi_index -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example multi_index -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! Heterogeneous peer-database work (e.g. HepToX) argues for one peer
@@ -31,8 +31,13 @@ fn scenario(seed: u64) -> Scenario {
         .build()
 }
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke");
+    run(std::env::args().any(|a| a == "smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let n_peers = if smoke { 24 } else { 64 };
     let config = NetConfig {
         n_peers,
@@ -64,5 +69,13 @@ fn main() {
             idx.queries_issued,
             100.0 * idx.query_success_rate()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
     }
 }

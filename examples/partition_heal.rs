@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example partition_heal
-//! cargo run -p pgrid --example partition_heal -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example partition_heal -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! The overlay is constructed on a healthy network, then the loopback
@@ -44,8 +44,13 @@ fn scenario(seed: u64, n_peers: usize) -> Scenario {
         .build()
 }
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke");
+    run(std::env::args().any(|a| a == "smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let n_peers = if smoke { 24 } else { 64 };
     let config = NetConfig {
         n_peers,
@@ -106,4 +111,12 @@ fn main() {
         "queries did not recover after the partition healed: {healed_ok}/{healed_issued}"
     );
     println!("after the window closed, the same load converges again: the partition healed");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
+    }
 }

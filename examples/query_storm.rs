@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example query_storm
-//! cargo run -p pgrid --example query_storm -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example query_storm -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! Builds the overlay on the emulated wide-area network, then keeps the
@@ -17,8 +17,13 @@
 
 use pgrid::prelude::*;
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke" || a == "--smoke");
+    run(std::env::args().any(|a| a == "smoke" || a == "--smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let (n_peers, construct_min, range_min, query_min) = if smoke {
         (32, 18, 21, 25)
     } else {
@@ -116,5 +121,13 @@ fn main() {
             "no latency samples recorded"
         );
         println!("\nsmoke checks passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p pgrid --example reindexing
-//! cargo run -p pgrid --example reindexing -- smoke   # small & fast, for CI
+//! cargo run -p pgrid --example reindexing -- smoke   # small & fast, as `cargo test` runs it
 //! ```
 //!
 //! The paper's motivation: when the indexing method changes (new key
@@ -24,8 +24,13 @@ use pgrid::prelude::*;
 /// Upper bound on each construction phase, in minutes of virtual time.
 const CONSTRUCT_MAX_MIN: u64 = 120;
 
+#[cfg_attr(test, allow(dead_code))]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "smoke");
+    run(std::env::args().any(|a| a == "smoke"));
+}
+
+/// Runs the example; `smoke` picks the small, fast size its test runs.
+fn run(smoke: bool) {
     let populations: &[usize] = if smoke { &[64] } else { &[128, 256, 512] };
     let shifted = Distribution::Pareto { shape: 1.0 };
 
@@ -99,5 +104,13 @@ fn main() {
             "  latency advantage of the parallel construction: {:.1}x",
             sequential.latency as f64 / rounds.max(1) as f64
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn smoke() {
+        super::run(true);
     }
 }
