@@ -34,7 +34,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::ConstructionMetrics;
-use crate::parallel::execute_batch;
+use crate::parallel::Executor;
 use crate::schedule::{stream_rng, GenerationSet, Scheduler, STREAM_SHUFFLE};
 use crate::unstructured::UnstructuredOverlay;
 use pgrid_core::exchange::ExchangeEngine;
@@ -150,7 +150,7 @@ pub struct SimNetwork {
     active: Vec<bool>,
     fruitless: Vec<u32>,
     scheduler: Scheduler,
-    threads: usize,
+    executor: Executor,
     round: usize,
     /// Continuation of the setup RNG stream: replication samples its
     /// targets from it, exactly as the historical monolithic constructor
@@ -200,7 +200,7 @@ impl SimNetwork {
             active: vec![true; config.n_peers],
             fruitless: vec![0u32; config.n_peers],
             scheduler: Scheduler::new(config.n_peers),
-            threads: config.effective_threads(),
+            executor: Executor::new(config.n_peers, config.effective_threads()),
             round: 0,
             config: config.clone(),
             rng,
@@ -296,7 +296,8 @@ impl SimNetwork {
                 round,
             );
             let (delta, outcomes) =
-                execute_batch(&mut batch, &mut self.peers, &self.engine, self.threads);
+                self.executor
+                    .execute_batch(&mut batch, &mut self.peers, &self.engine);
             self.metrics.absorb(&delta);
             for outcome in &outcomes {
                 let i = outcome.initiator;

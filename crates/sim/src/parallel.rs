@@ -38,12 +38,11 @@ pub(crate) struct ScriptOutcome {
 }
 
 /// Exclusive handles to the peers claimed by one interaction.
-#[derive(Default)]
-struct ClaimSlots<'a> {
-    slots: Vec<(usize, &'a mut PeerState)>,
+struct ClaimSlots<'s, 'a> {
+    slots: &'s mut [(usize, &'a mut PeerState)],
 }
 
-impl ClaimSlots<'_> {
+impl ClaimSlots<'_, '_> {
     fn position(&self, index: usize) -> usize {
         self.slots
             .iter()
@@ -71,64 +70,101 @@ impl ClaimSlots<'_> {
     }
 }
 
-/// Executes one batch of conflict-free interactions, returning the merged
-/// metrics delta and the per-script outcomes in batch order.
-pub(crate) fn execute_batch(
-    batch: &mut [InteractionScript],
-    peers: &mut [PeerState],
-    engine: &ExchangeEngine,
+/// Marks a peer no script of the current batch claimed.
+const UNCLAIMED: u32 = u32::MAX;
+
+/// Runs batches of conflict-free interactions on the configured threads.
+pub(crate) struct Executor {
+    /// Per peer, the slot its handle takes in the current batch's claim
+    /// order (`UNCLAIMED` outside a batch); kept for the whole run.
+    slot_of: Vec<u32>,
     threads: usize,
-) -> (MetricsDelta, Vec<ScriptOutcome>) {
-    let n_peers = peers.len();
-    if batch.is_empty() {
-        return (MetricsDelta::default(), Vec::new());
-    }
+}
 
-    // Hand out exclusive peer handles: one pass over the peer slice buckets
-    // every claimed `&mut PeerState` into its owning script's slot list.
-    let mut owner = vec![u32::MAX; n_peers];
-    for (k, script) in batch.iter().enumerate() {
-        for &claim in &script.claims {
-            debug_assert_eq!(owner[claim], u32::MAX, "claim sets must be disjoint");
-            owner[claim] = k as u32;
+impl Executor {
+    /// An executor for `n_peers` peers on `threads` threads.
+    pub(crate) fn new(n_peers: usize, threads: usize) -> Executor {
+        Executor {
+            slot_of: vec![UNCLAIMED; n_peers],
+            threads,
         }
     }
-    let mut slots: Vec<ClaimSlots<'_>> = batch.iter().map(|_| ClaimSlots::default()).collect();
-    for (index, peer) in peers.iter_mut().enumerate() {
-        let k = owner[index];
-        if k != u32::MAX {
-            slots[k as usize].slots.push((index, peer));
+
+    /// Executes one batch of conflict-free interactions, returning the
+    /// merged metrics delta and the per-script outcomes in batch order.
+    pub(crate) fn execute_batch(
+        &mut self,
+        batch: &mut [InteractionScript],
+        peers: &mut [PeerState],
+        engine: &ExchangeEngine,
+    ) -> (MetricsDelta, Vec<ScriptOutcome>) {
+        let n_peers = peers.len();
+        if batch.is_empty() {
+            return (MetricsDelta::default(), Vec::new());
         }
-    }
-    let mut work: Vec<(&mut InteractionScript, ClaimSlots<'_>)> =
-        batch.iter_mut().zip(slots).collect();
 
-    if threads <= 1 || work.len() < MIN_PARALLEL_BATCH {
-        return run_chunk(&mut work, engine, n_peers);
-    }
-
-    let batch_len = work.len();
-    let chunk_size = batch_len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .chunks_mut(chunk_size)
-            .map(|chunk| scope.spawn(move || run_chunk(chunk, engine, n_peers)))
+        // Hand out exclusive peer handles: every claim gets a slot, script
+        // after script, and one pass over the peer slice puts each claimed
+        // `&mut PeerState` into its slot (and clears the map behind it).
+        let mut claimed = 0;
+        for script in batch.iter() {
+            for &claim in &script.claims {
+                debug_assert_eq!(
+                    self.slot_of[claim], UNCLAIMED,
+                    "claim sets must be disjoint"
+                );
+                self.slot_of[claim] = claimed as u32;
+                claimed += 1;
+            }
+        }
+        let mut slots: Vec<Option<(usize, &mut PeerState)>> =
+            std::iter::repeat_with(|| None).take(claimed).collect();
+        for (index, peer) in peers.iter_mut().enumerate() {
+            let slot = std::mem::replace(&mut self.slot_of[index], UNCLAIMED);
+            if slot != UNCLAIMED {
+                slots[slot as usize] = Some((index, peer));
+            }
+        }
+        let mut handles: Vec<(usize, &mut PeerState)> = slots
+            .into_iter()
+            .map(|slot| slot.expect("every claim names a peer"))
             .collect();
-        let mut delta = MetricsDelta::default();
-        let mut outcomes = Vec::with_capacity(batch_len);
-        for handle in handles {
-            let (worker_delta, worker_outcomes) =
-                handle.join().expect("batch worker must not panic");
-            delta.merge(&worker_delta);
-            outcomes.extend(worker_outcomes);
+        let mut rest = handles.as_mut_slice();
+        let mut work: Vec<(&mut InteractionScript, ClaimSlots<'_, '_>)> =
+            Vec::with_capacity(batch.len());
+        for script in batch.iter_mut() {
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(script.claims.len());
+            rest = tail;
+            work.push((script, ClaimSlots { slots }));
         }
-        (delta, outcomes)
-    })
+
+        if self.threads <= 1 || work.len() < MIN_PARALLEL_BATCH {
+            return run_chunk(&mut work, engine, n_peers);
+        }
+
+        let batch_len = work.len();
+        let chunk_size = batch_len.div_ceil(self.threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .chunks_mut(chunk_size)
+                .map(|chunk| scope.spawn(move || run_chunk(chunk, engine, n_peers)))
+                .collect();
+            let mut delta = MetricsDelta::default();
+            let mut outcomes = Vec::with_capacity(batch_len);
+            for handle in handles {
+                let (worker_delta, worker_outcomes) =
+                    handle.join().expect("batch worker must not panic");
+                delta.merge(&worker_delta);
+                outcomes.extend(worker_outcomes);
+            }
+            (delta, outcomes)
+        })
+    }
 }
 
 /// Runs a contiguous chunk of scripts on the current thread.
 fn run_chunk(
-    chunk: &mut [(&mut InteractionScript, ClaimSlots<'_>)],
+    chunk: &mut [(&mut InteractionScript, ClaimSlots<'_, '_>)],
     engine: &ExchangeEngine,
     n_peers: usize,
 ) -> (MetricsDelta, Vec<ScriptOutcome>) {
@@ -143,7 +179,7 @@ fn run_chunk(
 /// Executes one interaction script against its claimed peers.
 fn execute_script(
     script: &mut InteractionScript,
-    slots: &mut ClaimSlots<'_>,
+    slots: &mut ClaimSlots<'_, '_>,
     engine: &ExchangeEngine,
     n_peers: usize,
     delta: &mut MetricsDelta,

@@ -34,7 +34,7 @@ use pgrid_core::peer::PeerState;
 use pgrid_core::routing::RoutingEntry;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Stream tag for the per-round initiator shuffle.
 pub(crate) const STREAM_SHUFFLE: u64 = 0;
@@ -151,14 +151,32 @@ pub(crate) struct InteractionScript {
 /// The greedy conflict-free batch matcher.
 pub(crate) struct Scheduler {
     claimed: GenerationSet,
+    /// The claims of the plan in progress.  Most plans end in a conflict, so
+    /// they are gathered here and copied into a script only once granted.
+    claims: Vec<usize>,
+    /// The refer hops of the plan in progress (same reuse as `claims`).
+    refer_targets: Vec<usize>,
 }
 
-/// Result of planning one initiator against the current claim state.
-enum Plan {
-    /// The interaction can run in this batch.
-    Granted(InteractionScript),
-    /// A required peer is already claimed; retry in the next batch.
-    Conflict,
+/// A required peer is already claimed: the initiator retries in the next
+/// batch.
+struct Conflict;
+
+/// The referral a contacted peer hands out: a uniformly drawn reference of
+/// `refs` other than `initiator`.  It makes exactly the draw
+/// `SliceRandom::choose` makes over the filtered list (none when the list is
+/// empty, `gen_range(0..n)` otherwise) without collecting that list.
+fn pick_referral(refs: &[RoutingEntry], initiator: usize, rng: &mut StdRng) -> Option<usize> {
+    let eligible = || {
+        refs.iter()
+            .map(|e| e.peer.0 as usize)
+            .filter(move |&p| p != initiator)
+    };
+    let n = eligible().count();
+    if n == 0 {
+        return None;
+    }
+    eligible().nth(rng.gen_range(0..n))
 }
 
 impl Scheduler {
@@ -166,6 +184,8 @@ impl Scheduler {
     pub(crate) fn new(n_peers: usize) -> Scheduler {
         Scheduler {
             claimed: GenerationSet::new(n_peers),
+            claims: Vec::new(),
+            refer_targets: Vec::new(),
         }
     }
 
@@ -188,58 +208,61 @@ impl Scheduler {
         let mut deferred = Vec::new();
         for &initiator in pending {
             match self.plan_one(initiator, peers, overlay, config, round) {
-                Plan::Granted(script) => {
-                    for &claim in &script.claims {
+                Ok((contacts, endpoint)) => {
+                    for &claim in &self.claims {
                         self.claimed.insert(claim);
                     }
-                    batch.push(script);
+                    batch.push(InteractionScript {
+                        initiator,
+                        contacts,
+                        refer_targets: self.refer_targets.clone(),
+                        endpoint,
+                        claims: self.claims.clone(),
+                        exec_rng: stream_rng(
+                            config.seed,
+                            round as u64,
+                            initiator as u64,
+                            STREAM_EXEC,
+                        ),
+                    });
                 }
-                Plan::Conflict => deferred.push(initiator),
+                Err(Conflict) => deferred.push(initiator),
             }
         }
         (batch, deferred)
     }
 
     /// Plans the interaction of one initiator read-only against the current
-    /// peer states, aborting with [`Plan::Conflict`] as soon as the chain
-    /// touches an already-claimed peer.
+    /// peer states into `self.claims` and `self.refer_targets`, returning
+    /// the contact count and the endpoint, or [`Conflict`] as soon as the
+    /// chain touches an already-claimed peer.
     fn plan_one(
-        &self,
+        &mut self,
         initiator: usize,
         peers: &[PeerState],
         overlay: &UnstructuredOverlay,
         config: &SimConfig,
         round: usize,
-    ) -> Plan {
+    ) -> Result<(usize, Endpoint), Conflict> {
         if self.claimed.contains(initiator) {
-            return Plan::Conflict;
+            return Err(Conflict);
         }
         let mut rng = stream_rng(config.seed, round as u64, initiator as u64, STREAM_PLAN);
-        let exec_rng = stream_rng(config.seed, round as u64, initiator as u64, STREAM_EXEC);
-        let mut claims = vec![initiator];
-        let mut refer_targets = Vec::new();
+        let (claims, refer_targets) = (&mut self.claims, &mut self.refer_targets);
+        claims.clear();
+        claims.push(initiator);
+        refer_targets.clear();
         let mut contacts = 0usize;
-
-        let finish = |contacts, refer_targets, claims, endpoint| {
-            Plan::Granted(InteractionScript {
-                initiator,
-                contacts,
-                refer_targets,
-                endpoint,
-                claims,
-                exec_rng,
-            })
-        };
 
         let mut target = overlay.sample_other(initiator, &mut rng);
         for hop in 0..config.max_refer_hops {
             contacts += 1;
             if target == initiator {
-                return finish(contacts, refer_targets, claims, Endpoint::Fruitless);
+                return Ok((contacts, Endpoint::Fruitless));
             }
             if !claims.contains(&target) {
                 if self.claimed.contains(target) {
-                    return Plan::Conflict;
+                    return Err(Conflict);
                 }
                 claims.push(target);
             }
@@ -264,20 +287,18 @@ impl Scheduler {
                     let recipient = entry.peer.0 as usize;
                     if recipient < peers.len() && !claims.contains(&recipient) {
                         if self.claimed.contains(recipient) {
-                            return Plan::Conflict;
+                            return Err(Conflict);
                         }
                         claims.push(recipient);
                     }
                 }
-                return finish(
+                return Ok((
                     contacts,
-                    refer_targets,
-                    claims,
                     Endpoint::Local {
                         partner: target,
                         complement,
                     },
-                );
+                ));
             }
             // Refer hop: the executor will apply the mutual learn_reference;
             // the planner only records the chain.  The candidate set is read
@@ -285,26 +306,19 @@ impl Scheduler {
             // never re-reads, so plan and execution cannot diverge.
             refer_targets.push(target);
             let level = peers[initiator].path.common_prefix_len(&peers[target].path);
-            let referred: Vec<usize> = peers[target]
-                .routing
-                .level(level)
-                .iter()
-                .map(|e| e.peer.0 as usize)
-                .filter(|&p| p != initiator)
-                .collect();
-            match referred.as_slice().choose(&mut rng) {
-                Some(&next) if hop + 1 < config.max_refer_hops => target = next,
-                _ => return finish(contacts, refer_targets, claims, Endpoint::Fruitless),
+            let refs = peers[target].routing.level(level);
+            match pick_referral(refs, initiator, &mut rng) {
+                Some(next) if hop + 1 < config.max_refer_hops => target = next,
+                _ => return Ok((contacts, Endpoint::Fruitless)),
             }
         }
-        finish(contacts, refer_targets, claims, Endpoint::Fruitless)
+        Ok((contacts, Endpoint::Fruitless))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn stream_rngs_are_deterministic_and_distinct() {
@@ -333,6 +347,37 @@ mod tests {
         set.clear();
         assert!(!set.contains(3));
         assert!(set.insert(3));
+    }
+
+    #[test]
+    fn referral_pick_equals_choose_over_the_filtered_list() {
+        let mut tables = StdRng::seed_from_u64(11);
+        for case in 0..4_000u64 {
+            let initiator = tables.gen_range(0..6usize);
+            let refs: Vec<RoutingEntry> = (0..tables.gen_range(0..12usize))
+                .map(|_| RoutingEntry {
+                    peer: pgrid_core::routing::PeerId(tables.gen_range(0..6u64)),
+                    path: pgrid_core::path::Path::ROOT,
+                })
+                .collect();
+            let filtered: Vec<usize> = refs
+                .iter()
+                .map(|e| e.peer.0 as usize)
+                .filter(|&p| p != initiator)
+                .collect();
+            let mut picked = stream_rng(case, 1, initiator as u64, STREAM_PLAN);
+            let mut chosen = picked.clone();
+            assert_eq!(
+                pick_referral(&refs, initiator, &mut picked),
+                filtered.choose(&mut chosen).copied(),
+                "case {case}"
+            );
+            assert_eq!(
+                picked.gen::<u64>(),
+                chosen.gen::<u64>(),
+                "case {case}: both consumed the same draws"
+            );
+        }
     }
 
     #[test]
