@@ -21,11 +21,16 @@ use crate::metrics::MetricsDelta;
 use crate::schedule::{Endpoint, InteractionScript};
 use pgrid_core::exchange::{self, ExchangeEngine};
 use pgrid_core::peer::PeerState;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Batches smaller than this run inline even when more threads are
 /// configured: distributing a handful of interactions costs more in thread
 /// hand-off than it saves.
 const MIN_PARALLEL_BATCH: usize = 32;
+
+/// Scripts a thread takes from a batch at a time.
+const CHUNK: usize = 8;
 
 /// What the post-batch bookkeeping needs to know about one interaction.
 pub(crate) struct ScriptOutcome {
@@ -130,8 +135,7 @@ impl Executor {
             .map(|slot| slot.expect("every claim names a peer"))
             .collect();
         let mut rest = handles.as_mut_slice();
-        let mut work: Vec<(&mut InteractionScript, ClaimSlots<'_, '_>)> =
-            Vec::with_capacity(batch.len());
+        let mut work: Vec<WorkItem<'_, '_, '_>> = Vec::with_capacity(batch.len());
         for script in batch.iter_mut() {
             let (slots, tail) = std::mem::take(&mut rest).split_at_mut(script.claims.len());
             rest = tail;
@@ -142,29 +146,51 @@ impl Executor {
             return run_chunk(&mut work, engine, n_peers);
         }
 
+        // Chunks of `CHUNK` scripts go to whichever thread asks next, the
+        // calling thread included, so a thread that drew cheap scripts takes
+        // more of them; each chunk's results carry its index and are put
+        // back in chunk order.  The cursor publishes nothing but itself (a
+        // chunk's contents pass through its mutex), hence `Relaxed`.
         let batch_len = work.len();
-        let chunk_size = batch_len.div_ceil(self.threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .chunks_mut(chunk_size)
-                .map(|chunk| scope.spawn(move || run_chunk(chunk, engine, n_peers)))
-                .collect();
-            let mut delta = MetricsDelta::default();
-            let mut outcomes = Vec::with_capacity(batch_len);
-            for handle in handles {
-                let (worker_delta, worker_outcomes) =
-                    handle.join().expect("batch worker must not panic");
-                delta.merge(&worker_delta);
-                outcomes.extend(worker_outcomes);
+        let chunks: Vec<Mutex<&mut [WorkItem<'_, '_, '_>]>> =
+            work.chunks_mut(CHUNK).map(Mutex::new).collect();
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(index) else {
+                    return done;
+                };
+                let mut chunk = chunk.lock().expect("each chunk is taken once");
+                done.push((index, run_chunk(&mut chunk, engine, n_peers)));
             }
-            (delta, outcomes)
-        })
+        };
+        let mut results = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.threads).map(|_| scope.spawn(drain)).collect();
+            let mut results = drain();
+            for helper in helpers {
+                results.extend(helper.join().expect("batch worker must not panic"));
+            }
+            results
+        });
+        results.sort_unstable_by_key(|&(index, _)| index);
+        let mut delta = MetricsDelta::default();
+        let mut outcomes = Vec::with_capacity(batch_len);
+        for (_, (chunk_delta, chunk_outcomes)) in results {
+            delta.merge(&chunk_delta);
+            outcomes.extend(chunk_outcomes);
+        }
+        (delta, outcomes)
     }
 }
 
+/// One script of a batch with the handles to the peers it claimed.
+type WorkItem<'w, 's, 'a> = (&'w mut InteractionScript, ClaimSlots<'s, 'a>);
+
 /// Runs a contiguous chunk of scripts on the current thread.
 fn run_chunk(
-    chunk: &mut [(&mut InteractionScript, ClaimSlots<'_, '_>)],
+    chunk: &mut [WorkItem<'_, '_, '_>],
     engine: &ExchangeEngine,
     n_peers: usize,
 ) -> (MetricsDelta, Vec<ScriptOutcome>) {
