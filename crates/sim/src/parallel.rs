@@ -26,8 +26,12 @@ use std::sync::Mutex;
 
 /// Batches smaller than this run inline even when more threads are
 /// configured: distributing a handful of interactions costs more in thread
-/// hand-off than it saves.
-const MIN_PARALLEL_BATCH: usize = 32;
+/// hand-off than it saves.  Timed per batch-size bucket, one thread against
+/// two on a 2 vCPU Xeon @ 2.10 GHz (EXPERIMENTS.md, "A construction
+/// interaction pays for its exchange"), the speed-up of two threads was
+/// 0.80× at 8–15 scripts and 1.10× at 16–31 on uniform keys, 0.82× at 4–7
+/// and 1.12× at 8–15 on skewed keys.
+const MIN_PARALLEL_BATCH: usize = 16;
 
 /// Scripts a thread takes from a batch at a time.
 const CHUNK: usize = 8;
