@@ -235,15 +235,17 @@ impl SimNetwork {
     /// re-replicated.  The transfers are batched: targets are deduplicated
     /// through a constant-time generation set and every target receives one
     /// bulk merge over all its sources (one buffer reservation per target)
-    /// instead of `n_min` separate per-entry merges.
+    /// instead of `n_min` separate per-entry merges.  A population of at
+    /// most `n_min` peers copies to every other peer.
     pub fn replicate(&mut self) {
         let config = &self.config;
+        let targets = config.n_min.min(config.n_peers - 1);
         let mut seen_targets = GenerationSet::new(config.n_peers);
         let mut inbound: Vec<Vec<DataEntry>> = vec![Vec::new(); config.n_peers];
         for (i, entries) in self.per_peer_originals.iter().enumerate() {
             seen_targets.clear();
             let mut picked = 0;
-            while picked < config.n_min {
+            while picked < targets {
                 let t = self.overlay_graph.sample_other(i, &mut self.rng);
                 if seen_targets.insert(t) {
                     picked += 1;
@@ -537,6 +539,32 @@ mod tests {
             ..small_config()
         });
         assert_ne!(a.metrics.interactions, b.metrics.interactions);
+    }
+
+    #[test]
+    fn populations_of_at_most_n_min_peers_replicate_to_every_other_peer() {
+        for n_peers in [2, 4, 6] {
+            let config = SimConfig {
+                n_peers,
+                ..small_config()
+            };
+            let mut network = SimNetwork::new(&config);
+            network.replicate();
+            let copies = 1 + config.n_min.min(n_peers - 1);
+            for entry in &network.original_entries {
+                let holders = network
+                    .peers
+                    .iter()
+                    .filter(|p| p.store.contains(entry))
+                    .count();
+                assert_eq!(holders, copies, "{n_peers} peers, {entry:?}");
+            }
+            let overlay = construct(&config);
+            assert!(
+                overlay.metrics.rounds < config.max_rounds,
+                "{n_peers} peers never went quiescent"
+            );
+        }
     }
 
     #[test]
