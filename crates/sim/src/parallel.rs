@@ -5,11 +5,11 @@
 //! `&mut PeerState` handles to each script in one pass over the peer slice
 //! (safe Rust — no peer is handed out twice because the scheduler
 //! guarantees disjointness, and the ownership map enforces it), then runs
-//! the scripts either inline or chunked across `std::thread::scope`
-//! workers.  Each worker accumulates a [`crate::metrics::MetricsDelta`];
-//! deltas are merged in worker order and per-script outcomes are applied in
-//! batch order afterwards, so the result is bit-identical for every thread
-//! count.
+//! the scripts either inline or in chunks that the calling thread and its
+//! `std::thread::scope` helpers take from a shared cursor.  Each chunk
+//! accumulates a [`crate::metrics::MetricsDelta`]; deltas are merged in
+//! chunk order and per-script outcomes are applied in batch order
+//! afterwards, so the result is bit-identical for every thread count.
 //!
 //! A script's execution touches only its claimed peers: the refer chain's
 //! mutual `learn_reference` calls (initiator + contacted peer), the local
@@ -27,7 +27,7 @@ use std::sync::Mutex;
 /// Batches smaller than this run inline even when more threads are
 /// configured: distributing a handful of interactions costs more in thread
 /// hand-off than it saves.  Timed per batch-size bucket, one thread against
-/// two on a 2 vCPU Xeon @ 2.10 GHz (EXPERIMENTS.md, "A construction
+/// two on a 2 vCPU Xeon @ 2.10 GHz (EXPERIMENTS.md, "a construction
 /// interaction pays for its exchange"), the speed-up of two threads was
 /// 0.80× at 8–15 scripts and 1.10× at 16–31 on uniform keys, 0.82× at 4–7
 /// and 1.12× at 8–15 on skewed keys.
