@@ -17,8 +17,10 @@
 //! * [`routing`] — distributed prefix-routing tables;
 //! * [`peer`] — the complete local state of one peer and the local
 //!   interactions of Figure 2 (split / replicate / refer);
-//! * [`search`] — prefix-routing lookups and order-preserving range queries
-//!   over any [`search::NetworkView`];
+//! * [`route`] — the routing step: what one peer does with a lookup or a
+//!   range walk, the one forwarding decision of both runtimes;
+//! * [`search`] — prefix-routing lookups and order-preserving range queries,
+//!   [`route`]'s steps driven over a slice of peer states;
 //! * [`mod@reference`] — the global reference partitioner (Algorithm 1) that
 //!   defines optimal load balancing;
 //! * [`exchange`] — the shared split/replicate/refer exchange engine of
@@ -66,6 +68,7 @@ pub mod path;
 pub mod peer;
 pub mod reference;
 pub mod replication;
+pub mod route;
 pub mod routing;
 pub mod search;
 pub mod store;
@@ -87,7 +90,7 @@ pub mod prelude {
     pub use crate::reference::{BalanceParams, ReferencePartitioning};
     pub use crate::replication::{estimate_replica_count, reconcile};
     pub use crate::routing::{PeerId, RoutingEntry, RoutingTable};
-    pub use crate::search::{lookup, range_query, LookupResult, NetworkView, RangeResult};
+    pub use crate::search::{lookup, range_query, LookupResult, RangeResult};
     pub use crate::store::{KeyStore, RestrictedView, StoreRead};
     pub use crate::trie::PartitionTrie;
 }

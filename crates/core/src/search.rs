@@ -1,4 +1,5 @@
-//! Prefix-routing search on the distributed trie.
+//! Prefix-routing search on the distributed trie, driven over a slice of
+//! peer states: the simulator's engine for [`crate::route`].
 //!
 //! Search resolves a requested key bit by bit (Section 2.1): a peer that
 //! cannot resolve the next bit locally forwards the request to a randomly
@@ -7,320 +8,174 @@
 //! random from the complementary subtree, the expected cost is
 //! `O(log |leaves|)` messages irrespective of the trie shape.
 //!
-//! The search logic is written against the [`NetworkView`] trait so that the
-//! same code drives the deterministic simulator, the threaded deployment
-//! runtime and the unit tests.
+//! The loops here take each peer's decision from [`route::step`] and
+//! [`route::range_step`], which the deployment runtime encodes as messages,
+//! so both engines run one algorithm.  Peer `i` of the slice is
+//! `PeerId(i)`; a peer is reachable while its `online` flag is set.
 
 use crate::key::{DataEntry, Key};
-use crate::path::Path;
+use crate::peer::PeerState;
+use crate::route::{self, RangeStep, Reason, Step};
 use crate::routing::PeerId;
-use crate::store::KeyStore;
 use rand::Rng;
-
-/// Read access to the state of the peers reachable from a search.
-///
-/// Implementations decide how state is actually stored (a simulator array, a
-/// map guarded by a lock, ...).  Offline peers must return `false` from
-/// [`NetworkView::is_online`]; their state may still be inspected for test
-/// oracles but the router will refuse to hop to them.
-pub trait NetworkView {
-    /// The peer's current path, or `None` if the peer is unknown.
-    fn path_of(&self, peer: PeerId) -> Option<Path>;
-    /// Routing references of the peer at the given level.
-    fn routing_refs(&self, peer: PeerId, level: usize) -> Vec<(PeerId, Path)>;
-    /// Whether the peer is currently reachable.
-    fn is_online(&self, peer: PeerId) -> bool;
-    /// The peer's locally stored entries (used to answer queries).
-    fn store_of(&self, peer: PeerId) -> Option<&KeyStore>;
-}
-
-/// Why a lookup terminated.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LookupStatus {
-    /// The responsible peer was reached.
-    Found {
-        /// The peer whose path covers the requested key.
-        responsible: PeerId,
-    },
-    /// Routing got stuck: no online reference for the required level.
-    NoRoute {
-        /// The last peer reached before routing failed.
-        stuck_at: PeerId,
-        /// The path level for which no online reference existed.
-        level: usize,
-    },
-    /// The hop limit was exceeded (indicates an inconsistent overlay).
-    HopLimit,
-}
 
 /// Result of a key lookup.
 #[derive(Clone, Debug)]
 pub struct LookupResult {
-    /// Termination status.
-    pub status: LookupStatus,
-    /// Number of forwarding hops (0 if the start peer was responsible).
+    /// Why the lookup ended without entries; `None` when it found some.
+    pub dead_end: Option<Reason>,
+    /// Number of forwarding hops (0 if the start peer answered).
     pub hops: usize,
-    /// The peers visited, starting peer first.
-    pub visited: Vec<PeerId>,
-    /// Entries with exactly the requested key found at the responsible peer.
+    /// Entries with exactly the requested key, from the peer that answered.
     pub entries: Vec<DataEntry>,
 }
 
 impl LookupResult {
-    /// Whether the lookup reached a responsible peer.
+    /// Whether entries came back.
     pub fn is_success(&self) -> bool {
-        matches!(self.status, LookupStatus::Found { .. })
+        self.dead_end.is_none()
     }
 }
 
 /// Result of a range query.
 #[derive(Clone, Debug, Default)]
 pub struct RangeResult {
-    /// All matching entries found (deduplicated).
+    /// All matching entries found, in key order.
     pub entries: Vec<DataEntry>,
-    /// Total number of forwarding hops across the traversal.
+    /// Hops the walk had taken when it answered its last slice.
     pub hops: usize,
-    /// Number of distinct partitions (responsible peers) visited.
+    /// Number of slices (partitions) answered.
     pub partitions_visited: usize,
-    /// Whether every sub-interval of the range could be resolved.
+    /// Whether the slices cover the whole range.
     pub complete: bool,
 }
 
-/// Hard bound on hops; a consistent overlay of any realistic size stays far
-/// below this.
-pub const MAX_HOPS: usize = 128;
-
 /// Performs a prefix-routing lookup for `key`, starting at `start`.
-pub fn lookup<N: NetworkView, R: Rng + ?Sized>(
-    net: &N,
+pub fn lookup<R: Rng + ?Sized>(
+    peers: &[PeerState],
     start: PeerId,
     key: Key,
     rng: &mut R,
 ) -> LookupResult {
-    let mut current = start;
-    let mut visited = vec![start];
-    let mut hops = 0;
+    lookup_framed(peers, start, key, rng, |_, _| {})
+}
 
+/// [`lookup`] with a hook for the network between two turns:
+/// `shipped(rng, frames)` runs after each turn that sends the lookup on.
+/// The simulator's network does nothing there; the deployment runtime draws
+/// a loss sample per frame from its RNG, so a walk that draws them too
+/// follows the deployment's trajectory exactly.
+pub fn lookup_framed<R: Rng + ?Sized>(
+    peers: &[PeerState],
+    start: PeerId,
+    key: Key,
+    rng: &mut R,
+    mut shipped: impl FnMut(&mut R, usize),
+) -> LookupResult {
+    let reachable = |p: PeerId| peers.get(p.0 as usize).is_some_and(|s| s.online);
+    let mut scratch = Vec::new();
+    let (mut at, mut hops) = (start, 0u32);
     loop {
-        let path = match net.path_of(current) {
-            Some(p) => p,
-            None => {
-                return LookupResult {
-                    status: LookupStatus::NoRoute {
-                        stuck_at: current,
-                        level: 0,
-                    },
-                    hops,
-                    visited,
-                    entries: Vec::new(),
-                }
-            }
+        let ended = |dead_end, entries| LookupResult {
+            dead_end,
+            hops: hops as usize,
+            entries,
         };
-
-        // Find the first bit of the peer's path that disagrees with the key.
-        let mismatch = path.first_mismatch(key);
-        match mismatch {
-            None => {
-                // The peer's path is a prefix of the key: responsible peer.
-                let entries = net
-                    .store_of(current)
-                    .map(|s| s.range(key, key).copied().collect())
-                    .unwrap_or_default();
-                return LookupResult {
-                    status: LookupStatus::Found {
-                        responsible: current,
-                    },
-                    hops,
-                    visited,
-                    entries,
-                };
-            }
-            Some(level) => {
-                // Forward to a random online reference for the complementary
-                // subtree at `level`; fall back to any alternative reference
-                // at that level before giving up.
-                let mut refs = net.routing_refs(current, level);
-                // Randomise the preference order.
-                for i in (1..refs.len()).rev() {
-                    refs.swap(i, rng.gen_range(0..=i));
-                }
-                let next = refs.into_iter().find(|(p, _)| net.is_online(*p));
-                match next {
-                    Some((peer, _)) => {
-                        hops += 1;
-                        if hops > MAX_HOPS {
-                            return LookupResult {
-                                status: LookupStatus::HopLimit,
-                                hops,
-                                visited,
-                                entries: Vec::new(),
-                            };
-                        }
-                        visited.push(peer);
-                        current = peer;
-                    }
-                    None => {
-                        return LookupResult {
-                            status: LookupStatus::NoRoute {
-                                stuck_at: current,
-                                level,
-                            },
-                            hops,
-                            visited,
-                            entries: Vec::new(),
-                        }
-                    }
-                }
-            }
-        }
+        let Some(state) = peers.get(at.0 as usize) else {
+            return ended(Some(Reason::Unreachable), Vec::new());
+        };
+        at = match route::step(state, key, hops, reachable, rng, &mut scratch) {
+            Step::Answer(entries) => return ended(None, entries),
+            Step::DeadEnd(reason) => return ended(Some(reason), Vec::new()),
+            Step::Forward { peer, .. } | Step::ToReplica(peer) => peer,
+        };
+        shipped(rng, 1);
+        hops += 1;
     }
 }
 
 /// Performs an order-preserving range query for keys in `[lo, hi]`.
 ///
-/// The range is resolved by a sequential min-to-max traversal: route to the
-/// partition containing `lo`, collect its matching entries, then route to
-/// the partition containing the smallest key above the current partition's
-/// upper bound, and so on until the partition containing `hi` has been
-/// visited.  This is possible precisely because the overlay preserves key
-/// order (the motivation for data-oriented overlays in the paper's
-/// introduction); on a uniformly hashed DHT the same query would need to
-/// contact every node.
-pub fn range_query<N: NetworkView, R: Rng + ?Sized>(
-    net: &N,
+/// The walk routes to the partition holding `lo`, takes that peer's slice
+/// and moves on rightwards partition by partition, each partition reached
+/// by prefix routing from the previous one.  A routing dead end detours
+/// through a random online peer.  This is possible precisely because the
+/// overlay preserves key order (the motivation for data-oriented overlays
+/// in the paper's introduction); on a uniformly hashed DHT the same query
+/// would need to contact every node.  An empty range (`lo > hi`) completes
+/// at once.
+pub fn range_query<R: Rng + ?Sized>(
+    peers: &[PeerState],
     start: PeerId,
     lo: Key,
     hi: Key,
     rng: &mut R,
 ) -> RangeResult {
-    assert!(lo <= hi, "invalid range");
+    range_query_framed(peers, start, lo, hi, rng, |_, _| {})
+}
+
+/// [`range_query`] with the network hook of [`lookup_framed`].  A turn
+/// sends its slice to `start` and the walk to the next peer: one frame
+/// each, or one when both go to `start`.
+pub fn range_query_framed<R: Rng + ?Sized>(
+    peers: &[PeerState],
+    start: PeerId,
+    lo: Key,
+    hi: Key,
+    rng: &mut R,
+    mut shipped: impl FnMut(&mut R, usize),
+) -> RangeResult {
     let mut result = RangeResult {
-        complete: true,
+        complete: lo > hi,
         ..RangeResult::default()
     };
-    let mut cursor = lo;
-    let mut from = start;
-    let mut seen = std::collections::BTreeSet::new();
-
-    loop {
-        let lookup_res = lookup(net, from, cursor, rng);
-        result.hops += lookup_res.hops;
-        let responsible = match lookup_res.status {
-            LookupStatus::Found { responsible } => responsible,
-            _ => {
-                result.complete = false;
-                return result;
+    let reachable = |p: PeerId| peers.get(p.0 as usize).is_some_and(|s| s.online);
+    let online = (0..peers.len()).filter(|&i| peers[i].online);
+    let mut scratch = Vec::new();
+    let (mut at, mut cursor, mut hops) = (start.0 as usize, lo, 0u32);
+    while let (false, Some(state)) = (result.complete, peers.get(at)) {
+        let mut answered = false;
+        let next = loop {
+            let pick = |_, refs: &[_]| route::pick_reference(refs, reachable, rng, &mut scratch);
+            match route::range_step(state, hi, cursor, hops, pick) {
+                RangeStep::Slice { entries, next, .. } => {
+                    result.entries.extend(entries);
+                    result.partitions_visited += 1;
+                    result.hops = hops as usize;
+                    answered = true;
+                    let Some(next) = next else {
+                        result.complete = true;
+                        break None;
+                    };
+                    cursor = next;
+                }
+                RangeStep::Forward { peer, .. } => break Some(peer.0 as usize),
+                RangeStep::DeadEnd(Reason::HopLimit) => break None,
+                RangeStep::DeadEnd(_) => break route::pick_other(online.clone(), at, rng),
             }
         };
-        result.partitions_visited += 1;
-        let path = net
-            .path_of(responsible)
-            .expect("responsible peer must have a path");
-        if let Some(store) = net.store_of(responsible) {
-            for e in store.range(cursor.max(lo), hi.min(path.upper_key())) {
-                if seen.insert(*e) {
-                    result.entries.push(*e);
-                }
-            }
-        }
-        // Continue from the next key after this partition.
-        let upper = path.upper_key();
-        if upper >= hi || upper == Key::MAX {
-            return result;
-        }
-        cursor = Key(upper.0 + 1);
-        from = responsible;
-        if result.partitions_visited > 4096 {
-            // Safety net against inconsistent overlays.
-            result.complete = false;
-            return result;
-        }
+        let apart = next.is_some_and(|p| !answered || p != start.0 as usize);
+        shipped(rng, usize::from(answered) + usize::from(apart));
+        let Some(next) = next else { break };
+        (at, hops) = (next, hops + 1);
     }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::key::DataId;
-    use crate::peer::PeerState;
-    use crate::routing::RoutingEntry;
+    use crate::path::Path;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
-    /// A tiny in-memory network for unit tests.
-    struct TestNet {
-        peers: HashMap<PeerId, PeerState>,
-    }
-
-    impl NetworkView for TestNet {
-        fn path_of(&self, peer: PeerId) -> Option<Path> {
-            self.peers.get(&peer).map(|p| p.path)
-        }
-        fn routing_refs(&self, peer: PeerId, level: usize) -> Vec<(PeerId, Path)> {
-            self.peers
-                .get(&peer)
-                .map(|p| {
-                    p.routing
-                        .level(level)
-                        .iter()
-                        .map(|e| (e.peer, e.path))
-                        .collect()
-                })
-                .unwrap_or_default()
-        }
-        fn is_online(&self, peer: PeerId) -> bool {
-            self.peers.get(&peer).map(|p| p.online).unwrap_or(false)
-        }
-        fn store_of(&self, peer: PeerId) -> Option<&KeyStore> {
-            self.peers.get(&peer).map(|p| &p.store)
-        }
-    }
-
-    /// Builds a fully consistent 4-partition overlay: paths 00, 01, 10, 11,
-    /// one peer each, with complete routing tables, and one entry per
-    /// partition midpoint.
-    fn four_partition_net() -> TestNet {
-        let paths = ["00", "01", "10", "11"];
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut peers = HashMap::new();
-        for (i, p) in paths.iter().enumerate() {
-            let id = PeerId(i as u64);
-            let path = Path::parse(p);
-            let (lo, hi) = path.interval();
-            let mid = (lo + hi) / 2.0;
-            let mut state = PeerState::with_entries(
-                id,
-                0,
-                vec![DataEntry::new(Key::from_fraction(mid), DataId(i as u64))],
-            );
-            state.path = path;
-            peers.insert(id, state);
-        }
-        // complete routing tables
-        let ids: Vec<PeerId> = peers.keys().copied().collect();
-        let snapshot: Vec<(PeerId, Path)> = peers.values().map(|p| (p.id, p.path)).collect();
-        for id in ids {
-            let own_path = peers[&id].path;
-            for &(other, opath) in &snapshot {
-                if other == id {
-                    continue;
-                }
-                let cpl = own_path.common_prefix_len(&opath);
-                if cpl < own_path.len() && cpl < opath.len() {
-                    let peer = peers.get_mut(&id).unwrap();
-                    peer.routing.add(
-                        cpl,
-                        RoutingEntry {
-                            peer: other,
-                            path: opath,
-                        },
-                        &mut rng,
-                    );
-                }
-            }
-        }
-        TestNet { peers }
+    /// A fully consistent 4-partition overlay: paths 00, 01, 10, 11, one
+    /// peer each, with complete routing tables, and one entry per partition
+    /// midpoint.
+    fn four_partition_net() -> Vec<PeerState> {
+        let midpoints = [0.125, 0.375, 0.625, 0.875].map(Key::from_fraction);
+        consistent_net(2, &midpoints)
     }
 
     #[test]
@@ -328,15 +183,10 @@ mod tests {
         let net = four_partition_net();
         let mut rng = StdRng::seed_from_u64(1);
         for start in 0..4u64 {
-            for (frac, expected) in [(0.1, 0), (0.3, 1), (0.6, 2), (0.9, 3)] {
+            for (frac, expected) in [(0.125, 0), (0.375, 1), (0.625, 2), (0.875, 3)] {
                 let res = lookup(&net, PeerId(start), Key::from_fraction(frac), &mut rng);
                 assert!(res.is_success(), "start {start} frac {frac}");
-                assert_eq!(
-                    res.status,
-                    LookupStatus::Found {
-                        responsible: PeerId(expected)
-                    }
-                );
+                assert_eq!(res.entries[0].id, DataId(expected));
                 assert!(res.hops <= 2);
             }
         }
@@ -356,25 +206,19 @@ mod tests {
     fn lookup_fails_cleanly_when_route_is_down() {
         let mut net = four_partition_net();
         // take down both peers of the right half reachable from peer 0
-        net.peers.get_mut(&PeerId(2)).unwrap().online = false;
-        net.peers.get_mut(&PeerId(3)).unwrap().online = false;
+        net[2].online = false;
+        net[3].online = false;
         let mut rng = StdRng::seed_from_u64(3);
         let res = lookup(&net, PeerId(0), Key::from_fraction(0.9), &mut rng);
-        assert!(!res.is_success());
-        assert!(matches!(res.status, LookupStatus::NoRoute { .. }));
+        assert_eq!(res.dead_end, Some(Reason::Unreachable));
     }
 
     #[test]
     fn range_query_collects_all_partitions() {
         let net = four_partition_net();
         let mut rng = StdRng::seed_from_u64(4);
-        let res = range_query(
-            &net,
-            PeerId(0),
-            Key::from_fraction(0.0),
-            Key::from_fraction(0.999),
-            &mut rng,
-        );
+        let (lo, hi) = (Key::from_fraction(0.0), Key::from_fraction(0.999));
+        let res = range_query(&net, PeerId(0), lo, hi, &mut rng);
         assert!(res.complete);
         assert_eq!(res.partitions_visited, 4);
         assert_eq!(res.entries.len(), 4);
@@ -386,13 +230,8 @@ mod tests {
     fn range_query_respects_bounds() {
         let net = four_partition_net();
         let mut rng = StdRng::seed_from_u64(5);
-        let res = range_query(
-            &net,
-            PeerId(3),
-            Key::from_fraction(0.3),
-            Key::from_fraction(0.7),
-            &mut rng,
-        );
+        let (lo, hi) = (Key::from_fraction(0.3), Key::from_fraction(0.7));
+        let res = range_query(&net, PeerId(3), lo, hi, &mut rng);
         assert!(res.complete);
         // partitions 01 and 10 contain the midpoints 0.375 and 0.625
         assert_eq!(res.entries.len(), 2);
@@ -414,54 +253,28 @@ mod tests {
     /// per leaf path, complete routing tables, every corpus entry stored at
     /// the covering leaf.  On such an overlay a range scan has an exact
     /// oracle: the brute-force filter of the corpus.
-    fn consistent_net(depth: usize, corpus: &[Key]) -> TestNet {
+    fn consistent_net(depth: usize, corpus: &[Key]) -> Vec<PeerState> {
+        let mut peers: Vec<PeerState> = (0..1usize << depth)
+            .map(|leaf| {
+                let bits: Vec<bool> = (0..depth)
+                    .map(|b| leaf >> (depth - 1 - b) & 1 == 1)
+                    .collect();
+                let path = Path::from_bits(&bits);
+                let held = corpus.iter().enumerate().filter(|(_, &k)| path.covers(k));
+                let entries = held.map(|(i, &k)| DataEntry::new(k, DataId(i as u64)));
+                let mut state = PeerState::with_entries(PeerId(leaf as u64), 0, entries);
+                state.path = path;
+                state
+            })
+            .collect();
+        let snapshot: Vec<(PeerId, Path)> = peers.iter().map(|p| (p.id, p.path)).collect();
         let mut rng = StdRng::seed_from_u64(depth as u64);
-        let mut peers = HashMap::new();
-        for leaf in 0..(1usize << depth) {
-            let id = PeerId(leaf as u64);
-            let bits: String = (0..depth)
-                .map(|b| {
-                    if leaf >> (depth - 1 - b) & 1 == 1 {
-                        '1'
-                    } else {
-                        '0'
-                    }
-                })
-                .collect();
-            let path = Path::parse(&bits);
-            let entries: Vec<DataEntry> = corpus
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| path.covers(k))
-                .map(|(i, &k)| DataEntry::new(k, DataId(i as u64)))
-                .collect();
-            let mut state = PeerState::with_entries(id, 0, entries);
-            state.path = path;
-            peers.insert(id, state);
-        }
-        let ids: Vec<PeerId> = peers.keys().copied().collect();
-        let snapshot: Vec<(PeerId, Path)> = peers.values().map(|p| (p.id, p.path)).collect();
-        for id in ids {
-            let own_path = peers[&id].path;
-            for &(other, opath) in &snapshot {
-                if other == id {
-                    continue;
-                }
-                let cpl = own_path.common_prefix_len(&opath);
-                if cpl < own_path.len() && cpl < opath.len() {
-                    let peer = peers.get_mut(&id).unwrap();
-                    peer.routing.add(
-                        cpl,
-                        RoutingEntry {
-                            peer: other,
-                            path: opath,
-                        },
-                        &mut rng,
-                    );
-                }
+        for peer in &mut peers {
+            for &(other, path) in &snapshot {
+                peer.learn_reference(other, path, &mut rng);
             }
         }
-        TestNet { peers }
+        peers
     }
 
     mod range_parity {

@@ -202,13 +202,6 @@ impl<T: Transport> Runtime<T> {
             .unwrap_or(LinkHealth::Connected)
     }
 
-    /// Whether `peer` can be forwarded to: online (liveness is shared by
-    /// all indexes) and not behind a Dead link.
-    pub(super) fn reachable(&self, peer: PeerId) -> bool {
-        let peer = peer.0 as usize;
-        self.nodes[peer].online && self.links.ok(peer)
-    }
-
     /// `send` qualified by an index: primary-index messages go out
     /// unchanged (the single-index wire format), secondary-index ones are
     /// enveloped in [`Message::ForIndex`].

@@ -2,25 +2,30 @@
 //! origin-side bookkeeping (outstanding queries, their lazy timeout
 //! queues) and the route cache; entry points are
 //! [`Runtime::issue_query_on`], [`Runtime::issue_query_batch_on`] and
-//! [`Runtime::issue_range_query_on`], and both planes forward through the
-//! one `next_hop` decision.
+//! [`Runtime::issue_range_query_on`].  Both planes decide with core's
+//! routing step ([`pgrid_core::route`]) and encode its decision as a
+//! message; the route cache is a memo in front of its reference pick.
 
 use super::links::recycle;
 use super::{Millis, QueryRecord, RangeSample, Runtime};
 use crate::message::Message;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, Key};
-use pgrid_core::routing::PeerId;
-use pgrid_core::search::MAX_HOPS;
+use pgrid_core::peer::PeerState;
+use pgrid_core::route::{self, RangeStep, Reason, Step};
+use pgrid_core::routing::{PeerId, RoutingEntry};
 use pgrid_obs::trace::NO_TRACE;
 use pgrid_transport::Transport;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 
 /// How often a stalled range walk is restarted before the origin reports
 /// the range incomplete.
 const MAX_RANGE_RETRIES: u32 = 3;
+
+/// The reference pick a routing step is handed: the mismatch level and its
+/// references in, the next hop out.
+pub(super) type Pick<'a> = dyn FnMut(usize, &[RoutingEntry]) -> Option<PeerId> + 'a;
 
 /// Origin-side bookkeeping of one outstanding lookup.
 #[derive(Clone, Copy, Debug)]
@@ -149,8 +154,8 @@ pub(super) struct Lookups {
     /// level)`; only consulted with `NetConfig::route_cache` on, and
     /// invalidated whenever a peer's path or routing table changes.
     pub(super) route_cache: HashMap<(usize, IndexId, usize), PeerId>,
-    /// Where `next_hop` shuffles a level's references, kept (empty) from
-    /// hop to hop.
+    /// Where core's reference pick shuffles a level's references, kept
+    /// (empty) from hop to hop.
     pub(super) hop_scratch: Vec<PeerId>,
 }
 
@@ -259,12 +264,13 @@ impl<T: Transport> Runtime<T> {
 
     /// Issues a range query for `[lo, hi]` (inclusive) against `index`.
     ///
-    /// The walk is the message-based counterpart of
-    /// [`pgrid_core::search::range_query`]: it routes to the partition
-    /// holding `lo`, collects that peer's slice, and follows the trie
-    /// rightwards partition by partition; each responsible peer answers
-    /// its slice straight to the origin.  Completion (the slices covering
-    /// the whole range) and the collected entries are recorded in
+    /// Each peer's turn is [`pgrid_core::route::range_step`], the step
+    /// [`pgrid_core::search::range_query`] drives for the simulator: the
+    /// walk routes to the partition holding `lo`, collects that peer's
+    /// slice, and follows the trie rightwards partition by partition; each
+    /// responsible peer answers its slice straight to the origin.
+    /// Completion (the slices covering the whole range) and the collected
+    /// entries are recorded in
     /// [`NetMetrics::query_stats`](super::NetMetrics::query_stats) /
     /// [`NetMetrics::range_samples`](super::NetMetrics::range_samples).  An
     /// empty range (`lo > hi`) completes immediately with no entries.  A
@@ -494,72 +500,43 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// The one next-hop decision of both planes: the online, link-ok
-    /// reference peer `at` forwards to for a mismatch at `level` on
-    /// `index`, and whether it came from the route cache.  With the cache
-    /// on, a memoised resolution skips the reference shuffle (and its RNG
-    /// draw) entirely; a memoised target that went offline or whose link
-    /// died is evicted and re-resolved.  `None` when no reference at that
-    /// level is reachable.
-    pub(super) fn next_hop(
+    /// Runs `decide`, one of core's routing steps, on `at`'s state of
+    /// `index`, with reachability (online, link not Dead) and the reference
+    /// pick.  With `NetConfig::route_cache` on, a reachable memo of `(at,
+    /// index, level)` skips core's shuffle and its RNG draw; a stale one is
+    /// evicted.  Also returns whether the memo answered.
+    pub(super) fn routed<S>(
         &mut self,
-        at: usize,
         index: IndexId,
-        level: usize,
-    ) -> Option<(PeerId, bool)> {
-        if self.config.route_cache {
-            if let Some(&peer) = self.lookups.route_cache.get(&(at, index, level)) {
-                if self.reachable(peer) {
-                    return Some((peer, true));
+        at: usize,
+        decide: impl FnOnce(&PeerState, &dyn Fn(PeerId) -> bool, &mut Pick<'_>) -> S,
+    ) -> (S, bool) {
+        let reachable = |p: PeerId| self.nodes[p.0 as usize].online && self.links.ok(p.0 as usize);
+        let (memo_on, lookups) = (self.config.route_cache, &mut self.lookups);
+        let mut cached = false;
+        let mut pick = |level, refs: &[RoutingEntry]| {
+            let memo = (at, index, level);
+            if let Some(&peer) = memo_on.then(|| lookups.route_cache.get(&memo)).flatten() {
+                if reachable(peer) {
+                    cached = true;
+                    return Some(peer);
                 }
-                self.lookups.route_cache.remove(&(at, index, level));
+                lookups.route_cache.remove(&memo);
             }
-        }
-        // Offline targets are detected (failed connection) and an
-        // alternative is tried, as a socket implementation would.
-        let mut refs = std::mem::take(&mut self.lookups.hop_scratch);
-        let references = self.indexes.state(index, at).routing.level(level);
-        refs.extend(references.iter().map(|e| e.peer));
-        refs.shuffle(&mut self.rng);
-        let peer = refs.iter().copied().find(|&p| self.reachable(p));
-        recycle(&mut refs);
-        self.lookups.hop_scratch = refs;
-        let peer = peer?;
-        if self.config.route_cache {
-            self.lookups.route_cache.insert((at, index, level), peer);
-        }
-        Some((peer, false))
+            let peer =
+                route::pick_reference(refs, reachable, &mut self.rng, &mut lookups.hop_scratch);
+            recycle(&mut lookups.hop_scratch);
+            if memo_on {
+                lookups.route_cache.extend(peer.map(|peer| (memo, peer)));
+            }
+            peer
+        };
+        let step = decide(self.indexes.state(index, at), &reachable, &mut pick);
+        (step, cached)
     }
 
-    /// Answers the origin that the lookup dead-ended at `at`.
-    fn reply_not_found(
-        &mut self,
-        index: IndexId,
-        at: usize,
-        origin: PeerId,
-        id: u64,
-        hops: u32,
-        reason: &str,
-    ) {
-        self.tracer.record(
-            self.current_trace,
-            "query_dead_end",
-            at as u64,
-            self.clock.now,
-            || format!("id={id} hops={hops} reason={reason}"),
-        );
-        self.send_on(
-            index,
-            origin.0 as usize,
-            Message::QueryResponse {
-                id,
-                entries: Vec::new(),
-                hops,
-                found: false,
-            },
-        );
-    }
-
+    /// A `Query` reached `at`: core's routing step, sent on as a `Query` or
+    /// answered to the origin.
     pub(super) fn handle_query_message(
         &mut self,
         index: IndexId,
@@ -569,76 +546,41 @@ impl<T: Transport> Runtime<T> {
         key: Key,
         hops: u32,
     ) {
-        let trace = self.current_trace;
-        let now = self.clock.now;
-        let state = self.indexes.state(index, at);
-        let path = state.path;
-        let forward = Message::Query {
+        let (step, cached) = self.routed(index, at, |state, reachable, pick| {
+            route::step_with(state, key, hops, reachable, pick)
+        });
+        let kind = match step {
+            Step::Forward { .. } => "query_hop",
+            Step::ToReplica(_) => "query_replica_forward",
+            Step::Answer(_) => "query_answered",
+            Step::DeadEnd(_) => "query_dead_end",
+        };
+        let (trace, now) = (self.current_trace, self.clock.now);
+        self.tracer.record(trace, kind, at as u64, now, || {
+            format!("id={id} hops={hops} cached={cached} {step:?}")
+        });
+        let answer = |entries: Vec<DataEntry>| Message::QueryResponse {
+            id,
+            found: !entries.is_empty(),
+            entries,
+            hops,
+        };
+        let query = Message::Query {
             origin,
             id,
             key,
             hops: hops + 1,
         };
-        let Some(level) = path.first_mismatch(key) else {
-            // Responsible peer: answer directly to the origin.  If this
-            // replica happens to miss the entry (it may still be in
-            // transit from the construction phase), try an online
-            // replica of the same partition before giving up — that is
-            // exactly what the structural replication is for.
-            let entries: Vec<DataEntry> = state.store.range(key, key).copied().collect();
-            if entries.is_empty() && (hops as usize) < MAX_HOPS {
-                let next = state
-                    .replicas
-                    .iter()
-                    .copied()
-                    .find(|&p| p.0 as usize != at && self.reachable(p));
-                if let Some(peer) = next {
-                    self.tracer
-                        .record(trace, "query_replica_forward", at as u64, now, || {
-                            format!("id={id} to={} hop={}", peer.0, hops + 1)
-                        });
-                    self.send_on(index, peer.0 as usize, forward);
-                    return;
-                }
-            }
-            let found = !entries.is_empty();
-            self.tracer
-                .record(trace, "query_answered", at as u64, now, || {
-                    format!("id={id} found={found} hops={hops} path={path}")
-                });
-            self.send_on(
-                index,
-                origin.0 as usize,
-                Message::QueryResponse {
-                    id,
-                    entries,
-                    hops,
-                    found,
-                },
-            );
-            return;
+        let (to, message) = match step {
+            Step::Forward { peer, .. } | Step::ToReplica(peer) => (peer, query),
+            Step::Answer(entries) => (origin, answer(entries)),
+            Step::DeadEnd(_) => (origin, answer(Vec::new())),
         };
-        // Forward to a reference at the mismatch level.  The resolution
-        // (and its shuffle) comes before the hop-budget check.
-        let Some((peer, cached)) = self.next_hop(at, index, level) else {
-            self.reply_not_found(index, at, origin, id, hops, "no_online_reference");
-            return;
-        };
-        if hops as usize > MAX_HOPS {
-            self.reply_not_found(index, at, origin, id, hops, "hop_budget");
-            return;
-        }
-        self.tracer.record(trace, "query_hop", at as u64, now, || {
-            format!(
-                "id={id} level={level} to={} hop={} cached={cached}",
-                peer.0,
-                hops + 1
-            )
-        });
-        self.send_on(index, peer.0 as usize, forward);
+        self.send_on(index, to.0 as usize, message);
     }
 
-    /// One step of the range-query trie walk at peer `at` (see
+    /// A `RangeQuery` reached `at`: core's range step, answered as a slice
+    /// to the origin, sent on, or detoured (see
     /// [`Runtime::issue_range_query_on`] for the protocol).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_range_message(
@@ -652,90 +594,68 @@ impl<T: Transport> Runtime<T> {
         cursor: Key,
         hops: u32,
     ) {
-        // A range walk visits one partition per slice, so its hop budget
-        // scales with the partition safety net of the core traversal, not
-        // with a single lookup's.
-        const RANGE_HOP_BUDGET: u32 = (MAX_HOPS * 32) as u32;
-        let trace = self.current_trace;
-        let now = self.clock.now;
-        let state = self.indexes.state(index, at);
-        let path = state.path;
-        let Some(level) = path.first_mismatch(cursor) else {
-            // Responsible for the cursor's partition: answer the slice
-            // this partition covers straight to the origin, then walk
-            // on to the next partition if the range extends past it.
-            let upper = path.upper_key();
-            let upto = upper.min(hi);
-            let entries: Vec<DataEntry> = state.store.range(cursor, upto).copied().collect();
-            self.tracer
-                .record(trace, "range_answered", at as u64, now, || {
-                    format!(
-                        "id={id} from={} upto={} entries={} hops={hops}",
-                        cursor.0,
-                        upto.0,
-                        entries.len()
-                    )
-                });
-            self.send_on(
-                index,
-                origin.0 as usize,
-                Message::RangeResponse {
+        let (step, cached) = self.routed(index, at, |state, _, pick| {
+            route::range_step(state, hi, cursor, hops, pick)
+        });
+        let (trace, now) = (self.current_trace, self.clock.now);
+        let to = match step {
+            RangeStep::Slice {
+                upto,
+                entries,
+                next,
+            } => {
+                self.tracer
+                    .record(trace, "range_answered", at as u64, now, || {
+                        let n = entries.len();
+                        format!(
+                            "id={id} from={} upto={} entries={n} hops={hops}",
+                            cursor.0, upto.0
+                        )
+                    });
+                let from = cursor;
+                let slice = Message::RangeResponse {
                     id,
-                    from: cursor,
+                    from,
                     upto,
                     entries,
                     hops,
-                },
-            );
-            if upper < hi && upper < Key::MAX && hops < RANGE_HOP_BUDGET {
-                let next_cursor = Key(upper.0 + 1);
-                self.handle_range_message(index, at, origin, id, lo, hi, next_cursor, hops);
+                };
+                self.send_on(index, origin.0 as usize, slice);
+                if let Some(next) = next {
+                    self.handle_range_message(index, at, origin, id, lo, hi, next, hops);
+                }
+                return;
             }
-            return;
+            RangeStep::Forward { peer, .. } => Some(peer.0 as usize),
+            RangeStep::DeadEnd(Reason::HopLimit) => None,
+            // A routing-table gap of the emergent overlay.  A lookup would
+            // fail here; the walk instead detours through a random online
+            // peer and restarts prefix routing from there, spending a hop.
+            RangeStep::DeadEnd(_) => {
+                let online = self.online_hosted.iter().copied();
+                route::pick_other(online, at, &mut self.rng)
+            }
         };
-        if hops >= RANGE_HOP_BUDGET {
-            // Runaway walk: stop forwarding; the origin times out and
-            // reports the range incomplete.
-            return;
-        }
-        let forward = Message::RangeQuery {
-            origin,
-            id,
-            lo,
-            hi,
-            cursor,
-            hops: hops + 1,
+        let kind = match (&step, to) {
+            (RangeStep::Forward { .. }, _) => "range_hop",
+            (_, Some(_)) => "range_detour",
+            // The walk ends; the origin times out with the slices it has.
+            (_, None) => "range_dead_end",
         };
-        if let Some((peer, cached)) = self.next_hop(at, index, level) {
-            self.tracer.record(trace, "range_hop", at as u64, now, || {
-                format!(
-                    "id={id} level={level} to={} hop={} cached={cached}",
-                    peer.0,
-                    hops + 1
-                )
-            });
-            self.send_on(index, peer.0 as usize, forward);
-            return;
-        }
-        // No online reference at the required level (a routing-table gap
-        // of the emergent overlay).  A lookup would fail here; the range
-        // walk instead detours through a random online peer and restarts
-        // prefix routing from there, spending a hop against the budget.
-        // Only when the whole population is unreachable does the walk die
-        // and the origin time out with whatever slices already arrived.
-        let detour: Vec<usize> = self
-            .online_hosted
-            .iter()
-            .copied()
-            .filter(|&p| p != at)
-            .collect();
-        if !detour.is_empty() {
-            let peer = detour[self.rng.gen_range(0..detour.len())];
-            self.tracer
-                .record(trace, "range_detour", at as u64, now, || {
-                    format!("id={id} to={peer} hop={}", hops + 1)
-                });
-            self.send_on(index, peer, forward);
+        self.tracer.record(trace, kind, at as u64, now, || {
+            format!("id={id} hops={hops} to={to:?} cached={cached} {step:?}")
+        });
+        if let Some(to) = to {
+            let hops = hops + 1;
+            let forward = Message::RangeQuery {
+                origin,
+                id,
+                lo,
+                hi,
+                cursor,
+                hops,
+            };
+            self.send_on(index, to, forward);
         }
     }
 }

@@ -3,7 +3,8 @@ use super::*;
 use crate::message::Message;
 use bytes::Bytes;
 use pgrid_core::path::Path;
-use pgrid_core::routing::RoutingEntry;
+use pgrid_core::routing::{RoutingEntry, RoutingTable};
+use pgrid_core::search;
 use pgrid_transport::frame::{self, encode_frame, payload_slices};
 use pgrid_transport::LinkFault;
 
@@ -685,30 +686,24 @@ fn restoring_a_secondary_index_acts_on_that_index_only() {
     );
 }
 
+/// Runs core's reference pick as peer 0 at level 0 through the runtime's
+/// route cache: the hop and whether the memo answered.
+fn pick_at_level_zero(rt: &mut Runtime) -> (Option<PeerId>, bool) {
+    rt.routed(IndexId::PRIMARY, 0, |state, _, pick| {
+        pick(0, state.routing.level(0))
+    })
+}
+
 #[test]
-fn next_hop_resolves_through_the_cache_or_a_shuffle() {
-    // Peer 0 references peers 1..=3 at level 0.  Columns: name, route_cache,
-    // memoised target, offline peers, dead links, and the expected hop —
-    // `Some(true)` the memo, `Some(false)` a fresh resolution, `None` none.
-    type Case = (
-        &'static str,
-        bool,
-        Option<u64>,
-        &'static [usize],
-        &'static [usize],
-        Option<bool>,
-    );
-    let cases: [Case; 5] = [
-        ("cache hit", true, Some(2), &[], &[], Some(true)),
-        ("offline memo", true, Some(2), &[2], &[], Some(false)),
-        ("link-dead memo", true, Some(2), &[], &[2], Some(false)),
-        ("nothing reachable", true, Some(2), &[1, 2], &[3], None),
-        ("cache disabled", false, None, &[], &[], Some(false)),
-    ];
-    for (name, route_cache, memo, offline, dead_links, expect) in cases {
+fn the_route_cache_is_a_memo_in_front_of_the_reference_pick() {
+    // Peer 0 references peers 1..=3 at level 0 and has peer 2 memoised;
+    // the `down` peers are offline, the `dead` ones behind a Dead link.
+    // Returns the hop, whether the memo answered, whether the RNG was
+    // drawn, and the memo afterwards.
+    let pick = |down: &[usize], dead: &[usize]| {
         let mut rt = Runtime::new(NetConfig {
             n_peers: 4,
-            route_cache,
+            route_cache: true,
             ..NetConfig::default()
         });
         for peer in 0..4 {
@@ -722,43 +717,111 @@ fn next_hop_resolves_through_the_cache_or_a_shuffle() {
             let table = &mut rt.indexes.state_mut(IndexId::PRIMARY, 0).routing;
             table.add(0, entry, &mut rt.rng);
         }
-        let key = (0, IndexId::PRIMARY, 0);
-        if let Some(peer) = memo {
-            rt.lookups.route_cache.insert(key, PeerId(peer));
-        }
-        for &peer in offline {
-            rt.nodes[peer].online = false;
-        }
-        for &peer in dead_links {
-            (0..3).for_each(|_| rt.record_link_failure(peer));
-        }
+        let memo = (0, IndexId::PRIMARY, 0);
+        rt.lookups.route_cache.insert(memo, PeerId(2));
+        down.iter().for_each(|&p| rt.nodes[p].online = false);
+        dead.iter()
+            .for_each(|&p| (0..3).for_each(|_| rt.record_link_failure(p)));
         let next_draw = |rt: &Runtime| rt.rng.clone().gen::<u64>();
         let before = next_draw(&rt);
-        let hop = rt.next_hop(0, IndexId::PRIMARY, 0);
+        let (hop, cached) = pick_at_level_zero(&mut rt);
         let drew = next_draw(&rt) != before;
-        let now_memo = rt.lookups.route_cache.get(&key).copied();
-        let Some(cached) = expect else {
-            assert_eq!(
-                (hop, now_memo),
-                (None, None),
-                "{name}: dead end, memo evicted"
-            );
-            continue;
+        let memo = rt.lookups.route_cache.get(&memo).copied();
+        (hop, cached, drew, memo)
+    };
+    // A reachable memo answers without a draw.
+    let hit = Some(PeerId(2));
+    assert_eq!(pick(&[], &[]), (hit, true, false, hit));
+    // An offline or link-dead memo is evicted; core's shuffle picks anew
+    // and its pick is memoised.
+    for (down, dead) in [(&[2][..], &[][..]), (&[], &[2])] {
+        let (hop, cached, drew, memo) = pick(down, dead);
+        assert!(matches!(hop, Some(PeerId(1 | 3))), "{hop:?}");
+        assert_eq!((cached, drew, memo), (false, true, hop));
+    }
+    // Nothing reachable: no hop, and no memo left.
+    let (hop, _, _, memo) = pick(&[1, 2], &[3]);
+    assert_eq!((hop, memo), (None, None));
+}
+
+#[test]
+fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
+    // Lossless, constant latency, construction stopped and every tick
+    // chain ended: from here on only queries draw from the runtime's RNG,
+    // one origin draw per query, core's picks and detours, and one loss
+    // draw per frame — the draw `loss` adds to core's walk.
+    let mut rt = Runtime::new(NetConfig {
+        n_peers: 48,
+        seed: 3,
+        loss_probability: 0.0,
+        latency_min_ms: 10,
+        latency_max_ms: 10,
+        ..NetConfig::default()
+    });
+    construct(&mut rt, 48, 400_000);
+    let slot = rt.indexes.slot_mut(IndexId::PRIMARY);
+    slot.constructing.fill(false);
+    rt.run_until(rt.now() + 300_000);
+    // Every sixth peer forgets its references: lookups through it dead-end
+    // and range walks detour.
+    let slot = rt.indexes.slot_mut(IndexId::PRIMARY);
+    assert!(!slot.tick_armed.contains(&true));
+    (0..48)
+        .step_by(6)
+        .for_each(|p| slot.states[p].routing = RoutingTable::new(5));
+    let mut peers = slot.states.clone();
+    for (state, node) in peers.iter_mut().zip(&rt.nodes) {
+        state.online = node.is_up();
+    }
+    let loss = |rng: &mut StdRng, frames: usize| {
+        (0..frames).for_each(|_| assert!(!rng.gen_bool(0.0)));
+    };
+    let origin = |rt: &Runtime, rng: &mut StdRng| {
+        PeerId(rt.online_hosted[rng.gen_range(0..rt.online_hosted.len())] as u64)
+    };
+
+    let keys = primary_keys(&rt);
+    let (mut found, mut relayed) = (0, 0);
+    for i in 0..240 {
+        // Even queries ask for a stored key, odd ones almost surely for an
+        // absent one.
+        let key = match i % 2 {
+            0 => keys[i * 7 % keys.len()],
+            _ => Key((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         };
-        let (peer, was_cached) = hop.unwrap_or_else(|| panic!("{name}: no hop"));
-        let target = peer.0 as usize;
-        assert!(
-            !offline.contains(&target) && !dead_links.contains(&target),
-            "{name}"
-        );
-        assert_eq!(was_cached, cached, "{name}");
+        let mut rng = rt.rng.clone();
+        let start = origin(&rt, &mut rng);
+        let want = search::lookup_framed(&peers, start, key, &mut rng, loss);
+        rt.issue_query(key);
+        rt.run_until(rt.now() + 5_000);
+        let got = rt.metrics.query_samples.back().expect("lookup resolved");
         assert_eq!(
-            cached,
-            memo == Some(peer.0),
-            "{name}: only a hit returns the memo"
+            (got.success, got.hops as usize),
+            (want.is_success(), want.hops),
+            "lookup {i} ({:?})",
+            want.dead_end
         );
-        assert_eq!(drew, !cached, "{name}: only a fresh resolution draws");
-        assert_eq!(now_memo, route_cache.then_some(peer), "{name}");
+        found += usize::from(want.is_success());
+        relayed += usize::from(want.hops > 0);
+    }
+    assert!(found >= 80 && relayed >= 100, "{found}, {relayed}");
+
+    for i in 0..24 {
+        let lo = Key::from_fraction(i as f64 / 24.0);
+        let hi = Key::from_fraction(i as f64 / 24.0 + 0.08);
+        let mut rng = rt.rng.clone();
+        let start = origin(&rt, &mut rng);
+        let want = search::range_query_framed(&peers, start, lo, hi, &mut rng, loss);
+        let id = rt.issue_range_query(lo, hi).expect("peers online");
+        rt.run_until(rt.now() + 5_000);
+        let got = rt.metrics.range_samples.iter().find(|s| s.id == id);
+        let got = got.expect("range resolved");
+        assert!(got.complete, "range {i}");
+        assert_eq!(
+            (&got.entries, got.complete, got.hops as usize),
+            (&want.entries, want.complete, want.hops),
+            "range {i}"
+        );
     }
 }
 
@@ -1050,9 +1113,9 @@ fn staging_capacity_is_released_after_a_large_message() {
         rt.links.retained_bytes()
     );
 
-    // And so does the scratch `next_hop` shuffles in.
+    // And so does the scratch core's reference pick shuffles in.
     rt.lookups.hop_scratch.reserve(STAGING_RETAIN_BYTES);
-    assert_eq!(rt.next_hop(0, IndexId::PRIMARY, 0), None);
+    assert_eq!(pick_at_level_zero(&mut rt), (None, false));
     let kept = rt.lookups.hop_scratch.capacity() * std::mem::size_of::<PeerId>();
     assert!(kept <= STAGING_RETAIN_BYTES, "{kept} bytes retained");
 }

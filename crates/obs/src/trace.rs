@@ -193,6 +193,7 @@ pub fn intern_kind(name: &str) -> &'static str {
         "range_answered",
         "range_slice",
         "range_detour",
+        "range_dead_end",
         "range_retry",
         "range_incomplete",
         "exchange_decision",

@@ -43,8 +43,6 @@ use pgrid_core::path::Path;
 use pgrid_core::peer::PeerState;
 use pgrid_core::reference::BalanceParams;
 use pgrid_core::routing::PeerId;
-use pgrid_core::search::NetworkView;
-use pgrid_core::store::KeyStore;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -95,37 +93,6 @@ impl ConstructedOverlay {
     pub fn replication_factors(&self) -> Vec<usize> {
         let trie = pgrid_core::trie::peer_count_trie(self.peers.iter().map(|p| &p.path));
         trie.iter().map(|(_, &n)| n).collect()
-    }
-}
-
-/// A [`NetworkView`] over the constructed overlay, used to run queries.
-impl NetworkView for ConstructedOverlay {
-    fn path_of(&self, peer: PeerId) -> Option<Path> {
-        self.peers.get(peer.0 as usize).map(|p| p.path)
-    }
-
-    fn routing_refs(&self, peer: PeerId, level: usize) -> Vec<(PeerId, Path)> {
-        self.peers
-            .get(peer.0 as usize)
-            .map(|p| {
-                p.routing
-                    .level(level)
-                    .iter()
-                    .map(|e| (e.peer, e.path))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    fn is_online(&self, peer: PeerId) -> bool {
-        self.peers
-            .get(peer.0 as usize)
-            .map(|p| p.online)
-            .unwrap_or(false)
-    }
-
-    fn store_of(&self, peer: PeerId) -> Option<&KeyStore> {
-        self.peers.get(peer.0 as usize).map(|p| &p.store)
     }
 }
 
@@ -348,38 +315,6 @@ impl SimNetwork {
             metrics: self.metrics,
             original_entries: self.original_entries,
         }
-    }
-}
-
-/// A [`NetworkView`] over the (possibly still under construction) network,
-/// so queries can be evaluated between rounds.
-impl NetworkView for SimNetwork {
-    fn path_of(&self, peer: PeerId) -> Option<Path> {
-        self.peers.get(peer.0 as usize).map(|p| p.path)
-    }
-
-    fn routing_refs(&self, peer: PeerId, level: usize) -> Vec<(PeerId, Path)> {
-        self.peers
-            .get(peer.0 as usize)
-            .map(|p| {
-                p.routing
-                    .level(level)
-                    .iter()
-                    .map(|e| (e.peer, e.path))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    fn is_online(&self, peer: PeerId) -> bool {
-        self.peers
-            .get(peer.0 as usize)
-            .map(|p| p.online)
-            .unwrap_or(false)
-    }
-
-    fn store_of(&self, peer: PeerId) -> Option<&KeyStore> {
-        self.peers.get(peer.0 as usize).map(|p| &p.store)
     }
 }
 

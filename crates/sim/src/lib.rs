@@ -14,10 +14,10 @@
 //! Construction rounds execute as conflict-free interaction batches across
 //! worker threads ([`config::SimConfig::n_threads`]); per-peer
 //! counter-derived RNG streams make the result bit-identical for every
-//! thread count.  A sequential-join baseline
-//! constructor is provided for the latency/message complexity comparison of
-//! Section 4.3, and query evaluation reproduces the search statistics of
-//! Section 5.2.
+//! thread count.  A sequential-join baseline constructor serves the
+//! complexity comparison of Section 4.3; query evaluation reproduces the
+//! search statistics of Section 5.2 with the deployment's routing step
+//! (`pgrid_core::route`).
 //!
 //! [`construction::construct`] is the simulator's one driver: the Figure-6
 //! sweeps of [`runner`], the examples and the benchmark harness all run

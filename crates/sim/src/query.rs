@@ -1,4 +1,5 @@
-//! Query evaluation on a constructed overlay.
+//! Query evaluation on a constructed overlay, with the deployment's routing
+//! step (`pgrid_core::route`) driven by `pgrid_core::search`.
 //!
 //! Used for the search-performance statistics of Section 5.2: number of
 //! query hops (≈ half the mean path length), success rate (95–100% even
@@ -7,51 +8,21 @@
 use crate::construction::ConstructedOverlay;
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::routing::PeerId;
-use pgrid_core::search::{lookup, range_query, LookupStatus};
+use pgrid_core::search::{lookup, range_query};
 use pgrid_workload::queries::Query;
 use rand::Rng;
 
-/// Default capacity of the per-query hop sample ring of [`QueryStats`].
-pub const DEFAULT_HOP_SAMPLE_CAP: usize = 256;
-
-/// Aggregated statistics of a query batch.
-///
-/// Hop distributions are kept in a fixed-memory [`LogHistogram`] plus a
-/// capped ring of recent raw samples, so arbitrarily large batches cannot
-/// grow the stats without bound (the same discipline `pgrid_net` applies to
-/// its latency accounting).
-#[derive(Clone, Debug)]
+/// Aggregated statistics of a query batch.  Hops go into a fixed-memory
+/// [`LogHistogram`], so arbitrarily large batches cannot grow the stats
+/// without bound.
+#[derive(Clone, Debug, Default)]
 pub struct QueryStats {
     /// Queries issued.
     pub issued: usize,
-    /// Queries that reached a responsible peer (and, for lookups on existing
-    /// keys, returned at least one entry).
+    /// Lookups that returned entries and range queries that completed.
     pub successful: usize,
-    /// Total hops over all queries.
-    pub total_hops: usize,
-    /// Maximum hops of any single query.
-    pub max_hops: usize,
     /// Hop distribution over all queries.
     pub hops: LogHistogram,
-    /// The most recent queries' hop counts, capped at
-    /// [`QueryStats::sample_cap`].
-    pub hop_samples: std::collections::VecDeque<usize>,
-    /// Capacity of the sample ring (`0` disables it).
-    pub sample_cap: usize,
-}
-
-impl Default for QueryStats {
-    fn default() -> Self {
-        QueryStats {
-            issued: 0,
-            successful: 0,
-            total_hops: 0,
-            max_hops: 0,
-            hops: LogHistogram::new(),
-            hop_samples: std::collections::VecDeque::new(),
-            sample_cap: DEFAULT_HOP_SAMPLE_CAP,
-        }
-    }
 }
 
 impl QueryStats {
@@ -68,37 +39,26 @@ impl QueryStats {
         if self.issued == 0 {
             return 0.0;
         }
-        self.total_hops as f64 / self.issued as f64
-    }
-
-    fn record_hops(&mut self, hops: usize) {
-        self.total_hops += hops;
-        self.max_hops = self.max_hops.max(hops);
-        self.hops.record(hops as u64);
-        if self.sample_cap > 0 {
-            if self.hop_samples.len() == self.sample_cap {
-                self.hop_samples.pop_front();
-            }
-            self.hop_samples.push_back(hops);
-        }
+        self.hops.sum() as f64 / self.issued as f64
     }
 }
 
+/// The online peers of the overlay, ascending.
+fn online_peers(overlay: &ConstructedOverlay) -> Vec<usize> {
+    (0..overlay.peers.len())
+        .filter(|&i| overlay.peers[i].online)
+        .collect()
+}
+
 /// Runs a batch of queries against the overlay, each starting from a random
-/// online peer.  A lookup counts as successful when routing reaches a
-/// responsible peer; a range query when the traversal completes.
+/// online peer.  A lookup counts as successful when entries come back; a
+/// range query when the traversal completes.
 pub fn run_queries<R: Rng + ?Sized>(
     overlay: &ConstructedOverlay,
     queries: &[Query],
     rng: &mut R,
 ) -> QueryStats {
-    let online: Vec<usize> = overlay
-        .peers
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.online)
-        .map(|(i, _)| i)
-        .collect();
+    let online = online_peers(overlay);
     let mut stats = QueryStats::default();
     if online.is_empty() {
         stats.issued = queries.len();
@@ -107,22 +67,18 @@ pub fn run_queries<R: Rng + ?Sized>(
     for query in queries {
         let start = PeerId(online[rng.gen_range(0..online.len())] as u64);
         stats.issued += 1;
-        match query {
+        let (hops, success) = match query {
             Query::Lookup(key) => {
-                let res = lookup(overlay, start, *key, rng);
-                stats.record_hops(res.hops);
-                if matches!(res.status, LookupStatus::Found { .. }) {
-                    stats.successful += 1;
-                }
+                let res = lookup(&overlay.peers, start, *key, rng);
+                (res.hops, res.is_success())
             }
             Query::Range(lo, hi) => {
-                let res = range_query(overlay, start, *lo, *hi, rng);
-                stats.record_hops(res.hops);
-                if res.complete {
-                    stats.successful += 1;
-                }
+                let res = range_query(&overlay.peers, start, *lo, *hi, rng);
+                (res.hops, res.complete)
             }
-        }
+        };
+        stats.hops.record(hops as u64);
+        stats.successful += usize::from(success);
     }
     stats
 }
@@ -138,13 +94,7 @@ pub fn data_availability<R: Rng + ?Sized>(
     if overlay.original_entries.is_empty() {
         return 1.0;
     }
-    let online: Vec<usize> = overlay
-        .peers
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.online)
-        .map(|(i, _)| i)
-        .collect();
+    let online = online_peers(overlay);
     if online.is_empty() {
         return 0.0;
     }
@@ -153,7 +103,7 @@ pub fn data_availability<R: Rng + ?Sized>(
     for _ in 0..total {
         let entry = overlay.original_entries[rng.gen_range(0..overlay.original_entries.len())];
         let start = PeerId(online[rng.gen_range(0..online.len())] as u64);
-        let res = lookup(overlay, start, entry.key, rng);
+        let res = lookup(&overlay.peers, start, entry.key, rng);
         if res.entries.contains(&entry) {
             found += 1;
         }
@@ -178,21 +128,23 @@ mod tests {
         })
     }
 
+    /// `count` lookups of keys the overlay stores.
+    fn stored_lookups(overlay: &ConstructedOverlay, count: usize, rng: &mut StdRng) -> Vec<Query> {
+        let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
+        let config = QueryWorkloadConfig {
+            count,
+            range_fraction: 0.0,
+            existing_fraction: 1.0,
+            ..QueryWorkloadConfig::default()
+        };
+        generate_queries(&config, &keys, rng)
+    }
+
     #[test]
     fn lookups_succeed_on_a_healthy_overlay() {
         let overlay = overlay();
         let mut rng = StdRng::seed_from_u64(1);
-        let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-        let queries = generate_queries(
-            &QueryWorkloadConfig {
-                count: 300,
-                range_fraction: 0.0,
-                existing_fraction: 1.0,
-                ..QueryWorkloadConfig::default()
-            },
-            &keys,
-            &mut rng,
-        );
+        let queries = stored_lookups(&overlay, 300, &mut rng);
         let stats = run_queries(&overlay, &queries, &mut rng);
         assert_eq!(stats.issued, 300);
         assert!(
@@ -209,17 +161,7 @@ mod tests {
         // of the mean path length".
         let overlay = overlay();
         let mut rng = StdRng::seed_from_u64(2);
-        let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-        let queries = generate_queries(
-            &QueryWorkloadConfig {
-                count: 500,
-                range_fraction: 0.0,
-                existing_fraction: 1.0,
-                ..QueryWorkloadConfig::default()
-            },
-            &keys,
-            &mut rng,
-        );
+        let queries = stored_lookups(&overlay, 500, &mut rng);
         let stats = run_queries(&overlay, &queries, &mut rng);
         let ratio = stats.mean_hops() / overlay.mean_depth().max(1e-9);
         assert!(
@@ -245,24 +187,12 @@ mod tests {
     fn hop_accounting_is_bounded() {
         let overlay = overlay();
         let mut rng = StdRng::seed_from_u64(7);
-        let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-        let queries = generate_queries(
-            &QueryWorkloadConfig {
-                count: DEFAULT_HOP_SAMPLE_CAP + 100,
-                range_fraction: 0.0,
-                existing_fraction: 1.0,
-                ..QueryWorkloadConfig::default()
-            },
-            &keys,
-            &mut rng,
-        );
+        let queries = stored_lookups(&overlay, 356, &mut rng);
         let stats = run_queries(&overlay, &queries, &mut rng);
-        assert_eq!(stats.issued, DEFAULT_HOP_SAMPLE_CAP + 100);
-        // The histogram sees every query; the raw ring stays capped.
+        assert_eq!(stats.issued, 356);
+        // The fixed-memory histogram sees every query.
         assert_eq!(stats.hops.total() as usize, stats.issued);
-        assert_eq!(stats.hop_samples.len(), DEFAULT_HOP_SAMPLE_CAP);
-        assert_eq!(stats.hops.sum() as usize, stats.total_hops);
-        assert_eq!(stats.hops.max() as usize, stats.max_hops);
+        assert!(stats.mean_hops() <= stats.hops.max() as f64);
     }
 
     mod range_parity {
@@ -323,7 +253,7 @@ mod tests {
                     Key::from_fraction(a.max(b)),
                 );
                 let mut rng = StdRng::seed_from_u64(rng_seed);
-                let res = range_query(overlay, PeerId(start as u64), lo, hi, &mut rng);
+                let res = range_query(&overlay.peers, PeerId(start as u64), lo, hi, &mut rng);
                 prop_assert!(res.complete, "healthy overlay walk must complete");
                 // Soundness: every returned entry is a corpus entry inside
                 // the requested bounds, in key order without duplicates.
@@ -362,17 +292,7 @@ mod tests {
                 peer.online = false;
             }
         }
-        let keys: Vec<_> = overlay.original_entries.iter().map(|e| e.key).collect();
-        let queries = generate_queries(
-            &QueryWorkloadConfig {
-                count: 300,
-                range_fraction: 0.0,
-                existing_fraction: 1.0,
-                ..QueryWorkloadConfig::default()
-            },
-            &keys,
-            &mut rng,
-        );
+        let queries = stored_lookups(&overlay, 300, &mut rng);
         let stats = run_queries(&overlay, &queries, &mut rng);
         // With n_min ≈ 5 replicas per partition and multiple routing
         // references, a quarter of the peers failing should barely dent the

@@ -31,10 +31,11 @@
 use crate::config::SimConfig;
 use crate::unstructured::UnstructuredOverlay;
 use pgrid_core::peer::PeerState;
+use pgrid_core::route;
 use pgrid_core::routing::RoutingEntry;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Stream tag for the per-round initiator shuffle.
 pub(crate) const STREAM_SHUFFLE: u64 = 0;
@@ -163,20 +164,9 @@ pub(crate) struct Scheduler {
 struct Conflict;
 
 /// The referral a contacted peer hands out: a uniformly drawn reference of
-/// `refs` other than `initiator`.  It makes exactly the draw
-/// `SliceRandom::choose` makes over the filtered list (none when the list is
-/// empty, `gen_range(0..n)` otherwise) without collecting that list.
+/// `refs` other than `initiator` ([`route::pick_other`]).
 fn pick_referral(refs: &[RoutingEntry], initiator: usize, rng: &mut StdRng) -> Option<usize> {
-    let eligible = || {
-        refs.iter()
-            .map(|e| e.peer.0 as usize)
-            .filter(move |&p| p != initiator)
-    };
-    let n = eligible().count();
-    if n == 0 {
-        return None;
-    }
-    eligible().nth(rng.gen_range(0..n))
+    route::pick_other(refs.iter().map(|e| e.peer.0 as usize), initiator, rng)
 }
 
 impl Scheduler {
@@ -319,6 +309,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn stream_rngs_are_deterministic_and_distinct() {

@@ -98,9 +98,7 @@ fn construct_sequentially_with_rng<R: Rng + ?Sized>(
         while !peers[current].path.covers(target_key) && hops < 64 {
             // greedy prefix routing over the already-built overlay
             let path = peers[current].path;
-            let level = (0..path.len())
-                .find(|&l| path.bit(l) != target_key.bit(l))
-                .unwrap_or(path.len());
+            let level = path.first_mismatch(target_key).unwrap_or(path.len());
             let next = peers[current]
                 .routing
                 .level(level)

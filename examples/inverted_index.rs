@@ -76,7 +76,7 @@ fn main() {
     // 3. Keyword search: pick a term that occurs in the corpus.
     let term = corpus.documents[0].terms[0].clone();
     let expected = corpus.documents_with_term(&term);
-    let result = lookup(&overlay, PeerId(3), term_key(&term), &mut rng);
+    let result = lookup(&overlay.peers, PeerId(3), term_key(&term), &mut rng);
     let found: Vec<_> = result.entries.iter().map(|e| e.id).collect();
     println!(
         "keyword '{term}': {} postings found in {} hops (corpus ground truth: {})",
@@ -88,7 +88,7 @@ fn main() {
     // 4. Prefix search (an order-preserving range query over the term space).
     let prefix: String = term.chars().take(2).collect();
     let (lo, hi) = prefix_key_range(&prefix);
-    let range = range_query(&overlay, PeerId(3), lo, hi, &mut rng);
+    let range = range_query(&overlay.peers, PeerId(3), lo, hi, &mut rng);
     let mut docs: Vec<_> = range.entries.iter().map(|e| e.id).collect();
     docs.sort();
     docs.dedup();

@@ -58,7 +58,7 @@ fn main() {
     // 3. Exact-key lookups.
     let mut rng = StdRng::seed_from_u64(7);
     let probe = overlay.original_entries[17];
-    let result = lookup(&overlay, PeerId(0), probe.key, &mut rng);
+    let result = lookup(&overlay.peers, PeerId(0), probe.key, &mut rng);
     println!(
         "lookup({}) -> {} entries in {} hops (success: {})",
         probe.key,
@@ -70,7 +70,7 @@ fn main() {
     // 4. An order-preserving range query over 5% of the key space.
     let lo = Key::from_fraction(0.02);
     let hi = Key::from_fraction(0.07);
-    let range = range_query(&overlay, PeerId(0), lo, hi, &mut rng);
+    let range = range_query(&overlay.peers, PeerId(0), lo, hi, &mut rng);
     println!(
         "range [{lo}, {hi}] -> {} entries from {} partitions in {} hops (complete: {})",
         range.entries.len(),

@@ -129,7 +129,7 @@ fn range_queries_return_exactly_the_keys_in_range() {
     let mut rng = StdRng::seed_from_u64(2);
     let lo = Key::from_fraction(0.30);
     let hi = Key::from_fraction(0.45);
-    let result = range_query(&overlay, PeerId(1), lo, hi, &mut rng);
+    let result = range_query(&overlay.peers, PeerId(1), lo, hi, &mut rng);
     assert!(result.complete);
     // every returned entry is in range
     assert!(result.entries.iter().all(|e| e.key >= lo && e.key <= hi));
