@@ -25,7 +25,7 @@ use pgrid_partition::experiment::{run_sweep, SweepConfig};
 use pgrid_partition::probabilities::{alpha_of_p, alpha_second_derivative, q_of_p};
 use pgrid_scenario::deployment::run_deployment;
 use pgrid_sim::config::{ConstructionStrategy, SimConfig};
-use pgrid_sim::runner::{population_sweep, replication_sweep, run_repeated, sample_size_sweep};
+use pgrid_sim::runner::run_repeated;
 use pgrid_sim::sequential::construct_sequentially;
 use pgrid_workload::distributions::Distribution;
 use std::process::ExitCode;
@@ -278,16 +278,23 @@ fn fig6_population(effort: &Effort) {
         "\n=== Figures 6a / 6e / 6f: populations {:?}, n_min = 5, delta_max = 10*n_min, {} repetitions ===",
         effort.populations, effort.repetitions
     );
-    let rows = population_sweep(
-        &effort.populations,
-        5,
-        effort.repetitions,
-        ConstructionStrategy::Aep,
-        0xF16,
-    );
-    let labels: Vec<String> = Distribution::paper_suite()
+    let suite = Distribution::paper_suite();
+    let labels: Vec<String> = suite.iter().map(|d| d.label()).collect();
+    // One row per (population, distribution), population-major.
+    let rows: Vec<_> = effort
+        .populations
         .iter()
-        .map(|d| d.label())
+        .flat_map(|&n| suite.iter().map(move |d| (n, *d)))
+        .map(|(n_peers, distribution)| {
+            let config = SimConfig {
+                n_peers,
+                n_min: 5,
+                distribution,
+                seed: 0xF16,
+                ..SimConfig::default()
+            };
+            run_repeated(&config, effort.repetitions)
+        })
         .collect();
     for (title, value) in [
         ("Figure 6a — load-balance deviation", 0usize),
@@ -296,19 +303,13 @@ fn fig6_population(effort: &Effort) {
     ] {
         println!("\n{title}:");
         println!("{}", format_header("n", &labels));
-        for &n in &effort.populations {
-            let cells: Vec<f64> = Distribution::paper_suite()
+        for (&n, chunk) in effort.populations.iter().zip(rows.chunks(suite.len())) {
+            let cells: Vec<f64> = chunk
                 .iter()
-                .map(|d| {
-                    let row = rows
-                        .iter()
-                        .find(|r| r.n_peers == n && r.distribution == d.label())
-                        .expect("row exists");
-                    match value {
-                        0 => row.deviation,
-                        1 => row.interactions_per_peer,
-                        _ => row.keys_moved_per_peer,
-                    }
+                .map(|row| match value {
+                    0 => row.deviation,
+                    1 => row.interactions_per_peer,
+                    _ => row.keys_moved_per_peer,
                 })
                 .collect();
             println!("{}", format_row(&n.to_string(), &cells));
@@ -320,7 +321,6 @@ fn fig6_population(effort: &Effort) {
 fn fig6b(effort: &Effort) {
     println!("\n=== Figure 6b: deviation for n = 256, n_min in {{5, 10, 15, 20, 25}} ===");
     let n_peers = *effort.populations.first().unwrap_or(&256);
-    let rows = replication_sweep(n_peers, &[5, 10, 15, 20, 25], effort.repetitions, 0xF6B);
     let labels: Vec<String> = Distribution::paper_suite()
         .iter()
         .map(|d| d.label())
@@ -330,10 +330,14 @@ fn fig6b(effort: &Effort) {
         let cells: Vec<f64> = Distribution::paper_suite()
             .iter()
             .map(|d| {
-                rows.iter()
-                    .find(|r| r.n_min == n_min && r.distribution == d.label())
-                    .map(|r| r.deviation)
-                    .unwrap_or(f64::NAN)
+                let config = SimConfig {
+                    n_peers,
+                    n_min,
+                    distribution: *d,
+                    seed: 0xF6B,
+                    ..SimConfig::default()
+                };
+                run_repeated(&config, effort.repetitions).deviation
             })
             .collect();
         println!("{}", format_row(&n_min.to_string(), &cells));
@@ -345,7 +349,6 @@ fn fig6b(effort: &Effort) {
 fn fig6c(effort: &Effort) {
     println!("\n=== Figure 6c: deviation for n = 256, delta_max in {{10, 20, 30}} * n_min ===");
     let n_peers = *effort.populations.first().unwrap_or(&256);
-    let rows = sample_size_sweep(n_peers, 5, &[10, 20, 30], effort.repetitions, 0xF6C);
     let labels: Vec<String> = Distribution::paper_suite()
         .iter()
         .map(|d| d.label())
@@ -355,10 +358,15 @@ fn fig6c(effort: &Effort) {
         let cells: Vec<f64> = Distribution::paper_suite()
             .iter()
             .map(|d| {
-                rows.iter()
-                    .find(|r| r.delta_max == m * 5 && r.distribution == d.label())
-                    .map(|r| r.deviation)
-                    .unwrap_or(f64::NAN)
+                let config = SimConfig {
+                    n_peers,
+                    n_min: 5,
+                    delta_max: Some(m * 5),
+                    distribution: *d,
+                    seed: 0xF6C,
+                    ..SimConfig::default()
+                };
+                run_repeated(&config, effort.repetitions).deviation
             })
             .collect();
         println!("{}", format_row(&m.to_string(), &cells));

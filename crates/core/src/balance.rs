@@ -134,40 +134,6 @@ pub fn measure_overlay(
     }
 }
 
-/// Storage-balance statistics over a set of peers: per-peer responsible
-/// load, useful for checking the `delta_max` criterion directly.
-#[derive(Clone, Debug, Default)]
-pub struct StorageStats {
-    /// Minimum per-peer load.
-    pub min: usize,
-    /// Maximum per-peer load.
-    pub max: usize,
-    /// Mean per-peer load.
-    pub mean: f64,
-    /// Coefficient of variation (std/mean) of per-peer load.
-    pub cv: f64,
-}
-
-/// Computes storage statistics from per-peer responsible loads.
-pub fn storage_stats(loads: &[usize]) -> StorageStats {
-    if loads.is_empty() {
-        return StorageStats::default();
-    }
-    let n = loads.len() as f64;
-    let mean = loads.iter().sum::<usize>() as f64 / n;
-    let var = loads
-        .iter()
-        .map(|&l| (l as f64 - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    StorageStats {
-        min: *loads.iter().min().unwrap(),
-        max: *loads.iter().max().unwrap(),
-        mean,
-        cv: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,18 +197,5 @@ mod tests {
         let d_small = compare_to_reference(&reference_small, &peers_small).deviation;
         let d_big = compare_to_reference(&reference_big, &peers_big).deviation;
         assert!((d_small - d_big).abs() < 0.05);
-    }
-
-    #[test]
-    fn storage_stats_basics() {
-        let stats = storage_stats(&[10, 10, 10, 10]);
-        assert_eq!(stats.min, 10);
-        assert_eq!(stats.max, 10);
-        assert!((stats.mean - 10.0).abs() < 1e-12);
-        assert!(stats.cv.abs() < 1e-12);
-        let skewed = storage_stats(&[0, 0, 0, 40]);
-        assert!(skewed.cv > 1.0);
-        let empty = storage_stats(&[]);
-        assert_eq!(empty.max, 0);
     }
 }

@@ -204,21 +204,6 @@ impl LogHistogram {
             })
             .collect()
     }
-
-    /// Renders the histogram as Prometheus exposition lines for the metric
-    /// `name` (cumulative `_bucket{le=...}` series plus `_sum`/`_count`),
-    /// emitting only the non-empty buckets and the closing `+Inf` series.
-    pub fn prometheus_text(&self, name: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        for (upper, cumulative) in self.cumulative_buckets() {
-            out.push_str(&format!("{name}_bucket{{le=\"{upper}\"}} {cumulative}\n"));
-        }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", self.total));
-        out.push_str(&format!("{name}_sum {}\n", self.sum));
-        out.push_str(&format!("{name}_count {}\n", self.total));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -340,19 +325,5 @@ mod tests {
         one.record(3);
         merged.merge(&one);
         assert_eq!(merged, full);
-    }
-
-    #[test]
-    fn prometheus_text_is_cumulative() {
-        let mut h = LogHistogram::new();
-        h.record(1);
-        h.record(1);
-        h.record(100);
-        let text = h.prometheus_text("q_ms");
-        assert!(text.contains("# TYPE q_ms histogram"));
-        assert!(text.contains("q_ms_bucket{le=\"1\"} 2"));
-        assert!(text.contains("q_ms_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("q_ms_count 3"));
-        assert!(text.contains("q_ms_sum 102"));
     }
 }

@@ -224,21 +224,6 @@ impl Path {
         2f64.powi(-(self.len() as i32))
     }
 
-    /// Returns the path truncated or extended (with `0` bits) to the given
-    /// length.  Extension with `0` bits selects the lowest descendant, which
-    /// is occasionally useful for canonical ordering of partitions.
-    pub fn resized(&self, len: usize) -> Path {
-        assert!(len <= MAX_PATH_LEN);
-        if len <= self.len() {
-            self.prefix(len)
-        } else {
-            Path {
-                bits: self.bits,
-                len: len as u8,
-            }
-        }
-    }
-
     /// The path's wire form `(len, bits)`: the bits left-aligned in a
     /// `u64` (path bit `i` is bit `63 - i`), unused low bits zero — which
     /// is exactly how a `Path` is stored.
@@ -265,12 +250,6 @@ impl Path {
     /// Iterator over the bits of the path.
     pub fn bits_iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len()).map(move |i| self.bit(i))
-    }
-
-    /// Whether the two paths identify disjoint partitions (neither is a
-    /// prefix of the other).
-    pub fn disjoint_with(&self, other: &Path) -> bool {
-        !self.is_prefix_of(other) && !other.is_prefix_of(self)
     }
 }
 
@@ -372,13 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn disjointness() {
-        assert!(Path::parse("01").disjoint_with(&Path::parse("10")));
-        assert!(!Path::parse("01").disjoint_with(&Path::parse("010")));
-        assert!(!Path::root().disjoint_with(&Path::parse("1")));
-    }
-
-    #[test]
     fn wire_parts_roundtrip_and_reject_or_mask_bad_input() {
         for s in ["", "0", "1", "0110", &"10".repeat(32)] {
             let p = if s.is_empty() {
@@ -427,13 +399,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn resized_extends_and_truncates() {
-        let p = Path::parse("101");
-        assert_eq!(p.resized(1), Path::parse("1"));
-        assert_eq!(p.resized(5), Path::parse("10100"));
-        assert_eq!(p.resized(3), p);
     }
 }

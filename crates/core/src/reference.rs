@@ -101,11 +101,6 @@ impl ReferencePartitioning {
         self.leaves.iter().map(|l| l.peers).sum()
     }
 
-    /// Total data keys across leaves.
-    pub fn total_load(&self) -> usize {
-        self.leaves.iter().map(|l| l.load).sum()
-    }
-
     /// Maximum leaf depth of the reference trie.
     pub fn depth(&self) -> usize {
         self.leaves.iter().map(|l| l.path.len()).max().unwrap_or(0)
@@ -119,15 +114,6 @@ impl ReferencePartitioning {
         self.leaves.iter().map(|l| l.path.len() as f64).sum::<f64>() / self.leaves.len() as f64
     }
 
-    /// Returns the reference peer count as a trie keyed by path.
-    pub fn peer_trie(&self) -> PartitionTrie<f64> {
-        let mut trie = PartitionTrie::new();
-        for leaf in &self.leaves {
-            trie.insert(leaf.path, leaf.peers);
-        }
-        trie
-    }
-
     /// Returns the reference load as a trie keyed by path.
     pub fn load_trie(&self) -> PartitionTrie<usize> {
         let mut trie = PartitionTrie::new();
@@ -135,12 +121,6 @@ impl ReferencePartitioning {
             trie.insert(leaf.path, leaf.load);
         }
         trie
-    }
-
-    /// The leaf covering the given key, if any (always `Some` for a
-    /// non-empty partitioning).
-    pub fn leaf_for(&self, key: Key) -> Option<&ReferenceLeaf> {
-        self.leaves.iter().find(|l| l.path.covers(key))
     }
 }
 
@@ -247,7 +227,7 @@ mod tests {
         assert!(r.num_partitions() > 1);
         // conservation of peers and load
         assert!((r.total_peers() - 128.0).abs() < 1e-6);
-        assert_eq!(r.total_load(), 1024);
+        assert_eq!(r.leaves.iter().map(|l| l.load).sum::<usize>(), 1024);
         // every leaf respects the storage bound or could not be split further
         for leaf in &r.leaves {
             assert!(leaf.load <= params.delta_max || leaf.peers < 2.0 * params.n_min as f64);
@@ -271,8 +251,12 @@ mod tests {
         assert!(r.num_partitions() > 2);
         // the dense region [0, 0.1) must be covered by deeper leaves than the
         // sparse region around 0.9
-        let dense = r.leaf_for(Key::from_fraction(0.05)).unwrap();
-        let sparse = r.leaf_for(Key::from_fraction(0.9)).unwrap();
+        let leaf_for = |x| {
+            let key = Key::from_fraction(x);
+            r.leaves.iter().find(|l| l.path.covers(key)).unwrap()
+        };
+        let dense = leaf_for(0.05);
+        let sparse = leaf_for(0.9);
         assert!(dense.path.len() > sparse.path.len());
         // peers follow load: per-key replication should be roughly constant
         let dense_rep = dense.peers / dense.load.max(1) as f64;
@@ -287,16 +271,10 @@ mod tests {
         let trie = r.load_trie();
         assert!(trie.is_prefix_free());
         assert!(trie.is_complete_partition());
-    }
-
-    #[test]
-    fn leaf_for_finds_covering_partition() {
-        let keys = uniform_keys(512);
-        let r = ReferencePartitioning::compute(&keys, 64, BalanceParams::new(32, 4));
-        for &x in &[0.01, 0.3, 0.55, 0.99] {
-            let k = Key::from_fraction(x);
-            let leaf = r.leaf_for(k).unwrap();
-            assert!(leaf.path.covers(k));
+        // Every key, sampled or not, has exactly one covering leaf.
+        for &x in &[0.0, 0.01, 0.05, 0.3, 0.55, 0.99] {
+            let key = Key::from_fraction(x);
+            assert_eq!(r.leaves.iter().filter(|l| l.path.covers(key)).count(), 1);
         }
     }
 

@@ -7,9 +7,11 @@
 //! per level provides alternative access paths when peers fail.
 
 use crate::path::Path;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
+
+/// Maximum number of routing references kept per level by both engines.
+pub const FANOUT: usize = 5;
 
 /// Identifier of a peer.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -78,11 +80,6 @@ impl RoutingTable {
         self.levels.len()
     }
 
-    /// Total number of stored references.
-    pub fn num_entries(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-
     /// The configured per-level fanout bound (`0` = unbounded).
     pub fn fanout(&self) -> usize {
         self.fanout
@@ -111,31 +108,6 @@ impl RoutingTable {
         } else {
             slot.push(entry);
         }
-    }
-
-    /// Picks a uniformly random reference at `level`, if any.
-    pub fn random_at<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> Option<RoutingEntry> {
-        self.level(level).choose(rng).copied()
-    }
-
-    /// Removes every reference to the given peer (used when a peer is
-    /// detected as failed).  Returns the number of removed references.
-    pub fn remove_peer(&mut self, peer: PeerId) -> usize {
-        let mut removed = 0;
-        for level in &mut self.levels {
-            let before = level.len();
-            level.retain(|e| e.peer != peer);
-            removed += before - level.len();
-        }
-        removed
-    }
-
-    /// All referenced peers (with duplicates across levels removed).
-    pub fn known_peers(&self) -> Vec<PeerId> {
-        let mut peers: Vec<PeerId> = self.levels.iter().flatten().map(|e| e.peer).collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers
     }
 
     /// Iterator over `(level, entry)` pairs.
@@ -194,7 +166,7 @@ mod tests {
         rt.add(0, entry(1, "1"), &mut rng);
         rt.add(1, entry(2, "01"), &mut rng);
         assert_eq!(rt.num_levels(), 2);
-        assert_eq!(rt.num_entries(), 2);
+        assert_eq!(rt.entries().count(), 2);
         assert_eq!(rt.level(0)[0].peer, PeerId(1));
         assert_eq!(rt.level(5), &[]);
     }
@@ -205,7 +177,7 @@ mod tests {
         let mut rt = RoutingTable::new(2);
         rt.add(0, entry(1, "1"), &mut rng);
         rt.add(0, entry(1, "1"), &mut rng);
-        assert_eq!(rt.num_entries(), 1);
+        assert_eq!(rt.entries().count(), 1);
         rt.add(0, entry(2, "1"), &mut rng);
         rt.add(0, entry(3, "11"), &mut rng);
         // fanout 2: still two entries, one of which was replaced
@@ -215,20 +187,7 @@ mod tests {
         for i in 0..10 {
             unbounded.add(0, entry(i, "1"), &mut rng);
         }
-        assert_eq!(unbounded.num_entries(), 10);
-    }
-
-    #[test]
-    fn random_selection_and_removal() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut rt = RoutingTable::new(0);
-        rt.add(0, entry(1, "1"), &mut rng);
-        rt.add(0, entry(2, "1"), &mut rng);
-        let picked = rt.random_at(0, &mut rng).unwrap();
-        assert!(picked.peer == PeerId(1) || picked.peer == PeerId(2));
-        assert!(rt.random_at(3, &mut rng).is_none());
-        assert_eq!(rt.remove_peer(PeerId(1)), 1);
-        assert_eq!(rt.known_peers(), vec![PeerId(2)]);
+        assert_eq!(unbounded.entries().count(), 10);
     }
 
     #[test]
@@ -258,6 +217,6 @@ mod tests {
         rt.add(1, entry(2, "01"), &mut rng);
         rt.truncate(1);
         assert_eq!(rt.num_levels(), 1);
-        assert_eq!(rt.num_entries(), 1);
+        assert_eq!(rt.entries().count(), 1);
     }
 }

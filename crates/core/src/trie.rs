@@ -57,12 +57,6 @@ impl<T> PartitionTrie<T> {
         self.leaves.keys().copied().collect()
     }
 
-    /// Finds the leaf whose partition covers the given path (i.e. the leaf
-    /// that is a prefix of `path`), if any.
-    pub fn covering_leaf(&self, path: &Path) -> Option<(&Path, &T)> {
-        self.leaves.iter().find(|(leaf, _)| leaf.is_prefix_of(path))
-    }
-
     /// Whether no leaf is a prefix of another (a valid partition of the key
     /// space never has nested leaves).
     pub fn is_prefix_free(&self) -> bool {
@@ -140,14 +134,6 @@ mod tests {
         assert!(trie_of(&["00", "01", "1"]).is_complete_partition());
         assert!(!trie_of(&["00", "1"]).is_complete_partition());
         assert!(!trie_of(&["0", "01", "1"]).is_complete_partition());
-    }
-
-    #[test]
-    fn covering_leaf_lookup() {
-        let t = trie_of(&["00", "01", "1"]);
-        let (leaf, _) = t.covering_leaf(&Path::parse("011")).unwrap();
-        assert_eq!(*leaf, Path::parse("01"));
-        assert!(t.covering_leaf(&Path::parse("0")).is_none());
     }
 
     #[test]

@@ -195,19 +195,6 @@ impl MetricsRegistry {
             .insert(key, Value::Counter(value));
     }
 
-    /// Adds to a counter series (creating it at zero first).
-    pub fn add_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = Self::checked_key(name, labels);
-        let slot = self
-            .family(name, help, MetricKind::Counter)
-            .series
-            .entry(key)
-            .or_insert(Value::Counter(0));
-        if let Value::Counter(v) = slot {
-            *v += delta;
-        }
-    }
-
     /// Sets a gauge series.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         let key = Self::checked_key(name, labels);
@@ -234,16 +221,6 @@ impl MetricsRegistry {
         if let Value::Histogram(h) = slot {
             h.merge(histogram);
         }
-    }
-
-    /// Number of registered families.
-    pub fn family_count(&self) -> usize {
-        self.families.len()
-    }
-
-    /// Total number of series across all families.
-    pub fn series_count(&self) -> usize {
-        self.families.values().map(|f| f.series.len()).sum()
     }
 
     /// Folds every series of `other` into this registry, optionally

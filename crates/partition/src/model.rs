@@ -131,13 +131,6 @@ pub fn sam_outcome(p: f64, sample_size: usize) -> FluidOutcome {
     fluid_outcome3(alpha, q0, q1)
 }
 
-/// Like [`sam_outcome`] but with the bias-corrected probability functions
-/// (the model counterpart of the COR strategy).
-pub fn cor_outcome(p: f64, sample_size: usize) -> FluidOutcome {
-    let (alpha, q0, q1) = expected_effective(p, sample_size, true);
-    fluid_outcome3(alpha, q0, q1)
-}
-
 /// Expectation of the effective decision probabilities over the binomial
 /// sampling distribution `p̂ = Binomial(s, p) / s`.
 pub fn expected_effective(p: f64, sample_size: usize, corrected: bool) -> (f64, f64, f64) {
@@ -241,7 +234,10 @@ mod tests {
             .sum();
         let bias_cor: f64 = ratios
             .iter()
-            .map(|&p| (cor_outcome(p, 10).minority_fraction - p).abs())
+            .map(|&p| {
+                let (alpha, q0, q1) = expected_effective(p, 10, true);
+                (fluid_outcome3(alpha, q0, q1).minority_fraction - p).abs()
+            })
             .sum();
         assert!(
             bias_sam > 5e-3,

@@ -241,12 +241,6 @@ impl DecisionProbabilities {
             mirrored,
         }
     }
-
-    /// Probability that, upon contacting a peer decided for the majority
-    /// side, the initiator decides for the minority side (already mirrored).
-    pub fn minority_decision_probability(&self) -> f64 {
-        self.q
-    }
 }
 
 /// The *effective* decision probabilities as a function of the raw estimate
@@ -476,12 +470,6 @@ pub fn alpha_of_p(p: f64) -> f64 {
     } else {
         solve_alpha(p)
     }
-}
-
-/// Numerical second derivative of [`q_of_p`], used by the bias correction
-/// and reported for completeness.
-pub fn q_second_derivative(p: f64) -> f64 {
-    second_derivative(q_of_p, p)
 }
 
 /// Numerical second derivative of [`alpha_of_p`]; this is the function

@@ -29,15 +29,6 @@ pub struct SimConfig {
     pub distribution: Distribution,
     /// Probability functions used for split decisions.
     pub strategy: ConstructionStrategy,
-    /// Maximum number of routing references kept per level.
-    pub routing_fanout: usize,
-    /// Number of consecutive fruitless interactions after which a peer stops
-    /// initiating and waits to be contacted (the paper suggests a small
-    /// constant, e.g. 2).
-    pub max_fruitless_attempts: u32,
-    /// Maximum number of refer hops followed within one initiated
-    /// interaction before giving up.
-    pub max_refer_hops: usize,
     /// Hard bound on construction rounds (safety net; the process terminates
     /// by itself long before this for sane configurations).
     pub max_rounds: usize,
@@ -60,9 +51,6 @@ impl Default for SimConfig {
             delta_max: None,
             distribution: Distribution::Uniform,
             strategy: ConstructionStrategy::Aep,
-            routing_fanout: 5,
-            max_fruitless_attempts: 2,
-            max_refer_hops: 6,
             max_rounds: 400,
             seed: 0xC0FFEE,
             n_threads: 0,

@@ -13,7 +13,7 @@
 //! * if they belong to **different partitions** the contacted peer *refers*
 //!   the initiator to a peer from its routing table at the divergence level
 //!   (and both learn a routing reference from the encounter);
-//! * peers that experience a configurable number of consecutive fruitless
+//! * peers that experience [`MAX_FRUITLESS_ATTEMPTS`] consecutive fruitless
 //!   interactions back off and only wake up when contacted again, which both
 //!   synchronises fast peers with slow ones and eventually terminates the
 //!   process (Section 4.2).
@@ -42,10 +42,19 @@ use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::peer::PeerState;
 use pgrid_core::reference::BalanceParams;
-use pgrid_core::routing::PeerId;
+use pgrid_core::routing::{self, PeerId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// Number of consecutive fruitless interactions after which a peer stops
+/// initiating and waits to be contacted (the paper suggests a small
+/// constant, e.g. 2).
+pub const MAX_FRUITLESS_ATTEMPTS: u32 = 2;
+
+/// Maximum number of refer hops followed within one initiated interaction
+/// before giving up.
+pub const MAX_REFER_HOPS: usize = 6;
 
 /// How many times the normal fruitless budget a locally-overloaded peer may
 /// keep initiating before it, too, backs off and waits to be contacted.
@@ -136,7 +145,7 @@ impl SimNetwork {
 
         // --- Initial data assignment -----------------------------------------
         let mut peers: Vec<PeerState> = (0..config.n_peers)
-            .map(|i| PeerState::new(PeerId(i as u64), config.routing_fanout))
+            .map(|i| PeerState::new(PeerId(i as u64), routing::FANOUT))
             .collect();
         let mut original_entries = Vec::with_capacity(config.total_keys());
         let mut per_peer_originals: Vec<Vec<DataEntry>> = Vec::with_capacity(config.n_peers);
@@ -291,11 +300,9 @@ impl SimNetwork {
                     // (Section 4.2's contract is that *every* peer
                     // eventually goes dormant and wakes when contacted).
                     let patience = if self.engine.locally_overloaded(&self.peers[i]) {
-                        config
-                            .max_fruitless_attempts
-                            .saturating_mul(OVERLOADED_PATIENCE)
+                        MAX_FRUITLESS_ATTEMPTS * OVERLOADED_PATIENCE
                     } else {
-                        config.max_fruitless_attempts
+                        MAX_FRUITLESS_ATTEMPTS
                     };
                     if self.fruitless[i] >= patience {
                         self.active[i] = false;

@@ -4,8 +4,8 @@
 //! of *"Indexing data-oriented overlay networks"* (VLDB 2005).
 //!
 //! The simulator drives [`pgrid_core`] peer states through the paper's
-//! construction protocol — unstructured-overlay bootstrap, initiation vote,
-//! replication phase, recursive adaptive-eager partitioning with
+//! construction protocol — unstructured-overlay bootstrap, replication
+//! phase, recursive adaptive-eager partitioning with
 //! split/replicate/refer interactions, and back-off based termination — and
 //! measures the quantities reported in the paper's Figure 6: load-balance
 //! deviation from the optimal (reference) partitioning, interactions per
@@ -52,9 +52,7 @@ pub mod prelude {
     pub use crate::construction::{construct, ConstructedOverlay, SimNetwork};
     pub use crate::metrics::{ConstructionMetrics, MetricsDelta};
     pub use crate::query::{data_availability, run_queries, QueryStats};
-    pub use crate::runner::{
-        population_sweep, replication_sweep, run_repeated, sample_size_sweep, ConstructionResult,
-    };
+    pub use crate::runner::{run_repeated, ConstructionResult};
     pub use crate::sequential::{construct_sequentially, SequentialOutcome};
-    pub use crate::unstructured::{run_initiation_vote, UnstructuredOverlay, VoteOutcome};
+    pub use crate::unstructured::UnstructuredOverlay;
 }

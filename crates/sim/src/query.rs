@@ -33,14 +33,6 @@ impl QueryStats {
         }
         self.successful as f64 / self.issued as f64
     }
-
-    /// Mean hops per query.
-    pub fn mean_hops(&self) -> f64 {
-        if self.issued == 0 {
-            return 0.0;
-        }
-        self.hops.sum() as f64 / self.issued as f64
-    }
 }
 
 /// The online peers of the overlay, ascending.
@@ -152,7 +144,7 @@ mod tests {
             "success {}",
             stats.success_rate()
         );
-        assert!(stats.mean_hops() <= overlay.mean_depth() + 1.0);
+        assert!(stats.hops.mean() <= overlay.mean_depth() + 1.0);
     }
 
     #[test]
@@ -163,7 +155,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let queries = stored_lookups(&overlay, 500, &mut rng);
         let stats = run_queries(&overlay, &queries, &mut rng);
-        let ratio = stats.mean_hops() / overlay.mean_depth().max(1e-9);
+        let ratio = stats.hops.mean() / overlay.mean_depth().max(1e-9);
         assert!(
             ratio > 0.25 && ratio < 0.95,
             "hops/path ratio {ratio} outside the expected band"
@@ -192,7 +184,7 @@ mod tests {
         assert_eq!(stats.issued, 356);
         // The fixed-memory histogram sees every query.
         assert_eq!(stats.hops.total() as usize, stats.issued);
-        assert!(stats.mean_hops() <= stats.hops.max() as f64);
+        assert!(stats.hops.mean() <= stats.hops.max() as f64);
     }
 
     mod range_parity {

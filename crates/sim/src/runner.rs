@@ -7,10 +7,9 @@
 //! per-peer interaction and bandwidth cost.  Every experiment is repeated
 //! (the paper uses 10 repetitions) and averaged.
 
-use crate::config::{ConstructionStrategy, SimConfig};
+use crate::config::SimConfig;
 use crate::construction::construct;
 use pgrid_core::balance::measure_overlay;
-use pgrid_workload::distributions::Distribution;
 
 /// Aggregated result of repeated construction runs for one configuration.
 #[derive(Clone, Debug)]
@@ -80,80 +79,6 @@ pub fn run_repeated(config: &SimConfig, repetitions: usize) -> ConstructionResul
     }
 }
 
-/// Figure 6a/6e/6f: all six distributions for each population size.
-pub fn population_sweep(
-    populations: &[usize],
-    n_min: usize,
-    repetitions: usize,
-    strategy: ConstructionStrategy,
-    seed: u64,
-) -> Vec<ConstructionResult> {
-    let mut rows = Vec::new();
-    for &n in populations {
-        for dist in Distribution::paper_suite() {
-            let config = SimConfig {
-                n_peers: n,
-                n_min,
-                distribution: dist,
-                strategy,
-                seed,
-                ..SimConfig::default()
-            };
-            rows.push(run_repeated(&config, repetitions));
-        }
-    }
-    rows
-}
-
-/// Figure 6b: varying the required replication factor `n_min`.
-pub fn replication_sweep(
-    n_peers: usize,
-    n_mins: &[usize],
-    repetitions: usize,
-    seed: u64,
-) -> Vec<ConstructionResult> {
-    let mut rows = Vec::new();
-    for &n_min in n_mins {
-        for dist in Distribution::paper_suite() {
-            let config = SimConfig {
-                n_peers,
-                n_min,
-                distribution: dist,
-                seed,
-                ..SimConfig::default()
-            };
-            rows.push(run_repeated(&config, repetitions));
-        }
-    }
-    rows
-}
-
-/// Figure 6c: varying the storage bound (which governs the sample the load
-/// estimate is computed from) as multiples of `n_min`.
-pub fn sample_size_sweep(
-    n_peers: usize,
-    n_min: usize,
-    delta_multipliers: &[usize],
-    repetitions: usize,
-    seed: u64,
-) -> Vec<ConstructionResult> {
-    let mut rows = Vec::new();
-    for &m in delta_multipliers {
-        for dist in Distribution::paper_suite() {
-            let config = SimConfig {
-                n_peers,
-                n_min,
-                delta_max: Some(m * n_min),
-                distribution: dist,
-                seed,
-                ..SimConfig::default()
-            };
-            rows.push(run_repeated(&config, repetitions));
-        }
-    }
-    rows
-}
-
 /// Mean of a slice (0 for an empty slice).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -174,6 +99,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConstructionStrategy;
+    use pgrid_workload::distributions::Distribution;
 
     #[test]
     fn run_repeated_aggregates_sane_metrics() {
@@ -189,14 +116,6 @@ mod tests {
         assert!(result.keys_moved_per_peer > 0.0);
         assert!(result.rounds >= 1.0);
         assert!(result.mean_depth > 0.5);
-    }
-
-    #[test]
-    fn population_sweep_produces_a_row_per_cell() {
-        let rows = population_sweep(&[64, 96], 5, 1, ConstructionStrategy::Aep, 1);
-        assert_eq!(rows.len(), 12); // 2 populations x 6 distributions
-        assert!(rows.iter().any(|r| r.distribution == "U"));
-        assert!(rows.iter().any(|r| r.distribution == "A"));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! cannot diverge even though the executor mutates state as it goes.
 
 use crate::config::SimConfig;
+use crate::construction::MAX_REFER_HOPS;
 use crate::unstructured::UnstructuredOverlay;
 use pgrid_core::peer::PeerState;
 use pgrid_core::route;
@@ -245,7 +246,7 @@ impl Scheduler {
         let mut contacts = 0usize;
 
         let mut target = overlay.sample_other(initiator, &mut rng);
-        for hop in 0..config.max_refer_hops {
+        for hop in 0..MAX_REFER_HOPS {
             contacts += 1;
             if target == initiator {
                 return Ok((contacts, Endpoint::Fruitless));
@@ -298,7 +299,7 @@ impl Scheduler {
             let level = peers[initiator].path.common_prefix_len(&peers[target].path);
             let refs = peers[target].routing.level(level);
             match pick_referral(refs, initiator, &mut rng) {
-                Some(next) if hop + 1 < config.max_refer_hops => target = next,
+                Some(next) if hop + 1 < MAX_REFER_HOPS => target = next,
                 _ => return Ok((contacts, Endpoint::Fruitless)),
             }
         }
@@ -309,6 +310,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgrid_core::routing::{PeerId, FANOUT};
     use rand::Rng;
 
     #[test]
@@ -380,7 +382,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(config.seed);
         let peers: Vec<PeerState> = (0..config.n_peers)
-            .map(|i| PeerState::new(pgrid_core::routing::PeerId(i as u64), config.routing_fanout))
+            .map(|i| PeerState::new(PeerId(i as u64), FANOUT))
             .collect();
         let overlay = UnstructuredOverlay::random(config.n_peers, 8, &mut rng);
         let mut scheduler = Scheduler::new(config.n_peers);

@@ -12,7 +12,7 @@
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::peer::PeerState;
-use pgrid_core::routing::{PeerId, RoutingEntry};
+use pgrid_core::routing::{self, PeerId, RoutingEntry};
 use pgrid_core::store::StoreRead;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,14 +76,14 @@ fn construct_sequentially_with_rng<R: Rng + ?Sized>(
         .collect();
 
     let mut peers: Vec<PeerState> = Vec::with_capacity(config.n_peers);
-    let mut first = PeerState::new(PeerId(0), config.routing_fanout);
+    let mut first = PeerState::new(PeerId(0), routing::FANOUT);
     for e in &all_data[0] {
         first.store.insert(*e);
     }
     peers.push(first);
 
     for (i, data) in all_data.iter().enumerate().skip(1) {
-        let mut joiner = PeerState::new(PeerId(i as u64), config.routing_fanout);
+        let mut joiner = PeerState::new(PeerId(i as u64), routing::FANOUT);
         for e in data {
             joiner.store.insert(*e);
         }

@@ -2,13 +2,10 @@
 //!
 //! The paper assumes a generic unstructured overlay (a random graph) over
 //! which peers can perform random walks to sample interaction partners
-//! uniformly, flood voting requests to decide whether to start indexing
-//! (Section 4.1), and pick random peers for the initial replication phase.
+//! uniformly and pick random peers for the initial replication phase.
 
-use pgrid_core::routing::PeerId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::VecDeque;
 
 /// A random-graph unstructured overlay over `n` peers.
 #[derive(Clone, Debug)]
@@ -89,132 +86,6 @@ impl UnstructuredOverlay {
         }
         peer
     }
-
-    /// Floods a message from `origin` and returns, for every peer, the hop
-    /// distance at which it was reached.  Used by the initiation vote of
-    /// Section 4.1; the return value also gives the number of messages
-    /// (every edge is crossed once in each direction at most).
-    pub fn flood(&self, origin: usize) -> FloodResult {
-        let mut distance = vec![usize::MAX; self.len()];
-        let mut queue = VecDeque::new();
-        distance[origin] = 0;
-        queue.push_back(origin);
-        let mut messages = 0usize;
-        while let Some(peer) = queue.pop_front() {
-            for &next in &self.adjacency[peer] {
-                messages += 1;
-                if distance[next] == usize::MAX {
-                    distance[next] = distance[peer] + 1;
-                    queue.push_back(next);
-                }
-            }
-        }
-        FloodResult { distance, messages }
-    }
-
-    /// The [`PeerId`] corresponding to a graph index (identity mapping; the
-    /// helper exists to keep call sites readable).
-    pub fn peer_id(index: usize) -> PeerId {
-        PeerId(index as u64)
-    }
-}
-
-/// Result of flooding the unstructured overlay.
-#[derive(Clone, Debug)]
-pub struct FloodResult {
-    /// Hop distance from the origin for every peer (`usize::MAX` =
-    /// unreachable, which cannot happen on the connected backbone).
-    pub distance: Vec<usize>,
-    /// Total messages sent by the flood.
-    pub messages: usize,
-}
-
-impl FloodResult {
-    /// Number of peers reached.
-    pub fn reached(&self) -> usize {
-        self.distance.iter().filter(|&&d| d != usize::MAX).count()
-    }
-
-    /// Maximum hop distance (the latency of the vote collection phase).
-    pub fn depth(&self) -> usize {
-        self.distance
-            .iter()
-            .filter(|&&d| d != usize::MAX)
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Outcome of the decentralized initiation vote (Section 4.1): peers report
-/// whether they find a new index useful together with their local data
-/// volume; the initiator aggregates the replies and, if a majority agrees,
-/// floods back the construction parameters.
-#[derive(Clone, Debug)]
-pub struct VoteOutcome {
-    /// Number of peers voting in favour.
-    pub yes_votes: usize,
-    /// Number of peers voting against.
-    pub no_votes: usize,
-    /// Aggregate number of data keys reported by the voters, from which the
-    /// initiator derives `delta_max` (Section 4.2).
-    pub total_reported_keys: usize,
-    /// Messages spent on the vote (request flood plus aggregated replies).
-    pub messages: usize,
-    /// Hop depth of the flood (vote latency in rounds).
-    pub rounds: usize,
-}
-
-impl VoteOutcome {
-    /// Whether the vote passed (simple majority).
-    pub fn passed(&self) -> bool {
-        self.yes_votes > self.no_votes
-    }
-
-    /// Average number of keys per reporting peer.
-    pub fn average_keys_per_peer(&self) -> f64 {
-        let voters = self.yes_votes + self.no_votes;
-        if voters == 0 {
-            0.0
-        } else {
-            self.total_reported_keys as f64 / voters as f64
-        }
-    }
-}
-
-/// Runs the initiation vote: floods a request from `origin`, collects one
-/// reply per peer (voting yes with probability `approval`), and aggregates
-/// replies along the reverse flood paths.
-pub fn run_initiation_vote<R: Rng + ?Sized>(
-    overlay: &UnstructuredOverlay,
-    origin: usize,
-    approval: f64,
-    keys_per_peer: &[usize],
-    rng: &mut R,
-) -> VoteOutcome {
-    assert_eq!(keys_per_peer.len(), overlay.len());
-    let flood = overlay.flood(origin);
-    let mut yes = 0;
-    let mut no = 0;
-    let mut total_keys = 0;
-    for &peer_keys in keys_per_peer.iter().take(overlay.len()) {
-        if rng.gen_bool(approval.clamp(0.0, 1.0)) {
-            yes += 1;
-        } else {
-            no += 1;
-        }
-        total_keys += peer_keys;
-    }
-    // Replies travel back along the flood tree: one message per peer, plus
-    // the final decision flood.
-    let messages = flood.messages + overlay.len() + flood.messages;
-    VoteOutcome {
-        yes_votes: yes,
-        no_votes: no,
-        total_reported_keys: total_keys,
-        messages,
-        rounds: flood.depth() * 2 + 1,
-    }
 }
 
 #[cfg(test)]
@@ -227,9 +98,20 @@ mod tests {
     fn random_graph_is_connected() {
         let mut rng = StdRng::seed_from_u64(1);
         let overlay = UnstructuredOverlay::random(100, 6, &mut rng);
-        let flood = overlay.flood(0);
-        assert_eq!(flood.reached(), 100);
-        assert!(flood.depth() < 60);
+        // Breadth-first search from peer 0 over `neighbours`.
+        let mut distance = vec![usize::MAX; overlay.len()];
+        let mut queue = std::collections::VecDeque::from([0]);
+        distance[0] = 0;
+        while let Some(peer) = queue.pop_front() {
+            for &next in overlay.neighbours(peer) {
+                if distance[next] == usize::MAX {
+                    distance[next] = distance[peer] + 1;
+                    queue.push_back(next);
+                }
+            }
+        }
+        assert!(distance.iter().all(|&d| d != usize::MAX));
+        assert!(distance.iter().max().unwrap() < &60);
     }
 
     #[test]
@@ -254,21 +136,6 @@ mod tests {
         // A uniform-ish sampler should touch most of the population.
         assert!(seen.len() > 35, "only reached {} peers", seen.len());
         assert!(!seen.contains(&0));
-    }
-
-    #[test]
-    fn initiation_vote_aggregates_keys_and_passes_with_high_approval() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let overlay = UnstructuredOverlay::random(64, 6, &mut rng);
-        let keys = vec![10usize; 64];
-        let outcome = run_initiation_vote(&overlay, 0, 0.9, &keys, &mut rng);
-        assert!(outcome.passed());
-        assert_eq!(outcome.total_reported_keys, 640);
-        assert!((outcome.average_keys_per_peer() - 10.0).abs() < 1e-9);
-        assert!(outcome.messages > 64);
-        assert!(outcome.rounds >= 3);
-        let negative = run_initiation_vote(&overlay, 0, 0.05, &keys, &mut rng);
-        assert!(!negative.passed());
     }
 
     #[test]

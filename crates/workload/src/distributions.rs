@@ -96,17 +96,6 @@ impl Distribution {
     pub fn sample_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Key> {
         (0..count).map(|_| self.sample(rng)).collect()
     }
-
-    /// A crude skew indicator: the fraction of probability mass falling into
-    /// the lower half of the key space (1/2 for symmetric distributions,
-    /// close to 1 for the heavy-tailed Pareto workloads).  Estimated by
-    /// sampling.
-    pub fn lower_half_mass<R: Rng + ?Sized>(&self, samples: usize, rng: &mut R) -> f64 {
-        let below = (0..samples)
-            .filter(|_| self.sample(rng).as_fraction() < 0.5)
-            .count();
-        below as f64 / samples as f64
-    }
 }
 
 impl fmt::Display for Distribution {
@@ -229,6 +218,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The fraction of 20 000 samples falling into the lower half of the
+    /// key space (1/2 for symmetric distributions, close to 1 for the
+    /// heavy-tailed Pareto workloads).
+    fn lower_half_mass(dist: Distribution, rng: &mut StdRng) -> f64 {
+        let below = (0..20_000)
+            .filter(|_| dist.sample(rng).as_fraction() < 0.5)
+            .count();
+        below as f64 / 20_000.0
+    }
+
     #[test]
     fn paper_suite_has_six_workloads_with_unique_labels() {
         let suite = Distribution::paper_suite();
@@ -252,15 +251,15 @@ mod tests {
     #[test]
     fn uniform_is_roughly_balanced() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mass = Distribution::Uniform.lower_half_mass(20_000, &mut rng);
+        let mass = lower_half_mass(Distribution::Uniform, &mut rng);
         assert!((mass - 0.5).abs() < 0.02, "mass {mass}");
     }
 
     #[test]
     fn pareto_is_skewed_towards_zero_and_more_so_for_larger_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mass_p05 = Distribution::Pareto { shape: 0.5 }.lower_half_mass(20_000, &mut rng);
-        let mass_p15 = Distribution::Pareto { shape: 1.5 }.lower_half_mass(20_000, &mut rng);
+        let mass_p05 = lower_half_mass(Distribution::Pareto { shape: 0.5 }, &mut rng);
+        let mass_p15 = lower_half_mass(Distribution::Pareto { shape: 1.5 }, &mut rng);
         assert!(mass_p05 > 0.6, "P0.5 should be skewed: {mass_p05}");
         assert!(mass_p15 > 0.7, "P1.5 should be more skewed: {mass_p15}");
         assert!(

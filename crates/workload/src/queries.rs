@@ -18,13 +18,6 @@ pub enum Query {
     Range(Key, Key),
 }
 
-impl Query {
-    /// Whether this is a range query.
-    pub fn is_range(&self) -> bool {
-        matches!(self, Query::Range(_, _))
-    }
-}
-
 /// Configuration of a query workload.
 #[derive(Copy, Clone, Debug)]
 pub struct QueryWorkloadConfig {
@@ -103,7 +96,10 @@ mod tests {
         };
         let queries = generate_queries(&config, &population(), &mut rng);
         assert_eq!(queries.len(), 2000);
-        let ranges = queries.iter().filter(|q| q.is_range()).count();
+        let ranges = queries
+            .iter()
+            .filter(|q| matches!(q, Query::Range(..)))
+            .count();
         assert!((ranges as f64 / 2000.0 - 0.25).abs() < 0.05);
     }
 
