@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 const MAGIC: u16 = 0x5047; // "PG"
 /// Protocol version; bump on any wire-format change (one binary speaks
 /// exactly one version).
-const VERSION: u8 = 8;
+const VERSION: u8 = 9;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -766,9 +766,7 @@ fn put_config(buf: &mut Vec<u8>, config: &NetConfig) {
     Be::put_u64(buf, config.latency_min_ms);
     Be::put_u64(buf, config.latency_max_ms);
     Be::put_f64(buf, config.loss_probability);
-    Be::put_u64(buf, config.construct_interval_ms);
     Be::put_u64(buf, config.query_timeout_ms);
-    Be::put_u64(buf, config.routing_fanout as u64);
     Be::put_u64(buf, config.seed);
     match config.distribution {
         Distribution::Uniform => Be::put_u8(buf, 0),
@@ -792,8 +790,6 @@ fn put_config(buf: &mut Vec<u8>, config: &NetConfig) {
     }
     Be::put_u8(buf, config.route_cache as u8);
     Be::put_u64(buf, config.query_sample_cap as u64);
-    Be::put_u64(buf, config.recovery_retry_ms);
-    Be::put_u64(buf, config.recovery_retry_max_ms);
 }
 
 fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
@@ -808,9 +804,7 @@ fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
     let latency_min_ms = Be::u64(data)?;
     let latency_max_ms = Be::u64(data)?;
     let loss_probability = Be::f64(data)?;
-    let construct_interval_ms = Be::u64(data)?;
     let query_timeout_ms = Be::u64(data)?;
-    let routing_fanout = Be::u64(data)? as usize;
     let seed = Be::u64(data)?;
     let distribution = match Be::u8(data)? {
         0 => Distribution::Uniform,
@@ -829,8 +823,6 @@ fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
     };
     let route_cache = Be::u8(data)? != 0;
     let query_sample_cap = Be::u64(data)? as usize;
-    let recovery_retry_ms = Be::u64(data)?;
-    let recovery_retry_max_ms = Be::u64(data)?;
     Some(NetConfig {
         n_peers,
         keys_per_peer,
@@ -839,15 +831,11 @@ fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
         latency_min_ms,
         latency_max_ms,
         loss_probability,
-        construct_interval_ms,
         query_timeout_ms,
-        routing_fanout,
         seed,
         distribution,
         route_cache,
         query_sample_cap,
-        recovery_retry_ms,
-        recovery_retry_max_ms,
     })
 }
 
@@ -1268,27 +1256,6 @@ mod tests {
         roundtrip(ClusterMsg::Resume {
             epoch: 3,
             phase: PHASE_QUERIED,
-        });
-    }
-
-    #[test]
-    fn config_retry_pacing_survives_the_codec() {
-        roundtrip(ClusterMsg::Welcome {
-            worker_index: 0,
-            n_workers: 1,
-            shard_start: 0,
-            shard_len: 8,
-            config: NetConfig {
-                recovery_retry_ms: 500,
-                recovery_retry_max_ms: 7_000,
-                ..NetConfig::default()
-            },
-            timeline: Timeline::default(),
-            tracing: false,
-            heartbeat_ms: 0,
-            failure_timeout_ms: 0,
-            heal: false,
-            kill_at_min: None,
         });
     }
 

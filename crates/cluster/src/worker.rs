@@ -94,6 +94,14 @@ const CONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// local fallback kicks in for the stragglers.
 const RECOVERY_SETTLE: Duration = Duration::from_secs(10);
 
+/// First re-issue delay of an unanswered recovery `ReplicaPull`; each retry
+/// doubles it up to [`RECOVERY_RETRY_CAP`], so a large shard recovering many
+/// peers does not stampede its replica sources.
+const RECOVERY_RETRY: Duration = Duration::from_secs(2);
+
+/// Ceiling of the recovery re-issue delay.
+const RECOVERY_RETRY_CAP: Duration = Duration::from_secs(16);
+
 /// How much virtual time a recovery round may consume driving the data
 /// plane (pulls and pushes ride scheduled messages like all traffic).
 const RECOVERY_VIRTUAL_MS: Millis = 5_000;
@@ -1081,19 +1089,7 @@ fn run_recovery(overlay: &mut ShardOverlay) -> Result<()> {
     // died with the worker.
     let wall_deadline = Instant::now() + RECOVERY_SETTLE;
     let virtual_cap = overlay.runtime.now() + RECOVERY_VIRTUAL_MS;
-    // Config-driven re-issue pacing with capped exponential backoff: a
-    // large recovery fans its retries out instead of hammering the same
-    // sources on a fixed clock.
-    let retry_base =
-        Duration::from_millis(overlay.runtime.config.recovery_retry_ms.clamp(1, 60_000));
-    let retry_cap = Duration::from_millis(
-        overlay
-            .runtime
-            .config
-            .recovery_retry_max_ms
-            .clamp(overlay.runtime.config.recovery_retry_ms.max(1), 600_000),
-    );
-    let mut retry_delay = retry_base;
+    let mut retry_delay = RECOVERY_RETRY;
     let mut next_retry = Instant::now() + retry_delay;
     while overlay.runtime.pending_recoveries() > 0 && Instant::now() < wall_deadline {
         overlay.runtime.service_network();
@@ -1112,7 +1108,7 @@ fn run_recovery(overlay: &mut ShardOverlay) -> Result<()> {
                     overlay.runtime.begin_replica_pull(peer, source);
                 }
             }
-            retry_delay = (retry_delay * 2).min(retry_cap);
+            retry_delay = (retry_delay * 2).min(RECOVERY_RETRY_CAP);
             next_retry = Instant::now() + retry_delay;
         }
         std::thread::sleep(Duration::from_micros(200));

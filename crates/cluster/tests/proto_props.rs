@@ -84,15 +84,11 @@ fn arbitrary_config(rng: &mut StdRng) -> NetConfig {
         latency_min_ms: rng.gen(),
         latency_max_ms: rng.gen(),
         loss_probability: rng.gen(),
-        construct_interval_ms: rng.gen(),
         query_timeout_ms: rng.gen(),
-        routing_fanout: rng.gen_range(1..16),
         seed: rng.gen(),
         distribution: suite[rng.gen_range(0..suite.len())],
         route_cache: rng.gen_bool(0.5),
         query_sample_cap: rng.gen_range(0..1 << 20),
-        recovery_retry_ms: rng.gen(),
-        recovery_retry_max_ms: rng.gen(),
     }
 }
 
@@ -409,7 +405,7 @@ fn encoded_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        hash, 15_543_009_186_974_997_569,
+        hash, 15_783_357_705_618_061_932,
         "control wire bytes changed"
     );
 }

@@ -7,7 +7,7 @@
 //! [`Runtime::construction_quiescent`].
 
 use super::clock::EventKind;
-use super::Runtime;
+use super::{Millis, Runtime};
 use crate::message::{ExchangeOutcome, Message};
 use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine};
 use pgrid_core::index::IndexId;
@@ -19,6 +19,10 @@ use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// Interval between construction ticks of a peer, in virtual milliseconds;
+/// a backed-off peer ticks ten times less often.
+const CONSTRUCT_INTERVAL_MS: Millis = 5_000;
 
 impl<T: Transport> Runtime<T> {
     /// Brings a peer online and connects it to `fanout` random already-online
@@ -159,9 +163,7 @@ impl<T: Transport> Runtime<T> {
         }
         slot.tick_armed[peer] = true;
         slot.constructing[peer] = true;
-        let jitter = self
-            .rng
-            .gen_range(0..self.config.construct_interval_ms.max(1));
+        let jitter = self.rng.gen_range(0..CONSTRUCT_INTERVAL_MS);
         self.clock.schedule(
             self.clock.now + jitter,
             EventKind::ConstructTick { index, peer },
@@ -211,11 +213,11 @@ impl<T: Transport> Runtime<T> {
             self.send_on(index, target, message);
         }
         let interval = if backing_off {
-            self.config.construct_interval_ms * 10
+            CONSTRUCT_INTERVAL_MS * 10
         } else {
-            self.config.construct_interval_ms
+            CONSTRUCT_INTERVAL_MS
         };
-        let jitter = self.rng.gen_range(0..interval.max(1));
+        let jitter = self.rng.gen_range(0..interval);
         self.clock.schedule(
             self.clock.now + interval + jitter,
             EventKind::ConstructTick { index, peer },

@@ -57,7 +57,7 @@ use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::peer::PeerState;
 use pgrid_core::reference::BalanceParams;
-use pgrid_core::routing::PeerId;
+use pgrid_core::routing::{self, PeerId};
 use pgrid_obs::recorder::FlightRecorder;
 use pgrid_obs::trace::{Tracer, NO_TRACE};
 use pgrid_transport::loopback::{LoopbackConfig, LoopbackTransport};
@@ -87,12 +87,8 @@ pub struct NetConfig {
     pub latency_max_ms: u64,
     /// Probability that a message is lost in transit.
     pub loss_probability: f64,
-    /// Interval between construction ticks of a peer.
-    pub construct_interval_ms: u64,
     /// Query timeout (a query unanswered for this long counts as failed).
     pub query_timeout_ms: u64,
-    /// Routing table fanout.
-    pub routing_fanout: usize,
     /// Random seed.
     pub seed: u64,
     /// The key distribution.
@@ -109,13 +105,6 @@ pub struct NetConfig {
     /// [`QueryAggregates`] (bounded memory at any rate); the sample rings
     /// only keep the most recent `query_sample_cap` records.
     pub query_sample_cap: usize,
-    /// Base interval between re-issues of an unanswered recovery
-    /// `ReplicaPull`, in virtual milliseconds.  Each retry doubles the
-    /// wait (capped by [`NetConfig::recovery_retry_max_ms`]), so a large
-    /// shard recovering many peers does not stampede its replica sources.
-    pub recovery_retry_ms: u64,
-    /// Upper bound of the recovery re-issue backoff.
-    pub recovery_retry_max_ms: u64,
 }
 
 impl Default for NetConfig {
@@ -128,9 +117,7 @@ impl Default for NetConfig {
             latency_min_ms: 20,
             latency_max_ms: 250,
             loss_probability: 0.01,
-            construct_interval_ms: 5_000,
             query_timeout_ms: 20_000,
-            routing_fanout: 5,
             seed: 0xBEEF,
             distribution: pgrid_workload::distributions::Distribution::Text {
                 vocabulary: 5_000,
@@ -138,8 +125,6 @@ impl Default for NetConfig {
             },
             route_cache: false,
             query_sample_cap: DEFAULT_QUERY_SAMPLE_CAP,
-            recovery_retry_ms: 2_000,
-            recovery_retry_max_ms: 16_000,
         }
     }
 }
@@ -323,7 +308,7 @@ fn generate_states(
     let mut states = Vec::with_capacity(config.n_peers);
     let mut original_entries = Vec::with_capacity(config.n_peers * config.keys_per_peer);
     for i in 0..config.n_peers {
-        let mut state = PeerState::new(PeerId(i as u64), config.routing_fanout);
+        let mut state = PeerState::new(PeerId(i as u64), routing::FANOUT);
         for j in 0..config.keys_per_peer {
             let entry = DataEntry::new(
                 distribution.sample(rng),

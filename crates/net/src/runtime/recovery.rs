@@ -10,7 +10,7 @@ use crate::message::Message;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
-use pgrid_core::routing::{PeerId, RoutingEntry, RoutingTable};
+use pgrid_core::routing::{self, PeerId, RoutingEntry, RoutingTable};
 use pgrid_core::store::KeyStore;
 use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
@@ -148,7 +148,7 @@ impl<T: Transport> Runtime<T> {
         routing: Vec<(u8, PeerId, Path)>,
         replicas: Vec<PeerId>,
     ) {
-        let mut table = RoutingTable::new(self.config.routing_fanout);
+        let mut table = RoutingTable::new(routing::FANOUT);
         for (level, rpeer, rpath) in routing {
             let entry = RoutingEntry {
                 peer: rpeer,
