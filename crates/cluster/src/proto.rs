@@ -655,8 +655,11 @@ impl ClusterMsg {
     ///
     /// A `Welcome` is checked against the population its own `config`
     /// names (the worker receiving it knows no other, so `n_peers` is not
-    /// read): a shard inside it, at most `MAX_LIST` peers, and a kill
-    /// minute and timeline minutes that still fit in milliseconds.
+    /// read): a shard inside it, at most `MAX_LIST` peers holding at most
+    /// `16 × MAX_LIST` keys in all, `1 ≤ n_min ≤ n_peers`, a positive
+    /// storage bound, a loss probability in `[0, 1]`, a kill minute and
+    /// timeline minutes that still fit in milliseconds, and a query
+    /// timeout that still fits past the last of them.
     pub fn check_ranges(&self, n_peers: usize) -> std::io::Result<()> {
         let n = n_peers as u64;
         let shard = |start: u64, len: u64| start.checked_add(len).is_some_and(|end| end <= n);
@@ -678,7 +681,15 @@ impl ClusterMsg {
                     timeline.query_end_min,
                     timeline.end_min,
                 ];
+                let last_ms = minutes.iter().max().and_then(|m| m.checked_mul(MINUTE_MS));
                 config.n_peers <= MAX_LIST
+                    && config
+                        .n_peers
+                        .checked_mul(config.keys_per_peer)
+                        .is_some_and(|keys| keys <= 16 * MAX_LIST)
+                    && (1..=config.n_peers).contains(&config.n_min)
+                    && config.delta_max != Some(0)
+                    && (0.0..=1.0).contains(&config.loss_probability)
                     && shard_start
                         .checked_add(*shard_len)
                         .is_some_and(|end| end <= config.n_peers as u64)
@@ -686,6 +697,7 @@ impl ClusterMsg {
                         .iter()
                         .chain(&minutes)
                         .all(|&m| m <= u64::MAX / MINUTE_MS)
+                    && last_ms.is_some_and(|ms| ms.checked_add(config.query_timeout_ms).is_some())
             }
             ClusterMsg::Hello {
                 shard_start,
@@ -1378,15 +1390,12 @@ mod tests {
                 path: Path::root(),
             }],
         };
-        let welcome = |shard_start, n_peers, kill_at_min, end_min| ClusterMsg::Welcome {
+        let welcome_with = |shard_start, config, kill_at_min, end_min| ClusterMsg::Welcome {
             worker_index: 0,
             n_workers: 1,
             shard_start,
             shard_len: 4,
-            config: NetConfig {
-                n_peers,
-                ..NetConfig::default()
-            },
+            config,
             timeline: Timeline {
                 end_min,
                 ..Timeline::default()
@@ -1397,7 +1406,25 @@ mod tests {
             heal: false,
             kill_at_min,
         };
+        let welcome = |shard_start, n_peers, kill_at_min, end_min| {
+            let config = NetConfig {
+                n_peers,
+                ..NetConfig::default()
+            };
+            welcome_with(shard_start, config, kill_at_min, end_min)
+        };
+        // An 8-peer config, checked at shard 4 and a 120-minute timeline
+        // unless `end_min` says otherwise.
+        let config = |keys_per_peer, n_min, query_timeout_ms| NetConfig {
+            n_peers: 8,
+            keys_per_peer,
+            n_min,
+            query_timeout_ms,
+            ..NetConfig::default()
+        };
+        let with_config = |config| welcome_with(4, config, None, 120);
         let last_minute = u64::MAX / MINUTE_MS;
+        let timeout_fits = u64::MAX - last_minute * MINUTE_MS;
         let cases = [
             // A Welcome is checked against its own `config.n_peers`.
             (welcome(4, 8, None, 120), welcome(5, 8, None, 120)),
@@ -1413,6 +1440,43 @@ mod tests {
             (
                 welcome(4, 8, None, last_minute),
                 welcome(4, 8, None, last_minute + 1),
+            ),
+            // The rest of a Welcome's config: the key total, the
+            // replication factor, the storage bound, the loss probability
+            // and the query timeout past the last timeline minute.
+            (
+                with_config(config(2 * MAX_LIST, 5, 0)),
+                with_config(config(2 * MAX_LIST + 1, 5, 0)),
+            ),
+            (
+                with_config(config(10, 5, 0)),
+                with_config(config(usize::MAX, 5, 0)),
+            ),
+            (with_config(config(10, 8, 0)), with_config(config(10, 9, 0))),
+            (with_config(config(10, 1, 0)), with_config(config(10, 0, 0))),
+            (
+                with_config(NetConfig {
+                    delta_max: Some(1),
+                    ..config(10, 5, 0)
+                }),
+                with_config(NetConfig {
+                    delta_max: Some(0),
+                    ..config(10, 5, 0)
+                }),
+            ),
+            (
+                with_config(NetConfig {
+                    loss_probability: 1.0,
+                    ..config(10, 5, 0)
+                }),
+                with_config(NetConfig {
+                    loss_probability: f64::NAN,
+                    ..config(10, 5, 0)
+                }),
+            ),
+            (
+                welcome_with(4, config(10, 5, timeout_fits), None, last_minute),
+                welcome_with(4, config(10, 5, timeout_fits + 1), None, last_minute),
             ),
             (
                 ClusterMsg::RecoveryDone {

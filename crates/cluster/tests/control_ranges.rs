@@ -1,6 +1,6 @@
 //! A control message naming a peer or a shard outside the population, a
 //! report counting more online peers than it carries, or a `Welcome` whose
-//! minutes overflow milliseconds, is an `InvalidData` error at the process
+//! minutes or key total overflow, is an `InvalidData` error at the process
 //! that receives it, never a panic: one test per message that used to
 //! index a per-peer table (or feed a sum or a product) unchecked, each
 //! driving the public entry point against a scripted counterpart.
@@ -185,12 +185,19 @@ fn welcome(shard_start: u64, n_peers: usize, kill_at_min: Option<u64>, end_min: 
 fn a_welcome_outside_its_own_population_or_past_the_clock_is_invalid_data() {
     let end_min = Timeline::default().end_min;
     let past_the_clock = u64::MAX / MINUTE_MS + 1;
+    // The worker sizes its ground-truth entry list by `n_peers *
+    // keys_per_peer`; here that product wraps a `usize`.
+    let mut too_many_keys = welcome(0, N_PEERS, None, end_min);
+    if let ClusterMsg::Welcome { config, .. } = &mut too_many_keys {
+        config.keys_per_peer = usize::MAX / 4;
+    }
     for bad in [
         welcome(u64::MAX, N_PEERS, None, end_min),
         welcome(N_PEERS as u64 - 2, N_PEERS, None, end_min),
         welcome(0, (1 << 24) + 1, None, end_min),
         welcome(0, N_PEERS, Some(past_the_clock), end_min),
         welcome(0, N_PEERS, None, past_the_clock),
+        too_many_keys,
     ] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
