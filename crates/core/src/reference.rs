@@ -271,10 +271,15 @@ mod tests {
         let trie = r.load_trie();
         assert!(trie.is_prefix_free());
         assert!(trie.is_complete_partition());
-        // Every key, sampled or not, has exactly one covering leaf.
-        for &x in &[0.0, 0.01, 0.05, 0.3, 0.55, 0.99] {
-            let key = Key::from_fraction(x);
-            assert_eq!(r.leaves.iter().filter(|l| l.path.covers(key)).count(), 1);
+    }
+
+    #[test]
+    fn leaf_for_finds_covering_partition() {
+        let keys = uniform_keys(512);
+        let r = ReferencePartitioning::compute(&keys, 64, BalanceParams::new(32, 4));
+        for &x in &[0.01, 0.3, 0.55, 0.99] {
+            let k = Key::from_fraction(x);
+            assert_eq!(r.leaves.iter().filter(|l| l.path.covers(k)).count(), 1);
         }
     }
 

@@ -13,7 +13,7 @@
 //! * if they belong to **different partitions** the contacted peer *refers*
 //!   the initiator to a peer from its routing table at the divergence level
 //!   (and both learn a routing reference from the encounter);
-//! * peers that experience [`MAX_FRUITLESS_ATTEMPTS`] consecutive fruitless
+//! * peers that experience `MAX_FRUITLESS_ATTEMPTS` consecutive fruitless
 //!   interactions back off and only wake up when contacted again, which both
 //!   synchronises fast peers with slow ones and eventually terminates the
 //!   process (Section 4.2).
@@ -50,11 +50,11 @@ use rand::SeedableRng;
 /// Number of consecutive fruitless interactions after which a peer stops
 /// initiating and waits to be contacted (the paper suggests a small
 /// constant, e.g. 2).
-pub const MAX_FRUITLESS_ATTEMPTS: u32 = 2;
+const MAX_FRUITLESS_ATTEMPTS: u32 = 2;
 
 /// Maximum number of refer hops followed within one initiated interaction
 /// before giving up.
-pub const MAX_REFER_HOPS: usize = 6;
+pub(crate) const MAX_REFER_HOPS: usize = 6;
 
 /// How many times the normal fruitless budget a locally-overloaded peer may
 /// keep initiating before it, too, backs off and waits to be contacted.

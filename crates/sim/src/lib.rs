@@ -5,11 +5,11 @@
 //!
 //! The simulator drives [`pgrid_core`] peer states through the paper's
 //! construction protocol — unstructured-overlay bootstrap, replication
-//! phase, recursive adaptive-eager partitioning with
-//! split/replicate/refer interactions, and back-off based termination — and
-//! measures the quantities reported in the paper's Figure 6: load-balance
-//! deviation from the optimal (reference) partitioning, interactions per
-//! peer and data keys moved per peer.
+//! phase, recursive adaptive-eager partitioning with split/replicate/refer
+//! interactions, and back-off based termination — and measures the
+//! quantities reported in the paper's Figure 6: load-balance deviation from
+//! the optimal (reference) partitioning, interactions per peer and data keys
+//! moved per peer.
 //!
 //! Construction rounds execute as conflict-free interaction batches across
 //! worker threads ([`config::SimConfig::n_threads`]); per-peer
@@ -20,9 +20,9 @@
 //! (`pgrid_core::route`).
 //!
 //! [`construction::construct`] is the simulator's one driver: the Figure-6
-//! sweeps of [`runner`], the examples and the benchmark harness all run
-//! [`construction::SimNetwork`]'s round loop through it or directly, never
-//! through the scenario executor of `pgrid-scenario` (which drives the
+//! rows of [`runner::run_repeated`], the examples and the benchmark harness
+//! all run [`construction::SimNetwork`]'s round loop through it or directly,
+//! never through the scenario executor of `pgrid-scenario` (which drives the
 //! message-level engines only).
 //!
 //! ```
