@@ -457,14 +457,12 @@ impl<'a> Coordinator<'a> {
         let (start, len) = self.membership.shards[index];
         ctl.send(&ClusterMsg::Welcome {
             worker_index: index as u32,
-            n_workers: self.cluster.n_workers as u32,
             shard_start: start as u64,
             shard_len: len as u64,
             config: self.cluster.net.clone(),
             timeline: self.cluster.timeline,
             tracing: self.obs.tracing,
             heartbeat_ms: self.cluster.heal.heartbeat_ms,
-            failure_timeout_ms: self.cluster.heal.failure_timeout_ms,
             heal: self.cluster.heal.heal,
             kill_at_min,
         })?;

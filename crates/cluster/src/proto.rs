@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 const MAGIC: u16 = 0x5047; // "PG"
 /// Protocol version; bump on any wire-format change (one binary speaks
 /// exactly one version).
-const VERSION: u8 = 9;
+const VERSION: u8 = 10;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -98,8 +98,6 @@ pub enum ClusterMsg {
     Welcome {
         /// Index of this worker (0-based, in accept order).
         worker_index: u32,
-        /// Total number of workers in the cluster.
-        n_workers: u32,
         /// First peer id of the assigned shard.
         shard_start: u64,
         /// Number of peers in the assigned shard.
@@ -115,9 +113,6 @@ pub enum ClusterMsg {
         /// Wall-clock interval between worker liveness heartbeats
         /// (milliseconds; `0` disables heartbeats).
         heartbeat_ms: u64,
-        /// Wall-clock silence after which the coordinator declares this
-        /// worker dead (milliseconds).
-        failure_timeout_ms: u64,
         /// Whether the coordinator heals worker failures (reassigns the
         /// dead shard to survivors) instead of merely recording them.
         heal: bool,
@@ -270,27 +265,23 @@ impl ClusterMsg {
         match self {
             ClusterMsg::Welcome {
                 worker_index,
-                n_workers,
                 shard_start,
                 shard_len,
                 config,
                 timeline,
                 tracing,
                 heartbeat_ms,
-                failure_timeout_ms,
                 heal,
                 kill_at_min,
             } => {
                 Be::put_u8(&mut buf, 0);
                 Be::put_u32(&mut buf, *worker_index);
-                Be::put_u32(&mut buf, *n_workers);
                 Be::put_u64(&mut buf, *shard_start);
                 Be::put_u64(&mut buf, *shard_len);
                 put_config(&mut buf, config);
                 put_timeline(&mut buf, timeline);
                 Be::put_u8(&mut buf, *tracing as u8);
                 Be::put_u64(&mut buf, *heartbeat_ms);
-                Be::put_u64(&mut buf, *failure_timeout_ms);
                 Be::put_u8(&mut buf, *heal as u8);
                 match kill_at_min {
                     Some(at) => {
@@ -484,14 +475,12 @@ impl ClusterMsg {
         let msg = match Be::u8(&mut data)? {
             0 => ClusterMsg::Welcome {
                 worker_index: Be::u32(&mut data)?,
-                n_workers: Be::u32(&mut data)?,
                 shard_start: Be::u64(&mut data)?,
                 shard_len: Be::u64(&mut data)?,
                 config: get_config(&mut data)?,
                 timeline: get_timeline(&mut data)?,
                 tracing: Be::u8(&mut data)? != 0,
                 heartbeat_ms: Be::u64(&mut data)?,
-                failure_timeout_ms: Be::u64(&mut data)?,
                 heal: Be::u8(&mut data)? != 0,
                 kill_at_min: match Be::u8(&mut data)? {
                     0 => None,
@@ -1082,7 +1071,6 @@ mod tests {
     fn all_message_kinds_roundtrip() {
         roundtrip(ClusterMsg::Welcome {
             worker_index: 1,
-            n_workers: 4,
             shard_start: 16,
             shard_len: 16,
             config: NetConfig {
@@ -1095,7 +1083,6 @@ mod tests {
             timeline: Timeline::default(),
             tracing: true,
             heartbeat_ms: 500,
-            failure_timeout_ms: 10_000,
             heal: true,
             kill_at_min: Some(10),
         });
@@ -1276,7 +1263,6 @@ mod tests {
         for distribution in Distribution::paper_suite() {
             roundtrip(ClusterMsg::Welcome {
                 worker_index: 0,
-                n_workers: 1,
                 shard_start: 0,
                 shard_len: 8,
                 config: NetConfig {
@@ -1286,7 +1272,6 @@ mod tests {
                 timeline: Timeline::default(),
                 tracing: false,
                 heartbeat_ms: 0,
-                failure_timeout_ms: 0,
                 heal: false,
                 kill_at_min: None,
             });
@@ -1392,7 +1377,6 @@ mod tests {
         };
         let welcome_with = |shard_start, config, kill_at_min, end_min| ClusterMsg::Welcome {
             worker_index: 0,
-            n_workers: 1,
             shard_start,
             shard_len: 4,
             config,
@@ -1402,7 +1386,6 @@ mod tests {
             },
             tracing: false,
             heartbeat_ms: 0,
-            failure_timeout_ms: 0,
             heal: false,
             kill_at_min,
         };

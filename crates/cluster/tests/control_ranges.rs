@@ -162,7 +162,6 @@ fn a_recovery_done_for_a_peer_outside_the_population_is_invalid_data() {
 fn welcome(shard_start: u64, n_peers: usize, kill_at_min: Option<u64>, end_min: u64) -> ClusterMsg {
     ClusterMsg::Welcome {
         worker_index: 0,
-        n_workers: 1,
         shard_start,
         shard_len: 4,
         config: NetConfig {
@@ -175,7 +174,6 @@ fn welcome(shard_start: u64, n_peers: usize, kill_at_min: Option<u64>, end_min: 
         },
         tracing: false,
         heartbeat_ms: 0,
-        failure_timeout_ms: 0,
         heal: false,
         kill_at_min,
     }
@@ -230,14 +228,12 @@ fn a_reassignment_of_a_peer_outside_the_population_is_invalid_data() {
     let mut ctl = ControlChannel::new(listener.accept().unwrap().0).unwrap();
     ctl.send(&ClusterMsg::Welcome {
         worker_index: 0,
-        n_workers: 1,
         shard_start: 0,
         shard_len: N_PEERS as u64,
         config: cluster.net.clone(),
         timeline: cluster.timeline,
         tracing: false,
         heartbeat_ms: 0,
-        failure_timeout_ms: 0,
         heal: true,
         kill_at_min: None,
     })

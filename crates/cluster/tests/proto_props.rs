@@ -165,7 +165,6 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> ClusterMsg {
     match variant % VARIANTS {
         0 => ClusterMsg::Welcome {
             worker_index: rng.gen(),
-            n_workers: rng.gen(),
             shard_start: rng.gen(),
             shard_len: rng.gen(),
             config: arbitrary_config(rng),
@@ -179,7 +178,6 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> ClusterMsg {
             },
             tracing: rng.gen_bool(0.5),
             heartbeat_ms: rng.gen(),
-            failure_timeout_ms: rng.gen(),
             heal: rng.gen_bool(0.5),
             kill_at_min: rng.gen_bool(0.5).then(|| rng.gen()),
         },
@@ -405,7 +403,7 @@ fn encoded_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        hash, 15_783_357_705_618_061_932,
+        hash, 2_247_925_242_399_534_122,
         "control wire bytes changed"
     );
 }
