@@ -38,9 +38,6 @@ pub struct LocalOptions {
     /// Spawn every worker with `--metrics-addr 127.0.0.1:0`, so each one
     /// serves a live `/metrics` endpoint the coordinator probes mid-run.
     pub worker_metrics: bool,
-    /// Directory the workers write their flight-recorder dumps into
-    /// (`worker-<index>.jsonl`).
-    pub worker_flight_dir: Option<PathBuf>,
     /// Failure detection and self-healing parameters (including the
     /// optional kill-worker fault injection).
     pub heal: HealConfig,
@@ -66,7 +63,6 @@ impl Default for LocalOptions {
             inherit_stderr: true,
             obs: ObsOptions::default(),
             worker_metrics: false,
-            worker_flight_dir: None,
             heal: HealConfig::default(),
             data_dir: None,
             relaunch: false,
@@ -121,11 +117,6 @@ pub fn run_local_observed(
         command.arg("worker").arg("--connect").arg(addr.to_string());
         if options.worker_metrics {
             command.arg("--metrics-addr").arg("127.0.0.1:0");
-        }
-        if let Some(dir) = &options.worker_flight_dir {
-            command
-                .arg("--flight-dump")
-                .arg(dir.join(format!("worker-{index}.jsonl")));
         }
         if let Some(dir) = &options.data_dir {
             command

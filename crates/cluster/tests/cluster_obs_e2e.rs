@@ -87,7 +87,6 @@ fn tracing_cluster_reassembles_cross_process_hop_chains_and_serves_metrics() {
             metrics_out: Some(metrics_out.clone()),
         },
         worker_metrics: true,
-        worker_flight_dir: None,
         heal: Default::default(),
         ..LocalOptions::default()
     };

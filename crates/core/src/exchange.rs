@@ -159,42 +159,6 @@ pub struct ApplyOutcome {
     pub forwarded: Option<(RoutingEntry, Vec<DataEntry>)>,
 }
 
-/// Running totals over many [`ApplyOutcome`]s.
-///
-/// Concurrent executors (the parallel simulator's batch workers, or any
-/// future multi-threaded runtime) accumulate one tally per worker and merge
-/// them afterwards; since every field is a plain sum, the merged result is
-/// independent of how outcomes were distributed over workers.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ExchangeTally {
-    /// Path extensions performed.
-    pub splits: usize,
-    /// Replication relationships established or refreshed.
-    pub replications: usize,
-    /// Data entries moved between peers.
-    pub keys_moved: usize,
-    /// Outcomes that reported useful progress.
-    pub useful: usize,
-}
-
-impl ExchangeTally {
-    /// Adds one outcome to the tally.
-    pub fn record(&mut self, outcome: &ApplyOutcome) {
-        self.splits += outcome.splits;
-        self.replications += outcome.replications;
-        self.keys_moved += outcome.keys_moved;
-        self.useful += usize::from(outcome.useful);
-    }
-
-    /// Adds another tally (e.g. one worker's delta) to this one.
-    pub fn merge(&mut self, other: &ExchangeTally) {
-        self.splits += other.splits;
-        self.replications += other.replications;
-        self.keys_moved += other.keys_moved;
-        self.useful += other.useful;
-    }
-}
-
 /// The shared protocol core: balance parameters plus probability strategy.
 ///
 /// The engine itself is stateless — randomness is injected per call — so a

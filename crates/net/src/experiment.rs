@@ -110,105 +110,6 @@ pub struct DeploymentReport {
     pub transport: TransportStats,
 }
 
-impl DeploymentReport {
-    /// Populates `registry` with the report's summary statistics plus its
-    /// transport counters — the producer behind `pgrid-cluster
-    /// --metrics-out` and the coordinator's merged `/metrics` view.
-    pub fn to_registry(&self, registry: &mut pgrid_obs::registry::MetricsRegistry) {
-        for (name, help, value) in [
-            (
-                "pgrid_deployment_balance_deviation",
-                "Load-balance deviation from the reference partitioning.",
-                self.balance_deviation,
-            ),
-            (
-                "pgrid_deployment_mean_path_length",
-                "Mean trie depth of the final overlay.",
-                self.mean_path_length,
-            ),
-            (
-                "pgrid_deployment_mean_query_hops",
-                "Mean hops of successful queries.",
-                self.mean_query_hops,
-            ),
-            (
-                "pgrid_deployment_query_success_rate",
-                "Query success rate over the query and churn phases.",
-                self.query_success_rate,
-            ),
-            (
-                "pgrid_deployment_mean_replication",
-                "Mean number of replicas per leaf partition.",
-                self.mean_replication,
-            ),
-        ] {
-            registry.gauge(name, help, &[], value);
-        }
-        // Byte totals are counters (the `_total` suffix is reserved for
-        // them in the Prometheus conventions).
-        for (name, help, value) in [
-            (
-                "pgrid_deployment_maintenance_bytes_total",
-                "Total maintenance bytes sent.",
-                self.total_maintenance_bytes,
-            ),
-            (
-                "pgrid_deployment_query_bytes_total",
-                "Total query bytes sent.",
-                self.total_query_bytes,
-            ),
-        ] {
-            registry.counter(name, help, &[], value as u64);
-        }
-        for (name, help, value) in [
-            (
-                "pgrid_deployment_ranges_issued",
-                "Range queries issued during the range window.",
-                Some(self.ranges_issued),
-            ),
-            (
-                "pgrid_deployment_ranges_complete",
-                "Range queries that achieved full interval coverage.",
-                Some(self.ranges_complete),
-            ),
-            (
-                "pgrid_deployment_query_latency_p50_ms",
-                "Median lookup latency in milliseconds.",
-                self.query_latency.p50(),
-            ),
-            (
-                "pgrid_deployment_query_latency_p99_ms",
-                "99th-percentile lookup latency in milliseconds.",
-                self.query_latency.p99(),
-            ),
-            (
-                "pgrid_deployment_query_latency_p999_ms",
-                "99.9th-percentile lookup latency in milliseconds.",
-                self.query_latency.p999(),
-            ),
-        ] {
-            registry.gauge(name, help, &[], value.unwrap_or(0) as f64);
-        }
-        registry.histogram(
-            "pgrid_deployment_query_latency_ms",
-            "Latency distribution of answered lookups in virtual milliseconds.",
-            &[],
-            &self.query_latency,
-        );
-        self.transport.to_registry(registry);
-    }
-
-    /// Renders the report's summary statistics plus its transport counters
-    /// in the Prometheus text exposition format (what `pgrid-cluster
-    /// --metrics-out` writes), through the shared
-    /// [`pgrid_obs::registry::MetricsRegistry`] encoder.
-    pub fn metrics_text(&self) -> String {
-        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
-        self.to_registry(&mut registry);
-        registry.encode()
-    }
-}
-
 /// The raw material a [`DeploymentReport`] is computed from.
 ///
 /// A single-process run fills this straight from its [`Runtime`]

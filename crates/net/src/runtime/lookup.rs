@@ -192,15 +192,9 @@ fn pop_due(
 }
 
 impl<T: Transport> Runtime<T> {
-    /// Issues a lookup for `key` from a random hosted online peer (the
-    /// primary index); the result is folded into
-    /// [`NetMetrics::query_stats`](super::NetMetrics::query_stats).
-    pub fn issue_query(&mut self, key: Key) {
-        self.issue_query_on(IndexId::PRIMARY, key);
-    }
-
     /// Issues a lookup for `key` against `index` from a random hosted
-    /// online peer.
+    /// online peer; the result is folded into
+    /// [`NetMetrics::query_stats`](super::NetMetrics::query_stats).
     pub fn issue_query_on(&mut self, index: IndexId, key: Key) {
         self.issue_query_batch_on(index, &[key]);
     }
@@ -255,14 +249,9 @@ impl<T: Transport> Runtime<T> {
         });
     }
 
-    /// Issues a range query for `[lo, hi]` (inclusive) from a random hosted
-    /// online peer on the primary index; returns the query id, or `None`
-    /// when no hosted peer is online.
-    pub fn issue_range_query(&mut self, lo: Key, hi: Key) -> Option<u64> {
-        self.issue_range_query_on(IndexId::PRIMARY, lo, hi)
-    }
-
-    /// Issues a range query for `[lo, hi]` (inclusive) against `index`.
+    /// Issues a range query for `[lo, hi]` (inclusive) against `index` from
+    /// a random hosted online peer; returns the query id, or `None` when no
+    /// hosted peer is online.
     ///
     /// Each peer's turn is [`pgrid_core::route::range_step`], the step
     /// [`pgrid_core::search::range_query`] drives for the simulator: the

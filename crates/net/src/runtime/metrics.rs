@@ -499,9 +499,8 @@ impl NetMetrics {
 
     /// Renders the runtime counters in the Prometheus text exposition
     /// format through the shared [`pgrid_obs::registry::MetricsRegistry`]
-    /// encoder (companion to
-    /// [`pgrid_transport::TransportStats::metrics_text`]), including the
-    /// query latency histogram and its p50/p99/p999 gauges.
+    /// encoder, including the query latency histogram and its
+    /// p50/p99/p999 gauges.
     pub fn metrics_text(&self) -> String {
         let mut registry = pgrid_obs::registry::MetricsRegistry::new();
         self.to_registry(&mut registry);

@@ -28,7 +28,7 @@ pub(super) struct Recovery {
     /// replica is still outstanding.  Unlike `recovering`, these peers
     /// are already online serving their replayed state; a replica's
     /// answer is *merged into* it instead of replacing it.
-    reconciling: BTreeSet<usize>,
+    pub(super) reconciling: BTreeSet<usize>,
 }
 
 impl<T: Transport> Runtime<T> {
@@ -111,16 +111,6 @@ impl<T: Transport> Runtime<T> {
     /// arrived yet.
     pub fn pending_reconciliations(&self) -> usize {
         self.recovery.reconciling.len()
-    }
-
-    /// Peers whose reconciliation is still outstanding, ascending.
-    pub fn reconciling_peers(&self) -> Vec<usize> {
-        self.recovery.reconciling.iter().copied().collect()
-    }
-
-    /// Number of adopted peers rebuilt from a live replica so far.
-    pub fn replica_recovered_count(&self) -> usize {
-        self.metrics.peers_recovered_replica
     }
 
     /// A live hosted peer that lists `peer` as a replica, if any — the

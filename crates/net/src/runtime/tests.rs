@@ -73,7 +73,7 @@ fn queries_succeed_after_construction() {
     // query for existing keys
     let keys = primary_keys(&rt);
     for i in 0..100 {
-        rt.issue_query(keys[i * 3 % keys.len()]);
+        rt.issue_query_on(IndexId::PRIMARY, keys[i * 3 % keys.len()]);
         rt.run_until(rt.now() + 2_000);
     }
     rt.run_until(rt.now() + 30_000);
@@ -110,7 +110,7 @@ fn sample_ring_is_capped_and_can_be_disabled() {
     construct(&mut rt, 16, 200_000);
     let keys = primary_keys(&rt);
     for i in 0..40 {
-        rt.issue_query(keys[i % keys.len()]);
+        rt.issue_query_on(IndexId::PRIMARY, keys[i % keys.len()]);
         rt.run_until(rt.now() + 2_000);
     }
     rt.run_until(rt.now() + 30_000);
@@ -125,7 +125,7 @@ fn sample_ring_is_capped_and_can_be_disabled() {
     });
     construct(&mut quiet, 16, 200_000);
     let keys = primary_keys(&quiet);
-    quiet.issue_query(keys[0]);
+    quiet.issue_query_on(IndexId::PRIMARY, keys[0]);
     quiet.run_until(quiet.now() + 30_000);
     assert_eq!(quiet.metrics.stats(IndexId::PRIMARY).issued, 1);
     assert!(quiet.metrics.query_samples.is_empty());
@@ -152,7 +152,7 @@ fn late_responses_never_flip_a_timeout_verdict() {
     rt.start_construction();
     rt.run_until(100_000);
     let key = primary_keys(&rt)[0];
-    rt.issue_query(key);
+    rt.issue_query_on(IndexId::PRIMARY, key);
     rt.run_until(rt.now() + 10_000);
     let stats = rt.metrics.stats(IndexId::PRIMARY);
     assert_eq!(stats.issued, 1);
@@ -173,7 +173,7 @@ fn empty_and_whole_keyspace_ranges_resolve() {
 
     // lo > hi: resolves immediately as complete and empty
     let id = rt
-        .issue_range_query(Key::MAX, Key::MIN)
+        .issue_range_query_on(IndexId::PRIMARY, Key::MAX, Key::MIN)
         .expect("peers online");
     let empty = rt
         .metrics
@@ -186,7 +186,7 @@ fn empty_and_whole_keyspace_ranges_resolve() {
 
     // whole keyspace: must return every stored key
     let id = rt
-        .issue_range_query(Key::MIN, Key::MAX)
+        .issue_range_query_on(IndexId::PRIMARY, Key::MIN, Key::MAX)
         .expect("peers online");
     rt.run_until(rt.now() + rt.config.query_timeout_ms + 60_000);
     let whole = rt
@@ -236,7 +236,9 @@ fn certainly_stored_keys(rt: &Runtime, lo: Key, hi: Key) -> Vec<Key> {
 /// Returns the keys that came back.
 fn range_against_brute_force(rt: &mut Runtime, lo: Key, hi: Key) -> Result<Vec<Key>, String> {
     let certain_pre = certainly_stored_keys(rt, lo, hi);
-    let id = rt.issue_range_query(lo, hi).expect("peers online");
+    let id = rt
+        .issue_range_query_on(IndexId::PRIMARY, lo, hi)
+        .expect("peers online");
     rt.run_until(rt.now() + rt.config.query_timeout_ms + 60_000);
     let sample = rt.metrics.range_samples.iter().find(|s| s.id == id);
     let sample = sample.expect("range resolved");
@@ -325,7 +327,7 @@ fn route_cache_returns_the_same_results() {
         construct(&mut rt, 48, 400_000);
         let keys = primary_keys(&rt);
         for i in 0..100 {
-            rt.issue_query(keys[i * 3 % keys.len()]);
+            rt.issue_query_on(IndexId::PRIMARY, keys[i * 3 % keys.len()]);
             rt.run_until(rt.now() + 2_000);
         }
         rt.run_until(rt.now() + 30_000);
@@ -445,7 +447,7 @@ fn replica_rebuild_restores_exact_keystore() {
         rt.run_until(next);
     }
     assert_eq!(rt.pending_recoveries(), 0, "pull must complete");
-    assert_eq!(rt.replica_recovered_count(), 1);
+    assert_eq!(rt.metrics.peers_recovered_replica, 1);
 
     // Exact rebuild: path, every key, and the routing topology match
     // the replica snapshot bit-for-bit.
@@ -553,7 +555,7 @@ fn warm_restore_then_reconcile_merges_missing_entries() {
 
     rt.begin_replica_diff(a, r);
     assert_eq!(rt.pending_reconciliations(), 1);
-    assert_eq!(rt.reconciling_peers(), vec![a]);
+    assert!(rt.recovery.reconciling.iter().eq([&a]));
     let deadline = rt.now() + 30_000;
     while rt.pending_reconciliations() > 0 && rt.now() < deadline {
         let next = rt.now() + 50;
@@ -792,7 +794,7 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
         let mut rng = rt.rng.clone();
         let start = origin(&rt, &mut rng);
         let want = search::lookup_framed(&peers, start, key, &mut rng, loss);
-        rt.issue_query(key);
+        rt.issue_query_on(IndexId::PRIMARY, key);
         rt.run_until(rt.now() + 5_000);
         let got = rt.metrics.query_samples.back().expect("lookup resolved");
         assert_eq!(
@@ -812,7 +814,9 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
         let mut rng = rt.rng.clone();
         let start = origin(&rt, &mut rng);
         let want = search::range_query_framed(&peers, start, lo, hi, &mut rng, loss);
-        let id = rt.issue_range_query(lo, hi).expect("peers online");
+        let id = rt
+            .issue_range_query_on(IndexId::PRIMARY, lo, hi)
+            .expect("peers online");
         rt.run_until(rt.now() + 5_000);
         let got = rt.metrics.range_samples.iter().find(|s| s.id == id);
         let got = got.expect("range resolved");

@@ -1,7 +1,7 @@
 //! Shape of the `DeploymentReport` a Section-5 run produces: a complete
-//! per-minute series, maintenance traffic peaking during construction, and
-//! a well-formed Prometheus rendering.  (Overlay quality and query success
-//! are asserted by the workspace-level `deployment_and_protocol` tests.)
+//! per-minute series and maintenance traffic peaking during construction.
+//! (Overlay quality and query success are asserted by the workspace-level
+//! `deployment_and_protocol` tests.)
 
 use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
@@ -48,20 +48,4 @@ fn construction_phase_dominates_maintenance_bandwidth() {
     );
     assert!(report.total_maintenance_bytes > 0);
     assert!(report.total_query_bytes > 0);
-}
-
-#[test]
-fn report_metrics_text_carries_summary_and_transport_series() {
-    let report = small_report();
-    let text = report.metrics_text();
-    assert!(text.contains("# TYPE pgrid_deployment_balance_deviation gauge"));
-    assert!(text.contains("pgrid_deployment_query_success_rate "));
-    assert!(text.contains("pgrid_transport_frames_sent_total "));
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        assert_eq!(
-            line.split_whitespace().count(),
-            2,
-            "bad series line: {line}"
-        );
-    }
 }

@@ -1,7 +1,5 @@
 //! Metrics collected by the construction simulator.
 
-use pgrid_core::exchange::ExchangeTally;
-
 /// Counters accumulated while constructing the overlay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConstructionMetrics {
@@ -55,75 +53,14 @@ impl ConstructionMetrics {
         self.total_keys_moved() as f64 / self.per_peer_interactions.len() as f64
     }
 
-    /// Folds the counters into a metrics registry under the
-    /// `pgrid_construction_*` namespace, so the simulator's run drivers
-    /// expose the same registry-backed `/metrics` text as the network
-    /// engines.
-    pub fn to_registry(&self, registry: &mut pgrid_obs::registry::MetricsRegistry) {
-        registry.counter(
-            "pgrid_construction_interactions_total",
-            "Interactions initiated during construction",
-            &[],
-            self.interactions as u64,
-        );
-        registry.counter(
-            "pgrid_construction_fruitless_interactions_total",
-            "Interactions that produced no state change",
-            &[],
-            self.fruitless_interactions as u64,
-        );
-        registry.counter(
-            "pgrid_construction_refer_hops_total",
-            "Refer hops performed during construction",
-            &[],
-            self.refer_hops as u64,
-        );
-        registry.counter(
-            "pgrid_construction_splits_total",
-            "Balanced or unbalanced splits performed",
-            &[],
-            self.splits as u64,
-        );
-        registry.counter(
-            "pgrid_construction_replications_total",
-            "Replicate/reconcile interactions",
-            &[],
-            self.replications as u64,
-        );
-        registry.counter(
-            "pgrid_construction_keys_moved_total",
-            "Data keys moved over the network",
-            &[("phase", "replication")],
-            self.replication_keys_moved as u64,
-        );
-        registry.counter(
-            "pgrid_construction_keys_moved_total",
-            "Data keys moved over the network",
-            &[("phase", "construction")],
-            self.construction_keys_moved as u64,
-        );
-        registry.gauge(
-            "pgrid_construction_rounds",
-            "Parallel rounds until quiescence (the latency proxy)",
-            &[],
-            self.rounds as f64,
-        );
-        registry.gauge(
-            "pgrid_construction_interactions_per_peer",
-            "Mean interactions initiated per peer",
-            &[],
-            self.interactions_per_peer(),
-        );
-    }
-
     /// Adds one executor delta to the totals.
     pub fn absorb(&mut self, delta: &MetricsDelta) {
         self.interactions += delta.interactions;
         self.fruitless_interactions += delta.fruitless_interactions;
         self.refer_hops += delta.refer_hops;
-        self.splits += delta.tally.splits;
-        self.replications += delta.tally.replications;
-        self.construction_keys_moved += delta.tally.keys_moved;
+        self.splits += delta.splits;
+        self.replications += delta.replications;
+        self.construction_keys_moved += delta.keys_moved;
         for &(initiator, contacts) in &delta.per_initiator {
             self.per_peer_interactions[initiator] += contacts;
         }
@@ -145,8 +82,13 @@ pub struct MetricsDelta {
     pub fruitless_interactions: usize,
     /// Refer hops performed.
     pub refer_hops: usize,
-    /// Split/replicate/key-movement totals of the applied exchanges.
-    pub tally: ExchangeTally,
+    /// Path extensions of the applied exchanges.
+    pub splits: usize,
+    /// Replication relationships the applied exchanges established or
+    /// refreshed.
+    pub replications: usize,
+    /// Data entries the applied exchanges moved between peers.
+    pub keys_moved: usize,
     /// `(initiator, contacts)` pairs feeding the per-peer counters.
     pub per_initiator: Vec<(usize, usize)>,
 }
@@ -157,7 +99,9 @@ impl MetricsDelta {
         self.interactions += other.interactions;
         self.fruitless_interactions += other.fruitless_interactions;
         self.refer_hops += other.refer_hops;
-        self.tally.merge(&other.tally);
+        self.splits += other.splits;
+        self.replications += other.replications;
+        self.keys_moved += other.keys_moved;
         self.per_initiator.extend_from_slice(&other.per_initiator);
     }
 }
@@ -180,44 +124,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_export_covers_every_counter() {
-        let mut m = ConstructionMetrics::new(4);
-        m.interactions = 8;
-        m.fruitless_interactions = 2;
-        m.refer_hops = 3;
-        m.splits = 5;
-        m.replications = 4;
-        m.replication_keys_moved = 20;
-        m.construction_keys_moved = 12;
-        m.rounds = 9;
-        let mut registry = pgrid_obs::registry::MetricsRegistry::default();
-        m.to_registry(&mut registry);
-        let text = registry.encode();
-        assert!(text.contains("pgrid_construction_interactions_total 8"));
-        assert!(text.contains("pgrid_construction_splits_total 5"));
-        assert!(text.contains("pgrid_construction_keys_moved_total{phase=\"replication\"} 20"));
-        assert!(text.contains("pgrid_construction_keys_moved_total{phase=\"construction\"} 12"));
-        assert!(text.contains("pgrid_construction_rounds 9"));
-        assert!(text.contains("pgrid_construction_interactions_per_peer 2"));
-    }
-
-    #[test]
     fn deltas_merge_and_absorb() {
         let mut a = MetricsDelta {
             interactions: 3,
             fruitless_interactions: 1,
             refer_hops: 2,
+            splits: 1,
+            keys_moved: 7,
             per_initiator: vec![(0, 3)],
             ..MetricsDelta::default()
         };
-        a.tally.splits = 1;
-        a.tally.keys_moved = 7;
-        let mut b = MetricsDelta {
+        let b = MetricsDelta {
             interactions: 2,
+            replications: 1,
             per_initiator: vec![(2, 2)],
             ..MetricsDelta::default()
         };
-        b.tally.replications = 1;
         a.merge(&b);
         let mut m = ConstructionMetrics::new(4);
         m.absorb(&a);

@@ -270,7 +270,9 @@ fn execute_script(
             let decision = engine.decide(peer_lagging.path, peer_ahead.path, &assessment, rng);
             let outcome =
                 exchange::apply_decision(&decision, peer_lagging, peer_ahead, complement, rng);
-            delta.tally.record(&outcome);
+            delta.splits += outcome.splits;
+            delta.replications += outcome.replications;
+            delta.keys_moved += outcome.keys_moved;
             // Keys of a same-side catch-up belong to the complementary
             // subtree's reference peer (content exchange of Figure 2); the
             // recipient was claimed at plan time.

@@ -312,16 +312,6 @@ impl TransportStats {
         }
     }
 
-    /// Renders the counters in the Prometheus text exposition format
-    /// through the shared [`pgrid_obs::registry::MetricsRegistry`]
-    /// encoder, so a run's transport state can be dumped somewhere
-    /// scrapeable.
-    pub fn metrics_text(&self) -> String {
-        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
-        self.to_registry(&mut registry);
-        registry.encode()
-    }
-
     /// Folds another stats snapshot into this one (summing the global
     /// counters and merging the per-peer maps), as the cluster coordinator
     /// does when it combines the reports of several worker processes.
@@ -487,7 +477,9 @@ mod tests {
                 send_failures: 0,
             },
         );
-        let text = stats.metrics_text();
+        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
+        stats.to_registry(&mut registry);
+        let text = registry.encode();
         assert!(text.contains("# TYPE pgrid_transport_frames_sent_total counter"));
         assert!(text.contains("pgrid_transport_frames_sent_total 10"));
         assert!(text.contains("pgrid_transport_peer_frames_sent_total{peer=\"3\"} 4"));
