@@ -10,40 +10,41 @@
 //! are the same [`pgrid_scenario::Scenario`] program the single-process
 //! driver runs, with the deterministic join/churn plans substituted for
 //! the random draws ([`Phase::JoinSchedule`] / [`Phase::ChurnSchedule`])
-//! and the query rate scaled to the shard.  Two distribution-imposed
-//! behaviours live in the glue:
+//! and the query rate scaled to the shard.  [`ShardOverlay`], the
+//! executor's [`RuntimeHost`], adds waiting for the wire, and it waits in
+//! **one pump**: every pass services the data transport (so peers of
+//! slower shards get their exchanges answered), heartbeats the control
+//! channel and — parked at a barrier — handles the coordinator's next
+//! message; only a pass that handled nothing sleeps.  Three waits use it:
 //!
-//! * **Pacing.**  [`ShardOverlay`] is the executor's
-//!   [`RuntimeHost`]: its [`RuntimeHost::advance_to`] runs short virtual
-//!   slices with a real-time settle after each one, so exchange replies
-//!   crossing the wire from other processes are handled within roughly one
-//!   construct interval of the tick that triggered them.
-//! * **Barriers.**  Its [`RuntimeHost::after_phase`] reports `PhaseDone`
-//!   after each boundary phase and parks until the coordinator releases the
-//!   barrier — while continuing to service the data transport, so peers of
-//!   slower shards still get their exchanges answered.
+//! * **settle** — [`RuntimeHost::advance_to`] runs 2 s virtual slices and
+//!   pumps after each until the first quiet pass past 700 µs, so replies
+//!   from other processes are handled within roughly one construct
+//!   interval of the tick that triggered them;
+//! * **drain** — before a barrier, until 20 ms of quiet or 400 ms;
+//! * **park** — after `PhaseDone`, until the coordinator's `Proceed`.
 //!
 //! The worker is also one node of the self-healing loop (message orders in
-//! the [crate docs](crate)): it heartbeats on the control channel while
-//! advancing and while parked; when the coordinator reassigns a dead
-//! worker's shard it takes over the orphaned endpoints
-//! ([`SocketTransport::register_takeover`]), adopts the peers, and rebuilds
-//! their state from live P-Grid replicas, with the seeded local
-//! regeneration as the guaranteed-termination fallback.  Given `--data-dir`
-//! it journals its shard through [`pgrid_durable::DurableStore`] (one
-//! observation per pacing slice, one fsync per slice that changed
-//! anything), and a relaunch over a matching log warm-restarts: it replays
-//! the log and reconciles each replayed peer against a live remote replica
-//! with an anti-entropy diff ([`Runtime::begin_replica_diff`]) instead of
-//! a cold full pull.
+//! the [crate docs](crate)): parked, it takes over the endpoints a dead
+//! worker's shard is reassigned with ([`SocketTransport::register_takeover`])
+//! and adopts the peers; the address book that follows starts a recovery
+//! round the park's passes drive, rebuilding their state from live P-Grid
+//! replicas with the seeded local regeneration as the guaranteed-termination
+//! fallback.  Given `--data-dir` it journals its shard through
+//! [`pgrid_durable::DurableStore`] (one observation per pacing slice, one
+//! fsync per slice that changed anything), and a relaunch over a matching
+//! log warm-restarts: it replays the log, reconciles each replayed peer
+//! against a live remote replica with an anti-entropy diff
+//! ([`Runtime::begin_replica_diff`]) instead of a cold full pull, catches
+//! up to the barrier the cluster is parked at and parks there too.
 //!
 //! [`Phase::JoinSchedule`]: pgrid_scenario::Phase::JoinSchedule
 //! [`Phase::ChurnSchedule`]: pgrid_scenario::Phase::ChurnSchedule
 
 use crate::plan::{churn_plan, join_plan, MINUTE_MS};
 use crate::proto::{
-    protocol_error, ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_CONSTRUCTED,
-    PHASE_DONE, PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
+    protocol_error, ClusterMsg, ControlChannel, ShardReport, PHASE_CONSTRUCTED, PHASE_DONE,
+    PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
 };
 use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
@@ -58,12 +59,10 @@ use pgrid_reactor::{ReactorConfig, ReactorTransport};
 use pgrid_scenario::scenario::CONTROL_SEED_SALT;
 use pgrid_scenario::{Phase, QuerySpec, RuntimeHost, Scenario};
 use pgrid_transport::{PeerAddr, SocketTransport, Transport};
-use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Error, ErrorKind, Result};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,6 +74,9 @@ const PACE_SLICE_MS: Millis = 2_000;
 
 /// Real time the worker lets the wire settle after each virtual slice.
 const SETTLE: Duration = Duration::from_micros(700);
+
+/// How long a pump pass that handled nothing sleeps.
+const IDLE: Duration = Duration::from_micros(100);
 
 /// Maximum real time a worker parks at one barrier before giving up.
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(600);
@@ -291,21 +293,40 @@ struct HealState {
     /// Fault injection: kill the process once the virtual clock reaches
     /// this instant.
     kill_at: Option<Millis>,
-    /// Adoptions announced by `ShardReassign` and not yet rebuilt:
-    /// `(peer, source hint, last observed path)`.
-    pending: Vec<(usize, usize, Path)>,
+    /// Adoptions announced by `ShardReassign` and not yet rebuilding:
+    /// peer → (replica source hint, last observed path).
+    pending: BTreeMap<usize, (Option<usize>, Path)>,
+    /// The recovery round the park is driving, if any.
+    round: Option<RecoveryRound>,
     worker_index: u32,
+}
+
+/// A replica-rebuild round, started by the `AddressBook` that follows a
+/// reassignment and advanced by every pass of the park it arrived in.
+struct RecoveryRound {
+    epoch: u64,
+    /// The adoptions being rebuilt, keyed as [`HealState::pending`].
+    adoptions: BTreeMap<usize, (Option<usize>, Path)>,
+    /// Adoptions regenerated locally instead of pulled from a replica.
+    local: BTreeSet<usize>,
+    /// When the stragglers fall back to the local regeneration.
+    fallback_at: Instant,
+    /// How far the round may move the virtual clock.
+    virtual_cap: Millis,
+    /// Re-issue delay of unanswered pulls, and when it next elapses.
+    retry_delay: Duration,
+    next_retry: Instant,
 }
 
 /// The worker's shard as the scenario executor's [`RuntimeHost`]: the
 /// executor drives the sharded [`Runtime`] directly, except that advancing
-/// virtual time is paced against the wire (see the module docs),
-/// heartbeats the control channel and honours a scheduled self-kill, and
-/// that boundary phases park at the coordinator's barriers.
+/// virtual time is paced against the wire (see the module docs), honours a
+/// scheduled self-kill, and that boundary phases park at the coordinator's
+/// barriers.
 pub struct ShardOverlay {
     /// The sharded runtime this worker hosts.
     pub runtime: Runtime<ReactorTransport>,
-    ctl: Rc<RefCell<ControlChannel>>,
+    ctl: ControlChannel,
     heal: HealState,
     /// The shard's durable journal, when `--data-dir` was given.
     durable: Option<DurableStore>,
@@ -322,6 +343,224 @@ pub struct ShardOverlay {
 }
 
 impl ShardOverlay {
+    /// The worker's one wait.  Every pass services the data plane and
+    /// heartbeats.  A worker `parked` at a phase's barrier also advances
+    /// the recovery round in flight or, with none, handles the next control
+    /// message ([`ShardOverlay::on_parked`]): the coordinator says nothing
+    /// to an adopter between the `AddressBook` and its `RecoveryDone`.
+    /// Only a pass that handled nothing sleeps.  The wait ends at
+    /// `Proceed`, or at the first pass `done` — told whether the pass
+    /// handled anything — accepts; for a parked worker that is `TimedOut`.
+    fn pump(&mut self, parked: Option<u8>, mut done: impl FnMut(bool) -> bool) -> Result<()> {
+        loop {
+            let mut busy = self.runtime.service_network() > 0;
+            self.maybe_heartbeat();
+            if let Some(phase) = parked {
+                if self.heal.round.is_some() {
+                    self.step_recovery()?;
+                } else if let Some(msg) = self.ctl.try_recv()? {
+                    if self.on_parked(msg, phase)? {
+                        return Ok(());
+                    }
+                    busy = true;
+                }
+            }
+            if done(busy) {
+                return match parked {
+                    Some(phase) => Err(Error::new(
+                        ErrorKind::TimedOut,
+                        format!("barrier for phase {phase} never released"),
+                    )),
+                    None => Ok(()),
+                };
+            }
+            if !busy {
+                std::thread::sleep(IDLE);
+            }
+        }
+    }
+
+    /// Parks at `phase`'s barrier until the coordinator releases it,
+    /// serving the healing protocol meanwhile.
+    fn park(&mut self, phase: u8) -> Result<()> {
+        let deadline = Instant::now() + BARRIER_TIMEOUT;
+        self.pump(Some(phase), |busy| !busy && Instant::now() >= deadline)
+    }
+
+    /// One control message at a worker parked at `phase`'s barrier:
+    /// `Ok(true)` for `Proceed(phase)`.  Until then the healing protocol is
+    /// served from here — a new epoch is noted, a reassignment adopts its
+    /// orphans, a fresh address book re-points the remotes and starts the
+    /// rebuilds — and anything else is a protocol error.  Every message is
+    /// range-checked before it is looked at.
+    fn on_parked(&mut self, msg: ClusterMsg, phase: u8) -> Result<bool> {
+        msg.check_ranges(self.runtime.config.n_peers)?;
+        match msg {
+            ClusterMsg::Proceed { phase: p } if p == phase => return Ok(true),
+            ClusterMsg::WorkerFailed {
+                epoch,
+                worker_index,
+                shard_start,
+                shard_len,
+            } => {
+                self.heal.epoch = self.heal.epoch.max(epoch);
+                pgrid_obs::info!(
+                    "cluster::worker",
+                    "worker {}: told worker {worker_index} died \
+                     (shard {shard_start}+{shard_len}, epoch {epoch})",
+                    self.heal.worker_index
+                );
+            }
+            ClusterMsg::ShardReassign { epoch, moves } => {
+                // Take over the endpoints of every orphan reassigned here,
+                // adopt the peers, and report where they are reachable now:
+                // the reactor's one listener.  The rebuild waits for the
+                // address book.
+                self.heal.epoch = self.heal.epoch.max(epoch);
+                let mut adopted: Vec<u64> = Vec::new();
+                for m in moves
+                    .iter()
+                    .filter(|m| m.to_worker == self.heal.worker_index)
+                {
+                    let peer = m.peer as usize;
+                    self.runtime
+                        .transport_mut()
+                        .register_takeover(PeerId(m.peer))
+                        .map_err(|e| Error::other(e.to_string()))?;
+                    self.runtime.adopt_peer(peer);
+                    // A hint naming the orphan itself: no candidate known.
+                    let hint = (m.source_peer != m.peer).then_some(m.source_peer as usize);
+                    self.heal.pending.insert(peer, (hint, m.path));
+                    adopted.push(m.peer);
+                    let note = format!("epoch={epoch} adopting peer {peer} (source hint {hint:?})");
+                    self.note_recovery(note);
+                }
+                // No adoption, nothing to announce.
+                let listen = self.runtime.transport_mut().listen_addr();
+                if let Some(listen) = listen.filter(|_| !adopted.is_empty()) {
+                    let peer_addrs = adopted.into_iter().map(|peer| (peer, listen)).collect();
+                    self.ctl
+                        .send(&ClusterMsg::RecoveryAddrs { epoch, peer_addrs })?;
+                }
+            }
+            ClusterMsg::AddressBook { peer_addrs } => {
+                // Re-point every remote at its (possibly moved) endpoint: a
+                // peer unreachable since its worker died is reachable again
+                // once a survivor re-hosts it.  An entry the transport never
+                // spoke to is no reason to fail recovery.
+                for (peer, addr) in peer_addrs {
+                    if !self.runtime.hosted(peer as usize) {
+                        let _ = self
+                            .runtime
+                            .transport_mut()
+                            .update_remote(PeerId(peer), addr);
+                        self.runtime
+                            .set_peer_addr(peer as usize, PeerAddr::Socket(addr));
+                    }
+                }
+                self.start_recovery();
+            }
+            other => return Err(protocol_error("Proceed", &other)),
+        }
+        Ok(false)
+    }
+
+    /// Starts rebuilding every pending adoption: a replica pull over the
+    /// data plane, or the seeded local regeneration when no replica source
+    /// is known.
+    fn start_recovery(&mut self) {
+        if self.heal.pending.is_empty() {
+            return;
+        }
+        let adoptions = std::mem::take(&mut self.heal.pending);
+        let mut local = BTreeSet::new();
+        for (&peer, &(hint, path)) in &adoptions {
+            // The cheapest source is a local replica, then the hint.
+            match self.runtime.find_replica_source(peer).or(hint) {
+                Some(source) => self.runtime.begin_replica_pull(peer, source),
+                None => {
+                    self.runtime.recover_locally(peer, path);
+                    local.insert(peer);
+                }
+            }
+        }
+        self.heal.round = Some(RecoveryRound {
+            epoch: self.heal.epoch,
+            adoptions,
+            local,
+            fallback_at: Instant::now() + RECOVERY_SETTLE,
+            virtual_cap: self.runtime.now() + RECOVERY_VIRTUAL_MS,
+            retry_delay: RECOVERY_RETRY,
+            next_retry: Instant::now() + RECOVERY_RETRY,
+        });
+    }
+
+    /// One pass of the recovery round in flight.  Pulls ride scheduled messages like
+    /// all traffic, so the virtual clock inches forward, 10 ms a pass up to
+    /// [`RECOVERY_VIRTUAL_MS`] (the next phase re-synchronises at its
+    /// barrier); unanswered pulls are re-issued with back-off in case the
+    /// first one raced the address-book update on the source's side.  Once
+    /// every pull is answered, or at [`RECOVERY_SETTLE`] with the
+    /// stragglers regenerated locally, the round ends with `RecoveryDone`.
+    fn step_recovery(&mut self) -> Result<()> {
+        let round = self.heal.round.as_mut().expect("a round is in flight");
+        if self.runtime.pending_recoveries() > 0 && Instant::now() < round.fallback_at {
+            let now = self.runtime.now();
+            if now < round.virtual_cap {
+                self.runtime.run_until(now + 10);
+            }
+            if Instant::now() >= round.next_retry {
+                for peer in self.runtime.recovering_peers() {
+                    let hint = round.adoptions.get(&peer).and_then(|&(hint, _)| hint);
+                    if let Some(source) = self.runtime.find_replica_source(peer).or(hint) {
+                        self.runtime.begin_replica_pull(peer, source);
+                    }
+                }
+                round.retry_delay = (round.retry_delay * 2).min(RECOVERY_RETRY_CAP);
+                round.next_retry = Instant::now() + round.retry_delay;
+            }
+            return Ok(());
+        }
+        let mut round = self.heal.round.take().expect("checked above");
+        for peer in self.runtime.recovering_peers() {
+            let path = round
+                .adoptions
+                .get(&peer)
+                .map_or_else(Path::root, |&(_, path)| path);
+            self.runtime.recover_locally(peer, path);
+            round.local.insert(peer);
+        }
+        let epoch = round.epoch;
+        let recovered: Vec<(u64, bool)> = round
+            .adoptions
+            .keys()
+            .map(|&peer| (peer as u64, !round.local.contains(&peer)))
+            .collect();
+        let summary = format!(
+            "epoch={epoch} rebuilt {} adopted peers ({} locally)",
+            recovered.len(),
+            round.local.len()
+        );
+        pgrid_obs::info!(
+            "cluster::worker",
+            "worker {}: {summary}",
+            self.heal.worker_index
+        );
+        self.note_recovery(summary);
+        self.ctl
+            .send(&ClusterMsg::RecoveryDone { epoch, recovered })
+    }
+
+    /// Notes a recovery step in the control flight recorder.
+    fn note_recovery(&self, detail: String) {
+        let now = self.runtime.now();
+        self.obs
+            .control
+            .lock()
+            .unwrap()
+            .note(now, "recovery", detail);
+    }
+
     /// Sends a heartbeat if the interval elapsed; send errors are ignored
     /// here (a dead coordinator surfaces at the next barrier anyway).
     fn maybe_heartbeat(&mut self) {
@@ -333,7 +572,7 @@ impl ShardOverlay {
         }
         self.heal.last_heartbeat = Instant::now();
         let epoch = self.heal.epoch;
-        let _ = self.ctl.borrow_mut().send(&ClusterMsg::Heartbeat { epoch });
+        let _ = self.ctl.send(&ClusterMsg::Heartbeat { epoch });
     }
 
     /// Journals every hosted peer whose state changed since the last
@@ -424,16 +663,9 @@ impl RuntimeHost for ShardOverlay {
                 }
             }
             self.runtime.run_until(next);
-            self.maybe_heartbeat();
             let deadline = Instant::now() + SETTLE;
-            loop {
-                if self.runtime.service_network() == 0 {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
+            // Not parked, the pump cannot fail.
+            let _ = self.pump(None, |busy| !busy && Instant::now() >= deadline);
             // One journal cut per settled slice: every record boundary is
             // a consistent observation of the shard.
             self.persist();
@@ -598,7 +830,7 @@ fn send_report(overlay: &mut ShardOverlay) -> Result<()> {
             .map(|peer| (peer as u64, runtime.peer_state(IndexId::PRIMARY, peer).path))
             .collect(),
     });
-    overlay.ctl.borrow_mut().send(&report)
+    overlay.ctl.send(&report)
 }
 
 /// Connects to the coordinator at `coordinator` and runs one worker to
@@ -644,7 +876,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         .filter(|store| store.recovered() && store.peer_count() > 0)
         .and_then(|store| store.meta().cloned());
     let stream = connect_with_retry(coordinator)?;
-    let ctl = Rc::new(RefCell::new(ControlChannel::new(stream)?));
+    let mut ctl = ControlChannel::new(stream)?;
 
     // --- rendezvous: assignment, endpoints, address book -------------------
     let mut welcome_timeout = HANDSHAKE_TIMEOUT;
@@ -657,7 +889,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
             meta.phase,
             meta.now_ms / MINUTE_MS
         );
-        ctl.borrow_mut().send(&ClusterMsg::Rejoin {
+        ctl.send(&ClusterMsg::Rejoin {
             shard_start: meta.shard_start as u64,
             shard_len: meta.shard_len as u64,
             epoch: meta.epoch,
@@ -667,7 +899,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         })?;
         welcome_timeout = REJOIN_WELCOME_TIMEOUT;
     }
-    let welcome = ctl.borrow_mut().recv_timeout(welcome_timeout)?;
+    let welcome = ctl.recv_timeout(welcome_timeout)?;
     // A `Welcome` is checked against the population its own config names.
     welcome.check_ranges(usize::MAX)?;
     let ClusterMsg::Welcome {
@@ -711,13 +943,13 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
 
     let obs = worker_obs(options, worker_index, shard_start, shard_len)?;
     let peer_addrs = register_shard(&mut transport, &shard)?;
-    ctl.borrow_mut().send(&ClusterMsg::Hello {
+    ctl.send(&ClusterMsg::Hello {
         shard_start,
         peer_addrs,
         metrics_addr: obs.scrape.as_ref().map(|(server, _)| server.addr()),
     })?;
 
-    let book = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
+    let book = ctl.recv_timeout(HANDSHAKE_TIMEOUT)?;
     book.check_ranges(config.n_peers)?;
     let ClusterMsg::AddressBook { peer_addrs: book } = book else {
         return Err(protocol_error("AddressBook", &book));
@@ -741,7 +973,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
 
     let mut overlay = ShardOverlay {
         runtime,
-        ctl: Rc::clone(&ctl),
+        ctl,
         heal: HealState {
             heal,
             heartbeat_ms,
@@ -749,7 +981,8 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
             epoch: 0,
             // The coordinator sends no kill plan with a rejoin's Welcome.
             kill_at: kill_at_min.map(|m| m * MINUTE_MS),
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
+            round: None,
             worker_index,
         },
         durable,
@@ -770,7 +1003,7 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         Some(meta) => {
             // A rejoiner is told which barrier the cluster is parked at,
             // and replays its log up to there.
-            let msg = ctl.borrow_mut().recv_timeout(HANDSHAKE_TIMEOUT)?;
+            let msg = overlay.ctl.recv_timeout(HANDSHAKE_TIMEOUT)?;
             let ClusterMsg::Resume { epoch, phase } = msg else {
                 return Err(protocol_error("Resume", &msg));
             };
@@ -781,42 +1014,20 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
                 .as_ref()
                 .expect("the log the meta came from");
             let recovered = replay_log(&mut overlay.runtime, durable, meta, phase);
-            pgrid_obs::info!(
-                "cluster::worker",
-                "worker {worker_index}: warm rejoin accepted — {} peers replayed from the log, \
-                 resuming at phase {phase} (epoch {epoch})",
+            let summary = format!(
+                "warm rejoin: {} peers replayed from the log, resume phase {phase} epoch {epoch}",
                 recovered.len()
             );
-            overlay.obs.control.lock().unwrap().note(
-                overlay.runtime.now(),
-                "recovery",
-                format!(
-                    "warm rejoin: {} peers replayed, resume phase {phase} epoch {epoch}",
-                    recovered.len()
-                ),
-            );
-            ctl.borrow_mut()
+            pgrid_obs::info!("cluster::worker", "worker {worker_index}: {summary}");
+            overlay.note_recovery(summary);
+            overlay
+                .ctl
                 .send(&ClusterMsg::RecoveryDone { epoch, recovered })?;
             // Catch up to the parked barrier's boundary minute (peers
-            // exchange on the way — the survivors answer from their park
-            // loops), then wait for the release without re-reporting
-            // PhaseDone.
-            let boundary = phase_boundary_min(&timeline, phase) * MINUTE_MS;
-            let deadline = Instant::now() + BARRIER_TIMEOUT;
-            let mut proceeded = false;
-            loop {
-                if overlay.runtime.now() < boundary {
-                    let next = (overlay.runtime.now() + PACE_SLICE_MS).min(boundary);
-                    overlay.advance_to(next);
-                } else if proceeded {
-                    break;
-                } else {
-                    overlay.runtime.service_network();
-                    overlay.maybe_heartbeat();
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                proceeded |= poll_parked(&mut overlay, phase, deadline)?;
-            }
+            // exchange on the way — the survivors answer from their parks),
+            // then wait for the release without re-reporting PhaseDone.
+            overlay.advance_to(phase_boundary_min(&timeline, phase) * MINUTE_MS);
+            overlay.park(phase)?;
             scenario = resume_scenario(scenario, phase);
         }
     }
@@ -987,188 +1198,22 @@ fn stream_minutes(overlay: &mut ShardOverlay, before: u64) -> Result<()> {
     overlay
         .streamed
         .extend(samples.iter().map(|&(minute, _, _)| minute));
-    overlay
-        .ctl
-        .borrow_mut()
-        .send(&ClusterMsg::Minutes { samples })
-}
-
-/// Takes over the endpoints of every orphan reassigned to this worker,
-/// adopts the peers, and reports where they are reachable now — the
-/// reactor's one listener; the actual state rebuild waits for the updated
-/// address book (see [`run_recovery`]).
-fn handle_reassign(overlay: &mut ShardOverlay, epoch: u64, moves: &[ReassignMove]) -> Result<()> {
-    let mut adopted: Vec<u64> = Vec::new();
-    for m in moves
-        .iter()
-        .filter(|m| m.to_worker == overlay.heal.worker_index)
-    {
-        let peer = m.peer as usize;
-        overlay
-            .runtime
-            .transport_mut()
-            .register_takeover(PeerId(m.peer))
-            .map_err(|e| Error::other(e.to_string()))?;
-        overlay.runtime.adopt_peer(peer);
-        overlay
-            .heal
-            .pending
-            .push((peer, m.source_peer as usize, m.path));
-        adopted.push(m.peer);
-        overlay.obs.control.lock().unwrap().note(
-            overlay.runtime.now(),
-            "recovery",
-            format!(
-                "epoch={epoch} adopting peer {peer} (source hint {})",
-                m.source_peer
-            ),
-        );
-    }
-    // A takeover binds the one listener; no adoption, nothing to announce.
-    let listen = overlay.runtime.transport_mut().listen_addr();
-    if let Some(listen) = listen.filter(|_| !adopted.is_empty()) {
-        overlay.ctl.borrow_mut().send(&ClusterMsg::RecoveryAddrs {
-            epoch,
-            peer_addrs: adopted.into_iter().map(|peer| (peer, listen)).collect(),
-        })?;
-    }
-    Ok(())
-}
-
-/// Re-points every non-hosted peer at its (possibly moved) endpoint and
-/// clears the link state towards it: a peer that was unreachable because
-/// its worker died is reachable again once a survivor re-hosts it.
-fn apply_book(overlay: &mut ShardOverlay, book: &[(u64, SocketAddr)]) {
-    for &(peer, addr) in book {
-        let p = peer as usize;
-        if overlay.runtime.hosted(p) {
-            continue;
-        }
-        // A book entry the transport does not know (it never spoke to the
-        // peer) is not an error worth failing recovery over.
-        let _ = overlay
-            .runtime
-            .transport_mut()
-            .update_remote(PeerId(peer), addr);
-        overlay.runtime.set_peer_addr(p, PeerAddr::Socket(addr));
-    }
-}
-
-/// Rebuilds every pending adoption: replica pulls over the data plane
-/// (local replica scan first, then the coordinator's hint), the seeded
-/// local regeneration as the fallback, and a `RecoveryDone` acknowledgment
-/// once the shard is whole again.
-fn run_recovery(overlay: &mut ShardOverlay) -> Result<()> {
-    if overlay.heal.pending.is_empty() {
-        return Ok(());
-    }
-    let pending = std::mem::take(&mut overlay.heal.pending);
-    let epoch = overlay.heal.epoch;
-    let mut local: BTreeSet<usize> = BTreeSet::new();
-    let source_of = |overlay: &ShardOverlay, peer: usize, hint: usize| {
-        overlay
-            .runtime
-            .find_replica_source(peer)
-            .or_else(|| (hint != peer).then_some(hint))
-    };
-    for &(peer, hint, path) in &pending {
-        match source_of(overlay, peer, hint) {
-            Some(source) => overlay.runtime.begin_replica_pull(peer, source),
-            None => {
-                overlay.runtime.recover_locally(peer, path);
-                local.insert(peer);
-            }
-        }
-    }
-    // Drive the data plane until every pull is answered.  Pulls ride
-    // scheduled messages like all traffic, so the virtual clock inches
-    // forward (bounded — the next phase re-synchronises at its barrier);
-    // unanswered pulls are re-issued in case the first one raced the
-    // address-book update on the source's side, and the wall-clock bound
-    // plus the local fallback guarantee termination even if every replica
-    // died with the worker.
-    let wall_deadline = Instant::now() + RECOVERY_SETTLE;
-    let virtual_cap = overlay.runtime.now() + RECOVERY_VIRTUAL_MS;
-    let mut retry_delay = RECOVERY_RETRY;
-    let mut next_retry = Instant::now() + retry_delay;
-    while overlay.runtime.pending_recoveries() > 0 && Instant::now() < wall_deadline {
-        overlay.runtime.service_network();
-        let now = overlay.runtime.now();
-        if now < virtual_cap {
-            overlay.runtime.run_until(now + 10);
-        }
-        overlay.maybe_heartbeat();
-        if Instant::now() >= next_retry {
-            for peer in overlay.runtime.recovering_peers() {
-                let hint = pending
-                    .iter()
-                    .find(|&&(p, _, _)| p == peer)
-                    .map_or(peer, |&(_, hint, _)| hint);
-                if let Some(source) = source_of(overlay, peer, hint) {
-                    overlay.runtime.begin_replica_pull(peer, source);
-                }
-            }
-            retry_delay = (retry_delay * 2).min(RECOVERY_RETRY_CAP);
-            next_retry = Instant::now() + retry_delay;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    for peer in overlay.runtime.recovering_peers() {
-        let path = pending
-            .iter()
-            .find(|&&(p, _, _)| p == peer)
-            .map_or_else(Path::root, |&(_, _, path)| path);
-        overlay.runtime.recover_locally(peer, path);
-        local.insert(peer);
-    }
-    let recovered: Vec<(u64, bool)> = pending
-        .iter()
-        .map(|&(peer, _, _)| (peer as u64, !local.contains(&peer)))
-        .collect();
-    let from_replicas = recovered.iter().filter(|(_, via)| *via).count();
-    overlay.obs.control.lock().unwrap().note(
-        overlay.runtime.now(),
-        "recovery",
-        format!(
-            "epoch={epoch} rebuilt {} peers ({from_replicas} from replicas)",
-            recovered.len()
-        ),
-    );
-    pgrid_obs::info!(
-        "cluster::worker",
-        "worker {}: rebuilt {} adopted peers ({from_replicas} from replicas, {} locally)",
-        overlay.heal.worker_index,
-        recovered.len(),
-        local.len()
-    );
-    overlay
-        .ctl
-        .borrow_mut()
-        .send(&ClusterMsg::RecoveryDone { epoch, recovered })?;
-    Ok(())
+    overlay.ctl.send(&ClusterMsg::Minutes { samples })
 }
 
 /// Reports the end of `phase` and parks until the coordinator releases the
-/// barrier, servicing the data transport (and the healing protocol) the
-/// whole time.
+/// barrier: drain, journal and publish, `PhaseDone`, park.
 fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
-    let ctl = Rc::clone(&overlay.ctl);
     // Let stragglers from faster shards drain before declaring the phase
     // over: keep answering until the wire stays quiet for a moment.
     let mut quiet_since = Instant::now();
-    let grace_deadline = Instant::now() + Duration::from_millis(400);
-    loop {
-        if overlay.runtime.service_network() > 0 {
+    let grace_cap = quiet_since + Duration::from_millis(400);
+    overlay.pump(None, |busy| {
+        if busy {
             quiet_since = Instant::now();
-        } else if quiet_since.elapsed() >= Duration::from_millis(20)
-            || Instant::now() >= grace_deadline
-        {
-            break;
-        } else {
-            std::thread::sleep(Duration::from_micros(200));
         }
-        overlay.maybe_heartbeat();
-    }
+        !busy && (quiet_since.elapsed() >= Duration::from_millis(20) || Instant::now() >= grace_cap)
+    })?;
     // The phase is complete: journal it (and the settled shard state)
     // before telling the coordinator, so a crash while parked replays to
     // exactly this barrier.
@@ -1179,7 +1224,7 @@ fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
     // Fresh registry snapshot and drained trace events ride along with
     // every barrier, so the coordinator's merged view stays current.
     overlay.obs.publish(
-        &mut ctl.borrow_mut(),
+        &mut overlay.ctl,
         &mut overlay.runtime,
         overlay.durable.as_ref(),
         phase,
@@ -1188,7 +1233,7 @@ fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
         // The coordinator keeps every peer's last barrier path: the raw
         // material of replica hints and of partial reports for unhealed
         // shards.
-        ctl.borrow_mut().send(&ClusterMsg::ShardPaths {
+        overlay.ctl.send(&ClusterMsg::ShardPaths {
             shard_start: overlay.runtime.shard().start as u64,
             paths: shard_paths(&overlay.runtime),
         })?;
@@ -1199,68 +1244,14 @@ fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
         overlay.heal.worker_index,
         overlay.runtime.now() / MINUTE_MS
     );
-    ctl.borrow_mut().send(&ClusterMsg::PhaseDone { phase })?;
-    let deadline = Instant::now() + BARRIER_TIMEOUT;
-    loop {
-        overlay.runtime.service_network();
-        overlay.maybe_heartbeat();
-        if poll_parked(overlay, phase, deadline)? {
-            return Ok(());
-        }
-    }
-}
-
-/// One poll of the control channel at a worker parked at `phase`'s
-/// barrier: `Ok(true)` once `Proceed(phase)` arrived.  Until then the
-/// healing protocol is served from here — a new epoch is noted, a
-/// reassignment adopts its orphans, a fresh address book re-points the
-/// remotes and starts the rebuilds — and anything else is a protocol error;
-/// silence past `deadline` is `TimedOut`.  Every message is range-checked
-/// before it is looked at.
-fn poll_parked(overlay: &mut ShardOverlay, phase: u8, deadline: Instant) -> Result<bool> {
-    let msg = overlay.ctl.borrow_mut().try_recv()?;
-    let Some(msg) = msg else {
-        if Instant::now() >= deadline {
-            return Err(Error::new(
-                ErrorKind::TimedOut,
-                format!("barrier for phase {phase} never released"),
-            ));
-        }
-        return Ok(false);
-    };
-    msg.check_ranges(overlay.runtime.config.n_peers)?;
-    match msg {
-        ClusterMsg::Proceed { phase: p } if p == phase => return Ok(true),
-        ClusterMsg::WorkerFailed {
-            epoch,
-            worker_index,
-            shard_start,
-            shard_len,
-        } => {
-            overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-            pgrid_obs::info!(
-                "cluster::worker",
-                "worker {}: told worker {worker_index} died \
-                 (shard {shard_start}+{shard_len}, epoch {epoch})",
-                overlay.heal.worker_index
-            );
-        }
-        ClusterMsg::ShardReassign { epoch, moves } => {
-            overlay.heal.epoch = overlay.heal.epoch.max(epoch);
-            handle_reassign(overlay, epoch, &moves)?;
-        }
-        ClusterMsg::AddressBook { peer_addrs } => {
-            apply_book(overlay, &peer_addrs);
-            run_recovery(overlay)?;
-        }
-        other => return Err(protocol_error("Proceed", &other)),
-    }
-    Ok(false)
+    overlay.ctl.send(&ClusterMsg::PhaseDone { phase })?;
+    overlay.park(phase)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgrid_core::key::{DataEntry, DataId, Key};
 
     const SMOKE: Timeline = Timeline {
         join_end_min: 3,
@@ -1367,5 +1358,180 @@ mod tests {
             );
             assert!(boundaries.windows(2).all(|pair| pair[0] <= pair[1]));
         }
+    }
+
+    /// The orphan of [`parked_worker`]'s shard reassignment.
+    #[cfg(target_os = "linux")]
+    const ORPHAN: u64 = 5;
+
+    /// Runs `script` as the coordinator of one worker, on its own thread.
+    #[cfg(target_os = "linux")]
+    fn scripted_coordinator<T: Send + 'static>(
+        script: impl FnOnce(ControlChannel) -> T + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<T>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let coordinator = std::thread::spawn(move || {
+            script(ControlChannel::new(listener.accept().unwrap().0).unwrap())
+        });
+        (addr, coordinator)
+    }
+
+    /// A healing worker hosting peers `0..4` of eight (the other four wired
+    /// to a closed port), connected to `coordinator`; hosted peer 1 is
+    /// restored as a replica of [`ORPHAN`].
+    #[cfg(target_os = "linux")]
+    fn parked_worker(coordinator: SocketAddr) -> ShardOverlay {
+        let config = NetConfig {
+            n_peers: 8,
+            loss_probability: 0.0,
+            ..NetConfig::default()
+        };
+        let shard = 0..4;
+        let mut transport = ReactorTransport::with_config(ReactorConfig {
+            n_event_threads: 1,
+            ..ReactorConfig::default()
+        });
+        register_shard(&mut transport, &shard).unwrap();
+        for peer in 4..8 {
+            let nowhere = SocketAddr::from(([127, 0, 0, 1], 9));
+            transport.register_remote(PeerId(peer), nowhere).unwrap();
+        }
+        let mut runtime = Runtime::with_transport_sharded(config, transport, shard).unwrap();
+        let entries = (0..3u64)
+            .map(|i| DataEntry::new(Key(i << 60), DataId(i)))
+            .collect();
+        let replicas = vec![PeerId(ORPHAN)];
+        runtime.restore_peer(
+            IndexId::PRIMARY,
+            1,
+            Path::root(),
+            entries,
+            Vec::new(),
+            replicas,
+            false,
+        );
+        ShardOverlay {
+            runtime,
+            ctl: ControlChannel::new(TcpStream::connect(coordinator).unwrap()).unwrap(),
+            heal: HealState {
+                heal: true,
+                heartbeat_ms: 0,
+                last_heartbeat: Instant::now(),
+                epoch: 0,
+                kill_at: None,
+                pending: BTreeMap::new(),
+                round: None,
+                worker_index: 0,
+            },
+            durable: None,
+            durable_phase: PHASE_WIRED,
+            streamed: BTreeSet::new(),
+            obs: worker_obs(&WorkerOptions::default(), 0, 0, 4).unwrap(),
+            barriers: Vec::new(),
+        }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_parked_worker_rebuilds_its_adoption_before_the_barrier_releases() {
+        let (addr, coordinator) = scripted_coordinator(|mut ctl| {
+            let wait = Duration::from_secs(5);
+            ctl.send(&ClusterMsg::WorkerFailed {
+                epoch: 1,
+                worker_index: 1,
+                shard_start: 4,
+                shard_len: 4,
+            })
+            .unwrap();
+            let moves = vec![crate::proto::ReassignMove {
+                peer: ORPHAN,
+                to_worker: 0,
+                source_peer: ORPHAN,
+                path: Path::root(),
+            }];
+            ctl.send(&ClusterMsg::ShardReassign { epoch: 1, moves })
+                .unwrap();
+            let takeover = ctl.recv_timeout(wait).unwrap();
+            let ClusterMsg::RecoveryAddrs { peer_addrs, .. } = &takeover else {
+                panic!("expected RecoveryAddrs, got {takeover:?}");
+            };
+            let peer_addrs = peer_addrs.clone();
+            ctl.send(&ClusterMsg::AddressBook { peer_addrs }).unwrap();
+            // Released before the rebuild is acknowledged: the park still
+            // finishes the round first.
+            ctl.send(&ClusterMsg::Proceed {
+                phase: PHASE_CONSTRUCTED,
+            })
+            .unwrap();
+            // Everything else the worker says until it hangs up.
+            let mut heard = vec![takeover];
+            while let Ok(msg) = ctl.recv_timeout(wait) {
+                heard.push(msg);
+            }
+            heard
+        });
+        let mut overlay = parked_worker(addr);
+        let listen = overlay.runtime.transport_mut().listen_addr().unwrap();
+        let started = Instant::now();
+        overlay.park(PHASE_CONSTRUCTED).unwrap();
+        let parked_for = started.elapsed();
+        // Rebuilt from the hosted replica, not regenerated locally.
+        let orphan = overlay
+            .runtime
+            .peer_state(IndexId::PRIMARY, ORPHAN as usize);
+        assert_eq!(orphan.store.len(), 3);
+        assert_eq!(overlay.runtime.metrics.peers_recovered_replica, 1);
+        drop(overlay);
+        assert_eq!(
+            coordinator.join().unwrap(),
+            [
+                ClusterMsg::RecoveryAddrs {
+                    epoch: 1,
+                    peer_addrs: vec![(ORPHAN, listen)],
+                },
+                ClusterMsg::RecoveryDone {
+                    epoch: 1,
+                    recovered: vec![(ORPHAN, true)],
+                },
+            ]
+        );
+        assert!(
+            parked_for < RECOVERY_SETTLE / 4,
+            "parked for {parked_for:?}"
+        );
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_parked_worker_rejects_any_other_message_as_invalid_data() {
+        let others = [
+            ClusterMsg::Proceed {
+                phase: PHASE_QUERIED,
+            },
+            ClusterMsg::Resume {
+                epoch: 1,
+                phase: PHASE_CONSTRUCTED,
+            },
+            ClusterMsg::PhaseDone {
+                phase: PHASE_CONSTRUCTED,
+            },
+            ClusterMsg::Heartbeat { epoch: 1 },
+        ];
+        let script = others.clone();
+        let (addr, coordinator) = scripted_coordinator(move |mut ctl| {
+            for msg in &script {
+                ctl.send(msg).unwrap();
+            }
+            // Hold the channel open until the worker hangs up.
+            while ctl.recv_timeout(Duration::from_secs(5)).is_ok() {}
+        });
+        let mut overlay = parked_worker(addr);
+        for other in others {
+            let error = overlay.park(PHASE_CONSTRUCTED).unwrap_err();
+            assert_eq!(error.kind(), ErrorKind::InvalidData, "{other:?}: {error}");
+        }
+        drop(overlay);
+        coordinator.join().unwrap();
     }
 }
