@@ -31,6 +31,14 @@
 //! deltas afterwards.  Randomness comes from per-peer counter-derived
 //! streams, so the result is bit-identical for every
 //! [`SimConfig::n_threads`] value, including `1`.
+//!
+//! [`SimNetwork::run_round`] has the scheduler draw each pending
+//! initiator's partner walk once, before the round's first batch.  The walk
+//! reads only the bootstrap overlay, which never changes after
+//! [`SimNetwork::new`], on the plan stream of `(seed, round, initiator)`,
+//! so drawing it again for every plan attempt would repeat the same draws.
+//! An initiator deferred by a conflict re-plans only the chain after its
+//! walk, against the peer states the last batch left.
 
 use crate::config::SimConfig;
 use crate::metrics::ConstructionMetrics;
@@ -265,14 +273,12 @@ impl SimNetwork {
             0,
             STREAM_SHUFFLE,
         ));
+        self.scheduler
+            .draw_walks(&pending, &self.overlay_graph, config, round);
         while !pending.is_empty() {
-            let (mut batch, deferred) = self.scheduler.plan_batch(
-                &pending,
-                &self.peers,
-                &self.overlay_graph,
-                config,
-                round,
-            );
+            let (mut batch, deferred) =
+                self.scheduler
+                    .plan_batch(&pending, &self.peers, config, round);
             let (delta, outcomes) =
                 self.executor
                     .execute_batch(&mut batch, &mut self.peers, &self.engine);

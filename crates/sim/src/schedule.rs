@@ -27,6 +27,17 @@
 //! executor never re-reads routing tables to follow the chain: the plan
 //! records the hops and the pre-drawn complement, so planner and executor
 //! cannot diverge even though the executor mutates state as it goes.
+//!
+//! The partner walk is drawn **once per (round, initiator)**, at the start
+//! of the round ([`Scheduler::draw_walks`]), not once per plan attempt.
+//! That is exact: the walk reads only the unstructured overlay, which never
+//! changes after the network is built, and the plan stream it consumes is a
+//! function of `(seed, round, initiator)` alone.  So every attempt of one
+//! round would draw the same walk and leave the stream in the same state.
+//! The scheduler stores the walk's first target and the stream right after
+//! the walk; a deferred initiator re-plans only the chain after the walk —
+//! the refer hops, the endpoint and the complement, which do read the
+//! post-batch peer states — from a copy of that stream.
 
 use crate::config::SimConfig;
 use crate::construction::MAX_REFER_HOPS;
@@ -158,6 +169,18 @@ pub(crate) struct Scheduler {
     claims: Vec<usize>,
     /// The refer hops of the plan in progress (same reuse as `claims`).
     refer_targets: Vec<usize>,
+    /// This round's walk of each pending initiator, indexed by peer; sized
+    /// on the first round.
+    walks: Vec<Option<Walk>>,
+}
+
+/// A partner walk drawn once for one (round, initiator).
+#[derive(Clone)]
+struct Walk {
+    /// The peer the walk ended at: the chain's first contact.
+    first: usize,
+    /// The initiator's plan stream right after the walk.
+    rng: StdRng,
 }
 
 /// A required peer is already claimed: the initiator retries in the next
@@ -177,6 +200,27 @@ impl Scheduler {
             claimed: GenerationSet::new(n_peers),
             claims: Vec::new(),
             refer_targets: Vec::new(),
+            walks: Vec::new(),
+        }
+    }
+
+    /// Draws the partner walk of every initiator in `pending` (the round's
+    /// shuffled order) on its plan stream for `round`, once for the whole
+    /// round: every plan attempt of the round starts from a copy.
+    pub(crate) fn draw_walks(
+        &mut self,
+        pending: &[usize],
+        overlay: &UnstructuredOverlay,
+        config: &SimConfig,
+        round: usize,
+    ) {
+        if self.walks.is_empty() {
+            self.walks.resize(overlay.len(), None);
+        }
+        for &initiator in pending {
+            let mut rng = stream_rng(config.seed, round as u64, initiator as u64, STREAM_PLAN);
+            let first = overlay.sample_other(initiator, &mut rng);
+            self.walks[initiator] = Some(Walk { first, rng });
         }
     }
 
@@ -185,12 +229,13 @@ impl Scheduler {
     /// deferring the rest.  Returns the batch plus the deferred initiators
     /// (in their original order).  The first pending initiator always plans
     /// against an empty claim table, so every call grants at least one
-    /// interaction and the per-round batch loop terminates.
+    /// interaction and the per-round batch loop terminates.  Every initiator
+    /// in `pending` must have had its walk drawn by [`Self::draw_walks`]
+    /// for this `round`.
     pub(crate) fn plan_batch(
         &mut self,
         pending: &[usize],
         peers: &[PeerState],
-        overlay: &UnstructuredOverlay,
         config: &SimConfig,
         round: usize,
     ) -> (Vec<InteractionScript>, Vec<usize>) {
@@ -198,54 +243,68 @@ impl Scheduler {
         let mut batch = Vec::with_capacity(pending.len());
         let mut deferred = Vec::new();
         for &initiator in pending {
-            match self.plan_one(initiator, peers, overlay, config, round) {
-                Ok((contacts, endpoint)) => {
-                    for &claim in &self.claims {
-                        self.claimed.insert(claim);
-                    }
-                    batch.push(InteractionScript {
-                        initiator,
-                        contacts,
-                        refer_targets: self.refer_targets.clone(),
-                        endpoint,
-                        claims: self.claims.clone(),
-                        exec_rng: stream_rng(
-                            config.seed,
-                            round as u64,
-                            initiator as u64,
-                            STREAM_EXEC,
-                        ),
-                    });
-                }
+            match self.plan_one(initiator, peers) {
+                Ok(plan) => batch.push(self.grant(initiator, plan, config, round)),
                 Err(Conflict) => deferred.push(initiator),
             }
         }
         (batch, deferred)
     }
 
+    /// Marks the claims of the plan in progress as granted and packs the
+    /// plan into a script.
+    fn grant(
+        &mut self,
+        initiator: usize,
+        (contacts, endpoint): (usize, Endpoint),
+        config: &SimConfig,
+        round: usize,
+    ) -> InteractionScript {
+        for &claim in &self.claims {
+            self.claimed.insert(claim);
+        }
+        InteractionScript {
+            initiator,
+            contacts,
+            refer_targets: self.refer_targets.clone(),
+            endpoint,
+            claims: self.claims.clone(),
+            exec_rng: stream_rng(config.seed, round as u64, initiator as u64, STREAM_EXEC),
+        }
+    }
+
     /// Plans the interaction of one initiator read-only against the current
-    /// peer states into `self.claims` and `self.refer_targets`, returning
-    /// the contact count and the endpoint, or [`Conflict`] as soon as the
-    /// chain touches an already-claimed peer.
+    /// peer states, starting from its stored walk.
     fn plan_one(
         &mut self,
         initiator: usize,
         peers: &[PeerState],
-        overlay: &UnstructuredOverlay,
-        config: &SimConfig,
-        round: usize,
     ) -> Result<(usize, Endpoint), Conflict> {
         if self.claimed.contains(initiator) {
             return Err(Conflict);
         }
-        let mut rng = stream_rng(config.seed, round as u64, initiator as u64, STREAM_PLAN);
+        let walk = self.walks[initiator]
+            .clone()
+            .expect("the initiator's walk is drawn at the start of the round");
+        self.plan_chain(initiator, walk, peers)
+    }
+
+    /// Plans the chain after the walk into `self.claims` and
+    /// `self.refer_targets`, returning the contact count and the endpoint,
+    /// or [`Conflict`] as soon as the chain touches an already-claimed peer.
+    fn plan_chain(
+        &mut self,
+        initiator: usize,
+        Walk { first, mut rng }: Walk,
+        peers: &[PeerState],
+    ) -> Result<(usize, Endpoint), Conflict> {
         let (claims, refer_targets) = (&mut self.claims, &mut self.refer_targets);
         claims.clear();
         claims.push(initiator);
         refer_targets.clear();
         let mut contacts = 0usize;
 
-        let mut target = overlay.sample_other(initiator, &mut rng);
+        let mut target = first;
         for hop in 0..MAX_REFER_HOPS {
             contacts += 1;
             if target == initiator {
@@ -387,7 +446,8 @@ mod tests {
         let overlay = UnstructuredOverlay::random(config.n_peers, 8, &mut rng);
         let mut scheduler = Scheduler::new(config.n_peers);
         let pending: Vec<usize> = (0..config.n_peers).collect();
-        let (batch, deferred) = scheduler.plan_batch(&pending, &peers, &overlay, &config, 1);
+        scheduler.draw_walks(&pending, &overlay, &config, 1);
+        let (batch, deferred) = scheduler.plan_batch(&pending, &peers, &config, 1);
         assert!(!batch.is_empty());
         assert_eq!(batch.len() + deferred.len(), config.n_peers);
         let mut seen = std::collections::HashSet::new();
@@ -395,6 +455,107 @@ mod tests {
             for &claim in &script.claims {
                 assert!(seen.insert(claim), "claim {claim} granted twice");
             }
+        }
+    }
+
+    /// The planner as it was before the walk was memoised, kept as the
+    /// oracle: every attempt draws the walk afresh on a new plan stream.
+    fn redrawn_plan_batch(
+        scheduler: &mut Scheduler,
+        pending: &[usize],
+        peers: &[PeerState],
+        overlay: &UnstructuredOverlay,
+        config: &SimConfig,
+        round: usize,
+    ) -> (Vec<InteractionScript>, Vec<usize>) {
+        scheduler.claimed.clear();
+        let (mut batch, mut deferred) = (Vec::new(), Vec::new());
+        for &initiator in pending {
+            let plan = if scheduler.claimed.contains(initiator) {
+                Err(Conflict)
+            } else {
+                let mut rng = stream_rng(config.seed, round as u64, initiator as u64, STREAM_PLAN);
+                let first = overlay.sample_other(initiator, &mut rng);
+                scheduler.plan_chain(initiator, Walk { first, rng }, peers)
+            };
+            match plan {
+                Ok(plan) => batch.push(scheduler.grant(initiator, plan, config, round)),
+                Err(Conflict) => deferred.push(initiator),
+            }
+        }
+        (batch, deferred)
+    }
+
+    /// Everything a script carries, with the first draw of its exec stream.
+    fn fingerprint(s: &InteractionScript) -> String {
+        let exec: u64 = s.exec_rng.clone().gen();
+        let chain = (&s.refer_targets, s.endpoint, &s.claims);
+        format!("{} {} {chain:?} {exec}", s.initiator, s.contacts)
+    }
+
+    #[test]
+    fn memoised_walks_plan_the_scripts_of_the_redrawing_planner() {
+        use crate::construction::SimNetwork;
+        use crate::parallel::Executor;
+        use pgrid_core::exchange::ExchangeEngine;
+        use pgrid_workload::distributions::Distribution;
+
+        let skew = Distribution::Normal {
+            mean: 0.5,
+            std_dev: 0.05,
+        };
+        for distribution in [Distribution::Uniform, skew] {
+            let config = SimConfig {
+                n_peers: 256,
+                distribution,
+                seed: 3,
+                ..SimConfig::default()
+            };
+            let mut network = SimNetwork::new(&config);
+            network.replicate();
+            let mut peers = network.peers;
+            let overlay =
+                UnstructuredOverlay::random(config.n_peers, 8, &mut StdRng::seed_from_u64(9));
+            let engine = ExchangeEngine::with_strategy(config.balance_params(), config.strategy);
+            let mut executor = Executor::new(config.n_peers, 1);
+            let (mut memoised, mut oracle) = (
+                Scheduler::new(config.n_peers),
+                Scheduler::new(config.n_peers),
+            );
+            let (mut batches, mut most_attempts) = (0, 0);
+            // Every peer initiates in every round, so that conflicts (and
+            // with them re-plans) stay frequent as the trie deepens.
+            for round in 1..=5 {
+                let mut pending: Vec<usize> = (0..config.n_peers).collect();
+                pending.shuffle(&mut stream_rng(config.seed, round, 0, STREAM_SHUFFLE));
+                let round = round as usize;
+                memoised.draw_walks(&pending, &overlay, &config, round);
+                let mut attempts = vec![0; config.n_peers];
+                while !pending.is_empty() {
+                    for &initiator in &pending {
+                        attempts[initiator] += 1;
+                    }
+                    let (mut batch, deferred) =
+                        memoised.plan_batch(&pending, &peers, &config, round);
+                    let (expected, expected_deferred) =
+                        redrawn_plan_batch(&mut oracle, &pending, &peers, &overlay, &config, round);
+                    let context = format!("{distribution}, round {round}, batch {batches}");
+                    assert_eq!(deferred, expected_deferred, "{context}");
+                    assert_eq!(
+                        batch.iter().map(fingerprint).collect::<Vec<_>>(),
+                        expected.iter().map(fingerprint).collect::<Vec<_>>(),
+                        "{context}"
+                    );
+                    executor.execute_batch(&mut batch, &mut peers, &engine);
+                    pending = deferred;
+                    batches += 1;
+                }
+                most_attempts = most_attempts.max(*attempts.iter().max().unwrap());
+            }
+            assert!(
+                most_attempts >= 4,
+                "{distribution}: no initiator re-planned three times ({most_attempts} attempts at most)"
+            );
         }
     }
 }
