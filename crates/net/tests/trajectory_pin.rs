@@ -1,18 +1,16 @@
-//! Pins the exact random trajectory of a two-index loopback deployment.
+//! Pins the exact random trajectory of a loopback deployment.
 //!
-//! The other multi-index tests assert thresholds (success rates, depth);
-//! this one asserts *equality* with constants recorded once, so a refactor
-//! of the runtime that moves a single RNG draw, a flush boundary or an
-//! accounting line on either index — with the route cache off or on —
-//! shows up as a diff here instead of as a shifted statistic somewhere
-//! else.  Only the `IndexId`-qualified public API is used.
+//! The other runtime tests assert thresholds (success rates, depth); this
+//! one asserts *equality* with constants recorded once, so a refactor of
+//! the runtime that moves a single RNG draw, a flush boundary or an
+//! accounting line — with the route cache off or on — shows up as a diff
+//! here instead of as a shifted statistic somewhere else.
 
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
 use pgrid_net::runtime::{NetConfig, QueryAggregates, Runtime};
-use pgrid_workload::distributions::Distribution;
 
-const SECONDARY: IndexId = IndexId(1);
+const PRIMARY: IndexId = IndexId::PRIMARY;
 
 /// Everything the pin compares, in one `Debug`-printable value.
 #[derive(Debug, PartialEq)]
@@ -22,14 +20,12 @@ struct Trajectory {
     maintenance_bytes: usize,
     query_bytes: usize,
     /// Every peer's final path, comma-joined in peer order.
-    primary_paths: String,
-    secondary_paths: String,
-    primary_stats: Stats,
-    secondary_stats: Stats,
+    paths: String,
+    stats: Stats,
 }
 
-/// One index's [`QueryAggregates`]: its scalar counters plus a digest of
-/// the two histograms and the per-minute buckets.
+/// The run's [`QueryAggregates`]: its scalar counters plus a digest of the
+/// two histograms and the per-minute buckets.
 #[derive(Debug, PartialEq)]
 struct Stats {
     /// `[issued, answered, succeeded, timed_out, late_responses,
@@ -75,15 +71,7 @@ fn stats(agg: &QueryAggregates) -> Stats {
     Stats { counts, digest }
 }
 
-fn paths(rt: &Runtime, index: IndexId) -> String {
-    (0..rt.config.n_peers)
-        .map(|peer| rt.peer_state(index, peer).path.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// join → replicate → construct both indexes → point lookups and 1 %
-/// ranges on both.
+/// join → replicate → construct → point lookups and 1 % ranges.
 fn run(route_cache: bool) -> Trajectory {
     let mut rt = Runtime::new(NetConfig {
         n_peers: 48,
@@ -91,35 +79,32 @@ fn run(route_cache: bool) -> Trajectory {
         route_cache,
         ..NetConfig::default()
     });
-    rt.register_index(SECONDARY, &Distribution::Uniform);
     for peer in 0..48 {
         rt.join_peer(peer, 4);
     }
-    for index in [IndexId::PRIMARY, SECONDARY] {
-        rt.replication_phase_on(index);
-    }
+    rt.replication_phase();
     rt.run_until(10_000);
-    for index in [IndexId::PRIMARY, SECONDARY] {
-        rt.start_construction_on(index);
-    }
+    rt.start_construction();
     rt.run_until(400_000);
 
-    for index in [IndexId::PRIMARY, SECONDARY] {
-        let keys: Vec<Key> = rt
-            .original_entries_of(index)
-            .iter()
-            .map(|e| e.key)
-            .collect();
-        for i in 0..60 {
-            rt.issue_query_on(index, keys[i * 7 % keys.len()]);
-            rt.run_until(rt.now() + 1_000);
-        }
-        for i in 0..12 {
-            let lo = i as f64 / 12.5;
-            rt.issue_range_query_on(index, Key::from_fraction(lo), Key::from_fraction(lo + 0.01))
-                .expect("peers online");
-            rt.run_until(rt.now() + 3_000);
-        }
+    let keys: Vec<Key> = rt
+        .original_entries_of(PRIMARY)
+        .iter()
+        .map(|e| e.key)
+        .collect();
+    for i in 0..60 {
+        rt.issue_query_batch_on(PRIMARY, &[keys[i * 7 % keys.len()]]);
+        rt.run_until(rt.now() + 1_000);
+    }
+    for i in 0..12 {
+        let lo = i as f64 / 12.5;
+        rt.issue_range_query_on(
+            PRIMARY,
+            Key::from_fraction(lo),
+            Key::from_fraction(lo + 0.01),
+        )
+        .expect("peers online");
+        rt.run_until(rt.now() + 3_000);
     }
     rt.run_until(rt.now() + rt.config.query_timeout_ms * 5);
 
@@ -129,31 +114,26 @@ fn run(route_cache: bool) -> Trajectory {
         messages_lost: rt.metrics.messages_lost,
         maintenance_bytes: bandwidth.clone().map(|b| b.maintenance_bytes).sum(),
         query_bytes: bandwidth.map(|b| b.query_bytes).sum(),
-        primary_paths: paths(&rt, IndexId::PRIMARY),
-        secondary_paths: paths(&rt, SECONDARY),
-        primary_stats: stats(&rt.metrics.stats(IndexId::PRIMARY)),
-        secondary_stats: stats(&rt.metrics.stats(SECONDARY)),
+        paths: (0..rt.config.n_peers)
+            .map(|peer| rt.peer_state(PRIMARY, peer).path.to_string())
+            .collect::<Vec<_>>()
+            .join(","),
+        stats: stats(&rt.metrics.stats(PRIMARY)),
     }
 }
 
 #[test]
 fn uncached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 4_526,
-        messages_lost: 50,
-        maintenance_bytes: 2_341_254,
-        query_bytes: 13_948,
-        primary_paths: "000,110,000,001,111,110,100,101,101,101,110,101,000,100,01,101,001,100,110,101,101,000,001,01,100,01,01,101,01,01,111,100,100,101,000,110,001,110,01,100,000,100,100,000,01,101,001,111"
+        messages_delivered: 2_122,
+        messages_lost: 18,
+        maintenance_bytes: 1_149_889,
+        query_bytes: 5_955,
+        paths: "11,01,11,111,001,01,000,001,01,101,001,11,000,100,101,000,100,001,000,01,001,01,101,000,000,01,110,01,11,101,110,001,001,101,001,01,000,100,001,10,101,000,01,001,11,000,101,101"
             .into(),
-        secondary_paths: "101,101,011,110,010,110,001,100,101,111,110,100,111,111,100,000,100,010,011,00,111,101,111,000,011,110,010,100,011,110,101,000,101,010,110,100,00,001,110,000,011,010,101,011,010,011,101,001"
-            .into(),
-        primary_stats: Stats {
-            counts: [60, 60, 59, 0, 0, 81, 20_145, 12, 12, 24_266],
-            digest: 7_916_621_807_456_592_890,
-        },
-        secondary_stats: Stats {
-            counts: [60, 58, 56, 2, 0, 96, 22_323, 12, 12, 3_758],
-            digest: 13_669_033_832_855_757_301,
+        stats: Stats {
+            counts: [60, 58, 52, 2, 0, 69, 20_366, 12, 12, 4_101],
+            digest: 15_555_886_661_211_162_473,
         },
     };
     assert_eq!(run(false), expected);
@@ -162,21 +142,15 @@ fn uncached_trajectory_matches_the_recorded_constants() {
 #[test]
 fn route_cached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 4_650,
-        messages_lost: 53,
-        maintenance_bytes: 2_350_379,
-        query_bytes: 17_452,
-        primary_paths: "000,110,000,001,111,11,100,101,101,101,110,101,000,100,01,101,001,100,110,101,101,000,001,01,100,01,01,101,01,01,111,100,100,101,000,11,001,110,01,100,000,100,100,000,01,101,001,110"
+        messages_delivered: 2_117,
+        messages_lost: 23,
+        maintenance_bytes: 1_153_995,
+        query_bytes: 5_921,
+        paths: "11,01,11,111,001,01,000,001,01,101,001,11,000,100,101,000,100,001,000,01,001,01,101,000,000,01,110,01,110,10,110,001,001,101,001,01,000,100,001,101,101,000,01,001,11,000,101,101"
             .into(),
-        secondary_paths: "101,101,011,110,010,110,001,100,10,111,110,100,111,111,100,000,100,010,011,00,111,101,111,000,011,110,010,100,011,110,101,000,101,010,110,100,00,001,110,000,011,010,101,011,010,011,101,001"
-            .into(),
-        primary_stats: Stats {
-            counts: [60, 57, 56, 3, 0, 71, 35_255, 12, 12, 24_073],
-            digest: 15_563_961_005_411_584_083,
-        },
-        secondary_stats: Stats {
-            counts: [60, 58, 57, 2, 0, 80, 19_675, 12, 12, 4_300],
-            digest: 11_343_501_374_693_053_569,
+        stats: Stats {
+            counts: [60, 57, 52, 3, 0, 59, 18_525, 12, 12, 4_018],
+            digest: 7_993_781_468_759_680_013,
         },
     };
     assert_eq!(run(true), expected);
