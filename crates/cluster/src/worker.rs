@@ -814,12 +814,7 @@ fn send_report(overlay: &mut ShardOverlay) -> Result<()> {
     let report = ClusterMsg::Report(ShardReport {
         shard_start: runtime.shard().start as u64,
         paths: shard_paths(runtime),
-        query_stats: runtime
-            .metrics
-            .query_stats
-            .iter()
-            .map(|(&index, stats)| (index, stats.clone()))
-            .collect(),
+        query_stats: vec![(IndexId::PRIMARY, runtime.metrics.query_stats.clone())],
         online_at_end: runtime.hosted_online_count() as u64,
         transport: runtime.transport_stats(),
         messages_delivered: runtime.metrics.messages_delivered as u64,
@@ -1074,7 +1069,6 @@ fn replay_log(
             .collect();
         let replicas: Vec<PeerId> = image.replicas.iter().map(|&p| PeerId(p)).collect();
         runtime.restore_peer(
-            IndexId::PRIMARY,
             peer,
             image.path,
             image.entries.iter().copied().collect(),
@@ -1153,28 +1147,24 @@ pub fn worker_scenario(
     let mut builder = Scenario::builder(config.seed)
         .raw_control_seed(config.seed ^ CONTROL_SEED_SALT ^ ((worker_index as u64) << 32))
         .join_schedule(timeline.join_end_min, join_plan(config, timeline))
-        .replicate(IndexId::PRIMARY, timeline.replicate_end_min)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(timeline.replicate_end_min)
+        .start_construction()
         .run_until(timeline.construct_end_min);
     // The optional range window between construction and the lookup load,
     // with the same bounds-width the single-process driver uses.
     if timeline.range_end_min > timeline.construct_end_min {
         builder = builder.range_load(
-            IndexId::PRIMARY,
             timeline.range_end_min,
             shard_len,
             pgrid_scenario::RANGE_LOAD_WIDTH,
         );
     }
     builder
-        .query_load_from(IndexId::PRIMARY, timeline.query_end_min, shard_len)
+        .query_load_from(timeline.query_end_min, shard_len)
         .churn_schedule(
             timeline.end_min,
             churn_plan(config, timeline),
-            Some(QuerySpec {
-                index: IndexId::PRIMARY,
-                issuers: shard_len,
-            }),
+            Some(QuerySpec { issuers: shard_len }),
         )
         .drain()
         .build()
@@ -1402,15 +1392,7 @@ mod tests {
             .map(|i| DataEntry::new(Key(i << 60), DataId(i)))
             .collect();
         let replicas = vec![PeerId(ORPHAN)];
-        runtime.restore_peer(
-            IndexId::PRIMARY,
-            1,
-            Path::root(),
-            entries,
-            Vec::new(),
-            replicas,
-            false,
-        );
+        runtime.restore_peer(1, Path::root(), entries, Vec::new(), replicas, false);
         ShardOverlay {
             runtime,
             ctl: ControlChannel::new(TcpStream::connect(coordinator).unwrap()).unwrap(),

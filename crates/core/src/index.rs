@@ -1,39 +1,19 @@
-//! Index identifiers: one peer population, several logical indexes.
+//! The index identifier.
 //!
-//! The paper builds *one* trie over *one* key extraction function, but the
-//! same peer population can host several independent indexes at once (e.g.
-//! two different term-extraction schemes over the same document corpus, or
-//! the heterogeneous schemas of peer-database systems such as HepToX).
-//! Every overlay operation that touches index state — replication,
-//! construction exchanges, queries — is therefore qualified by an
-//! [`IndexId`]: each index gets its own per-peer path, store and routing
-//! table, while the peer population, its liveness and its unstructured
-//! bootstrap overlay are shared.
+//! The paper builds *one* trie over *one* key extraction function, and a
+//! deployment hosts exactly that one index.  [`IndexId`] survives only as
+//! the name the benchmark harness passes to a handful of runtime accessors
+//! (`peer_state`, `original_entries_of`, `issue_query_batch_on`,
+//! `issue_range_query_on`, `NetMetrics::stats`); they accept nothing but
+//! [`IndexId::PRIMARY`].
 
-/// Identifier of one logical index hosted by the peer population.
-///
-/// The *primary* index ([`IndexId::PRIMARY`], id `0`) is the index every
-/// engine hosts implicitly — single-index deployments never mention any
-/// other.  Secondary indexes are registered explicitly and their protocol
-/// traffic is enveloped on the wire, so a single-index deployment's byte
-/// stream is unchanged by the existence of this type.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Identifier of the one index a deployment hosts.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexId(pub u16);
 
 impl IndexId {
-    /// The implicit index of every overlay engine.
+    /// The one index of every overlay engine.
     pub const PRIMARY: IndexId = IndexId(0);
-
-    /// Whether this is the primary index.
-    pub fn is_primary(self) -> bool {
-        self == IndexId::PRIMARY
-    }
-}
-
-impl std::fmt::Display for IndexId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "index{}", self.0)
-    }
 }
 
 #[cfg(test)]
@@ -44,8 +24,5 @@ mod tests {
     fn primary_is_zero_and_default() {
         assert_eq!(IndexId::PRIMARY, IndexId(0));
         assert_eq!(IndexId::default(), IndexId::PRIMARY);
-        assert!(IndexId::PRIMARY.is_primary());
-        assert!(!IndexId(3).is_primary());
-        assert_eq!(IndexId(3).to_string(), "index3");
     }
 }

@@ -83,7 +83,6 @@ pub mod prelude {
     pub use crate::error::OverlayError;
     pub use crate::exchange::{Assessment, ExchangeDecision, ExchangeEngine, ProbabilityStrategy};
     pub use crate::histogram::LogHistogram;
-    pub use crate::index::IndexId;
     pub use crate::key::{DataEntry, DataId, Key};
     pub use crate::path::Path;
     pub use crate::peer::PeerState;

@@ -153,7 +153,7 @@ impl ReportInputs {
             paths: (0..runtime.config.n_peers)
                 .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
                 .collect(),
-            queries: runtime.metrics.merged_stats(),
+            queries: runtime.metrics.query_stats.clone(),
             bandwidth_per_minute: runtime.metrics.bandwidth_per_minute.clone(),
             online_at_end: runtime.online_count(),
             transport: runtime.transport_stats(),

@@ -126,19 +126,6 @@ pub enum Message {
         /// Hops the walk had taken when this slice was answered.
         hops: u32,
     },
-    /// Envelope routing `inner` to a *secondary* index hosted by the same
-    /// peer population (see [`pgrid_core::index::IndexId`]).
-    ///
-    /// Primary-index traffic is never enveloped, so the byte stream of a
-    /// single-index deployment is unchanged by the multi-index extension.
-    /// Envelopes do not nest: a `ForIndex` inside a `ForIndex` is rejected
-    /// at decode time.
-    ForIndex {
-        /// The secondary index the inner message belongs to (non-zero).
-        index: u16,
-        /// The enveloped protocol message.
-        inner: Box<Message>,
-    },
     /// Outermost envelope carrying the trace ID of a traced lookup, so a
     /// query's hop chain can be reassembled across peers (and across
     /// cluster worker processes).
@@ -146,8 +133,7 @@ pub enum Message {
     /// Only emitted while tracing is enabled and the runtime is handling
     /// a traced query — trace ID `0` means "not traced" and is never put
     /// on the wire, so a tracing-disabled run produces byte-identical
-    /// frames.  `Traced` is strictly the outermost envelope: it may wrap
-    /// a [`Message::ForIndex`], never another `Traced`.
+    /// frames.  `Traced` never wraps another `Traced`.
     Traced {
         /// The trace the inner message belongs to (non-zero).
         trace_id: u64,
@@ -355,15 +341,6 @@ impl Message {
                 Be::put_entries(buf, entries);
                 Be::put_u32(buf, *hops);
             }
-            Message::ForIndex { index, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Message::ForIndex { .. } | Message::Traced { .. }),
-                    "index envelopes do not nest"
-                );
-                Be::put_u8(buf, 7);
-                Be::put_u16(buf, *index);
-                inner.encode_into(buf);
-            }
             Message::Traced { trace_id, inner } => {
                 debug_assert!(
                     !matches!(**inner, Message::Traced { .. }),
@@ -493,23 +470,11 @@ impl Message {
                 entries: Be::entries(data, MAX_ENTRIES)?,
                 hops: Be::u32(data)?,
             },
-            7 => {
-                let index = Be::u16(data)?;
-                // Envelopes carry a non-zero index and never nest; a trace
-                // envelope is strictly outermost so it cannot appear here.
-                // Decided on the inner tag, before recursing, so hostile
-                // nesting is rejected at depth one instead of on the stack.
-                if index == 0 || matches!(data.first(), Some(7 | 10)) {
-                    return None;
-                }
-                Message::ForIndex {
-                    index,
-                    inner: Box::new(Message::decode_from(data)?),
-                }
-            }
             10 => {
                 let trace_id = Be::u64(data)?;
-                // Trace envelopes carry a non-zero ID and never nest.
+                // Trace envelopes carry a non-zero ID and never nest:
+                // decided on the inner tag, before recursing, so hostile
+                // nesting is rejected at depth one instead of on the stack.
                 if trace_id == 0 || data.first() == Some(&10) {
                     return None;
                 }
@@ -527,6 +492,8 @@ impl Message {
                 routing: Be::routing(data, 65_536)?,
                 replicas: Be::peers(data, 65_536)?,
             },
+            // Tag 7, the retired secondary-index envelope, is refused like
+            // any unknown tag.
             _ => return None,
         })
     }
@@ -547,7 +514,6 @@ impl Message {
             | Message::QueryResponse { .. }
             | Message::RangeQuery { .. }
             | Message::RangeResponse { .. } => true,
-            Message::ForIndex { inner, .. } => inner.is_query_traffic(),
             Message::Traced { inner, .. } => inner.is_query_traffic(),
             _ => false,
         }
@@ -795,12 +761,6 @@ mod tests {
             buf.put_u64(1);
         }
         assert!(Message::decode_slice(&buf).is_none());
-        let mut buf = Vec::new();
-        for _ in 0..(1 << 20) / 3 {
-            buf.put_u8(7);
-            buf.put_u16(1);
-        }
-        assert!(Message::decode_slice(&buf).is_none());
     }
 
     #[test]
@@ -816,48 +776,14 @@ mod tests {
     }
 
     #[test]
-    fn index_envelopes_roundtrip_and_classify() {
-        let inner = Message::Query {
-            origin: PeerId(3),
-            id: 9,
-            key: Key::from_fraction(0.5),
-            hops: 1,
-        };
-        let enveloped = Message::ForIndex {
-            index: 2,
-            inner: Box::new(inner.clone()),
-        };
-        roundtrip(enveloped.clone());
-        assert!(enveloped.is_query_traffic());
-        assert!(!Message::ForIndex {
-            index: 2,
-            inner: Box::new(Message::Replicate {
-                entries: entries(1)
-            }),
-        }
-        .is_query_traffic());
-        // The envelope costs exactly tag + index on the wire.
-        assert_eq!(enveloped.wire_size(), inner.wire_size() + 3);
-    }
-
-    #[test]
     fn malformed_envelopes_are_rejected() {
-        // Index 0 must never be enveloped.
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        buf.put_u16(0);
-        buf.put_slice(Message::Join { peer: PeerId(1) }.encode().as_slice());
-        assert!(Message::decode(buf.freeze()).is_none());
-        // Envelopes do not nest.
+        // The retired secondary-index envelope (tag 7, index 1, a valid
+        // `Join`) is refused, not misread.
         let mut buf = BytesMut::new();
         buf.put_u8(7);
         buf.put_u16(1);
-        buf.put_u8(7);
-        buf.put_u16(2);
         buf.put_slice(Message::Join { peer: PeerId(1) }.encode().as_slice());
         assert!(Message::decode(buf.freeze()).is_none());
-        // Truncated index.
-        assert!(Message::decode(Bytes::from_static(&[7, 0])).is_none());
     }
 
     #[test]
@@ -874,16 +800,6 @@ mod tests {
         };
         roundtrip(traced.clone());
         assert!(traced.is_query_traffic());
-        // A traced secondary-index query nests Traced around ForIndex.
-        let traced_secondary = Message::Traced {
-            trace_id: 7,
-            inner: Box::new(Message::ForIndex {
-                index: 2,
-                inner: Box::new(inner.clone()),
-            }),
-        };
-        roundtrip(traced_secondary.clone());
-        assert!(traced_secondary.is_query_traffic());
         // The envelope costs exactly tag + trace id on the wire.
         assert_eq!(traced.wire_size(), inner.wire_size() + 9);
     }
@@ -902,15 +818,6 @@ mod tests {
         buf.put_u64(1);
         buf.put_u8(10);
         buf.put_u64(2);
-        buf.put_slice(Message::Join { peer: PeerId(1) }.encode().as_slice());
-        assert!(Message::decode(buf.freeze()).is_none());
-        // A trace envelope inside an index envelope is rejected: Traced is
-        // strictly outermost.
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        buf.put_u16(1);
-        buf.put_u8(10);
-        buf.put_u64(3);
         buf.put_slice(Message::Join { peer: PeerId(1) }.encode().as_slice());
         assert!(Message::decode(buf.freeze()).is_none());
         // Truncated trace id.

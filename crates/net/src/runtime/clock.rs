@@ -3,7 +3,6 @@
 
 use super::links::recycle;
 use super::{Millis, Runtime};
-use pgrid_core::index::IndexId;
 use pgrid_transport::Transport;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,7 +16,7 @@ const MAX_REALTIME_STALLS: u32 = 500;
 /// by `(time, seq)` first and `seq` is unique.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) enum EventKind {
-    ConstructTick { index: IndexId, peer: usize },
+    ConstructTick { peer: usize },
     GoOffline { peer: usize },
     GoOnline { peer: usize },
 }
@@ -138,7 +137,7 @@ impl<T: Transport> Runtime<T> {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::ConstructTick { index, peer } => self.construct_tick(index, peer),
+            EventKind::ConstructTick { peer } => self.construct_tick(peer),
             EventKind::GoOffline { peer } => {
                 self.nodes[peer].online = false;
                 self.recorder

@@ -1,16 +1,14 @@
 //! Overlay construction: the join handshake, the replication phase and the
-//! exchange protocol of Figure 2 driven by per-peer, per-index tick chains.
-//! State lives in the index-slot table (`constructing`, `tick_armed`,
+//! exchange protocol of Figure 2 driven by per-peer tick chains.  State
+//! lives in the runtime's `Overlay` (`constructing`, `tick_armed`,
 //! `fruitless` next to each peer's overlay state); entry points are
-//! [`Runtime::join_peer`], [`Runtime::replication_phase_on`],
-//! [`Runtime::start_construction_on`] and
-//! [`Runtime::construction_quiescent`].
+//! [`Runtime::join_peer`], [`Runtime::replication_phase`],
+//! [`Runtime::start_construction`] and [`Runtime::construction_quiescent`].
 
 use super::clock::EventKind;
 use super::{Millis, Runtime};
 use crate::message::{ExchangeOutcome, Message};
 use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine};
-use pgrid_core::index::IndexId;
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::routing::{PeerId, RoutingEntry};
@@ -83,18 +81,12 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Replicates every online peer's original entries to `n_min` random
-    /// neighbours-of-neighbours (the replication phase of the primary
-    /// index).
+    /// neighbours-of-neighbours (the replication phase).
     pub fn replication_phase(&mut self) {
-        self.replication_phase_on(IndexId::PRIMARY);
-    }
-
-    /// The replication phase of one index.
-    pub fn replication_phase_on(&mut self, index: IndexId) {
         self.recorder.note(
             self.clock.now,
             "phase",
-            format!("replication phase started on index {}", index.0),
+            "replication phase started".to_string(),
         );
         let n_min = self.config.n_min;
         let hosted: Vec<usize> = self.hosted_peers().collect();
@@ -103,17 +95,10 @@ impl<T: Transport> Runtime<T> {
                 continue;
             }
             self.links.actor = peer;
-            let entries: Vec<DataEntry> = self
-                .indexes
-                .state(index, peer)
-                .store
-                .iter()
-                .copied()
-                .collect();
+            let entries: Vec<DataEntry> = self.overlay.states[peer].store.iter().copied().collect();
             for _ in 0..n_min {
                 if let Some(target) = self.random_contact(peer) {
-                    self.send_on(
-                        index,
+                    self.send(
                         target,
                         Message::Replicate {
                             entries: entries.clone(),
@@ -128,70 +113,59 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// Starts periodic construction ticks on every hosted online peer (the
-    /// primary index).
+    /// Starts periodic construction ticks on every hosted online peer.
+    /// Peers whose tick chain is still scheduled are left alone (re-arming
+    /// would double their tick rate); peers whose chain died — a tick fired
+    /// while they were offline during churn — are re-armed, so a scenario
+    /// can re-engage construction after a churn window (or after
+    /// [`Runtime::insert_entries`] shifted the data).
     pub fn start_construction(&mut self) {
-        self.start_construction_on(IndexId::PRIMARY);
-    }
-
-    /// Starts periodic construction ticks of one index on every hosted
-    /// online peer.  Peers whose tick chain is still scheduled are left
-    /// alone (re-arming would double their tick rate); peers whose chain
-    /// died — a tick fired while they were offline during churn — are
-    /// re-armed, so a scenario can re-engage construction after a churn
-    /// window (or after [`Runtime::insert_entries`] shifted the data).
-    pub fn start_construction_on(&mut self, index: IndexId) {
-        self.recorder.note(
-            self.clock.now,
-            "phase",
-            format!("construction started on index {}", index.0),
-        );
+        self.recorder
+            .note(self.clock.now, "phase", "construction started".to_string());
         let hosted: Vec<usize> = self.hosted_peers().collect();
         for peer in hosted {
             if self.nodes[peer].online {
-                self.arm_tick(index, peer);
+                self.arm_tick(peer);
             }
         }
     }
 
-    /// Arms `peer`'s construction tick chain on `index` with a jittered
-    /// first tick; a chain that is still scheduled is left alone.
-    pub(super) fn arm_tick(&mut self, index: IndexId, peer: usize) {
-        let slot = self.indexes.slot_mut(index);
-        if slot.tick_armed[peer] {
+    /// Arms `peer`'s construction tick chain with a jittered first tick; a
+    /// chain that is still scheduled is left alone.
+    pub(super) fn arm_tick(&mut self, peer: usize) {
+        let overlay = &mut self.overlay;
+        if overlay.tick_armed[peer] {
             return;
         }
-        slot.tick_armed[peer] = true;
-        slot.constructing[peer] = true;
+        overlay.tick_armed[peer] = true;
+        overlay.constructing[peer] = true;
         let jitter = self.rng.gen_range(0..CONSTRUCT_INTERVAL_MS);
-        self.clock.schedule(
-            self.clock.now + jitter,
-            EventKind::ConstructTick { index, peer },
-        );
+        self.clock
+            .schedule(self.clock.now + jitter, EventKind::ConstructTick { peer });
     }
 
     /// Whether construction has settled: every hosted, online peer whose
-    /// tick chain is still live (on any index) has reached the back-off
-    /// regime — repeated fruitless exchanges and no local evidence that
-    /// its partition still needs splitting.  Dead tick chains (a tick
-    /// fired while the peer was offline) do not block quiescence: they do
-    /// nothing until re-armed.  `true` when no peer is constructing at
-    /// all.
+    /// tick chain is still live has reached the back-off regime — repeated
+    /// fruitless exchanges and no local evidence that its partition still
+    /// needs splitting.  Dead tick chains (a tick fired while the peer was
+    /// offline) do not block quiescence: they do nothing until re-armed.
+    /// `true` when no peer is constructing at all.
     pub fn construction_quiescent(&self) -> bool {
-        self.indexes.0.iter().all(|slot| {
-            self.hosted_peers()
-                .filter(|&p| self.nodes[p].is_up() && slot.constructing[p] && slot.tick_armed[p])
-                .all(|p| slot.fruitless[p] >= 4 && !self.engine.locally_overloaded(&slot.states[p]))
-        })
+        let overlay = &self.overlay;
+        self.hosted_peers()
+            .filter(|&p| self.nodes[p].is_up() && overlay.constructing[p] && overlay.tick_armed[p])
+            .all(|p| {
+                overlay.fruitless[p] >= 4 && !self.engine.locally_overloaded(&overlay.states[p])
+            })
     }
 
-    pub(super) fn construct_tick(&mut self, index: IndexId, peer: usize) {
+    pub(super) fn construct_tick(&mut self, peer: usize) {
         self.links.actor = peer;
-        let slot = self.indexes.slot_mut(index);
-        if !self.nodes[peer].online || !slot.constructing[peer] {
+        let overlay = &mut self.overlay;
+        if !self.nodes[peer].online || !overlay.constructing[peer] {
             // The chain ends here (no reschedule, as in the paper's
-            // reference run); `start_construction_on` can re-arm it.
-            slot.tick_armed[peer] = false;
+            // reference run); `start_construction` can re-arm it.
+            overlay.tick_armed[peer] = false;
             return;
         }
         // Back off after repeated fruitless exchanges unless the local store
@@ -201,16 +175,16 @@ impl<T: Transport> Runtime<T> {
         // keeps replicas converged during the operational phase (and shows
         // up as the residual maintenance bandwidth of Figure 8).
         let backing_off =
-            slot.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&slot.states[peer]);
+            overlay.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&overlay.states[peer]);
         if let Some(target) = self.random_contact(peer) {
-            let state = self.indexes.state(index, peer);
+            let state = &self.overlay.states[peer];
             let entries = state.store.restricted(&state.path).as_slice().to_vec();
             let message = Message::Exchange {
                 from: PeerId(peer as u64),
                 path: state.path,
                 entries,
             };
-            self.send_on(index, target, message);
+            self.send(target, message);
         }
         let interval = if backing_off {
             CONSTRUCT_INTERVAL_MS * 10
@@ -220,7 +194,7 @@ impl<T: Transport> Runtime<T> {
         let jitter = self.rng.gen_range(0..interval);
         self.clock.schedule(
             self.clock.now + interval + jitter,
-            EventKind::ConstructTick { index, peer },
+            EventKind::ConstructTick { peer },
         );
     }
 
@@ -229,13 +203,12 @@ impl<T: Transport> Runtime<T> {
     /// changed its path or routing table).
     pub(super) fn handle_exchange(
         &mut self,
-        index: IndexId,
         responder: usize,
         from: PeerId,
         path: Path,
         entries: &[DataEntry],
     ) {
-        let outcome = self.decide_exchange(index, responder, from, path, entries);
+        let outcome = self.decide_exchange(responder, from, path, entries);
         if self.tracer.is_enabled() {
             let label = match &outcome {
                 ExchangeOutcome::Split { .. } => "split",
@@ -248,16 +221,16 @@ impl<T: Transport> Runtime<T> {
                 "exchange_decision",
                 responder as u64,
                 self.clock.now,
-                || format!("from={} index={} outcome={label}", from.0, index.0),
+                || format!("from={} outcome={label}", from.0),
             );
         }
         let reply = Message::ExchangeReply {
             from: PeerId(responder as u64),
-            path: self.indexes.state(index, responder).path,
+            path: self.overlay.states[responder].path,
             outcome,
         };
-        self.send_on(index, from.0 as usize, reply);
-        self.lookups.invalidate_routes(responder, index);
+        self.send(from.0 as usize, reply);
+        self.lookups.invalidate_routes(responder);
     }
 
     /// The contacted peer's local decision for an exchange (Figure 2).
@@ -269,19 +242,18 @@ impl<T: Transport> Runtime<T> {
     /// transition.
     fn decide_exchange(
         &mut self,
-        index: IndexId,
         responder: usize,
         initiator: PeerId,
         initiator_path: Path,
         initiator_entries: &[DataEntry],
     ) -> ExchangeOutcome {
-        let responder_path = self.indexes.state(index, responder).path;
+        let responder_path = self.overlay.states[responder].path;
 
         if ExchangeEngine::refer_level(&responder_path, &initiator_path).is_some() {
             // Refer the initiator to a peer for its own side, and learn a
             // reference ourselves.
             let level = responder_path.common_prefix_len(&initiator_path);
-            let state = self.indexes.state_mut(index, responder);
+            let state = &mut self.overlay.states[responder];
             state.learn_reference(initiator, initiator_path, &mut self.rng);
             return match state.routing.level(level).choose(&mut self.rng) {
                 Some(entry) if entry.peer != initiator => ExchangeOutcome::Refer {
@@ -308,11 +280,7 @@ impl<T: Transport> Runtime<T> {
         // Zero-copy view of the responder's partition entries; everything
         // derived from it is computed before the responder's state is
         // mutated.
-        let responder_store = self
-            .indexes
-            .state(index, responder)
-            .store
-            .restricted(&partition);
+        let responder_store = self.overlay.states[responder].store.restricted(&partition);
         let assessment = self
             .engine
             .assess(&initiator_store, &responder_store, &partition);
@@ -329,7 +297,7 @@ impl<T: Transport> Runtime<T> {
                     // arrived with the request).
                     let to_initiator = responder_store.missing_in(&initiator_store);
                     let to_responder = initiator_store.missing_in(&responder_store);
-                    let state = self.indexes.state_mut(index, responder);
+                    let state = &mut self.overlay.states[responder];
                     if !state.replicas.contains(&initiator) {
                         state.replicas.push(initiator);
                     }
@@ -345,7 +313,7 @@ impl<T: Transport> Runtime<T> {
                 } => {
                     // The responder extends its own path with the
                     // complementary bit and hands over the initiator's side.
-                    let state = self.indexes.state_mut(index, responder);
+                    let state = &mut self.overlay.states[responder];
                     let handover = state.split_towards(
                         !initiator_bit,
                         RoutingEntry {
@@ -391,9 +359,7 @@ impl<T: Transport> Runtime<T> {
             // reference to the complementary subtree, which the responder has
             // in its routing table for this level.
             let complement = if initiator_bit == responder_bit {
-                let refs = self
-                    .indexes
-                    .state(index, responder)
+                let refs = self.overlay.states[responder]
                     .routing
                     .level(partition.len());
                 match refs.choose(&mut self.rng) {
@@ -404,9 +370,7 @@ impl<T: Transport> Runtime<T> {
                 None
             };
             let initiator_new_path = partition.child(initiator_bit);
-            let handover = self
-                .indexes
-                .state(index, responder)
+            let handover = self.overlay.states[responder]
                 .store
                 .restricted(&initiator_new_path)
                 .as_slice()
@@ -435,7 +399,7 @@ impl<T: Transport> Runtime<T> {
                 balanced: false,
                 ..
             } if bit != ahead_bit => {
-                let shipped = self.indexes.state_mut(index, responder).split_towards(
+                let shipped = self.overlay.states[responder].split_towards(
                     bit,
                     RoutingEntry {
                         peer: initiator,
@@ -455,14 +419,12 @@ impl<T: Transport> Runtime<T> {
     /// its path or routing table, so its memoised routing resolutions go).
     pub(super) fn apply_exchange_reply(
         &mut self,
-        index: IndexId,
         initiator: usize,
         responder: PeerId,
         responder_path: Path,
         outcome: ExchangeOutcome,
     ) {
-        let slot = self.indexes.slot_mut(index);
-        let state = &mut slot.states[initiator];
+        let state = &mut self.overlay.states[initiator];
         // Always learn a routing reference from the encounter if possible.
         state.learn_reference(responder, responder_path, &mut self.rng);
         let fruitful = match outcome {
@@ -509,8 +471,7 @@ impl<T: Transport> Runtime<T> {
                     // Hand the entries of the other side back to the
                     // responder (content exchange).
                     if !shipped.is_empty() {
-                        self.send_on(
-                            index,
+                        self.send(
                             responder.0 as usize,
                             Message::Replicate { entries: shipped },
                         );
@@ -519,8 +480,8 @@ impl<T: Transport> Runtime<T> {
                 node_path == partition
             }
         };
-        let fruitless = &mut self.indexes.slot_mut(index).fruitless[initiator];
+        let fruitless = &mut self.overlay.fruitless[initiator];
         *fruitless = if fruitful { 0 } else { *fruitless + 1 };
-        self.lookups.invalidate_routes(initiator, index);
+        self.lookups.invalidate_routes(initiator);
     }
 }

@@ -1,6 +1,5 @@
 //! The wire side of the runtime: the staging arena, the transport and the
-//! link life-cycle ([`Links`]); `send`/`send_on` encode a message into the
-//! arena, `flush_pending` ships what is staged as one frame per
+//! link life-cycle ([`Links`]); `send` encodes a message into the arena, `flush_pending` ships what is staged as one frame per
 //! destination, `deliver_frame` validates an arrived frame and dispatches
 //! its messages to the planes.
 //!
@@ -29,7 +28,6 @@
 use super::{Millis, Runtime};
 use crate::message::Message;
 use bytes::Bytes;
-use pgrid_core::index::IndexId;
 use pgrid_core::routing::PeerId;
 use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
 use pgrid_transport::frame;
@@ -200,23 +198,6 @@ impl<T: Transport> Runtime<T> {
             .get(&to)
             .copied()
             .unwrap_or(LinkHealth::Connected)
-    }
-
-    /// `send` qualified by an index: primary-index messages go out
-    /// unchanged (the single-index wire format), secondary-index ones are
-    /// enveloped in [`Message::ForIndex`].
-    pub(super) fn send_on(&mut self, index: IndexId, to: usize, message: Message) {
-        if index.is_primary() {
-            self.send(to, message);
-        } else {
-            self.send(
-                to,
-                Message::ForIndex {
-                    index: index.0,
-                    inner: Box::new(message),
-                },
-            );
-        }
     }
 
     /// Stages a message for the next frame to `to`: encodes it into the
@@ -446,59 +427,38 @@ impl<T: Transport> Runtime<T> {
         self.current_trace = previous;
     }
 
-    fn handle_message(&mut self, to: usize, message: Message) {
-        match message {
-            Message::ForIndex { index, inner } => {
-                let index = IndexId(index);
-                if !self.has_index_state(index) {
-                    // An envelope for an index this runtime never
-                    // registered: version skew, not ordinary traffic.
-                    self.metrics.decode_failures += 1;
-                    return;
-                }
-                self.handle_message_on(to, index, *inner);
-            }
-            // Adopt the sender's trace context for the inner message.
-            Message::Traced { trace_id, inner } => {
-                self.with_trace(to, trace_id, |rt| rt.handle_message(to, *inner))
-            }
-            other => self.handle_message_on(to, IndexId::PRIMARY, other),
-        }
-    }
-
-    /// Hands one message for peer `to` on `index` to the plane it belongs
-    /// to.
-    pub(super) fn handle_message_on(&mut self, to: usize, index: IndexId, message: Message) {
+    /// Hands one message for peer `to` to the plane it belongs to.
+    pub(super) fn handle_message(&mut self, to: usize, message: Message) {
         match message {
             Message::Join { .. } | Message::JoinAck { .. } => {
                 // Join traffic is handled synchronously in `join_peer`; these
                 // messages only exist for bandwidth accounting.
             }
             Message::Replicate { entries } => {
-                self.indexes.state_mut(index, to).store.merge_batch(entries);
+                self.overlay.states[to].store.merge_batch(entries);
             }
             Message::Exchange {
                 from,
                 path,
                 entries,
-            } => self.handle_exchange(index, to, from, path, &entries),
+            } => self.handle_exchange(to, from, path, &entries),
             Message::ExchangeReply {
                 from,
                 path,
                 outcome,
-            } => self.apply_exchange_reply(index, to, from, path, outcome),
+            } => self.apply_exchange_reply(to, from, path, outcome),
             Message::Query {
                 origin,
                 id,
                 key,
                 hops,
-            } => self.handle_query_message(index, to, origin, id, key, hops),
+            } => self.handle_query_message(to, origin, id, key, hops),
             Message::QueryResponse {
                 id,
                 entries,
                 hops,
                 found,
-            } => self.resolve_query(index, to, id, found && !entries.is_empty(), hops),
+            } => self.resolve_query(to, id, found && !entries.is_empty(), hops),
             Message::RangeQuery {
                 origin,
                 id,
@@ -506,25 +466,25 @@ impl<T: Transport> Runtime<T> {
                 hi,
                 cursor,
                 hops,
-            } => self.handle_range_message(index, to, origin, id, lo, hi, cursor, hops),
+            } => self.handle_range_message(to, origin, id, lo, hi, cursor, hops),
             Message::RangeResponse {
                 id,
                 from,
                 upto,
                 entries,
                 hops,
-            } => self.absorb_range_slice(index, to, id, from, upto, entries, hops),
-            Message::ReplicaPull { origin } => self.answer_replica_pull(index, to, origin),
+            } => self.absorb_range_slice(to, id, from, upto, entries, hops),
+            Message::ReplicaPull { origin } => self.answer_replica_pull(to, origin),
             Message::ReplicaPush {
                 path,
                 entries,
                 routing,
                 replicas,
-            } => self.apply_replica_push(index, to, path, entries, routing, replicas),
-            Message::ForIndex { .. } | Message::Traced { .. } => {
-                // Nested envelopes are rejected at decode time; reaching
-                // one here means a hand-crafted message — drop it.
-                self.metrics.decode_failures += 1;
+            } => self.apply_replica_push(to, path, entries, routing, replicas),
+            // Adopt the sender's trace context for the inner message.
+            // Nested envelopes are rejected at decode time.
+            Message::Traced { trace_id, inner } => {
+                self.with_trace(to, trace_id, |rt| rt.handle_message(to, *inner))
             }
         }
     }

@@ -1,13 +1,12 @@
 //! The query plane: point lookups and range walks.  [`Lookups`] owns the
 //! origin-side bookkeeping (outstanding queries, their lazy timeout
 //! queues) and the route cache; entry points are
-//! [`Runtime::issue_query_on`], [`Runtime::issue_query_batch_on`] and
-//! [`Runtime::issue_range_query_on`].  Both planes decide with core's
+//! [`Runtime::issue_query_batch_on`] and [`Runtime::issue_range_query_on`].  Both planes decide with core's
 //! routing step ([`pgrid_core::route`]) and encode its decision as a
 //! message; the route cache is a memo in front of its reference pick.
 
 use super::links::recycle;
-use super::{Millis, QueryRecord, RangeSample, Runtime};
+use super::{check_index, Millis, QueryRecord, RangeSample, Runtime};
 use crate::message::Message;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, Key};
@@ -30,7 +29,6 @@ pub(super) type Pick<'a> = dyn FnMut(usize, &[RoutingEntry]) -> Option<PeerId> +
 /// Origin-side bookkeeping of one outstanding lookup.
 #[derive(Clone, Copy, Debug)]
 struct PendingQuery {
-    index: IndexId,
     issued_at: Millis,
     /// Trace of this lookup (`NO_TRACE` when tracing is off).
     trace_id: u64,
@@ -95,7 +93,6 @@ impl Coverage {
 /// Origin-side bookkeeping of one outstanding range query.
 #[derive(Clone, Debug)]
 struct RangeState {
-    index: IndexId,
     issued_at: Millis,
     lo: Key,
     hi: Key,
@@ -121,7 +118,7 @@ impl RangeState {
         self.entries.sort_unstable();
         self.entries.dedup();
         RangeSample {
-            index: self.index,
+            index: IndexId::PRIMARY,
             id,
             lo: self.lo,
             hi: self.hi,
@@ -150,10 +147,10 @@ pub(super) struct Lookups {
     /// entry is pushed per extension (keeping the queue sorted) and stale
     /// entries are skipped against [`RangeState::deadline`].
     range_timeouts: VecDeque<(Millis, u64)>,
-    /// Memoised prefix-routing resolution per `(peer, index, mismatch
-    /// level)`; only consulted with `NetConfig::route_cache` on, and
-    /// invalidated whenever a peer's path or routing table changes.
-    pub(super) route_cache: HashMap<(usize, IndexId, usize), PeerId>,
+    /// Memoised prefix-routing resolution per `(peer, mismatch level)`;
+    /// only consulted with `NetConfig::route_cache` on, and invalidated
+    /// whenever a peer's path or routing table changes.
+    pub(super) route_cache: HashMap<(usize, usize), PeerId>,
     /// Where core's reference pick shuffles a level's references, kept
     /// (empty) from hop to hop.
     pub(super) hop_scratch: Vec<PeerId>,
@@ -165,12 +162,11 @@ impl Lookups {
         self.next_id - 1
     }
 
-    /// Drops every memoised routing resolution of `peer` on `index`
-    /// (no-op while the cache is disabled and therefore empty).
-    pub(super) fn invalidate_routes(&mut self, peer: usize, index: IndexId) {
+    /// Drops every memoised routing resolution of `peer` (no-op while the
+    /// cache is disabled and therefore empty).
+    pub(super) fn invalidate_routes(&mut self, peer: usize) {
         if !self.route_cache.is_empty() {
-            self.route_cache
-                .retain(|&(p, idx, _), _| p != peer || idx != index);
+            self.route_cache.retain(|&(p, _), _| p != peer);
         }
     }
 }
@@ -192,24 +188,18 @@ fn pop_due(
 }
 
 impl<T: Transport> Runtime<T> {
-    /// Issues a lookup for `key` against `index` from a random hosted
-    /// online peer; the result is folded into
-    /// [`NetMetrics::query_stats`](super::NetMetrics::query_stats).
-    pub fn issue_query_on(&mut self, index: IndexId, key: Key) {
-        self.issue_query_batch_on(index, &[key]);
-    }
-
-    /// Issues a whole batch of lookups against `index`, flushing outgoing
-    /// frames once for the entire batch instead of once per query.  This is
-    /// the high-throughput issue path of the query bench: first-hop
-    /// forwards to the same destination share frames, and the per-query
-    /// flush disappears from the hot path.
+    /// Issues a batch of lookups, each from a random hosted online peer,
+    /// flushing outgoing frames once for the entire batch; the results are
+    /// folded into [`NetMetrics::query_stats`](super::NetMetrics::query_stats).
+    /// First-hop forwards to the same destination share frames.  `index`
+    /// must be [`IndexId::PRIMARY`].
     pub fn issue_query_batch_on(&mut self, index: IndexId, keys: &[Key]) {
+        check_index(index);
         if self.online_hosted.is_empty() {
             return;
         }
         for &key in keys {
-            self.issue_one_query(index, key);
+            self.issue_one_query(key);
         }
         self.flush_pending();
     }
@@ -217,20 +207,19 @@ impl<T: Transport> Runtime<T> {
     /// Shared issue path: draws the origin, registers the outstanding
     /// query and its lazy timeout, and lets the origin handle the query
     /// locally first (it might be responsible itself).  Does not flush.
-    fn issue_one_query(&mut self, index: IndexId, key: Key) {
+    fn issue_one_query(&mut self, key: Key) {
         let now = self.clock.now;
         let origin = self.online_hosted[self.rng.gen_range(0..self.online_hosted.len())];
         let id = self.lookups.fresh_id();
-        self.metrics.stats_mut(index).issued += 1;
+        self.metrics.query_stats.issued += 1;
         let trace_id = self.tracer.new_trace();
         self.tracer
             .record(trace_id, "query_issued", origin as u64, now, || {
-                format!("id={id} index={} key={}", index.0, key.0)
+                format!("id={id} key={}", key.0)
             });
         self.lookups.queries.insert(
             id,
             PendingQuery {
-                index,
                 issued_at: now,
                 trace_id,
             },
@@ -244,14 +233,12 @@ impl<T: Transport> Runtime<T> {
             key,
             hops: 0,
         };
-        self.with_trace(origin, trace_id, |rt| {
-            rt.handle_message_on(origin, index, message)
-        });
+        self.with_trace(origin, trace_id, |rt| rt.handle_message(origin, message));
     }
 
-    /// Issues a range query for `[lo, hi]` (inclusive) against `index` from
-    /// a random hosted online peer; returns the query id, or `None` when no
-    /// hosted peer is online.
+    /// Issues a range query for `[lo, hi]` (inclusive) from a random hosted
+    /// online peer; returns the query id, or `None` when no hosted peer is
+    /// online.  `index` must be [`IndexId::PRIMARY`].
     ///
     /// Each peer's turn is [`pgrid_core::route::range_step`], the step
     /// [`pgrid_core::search::range_query`] drives for the simulator: the
@@ -268,16 +255,16 @@ impl<T: Transport> Runtime<T> {
     /// *without progress* — every partial response extends the deadline,
     /// so wide ranges spanning many partitions are not penalised.
     pub fn issue_range_query_on(&mut self, index: IndexId, lo: Key, hi: Key) -> Option<u64> {
+        check_index(index);
         if self.online_hosted.is_empty() {
             return None;
         }
         let now = self.clock.now;
         let origin = self.online_hosted[self.rng.gen_range(0..self.online_hosted.len())];
         let id = self.lookups.fresh_id();
-        self.metrics.stats_mut(index).ranges_issued += 1;
+        self.metrics.query_stats.ranges_issued += 1;
         let deadline = now + self.config.query_timeout_ms;
         let mut state = RangeState {
-            index,
             issued_at: now,
             lo,
             hi,
@@ -296,12 +283,12 @@ impl<T: Transport> Runtime<T> {
         let trace_id = state.trace_id;
         self.tracer
             .record(trace_id, "range_issued", origin as u64, now, || {
-                format!("id={id} index={} lo={} hi={}", index.0, lo.0, hi.0)
+                format!("id={id} lo={} hi={}", lo.0, hi.0)
             });
         self.lookups.ranges.insert(id, state);
         self.lookups.range_timeouts.push_back((deadline, id));
         self.with_trace(origin, trace_id, |rt| {
-            rt.handle_range_message(index, origin, PeerId(origin as u64), id, lo, hi, lo, 0)
+            rt.handle_range_message(origin, PeerId(origin as u64), id, lo, hi, lo, 0)
         });
         self.flush_pending();
         Some(id)
@@ -310,7 +297,7 @@ impl<T: Transport> Runtime<T> {
     /// Records a range walk whose slices covered the whole range.
     fn finish_range(&mut self, id: u64, state: RangeState) {
         let latency = self.clock.now - state.issued_at;
-        let agg = self.metrics.stats_mut(state.index);
+        let agg = &mut self.metrics.query_stats;
         agg.ranges_complete += 1;
         agg.range_latency.record(latency);
         self.metrics
@@ -326,7 +313,7 @@ impl<T: Transport> Runtime<T> {
         let now = self.clock.now;
         while let Some((_, id)) = pop_due(&mut self.lookups.timeouts, cutoff, inclusive) {
             if let Some(pending) = self.lookups.queries.remove(&id) {
-                self.metrics.stats_mut(pending.index).timed_out += 1;
+                self.metrics.query_stats.timed_out += 1;
                 self.tracer
                     .record(pending.trace_id, "query_timeout", u64::MAX, now, || {
                         format!("id={id} issued_at={}", pending.issued_at)
@@ -335,13 +322,12 @@ impl<T: Transport> Runtime<T> {
                     now,
                     "query_timeout",
                     format!(
-                        "query {id} on index {} issued at {} expired unanswered",
-                        pending.index.0, pending.issued_at
+                        "query {id} issued at {} expired unanswered",
+                        pending.issued_at
                     ),
                 );
                 self.dump_flight("query timeout");
                 self.metrics.push_query_sample(QueryRecord {
-                    index: pending.index,
                     issued_at: pending.issued_at,
                     latency_ms: None,
                     hops: 0,
@@ -371,23 +357,13 @@ impl<T: Transport> Runtime<T> {
                 state.retries += 1;
                 state.deadline = now + self.config.query_timeout_ms;
                 self.lookups.range_timeouts.push_back((state.deadline, id));
-                let (index, lo, hi, hops, trace_id) =
-                    (state.index, state.lo, state.hi, state.hops, state.trace_id);
+                let (lo, hi, hops, trace_id) = (state.lo, state.hi, state.hops, state.trace_id);
                 self.tracer
                     .record(trace_id, "range_retry", peer as u64, now, || {
                         format!("id={id} cursor={} hops={hops}", cursor.0)
                     });
                 self.with_trace(peer, trace_id, |rt| {
-                    rt.handle_range_message(
-                        index,
-                        peer,
-                        PeerId(peer as u64),
-                        id,
-                        lo,
-                        hi,
-                        cursor,
-                        hops,
-                    )
+                    rt.handle_range_message(peer, PeerId(peer as u64), id, lo, hi, cursor, hops)
                 });
                 continue;
             }
@@ -399,10 +375,7 @@ impl<T: Transport> Runtime<T> {
             self.recorder.note(
                 now,
                 "range_timeout",
-                format!(
-                    "range {id} on index {} gave up after {} retries",
-                    state.index.0, state.retries
-                ),
+                format!("range {id} gave up after {} retries", state.retries),
             );
             self.dump_flight("range timeout");
             self.metrics.push_range_sample(state.into_sample(id, None));
@@ -410,19 +383,12 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// A `QueryResponse` reached the origin `at`.
-    pub(super) fn resolve_query(
-        &mut self,
-        index: IndexId,
-        at: usize,
-        id: u64,
-        success: bool,
-        hops: u32,
-    ) {
+    pub(super) fn resolve_query(&mut self, at: usize, id: u64, success: bool, hops: u32) {
         let now = self.clock.now;
         let Some(pending) = self.lookups.queries.remove(&id) else {
             // The query already timed out (or was never issued here):
             // count the late response, never the success.
-            self.metrics.stats_mut(index).late_responses += 1;
+            self.metrics.query_stats.late_responses += 1;
             return;
         };
         let latency = now - pending.issued_at;
@@ -430,7 +396,7 @@ impl<T: Transport> Runtime<T> {
             .record(pending.trace_id, "query_resolved", at as u64, now, || {
                 format!("id={id} hops={hops} latency_ms={latency} success={success}")
             });
-        let agg = self.metrics.stats_mut(pending.index);
+        let agg = &mut self.metrics.query_stats;
         agg.answered += 1;
         if success {
             agg.succeeded += 1;
@@ -442,7 +408,6 @@ impl<T: Transport> Runtime<T> {
             .or_default()
             .record(latency as f64 / 1000.0);
         self.metrics.push_query_sample(QueryRecord {
-            index: pending.index,
             issued_at: pending.issued_at,
             latency_ms: Some(latency),
             hops,
@@ -451,10 +416,8 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// A `RangeResponse` slice `[from, upto]` reached the origin `at`.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn absorb_range_slice(
         &mut self,
-        index: IndexId,
         at: usize,
         id: u64,
         from: Key,
@@ -464,7 +427,7 @@ impl<T: Transport> Runtime<T> {
     ) {
         let now = self.clock.now;
         let Some(state) = self.lookups.ranges.get_mut(&id) else {
-            self.metrics.stats_mut(index).late_responses += 1;
+            self.metrics.query_stats.late_responses += 1;
             return;
         };
         state.coverage.add(from, upto);
@@ -489,14 +452,13 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// Runs `decide`, one of core's routing steps, on `at`'s state of
-    /// `index`, with reachability (online, link not Dead) and the reference
-    /// pick.  With `NetConfig::route_cache` on, a reachable memo of `(at,
-    /// index, level)` skips core's shuffle and its RNG draw; a stale one is
-    /// evicted.  Also returns whether the memo answered.
+    /// Runs `decide`, one of core's routing steps, on `at`'s state, with
+    /// reachability (online, link not Dead) and the reference pick.  With
+    /// `NetConfig::route_cache` on, a reachable memo of `(at, level)` skips
+    /// core's shuffle and its RNG draw; a stale one is evicted.  Also
+    /// returns whether the memo answered.
     pub(super) fn routed<S>(
         &mut self,
-        index: IndexId,
         at: usize,
         decide: impl FnOnce(&PeerState, &dyn Fn(PeerId) -> bool, &mut Pick<'_>) -> S,
     ) -> (S, bool) {
@@ -504,7 +466,7 @@ impl<T: Transport> Runtime<T> {
         let (memo_on, lookups) = (self.config.route_cache, &mut self.lookups);
         let mut cached = false;
         let mut pick = |level, refs: &[RoutingEntry]| {
-            let memo = (at, index, level);
+            let memo = (at, level);
             if let Some(&peer) = memo_on.then(|| lookups.route_cache.get(&memo)).flatten() {
                 if reachable(peer) {
                     cached = true;
@@ -520,7 +482,7 @@ impl<T: Transport> Runtime<T> {
             }
             peer
         };
-        let step = decide(self.indexes.state(index, at), &reachable, &mut pick);
+        let step = decide(&self.overlay.states[at], &reachable, &mut pick);
         (step, cached)
     }
 
@@ -528,14 +490,13 @@ impl<T: Transport> Runtime<T> {
     /// answered to the origin.
     pub(super) fn handle_query_message(
         &mut self,
-        index: IndexId,
         at: usize,
         origin: PeerId,
         id: u64,
         key: Key,
         hops: u32,
     ) {
-        let (step, cached) = self.routed(index, at, |state, reachable, pick| {
+        let (step, cached) = self.routed(at, |state, reachable, pick| {
             route::step_with(state, key, hops, reachable, pick)
         });
         let kind = match step {
@@ -565,7 +526,7 @@ impl<T: Transport> Runtime<T> {
             Step::Answer(entries) => (origin, answer(entries)),
             Step::DeadEnd(_) => (origin, answer(Vec::new())),
         };
-        self.send_on(index, to.0 as usize, message);
+        self.send(to.0 as usize, message);
     }
 
     /// A `RangeQuery` reached `at`: core's range step, answered as a slice
@@ -574,7 +535,6 @@ impl<T: Transport> Runtime<T> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_range_message(
         &mut self,
-        index: IndexId,
         at: usize,
         origin: PeerId,
         id: u64,
@@ -583,7 +543,7 @@ impl<T: Transport> Runtime<T> {
         cursor: Key,
         hops: u32,
     ) {
-        let (step, cached) = self.routed(index, at, |state, _, pick| {
+        let (step, cached) = self.routed(at, |state, _, pick| {
             route::range_step(state, hi, cursor, hops, pick)
         });
         let (trace, now) = (self.current_trace, self.clock.now);
@@ -609,9 +569,9 @@ impl<T: Transport> Runtime<T> {
                     entries,
                     hops,
                 };
-                self.send_on(index, origin.0 as usize, slice);
+                self.send(origin.0 as usize, slice);
                 if let Some(next) = next {
-                    self.handle_range_message(index, at, origin, id, lo, hi, next, hops);
+                    self.handle_range_message(at, origin, id, lo, hi, next, hops);
                 }
                 return;
             }
@@ -644,7 +604,7 @@ impl<T: Transport> Runtime<T> {
                 cursor,
                 hops,
             };
-            self.send_on(index, to, forward);
+            self.send(to, forward);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! What the runtime measures: per-class bandwidth, message and recovery
-//! counters, bounded per-index query aggregates and the capped debug
-//! sample rings.  Owns no protocol state — the other seams only write
-//! into it; entry points are [`NetMetrics::stats`],
-//! [`NetMetrics::merged_stats`] and [`NetMetrics::to_registry`].
+//! counters, bounded query aggregates and the capped debug sample rings.
+//! Owns no protocol state — the other seams only write into it; entry
+//! points are [`NetMetrics::stats`] and [`NetMetrics::to_registry`].
 
-use super::Millis;
+use super::{check_index, Millis};
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, Key};
@@ -28,9 +27,6 @@ pub const DEFAULT_QUERY_SAMPLE_CAP: usize = 256;
 /// these records exist only to inspect recent individual queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryRecord {
-    /// The index the query ran against ([`IndexId::PRIMARY`] unless the
-    /// deployment hosts secondary indexes).
-    pub index: IndexId,
     /// Virtual time the query was issued.
     pub issued_at: Millis,
     /// Latency in milliseconds (`None` for a timeout).
@@ -45,7 +41,7 @@ pub struct QueryRecord {
 /// ring; correctness tests read the collected entries from here.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeSample {
-    /// The index the range query ran against.
+    /// Always [`IndexId::PRIMARY`], the one index a runtime hosts.
     pub index: IndexId,
     /// The query identifier [`Runtime::issue_range_query_on`](super::Runtime::issue_range_query_on) returned.
     pub id: u64,
@@ -116,7 +112,7 @@ impl MinuteLatency {
     }
 }
 
-/// Bounded-memory query statistics of one index.
+/// Bounded-memory query statistics.
 ///
 /// Every counter is monotone and every component merges by addition, so
 /// sharded cluster workers ship these aggregates instead of raw query
@@ -194,9 +190,8 @@ impl QueryAggregates {
 pub struct NetMetrics {
     /// Bandwidth per one-minute bucket of virtual time.
     pub bandwidth_per_minute: HashMap<u64, BandwidthSample>,
-    /// Bounded per-index query statistics (entries appear once an index
-    /// sees its first query).
-    pub query_stats: BTreeMap<IndexId, QueryAggregates>,
+    /// Bounded query statistics.
+    pub query_stats: QueryAggregates,
     /// The most recent resolved lookups, capped at
     /// [`NetMetrics::sample_cap`].
     pub query_samples: VecDeque<QueryRecord>,
@@ -246,7 +241,7 @@ impl Default for NetMetrics {
     fn default() -> Self {
         NetMetrics {
             bandwidth_per_minute: HashMap::new(),
-            query_stats: BTreeMap::new(),
+            query_stats: QueryAggregates::default(),
             query_samples: VecDeque::new(),
             range_samples: VecDeque::new(),
             sample_cap: DEFAULT_QUERY_SAMPLE_CAP,
@@ -280,25 +275,11 @@ fn push_capped<S>(ring: &mut VecDeque<S>, cap: usize, sample: S) {
 }
 
 impl NetMetrics {
-    /// The aggregates of one index (a default/empty one when the index has
-    /// not seen queries yet).
+    /// A copy of [`NetMetrics::query_stats`]; `index` must be
+    /// [`IndexId::PRIMARY`].
     pub fn stats(&self, index: IndexId) -> QueryAggregates {
-        self.query_stats.get(&index).cloned().unwrap_or_default()
-    }
-
-    /// Mutable aggregates of one index, created on first use.
-    pub fn stats_mut(&mut self, index: IndexId) -> &mut QueryAggregates {
-        self.query_stats.entry(index).or_default()
-    }
-
-    /// All indexes' aggregates merged into one (what the totals of the
-    /// Prometheus exposition report).
-    pub fn merged_stats(&self) -> QueryAggregates {
-        let mut merged = QueryAggregates::default();
-        for agg in self.query_stats.values() {
-            merged.merge(agg);
-        }
-        merged
+        check_index(index);
+        self.query_stats.clone()
     }
 
     pub(super) fn push_query_sample(&mut self, record: QueryRecord) {
@@ -310,12 +291,11 @@ impl NetMetrics {
     }
 
     /// Populates `registry` with the runtime counters — message-level
-    /// totals, merged query aggregates (plus per-index attribution when
-    /// secondary indexes saw traffic), latency percentile gauges and the
-    /// full latency histogram.  The one producer the text renderer and
-    /// the live scrape endpoint share.
+    /// totals, query aggregates, latency percentile gauges and the full
+    /// latency histogram.  The one producer the text renderer and the live
+    /// scrape endpoint share.
     pub fn to_registry(&self, registry: &mut pgrid_obs::registry::MetricsRegistry) {
-        let totals = self.merged_stats();
+        let totals = &self.query_stats;
         let queries_answered = totals.answered as usize;
         let queries_succeeded = totals.succeeded as usize;
         for (name, help, value) in [
@@ -463,38 +443,6 @@ impl NetMetrics {
             &[],
             &totals.latency,
         );
-        // Per-index attribution, only once secondary indexes exist (a
-        // single-index exposition stays exactly the totals above).
-        if self.query_stats.len() > 1 {
-            for (index, agg) in &self.query_stats {
-                let idx = index.0.to_string();
-                let labels = [("index", idx.as_str())];
-                registry.counter(
-                    "pgrid_net_index_queries_issued_total",
-                    "Queries issued on this index.",
-                    &labels,
-                    agg.issued,
-                );
-                registry.counter(
-                    "pgrid_net_index_queries_succeeded_total",
-                    "Queries answered successfully on this index.",
-                    &labels,
-                    agg.succeeded,
-                );
-                registry.counter(
-                    "pgrid_net_index_queries_timed_out_total",
-                    "Queries that expired unanswered on this index.",
-                    &labels,
-                    agg.timed_out,
-                );
-                registry.histogram(
-                    "pgrid_net_index_query_latency_ms",
-                    "Latency distribution of answered lookups per index.",
-                    &labels,
-                    &agg.latency,
-                );
-            }
-        }
     }
 
     /// Renders the runtime counters in the Prometheus text exposition

@@ -15,24 +15,28 @@
 //! runtime is an `impl Runtime` block in the seam's file:
 //!
 //! - this module — [`NetConfig`], the peer population ([`Node`]), the
-//!   index-slot table (one `IndexSlot` per hosted index, the primary in
-//!   slot 0), constructors and accessors;
+//!   overlay state of its one index (`Overlay`), constructors and
+//!   accessors;
 //! - `clock` — virtual time and the timer queue; [`Runtime::run_until`],
 //!   [`Runtime::service_network`], [`Runtime::schedule_churn`];
 //! - `links` — the staging arena (messages encoded once, at `send`, into
 //!   the bytes their frame is cut from), the transport, link health
-//!   ([`LinkHealth`]); `send`/`send_on`, frame shipping and in-place
-//!   delivery, message dispatch;
+//!   ([`LinkHealth`]); `send`, frame shipping and in-place delivery,
+//!   message dispatch;
 //! - `lookup` — outstanding lookups and range walks, their timeout queues
-//!   and the route cache; [`Runtime::issue_query_on`],
+//!   and the route cache; [`Runtime::issue_query_batch_on`],
 //!   [`Runtime::issue_range_query_on`], the one `next_hop` decision;
 //! - `construct` — join, replication and the exchange protocol;
-//!   [`Runtime::join_peer`], [`Runtime::replication_phase_on`],
-//!   [`Runtime::start_construction_on`];
+//!   [`Runtime::join_peer`], [`Runtime::replication_phase`],
+//!   [`Runtime::start_construction`];
 //! - `recovery` — adopted / recovering / reconciling peer sets;
 //!   [`Runtime::adopt_peer`], [`Runtime::begin_replica_pull`],
 //!   [`Runtime::begin_replica_diff`], [`Runtime::restore_peer`];
 //! - `metrics` — [`NetMetrics`], [`QueryAggregates`] and the sample rings.
+//!
+//! A runtime hosts one index.  The accessors the benchmark harness calls
+//! still take an [`IndexId`], which must be [`IndexId::PRIMARY`]: any other
+//! value panics with "unregistered index".
 
 mod clock;
 mod construct;
@@ -62,7 +66,6 @@ use pgrid_obs::recorder::FlightRecorder;
 use pgrid_obs::trace::{Tracer, NO_TRACE};
 use pgrid_transport::loopback::{LoopbackConfig, LoopbackTransport};
 use pgrid_transport::{Transport, TransportError};
-use pgrid_workload::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recovery::Recovery;
@@ -93,8 +96,8 @@ pub struct NetConfig {
     pub seed: u64,
     /// The key distribution.
     pub distribution: pgrid_workload::distributions::Distribution,
-    /// Whether peers memoise their prefix-routing resolution per
-    /// `(index, mismatch level)` on the query hot path.  Off by default:
+    /// Whether peers memoise their prefix-routing resolution per mismatch
+    /// level on the query hot path.  Off by default:
     /// the cache skips the per-hop random reference shuffle, which changes
     /// the deployment's random trajectory (the Section-5 reference figures
     /// are pinned to the uncached path).  The query bench reports the
@@ -139,14 +142,13 @@ impl NetConfig {
     }
 }
 
-/// The per-peer facts every index shares: liveness and the unstructured
+/// The per-peer facts outside the overlay: liveness and the unstructured
 /// bootstrap overlay.  Overlay state (path, store, routing table, replica
-/// list) is per index — see [`Runtime::peer_state`].
+/// list) is in [`Runtime::peer_state`].
 #[derive(Clone, Debug, Default)]
 pub struct Node {
-    /// Whether the peer is currently online (the failure detector of all
-    /// indexes; the `online` flag inside [`PeerState`] is not used by the
-    /// runtime).
+    /// Whether the peer is currently online (the failure detector; the
+    /// `online` flag inside [`PeerState`] is not used by the runtime).
     pub online: bool,
     /// Whether the peer has joined the network at all.
     pub joined: bool,
@@ -161,71 +163,30 @@ impl Node {
     }
 }
 
-/// Overlay state of one index hosted by the peer population: per-peer
-/// protocol state (path, store, routing table, replica list), construction
-/// bookkeeping and the ground-truth data assignment.  The primary index is
-/// slot 0 of the table; [`Runtime::register_index`] appends the others.
+/// Overlay state of the peer population: per-peer protocol state (path,
+/// store, routing table, replica list), construction bookkeeping and the
+/// ground-truth data assignment.
 #[derive(Clone, Debug)]
-struct IndexSlot {
-    id: IndexId,
+struct Overlay {
     /// Per-peer overlay state (index = peer id).
     states: Vec<PeerState>,
-    /// The ground-truth data assignment of this index.
+    /// The ground-truth data assignment.
     original_entries: Vec<DataEntry>,
-    /// Whether each peer participates in construction ticks of this index.
+    /// Whether each peer participates in construction ticks.
     constructing: Vec<bool>,
     /// Whether each peer's construction tick is currently scheduled.  A
     /// tick firing while the peer is offline ends the chain (the flag drops
     /// to `false`, matching the paper's reference run, where a returning
     /// peer does not restart maintenance by itself); a later
-    /// [`Runtime::start_construction_on`] re-arms dead chains.
+    /// [`Runtime::start_construction`] re-arms dead chains.
     tick_armed: Vec<bool>,
-    /// Consecutive fruitless exchanges per peer on this index.
+    /// Consecutive fruitless exchanges per peer.
     fruitless: Vec<u32>,
 }
 
-impl IndexSlot {
-    fn new(id: IndexId, states: Vec<PeerState>, original_entries: Vec<DataEntry>) -> IndexSlot {
-        let n = states.len();
-        IndexSlot {
-            id,
-            states,
-            original_entries,
-            constructing: vec![false; n],
-            tick_armed: vec![false; n],
-            fruitless: vec![0; n],
-        }
-    }
-}
-
-/// The index-slot table.  A struct of its own so a caller can hold
-/// `&mut` into one slot next to `&mut rng` (disjoint fields of
-/// [`Runtime`]).
-#[derive(Clone, Debug)]
-struct IndexTable(Vec<IndexSlot>);
-
-impl IndexTable {
-    fn slot(&self, index: IndexId) -> &IndexSlot {
-        self.0
-            .iter()
-            .find(|s| s.id == index)
-            .expect("unregistered index")
-    }
-
-    fn slot_mut(&mut self, index: IndexId) -> &mut IndexSlot {
-        self.0
-            .iter_mut()
-            .find(|s| s.id == index)
-            .expect("unregistered index")
-    }
-
-    fn state(&self, index: IndexId, peer: usize) -> &PeerState {
-        &self.slot(index).states[peer]
-    }
-
-    fn state_mut(&mut self, index: IndexId, peer: usize) -> &mut PeerState {
-        &mut self.slot_mut(index).states[peer]
-    }
+/// Panics unless `index` is the one index a runtime hosts.
+fn check_index(index: IndexId) {
+    assert!(index == IndexId::PRIMARY, "unregistered index");
 }
 
 /// The deployment runtime: peers, a frame transport and the virtual clock.
@@ -250,7 +211,7 @@ pub struct Runtime<T: Transport = LoopbackTransport> {
     pub nodes: Vec<Node>,
     /// Collected metrics.
     pub metrics: NetMetrics,
-    indexes: IndexTable,
+    overlay: Overlay,
     engine: ExchangeEngine,
     clock: Clock,
     links: Links<T>,
@@ -260,7 +221,7 @@ pub struct Runtime<T: Transport = LoopbackTransport> {
     /// single-process mode).
     shard: std::ops::Range<usize>,
     /// Hosted peers that are joined and online, ascending — the exact
-    /// content `issue_query_on` used to recompute per query.  Rebuilt on
+    /// content the query issue path used to recompute per query.  Rebuilt on
     /// join and liveness changes so the origin draw consumes the RNG
     /// identically to the uncached code.
     online_hosted: Vec<usize>,
@@ -297,33 +258,8 @@ impl Runtime<LoopbackTransport> {
     }
 }
 
-/// Generates every peer's initial overlay state on one index and that
-/// index's ground-truth entry list: `keys_per_peer` draws from
-/// `distribution` per peer, in peer order.
-fn generate_states(
-    config: &NetConfig,
-    distribution: &Distribution,
-    rng: &mut StdRng,
-) -> (Vec<PeerState>, Vec<DataEntry>) {
-    let mut states = Vec::with_capacity(config.n_peers);
-    let mut original_entries = Vec::with_capacity(config.n_peers * config.keys_per_peer);
-    for i in 0..config.n_peers {
-        let mut state = PeerState::new(PeerId(i as u64), routing::FANOUT);
-        for j in 0..config.keys_per_peer {
-            let entry = DataEntry::new(
-                distribution.sample(rng),
-                DataId((i * config.keys_per_peer + j) as u64),
-            );
-            state.store.insert(entry);
-            original_entries.push(entry);
-        }
-        states.push(state);
-    }
-    (states, original_entries)
-}
-
-/// Generates every peer's initial primary-index state and the ground-truth
-/// entry list.
+/// Generates every peer's initial overlay state and the ground-truth entry
+/// list.
 ///
 /// This is the exact RNG consumption [`Runtime::with_transport`] performs
 /// during construction (`keys_per_peer` draws per peer, in peer order), so
@@ -332,7 +268,21 @@ fn generate_states(
 /// cluster worker building the same stub population — reproduces it by
 /// seeding a [`StdRng`] with `config.seed` and calling this.
 pub fn generate_peers(config: &NetConfig, rng: &mut StdRng) -> (Vec<PeerState>, Vec<DataEntry>) {
-    generate_states(config, &config.distribution, rng)
+    let mut states = Vec::with_capacity(config.n_peers);
+    let mut original_entries = Vec::with_capacity(config.n_peers * config.keys_per_peer);
+    for i in 0..config.n_peers {
+        let mut state = PeerState::new(PeerId(i as u64), routing::FANOUT);
+        for j in 0..config.keys_per_peer {
+            let entry = DataEntry::new(
+                config.distribution.sample(rng),
+                DataId((i * config.keys_per_peer + j) as u64),
+            );
+            state.store.insert(entry);
+            original_entries.push(entry);
+        }
+        states.push(state);
+    }
+    (states, original_entries)
 }
 
 impl<T: Transport> Runtime<T> {
@@ -379,15 +329,18 @@ impl<T: Transport> Runtime<T> {
             sample_cap: config.query_sample_cap,
             ..NetMetrics::default()
         };
+        let n = config.n_peers;
         Ok(Runtime {
-            nodes: vec![Node::default(); config.n_peers],
+            nodes: vec![Node::default(); n],
             config,
             metrics,
-            indexes: IndexTable(vec![IndexSlot::new(
-                IndexId::PRIMARY,
+            overlay: Overlay {
                 states,
                 original_entries,
-            )]),
+                constructing: vec![false; n],
+                tick_armed: vec![false; n],
+                fruitless: vec![0; n],
+            },
             engine: ExchangeEngine::new(params),
             clock: Clock::default(),
             links: Links::new(transport, addrs),
@@ -431,76 +384,40 @@ impl<T: Transport> Runtime<T> {
         *self.engine.params()
     }
 
-    // ----- multi-index management --------------------------------------------
+    // ----- the overlay -------------------------------------------------------
 
-    /// Registers a *secondary* index over the same peer population: every
-    /// peer receives `keys_per_peer` fresh keys drawn from `distribution`
-    /// into a dedicated per-index overlay state (path, store, routing
-    /// table), while liveness, bootstrap neighbours and the transport are
-    /// shared with the primary index.
-    ///
-    /// The assignment is drawn from a dedicated RNG stream derived from
-    /// the seed and the index id, so registering an index never perturbs
-    /// the primary index's random trajectory, and sharded runtimes of the
-    /// same deployment reproduce an identical assignment in every process.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is the (implicit) primary index or already
-    /// registered.
-    pub fn register_index(&mut self, id: IndexId, distribution: &Distribution) {
-        assert!(
-            !id.is_primary(),
-            "the primary index is implicit and cannot be registered"
-        );
-        assert!(!self.has_index_state(id), "{id} is already registered");
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x1DE0 ^ ((id.0 as u64) << 20));
-        let (states, original_entries) = generate_states(&self.config, distribution, &mut rng);
-        self.indexes
-            .0
-            .push(IndexSlot::new(id, states, original_entries));
-    }
-
-    /// Whether `index` is hosted by this runtime (the primary index always
-    /// is).
-    pub fn has_index_state(&self, index: IndexId) -> bool {
-        self.indexes.0.iter().any(|s| s.id == index)
-    }
-
-    /// All hosted index ids, primary first.
-    pub fn index_ids(&self) -> Vec<IndexId> {
-        self.indexes.0.iter().map(|s| s.id).collect()
-    }
-
-    /// The ground-truth data assignment of an index.
+    /// The ground-truth data assignment; `index` must be
+    /// [`IndexId::PRIMARY`].
     pub fn original_entries_of(&self, index: IndexId) -> &[DataEntry] {
-        &self.indexes.slot(index).original_entries
+        check_index(index);
+        &self.overlay.original_entries
     }
 
-    /// The overlay state of `peer` on `index`.
+    /// The overlay state of `peer`; `index` must be [`IndexId::PRIMARY`].
     pub fn peer_state(&self, index: IndexId, peer: usize) -> &PeerState {
-        self.indexes.state(index, peer)
+        check_index(index);
+        &self.overlay.states[peer]
     }
 
-    /// Assigns fresh `keys` to `peer` on `index`: the entries extend the
-    /// index's ground truth (continuing its `DataId` numbering) and, when
-    /// the peer is hosted here, its local store.  Construction anti-entropy
-    /// spreads them to replicas from there (the re-indexing / distribution
-    /// shift workload).  A hosted peer's fruitless-exchange count on the
-    /// index restarts at zero, so fresh data takes it out of back-off and
+    /// Assigns fresh `keys` to `peer`: the entries extend the ground truth
+    /// (continuing its `DataId` numbering) and, when the peer is hosted
+    /// here, its local store.  Construction anti-entropy spreads them to
+    /// replicas from there (the re-indexing / distribution shift
+    /// workload).  A hosted peer's fruitless-exchange count restarts at
+    /// zero, so fresh data takes it out of back-off and
     /// [`Runtime::construction_quiescent`] waits for it again.
-    pub fn insert_entries(&mut self, index: IndexId, peer: usize, keys: Vec<Key>) {
+    pub fn insert_entries(&mut self, peer: usize, keys: Vec<Key>) {
         let hosted = self.hosted(peer);
-        let slot = self.indexes.slot_mut(index);
+        let overlay = &mut self.overlay;
         for key in keys {
-            let entry = DataEntry::new(key, DataId(slot.original_entries.len() as u64));
-            slot.original_entries.push(entry);
+            let entry = DataEntry::new(key, DataId(overlay.original_entries.len() as u64));
+            overlay.original_entries.push(entry);
             if hosted {
-                slot.states[peer].store.insert(entry);
+                overlay.states[peer].store.insert(entry);
             }
         }
         if hosted {
-            slot.fruitless[peer] = 0;
+            overlay.fruitless[peer] = 0;
         }
     }
 

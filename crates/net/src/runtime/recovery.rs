@@ -7,7 +7,6 @@
 
 use super::Runtime;
 use crate::message::Message;
-use pgrid_core::index::IndexId;
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::routing::{self, PeerId, RoutingEntry, RoutingTable};
@@ -45,9 +44,7 @@ impl<T: Transport> Runtime<T> {
         self.metrics.peers_adopted += 1;
         self.revive_link(peer);
         self.nodes[peer].online = false;
-        for slot in &mut self.indexes.0 {
-            slot.tick_armed[peer] = false;
-        }
+        self.overlay.tick_armed[peer] = false;
         self.rebuild_online_cache();
         self.recorder
             .note(self.clock.now, "recovery", format!("adopted peer {peer}"));
@@ -120,18 +117,13 @@ impl<T: Transport> Runtime<T> {
         let target = PeerId(peer as u64);
         self.hosted_peers()
             .filter(|&p| p != peer && self.nodes[p].is_up())
-            .find(|&p| {
-                self.peer_state(IndexId::PRIMARY, p)
-                    .replicas
-                    .contains(&target)
-            })
+            .find(|&p| self.overlay.states[p].replicas.contains(&target))
     }
 
-    /// Installs a snapshot as `peer`'s state on `index`: exact key store,
-    /// path, routing references and replica set (minus the peer itself).
+    /// Installs a snapshot as `peer`'s state: exact key store, path,
+    /// routing references and replica set (minus the peer itself).
     fn install_snapshot(
         &mut self,
-        index: IndexId,
         peer: usize,
         path: Path,
         entries: Vec<DataEntry>,
@@ -146,7 +138,7 @@ impl<T: Transport> Runtime<T> {
             };
             table.add(level as usize, entry, &mut self.rng);
         }
-        let state = self.indexes.state_mut(index, peer);
+        let state = &mut self.overlay.states[peer];
         state.path = path;
         state.store = KeyStore::from_entries(entries);
         state.routing = table;
@@ -155,24 +147,21 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Brings a recovered peer (back) into service: joined + online, the
-    /// online cache rebuilt and its memoised routing resolutions on `index`
-    /// dropped.
-    fn bring_online(&mut self, index: IndexId, peer: usize) {
+    /// online cache rebuilt and its memoised routing resolutions dropped.
+    fn bring_online(&mut self, peer: usize) {
         self.nodes[peer].joined = true;
         self.nodes[peer].online = true;
         self.rebuild_online_cache();
-        self.lookups.invalidate_routes(peer, index);
+        self.lookups.invalidate_routes(peer);
     }
 
     /// Restores a hosted peer from a durability-log image (the warm
     /// restart path): exact path, entries, routing references and replica
     /// set, brought online immediately — no replica pull.  With
-    /// `constructing` the peer's maintenance tick chain on `index` is
-    /// re-armed, as [`Runtime::start_construction_on`] would.
-    #[allow(clippy::too_many_arguments)]
+    /// `constructing` the peer's maintenance tick chain is re-armed, as
+    /// [`Runtime::start_construction`] would.
     pub fn restore_peer(
         &mut self,
-        index: IndexId,
         peer: usize,
         path: Path,
         entries: Vec<DataEntry>,
@@ -181,11 +170,11 @@ impl<T: Transport> Runtime<T> {
         constructing: bool,
     ) {
         debug_assert!(self.hosted(peer), "only hosted peers are restored here");
-        self.install_snapshot(index, peer, path, entries, routing, replicas);
-        self.bring_online(index, peer);
+        self.install_snapshot(peer, path, entries, routing, replicas);
+        self.bring_online(peer);
         self.metrics.peers_recovered_warm += 1;
         if constructing {
-            self.arm_tick(index, peer);
+            self.arm_tick(peer);
         }
         self.recorder.note(
             self.clock.now,
@@ -205,27 +194,27 @@ impl<T: Transport> Runtime<T> {
     pub fn recover_locally(&mut self, peer: usize, path: Path) {
         self.recovery.recovering.remove(&peer);
         self.metrics.peers_recovered_local += 1;
-        self.indexes.state_mut(IndexId::PRIMARY, peer).path = path;
+        self.overlay.states[peer].path = path;
         self.recorder.note(
             self.clock.now,
             "recovery",
             format!("peer {peer} recovered locally (path len {})", path.len()),
         );
-        self.finish_recovery(IndexId::PRIMARY, peer);
+        self.finish_recovery(peer);
     }
 
     /// Brings a recovered peer back into service and — when construction
-    /// is still running on `index` in this shard — re-arms its tick chain
-    /// so the peer keeps participating in the exchange protocol.
-    fn finish_recovery(&mut self, index: IndexId, peer: usize) {
-        self.bring_online(index, peer);
-        let slot = self.indexes.slot(index);
+    /// is still running in this shard — re-arms its tick chain so the peer
+    /// keeps participating in the exchange protocol.
+    fn finish_recovery(&mut self, peer: usize) {
+        self.bring_online(peer);
+        let overlay = &self.overlay;
         if self
             .shard
             .clone()
-            .any(|p| slot.constructing[p] && slot.tick_armed[p])
+            .any(|p| overlay.constructing[p] && overlay.tick_armed[p])
         {
-            self.arm_tick(index, peer);
+            self.arm_tick(peer);
         }
     }
 
@@ -234,8 +223,8 @@ impl<T: Transport> Runtime<T> {
     /// table, and the replica set (the paper's replication factor is
     /// exactly what makes this answer possible) — and list `origin` as one
     /// more replica of it.
-    pub(super) fn answer_replica_pull(&mut self, index: IndexId, at: usize, origin: PeerId) {
-        let state = self.indexes.state_mut(index, at);
+    pub(super) fn answer_replica_pull(&mut self, at: usize, origin: PeerId) {
+        let state = &mut self.overlay.states[at];
         let mut replicas: Vec<PeerId> = state.replicas.clone();
         replicas.retain(|p| *p != origin);
         replicas.push(PeerId(at as u64));
@@ -257,9 +246,9 @@ impl<T: Transport> Runtime<T> {
             "replica_pull",
             at as u64,
             self.clock.now,
-            || format!("origin={} index={}", origin.0, index.0),
+            || format!("origin={}", origin.0),
         );
-        self.send_on(index, origin.0 as usize, push);
+        self.send(origin.0 as usize, push);
     }
 
     /// A `ReplicaPush` reached `to`.  A recovering peer is rebuilt from it
@@ -269,7 +258,6 @@ impl<T: Transport> Runtime<T> {
     /// already finished (a second replica answered late) is ignored.
     pub(super) fn apply_replica_push(
         &mut self,
-        index: IndexId,
         to: usize,
         path: Path,
         entries: Vec<DataEntry>,
@@ -277,20 +265,20 @@ impl<T: Transport> Runtime<T> {
         replicas: Vec<PeerId>,
     ) {
         if self.recovery.reconciling.remove(&to) {
-            self.apply_replica_diff(index, to, path, entries, routing, replicas);
+            self.apply_replica_diff(to, path, entries, routing, replicas);
             return;
         }
         if !self.recovery.recovering.remove(&to) {
             return;
         }
-        self.install_snapshot(index, to, path, entries, routing, replicas);
+        self.install_snapshot(to, path, entries, routing, replicas);
         self.metrics.peers_recovered_replica += 1;
         self.tracer.record(
             AMBIENT_TRACE,
             "replica_recovered",
             to as u64,
             self.clock.now,
-            || format!("index={} path_len={}", index.0, path.len()),
+            || format!("path_len={}", path.len()),
         );
         self.recorder.note(
             self.clock.now,
@@ -300,7 +288,7 @@ impl<T: Transport> Runtime<T> {
                 path.len()
             ),
         );
-        self.finish_recovery(index, to);
+        self.finish_recovery(to);
     }
 
     /// Merges a replica's answer into a warm-restored peer (anti-entropy
@@ -311,14 +299,13 @@ impl<T: Transport> Runtime<T> {
     /// and keep only the replayed entries it still covers.
     fn apply_replica_diff(
         &mut self,
-        index: IndexId,
         to: usize,
         path: Path,
         entries: Vec<DataEntry>,
         routing: Vec<(u8, PeerId, Path)>,
         replicas: Vec<PeerId>,
     ) {
-        let state = self.indexes.state_mut(index, to);
+        let state = &mut self.overlay.states[to];
         let merged = if state.path == path {
             for (level, peer, rpath) in routing {
                 let level = level as usize;
@@ -335,19 +322,19 @@ impl<T: Transport> Runtime<T> {
             state.store.merge_batch(entries)
         } else {
             let old = state.store.drain();
-            self.install_snapshot(index, to, path, entries, routing, replicas);
+            self.install_snapshot(to, path, entries, routing, replicas);
             let covered: Vec<DataEntry> = old.into_iter().filter(|e| path.covers(e.key)).collect();
-            self.indexes.state_mut(index, to).store.merge_batch(covered)
+            self.overlay.states[to].store.merge_batch(covered)
         };
         self.metrics.peers_reconciled += 1;
         self.metrics.reconciled_entries += merged;
-        self.lookups.invalidate_routes(to, index);
+        self.lookups.invalidate_routes(to);
         self.tracer.record(
             AMBIENT_TRACE,
             "replica_reconciled",
             to as u64,
             self.clock.now,
-            || format!("index={} merged={merged}", index.0),
+            || format!("merged={merged}"),
         );
         self.recorder.note(
             self.clock.now,

@@ -8,12 +8,12 @@ use pgrid_core::search;
 use pgrid_transport::frame::{self, encode_frame, payload_slices};
 use pgrid_transport::LinkFault;
 
-/// The primary-index overlay state of `peer`.
+/// The overlay state of `peer`.
 fn primary(rt: &Runtime, peer: usize) -> &PeerState {
     rt.peer_state(IndexId::PRIMARY, peer)
 }
 
-/// The ground-truth keys of the primary index.
+/// The ground-truth keys.
 fn primary_keys(rt: &Runtime) -> Vec<Key> {
     rt.original_entries_of(IndexId::PRIMARY)
         .iter()
@@ -22,7 +22,7 @@ fn primary_keys(rt: &Runtime) -> Vec<Key> {
 }
 
 /// Joins peers `0..n`, runs the replication phase and constructs the
-/// primary index until virtual time `until`.
+/// overlay until virtual time `until`.
 fn construct(rt: &mut Runtime, n: usize, until: Millis) {
     for i in 0..n {
         rt.join_peer(i, 4);
@@ -73,7 +73,7 @@ fn queries_succeed_after_construction() {
     // query for existing keys
     let keys = primary_keys(&rt);
     for i in 0..100 {
-        rt.issue_query_on(IndexId::PRIMARY, keys[i * 3 % keys.len()]);
+        rt.issue_query_batch_on(IndexId::PRIMARY, &[keys[i * 3 % keys.len()]]);
         rt.run_until(rt.now() + 2_000);
     }
     rt.run_until(rt.now() + 30_000);
@@ -110,7 +110,7 @@ fn sample_ring_is_capped_and_can_be_disabled() {
     construct(&mut rt, 16, 200_000);
     let keys = primary_keys(&rt);
     for i in 0..40 {
-        rt.issue_query_on(IndexId::PRIMARY, keys[i % keys.len()]);
+        rt.issue_query_batch_on(IndexId::PRIMARY, &[keys[i % keys.len()]]);
         rt.run_until(rt.now() + 2_000);
     }
     rt.run_until(rt.now() + 30_000);
@@ -125,7 +125,7 @@ fn sample_ring_is_capped_and_can_be_disabled() {
     });
     construct(&mut quiet, 16, 200_000);
     let keys = primary_keys(&quiet);
-    quiet.issue_query_on(IndexId::PRIMARY, keys[0]);
+    quiet.issue_query_batch_on(IndexId::PRIMARY, &[keys[0]]);
     quiet.run_until(quiet.now() + 30_000);
     assert_eq!(quiet.metrics.stats(IndexId::PRIMARY).issued, 1);
     assert!(quiet.metrics.query_samples.is_empty());
@@ -152,7 +152,7 @@ fn late_responses_never_flip_a_timeout_verdict() {
     rt.start_construction();
     rt.run_until(100_000);
     let key = primary_keys(&rt)[0];
-    rt.issue_query_on(IndexId::PRIMARY, key);
+    rt.issue_query_batch_on(IndexId::PRIMARY, &[key]);
     rt.run_until(rt.now() + 10_000);
     let stats = rt.metrics.stats(IndexId::PRIMARY);
     assert_eq!(stats.issued, 1);
@@ -327,7 +327,7 @@ fn route_cache_returns_the_same_results() {
         construct(&mut rt, 48, 400_000);
         let keys = primary_keys(&rt);
         for i in 0..100 {
-            rt.issue_query_on(IndexId::PRIMARY, keys[i * 3 % keys.len()]);
+            rt.issue_query_batch_on(IndexId::PRIMARY, &[keys[i * 3 % keys.len()]]);
             rt.run_until(rt.now() + 2_000);
         }
         rt.run_until(rt.now() + 30_000);
@@ -540,15 +540,7 @@ fn warm_restore_then_reconcile_merges_missing_entries() {
         .collect();
     let replicas = primary(&rt, a).replicas.clone();
 
-    rt.restore_peer(
-        IndexId::PRIMARY,
-        a,
-        path,
-        stale.clone(),
-        routing,
-        replicas,
-        false,
-    );
+    rt.restore_peer(a, path, stale.clone(), routing, replicas, false);
     assert_eq!(rt.metrics.peers_recovered_warm, 1);
     assert_eq!(primary(&rt, a).store.len(), full.len() - 1);
     assert!(rt.nodes[a].online);
@@ -587,15 +579,7 @@ fn reconcile_adopts_diverged_partition_path() {
     for i in 0..path.len() - 1 {
         parent = parent.child(path.bit(i));
     }
-    rt.restore_peer(
-        IndexId::PRIMARY,
-        a,
-        parent,
-        full.clone(),
-        Vec::new(),
-        replicas,
-        false,
-    );
+    rt.restore_peer(a, parent, full.clone(), Vec::new(), replicas, false);
     assert_eq!(primary(&rt, a).path, parent);
 
     rt.begin_replica_diff(a, r);
@@ -654,46 +638,10 @@ fn link_failures_back_off_then_die_and_revive() {
     assert!(rt.links.ok(3));
 }
 
-#[test]
-fn restoring_a_secondary_index_acts_on_that_index_only() {
-    let secondary = IndexId(1);
-    let mut rt = Runtime::new(NetConfig {
-        n_peers: 8,
-        route_cache: true,
-        ..NetConfig::default()
-    });
-    rt.register_index(secondary, &Distribution::Uniform);
-    for index in [IndexId::PRIMARY, secondary] {
-        rt.lookups.route_cache.insert((3, index, 0), PeerId(1));
-    }
-    let path = Path::parse("01");
-    rt.restore_peer(secondary, 3, path, Vec::new(), Vec::new(), Vec::new(), true);
-
-    assert_eq!(rt.peer_state(secondary, 3).path, path);
-    assert!(rt.nodes[3].is_up(), "a restored peer is back in service");
-    let armed = |index| {
-        let slot = rt.indexes.slot(index);
-        slot.tick_armed[3] && slot.constructing[3]
-    };
-    assert!(armed(secondary), "the restored index's tick chain is armed");
-    assert!(!armed(IndexId::PRIMARY), "the primary's chain is untouched");
-    let cached = |index| rt.lookups.route_cache.contains_key(&(3, index, 0));
-    assert!(
-        !cached(secondary),
-        "the restored index's routes are evicted"
-    );
-    assert!(
-        cached(IndexId::PRIMARY),
-        "the primary's routes are untouched"
-    );
-}
-
 /// Runs core's reference pick as peer 0 at level 0 through the runtime's
 /// route cache: the hop and whether the memo answered.
 fn pick_at_level_zero(rt: &mut Runtime) -> (Option<PeerId>, bool) {
-    rt.routed(IndexId::PRIMARY, 0, |state, _, pick| {
-        pick(0, state.routing.level(0))
-    })
+    rt.routed(0, |state, _, pick| pick(0, state.routing.level(0)))
 }
 
 #[test]
@@ -716,10 +664,10 @@ fn the_route_cache_is_a_memo_in_front_of_the_reference_pick() {
                 peer: PeerId(peer),
                 path: Path::parse("1"),
             };
-            let table = &mut rt.indexes.state_mut(IndexId::PRIMARY, 0).routing;
+            let table = &mut rt.overlay.states[0].routing;
             table.add(0, entry, &mut rt.rng);
         }
-        let memo = (0, IndexId::PRIMARY, 0);
+        let memo = (0, 0);
         rt.lookups.route_cache.insert(memo, PeerId(2));
         down.iter().for_each(|&p| rt.nodes[p].online = false);
         dead.iter()
@@ -761,17 +709,16 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
         ..NetConfig::default()
     });
     construct(&mut rt, 48, 400_000);
-    let slot = rt.indexes.slot_mut(IndexId::PRIMARY);
-    slot.constructing.fill(false);
+    rt.overlay.constructing.fill(false);
     rt.run_until(rt.now() + 300_000);
     // Every sixth peer forgets its references: lookups through it dead-end
     // and range walks detour.
-    let slot = rt.indexes.slot_mut(IndexId::PRIMARY);
-    assert!(!slot.tick_armed.contains(&true));
+    let overlay = &mut rt.overlay;
+    assert!(!overlay.tick_armed.contains(&true));
     (0..48)
         .step_by(6)
-        .for_each(|p| slot.states[p].routing = RoutingTable::new(5));
-    let mut peers = slot.states.clone();
+        .for_each(|p| overlay.states[p].routing = RoutingTable::new(5));
+    let mut peers = overlay.states.clone();
     for (state, node) in peers.iter_mut().zip(&rt.nodes) {
         state.online = node.is_up();
     }
@@ -794,7 +741,7 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
         let mut rng = rt.rng.clone();
         let start = origin(&rt, &mut rng);
         let want = search::lookup_framed(&peers, start, key, &mut rng, loss);
-        rt.issue_query_on(IndexId::PRIMARY, key);
+        rt.issue_query_batch_on(IndexId::PRIMARY, &[key]);
         rt.run_until(rt.now() + 5_000);
         let got = rt.metrics.query_samples.back().expect("lookup resolved");
         assert_eq!(

@@ -18,7 +18,7 @@
 //! | [`sim`] | `pgrid-sim` | whole-system construction simulator (its own round driver), Figure-6 sweeps, sequential baseline, query evaluation |
 //! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, the `SocketTransport` trait |
 //! | [`reactor`] | `pgrid-reactor` | the one socket backend: every hosted peer behind one listener, epoll event threads (Linux) |
-//! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport, multi-index capable) and the PlanetLab-style experiment |
+//! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport) and the PlanetLab-style experiment |
 //! | [`scenario`] | `pgrid-scenario` | the composable experiment API: declarative `Scenario` programs and one executor that drives the message-level runtime |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |
 //!

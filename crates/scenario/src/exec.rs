@@ -128,7 +128,7 @@ fn phase_kind(phase: &Phase) -> &'static str {
         Phase::JoinWave { .. } => "join_wave",
         Phase::JoinSchedule { .. } => "join_schedule",
         Phase::Replicate { .. } => "replicate",
-        Phase::StartConstruction { .. } => "start_construction",
+        Phase::StartConstruction => "start_construction",
         Phase::RunUntil { .. } => "run_until",
         Phase::ConstructUntilQuiescent { .. } => "construct_until_quiescent",
         Phase::QueryLoad { .. } => "query_load",
@@ -164,14 +164,12 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
             host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
         }
-        Phase::Replicate { index, until_min } => {
-            hosted(host.runtime(), *index).replication_phase_on(*index);
+        Phase::Replicate { until_min } => {
+            host.runtime().replication_phase();
             host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
         }
-        Phase::StartConstruction { index } => {
-            hosted(host.runtime(), *index).start_construction_on(*index);
-        }
+        Phase::StartConstruction => host.runtime().start_construction(),
         Phase::RunUntil { until_min } => {
             host.advance_to(until_min * MINUTE_MS);
             ctx.boundary_min = *until_min;
@@ -191,13 +189,9 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
             }
             ctx.boundary_min = host.runtime().now() / MINUTE_MS;
         }
-        Phase::QueryLoad {
-            index,
-            until_min,
-            issuers,
-        } => {
+        Phase::QueryLoad { until_min, issuers } => {
             let end = until_min * MINUTE_MS;
-            let keys = query_keys(hosted(host.runtime(), *index), *index);
+            let keys = query_keys(host.runtime());
             let issuers = effective_issuers(host.runtime(), *issuers);
             // The pacing clock restarts at the phase start (a fresh query
             // window).
@@ -209,20 +203,20 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
                     next_query += pacing_step(&mut ctx.rng, issuers);
                     host.advance_to(next_query);
                     let key = keys[ctx.rng.gen_range(0..keys.len())];
-                    host.runtime().issue_query_on(*index, key);
+                    host.runtime()
+                        .issue_query_batch_on(IndexId::PRIMARY, &[key]);
                 }
             }
             ctx.next_query = Some(next_query);
             ctx.boundary_min = *until_min;
         }
         Phase::RangeLoad {
-            index,
             until_min,
             issuers,
             width,
         } => {
             let end = until_min * MINUTE_MS;
-            let issuers = effective_issuers(hosted(host.runtime(), *index), *issuers);
+            let issuers = effective_issuers(host.runtime(), *issuers);
             let width = width.clamp(f64::EPSILON, 1.0);
             // Range load paces like query load but draws `[lo, hi]` bounds
             // from the control RNG instead of corpus keys.
@@ -233,7 +227,8 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
                 let start = ctx.rng.gen_range(0.0..(1.0 - width).max(f64::EPSILON));
                 let lo = Key::from_fraction(start);
                 let hi = Key::from_fraction((start + width).min(1.0 - f64::EPSILON));
-                host.runtime().issue_range_query_on(*index, lo, hi.max(lo));
+                host.runtime()
+                    .issue_range_query_on(IndexId::PRIMARY, lo, hi.max(lo));
             }
             ctx.next_query = Some(next_query);
             ctx.boundary_min = *until_min;
@@ -277,19 +272,18 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
             ctx.boundary_min = *until_min;
         }
         Phase::ShiftDistribution {
-            index,
             distribution,
             keys_per_peer,
         } => {
-            let runtime = hosted(host.runtime(), *index);
+            let runtime = host.runtime();
             for peer in 0..runtime.config.n_peers {
                 let keys = (0..*keys_per_peer)
                     .map(|_| distribution.sample(&mut ctx.rng))
                     .collect();
-                runtime.insert_entries(*index, peer, keys);
+                runtime.insert_entries(peer, keys);
             }
             // Fresh data re-opens the partitioning question.
-            runtime.start_construction_on(*index);
+            runtime.start_construction();
         }
         Phase::Partition {
             groups,
@@ -323,13 +317,6 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
     }
 }
 
-/// `runtime`, after checking that it hosts `index`: scenarios must only
-/// reference indexes the runtime was set up with.
-fn hosted<T: Transport>(runtime: &mut Runtime<T>, index: IndexId) -> &mut Runtime<T> {
-    assert!(runtime.has_index_state(index), "{index} is not hosted");
-    runtime
-}
-
 /// The query/advance loop shared by both churn phases: the pacing clock
 /// *continues* from the preceding query phase, advances are clamped to the
 /// window, and no query is issued at or past the boundary.
@@ -343,7 +330,7 @@ fn churn_window<H: RuntimeHost>(
         host.advance_to(end);
         return;
     };
-    let keys = query_keys(host.runtime(), spec.index);
+    let keys = query_keys(host.runtime());
     let issuers = effective_issuers(host.runtime(), spec.issuers);
     let mut next_query = ctx.next_query.unwrap_or_else(|| host.runtime().now());
     if keys.is_empty() {
@@ -357,7 +344,8 @@ fn churn_window<H: RuntimeHost>(
             break;
         }
         let key = keys[ctx.rng.gen_range(0..keys.len())];
-        host.runtime().issue_query_on(spec.index, key);
+        host.runtime()
+            .issue_query_batch_on(IndexId::PRIMARY, &[key]);
     }
     ctx.next_query = Some(next_query);
 }

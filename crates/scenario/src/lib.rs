@@ -32,10 +32,10 @@
 //! let config = NetConfig { n_peers: 16, seed: 9, ..NetConfig::default() };
 //! let scenario = Scenario::builder(config.seed)
 //!     .join_wave(2, 4)
-//!     .replicate(IndexId::PRIMARY, 3)
-//!     .start_construction(IndexId::PRIMARY)
+//!     .replicate(3)
+//!     .start_construction()
 //!     .run_until(8)
-//!     .query_load(IndexId::PRIMARY, 10)
+//!     .query_load(10)
 //!     .drain()
 //!     .build();
 //! let mut overlay = Runtime::new(config);
@@ -55,7 +55,7 @@ pub use exec::{run, run_hosted, RuntimeHost, ScenarioReport};
 pub use scenario::{
     ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,
 };
-pub use snapshot::{IndexSnapshot, OverlaySnapshot};
+pub use snapshot::OverlaySnapshot;
 
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
@@ -64,6 +64,5 @@ pub mod prelude {
     pub use crate::scenario::{
         ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,
     };
-    pub use crate::snapshot::{IndexSnapshot, OverlaySnapshot};
-    pub use pgrid_core::index::IndexId;
+    pub use crate::snapshot::OverlaySnapshot;
 }

@@ -1,7 +1,6 @@
 //! Declarative scenario programs: ordered phases with seed-derived event
 //! schedules.
 
-use pgrid_core::index::IndexId;
 use pgrid_core::routing::PeerId;
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::Millis;
@@ -18,8 +17,6 @@ pub const CONTROL_SEED_SALT: u64 = 0xD13;
 /// How a query-issuing phase paces its load.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct QuerySpec {
-    /// The index the queries run against.
-    pub index: IndexId,
     /// How many peers are notionally issuing (each peer queries every 1–2
     /// minutes, so the aggregate rate is `issuers` per 1–2 minutes).
     /// `0` means the whole population; the cluster worker passes its shard
@@ -73,21 +70,16 @@ pub enum Phase {
         /// The joins, in time order.
         events: Vec<JoinEvent>,
     },
-    /// Run the replication phase of an index, then let the pushes settle
-    /// until the boundary.
+    /// Run the replication phase, then let the pushes settle until the
+    /// boundary.
     Replicate {
-        /// The index to replicate.
-        index: IndexId,
         /// End of the replication window, in minutes.
         until_min: u64,
     },
-    /// Switch on construction for an index (instantaneous; combine with
+    /// Switch on construction (instantaneous; combine with
     /// [`Phase::RunUntil`], [`Phase::ConstructUntilQuiescent`] or a churn
     /// window to give it time).
-    StartConstruction {
-        /// The index to construct.
-        index: IndexId,
-    },
+    StartConstruction,
     /// Let virtual time pass to the boundary.
     RunUntil {
         /// Target minute.
@@ -104,8 +96,6 @@ pub enum Phase {
     /// Issue queries at the paper's rate (each issuer queries every 1–2
     /// minutes) until the boundary.
     QueryLoad {
-        /// The index the queries run against.
-        index: IndexId,
         /// End of the query window, in minutes.
         until_min: u64,
         /// Notional number of issuing peers (`0` = whole population).
@@ -116,8 +106,6 @@ pub enum Phase {
     /// bounds are drawn from the control RNG: a uniform start with a
     /// keyspace-fraction width of `width`.
     RangeLoad {
-        /// The index the range queries run against.
-        index: IndexId,
         /// End of the range-load window, in minutes.
         until_min: u64,
         /// Notional number of issuing peers (`0` = whole population).
@@ -152,11 +140,9 @@ pub enum Phase {
         queries: Option<QuerySpec>,
     },
     /// Assign every peer `keys_per_peer` fresh keys drawn from
-    /// `distribution` on `index` and re-engage construction (the
-    /// re-indexing / dynamic re-balancing workload).
+    /// `distribution` and re-engage construction (the re-indexing /
+    /// dynamic re-balancing workload).
     ShiftDistribution {
-        /// The index whose data shifts.
-        index: IndexId,
         /// The new key distribution.
         distribution: Distribution,
         /// Fresh keys per peer.
@@ -221,31 +207,23 @@ impl Scenario {
     pub fn from_timeline(seed: u64, timeline: &Timeline) -> Scenario {
         let mut builder = Scenario::builder(seed)
             .join_wave(timeline.join_end_min, 6)
-            .replicate(IndexId::PRIMARY, timeline.replicate_end_min)
-            .start_construction(IndexId::PRIMARY)
+            .replicate(timeline.replicate_end_min)
+            .start_construction()
             .run_until(timeline.construct_end_min);
         // The optional range window sits between construction and the
         // lookup load; the reference timelines leave it disabled
         // (`range_end_min: 0`), so it draws nothing from the control RNG.
         if timeline.range_end_min > timeline.construct_end_min {
-            builder = builder.range_load(
-                IndexId::PRIMARY,
-                timeline.range_end_min,
-                0,
-                RANGE_LOAD_WIDTH,
-            );
+            builder = builder.range_load(timeline.range_end_min, 0, RANGE_LOAD_WIDTH);
         }
         builder
-            .query_load(IndexId::PRIMARY, timeline.query_end_min)
+            .query_load(timeline.query_end_min)
             .churn(
                 timeline.end_min,
                 5 * MINUTE_MS,
                 (MINUTE_MS, 5 * MINUTE_MS),
                 (5 * MINUTE_MS, 10 * MINUTE_MS),
-                Some(QuerySpec {
-                    index: IndexId::PRIMARY,
-                    issuers: 0,
-                }),
+                Some(QuerySpec { issuers: 0 }),
             )
             .drain()
             .build()
@@ -284,13 +262,13 @@ impl ScenarioBuilder {
     }
 
     /// Appends a [`Phase::Replicate`].
-    pub fn replicate(self, index: IndexId, until_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::Replicate { index, until_min })
+    pub fn replicate(self, until_min: u64) -> ScenarioBuilder {
+        self.phase(Phase::Replicate { until_min })
     }
 
     /// Appends a [`Phase::StartConstruction`].
-    pub fn start_construction(self, index: IndexId) -> ScenarioBuilder {
-        self.phase(Phase::StartConstruction { index })
+    pub fn start_construction(self) -> ScenarioBuilder {
+        self.phase(Phase::StartConstruction)
     }
 
     /// Appends a [`Phase::RunUntil`].
@@ -307,38 +285,18 @@ impl ScenarioBuilder {
     }
 
     /// Appends a [`Phase::QueryLoad`] issued by the whole population.
-    pub fn query_load(self, index: IndexId, until_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::QueryLoad {
-            index,
-            until_min,
-            issuers: 0,
-        })
+    pub fn query_load(self, until_min: u64) -> ScenarioBuilder {
+        self.query_load_from(until_min, 0)
     }
 
     /// Appends a [`Phase::QueryLoad`] with an explicit issuer count.
-    pub fn query_load_from(
-        self,
-        index: IndexId,
-        until_min: u64,
-        issuers: usize,
-    ) -> ScenarioBuilder {
-        self.phase(Phase::QueryLoad {
-            index,
-            until_min,
-            issuers,
-        })
+    pub fn query_load_from(self, until_min: u64, issuers: usize) -> ScenarioBuilder {
+        self.phase(Phase::QueryLoad { until_min, issuers })
     }
 
     /// Appends a [`Phase::RangeLoad`].
-    pub fn range_load(
-        self,
-        index: IndexId,
-        until_min: u64,
-        issuers: usize,
-        width: f64,
-    ) -> ScenarioBuilder {
+    pub fn range_load(self, until_min: u64, issuers: usize, width: f64) -> ScenarioBuilder {
         self.phase(Phase::RangeLoad {
-            index,
             until_min,
             issuers,
             width,
@@ -380,12 +338,10 @@ impl ScenarioBuilder {
     /// Appends a [`Phase::ShiftDistribution`].
     pub fn shift_distribution(
         self,
-        index: IndexId,
         distribution: Distribution,
         keys_per_peer: usize,
     ) -> ScenarioBuilder {
         self.phase(Phase::ShiftDistribution {
-            index,
             distribution,
             keys_per_peer,
         })
@@ -440,9 +396,7 @@ mod tests {
             scenario.phases[0],
             Phase::JoinWave { until_min, fanout: 6 } if until_min == timeline.join_end_min
         ));
-        assert!(
-            matches!(scenario.phases[2], Phase::StartConstruction { index } if index.is_primary())
-        );
+        assert!(matches!(scenario.phases[2], Phase::StartConstruction));
         assert!(matches!(
             scenario.phases[5],
             Phase::Churn { until_min, queries: Some(_), .. } if until_min == timeline.end_min

@@ -21,79 +21,17 @@ pub struct OverlaySnapshot {
     pub at_min: u64,
     /// Peers online at the time of the measurement.
     pub online: usize,
-    /// Per-index overlay quality, primary index first.
-    pub indexes: Vec<IndexSnapshot>,
-}
-
-impl OverlaySnapshot {
-    /// Measures every index `runtime` hosts, under `label`.
-    pub fn of<T: Transport>(runtime: &Runtime<T>, label: &str) -> OverlaySnapshot {
-        let n_peers = runtime.config.n_peers;
-        let indexes = runtime
-            .index_ids()
-            .into_iter()
-            .map(|index| {
-                let paths: Vec<_> = (0..n_peers)
-                    .map(|peer| runtime.peer_state(index, peer).path)
-                    .collect();
-                let keys = query_keys(runtime, index);
-                let quality = measure_overlay(&keys, n_peers, runtime.params(), &paths);
-                let stats = runtime.metrics.stats(index);
-                IndexSnapshot {
-                    index,
-                    mean_path_length: quality.mean_path_length,
-                    balance_deviation: quality.deviation,
-                    mean_replication: quality.mean_replication,
-                    queries_issued: stats.issued as usize,
-                    queries_succeeded: stats.succeeded as usize,
-                    ranges_issued: stats.ranges_issued as usize,
-                    ranges_complete: stats.ranges_complete as usize,
-                    latency_p50_ms: stats.latency.p50(),
-                    latency_p99_ms: stats.latency.p99(),
-                    latency_p999_ms: stats.latency.p999(),
-                }
-            })
-            .collect();
-        OverlaySnapshot {
-            label: label.to_string(),
-            at_min: runtime.now() / MINUTE_MS,
-            online: runtime.online_count(),
-            indexes,
-        }
-    }
-
-    /// The measurement of one index, if hosted.
-    pub fn index(&self, index: IndexId) -> Option<&IndexSnapshot> {
-        self.indexes.iter().find(|s| s.index == index)
-    }
-}
-
-/// The keys of the ground-truth data assignment of `index` (the query
-/// workload draws from these).
-pub(crate) fn query_keys<T: Transport>(runtime: &Runtime<T>, index: IndexId) -> Vec<Key> {
-    runtime
-        .original_entries_of(index)
-        .iter()
-        .map(|e| e.key)
-        .collect()
-}
-
-/// Overlay quality and query statistics of one index.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IndexSnapshot {
-    /// Which index.
-    pub index: IndexId,
-    /// Mean trie depth of the index's peer paths.
+    /// Mean trie depth of the peer paths.
     pub mean_path_length: f64,
-    /// Load-balance deviation from the index's reference partitioning.
+    /// Load-balance deviation from the reference partitioning.
     pub balance_deviation: f64,
     /// Mean number of peers per distinct leaf partition.
     pub mean_replication: f64,
-    /// Queries issued against this index so far.
+    /// Queries issued so far.
     pub queries_issued: usize,
     /// Of those, queries answered successfully.
     pub queries_succeeded: usize,
-    /// Range queries issued against this index so far.
+    /// Range queries issued so far.
     pub ranges_issued: usize,
     /// Of those, range queries whose slices covered the whole range.
     pub ranges_complete: usize,
@@ -106,7 +44,32 @@ pub struct IndexSnapshot {
     pub latency_p999_ms: Option<u64>,
 }
 
-impl IndexSnapshot {
+impl OverlaySnapshot {
+    /// Measures the overlay `runtime` hosts, under `label`.
+    pub fn of<T: Transport>(runtime: &Runtime<T>, label: &str) -> OverlaySnapshot {
+        let n_peers = runtime.config.n_peers;
+        let paths: Vec<_> = (0..n_peers)
+            .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
+            .collect();
+        let quality = measure_overlay(&query_keys(runtime), n_peers, runtime.params(), &paths);
+        let stats = &runtime.metrics.query_stats;
+        OverlaySnapshot {
+            label: label.to_string(),
+            at_min: runtime.now() / MINUTE_MS,
+            online: runtime.online_count(),
+            mean_path_length: quality.mean_path_length,
+            balance_deviation: quality.deviation,
+            mean_replication: quality.mean_replication,
+            queries_issued: stats.issued as usize,
+            queries_succeeded: stats.succeeded as usize,
+            ranges_issued: stats.ranges_issued as usize,
+            ranges_complete: stats.ranges_complete as usize,
+            latency_p50_ms: stats.latency.p50(),
+            latency_p99_ms: stats.latency.p99(),
+            latency_p999_ms: stats.latency.p999(),
+        }
+    }
+
     /// Fraction of issued queries that succeeded (0 when none were issued).
     pub fn query_success_rate(&self) -> f64 {
         if self.queries_issued == 0 {
@@ -115,4 +78,14 @@ impl IndexSnapshot {
             self.queries_succeeded as f64 / self.queries_issued as f64
         }
     }
+}
+
+/// The keys of the ground-truth data assignment (the query workload draws
+/// from these).
+pub(crate) fn query_keys<T: Transport>(runtime: &Runtime<T>) -> Vec<Key> {
+    runtime
+        .original_entries_of(IndexId::PRIMARY)
+        .iter()
+        .map(|e| e.key)
+        .collect()
 }

@@ -1,7 +1,6 @@
 //! Scenario-executor unit tests: event ordering under identical virtual
 //! timestamps, phase-boundary bookkeeping, and determinism.
 
-use pgrid_core::index::IndexId;
 use pgrid_net::runtime::{NetConfig, Runtime};
 use pgrid_scenario::prelude::*;
 use pgrid_scenario::{ChurnEvent, RuntimeHost};
@@ -66,12 +65,12 @@ fn identical_timestamps_resolve_in_schedule_order() {
 fn runs_are_deterministic_and_phase_order_is_declaration_order() {
     let scenario = Scenario::builder(21)
         .join_wave(2, 4)
-        .replicate(IndexId::PRIMARY, 3)
+        .replicate(3)
         .snapshot("replicated")
-        .start_construction(IndexId::PRIMARY)
+        .start_construction()
         .run_until(10)
         .snapshot("constructed")
-        .query_load(IndexId::PRIMARY, 12)
+        .query_load(12)
         .drain()
         .build();
 
@@ -94,11 +93,11 @@ fn runs_are_deterministic_and_phase_order_is_declaration_order() {
     assert!(a.snapshots[2].at_min >= 12);
 
     // Construction happened between the two snapshots.
-    let before = a.snapshots[0].index(IndexId::PRIMARY).unwrap();
-    let after = a.snapshots[1].index(IndexId::PRIMARY).unwrap();
+    let before = &a.snapshots[0];
+    let after = &a.snapshots[1];
     assert!(after.mean_path_length > before.mean_path_length);
     // Queries were issued and (mostly) answered.
-    let fin = a.snapshots[2].index(IndexId::PRIMARY).unwrap();
+    let fin = &a.snapshots[2];
     assert!(fin.queries_issued > 0);
     assert!(fin.query_success_rate() > 0.5);
 

@@ -15,7 +15,7 @@ const MINUTE: u64 = 60_000;
 
 /// `(at_min, online, mean_path_length, balance_deviation, queries_issued,
 /// queries_succeeded, ranges_issued, ranges_complete, latency_p50_ms)` of
-/// one snapshot's primary index.
+/// one snapshot.
 type Row = (
     u64,
     usize,
@@ -36,12 +36,7 @@ fn every_phase(seed: u64, n_peers: usize) -> Scenario {
         (0..n_peers / 2).collect::<Vec<_>>(),
         (n_peers / 2..n_peers).collect::<Vec<_>>(),
     ];
-    let query_spec = |issuers| {
-        Some(QuerySpec {
-            index: IndexId::PRIMARY,
-            issuers,
-        })
-    };
+    let query_spec = |issuers| Some(QuerySpec { issuers });
     Scenario::builder(seed)
         .join_wave(2, 6)
         // Two peers re-join with fixed contacts, as a cluster join plan
@@ -61,14 +56,14 @@ fn every_phase(seed: u64, n_peers: usize) -> Scenario {
                 },
             ],
         )
-        .replicate(IndexId::PRIMARY, 5)
+        .replicate(5)
         .snapshot("replicated")
-        .start_construction(IndexId::PRIMARY)
+        .start_construction()
         .run_until(12)
         .construct_until_quiescent(1, 10)
         .snapshot("constructed")
-        .query_load(IndexId::PRIMARY, 24)
-        .range_load(IndexId::PRIMARY, 26, 0, 0.1)
+        .query_load(24)
+        .range_load(26, 0, 0.1)
         .snapshot("queried")
         .partition(halves, 27, 29)
         .churn(
@@ -95,7 +90,7 @@ fn every_phase(seed: u64, n_peers: usize) -> Scenario {
             ],
             query_spec(n_peers / 2),
         )
-        .shift_distribution(IndexId::PRIMARY, Distribution::Pareto { shape: 1.0 }, 5)
+        .shift_distribution(Distribution::Pareto { shape: 1.0 }, 5)
         .run_until(40)
         .snapshot("shifted")
         .drain()
@@ -107,17 +102,16 @@ fn rows(report: &ScenarioReport) -> Vec<Row> {
         .snapshots
         .iter()
         .map(|s| {
-            let p = s.index(IndexId::PRIMARY).expect("primary index");
             (
                 s.at_min,
                 s.online,
-                p.mean_path_length,
-                p.balance_deviation,
-                p.queries_issued,
-                p.queries_succeeded,
-                p.ranges_issued,
-                p.ranges_complete,
-                p.latency_p50_ms,
+                s.mean_path_length,
+                s.balance_deviation,
+                s.queries_issued,
+                s.queries_succeeded,
+                s.ranges_issued,
+                s.ranges_complete,
+                s.latency_p50_ms,
             )
         })
         .collect()

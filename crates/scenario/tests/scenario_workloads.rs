@@ -1,13 +1,9 @@
-//! The two ROADMAP workloads opened by the scenario API, end-to-end on
-//! both transports (loopback in virtual time, the reactor in real time —
-//! the `*_on_tcp` runs drive the runtime's real-time clock path):
-//!
-//! * **churn-heavy construction** — joins and leaves interleaved with
-//!   partitioning: churn windows overlap the construction phase instead of
-//!   following it;
-//! * **multi-index overlay** — two key distributions share one peer
-//!   population through the `IndexId` dimension: each index builds its own
-//!   trie over the same peers, transport and liveness.
+//! Workloads opened by the scenario API, end-to-end on both transports
+//! (loopback in virtual time, the reactor in real time — the `*_on_tcp`
+//! runs drive the runtime's real-time clock path): churn-heavy
+//! construction, where joins and leaves interleave with partitioning and
+//! churn windows overlap the construction phase instead of following it,
+//! and range load.
 
 use pgrid_core::index::IndexId;
 use pgrid_net::runtime::{NetConfig, Runtime};
@@ -42,8 +38,8 @@ fn config(n_peers: usize, seed: u64) -> NetConfig {
 fn churn_heavy_scenario(seed: u64) -> Scenario {
     Scenario::builder(seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         // Churn *during* construction: every peer repeatedly drops for
         // 1–2 minutes with 2–4 minute gaps while partitioning runs.
         .churn(
@@ -57,10 +53,10 @@ fn churn_heavy_scenario(seed: u64) -> Scenario {
         // Re-arm tick chains that died while their peer was offline (the
         // churn window kills chains whose tick fires during a downtime),
         // then let the survivors finish partitioning.
-        .start_construction(IndexId::PRIMARY)
+        .start_construction()
         .run_until(23)
         .snapshot("recovered")
-        .query_load(IndexId::PRIMARY, 27)
+        .query_load(27)
         .drain()
         .build()
 }
@@ -75,11 +71,10 @@ fn assert_churn_heavy(report: &ScenarioReport, n_peers: usize) {
     // Re-engaging construction after the churn window must not lose depth.
     let recovered = report.snapshot("recovered").unwrap();
     assert!(
-        recovered.index(IndexId::PRIMARY).unwrap().mean_path_length
-            >= churned.index(IndexId::PRIMARY).unwrap().mean_path_length,
+        recovered.mean_path_length >= churned.mean_path_length,
         "re-engaged construction went backwards"
     );
-    let fin = report.final_snapshot().index(IndexId::PRIMARY).unwrap();
+    let fin = report.final_snapshot();
     assert!(
         fin.mean_path_length >= 1.5,
         "the trie must partition despite churn (mean depth {:.2})",
@@ -113,7 +108,7 @@ fn churn_heavy_construction_on_tcp() {
         return;
     };
     let report = pgrid_scenario::run(&mut overlay, &churn_heavy_scenario(config.seed));
-    let fin = report.final_snapshot().index(IndexId::PRIMARY).unwrap();
+    let fin = report.final_snapshot();
     assert!(fin.mean_path_length >= 1.0, "{:.2}", fin.mean_path_length);
     assert!(fin.queries_issued > 0);
     assert!(
@@ -128,18 +123,18 @@ fn churn_heavy_construction_on_tcp() {
 fn range_load_scenario(seed: u64) -> Scenario {
     Scenario::builder(seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         .run_until(22)
         .snapshot("constructed")
-        .query_load(IndexId::PRIMARY, 24)
-        .range_load(IndexId::PRIMARY, 26, 8, 0.2)
+        .query_load(24)
+        .range_load(26, 8, 0.2)
         .drain()
         .build()
 }
 
 fn assert_range_load(report: &ScenarioReport) {
-    let fin = report.final_snapshot().index(IndexId::PRIMARY).unwrap();
+    let fin = report.final_snapshot();
     assert!(fin.queries_issued > 0);
     assert!(fin.ranges_issued > 0, "range phase issued nothing");
     assert_eq!(
@@ -155,7 +150,7 @@ fn range_load_completes_on_loopback() {
     let mut overlay = Runtime::new(config.clone());
     let report = pgrid_scenario::run(&mut overlay, &range_load_scenario(config.seed));
     assert_range_load(&report);
-    let fin = report.final_snapshot().index(IndexId::PRIMARY).unwrap();
+    let fin = report.final_snapshot();
     assert!(
         fin.latency_p50_ms.is_some() && fin.latency_p999_ms.is_some(),
         "query load must fill the latency histogram"
@@ -172,79 +167,6 @@ fn range_load_completes_on_tcp() {
     assert_range_load(&report);
 }
 
-/// Two indexes over one peer population: uniform keys on the primary,
-/// Pareto keys on the secondary.
-fn multi_index_scenario(seed: u64) -> Scenario {
-    let secondary = IndexId(1);
-    Scenario::builder(seed)
-        .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .replicate(secondary, 7)
-        .start_construction(IndexId::PRIMARY)
-        .start_construction(secondary)
-        .run_until(22)
-        .snapshot("constructed")
-        .query_load(IndexId::PRIMARY, 25)
-        .query_load_from(secondary, 28, 0)
-        .drain()
-        .build()
-}
-
-fn assert_multi_index(report: &ScenarioReport) {
-    let fin = report.final_snapshot();
-    let primary = fin.index(IndexId::PRIMARY).unwrap();
-    let secondary = fin.index(IndexId(1)).unwrap();
-    for (name, idx) in [("primary", primary), ("secondary", secondary)] {
-        assert!(
-            idx.mean_path_length >= 1.5,
-            "{name} index must build a trie (mean depth {:.2})",
-            idx.mean_path_length
-        );
-        assert!(idx.queries_issued > 0, "{name} index saw no queries");
-        assert!(
-            idx.query_success_rate() > 0.6,
-            "{name} index success rate {:.2}",
-            idx.query_success_rate()
-        );
-    }
-    // The two indexes partition *differently* (different distributions),
-    // while sharing the population.
-    assert_ne!(
-        (primary.mean_path_length * 1000.0) as i64,
-        (secondary.mean_path_length * 1000.0) as i64,
-        "independent distributions should not produce identical tries"
-    );
-}
-
-#[test]
-fn multi_index_overlay_on_loopback() {
-    let config = config(48, 23);
-    let mut overlay = Runtime::new(config.clone());
-    overlay.register_index(IndexId(1), &Distribution::Pareto { shape: 1.0 });
-    let report = pgrid_scenario::run(&mut overlay, &multi_index_scenario(config.seed));
-    assert_multi_index(&report);
-}
-
-#[test]
-fn multi_index_overlay_on_tcp() {
-    let config = config(16, 23);
-    let Some(mut overlay) = on_reactor(&config) else {
-        return;
-    };
-    overlay.register_index(IndexId(1), &Distribution::Pareto { shape: 1.0 });
-    let report = pgrid_scenario::run(&mut overlay, &multi_index_scenario(config.seed));
-    let fin = report.final_snapshot();
-    for index in [IndexId::PRIMARY, IndexId(1)] {
-        let idx = fin.index(index).unwrap();
-        assert!(
-            idx.mean_path_length >= 1.0,
-            "{index}: {:.2}",
-            idx.mean_path_length
-        );
-        assert!(idx.queries_issued > 0, "{index} saw no queries");
-    }
-}
-
 #[test]
 fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
     // Churn during construction kills the tick chain of any peer whose
@@ -257,8 +179,8 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
     let mut overlay = Runtime::new(config.clone());
     let scenario = Scenario::builder(config.seed)
         .join_wave(2, 6)
-        .replicate(IndexId::PRIMARY, 4)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(4)
+        .start_construction()
         .churn(
             15,
             2 * MINUTE,
@@ -267,7 +189,7 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
             None,
         )
         .snapshot("after-churn")
-        .start_construction(IndexId::PRIMARY)
+        .start_construction()
         .construct_until_quiescent(1, 60)
         .build();
     let report = pgrid_scenario::run(&mut overlay, &scenario);
@@ -278,11 +200,7 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
     let after_churn = report.snapshot("after-churn").unwrap();
     let fin = report.final_snapshot();
     assert!(
-        fin.index(IndexId::PRIMARY).unwrap().mean_path_length
-            >= after_churn
-                .index(IndexId::PRIMARY)
-                .unwrap()
-                .mean_path_length,
+        fin.mean_path_length >= after_churn.mean_path_length,
         "re-armed construction lost progress"
     );
 }
@@ -295,15 +213,11 @@ fn a_distribution_shift_re_engages_construction_on_loopback() {
     let mut overlay = Runtime::new(config.clone());
     let scenario = Scenario::builder(config.seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         .construct_until_quiescent(1, 60)
         .snapshot("constructed")
-        .shift_distribution(
-            IndexId::PRIMARY,
-            Distribution::Pareto { shape: 1.0 },
-            config.keys_per_peer,
-        )
+        .shift_distribution(Distribution::Pareto { shape: 1.0 }, config.keys_per_peer)
         .snapshot("shifted")
         .construct_until_quiescent(1, 60)
         .snapshot("rebuilt")
@@ -322,25 +236,4 @@ fn a_distribution_shift_re_engages_construction_on_loopback() {
         shifted.at_min,
         rebuilt.at_min
     );
-}
-
-#[test]
-fn secondary_index_does_not_perturb_the_primary_trajectory() {
-    // Registering (but never exercising) a secondary index must leave the
-    // primary index's deployment byte-identical: the assignment comes from
-    // a dedicated RNG stream and secondary traffic only exists once the
-    // scenario references the index.
-    let config = config(32, 9);
-    let timeline = pgrid_net::experiment::Timeline::default();
-    let plain = pgrid_scenario::deployment::run_deployment(&config, &timeline);
-
-    let mut overlay = Runtime::new(config.clone());
-    overlay.register_index(IndexId(1), &Distribution::Pareto { shape: 1.0 });
-    let scenario = Scenario::from_timeline(config.seed, &timeline);
-    let _ = pgrid_scenario::run(&mut overlay, &scenario);
-    let with_idle_index = pgrid_net::experiment::assemble_report(
-        &pgrid_net::experiment::ReportInputs::from_runtime(&overlay),
-        &timeline,
-    );
-    assert_eq!(plain, with_idle_index);
 }

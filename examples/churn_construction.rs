@@ -19,8 +19,8 @@ const MINUTE: u64 = 60_000;
 fn scenario(seed: u64) -> Scenario {
     Scenario::builder(seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         // Churn during construction: drops of 1–2 minutes with 2–4 minute
         // gaps, starting while partitioning is in full swing.
         .churn(
@@ -33,10 +33,10 @@ fn scenario(seed: u64) -> Scenario {
         .snapshot("churned construction")
         // Re-arm tick chains that died while their peer was offline, so
         // the survivors finish partitioning before the query load.
-        .start_construction(IndexId::PRIMARY)
+        .start_construction()
         .run_until(23)
         .snapshot("recovered")
-        .query_load(IndexId::PRIMARY, 27)
+        .query_load(27)
         .drain()
         .build()
 }
@@ -66,17 +66,16 @@ fn run(smoke: bool) {
     let mut overlay = Runtime::new(config);
     let report = pgrid::scenario::run(&mut overlay, &scenario);
     for snapshot in &report.snapshots {
-        let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
         println!(
             "  {:<20} @ minute {:>3}: {:>3} online, mean depth {:.2}, deviation {:.3}, \
              {} queries ({:.0}% ok)",
             snapshot.label,
             snapshot.at_min,
             snapshot.online,
-            primary.mean_path_length,
-            primary.balance_deviation,
-            primary.queries_issued,
-            100.0 * primary.query_success_rate()
+            snapshot.mean_path_length,
+            snapshot.balance_deviation,
+            snapshot.queries_issued,
+            100.0 * snapshot.query_success_rate()
         );
     }
 }

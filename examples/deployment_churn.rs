@@ -54,20 +54,17 @@ fn run(smoke: bool) {
     // snapshots.
     let scenario = Scenario::builder(config.seed)
         .join_wave(timeline.join_end_min, 6)
-        .replicate(IndexId::PRIMARY, timeline.replicate_end_min)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(timeline.replicate_end_min)
+        .start_construction()
         .run_until(timeline.construct_end_min)
         .snapshot("constructed")
-        .query_load(IndexId::PRIMARY, timeline.query_end_min)
+        .query_load(timeline.query_end_min)
         .churn(
             timeline.end_min,
             5 * MINUTE,
             (MINUTE, 5 * MINUTE),
             (5 * MINUTE, 10 * MINUTE),
-            Some(QuerySpec {
-                index: IndexId::PRIMARY,
-                issuers: 0,
-            }),
+            Some(QuerySpec { issuers: 0 }),
         )
         .drain()
         .build();
@@ -89,16 +86,15 @@ fn run(smoke: bool) {
 
     println!("\nscenario snapshots:");
     for snapshot in &scenario_report.snapshots {
-        let primary = snapshot.index(IndexId::PRIMARY).expect("primary index");
         println!(
             "  {:<12} @ minute {:>3}: {:>3} online, mean depth {:.2}, deviation {:.3}, {} queries ({:.0}% ok)",
             snapshot.label,
             snapshot.at_min,
             snapshot.online,
-            primary.mean_path_length,
-            primary.balance_deviation,
-            primary.queries_issued,
-            100.0 * primary.query_success_rate()
+            snapshot.mean_path_length,
+            snapshot.balance_deviation,
+            snapshot.queries_issued,
+            100.0 * snapshot.query_success_rate()
         );
     }
 

@@ -28,17 +28,17 @@ fn scenario(seed: u64, n_peers: usize) -> Scenario {
     ];
     Scenario::builder(seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         .run_until(16)
         .snapshot("constructed")
         // The split is armed now and the transport enforces the window:
         // every frame crossing the halves between minutes 17 and 20 is
         // dropped, then the network heals on its own.
         .partition(halves, 17, 20)
-        .query_load(IndexId::PRIMARY, 20)
+        .query_load(20)
         .snapshot("partitioned")
-        .query_load(IndexId::PRIMARY, 24)
+        .query_load(24)
         .snapshot("healed")
         .drain()
         .build()
@@ -72,10 +72,9 @@ fn run(smoke: bool) {
     // between consecutive snapshots.
     let mut last = (0usize, 0usize);
     for snapshot in &report.snapshots {
-        let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
-        let issued = primary.queries_issued - last.0;
-        let succeeded = primary.queries_succeeded - last.1;
-        last = (primary.queries_issued, primary.queries_succeeded);
+        let issued = snapshot.queries_issued - last.0;
+        let succeeded = snapshot.queries_succeeded - last.1;
+        last = (snapshot.queries_issued, snapshot.queries_succeeded);
         let rate = if issued == 0 {
             100.0
         } else {
@@ -87,8 +86,8 @@ fn run(smoke: bool) {
             snapshot.label,
             snapshot.at_min,
             snapshot.online,
-            primary.mean_path_length,
-            primary.balance_deviation,
+            snapshot.mean_path_length,
+            snapshot.balance_deviation,
             issued,
         );
     }
@@ -98,8 +97,7 @@ fn run(smoke: bool) {
             .snapshots
             .iter()
             .find(|s| s.label == label)
-            .and_then(|s| s.index(IndexId::PRIMARY))
-            .expect("labelled snapshot with a primary index")
+            .expect("labelled snapshot")
     };
     let partitioned = by_label("partitioned");
     let healed = by_label("healed");

@@ -42,12 +42,12 @@ fn run(smoke: bool) {
 
     let scenario = Scenario::builder(config.seed)
         .join_wave(3, 6)
-        .replicate(IndexId::PRIMARY, 5)
-        .start_construction(IndexId::PRIMARY)
+        .replicate(5)
+        .start_construction()
         .run_until(construct_min)
         .snapshot("constructed")
-        .range_load(IndexId::PRIMARY, range_min, 0, RANGE_LOAD_WIDTH)
-        .query_load(IndexId::PRIMARY, query_min)
+        .range_load(range_min, 0, RANGE_LOAD_WIDTH)
+        .query_load(query_min)
         .drain()
         .build();
 
@@ -58,15 +58,13 @@ fn run(smoke: bool) {
 
     let mut overlay = Runtime::new(config);
     let report = pgrid::scenario::run(&mut overlay, &scenario);
-    let constructed = report.snapshots[0]
-        .index(IndexId::PRIMARY)
-        .expect("primary index");
+    let constructed = &report.snapshots[0];
     println!(
         "constructed @ minute {}: mean depth {:.2}, deviation {:.3}",
         report.snapshots[0].at_min, constructed.mean_path_length, constructed.balance_deviation
     );
 
-    let stats = overlay.metrics.stats(IndexId::PRIMARY);
+    let stats = &overlay.metrics.query_stats;
     println!("\nlookup plane:");
     println!(
         "  issued {}, answered {}, succeeded {}, timed out {}, late {}",

@@ -48,11 +48,11 @@ fn run(smoke: bool) {
         // function to Pareto and let the network re-balance.
         let scenario = Scenario::builder(config.seed)
             .join_wave(3, 6)
-            .replicate(IndexId::PRIMARY, 5)
-            .start_construction(IndexId::PRIMARY)
+            .replicate(5)
+            .start_construction()
             .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
             .snapshot("uniform index")
-            .shift_distribution(IndexId::PRIMARY, shifted, config.keys_per_peer)
+            .shift_distribution(shifted, config.keys_per_peer)
             .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
             .snapshot("after shift")
             .build();
@@ -62,13 +62,12 @@ fn run(smoke: bool) {
         println!("== {n_peers} peers ==");
         for label in ["uniform index", "after shift"] {
             let snapshot = report.snapshot(label).expect("snapshot taken");
-            let primary = snapshot.index(IndexId::PRIMARY).expect("primary");
             println!(
                 "  {label:<14} @ minute {:>3}: mean depth {:.2}, deviation {:.3}, replication {:.2}",
                 snapshot.at_min,
-                primary.mean_path_length,
-                primary.balance_deviation,
-                primary.mean_replication
+                snapshot.mean_path_length,
+                snapshot.balance_deviation,
+                snapshot.mean_replication
             );
         }
 

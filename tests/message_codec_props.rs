@@ -54,9 +54,8 @@ fn arbitrary_outcome(rng: &mut StdRng) -> ExchangeOutcome {
 }
 
 /// Number of shapes [`arbitrary_message`] cycles through: the eleven plain
-/// message kinds, then the index envelope, the trace envelope and the trace
-/// envelope around an index envelope.
-const SHAPES: u8 = 14;
+/// message kinds, then the trace envelope.
+const SHAPES: u8 = 12;
 
 /// One random message; `variant` cycles so every shape is exercised no
 /// matter what the seed draws.
@@ -123,23 +122,10 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
                 .map(|_| PeerId(rng.gen()))
                 .collect(),
         },
-        11 => arbitrary_for_index(rng),
-        12 => Message::Traced {
+        _ => Message::Traced {
             trace_id: rng.gen_range(1..=u64::MAX),
             inner: Box::new(arbitrary_message(rng.gen_range(0..11), rng)),
         },
-        _ => Message::Traced {
-            trace_id: rng.gen_range(1..=u64::MAX),
-            inner: Box::new(arbitrary_for_index(rng)),
-        },
-    }
-}
-
-/// A plain message inside a secondary-index envelope.
-fn arbitrary_for_index(rng: &mut StdRng) -> Message {
-    Message::ForIndex {
-        index: rng.gen_range(1..=u16::MAX),
-        inner: Box::new(arbitrary_message(rng.gen_range(0..11), rng)),
     }
 }
 

@@ -8,6 +8,7 @@
 //! protocol — engine decisions included — must not care.  Cross-process
 //! socket traffic is checked in `crates/cluster/tests/cluster_e2e.rs`.
 
+use pgrid::core::index::IndexId;
 use pgrid::prelude::*;
 
 fn config(seed: u64) -> NetConfig {
