@@ -1056,9 +1056,7 @@ fn merge_reports(
         }
         // Histograms, counters and per-minute buckets all merge by
         // addition, so the fold is order-independent across shards.
-        for (_, stats) in &report.query_stats {
-            queries.merge(stats);
-        }
+        queries.merge(&report.query_stats);
         online_at_end += report.online_at_end as usize;
         // Sums the global counters and folds the per-peer link maps: a
         // peer's entry ends up holding the cluster-wide traffic concerning

@@ -14,9 +14,8 @@
 
 use crate::plan::MINUTE_MS;
 use bytes::Bytes;
-use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
-use pgrid_core::wire::{Be, Order, Sink, HISTOGRAM_MIN_BYTES, PATH_BYTES};
+use pgrid_core::wire::{Be, Order, Sink, PATH_BYTES};
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
@@ -30,7 +29,7 @@ use std::time::{Duration, Instant};
 const MAGIC: u16 = 0x5047; // "PG"
 /// Protocol version; bump on any wire-format change (one binary speaks
 /// exactly one version).
-const VERSION: u8 = 10;
+const VERSION: u8 = 11;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -52,10 +51,10 @@ pub struct ShardReport {
     pub shard_start: u64,
     /// Final path of every hosted peer, in shard order.
     pub paths: Vec<Path>,
-    /// Per-index query aggregates of the shard (bounded-size histograms
-    /// instead of raw per-query records; the coordinator folds them with
+    /// Query aggregates of the shard (bounded-size histograms instead of
+    /// raw per-query records; the coordinator folds them with
     /// [`QueryAggregates::merge`]).
-    pub query_stats: Vec<(IndexId, QueryAggregates)>,
+    pub query_stats: QueryAggregates,
     /// Hosted peers online when the run ended: at most one per entry of
     /// `paths` and `extra_paths` ([`ClusterMsg::check_ranges`]).
     pub online_at_end: u64,
@@ -349,11 +348,7 @@ impl ClusterMsg {
                 Be::put_u8(&mut buf, 6);
                 Be::put_u64(&mut buf, report.shard_start);
                 Be::put_paths(&mut buf, &report.paths);
-                Be::put_count(&mut buf, report.query_stats.len());
-                for (index, stats) in &report.query_stats {
-                    Be::put_u16(&mut buf, index.0);
-                    put_aggregates(&mut buf, stats);
-                }
+                put_aggregates(&mut buf, &report.query_stats);
                 Be::put_u64(&mut buf, report.online_at_end);
                 Be::put_u64(&mut buf, report.transport.frames_sent);
                 Be::put_u64(&mut buf, report.transport.frames_delivered);
@@ -533,10 +528,7 @@ impl ClusterMsg {
             6 => {
                 let shard_start = Be::u64(&mut data)?;
                 let paths = Be::paths(&mut data, MAX_LIST)?;
-                let query_stats = Be::list(&mut data, 1 << 16, 2 + AGGREGATES_MIN_BYTES, |data| {
-                    let index = IndexId(Be::u16(data)?);
-                    Some((index, get_aggregates(data)?))
-                })?;
+                let query_stats = get_aggregates(&mut data)?;
                 let online_at_end = Be::u64(&mut data)?;
                 let mut transport = TransportStats {
                     frames_sent: Be::u64(&mut data)?,
@@ -749,9 +741,6 @@ const MAX_LIST: usize = 1 << 24;
 const MAX_STR: usize = 1 << 16;
 /// Shortest encoded trace event: four words and two empty strings.
 const TRACE_EVENT_MIN_BYTES: usize = 4 * 8 + 2 * 4;
-/// Shortest encoded [`QueryAggregates`]: eight counters, two empty
-/// histograms and an empty per-minute map.
-const AGGREGATES_MIN_BYTES: usize = 8 * 8 + 2 * HISTOGRAM_MIN_BYTES + 4;
 
 fn put_config(buf: &mut Vec<u8>, config: &NetConfig) {
     Be::put_u64(buf, config.n_peers as u64);
@@ -1152,15 +1141,10 @@ mod tests {
         }
         primary.range_latency.record(950);
         primary.per_minute.entry(61).or_default().record(0.412);
-        let secondary = QueryAggregates {
-            issued: 4,
-            timed_out: 4,
-            ..QueryAggregates::default()
-        };
         roundtrip(ClusterMsg::Report(ShardReport {
             shard_start: 32,
             paths: vec![Path::root(), Path::parse("0110"), Path::parse("1")],
-            query_stats: vec![(IndexId::PRIMARY, primary), (IndexId(2), secondary)],
+            query_stats: primary,
             online_at_end: 14,
             transport: TransportStats {
                 frames_sent: 1000,
@@ -1326,7 +1310,7 @@ mod tests {
         let report = ClusterMsg::Report(ShardReport {
             shard_start: 0,
             paths: Vec::new(),
-            query_stats: vec![(IndexId::PRIMARY, QueryAggregates::default())],
+            query_stats: QueryAggregates::default(),
             online_at_end: 0,
             transport: TransportStats::default(),
             messages_delivered: 0,
@@ -1334,10 +1318,10 @@ mod tests {
             extra_paths: Vec::new(),
         });
         // The latency histogram sits behind the header (4), the shard start,
-        // two counts, the index id and six counters; give it two buckets of
+        // the path count and six counters; give it two buckets of
         // `u64::MAX`, which nothing in the format forbids.
         let mut bytes = report.encode().as_slice().to_vec();
-        let at = 4 + 8 + 4 + 4 + 2 + 6 * 8;
+        let at = 4 + 8 + 4 + 6 * 8;
         assert_eq!(bytes[at..at + 4], [0, 0, 0, 0]);
         bytes[at + 3] = 2;
         let buckets = [[0, 3], [0, 9]].map(|bucket| [&bucket[..], &[0xFF; 8]].concat());
@@ -1345,8 +1329,8 @@ mod tests {
         let Some(ClusterMsg::Report(decoded)) = ClusterMsg::decode(Bytes::from(bytes)) else {
             panic!("the hostile report is well-formed");
         };
-        let mut merged = decoded.query_stats[0].1.clone();
-        merged.merge(&decoded.query_stats[0].1);
+        let mut merged = decoded.query_stats.clone();
+        merged.merge(&decoded.query_stats);
         assert_eq!(merged.latency.total(), u64::MAX);
         assert!(format!("{merged:?}").contains("p99"));
     }
@@ -1358,7 +1342,7 @@ mod tests {
             ClusterMsg::Report(ShardReport {
                 shard_start,
                 paths: vec![Path::root(); n_paths],
-                query_stats: Vec::new(),
+                query_stats: QueryAggregates::default(),
                 online_at_end: 0,
                 transport: TransportStats::default(),
                 messages_delivered: 0,

@@ -814,7 +814,7 @@ fn send_report(overlay: &mut ShardOverlay) -> Result<()> {
     let report = ClusterMsg::Report(ShardReport {
         shard_start: runtime.shard().start as u64,
         paths: shard_paths(runtime),
-        query_stats: vec![(IndexId::PRIMARY, runtime.metrics.query_stats.clone())],
+        query_stats: runtime.metrics.query_stats.clone(),
         online_at_end: runtime.hosted_online_count() as u64,
         transport: runtime.transport_stats(),
         messages_delivered: runtime.metrics.messages_delivered as u64,

@@ -96,7 +96,7 @@ fn report(shard_start: u64, shard_len: u64, online_at_end: u64) -> ShardReport {
     ShardReport {
         shard_start,
         paths: vec![Path::root(); shard_len as usize],
-        query_stats: Vec::new(),
+        query_stats: Default::default(),
         online_at_end,
         transport: Default::default(),
         messages_delivered: 0,

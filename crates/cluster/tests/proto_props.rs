@@ -6,7 +6,6 @@
 
 use bytes::Bytes;
 use pgrid_cluster::proto::{ClusterMsg, ReassignMove, ShardReport};
-use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{NetConfig, QueryAggregates};
@@ -128,9 +127,7 @@ fn arbitrary_report(rng: &mut StdRng) -> ShardReport {
     ShardReport {
         shard_start: rng.gen(),
         paths: arbitrary_paths(rng),
-        query_stats: (0..rng.gen_range(0..3))
-            .map(|i| (IndexId(i), arbitrary_aggregates(rng)))
-            .collect(),
+        query_stats: arbitrary_aggregates(rng),
         online_at_end: rng.gen(),
         transport: TransportStats {
             frames_sent: rng.gen(),
@@ -403,7 +400,7 @@ fn encoded_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        hash, 2_247_925_242_399_534_122,
+        hash, 14_581_903_957_675_428_075,
         "control wire bytes changed"
     );
 }
