@@ -791,7 +791,10 @@ impl<'a> Coordinator<'a> {
     /// Polls the rendezvous listener for up to `rejoin_grace_ms` for the
     /// relaunched worker `failed` to reconnect with a matching [`Rejoin`]
     /// (same shard, same seed — a durable log from another run is
-    /// rejected), runs the [`handshake`] against it, tells everyone the
+    /// rejected).  Every connection accepted inside that window is polled
+    /// beside the listener, so one that never speaks holds up nobody; the
+    /// first matching `Rejoin` wins.  Then it runs the [`handshake`]
+    /// against the rejoiner, tells everyone the
     /// re-bound endpoints and the rejoiner which phase to resume at, and
     /// waits for its local log replay to finish.  Returns the number of
     /// peers it restored, or `None` when no valid rejoin arrived in time
@@ -806,31 +809,46 @@ impl<'a> Coordinator<'a> {
         }
         let (start, len) = self.membership.shards[failed];
         let deadline = Instant::now() + Duration::from_millis(grace);
-        let mut ctl = loop {
-            let Some(mut candidate) = self.accept_until(deadline)? else {
-                return Ok(None);
+        let mut candidates: Vec<ControlChannel> = Vec::new();
+        let mut ctl = 'found: loop {
+            let mut i = 0;
+            while i < candidates.len() {
+                match candidates[i].try_recv() {
+                    Ok(None) => i += 1,
+                    Ok(Some(
+                        rejoin @ ClusterMsg::Rejoin {
+                            shard_start,
+                            shard_len,
+                            seed,
+                            ..
+                        },
+                    )) if shard_start as usize == start
+                        && shard_len as usize == len
+                        && seed == self.cluster.net.seed =>
+                    {
+                        self.note("rejoin", format!("worker={failed} {rejoin:?}"));
+                        break 'found candidates.swap_remove(i);
+                    }
+                    other => {
+                        pgrid_obs::warn!(
+                            "cluster::coordinator",
+                            "rejected rejoin connection for worker {failed}: {other:?}"
+                        );
+                        candidates.swap_remove(i);
+                    }
+                }
+            }
+            // With candidates to poll, only look at the listener once;
+            // their polls pace the loop.
+            let wait = if candidates.is_empty() {
+                deadline
+            } else {
+                Instant::now()
             };
-            match candidate.recv_timeout(RECOVERY_TIMEOUT) {
-                Ok(
-                    rejoin @ ClusterMsg::Rejoin {
-                        shard_start,
-                        shard_len,
-                        seed,
-                        ..
-                    },
-                ) if shard_start as usize == start
-                    && shard_len as usize == len
-                    && seed == self.cluster.net.seed =>
-                {
-                    self.note("rejoin", format!("worker={failed} {rejoin:?}"));
-                    break candidate;
-                }
-                other => {
-                    pgrid_obs::warn!(
-                        "cluster::coordinator",
-                        "rejected rejoin connection for worker {failed}: {other:?}"
-                    );
-                }
+            match self.accept_until(wait)? {
+                Some(candidate) => candidates.push(candidate),
+                None if Instant::now() >= deadline => return Ok(None),
+                None => {}
             }
         };
 
@@ -1225,6 +1243,64 @@ mod tests {
                 "worker 1 announced shard 0+4 instead of 4+4"
             );
         }
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_stall_the_rejoin_window() {
+        let (cluster, obs) = (cluster(4, 1, 5_000), ObsOptions::default());
+        // Worker 0 died; its slot waits for the rejoiner.
+        let (mut coordinator, dead) = with_worker(&cluster, &obs, drop);
+        dead.join().unwrap();
+        coordinator.slots[0].alive = false;
+        let addr = coordinator.listener.local_addr().unwrap();
+
+        // A stray connection that never speaks, held open until the
+        // rejoin is over (or for 10 s).
+        let (connected, is_connected) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let stray = std::thread::spawn(move || {
+            let _silent = TcpStream::connect(addr).unwrap();
+            connected.send(()).unwrap();
+            let _ = released.recv_timeout(Duration::from_secs(10));
+        });
+        is_connected.recv().unwrap();
+        // The real rejoiner connects after it.
+        let rejoiner = scripted_worker(&coordinator, |mut ctl| {
+            ctl.send(&ClusterMsg::Rejoin {
+                shard_start: 0,
+                shard_len: 4,
+                epoch: 0,
+                phase: PHASE_CONSTRUCTED,
+                now_ms: 600_000,
+                seed: 12,
+            })
+            .unwrap();
+            answer_welcome(&mut ctl, 0, 4);
+            let book = ctl.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(book, ClusterMsg::AddressBook { .. }), "{book:?}");
+            let resume = ctl.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(
+                matches!(resume, ClusterMsg::Resume { epoch: 1, phase } if phase == PHASE_CONSTRUCTED),
+                "{resume:?}"
+            );
+            ctl.send(&ClusterMsg::RecoveryDone {
+                epoch: 1,
+                recovered: vec![(0, true), (1, true)],
+            })
+            .unwrap();
+        });
+
+        let started = Instant::now();
+        let warm = coordinator.try_rejoin(0, PHASE_CONSTRUCTED, 1).unwrap();
+        let took = started.elapsed();
+        release.send(()).unwrap();
+        rejoiner.join().unwrap();
+        stray.join().unwrap();
+        assert_eq!(warm, Some(2));
+        assert!(
+            took < Duration::from_secs(5),
+            "the rejoin waited {took:?} behind a silent connection"
+        );
     }
 
     /// A coordinator whose worker 0 is played by `script`.
