@@ -26,8 +26,8 @@
 //! * [`exchange`] — the shared split/replicate/refer exchange engine of
 //!   Figure 2: partition assessment, adaptive decision probabilities and
 //!   decision application, used identically by both runtimes;
-//! * [`index`] — identifiers for multiple logical indexes hosted by one
-//!   peer population;
+//! * [`index`] — the identifier of the one index a deployment hosts, kept
+//!   as the benchmark harness's name for it;
 //! * [`balance`] — the load-balance deviation metric of Section 4.4;
 //! * [`histogram`] — fixed-bucket log-scale histograms for latency
 //!   accounting at production query rates;

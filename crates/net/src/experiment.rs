@@ -129,7 +129,7 @@ pub struct ReportInputs {
     pub original_keys: Vec<Key>,
     /// Final path of every peer (index = peer id).
     pub paths: Vec<Path>,
-    /// Query statistics, merged across all indexes and shards.
+    /// Query statistics, merged across shards.
     pub queries: QueryAggregates,
     /// Classified bandwidth per one-minute bucket of virtual time.
     pub bandwidth_per_minute: HashMap<u64, BandwidthSample>,

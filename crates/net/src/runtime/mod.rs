@@ -97,10 +97,10 @@ pub struct NetConfig {
     /// The key distribution.
     pub distribution: pgrid_workload::distributions::Distribution,
     /// Whether peers memoise their prefix-routing resolution per mismatch
-    /// level on the query hot path.  Off by default:
-    /// the cache skips the per-hop random reference shuffle, which changes
-    /// the deployment's random trajectory (the Section-5 reference figures
-    /// are pinned to the uncached path).  The query bench reports the
+    /// level on the query hot path.  Off by default: the cache skips the
+    /// per-hop random reference shuffle, which changes the deployment's
+    /// random trajectory (the Section-5 reference figures are pinned to
+    /// the uncached path).  The query bench reports the
     /// before/after delta.
     pub route_cache: bool,
     /// How many resolved query/range records are retained verbatim for

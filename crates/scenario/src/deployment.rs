@@ -4,7 +4,7 @@
 //! replicate → construct → query → churn program, [`crate::exec::run`]
 //! drives a [`Runtime`] through it, and `pgrid_net::experiment` computes the
 //! [`DeploymentReport`] — so anything the scenario API can express (extra
-//! churn windows, secondary indexes, snapshots) composes with the canned
+//! churn windows, distribution shifts, snapshots) composes with the canned
 //! timeline.
 
 use crate::exec;

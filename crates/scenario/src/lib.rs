@@ -16,6 +16,10 @@
 //! * labelled measurements ([`OverlaySnapshot`], [`snapshot`]) of the
 //!   overlay's quality and query statistics.
 //!
+//! A runtime hosts one index, so no phase names one: replication,
+//! construction, query and range load and distribution shifts all act on
+//! it.
+//!
 //! The paper's experiments are thin adapters on top: the Section-5
 //! [`pgrid_net::experiment::Timeline`] is a canned scenario
 //! ([`Scenario::from_timeline`], run by [`deployment`]), and the
