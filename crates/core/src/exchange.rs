@@ -286,10 +286,9 @@ impl ExchangeEngine {
     /// spread over both halves.  Used by the back-off rules of both
     /// runtimes (a peer with local evidence never goes dormant).
     pub fn locally_overloaded(&self, peer: &PeerState) -> bool {
-        if peer.responsible_load() < 2 * self.params.delta_max {
-            return false;
-        }
-        matches!(peer.store.key_span_in(&peer.path), Some((lo, hi)) if lo != hi)
+        let own = peer.store.covered(&peer.path);
+        own.len() >= 2 * self.params.delta_max
+            && matches!((own.first(), own.last()), (Some(lo), Some(hi)) if lo.key != hi.key)
     }
 
     /// The bilateral decision of Figure 2 for one encounter.

@@ -202,6 +202,7 @@ mod tests {
     use super::*;
     use crate::key::DataId;
     use crate::path::Path;
+    use crate::routing::FANOUT;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -216,7 +217,7 @@ mod tests {
     /// 2 (on 1) at level 0.
     fn peer(path: &str, holds: bool) -> PeerState {
         let entries = if holds { held() } else { Vec::new() };
-        let mut state = PeerState::with_entries(PeerId(0), 0, entries);
+        let mut state = PeerState::with_entries(PeerId(0), FANOUT, entries);
         state.path = Path::parse(path);
         for p in [1, 2] {
             state.learn_reference(PeerId(p), Path::parse("1"), &mut StdRng::seed_from_u64(1));

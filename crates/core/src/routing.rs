@@ -5,6 +5,11 @@
 //! at that position (Section 2.1).  The union of all routing tables
 //! represents the trie in a distributed fashion; keeping several references
 //! per level provides alternative access paths when peers fail.
+//!
+//! A [`RoutingTable`] keeps at most [`FANOUT`] references per level, in
+//! fixed slots: its levels are one `Vec` of 128-byte records (a count and
+//! `FANOUT` slots), so the whole table is one allocation and reading any
+//! level is one dependent load from the peer's state.
 
 use crate::path::Path;
 use rand::Rng;
@@ -55,20 +60,53 @@ pub struct RoutingEntry {
     pub path: Path,
 }
 
-/// Routing table of a peer: `levels[i]` holds references to peers whose
-/// path agrees with the owner's path on the first `i` bits and has the
-/// opposite bit at position `i`.
-#[derive(Clone, Debug, Default, PartialEq)]
+const _: () = assert!(std::mem::size_of::<Level>() == 128);
+
+/// One level of a [`RoutingTable`]: up to [`FANOUT`] references in fixed
+/// slots, of which the first `len` are in use.  128 bytes, so reading a
+/// level is one load from the table's single allocation.
+#[derive(Copy, Clone)]
+struct Level {
+    len: u8,
+    refs: [RoutingEntry; FANOUT],
+}
+
+impl Level {
+    const EMPTY: Level = Level {
+        len: 0,
+        refs: [RoutingEntry {
+            peer: PeerId(0),
+            path: Path::ROOT,
+        }; FANOUT],
+    };
+
+    fn refs(&self) -> &[RoutingEntry] {
+        &self.refs[..usize::from(self.len)]
+    }
+}
+
+/// Routing table of a peer: level `i` holds references to peers whose path
+/// agrees with the owner's path on the first `i` bits and has the opposite
+/// bit at position `i`.
+#[derive(Clone)]
 pub struct RoutingTable {
-    levels: Vec<Vec<RoutingEntry>>,
-    /// Maximum number of references kept per level (`0` = unbounded).
+    levels: Vec<Level>,
+    /// Maximum number of references kept per level, `1..=FANOUT`.
     fanout: usize,
 }
 
 impl RoutingTable {
     /// Creates an empty routing table with at most `fanout` references per
-    /// level (`fanout == 0` keeps every reference ever learned).
+    /// level.
+    ///
+    /// # Panics
+    ///
+    /// If `fanout` is not in `1..=FANOUT`.
     pub fn new(fanout: usize) -> RoutingTable {
+        assert!(
+            (1..=FANOUT).contains(&fanout),
+            "routing fanout {fanout} outside 1..={FANOUT}"
+        );
         RoutingTable {
             levels: Vec::new(),
             fanout,
@@ -80,14 +118,9 @@ impl RoutingTable {
         self.levels.len()
     }
 
-    /// The configured per-level fanout bound (`0` = unbounded).
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
     /// References stored at `level`, or an empty slice.
     pub fn level(&self, level: usize) -> &[RoutingEntry] {
-        self.levels.get(level).map(Vec::as_slice).unwrap_or(&[])
+        self.levels.get(level).map_or(&[], Level::refs)
     }
 
     /// Adds a reference at the given level.  Duplicate peer ids at the same
@@ -95,18 +128,20 @@ impl RoutingTable {
     /// replaced (reference refresh keeps the table randomised, which the
     /// paper relies on for uniform load on the complementary subtree).
     pub fn add<R: Rng + ?Sized>(&mut self, level: usize, entry: RoutingEntry, rng: &mut R) {
-        while self.levels.len() <= level {
-            self.levels.push(Vec::new());
+        if self.levels.len() <= level {
+            self.levels.resize(level + 1, Level::EMPTY);
         }
         let slot = &mut self.levels[level];
-        if slot.iter().any(|e| e.peer == entry.peer) {
+        if slot.refs().iter().any(|e| e.peer == entry.peer) {
             return;
         }
-        if self.fanout > 0 && slot.len() >= self.fanout {
-            let victim = rng.gen_range(0..slot.len());
-            slot[victim] = entry;
+        let len = usize::from(slot.len);
+        if len >= self.fanout {
+            let victim = rng.gen_range(0..len);
+            slot.refs[victim] = entry;
         } else {
-            slot.push(entry);
+            slot.refs[len] = entry;
+            slot.len += 1;
         }
     }
 
@@ -115,7 +150,7 @@ impl RoutingTable {
         self.levels
             .iter()
             .enumerate()
-            .flat_map(|(lvl, entries)| entries.iter().map(move |e| (lvl, e)))
+            .flat_map(|(lvl, level)| level.refs().iter().map(move |e| (lvl, e)))
     }
 
     /// Checks the structural routing invariant against the owner's path:
@@ -138,11 +173,34 @@ impl RoutingTable {
         }
         true
     }
+}
 
-    /// Truncates the table to the first `levels` levels (used when a peer
-    /// shortens its path, e.g. when re-balancing).
-    pub fn truncate(&mut self, levels: usize) {
-        self.levels.truncate(levels);
+impl Default for RoutingTable {
+    fn default() -> RoutingTable {
+        RoutingTable::new(FANOUT)
+    }
+}
+
+/// Equal fanout and equal references, level by level; unused slots never
+/// take part.
+impl PartialEq for RoutingTable {
+    fn eq(&self, other: &RoutingTable) -> bool {
+        self.fanout == other.fanout
+            && self
+                .levels
+                .iter()
+                .map(Level::refs)
+                .eq(other.levels.iter().map(Level::refs))
+    }
+}
+
+impl fmt::Debug for RoutingTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let levels: Vec<&[RoutingEntry]> = self.levels.iter().map(Level::refs).collect();
+        f.debug_struct("RoutingTable")
+            .field("levels", &levels)
+            .field("fanout", &self.fanout)
+            .finish()
     }
 }
 
@@ -182,41 +240,30 @@ mod tests {
         rt.add(0, entry(3, "11"), &mut rng);
         // fanout 2: still two entries, one of which was replaced
         assert_eq!(rt.level(0).len(), 2);
-        // unbounded table keeps everything
-        let mut unbounded = RoutingTable::new(0);
-        for i in 0..10 {
-            unbounded.add(0, entry(i, "1"), &mut rng);
-        }
-        assert_eq!(unbounded.entries().count(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "routing fanout 0 outside")]
+    fn fanout_zero_is_rejected() {
+        RoutingTable::new(0);
     }
 
     #[test]
     fn consistency_invariant() {
         let mut rng = StdRng::seed_from_u64(4);
         let own = Path::parse("010");
-        let mut rt = RoutingTable::new(0);
+        let mut rt = RoutingTable::new(FANOUT);
         rt.add(0, entry(1, "1"), &mut rng);
         rt.add(1, entry(2, "00"), &mut rng);
         rt.add(2, entry(3, "0111"), &mut rng);
         assert!(rt.is_consistent_with(&own));
         // wrong bit at level 1
-        let mut bad = RoutingTable::new(0);
+        let mut bad = RoutingTable::new(FANOUT);
         bad.add(1, entry(4, "01"), &mut rng);
         assert!(!bad.is_consistent_with(&own));
         // level beyond own path length
-        let mut too_deep = RoutingTable::new(0);
+        let mut too_deep = RoutingTable::new(FANOUT);
         too_deep.add(3, entry(5, "0101"), &mut rng);
         assert!(!too_deep.is_consistent_with(&own));
-    }
-
-    #[test]
-    fn truncate_drops_deep_levels() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut rt = RoutingTable::new(0);
-        rt.add(0, entry(1, "1"), &mut rng);
-        rt.add(1, entry(2, "01"), &mut rng);
-        rt.truncate(1);
-        assert_eq!(rt.num_levels(), 1);
-        assert_eq!(rt.entries().count(), 1);
     }
 }

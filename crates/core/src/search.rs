@@ -167,6 +167,7 @@ mod tests {
     use super::*;
     use crate::key::DataId;
     use crate::path::Path;
+    use crate::routing::FANOUT;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -250,8 +251,8 @@ mod tests {
     }
 
     /// Builds a fully consistent balanced trie of the given depth: one peer
-    /// per leaf path, complete routing tables, every corpus entry stored at
-    /// the covering leaf.  On such an overlay a range scan has an exact
+    /// per leaf path, up to [`FANOUT`] references per level, every corpus
+    /// entry stored at the covering leaf.  On such an overlay a range scan has an exact
     /// oracle: the brute-force filter of the corpus.
     fn consistent_net(depth: usize, corpus: &[Key]) -> Vec<PeerState> {
         let mut peers: Vec<PeerState> = (0..1usize << depth)
@@ -262,7 +263,7 @@ mod tests {
                 let path = Path::from_bits(&bits);
                 let held = corpus.iter().enumerate().filter(|(_, &k)| path.covers(k));
                 let entries = held.map(|(i, &k)| DataEntry::new(k, DataId(i as u64)));
-                let mut state = PeerState::with_entries(PeerId(leaf as u64), 0, entries);
+                let mut state = PeerState::with_entries(PeerId(leaf as u64), FANOUT, entries);
                 state.path = path;
                 state
             })

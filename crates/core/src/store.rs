@@ -9,21 +9,34 @@
 //!
 //! # Representation
 //!
-//! A store is **one sorted run**: an `Arc<Vec<DataEntry>>` whose entries are
-//! strictly ascending by `(key, id)` (sorted, no duplicates).  Everything
-//! the exchange path asks of it is a binary search or a single merge walk
-//! over that run (`k` = entries stored, `b` = batch size):
+//! A store is **one sorted run** behind an `Arc`: a `Vec<DataEntry>`
+//! strictly ascending by `(key, id)` (sorted, no duplicates), and beside
+//! the `Vec`'s header, in the `Arc`'s allocation, 15 **splitters** — the
+//! keys at 15 evenly spaced positions of the run.  The one load that
+//! reaches the run's header brings the splitters with it; a key search
+//! reads them first, then binary-searches only the window of about
+//! `k / 16` entries between two of them, instead of probing the whole run
+//! cold.  Splitters are written only when a new run is (`from_entries`, a
+//! merge, `split_retain`, `insert`, `remove`); a run of at most 30 entries
+//! has none and is searched directly.
+//! Everything the exchange path asks of the store is such a search or a
+//! single merge walk over the run (`k` = entries stored, `b` = batch
+//! size):
 //!
 //! | operation | cost |
 //! |---|---|
 //! | `len`, `iter`, `clone`, `shares_storage_with` | O(1) |
-//! | `contains`, `contains_key`, `range`, `restricted`, `count_in`, `key_span_in` | O(log k) |
+//! | `contains`, `contains_key`, the lower bound of `range`, `restricted`, `count_in`, `key_span_in` | a search of the 15 splitters + O(log(k / 16)) in one window |
+//! | the upper bound of `range` | a gallop from the lower bound, O(log r) for `r` entries in range |
 //! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares |
-//! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run iff something is new |
-//! | `split_retain` | O(log k) + two `memcpy`s |
+//! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run (and its splitters) iff something is new |
+//! | `split_retain` | two splitter searches + two `memcpy`s |
 //! | `from_entries` | sort + dedup, O(k log k) (O(k) on sorted input) |
 //! | `insert`, `remove` | binary search + shift, **O(k)** — population and tests only |
 //! | first mutation of a shared run | one `memcpy` of the run |
+//!
+//! A [`RestrictedView`] is a plain sub-slice of the run: its searches are
+//! ordinary binary searches over the few entries of one partition.
 //!
 //! The run is copy-on-write: [`Clone`] shares it, and so do two replicas
 //! after [`crate::replication::reconcile`]; whoever mutates first writes a
@@ -32,20 +45,15 @@
 use crate::key::{DataEntry, Key};
 use crate::path::Path;
 use std::cmp::Ordering;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Index bounds of the entries of the ascending `run` whose key lies in the
-/// **inclusive** range `[lo, hi]` (empty when `lo > hi`).
-fn key_bounds(run: &[DataEntry], lo: Key, hi: Key) -> Range<usize> {
-    let start = run.partition_point(|e| e.key < lo);
-    let end = start + run[start..].partition_point(|e| e.key <= hi);
-    start..end
-}
-
 /// The entries of the ascending `run` covered by `path`.
 fn covered<'a>(run: &'a [DataEntry], path: &Path) -> &'a [DataEntry] {
-    &run[key_bounds(run, path.lower_key(), path.upper_key())]
+    let (lo, hi) = (path.lower_key(), path.upper_key());
+    let from = &run[run.partition_point(|e| e.key < lo)..];
+    &from[..from.partition_point(|e| e.key <= hi)]
 }
 
 /// An entry's place in the `(key, id)` order as one integer.
@@ -105,9 +113,14 @@ pub trait StoreRead {
         self.as_slice().iter()
     }
 
+    /// The entries covered by the given partition path.
+    fn covered(&self, path: &Path) -> &[DataEntry] {
+        covered(self.as_slice(), path)
+    }
+
     /// Number of entries covered by the given partition path.
     fn count_in(&self, path: &Path) -> usize {
-        covered(self.as_slice(), path).len()
+        self.covered(path).len()
     }
 
     /// The smallest and largest key stored within `path`, if any.
@@ -116,7 +129,7 @@ pub trait StoreRead {
     /// key, e.g. the postings of one very popular index term) cannot be
     /// balanced by bisection; callers use this to detect that case.
     fn key_span_in(&self, path: &Path) -> Option<(Key, Key)> {
-        let run = covered(self.as_slice(), path);
+        let run = self.covered(path);
         Some((run.first()?.key, run.last()?.key))
     }
 
@@ -144,9 +157,86 @@ pub trait StoreRead {
     }
 }
 
+/// Number of splitter keys a [`Run`] keeps beside its entries.
+const SPLITTERS: usize = 15;
+
+/// Position of splitter `i` in a run of `len` entries: the run cut into
+/// `SPLITTERS + 1` windows of (nearly) equal length.  `splitter_at(SPLITTERS,
+/// len)` is `len`, the end of the last window.
+fn splitter_at(i: usize, len: usize) -> usize {
+    (i + 1) * len / (SPLITTERS + 1)
+}
+
+/// A sorted run and its splitters, held in the allocation an [`Arc`]
+/// handle points at: a search reads the splitters and the entries' header
+/// from one place, then binary-searches only the window between two
+/// splitters.
+#[derive(Clone, Default)]
+struct Run {
+    /// `splitters[i]` is the key of entry `splitter_at(i, len)`; unused in
+    /// a run of at most `2 * SPLITTERS` entries, which is searched
+    /// directly.
+    splitters: [Key; SPLITTERS],
+    /// Invariant: strictly ascending by `(key, id)`.
+    entries: Vec<DataEntry>,
+}
+
+impl Run {
+    fn new(entries: Vec<DataEntry>) -> Run {
+        let mut run = Run {
+            splitters: [Key::MIN; SPLITTERS],
+            entries,
+        };
+        run.split();
+        run
+    }
+
+    /// Recomputes the splitters after the entries changed.
+    fn split(&mut self) {
+        let len = self.entries.len();
+        if len > 2 * SPLITTERS {
+            for (i, splitter) in self.splitters.iter_mut().enumerate() {
+                *splitter = self.entries[splitter_at(i, len)].key;
+            }
+        }
+    }
+
+    /// The window between two neighbouring splitters in which `before`, a
+    /// predicate that holds on a prefix of the ascending keys, turns false:
+    /// every entry ahead of it satisfies `before`, the entry right after it
+    /// does not.  The whole run when it has no splitters.
+    fn window(&self, before: impl Fn(Key) -> bool) -> Range<usize> {
+        let len = self.entries.len();
+        if len <= 2 * SPLITTERS {
+            return 0..len;
+        }
+        let j = self.splitters.partition_point(|&s| before(s));
+        let from = j.checked_sub(1).map_or(0, |i| splitter_at(i, len) + 1);
+        from..splitter_at(j, len)
+    }
+
+    /// The number of leading entries whose key satisfies `before` (what
+    /// `partition_point` returns over the whole run).
+    fn key_point(&self, before: impl Fn(Key) -> bool) -> usize {
+        let window = self.window(&before);
+        window.start + self.entries[window].partition_point(|e| before(e.key))
+    }
+
+    /// Index bounds of the entries covered by `path`.
+    fn path_bounds(&self, path: &Path) -> Range<usize> {
+        let (lo, hi) = (path.lower_key(), path.upper_key());
+        self.key_point(|k| k < lo)..self.key_point(|k| k <= hi)
+    }
+
+    /// The entries covered by `path`.
+    fn covered(&self, path: &Path) -> &[DataEntry] {
+        &self.entries[self.path_bounds(path)]
+    }
+}
+
 /// Ordered local store of indexed entries: one sorted, deduplicated run
-/// behind a copy-on-write [`Arc`] (see the module documentation for the
-/// cost of each operation).
+/// and its splitters behind a copy-on-write [`Arc`] (see the module
+/// documentation for the cost of each operation).
 ///
 /// [`Clone`] is an O(1) snapshot sharing the run, and a mutator that
 /// changes the content writes a new run instead of touching the shared one,
@@ -156,10 +246,9 @@ pub trait StoreRead {
 /// handle, and with it the sharing.  Use [`KeyStore::shares_storage_with`]
 /// to assert sharing and [`KeyStore::deep_clone`] when an eager private copy
 /// is wanted.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct KeyStore {
-    /// Invariant: strictly ascending by `(key, id)`.
-    entries: Arc<Vec<DataEntry>>,
+    run: Arc<Run>,
 }
 
 impl KeyStore {
@@ -174,8 +263,13 @@ impl KeyStore {
         let mut run: Vec<DataEntry> = entries.into_iter().collect();
         run.sort_unstable();
         run.dedup();
+        KeyStore::of_run(run)
+    }
+
+    /// A store holding the strictly ascending `run`.
+    fn of_run(run: Vec<DataEntry>) -> KeyStore {
         KeyStore {
-            entries: Arc::new(run),
+            run: Arc::new(Run::new(run)),
         }
     }
 
@@ -185,10 +279,12 @@ impl KeyStore {
     /// when it is shared).  Meant for population and tests; anything that
     /// adds more than a few entries goes through [`KeyStore::merge_batch`].
     pub fn insert(&mut self, entry: DataEntry) -> bool {
-        match self.entries.binary_search(&entry) {
+        match self.run.entries.binary_search(&entry) {
             Ok(_) => false,
             Err(at) => {
-                Arc::make_mut(&mut self.entries).insert(at, entry);
+                let run = Arc::make_mut(&mut self.run);
+                run.entries.insert(at, entry);
+                run.split();
                 true
             }
         }
@@ -197,9 +293,11 @@ impl KeyStore {
     /// Removes an entry; returns `true` if it was present.  O(k), like
     /// [`KeyStore::insert`].
     pub fn remove(&mut self, entry: &DataEntry) -> bool {
-        match self.entries.binary_search(entry) {
+        match self.run.entries.binary_search(entry) {
             Ok(at) => {
-                Arc::make_mut(&mut self.entries).remove(at);
+                let run = Arc::make_mut(&mut self.run);
+                run.entries.remove(at);
+                run.split();
                 true
             }
             Err(_) => false,
@@ -209,7 +307,7 @@ impl KeyStore {
     /// An eager private copy that shares no storage with `self`.
     pub fn deep_clone(&self) -> KeyStore {
         KeyStore {
-            entries: Arc::new((*self.entries).clone()),
+            run: Arc::new((*self.run).clone()),
         }
     }
 
@@ -218,17 +316,17 @@ impl KeyStore {
     /// [`crate::replication::reconcile`], false once either side's content
     /// changed or after [`KeyStore::deep_clone`]).
     pub fn shares_storage_with(&self, other: &KeyStore) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        Arc::ptr_eq(&self.run, &other.run)
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.run.entries.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.run.entries.is_empty()
     }
 
     /// Whether the given entry is stored.
@@ -238,12 +336,13 @@ impl KeyStore {
 
     /// Whether any entry with the given key is stored.
     pub fn contains_key(&self, key: Key) -> bool {
-        !key_bounds(&self.entries, key, key).is_empty()
+        let at = self.run.key_point(|k| k < key);
+        self.run.entries.get(at).is_some_and(|e| e.key == key)
     }
 
     /// Iterator over all entries in key order.
     pub fn iter(&self) -> std::slice::Iter<'_, DataEntry> {
-        self.entries.iter()
+        self.run.entries.iter()
     }
 
     /// Iterator over entries whose key lies in the **inclusive** range
@@ -255,8 +354,7 @@ impl KeyStore {
     /// lines next to its first hit, and a wide range pays at most one extra
     /// search.
     pub fn range(&self, lo: Key, hi: Key) -> std::slice::Iter<'_, DataEntry> {
-        let run = self.entries.as_slice();
-        let from = &run[run.partition_point(|e| e.key < lo)..];
+        let from = &self.run.entries[self.run.key_point(|k| k < lo)..];
         // `from[..within]` is known to be in range.
         let (mut within, mut step) = (0, 1);
         while within + step <= from.len() && from[within + step - 1].key <= hi {
@@ -277,15 +375,15 @@ impl KeyStore {
     /// to the other peer.  The covered entries are one contiguous piece of
     /// the run, so the split is two searches and two copies.
     pub fn split_retain(&mut self, path: &Path) -> Vec<DataEntry> {
-        let run = self.entries.as_slice();
-        let keep = key_bounds(run, path.lower_key(), path.upper_key());
+        let run = self.run.entries.as_slice();
+        let keep = self.run.path_bounds(path);
         if keep.len() == run.len() {
             return Vec::new();
         }
         let mut given = Vec::with_capacity(run.len() - keep.len());
         given.extend_from_slice(&run[..keep.start]);
         given.extend_from_slice(&run[keep.end..]);
-        self.entries = Arc::new(run[keep].to_vec());
+        *self = KeyStore::of_run(run[keep].to_vec());
         given
     }
 
@@ -299,7 +397,7 @@ impl KeyStore {
     pub fn merge_batch(&mut self, mut entries: Vec<DataEntry>) -> usize {
         entries.sort_unstable();
         entries.dedup();
-        let new = entries.len() - common_len(&self.entries, &entries);
+        let new = entries.len() - common_len(&self.run.entries, &entries);
         self.merge_run(&entries, new);
         new
     }
@@ -311,7 +409,7 @@ impl KeyStore {
         if new == 0 {
             return;
         }
-        let old = self.entries.as_slice();
+        let old = self.run.entries.as_slice();
         let mut union = Vec::with_capacity(old.len() + new);
         let (mut i, mut j) = (0, 0);
         while i < old.len() && j < run.len() {
@@ -334,27 +432,59 @@ impl KeyStore {
         union.extend_from_slice(&old[i..]);
         union.extend_from_slice(&run[j..]);
         debug_assert_eq!(union.len(), old.len() + new);
-        self.entries = Arc::new(union);
+        *self = KeyStore::of_run(union);
     }
 
     /// A borrowed view of this store restricted to the entries covered by
-    /// `path`: the sub-slice of the run, located by two binary searches.
+    /// `path`: the sub-slice of the run, located through the splitters.
     pub fn restricted(&self, path: &Path) -> RestrictedView<'_> {
         RestrictedView {
-            run: covered(&self.entries, path),
+            run: self.covered(path),
         }
     }
 
     /// Removes and returns all entries (ascending), leaving the store empty.
     pub fn drain(&mut self) -> Vec<DataEntry> {
         // A snapshot that still shares the run keeps it; we take a copy.
-        Arc::try_unwrap(std::mem::take(&mut self.entries)).unwrap_or_else(|run| (*run).clone())
+        match Arc::try_unwrap(std::mem::take(&mut self.run)) {
+            Ok(run) => run.entries,
+            Err(run) => run.entries.clone(),
+        }
     }
 }
 
+/// Content equality: the splitters follow from the entries.
+impl PartialEq for KeyStore {
+    fn eq(&self, other: &KeyStore) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for KeyStore {}
+
+impl fmt::Debug for KeyStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyStore")
+            .field("entries", &self.run.entries)
+            .finish()
+    }
+}
+
+/// The searches go through the run's splitters.
 impl StoreRead for KeyStore {
     fn as_slice(&self) -> &[DataEntry] {
-        &self.entries
+        &self.run.entries
+    }
+
+    fn contains(&self, entry: &DataEntry) -> bool {
+        // Every entry under `entry.key` lies between the two windows.
+        let from = self.run.window(|k| k < entry.key).start;
+        let to = self.run.window(|k| k <= entry.key).end;
+        self.run.entries[from..to].binary_search(entry).is_ok()
+    }
+
+    fn covered(&self, path: &Path) -> &[DataEntry] {
+        self.run.covered(path)
     }
 }
 

@@ -219,6 +219,46 @@ fn step(
     Ok(())
 }
 
+/// The number of splitter keys a `KeyStore` run keeps beside its entries;
+/// runs of at most twice as many entries are searched without them.
+const SPLITTERS: usize = 15;
+
+/// Every keyed query of `store` at `key`, and every partition query along
+/// it down to `depth` bits, agrees with `model` — `split_retain` included,
+/// on a copy.
+fn check_searches(store: &KeyStore, model: &Model, key: Key, depth: usize) -> TestCaseResult {
+    prop_assert_eq!(
+        (key, store.contains_key(key)),
+        (key, model.iter().any(|e| e.key == key))
+    );
+    let ids = model.iter().filter(|e| e.key == key).map(|e| e.id.0);
+    for id in [0, 1, ids.max().unwrap_or(0), u64::MAX] {
+        let entry = DataEntry::new(key, DataId(id));
+        prop_assert_eq!(
+            (entry, store.contains(&entry)),
+            (entry, model.contains(&entry))
+        );
+    }
+    check_range(store, model, key, key)?;
+    check_range(store, model, Key::MIN, key)?;
+    check_range(store, model, key, Key::MAX)?;
+    let path = (0..depth).fold(Path::root(), |path, i| path.child(key.bit(i)));
+    let covered = in_path(model, &path);
+    prop_assert_eq!((path, store.count_in(&path)), (path, covered.len()));
+    prop_assert_eq!((path, store.key_span_in(&path)), (path, span(&covered)));
+    let view = store.restricted(&path);
+    prop_assert_eq!(view.as_slice(), covered.as_slice());
+    let mut split = store.clone();
+    let given: Vec<DataEntry> = model
+        .iter()
+        .copied()
+        .filter(|e| !path.covers(e.key))
+        .collect();
+    prop_assert_eq!((path, split.split_retain(&path)), (path, given));
+    prop_assert_eq!(split.as_slice(), covered.as_slice());
+    Ok(())
+}
+
 /// `store.range(lo, hi)` is the model filtered by key, in order.
 fn check_range(store: &KeyStore, model: &Model, lo: Key, hi: Key) -> TestCaseResult {
     let expected: Vec<DataEntry> = model
@@ -290,6 +330,52 @@ proptest! {
             check_range(&store, &model, near, on)?;
             check_range(&store, &model, on, at)?;
             check_range(&store, &model, at.min(Key(w)), at.max(Key(w)))?;
+        }
+    }
+
+    // Every search on runs from empty to 8x the splitter count, so both
+    // the direct search and the splitter windows are taken, over wide keys
+    // with one key repeated for up to the whole run: splitters then equal
+    // one another and the probe key.  Probes are every stored key and its
+    // neighbours, the repeated key and random keys; partition paths run
+    // along each of them down to every depth, 64 bits included.
+    #[test]
+    fn searches_agree_with_the_model_across_the_splitter_threshold(
+        shape in any::<u64>(),
+        probes in proptest::collection::vec(any::<u64>(), 0..16),
+    ) {
+        let size = (shape % (8 * SPLITTERS as u64 + 1)) as usize;
+        let repeated = match (shape >> 8) % 4 {
+            0 => Key::MIN,
+            1 => Key::MAX,
+            _ => Key(shape.rotate_left(17)),
+        };
+        let copies = (shape >> 12) as usize % (size + 1);
+        let model: Model = (0..size as u64)
+            .map(|i| {
+                let w = (shape ^ i).wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(29);
+                let key = if (i as usize) < copies { repeated } else { Key(w) };
+                DataEntry::new(key, DataId(if w & 3 == 0 { 0 } else { i }))
+            })
+            .collect();
+        let store: KeyStore = model.iter().rev().copied().collect();
+        let depth_of = |w: u64| match w % 4 {
+            0 => 0,
+            1 => MAX_PATH_LEN,
+            _ => (w >> 2) as usize % (MAX_PATH_LEN + 1),
+        };
+
+        let stored: BTreeSet<Key> = model.iter().map(|e| e.key).collect();
+        for (i, &key) in stored.iter().enumerate() {
+            let w = shape.rotate_left(i as u32);
+            for near in [key.0.wrapping_sub(1), key.0, key.0.wrapping_add(1)] {
+                check_searches(&store, &model, Key(near), depth_of(w))?;
+            }
+        }
+        check_searches(&store, &model, repeated, MAX_PATH_LEN)?;
+        for w in probes {
+            check_searches(&store, &model, Key(w), depth_of(w))?;
+            check_searches(&store, &model, repeated, depth_of(w))?;
         }
     }
 

@@ -271,16 +271,20 @@ pub fn generate_peers(config: &NetConfig, rng: &mut StdRng) -> (Vec<PeerState>, 
     let mut states = Vec::with_capacity(config.n_peers);
     let mut original_entries = Vec::with_capacity(config.n_peers * config.keys_per_peer);
     for i in 0..config.n_peers {
-        let mut state = PeerState::new(PeerId(i as u64), routing::FANOUT);
-        for j in 0..config.keys_per_peer {
-            let entry = DataEntry::new(
-                config.distribution.sample(rng),
-                DataId((i * config.keys_per_peer + j) as u64),
-            );
-            state.store.insert(entry);
-            original_entries.push(entry);
-        }
-        states.push(state);
+        let own: Vec<DataEntry> = (0..config.keys_per_peer)
+            .map(|j| {
+                DataEntry::new(
+                    config.distribution.sample(rng),
+                    DataId((i * config.keys_per_peer + j) as u64),
+                )
+            })
+            .collect();
+        original_entries.extend_from_slice(&own);
+        states.push(PeerState::with_entries(
+            PeerId(i as u64),
+            routing::FANOUT,
+            own,
+        ));
     }
     (states, original_entries)
 }

@@ -152,23 +152,24 @@ impl SimNetwork {
         let engine = ExchangeEngine::with_strategy(params, config.strategy);
 
         // --- Initial data assignment -----------------------------------------
-        let mut peers: Vec<PeerState> = (0..config.n_peers)
-            .map(|i| PeerState::new(PeerId(i as u64), routing::FANOUT))
-            .collect();
+        let mut peers = Vec::with_capacity(config.n_peers);
         let mut original_entries = Vec::with_capacity(config.total_keys());
         let mut per_peer_originals: Vec<Vec<DataEntry>> = Vec::with_capacity(config.n_peers);
-        for (i, peer) in peers.iter_mut().enumerate() {
-            let mut own = Vec::with_capacity(config.keys_per_peer);
-            for j in 0..config.keys_per_peer {
-                let key = config.distribution.sample(&mut rng);
-                let entry = DataEntry::new(
-                    key,
-                    pgrid_core::key::DataId((i * config.keys_per_peer + j) as u64),
-                );
-                peer.store.insert(entry);
-                original_entries.push(entry);
-                own.push(entry);
-            }
+        for i in 0..config.n_peers {
+            let own: Vec<DataEntry> = (0..config.keys_per_peer)
+                .map(|j| {
+                    DataEntry::new(
+                        config.distribution.sample(&mut rng),
+                        pgrid_core::key::DataId((i * config.keys_per_peer + j) as u64),
+                    )
+                })
+                .collect();
+            original_entries.extend_from_slice(&own);
+            peers.push(PeerState::with_entries(
+                PeerId(i as u64),
+                routing::FANOUT,
+                own.iter().copied(),
+            ));
             per_peer_originals.push(own);
         }
 
