@@ -1076,10 +1076,6 @@ fn merge_reports(
         // addition, so the fold is order-independent across shards.
         queries.merge(&report.query_stats);
         online_at_end += report.online_at_end as usize;
-        // Sums the global counters and folds the per-peer link maps: a
-        // peer's entry ends up holding the cluster-wide traffic concerning
-        // it (frames sent *to* it by any shard, frames received *for* it by
-        // its host).
         transport.merge(&report.transport);
     }
 

@@ -19,7 +19,7 @@ use pgrid_core::wire::{Be, Order, Sink, PATH_BYTES};
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
-use pgrid_transport::{LinkStats, ReactorStats, TransportStats};
+use pgrid_transport::{ReactorStats, TransportStats};
 use pgrid_workload::distributions::Distribution;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 const MAGIC: u16 = 0x5047; // "PG"
 /// Protocol version; bump on any wire-format change (one binary speaks
 /// exactly one version).
-const VERSION: u8 = 11;
+const VERSION: u8 = 12;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -58,15 +58,9 @@ pub struct ShardReport {
     /// Hosted peers online when the run ended: at most one per entry of
     /// `paths` and `extra_paths` ([`ClusterMsg::check_ranges`]).
     pub online_at_end: u64,
-    /// The worker's transport counters, including its per-peer link stats
-    /// (send side keyed by destination, receive side by hosted peer); the
-    /// coordinator folds the shards together with
-    /// [`TransportStats::merge`].
+    /// The worker's transport counters and reactor block; the coordinator
+    /// folds the shards together with [`TransportStats::merge`].
     pub transport: TransportStats,
-    /// Protocol messages delivered to hosted peers.
-    pub messages_delivered: u64,
-    /// Protocol messages lost (emulated loss + broken connections).
-    pub messages_lost: u64,
     /// Final `(peer id, path)` of peers this worker *adopted* from a dead
     /// worker during recovery (empty on a healthy run); the coordinator
     /// merges them at their global indices like the shard paths.
@@ -354,16 +348,6 @@ impl ClusterMsg {
                 Be::put_u64(&mut buf, report.transport.frames_delivered);
                 Be::put_u64(&mut buf, report.transport.bytes_sent);
                 Be::put_u64(&mut buf, report.transport.bytes_delivered);
-                Be::put_count(&mut buf, report.transport.per_peer.len());
-                for (&peer, link) in &report.transport.per_peer {
-                    Be::put_u64(&mut buf, peer);
-                    Be::put_u64(&mut buf, link.frames_sent);
-                    Be::put_u64(&mut buf, link.bytes_sent);
-                    Be::put_u64(&mut buf, link.frames_received);
-                    Be::put_u64(&mut buf, link.bytes_received);
-                    Be::put_u64(&mut buf, link.reconnects);
-                    Be::put_u64(&mut buf, link.send_failures);
-                }
                 // The optional reactor block: flag byte, then the eight
                 // reactor fields.
                 match &report.transport.reactor {
@@ -380,8 +364,6 @@ impl ClusterMsg {
                     }
                     None => Be::put_u8(&mut buf, 0),
                 }
-                Be::put_u64(&mut buf, report.messages_delivered);
-                Be::put_u64(&mut buf, report.messages_lost);
                 Be::put_count(&mut buf, report.extra_paths.len());
                 for (peer, path) in &report.extra_paths {
                     Be::put_u64(&mut buf, *peer);
@@ -537,19 +519,6 @@ impl ClusterMsg {
                     bytes_delivered: Be::u64(&mut data)?,
                     ..TransportStats::default()
                 };
-                let n_links = Be::count(&mut data, MAX_LIST, 56)?;
-                for _ in 0..n_links {
-                    let peer = Be::u64(&mut data)?;
-                    let link = LinkStats {
-                        frames_sent: Be::u64(&mut data)?,
-                        bytes_sent: Be::u64(&mut data)?,
-                        frames_received: Be::u64(&mut data)?,
-                        bytes_received: Be::u64(&mut data)?,
-                        reconnects: Be::u64(&mut data)?,
-                        send_failures: Be::u64(&mut data)?,
-                    };
-                    transport.per_peer.insert(peer, link);
-                }
                 if Be::u8(&mut data)? != 0 {
                     transport.reactor = Some(ReactorStats {
                         registered_peers: Be::u64(&mut data)?,
@@ -562,8 +531,6 @@ impl ClusterMsg {
                         dropped_frames: Be::u64(&mut data)?,
                     });
                 }
-                let messages_delivered = Be::u64(&mut data)?;
-                let messages_lost = Be::u64(&mut data)?;
                 let extra_paths = Be::list(&mut data, MAX_LIST, 8 + PATH_BYTES, |data| {
                     Some((Be::u64(data)?, Be::path(data)?))
                 })?;
@@ -573,8 +540,6 @@ impl ClusterMsg {
                     query_stats,
                     online_at_end,
                     transport,
-                    messages_delivered,
-                    messages_lost,
                     extra_paths,
                 })
             }
@@ -1151,29 +1116,6 @@ mod tests {
                 frames_delivered: 990,
                 bytes_sent: 123_456,
                 bytes_delivered: 120_000,
-                per_peer: [
-                    (
-                        32,
-                        LinkStats {
-                            frames_sent: 40,
-                            bytes_sent: 5_000,
-                            frames_received: 41,
-                            bytes_received: 5_100,
-                            reconnects: 1,
-                            send_failures: 0,
-                        },
-                    ),
-                    (
-                        7,
-                        LinkStats {
-                            frames_received: 9,
-                            bytes_received: 900,
-                            ..LinkStats::default()
-                        },
-                    ),
-                ]
-                .into_iter()
-                .collect(),
                 reactor: Some(ReactorStats {
                     registered_peers: 32,
                     registered_fds: 3,
@@ -1185,8 +1127,6 @@ mod tests {
                     dropped_frames: 0,
                 }),
             },
-            messages_delivered: 2048,
-            messages_lost: 17,
             extra_paths: vec![(3, Path::parse("011")), (9, Path::root())],
         }));
         roundtrip(ClusterMsg::Heartbeat { epoch: 2 });
@@ -1313,8 +1253,6 @@ mod tests {
             query_stats: QueryAggregates::default(),
             online_at_end: 0,
             transport: TransportStats::default(),
-            messages_delivered: 0,
-            messages_lost: 0,
             extra_paths: Vec::new(),
         });
         // The latency histogram sits behind the header (4), the shard start,
@@ -1345,8 +1283,6 @@ mod tests {
                 query_stats: QueryAggregates::default(),
                 online_at_end: 0,
                 transport: TransportStats::default(),
-                messages_delivered: 0,
-                messages_lost: 0,
                 extra_paths: vec![(extra, Path::root())],
             })
         };

@@ -156,7 +156,7 @@ struct WorkerObs {
 
 impl WorkerObs {
     /// Renders the worker's current metrics registry: the runtime's
-    /// network counters, the transport link stats, the shard assignment,
+    /// network counters, the transport counters, the shard assignment,
     /// and — when journaling — the durability counters.
     fn registry(
         &self,
@@ -817,8 +817,6 @@ fn send_report(overlay: &mut ShardOverlay) -> Result<()> {
         query_stats: runtime.metrics.query_stats.clone(),
         online_at_end: runtime.hosted_online_count() as u64,
         transport: runtime.transport_stats(),
-        messages_delivered: runtime.metrics.messages_delivered as u64,
-        messages_lost: runtime.metrics.messages_lost as u64,
         extra_paths: runtime
             .adopted_peers()
             .into_iter()

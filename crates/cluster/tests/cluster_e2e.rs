@@ -126,27 +126,6 @@ fn two_worker_processes_converge_like_the_single_process_run() {
         "{:?}",
         cluster.transport
     );
-    // Per-peer link stats crossed the control plane and were merged: every
-    // peer saw traffic, and cluster-wide sends match cluster-wide receives.
-    assert_eq!(
-        cluster.transport.per_peer.len(),
-        config.n_peers,
-        "every peer should have link stats in the merged report"
-    );
-    let link_sent: u64 = cluster
-        .transport
-        .per_peer
-        .values()
-        .map(|l| l.frames_sent)
-        .sum();
-    let link_received: u64 = cluster
-        .transport
-        .per_peer
-        .values()
-        .map(|l| l.frames_received)
-        .sum();
-    assert_eq!(link_sent, cluster.transport.frames_sent);
-    assert_eq!(link_received, cluster.transport.frames_delivered);
 }
 
 #[test]

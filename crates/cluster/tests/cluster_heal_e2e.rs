@@ -118,8 +118,6 @@ fn killed_worker_is_healed_and_the_run_converges() {
         "query success rate {} after healing",
         report.query_success_rate
     );
-    // Every peer — including the adopted ones — reports link stats.
-    assert_eq!(report.transport.per_peer.len(), config.n_peers);
 }
 
 #[test]

@@ -151,7 +151,6 @@ fn killed_worker_warm_rejoins_from_its_durable_log() {
         "query success rate {} after warm rejoin",
         report.query_success_rate
     );
-    assert_eq!(report.transport.per_peer.len(), config().n_peers);
 
     let _ = std::fs::remove_dir_all(&base);
 }

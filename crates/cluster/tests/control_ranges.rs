@@ -99,8 +99,6 @@ fn report(shard_start: u64, shard_len: u64, online_at_end: u64) -> ShardReport {
         query_stats: Default::default(),
         online_at_end,
         transport: Default::default(),
-        messages_delivered: 0,
-        messages_lost: 0,
         extra_paths: Vec::new(),
     }
 }

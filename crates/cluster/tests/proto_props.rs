@@ -10,7 +10,7 @@ use pgrid_core::path::Path;
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{NetConfig, QueryAggregates};
 use pgrid_obs::trace::{intern_kind, TraceEvent};
-use pgrid_transport::{LinkStats, ReactorStats, TransportStats};
+use pgrid_transport::{ReactorStats, TransportStats};
 use pgrid_workload::distributions::Distribution;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -116,14 +116,6 @@ fn arbitrary_aggregates(rng: &mut StdRng) -> QueryAggregates {
 }
 
 fn arbitrary_report(rng: &mut StdRng) -> ShardReport {
-    let link = |rng: &mut StdRng| LinkStats {
-        frames_sent: rng.gen(),
-        bytes_sent: rng.gen(),
-        frames_received: rng.gen(),
-        bytes_received: rng.gen(),
-        reconnects: rng.gen(),
-        send_failures: rng.gen(),
-    };
     ShardReport {
         shard_start: rng.gen(),
         paths: arbitrary_paths(rng),
@@ -134,9 +126,6 @@ fn arbitrary_report(rng: &mut StdRng) -> ShardReport {
             frames_delivered: rng.gen(),
             bytes_sent: rng.gen(),
             bytes_delivered: rng.gen(),
-            per_peer: (0..rng.gen_range(0..8))
-                .map(|_| (rng.gen(), link(rng)))
-                .collect(),
             reactor: rng.gen_bool(0.5).then(|| ReactorStats {
                 registered_peers: rng.gen(),
                 registered_fds: rng.gen(),
@@ -148,8 +137,6 @@ fn arbitrary_report(rng: &mut StdRng) -> ShardReport {
                 dropped_frames: rng.gen(),
             }),
         },
-        messages_delivered: rng.gen(),
-        messages_lost: rng.gen(),
         extra_paths: (0..rng.gen_range(0..8))
             .map(|_| (rng.gen(), arbitrary_path(rng)))
             .collect(),
@@ -400,7 +387,7 @@ fn encoded_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        hash, 14_581_903_957_675_428_075,
+        hash, 14_357_109_078_637_270_116,
         "control wire bytes changed"
     );
 }

@@ -353,8 +353,6 @@ impl ReactorTransport {
             }
         };
         if let Some(error) = enqueue_error {
-            let peer_link = self.stats.per_peer.entry(to.0).or_default();
-            peer_link.send_failures += 1;
             return Err(TransportError::Io(error));
         }
         let thread = &self.thread_shared[link.thread];
@@ -364,9 +362,6 @@ impl ReactorTransport {
         thread.wake();
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame_len as u64;
-        let peer_link = self.stats.per_peer.entry(to.0).or_default();
-        peer_link.frames_sent += 1;
-        peer_link.bytes_sent += frame_len as u64;
         Ok(())
     }
 }
@@ -390,9 +385,6 @@ impl Transport for ReactorTransport {
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += frame_len;
             self.local_frames_sent += 1;
-            let link = self.stats.per_peer.entry(to.0).or_default();
-            link.frames_sent += 1;
-            link.bytes_sent += frame_len;
             return Ok(());
         }
         let addr = *self.addrs.get(&to).ok_or(TransportError::UnknownPeer(to))?;
@@ -412,9 +404,6 @@ impl Transport for ReactorTransport {
         for (dest, frame) in drained {
             self.stats.frames_delivered += 1;
             self.stats.bytes_delivered += frame.len() as u64;
-            let link = self.stats.per_peer.entry(dest).or_default();
-            link.frames_received += 1;
-            link.bytes_received += frame.len() as u64;
             delivered.push((PeerId(dest), frame));
         }
         delivered

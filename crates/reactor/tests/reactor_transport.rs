@@ -90,9 +90,9 @@ fn frames_cross_processes_in_order_over_one_connection() {
 }
 
 #[test]
-fn per_peer_link_stats_agree_across_a_real_socket() {
+fn frame_counters_agree_across_a_real_socket() {
     // What one process counts as sent to a remote peer, the process hosting
-    // it counts as received for it: frame for frame, byte for byte.
+    // it counts as delivered: frame for frame, byte for byte.
     let mut host = ReactorTransport::new();
     let mut sender = ReactorTransport::new();
     let peer = PeerId(11);
@@ -102,16 +102,13 @@ fn per_peer_link_stats_agree_across_a_real_socket() {
     sender.send(0, peer, frame.clone()).unwrap();
     sender.send(0, peer, frame.clone()).unwrap();
     assert_eq!(poll_n(&mut host, 2).len(), 2);
-    let sent = sender.stats().per_peer[&peer.0];
-    let received = host.stats().per_peer[&peer.0];
+    let (sent, received) = (sender.stats(), host.stats());
     let bytes = 2 * frame.len() as u64;
     assert_eq!((sent.frames_sent, sent.bytes_sent), (2, bytes));
     assert_eq!(
-        (received.frames_received, received.bytes_received),
+        (received.frames_delivered, received.bytes_delivered),
         (sent.frames_sent, sent.bytes_sent)
     );
-    assert_eq!(sent.send_failures, 0);
-    assert_eq!(host.stats().bytes_delivered, bytes);
 }
 
 #[test]
@@ -305,8 +302,6 @@ fn dead_endpoints_surface_as_send_errors_not_hangs() {
     }
     let stats = t.stats();
     assert!(stats.reactor.unwrap().dropped_frames > 0);
-    let link = stats.per_peer.get(&7).expect("per-peer stats");
-    assert!(link.send_failures >= 1);
     // The link recovers when a listener appears at the address.
     let revived = std::net::TcpListener::bind(addr);
     if let Ok(listener) = revived {

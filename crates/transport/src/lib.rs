@@ -108,28 +108,6 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// Per-peer link counters of a socket backend.
-///
-/// The reactor keeps one entry per peer it has exchanged frames with: the
-/// send side is keyed by the destination peer, the receive side by the
-/// local peer a frame was addressed to.  Virtual-time backends (loopback)
-/// have no connections and leave the map empty.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Frames sent to this peer.
-    pub frames_sent: u64,
-    /// Frame bytes sent to this peer.
-    pub bytes_sent: u64,
-    /// Frames received for this (locally hosted) peer.
-    pub frames_received: u64,
-    /// Frame bytes received for this (locally hosted) peer.
-    pub bytes_received: u64,
-    /// Times the cached outbound connection was dropped and re-established.
-    pub reconnects: u64,
-    /// Sends that failed even after a reconnect attempt.
-    pub send_failures: u64,
-}
-
 /// Event-loop gauges of the reactor backend (`pgrid-reactor`).
 ///
 /// Carried inside [`TransportStats`] so the existing report/metrics plumbing
@@ -188,17 +166,13 @@ pub struct TransportStats {
     pub bytes_sent: u64,
     /// Total frame bytes handed out by [`Transport::poll`].
     pub bytes_delivered: u64,
-    /// Per-peer connection counters (socket backends only; empty on
-    /// loopback).
-    pub per_peer: std::collections::BTreeMap<u64, LinkStats>,
     /// Event-loop gauges of the reactor backend; `None` elsewhere.
     pub reactor: Option<ReactorStats>,
 }
 
 impl TransportStats {
-    /// Populates `registry` with the transport counters (per-peer link
-    /// counters as `peer`-labelled series) — the one producer every
-    /// renderer and the live scrape endpoint share.
+    /// Populates `registry` with the transport counters — the one producer
+    /// every renderer and the live scrape endpoint share.
     pub fn to_registry(&self, registry: &mut pgrid_obs::registry::MetricsRegistry) {
         for (name, help, value) in [
             (
@@ -274,47 +248,11 @@ impl TransportStats {
                 registry.gauge(name, help, &[], value as f64);
             }
         }
-        for (name, help, get) in [
-            (
-                "pgrid_transport_peer_frames_sent_total",
-                "Frames sent to this peer.",
-                (|l: &LinkStats| l.frames_sent) as fn(&LinkStats) -> u64,
-            ),
-            (
-                "pgrid_transport_peer_bytes_sent_total",
-                "Frame bytes sent to this peer.",
-                |l| l.bytes_sent,
-            ),
-            (
-                "pgrid_transport_peer_frames_received_total",
-                "Frames received for this peer.",
-                |l| l.frames_received,
-            ),
-            (
-                "pgrid_transport_peer_bytes_received_total",
-                "Frame bytes received for this peer.",
-                |l| l.bytes_received,
-            ),
-            (
-                "pgrid_transport_peer_reconnects_total",
-                "Times the cached outbound connection was re-established.",
-                |l| l.reconnects,
-            ),
-            (
-                "pgrid_transport_peer_send_failures_total",
-                "Sends that failed even after a reconnect attempt.",
-                |l| l.send_failures,
-            ),
-        ] {
-            for (peer, link) in &self.per_peer {
-                registry.counter(name, help, &[("peer", &peer.to_string())], get(link));
-            }
-        }
     }
 
-    /// Folds another stats snapshot into this one (summing the global
-    /// counters and merging the per-peer maps), as the cluster coordinator
-    /// does when it combines the reports of several worker processes.
+    /// Folds another stats snapshot into this one (summing the counters and
+    /// the reactor block), as the cluster coordinator does when it combines
+    /// the reports of several worker processes.
     pub fn merge(&mut self, other: &TransportStats) {
         add(&mut self.frames_sent, other.frames_sent);
         add(&mut self.frames_delivered, other.frames_delivered);
@@ -324,15 +262,6 @@ impl TransportStats {
             self.reactor
                 .get_or_insert_with(ReactorStats::default)
                 .merge(other_reactor);
-        }
-        for (&peer, link) in &other.per_peer {
-            let entry = self.per_peer.entry(peer).or_default();
-            add(&mut entry.frames_sent, link.frames_sent);
-            add(&mut entry.bytes_sent, link.bytes_sent);
-            add(&mut entry.frames_received, link.frames_received);
-            add(&mut entry.bytes_received, link.bytes_received);
-            add(&mut entry.reconnects, link.reconnects);
-            add(&mut entry.send_failures, link.send_failures);
         }
     }
 }
@@ -443,7 +372,7 @@ pub mod prelude {
     pub use crate::frame::{decode_frame, encode_frame, FrameReader};
     pub use crate::loopback::{LoopbackConfig, LoopbackTransport};
     pub use crate::{
-        LinkFault, LinkStats, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError,
+        LinkFault, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError,
         TransportStats,
     };
 }
@@ -454,36 +383,22 @@ mod tests {
 
     #[test]
     fn metrics_text_is_prometheus_shaped() {
-        let mut stats = TransportStats {
+        let stats = TransportStats {
             frames_sent: 10,
             frames_delivered: 9,
             bytes_sent: 1000,
             bytes_delivered: 900,
-            ..TransportStats::default()
+            reactor: Some(ReactorStats {
+                registered_peers: 2,
+                epoll_wakeups: 7,
+                ..ReactorStats::default()
+            }),
         };
-        stats.reactor = Some(ReactorStats {
-            registered_peers: 2,
-            epoll_wakeups: 7,
-            ..ReactorStats::default()
-        });
-        stats.per_peer.insert(
-            3,
-            LinkStats {
-                frames_sent: 4,
-                bytes_sent: 400,
-                frames_received: 5,
-                bytes_received: 500,
-                reconnects: 1,
-                send_failures: 0,
-            },
-        );
         let mut registry = pgrid_obs::registry::MetricsRegistry::new();
         stats.to_registry(&mut registry);
         let text = registry.encode();
         assert!(text.contains("# TYPE pgrid_transport_frames_sent_total counter"));
         assert!(text.contains("pgrid_transport_frames_sent_total 10"));
-        assert!(text.contains("pgrid_transport_peer_frames_sent_total{peer=\"3\"} 4"));
-        assert!(text.contains("pgrid_transport_peer_reconnects_total{peer=\"3\"} 1"));
         assert!(text.contains("# TYPE pgrid_reactor_registered_peers gauge"));
         assert!(text.contains("pgrid_reactor_epoll_wakeups_total 7"));
         // Every series line is `name[{labels}] value`.
@@ -499,20 +414,11 @@ mod tests {
     #[test]
     fn transport_stats_merge_saturates_on_wire_maxima() {
         // Reports are decoded from arbitrary `u64`s: no panic, no wrap.
-        let link = LinkStats {
-            frames_sent: u64::MAX,
-            bytes_sent: u64::MAX,
-            frames_received: u64::MAX,
-            bytes_received: u64::MAX,
-            reconnects: u64::MAX,
-            send_failures: u64::MAX,
-        };
         let report = TransportStats {
             frames_sent: u64::MAX,
             frames_delivered: u64::MAX,
             bytes_sent: u64::MAX,
             bytes_delivered: u64::MAX,
-            per_peer: [(3, link)].into(),
             reactor: None,
         };
         let mut merged = TransportStats::default();
