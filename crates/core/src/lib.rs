@@ -51,7 +51,7 @@
 //! // The global reference partitioner defines optimal load balancing.
 //! let keys: Vec<Key> = (0..1000).map(|i| Key::from_fraction(i as f64 / 1000.0)).collect();
 //! let reference = ReferencePartitioning::compute(&keys, 64, BalanceParams::new(50, 4));
-//! assert!(reference.num_partitions() > 1);
+//! assert!(reference.leaves.len() > 1);
 //! assert!(reference.load_trie().is_complete_partition());
 //! ```
 
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::path::Path;
     pub use crate::peer::PeerState;
     pub use crate::reference::{BalanceParams, ReferencePartitioning};
-    pub use crate::replication::{estimate_replica_count, reconcile};
+    pub use crate::replication::reconcile;
     pub use crate::routing::{PeerId, RoutingEntry, RoutingTable};
     pub use crate::search::{lookup, range_query, LookupResult, RangeResult};
     pub use crate::store::{KeyStore, RestrictedView, StoreRead};

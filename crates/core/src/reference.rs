@@ -90,11 +90,6 @@ impl ReferencePartitioning {
         ReferencePartitioning { leaves }
     }
 
-    /// Number of leaf partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.leaves.len()
-    }
-
     /// Total (fractional) peers across leaves — equals the input peer count
     /// up to floating point error.
     pub fn total_peers(&self) -> f64 {
@@ -205,7 +200,7 @@ mod tests {
     fn no_split_when_underloaded() {
         let keys = uniform_keys(10);
         let r = ReferencePartitioning::compute(&keys, 100, BalanceParams::new(100, 5));
-        assert_eq!(r.num_partitions(), 1);
+        assert_eq!(r.leaves.len(), 1);
         assert_eq!(r.leaves[0].path, Path::root());
         assert_eq!(r.leaves[0].load, 10);
         assert!((r.leaves[0].peers - 100.0).abs() < 1e-9);
@@ -216,7 +211,7 @@ mod tests {
         let keys = uniform_keys(1000);
         let r = ReferencePartitioning::compute(&keys, 8, BalanceParams::new(10, 5));
         // 8 peers < 2 * n_min = 10, cannot split even though overloaded.
-        assert_eq!(r.num_partitions(), 1);
+        assert_eq!(r.leaves.len(), 1);
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         let keys = uniform_keys(1024);
         let params = BalanceParams::new(64, 4);
         let r = ReferencePartitioning::compute(&keys, 128, params);
-        assert!(r.num_partitions() > 1);
+        assert!(r.leaves.len() > 1);
         // conservation of peers and load
         assert!((r.total_peers() - 128.0).abs() < 1e-6);
         assert_eq!(r.leaves.iter().map(|l| l.load).sum::<usize>(), 1024);
@@ -248,7 +243,7 @@ mod tests {
         let keys = skewed_keys(2000);
         let params = BalanceParams::new(50, 5);
         let r = ReferencePartitioning::compute(&keys, 400, params);
-        assert!(r.num_partitions() > 2);
+        assert!(r.leaves.len() > 2);
         // the dense region [0, 0.1) must be covered by deeper leaves than the
         // sparse region around 0.9
         let leaf_for = |x| {

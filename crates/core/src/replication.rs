@@ -1,14 +1,12 @@
-//! Structural replication support: estimating the number of replicas of a
-//! partition from key-set overlap and reconciling replica contents.
+//! Structural replication support: reconciling replica contents.
 //!
 //! During construction peers must estimate how many peers are currently
 //! associated with their partition in order to decide whether a further
 //! split is justified (Algorithm 1 needs both the data load and the peer
-//! count).  Learning the exact replica set would serialise the process, so
-//! the paper instead estimates the replica count from the overlap of the key
-//! sets of two interacting peers (Section 4.2): initially every key is
-//! replicated `n_min` times, so sparse overlap between two random replicas
-//! indicates that the partition's keys are spread over many peers.
+//! count).  That estimate lives in
+//! [`ExchangeEngine::assess`](crate::exchange::ExchangeEngine::assess)
+//! (`m̂ = n_min · D̂ / delta_max`); this module keeps [`reconcile`], the
+//! anti-entropy exchange between two replicas of one partition.
 //!
 //! Reconciled replicas hold the same set, so [`reconcile`] leaves them
 //! holding the same *storage*: one walk over the two sorted runs says what
@@ -19,38 +17,6 @@
 //! leaving the others' untouched.
 
 use crate::store::{KeyStore, StoreRead};
-
-/// Estimates the number of peers associated with the current partition from
-/// the key sets of two interacting peers.
-///
-/// Model: the partition holds `D` distinct entries, each replicated
-/// `replication` times over `m` peers, so a peer holds on average
-/// `D * replication / m` entries and two random peers share
-/// `|K1| * |K2| / D` entries in expectation.  Solving for `m` with
-/// `D = |K1| * |K2| / |K1 ∩ K2|` and the average peer holding
-/// `(|K1| + |K2|) / 2` entries gives
-///
-/// ```text
-/// m ≈ 2 * replication * |K1| * |K2| / (|K1 ∩ K2| * (|K1| + |K2|))
-/// ```
-///
-/// Sanity check (the example given in the paper): for two exact replicas
-/// (`K1 == K2`) the estimate is exactly `replication`, as desired.  A
-/// disjoint pair yields `+∞` (the overlap carries no evidence of a small
-/// replica group), which callers should clamp.
-///
-/// Returns `None` when either store is empty (no information).
-pub fn estimate_replica_count(a: &KeyStore, b: &KeyStore, replication: usize) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
-        return None;
-    }
-    let overlap = a.intersection_size_with(b);
-    let (ka, kb) = (a.len() as f64, b.len() as f64);
-    if overlap == 0 {
-        return Some(f64::INFINITY);
-    }
-    Some(2.0 * replication as f64 * ka * kb / (overlap as f64 * (ka + kb)))
-}
 
 /// Outcome of an anti-entropy exchange between two replicas.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -104,54 +70,6 @@ mod tests {
 
     fn store(range: std::ops::Range<u64>) -> KeyStore {
         range.map(entry).collect()
-    }
-
-    #[test]
-    fn identical_replicas_estimate_exactly_replication() {
-        let a = store(0..50);
-        let b = store(0..50);
-        let est = estimate_replica_count(&a, &b, 5).unwrap();
-        assert!((est - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn half_overlap_estimates_more_peers() {
-        let a = store(0..100);
-        let b = store(50..150);
-        let est = estimate_replica_count(&a, &b, 5).unwrap();
-        assert!(
-            est > 5.0,
-            "estimate {est} should exceed the replication factor"
-        );
-        assert!(est.is_finite());
-    }
-
-    #[test]
-    fn disjoint_stores_yield_infinite_estimate() {
-        let a = store(0..50);
-        let b = store(500..550);
-        assert_eq!(estimate_replica_count(&a, &b, 5), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn empty_store_gives_no_estimate() {
-        let a = KeyStore::new();
-        let b = store(0..10);
-        assert_eq!(estimate_replica_count(&a, &b, 5), None);
-        assert_eq!(estimate_replica_count(&b, &a, 5), None);
-    }
-
-    #[test]
-    fn estimate_scales_inversely_with_overlap() {
-        // Fixed store sizes, shrinking overlap => growing estimate.
-        let a = store(0..100);
-        let mut last = 0.0;
-        for shift in [0u64, 20, 40, 60, 80] {
-            let b = store(shift..shift + 100);
-            let est = estimate_replica_count(&a, &b, 5).unwrap();
-            assert!(est >= last, "estimate must grow as overlap shrinks");
-            last = est;
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Overlay construction: the join handshake, the replication phase and the
 //! exchange protocol of Figure 2 driven by per-peer tick chains.  State
-//! lives in the runtime's `Overlay` (`constructing`, `tick_armed`,
-//! `fruitless` next to each peer's overlay state); entry points are
+//! lives in the runtime's `Overlay` (`tick_armed` and `fruitless` next to
+//! each peer's overlay state); entry points are
 //! [`Runtime::join_peer`], [`Runtime::replication_phase`],
 //! [`Runtime::start_construction`] and [`Runtime::construction_quiescent`].
 
@@ -138,7 +138,6 @@ impl<T: Transport> Runtime<T> {
             return;
         }
         overlay.tick_armed[peer] = true;
-        overlay.constructing[peer] = true;
         let jitter = self.rng.gen_range(0..CONSTRUCT_INTERVAL_MS);
         self.clock
             .schedule(self.clock.now + jitter, EventKind::ConstructTick { peer });
@@ -149,11 +148,11 @@ impl<T: Transport> Runtime<T> {
     /// fruitless exchanges and no local evidence that its partition still
     /// needs splitting.  Dead tick chains (a tick fired while the peer was
     /// offline) do not block quiescence: they do nothing until re-armed.
-    /// `true` when no peer is constructing at all.
+    /// `true` when no tick chain is live at all.
     pub fn construction_quiescent(&self) -> bool {
         let overlay = &self.overlay;
         self.hosted_peers()
-            .filter(|&p| self.nodes[p].is_up() && overlay.constructing[p] && overlay.tick_armed[p])
+            .filter(|&p| self.nodes[p].is_up() && overlay.tick_armed[p])
             .all(|p| {
                 overlay.fruitless[p] >= 4 && !self.engine.locally_overloaded(&overlay.states[p])
             })
@@ -162,7 +161,7 @@ impl<T: Transport> Runtime<T> {
     pub(super) fn construct_tick(&mut self, peer: usize) {
         self.links.actor = peer;
         let overlay = &mut self.overlay;
-        if !self.nodes[peer].online || !overlay.constructing[peer] {
+        if !self.nodes[peer].online {
             // The chain ends here (no reschedule, as in the paper's
             // reference run); `start_construction` can re-arm it.
             overlay.tick_armed[peer] = false;

@@ -172,8 +172,6 @@ struct Overlay {
     states: Vec<PeerState>,
     /// The ground-truth data assignment.
     original_entries: Vec<DataEntry>,
-    /// Whether each peer participates in construction ticks.
-    constructing: Vec<bool>,
     /// Whether each peer's construction tick is currently scheduled.  A
     /// tick firing while the peer is offline ends the chain (the flag drops
     /// to `false`, matching the paper's reference run, where a returning
@@ -341,7 +339,6 @@ impl<T: Transport> Runtime<T> {
             overlay: Overlay {
                 states,
                 original_entries,
-                constructing: vec![false; n],
                 tick_armed: vec![false; n],
                 fruitless: vec![0; n],
             },

@@ -208,12 +208,7 @@ impl<T: Transport> Runtime<T> {
     /// keeps participating in the exchange protocol.
     fn finish_recovery(&mut self, peer: usize) {
         self.bring_online(peer);
-        let overlay = &self.overlay;
-        if self
-            .shard
-            .clone()
-            .any(|p| overlay.constructing[p] && overlay.tick_armed[p])
-        {
+        if self.shard.clone().any(|p| self.overlay.tick_armed[p]) {
             self.arm_tick(peer);
         }
     }

@@ -709,8 +709,11 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
         ..NetConfig::default()
     });
     construct(&mut rt, 48, 400_000);
-    rt.overlay.constructing.fill(false);
-    rt.run_until(rt.now() + 300_000);
+    // Every peer is down for 300 s: each chain's next tick finds its peer
+    // offline and ends the chain.
+    let now = rt.now();
+    (0..48).for_each(|peer| rt.schedule_churn(peer, now, 300_000));
+    rt.run_until(now + 300_000);
     // Every sixth peer forgets its references: lookups through it dead-end
     // and range walks detour.
     let overlay = &mut rt.overlay;

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::config::{ConstructionStrategy, SimConfig};
     pub use crate::construction::{construct, ConstructedOverlay, SimNetwork};
     pub use crate::metrics::{ConstructionMetrics, MetricsDelta};
-    pub use crate::query::{data_availability, run_queries, QueryStats};
+    pub use crate::query::{run_queries, QueryStats};
     pub use crate::runner::{run_repeated, ConstructionResult};
     pub use crate::sequential::{construct_sequentially, SequentialOutcome};
     pub use crate::unstructured::UnstructuredOverlay;

@@ -75,34 +75,6 @@ pub fn run_queries<R: Rng + ?Sized>(
     stats
 }
 
-/// Fraction of the original entries that can actually be retrieved by
-/// looking up their key (data availability, as opposed to pure routing
-/// success).
-pub fn data_availability<R: Rng + ?Sized>(
-    overlay: &ConstructedOverlay,
-    sample: usize,
-    rng: &mut R,
-) -> f64 {
-    if overlay.original_entries.is_empty() {
-        return 1.0;
-    }
-    let online = online_peers(overlay);
-    if online.is_empty() {
-        return 0.0;
-    }
-    let mut found = 0usize;
-    let total = sample.min(overlay.original_entries.len());
-    for _ in 0..total {
-        let entry = overlay.original_entries[rng.gen_range(0..overlay.original_entries.len())];
-        let start = PeerId(online[rng.gen_range(0..online.len())] as u64);
-        let res = lookup(&overlay.peers, start, entry.key, rng);
-        if res.entries.contains(&entry) {
-            found += 1;
-        }
-    }
-    found as f64 / total.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +236,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn data_availability_is_high() {
-        let overlay = overlay();
-        let mut rng = StdRng::seed_from_u64(4);
-        let availability = data_availability(&overlay, 300, &mut rng);
-        assert!(availability > 0.9, "availability {availability}");
     }
 
     #[test]
