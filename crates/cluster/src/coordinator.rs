@@ -689,12 +689,13 @@ impl<'a> Coordinator<'a> {
                 path.display()
             );
         }
-        Ok(merge_reports(
+        let inputs = merge_reports(
             cluster,
             &self.membership.last_paths,
             std::mem::take(&mut self.bandwidth),
             reports,
-        ))
+        );
+        Ok(assemble_report(&inputs, &cluster.timeline))
     }
 
     /// Declares worker `index` dead: stops polling it, records the failure
@@ -1043,7 +1044,7 @@ fn plan_reassignment(
     moves
 }
 
-/// Merges the shard reports into the single-process report shape: paths at
+/// Merges the shard reports into the single-process report inputs: paths at
 /// their global indices, query aggregates folded, counters summed.
 ///
 /// `last_paths` seeds the path vector so peers of a dead, unhealed shard
@@ -1054,7 +1055,7 @@ fn merge_reports(
     last_paths: &[Path],
     bandwidth: HashMap<u64, BandwidthSample>,
     reports: Vec<ShardReport>,
-) -> DeploymentReport {
+) -> ReportInputs {
     // The ground-truth data assignment is a function of the seed; the
     // coordinator reproduces it exactly as every worker's runtime did.
     let mut rng = StdRng::seed_from_u64(cluster.net.seed);
@@ -1079,7 +1080,7 @@ fn merge_reports(
         transport.merge(&report.transport);
     }
 
-    let inputs = ReportInputs {
+    ReportInputs {
         n_peers: cluster.net.n_peers,
         params: cluster.net.balance_params(),
         original_keys: original_entries.iter().map(|e| e.key).collect(),
@@ -1088,14 +1089,15 @@ fn merge_reports(
         bandwidth_per_minute: bandwidth,
         online_at_end,
         transport,
-    };
-    assemble_report(&inputs, &cluster.timeline)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::PHASE_CONSTRUCTED;
+    use pgrid_net::runtime::QueryAggregates;
+    use pgrid_transport::ReactorStats;
     use std::net::TcpStream;
 
     fn cluster(n_peers: usize, n_workers: usize, rejoin_grace_ms: u64) -> ClusterConfig {
@@ -1472,5 +1474,81 @@ mod tests {
         let moves = plan_reassignment(&membership, &[2], &[true, true, false]);
         let moved: Vec<u64> = moves.iter().map(|m| m.peer).collect();
         assert_eq!(moved, [9, 11]);
+    }
+
+    #[test]
+    fn merge_reports_places_paths_and_sums_what_the_shards_report() {
+        // Three workers of three peers each; worker 2 died, and worker 0
+        // adopted its peer 7.
+        let cluster = cluster(9, 3, 0);
+        let last_paths: Vec<Path> = (0..9).map(|_| Path::parse("111")).collect();
+        let stats = |issued, latency_ms, minute| {
+            let mut stats = QueryAggregates {
+                issued,
+                succeeded: issued - 1,
+                ..QueryAggregates::default()
+            };
+            stats.latency.record(latency_ms);
+            stats.per_minute.entry(minute).or_default().record(0.5);
+            stats
+        };
+        let transport = |frames, reconnects| TransportStats {
+            frames_sent: frames,
+            frames_delivered: frames - 1,
+            bytes_sent: 100 * frames,
+            bytes_delivered: 100 * (frames - 1),
+            reactor: Some(ReactorStats {
+                registered_peers: 3,
+                reconnects,
+                ..ReactorStats::default()
+            }),
+        };
+        let shard = |start, path, extra_paths, issued, minute, frames| ShardReport {
+            shard_start: start,
+            paths: vec![Path::parse(path); 3],
+            query_stats: stats(issued, 40 * issued, minute),
+            online_at_end: 3,
+            transport: transport(frames, frames / 10),
+            extra_paths,
+        };
+        let reports = vec![
+            shard(0, "0", vec![(7, Path::parse("10"))], 10, 2, 50),
+            shard(3, "01", Vec::new(), 20, 3, 70),
+        ];
+        let inputs = merge_reports(&cluster, &last_paths, HashMap::new(), reports);
+
+        let expect: Vec<Path> = ["0", "0", "0", "01", "01", "01", "111", "10", "111"]
+            .into_iter()
+            .map(Path::parse)
+            .collect();
+        assert_eq!(inputs.paths, expect);
+        assert_eq!(inputs.online_at_end, 6);
+        assert_eq!(
+            inputs.original_keys.len(),
+            inputs.n_peers * cluster.net.keys_per_peer
+        );
+        assert_eq!((inputs.queries.issued, inputs.queries.succeeded), (30, 28));
+        assert_eq!(inputs.queries.latency.total(), 2);
+        let minutes: Vec<(u64, u64)> = inputs
+            .queries
+            .per_minute
+            .iter()
+            .map(|(&m, bucket)| (m, bucket.count))
+            .collect();
+        assert_eq!(minutes, [(2, 1), (3, 1)]);
+        assert_eq!(
+            inputs.transport,
+            TransportStats {
+                frames_sent: 120,
+                frames_delivered: 118,
+                bytes_sent: 12_000,
+                bytes_delivered: 11_800,
+                reactor: Some(ReactorStats {
+                    registered_peers: 6,
+                    reconnects: 12,
+                    ..ReactorStats::default()
+                }),
+            }
+        );
     }
 }
