@@ -19,19 +19,42 @@
 //! that are left *before* anything is reserved for it.  Writes go to a
 //! [`Sink`]: a `Vec<u8>`, or a counter that only measures.
 //!
+//! An entry list is the one bulk shape: [`Order::entry_view`] validates
+//! its count and its bytes and hands back an [`Entries`] view that reads
+//! each entry from its fixed 16-byte chunk on demand, [`Order::entries`]
+//! is that view copied into a `Vec`, and [`Order::put_entries`] writes
+//! the chunks a block of [`ENTRY_BLOCK`] entries at a time.
+//!
 //! The kit is std-only on purpose: a `Buf` / `BufMut`-generic one would
 //! give this crate a `bytes` dependency, which the benchmark harness's own
 //! lock file does not allow.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
+
 use crate::histogram::{LogHistogram, NUM_BUCKETS};
 use crate::key::{DataEntry, DataId, Key};
 use crate::path::Path;
+use std::fmt;
+use std::marker::PhantomData;
 
 /// Encoded size of one [`Path`]: length byte plus left-aligned bits.
 pub const PATH_BYTES: usize = 1 + 8;
 
 /// Encoded size of one [`DataEntry`]: key plus id.
 pub const ENTRY_BYTES: usize = 8 + 8;
+
+/// Entries [`Order::put_entries`] lays out on the stack before it hands
+/// them to the sink in one piece.
+pub const ENTRY_BLOCK: usize = 64;
 
 /// Encoded size of one routing reference: level, peer, path.
 pub const ROUTING_REF_BYTES: usize = 1 + 8 + PATH_BYTES;
@@ -63,9 +86,11 @@ impl Sink for Vec<u8> {
 
 /// Big-endian: the peer protocol, the control protocol, frames and mux
 /// records.
+#[derive(Clone, Copy)]
 pub enum Be {}
 
 /// Little-endian: the journal and the registry snapshot.
+#[derive(Clone, Copy)]
 pub enum Le {}
 
 impl Order for Be {
@@ -81,6 +106,48 @@ impl Order for Le {
 #[inline]
 fn take<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
     Be::bytes(data, N)?.try_into().ok()
+}
+
+/// A validated entry list that still lies in the bytes it arrived in:
+/// [`Order::entry_view`] has checked its count and that every chunk is
+/// there, and each entry is read from its chunk only when it is asked
+/// for.  `O` is the byte order of its integers.
+#[derive(Clone, Copy)]
+pub struct Entries<'a, O> {
+    /// The list's chunks, [`ENTRY_BYTES`] each, back to back.
+    chunks: &'a [u8],
+    order: PhantomData<O>,
+}
+
+impl<'a, O: Order> Entries<'a, O> {
+    /// Number of entries in the list.
+    pub fn len(&self) -> usize {
+        self.chunks.len() / ENTRY_BYTES
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The entries in wire order, each decoded as it is reached.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DataEntry> + 'a {
+        self.chunks.chunks_exact(ENTRY_BYTES).map(|chunk| {
+            let (key, id) = chunk.split_at(8);
+            DataEntry::new(Key(O::word_from(key)), DataId(O::word_from(id)))
+        })
+    }
+
+    /// The entries copied into a `Vec` of exactly their number.
+    pub fn to_vec(&self) -> Vec<DataEntry> {
+        self.iter().collect()
+    }
+}
+
+impl<O: Order> fmt::Debug for Entries<'_, O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The checked read and the write of one integer width, in `Self`'s order.
@@ -110,7 +177,7 @@ macro_rules! int_codec {
 }
 
 /// The codec kit, parameterised by the byte order of its integers.
-pub trait Order {
+pub trait Order: Sized {
     /// Whether integers travel most significant byte first.
     const BIG_ENDIAN: bool;
 
@@ -129,6 +196,29 @@ pub trait Order {
     int_codec!(u16, put_u16);
     int_codec!(u32, put_u32);
     int_codec!(u64, put_u64);
+
+    /// A `u64` from its eight bytes in `Self`'s order; `bytes` is half of
+    /// an entry's chunk, so the zero a shorter slice would give is never
+    /// read.
+    #[inline]
+    fn word_from(bytes: &[u8]) -> u64 {
+        let raw: [u8; 8] = bytes.try_into().unwrap_or_default();
+        if Self::BIG_ENDIAN {
+            u64::from_be_bytes(raw)
+        } else {
+            u64::from_le_bytes(raw)
+        }
+    }
+
+    /// The eight bytes of a `u64` in `Self`'s order.
+    #[inline]
+    fn word_bytes(value: u64) -> [u8; 8] {
+        if Self::BIG_ENDIAN {
+            value.to_be_bytes()
+        } else {
+            value.to_le_bytes()
+        }
+    }
 
     /// Reads an IEEE-754 `f64` (its bits as a `u64`).
     #[inline]
@@ -177,13 +267,24 @@ pub trait Order {
         Self::list(data, cap, PATH_BYTES, Self::path)
     }
 
-    /// Reads a counted list of at most `cap` data entries.
+    /// Validates a counted list of at most `cap` data entries and leaves
+    /// it where it lies: the count is checked against the cap and the
+    /// input, the cursor moves past the list's chunks, and no entry is
+    /// read.
+    #[inline]
+    fn entry_view<'a>(data: &mut &'a [u8], cap: usize) -> Option<Entries<'a, Self>> {
+        let n = Self::count(data, cap, ENTRY_BYTES)?;
+        Some(Entries {
+            chunks: Self::bytes(data, n.checked_mul(ENTRY_BYTES)?)?,
+            order: PhantomData,
+        })
+    }
+
+    /// Reads a counted list of at most `cap` data entries: the
+    /// [`Order::entry_view`], copied out.
     #[inline]
     fn entries(data: &mut &[u8], cap: usize) -> Option<Vec<DataEntry>> {
-        Self::list(data, cap, ENTRY_BYTES, |data| {
-            let key = Key(Self::u64(data)?);
-            Some(DataEntry::new(key, DataId(Self::u64(data)?)))
-        })
+        Self::entry_view(data, cap).map(|entries| entries.to_vec())
     }
 
     /// Reads a counted list of at most `cap` peer ids.
@@ -251,13 +352,24 @@ pub trait Order {
         }
     }
 
-    /// Appends a counted list of data entries, each as key then id.
+    /// Appends a counted list of data entries, each as key then id: the
+    /// chunks of up to [`ENTRY_BLOCK`] entries are laid out on the stack
+    /// and go to the sink in one piece.
     #[inline]
     fn put_entries<S: Sink>(buf: &mut S, entries: &[DataEntry]) {
         Self::put_count(buf, entries.len());
-        for entry in entries {
-            Self::put_u64(buf, entry.key.0);
-            Self::put_u64(buf, entry.id.0);
+        let mut block = [0; ENTRY_BLOCK * ENTRY_BYTES];
+        for run in entries.chunks(ENTRY_BLOCK) {
+            for (chunk, entry) in block.chunks_exact_mut(ENTRY_BYTES).zip(run) {
+                let (key, id) = chunk.split_at_mut(8);
+                key.copy_from_slice(&Self::word_bytes(entry.key.0));
+                id.copy_from_slice(&Self::word_bytes(entry.id.0));
+            }
+            let filled = run
+                .len()
+                .checked_mul(ENTRY_BYTES)
+                .and_then(|n| block.get(..n));
+            buf.put(filled.unwrap_or_default());
         }
     }
 
