@@ -10,21 +10,40 @@
 //! There is one encoder, generic over the kit's [`Sink`], and one decoder
 //! over a byte slice.  The runtime encodes a message exactly once,
 //! straight into the bytes that go on the wire (its staging arena, a
-//! `Vec<u8>`), and decodes an arrived payload where it lies
-//! ([`Message::decode_slice`] over a slice of the frame);
-//! [`Message::encode`] / [`Message::decode`] are the owned-`Bytes` wrappers
-//! of the same two functions and [`Message::wire_size`] runs the encoder
-//! over a sink that only counts, so the three cannot disagree.  Decoding is
-//! total: every read is bounds-checked, a claimed element count must fit
-//! the bytes that are left before anything is reserved for it, envelope
-//! nesting is refused on the inner tag (no recursion on hostile input), and
-//! a payload must be consumed exactly.
+//! `Vec<u8>`); its construction tick calls `Message::encode_exchange`,
+//! the encoder of the `Exchange` kind, with the entries still in the
+//! peer's store.  An arrived payload is validated in full before it is
+//! dispatched ([`Arrived::decode`] over a slice of the frame): tag, every
+//! field, every count against its cap and the bytes left, and the exact
+//! length.  An `Exchange`'s entries then stay where they lie, an
+//! [`Entries`] view read only if the exchange gets past its referral;
+//! every other kind is decoded owned.  [`Message::decode_slice`] is that
+//! decoder with the entries copied out, [`Message::encode`] /
+//! [`Message::decode`] are the owned-`Bytes` wrappers of the two
+//! functions, and [`Message::wire_size`] runs the encoder over a sink that
+//! only counts, so none of them can disagree.  Decoding is total: every
+//! read is bounds-checked, a claimed element count must fit the bytes that
+//! are left before anything is reserved for it, envelope nesting is
+//! refused on the inner tag (no recursion on hostile input), and a payload
+//! must be consumed exactly.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
 
 use bytes::Bytes;
 use pgrid_core::key::{DataEntry, Key};
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
-use pgrid_core::wire::{Be, Order, Sink, UNCAPPED};
+use pgrid_core::wire::{Be, Entries, Order, Sink, UNCAPPED};
+use pgrid_obs::trace::NO_TRACE;
 
 /// A protocol message exchanged between peers.
 #[derive(Clone, Debug, PartialEq)]
@@ -201,13 +220,203 @@ pub enum ExchangeOutcome {
     Nothing,
 }
 
+/// A payload as the runtime receives it, validated in full by the one
+/// decoder.  An `Exchange` — bare or in a trace envelope — keeps its
+/// entries in the payload; every other kind is decoded owned.
+#[derive(Debug)]
+pub enum Arrived<'a> {
+    /// A [`Message::Exchange`] whose entries have been validated but not
+    /// read.
+    Exchange {
+        /// The trace envelope the request came in, [`NO_TRACE`] when it
+        /// came bare.
+        trace_id: u64,
+        /// Initiator's identifier.
+        from: PeerId,
+        /// Initiator's current path.
+        path: Path,
+        /// Initiator's entries restricted to its current partition.
+        entries: Entries<'a, Be>,
+    },
+    /// Any other message, decoded owned; never a [`Message::Exchange`],
+    /// bare or enveloped.
+    Message(Message),
+}
+
+impl<'a> Arrived<'a> {
+    /// Decodes one payload, which it must consume exactly — the one
+    /// decoder.  Every read is bounds-checked and every claimed element
+    /// count is checked against the bytes that are actually there before
+    /// anything is allocated for it.
+    pub fn decode(mut data: &'a [u8]) -> Option<Arrived<'a>> {
+        let arrived = Arrived::decode_from(&mut data)?;
+        data.is_empty().then_some(arrived)
+    }
+
+    /// Decodes one message from the front of `data`.
+    fn decode_from(data: &mut &'a [u8]) -> Option<Arrived<'a>> {
+        let tag = Be::u8(data)?;
+        let message = match tag {
+            0 => Message::Join {
+                peer: PeerId(Be::u64(data)?),
+            },
+            1 => Message::JoinAck {
+                neighbours: Be::peers(data, UNCAPPED)?,
+            },
+            2 => Message::Replicate {
+                entries: Be::entries(data, MAX_ENTRIES)?,
+            },
+            3 => {
+                return Some(Arrived::Exchange {
+                    trace_id: NO_TRACE,
+                    from: PeerId(Be::u64(data)?),
+                    path: Be::path(data)?,
+                    entries: Be::entry_view(data, MAX_ENTRIES)?,
+                })
+            }
+            4 => {
+                let from = PeerId(Be::u64(data)?);
+                let path = Be::path(data)?;
+                let outcome = match Be::u8(data)? {
+                    0 => {
+                        let partition = Be::path(data)?;
+                        let initiator_bit = Be::u8(data)? != 0;
+                        let entries = Be::entries(data, MAX_ENTRIES)?;
+                        let complement = if Be::u8(data)? != 0 {
+                            Some((PeerId(Be::u64(data)?), Be::path(data)?))
+                        } else {
+                            None
+                        };
+                        ExchangeOutcome::Split {
+                            partition,
+                            initiator_bit,
+                            entries,
+                            complement,
+                        }
+                    }
+                    1 => ExchangeOutcome::Replicate {
+                        entries: Be::entries(data, MAX_ENTRIES)?,
+                    },
+                    2 => ExchangeOutcome::Refer {
+                        peer: PeerId(Be::u64(data)?),
+                        path: Be::path(data)?,
+                    },
+                    3 => ExchangeOutcome::Nothing,
+                    _ => return None,
+                };
+                Message::ExchangeReply {
+                    from,
+                    path,
+                    outcome,
+                }
+            }
+            5 => Message::Query {
+                origin: PeerId(Be::u64(data)?),
+                id: Be::u64(data)?,
+                key: Key(Be::u64(data)?),
+                hops: Be::u32(data)?,
+            },
+            6 => Message::QueryResponse {
+                id: Be::u64(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                hops: Be::u32(data)?,
+                found: Be::u8(data)? != 0,
+            },
+            8 => Message::RangeQuery {
+                origin: PeerId(Be::u64(data)?),
+                id: Be::u64(data)?,
+                lo: Key(Be::u64(data)?),
+                hi: Key(Be::u64(data)?),
+                cursor: Key(Be::u64(data)?),
+                hops: Be::u32(data)?,
+            },
+            9 => Message::RangeResponse {
+                id: Be::u64(data)?,
+                from: Key(Be::u64(data)?),
+                upto: Key(Be::u64(data)?),
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                hops: Be::u32(data)?,
+            },
+            10 => {
+                let trace_id = Be::u64(data)?;
+                // Trace envelopes carry a non-zero ID and never nest:
+                // decided on the inner tag, before recursing, so hostile
+                // nesting is rejected at depth one instead of on the stack.
+                if trace_id == NO_TRACE || data.first() == Some(&10) {
+                    return None;
+                }
+                match Arrived::decode_from(data)? {
+                    Arrived::Exchange {
+                        from,
+                        path,
+                        entries,
+                        ..
+                    } => {
+                        return Some(Arrived::Exchange {
+                            trace_id,
+                            from,
+                            path,
+                            entries,
+                        })
+                    }
+                    Arrived::Message(inner) => Message::Traced {
+                        trace_id,
+                        inner: Box::new(inner),
+                    },
+                }
+            }
+            11 => Message::ReplicaPull {
+                origin: PeerId(Be::u64(data)?),
+            },
+            12 => Message::ReplicaPush {
+                path: Be::path(data)?,
+                entries: Be::entries(data, MAX_ENTRIES)?,
+                routing: Be::routing(data, 65_536)?,
+                replicas: Be::peers(data, 65_536)?,
+            },
+            // Tag 7, the retired secondary-index envelope, is refused like
+            // any unknown tag.
+            _ => return None,
+        };
+        Some(Arrived::Message(message))
+    }
+
+    /// The owned message: an exchange's entries copied out of the payload,
+    /// inside its trace envelope again if it came in one.
+    pub fn into_message(self) -> Message {
+        match self {
+            Arrived::Exchange {
+                trace_id,
+                from,
+                path,
+                entries,
+            } => {
+                let exchange = Message::Exchange {
+                    from,
+                    path,
+                    entries: entries.to_vec(),
+                };
+                if trace_id == NO_TRACE {
+                    exchange
+                } else {
+                    Message::Traced {
+                        trace_id,
+                        inner: Box::new(exchange),
+                    }
+                }
+            }
+            Arrived::Message(message) => message,
+        }
+    }
+}
+
 /// A [`Sink`] that keeps only the number of bytes written to it.
 struct ByteCount(usize);
 
 impl Sink for ByteCount {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
+        self.0 = self.0.saturating_add(bytes.len());
     }
 }
 
@@ -241,12 +450,7 @@ impl Message {
                 from,
                 path,
                 entries,
-            } => {
-                Be::put_u8(buf, 3);
-                Be::put_u64(buf, from.0);
-                Be::put_path(buf, path);
-                Be::put_entries(buf, entries);
-            }
+            } => Message::encode_exchange(buf, *from, path, entries),
             Message::ExchangeReply {
                 from,
                 path,
@@ -370,6 +574,21 @@ impl Message {
         }
     }
 
+    /// Appends an `Exchange` request — the encoder of that kind, which
+    /// [`Message::encode_into`] calls for a [`Message::Exchange`] and the
+    /// runtime's construction tick calls with the run still in the store.
+    pub(crate) fn encode_exchange<S: Sink>(
+        buf: &mut S,
+        from: PeerId,
+        path: &Path,
+        entries: &[DataEntry],
+    ) {
+        Be::put_u8(buf, 3);
+        Be::put_u64(buf, from.0);
+        Be::put_path(buf, path);
+        Be::put_entries(buf, entries);
+    }
+
     /// Decodes a message previously produced by [`Message::encode`].
     ///
     /// Returns `None` for malformed input, which includes bytes left over
@@ -378,124 +597,11 @@ impl Message {
         Message::decode_slice(data.as_slice())
     }
 
-    /// [`Message::decode`] over a borrowed slice: what the runtime calls on
-    /// each payload of an arrived frame, in place.  The message must
-    /// consume `data` exactly.
-    pub fn decode_slice(mut data: &[u8]) -> Option<Message> {
-        let message = Message::decode_from(&mut data)?;
-        data.is_empty().then_some(message)
-    }
-
-    /// Decodes one message from the front of `data` — the one decoder.
-    /// Every read is bounds-checked and every claimed element count is
-    /// checked against the bytes that are actually there before anything
-    /// is allocated for it.
-    fn decode_from(data: &mut &[u8]) -> Option<Message> {
-        let tag = Be::u8(data)?;
-        Some(match tag {
-            0 => Message::Join {
-                peer: PeerId(Be::u64(data)?),
-            },
-            1 => Message::JoinAck {
-                neighbours: Be::peers(data, UNCAPPED)?,
-            },
-            2 => Message::Replicate {
-                entries: Be::entries(data, MAX_ENTRIES)?,
-            },
-            3 => Message::Exchange {
-                from: PeerId(Be::u64(data)?),
-                path: Be::path(data)?,
-                entries: Be::entries(data, MAX_ENTRIES)?,
-            },
-            4 => {
-                let from = PeerId(Be::u64(data)?);
-                let path = Be::path(data)?;
-                let outcome = match Be::u8(data)? {
-                    0 => {
-                        let partition = Be::path(data)?;
-                        let initiator_bit = Be::u8(data)? != 0;
-                        let entries = Be::entries(data, MAX_ENTRIES)?;
-                        let complement = if Be::u8(data)? != 0 {
-                            Some((PeerId(Be::u64(data)?), Be::path(data)?))
-                        } else {
-                            None
-                        };
-                        ExchangeOutcome::Split {
-                            partition,
-                            initiator_bit,
-                            entries,
-                            complement,
-                        }
-                    }
-                    1 => ExchangeOutcome::Replicate {
-                        entries: Be::entries(data, MAX_ENTRIES)?,
-                    },
-                    2 => ExchangeOutcome::Refer {
-                        peer: PeerId(Be::u64(data)?),
-                        path: Be::path(data)?,
-                    },
-                    3 => ExchangeOutcome::Nothing,
-                    _ => return None,
-                };
-                Message::ExchangeReply {
-                    from,
-                    path,
-                    outcome,
-                }
-            }
-            5 => Message::Query {
-                origin: PeerId(Be::u64(data)?),
-                id: Be::u64(data)?,
-                key: Key(Be::u64(data)?),
-                hops: Be::u32(data)?,
-            },
-            6 => Message::QueryResponse {
-                id: Be::u64(data)?,
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                hops: Be::u32(data)?,
-                found: Be::u8(data)? != 0,
-            },
-            8 => Message::RangeQuery {
-                origin: PeerId(Be::u64(data)?),
-                id: Be::u64(data)?,
-                lo: Key(Be::u64(data)?),
-                hi: Key(Be::u64(data)?),
-                cursor: Key(Be::u64(data)?),
-                hops: Be::u32(data)?,
-            },
-            9 => Message::RangeResponse {
-                id: Be::u64(data)?,
-                from: Key(Be::u64(data)?),
-                upto: Key(Be::u64(data)?),
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                hops: Be::u32(data)?,
-            },
-            10 => {
-                let trace_id = Be::u64(data)?;
-                // Trace envelopes carry a non-zero ID and never nest:
-                // decided on the inner tag, before recursing, so hostile
-                // nesting is rejected at depth one instead of on the stack.
-                if trace_id == 0 || data.first() == Some(&10) {
-                    return None;
-                }
-                Message::Traced {
-                    trace_id,
-                    inner: Box::new(Message::decode_from(data)?),
-                }
-            }
-            11 => Message::ReplicaPull {
-                origin: PeerId(Be::u64(data)?),
-            },
-            12 => Message::ReplicaPush {
-                path: Be::path(data)?,
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                routing: Be::routing(data, 65_536)?,
-                replicas: Be::peers(data, 65_536)?,
-            },
-            // Tag 7, the retired secondary-index envelope, is refused like
-            // any unknown tag.
-            _ => return None,
-        })
+    /// [`Message::decode`] over a borrowed slice: [`Arrived::decode`], with
+    /// an `Exchange`'s entries copied out.  The message must consume
+    /// `data` exactly.
+    pub fn decode_slice(data: &[u8]) -> Option<Message> {
+        Arrived::decode(data).map(Arrived::into_message)
     }
 
     /// Size of the encoded message in bytes (what the bandwidth accounting

@@ -13,6 +13,7 @@ use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::routing::{PeerId, RoutingEntry};
 use pgrid_core::store::{KeyStore, StoreRead};
+use pgrid_core::wire::{Be, Entries};
 use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
 use rand::seq::SliceRandom;
@@ -176,14 +177,14 @@ impl<T: Transport> Runtime<T> {
         let backing_off =
             overlay.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&overlay.states[peer]);
         if let Some(target) = self.random_contact(peer) {
+            // The request goes from the run straight into the staging
+            // arena; it is maintenance traffic and never enveloped.
             let state = &self.overlay.states[peer];
-            let entries = state.store.restricted(&state.path).as_slice().to_vec();
-            let message = Message::Exchange {
-                from: PeerId(peer as u64),
-                path: state.path,
-                entries,
-            };
-            self.send(target, message);
+            let run = state.store.restricted(&state.path);
+            let bytes = self.links.stage(target, |buf| {
+                Message::encode_exchange(buf, PeerId(peer as u64), &state.path, run.as_slice())
+            });
+            self.metrics.account(self.clock.now, bytes, false);
         }
         let interval = if backing_off {
             CONSTRUCT_INTERVAL_MS * 10
@@ -199,13 +200,14 @@ impl<T: Transport> Runtime<T> {
 
     /// An `Exchange` request reached `responder`: decide, reply, and drop
     /// the responder's memoised routing resolutions (the exchange may have
-    /// changed its path or routing table).
+    /// changed its path or routing table).  `entries` are still in the
+    /// arrived frame.
     pub(super) fn handle_exchange(
         &mut self,
         responder: usize,
         from: PeerId,
         path: Path,
-        entries: &[DataEntry],
+        entries: Entries<'_, Be>,
     ) {
         let outcome = self.decide_exchange(responder, from, path, entries);
         if self.tracer.is_enabled() {
@@ -238,13 +240,14 @@ impl<T: Transport> Runtime<T> {
     /// draw — is delegated to the shared [`pgrid_core::exchange`] engine;
     /// this method only translates the resulting [`ExchangeDecision`] into
     /// the wire protocol's [`ExchangeOutcome`] and the responder-side state
-    /// transition.
+    /// transition.  The initiator's entries are read only once the
+    /// partitions are known to meet; a referral reads none.
     fn decide_exchange(
         &mut self,
         responder: usize,
         initiator: PeerId,
         initiator_path: Path,
-        initiator_entries: &[DataEntry],
+        initiator_entries: Entries<'_, Be>,
     ) -> ExchangeOutcome {
         let responder_path = self.overlay.states[responder].path;
 
@@ -270,12 +273,14 @@ impl<T: Transport> Runtime<T> {
         } else {
             initiator_path
         };
-        let initiator_store = KeyStore::from_entries(
+        // One pass from the frame into the store's run.
+        let mut covered = Vec::with_capacity(initiator_entries.len());
+        covered.extend(
             initiator_entries
                 .iter()
-                .copied()
-                .filter(|e| partition.covers(e.key)),
+                .filter(|entry| partition.covers(entry.key)),
         );
+        let initiator_store = KeyStore::from_entries(covered);
         // Zero-copy view of the responder's partition entries; everything
         // derived from it is computed before the responder's state is
         // mutated.

@@ -22,11 +22,14 @@
 //! **Arrival** is the mirror image: a poll's frames land in `Links::inbox`
 //! (kept, like the arena, from one poll to the next),
 //! [`frame::payload_slices`] validates the whole frame before the first
-//! message is dispatched, and each payload is decoded in place from its
-//! borrowed slice.
+//! message is dispatched, and each payload is validated in full by
+//! [`Arrived::decode`] from its borrowed slice before it is dispatched.
+//! An `Exchange`'s entries are not read there: they stay a view of the
+//! frame, read on demand by the exchange handler once the partitions
+//! meet.  Every other kind is decoded owned.
 
 use super::{Millis, Runtime};
-use crate::message::Message;
+use crate::message::{Arrived, Message};
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
@@ -136,6 +139,21 @@ impl<T> Links<T> {
         }
     }
 
+    /// Appends one message for `to` to the arena, sent by the current
+    /// actor: `encode` writes its bytes.  Returns how many it wrote.
+    pub(super) fn stage(&mut self, to: usize, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let start = self.staged.len();
+        encode(&mut self.staged);
+        let end = self.staged.len();
+        self.staged_index.push(Staged {
+            to,
+            from: self.actor,
+            start,
+            end,
+        });
+        end - start
+    }
+
     /// Bytes the staging arena, the frame scratch and the inbox currently
     /// hold on to.
     #[cfg(test)]
@@ -217,18 +235,9 @@ impl<T: Transport> Runtime<T> {
         } else {
             message
         };
-        let links = &mut self.links;
-        let start = links.staged.len();
-        message.encode_into(&mut links.staged);
-        let end = links.staged.len();
-        links.staged_index.push(Staged {
-            to,
-            from: links.actor,
-            start,
-            end,
-        });
+        let bytes = self.links.stage(to, |buf| message.encode_into(buf));
         self.metrics
-            .account(self.clock.now, end - start, message.is_query_traffic());
+            .account(self.clock.now, bytes, message.is_query_traffic());
     }
 
     /// Ships everything staged, one frame per destination (see the module
@@ -363,7 +372,8 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Validates an arrived frame — all of it, before anything is
-    /// dispatched — and handles its messages, each decoded in place.
+    /// dispatched — and handles its messages, each validated in full
+    /// before it is handled.
     pub(super) fn deliver_frame(&mut self, to: PeerId, frame_bytes: Bytes) {
         let to = to.0 as usize;
         // A frame for a peer this runtime does not host can only come from
@@ -396,19 +406,31 @@ impl<T: Transport> Runtime<T> {
             );
         }
         for payload in payloads {
-            let Some(message) = Message::decode_slice(payload) else {
+            let Some(arrived) = Arrived::decode(payload) else {
                 self.metrics.decode_failures += 1;
                 continue;
             };
             // A replica snapshot is what brings a recovering peer back
             // online, so it must reach the peer while it is still offline.
-            if !self.nodes[to].online && !matches!(message, Message::ReplicaPush { .. }) {
+            if !self.nodes[to].online
+                && !matches!(arrived, Arrived::Message(Message::ReplicaPush { .. }))
+            {
                 self.metrics.messages_to_offline += 1;
                 continue;
             }
             self.metrics.messages_delivered += 1;
             self.links.actor = to;
-            self.handle_message(to, message);
+            match arrived {
+                Arrived::Exchange {
+                    trace_id,
+                    from,
+                    path,
+                    entries,
+                } => self.with_trace(to, trace_id, |rt| {
+                    rt.handle_exchange(to, from, path, entries)
+                }),
+                Arrived::Message(message) => self.handle_message(to, message),
+            }
         }
     }
 
@@ -430,18 +452,15 @@ impl<T: Transport> Runtime<T> {
     /// Hands one message for peer `to` to the plane it belongs to.
     pub(super) fn handle_message(&mut self, to: usize, message: Message) {
         match message {
-            Message::Join { .. } | Message::JoinAck { .. } => {
+            Message::Join { .. } | Message::JoinAck { .. } | Message::Exchange { .. } => {
                 // Join traffic is handled synchronously in `join_peer`; these
-                // messages only exist for bandwidth accounting.
+                // messages only exist for bandwidth accounting.  An
+                // `Exchange` never arrives owned: `Arrived::decode` hands
+                // it to `deliver_frame` with its entries still in the frame.
             }
             Message::Replicate { entries } => {
                 self.overlay.states[to].store.merge_batch(entries);
             }
-            Message::Exchange {
-                from,
-                path,
-                entries,
-            } => self.handle_exchange(to, from, path, &entries),
             Message::ExchangeReply {
                 from,
                 path,

@@ -968,6 +968,36 @@ fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
 }
 
 #[test]
+fn an_exchange_in_a_trace_envelope_is_answered_like_a_bare_one() {
+    // Two undecided peers at the root: the responder reads the entries,
+    // decides with the RNG and replies.  The envelope changes nothing.
+    let exchange = Message::Exchange {
+        from: PeerId(1),
+        path: Path::root(),
+        entries: (0..40)
+            .map(|i| DataEntry::new(Key(i << 56), DataId(100 + i)))
+            .collect(),
+    };
+    let traced = Message::Traced {
+        trace_id: 5,
+        inner: Box::new(exchange.clone()),
+    };
+    let answer = |message: &Message| {
+        let mut rt = fixed_latency_runtime();
+        rt.deliver_frame(PeerId(3), encode_frame(&[message.encode()]));
+        assert_eq!(rt.metrics.messages_delivered, 1);
+        rt.flush_pending();
+        (shipped_frames(&mut rt), primary(&rt, 3).clone())
+    };
+    let (bare_frames, bare_state) = answer(&exchange);
+    let (traced_frames, traced_state) = answer(&traced);
+    assert_eq!(bare_frames.len(), 1, "one reply, to the initiator");
+    assert_eq!(bare_frames, traced_frames);
+    assert_eq!(bare_state.path, traced_state.path);
+    assert_eq!(bare_state.store, traced_state.store);
+}
+
+#[test]
 fn frames_due_in_one_millisecond_reach_their_handlers_in_send_order() {
     // Four queries that all fall due in the same millisecond.  The first
     // travels a link whose jitter offset is far beyond anything a bounded

@@ -1,15 +1,19 @@
 //! Property tests for the wire codec and the transport framing: every
 //! message variant must survive encode → frame → (split) → deframe →
-//! decode, malformed/truncated bytes must be rejected without panics, and
-//! the borrowed-slice entry points (`Message::decode_slice`,
+//! decode, malformed/truncated bytes must be rejected without panics, the
+//! borrowed-slice entry points (`Message::decode_slice`,
 //! `frame::payload_slices`, `frame::write_frame`) must agree with the
-//! owned-type ones on every input.
+//! owned-type ones on every input, the bulk entry-list kernel must write
+//! and read what a per-entry codec does, and the runtime's validated view
+//! of an arrived payload (`Arrived::decode`) must accept exactly what
+//! `Message::decode_slice` accepts and read the same fields.
 
 use bytes::Bytes;
 use pgrid::core::key::{DataEntry, DataId, Key};
 use pgrid::core::path::Path;
 use pgrid::core::routing::PeerId;
-use pgrid::net::message::{ExchangeOutcome, Message};
+use pgrid::core::wire::{Be, Le, Order, ENTRY_BYTES};
+use pgrid::net::message::{Arrived, ExchangeOutcome, Message};
 use pgrid::transport::frame::{
     decode_frame, encode_frame, payload_slices, write_frame, FrameReader,
 };
@@ -129,6 +133,140 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
     }
 }
 
+/// An `Exchange` with up to 200 entries, so lists cross the encoder's
+/// 64-entry blocks; in a trace envelope when `traced`.
+fn arbitrary_exchange(rng: &mut StdRng, traced: bool) -> Message {
+    let exchange = Message::Exchange {
+        from: PeerId(rng.gen()),
+        path: arbitrary_path(rng),
+        entries: (0..rng.gen_range(0..=200))
+            .map(|_| DataEntry::new(Key(rng.gen()), DataId(rng.gen())))
+            .collect(),
+    };
+    if traced {
+        Message::Traced {
+            trace_id: rng.gen_range(1..=u64::MAX),
+            inner: Box::new(exchange),
+        }
+    } else {
+        exchange
+    }
+}
+
+/// The entry list as a per-entry codec writes it: the count, then each
+/// entry's key and id as two integers.
+fn put_entries_per_entry<O: Order>(buf: &mut Vec<u8>, entries: &[DataEntry]) {
+    O::put_count(buf, entries.len());
+    for entry in entries {
+        O::put_u64(buf, entry.key.0);
+        O::put_u64(buf, entry.id.0);
+    }
+}
+
+/// The entry list as a per-entry codec reads it.
+fn entries_per_entry<O: Order>(data: &mut &[u8], cap: usize) -> Option<Vec<DataEntry>> {
+    O::list(data, cap, ENTRY_BYTES, |data| {
+        let key = Key(O::u64(data)?);
+        Some(DataEntry::new(key, DataId(O::u64(data)?)))
+    })
+}
+
+/// The bulk kernel against the per-entry reference in one byte order: the
+/// same bytes out, and the same entries and cursor back from the intact
+/// list, from a truncation and with bytes behind it.
+fn bulk_matches_per_entry<O: Order>(entries: &[DataEntry], cut: usize) -> Result<(), String> {
+    let mut bulk = vec![0xEE];
+    O::put_entries(&mut bulk, entries);
+    let mut reference = vec![0xEE];
+    put_entries_per_entry::<O>(&mut reference, entries);
+    if bulk != reference {
+        return Err(format!("{} entries encode differently", entries.len()));
+    }
+    let wire = &reference[1..];
+    let truncated = &wire[..cut % (wire.len() + 1)];
+    let extended = [wire, &[7, 7, 7]].concat();
+    for (input, cap) in [
+        (wire, entries.len()),
+        (wire, entries.len().saturating_sub(1)),
+        (truncated, usize::MAX),
+        (&extended[..], usize::MAX),
+    ] {
+        let (mut by_bulk, mut by_reference) = (input, input);
+        let (bulk, reference) = (
+            O::entries(&mut by_bulk, cap),
+            entries_per_entry::<O>(&mut by_reference, cap),
+        );
+        if bulk != reference || (bulk.is_some() && by_bulk != by_reference) {
+            return Err(format!("{} entries read differently", entries.len()));
+        }
+        let view = O::entry_view(&mut { input }, cap).map(|view| view.to_vec());
+        if view != reference {
+            return Err(format!("{} entries viewed differently", entries.len()));
+        }
+    }
+    Ok(())
+}
+
+/// The runtime's view and the owned decoder agree on `bytes`: both refuse
+/// it, or both accept it and read the same message — an `Exchange`'s
+/// sender, path and entries through the view.
+fn view_agrees_with_decode_slice(bytes: &[u8]) -> Result<(), String> {
+    let owned = Message::decode_slice(bytes);
+    match (Arrived::decode(bytes), owned) {
+        (None, None) => Ok(()),
+        (
+            Some(Arrived::Exchange {
+                trace_id,
+                from,
+                path,
+                entries,
+            }),
+            Some(message),
+        ) => {
+            let (inner, enveloped) = match message {
+                Message::Traced { trace_id, inner } => (*inner, trace_id),
+                bare => (bare, 0),
+            };
+            let Message::Exchange {
+                from: owned_from,
+                path: owned_path,
+                entries: owned_entries,
+            } = inner
+            else {
+                return Err(format!("the view read an exchange from {bytes:?}"));
+            };
+            let read: Vec<DataEntry> = entries.iter().collect();
+            if (trace_id, from, path, entries.len(), read)
+                != (
+                    enveloped,
+                    owned_from,
+                    owned_path,
+                    owned_entries.len(),
+                    owned_entries,
+                )
+            {
+                return Err(format!("the view misread {bytes:?}"));
+            }
+            Ok(())
+        }
+        (Some(Arrived::Message(viewed)), Some(message)) => {
+            let exchange = |m: &Message| match m {
+                Message::Traced { inner, .. } => matches!(**inner, Message::Exchange { .. }),
+                m => matches!(m, Message::Exchange { .. }),
+            };
+            if viewed != message || exchange(&viewed) {
+                return Err(format!("the view misread {bytes:?}"));
+            }
+            Ok(())
+        }
+        (viewed, owned) => Err(format!(
+            "the view says {} and decode_slice {} on {bytes:?}",
+            viewed.is_some(),
+            owned.is_some()
+        )),
+    }
+}
+
 fn arbitrary_batch(seed: u64, count: usize) -> Vec<Message> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
@@ -190,6 +328,58 @@ proptest! {
             Message::decode_slice(&tagged),
             Message::decode(Bytes::from(tagged.as_slice()))
         );
+    }
+
+    #[test]
+    fn bulk_entry_lists_equal_the_per_entry_codec(
+        seed in any::<u64>(),
+        len in 0usize..=200,
+        cut in any::<usize>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entries: Vec<DataEntry> = (0..len)
+            .map(|_| DataEntry::new(Key(rng.gen()), DataId(rng.gen())))
+            .collect();
+        prop_assert_eq!(bulk_matches_per_entry::<Be>(&entries, cut), Ok(()));
+        prop_assert_eq!(bulk_matches_per_entry::<Le>(&entries, cut), Ok(()));
+    }
+
+    #[test]
+    fn the_exchange_view_accepts_what_decode_slice_accepts(
+        seed in any::<u64>(),
+        variant in 0u8..SHAPES + 2,
+        flip in any::<u32>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let message = match variant {
+            SHAPES => arbitrary_exchange(&mut rng, false),
+            v if v > SHAPES => arbitrary_exchange(&mut rng, true),
+            v => arbitrary_message(v, &mut rng),
+        };
+        let valid = message.encode().as_slice().to_vec();
+        prop_assert_eq!(view_agrees_with_decode_slice(&valid), Ok(()));
+        for keep in 0..valid.len() {
+            prop_assert_eq!(view_agrees_with_decode_slice(&valid[..keep]), Ok(()));
+        }
+        let mut damaged = valid;
+        let bit = flip as usize % (damaged.len() * 8);
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(view_agrees_with_decode_slice(&damaged), Ok(()));
+    }
+
+    #[test]
+    fn the_exchange_view_agrees_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        tag in 0u8..16,
+    ) {
+        prop_assert_eq!(view_agrees_with_decode_slice(&bytes), Ok(()));
+        // Force each tag, and each tag inside a trace envelope.
+        let mut tagged = bytes.clone();
+        tagged.insert(0, tag);
+        prop_assert_eq!(view_agrees_with_decode_slice(&tagged), Ok(()));
+        let mut enveloped = vec![10, 0, 0, 0, 0, 0, 0, 0, 1, tag];
+        enveloped.extend(&bytes);
+        prop_assert_eq!(view_agrees_with_decode_slice(&enveloped), Ok(()));
     }
 
     #[test]
