@@ -122,6 +122,9 @@ pub(super) struct Links<T> {
     /// Frames shipped while tracing is enabled (drives the 1-in-64
     /// sampling of ambient frame-send trace events).
     frames_traced: u64,
+    /// Valid frames arrived while tracing is enabled (the same sampling
+    /// of frame-receive events).
+    arrivals_traced: u64,
 }
 
 impl<T> Links<T> {
@@ -136,6 +139,7 @@ impl<T> Links<T> {
             inbox: Vec::new(),
             actor: 0,
             frames_traced: 0,
+            arrivals_traced: 0,
         }
     }
 
@@ -395,15 +399,18 @@ impl<T: Transport> Runtime<T> {
             );
             return;
         };
-        if self.tracer.is_enabled() && self.links.frames_traced % 64 == 1 {
-            let n = payloads.len();
-            self.tracer.record(
-                AMBIENT_TRACE,
-                "frame_received",
-                to as u64,
-                self.clock.now,
-                || format!("messages={n} sample=1/64"),
-            );
+        if self.tracer.is_enabled() {
+            self.links.arrivals_traced += 1;
+            if self.links.arrivals_traced % 64 == 1 {
+                let n = payloads.len();
+                self.tracer.record(
+                    AMBIENT_TRACE,
+                    "frame_received",
+                    to as u64,
+                    self.clock.now,
+                    || format!("messages={n} sample=1/64"),
+                );
+            }
         }
         for payload in payloads {
             let Some(arrived) = Arrived::decode(payload) else {

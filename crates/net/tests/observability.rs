@@ -1,7 +1,8 @@
 //! Observability integration of the deployment runtime: query outcomes
 //! are bit-identical with tracing on or off (the envelope never perturbs
 //! the RNG or the protocol), an enabled tracer reassembles complete hop
-//! chains, and a forced query timeout leaves a flight-recorder dump.
+//! chains with frame events sampled at 1 in 64, and a forced query
+//! timeout leaves a flight-recorder dump.
 
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
@@ -92,6 +93,18 @@ fn enabled_tracing_reassembles_complete_hop_chains() {
     let ambient = chains.get(&AMBIENT_TRACE).expect("ambient events recorded");
     assert!(ambient.iter().any(|e| e.kind == "exchange_decision"));
     assert!(ambient.iter().any(|e| e.kind == "frame_sent"));
+    // Arrivals are sampled on their own count: one `frame_received` event
+    // per 64 frames delivered, whatever the sends in between.
+    assert_eq!(rt.tracer.dropped(), 0);
+    let received = ambient
+        .iter()
+        .filter(|e| e.kind == "frame_received")
+        .count() as u64;
+    let delivered = rt.transport_stats().frames_delivered;
+    assert!(
+        received.abs_diff(delivered / 64) <= 1,
+        "{received} frame_received events for {delivered} frames delivered"
+    );
 
     // At least one lookup chain runs issue → (hops) → answer → resolve,
     // in virtual-time order.
