@@ -29,6 +29,7 @@
 //! | `contains`, `contains_key`, the lower bound of `range`, `restricted`, `count_in`, `key_span_in` | a search of the 15 splitters + O(log(k / 16)) in one window |
 //! | the upper bound of `range` | a gallop from the lower bound, O(log r) for `r` entries in range |
 //! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares |
+//! | `digest` | one walk, O(k), two multiply chains side by side |
 //! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run (and its splitters) iff something is new |
 //! | `split_retain` | two splitter searches + two `memcpy`s |
 //! | `from_entries` | sort + dedup, O(k log k) (O(k) on sorted input) |
@@ -80,6 +81,29 @@ fn common_len(a: &[DataEntry], b: &[DataEntry]) -> usize {
         common += usize::from(x == y);
     }
     common
+}
+
+/// Starting states of [`StoreRead::digest`]'s two lanes (the first
+/// sixteen bytes of π's fraction).
+const DIGEST_SEEDS: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+
+/// Odd multiplier of [`StoreRead::digest`]'s mixing step (2⁶⁴ / φ).
+const DIGEST_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The digest of an ascending run: keys and ids in two independent lanes,
+/// each word folded in by `(h ^ word) · DIGEST_MUL`, rotated.  Every step
+/// is a bijection of the lane for a fixed word and of the word for a fixed
+/// lane, so two runs that differ in one entry never share a digest.
+fn digest(run: &[DataEntry]) -> u64 {
+    let [mut keys, mut ids] = DIGEST_SEEDS;
+    keys ^= run.len() as u64;
+    for entry in run {
+        keys = (keys ^ entry.key.0)
+            .wrapping_mul(DIGEST_MUL)
+            .rotate_left(31);
+        ids = (ids ^ entry.id.0).wrapping_mul(DIGEST_MUL).rotate_left(31);
+    }
+    keys ^ ids.rotate_left(32)
 }
 
 /// Read-only access to a set of entries held as one ascending run,
@@ -137,6 +161,15 @@ pub trait StoreRead {
     /// common entries).
     fn intersection_size_with(&self, other: &impl StoreRead) -> usize {
         common_len(self.as_slice(), other.as_slice())
+    }
+
+    /// A 64-bit digest of the entries, word at a time and with no state
+    /// beyond the run: equal runs have equal digests on every host and in
+    /// every build, and different runs differ but for a 2⁻⁶⁴ chance.  With
+    /// [`StoreRead::len`] it is the summary an exchange offers before any
+    /// entry is sent.
+    fn digest(&self) -> u64 {
+        digest(self.as_slice())
     }
 
     /// Entries of `self` that are missing in `target` (what anti-entropy

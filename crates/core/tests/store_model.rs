@@ -8,6 +8,11 @@
 //! store.  Keys and ids come from small pools, so equal keys with different
 //! ids, `Key::MIN`/`Key::MAX`, `DataId(0)`/`DataId(u64::MAX)` (the range
 //! sentinels), duplicates and empty stores all occur constantly.
+//!
+//! The summary an exchange offers — the count and digest of a store's
+//! entries under a path — is checked here too: equal exactly when those
+//! entries are, blind to everything outside the path, and a recorded
+//! constant for a fixed run.
 
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::{Path, MAX_PATH_LEN};
@@ -379,6 +384,47 @@ proptest! {
         }
     }
 
+    // The summary an exchange offers — count and digest of the entries
+    // under a path — is equal for two stores exactly when their entries
+    // under that path are, whatever either holds outside it.  Small pools
+    // make equal windows (empty ones, and ones the two draws share) as
+    // common as different ones.
+    #[test]
+    fn summaries_are_equal_iff_the_restricted_windows_are(
+        a in proptest::collection::vec(any::<u64>(), 0..40),
+        b in proptest::collection::vec(any::<u64>(), 0..40),
+        outside in proptest::collection::vec(any::<u64>(), 0..12),
+        probe in any::<u64>(),
+    ) {
+        let path = path_of(probe);
+        let store_a: KeyStore = a.iter().map(|&w| entry_of(w)).collect();
+        let shared = (probe >> 40) as usize % (b.len() + 1);
+        let store_b: KeyStore = a.iter().take(shared).chain(&b).map(|&w| entry_of(w)).collect();
+        let summary = |store: &KeyStore| {
+            let window = store.restricted(&path);
+            (window.len(), window.digest())
+        };
+        let (view_a, view_b) = (store_a.restricted(&path), store_b.restricted(&path));
+        prop_assert_eq!(
+            summary(&store_a) == summary(&store_b),
+            view_a.as_slice() == view_b.as_slice()
+        );
+        // The view's digest is the digest of a store of its entries alone.
+        let alone = KeyStore::from_entries(view_a.as_slice().to_vec());
+        prop_assert_eq!(view_a.digest(), alone.digest());
+        prop_assert_eq!(alone.restricted(&path).digest(), alone.digest());
+        // Entries outside the path leave the summary where it was.
+        let mut widened = store_a.clone();
+        widened.merge_batch(
+            outside
+                .iter()
+                .map(|&w| entry_of(w))
+                .filter(|e| !path.covers(e.key))
+                .collect(),
+        );
+        prop_assert_eq!(summary(&widened), summary(&store_a));
+    }
+
     #[test]
     fn key_store_agrees_with_a_btree_set_model(
         words in proptest::collection::vec(any::<u64>(), 0..160),
@@ -402,4 +448,19 @@ proptest! {
             }
         }
     }
+}
+
+/// The digest is a function of the entries alone, the same on every host
+/// and in every build: two cluster workers compare digests they computed
+/// apart.
+#[test]
+fn the_digest_of_a_fixed_run_is_a_recorded_constant() {
+    let run: KeyStore = (0..100u64)
+        .map(|i| DataEntry::new(Key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), DataId(i)))
+        .collect();
+    assert_eq!(KeyStore::new().digest(), 2_832_511_057_132_159_741);
+    assert_eq!(run.digest(), 15_231_554_653_249_240_117);
+    let lower = Path::root().child(false);
+    assert_eq!(run.restricted(&lower).len(), 51);
+    assert_eq!(run.restricted(&lower).digest(), 4_400_146_484_834_906_285);
 }

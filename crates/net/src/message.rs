@@ -7,12 +7,20 @@
 //! self-describing enough for tests, compact enough that the byte counts
 //! are meaningful.
 //!
+//! An exchange (Figure 2) takes one or two round trips.  The initiator
+//! sends an [`Message::Offer`]: its path and the count and digest of its
+//! entries there, 30 bytes whatever it stores.  The responder answers with
+//! an [`ExchangeOutcome`] as soon as it can: a referral when the paths
+//! diverge, a decision when it already holds the offered entries, and
+//! otherwise [`ExchangeOutcome::Want`], to which the initiator answers with
+//! the [`Message::Exchange`] that carries the entries.
+//!
 //! There is one encoder, generic over the kit's [`Sink`], and one decoder
 //! over a byte slice.  The runtime encodes a message exactly once,
 //! straight into the bytes that go on the wire (its staging arena, a
-//! `Vec<u8>`); its construction tick calls `Message::encode_exchange`,
-//! the encoder of the `Exchange` kind, with the entries still in the
-//! peer's store.  An arrived payload is validated in full before it is
+//! `Vec<u8>`); it answers a `Want` with `Message::encode_exchange`, the
+//! encoder of the `Exchange` kind, with the entries still in the peer's
+//! store.  An arrived payload is validated in full before it is
 //! dispatched ([`Arrived::decode`] over a slice of the frame): tag, every
 //! field, every count against its cap and the bytes left, and the exact
 //! length.  An `Exchange`'s entries then stay where they lie, an
@@ -65,8 +73,24 @@ pub enum Message {
         entries: Vec<DataEntry>,
     },
     /// Construction interaction request: the initiator presents its path and
-    /// the entries of its current partition so the contacted peer can take a
-    /// local decision (split / replicate / refer).
+    /// a summary of the entries of its current partition, so the contacted
+    /// peer can refer it, decide from entries it already holds, or ask for
+    /// them with [`ExchangeOutcome::Want`].
+    Offer {
+        /// Initiator's identifier.
+        from: PeerId,
+        /// Initiator's current path.
+        path: Path,
+        /// Number of the initiator's entries within `path`.
+        count: u32,
+        /// [`StoreRead::digest`](pgrid_core::store::StoreRead::digest) of
+        /// those entries.
+        digest: u64,
+    },
+    /// The body of an exchange, sent in answer to
+    /// [`ExchangeOutcome::Want`]: the initiator's path and the entries of
+    /// its current partition, so the contacted peer can take a local
+    /// decision (split / replicate / refer).
     Exchange {
         /// Initiator's identifier.
         from: PeerId,
@@ -75,7 +99,7 @@ pub enum Message {
         /// Initiator's entries restricted to its current partition.
         entries: Vec<DataEntry>,
     },
-    /// Reply to [`Message::Exchange`].
+    /// Reply to [`Message::Offer`] and to [`Message::Exchange`].
     ExchangeReply {
         /// Responder's identifier.
         from: PeerId,
@@ -182,7 +206,8 @@ pub enum Message {
     },
 }
 
-/// Decision taken by the contacted peer of an [`Message::Exchange`].
+/// Decision taken by the contacted peer of an [`Message::Offer`] or an
+/// [`Message::Exchange`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExchangeOutcome {
     /// Split the common partition: the initiator takes `initiator_bit`, the
@@ -218,6 +243,13 @@ pub enum ExchangeOutcome {
     },
     /// Nothing useful could be done.
     Nothing,
+    /// The partitions meet but the responder does not hold the offered
+    /// entries: the initiator is to send them in a [`Message::Exchange`]
+    /// if its path is still `path`, and to offer again otherwise.
+    Want {
+        /// The initiator's path as the offer gave it.
+        path: Path,
+    },
 }
 
 /// A payload as the runtime receives it, validated in full by the one
@@ -302,6 +334,9 @@ impl<'a> Arrived<'a> {
                         path: Be::path(data)?,
                     },
                     3 => ExchangeOutcome::Nothing,
+                    4 => ExchangeOutcome::Want {
+                        path: Be::path(data)?,
+                    },
                     _ => return None,
                 };
                 Message::ExchangeReply {
@@ -373,6 +408,12 @@ impl<'a> Arrived<'a> {
                 entries: Be::entries(data, MAX_ENTRIES)?,
                 routing: Be::routing(data, 65_536)?,
                 replicas: Be::peers(data, 65_536)?,
+            },
+            13 => Message::Offer {
+                from: PeerId(Be::u64(data)?),
+                path: Be::path(data)?,
+                count: Be::u32(data)?,
+                digest: Be::u64(data)?,
             },
             // Tag 7, the retired secondary-index envelope, is refused like
             // any unknown tag.
@@ -446,6 +487,18 @@ impl Message {
                 Be::put_u8(buf, 2);
                 Be::put_entries(buf, entries);
             }
+            Message::Offer {
+                from,
+                path,
+                count,
+                digest,
+            } => {
+                Be::put_u8(buf, 13);
+                Be::put_u64(buf, from.0);
+                Be::put_path(buf, path);
+                Be::put_u32(buf, *count);
+                Be::put_u64(buf, *digest);
+            }
             Message::Exchange {
                 from,
                 path,
@@ -489,6 +542,10 @@ impl Message {
                         Be::put_path(buf, path);
                     }
                     ExchangeOutcome::Nothing => Be::put_u8(buf, 3),
+                    ExchangeOutcome::Want { path } => {
+                        Be::put_u8(buf, 4);
+                        Be::put_path(buf, path);
+                    }
                 }
             }
             Message::Query {
@@ -574,9 +631,9 @@ impl Message {
         }
     }
 
-    /// Appends an `Exchange` request — the encoder of that kind, which
+    /// Appends an `Exchange` body — the encoder of that kind, which
     /// [`Message::encode_into`] calls for a [`Message::Exchange`] and the
-    /// runtime's construction tick calls with the run still in the store.
+    /// runtime calls, on a `Want`, with the run still in the store.
     pub(crate) fn encode_exchange<S: Sink>(
         buf: &mut S,
         from: PeerId,
@@ -657,6 +714,12 @@ mod tests {
         roundtrip(Message::Replicate {
             entries: entries(5),
         });
+        roundtrip(Message::Offer {
+            from: PeerId(7),
+            path: Path::parse("0101"),
+            count: 3,
+            digest: 0xDEAD_BEEF_0BAD_F00D,
+        });
         roundtrip(Message::Exchange {
             from: PeerId(7),
             path: Path::parse("0101"),
@@ -683,6 +746,10 @@ mod tests {
                 path: Path::parse("110"),
             },
             ExchangeOutcome::Nothing,
+            ExchangeOutcome::Want {
+                path: Path::parse("0101"),
+            },
+            ExchangeOutcome::Want { path: Path::root() },
         ] {
             roundtrip(Message::ExchangeReply {
                 from: PeerId(8),
@@ -782,6 +849,34 @@ mod tests {
         assert!(Message::decode(buf.freeze()).is_none());
         // truncated replica pull
         assert!(Message::decode(Bytes::from_static(&[11, 0, 0])).is_none());
+        // an offer cut anywhere, or one with a path longer than 64 bits
+        let offer = Message::Offer {
+            from: PeerId(3),
+            path: Path::parse("01"),
+            count: 40,
+            digest: 5,
+        }
+        .encode();
+        for keep in 0..offer.len() {
+            assert!(Message::decode_slice(&offer.as_slice()[..keep]).is_none());
+        }
+        let mut long_path = offer.as_slice().to_vec();
+        long_path[9] = 65;
+        assert!(Message::decode_slice(&long_path).is_none());
+        // a want cut in its path, an unknown outcome after the known ones
+        let want = Message::ExchangeReply {
+            from: PeerId(8),
+            path: Path::root(),
+            outcome: ExchangeOutcome::Want {
+                path: Path::parse("1"),
+            },
+        }
+        .encode();
+        let want = want.as_slice();
+        assert!(Message::decode_slice(&want[..want.len() - 1]).is_none());
+        let mut unknown = want[..19].to_vec();
+        unknown.push(5);
+        assert!(Message::decode_slice(&unknown).is_none());
         // replica push with an absurd routing count
         let mut buf = BytesMut::new();
         buf.put_u8(12);

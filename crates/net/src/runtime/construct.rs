@@ -4,6 +4,21 @@
 //! each peer's overlay state); entry points are
 //! [`Runtime::join_peer`], [`Runtime::replication_phase`],
 //! [`Runtime::start_construction`] and [`Runtime::construction_quiescent`].
+//!
+//! An exchange compares paths before any entry moves.  A tick sends an
+//! `Offer` — the peer's path and the count and digest of its entries
+//! there — to a random contact, which answers:
+//!
+//! - `Refer` / `Nothing` when the paths diverge, as nearly every backed-off
+//!   exchange does;
+//! - a decision at once when its own entries under the offered path have
+//!   the offered summary (it already holds the initiator's entries);
+//! - `Want` otherwise.  The initiator answers with the `Exchange` body,
+//!   encoded from its run, if its path is still the one it offered, and
+//!   with a fresh `Offer` if it has moved.  The body is decided on as it
+//!   arrives, so a responder that has moved meanwhile refers it.
+//!
+//! A `Want` leaves `fruitless` alone; only a decision counts.
 
 use super::clock::EventKind;
 use super::{Millis, Runtime};
@@ -18,6 +33,7 @@ use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::min_by_key;
 
 /// Interval between construction ticks of a peer, in virtual milliseconds;
 /// a backed-off peer ticks ten times less often.
@@ -177,14 +193,7 @@ impl<T: Transport> Runtime<T> {
         let backing_off =
             overlay.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&overlay.states[peer]);
         if let Some(target) = self.random_contact(peer) {
-            // The request goes from the run straight into the staging
-            // arena; it is maintenance traffic and never enveloped.
-            let state = &self.overlay.states[peer];
-            let run = state.store.restricted(&state.path);
-            let bytes = self.links.stage(target, |buf| {
-                Message::encode_exchange(buf, PeerId(peer as u64), &state.path, run.as_slice())
-            });
-            self.metrics.account(self.clock.now, bytes, false);
+            self.offer(peer, target);
         }
         let interval = if backing_off {
             CONSTRUCT_INTERVAL_MS * 10
@@ -198,10 +207,52 @@ impl<T: Transport> Runtime<T> {
         );
     }
 
-    /// An `Exchange` request reached `responder`: decide, reply, and drop
-    /// the responder's memoised routing resolutions (the exchange may have
-    /// changed its path or routing table).  `entries` are still in the
-    /// arrived frame.
+    /// Opens an exchange of `peer` with `target`: an `Offer` of its path
+    /// and the count and digest of its entries there, summarised where
+    /// they lie.  It is maintenance traffic and never enveloped.
+    fn offer(&mut self, peer: usize, target: usize) {
+        let state = &self.overlay.states[peer];
+        let run = state.store.restricted(&state.path);
+        let offer = Message::Offer {
+            from: PeerId(peer as u64),
+            path: state.path,
+            count: u32::try_from(run.len()).unwrap_or(u32::MAX),
+            digest: run.digest(),
+        };
+        self.send(target, offer);
+    }
+
+    /// An `Offer` reached `responder`.  Diverging paths are referred as
+    /// ever.  When the paths meet, the responder's own entries under the
+    /// initiator's path are the initiator's entries if their count and
+    /// digest are the offered ones: it decides on them at once.  Otherwise
+    /// it asks for the entries with a `Want`.
+    pub(super) fn handle_offer(
+        &mut self,
+        responder: usize,
+        from: PeerId,
+        path: Path,
+        count: u32,
+        digest: u64,
+    ) {
+        if let Some(referral) = self.refer(responder, from, path) {
+            return self.reply_exchange(responder, from, referral, false);
+        }
+        // A handle on the run, not a copy: the decision below may replace
+        // the responder's run, never change it in place.
+        let own = self.overlay.states[responder].store.clone();
+        let known = own.restricted(&path);
+        if known.len() == count as usize && known.digest() == digest {
+            let outcome = self.decide_exchange(responder, from, path, &known);
+            self.reply_exchange(responder, from, outcome, true);
+        } else {
+            self.reply_exchange(responder, from, ExchangeOutcome::Want { path }, false);
+        }
+    }
+
+    /// An `Exchange` body reached `responder`: refer if the paths have
+    /// diverged since the offer, decide otherwise.  `entries` are still in
+    /// the arrived frame and are read only once the partitions meet.
     pub(super) fn handle_exchange(
         &mut self,
         responder: usize,
@@ -209,20 +260,47 @@ impl<T: Transport> Runtime<T> {
         path: Path,
         entries: Entries<'_, Be>,
     ) {
-        let outcome = self.decide_exchange(responder, from, path, entries);
+        let outcome = match self.refer(responder, from, path) {
+            Some(referral) => referral,
+            None => {
+                // One pass from the frame into the store's run.
+                let own = self.overlay.states[responder].path;
+                let partition = min_by_key(own, path, Path::len);
+                let mut covered = Vec::with_capacity(entries.len());
+                covered.extend(entries.iter().filter(|entry| partition.covers(entry.key)));
+                let shipped = KeyStore::from_entries(covered);
+                self.decide_exchange(responder, from, path, &shipped)
+            }
+        };
+        self.reply_exchange(responder, from, outcome, false);
+    }
+
+    /// Sends the responder's `outcome` to the initiator and drops the
+    /// responder's memoised routing resolutions (the exchange may have
+    /// changed its path or routing table).  `known`: the decision was taken
+    /// on the responder's copy of the offered entries.
+    fn reply_exchange(
+        &mut self,
+        responder: usize,
+        initiator: PeerId,
+        outcome: ExchangeOutcome,
+        known: bool,
+    ) {
         if self.tracer.is_enabled() {
             let label = match &outcome {
                 ExchangeOutcome::Split { .. } => "split",
                 ExchangeOutcome::Replicate { .. } => "replicate",
                 ExchangeOutcome::Refer { .. } => "refer",
                 ExchangeOutcome::Nothing => "nothing",
+                ExchangeOutcome::Want { .. } => "want",
             };
+            let known = if known { " known" } else { "" };
             self.tracer.record(
                 AMBIENT_TRACE,
                 "exchange_decision",
                 responder as u64,
                 self.clock.now,
-                || format!("from={} outcome={label}", from.0),
+                || format!("from={} outcome={label}{known}", initiator.0),
             );
         }
         let reply = Message::ExchangeReply {
@@ -230,64 +308,57 @@ impl<T: Transport> Runtime<T> {
             path: self.overlay.states[responder].path,
             outcome,
         };
-        self.send(from.0 as usize, reply);
+        self.send(initiator.0 as usize, reply);
         self.lookups.invalidate_routes(responder);
     }
 
-    /// The contacted peer's local decision for an exchange (Figure 2).
+    /// The referral of an exchange whose paths diverge, `None` when they
+    /// meet: the responder refers the initiator to a peer for its own side
+    /// and learns a reference itself.
+    fn refer(
+        &mut self,
+        responder: usize,
+        initiator: PeerId,
+        initiator_path: Path,
+    ) -> Option<ExchangeOutcome> {
+        let state = &mut self.overlay.states[responder];
+        let level = ExchangeEngine::refer_level(&state.path, &initiator_path)?;
+        state.learn_reference(initiator, initiator_path, &mut self.rng);
+        Some(match state.routing.level(level).choose(&mut self.rng) {
+            Some(entry) if entry.peer != initiator => ExchangeOutcome::Refer {
+                peer: entry.peer,
+                path: entry.path,
+            },
+            _ => ExchangeOutcome::Nothing,
+        })
+    }
+
+    /// The contacted peer's local decision for an exchange whose partitions
+    /// meet (Figure 2), on the initiator's entries within the shallower of
+    /// the two paths.
     ///
     /// The protocol decision — assessment, probabilities and the random
     /// draw — is delegated to the shared [`pgrid_core::exchange`] engine;
     /// this method only translates the resulting [`ExchangeDecision`] into
     /// the wire protocol's [`ExchangeOutcome`] and the responder-side state
-    /// transition.  The initiator's entries are read only once the
-    /// partitions are known to meet; a referral reads none.
+    /// transition.
     fn decide_exchange(
         &mut self,
         responder: usize,
         initiator: PeerId,
         initiator_path: Path,
-        initiator_entries: Entries<'_, Be>,
+        initiator_store: &impl StoreRead,
     ) -> ExchangeOutcome {
         let responder_path = self.overlay.states[responder].path;
-
-        if ExchangeEngine::refer_level(&responder_path, &initiator_path).is_some() {
-            // Refer the initiator to a peer for its own side, and learn a
-            // reference ourselves.
-            let level = responder_path.common_prefix_len(&initiator_path);
-            let state = &mut self.overlay.states[responder];
-            state.learn_reference(initiator, initiator_path, &mut self.rng);
-            return match state.routing.level(level).choose(&mut self.rng) {
-                Some(entry) if entry.peer != initiator => ExchangeOutcome::Refer {
-                    peer: entry.peer,
-                    path: entry.path,
-                },
-                _ => ExchangeOutcome::Nothing,
-            };
-        }
-
-        // Work on the shallower of the two paths; the engine decides on
-        // behalf of the shallower ("lagging") peer.
-        let partition = if responder_path.len() <= initiator_path.len() {
-            responder_path
-        } else {
-            initiator_path
-        };
-        // One pass from the frame into the store's run.
-        let mut covered = Vec::with_capacity(initiator_entries.len());
-        covered.extend(
-            initiator_entries
-                .iter()
-                .filter(|entry| partition.covers(entry.key)),
-        );
-        let initiator_store = KeyStore::from_entries(covered);
+        // The engine decides on behalf of the shallower ("lagging") peer.
+        let partition = min_by_key(responder_path, initiator_path, Path::len);
         // Zero-copy view of the responder's partition entries; everything
         // derived from it is computed before the responder's state is
         // mutated.
         let responder_store = self.overlay.states[responder].store.restricted(&partition);
         let assessment = self
             .engine
-            .assess(&initiator_store, &responder_store, &partition);
+            .assess(initiator_store, &responder_store, &partition);
 
         if responder_path.len() == initiator_path.len() {
             // Two undecided peers at the same level.
@@ -299,7 +370,7 @@ impl<T: Transport> Runtime<T> {
                     // Become replicas: hand over what the initiator is
                     // missing, pull what the responder is missing (it
                     // arrived with the request).
-                    let to_initiator = responder_store.missing_in(&initiator_store);
+                    let to_initiator = responder_store.missing_in(initiator_store);
                     let to_responder = initiator_store.missing_in(&responder_store);
                     let state = &mut self.overlay.states[responder];
                     if !state.replicas.contains(&initiator) {
@@ -331,7 +402,7 @@ impl<T: Transport> Runtime<T> {
                     let own_path = state.path;
                     state
                         .store
-                        .merge_batch(initiator_store.restricted(&own_path).as_slice().to_vec());
+                        .merge_batch(initiator_store.covered(&own_path).to_vec());
                     ExchangeOutcome::Split {
                         partition,
                         initiator_bit,
@@ -420,7 +491,8 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// The initiator applies the responder's decision (which may change
-    /// its path or routing table, so its memoised routing resolutions go).
+    /// its path or routing table, so its memoised routing resolutions go),
+    /// or answers its `Want`.
     pub(super) fn apply_exchange_reply(
         &mut self,
         initiator: usize,
@@ -432,6 +504,12 @@ impl<T: Transport> Runtime<T> {
         // Always learn a routing reference from the encounter if possible.
         state.learn_reference(responder, responder_path, &mut self.rng);
         let fruitful = match outcome {
+            ExchangeOutcome::Want { path } => {
+                // Not a decision yet: `fruitless` stays as it is.
+                self.answer_want(initiator, responder.0 as usize, path);
+                self.lookups.invalidate_routes(initiator);
+                return;
+            }
             ExchangeOutcome::Nothing => false,
             ExchangeOutcome::Refer { peer, path } => {
                 state.learn_reference(peer, path, &mut self.rng);
@@ -487,5 +565,21 @@ impl<T: Transport> Runtime<T> {
         let fruitless = &mut self.overlay.fruitless[initiator];
         *fruitless = if fruitful { 0 } else { *fruitless + 1 };
         self.lookups.invalidate_routes(initiator);
+    }
+
+    /// The responder asked for the entries `initiator` offered under
+    /// `path`.  They go from the run straight into the staging arena while
+    /// the initiator's path is still `path`; a path that has moved is
+    /// offered afresh, so no decision is taken on a stale one.
+    fn answer_want(&mut self, initiator: usize, responder: usize, path: Path) {
+        let state = &self.overlay.states[initiator];
+        if state.path != path {
+            return self.offer(initiator, responder);
+        }
+        let run = state.store.restricted(&path);
+        let bytes = self.links.stage(responder, |buf| {
+            Message::encode_exchange(buf, PeerId(initiator as u64), &path, run.as_slice())
+        });
+        self.metrics.account(self.clock.now, bytes, false);
     }
 }

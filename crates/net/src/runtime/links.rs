@@ -468,6 +468,12 @@ impl<T: Transport> Runtime<T> {
             Message::Replicate { entries } => {
                 self.overlay.states[to].store.merge_batch(entries);
             }
+            Message::Offer {
+                from,
+                path,
+                count,
+                digest,
+            } => self.handle_offer(to, from, path, count, digest),
             Message::ExchangeReply {
                 from,
                 path,

@@ -1,14 +1,13 @@
 //! Allocation guard for the maintenance exchange.
 //!
-//! A backed-off peer keeps sending its whole partition in an `Exchange`
-//! request, and almost every such request is answered with a referral
-//! before any entry is read.  The request is encoded from the peer's run
-//! straight into the staging arena, and the responder reads the entries
-//! from the arrived frame only when the partitions meet.  So the only
-//! block as large as an entry list that a referred exchange allocates is
-//! the frame that carries it.  This binary counts the blocks of a
-//! quiescent 64-peer loopback overlay with a counting global allocator,
-//! and fails if a copy of the entries comes back on either side.
+//! A backed-off peer keeps opening exchanges with random contacts, and
+//! almost every one of them is answered with a referral.  The request is
+//! an `Offer` — the peer's path and the count and digest of its entries
+//! there — so a referred exchange never puts an entry on the wire: its
+//! request and its reply are a few dozen bytes each, and neither side
+//! allocates a block as large as the peer's entry list.  This binary
+//! counts the blocks of a quiescent 64-peer loopback overlay with a
+//! counting global allocator, and fails if one comes back on either side.
 
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, DataId, Key};
@@ -135,16 +134,15 @@ fn a_referred_exchange_allocates_only_its_frame() {
     let frames = rt.transport_stats().frames_sent - frames;
     let in_flight = rt.transport_mut().in_flight();
 
-    // An exchange is a request frame and a reply frame, and only the
-    // request carries entries.  Every request sent in the window was
-    // answered in it unless it was still in flight at its end, so the
-    // window sent at most this many requests.
+    // A referred exchange is an offer frame and a reply frame.  Every
+    // offer sent in the window was answered in it unless it was still in
+    // flight at its end.
     let exchanges = (frames as usize + in_flight) / 2;
     assert!(exchanges > 500, "{exchanges} exchanges in the window");
-    assert!(
-        blocks <= exchanges,
+    assert_eq!(
+        blocks, 0,
         "{blocks} entry-sized blocks for {exchanges} referred exchanges: \
-         a copy of the entry list is back beside the frame"
+         the entry list is back on the wire or copied beside it"
     );
     for peer in 0..PEERS {
         assert_eq!(rt.peer_state(IndexId::PRIMARY, peer).path, path_of(peer));

@@ -4,9 +4,14 @@
 //! [`ExchangeOutcome`] is encoded, and an FNV-1a hash over the encodings
 //! is compared with a constant recorded once.  The entry lists are drawn
 //! at 0, 1, 63, 64, 65 and 200 entries, so a codec that works on blocks
-//! of entries is checked on both sides of every block boundary.  A change
-//! to the codec that is not meant to move a wire byte must leave this test
-//! green without touching its constant.
+//! of entries is checked on both sides of every block boundary.  The
+//! `Offer` kind and the `Want` outcome are drawn after every older kind,
+//! and the hash over the older kinds alone is pinned on its own: it is the
+//! constant recorded before they existed.  A change to the codec that is
+//! not meant to move a wire byte must leave this test green without
+//! touching its constants.  Two literal encodings sit beside it: an
+//! `Exchange` body, byte for byte as it was before the `Offer`, and the
+//! 30-byte `Offer`.
 
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
@@ -17,6 +22,9 @@ use rand::{Rng, SeedableRng};
 
 /// The FNV-1a hash of the encodings, each preceded by its length.
 const PINNED: u64 = 3_092_797_443_812_290_622;
+
+/// The same hash over the kinds older than the `Offer` alone.
+const PINNED_BEFORE_OFFER: u64 = 3_092_797_443_812_290_622;
 
 /// Entry-list lengths that straddle the codec's block boundaries.
 const LENGTHS: [usize; 6] = [0, 1, 63, 64, 65, 200];
@@ -43,8 +51,9 @@ fn peers(rng: &mut StdRng, n: usize) -> Vec<PeerId> {
 
 /// Every message kind once, every entry list at every length of
 /// [`LENGTHS`], every outcome of an exchange, and a trace envelope around
-/// a query and around an exchange.
-fn messages() -> Vec<Message> {
+/// a query, an exchange and an offer: the kinds older than the `Offer`,
+/// then the `Offer`s and `Want`s.
+fn messages() -> (Vec<Message>, Vec<Message>) {
     let mut rng = StdRng::seed_from_u64(0x5eed_0040);
     let rng = &mut rng;
     let mut all = vec![
@@ -156,21 +165,100 @@ fn messages() -> Vec<Message> {
             inner: Box::new(exchange),
         },
     ]);
-    all
+    let mut added: Vec<Message> = [0, 1, 64, u32::MAX]
+        .into_iter()
+        .map(|count| Message::Offer {
+            from: PeerId(rng.gen()),
+            path: path(rng),
+            count,
+            digest: rng.gen(),
+        })
+        .collect();
+    for want in [Path::root(), path(rng)] {
+        added.push(Message::ExchangeReply {
+            from: PeerId(rng.gen()),
+            path: path(rng),
+            outcome: ExchangeOutcome::Want { path: want },
+        });
+    }
+    let offer = added[1].clone();
+    added.push(Message::Traced {
+        trace_id: rng.gen_range(1..=u64::MAX),
+        inner: Box::new(offer),
+    });
+    (all, added)
+}
+
+/// Folds one message into the hash after checking that it roundtrips.
+fn fold(hash: &mut u64, message: &Message) {
+    let encoded = message.encode();
+    assert_eq!(message.wire_size(), encoded.len(), "{message:?}");
+    assert_eq!(
+        Message::decode_slice(encoded.as_slice()).as_ref(),
+        Some(message)
+    );
+    fnv(hash, &(encoded.len() as u64).to_le_bytes());
+    fnv(hash, encoded.as_slice());
 }
 
 #[test]
 fn message_bytes_are_pinned() {
+    let (older, added) = messages();
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    for message in messages() {
-        let encoded = message.encode();
-        assert_eq!(message.wire_size(), encoded.len(), "{message:?}");
-        assert_eq!(
-            Message::decode_slice(encoded.as_slice()).as_ref(),
-            Some(&message)
-        );
-        fnv(&mut hash, &(encoded.len() as u64).to_le_bytes());
-        fnv(&mut hash, encoded.as_slice());
+    for message in &older {
+        fold(&mut hash, message);
+    }
+    assert_eq!(
+        hash, PINNED_BEFORE_OFFER,
+        "a wire byte of a kind older than the offer moved"
+    );
+    for message in &added {
+        fold(&mut hash, message);
     }
     assert_eq!(hash, PINNED, "a wire byte of the peer protocol moved");
+}
+
+#[test]
+fn an_exchange_body_keeps_its_bytes() {
+    // Tag 3 encodes as it did before the offer came to precede it: a body
+    // shipped by a build of either side is read by the other.
+    let exchange = Message::Exchange {
+        from: PeerId(7),
+        path: Path::parse("0110"),
+        entries: vec![
+            DataEntry::new(Key(0x0102_0304_0506_0708), DataId(9)),
+            DataEntry::new(Key(u64::MAX), DataId(0x0A0B)),
+        ],
+    };
+    let wire = [
+        3, 0, 0, 0, 0, 0, 0, 0, 7, 4, 96, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8,
+        0, 0, 0, 0, 0, 0, 0, 9, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 0, 10, 11,
+    ];
+    assert_eq!(exchange.encode().as_slice(), wire);
+    assert_eq!(exchange.wire_size(), wire.len());
+    assert_eq!(Message::decode_slice(&wire), Some(exchange));
+}
+
+#[test]
+fn an_offer_is_thirty_bytes_whatever_it_summarises() {
+    let offer = Message::Offer {
+        from: PeerId(7),
+        path: Path::parse("0110"),
+        count: 2,
+        digest: 0x1122_3344_5566_7788,
+    };
+    let wire = [
+        13, 0, 0, 0, 0, 0, 0, 0, 7, 4, 96, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0x11, 0x22, 0x33, 0x44,
+        0x55, 0x66, 0x77, 0x88,
+    ];
+    assert_eq!(offer.encode().as_slice(), wire);
+    assert_eq!(offer.wire_size(), 30);
+    assert!(!offer.is_query_traffic());
+    let big = Message::Offer {
+        from: PeerId(u64::MAX),
+        path: Path::parse(&"01".repeat(32)),
+        count: u32::MAX,
+        digest: u64::MAX,
+    };
+    assert_eq!(big.wire_size(), 30);
 }

@@ -1,7 +1,8 @@
 //! Observability integration of the deployment runtime: query outcomes
 //! are bit-identical with tracing on or off (the envelope never perturbs
 //! the RNG or the protocol), an enabled tracer reassembles complete hop
-//! chains with frame events sampled at 1 in 64, and a forced query
+//! chains with frame events sampled at 1 in 64 and labels every exchange
+//! decision with its outcome, and a forced query
 //! timeout leaves a flight-recorder dump.
 
 use pgrid_core::index::IndexId;
@@ -91,8 +92,16 @@ fn enabled_tracing_reassembles_complete_hop_chains() {
 
     // Ambient events: exchange decisions and sampled frames.
     let ambient = chains.get(&AMBIENT_TRACE).expect("ambient events recorded");
-    assert!(ambient.iter().any(|e| e.kind == "exchange_decision"));
     assert!(ambient.iter().any(|e| e.kind == "frame_sent"));
+    // Each decision names its outcome, so a trace shows which exchanges
+    // shipped entries: a referral never does, a want is answered with them.
+    let decided = |outcome: &str| {
+        ambient
+            .iter()
+            .any(|e| e.kind == "exchange_decision" && e.detail.split(' ').any(|f| f == outcome))
+    };
+    assert!(decided("outcome=refer"), "no referral was traced");
+    assert!(decided("outcome=want"), "no want was traced");
     // Arrivals are sampled on their own count: one `frame_received` event
     // per 64 frames delivered, whatever the sends in between.
     assert_eq!(rt.tracer.dropped(), 0);

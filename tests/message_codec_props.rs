@@ -37,7 +37,7 @@ fn arbitrary_entries(rng: &mut StdRng) -> Vec<DataEntry> {
 }
 
 fn arbitrary_outcome(rng: &mut StdRng) -> ExchangeOutcome {
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..5) {
         0 => ExchangeOutcome::Split {
             partition: arbitrary_path(rng),
             initiator_bit: rng.gen_bool(0.5),
@@ -53,13 +53,16 @@ fn arbitrary_outcome(rng: &mut StdRng) -> ExchangeOutcome {
             peer: PeerId(rng.gen()),
             path: arbitrary_path(rng),
         },
+        3 => ExchangeOutcome::Want {
+            path: arbitrary_path(rng),
+        },
         _ => ExchangeOutcome::Nothing,
     }
 }
 
-/// Number of shapes [`arbitrary_message`] cycles through: the eleven plain
+/// Number of shapes [`arbitrary_message`] cycles through: the twelve plain
 /// message kinds, then the trace envelope.
-const SHAPES: u8 = 12;
+const SHAPES: u8 = 13;
 
 /// One random message; `variant` cycles so every shape is exercised no
 /// matter what the seed draws.
@@ -126,9 +129,15 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
                 .map(|_| PeerId(rng.gen()))
                 .collect(),
         },
+        11 => Message::Offer {
+            from: PeerId(rng.gen()),
+            path: arbitrary_path(rng),
+            count: rng.gen(),
+            digest: rng.gen(),
+        },
         _ => Message::Traced {
             trace_id: rng.gen_range(1..=u64::MAX),
-            inner: Box::new(arbitrary_message(rng.gen_range(0..11), rng)),
+            inner: Box::new(arbitrary_message(rng.gen_range(0..SHAPES - 1), rng)),
         },
     }
 }
@@ -328,6 +337,36 @@ proptest! {
             Message::decode_slice(&tagged),
             Message::decode(Bytes::from(tagged.as_slice()))
         );
+    }
+
+    #[test]
+    fn offers_and_wants_are_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+        seed in any::<u64>(),
+    ) {
+        // The offer's tag, and a reply whose outcome tag is the want's,
+        // each followed by whatever came: refused, or read as a message of
+        // exactly that length (a path's bits past its length are not
+        // kept, so the bytes themselves need not come back).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reply = Message::ExchangeReply {
+            from: PeerId(rng.gen()),
+            path: arbitrary_path(&mut rng),
+            outcome: ExchangeOutcome::Nothing,
+        }
+        .encode();
+        let mut want = reply.as_slice().to_vec();
+        *want.last_mut().expect("an outcome tag") = 4;
+        for head in [vec![13u8], want] {
+            let mut input = head;
+            input.extend(&bytes);
+            let decoded = Message::decode_slice(&input);
+            prop_assert_eq!(&decoded, &Message::decode(Bytes::from(input.as_slice())));
+            prop_assert_eq!(view_agrees_with_decode_slice(&input), Ok(()));
+            if let Some(message) = decoded {
+                prop_assert_eq!(message.encode().len(), input.len());
+            }
+        }
     }
 
     #[test]
