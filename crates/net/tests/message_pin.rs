@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The FNV-1a hash of the encodings, each preceded by its length.
-const PINNED: u64 = 3_092_797_443_812_290_622;
+const PINNED: u64 = 4_496_788_461_318_740_610;
 
 /// The same hash over the kinds older than the `Offer` alone.
 const PINNED_BEFORE_OFFER: u64 = 3_092_797_443_812_290_622;

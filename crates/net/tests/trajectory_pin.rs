@@ -125,15 +125,15 @@ fn run(route_cache: bool) -> Trajectory {
 #[test]
 fn uncached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 2_122,
-        messages_lost: 18,
-        maintenance_bytes: 1_149_889,
-        query_bytes: 5_955,
-        paths: "11,01,11,111,001,01,000,001,01,101,001,11,000,100,101,000,100,001,000,01,001,01,101,000,000,01,110,01,11,101,110,001,001,101,001,01,000,100,001,10,101,000,01,001,11,000,101,101"
+        messages_delivered: 2_441,
+        messages_lost: 27,
+        maintenance_bytes: 419_853,
+        query_bytes: 5_841,
+        paths: "101,101,11,100,000,01,01,000,10,01,11,000,01,01,11,101,01,01,000,001,01,01,100,100,100,001,100,101,110,000,101,111,110,001,01,001,000,101,000,11,11,111,11,001,001,000,100,000"
             .into(),
         stats: Stats {
-            counts: [60, 58, 52, 2, 0, 69, 20_366, 12, 12, 4_101],
-            digest: 15_555_886_661_211_162_473,
+            counts: [60, 59, 56, 1, 0, 58, 16_795, 12, 12, 24_911],
+            digest: 12_132_680_546_575_843_853,
         },
     };
     assert_eq!(run(false), expected);
@@ -142,15 +142,15 @@ fn uncached_trajectory_matches_the_recorded_constants() {
 #[test]
 fn route_cached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 2_117,
-        messages_lost: 23,
-        maintenance_bytes: 1_153_995,
-        query_bytes: 5_921,
-        paths: "11,01,11,111,001,01,000,001,01,101,001,11,000,100,101,000,100,001,000,01,001,01,101,000,000,01,110,01,110,10,110,001,001,101,001,01,000,100,001,101,101,000,01,001,11,000,101,101"
+        messages_delivered: 2_449,
+        messages_lost: 32,
+        maintenance_bytes: 418_900,
+        query_bytes: 5_994,
+        paths: "101,101,11,100,000,01,01,000,10,01,11,000,01,01,11,101,01,01,000,001,01,01,100,100,100,001,100,101,110,000,101,111,110,001,01,001,000,101,000,11,11,111,11,001,001,00,100,000"
             .into(),
         stats: Stats {
-            counts: [60, 57, 52, 3, 0, 59, 18_525, 12, 12, 4_018],
-            digest: 7_993_781_468_759_680_013,
+            counts: [60, 57, 55, 3, 0, 68, 17_049, 12, 12, 24_066],
+            digest: 1_431_420_048_608_860_052,
         },
     };
     assert_eq!(run(true), expected);

@@ -119,49 +119,49 @@ fn rows(report: &ScenarioReport) -> Vec<Row> {
 
 const EVERY_PHASE: [Row; 6] = [
     (5, 32, 0.0, 0.11215224028078977, 0, 0, 0, 0, None),
-    (14, 32, 2.0625, 0.3558660211371689, 0, 0, 0, 0, None),
+    (16, 32, 2.0, 0.16793786053180504, 0, 0, 0, 0, None),
     (
         26,
         32,
-        2.0625,
-        0.3558660211371689,
-        425,
-        415,
-        85,
-        84,
+        2.0,
+        0.16793786053180504,
+        342,
+        333,
+        83,
+        82,
         Some(255),
     ),
     (
         32,
-        10,
-        2.0625,
-        0.3558660211371689,
-        677,
-        616,
-        85,
-        85,
+        12,
+        2.0,
+        0.16793786053180504,
+        596,
+        530,
+        83,
+        83,
+        Some(239),
+    ),
+    (
+        40,
+        32,
+        2.25,
+        0.28656248106748994,
+        660,
+        595,
+        83,
+        83,
         Some(255),
     ),
     (
         40,
         32,
-        2.34375,
-        0.22246351916912377,
-        742,
-        676,
-        85,
-        85,
-        Some(255),
-    ),
-    (
-        40,
-        32,
-        2.34375,
-        0.22246351916912377,
-        742,
-        676,
-        85,
-        85,
+        2.25,
+        0.28656248106748994,
+        660,
+        595,
+        83,
+        83,
         Some(255),
     ),
 ];
@@ -217,13 +217,13 @@ fn the_section_5_deployment_matches_the_recorded_summary() {
     assert_eq!(
         summary,
         (
-            0.20468153617266022,
-            2.25,
-            1.155994222436206,
-            0.9701074264362447,
+            0.0983258295159516,
+            2.3125,
+            1.1421732886548588,
+            0.9757122839794489,
             6.4,
-            2_284_479,
-            143_424,
+            327_235,
+            142_755,
             111,
             Some(287)
         )
