@@ -93,7 +93,8 @@ const DIGEST_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The digest of an ascending run: keys and ids in two independent lanes,
 /// each word folded in by `(h ^ word) · DIGEST_MUL`, rotated.  Every step
 /// is a bijection of the lane for a fixed word and of the word for a fixed
-/// lane, so two runs that differ in one entry never share a digest.
+/// lane, so two runs of one length that differ only in one key, or only in
+/// one id, never share a digest.
 fn digest(run: &[DataEntry]) -> u64 {
     let [mut keys, mut ids] = DIGEST_SEEDS;
     keys ^= run.len() as u64;

@@ -863,7 +863,7 @@ mod tests {
         let mut long_path = offer.as_slice().to_vec();
         long_path[9] = 65;
         assert!(Message::decode_slice(&long_path).is_none());
-        // a want cut in its path, an unknown outcome after the known ones
+        // a want cut in its path; outcome tag 5, after the known ones
         let want = Message::ExchangeReply {
             from: PeerId(8),
             path: Path::root(),
@@ -874,9 +874,11 @@ mod tests {
         .encode();
         let want = want.as_slice();
         assert!(Message::decode_slice(&want[..want.len() - 1]).is_none());
-        let mut unknown = want[..19].to_vec();
-        unknown.push(5);
-        assert!(Message::decode_slice(&unknown).is_none());
+        let mut outcome = want[..18].to_vec();
+        outcome.push(3);
+        assert!(Message::decode_slice(&outcome).is_some(), "Nothing");
+        outcome[18] = 5;
+        assert!(Message::decode_slice(&outcome).is_none());
         // replica push with an absurd routing count
         let mut buf = BytesMut::new();
         buf.put_u8(12);

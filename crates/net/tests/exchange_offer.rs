@@ -411,7 +411,14 @@ fn a_responder_whose_path_diverged_refers_the_body() {
         ),
         "{outcomes:?}"
     );
+    // A referral, not a decision: the responder keeps its side and its
+    // store, and learns the initiator as a reference for the other side.
     let responder = state(&rt, R);
     assert_eq!(responder.path, Path::parse("1"));
     assert_eq!(responder.store.iter().copied().collect::<Vec<_>>(), moved);
+    assert!(responder
+        .routing
+        .level(0)
+        .iter()
+        .any(|entry| entry.peer == PeerId(I as u64)));
 }
