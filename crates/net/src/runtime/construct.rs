@@ -18,7 +18,9 @@
 //!   with a fresh `Offer` if it has moved.  The body is decided on as it
 //!   arrives, so a responder that has moved meanwhile refers it.
 //!
-//! A `Want` leaves `fruitless` alone; only a decision counts.
+//! A `Want` leaves `fruitless` alone; only a decision counts.  A `Refer`
+//! into the initiator's own partition opens an exchange with the referred
+//! peer at once, at most `MAX_REFER_HOPS - 1` times between two ticks.
 
 use super::clock::EventKind;
 use super::{Millis, Runtime};
@@ -38,6 +40,10 @@ use std::cmp::min_by_key;
 /// Interval between construction ticks of a peer, in virtual milliseconds;
 /// a backed-off peer ticks ten times less often.
 const CONSTRUCT_INTERVAL_MS: Millis = 5_000;
+
+/// Peers one tick's exchange may contact, referrals included, as in the
+/// simulator.
+const MAX_REFER_HOPS: u8 = 6;
 
 impl<T: Transport> Runtime<T> {
     /// Brings a peer online and connects it to `fanout` random already-online
@@ -192,6 +198,7 @@ impl<T: Transport> Runtime<T> {
         // up as the residual maintenance bandwidth of Figure 8).
         let backing_off =
             overlay.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&overlay.states[peer]);
+        overlay.referrals[peer] = 0;
         if let Some(target) = self.random_contact(peer) {
             self.offer(peer, target);
         }
@@ -513,6 +520,16 @@ impl<T: Transport> Runtime<T> {
             ExchangeOutcome::Nothing => false,
             ExchangeOutcome::Refer { peer, path } => {
                 state.learn_reference(peer, path, &mut self.rng);
+                // A referral into the initiator's own partition is
+                // followed at once, as the simulator follows its refer
+                // chains; peers of a partition seldom meet otherwise, and
+                // their stores never converge.
+                let follow = state.shares_partition_with(&path);
+                let followed = &mut self.overlay.referrals[initiator];
+                if follow && *followed + 1 < MAX_REFER_HOPS {
+                    *followed += 1;
+                    self.offer(initiator, peer.0 as usize);
+                }
                 false
             }
             ExchangeOutcome::Replicate { entries } => {

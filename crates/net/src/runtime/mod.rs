@@ -180,6 +180,8 @@ struct Overlay {
     tick_armed: Vec<bool>,
     /// Consecutive fruitless exchanges per peer.
     fruitless: Vec<u32>,
+    /// Referrals each peer has followed since its last tick.
+    referrals: Vec<u8>,
 }
 
 /// Panics unless `index` is the one index a runtime hosts.
@@ -341,6 +343,7 @@ impl<T: Transport> Runtime<T> {
                 original_entries,
                 tick_armed: vec![false; n],
                 fruitless: vec![0; n],
+                referrals: vec![0; n],
             },
             engine: ExchangeEngine::new(params),
             clock: Clock::default(),

@@ -8,6 +8,8 @@
 //! transport records every frame, inject the messages an initiator or a
 //! responder would send, and compare what crosses the wire — and where the
 //! two peers end up — with the one-shot exchange the body alone triggers.
+//! A referral into the initiator's own partition opens a new exchange with
+//! the referred peer, a bounded number of times between two ticks.
 
 use bytes::Bytes;
 use pgrid_core::index::IndexId;
@@ -421,4 +423,44 @@ fn a_responder_whose_path_diverged_refers_the_body() {
         .level(0)
         .iter()
         .any(|entry| entry.peer == PeerId(I as u64)));
+}
+
+#[test]
+fn a_referral_into_the_initiators_partition_is_followed_up_to_five_times() {
+    let mut rt = runtime();
+    place(&mut rt, I, "0", entries("0", 6, 0));
+    let refer = |peer: usize, path: &str| Message::ExchangeReply {
+        from: PeerId(R as u64),
+        path: Path::parse("1"),
+        outcome: ExchangeOutcome::Refer {
+            peer: PeerId(peer as u64),
+            path: Path::parse(path),
+        },
+    };
+    // Replies land at +10; what they trigger leaves then, and answers to
+    // it cannot land before +20.
+    let settle = |rt: &mut Runtime<Recording>| {
+        let end = rt.now() + LATENCY + LATENCY / 2;
+        rt.run_until(end);
+        drain(rt)
+    };
+    // A referral outside the initiator's partition is only learnt.
+    inject(&mut rt, R, I, &refer(2, "10"));
+    assert_eq!(settle(&mut rt), vec![]);
+    assert!(state(&rt, I)
+        .routing
+        .level(0)
+        .iter()
+        .any(|entry| entry.peer == PeerId(2)));
+    // Referrals into it are followed with the initiator's offer, at most
+    // five between two ticks (no peer ticks here).
+    for _ in 0..7 {
+        inject(&mut rt, R, I, &refer(3, "01"));
+    }
+    let offer = offer_of(&rt, I);
+    let sent = settle(&mut rt);
+    assert_eq!(sent.len(), 5, "{sent:?}");
+    for (from, to, message, _) in &sent {
+        assert_eq!((*from, *to, message), (I, 3, &offer));
+    }
 }
