@@ -125,15 +125,15 @@ fn run(route_cache: bool) -> Trajectory {
 #[test]
 fn uncached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 2_441,
-        messages_lost: 27,
-        maintenance_bytes: 419_853,
-        query_bytes: 5_841,
-        paths: "101,101,11,100,000,01,01,000,10,01,11,000,01,01,11,101,01,01,000,001,01,01,100,100,100,001,100,101,110,000,101,111,110,001,01,001,000,101,000,11,11,111,11,001,001,000,100,000"
+        messages_delivered: 2_753,
+        messages_lost: 33,
+        maintenance_bytes: 459_842,
+        query_bytes: 6_300,
+        paths: "101,100,100,1011,01,000,01,000,110,01,100,000,01,001,110,100,001,01,000,000,001,01,1010,1010,110,000,101,101,111,000,110,101,100,01,001,000,001,1011,000,100,111,100,111,001,000,000,101,001"
             .into(),
         stats: Stats {
-            counts: [60, 59, 56, 1, 0, 58, 16_795, 12, 12, 24_911],
-            digest: 12_132_680_546_575_843_853,
+            counts: [60, 57, 57, 3, 0, 81, 18_682, 12, 12, 3_635],
+            digest: 2_409_452_531_814_888_085,
         },
     };
     assert_eq!(run(false), expected);
@@ -142,15 +142,15 @@ fn uncached_trajectory_matches_the_recorded_constants() {
 #[test]
 fn route_cached_trajectory_matches_the_recorded_constants() {
     let expected = Trajectory {
-        messages_delivered: 2_449,
-        messages_lost: 32,
-        maintenance_bytes: 418_900,
-        query_bytes: 5_994,
-        paths: "101,101,11,100,000,01,01,000,10,01,11,000,01,01,11,101,01,01,000,001,01,01,100,100,100,001,100,101,110,000,101,111,110,001,01,001,000,101,000,11,11,111,11,001,001,00,100,000"
+        messages_delivered: 2_732,
+        messages_lost: 33,
+        maintenance_bytes: 460_475,
+        query_bytes: 5_867,
+        paths: "101,100,100,1011,01,000,01,000,110,01,100,000,01,001,110,100,001,01,000,000,001,01,1010,1010,110,000,101,101,111,000,110,101,100,01,001,000,001,1011,000,100,111,100,111,001,000,000,101,001"
             .into(),
         stats: Stats {
-            counts: [60, 57, 55, 3, 0, 68, 17_049, 12, 12, 24_066],
-            digest: 1_431_420_048_608_860_052,
+            counts: [60, 56, 56, 4, 0, 72, 17_283, 12, 12, 3_376],
+            digest: 12_767_794_329_659_973_123,
         },
     };
     assert_eq!(run(true), expected);

@@ -119,49 +119,49 @@ fn rows(report: &ScenarioReport) -> Vec<Row> {
 
 const EVERY_PHASE: [Row; 6] = [
     (5, 32, 0.0, 0.11215224028078977, 0, 0, 0, 0, None),
-    (16, 32, 2.0, 0.16793786053180504, 0, 0, 0, 0, None),
+    (12, 32, 2.125, 0.2824280881923751, 0, 0, 0, 0, None),
     (
         26,
         32,
-        2.0,
-        0.16793786053180504,
-        342,
-        333,
+        2.125,
+        0.2824280881923751,
+        510,
+        492,
+        85,
         83,
-        82,
-        Some(255),
+        Some(287),
     ),
     (
         32,
-        12,
-        2.0,
-        0.16793786053180504,
-        596,
-        530,
-        83,
-        83,
-        Some(239),
-    ),
-    (
-        40,
-        32,
-        2.25,
-        0.28656248106748994,
-        660,
-        595,
-        83,
-        83,
+        14,
+        2.125,
+        0.2824280881923751,
+        765,
+        696,
+        85,
+        85,
         Some(255),
     ),
     (
         40,
         32,
-        2.25,
-        0.28656248106748994,
-        660,
-        595,
-        83,
-        83,
+        2.34375,
+        0.34054694569504257,
+        831,
+        760,
+        85,
+        85,
+        Some(255),
+    ),
+    (
+        40,
+        32,
+        2.34375,
+        0.34054694569504257,
+        831,
+        760,
+        85,
+        85,
         Some(255),
     ),
 ];
@@ -217,13 +217,13 @@ fn the_section_5_deployment_matches_the_recorded_summary() {
     assert_eq!(
         summary,
         (
-            0.0983258295159516,
-            2.3125,
-            1.1421732886548588,
-            0.9757122839794489,
+            0.4527476877356746,
+            2.46875,
+            1.0733812949640287,
+            0.9738439981317142,
             6.4,
-            327_235,
-            142_755,
+            368_560,
+            138_350,
             111,
             Some(287)
         )
