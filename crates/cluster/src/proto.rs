@@ -6,23 +6,40 @@
 //! [`pgrid_transport::frame::FrameReader`] for reassembly).  The order the
 //! messages travel in is in the [crate docs](crate).
 //!
-//! Like the peer protocol, the codec is a hand-rolled big-endian binary
-//! format built from the workspace's one codec kit ([`pgrid_core::wire`]):
-//! no registry dependencies, self-describing enough for round-trip tests,
-//! and versioned by a leading magic/version pair so a stale worker fails
-//! loudly instead of mis-parsing.
+//! Like the peer protocol, the format is big-endian and written with the
+//! workspace's one codec kit ([`pgrid_core::wire`]): one listing per
+//! message, struct and enum names its fields once, in wire order, and
+//! [`pgrid_core::wire_codec!`] writes the encoder and the decoder from it.
+//! The listings of the types other crates own (the run configuration, the
+//! reports' statistics, trace events) live here too, under this module's
+//! [`Control`] order.  Only [`ClusterMsg::check_ranges`], the semantic
+//! bounds, is written by hand.  A leading magic/version pair makes a stale
+//! worker fail loudly instead of mis-parsing.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
 
 use crate::plan::MINUTE_MS;
 use bytes::Bytes;
 use pgrid_core::path::Path;
-use pgrid_core::wire::{Be, Order, Sink, PATH_BYTES};
+use pgrid_core::wire::{Be, Capped, Order, Sink, Wire, UNCAPPED};
+use pgrid_core::wire_codec;
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
+use pgrid_obs::trace::{intern_kind, TraceEvent};
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
 use pgrid_transport::{ReactorStats, TransportStats};
 use pgrid_workload::distributions::Distribution;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Protocol magic, checked on every message.
@@ -150,7 +167,7 @@ pub enum ClusterMsg {
     /// batches into cluster-wide hop chains.
     TraceBatch {
         /// The drained events, in recording order.
-        events: Vec<pgrid_obs::trace::TraceEvent>,
+        events: Vec<TraceEvent>,
     },
     /// Worker → coordinator: the worker's current metrics registry
     /// (encoded with [`pgrid_obs::registry::MetricsRegistry::encode_wire`]),
@@ -253,191 +270,9 @@ impl ClusterMsg {
     /// Encodes the message (including the magic/version header).
     pub fn encode(&self) -> Bytes {
         let mut buf = Vec::with_capacity(64);
-        Be::put_u16(&mut buf, MAGIC);
-        Be::put_u8(&mut buf, VERSION);
-        match self {
-            ClusterMsg::Welcome {
-                worker_index,
-                shard_start,
-                shard_len,
-                config,
-                timeline,
-                tracing,
-                heartbeat_ms,
-                heal,
-                kill_at_min,
-            } => {
-                Be::put_u8(&mut buf, 0);
-                Be::put_u32(&mut buf, *worker_index);
-                Be::put_u64(&mut buf, *shard_start);
-                Be::put_u64(&mut buf, *shard_len);
-                put_config(&mut buf, config);
-                put_timeline(&mut buf, timeline);
-                Be::put_u8(&mut buf, *tracing as u8);
-                Be::put_u64(&mut buf, *heartbeat_ms);
-                Be::put_u8(&mut buf, *heal as u8);
-                match kill_at_min {
-                    Some(at) => {
-                        Be::put_u8(&mut buf, 1);
-                        Be::put_u64(&mut buf, *at);
-                    }
-                    None => Be::put_u8(&mut buf, 0),
-                }
-            }
-            ClusterMsg::Hello {
-                shard_start,
-                peer_addrs,
-                metrics_addr,
-            } => {
-                Be::put_u8(&mut buf, 1);
-                Be::put_u64(&mut buf, *shard_start);
-                put_addrs(&mut buf, peer_addrs);
-                match metrics_addr {
-                    Some(addr) => {
-                        Be::put_u8(&mut buf, 1);
-                        put_addr(&mut buf, addr);
-                    }
-                    None => Be::put_u8(&mut buf, 0),
-                }
-            }
-            ClusterMsg::AddressBook { peer_addrs } => {
-                Be::put_u8(&mut buf, 2);
-                put_addrs(&mut buf, peer_addrs);
-            }
-            ClusterMsg::PhaseDone { phase } => {
-                Be::put_u8(&mut buf, 3);
-                Be::put_u8(&mut buf, *phase);
-            }
-            ClusterMsg::Proceed { phase } => {
-                Be::put_u8(&mut buf, 4);
-                Be::put_u8(&mut buf, *phase);
-            }
-            ClusterMsg::Minutes { samples } => {
-                Be::put_u8(&mut buf, 5);
-                Be::put_count(&mut buf, samples.len());
-                for (minute, maintenance, query) in samples {
-                    Be::put_u64(&mut buf, *minute);
-                    Be::put_u64(&mut buf, *maintenance);
-                    Be::put_u64(&mut buf, *query);
-                }
-            }
-            ClusterMsg::TraceBatch { events } => {
-                Be::put_u8(&mut buf, 7);
-                Be::put_count(&mut buf, events.len());
-                for event in events {
-                    Be::put_u64(&mut buf, event.trace_id);
-                    Be::put_str(&mut buf, event.kind);
-                    Be::put_u64(&mut buf, event.peer);
-                    Be::put_u64(&mut buf, event.virtual_ms);
-                    Be::put_u64(&mut buf, event.wall_micros);
-                    Be::put_str(&mut buf, &event.detail);
-                }
-            }
-            ClusterMsg::MetricsSnapshot { registry } => {
-                Be::put_u8(&mut buf, 8);
-                Be::put_count(&mut buf, registry.len());
-                buf.put(registry);
-            }
-            ClusterMsg::Report(report) => {
-                Be::put_u8(&mut buf, 6);
-                Be::put_u64(&mut buf, report.shard_start);
-                Be::put_paths(&mut buf, &report.paths);
-                put_aggregates(&mut buf, &report.query_stats);
-                Be::put_u64(&mut buf, report.online_at_end);
-                Be::put_u64(&mut buf, report.transport.frames_sent);
-                Be::put_u64(&mut buf, report.transport.frames_delivered);
-                Be::put_u64(&mut buf, report.transport.bytes_sent);
-                Be::put_u64(&mut buf, report.transport.bytes_delivered);
-                // The optional reactor block: flag byte, then the eight
-                // reactor fields.
-                match &report.transport.reactor {
-                    Some(reactor) => {
-                        Be::put_u8(&mut buf, 1);
-                        Be::put_u64(&mut buf, reactor.registered_peers);
-                        Be::put_u64(&mut buf, reactor.registered_fds);
-                        Be::put_u64(&mut buf, reactor.epoll_wakeups);
-                        Be::put_u64(&mut buf, reactor.write_queue_frames);
-                        Be::put_u64(&mut buf, reactor.write_queue_bytes);
-                        Be::put_u64(&mut buf, reactor.partial_writes);
-                        Be::put_u64(&mut buf, reactor.reconnects);
-                        Be::put_u64(&mut buf, reactor.dropped_frames);
-                    }
-                    None => Be::put_u8(&mut buf, 0),
-                }
-                Be::put_count(&mut buf, report.extra_paths.len());
-                for (peer, path) in &report.extra_paths {
-                    Be::put_u64(&mut buf, *peer);
-                    Be::put_path(&mut buf, path);
-                }
-            }
-            ClusterMsg::Heartbeat { epoch } => {
-                Be::put_u8(&mut buf, 9);
-                Be::put_u64(&mut buf, *epoch);
-            }
-            ClusterMsg::ShardPaths { shard_start, paths } => {
-                Be::put_u8(&mut buf, 10);
-                Be::put_u64(&mut buf, *shard_start);
-                Be::put_paths(&mut buf, paths);
-            }
-            ClusterMsg::WorkerFailed {
-                epoch,
-                worker_index,
-                shard_start,
-                shard_len,
-            } => {
-                Be::put_u8(&mut buf, 11);
-                Be::put_u64(&mut buf, *epoch);
-                Be::put_u32(&mut buf, *worker_index);
-                Be::put_u64(&mut buf, *shard_start);
-                Be::put_u64(&mut buf, *shard_len);
-            }
-            ClusterMsg::ShardReassign { epoch, moves } => {
-                Be::put_u8(&mut buf, 12);
-                Be::put_u64(&mut buf, *epoch);
-                Be::put_count(&mut buf, moves.len());
-                for m in moves {
-                    Be::put_u64(&mut buf, m.peer);
-                    Be::put_u32(&mut buf, m.to_worker);
-                    Be::put_u64(&mut buf, m.source_peer);
-                    Be::put_path(&mut buf, &m.path);
-                }
-            }
-            ClusterMsg::RecoveryAddrs { epoch, peer_addrs } => {
-                Be::put_u8(&mut buf, 13);
-                Be::put_u64(&mut buf, *epoch);
-                put_addrs(&mut buf, peer_addrs);
-            }
-            ClusterMsg::RecoveryDone { epoch, recovered } => {
-                Be::put_u8(&mut buf, 14);
-                Be::put_u64(&mut buf, *epoch);
-                Be::put_count(&mut buf, recovered.len());
-                for (peer, via_replica) in recovered {
-                    Be::put_u64(&mut buf, *peer);
-                    Be::put_u8(&mut buf, *via_replica as u8);
-                }
-            }
-            ClusterMsg::Rejoin {
-                shard_start,
-                shard_len,
-                epoch,
-                phase,
-                now_ms,
-                seed,
-            } => {
-                Be::put_u8(&mut buf, 15);
-                Be::put_u64(&mut buf, *shard_start);
-                Be::put_u64(&mut buf, *shard_len);
-                Be::put_u64(&mut buf, *epoch);
-                Be::put_u8(&mut buf, *phase);
-                Be::put_u64(&mut buf, *now_ms);
-                Be::put_u64(&mut buf, *seed);
-            }
-            ClusterMsg::Resume { epoch, phase } => {
-                Be::put_u8(&mut buf, 16);
-                Be::put_u64(&mut buf, *epoch);
-                Be::put_u8(&mut buf, *phase);
-            }
-        }
+        Control::put_u16(&mut buf, MAGIC);
+        Control::put_u8(&mut buf, VERSION);
+        Control::put(&mut buf, self);
         Bytes::from(buf)
     }
 
@@ -446,151 +281,10 @@ impl ClusterMsg {
     /// after the message.
     pub fn decode(data: Bytes) -> Option<ClusterMsg> {
         let mut data = data.as_slice();
-        if Be::u16(&mut data)? != MAGIC || Be::u8(&mut data)? != VERSION {
+        if Control::u16(&mut data)? != MAGIC || Control::u8(&mut data)? != VERSION {
             return None;
         }
-        let msg = match Be::u8(&mut data)? {
-            0 => ClusterMsg::Welcome {
-                worker_index: Be::u32(&mut data)?,
-                shard_start: Be::u64(&mut data)?,
-                shard_len: Be::u64(&mut data)?,
-                config: get_config(&mut data)?,
-                timeline: get_timeline(&mut data)?,
-                tracing: Be::u8(&mut data)? != 0,
-                heartbeat_ms: Be::u64(&mut data)?,
-                heal: Be::u8(&mut data)? != 0,
-                kill_at_min: match Be::u8(&mut data)? {
-                    0 => None,
-                    1 => Some(Be::u64(&mut data)?),
-                    _ => return None,
-                },
-            },
-            1 => ClusterMsg::Hello {
-                shard_start: Be::u64(&mut data)?,
-                peer_addrs: get_addrs(&mut data)?,
-                metrics_addr: match Be::u8(&mut data)? {
-                    0 => None,
-                    1 => Some(get_addr(&mut data)?),
-                    _ => return None,
-                },
-            },
-            2 => ClusterMsg::AddressBook {
-                peer_addrs: get_addrs(&mut data)?,
-            },
-            3 => ClusterMsg::PhaseDone {
-                phase: Be::u8(&mut data)?,
-            },
-            4 => ClusterMsg::Proceed {
-                phase: Be::u8(&mut data)?,
-            },
-            5 => ClusterMsg::Minutes {
-                samples: Be::list(&mut data, 1 << 20, 24, |data| {
-                    Some((Be::u64(data)?, Be::u64(data)?, Be::u64(data)?))
-                })?,
-            },
-            7 => ClusterMsg::TraceBatch {
-                events: Be::list(&mut data, 1 << 20, TRACE_EVENT_MIN_BYTES, |data| {
-                    let trace_id = Be::u64(data)?;
-                    let kind = pgrid_obs::trace::intern_kind(&Be::string(data, MAX_STR)?);
-                    Some(pgrid_obs::trace::TraceEvent {
-                        trace_id,
-                        kind,
-                        peer: Be::u64(data)?,
-                        virtual_ms: Be::u64(data)?,
-                        wall_micros: Be::u64(data)?,
-                        detail: Be::string(data, MAX_STR)?,
-                    })
-                })?,
-            },
-            8 => {
-                let len = Be::count(&mut data, 1 << 26, 1)?;
-                let registry = Be::bytes(&mut data, len)?.to_vec();
-                ClusterMsg::MetricsSnapshot { registry }
-            }
-            6 => {
-                let shard_start = Be::u64(&mut data)?;
-                let paths = Be::paths(&mut data, MAX_LIST)?;
-                let query_stats = get_aggregates(&mut data)?;
-                let online_at_end = Be::u64(&mut data)?;
-                let mut transport = TransportStats {
-                    frames_sent: Be::u64(&mut data)?,
-                    frames_delivered: Be::u64(&mut data)?,
-                    bytes_sent: Be::u64(&mut data)?,
-                    bytes_delivered: Be::u64(&mut data)?,
-                    ..TransportStats::default()
-                };
-                if Be::u8(&mut data)? != 0 {
-                    transport.reactor = Some(ReactorStats {
-                        registered_peers: Be::u64(&mut data)?,
-                        registered_fds: Be::u64(&mut data)?,
-                        epoll_wakeups: Be::u64(&mut data)?,
-                        write_queue_frames: Be::u64(&mut data)?,
-                        write_queue_bytes: Be::u64(&mut data)?,
-                        partial_writes: Be::u64(&mut data)?,
-                        reconnects: Be::u64(&mut data)?,
-                        dropped_frames: Be::u64(&mut data)?,
-                    });
-                }
-                let extra_paths = Be::list(&mut data, MAX_LIST, 8 + PATH_BYTES, |data| {
-                    Some((Be::u64(data)?, Be::path(data)?))
-                })?;
-                ClusterMsg::Report(ShardReport {
-                    shard_start,
-                    paths,
-                    query_stats,
-                    online_at_end,
-                    transport,
-                    extra_paths,
-                })
-            }
-            9 => ClusterMsg::Heartbeat {
-                epoch: Be::u64(&mut data)?,
-            },
-            10 => ClusterMsg::ShardPaths {
-                shard_start: Be::u64(&mut data)?,
-                paths: Be::paths(&mut data, MAX_LIST)?,
-            },
-            11 => ClusterMsg::WorkerFailed {
-                epoch: Be::u64(&mut data)?,
-                worker_index: Be::u32(&mut data)?,
-                shard_start: Be::u64(&mut data)?,
-                shard_len: Be::u64(&mut data)?,
-            },
-            12 => ClusterMsg::ShardReassign {
-                epoch: Be::u64(&mut data)?,
-                moves: Be::list(&mut data, MAX_LIST, 20 + PATH_BYTES, |data| {
-                    Some(ReassignMove {
-                        peer: Be::u64(data)?,
-                        to_worker: Be::u32(data)?,
-                        source_peer: Be::u64(data)?,
-                        path: Be::path(data)?,
-                    })
-                })?,
-            },
-            13 => ClusterMsg::RecoveryAddrs {
-                epoch: Be::u64(&mut data)?,
-                peer_addrs: get_addrs(&mut data)?,
-            },
-            14 => ClusterMsg::RecoveryDone {
-                epoch: Be::u64(&mut data)?,
-                recovered: Be::list(&mut data, MAX_LIST, 9, |data| {
-                    Some((Be::u64(data)?, Be::u8(data)? != 0))
-                })?,
-            },
-            15 => ClusterMsg::Rejoin {
-                shard_start: Be::u64(&mut data)?,
-                shard_len: Be::u64(&mut data)?,
-                epoch: Be::u64(&mut data)?,
-                phase: Be::u8(&mut data)?,
-                now_ms: Be::u64(&mut data)?,
-                seed: Be::u64(&mut data)?,
-            },
-            16 => ClusterMsg::Resume {
-                epoch: Be::u64(&mut data)?,
-                phase: Be::u8(&mut data)?,
-            },
-            _ => return None,
-        };
+        let msg = Control::get(&mut data)?;
         data.is_empty().then_some(msg)
     }
 
@@ -653,7 +347,7 @@ impl ClusterMsg {
             ClusterMsg::AddressBook { peer_addrs }
             | ClusterMsg::RecoveryAddrs { peer_addrs, .. } => addrs(peer_addrs),
             ClusterMsg::Report(report) => {
-                let hosted = report.paths.len() + report.extra_paths.len();
+                let hosted = report.paths.len().saturating_add(report.extra_paths.len());
                 shard(report.shard_start, report.paths.len() as u64)
                     && report.extra_paths.iter().all(|&(peer, _)| peer < n)
                     && report.online_at_end <= hosted as u64
@@ -704,212 +398,105 @@ pub(crate) fn protocol_error(what: &str, got: &ClusterMsg) -> std::io::Error {
 const MAX_LIST: usize = 1 << 24;
 /// Longest string (a trace event's kind or detail) in bytes.
 const MAX_STR: usize = 1 << 16;
-/// Shortest encoded trace event: four words and two empty strings.
-const TRACE_EVENT_MIN_BYTES: usize = 4 * 8 + 2 * 4;
 
-fn put_config(buf: &mut Vec<u8>, config: &NetConfig) {
-    Be::put_u64(buf, config.n_peers as u64);
-    Be::put_u64(buf, config.keys_per_peer as u64);
-    Be::put_u64(buf, config.n_min as u64);
-    match config.delta_max {
-        Some(d) => {
-            Be::put_u8(buf, 1);
-            Be::put_u64(buf, d as u64);
-        }
-        None => Be::put_u8(buf, 0),
-    }
-    Be::put_u64(buf, config.latency_min_ms);
-    Be::put_u64(buf, config.latency_max_ms);
-    Be::put_f64(buf, config.loss_probability);
-    Be::put_u64(buf, config.query_timeout_ms);
-    Be::put_u64(buf, config.seed);
-    match config.distribution {
-        Distribution::Uniform => Be::put_u8(buf, 0),
-        Distribution::Pareto { shape } => {
-            Be::put_u8(buf, 1);
-            Be::put_f64(buf, shape);
-        }
-        Distribution::Normal { mean, std_dev } => {
-            Be::put_u8(buf, 2);
-            Be::put_f64(buf, mean);
-            Be::put_f64(buf, std_dev);
-        }
-        Distribution::Text {
-            vocabulary,
-            exponent,
-        } => {
-            Be::put_u8(buf, 3);
-            Be::put_u64(buf, vocabulary as u64);
-            Be::put_f64(buf, exponent);
-        }
-    }
-    Be::put_u8(buf, config.route_cache as u8);
-    Be::put_u64(buf, config.query_sample_cap as u64);
+/// The control protocol's byte order: big-endian like [`Be`], but a type
+/// of this crate, so the codecs of the types other crates own (the run
+/// configuration, the reports' statistics, trace events) live here, next
+/// to the messages that carry them.
+#[derive(Clone, Copy)]
+pub enum Control {}
+
+impl Order for Control {
+    const BIG_ENDIAN: bool = Be::BIG_ENDIAN;
 }
 
-fn get_config(data: &mut &[u8]) -> Option<NetConfig> {
-    let n_peers = Be::u64(data)? as usize;
-    let keys_per_peer = Be::u64(data)? as usize;
-    let n_min = Be::u64(data)? as usize;
-    let delta_max = if Be::u8(data)? != 0 {
-        Some(Be::u64(data)? as usize)
-    } else {
-        None
-    };
-    let latency_min_ms = Be::u64(data)?;
-    let latency_max_ms = Be::u64(data)?;
-    let loss_probability = Be::f64(data)?;
-    let query_timeout_ms = Be::u64(data)?;
-    let seed = Be::u64(data)?;
-    let distribution = match Be::u8(data)? {
-        0 => Distribution::Uniform,
-        1 => Distribution::Pareto {
-            shape: Be::f64(data)?,
+wire_codec! {
+    enum ClusterMsg in Control {
+        0 => Welcome {
+            worker_index, shard_start, shard_len, config, timeline, tracing,
+            heartbeat_ms, heal, kill_at_min,
         },
-        2 => Distribution::Normal {
-            mean: Be::f64(data)?,
-            std_dev: Be::f64(data)?,
-        },
-        3 => Distribution::Text {
-            vocabulary: Be::u64(data)? as usize,
-            exponent: Be::f64(data)?,
-        },
-        _ => return None,
-    };
-    let route_cache = Be::u8(data)? != 0;
-    let query_sample_cap = Be::u64(data)? as usize;
-    Some(NetConfig {
-        n_peers,
-        keys_per_peer,
-        n_min,
-        delta_max,
-        latency_min_ms,
-        latency_max_ms,
-        loss_probability,
-        query_timeout_ms,
-        seed,
-        distribution,
-        route_cache,
+        1 => Hello { shard_start, peer_addrs [MAX_LIST], metrics_addr },
+        2 => AddressBook { peer_addrs [MAX_LIST] },
+        3 => PhaseDone { phase },
+        4 => Proceed { phase },
+        5 => Minutes { samples [1 << 20] },
+        6 => Report(report),
+        7 => TraceBatch { events [1 << 20] },
+        8 => MetricsSnapshot { registry [1 << 26] },
+        9 => Heartbeat { epoch },
+        10 => ShardPaths { shard_start, paths [MAX_LIST] },
+        11 => WorkerFailed { epoch, worker_index, shard_start, shard_len },
+        12 => ShardReassign { epoch, moves [MAX_LIST] },
+        13 => RecoveryAddrs { epoch, peer_addrs [MAX_LIST] },
+        14 => RecoveryDone { epoch, recovered [MAX_LIST] },
+        15 => Rejoin { shard_start, shard_len, epoch, phase, now_ms, seed },
+        16 => Resume { epoch, phase },
+    }
+
+    struct ShardReport in Control {
+        shard_start, paths [MAX_LIST], query_stats, online_at_end, transport,
+        extra_paths [MAX_LIST],
+    }
+
+    struct ReassignMove in Control { peer, to_worker, source_peer, path }
+
+    struct NetConfig in Control {
+        n_peers, keys_per_peer, n_min, delta_max, latency_min_ms, latency_max_ms,
+        loss_probability, query_timeout_ms, seed, distribution, route_cache,
         query_sample_cap,
-    })
-}
+    }
 
-fn put_aggregates(buf: &mut Vec<u8>, stats: &QueryAggregates) {
-    Be::put_u64(buf, stats.issued);
-    Be::put_u64(buf, stats.answered);
-    Be::put_u64(buf, stats.succeeded);
-    Be::put_u64(buf, stats.timed_out);
-    Be::put_u64(buf, stats.late_responses);
-    Be::put_u64(buf, stats.hops_sum_successful);
-    Be::put_histogram(buf, &stats.latency);
-    Be::put_u64(buf, stats.ranges_issued);
-    Be::put_u64(buf, stats.ranges_complete);
-    Be::put_histogram(buf, &stats.range_latency);
-    Be::put_count(buf, stats.per_minute.len());
-    for (minute, bucket) in &stats.per_minute {
-        Be::put_u64(buf, *minute);
-        Be::put_u64(buf, bucket.count);
-        Be::put_f64(buf, bucket.sum_s);
-        Be::put_f64(buf, bucket.sum_sq_s);
+    enum Distribution in Control {
+        0 => Uniform,
+        1 => Pareto { shape },
+        2 => Normal { mean, std_dev },
+        3 => Text { vocabulary, exponent },
+    }
+
+    struct Timeline in Control {
+        join_end_min, replicate_end_min, construct_end_min, range_end_min,
+        query_end_min, end_min,
+    }
+
+    struct QueryAggregates in Control {
+        issued, answered, succeeded, timed_out, late_responses, hops_sum_successful,
+        latency, ranges_issued, ranges_complete, range_latency, per_minute [MAX_LIST],
+    }
+
+    struct MinuteLatency in Control { count, sum_s, sum_sq_s }
+
+    struct TransportStats in Control {
+        frames_sent, frames_delivered, bytes_sent, bytes_delivered, reactor,
+    }
+
+    struct ReactorStats in Control {
+        registered_peers, registered_fds, epoll_wakeups, write_queue_frames,
+        write_queue_bytes, partial_writes, reconnects, dropped_frames,
+    }
+
+    struct TraceEvent in Control {
+        trace_id, kind [MAX_STR], peer, virtual_ms, wall_micros, detail [MAX_STR],
     }
 }
 
-fn get_aggregates(data: &mut &[u8]) -> Option<QueryAggregates> {
-    let issued = Be::u64(data)?;
-    let answered = Be::u64(data)?;
-    let succeeded = Be::u64(data)?;
-    let timed_out = Be::u64(data)?;
-    let late_responses = Be::u64(data)?;
-    let hops_sum_successful = Be::u64(data)?;
-    let latency = Be::histogram(data)?;
-    let ranges_issued = Be::u64(data)?;
-    let ranges_complete = Be::u64(data)?;
-    let range_latency = Be::histogram(data)?;
-    let n_minutes = Be::count(data, MAX_LIST, 32)?;
-    let mut per_minute = std::collections::BTreeMap::new();
-    for _ in 0..n_minutes {
-        let minute = Be::u64(data)?;
-        per_minute.insert(
-            minute,
-            MinuteLatency {
-                count: Be::u64(data)?,
-                sum_s: Be::f64(data)?,
-                sum_sq_s: Be::f64(data)?,
-            },
-        );
+/// A trace event's kind: a string on the wire, interned on arrival.
+impl<'a> Wire<'a, Control> for &'static str {
+    const MIN_BYTES: usize = <String as Wire<'a, Control>>::MIN_BYTES;
+    fn put<S: Sink>(&self, sink: &mut S) {
+        Control::put_count(sink, self.len());
+        sink.put(self.as_bytes());
     }
-    Some(QueryAggregates {
-        issued,
-        answered,
-        succeeded,
-        timed_out,
-        late_responses,
-        hops_sum_successful,
-        latency,
-        ranges_issued,
-        ranges_complete,
-        range_latency,
-        per_minute,
-    })
-}
-
-fn put_timeline(buf: &mut Vec<u8>, timeline: &Timeline) {
-    Be::put_u64(buf, timeline.join_end_min);
-    Be::put_u64(buf, timeline.replicate_end_min);
-    Be::put_u64(buf, timeline.construct_end_min);
-    Be::put_u64(buf, timeline.range_end_min);
-    Be::put_u64(buf, timeline.query_end_min);
-    Be::put_u64(buf, timeline.end_min);
-}
-
-fn get_timeline(data: &mut &[u8]) -> Option<Timeline> {
-    Some(Timeline {
-        join_end_min: Be::u64(data)?,
-        replicate_end_min: Be::u64(data)?,
-        construct_end_min: Be::u64(data)?,
-        range_end_min: Be::u64(data)?,
-        query_end_min: Be::u64(data)?,
-        end_min: Be::u64(data)?,
-    })
-}
-
-fn put_addr(buf: &mut Vec<u8>, addr: &SocketAddr) {
-    match addr.ip() {
-        IpAddr::V4(ip) => {
-            Be::put_u8(buf, 4);
-            buf.put(&ip.octets());
-        }
-        IpAddr::V6(ip) => {
-            Be::put_u8(buf, 6);
-            buf.put(&ip.octets());
-        }
-    }
-    Be::put_u16(buf, addr.port());
-}
-
-fn get_addr(data: &mut &[u8]) -> Option<SocketAddr> {
-    let ip: IpAddr = match Be::u8(data)? {
-        4 => Ipv4Addr::from(<[u8; 4]>::try_from(Be::bytes(data, 4)?).ok()?).into(),
-        6 => Ipv6Addr::from(<[u8; 16]>::try_from(Be::bytes(data, 16)?).ok()?).into(),
-        _ => return None,
-    };
-    let port = Be::u16(data)?;
-    Some(SocketAddr::new(ip, port))
-}
-
-fn put_addrs(buf: &mut Vec<u8>, addrs: &[(u64, SocketAddr)]) {
-    Be::put_count(buf, addrs.len());
-    for (peer, addr) in addrs {
-        Be::put_u64(buf, *peer);
-        put_addr(buf, addr);
+    fn get(data: &mut &'a [u8]) -> Option<Self> {
+        Self::get_capped(data, UNCAPPED)
     }
 }
 
-fn get_addrs(data: &mut &[u8]) -> Option<Vec<(u64, SocketAddr)>> {
-    // The shortest entry is a peer id plus an IPv4 address.
-    Be::list(data, MAX_LIST, 8 + 1 + 4 + 2, |data| {
-        Some((Be::u64(data)?, get_addr(data)?))
-    })
+impl<'a> Capped<'a, Control> for &'static str {
+    fn get_capped(data: &mut &'a [u8], cap: usize) -> Option<Self> {
+        let kind: String = Control::get_capped(data, cap)?;
+        Some(intern_kind(&kind))
+    }
 }
 
 // ----- control channel -------------------------------------------------------
@@ -965,7 +552,7 @@ impl ControlChannel {
                 "control connection closed",
             )),
             Ok(n) => {
-                self.reader.extend(&buf[..n]);
+                self.reader.extend(buf.get(..n).unwrap_or_default());
                 self.pop_frame()
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -977,12 +564,13 @@ impl ControlChannel {
 
     /// Waits up to `timeout` for the next message.
     pub fn recv_timeout(&mut self, timeout: Duration) -> std::io::Result<ClusterMsg> {
-        let deadline = Instant::now() + timeout;
+        // A timeout past the clock's range never expires.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(msg) = self.try_recv()? {
                 return Ok(msg);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return Err(std::io::Error::new(
                     ErrorKind::TimedOut,
                     "timed out waiting for a control message",
@@ -1014,6 +602,9 @@ impl ControlChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgrid_core::key::DataEntry;
+    use pgrid_core::routing::PeerId;
+    use pgrid_core::wire::PATH_BYTES;
 
     fn roundtrip(msg: ClusterMsg) {
         let encoded = msg.encode();
@@ -1228,6 +819,110 @@ mod tests {
         assert!(ClusterMsg::decode(Bytes::from(bytes.clone())).is_some());
         bytes.push(0);
         assert!(ClusterMsg::decode(Bytes::from(bytes)).is_none());
+    }
+
+    #[test]
+    fn a_flag_byte_other_than_zero_or_one_is_refused() {
+        let config = |delta_max, route_cache| NetConfig {
+            delta_max,
+            route_cache,
+            ..NetConfig::default()
+        };
+        let welcome = |config, tracing, heal, kill_at_min| ClusterMsg::Welcome {
+            worker_index: 0,
+            shard_start: 0,
+            shard_len: 8,
+            config,
+            timeline: Timeline::default(),
+            tracing,
+            heartbeat_ms: 0,
+            heal,
+            kill_at_min,
+        };
+        let hello = |metrics_addr| ClusterMsg::Hello {
+            shard_start: 0,
+            peer_addrs: Vec::new(),
+            metrics_addr,
+        };
+        let recovered = |via_replica| ClusterMsg::RecoveryDone {
+            epoch: 1,
+            recovered: vec![(2, via_replica)],
+        };
+        let report = |reactor| {
+            ClusterMsg::Report(ShardReport {
+                shard_start: 0,
+                paths: Vec::new(),
+                query_stats: QueryAggregates::default(),
+                online_at_end: 0,
+                transport: TransportStats {
+                    reactor,
+                    ..TransportStats::default()
+                },
+                extra_paths: Vec::new(),
+            })
+        };
+        let on = || config(Some(50), true);
+        // Each pair differs in one flag, set in the first: `delta_max`,
+        // `route_cache`, `tracing`, `heal`, `kill_at_min`, the metrics
+        // address, `via_replica` and the report's reactor block.
+        let pairs = [
+            (
+                welcome(on(), true, true, Some(3)),
+                welcome(config(None, true), true, true, Some(3)),
+            ),
+            (
+                welcome(on(), true, true, Some(3)),
+                welcome(config(Some(50), false), true, true, Some(3)),
+            ),
+            (
+                welcome(on(), true, true, Some(3)),
+                welcome(on(), false, true, Some(3)),
+            ),
+            (
+                welcome(on(), true, true, Some(3)),
+                welcome(on(), true, false, Some(3)),
+            ),
+            (
+                welcome(on(), true, true, Some(3)),
+                welcome(on(), true, true, None),
+            ),
+            (hello(Some("127.0.0.1:9100".parse().unwrap())), hello(None)),
+            (recovered(true), recovered(false)),
+            (report(Some(ReactorStats::default())), report(None)),
+        ];
+        for (set, clear) in pairs {
+            let (mut bytes, clear) = (set.encode().as_slice().to_vec(), clear.encode());
+            let at = bytes.iter().zip(clear.as_slice()).position(|(a, b)| a != b);
+            let at = at.unwrap();
+            assert_eq!(bytes[at], 1, "{set:?}");
+            bytes[at] = 2;
+            assert!(ClusterMsg::decode(Bytes::from(bytes)).is_none(), "{set:?}");
+        }
+    }
+
+    #[test]
+    fn every_list_charges_the_element_minimum_it_charged_before() {
+        fn min<T: for<'a> Wire<'a, Control>>() -> usize {
+            <T as Wire<'_, Control>>::MIN_BYTES
+        }
+        let minimums = [
+            ("path", min::<Path>(), 9),
+            ("entry", min::<DataEntry>(), 16),
+            ("routing reference", min::<(u8, PeerId, Path)>(), 18),
+            ("journal routing reference", min::<(u8, u64, Path)>(), 18),
+            ("peer", min::<PeerId>(), 8),
+            ("journal peer", min::<u64>(), 8),
+            ("address entry", min::<(u64, SocketAddr)>(), 15),
+            ("reassign move", min::<ReassignMove>(), 29),
+            ("recovered pair", min::<(u64, bool)>(), 9),
+            ("minute sample", min::<(u64, u64, u64)>(), 24),
+            ("per-minute latency", min::<(u64, MinuteLatency)>(), 32),
+            ("trace event", min::<TraceEvent>(), 40),
+            ("histogram bucket", min::<(u16, u64)>(), 10),
+        ];
+        for (list, got, before) in minimums {
+            assert_eq!(got, before, "{list}");
+        }
     }
 
     #[test]

@@ -5,10 +5,27 @@
 //! last-writer-wins per component, which is what makes compaction and
 //! torn-tail truncation safe: a full image can always be re-applied, a
 //! delta applies on top of whatever image replay has built so far.
+//!
+//! The codec is little-endian and written with [`pgrid_core::wire`]: the
+//! metadata, an image and its parts are one [`wire_codec!`] listing each.
+//! A delta's flag-bits header and the borrowed encoders the store journals
+//! live state with are written by hand.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
 
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
-use pgrid_core::wire::{Le, Order, UNCAPPED};
+use pgrid_core::wire::{Le, Order, Wire};
+use pgrid_core::wire_codec;
 
 /// Worker-level metadata: which shard this log belongs to and how far
 /// the run had progressed at the last sync.
@@ -105,6 +122,17 @@ const DELTA_PATH: u8 = 1;
 const DELTA_ROUTING: u8 = 2;
 const DELTA_REPLICAS: u8 = 4;
 
+wire_codec! {
+    struct MetaImage in Le { shard_start, shard_len, epoch, phase, now_ms, seed }
+
+    struct PeerImage in Le { path, entries, routing, replicas }
+
+    enum Record in Le except Delta {
+        TAG_META => Meta(meta),
+        TAG_IMAGE => Image { index, peer, image },
+    }
+}
+
 impl Record {
     /// Encodes the record as one segment payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -113,18 +141,10 @@ impl Record {
         buf
     }
 
-    /// Appends the record's payload encoding to `buf`.
+    /// Appends the record's payload encoding to `buf`: an image or a delta
+    /// through its borrowed encoder, the metadata through the listing.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Record::Meta(meta) => {
-                Le::put_u8(buf, TAG_META);
-                Le::put_u32(buf, meta.shard_start);
-                Le::put_u32(buf, meta.shard_len);
-                Le::put_u64(buf, meta.epoch);
-                Le::put_u8(buf, meta.phase);
-                Le::put_u64(buf, meta.now_ms);
-                Le::put_u64(buf, meta.seed);
-            }
             Record::Image { index, peer, image } => encode_image_into(
                 *index,
                 *peer,
@@ -135,6 +155,7 @@ impl Record {
                 buf,
             ),
             Record::Delta { index, peer, delta } => encode_delta_into(*index, *peer, delta, buf),
+            meta => meta.put_listed(buf),
         }
     }
 
@@ -152,57 +173,38 @@ impl Record {
         Ok(record)
     }
 
-    /// Decodes one record from the front of `data`.
+    /// Decodes one record from the front of `data`: a delta by its flag
+    /// bits, which must name only its three optional parts, and every
+    /// other record through the listing.
     fn decode_from(data: &mut &[u8]) -> Option<Record> {
-        Some(match Le::u8(data)? {
-            TAG_META => Record::Meta(MetaImage {
-                shard_start: Le::u32(data)?,
-                shard_len: Le::u32(data)?,
-                epoch: Le::u64(data)?,
-                phase: Le::u8(data)?,
-                now_ms: Le::u64(data)?,
-                seed: Le::u64(data)?,
-            }),
-            TAG_IMAGE => Record::Image {
-                index: Le::u32(data)?,
-                peer: Le::u32(data)?,
-                image: PeerImage {
-                    path: Le::path(data)?,
-                    entries: Le::entries(data, UNCAPPED)?,
-                    routing: Le::routing(data, UNCAPPED)?,
-                    replicas: Le::peers(data, UNCAPPED)?,
-                },
-            },
-            TAG_DELTA => {
-                let index = Le::u32(data)?;
-                let peer = Le::u32(data)?;
-                let flags = Le::u8(data)?;
-                Record::Delta {
-                    index,
-                    peer,
-                    delta: PeerDelta {
-                        path: if flags & DELTA_PATH != 0 {
-                            Some(Le::path(data)?)
-                        } else {
-                            None
-                        },
-                        added: Le::entries(data, UNCAPPED)?,
-                        removed: Le::entries(data, UNCAPPED)?,
-                        routing: if flags & DELTA_ROUTING != 0 {
-                            Some(Le::routing(data, UNCAPPED)?)
-                        } else {
-                            None
-                        },
-                        replicas: if flags & DELTA_REPLICAS != 0 {
-                            Some(Le::peers(data, UNCAPPED)?)
-                        } else {
-                            None
-                        },
-                    },
-                }
-            }
-            _ => return None,
-        })
+        let tag = Le::u8(data)?;
+        if tag != TAG_DELTA {
+            return Record::get_listed(tag, data);
+        }
+        let index = Le::u32(data)?;
+        let peer = Le::u32(data)?;
+        let flags = Le::u8(data)?;
+        if flags & !(DELTA_PATH | DELTA_ROUTING | DELTA_REPLICAS) != 0 {
+            return None;
+        }
+        let delta = PeerDelta {
+            path: optional(flags & DELTA_PATH != 0, data)?,
+            added: Le::get(data)?,
+            removed: Le::get(data)?,
+            routing: optional(flags & DELTA_ROUTING != 0, data)?,
+            replicas: optional(flags & DELTA_REPLICAS != 0, data)?,
+        };
+        Some(Record::Delta { index, peer, delta })
+    }
+}
+
+/// Reads a delta's optional part: the value when its flag bit is `set`,
+/// nothing otherwise.
+fn optional<'a, T: Wire<'a, Le>>(set: bool, data: &mut &'a [u8]) -> Option<Option<T>> {
+    if set {
+        Le::get(data).map(Some)
+    } else {
+        Some(None)
     }
 }
 
@@ -220,13 +222,14 @@ pub(crate) fn encode_image_into(
     Le::put_u8(buf, TAG_IMAGE);
     Le::put_u32(buf, index);
     Le::put_u32(buf, peer);
-    Le::put_path(buf, path);
-    Le::put_entries(buf, entries);
-    Le::put_routing(buf, routing);
-    Le::put_peers(buf, replicas);
+    Le::put(buf, path);
+    <DataEntry as Wire<Le>>::put_list(entries, buf);
+    <(u8, u64, Path) as Wire<Le>>::put_list(routing, buf);
+    <u64 as Wire<Le>>::put_list(replicas, buf);
 }
 
-/// Appends the payload of a [`Record::Delta`] built from a borrowed delta.
+/// Appends the payload of a [`Record::Delta`] built from a borrowed delta:
+/// tag, index, peer, a flag bit per optional part present, then the parts.
 pub(crate) fn encode_delta_into(index: u32, peer: u32, delta: &PeerDelta, buf: &mut Vec<u8>) {
     Le::put_u8(buf, TAG_DELTA);
     Le::put_u32(buf, index);
@@ -239,15 +242,15 @@ pub(crate) fn encode_delta_into(index: u32, peer: u32, delta: &PeerDelta, buf: &
             | flag(delta.replicas.is_some(), DELTA_REPLICAS),
     );
     if let Some(path) = &delta.path {
-        Le::put_path(buf, path);
+        Le::put(buf, path);
     }
-    Le::put_entries(buf, &delta.added);
-    Le::put_entries(buf, &delta.removed);
+    Le::put(buf, &delta.added);
+    Le::put(buf, &delta.removed);
     if let Some(routing) = &delta.routing {
-        Le::put_routing(buf, routing);
+        Le::put(buf, routing);
     }
     if let Some(replicas) = &delta.replicas {
-        Le::put_peers(buf, replicas);
+        Le::put(buf, replicas);
     }
 }
 
@@ -371,6 +374,21 @@ mod tests {
             wire.extend(vec![0; 4 * lists_before]);
             wire.extend([0xFF; 4]);
             assert!(Record::decode(&wire).is_err(), "list {lists_before}");
+        }
+    }
+
+    #[test]
+    fn a_delta_flag_bit_outside_its_three_parts_is_refused() {
+        let mut wire = Record::Delta {
+            index: 0,
+            peer: 0,
+            delta: PeerDelta::default(),
+        }
+        .encode();
+        assert!(Record::decode(&wire).is_ok());
+        for bit in [8, 16, 32, 64, 128] {
+            wire[9] = bit;
+            assert!(Record::decode(&wire).is_err(), "flag bit {bit}");
         }
     }
 

@@ -2,10 +2,11 @@
 //!
 //! Peers only communicate through these messages; the encoded size of every
 //! message is what the bandwidth accounting of the Figure 8 experiment
-//! measures.  The codec is a simple hand-rolled big-endian binary format
-//! built from the workspace's one codec kit ([`pgrid_core::wire`]):
-//! self-describing enough for tests, compact enough that the byte counts
-//! are meaningful.
+//! measures.  The format is big-endian and written with the workspace's one
+//! codec kit ([`pgrid_core::wire`]): one listing per enum names each kind's
+//! tag and fields once, and [`pgrid_core::wire_codec!`] writes the encoder
+//! and the decoder from it, compact enough that the byte counts are
+//! meaningful.
 //!
 //! An exchange (Figure 2) takes one or two round trips.  The initiator
 //! sends an [`Message::Offer`]: its path and the count and digest of its
@@ -15,25 +16,21 @@
 //! otherwise [`ExchangeOutcome::Want`], to which the initiator answers with
 //! the [`Message::Exchange`] that carries the entries.
 //!
-//! There is one encoder, generic over the kit's [`Sink`], and one decoder
-//! over a byte slice.  The runtime encodes a message exactly once,
-//! straight into the bytes that go on the wire (its staging arena, a
-//! `Vec<u8>`); it answers a `Want` with `Message::encode_exchange`, the
-//! encoder of the `Exchange` kind, with the entries still in the peer's
-//! store.  An arrived payload is validated in full before it is
-//! dispatched ([`Arrived::decode`] over a slice of the frame): tag, every
-//! field, every count against its cap and the bytes left, and the exact
-//! length.  An `Exchange`'s entries then stay where they lie, an
-//! [`Entries`] view read only if the exchange gets past its referral;
-//! every other kind is decoded owned.  [`Message::decode_slice`] is that
-//! decoder with the entries copied out, [`Message::encode`] /
-//! [`Message::decode`] are the owned-`Bytes` wrappers of the two
-//! functions, and [`Message::wire_size`] runs the encoder over a sink that
-//! only counts, so none of them can disagree.  Decoding is total: every
-//! read is bounds-checked, a claimed element count must fit the bytes that
-//! are left before anything is reserved for it, envelope nesting is
-//! refused on the inner tag (no recursion on hostile input), and a payload
-//! must be consumed exactly.
+//! Two kinds are written by hand.  The runtime answers a `Want` with
+//! `Message::encode_exchange`, the encoder of the `Exchange` kind, with the
+//! entries still in the peer's store, and an arrived `Exchange` keeps its
+//! entries where they lie, an [`Entries`] view read only if the exchange
+//! gets past its referral.  A [`Message::Traced`] envelope is refused when
+//! it nests, on the inner tag, so hostile input cannot recurse.
+//!
+//! The runtime encodes a message exactly once, straight into the bytes
+//! that go on the wire (its staging arena), and [`Message::wire_size`] runs
+//! the same encoder over a sink that only counts.  An arrived payload is
+//! validated in full before it is dispatched ([`Arrived::decode`] over a
+//! slice of the frame): tag, every field, every count against its cap and
+//! the bytes left, and the exact length.  [`Message::decode_slice`] is that
+//! decoder with the entries copied out, and [`Message::encode`] /
+//! [`Message::decode`] are the owned-`Bytes` wrappers of the two.
 
 #![cfg_attr(
     not(test),
@@ -50,7 +47,7 @@ use bytes::Bytes;
 use pgrid_core::key::{DataEntry, Key};
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
-use pgrid_core::wire::{Be, Entries, Order, Sink, UNCAPPED};
+use pgrid_core::wire::{Be, Entries, Order, Sink, Wire};
 use pgrid_obs::trace::NO_TRACE;
 
 /// A protocol message exchanged between peers.
@@ -252,6 +249,35 @@ pub enum ExchangeOutcome {
     },
 }
 
+pgrid_core::wire_codec! {
+    enum ExchangeOutcome in Be {
+        0 => Split { partition, initiator_bit, entries [MAX_ENTRIES], complement },
+        1 => Replicate { entries [MAX_ENTRIES] },
+        2 => Refer { peer, path },
+        3 => Nothing,
+        4 => Want { path },
+    }
+
+    enum Message in Be except Exchange, Traced {
+        0 => Join { peer },
+        1 => JoinAck { neighbours },
+        2 => Replicate { entries [MAX_ENTRIES] },
+        4 => ExchangeReply { from, path, outcome },
+        5 => Query { origin, id, key, hops },
+        6 => QueryResponse { id, entries [MAX_ENTRIES], hops, found },
+        8 => RangeQuery { origin, id, lo, hi, cursor, hops },
+        9 => RangeResponse { id, from, upto, entries [MAX_ENTRIES], hops },
+        11 => ReplicaPull { origin },
+        12 => ReplicaPush { path, entries [MAX_ENTRIES], routing [65_536], replicas [65_536] },
+        13 => Offer { from, path, count, digest },
+    }
+}
+
+/// Tag of [`Message::Exchange`].
+const TAG_EXCHANGE: u8 = 3;
+/// Tag of [`Message::Traced`].
+const TAG_TRACED: u8 = 10;
+
 /// A payload as the runtime receives it, validated in full by the one
 /// decoder.  An `Exchange` — bare or in a trace envelope — keeps its
 /// entries in the payload; every other kind is decoded owned.
@@ -285,99 +311,25 @@ impl<'a> Arrived<'a> {
         data.is_empty().then_some(arrived)
     }
 
-    /// Decodes one message from the front of `data`.
+    /// Decodes one message from the front of `data`: the two kinds the
+    /// listing excepts by hand, every other through it.  Tag 7, the
+    /// retired secondary-index envelope, is refused like any unknown tag.
     fn decode_from(data: &mut &'a [u8]) -> Option<Arrived<'a>> {
-        let tag = Be::u8(data)?;
-        let message = match tag {
-            0 => Message::Join {
-                peer: PeerId(Be::u64(data)?),
-            },
-            1 => Message::JoinAck {
-                neighbours: Be::peers(data, UNCAPPED)?,
-            },
-            2 => Message::Replicate {
-                entries: Be::entries(data, MAX_ENTRIES)?,
-            },
-            3 => {
+        let message = match Be::u8(data)? {
+            TAG_EXCHANGE => {
                 return Some(Arrived::Exchange {
                     trace_id: NO_TRACE,
-                    from: PeerId(Be::u64(data)?),
-                    path: Be::path(data)?,
-                    entries: Be::entry_view(data, MAX_ENTRIES)?,
+                    from: Be::get(data)?,
+                    path: Be::get(data)?,
+                    entries: Be::get_capped(data, MAX_ENTRIES)?,
                 })
             }
-            4 => {
-                let from = PeerId(Be::u64(data)?);
-                let path = Be::path(data)?;
-                let outcome = match Be::u8(data)? {
-                    0 => {
-                        let partition = Be::path(data)?;
-                        let initiator_bit = Be::u8(data)? != 0;
-                        let entries = Be::entries(data, MAX_ENTRIES)?;
-                        let complement = if Be::u8(data)? != 0 {
-                            Some((PeerId(Be::u64(data)?), Be::path(data)?))
-                        } else {
-                            None
-                        };
-                        ExchangeOutcome::Split {
-                            partition,
-                            initiator_bit,
-                            entries,
-                            complement,
-                        }
-                    }
-                    1 => ExchangeOutcome::Replicate {
-                        entries: Be::entries(data, MAX_ENTRIES)?,
-                    },
-                    2 => ExchangeOutcome::Refer {
-                        peer: PeerId(Be::u64(data)?),
-                        path: Be::path(data)?,
-                    },
-                    3 => ExchangeOutcome::Nothing,
-                    4 => ExchangeOutcome::Want {
-                        path: Be::path(data)?,
-                    },
-                    _ => return None,
-                };
-                Message::ExchangeReply {
-                    from,
-                    path,
-                    outcome,
-                }
-            }
-            5 => Message::Query {
-                origin: PeerId(Be::u64(data)?),
-                id: Be::u64(data)?,
-                key: Key(Be::u64(data)?),
-                hops: Be::u32(data)?,
-            },
-            6 => Message::QueryResponse {
-                id: Be::u64(data)?,
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                hops: Be::u32(data)?,
-                found: Be::u8(data)? != 0,
-            },
-            8 => Message::RangeQuery {
-                origin: PeerId(Be::u64(data)?),
-                id: Be::u64(data)?,
-                lo: Key(Be::u64(data)?),
-                hi: Key(Be::u64(data)?),
-                cursor: Key(Be::u64(data)?),
-                hops: Be::u32(data)?,
-            },
-            9 => Message::RangeResponse {
-                id: Be::u64(data)?,
-                from: Key(Be::u64(data)?),
-                upto: Key(Be::u64(data)?),
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                hops: Be::u32(data)?,
-            },
-            10 => {
+            TAG_TRACED => {
                 let trace_id = Be::u64(data)?;
                 // Trace envelopes carry a non-zero ID and never nest:
                 // decided on the inner tag, before recursing, so hostile
                 // nesting is rejected at depth one instead of on the stack.
-                if trace_id == NO_TRACE || data.first() == Some(&10) {
+                if trace_id == NO_TRACE || data.first() == Some(&TAG_TRACED) {
                     return None;
                 }
                 match Arrived::decode_from(data)? {
@@ -400,24 +352,7 @@ impl<'a> Arrived<'a> {
                     },
                 }
             }
-            11 => Message::ReplicaPull {
-                origin: PeerId(Be::u64(data)?),
-            },
-            12 => Message::ReplicaPush {
-                path: Be::path(data)?,
-                entries: Be::entries(data, MAX_ENTRIES)?,
-                routing: Be::routing(data, 65_536)?,
-                replicas: Be::peers(data, 65_536)?,
-            },
-            13 => Message::Offer {
-                from: PeerId(Be::u64(data)?),
-                path: Be::path(data)?,
-                count: Be::u32(data)?,
-                digest: Be::u64(data)?,
-            },
-            // Tag 7, the retired secondary-index envelope, is refused like
-            // any unknown tag.
-            _ => return None,
+            tag => Message::get_listed(tag, data)?,
         };
         Some(Arrived::Message(message))
     }
@@ -475,159 +410,22 @@ impl Message {
     /// buffer its own header just went into.
     pub(crate) fn encode_into<S: Sink>(&self, buf: &mut S) {
         match self {
-            Message::Join { peer } => {
-                Be::put_u8(buf, 0);
-                Be::put_u64(buf, peer.0);
-            }
-            Message::JoinAck { neighbours } => {
-                Be::put_u8(buf, 1);
-                Be::put_peers(buf, neighbours);
-            }
-            Message::Replicate { entries } => {
-                Be::put_u8(buf, 2);
-                Be::put_entries(buf, entries);
-            }
-            Message::Offer {
-                from,
-                path,
-                count,
-                digest,
-            } => {
-                Be::put_u8(buf, 13);
-                Be::put_u64(buf, from.0);
-                Be::put_path(buf, path);
-                Be::put_u32(buf, *count);
-                Be::put_u64(buf, *digest);
-            }
             Message::Exchange {
                 from,
                 path,
                 entries,
             } => Message::encode_exchange(buf, *from, path, entries),
-            Message::ExchangeReply {
-                from,
-                path,
-                outcome,
-            } => {
-                Be::put_u8(buf, 4);
-                Be::put_u64(buf, from.0);
-                Be::put_path(buf, path);
-                match outcome {
-                    ExchangeOutcome::Split {
-                        partition,
-                        initiator_bit,
-                        entries,
-                        complement,
-                    } => {
-                        Be::put_u8(buf, 0);
-                        Be::put_path(buf, partition);
-                        Be::put_u8(buf, *initiator_bit as u8);
-                        Be::put_entries(buf, entries);
-                        match complement {
-                            Some((peer, path)) => {
-                                Be::put_u8(buf, 1);
-                                Be::put_u64(buf, peer.0);
-                                Be::put_path(buf, path);
-                            }
-                            None => Be::put_u8(buf, 0),
-                        }
-                    }
-                    ExchangeOutcome::Replicate { entries } => {
-                        Be::put_u8(buf, 1);
-                        Be::put_entries(buf, entries);
-                    }
-                    ExchangeOutcome::Refer { peer, path } => {
-                        Be::put_u8(buf, 2);
-                        Be::put_u64(buf, peer.0);
-                        Be::put_path(buf, path);
-                    }
-                    ExchangeOutcome::Nothing => Be::put_u8(buf, 3),
-                    ExchangeOutcome::Want { path } => {
-                        Be::put_u8(buf, 4);
-                        Be::put_path(buf, path);
-                    }
-                }
-            }
-            Message::Query {
-                origin,
-                id,
-                key,
-                hops,
-            } => {
-                Be::put_u8(buf, 5);
-                Be::put_u64(buf, origin.0);
-                Be::put_u64(buf, *id);
-                Be::put_u64(buf, key.0);
-                Be::put_u32(buf, *hops);
-            }
-            Message::QueryResponse {
-                id,
-                entries,
-                hops,
-                found,
-            } => {
-                Be::put_u8(buf, 6);
-                Be::put_u64(buf, *id);
-                Be::put_entries(buf, entries);
-                Be::put_u32(buf, *hops);
-                Be::put_u8(buf, *found as u8);
-            }
-            Message::RangeQuery {
-                origin,
-                id,
-                lo,
-                hi,
-                cursor,
-                hops,
-            } => {
-                Be::put_u8(buf, 8);
-                Be::put_u64(buf, origin.0);
-                Be::put_u64(buf, *id);
-                Be::put_u64(buf, lo.0);
-                Be::put_u64(buf, hi.0);
-                Be::put_u64(buf, cursor.0);
-                Be::put_u32(buf, *hops);
-            }
-            Message::RangeResponse {
-                id,
-                from,
-                upto,
-                entries,
-                hops,
-            } => {
-                Be::put_u8(buf, 9);
-                Be::put_u64(buf, *id);
-                Be::put_u64(buf, from.0);
-                Be::put_u64(buf, upto.0);
-                Be::put_entries(buf, entries);
-                Be::put_u32(buf, *hops);
-            }
             Message::Traced { trace_id, inner } => {
                 debug_assert!(
                     !matches!(**inner, Message::Traced { .. }),
                     "trace envelopes do not nest"
                 );
                 debug_assert!(*trace_id != 0, "trace id 0 is never enveloped");
-                Be::put_u8(buf, 10);
+                Be::put_u8(buf, TAG_TRACED);
                 Be::put_u64(buf, *trace_id);
                 inner.encode_into(buf);
             }
-            Message::ReplicaPull { origin } => {
-                Be::put_u8(buf, 11);
-                Be::put_u64(buf, origin.0);
-            }
-            Message::ReplicaPush {
-                path,
-                entries,
-                routing,
-                replicas,
-            } => {
-                Be::put_u8(buf, 12);
-                Be::put_path(buf, path);
-                Be::put_entries(buf, entries);
-                Be::put_routing(buf, routing);
-                Be::put_peers(buf, replicas);
-            }
+            listed => listed.put_listed(buf),
         }
     }
 
@@ -640,10 +438,10 @@ impl Message {
         path: &Path,
         entries: &[DataEntry],
     ) {
-        Be::put_u8(buf, 3);
-        Be::put_u64(buf, from.0);
-        Be::put_path(buf, path);
-        Be::put_entries(buf, entries);
+        Be::put_u8(buf, TAG_EXCHANGE);
+        Be::put(buf, &from);
+        Be::put(buf, path);
+        <DataEntry as Wire<Be>>::put_list(entries, buf);
     }
 
     /// Decodes a message previously produced by [`Message::encode`].
@@ -1045,6 +843,41 @@ mod tests {
         assert_eq!(push.encode().as_slice(), wire);
         assert_eq!(push.wire_size(), wire.len());
         assert_eq!(Message::decode_slice(&wire), Some(push));
+    }
+
+    #[test]
+    fn a_flag_byte_other_than_zero_or_one_is_refused() {
+        let split = |initiator_bit, complement| Message::ExchangeReply {
+            from: PeerId(8),
+            path: Path::root(),
+            outcome: ExchangeOutcome::Split {
+                partition: Path::parse("01"),
+                initiator_bit,
+                entries: entries(2),
+                complement,
+            },
+        };
+        let response = |found| Message::QueryResponse {
+            id: 1,
+            entries: entries(1),
+            hops: 2,
+            found,
+        };
+        let complement = Some((PeerId(5), Path::parse("1")));
+        // Each pair differs in one flag, set in the first: the initiator
+        // bit, the complement's flag and `found`.
+        for (set, clear) in [
+            (split(true, complement), split(false, complement)),
+            (split(true, complement), split(true, None)),
+            (response(true), response(false)),
+        ] {
+            let (mut bytes, clear) = (set.encode().as_slice().to_vec(), clear.encode());
+            let at = bytes.iter().zip(clear.as_slice()).position(|(a, b)| a != b);
+            let at = at.unwrap();
+            assert_eq!(bytes[at], 1, "{set:?}");
+            bytes[at] = 2;
+            assert!(Message::decode_slice(&bytes).is_none(), "{set:?}");
+        }
     }
 
     #[test]

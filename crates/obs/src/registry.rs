@@ -330,8 +330,8 @@ impl MetricsRegistry {
         let mut buf = Vec::new();
         Le::put_count(&mut buf, self.families.len());
         for (name, family) in &self.families {
-            Le::put_str(&mut buf, name);
-            Le::put_str(&mut buf, &family.help);
+            Le::put(&mut buf, name);
+            Le::put(&mut buf, &family.help);
             Le::put_u8(
                 &mut buf,
                 match family.kind {
@@ -344,13 +344,13 @@ impl MetricsRegistry {
             for (labels, value) in &family.series {
                 Le::put_u8(&mut buf, labels.len() as u8);
                 for (k, v) in labels {
-                    Le::put_str(&mut buf, k);
-                    Le::put_str(&mut buf, v);
+                    Le::put(&mut buf, k);
+                    Le::put(&mut buf, v);
                 }
                 match value {
                     Value::Counter(v) => Le::put_u64(&mut buf, *v),
-                    Value::Gauge(v) => Le::put_f64(&mut buf, *v),
-                    Value::Histogram(h) => Le::put_histogram(&mut buf, h),
+                    Value::Gauge(v) => Le::put(&mut buf, v),
+                    Value::Histogram(h) => Le::put(&mut buf, h),
                 }
             }
         }
@@ -376,8 +376,8 @@ impl MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         // The shortest family: two empty strings, a kind and a series count.
         for _ in 0..Le::count(data, UNCAPPED, 4 + 4 + 1 + 4)? {
-            let name = Le::string(data, UNCAPPED)?;
-            let help = Le::string(data, UNCAPPED)?;
+            let name: String = Le::get(data)?;
+            let help = Le::get(data)?;
             let kind = match Le::u8(data)? {
                 0 => MetricKind::Counter,
                 1 => MetricKind::Gauge,
@@ -401,17 +401,17 @@ impl MetricsRegistry {
             for _ in 0..Le::count(data, UNCAPPED, 1 + 8)? {
                 let mut labels = Vec::new();
                 for _ in 0..Le::u8(data)? {
-                    let k = Le::string(data, UNCAPPED)?;
+                    let k: String = Le::get(data)?;
                     if !valid_label_name(&k) {
                         return None;
                     }
-                    labels.push((k, Le::string(data, UNCAPPED)?));
+                    labels.push((k, Le::get(data)?));
                 }
                 labels.sort();
                 let value = match kind {
                     MetricKind::Counter => Value::Counter(Le::u64(data)?),
-                    MetricKind::Gauge => Value::Gauge(Le::f64(data)?),
-                    MetricKind::Histogram => Value::Histogram(Le::histogram(data)?),
+                    MetricKind::Gauge => Value::Gauge(Le::get(data)?),
+                    MetricKind::Histogram => Value::Histogram(Le::get(data)?),
                 };
                 family.series.insert(labels, value);
             }

@@ -18,6 +18,17 @@
 //! [b"PGRX"] [u8 version] [u8 flags]      flags: reserved, sent as 0
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
+
 use bytes::Bytes;
 use pgrid_core::wire::{Be, Order, Sink};
 use pgrid_transport::frame::MAX_FRAME_BYTES;
@@ -40,6 +51,8 @@ pub const RECORD_HEADER: usize = 1 + 8 + 4;
 /// Why a byte stream could not be parsed as mux records.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MuxError {
+    /// A hello shorter than [`HELLO_LEN`] bytes.
+    ShortHello(usize),
     /// The hello did not start with [`MUX_MAGIC`].
     BadMagic,
     /// The hello carried an unknown [`MUX_VERSION`].
@@ -53,6 +66,7 @@ pub enum MuxError {
 impl std::fmt::Display for MuxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MuxError::ShortHello(n) => write!(f, "mux hello of {n} bytes is too short"),
             MuxError::BadMagic => write!(f, "mux hello magic mismatch"),
             MuxError::BadVersion(v) => write!(f, "unsupported mux version {v}"),
             MuxError::BadKind(k) => write!(f, "unknown mux record kind {k}"),
@@ -77,19 +91,21 @@ pub fn hello() -> [u8; HELLO_LEN] {
 
 /// Validates a received hello, returning its (reserved) flags byte.
 pub fn parse_hello(bytes: &[u8]) -> Result<u8, MuxError> {
-    debug_assert_eq!(bytes.len(), HELLO_LEN);
-    if bytes[..4] != MUX_MAGIC {
+    let &[m0, m1, m2, m3, version, flags, ..] = bytes else {
+        return Err(MuxError::ShortHello(bytes.len()));
+    };
+    if [m0, m1, m2, m3] != MUX_MAGIC {
         return Err(MuxError::BadMagic);
     }
-    if bytes[4] != MUX_VERSION {
-        return Err(MuxError::BadVersion(bytes[4]));
+    if version != MUX_VERSION {
+        return Err(MuxError::BadVersion(version));
     }
-    Ok(bytes[5])
+    Ok(flags)
 }
 
 /// Appends one record to `out`.
 pub fn encode_record(out: &mut Vec<u8>, kind: u8, dest: u64, payload: &[u8]) {
-    out.reserve(RECORD_HEADER + payload.len());
+    out.reserve(RECORD_HEADER.saturating_add(payload.len()));
     Be::put_u8(out, kind);
     Be::put_u64(out, dest);
     Be::put_count(out, payload.len());
@@ -132,17 +148,22 @@ impl MuxReader {
 
     /// Number of buffered, not yet consumed bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.unread().len()
+    }
+
+    /// The buffered bytes behind the cursor.
+    fn unread(&self) -> &[u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
     }
 
     /// Consumes the peer hello once its 6 bytes are buffered, returning the
     /// flags byte; `None` while incomplete.
     pub fn take_hello(&mut self) -> Result<Option<u8>, MuxError> {
-        let Some(hello) = self.buf[self.pos..].get(..HELLO_LEN) else {
+        let Some(hello) = self.unread().get(..HELLO_LEN) else {
             return Ok(None);
         };
         let flags = parse_hello(hello)?;
-        self.pos += HELLO_LEN;
+        self.pos = self.pos.saturating_add(HELLO_LEN);
         Ok(Some(flags))
     }
 
@@ -151,7 +172,7 @@ impl MuxReader {
     /// The payload is copied out once: a frame the caller holds on to must
     /// not pin the whole read chunk it arrived in.
     pub fn next_record(&mut self) -> Result<Option<Record>, MuxError> {
-        let mut data = &self.buf[self.pos..];
+        let mut data = self.unread();
         let Some((kind, dest, len)) = record_header(&mut data) else {
             return Ok(None);
         };
@@ -166,7 +187,8 @@ impl MuxReader {
             return Ok(None);
         };
         let payload = Bytes::from(payload);
-        self.pos += RECORD_HEADER + len;
+        // `data` is the tail of `buf` behind the record.
+        self.pos = self.buf.len().saturating_sub(data.len());
         Ok(Some((kind, dest, payload)))
     }
 }
@@ -184,6 +206,14 @@ mod tests {
             parse_hello(b"PGRX\x63\x00"),
             Err(MuxError::BadVersion(0x63))
         );
+    }
+
+    #[test]
+    fn a_short_hello_is_an_error_at_every_length() {
+        let hello = hello();
+        for len in 0..HELLO_LEN {
+            assert_eq!(parse_hello(&hello[..len]), Err(MuxError::ShortHello(len)));
+        }
     }
 
     #[test]

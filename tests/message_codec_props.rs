@@ -12,7 +12,7 @@ use bytes::Bytes;
 use pgrid::core::key::{DataEntry, DataId, Key};
 use pgrid::core::path::Path;
 use pgrid::core::routing::PeerId;
-use pgrid::core::wire::{Be, Le, Order, ENTRY_BYTES};
+use pgrid::core::wire::{Be, Entries, Le, Order, Wire, ENTRY_BYTES};
 use pgrid::net::message::{Arrived, ExchangeOutcome, Message};
 use pgrid::transport::frame::{
     decode_frame, encode_frame, payload_slices, write_frame, FrameReader,
@@ -174,18 +174,22 @@ fn put_entries_per_entry<O: Order>(buf: &mut Vec<u8>, entries: &[DataEntry]) {
 
 /// The entry list as a per-entry codec reads it.
 fn entries_per_entry<O: Order>(data: &mut &[u8], cap: usize) -> Option<Vec<DataEntry>> {
-    O::list(data, cap, ENTRY_BYTES, |data| {
+    let n = O::count(data, cap, ENTRY_BYTES)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
         let key = Key(O::u64(data)?);
-        Some(DataEntry::new(key, DataId(O::u64(data)?)))
-    })
+        entries.push(DataEntry::new(key, DataId(O::u64(data)?)));
+    }
+    Some(entries)
 }
 
-/// The bulk kernel against the per-entry reference in one byte order: the
-/// same bytes out, and the same entries and cursor back from the intact
-/// list, from a truncation and with bytes behind it.
+/// The bulk kernel of the entry-list impls against the per-entry
+/// reference in one byte order: the same bytes out, and the same entries
+/// and cursor back from the intact list, from a truncation and with bytes
+/// behind it.
 fn bulk_matches_per_entry<O: Order>(entries: &[DataEntry], cut: usize) -> Result<(), String> {
     let mut bulk = vec![0xEE];
-    O::put_entries(&mut bulk, entries);
+    <DataEntry as Wire<O>>::put_list(entries, &mut bulk);
     let mut reference = vec![0xEE];
     put_entries_per_entry::<O>(&mut reference, entries);
     if bulk != reference {
@@ -202,13 +206,13 @@ fn bulk_matches_per_entry<O: Order>(entries: &[DataEntry], cut: usize) -> Result
     ] {
         let (mut by_bulk, mut by_reference) = (input, input);
         let (bulk, reference) = (
-            O::entries(&mut by_bulk, cap),
+            O::get_capped::<Vec<DataEntry>>(&mut by_bulk, cap),
             entries_per_entry::<O>(&mut by_reference, cap),
         );
         if bulk != reference || (bulk.is_some() && by_bulk != by_reference) {
             return Err(format!("{} entries read differently", entries.len()));
         }
-        let view = O::entry_view(&mut { input }, cap).map(|view| view.to_vec());
+        let view = O::get_capped::<Entries<'_, O>>(&mut { input }, cap).map(|view| view.to_vec());
         if view != reference {
             return Err(format!("{} entries viewed differently", entries.len()));
         }
