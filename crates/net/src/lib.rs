@@ -40,5 +40,5 @@ pub mod prelude {
         assemble_report, DeploymentReport, MinuteSample, ReportInputs, Timeline,
     };
     pub use crate::message::{ExchangeOutcome, Message};
-    pub use crate::runtime::{BandwidthSample, NetConfig, NetMetrics, Node, QueryRecord, Runtime};
+    pub use crate::runtime::{BandwidthSample, NetConfig, NetMetrics, QueryRecord, Runtime};
 }

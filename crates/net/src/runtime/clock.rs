@@ -138,23 +138,19 @@ impl<T: Transport> Runtime<T> {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::ConstructTick { peer } => self.construct_tick(peer),
-            EventKind::GoOffline { peer } => {
-                self.nodes[peer].online = false;
-                self.recorder
-                    .note(self.clock.now, "churn", format!("peer {peer} went offline"));
-                self.rebuild_online_cache();
-            }
-            EventKind::GoOnline { peer } => {
-                if self.nodes[peer].joined {
-                    self.nodes[peer].online = true;
-                }
-                self.recorder.note(
-                    self.clock.now,
-                    "churn",
-                    format!("peer {peer} came back online"),
-                );
-                self.rebuild_online_cache();
-            }
+            EventKind::GoOffline { peer } => self.churn(peer, false, "went offline"),
+            EventKind::GoOnline { peer } => self.churn(peer, true, "came back online"),
         }
+    }
+
+    /// Takes `peer` offline, or brings it back online — unless it never
+    /// joined: such a peer stays down.
+    fn churn(&mut self, peer: usize, up: bool, what: &str) {
+        let churned = &mut self.peers[peer];
+        churned.state.online = up && churned.joined;
+        let now = self.clock.now;
+        self.recorder
+            .note(now, "churn", format!("peer {peer} {what}"));
+        self.rebuild_online_cache();
     }
 }

@@ -1,7 +1,8 @@
 //! Overlay construction: the join handshake, the replication phase and the
-//! exchange protocol of Figure 2 driven by per-peer tick chains.  State
-//! lives in the runtime's `Overlay` (`tick_armed` and `fruitless` next to
-//! each peer's overlay state); entry points are
+//! exchange protocol of Figure 2 driven by per-peer tick chains.  A
+//! peer's tick chain, fruitless count and referral budget live in its
+//! `Peer` next to its overlay state, and the exchange steps one peer takes
+//! alone are `impl Peer` methods here; entry points are
 //! [`Runtime::join_peer`], [`Runtime::replication_phase`],
 //! [`Runtime::start_construction`] and [`Runtime::construction_quiescent`].
 //!
@@ -23,7 +24,7 @@
 //! peer at once, at most `MAX_REFER_HOPS - 1` times between two ticks.
 
 use super::clock::EventKind;
-use super::{Millis, Runtime};
+use super::{Millis, Peer, Runtime};
 use crate::message::{ExchangeOutcome, Message};
 use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine};
 use pgrid_core::key::DataEntry;
@@ -33,6 +34,7 @@ use pgrid_core::store::{KeyStore, StoreRead};
 use pgrid_core::wire::{Be, Entries};
 use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::cmp::min_by_key;
@@ -50,10 +52,8 @@ impl<T: Transport> Runtime<T> {
     /// peers (its unstructured-overlay neighbours), as the bootstrap phase of
     /// Section 5.1 does.
     pub fn join_peer(&mut self, peer: usize, fanout: usize) {
-        let mut neighbours: Vec<PeerId> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].is_up())
-            .map(|i| PeerId(i as u64))
-            .collect();
+        let online = self.peers.iter().filter(|p| p.state.online);
+        let mut neighbours: Vec<PeerId> = online.map(|p| p.state.id).collect();
         neighbours.shuffle(&mut self.rng);
         neighbours.truncate(fanout);
         self.finish_join(peer, neighbours, true);
@@ -75,8 +75,9 @@ impl<T: Transport> Runtime<T> {
 
     fn finish_join(&mut self, peer: usize, neighbours: Vec<PeerId>, account: bool) {
         let me = PeerId(peer as u64);
-        self.nodes[peer].joined = true;
-        self.nodes[peer].online = true;
+        let joiner = &mut self.peers[peer];
+        joiner.joined = true;
+        joiner.state.online = true;
         // The join handshake is applied synchronously; its two messages
         // only exist for bandwidth accounting.
         if account && !neighbours.is_empty() {
@@ -94,31 +95,30 @@ impl<T: Transport> Runtime<T> {
         // connected; applied identically in every process, they keep the
         // replicated adjacency consistent.
         for n in &neighbours {
-            let other = &mut self.nodes[n.0 as usize].neighbours;
+            let other = &mut self.peers[n.0 as usize].neighbours;
             if !other.contains(&me) {
                 other.push(me);
             }
         }
-        self.nodes[peer].neighbours = neighbours;
+        self.peers[peer].neighbours = neighbours;
         self.rebuild_online_cache();
     }
 
     /// Replicates every online peer's original entries to `n_min` random
     /// neighbours-of-neighbours (the replication phase).
     pub fn replication_phase(&mut self) {
-        self.recorder.note(
-            self.clock.now,
-            "phase",
-            "replication phase started".to_string(),
-        );
+        let now = self.clock.now;
+        let started = "replication phase started".to_string();
+        self.recorder.note(now, "phase", started);
         let n_min = self.config.n_min;
         let hosted: Vec<usize> = self.hosted_peers().collect();
         for peer in hosted {
-            if !self.nodes[peer].online {
+            let state = &self.peers[peer].state;
+            if !state.online {
                 continue;
             }
             self.links.actor = peer;
-            let entries: Vec<DataEntry> = self.overlay.states[peer].store.iter().copied().collect();
+            let entries: Vec<DataEntry> = state.store.iter().copied().collect();
             for _ in 0..n_min {
                 if let Some(target) = self.random_contact(peer) {
                     self.send(
@@ -147,20 +147,18 @@ impl<T: Transport> Runtime<T> {
             .note(self.clock.now, "phase", "construction started".to_string());
         let hosted: Vec<usize> = self.hosted_peers().collect();
         for peer in hosted {
-            if self.nodes[peer].online {
-                self.arm_tick(peer);
-            }
+            self.arm_tick(peer);
         }
     }
 
     /// Arms `peer`'s construction tick chain with a jittered first tick; a
-    /// chain that is still scheduled is left alone.
+    /// chain that is still scheduled, or an offline peer, is left alone.
     pub(super) fn arm_tick(&mut self, peer: usize) {
-        let overlay = &mut self.overlay;
-        if overlay.tick_armed[peer] {
+        let armed = &mut self.peers[peer];
+        if armed.tick_armed || !armed.state.online {
             return;
         }
-        overlay.tick_armed[peer] = true;
+        armed.tick_armed = true;
         let jitter = self.rng.gen_range(0..CONSTRUCT_INTERVAL_MS);
         self.clock
             .schedule(self.clock.now + jitter, EventKind::ConstructTick { peer });
@@ -173,60 +171,36 @@ impl<T: Transport> Runtime<T> {
     /// offline) do not block quiescence: they do nothing until re-armed.
     /// `true` when no tick chain is live at all.
     pub fn construction_quiescent(&self) -> bool {
-        let overlay = &self.overlay;
         self.hosted_peers()
-            .filter(|&p| self.nodes[p].is_up() && overlay.tick_armed[p])
-            .all(|p| {
-                overlay.fruitless[p] >= 4 && !self.engine.locally_overloaded(&overlay.states[p])
-            })
+            .map(|p| &self.peers[p])
+            .filter(|p| p.state.online && p.tick_armed)
+            .all(|p| p.backing_off(&self.engine))
     }
 
     pub(super) fn construct_tick(&mut self, peer: usize) {
         self.links.actor = peer;
-        let overlay = &mut self.overlay;
-        if !self.nodes[peer].online {
+        let ticking = &mut self.peers[peer];
+        if !ticking.state.online {
             // The chain ends here (no reschedule, as in the paper's
             // reference run); `start_construction` can re-arm it.
-            overlay.tick_armed[peer] = false;
+            ticking.tick_armed = false;
             return;
         }
-        // Back off after repeated fruitless exchanges unless the local store
-        // clearly indicates an overloaded, still splittable partition.  A
-        // backed-off peer does not stop entirely: it keeps exchanging at a
-        // much lower rate, which provides the background anti-entropy that
-        // keeps replicas converged during the operational phase (and shows
-        // up as the residual maintenance bandwidth of Figure 8).
-        let backing_off =
-            overlay.fruitless[peer] >= 4 && !self.engine.locally_overloaded(&overlay.states[peer]);
-        overlay.referrals[peer] = 0;
+        // A backed-off peer does not stop entirely: it keeps exchanging at
+        // a much lower rate, which provides the background anti-entropy
+        // that keeps replicas converged during the operational phase (and
+        // shows up as the residual maintenance bandwidth of Figure 8).
+        let backing_off = ticking.backing_off(&self.engine);
+        ticking.referrals = 0;
         if let Some(target) = self.random_contact(peer) {
-            self.offer(peer, target);
+            self.send(target, self.peers[peer].offer());
         }
-        let interval = if backing_off {
-            CONSTRUCT_INTERVAL_MS * 10
-        } else {
-            CONSTRUCT_INTERVAL_MS
-        };
+        let interval = CONSTRUCT_INTERVAL_MS * if backing_off { 10 } else { 1 };
         let jitter = self.rng.gen_range(0..interval);
         self.clock.schedule(
             self.clock.now + interval + jitter,
             EventKind::ConstructTick { peer },
         );
-    }
-
-    /// Opens an exchange of `peer` with `target`: an `Offer` of its path
-    /// and the count and digest of its entries there, summarised where
-    /// they lie.  It is maintenance traffic and never enveloped.
-    fn offer(&mut self, peer: usize, target: usize) {
-        let state = &self.overlay.states[peer];
-        let run = state.store.restricted(&state.path);
-        let offer = Message::Offer {
-            from: PeerId(peer as u64),
-            path: state.path,
-            count: u32::try_from(run.len()).unwrap_or(u32::MAX),
-            digest: run.digest(),
-        };
-        self.send(target, offer);
     }
 
     /// An `Offer` reached `responder`.  Diverging paths are referred as
@@ -242,15 +216,16 @@ impl<T: Transport> Runtime<T> {
         count: u32,
         digest: u64,
     ) {
-        if let Some(referral) = self.refer(responder, from, path) {
+        let me = &mut self.peers[responder];
+        if let Some(referral) = me.refer(from, path, &mut self.rng) {
             return self.reply_exchange(responder, from, referral, false);
         }
         // A handle on the run, not a copy: the decision below may replace
         // the responder's run, never change it in place.
-        let own = self.overlay.states[responder].store.clone();
+        let own = me.state.store.clone();
         let known = own.restricted(&path);
         if known.len() == count as usize && known.digest() == digest {
-            let outcome = self.decide_exchange(responder, from, path, &known);
+            let outcome = me.decide_exchange(&self.engine, from, path, &known, &mut self.rng);
             self.reply_exchange(responder, from, outcome, true);
         } else {
             self.reply_exchange(responder, from, ExchangeOutcome::Want { path }, false);
@@ -267,16 +242,16 @@ impl<T: Transport> Runtime<T> {
         path: Path,
         entries: Entries<'_, Be>,
     ) {
-        let outcome = match self.refer(responder, from, path) {
+        let me = &mut self.peers[responder];
+        let outcome = match me.refer(from, path, &mut self.rng) {
             Some(referral) => referral,
             None => {
                 // One pass from the frame into the store's run.
-                let own = self.overlay.states[responder].path;
-                let partition = min_by_key(own, path, Path::len);
+                let partition = min_by_key(me.state.path, path, Path::len);
                 let mut covered = Vec::with_capacity(entries.len());
                 covered.extend(entries.iter().filter(|entry| partition.covers(entry.key)));
                 let shipped = KeyStore::from_entries(covered);
-                self.decide_exchange(responder, from, path, &shipped)
+                me.decide_exchange(&self.engine, from, path, &shipped, &mut self.rng)
             }
         };
         self.reply_exchange(responder, from, outcome, false);
@@ -293,30 +268,88 @@ impl<T: Transport> Runtime<T> {
         outcome: ExchangeOutcome,
         known: bool,
     ) {
-        if self.tracer.is_enabled() {
-            let label = match &outcome {
-                ExchangeOutcome::Split { .. } => "split",
-                ExchangeOutcome::Replicate { .. } => "replicate",
-                ExchangeOutcome::Refer { .. } => "refer",
-                ExchangeOutcome::Nothing => "nothing",
-                ExchangeOutcome::Want { .. } => "want",
-            };
-            let known = if known { " known" } else { "" };
-            self.tracer.record(
-                AMBIENT_TRACE,
-                "exchange_decision",
-                responder as u64,
-                self.clock.now,
-                || format!("from={} outcome={label}{known}", initiator.0),
-            );
-        }
+        let (now, known) = (self.clock.now, if known { " known" } else { "" });
+        let kind = "exchange_decision";
+        self.tracer
+            .record(AMBIENT_TRACE, kind, responder as u64, now, || {
+                let label = match &outcome {
+                    ExchangeOutcome::Split { .. } => "split",
+                    ExchangeOutcome::Replicate { .. } => "replicate",
+                    ExchangeOutcome::Refer { .. } => "refer",
+                    ExchangeOutcome::Nothing => "nothing",
+                    ExchangeOutcome::Want { .. } => "want",
+                };
+                format!("from={} outcome={label}{known}", initiator.0)
+            });
         let reply = Message::ExchangeReply {
             from: PeerId(responder as u64),
-            path: self.overlay.states[responder].path,
+            path: self.peers[responder].state.path,
             outcome,
         };
         self.send(initiator.0 as usize, reply);
         self.lookups.invalidate_routes(responder);
+    }
+
+    /// The initiator applies the responder's decision (which may change
+    /// its path or routing table, so its memoised routing resolutions go),
+    /// or answers its `Want`.
+    pub(super) fn apply_exchange_reply(
+        &mut self,
+        initiator: usize,
+        responder: PeerId,
+        responder_path: Path,
+        outcome: ExchangeOutcome,
+    ) {
+        let me = &mut self.peers[initiator];
+        // Always learn a routing reference from the encounter if possible.
+        me.state
+            .learn_reference(responder, responder_path, &mut self.rng);
+        if let ExchangeOutcome::Want { path } = outcome {
+            self.answer_want(initiator, responder.0 as usize, path);
+        } else if let Some((to, message)) =
+            me.apply_decision(responder, responder_path, outcome, &mut self.rng)
+        {
+            self.send(to.0 as usize, message);
+        }
+        self.lookups.invalidate_routes(initiator);
+    }
+
+    /// The responder asked for the entries `initiator` offered under
+    /// `path`.  They go from the run straight into the staging arena while
+    /// the initiator's path is still `path`; a path that has moved is
+    /// offered afresh, so no decision is taken on a stale one.
+    fn answer_want(&mut self, initiator: usize, responder: usize, path: Path) {
+        let me = &self.peers[initiator];
+        if me.state.path != path {
+            return self.send(responder, me.offer());
+        }
+        let run = me.state.store.restricted(&path);
+        let bytes = self.links.stage(responder, |buf| {
+            Message::encode_exchange(buf, me.state.id, &path, run.as_slice())
+        });
+        self.metrics.account(self.clock.now, bytes, false);
+    }
+}
+
+impl Peer {
+    /// Whether the peer ticks at the slow rate: after repeated fruitless
+    /// exchanges, unless its store clearly indicates an overloaded, still
+    /// splittable partition.
+    fn backing_off(&self, engine: &ExchangeEngine) -> bool {
+        self.fruitless >= 4 && !engine.locally_overloaded(&self.state)
+    }
+
+    /// The `Offer` that opens an exchange: the peer's path and the count
+    /// and digest of its entries there, summarised where they lie.  It is
+    /// maintenance traffic and never enveloped.
+    fn offer(&self) -> Message {
+        let run = self.state.store.restricted(&self.state.path);
+        Message::Offer {
+            from: self.state.id,
+            path: self.state.path,
+            count: u32::try_from(run.len()).unwrap_or(u32::MAX),
+            digest: run.digest(),
+        }
     }
 
     /// The referral of an exchange whose paths diverge, `None` when they
@@ -324,14 +357,14 @@ impl<T: Transport> Runtime<T> {
     /// and learns a reference itself.
     fn refer(
         &mut self,
-        responder: usize,
         initiator: PeerId,
         initiator_path: Path,
+        rng: &mut StdRng,
     ) -> Option<ExchangeOutcome> {
-        let state = &mut self.overlay.states[responder];
+        let state = &mut self.state;
         let level = ExchangeEngine::refer_level(&state.path, &initiator_path)?;
-        state.learn_reference(initiator, initiator_path, &mut self.rng);
-        Some(match state.routing.level(level).choose(&mut self.rng) {
+        state.learn_reference(initiator, initiator_path, rng);
+        Some(match state.routing.level(level).choose(rng) {
             Some(entry) if entry.peer != initiator => ExchangeOutcome::Refer {
                 peer: entry.peer,
                 path: entry.path,
@@ -351,27 +384,24 @@ impl<T: Transport> Runtime<T> {
     /// transition.
     fn decide_exchange(
         &mut self,
-        responder: usize,
+        engine: &ExchangeEngine,
         initiator: PeerId,
         initiator_path: Path,
         initiator_store: &impl StoreRead,
+        rng: &mut StdRng,
     ) -> ExchangeOutcome {
-        let responder_path = self.overlay.states[responder].path;
+        let responder_path = self.state.path;
         // The engine decides on behalf of the shallower ("lagging") peer.
         let partition = min_by_key(responder_path, initiator_path, Path::len);
         // Zero-copy view of the responder's partition entries; everything
         // derived from it is computed before the responder's state is
         // mutated.
-        let responder_store = self.overlay.states[responder].store.restricted(&partition);
-        let assessment = self
-            .engine
-            .assess(initiator_store, &responder_store, &partition);
+        let responder_store = self.state.store.restricted(&partition);
+        let assessment = engine.assess(initiator_store, &responder_store, &partition);
 
         if responder_path.len() == initiator_path.len() {
             // Two undecided peers at the same level.
-            let decision =
-                self.engine
-                    .decide(initiator_path, responder_path, &assessment, &mut self.rng);
+            let decision = engine.decide(initiator_path, responder_path, &assessment, rng);
             return match decision {
                 ExchangeDecision::Replicate => {
                     // Become replicas: hand over what the initiator is
@@ -379,7 +409,7 @@ impl<T: Transport> Runtime<T> {
                     // arrived with the request).
                     let to_initiator = responder_store.missing_in(initiator_store);
                     let to_responder = initiator_store.missing_in(&responder_store);
-                    let state = &mut self.overlay.states[responder];
+                    let state = &mut self.state;
                     if !state.replicas.contains(&initiator) {
                         state.replicas.push(initiator);
                     }
@@ -395,14 +425,14 @@ impl<T: Transport> Runtime<T> {
                 } => {
                     // The responder extends its own path with the
                     // complementary bit and hands over the initiator's side.
-                    let state = &mut self.overlay.states[responder];
+                    let state = &mut self.state;
                     let handover = state.split_towards(
                         !initiator_bit,
                         RoutingEntry {
                             peer: initiator,
                             path: partition.child(initiator_bit),
                         },
-                        &mut self.rng,
+                        rng,
                     );
                     // Keep the initiator's entries that belong to our new
                     // side.
@@ -425,9 +455,7 @@ impl<T: Transport> Runtime<T> {
             // The initiator lags behind a peer (us) that has already decided
             // at this level: the engine applies the decided-peer rules
             // (cases 3/4) on its behalf; we ship the entries of its new side.
-            let decision =
-                self.engine
-                    .decide(initiator_path, responder_path, &assessment, &mut self.rng);
+            let decision = engine.decide(initiator_path, responder_path, &assessment, rng);
             let ExchangeDecision::Split {
                 bit: initiator_bit,
                 balanced: false,
@@ -441,22 +469,15 @@ impl<T: Transport> Runtime<T> {
             // reference to the complementary subtree, which the responder has
             // in its routing table for this level.
             let complement = if initiator_bit == responder_bit {
-                let refs = self.overlay.states[responder]
-                    .routing
-                    .level(partition.len());
-                match refs.choose(&mut self.rng) {
+                match self.state.routing.level(partition.len()).choose(rng) {
                     Some(entry) => Some((entry.peer, entry.path)),
                     None => return ExchangeOutcome::Nothing,
                 }
             } else {
                 None
             };
-            let initiator_new_path = partition.child(initiator_bit);
-            let handover = self.overlay.states[responder]
-                .store
-                .restricted(&initiator_new_path)
-                .as_slice()
-                .to_vec();
+            let side = partition.child(initiator_bit);
+            let handover = self.state.store.restricted(&side).as_slice().to_vec();
             return ExchangeOutcome::Split {
                 partition,
                 initiator_bit,
@@ -471,9 +492,7 @@ impl<T: Transport> Runtime<T> {
         // initiator as the routing reference); for the same-side decision we
         // would need one of the initiator's references, so we simply wait for
         // a later exchange.
-        let decision =
-            self.engine
-                .decide(responder_path, initiator_path, &assessment, &mut self.rng);
+        let decision = engine.decide(responder_path, initiator_path, &assessment, rng);
         let ahead_bit = initiator_path.bit(partition.len());
         match decision {
             ExchangeDecision::Split {
@@ -481,13 +500,13 @@ impl<T: Transport> Runtime<T> {
                 balanced: false,
                 ..
             } if bit != ahead_bit => {
-                let shipped = self.overlay.states[responder].split_towards(
+                let shipped = self.state.split_towards(
                     bit,
                     RoutingEntry {
                         peer: initiator,
                         path: initiator_path,
                     },
-                    &mut self.rng,
+                    rng,
                 );
                 // The shipped entries belong to the initiator's half of the
                 // partition; hand them over with the reply.
@@ -497,38 +516,30 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// The initiator applies the responder's decision (which may change
-    /// its path or routing table, so its memoised routing resolutions go),
-    /// or answers its `Want`.
-    pub(super) fn apply_exchange_reply(
+    /// The initiator applies the responder's decision — any outcome but a
+    /// `Want`, which the runtime answers — and counts it fruitful or not.
+    /// Returns what it sends on: the `Offer` of a referral it follows, or
+    /// the entries of its new other side back to the responder.
+    fn apply_decision(
         &mut self,
-        initiator: usize,
         responder: PeerId,
         responder_path: Path,
         outcome: ExchangeOutcome,
-    ) {
-        let state = &mut self.overlay.states[initiator];
-        // Always learn a routing reference from the encounter if possible.
-        state.learn_reference(responder, responder_path, &mut self.rng);
+        rng: &mut StdRng,
+    ) -> Option<(PeerId, Message)> {
+        let state = &mut self.state;
+        let mut send = None;
         let fruitful = match outcome {
-            ExchangeOutcome::Want { path } => {
-                // Not a decision yet: `fruitless` stays as it is.
-                self.answer_want(initiator, responder.0 as usize, path);
-                self.lookups.invalidate_routes(initiator);
-                return;
-            }
-            ExchangeOutcome::Nothing => false,
+            ExchangeOutcome::Nothing | ExchangeOutcome::Want { .. } => false,
             ExchangeOutcome::Refer { peer, path } => {
-                state.learn_reference(peer, path, &mut self.rng);
+                state.learn_reference(peer, path, rng);
                 // A referral into the initiator's own partition is
                 // followed at once, as the simulator follows its refer
                 // chains; peers of a partition seldom meet otherwise, and
                 // their stores never converge.
-                let follow = state.shares_partition_with(&path);
-                let followed = &mut self.overlay.referrals[initiator];
-                if follow && *followed + 1 < MAX_REFER_HOPS {
-                    *followed += 1;
-                    self.offer(initiator, peer.0 as usize);
+                if state.shares_partition_with(&path) && self.referrals + 1 < MAX_REFER_HOPS {
+                    self.referrals += 1;
+                    send = Some((peer, self.offer()));
                 }
                 false
             }
@@ -565,38 +576,18 @@ impl<T: Transport> Runtime<T> {
                             },
                         },
                     };
-                    let shipped = state.split_towards(initiator_bit, reference, &mut self.rng);
+                    let shipped = state.split_towards(initiator_bit, reference, rng);
                     state.store.merge_batch(entries);
                     // Hand the entries of the other side back to the
                     // responder (content exchange).
                     if !shipped.is_empty() {
-                        self.send(
-                            responder.0 as usize,
-                            Message::Replicate { entries: shipped },
-                        );
+                        send = Some((responder, Message::Replicate { entries: shipped }));
                     }
                 }
                 node_path == partition
             }
         };
-        let fruitless = &mut self.overlay.fruitless[initiator];
-        *fruitless = if fruitful { 0 } else { *fruitless + 1 };
-        self.lookups.invalidate_routes(initiator);
-    }
-
-    /// The responder asked for the entries `initiator` offered under
-    /// `path`.  They go from the run straight into the staging arena while
-    /// the initiator's path is still `path`; a path that has moved is
-    /// offered afresh, so no decision is taken on a stale one.
-    fn answer_want(&mut self, initiator: usize, responder: usize, path: Path) {
-        let state = &self.overlay.states[initiator];
-        if state.path != path {
-            return self.offer(initiator, responder);
-        }
-        let run = state.store.restricted(&path);
-        let bytes = self.links.stage(responder, |buf| {
-            Message::encode_exchange(buf, PeerId(initiator as u64), &path, run.as_slice())
-        });
-        self.metrics.account(self.clock.now, bytes, false);
+        self.fruitless = if fruitful { 0 } else { self.fruitless + 1 };
+        send
     }
 }

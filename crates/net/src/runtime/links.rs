@@ -29,7 +29,7 @@
 //! meet.  Every other kind is decoded owned.
 
 use super::{Millis, Runtime};
-use crate::message::{Arrived, Message};
+use crate::message::{Arrived, ExchangeOutcome, Message};
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
@@ -97,6 +97,39 @@ struct Staged {
 pub(super) fn recycle<E>(buf: &mut Vec<E>) {
     buf.clear();
     buf.shrink_to(STAGING_RETAIN_BYTES / std::mem::size_of::<E>());
+}
+
+/// Whether every peer `arrived` names is one of the first `n`: senders,
+/// referrals, split complements, origins and a snapshot's references and
+/// replicas.  A payload naming any other is refused like a corrupt one, as
+/// routing would index the population by it.
+fn names_known_peers(arrived: &Arrived<'_>, n: u64) -> bool {
+    let known = |peer: &PeerId| peer.0 < n;
+    let message = match arrived {
+        Arrived::Exchange { from, .. } => return known(from),
+        Arrived::Message(Message::Traced { inner, .. }) => inner,
+        Arrived::Message(message) => message,
+    };
+    match message {
+        Message::Offer { from, .. } => known(from),
+        Message::ExchangeReply { from, outcome, .. } => {
+            known(from)
+                && match outcome {
+                    ExchangeOutcome::Refer { peer, .. } => known(peer),
+                    ExchangeOutcome::Split { complement, .. } => {
+                        complement.iter().all(|(peer, _)| known(peer))
+                    }
+                    _ => true,
+                }
+        }
+        Message::Query { origin, .. }
+        | Message::RangeQuery { origin, .. }
+        | Message::ReplicaPull { origin } => known(origin),
+        Message::ReplicaPush {
+            routing, replicas, ..
+        } => routing.iter().all(|(_, peer, _)| known(peer)) && replicas.iter().all(known),
+        _ => true,
+    }
 }
 
 /// The transport and everything queued towards it.
@@ -403,23 +436,22 @@ impl<T: Transport> Runtime<T> {
             self.links.arrivals_traced += 1;
             if self.links.arrivals_traced % 64 == 1 {
                 let n = payloads.len();
-                self.tracer.record(
-                    AMBIENT_TRACE,
-                    "frame_received",
-                    to as u64,
-                    self.clock.now,
-                    || format!("messages={n} sample=1/64"),
-                );
+                let now = self.clock.now;
+                self.tracer
+                    .record(AMBIENT_TRACE, "frame_received", to as u64, now, || {
+                        format!("messages={n} sample=1/64")
+                    });
             }
         }
+        let n = self.peers.len() as u64;
         for payload in payloads {
-            let Some(arrived) = Arrived::decode(payload) else {
+            let Some(arrived) = Arrived::decode(payload).filter(|a| names_known_peers(a, n)) else {
                 self.metrics.decode_failures += 1;
                 continue;
             };
             // A replica snapshot is what brings a recovering peer back
             // online, so it must reach the peer while it is still offline.
-            if !self.nodes[to].online
+            if !self.peers[to].state.online
                 && !matches!(arrived, Arrived::Message(Message::ReplicaPush { .. }))
             {
                 self.metrics.messages_to_offline += 1;
@@ -466,7 +498,7 @@ impl<T: Transport> Runtime<T> {
                 // it to `deliver_frame` with its entries still in the frame.
             }
             Message::Replicate { entries } => {
-                self.overlay.states[to].store.merge_batch(entries);
+                self.peers[to].state.store.merge_batch(entries);
             }
             Message::Offer {
                 from,

@@ -462,7 +462,8 @@ impl<T: Transport> Runtime<T> {
         at: usize,
         decide: impl FnOnce(&PeerState, &dyn Fn(PeerId) -> bool, &mut Pick<'_>) -> S,
     ) -> (S, bool) {
-        let reachable = |p: PeerId| self.nodes[p.0 as usize].online && self.links.ok(p.0 as usize);
+        let reachable =
+            |p: PeerId| self.peers[p.0 as usize].state.online && self.links.ok(p.0 as usize);
         let (memo_on, lookups) = (self.config.route_cache, &mut self.lookups);
         let mut cached = false;
         let mut pick = |level, refs: &[RoutingEntry]| {
@@ -482,7 +483,7 @@ impl<T: Transport> Runtime<T> {
             }
             peer
         };
-        let step = decide(&self.overlay.states[at], &reachable, &mut pick);
+        let step = decide(&self.peers[at].state, &reachable, &mut pick);
         (step, cached)
     }
 

@@ -14,9 +14,9 @@
 //! state lives in one struct the module owns, and whatever needs the whole
 //! runtime is an `impl Runtime` block in the seam's file:
 //!
-//! - this module — [`NetConfig`], the peer population ([`Node`]), the
-//!   overlay state of its one index (`Overlay`), constructors and
-//!   accessors;
+//! - this module — [`NetConfig`], the peer population (`Peer`: one
+//!   peer's overlay state, bootstrap contacts and construction
+//!   bookkeeping), constructors, accessors and the population scans;
 //! - `clock` — virtual time and the timer queue; [`Runtime::run_until`],
 //!   [`Runtime::service_network`], [`Runtime::schedule_churn`];
 //! - `links` — the staging arena (messages encoded once, at `send`, into
@@ -33,6 +33,12 @@
 //!   [`Runtime::adopt_peer`], [`Runtime::begin_replica_pull`],
 //!   [`Runtime::begin_replica_diff`], [`Runtime::restore_peer`];
 //! - `metrics` — [`NetMetrics`], [`QueryAggregates`] and the sample rings.
+//!
+//! A step that touches one peer only is an `impl Peer` method in its
+//! seam's file: it takes what it reads besides the peer (the exchange
+//! engine, the RNG) and returns what must be sent.  Reads across peers
+//! stay on the runtime: routing reachability, `random_contact`, the join,
+//! the replica-source search and the population scans.
 //!
 //! A runtime hosts one index.  The accessors the benchmark harness calls
 //! still take an [`IndexId`], which must be [`IndexId::PRIMARY`]: any other
@@ -67,7 +73,8 @@ use pgrid_obs::trace::{Tracer, NO_TRACE};
 use pgrid_transport::loopback::{LoopbackConfig, LoopbackTransport};
 use pgrid_transport::{Transport, TransportError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use recovery::Recovery;
 
 /// Milliseconds of virtual time.
@@ -142,46 +149,25 @@ impl NetConfig {
     }
 }
 
-/// The per-peer facts outside the overlay: liveness and the unstructured
-/// bootstrap overlay.  Overlay state (path, store, routing table, replica
-/// list) is in [`Runtime::peer_state`].
-#[derive(Clone, Debug, Default)]
-pub struct Node {
-    /// Whether the peer is currently online (the failure detector; the
-    /// `online` flag inside [`PeerState`] is not used by the runtime).
-    pub online: bool,
-    /// Whether the peer has joined the network at all.
-    pub joined: bool,
+/// One peer: overlay state, bootstrap contacts and construction
+/// bookkeeping.  `state.online` is the runtime's one liveness flag, only
+/// ever set together with `joined`.
+struct Peer {
+    /// Path, store, routing table, replica list and liveness.
+    state: PeerState,
+    /// Whether the peer ever joined; churn brings back no other peer.
+    joined: bool,
     /// Unstructured-overlay neighbours (bootstrap contacts).
-    pub neighbours: Vec<PeerId>,
-}
-
-impl Node {
-    /// Joined and currently online.
-    fn is_up(&self) -> bool {
-        self.joined && self.online
-    }
-}
-
-/// Overlay state of the peer population: per-peer protocol state (path,
-/// store, routing table, replica list), construction bookkeeping and the
-/// ground-truth data assignment.
-#[derive(Clone, Debug)]
-struct Overlay {
-    /// Per-peer overlay state (index = peer id).
-    states: Vec<PeerState>,
-    /// The ground-truth data assignment.
-    original_entries: Vec<DataEntry>,
-    /// Whether each peer's construction tick is currently scheduled.  A
-    /// tick firing while the peer is offline ends the chain (the flag drops
-    /// to `false`, matching the paper's reference run, where a returning
-    /// peer does not restart maintenance by itself); a later
-    /// [`Runtime::start_construction`] re-arms dead chains.
-    tick_armed: Vec<bool>,
-    /// Consecutive fruitless exchanges per peer.
-    fruitless: Vec<u32>,
-    /// Referrals each peer has followed since its last tick.
-    referrals: Vec<u8>,
+    neighbours: Vec<PeerId>,
+    /// Whether the construction tick is scheduled.  A tick firing while
+    /// the peer is offline ends the chain, as in the paper's reference run
+    /// (a returning peer does not restart maintenance by itself);
+    /// [`Runtime::start_construction`] re-arms it.
+    tick_armed: bool,
+    /// Consecutive fruitless exchanges.
+    fruitless: u32,
+    /// Referrals followed since the last tick.
+    referrals: u8,
 }
 
 /// Panics unless `index` is the one index a runtime hosts.
@@ -207,11 +193,12 @@ fn check_index(index: IndexId) {
 pub struct Runtime<T: Transport = LoopbackTransport> {
     /// Configuration.
     pub config: NetConfig,
-    /// All peers (index = peer id).
-    pub nodes: Vec<Node>,
     /// Collected metrics.
     pub metrics: NetMetrics,
-    overlay: Overlay,
+    /// All peers (index = peer id).
+    peers: Vec<Peer>,
+    /// The ground-truth data assignment.
+    original_entries: Vec<DataEntry>,
     engine: ExchangeEngine,
     clock: Clock,
     links: Links<T>,
@@ -333,18 +320,24 @@ impl<T: Transport> Runtime<T> {
             sample_cap: config.query_sample_cap,
             ..NetMetrics::default()
         };
-        let n = config.n_peers;
         Ok(Runtime {
-            nodes: vec![Node::default(); n],
             config,
             metrics,
-            overlay: Overlay {
-                states,
-                original_entries,
-                tick_armed: vec![false; n],
-                fruitless: vec![0; n],
-                referrals: vec![0; n],
-            },
+            peers: states
+                .into_iter()
+                .map(|state| Peer {
+                    state: PeerState {
+                        online: false,
+                        ..state
+                    },
+                    joined: false,
+                    neighbours: Vec::new(),
+                    tick_armed: false,
+                    fruitless: 0,
+                    referrals: 0,
+                })
+                .collect(),
+            original_entries,
             engine: ExchangeEngine::new(params),
             clock: Clock::default(),
             links: Links::new(transport, addrs),
@@ -394,13 +387,13 @@ impl<T: Transport> Runtime<T> {
     /// [`IndexId::PRIMARY`].
     pub fn original_entries_of(&self, index: IndexId) -> &[DataEntry] {
         check_index(index);
-        &self.overlay.original_entries
+        &self.original_entries
     }
 
     /// The overlay state of `peer`; `index` must be [`IndexId::PRIMARY`].
     pub fn peer_state(&self, index: IndexId, peer: usize) -> &PeerState {
         check_index(index);
-        &self.overlay.states[peer]
+        &self.peers[peer].state
     }
 
     /// Assigns fresh `keys` to `peer`: the entries extend the ground truth
@@ -412,16 +405,15 @@ impl<T: Transport> Runtime<T> {
     /// [`Runtime::construction_quiescent`] waits for it again.
     pub fn insert_entries(&mut self, peer: usize, keys: Vec<Key>) {
         let hosted = self.hosted(peer);
-        let overlay = &mut self.overlay;
         for key in keys {
-            let entry = DataEntry::new(key, DataId(overlay.original_entries.len() as u64));
-            overlay.original_entries.push(entry);
+            let entry = DataEntry::new(key, DataId(self.original_entries.len() as u64));
+            self.original_entries.push(entry);
             if hosted {
-                overlay.states[peer].store.insert(entry);
+                self.peers[peer].state.store.insert(entry);
             }
         }
         if hosted {
-            overlay.fruitless[peer] = 0;
+            self.peers[peer].fruitless = 0;
         }
     }
 
@@ -429,7 +421,7 @@ impl<T: Transport> Runtime<T> {
 
     /// Number of peers currently online.
     pub fn online_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_up()).count()
+        self.peers.iter().filter(|p| p.state.online).count()
     }
 
     /// The contiguous range of peer ids hosted by this runtime.
@@ -455,9 +447,7 @@ impl<T: Transport> Runtime<T> {
 
     /// Number of hosted peers currently online.
     pub fn hosted_online_count(&self) -> usize {
-        self.hosted_peers()
-            .filter(|&i| self.nodes[i].is_up())
-            .count()
+        self.online_hosted.len()
     }
 
     /// Recomputes the cached list of hosted online peers (ascending, the
@@ -467,7 +457,7 @@ impl<T: Transport> Runtime<T> {
     fn rebuild_online_cache(&mut self) {
         self.online_hosted = self
             .hosted_peers()
-            .filter(|&i| self.nodes[i].is_up())
+            .filter(|&i| self.peers[i].state.online)
             .collect();
         self.online_hosted.sort_unstable();
     }
@@ -477,20 +467,14 @@ impl<T: Transport> Runtime<T> {
     fn random_contact(&mut self, from: usize) -> Option<usize> {
         let mut current = from;
         for _ in 0..6 {
-            let neighbours = &self.nodes[current].neighbours;
-            if neighbours.is_empty() {
-                break;
+            match self.peers[current].neighbours.choose(&mut self.rng) {
+                Some(pick) => current = pick.0 as usize,
+                None => break,
             }
-            let pick = neighbours[self.rng.gen_range(0..neighbours.len())].0 as usize;
-            current = pick;
         }
         if current == from {
             // Fall back to a direct neighbour.
-            let neighbours = &self.nodes[from].neighbours;
-            if neighbours.is_empty() {
-                return None;
-            }
-            current = neighbours[self.rng.gen_range(0..neighbours.len())].0 as usize;
+            current = self.peers[from].neighbours.choose(&mut self.rng)?.0 as usize;
         }
         (current != from).then_some(current)
     }

@@ -5,7 +5,7 @@
 //! [`Runtime::begin_replica_diff`] (warm: the snapshot is merged into the
 //! replayed state) and [`Runtime::recover_locally`] (no replica answered).
 
-use super::Runtime;
+use super::{Peer, Runtime};
 use crate::message::Message;
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
@@ -13,6 +13,7 @@ use pgrid_core::routing::{self, PeerId, RoutingEntry, RoutingTable};
 use pgrid_core::store::KeyStore;
 use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
+use rand::rngs::StdRng;
 use std::collections::BTreeSet;
 
 /// Which hosted peers are in which stage of recovery.
@@ -43,8 +44,9 @@ impl<T: Transport> Runtime<T> {
         }
         self.metrics.peers_adopted += 1;
         self.revive_link(peer);
-        self.nodes[peer].online = false;
-        self.overlay.tick_armed[peer] = false;
+        let adopted = &mut self.peers[peer];
+        adopted.state.online = false;
+        adopted.tick_armed = false;
         self.rebuild_online_cache();
         self.recorder
             .note(self.clock.now, "recovery", format!("adopted peer {peer}"));
@@ -78,13 +80,11 @@ impl<T: Transport> Runtime<T> {
     fn request_snapshot(&mut self, trace_kind: &'static str, peer: usize, source: usize) {
         debug_assert!(self.hosted(peer), "only hosted peers recover here");
         self.links.actor = peer;
-        self.tracer.record(
-            AMBIENT_TRACE,
-            trace_kind,
-            peer as u64,
-            self.clock.now,
-            || format!("source={source}"),
-        );
+        let now = self.clock.now;
+        self.tracer
+            .record(AMBIENT_TRACE, trace_kind, peer as u64, now, || {
+                format!("source={source}")
+            });
         self.send(
             source,
             Message::ReplicaPull {
@@ -115,42 +115,18 @@ impl<T: Transport> Runtime<T> {
     /// the process.
     pub fn find_replica_source(&self, peer: usize) -> Option<usize> {
         let target = PeerId(peer as u64);
-        self.hosted_peers()
-            .filter(|&p| p != peer && self.nodes[p].is_up())
-            .find(|&p| self.overlay.states[p].replicas.contains(&target))
-    }
-
-    /// Installs a snapshot as `peer`'s state: exact key store, path,
-    /// routing references and replica set (minus the peer itself).
-    fn install_snapshot(
-        &mut self,
-        peer: usize,
-        path: Path,
-        entries: Vec<DataEntry>,
-        routing: Vec<(u8, PeerId, Path)>,
-        replicas: Vec<PeerId>,
-    ) {
-        let mut table = RoutingTable::new(routing::FANOUT);
-        for (level, rpeer, rpath) in routing {
-            let entry = RoutingEntry {
-                peer: rpeer,
-                path: rpath,
-            };
-            table.add(level as usize, entry, &mut self.rng);
-        }
-        let state = &mut self.overlay.states[peer];
-        state.path = path;
-        state.store = KeyStore::from_entries(entries);
-        state.routing = table;
-        state.replicas = replicas;
-        state.replicas.retain(|p| p.0 as usize != peer);
+        self.hosted_peers().find(|&p| {
+            let state = &self.peers[p].state;
+            p != peer && state.online && state.replicas.contains(&target)
+        })
     }
 
     /// Brings a recovered peer (back) into service: joined + online, the
     /// online cache rebuilt and its memoised routing resolutions dropped.
     fn bring_online(&mut self, peer: usize) {
-        self.nodes[peer].joined = true;
-        self.nodes[peer].online = true;
+        let back = &mut self.peers[peer];
+        back.joined = true;
+        back.state.online = true;
         self.rebuild_online_cache();
         self.lookups.invalidate_routes(peer);
     }
@@ -170,20 +146,14 @@ impl<T: Transport> Runtime<T> {
         constructing: bool,
     ) {
         debug_assert!(self.hosted(peer), "only hosted peers are restored here");
-        self.install_snapshot(peer, path, entries, routing, replicas);
+        self.peers[peer].install_snapshot(path, entries, routing, replicas, &mut self.rng);
         self.bring_online(peer);
         self.metrics.peers_recovered_warm += 1;
         if constructing {
             self.arm_tick(peer);
         }
-        self.recorder.note(
-            self.clock.now,
-            "recovery",
-            format!(
-                "peer {peer} restored from durability log (path len {})",
-                path.len()
-            ),
-        );
+        let what = format!("restored from durability log (path len {})", path.len());
+        self.note_recovery(peer, what);
     }
 
     /// Fallback recovery without a live replica: the peer keeps its
@@ -194,12 +164,8 @@ impl<T: Transport> Runtime<T> {
     pub fn recover_locally(&mut self, peer: usize, path: Path) {
         self.recovery.recovering.remove(&peer);
         self.metrics.peers_recovered_local += 1;
-        self.overlay.states[peer].path = path;
-        self.recorder.note(
-            self.clock.now,
-            "recovery",
-            format!("peer {peer} recovered locally (path len {})", path.len()),
-        );
+        self.peers[peer].state.path = path;
+        self.note_recovery(peer, format!("recovered locally (path len {})", path.len()));
         self.finish_recovery(peer);
     }
 
@@ -208,7 +174,7 @@ impl<T: Transport> Runtime<T> {
     /// keeps participating in the exchange protocol.
     fn finish_recovery(&mut self, peer: usize) {
         self.bring_online(peer);
-        if self.shard.clone().any(|p| self.overlay.tick_armed[p]) {
+        if self.shard.clone().any(|p| self.peers[p].tick_armed) {
             self.arm_tick(peer);
         }
     }
@@ -219,38 +185,27 @@ impl<T: Transport> Runtime<T> {
     /// exactly what makes this answer possible) — and list `origin` as one
     /// more replica of it.
     pub(super) fn answer_replica_pull(&mut self, at: usize, origin: PeerId) {
-        let state = &mut self.overlay.states[at];
-        let mut replicas: Vec<PeerId> = state.replicas.clone();
-        replicas.retain(|p| *p != origin);
-        replicas.push(PeerId(at as u64));
-        if !state.replicas.contains(&origin) {
-            state.replicas.push(origin);
-        }
-        let push = Message::ReplicaPush {
-            path: state.path,
-            entries: state.store.iter().copied().collect(),
-            routing: state
-                .routing
-                .entries()
-                .map(|(level, entry)| (level as u8, entry.peer, entry.path))
-                .collect(),
-            replicas,
-        };
-        self.tracer.record(
-            AMBIENT_TRACE,
-            "replica_pull",
-            at as u64,
-            self.clock.now,
-            || format!("origin={}", origin.0),
-        );
+        let push = self.peers[at].snapshot_for(origin);
+        let now = self.clock.now;
+        self.tracer
+            .record(AMBIENT_TRACE, "replica_pull", at as u64, now, || {
+                format!("origin={}", origin.0)
+            });
         self.send(origin.0 as usize, push);
+    }
+
+    /// Notes a recovery step of `peer` in the flight recorder.
+    fn note_recovery(&mut self, peer: usize, what: String) {
+        let now = self.clock.now;
+        self.recorder
+            .note(now, "recovery", format!("peer {peer} {what}"));
     }
 
     /// A `ReplicaPush` reached `to`.  A recovering peer is rebuilt from it
     /// (exact key store, the replica's path, its routing references and
     /// replica set); a reconciling peer merges it
-    /// ([`Runtime::apply_replica_diff`]); a snapshot for a peer that
-    /// already finished (a second replica answered late) is ignored.
+    /// ([`Peer::merge_snapshot`]); a snapshot for a peer that already
+    /// finished (a second replica answered late) is ignored.
     pub(super) fn apply_replica_push(
         &mut self,
         to: usize,
@@ -259,82 +214,116 @@ impl<T: Transport> Runtime<T> {
         routing: Vec<(u8, PeerId, Path)>,
         replicas: Vec<PeerId>,
     ) {
+        let peer = &mut self.peers[to];
         if self.recovery.reconciling.remove(&to) {
-            self.apply_replica_diff(to, path, entries, routing, replicas);
-            return;
+            let merged = peer.merge_snapshot(path, entries, routing, replicas, &mut self.rng);
+            self.metrics.peers_reconciled += 1;
+            self.metrics.reconciled_entries += merged;
+            self.lookups.invalidate_routes(to);
+            let now = self.clock.now;
+            self.tracer
+                .record(AMBIENT_TRACE, "replica_reconciled", to as u64, now, || {
+                    format!("merged={merged}")
+                });
+            let what = format!("reconciled with a live replica ({merged} entries merged)");
+            return self.note_recovery(to, what);
         }
         if !self.recovery.recovering.remove(&to) {
             return;
         }
-        self.install_snapshot(to, path, entries, routing, replicas);
+        peer.install_snapshot(path, entries, routing, replicas, &mut self.rng);
         self.metrics.peers_recovered_replica += 1;
-        self.tracer.record(
-            AMBIENT_TRACE,
-            "replica_recovered",
-            to as u64,
-            self.clock.now,
-            || format!("path_len={}", path.len()),
-        );
-        self.recorder.note(
-            self.clock.now,
-            "recovery",
-            format!(
-                "peer {to} rebuilt from a live replica (path len {})",
-                path.len()
-            ),
-        );
+        let now = self.clock.now;
+        self.tracer
+            .record(AMBIENT_TRACE, "replica_recovered", to as u64, now, || {
+                format!("path_len={}", path.len())
+            });
+        let what = format!("rebuilt from a live replica (path len {})", path.len());
+        self.note_recovery(to, what);
         self.finish_recovery(to);
     }
+}
 
-    /// Merges a replica's answer into a warm-restored peer (anti-entropy
-    /// reconciliation).  Unlike the cold path above, the replayed state is
-    /// the baseline: same partition path → union of entries, replicas and
-    /// routing references; diverged path (the partition split or moved
-    /// while the peer was down) → adopt the replica's identity wholesale
-    /// and keep only the replayed entries it still covers.
-    fn apply_replica_diff(
+impl Peer {
+    /// Installs a snapshot as the peer's state: exact key store, path,
+    /// routing references and replica set (minus the peer itself).
+    fn install_snapshot(
         &mut self,
-        to: usize,
         path: Path,
         entries: Vec<DataEntry>,
         routing: Vec<(u8, PeerId, Path)>,
         replicas: Vec<PeerId>,
+        rng: &mut StdRng,
     ) {
-        let state = &mut self.overlay.states[to];
-        let merged = if state.path == path {
-            for (level, peer, rpath) in routing {
-                let level = level as usize;
-                if !state.routing.level(level).iter().any(|e| e.peer == peer) {
-                    let entry = RoutingEntry { peer, path: rpath };
-                    state.routing.add(level, entry, &mut self.rng);
-                }
-            }
-            for r in replicas {
-                if r.0 as usize != to && !state.replicas.contains(&r) {
-                    state.replicas.push(r);
-                }
-            }
-            state.store.merge_batch(entries)
-        } else {
+        let mut table = RoutingTable::new(routing::FANOUT);
+        for (level, peer, path) in routing {
+            table.add(level as usize, RoutingEntry { peer, path }, rng);
+        }
+        let state = &mut self.state;
+        state.path = path;
+        state.store = KeyStore::from_entries(entries);
+        state.routing = table;
+        state.replicas = replicas;
+        state.replicas.retain(|&p| p != state.id);
+    }
+
+    /// The peer's answer to a `ReplicaPull` from `origin`: its path, every
+    /// stored entry, its routing table and its replica set with itself in
+    /// place of `origin` — which it lists as one more replica.
+    fn snapshot_for(&mut self, origin: PeerId) -> Message {
+        let state = &mut self.state;
+        let mut replicas: Vec<PeerId> = state.replicas.clone();
+        replicas.retain(|p| *p != origin);
+        replicas.push(state.id);
+        if !state.replicas.contains(&origin) {
+            state.replicas.push(origin);
+        }
+        Message::ReplicaPush {
+            path: state.path,
+            entries: state.store.iter().copied().collect(),
+            routing: state
+                .routing
+                .entries()
+                .map(|(level, entry)| (level as u8, entry.peer, entry.path))
+                .collect(),
+            replicas,
+        }
+    }
+
+    /// Merges a replica's snapshot into a warm-restored peer (anti-entropy
+    /// reconciliation); returns how many entries were new.  Unlike the
+    /// cold path, the replayed state is the baseline: same partition path
+    /// → union of entries, replicas and routing references; diverged path
+    /// (the partition split or moved while the peer was down) → adopt the
+    /// replica's identity wholesale and keep only the replayed entries it
+    /// still covers.
+    fn merge_snapshot(
+        &mut self,
+        path: Path,
+        entries: Vec<DataEntry>,
+        routing: Vec<(u8, PeerId, Path)>,
+        replicas: Vec<PeerId>,
+        rng: &mut StdRng,
+    ) -> usize {
+        let state = &mut self.state;
+        if state.path != path {
             let old = state.store.drain();
-            self.install_snapshot(to, path, entries, routing, replicas);
+            self.install_snapshot(path, entries, routing, replicas, rng);
             let covered: Vec<DataEntry> = old.into_iter().filter(|e| path.covers(e.key)).collect();
-            self.overlay.states[to].store.merge_batch(covered)
-        };
-        self.metrics.peers_reconciled += 1;
-        self.metrics.reconciled_entries += merged;
-        self.lookups.invalidate_routes(to);
-        self.tracer.record(
-            AMBIENT_TRACE,
-            "replica_reconciled",
-            to as u64,
-            self.clock.now,
-            || format!("merged={merged}"),
-        );
-        self.recorder.note(
-            self.clock.now,
-            "recovery",
-            format!("peer {to} reconciled with a live replica ({merged} entries merged)"),
-        );
+            return self.state.store.merge_batch(covered);
+        }
+        for (level, peer, rpath) in routing {
+            let level = level as usize;
+            if !state.routing.level(level).iter().any(|e| e.peer == peer) {
+                let entry = RoutingEntry { peer, path: rpath };
+                state.routing.add(level, entry, rng);
+            }
+        }
+        for r in replicas {
+            if r != state.id && !state.replicas.contains(&r) {
+                state.replicas.push(r);
+            }
+        }
+        state.store.merge_batch(entries)
     }
 }

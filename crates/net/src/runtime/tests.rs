@@ -7,6 +7,7 @@ use pgrid_core::routing::{RoutingEntry, RoutingTable};
 use pgrid_core::search;
 use pgrid_transport::frame::{self, encode_frame, payload_slices};
 use pgrid_transport::LinkFault;
+use rand::Rng;
 
 /// The overlay state of `peer`.
 fn primary(rt: &Runtime, peer: usize) -> &PeerState {
@@ -49,7 +50,7 @@ fn peers_join_and_form_an_unstructured_overlay() {
     }
     assert_eq!(rt.online_count(), 48);
     // every peer except the very first has neighbours
-    let lonely = rt.nodes.iter().filter(|n| n.neighbours.is_empty()).count();
+    let lonely = rt.peers.iter().filter(|p| p.neighbours.is_empty()).count();
     assert!(lonely <= 1, "{lonely} peers without neighbours");
 }
 
@@ -218,10 +219,11 @@ fn certainly_stored_keys(rt: &Runtime, lo: Key, hi: Key) -> Vec<Key> {
     keys.sort_unstable();
     keys.dedup();
     keys.retain(|&key| {
-        let holders: Vec<&PeerState> = (0..rt.nodes.len())
-            .filter(|&p| rt.nodes[p].is_up())
-            .map(|p| primary(rt, p))
-            .filter(|state| state.path.covers(key))
+        let holders: Vec<&PeerState> = rt
+            .peers
+            .iter()
+            .map(|p| &p.state)
+            .filter(|state| state.online && state.path.covers(key))
             .collect();
         !holders.is_empty() && holders.iter().all(|state| state.store.contains_key(key))
     });
@@ -438,7 +440,7 @@ fn replica_rebuild_restores_exact_keystore() {
 
     rt.adopt_peer(23);
     assert_eq!(rt.adopted_peers(), vec![23]);
-    assert!(!rt.nodes[23].online, "adopted peer starts offline");
+    assert!(!rt.peers[23].state.online, "adopted peer starts offline");
     rt.begin_replica_pull(23, source);
     assert_eq!(rt.pending_recoveries(), 1);
     let deadline = rt.now() + 30_000;
@@ -452,7 +454,7 @@ fn replica_rebuild_restores_exact_keystore() {
     // Exact rebuild: path, every key, and the routing topology match
     // the replica snapshot bit-for-bit.
     let got = primary(&rt, 23);
-    assert!(rt.nodes[23].online);
+    assert!(rt.peers[23].state.online);
     assert_eq!(got.path, want_path);
     let got_entries: Vec<DataEntry> = got.store.iter().copied().collect();
     assert_eq!(got_entries, want_entries);
@@ -493,7 +495,7 @@ fn local_recovery_fallback_restores_original_entries() {
     let path = primary(&rt, 15).path;
     rt.recover_locally(15, path);
     assert_eq!(rt.pending_recoveries(), 0);
-    assert!(rt.nodes[15].online);
+    assert!(rt.peers[15].state.online);
     let got: Vec<DataEntry> = primary(&rt, 15).store.iter().copied().collect();
     assert_eq!(got, want);
     assert_eq!(rt.metrics.peers_recovered_local, 1);
@@ -543,7 +545,7 @@ fn warm_restore_then_reconcile_merges_missing_entries() {
     rt.restore_peer(a, path, stale.clone(), routing, replicas, false);
     assert_eq!(rt.metrics.peers_recovered_warm, 1);
     assert_eq!(primary(&rt, a).store.len(), full.len() - 1);
-    assert!(rt.nodes[a].online);
+    assert!(rt.peers[a].state.online);
 
     rt.begin_replica_diff(a, r);
     assert_eq!(rt.pending_reconciliations(), 1);
@@ -664,12 +666,12 @@ fn the_route_cache_is_a_memo_in_front_of_the_reference_pick() {
                 peer: PeerId(peer),
                 path: Path::parse("1"),
             };
-            let table = &mut rt.overlay.states[0].routing;
+            let table = &mut rt.peers[0].state.routing;
             table.add(0, entry, &mut rt.rng);
         }
         let memo = (0, 0);
         rt.lookups.route_cache.insert(memo, PeerId(2));
-        down.iter().for_each(|&p| rt.nodes[p].online = false);
+        down.iter().for_each(|&p| rt.peers[p].state.online = false);
         dead.iter()
             .for_each(|&p| (0..3).for_each(|_| rt.record_link_failure(p)));
         let next_draw = |rt: &Runtime| rt.rng.clone().gen::<u64>();
@@ -716,15 +718,11 @@ fn core_routing_reproduces_the_runtime_lookups_and_ranges() {
     rt.run_until(now + 300_000);
     // Every sixth peer forgets its references: lookups through it dead-end
     // and range walks detour.
-    let overlay = &mut rt.overlay;
-    assert!(!overlay.tick_armed.contains(&true));
+    assert!(rt.peers.iter().all(|p| !p.tick_armed));
     (0..48)
         .step_by(6)
-        .for_each(|p| overlay.states[p].routing = RoutingTable::new(5));
-    let mut peers = overlay.states.clone();
-    for (state, node) in peers.iter_mut().zip(&rt.nodes) {
-        state.online = node.is_up();
-    }
+        .for_each(|p| rt.peers[p].state.routing = RoutingTable::new(5));
+    let peers: Vec<PeerState> = rt.peers.iter().map(|p| p.state.clone()).collect();
     let loss = |rng: &mut StdRng, frames: usize| {
         (0..frames).for_each(|_| assert!(!rng.gen_bool(0.0)));
     };
@@ -1135,4 +1133,51 @@ fn query_aggregates_of_full_counters_merge_without_overflow() {
     merged.merge(&full);
     merged.merge(&full);
     assert_eq!(merged, full);
+}
+
+#[test]
+fn offers_from_unknown_peers_never_reach_the_routing_table() {
+    // Forty offers from the other side of peer 0's first bit, sent by
+    // peers that do not exist: were they referred, peer 0 would learn
+    // them as level-0 references and the next lookup through it would
+    // index past the population.
+    let mut rt = Runtime::new(NetConfig {
+        n_peers: 16,
+        ..NetConfig::default()
+    });
+    construct(&mut rt, 16, 200_000);
+    let path = Path::root().child(!primary(&rt, 0).path.bit(0));
+    let offers: Vec<Bytes> = (1000..1040)
+        .map(|from| Message::Offer {
+            from: PeerId(from),
+            path,
+            count: 0,
+            digest: 0,
+        })
+        .map(|offer| offer.encode())
+        .collect();
+    let failures = rt.metrics.decode_failures;
+    rt.deliver_frame(PeerId(0), encode_frame(&offers));
+    assert_eq!(rt.metrics.decode_failures, failures + 40);
+    assert!(primary(&rt, 0)
+        .routing
+        .entries()
+        .all(|(_, e)| e.peer.0 < 16));
+    rt.issue_query_batch_on(IndexId::PRIMARY, &primary_keys(&rt));
+    rt.run_until(rt.now() + 30_000);
+}
+
+#[test]
+fn churn_never_brings_up_a_peer_that_has_not_joined() {
+    let mut rt = small_runtime();
+    for peer in 0..47 {
+        rt.join_peer(peer, 4);
+    }
+    let online = rt.online_count();
+    rt.schedule_churn(47, 1_000, 1_000);
+    rt.run_until(5_000);
+    assert_eq!(rt.online_count(), online);
+    assert!(!rt.online_hosted.contains(&47));
+    let reachable = rt.routed(0, |_, reachable, _| reachable(PeerId(47))).0;
+    assert!(!reachable, "a routing candidate");
 }
