@@ -137,7 +137,7 @@ pub struct ObsReport {
 }
 
 /// One worker death as the coordinator observed (and possibly healed) it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkerFailure {
     /// Index of the dead worker.
     pub worker: u32,
@@ -300,13 +300,9 @@ impl ObsMerge {
 }
 
 /// Accepts `cluster.n_workers` workers on `listener`, runs the rendezvous
-/// and the barrier protocol to completion, and returns the merged report.
-pub fn run_coordinator(listener: TcpListener, cluster: &ClusterConfig) -> Result<DeploymentReport> {
-    run_coordinator_observed(listener, cluster, &ObsOptions::default()).map(|(report, _)| report)
-}
-
-/// [`run_coordinator`] with observability: merged metrics/trace publishing
-/// at every barrier, worker `/metrics` probing, and a flight-recorder dump
+/// and the barrier protocol to completion, and returns the merged report
+/// with what the coordinator observed: merged metrics/trace publishing at
+/// every barrier, worker `/metrics` probing, and a flight-recorder dump
 /// when a worker fails mid-run.
 pub fn run_coordinator_observed(
     listener: TcpListener,
@@ -330,22 +326,40 @@ pub fn run_coordinator_observed(
 /// One worker's coordinator-side control state.
 struct Slot {
     ctl: ControlChannel,
+    /// The worker's one listen address, from its `Hello`: every peer it
+    /// hosts is reached there.
+    listen: SocketAddr,
     /// `false` once the coordinator declared this worker dead.
     alive: bool,
-    /// Whether the worker reached the barrier currently being collected.
-    done: bool,
     /// Last time any control message arrived from this worker.
     last_seen: Instant,
 }
 
 impl Slot {
-    fn new(ctl: ControlChannel, done: bool) -> Slot {
+    fn new(ctl: ControlChannel, listen: SocketAddr) -> Slot {
         Slot {
             ctl,
+            listen,
             alive: true,
-            done,
             last_seen: Instant::now(),
         }
+    }
+}
+
+/// What [`Coordinator::collect`] gathered: the picked values, and the
+/// workers that failed instead, with why.
+type Collected<T> = (Vec<T>, Vec<(usize, Error)>);
+
+/// The `pick` of a wait for `RecoveryDone` of `epoch`.
+fn recovery_done(
+    epoch: u64,
+) -> impl Fn(ClusterMsg) -> std::result::Result<Vec<(u64, bool)>, Box<ClusterMsg>> {
+    move |msg| match msg {
+        ClusterMsg::RecoveryDone {
+            epoch: e,
+            recovered,
+        } if e == epoch => Ok(recovered),
+        other => Err(other.into()),
     }
 }
 
@@ -353,16 +367,14 @@ impl Slot {
 struct Membership {
     /// Original `(start, len)` shard of each worker.
     shards: Vec<(usize, usize)>,
-    /// Current host worker of every peer (updated on adoption).
+    /// Current host worker of every peer (updated on reassignment): with
+    /// the hosts' listen addresses, the address book.
     host_of: Vec<usize>,
     /// Last path each peer reported at a barrier (via `ShardPaths`), the
     /// raw material of replica hints and partial reports.
     last_paths: Vec<Path>,
     /// Monotonic membership epoch, bumped per healing round.
     epoch: u64,
-    /// The current address book (sorted by peer id), re-broadcast after
-    /// endpoint takeovers.
-    book: Vec<(u64, SocketAddr)>,
 }
 
 /// The control plane's state in one place: every protocol step below is a
@@ -405,7 +417,6 @@ impl<'a> Coordinator<'a> {
                 host_of,
                 last_paths: vec![Path::root(); n_peers],
                 epoch: 0,
-                book: Vec::with_capacity(n_peers),
             },
             merge: ObsMerge::new(cluster.n_workers),
             observed: ObsReport {
@@ -443,7 +454,7 @@ impl<'a> Coordinator<'a> {
     /// The rendezvous with one worker, fresh or rejoining: assigns shard
     /// `index` with a `Welcome`, awaits the `Hello`, checks that it
     /// announces exactly that shard, records the worker's scrape endpoint,
-    /// and returns the listen addresses of its peers.
+    /// and returns the worker's listen address.
     ///
     /// The wait is bounded by [`RECOVERY_TIMEOUT`] on both paths: during a
     /// healing round the survivors are parked on their own barrier
@@ -453,7 +464,7 @@ impl<'a> Coordinator<'a> {
         ctl: &mut ControlChannel,
         index: usize,
         kill_at_min: Option<u64>,
-    ) -> Result<Vec<(u64, SocketAddr)>> {
+    ) -> Result<SocketAddr> {
         let (start, len) = self.membership.shards[index];
         ctl.send(&ClusterMsg::Welcome {
             worker_index: index as u32,
@@ -463,46 +474,34 @@ impl<'a> Coordinator<'a> {
             timeline: self.cluster.timeline,
             tracing: self.obs.tracing,
             heartbeat_ms: self.cluster.heal.heartbeat_ms,
-            heal: self.cluster.heal.heal,
             kill_at_min,
         })?;
         let hello = ctl.recv_timeout(RECOVERY_TIMEOUT)?;
         hello.check_ranges(self.cluster.net.n_peers)?;
         let ClusterMsg::Hello {
             shard_start,
-            peer_addrs,
+            shard_len,
+            listen,
             metrics_addr,
         } = hello
         else {
             return Err(protocol_error("Hello", &hello));
         };
-        if shard_start as usize != start || peer_addrs.len() != len {
+        if (shard_start, shard_len) != (start as u64, len as u64) {
             return Err(Error::new(
                 ErrorKind::InvalidData,
                 format!(
-                    "worker {index} announced shard {shard_start}+{} instead of {start}+{len}",
-                    peer_addrs.len()
+                    "worker {index} announced shard {shard_start}+{shard_len} \
+                     instead of {start}+{len}"
                 ),
             ));
         }
         self.observed.worker_metrics_addrs[index] = metrics_addr;
         self.note(
             "hello",
-            format!("worker={index} shard={shard_start} metrics={metrics_addr:?}"),
+            format!("worker={index} shard={shard_start} listen={listen} metrics={metrics_addr:?}"),
         );
-        Ok(peer_addrs)
-    }
-
-    /// Folds fresh `(peer, address)` pairs into the address book: a known
-    /// peer's endpoint moves, an unknown one is inserted in id order.
-    fn merge_book(&mut self, addrs: Vec<(u64, SocketAddr)>) {
-        let book = &mut self.membership.book;
-        for (peer, addr) in addrs {
-            match book.binary_search_by_key(&peer, |&(p, _)| p) {
-                Ok(at) => book[at].1 = addr,
-                Err(at) => book.insert(at, (peer, addr)),
-            }
-        }
+        Ok(listen)
     }
 
     /// Sends `msg` to every live worker, in slot order.
@@ -513,11 +512,17 @@ impl<'a> Coordinator<'a> {
         Ok(())
     }
 
+    /// The address book: each peer at the listen address of the worker
+    /// hosting it, in peer order.
+    fn book(&self) -> Vec<(u64, SocketAddr)> {
+        (self.membership.host_of.iter().enumerate())
+            .map(|(peer, &host)| (peer as u64, self.slots[host].listen))
+            .collect()
+    }
+
     fn broadcast_book(&mut self) -> Result<()> {
-        let book = ClusterMsg::AddressBook {
-            peer_addrs: self.membership.book.clone(),
-        };
-        self.broadcast(&book)
+        let peer_addrs = self.book();
+        self.broadcast(&ClusterMsg::AddressBook { peer_addrs })
     }
 
     /// Drains worker `index`'s channel: routine traffic (minutes, traces,
@@ -548,7 +553,7 @@ impl<'a> Coordinator<'a> {
                             .map_err(|e| Error::new(ErrorKind::InvalidData, e))?,
                     );
                 }
-                ClusterMsg::Heartbeat { .. } => {}
+                ClusterMsg::Heartbeat => {}
                 ClusterMsg::ShardPaths { shard_start, paths } => {
                     let start = shard_start as usize;
                     self.membership.last_paths[start..start + paths.len()].copy_from_slice(&paths);
@@ -558,46 +563,69 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// The one wait of the control plane: absorbs routine traffic from
-    /// `worker` until `pick` accepts a message.  Any other message is a
-    /// protocol error naming `what`; silence past `timeout` is `TimedOut`
-    /// naming `what`.
-    fn expect_from<T>(
+    /// The one wait of the control plane: polls each of `workers`,
+    /// absorbing routine traffic, until `pick` accepts one message from it
+    /// or it fails.  Returns the picked values and the failed workers with
+    /// why; what to do about a failure is the caller's policy.  A worker
+    /// fails — and is marked failed — on EOF, on a message that fails its
+    /// range check, or after `failure_timeout_ms` of silence when heartbeats
+    /// are on.  Any message `pick` refuses is a protocol error naming
+    /// `what`, and a worker still owing it after `timeout` is `TimedOut`.
+    fn collect<T>(
         &mut self,
-        worker: usize,
+        workers: &[usize],
         what: &str,
         timeout: Duration,
         pick: impl Fn(ClusterMsg) -> std::result::Result<T, Box<ClusterMsg>>,
-    ) -> Result<T> {
+    ) -> Result<Collected<T>> {
+        let heartbeats = self.cluster.heal.heartbeat_ms > 0;
+        let failure_timeout = Duration::from_millis(self.cluster.heal.failure_timeout_ms.max(1));
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(msg) = self.poll_routine(worker)? {
-                return pick(msg).map_err(|other| protocol_error(what, &other));
+        for &index in workers {
+            // Liveness clocks restart per wait: a worker is only expected
+            // to be silent for as long as the awaited step lasts minus
+            // heartbeats.
+            self.slots[index].last_seen = Instant::now();
+        }
+        let (mut pending, mut picked, mut failed) = (workers.to_vec(), Vec::new(), Vec::new());
+        while !pending.is_empty() {
+            for index in std::mem::take(&mut pending) {
+                let failure = match self.poll_routine(index) {
+                    Ok(Some(msg)) => {
+                        let refused = |other: Box<ClusterMsg>| {
+                            protocol_error(&format!("{what} from worker {index}"), &other)
+                        };
+                        picked.push(pick(msg).map_err(refused)?);
+                        continue;
+                    }
+                    Ok(None) => match self.slots[index].last_seen.elapsed() {
+                        silence if heartbeats && silence > failure_timeout => Error::new(
+                            ErrorKind::TimedOut,
+                            format!("no heartbeat for {}ms", silence.as_millis()),
+                        ),
+                        _ => {
+                            pending.push(index);
+                            continue;
+                        }
+                    },
+                    Err(e) => e,
+                };
+                self.mark_failed(index, &failure);
+                failed.push((index, failure));
             }
-            if Instant::now() >= deadline {
-                return Err(Error::new(
-                    ErrorKind::TimedOut,
-                    format!("worker {worker} never sent {what}"),
-                ));
+            if let Some(index) = pending.first().filter(|_| Instant::now() >= deadline) {
+                let why = format!("worker {index} never sent {what}");
+                return Err(Error::new(ErrorKind::TimedOut, why));
             }
         }
+        Ok((picked, failed))
     }
 
-    /// Awaits `worker`'s `RecoveryDone` for `epoch` and records it as the
-    /// host of every peer it lists.
-    fn expect_recovery_done(&mut self, worker: usize, epoch: u64) -> Result<Vec<(u64, bool)>> {
-        let recovered =
-            self.expect_from(worker, "RecoveryDone", RECOVERY_TIMEOUT, |msg| match msg {
-                ClusterMsg::RecoveryDone {
-                    epoch: e,
-                    recovered,
-                } if e == epoch => Ok(recovered),
-                other => Err(other.into()),
-            })?;
-        for &(peer, _) in &recovered {
-            self.membership.host_of[peer as usize] = worker;
-        }
-        Ok(recovered)
+    /// The workers not declared dead, in slot order.
+    fn alive(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&index| self.slots[index].alive)
+            .collect()
     }
 
     fn coordinate(&mut self) -> Result<DeploymentReport> {
@@ -618,9 +646,8 @@ impl<'a> Coordinator<'a> {
                 .kill
                 .filter(|plan| plan.worker as usize == index)
                 .map(|plan| plan.at_min);
-            let addrs = self.handshake(&mut ctl, index, kill_at_min)?;
-            self.merge_book(addrs);
-            self.slots.push(Slot::new(ctl, false));
+            let listen = self.handshake(&mut ctl, index, kill_at_min)?;
+            self.slots.push(Slot::new(ctl, listen));
         }
         self.note(
             "accepted",
@@ -635,7 +662,13 @@ impl<'a> Coordinator<'a> {
 
         // --- barriers with failure detection and healing ---------------------
         for phase in PHASE_WIRED..=PHASE_DONE {
-            let newly_failed = self.collect_barrier(phase)?;
+            let what = format!("PhaseDone({phase})");
+            let (_, failed) =
+                self.collect(&self.alive(), &what, PHASE_TIMEOUT, |msg| match msg {
+                    ClusterMsg::PhaseDone { phase: p } if p == phase => Ok(()),
+                    other => Err(other.into()),
+                })?;
+            let newly_failed: Vec<usize> = failed.iter().map(|&(index, _)| index).collect();
             if !newly_failed.is_empty() && cluster.heal.heal {
                 self.heal_round(&newly_failed, phase)?;
             }
@@ -650,26 +683,18 @@ impl<'a> Coordinator<'a> {
         }
 
         // --- final reports ---------------------------------------------------
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(cluster.n_workers);
-        for index in 0..self.slots.len() {
-            if !self.slots[index].alive {
-                continue;
-            }
-            let report = self.expect_from(index, "Report", PHASE_TIMEOUT, |msg| match msg {
+        let (reports, failed) =
+            self.collect(&self.alive(), "Report", PHASE_TIMEOUT, |msg| match msg {
                 ClusterMsg::Report(report) => Ok(report),
                 other => Err(other.into()),
-            });
-            match report {
-                Ok(report) => reports.push(report),
-                // A wrong message or silence is a broken run ...
-                Err(e) if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::TimedOut) => {
-                    return Err(e)
-                }
-                // ... but a worker dying after its last barrier can no
-                // longer be healed (the run is over); record the failure
-                // and assemble a partial report.
-                Err(e) => self.mark_failed(index, &e),
-            }
+            })?;
+        // An out-of-range report or silence is a broken run, but a worker
+        // dying after its last barrier can no longer be healed (the run is
+        // over): its failure is recorded, and the report assembled without
+        // it.
+        let broken = |e: &Error| matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::TimedOut);
+        if let Some((_, e)) = failed.into_iter().find(|(_, e)| broken(e)) {
+            return Err(e);
         }
 
         self.observed.registry =
@@ -727,66 +752,8 @@ impl<'a> Coordinator<'a> {
             shard_start: start as u64,
             shard_len: len as u64,
             detected_after_ms,
-            healed: false,
-            recovery_ms: 0,
-            recovered_replica: 0,
-            recovered_local: 0,
-            rejoined: false,
-            recovered_warm: 0,
+            ..WorkerFailure::default()
         });
-    }
-
-    /// Collects `PhaseDone(phase)` from every live worker, detecting
-    /// failures along the way (connection EOF, heartbeat silence, a message
-    /// that fails its range check).  Returns the indices of workers that
-    /// died during this barrier.
-    fn collect_barrier(&mut self, phase: u8) -> Result<Vec<usize>> {
-        for slot in self.slots.iter_mut() {
-            slot.done = false;
-            // Liveness clocks restart per barrier: a worker is only expected
-            // to be silent for as long as its phase lasts minus heartbeats.
-            slot.last_seen = Instant::now();
-        }
-        let heartbeats = self.cluster.heal.heartbeat_ms > 0;
-        let failure_timeout = Duration::from_millis(self.cluster.heal.failure_timeout_ms.max(1));
-        let deadline = Instant::now() + PHASE_TIMEOUT;
-        let mut newly_failed = Vec::new();
-        while self.slots.iter().any(|s| s.alive && !s.done) {
-            for index in 0..self.slots.len() {
-                if !self.slots[index].alive || self.slots[index].done {
-                    continue;
-                }
-                let polled = self.poll_routine(index);
-                let silence = self.slots[index].last_seen.elapsed();
-                let failure = match polled {
-                    Ok(Some(ClusterMsg::PhaseDone { phase: p })) if p == phase => {
-                        self.slots[index].done = true;
-                        None
-                    }
-                    Ok(Some(other)) => {
-                        let what = format!("PhaseDone({phase}) from worker {index}");
-                        return Err(protocol_error(&what, &other));
-                    }
-                    Ok(None) if heartbeats && silence > failure_timeout => Some(Error::new(
-                        ErrorKind::TimedOut,
-                        format!("no heartbeat for {}ms", silence.as_millis()),
-                    )),
-                    Ok(None) => None,
-                    Err(e) => Some(e),
-                };
-                if let Some(e) = failure {
-                    self.mark_failed(index, &e);
-                    newly_failed.push(index);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(Error::new(
-                    ErrorKind::TimedOut,
-                    format!("phase {phase} barrier never completed"),
-                ));
-            }
-        }
-        Ok(newly_failed)
     }
 
     /// Polls the rendezvous listener for up to `rejoin_grace_ms` for the
@@ -855,19 +822,27 @@ impl<'a> Coordinator<'a> {
 
         // The rejoiner re-binds its shard endpoints at fresh ports.  No
         // kill plan the second time around.
-        let addrs = self.handshake(&mut ctl, failed, None)?;
-        self.merge_book(addrs);
+        let listen = self.handshake(&mut ctl, failed, None)?;
         // The barrier for `phase` was already collected without this
-        // worker: it re-enters the protocol parked (`done`), waiting for
-        // Proceed — after the address book everyone gets, and the phase the
-        // cluster is parked at.
-        self.slots[failed] = Slot::new(ctl, true);
+        // worker: it re-enters the protocol parked, waiting for Proceed —
+        // after the address book everyone gets, and the phase the cluster
+        // is parked at.
+        self.slots[failed] = Slot::new(ctl, listen);
         self.broadcast_book()?;
         self.slots[failed]
             .ctl
             .send(&ClusterMsg::Resume { epoch, phase })?;
 
-        let warm = self.expect_recovery_done(failed, epoch)?.len() as u64;
+        let (done, lost) = self.collect(
+            &[failed],
+            "RecoveryDone",
+            RECOVERY_TIMEOUT,
+            recovery_done(epoch),
+        )?;
+        if let Some((_, e)) = lost.into_iter().next() {
+            return Err(e);
+        }
+        let warm = done.concat().len() as u64;
         self.note("rejoin_done", format!("worker={failed} warm={warm}"));
         pgrid_obs::info!(
             "cluster::coordinator",
@@ -877,11 +852,12 @@ impl<'a> Coordinator<'a> {
         Ok(Some(warm))
     }
 
-    /// One healing round: announce the new epoch, give each dead worker's
-    /// relaunched process a chance to reclaim its own shard from its
-    /// durable log (warm rejoin), reassign the remaining orphans onto the
-    /// survivors, collect the takeover addresses, re-broadcast the address
-    /// book, and wait for the replica rebuilds to finish.
+    /// One healing round: a new epoch; each dead worker's relaunched
+    /// process gets a chance to reclaim its own shard from its durable log
+    /// (warm rejoin); the remaining orphans are reassigned onto the
+    /// survivors, the address book re-broadcast with each orphan at its
+    /// adopter's listen address, and the replica rebuilds awaited.  The
+    /// round aborts the run if an adopter fails.
     fn heal_round(&mut self, newly_failed: &[usize], phase: u8) -> Result<()> {
         let heal_started = Instant::now();
         self.membership.epoch += 1;
@@ -919,53 +895,37 @@ impl<'a> Coordinator<'a> {
             );
             return Ok(());
         }
-        for &worker in &failed {
-            let (start, len) = self.membership.shards[worker];
-            self.broadcast(&ClusterMsg::WorkerFailed {
-                epoch,
-                worker_index: worker as u32,
-                shard_start: start as u64,
-                shard_len: len as u64,
-            })?;
-        }
-
         let moves = plan_reassignment(&self.membership, &failed, &alive);
         self.note(
             "shard_reassign",
             format!("epoch={epoch} moves={}", moves.len()),
         );
-        let adopters: BTreeSet<usize> = moves.iter().map(|m| m.to_worker as usize).collect();
-        self.broadcast(&ClusterMsg::ShardReassign { epoch, moves })?;
-
-        // Endpoint takeovers: every adopter re-binds the orphaned endpoints
-        // locally and reports the fresh addresses.
-        for &index in &adopters {
-            let addrs =
-                self.expect_from(index, "RecoveryAddrs", RECOVERY_TIMEOUT, |msg| match msg {
-                    ClusterMsg::RecoveryAddrs {
-                        epoch: e,
-                        peer_addrs,
-                    } if e == epoch => Ok(peer_addrs),
-                    other => Err(other.into()),
-                })?;
-            self.merge_book(addrs);
+        for m in &moves {
+            self.membership.host_of[m.peer as usize] = m.to_worker as usize;
         }
+        let adopters: BTreeSet<usize> = moves.iter().map(|m| m.to_worker as usize).collect();
+        let adopters: Vec<usize> = adopters.into_iter().collect();
+        // Every adopter takes the orphaned endpoints in behind its one
+        // listener on the reassignment; the book that follows points
+        // everyone there and starts the rebuilds.
+        self.broadcast(&ClusterMsg::ShardReassign { epoch, moves })?;
         self.broadcast_book()?;
 
         // Replica rebuilds: each adopter pulls the orphans' state from live
         // replicas over the data plane (local seeded fallback guarantees
         // termination) and acknowledges.
-        let mut recovered_replica = 0u64;
-        let mut recovered_local = 0u64;
-        for &index in &adopters {
-            for (_, via_replica) in self.expect_recovery_done(index, epoch)? {
-                if via_replica {
-                    recovered_replica += 1;
-                } else {
-                    recovered_local += 1;
-                }
-            }
+        let (done, lost) = self.collect(
+            &adopters,
+            "RecoveryDone",
+            RECOVERY_TIMEOUT,
+            recovery_done(epoch),
+        )?;
+        if let Some((_, e)) = lost.into_iter().next() {
+            return Err(e);
         }
+        let recovered = done.concat();
+        let recovered_replica = recovered.iter().filter(|&&(_, replica)| replica).count();
+        let recovered_local = recovered.len() - recovered_replica;
         self.note(
             "recovery_done",
             format!("epoch={epoch} replica={recovered_replica} local={recovered_local}"),
@@ -976,18 +936,38 @@ impl<'a> Coordinator<'a> {
              {recovered_local} locally)",
             recovered_replica + recovered_local
         );
-        // Attribute the recovery to the failures healed this round.
-        let per_failure = failed.len() as u64;
         let recovery_ms = heal_started.elapsed().as_millis() as u64;
-        for failure in &mut self.observed.failures {
-            if failed.contains(&(failure.worker as usize)) && !failure.healed {
-                failure.healed = true;
-                failure.recovery_ms = recovery_ms;
-                failure.recovered_replica = recovered_replica / per_failure;
-                failure.recovered_local = recovered_local / per_failure;
+        record_healed(
+            &mut self.observed.failures,
+            &failed,
+            &recovered,
+            recovery_ms,
+        );
+        Ok(())
+    }
+}
+
+/// Marks the failures of the `failed` workers healed after `recovery_ms`,
+/// counting each `(peer, via_replica)` of `recovered` against the failure
+/// whose shard holds the peer.
+fn record_healed(
+    failures: &mut [WorkerFailure],
+    failed: &[usize],
+    recovered: &[(u64, bool)],
+    recovery_ms: u64,
+) {
+    let healed_now = |f: &WorkerFailure| !f.healed && failed.contains(&(f.worker as usize));
+    for failure in failures.iter_mut().filter(|f| healed_now(f)) {
+        failure.healed = true;
+        failure.recovery_ms = recovery_ms;
+        let shard = failure.shard_start..failure.shard_start + failure.shard_len;
+        for &(_, via_replica) in recovered.iter().filter(|(peer, _)| shard.contains(peer)) {
+            if via_replica {
+                failure.recovered_replica += 1;
+            } else {
+                failure.recovered_local += 1;
             }
         }
-        Ok(())
     }
 }
 
@@ -1145,16 +1125,14 @@ mod tests {
         SocketAddr::from(([127, 0, 0, 1], port))
     }
 
-    /// Answers a `Welcome` with a `Hello` for `shard_start` carrying `len`
-    /// endpoints.
+    /// Answers a `Welcome` with a `Hello` for the shard `shard_start+len`.
     fn answer_welcome(ctl: &mut ControlChannel, shard_start: u64, len: u64) {
         let welcome = ctl.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(welcome, ClusterMsg::Welcome { .. }), "{welcome:?}");
         ctl.send(&ClusterMsg::Hello {
             shard_start,
-            peer_addrs: (shard_start..shard_start + len)
-                .map(|peer| (peer, addr(4000 + peer as u16)))
-                .collect(),
+            shard_len: len,
+            listen: addr(4000 + shard_start as u16),
             metrics_addr: Some(addr(9100)),
         })
         .unwrap();
@@ -1180,30 +1158,34 @@ mod tests {
             assert_eq!(kill_at_min, Some(7));
             ctl.send(&ClusterMsg::Hello {
                 shard_start,
-                peer_addrs: (4..8)
-                    .map(|peer| (peer, addr(4000 + peer as u16)))
-                    .collect(),
+                shard_len,
+                listen: addr(4004),
                 metrics_addr: Some(addr(9100)),
             })
             .unwrap();
         });
         let mut ctl = accept(&coordinator);
-        let addrs = coordinator.handshake(&mut ctl, 1, Some(7)).unwrap();
+        let listen = coordinator.handshake(&mut ctl, 1, Some(7)).unwrap();
         worker.join().unwrap();
-        assert_eq!(addrs.len(), 4);
+        assert_eq!(listen, addr(4004));
         assert_eq!(
             coordinator.observed.worker_metrics_addrs,
             [None, Some(addr(9100))]
         );
-        // Merged out of order, the book still ends up sorted by peer id.
-        coordinator.merge_book(addrs);
-        coordinator.merge_book(vec![(1, addr(4001)), (5, addr(5005))]);
-        let book = &coordinator.membership.book;
-        assert_eq!(
-            book.iter().map(|&(peer, _)| peer).collect::<Vec<_>>(),
-            [1, 4, 5, 6, 7]
-        );
-        assert_eq!(book[2], (5, addr(5005)), "a known peer's endpoint moves");
+        // The book puts every peer at its host's listen address, in peer
+        // order; a reassigned peer's endpoint moves to its adopter.
+        let first = scripted_worker(&coordinator, drop);
+        coordinator
+            .slots
+            .push(Slot::new(accept(&coordinator), addr(4000)));
+        first.join().unwrap();
+        coordinator.slots.push(Slot::new(ctl, listen));
+        coordinator.membership.host_of[5] = 0;
+        let hosts = [0, 0, 0, 0, 1, 0, 1, 1];
+        let expect: Vec<(u64, SocketAddr)> = (0..8)
+            .map(|peer| (peer, [addr(4000), listen][hosts[peer as usize]]))
+            .collect();
+        assert_eq!(coordinator.book(), expect);
     }
 
     #[test]
@@ -1310,25 +1292,16 @@ mod tests {
         let mut coordinator = coordinator(cluster, obs);
         let worker = scripted_worker(&coordinator, script);
         let ctl = accept(&coordinator);
-        coordinator.slots.push(Slot::new(ctl, false));
+        coordinator.slots.push(Slot::new(ctl, addr(4000)));
         (coordinator, worker)
     }
 
-    fn pick_recovery_addrs(
-        msg: ClusterMsg,
-    ) -> std::result::Result<Vec<(u64, SocketAddr)>, Box<ClusterMsg>> {
-        match msg {
-            ClusterMsg::RecoveryAddrs { peer_addrs, .. } => Ok(peer_addrs),
-            other => Err(other.into()),
-        }
-    }
-
     #[test]
-    fn expect_from_absorbs_routine_traffic_until_the_awaited_message() {
+    fn collect_absorbs_routine_traffic_until_the_awaited_message() {
         let (cluster, obs) = (cluster(8, 1, 0), ObsOptions::default());
         let (mut coordinator, worker) = with_worker(&cluster, &obs, |mut ctl| {
             for msg in [
-                ClusterMsg::Heartbeat { epoch: 1 },
+                ClusterMsg::Heartbeat,
                 ClusterMsg::Minutes {
                     samples: vec![(3, 10, 20)],
                 },
@@ -1340,9 +1313,9 @@ mod tests {
                     shard_start: 2,
                     paths: vec![Path::parse("01"), Path::parse("1")],
                 },
-                ClusterMsg::RecoveryAddrs {
+                ClusterMsg::RecoveryDone {
                     epoch: 1,
-                    peer_addrs: vec![(5, addr(4005))],
+                    recovered: vec![(5, true)],
                 },
             ] {
                 ctl.send(&msg).unwrap();
@@ -1350,15 +1323,16 @@ mod tests {
             // Hold the connection open until the coordinator has read it.
             let _ = ctl.recv_timeout(Duration::from_secs(5));
         });
-        let addrs = coordinator
-            .expect_from(
-                0,
-                "RecoveryAddrs",
+        let (done, failed) = coordinator
+            .collect(
+                &[0],
+                "RecoveryDone",
                 Duration::from_secs(5),
-                pick_recovery_addrs,
+                recovery_done(1),
             )
             .unwrap();
-        assert_eq!(addrs, [(5, addr(4005))]);
+        assert_eq!(done, [[(5, true)]]);
+        assert!(failed.is_empty(), "{failed:?}");
         assert_eq!(coordinator.bandwidth[&3].maintenance_bytes, 10);
         assert_eq!(coordinator.bandwidth[&3].query_bytes, 20);
         assert_eq!(coordinator.bandwidth[&4].maintenance_bytes, usize::MAX);
@@ -1370,33 +1344,35 @@ mod tests {
     }
 
     #[test]
-    fn expect_from_rejects_the_wrong_message_and_names_what_it_awaited() {
+    fn collect_rejects_the_wrong_message_and_names_what_it_awaited() {
         let (cluster, obs) = (cluster(8, 1, 0), ObsOptions::default());
         let (mut coordinator, worker) = with_worker(&cluster, &obs, |mut ctl| {
             ctl.send(&ClusterMsg::PhaseDone { phase: 2 }).unwrap();
             let _ = ctl.recv_timeout(Duration::from_secs(5));
         });
         let wrong = coordinator
-            .expect_from(
-                0,
-                "RecoveryAddrs",
+            .collect(
+                &[0],
+                "RecoveryDone",
                 Duration::from_secs(5),
-                pick_recovery_addrs,
+                recovery_done(1),
             )
             .unwrap_err();
         assert_eq!(wrong.kind(), ErrorKind::InvalidData);
         assert!(
-            wrong.to_string().starts_with("expected RecoveryAddrs, got"),
+            wrong
+                .to_string()
+                .starts_with("expected RecoveryDone from worker 0, got"),
             "{wrong}"
         );
         // Nothing else arrives: silence past the deadline is a time-out
         // that says what was awaited, from whom.
         let silence = coordinator
-            .expect_from(
-                0,
+            .collect(
+                &[0],
                 "RecoveryDone",
                 Duration::from_millis(50),
-                pick_recovery_addrs,
+                recovery_done(1),
             )
             .unwrap_err();
         assert_eq!(silence.kind(), ErrorKind::TimedOut);
@@ -1413,7 +1389,6 @@ mod tests {
             host_of: (0..n_peers).map(|peer| peer / per_worker).collect(),
             last_paths: vec![Path::parse(path); n_peers],
             epoch: 0,
-            book: Vec::new(),
         }
     }
 
@@ -1474,6 +1449,42 @@ mod tests {
         let moves = plan_reassignment(&membership, &[2], &[true, true, false]);
         let moved: Vec<u64> = moves.iter().map(|m| m.peer).collect();
         assert_eq!(moved, [9, 11]);
+    }
+
+    #[test]
+    fn each_recovered_peer_counts_against_the_failure_whose_shard_held_it() {
+        // Workers 1 (peers 10..20) and 2 (peers 20..31) died in one round;
+        // worker 0's earlier failure was healed before.
+        let failure = |worker, shard_start, shard_len, healed| WorkerFailure {
+            worker,
+            shard_start,
+            shard_len,
+            healed,
+            ..WorkerFailure::default()
+        };
+        let mut failures = [
+            failure(0, 0, 10, true),
+            failure(1, 10, 10, false),
+            failure(2, 20, 11, false),
+        ];
+        // Every orphan from a replica but peers 12 and 30.
+        let recovered: Vec<(u64, bool)> = (10..31).map(|peer| (peer, peer % 18 != 12)).collect();
+        record_healed(&mut failures, &[2, 1], &recovered, 40);
+        let counts: Vec<(bool, u64, u64, u64)> = failures
+            .iter()
+            .map(|f| {
+                (
+                    f.healed,
+                    f.recovery_ms,
+                    f.recovered_replica,
+                    f.recovered_local,
+                )
+            })
+            .collect();
+        assert_eq!(
+            counts,
+            [(true, 0, 0, 0), (true, 40, 9, 1), (true, 40, 10, 1)]
+        );
     }
 
     #[test]

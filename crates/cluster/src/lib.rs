@@ -45,12 +45,15 @@
 //!                                    |  then PhaseDone / Proceed for p+1..=5, Report
 //! ```
 //!
-//! A worker parked between `PhaseDone(p)` and `Proceed(p)` also serves the
-//! healing round of a worker that died and did not rejoin: `WorkerFailed`
-//! and `ShardReassign` arrive, it answers `RecoveryAddrs` for the endpoints
-//! it took over, receives the fresh `AddressBook`, rebuilds the adopted
-//! peers from live P-Grid replicas — the paper's own replication doubling
-//! as the recovery mechanism — and acknowledges with `RecoveryDone`.
+//! The `Hello` names the worker's one listen address; the coordinator
+//! expands it into the per-peer `AddressBook`.  A worker parked between
+//! `PhaseDone(p)` and `Proceed(p)` also serves the healing round of a
+//! worker that died and did not rejoin: `ShardReassign` opens a new epoch,
+//! and each worker takes the orphans moved to it in behind its listener.
+//! The fresh `AddressBook` right behind it points every worker there and
+//! starts the rebuilds: an adopter rebuilds its peers from live P-Grid
+//! replicas — the paper's own replication doubling as the recovery
+//! mechanism — and acknowledges with `RecoveryDone`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -64,10 +67,10 @@ pub mod worker;
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
     pub use crate::coordinator::{
-        run_coordinator, run_coordinator_observed, ClusterConfig, HealConfig, KillPlan, ObsOptions,
-        ObsReport, WorkerFailure,
+        run_coordinator_observed, ClusterConfig, HealConfig, KillPlan, ObsOptions, ObsReport,
+        WorkerFailure,
     };
-    pub use crate::local::{run_local, run_local_observed, LocalOptions};
+    pub use crate::local::{run_local_observed, LocalOptions};
     pub use crate::plan::{churn_plan, join_plan, shard_assignment};
     pub use crate::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport};
     pub use crate::worker::{run_worker, worker_scenario, ShardOverlay, WorkerOptions};

@@ -88,18 +88,8 @@ impl Drop for Reaper {
 
 /// Runs a full deployment as one coordinator (this process) plus
 /// `options.workers` spawned worker processes, and returns the merged
-/// report.
-pub fn run_local(
-    config: &NetConfig,
-    timeline: &Timeline,
-    options: &LocalOptions,
-) -> Result<DeploymentReport> {
-    run_local_observed(config, timeline, options).map(|(report, _)| report)
-}
-
-/// [`run_local`] returning the coordinator's observability report (merged
-/// registry, trace events, worker scrape endpoints) alongside the
-/// deployment report.
+/// report with the coordinator's observability report (merged registry,
+/// trace events, worker scrape endpoints, failures).
 pub fn run_local_observed(
     config: &NetConfig,
     timeline: &Timeline,

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 const MAGIC: u16 = 0x5047; // "PG"
 /// Protocol version; bump on any wire-format change (one binary speaks
 /// exactly one version).
-const VERSION: u8 = 12;
+const VERSION: u8 = 13;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -123,24 +123,25 @@ pub enum ClusterMsg {
         /// Wall-clock interval between worker liveness heartbeats
         /// (milliseconds; `0` disables heartbeats).
         heartbeat_ms: u64,
-        /// Whether the coordinator heals worker failures (reassigns the
-        /// dead shard to survivors) instead of merely recording them.
-        heal: bool,
         /// Fault injection: virtual minute at which this worker must kill
         /// its own process (`None` for all workers of a healthy run).
         kill_at_min: Option<u64>,
     },
-    /// Worker → coordinator: listen addresses of the hosted peers.
+    /// Worker → coordinator: where the shard's peers are reachable.
     Hello {
         /// First peer id of the shard (echo of the assignment).
         shard_start: u64,
-        /// `(peer id, socket address)` of every hosted peer.
-        peer_addrs: Vec<(u64, SocketAddr)>,
+        /// Number of peers in the shard (echo of the assignment).
+        shard_len: u64,
+        /// The one listen address every hosted peer is reached at; the
+        /// coordinator expands it into the per-peer address book.
+        listen: SocketAddr,
         /// Address of the worker's `/metrics` scrape endpoint, when one
         /// is serving.
         metrics_addr: Option<SocketAddr>,
     },
-    /// Coordinator → worker: the address book of the whole cluster.
+    /// Coordinator → worker: the address book of the whole cluster, sent
+    /// after the rendezvous and again after every change of host.
     AddressBook {
         /// `(peer id, socket address)` of every peer of every shard.
         peer_addrs: Vec<(u64, SocketAddr)>,
@@ -179,50 +180,27 @@ pub enum ClusterMsg {
     },
     /// Worker → coordinator: the shard's final report.
     Report(ShardReport),
-    /// Worker → coordinator: periodic liveness signal, carrying the
-    /// membership epoch the worker currently believes in.
-    Heartbeat {
-        /// The worker's current membership epoch.
-        epoch: u64,
-    },
+    /// Worker → coordinator: periodic liveness signal.
+    Heartbeat,
     /// Worker → coordinator: current paths of the originally assigned
-    /// shard, sent at every barrier while healing is enabled — the
-    /// coordinator's raw material for replica hints and partial reports.
+    /// shard, sent at every barrier — the coordinator's raw material for
+    /// replica hints and partial reports.
     ShardPaths {
         /// First peer id of the shard.
         shard_start: u64,
         /// Current path of every originally hosted peer, in shard order.
         paths: Vec<Path>,
     },
-    /// Coordinator → workers: a worker died; a new membership epoch
-    /// begins.
-    WorkerFailed {
-        /// The new membership epoch.
-        epoch: u64,
-        /// Index of the dead worker.
-        worker_index: u32,
-        /// First peer id of the orphaned shard.
-        shard_start: u64,
-        /// Number of orphaned peers.
-        shard_len: u64,
-    },
-    /// Coordinator → workers: how the orphaned peers are redistributed.
-    /// Every worker receives the full move list; each adopts the moves
-    /// targeting its own index and learns which endpoints will re-appear
-    /// elsewhere.
+    /// Coordinator → workers: a new membership epoch and how the orphaned
+    /// peers of the dead workers are redistributed.  Every worker receives
+    /// the full move list and adopts the moves targeting its own index; the
+    /// `AddressBook` that follows says where the adopted peers are
+    /// reachable now.
     ShardReassign {
         /// The membership epoch these moves belong to.
         epoch: u64,
         /// One entry per orphaned peer.
         moves: Vec<ReassignMove>,
-    },
-    /// Worker → coordinator: the listen addresses of the endpoints this
-    /// worker just took over, to be folded into a fresh address book.
-    RecoveryAddrs {
-        /// The membership epoch of the takeover.
-        epoch: u64,
-        /// `(peer id, socket address)` of every adopted endpoint.
-        peer_addrs: Vec<(u64, SocketAddr)>,
     },
     /// Worker → coordinator: state rebuild of the adopted peers finished;
     /// the barrier may release.
@@ -303,7 +281,6 @@ impl ClusterMsg {
     pub fn check_ranges(&self, n_peers: usize) -> std::io::Result<()> {
         let n = n_peers as u64;
         let shard = |start: u64, len: u64| start.checked_add(len).is_some_and(|end| end <= n);
-        let addrs = |addrs: &[(u64, SocketAddr)]| addrs.iter().all(|&(peer, _)| peer < n);
         let ok = match self {
             ClusterMsg::Welcome {
                 shard_start,
@@ -339,13 +316,7 @@ impl ClusterMsg {
                         .all(|&m| m <= u64::MAX / MINUTE_MS)
                     && last_ms.is_some_and(|ms| ms.checked_add(config.query_timeout_ms).is_some())
             }
-            ClusterMsg::Hello {
-                shard_start,
-                peer_addrs,
-                ..
-            } => shard(*shard_start, peer_addrs.len() as u64) && addrs(peer_addrs),
-            ClusterMsg::AddressBook { peer_addrs }
-            | ClusterMsg::RecoveryAddrs { peer_addrs, .. } => addrs(peer_addrs),
+            ClusterMsg::AddressBook { peer_addrs } => peer_addrs.iter().all(|&(peer, _)| peer < n),
             ClusterMsg::Report(report) => {
                 let hosted = report.paths.len().saturating_add(report.extra_paths.len());
                 shard(report.shard_start, report.paths.len() as u64)
@@ -355,7 +326,7 @@ impl ClusterMsg {
             ClusterMsg::ShardPaths { shard_start, paths } => {
                 shard(*shard_start, paths.len() as u64)
             }
-            ClusterMsg::WorkerFailed {
+            ClusterMsg::Hello {
                 shard_start,
                 shard_len,
                 ..
@@ -414,9 +385,9 @@ wire_codec! {
     enum ClusterMsg in Control {
         0 => Welcome {
             worker_index, shard_start, shard_len, config, timeline, tracing,
-            heartbeat_ms, heal, kill_at_min,
+            heartbeat_ms, kill_at_min,
         },
-        1 => Hello { shard_start, peer_addrs [MAX_LIST], metrics_addr },
+        1 => Hello { shard_start, shard_len, listen, metrics_addr },
         2 => AddressBook { peer_addrs [MAX_LIST] },
         3 => PhaseDone { phase },
         4 => Proceed { phase },
@@ -424,14 +395,12 @@ wire_codec! {
         6 => Report(report),
         7 => TraceBatch { events [1 << 20] },
         8 => MetricsSnapshot { registry [1 << 26] },
-        9 => Heartbeat { epoch },
+        9 => Heartbeat,
         10 => ShardPaths { shard_start, paths [MAX_LIST] },
-        11 => WorkerFailed { epoch, worker_index, shard_start, shard_len },
-        12 => ShardReassign { epoch, moves [MAX_LIST] },
-        13 => RecoveryAddrs { epoch, peer_addrs [MAX_LIST] },
-        14 => RecoveryDone { epoch, recovered [MAX_LIST] },
-        15 => Rejoin { shard_start, shard_len, epoch, phase, now_ms, seed },
-        16 => Resume { epoch, phase },
+        11 => ShardReassign { epoch, moves [MAX_LIST] },
+        12 => RecoveryDone { epoch, recovered [MAX_LIST] },
+        13 => Rejoin { shard_start, shard_len, epoch, phase, now_ms, seed },
+        14 => Resume { epoch, phase },
     }
 
     struct ShardReport in Control {
@@ -526,11 +495,6 @@ impl ControlChannel {
             stream,
             reader: FrameReader::new(),
         })
-    }
-
-    /// The remote end of the channel.
-    pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.stream.peer_addr()
     }
 
     /// Sends one message.
@@ -628,20 +592,18 @@ mod tests {
             timeline: Timeline::default(),
             tracing: true,
             heartbeat_ms: 500,
-            heal: true,
             kill_at_min: Some(10),
         });
         roundtrip(ClusterMsg::Hello {
             shard_start: 0,
-            peer_addrs: vec![
-                (0, "127.0.0.1:4000".parse().unwrap()),
-                (1, "[::1]:4001".parse().unwrap()),
-            ],
+            shard_len: 16,
+            listen: "127.0.0.1:4000".parse().unwrap(),
             metrics_addr: Some("127.0.0.1:9100".parse().unwrap()),
         });
         roundtrip(ClusterMsg::Hello {
             shard_start: 16,
-            peer_addrs: vec![(16, "127.0.0.1:4016".parse().unwrap())],
+            shard_len: 16,
+            listen: "[::1]:4016".parse().unwrap(),
             metrics_addr: None,
         });
         roundtrip(ClusterMsg::AddressBook {
@@ -720,16 +682,10 @@ mod tests {
             },
             extra_paths: vec![(3, Path::parse("011")), (9, Path::root())],
         }));
-        roundtrip(ClusterMsg::Heartbeat { epoch: 2 });
+        roundtrip(ClusterMsg::Heartbeat);
         roundtrip(ClusterMsg::ShardPaths {
             shard_start: 16,
             paths: vec![Path::parse("01"), Path::root(), Path::parse("110")],
-        });
-        roundtrip(ClusterMsg::WorkerFailed {
-            epoch: 1,
-            worker_index: 2,
-            shard_start: 22,
-            shard_len: 10,
         });
         roundtrip(ClusterMsg::ShardReassign {
             epoch: 1,
@@ -746,13 +702,6 @@ mod tests {
                     source_peer: 23,
                     path: Path::root(),
                 },
-            ],
-        });
-        roundtrip(ClusterMsg::RecoveryAddrs {
-            epoch: 1,
-            peer_addrs: vec![
-                (22, "127.0.0.1:6022".parse().unwrap()),
-                (23, "[::1]:6023".parse().unwrap()),
             ],
         });
         roundtrip(ClusterMsg::RecoveryDone {
@@ -787,7 +736,6 @@ mod tests {
                 timeline: Timeline::default(),
                 tracing: false,
                 heartbeat_ms: 0,
-                heal: false,
                 kill_at_min: None,
             });
         }
@@ -828,7 +776,7 @@ mod tests {
             route_cache,
             ..NetConfig::default()
         };
-        let welcome = |config, tracing, heal, kill_at_min| ClusterMsg::Welcome {
+        let welcome = |config, tracing, kill_at_min| ClusterMsg::Welcome {
             worker_index: 0,
             shard_start: 0,
             shard_len: 8,
@@ -836,12 +784,12 @@ mod tests {
             timeline: Timeline::default(),
             tracing,
             heartbeat_ms: 0,
-            heal,
             kill_at_min,
         };
         let hello = |metrics_addr| ClusterMsg::Hello {
             shard_start: 0,
-            peer_addrs: Vec::new(),
+            shard_len: 8,
+            listen: "127.0.0.1:4000".parse().unwrap(),
             metrics_addr,
         };
         let recovered = |via_replica| ClusterMsg::RecoveryDone {
@@ -863,29 +811,19 @@ mod tests {
         };
         let on = || config(Some(50), true);
         // Each pair differs in one flag, set in the first: `delta_max`,
-        // `route_cache`, `tracing`, `heal`, `kill_at_min`, the metrics
-        // address, `via_replica` and the report's reactor block.
+        // `route_cache`, `tracing`, `kill_at_min`, the metrics address,
+        // `via_replica` and the report's reactor block.
         let pairs = [
             (
-                welcome(on(), true, true, Some(3)),
-                welcome(config(None, true), true, true, Some(3)),
+                welcome(on(), true, Some(3)),
+                welcome(config(None, true), true, Some(3)),
             ),
             (
-                welcome(on(), true, true, Some(3)),
-                welcome(config(Some(50), false), true, true, Some(3)),
+                welcome(on(), true, Some(3)),
+                welcome(config(Some(50), false), true, Some(3)),
             ),
-            (
-                welcome(on(), true, true, Some(3)),
-                welcome(on(), false, true, Some(3)),
-            ),
-            (
-                welcome(on(), true, true, Some(3)),
-                welcome(on(), true, false, Some(3)),
-            ),
-            (
-                welcome(on(), true, true, Some(3)),
-                welcome(on(), true, true, None),
-            ),
+            (welcome(on(), true, Some(3)), welcome(on(), false, Some(3))),
+            (welcome(on(), true, Some(3)), welcome(on(), true, None)),
             (hello(Some("127.0.0.1:9100".parse().unwrap())), hello(None)),
             (recovered(true), recovered(false)),
             (report(Some(ReactorStats::default())), report(None)),
@@ -971,6 +909,12 @@ mod tests {
     #[test]
     fn ids_and_ranges_outside_the_population_are_invalid_data() {
         let addr: SocketAddr = "127.0.0.1:4000".parse().unwrap();
+        let hello = |shard_start, shard_len| ClusterMsg::Hello {
+            shard_start,
+            shard_len,
+            listen: addr,
+            metrics_addr: None,
+        };
         let report = |shard_start, n_paths, extra| {
             ClusterMsg::Report(ShardReport {
                 shard_start,
@@ -1001,7 +945,6 @@ mod tests {
             },
             tracing: false,
             heartbeat_ms: 0,
-            heal: false,
             kill_at_min,
         };
         let welcome = |shard_start, n_peers, kill_at_min, end_min| {
@@ -1086,6 +1029,8 @@ mod tests {
                     recovered: vec![(7, true), (8, false)],
                 },
             ),
+            (hello(4, 4), hello(5, 4)),
+            (hello(0, 8), hello(u64::MAX, 2)),
             (report(4, 4, 0), report(5, 4, 0)),
             (report(4, 4, 7), report(4, 4, 8)),
             (report(0, 8, 0), report(u64::MAX, 2, 0)),
@@ -1115,7 +1060,7 @@ mod tests {
             let error = outside.check_ranges(8).unwrap_err();
             assert_eq!(error.kind(), ErrorKind::InvalidData, "{outside:?}");
         }
-        assert!(ClusterMsg::Heartbeat { epoch: 9 }.check_ranges(0).is_ok());
+        assert!(ClusterMsg::Heartbeat.check_ranges(0).is_ok());
     }
 
     #[test]

@@ -150,8 +150,6 @@ struct WorkerObs {
     /// panic hook.
     control: SharedRecorder,
     worker_index: u32,
-    shard_start: u64,
-    shard_len: u64,
 }
 
 impl WorkerObs {
@@ -227,13 +225,13 @@ impl WorkerObs {
             "pgrid_cluster_shard_start",
             "First peer id hosted by this worker.",
             &[],
-            self.shard_start as f64,
+            runtime.shard().start as f64,
         );
         registry.gauge(
             "pgrid_cluster_shard_len",
             "Number of peers hosted by this worker.",
             &[],
-            self.shard_len as f64,
+            runtime.shard().len() as f64,
         );
         registry.gauge(
             "pgrid_cluster_worker_index",
@@ -282,13 +280,12 @@ impl WorkerObs {
 
 /// Liveness and healing state of one worker.
 struct HealState {
-    /// Whether the coordinator reassigns dead shards (from `Welcome`).
-    heal: bool,
     /// Wall-clock heartbeat interval (0 disables).
     heartbeat_ms: u64,
     /// Last heartbeat actually sent.
     last_heartbeat: Instant,
-    /// Latest membership epoch announced by the coordinator.
+    /// Latest membership epoch announced by the coordinator (journaled in
+    /// the log's metadata).
     epoch: u64,
     /// Fault injection: kill the process once the virtual clock reaches
     /// this instant.
@@ -298,7 +295,6 @@ struct HealState {
     pending: BTreeMap<usize, (Option<usize>, Path)>,
     /// The recovery round the park is driving, if any.
     round: Option<RecoveryRound>,
-    worker_index: u32,
 }
 
 /// A replica-rebuild round, started by the `AddressBook` that follows a
@@ -389,7 +385,7 @@ impl ShardOverlay {
 
     /// One control message at a worker parked at `phase`'s barrier:
     /// `Ok(true)` for `Proceed(phase)`.  Until then the healing protocol is
-    /// served from here — a new epoch is noted, a reassignment adopts its
+    /// served from here — a reassignment starts a new epoch and adopts its
     /// orphans, a fresh address book re-points the remotes and starts the
     /// rebuilds — and anything else is a protocol error.  Every message is
     /// range-checked before it is looked at.
@@ -397,30 +393,15 @@ impl ShardOverlay {
         msg.check_ranges(self.runtime.config.n_peers)?;
         match msg {
             ClusterMsg::Proceed { phase: p } if p == phase => return Ok(true),
-            ClusterMsg::WorkerFailed {
-                epoch,
-                worker_index,
-                shard_start,
-                shard_len,
-            } => {
-                self.heal.epoch = self.heal.epoch.max(epoch);
-                pgrid_obs::info!(
-                    "cluster::worker",
-                    "worker {}: told worker {worker_index} died \
-                     (shard {shard_start}+{shard_len}, epoch {epoch})",
-                    self.heal.worker_index
-                );
-            }
             ClusterMsg::ShardReassign { epoch, moves } => {
-                // Take over the endpoints of every orphan reassigned here,
-                // adopt the peers, and report where they are reachable now:
-                // the reactor's one listener.  The rebuild waits for the
-                // address book.
+                // Take over the endpoints of every orphan reassigned here
+                // behind the reactor's one listener, where the coordinator
+                // already knows to find them, and adopt the peers.  The
+                // rebuild waits for the address book.
                 self.heal.epoch = self.heal.epoch.max(epoch);
-                let mut adopted: Vec<u64> = Vec::new();
                 for m in moves
                     .iter()
-                    .filter(|m| m.to_worker == self.heal.worker_index)
+                    .filter(|m| m.to_worker == self.obs.worker_index)
                 {
                     let peer = m.peer as usize;
                     self.runtime
@@ -431,16 +412,8 @@ impl ShardOverlay {
                     // A hint naming the orphan itself: no candidate known.
                     let hint = (m.source_peer != m.peer).then_some(m.source_peer as usize);
                     self.heal.pending.insert(peer, (hint, m.path));
-                    adopted.push(m.peer);
                     let note = format!("epoch={epoch} adopting peer {peer} (source hint {hint:?})");
                     self.note_recovery(note);
-                }
-                // No adoption, nothing to announce.
-                let listen = self.runtime.transport_mut().listen_addr();
-                if let Some(listen) = listen.filter(|_| !adopted.is_empty()) {
-                    let peer_addrs = adopted.into_iter().map(|peer| (peer, listen)).collect();
-                    self.ctl
-                        .send(&ClusterMsg::RecoveryAddrs { epoch, peer_addrs })?;
                 }
             }
             ClusterMsg::AddressBook { peer_addrs } => {
@@ -544,7 +517,7 @@ impl ShardOverlay {
         pgrid_obs::info!(
             "cluster::worker",
             "worker {}: {summary}",
-            self.heal.worker_index
+            self.obs.worker_index
         );
         self.note_recovery(summary);
         self.ctl
@@ -571,8 +544,7 @@ impl ShardOverlay {
             return;
         }
         self.heal.last_heartbeat = Instant::now();
-        let epoch = self.heal.epoch;
-        let _ = self.ctl.send(&ClusterMsg::Heartbeat { epoch });
+        let _ = self.ctl.send(&ClusterMsg::Heartbeat);
     }
 
     /// Journals every hosted peer whose state changed since the last
@@ -656,7 +628,7 @@ impl RuntimeHost for ShardOverlay {
                     pgrid_obs::info!(
                         "cluster::worker",
                         "worker {}: fault injection — dying at virtual minute {}",
-                        self.heal.worker_index,
+                        self.obs.worker_index,
                         kill_at / MINUTE_MS
                     );
                     std::process::exit(KILL_EXIT_CODE);
@@ -747,12 +719,7 @@ fn connect_with_retry(coordinator: SocketAddr) -> Result<TcpStream> {
 
 /// Builds the worker's observability state: the optional scrape endpoint
 /// and the control-plane flight recorder (wired into the panic hook).
-fn worker_obs(
-    options: &WorkerOptions,
-    worker_index: u32,
-    shard_start: u64,
-    shard_len: u64,
-) -> Result<WorkerObs> {
+fn worker_obs(options: &WorkerOptions, worker_index: u32) -> Result<WorkerObs> {
     let scrape = match options.metrics_addr {
         Some(addr) => {
             let state = ScrapeState::new();
@@ -774,28 +741,24 @@ fn worker_obs(
         scrape,
         control,
         worker_index,
-        shard_start,
-        shard_len,
     })
 }
 
-/// Registers every hosted peer and returns the announced `(peer, address)`
-/// pairs.  The reactor has one listener, so every hosted peer is announced
-/// at its [`ReactorTransport::listen_addr`], bound by the first
-/// registration.
+/// Registers every hosted peer and returns the address they are announced
+/// at: the reactor's one listener ([`ReactorTransport::listen_addr`]),
+/// bound by the first registration.
 fn register_shard(
     transport: &mut ReactorTransport,
     shard: &std::ops::Range<usize>,
-) -> Result<Vec<(u64, SocketAddr)>> {
+) -> Result<SocketAddr> {
     for peer in shard.clone() {
         transport
             .register(PeerId(peer as u64))
             .map_err(|e| Error::other(e.to_string()))?;
     }
-    let Some(listen) = transport.listen_addr() else {
-        return Ok(Vec::new()); // an empty shard binds nothing
-    };
-    Ok(shard.clone().map(|peer| (peer as u64, listen)).collect())
+    transport
+        .listen_addr()
+        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "an empty shard binds no listener"))
 }
 
 /// Current path of every originally hosted peer, in shard order.
@@ -903,7 +866,6 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         timeline,
         tracing,
         heartbeat_ms,
-        heal,
         kill_at_min,
         ..
     } = welcome
@@ -929,16 +891,16 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
     pgrid_obs::info!(
         "cluster::worker",
         "worker {worker_index}: shard {shard_start}+{shard_len}, tracing {}, \
-         heartbeat {heartbeat_ms}ms, heal {}",
-        if tracing { "on" } else { "off" },
-        if heal { "on" } else { "off" }
+         heartbeat {heartbeat_ms}ms",
+        if tracing { "on" } else { "off" }
     );
 
-    let obs = worker_obs(options, worker_index, shard_start, shard_len)?;
-    let peer_addrs = register_shard(&mut transport, &shard)?;
+    let obs = worker_obs(options, worker_index)?;
+    let listen = register_shard(&mut transport, &shard)?;
     ctl.send(&ClusterMsg::Hello {
         shard_start,
-        peer_addrs,
+        shard_len,
+        listen,
         metrics_addr: obs.scrape.as_ref().map(|(server, _)| server.addr()),
     })?;
 
@@ -968,7 +930,6 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
         runtime,
         ctl,
         heal: HealState {
-            heal,
             heartbeat_ms,
             last_heartbeat: Instant::now(),
             epoch: 0,
@@ -976,7 +937,6 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
             kill_at: kill_at_min.map(|m| m * MINUTE_MS),
             pending: BTreeMap::new(),
             round: None,
-            worker_index,
         },
         durable,
         durable_phase: PHASE_WIRED,
@@ -1217,19 +1177,16 @@ fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
         overlay.durable.as_ref(),
         phase,
     )?;
-    if overlay.heal.heal {
-        // The coordinator keeps every peer's last barrier path: the raw
-        // material of replica hints and of partial reports for unhealed
-        // shards.
-        overlay.ctl.send(&ClusterMsg::ShardPaths {
-            shard_start: overlay.runtime.shard().start as u64,
-            paths: shard_paths(&overlay.runtime),
-        })?;
-    }
+    // The coordinator keeps every peer's last barrier path: the raw
+    // material of replica hints and of partial reports for dead shards.
+    overlay.ctl.send(&ClusterMsg::ShardPaths {
+        shard_start: overlay.runtime.shard().start as u64,
+        paths: shard_paths(&overlay.runtime),
+    })?;
     pgrid_obs::debug!(
         "cluster::worker",
         "worker {}: phase {phase} done at virtual minute {}",
-        overlay.heal.worker_index,
+        overlay.obs.worker_index,
         overlay.runtime.now() / MINUTE_MS
     );
     overlay.ctl.send(&ClusterMsg::PhaseDone { phase })?;
@@ -1395,19 +1352,17 @@ mod tests {
             runtime,
             ctl: ControlChannel::new(TcpStream::connect(coordinator).unwrap()).unwrap(),
             heal: HealState {
-                heal: true,
                 heartbeat_ms: 0,
                 last_heartbeat: Instant::now(),
                 epoch: 0,
                 kill_at: None,
                 pending: BTreeMap::new(),
                 round: None,
-                worker_index: 0,
             },
             durable: None,
             durable_phase: PHASE_WIRED,
             streamed: BTreeSet::new(),
-            obs: worker_obs(&WorkerOptions::default(), 0, 0, 4).unwrap(),
+            obs: worker_obs(&WorkerOptions::default(), 0).unwrap(),
             barriers: Vec::new(),
         }
     }
@@ -1415,15 +1370,9 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn a_parked_worker_rebuilds_its_adoption_before_the_barrier_releases() {
-        let (addr, coordinator) = scripted_coordinator(|mut ctl| {
+        let (listen_tx, listen_rx) = std::sync::mpsc::channel::<SocketAddr>();
+        let (addr, coordinator) = scripted_coordinator(move |mut ctl| {
             let wait = Duration::from_secs(5);
-            ctl.send(&ClusterMsg::WorkerFailed {
-                epoch: 1,
-                worker_index: 1,
-                shard_start: 4,
-                shard_len: 4,
-            })
-            .unwrap();
             let moves = vec![crate::proto::ReassignMove {
                 peer: ORPHAN,
                 to_worker: 0,
@@ -1432,11 +1381,8 @@ mod tests {
             }];
             ctl.send(&ClusterMsg::ShardReassign { epoch: 1, moves })
                 .unwrap();
-            let takeover = ctl.recv_timeout(wait).unwrap();
-            let ClusterMsg::RecoveryAddrs { peer_addrs, .. } = &takeover else {
-                panic!("expected RecoveryAddrs, got {takeover:?}");
-            };
-            let peer_addrs = peer_addrs.clone();
+            // The orphan is reached at its adopter's one listener.
+            let peer_addrs = vec![(ORPHAN, listen_rx.recv_timeout(wait).unwrap())];
             ctl.send(&ClusterMsg::AddressBook { peer_addrs }).unwrap();
             // Released before the rebuild is acknowledged: the park still
             // finishes the round first.
@@ -1444,8 +1390,8 @@ mod tests {
                 phase: PHASE_CONSTRUCTED,
             })
             .unwrap();
-            // Everything else the worker says until it hangs up.
-            let mut heard = vec![takeover];
+            // Everything the worker says until it hangs up.
+            let mut heard = Vec::new();
             while let Ok(msg) = ctl.recv_timeout(wait) {
                 heard.push(msg);
             }
@@ -1453,6 +1399,7 @@ mod tests {
         });
         let mut overlay = parked_worker(addr);
         let listen = overlay.runtime.transport_mut().listen_addr().unwrap();
+        listen_tx.send(listen).unwrap();
         let started = Instant::now();
         overlay.park(PHASE_CONSTRUCTED).unwrap();
         let parked_for = started.elapsed();
@@ -1465,16 +1412,10 @@ mod tests {
         drop(overlay);
         assert_eq!(
             coordinator.join().unwrap(),
-            [
-                ClusterMsg::RecoveryAddrs {
-                    epoch: 1,
-                    peer_addrs: vec![(ORPHAN, listen)],
-                },
-                ClusterMsg::RecoveryDone {
-                    epoch: 1,
-                    recovered: vec![(ORPHAN, true)],
-                },
-            ]
+            [ClusterMsg::RecoveryDone {
+                epoch: 1,
+                recovered: vec![(ORPHAN, true)],
+            }]
         );
         assert!(
             parked_for < RECOVERY_SETTLE / 4,
@@ -1496,7 +1437,7 @@ mod tests {
             ClusterMsg::PhaseDone {
                 phase: PHASE_CONSTRUCTED,
             },
-            ClusterMsg::Heartbeat { epoch: 1 },
+            ClusterMsg::Heartbeat,
         ];
         let script = others.clone();
         let (addr, coordinator) = scripted_coordinator(move |mut ctl| {
@@ -1513,5 +1454,45 @@ mod tests {
         }
         drop(overlay);
         coordinator.join().unwrap();
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_barrier_sends_the_shard_paths_before_phase_done() {
+        let (addr, coordinator) = scripted_coordinator(|mut ctl| {
+            let wait = Duration::from_secs(5);
+            let mut heard = Vec::new();
+            loop {
+                let msg = ctl.recv_timeout(wait).unwrap();
+                let done = msg
+                    == ClusterMsg::PhaseDone {
+                        phase: PHASE_JOINED,
+                    };
+                heard.push(msg);
+                if done {
+                    break;
+                }
+            }
+            ctl.send(&ClusterMsg::Proceed {
+                phase: PHASE_JOINED,
+            })
+            .unwrap();
+            heard
+        });
+        let mut overlay = parked_worker(addr);
+        barrier(&mut overlay, PHASE_JOINED).unwrap();
+        let heard = coordinator.join().unwrap();
+        let paths = heard
+            .iter()
+            .position(|msg| matches!(msg, ClusterMsg::ShardPaths { .. }))
+            .unwrap_or_else(|| panic!("no ShardPaths in {heard:?}"));
+        assert_eq!(
+            heard[paths],
+            ClusterMsg::ShardPaths {
+                shard_start: 0,
+                paths: vec![Path::root(); 4],
+            }
+        );
+        assert_eq!(paths + 2, heard.len(), "{heard:?}");
     }
 }

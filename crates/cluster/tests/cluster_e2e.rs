@@ -13,7 +13,7 @@
 
 #![cfg(target_os = "linux")]
 
-use pgrid_cluster::local::{run_local, LocalOptions};
+use pgrid_cluster::local::{run_local_observed, LocalOptions};
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_scenario::deployment::run_deployment;
@@ -49,7 +49,7 @@ fn two_worker_processes_converge_like_the_single_process_run() {
     let timeline = short_timeline();
 
     let single = run_deployment(&config, &timeline);
-    let cluster = run_local(
+    let (cluster, _) = run_local_observed(
         &config,
         &timeline,
         &LocalOptions {
@@ -143,7 +143,7 @@ fn two_worker_processes_resolve_range_queries_across_shards() {
         query_end_min: 22,
         end_min: 25,
     };
-    let cluster = run_local(
+    let (cluster, _) = run_local_observed(
         &config,
         &timeline,
         &LocalOptions {
@@ -179,7 +179,7 @@ fn two_reactor_worker_processes_complete_the_timeline() {
     // links, and both shards' reactor stats merge at the coordinator.
     let config = config();
     let timeline = short_timeline();
-    let cluster = run_local(
+    let (cluster, _) = run_local_observed(
         &config,
         &timeline,
         &LocalOptions {
@@ -230,7 +230,7 @@ fn four_worker_processes_also_complete_the_timeline() {
     // peers each still have to produce a working overlay.
     let config = config();
     let timeline = short_timeline();
-    let cluster = run_local(
+    let (cluster, _) = run_local_observed(
         &config,
         &timeline,
         &LocalOptions {

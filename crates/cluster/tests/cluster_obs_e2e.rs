@@ -181,6 +181,24 @@ fn tracing_cluster_reassembles_cross_process_hop_chains_and_serves_metrics() {
         "no complete hop chain spans both shards ({} chains)",
         chains.len()
     );
+    // And every lookup chain that was issued, answered and resolved across
+    // both shards reads in causal order, whatever each worker's virtual
+    // clock stamped.
+    for (id, chain) in &chains {
+        let has = |kind: &str| chain.iter().any(|e| e.kind == kind);
+        let shards: std::collections::BTreeSet<u64> =
+            chain.iter().map(|e| shard_of(e.peer)).collect();
+        if !(has("query_issued") && has("query_answered") && has("query_resolved"))
+            || shards.len() != 2
+        {
+            continue;
+        }
+        let kinds: Vec<&str> = chain.iter().map(|e| e.kind).collect();
+        assert!(
+            kinds.first() == Some(&"query_issued") && kinds.last() == Some(&"query_resolved"),
+            "chain {id:#x} out of causal order: {kinds:?}"
+        );
+    }
 
     // The merged trace also landed on disk as JSONL.
     let jsonl = std::fs::read_to_string(&trace_out).expect("trace-out file");

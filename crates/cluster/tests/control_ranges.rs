@@ -7,7 +7,7 @@
 
 #![cfg(target_os = "linux")]
 
-use pgrid_cluster::coordinator::{run_coordinator, ClusterConfig, HealConfig};
+use pgrid_cluster::coordinator::{run_coordinator_observed, ClusterConfig, HealConfig, ObsOptions};
 use pgrid_cluster::plan::MINUTE_MS;
 use pgrid_cluster::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_DONE};
 use pgrid_cluster::worker::{run_worker, WorkerOptions};
@@ -36,7 +36,7 @@ fn cluster(n_workers: usize) -> ClusterConfig {
 }
 
 /// Connects as a worker and answers the rendezvous honestly (the
-/// announced endpoints are never dialled).  Returns the channel and the
+/// announced endpoint is never dialled).  Returns the channel and the
 /// assigned `(worker_index, shard_start, shard_len)`.
 fn rendezvous(coordinator: SocketAddr) -> (ControlChannel, u32, u64, u64) {
     let mut ctl = ControlChannel::new(TcpStream::connect(coordinator).unwrap()).unwrap();
@@ -52,9 +52,8 @@ fn rendezvous(coordinator: SocketAddr) -> (ControlChannel, u32, u64, u64) {
     };
     ctl.send(&ClusterMsg::Hello {
         shard_start,
-        peer_addrs: (shard_start..shard_start + shard_len)
-            .map(|peer| (peer, SocketAddr::from(([127, 0, 0, 1], 4000 + peer as u16))))
-            .collect(),
+        shard_len,
+        listen: SocketAddr::from(([127, 0, 0, 1], 4000 + shard_start as u16)),
         metrics_addr: None,
     })
     .unwrap();
@@ -87,7 +86,8 @@ fn report_is_invalid_data(make: fn(u64, u64) -> ShardReport) {
             .unwrap();
         drain(ctl);
     });
-    let error = run_coordinator(listener, &cluster(1)).expect_err("the report is out of range");
+    let error = run_coordinator_observed(listener, &cluster(1), &ObsOptions::default())
+        .expect_err("the report is out of range");
     assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
     worker.join().unwrap();
 }
@@ -124,20 +124,11 @@ fn a_recovery_done_for_a_peer_outside_the_population_is_invalid_data() {
     // ... and the survivor adopts its shard, then acknowledges a peer
     // nobody has.
     let survivor = std::thread::spawn(move || {
-        let (mut ctl, worker_index, _, _) = rendezvous(addr);
+        let (mut ctl, _, _, _) = rendezvous(addr);
         ctl.send(&ClusterMsg::PhaseDone { phase: 0 }).unwrap();
         loop {
             match ctl.recv_timeout(WAIT).unwrap() {
-                ClusterMsg::WorkerFailed { .. } => {}
-                ClusterMsg::ShardReassign { epoch, moves } => {
-                    let peer_addrs = moves
-                        .iter()
-                        .filter(|m| m.to_worker == worker_index)
-                        .map(|m| (m.peer, SocketAddr::from(([127, 0, 0, 1], 5000))))
-                        .collect();
-                    ctl.send(&ClusterMsg::RecoveryAddrs { epoch, peer_addrs })
-                        .unwrap();
-                }
+                ClusterMsg::ShardReassign { .. } => {}
                 ClusterMsg::AddressBook { .. } => {
                     ctl.send(&ClusterMsg::RecoveryDone {
                         epoch: 1,
@@ -151,7 +142,8 @@ fn a_recovery_done_for_a_peer_outside_the_population_is_invalid_data() {
         }
         drain(ctl);
     });
-    let error = run_coordinator(listener, &cluster(2)).expect_err("the peer does not exist");
+    let error = run_coordinator_observed(listener, &cluster(2), &ObsOptions::default())
+        .expect_err("the peer does not exist");
     assert_eq!(error.kind(), ErrorKind::InvalidData, "{error}");
     victim.join().unwrap();
     survivor.join().unwrap();
@@ -172,7 +164,6 @@ fn welcome(shard_start: u64, n_peers: usize, kill_at_min: Option<u64>, end_min: 
         },
         tracing: false,
         heartbeat_ms: 0,
-        heal: false,
         kill_at_min,
     }
 }
@@ -203,7 +194,8 @@ fn a_welcome_outside_its_own_population_or_past_the_clock_is_invalid_data() {
         // Answer the rendezvous honestly, so a worker that takes the bad
         // fields any further meets them; hang up once it stops talking.
         while let Ok(msg) = ctl.recv_timeout(WAIT) {
-            if let ClusterMsg::Hello { peer_addrs, .. } = msg {
+            if let ClusterMsg::Hello { listen, .. } = msg {
+                let peer_addrs = (0..N_PEERS as u64).map(|peer| (peer, listen)).collect();
                 let _ = ctl.send(&ClusterMsg::AddressBook { peer_addrs });
             }
         }
@@ -232,14 +224,14 @@ fn a_reassignment_of_a_peer_outside_the_population_is_invalid_data() {
         timeline: cluster.timeline,
         tracing: false,
         heartbeat_ms: 0,
-        heal: true,
         kill_at_min: None,
     })
     .unwrap();
     let hello = ctl.recv_timeout(WAIT).unwrap();
-    let ClusterMsg::Hello { peer_addrs, .. } = hello else {
+    let ClusterMsg::Hello { listen, .. } = hello else {
         panic!("expected Hello, got {hello:?}");
     };
+    let peer_addrs = (0..N_PEERS as u64).map(|peer| (peer, listen)).collect();
     ctl.send(&ClusterMsg::AddressBook { peer_addrs }).unwrap();
     // The worker parks at the first barrier; a healing round then hands it
     // a peer that does not exist.

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
-/// Number of [`ClusterMsg`] variants (wire tags 0..=16).
-const VARIANTS: u8 = 17;
+/// Number of [`ClusterMsg`] variants (wire tags 0..=14).
+const VARIANTS: u8 = 15;
 
 fn arbitrary_path(rng: &mut StdRng) -> Path {
     let len = rng.gen_range(0..=12);
@@ -162,12 +162,12 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> ClusterMsg {
             },
             tracing: rng.gen_bool(0.5),
             heartbeat_ms: rng.gen(),
-            heal: rng.gen_bool(0.5),
             kill_at_min: rng.gen_bool(0.5).then(|| rng.gen()),
         },
         1 => ClusterMsg::Hello {
             shard_start: rng.gen(),
-            peer_addrs: arbitrary_addrs(rng),
+            shard_len: rng.gen(),
+            listen: arbitrary_addr(rng),
             metrics_addr: rng.gen_bool(0.5).then(|| arbitrary_addr(rng)),
         },
         2 => ClusterMsg::AddressBook {
@@ -198,34 +198,24 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> ClusterMsg {
         8 => ClusterMsg::MetricsSnapshot {
             registry: (0..rng.gen_range(0..64)).map(|_| rng.gen()).collect(),
         },
-        9 => ClusterMsg::Heartbeat { epoch: rng.gen() },
+        9 => ClusterMsg::Heartbeat,
         10 => ClusterMsg::ShardPaths {
             shard_start: rng.gen(),
             paths: arbitrary_paths(rng),
         },
-        11 => ClusterMsg::WorkerFailed {
-            epoch: rng.gen(),
-            worker_index: rng.gen(),
-            shard_start: rng.gen(),
-            shard_len: rng.gen(),
-        },
-        12 => ClusterMsg::ShardReassign {
+        11 => ClusterMsg::ShardReassign {
             epoch: rng.gen(),
             moves: (0..rng.gen_range(0..16))
                 .map(|_| arbitrary_move(rng))
                 .collect(),
         },
-        13 => ClusterMsg::RecoveryAddrs {
-            epoch: rng.gen(),
-            peer_addrs: arbitrary_addrs(rng),
-        },
-        14 => ClusterMsg::RecoveryDone {
+        12 => ClusterMsg::RecoveryDone {
             epoch: rng.gen(),
             recovered: (0..rng.gen_range(0..32))
                 .map(|_| (rng.gen(), rng.gen_bool(0.5)))
                 .collect(),
         },
-        15 => ClusterMsg::Rejoin {
+        13 => ClusterMsg::Rejoin {
             shard_start: rng.gen(),
             shard_len: rng.gen(),
             epoch: rng.gen(),
@@ -329,7 +319,7 @@ proptest! {
     ) {
         // Half the cases get a valid header and a plausible tag, so the
         // garbage reaches the field decoders instead of dying at the magic.
-        let version = ClusterMsg::Heartbeat { epoch: 0 }.encode().as_slice()[2];
+        let version = ClusterMsg::Heartbeat.encode().as_slice()[2];
         let mut bytes = if with_header { vec![0x50, 0x47, version, tag] } else { Vec::new() };
         bytes.extend(body);
         assert_decode_is_exact(&bytes)?;
@@ -353,11 +343,9 @@ proptest! {
             | ClusterMsg::Minutes { .. }
             | ClusterMsg::TraceBatch { .. }
             | ClusterMsg::MetricsSnapshot { .. } => 4,
-            ClusterMsg::Hello { .. }
-            | ClusterMsg::Report(_)
+            ClusterMsg::Report(_)
             | ClusterMsg::ShardPaths { .. }
             | ClusterMsg::ShardReassign { .. }
-            | ClusterMsg::RecoveryAddrs { .. }
             | ClusterMsg::RecoveryDone { .. } => 12,
             _ => return Ok(()),
         };

@@ -9,7 +9,7 @@
 //! out.  That keeps the scrape path trivially lock-ordered and the
 //! runtime hot paths free of synchronisation.
 
-use crate::trace::{assemble, TraceEvent};
+use crate::trace::{assemble, order_chain, TraceEvent};
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,7 +54,7 @@ impl ScrapeState {
         let traces = self.traces.lock().unwrap();
         let chain = traces.get(&id)?;
         let mut ordered = chain.clone();
-        ordered.sort_by_key(|e| (e.virtual_ms, e.wall_micros));
+        order_chain(&mut ordered);
         Some(
             ordered
                 .iter()

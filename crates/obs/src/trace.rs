@@ -215,9 +215,9 @@ pub fn intern_kind(name: &str) -> &'static str {
     leaked
 }
 
-/// Groups events by trace ID and orders each group by virtual time then
-/// wall time — the reassembly step the coordinator (and the `/trace`
-/// endpoint) applies to a merged event set.
+/// Groups events by trace ID and orders each group with [`order_chain`] —
+/// the reassembly step the coordinator (and the `/trace` endpoint) applies
+/// to a merged event set.
 pub fn assemble(events: &[TraceEvent]) -> std::collections::BTreeMap<u64, Vec<TraceEvent>> {
     let mut chains: std::collections::BTreeMap<u64, Vec<TraceEvent>> = Default::default();
     for event in events {
@@ -227,9 +227,18 @@ pub fn assemble(events: &[TraceEvent]) -> std::collections::BTreeMap<u64, Vec<Tr
             .push(event.clone());
     }
     for chain in chains.values_mut() {
-        chain.sort_by_key(|e| (e.virtual_ms, e.wall_micros));
+        order_chain(chain);
     }
     chains
+}
+
+/// Orders one trace's events by wall time, then virtual time.  Wall time
+/// first: the processes of a cluster run share one wall clock, while each
+/// stamps virtual time on its own clock, coupled to the others only at
+/// phase barriers — so virtual order can put an answer before its query
+/// across processes.  Within one process both orders agree.
+pub fn order_chain(chain: &mut [TraceEvent]) {
+    chain.sort_by_key(|e| (e.wall_micros, e.virtual_ms));
 }
 
 #[cfg(test)]
@@ -295,6 +304,27 @@ mod tests {
             chains[&2].iter().map(|e| e.peer).collect::<Vec<_>>(),
             vec![0, 1]
         );
+    }
+
+    #[test]
+    fn a_chain_across_two_processes_follows_wall_time_over_their_virtual_clocks() {
+        // Issued on a process whose virtual clock runs 9 s ahead of the
+        // answering one's; the shared wall clock has the causal order.
+        let mk = |kind, peer, virtual_ms, wall_micros| TraceEvent {
+            trace_id: 3,
+            kind,
+            peer,
+            virtual_ms,
+            wall_micros,
+            detail: String::new(),
+        };
+        let chain = assemble(&[
+            mk("query_resolved", 1, 10_080, 500),
+            mk("query_answered", 20, 1_040, 300),
+            mk("query_issued", 1, 10_000, 100),
+        ]);
+        let kinds: Vec<&str> = chain[&3].iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, ["query_issued", "query_answered", "query_resolved"]);
     }
 
     #[test]
