@@ -375,7 +375,7 @@ fn encoded_bytes_are_pinned() {
         }
     }
     assert_eq!(
-        hash, 14_357_109_078_637_270_116,
+        hash, 2_441_681_048_116_135_857,
         "control wire bytes changed"
     );
 }
