@@ -19,11 +19,10 @@
 //! recorded reference.
 
 use pgrid_bench::{format_header, format_row, mean, std_dev};
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_partition::experiment::{run_sweep, SweepConfig};
 use pgrid_partition::probabilities::{alpha_of_p, alpha_second_derivative, q_of_p};
-use pgrid_scenario::deployment::run_deployment;
+use pgrid_scenario::deployment::{run_deployment, DeploymentReport, Timeline};
 use pgrid_sim::config::{ConstructionStrategy, SimConfig};
 use pgrid_sim::runner::run_repeated;
 use pgrid_sim::sequential::construct_sequentially;
@@ -448,7 +447,7 @@ fn complexity(effort: &Effort) {
 
 /// Figures 7, 8, 9 and the Section 5.2 summary table from the deployment
 /// runtime; returns the report so `--assert-reference` can check it.
-fn deployment(effort: &Effort) -> pgrid_net::experiment::DeploymentReport {
+fn deployment(effort: &Effort) -> DeploymentReport {
     println!(
         "\n=== Figures 7 / 8 / 9 and Section 5.2 summary: deployment with {} peers ===",
         effort.deployment_peers

@@ -16,17 +16,16 @@
 //! dead shard goes dark, the flight recorder dumps, and the final report is
 //! assembled from whatever the survivors deliver.
 
-use crate::plan::shard_assignment;
 use crate::proto::{
     protocol_error, ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_DONE, PHASE_WIRED,
 };
 use pgrid_core::path::Path;
-use pgrid_net::experiment::{assemble_report, DeploymentReport, ReportInputs, Timeline};
 use pgrid_net::runtime::{generate_peers, BandwidthSample, NetConfig};
 use pgrid_obs::recorder::FlightRecorder;
 use pgrid_obs::registry::MetricsRegistry;
 use pgrid_obs::scrape::{http_get, ScrapeState};
 use pgrid_obs::trace::{assemble, TraceEvent};
+use pgrid_scenario::deployment::{assemble_report, DeploymentReport, ReportInputs, Timeline};
 use pgrid_transport::TransportStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1024,6 +1023,20 @@ fn plan_reassignment(
     moves
 }
 
+/// Splits `n_peers` into `n_workers` contiguous shards, as even as
+/// possible: the first `n_peers % n_workers` shards get one extra peer.
+/// Returns `(start, len)` per worker.
+fn shard_assignment(n_peers: usize, n_workers: usize) -> Vec<(usize, usize)> {
+    assert!(
+        (1..=n_peers).contains(&n_workers),
+        "cannot split {n_peers} peers across {n_workers} workers"
+    );
+    let (base, extra) = (n_peers / n_workers, n_peers % n_workers);
+    (0..n_workers)
+        .map(|w| (w * base + w.min(extra), base + usize::from(w < extra)))
+        .collect()
+}
+
 /// Merges the shard reports into the single-process report inputs: paths at
 /// their global indices, query aggregates folded, counters summed.
 ///
@@ -1136,6 +1149,21 @@ mod tests {
             metrics_addr: Some(addr(9100)),
         })
         .unwrap();
+    }
+
+    #[test]
+    fn shards_are_contiguous_and_exhaustive() {
+        for (n_peers, n_workers) in [(10, 3), (64, 2), (7, 7), (100, 8)] {
+            let shards = shard_assignment(n_peers, n_workers);
+            assert_eq!(shards.len(), n_workers);
+            let mut next = 0;
+            for (start, len) in shards {
+                assert_eq!(start, next);
+                assert!(len >= 1);
+                next = start + len;
+            }
+            assert_eq!(next, n_peers);
+        }
     }
 
     #[test]

@@ -11,17 +11,15 @@
 //!   the merged address book, releases the phase barriers, detects worker
 //!   death (EOF or heartbeat silence) and heals it, and folds the workers'
 //!   streamed samples and final shard reports into one
-//!   [`pgrid_net::experiment::DeploymentReport`];
+//!   [`pgrid_scenario::deployment::DeploymentReport`];
 //! * a **worker** ([`worker`]) hosts its shard on the epoll reactor
 //!   (`pgrid_reactor::ReactorTransport`), wires every foreign peer as a
 //!   transport remote, and drives the join → replicate → construct → query
-//!   → churn timeline over the shard, journaling it when given a data
+//!   → churn timeline over the shard, whose join and churn plans every
+//!   process derives from the shared seed, journaling it when given a data
 //!   directory;
 //! * the **control protocol** ([`proto`]) frames [`proto::ClusterMsg`]s with
 //!   the data plane's length-prefixed framing;
-//! * deterministic **plans** ([`plan`]) derive the global knowledge every
-//!   process must agree on (join ramp, bootstrap adjacency, churn schedule)
-//!   from the shared seed instead of shipping it;
 //! * **local mode** ([`local`]) self-spawns N worker child processes for
 //!   tests, CI and quick demos (`pgrid-cluster local --workers 2`).
 //!
@@ -60,7 +58,6 @@
 
 pub mod coordinator;
 pub mod local;
-pub mod plan;
 pub mod proto;
 pub mod worker;
 
@@ -71,7 +68,6 @@ pub mod prelude {
         WorkerFailure,
     };
     pub use crate::local::{run_local_observed, LocalOptions};
-    pub use crate::plan::{churn_plan, join_plan, shard_assignment};
     pub use crate::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport};
-    pub use crate::worker::{run_worker, worker_scenario, ShardOverlay, WorkerOptions};
+    pub use crate::worker::{run_worker, ShardOverlay, WorkerOptions};
 }

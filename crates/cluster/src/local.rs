@@ -11,8 +11,8 @@ use crate::coordinator::{
     run_coordinator_observed, ClusterConfig, HealConfig, ObsOptions, ObsReport,
 };
 use crate::worker::KILL_EXIT_CODE;
-use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::{DeploymentReport, Timeline};
 use std::io::{Error, Result};
 use std::net::TcpListener;
 use std::path::PathBuf;

@@ -35,9 +35,9 @@ use pgrid_cluster::coordinator::{
 };
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
 use pgrid_cluster::worker::{run_worker, WorkerOptions};
-use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
 use pgrid_obs::scrape::{ScrapeServer, ScrapeState};
+use pgrid_scenario::deployment::{DeploymentReport, Timeline};
 use pgrid_workload::distributions::Distribution;
 use std::fmt::Display;
 use std::net::{SocketAddr, TcpListener};
@@ -200,14 +200,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
 fn run_config(args: &[String]) -> Result<(NetConfig, Timeline), String> {
     let smoke = switch(args, "--smoke");
     let timeline = if smoke {
-        Timeline {
-            join_end_min: 3,
-            replicate_end_min: 5,
-            construct_end_min: 18,
-            range_end_min: 0,
-            query_end_min: 22,
-            end_min: 25,
-        }
+        Timeline::SMOKE
     } else {
         Timeline::default()
     };

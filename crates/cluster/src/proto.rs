@@ -27,14 +27,14 @@
     )
 )]
 
-use crate::plan::MINUTE_MS;
 use bytes::Bytes;
 use pgrid_core::path::Path;
 use pgrid_core::wire::{Be, Capped, Order, Sink, Wire, UNCAPPED};
 use pgrid_core::wire_codec;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
 use pgrid_obs::trace::{intern_kind, TraceEvent};
+use pgrid_scenario::deployment::Timeline;
+use pgrid_scenario::scenario::MINUTE_MS;
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
 use pgrid_transport::{ReactorStats, TransportStats};
 use pgrid_workload::distributions::Distribution;

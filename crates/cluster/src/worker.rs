@@ -6,11 +6,8 @@
 //! listener of its [`ReactorTransport`], publishes that address, wires
 //! every *other* peer as a remote via
 //! [`SocketTransport::register_remote`], and then drives the Section-5
-//! timeline over its shard **through the scenario executor**: the phases
-//! are the same [`pgrid_scenario::Scenario`] program the single-process
-//! driver runs, with the deterministic join/churn plans substituted for
-//! the random draws ([`Phase::JoinSchedule`] / [`Phase::ChurnSchedule`])
-//! and the query rate scaled to the shard.  [`ShardOverlay`], the
+//! timeline over its shard **through the scenario executor**
+//! ([`worker_scenario`] is the program).  [`ShardOverlay`], the
 //! executor's [`RuntimeHost`], adds waiting for the wire, and it waits in
 //! **one pump**: every pass services the data transport (so peers of
 //! slower shards get their exchanges answered), heartbeats the control
@@ -37,11 +34,7 @@
 //! against a live remote replica with an anti-entropy diff
 //! ([`Runtime::begin_replica_diff`]) instead of a cold full pull, catches
 //! up to the barrier the cluster is parked at and parks there too.
-//!
-//! [`Phase::JoinSchedule`]: pgrid_scenario::Phase::JoinSchedule
-//! [`Phase::ChurnSchedule`]: pgrid_scenario::Phase::ChurnSchedule
 
-use crate::plan::{churn_plan, join_plan, MINUTE_MS};
 use crate::proto::{
     protocol_error, ClusterMsg, ControlChannel, ShardReport, PHASE_CONSTRUCTED, PHASE_DONE,
     PHASE_JOINED, PHASE_QUERIED, PHASE_REPLICATED, PHASE_WIRED,
@@ -50,14 +43,14 @@ use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
 use pgrid_durable::{DurableStore, LogOptions, MetaImage};
-use pgrid_net::experiment::Timeline;
-use pgrid_net::runtime::{Millis, NetConfig, Runtime};
+use pgrid_net::runtime::{Millis, Runtime};
 use pgrid_obs::recorder::{install_panic_dump, shared, SharedRecorder};
 use pgrid_obs::registry::MetricsRegistry;
 use pgrid_obs::scrape::{ScrapeServer, ScrapeState};
 use pgrid_reactor::{ReactorConfig, ReactorTransport};
-use pgrid_scenario::scenario::CONTROL_SEED_SALT;
-use pgrid_scenario::{Phase, QuerySpec, RuntimeHost, Scenario};
+use pgrid_scenario::deployment::{worker_scenario, Timeline};
+use pgrid_scenario::scenario::MINUTE_MS;
+use pgrid_scenario::{Phase, RuntimeHost, Scenario};
 use pgrid_transport::{PeerAddr, SocketTransport, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Error, ErrorKind, Result};
@@ -946,10 +939,6 @@ pub fn run_worker(coordinator: SocketAddr, options: &WorkerOptions) -> Result<()
     };
 
     // --- the timeline as a scenario ------------------------------------------
-    // Same phase program as the single-process Section-5 scenario, with the
-    // deterministic plans substituted for the random draws (all workers
-    // agree on joins/churn of peers they do not host) and the query rate
-    // scaled to the shard; the worker index decorrelates the query streams.
     let mut scenario = worker_scenario(&config, &timeline, worker_index, shard.len());
     match &log_meta {
         None => barrier(&mut overlay, PHASE_WIRED)?,
@@ -1087,47 +1076,6 @@ fn resume_scenario(mut scenario: Scenario, resume_phase: u8) -> Scenario {
     scenario
 }
 
-/// The worker's phase program for one Section-5 timeline.
-///
-/// Query windows follow the executor's unified pacing semantics: the
-/// virtual clock may overshoot a window boundary by up to one inter-query
-/// step (exactly as the single-process driver does).  That is safe here
-/// because phase boundaries are hard-synchronised at the coordinator
-/// barriers anyway, every plan event falls strictly inside its window, and
-/// workers' virtual clocks are only loosely coupled between barriers by
-/// construction.
-pub fn worker_scenario(
-    config: &NetConfig,
-    timeline: &Timeline,
-    worker_index: u32,
-    shard_len: usize,
-) -> Scenario {
-    let mut builder = Scenario::builder(config.seed)
-        .raw_control_seed(config.seed ^ CONTROL_SEED_SALT ^ ((worker_index as u64) << 32))
-        .join_schedule(timeline.join_end_min, join_plan(config, timeline))
-        .replicate(timeline.replicate_end_min)
-        .start_construction()
-        .run_until(timeline.construct_end_min);
-    // The optional range window between construction and the lookup load,
-    // with the same bounds-width the single-process driver uses.
-    if timeline.range_end_min > timeline.construct_end_min {
-        builder = builder.range_load(
-            timeline.range_end_min,
-            shard_len,
-            pgrid_scenario::RANGE_LOAD_WIDTH,
-        );
-    }
-    builder
-        .query_load_from(timeline.query_end_min, shard_len)
-        .churn_schedule(
-            timeline.end_min,
-            churn_plan(config, timeline),
-            Some(QuerySpec { issuers: shard_len }),
-        )
-        .drain()
-        .build()
-}
-
 /// Streams every completed, not-yet-reported bandwidth minute below
 /// `before` to the coordinator.
 fn stream_minutes(overlay: &mut ShardOverlay, before: u64) -> Result<()> {
@@ -1197,15 +1145,7 @@ fn barrier(overlay: &mut ShardOverlay, phase: u8) -> Result<()> {
 mod tests {
     use super::*;
     use pgrid_core::key::{DataEntry, DataId, Key};
-
-    const SMOKE: Timeline = Timeline {
-        join_end_min: 3,
-        replicate_end_min: 5,
-        construct_end_min: 18,
-        range_end_min: 0,
-        query_end_min: 22,
-        end_min: 25,
-    };
+    use pgrid_net::runtime::NetConfig;
 
     /// The default and the smoke timeline, plus one with a range window
     /// (two back-to-back phases of the query class).
@@ -1214,7 +1154,7 @@ mod tests {
             range_end_min: 70,
             ..Timeline::default()
         };
-        [Timeline::default(), SMOKE, with_ranges]
+        [Timeline::default(), Timeline::SMOKE, with_ranges]
     }
 
     fn scenario(timeline: &Timeline) -> Scenario {

@@ -14,9 +14,9 @@
 #![cfg(target_os = "linux")]
 
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_scenario::deployment::run_deployment;
+use pgrid_scenario::deployment::Timeline;
 use pgrid_workload::distributions::Distribution;
 use std::path::PathBuf;
 

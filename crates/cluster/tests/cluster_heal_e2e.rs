@@ -19,8 +19,8 @@
 
 use pgrid_cluster::coordinator::{HealConfig, KillPlan};
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::Timeline;
 use pgrid_workload::distributions::Distribution;
 use std::path::PathBuf;
 

@@ -14,10 +14,10 @@
 
 use pgrid_cluster::coordinator::ObsOptions;
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
 use pgrid_obs::scrape::{http_get, ScrapeServer, ScrapeState};
 use pgrid_obs::trace::assemble;
+use pgrid_scenario::deployment::Timeline;
 use pgrid_workload::distributions::Distribution;
 use std::net::SocketAddr;
 use std::path::PathBuf;

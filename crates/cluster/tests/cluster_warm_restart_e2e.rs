@@ -17,8 +17,8 @@
 
 use pgrid_cluster::coordinator::{HealConfig, KillPlan, ObsReport};
 use pgrid_cluster::local::{run_local_observed, LocalOptions};
-use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::{DeploymentReport, Timeline};
 use pgrid_workload::distributions::Distribution;
 use std::path::{Path, PathBuf};
 

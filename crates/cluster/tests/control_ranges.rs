@@ -8,12 +8,12 @@
 #![cfg(target_os = "linux")]
 
 use pgrid_cluster::coordinator::{run_coordinator_observed, ClusterConfig, HealConfig, ObsOptions};
-use pgrid_cluster::plan::MINUTE_MS;
 use pgrid_cluster::proto::{ClusterMsg, ControlChannel, ReassignMove, ShardReport, PHASE_DONE};
 use pgrid_cluster::worker::{run_worker, WorkerOptions};
 use pgrid_core::path::Path;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::Timeline;
+use pgrid_scenario::scenario::MINUTE_MS;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;

@@ -7,9 +7,9 @@
 use bytes::Bytes;
 use pgrid_cluster::proto::{ClusterMsg, ReassignMove, ShardReport};
 use pgrid_core::path::Path;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{NetConfig, QueryAggregates};
 use pgrid_obs::trace::{intern_kind, TraceEvent};
+use pgrid_scenario::deployment::Timeline;
 use pgrid_transport::{ReactorStats, TransportStats};
 use pgrid_workload::distributions::Distribution;
 use proptest::prelude::*;

@@ -9,10 +9,8 @@
 //! compares them with constants recorded once, in the style of
 //! `tests/construction_pin.rs`.
 
-use pgrid_cluster::plan::{churn_plan, join_plan};
-use pgrid_cluster::worker::worker_scenario;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::{churn_plan, join_plan, worker_scenario, Timeline};
 use pgrid_scenario::{ChurnEvent, JoinEvent, Phase, Scenario};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

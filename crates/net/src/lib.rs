@@ -9,10 +9,8 @@
 //! backend: the deterministic loopback transport emulates the wide-area
 //! network (latency, jitter, frame loss) as a substitute for the paper's
 //! PlanetLab deployment, while the socket backend (`pgrid-reactor`) runs the
-//! same protocol over real sockets.  The [`experiment`] module defines the timeline of
-//! Section 5 (join → replicate → construct → query → churn) and computes the
-//! time series behind Figures 7, 8 and 9 plus the summary statistics of
-//! Section 5.2 from a finished run.
+//! same protocol over real sockets.  The Section-5 experiment that drives it
+//! (its timeline, schedules and report) lives in `pgrid_scenario::deployment`.
 //!
 //! ```
 //! use pgrid_net::prelude::*;
@@ -27,18 +25,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod experiment;
 pub mod message;
 pub mod runtime;
 
 /// Convenient re-exports of the most frequently used items.
-///
-/// The deployment drivers (`run_deployment`, `run_deployment_with`) live in
-/// `pgrid_scenario::deployment` and are re-exported by its prelude.
 pub mod prelude {
-    pub use crate::experiment::{
-        assemble_report, DeploymentReport, MinuteSample, ReportInputs, Timeline,
-    };
     pub use crate::message::{ExchangeOutcome, Message};
     pub use crate::runtime::{BandwidthSample, NetConfig, NetMetrics, QueryRecord, Runtime};
 }

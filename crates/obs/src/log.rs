@@ -11,7 +11,7 @@
 //!
 //! ```
 //! pgrid_obs::info!("cluster::worker", "shard {} wired", 3);
-//! pgrid_obs::debug!("net::experiment", "minute {} sampled", 12);
+//! pgrid_obs::debug!("scenario::deployment", "minute {} sampled", 12);
 //! ```
 //!
 //! Formatting only happens when the line is enabled.

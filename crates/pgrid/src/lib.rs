@@ -18,8 +18,8 @@
 //! | [`sim`] | `pgrid-sim` | whole-system construction simulator (its own round driver), Figure-6 sweeps, sequential baseline, query evaluation |
 //! | [`transport`] | `pgrid-transport` | pluggable frame transport: batch framing, deterministic loopback, the `SocketTransport` trait |
 //! | [`reactor`] | `pgrid-reactor` | the one socket backend: every hosted peer behind one listener, epoll event threads (Linux) |
-//! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport) and the PlanetLab-style experiment |
-//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: declarative `Scenario` programs and one executor that drives the message-level runtime |
+//! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport) |
+//! | [`scenario`] | `pgrid-scenario` | the composable experiment API: declarative `Scenario` programs and one executor that drives the message-level runtime; the PlanetLab-style Section-5 experiment (timeline, schedules, report) |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |
 //!
 //! See the repository-level `examples/` directory for runnable end-to-end

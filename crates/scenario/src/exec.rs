@@ -1,6 +1,6 @@
 //! The scenario executor: one driver over [`Runtime`].
 
-use crate::scenario::{Phase, QuerySpec, Scenario, MINUTE_MS};
+use crate::scenario::{churn_events, join_time, ChurnEvent, Phase, QuerySpec, Scenario, MINUTE_MS};
 use crate::snapshot::{query_keys, OverlaySnapshot};
 use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
@@ -148,8 +148,7 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
             let end = until_min * MINUTE_MS;
             let n = host.runtime().config.n_peers;
             for peer in 0..n {
-                let at = (peer as u64 * end) / n as u64;
-                host.advance_to(at);
+                host.advance_to(join_time(peer, n, end));
                 host.runtime().join_peer(peer, *fanout);
             }
             host.advance_to(end);
@@ -240,37 +239,22 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
             gap_ms,
             queries,
         } => {
-            let end = until_min * MINUTE_MS;
-            let base = ctx.boundary_min * MINUTE_MS;
-            let runtime = host.runtime();
-            for peer in 0..runtime.config.n_peers {
-                let mut at = base
-                    + if *lead_ms == 0 {
-                        0
-                    } else {
-                        ctx.rng.gen_range(0..*lead_ms)
-                    };
-                while at < end {
-                    let downtime = ctx.rng.gen_range(downtime_ms.0..=downtime_ms.1);
-                    runtime.schedule_churn(peer, at, downtime);
-                    at += downtime + ctx.rng.gen_range(gap_ms.0..=gap_ms.1);
-                }
-            }
-            churn_window(host, ctx, end, queries);
-            ctx.boundary_min = *until_min;
+            let events = churn_events(
+                &mut ctx.rng,
+                host.runtime().config.n_peers,
+                ctx.boundary_min * MINUTE_MS,
+                until_min * MINUTE_MS,
+                *lead_ms,
+                *downtime_ms,
+                *gap_ms,
+            );
+            churn_window(host, ctx, *until_min, &events, queries);
         }
         Phase::ChurnSchedule {
             until_min,
             events,
             queries,
-        } => {
-            let runtime = host.runtime();
-            for event in events {
-                runtime.schedule_churn(event.peer, event.at, event.downtime);
-            }
-            churn_window(host, ctx, until_min * MINUTE_MS, queries);
-            ctx.boundary_min = *until_min;
-        }
+        } => churn_window(host, ctx, *until_min, events, queries),
         Phase::ShiftDistribution {
             distribution,
             keys_per_peer,
@@ -317,15 +301,23 @@ fn execute_phase<H: RuntimeHost>(host: &mut H, ctx: &mut Context, phase: &Phase)
     }
 }
 
-/// The query/advance loop shared by both churn phases: the pacing clock
-/// *continues* from the preceding query phase, advances are clamped to the
-/// window, and no query is issued at or past the boundary.
+/// The tail shared by both churn phases: schedules `events`, then runs the
+/// window to `until_min`.  With queries the pacing clock *continues* from
+/// the preceding query phase, advances are clamped to the window, and no
+/// query is issued at or past the boundary.
 fn churn_window<H: RuntimeHost>(
     host: &mut H,
     ctx: &mut Context,
-    end: Millis,
+    until_min: u64,
+    events: &[ChurnEvent],
     queries: &Option<QuerySpec>,
 ) {
+    let runtime = host.runtime();
+    for event in events {
+        runtime.schedule_churn(event.peer, event.at, event.downtime);
+    }
+    ctx.boundary_min = until_min;
+    let end = until_min * MINUTE_MS;
     let Some(spec) = queries else {
         host.advance_to(end);
         return;

@@ -20,11 +20,10 @@
 //! construction, query and range load and distribution shifts all act on
 //! it.
 //!
-//! The paper's experiments are thin adapters on top: the Section-5
-//! [`pgrid_net::experiment::Timeline`] is a canned scenario
-//! ([`Scenario::from_timeline`], run by [`deployment`]), and the
-//! `pgrid-cluster` worker runs its shard through [`exec::run_hosted`]: its
-//! [`RuntimeHost`] paces virtual time against the wire and parks at the
+//! The paper's Section-5 experiment is one module on top, [`deployment`]:
+//! its timeline, schedules and report, for one process and for a
+//! `pgrid-cluster` worker, which runs its shard through [`exec::run_hosted`]:
+//! its [`RuntimeHost`] paces virtual time against the wire and parks at the
 //! coordinator's barriers between phases.  The round-based whole-system
 //! simulator (`pgrid-sim`, Figure 6) has its own driver and sweeps and does
 //! not go through this crate.
@@ -63,7 +62,10 @@ pub use snapshot::OverlaySnapshot;
 
 /// Convenient re-exports of the most frequently used items.
 pub mod prelude {
-    pub use crate::deployment::{run_deployment, run_deployment_with};
+    pub use crate::deployment::{
+        assemble_report, run_deployment, run_deployment_with, DeploymentReport, MinuteSample,
+        ReportInputs, Timeline,
+    };
     pub use crate::exec::{run, ScenarioReport};
     pub use crate::scenario::{
         ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,

@@ -1,10 +1,11 @@
 //! Declarative scenario programs: ordered phases with seed-derived event
 //! schedules.
 
+use crate::deployment::{Timeline, CHURN_DOWNTIME_MS, CHURN_GAP_MS, CHURN_LEAD_MS, JOIN_FANOUT};
 use pgrid_core::routing::PeerId;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::Millis;
 use pgrid_workload::distributions::Distribution;
+use rand::Rng;
 
 /// Milliseconds per minute of virtual time.
 pub const MINUTE_MS: Millis = 60_000;
@@ -36,6 +37,11 @@ pub struct JoinEvent {
     pub neighbours: Vec<PeerId>,
 }
 
+/// When peer `peer` of `n_peers` joins on the ramp spreading joins over `[0, end)`.
+pub fn join_time(peer: usize, n_peers: usize, end: Millis) -> Millis {
+    (peer as u64 * end) / n_peers as u64
+}
+
 /// One explicit offline interval (deterministic churn plans of the
 /// cluster).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,6 +52,30 @@ pub struct ChurnEvent {
     pub at: Millis,
     /// How long it stays offline.
     pub downtime: Millis,
+}
+
+/// Every peer's offline intervals starting in `[from, until)`, peer by peer:
+/// the first within `[0, lead)` of `from`, each lasting a `downtime` draw and
+/// followed by a `gap` draw (both ranges inclusive).
+pub fn churn_events(
+    rng: &mut impl Rng,
+    n_peers: usize,
+    from: Millis,
+    until: Millis,
+    lead: Millis,
+    downtime: (Millis, Millis),
+    gap: (Millis, Millis),
+) -> Vec<ChurnEvent> {
+    let mut events = Vec::new();
+    for peer in 0..n_peers {
+        let mut at = from + if lead == 0 { 0 } else { rng.gen_range(0..lead) };
+        while at < until {
+            let downtime = rng.gen_range(downtime.0..=downtime.1);
+            events.push(ChurnEvent { peer, at, downtime });
+            at += downtime + rng.gen_range(gap.0..=gap.1);
+        }
+    }
+    events
 }
 
 /// One phase of a [`Scenario`].
@@ -113,9 +143,9 @@ pub enum Phase {
         /// Width of each range as a fraction of the keyspace, in `(0, 1]`.
         width: f64,
     },
-    /// Random churn: every peer independently leaves and returns, with the
-    /// schedule drawn from the control RNG; optionally with concurrent
-    /// query load (the Section-5.1 churn phase).
+    /// Random churn: every peer independently leaves and returns on a
+    /// schedule [`churn_events`] draws from the control RNG; optionally with
+    /// concurrent query load (the Section-5.1 churn phase).
     Churn {
         /// End of the churn window, in minutes.
         until_min: u64,
@@ -206,7 +236,7 @@ impl Scenario {
     /// --assert-reference` checks against `EXPERIMENTS.md`.
     pub fn from_timeline(seed: u64, timeline: &Timeline) -> Scenario {
         let mut builder = Scenario::builder(seed)
-            .join_wave(timeline.join_end_min, 6)
+            .join_wave(timeline.join_end_min, JOIN_FANOUT)
             .replicate(timeline.replicate_end_min)
             .start_construction()
             .run_until(timeline.construct_end_min);
@@ -220,9 +250,9 @@ impl Scenario {
             .query_load(timeline.query_end_min)
             .churn(
                 timeline.end_min,
-                5 * MINUTE_MS,
-                (MINUTE_MS, 5 * MINUTE_MS),
-                (5 * MINUTE_MS, 10 * MINUTE_MS),
+                CHURN_LEAD_MS,
+                CHURN_DOWNTIME_MS,
+                CHURN_GAP_MS,
                 Some(QuerySpec { issuers: 0 }),
             )
             .drain()
@@ -394,7 +424,7 @@ mod tests {
         assert_eq!(scenario.phases.len(), 7);
         assert!(matches!(
             scenario.phases[0],
-            Phase::JoinWave { until_min, fanout: 6 } if until_min == timeline.join_end_min
+            Phase::JoinWave { until_min, fanout: JOIN_FANOUT } if until_min == timeline.join_end_min
         ));
         assert!(matches!(scenario.phases[2], Phase::StartConstruction));
         assert!(matches!(

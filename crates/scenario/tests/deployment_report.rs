@@ -3,9 +3,8 @@
 //! (Overlay quality and query success are asserted by the workspace-level
 //! `deployment_and_protocol` tests.)
 
-use pgrid_net::experiment::{DeploymentReport, Timeline};
 use pgrid_net::runtime::NetConfig;
-use pgrid_scenario::deployment::run_deployment;
+use pgrid_scenario::deployment::{run_deployment, DeploymentReport, Timeline};
 
 fn small_report() -> DeploymentReport {
     let config = NetConfig {

@@ -6,8 +6,8 @@
 //! constants.
 
 use pgrid_core::routing::PeerId;
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{NetConfig, Runtime};
+use pgrid_scenario::deployment::Timeline;
 use pgrid_scenario::prelude::*;
 use pgrid_workload::distributions::Distribution;
 

@@ -3,8 +3,8 @@
 //! seed (every minute sample, every summary statistic, every transport
 //! counter).
 
-use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::NetConfig;
+use pgrid_scenario::deployment::Timeline;
 
 #[test]
 fn scenario_deployment_is_reproducible() {

@@ -11,10 +11,8 @@
 //! labelled snapshots plus the per-minute time series behind Figures 7, 8
 //! and 9 and the summary statistics of Section 5.2.
 
-use pgrid::net::experiment::{assemble_report, ReportInputs, Timeline};
 use pgrid::prelude::*;
-
-const MINUTE: u64 = 60_000;
+use pgrid::scenario::deployment::{CHURN_DOWNTIME_MS, CHURN_GAP_MS, CHURN_LEAD_MS, JOIN_FANOUT};
 
 #[cfg_attr(test, allow(dead_code))]
 fn main() {
@@ -24,17 +22,7 @@ fn main() {
 /// Runs the example; `smoke` picks the small, fast size its test runs.
 fn run(smoke: bool) {
     let (n_peers, timeline) = if smoke {
-        (
-            32,
-            Timeline {
-                join_end_min: 3,
-                replicate_end_min: 5,
-                construct_end_min: 18,
-                range_end_min: 0,
-                query_end_min: 22,
-                end_min: 25,
-            },
-        )
+        (32, Timeline::SMOKE)
     } else {
         (96, Timeline::default())
     };
@@ -53,7 +41,7 @@ fn run(smoke: bool) {
     // canned `Scenario::from_timeline` builds the same program), plus two
     // snapshots.
     let scenario = Scenario::builder(config.seed)
-        .join_wave(timeline.join_end_min, 6)
+        .join_wave(timeline.join_end_min, JOIN_FANOUT)
         .replicate(timeline.replicate_end_min)
         .start_construction()
         .run_until(timeline.construct_end_min)
@@ -61,9 +49,9 @@ fn run(smoke: bool) {
         .query_load(timeline.query_end_min)
         .churn(
             timeline.end_min,
-            5 * MINUTE,
-            (MINUTE, 5 * MINUTE),
-            (5 * MINUTE, 10 * MINUTE),
+            CHURN_LEAD_MS,
+            CHURN_DOWNTIME_MS,
+            CHURN_GAP_MS,
             Some(QuerySpec { issuers: 0 }),
         )
         .drain()

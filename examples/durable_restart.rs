@@ -105,17 +105,7 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "smoke");
     let (n_peers, timeline) = if smoke {
-        (
-            24,
-            Timeline {
-                join_end_min: 3,
-                replicate_end_min: 5,
-                construct_end_min: 18,
-                range_end_min: 0,
-                query_end_min: 22,
-                end_min: 25,
-            },
-        )
+        (24, Timeline::SMOKE)
     } else {
         (48, Timeline::default())
     };
