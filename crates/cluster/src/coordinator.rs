@@ -722,14 +722,17 @@ impl<'a> Coordinator<'a> {
         Ok(assemble_report(&inputs, &cluster.timeline))
     }
 
-    /// Declares worker `index` dead: stops polling it, records the failure
-    /// in the observability report, and dumps the flight recorder.
+    /// Declares worker `index` dead: stops polling it and probing its
+    /// scrape endpoint (a rejoin's [`Coordinator::handshake`] announces it
+    /// again), records the failure in the observability report, and dumps
+    /// the flight recorder.
     fn mark_failed(&mut self, index: usize, error: &Error) {
         let slot = &mut self.slots[index];
         if !slot.alive {
             return;
         }
         slot.alive = false;
+        self.observed.worker_metrics_addrs[index] = None;
         let detected_after_ms = slot.last_seen.elapsed().as_millis() as u64;
         let (start, len) = self.membership.shards[index];
         self.note(
@@ -1367,6 +1370,38 @@ mod tests {
         assert_eq!(coordinator.bandwidth[&4].query_bytes, usize::MAX);
         assert_eq!(coordinator.membership.last_paths[2], Path::parse("01"));
         assert_eq!(coordinator.membership.last_paths[3], Path::parse("1"));
+        drop(coordinator);
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_failed_worker_is_neither_probed_nor_published() {
+        let (cluster, obs) = (cluster(8, 1, 0), ObsOptions::default());
+        let (mut coordinator, worker) = with_worker(&cluster, &obs, |mut ctl| {
+            let _ = ctl.recv_timeout(Duration::from_secs(5));
+        });
+        // A stopped worker's scrape socket takes connections and never
+        // answers: each probe would wait out the 2 s read timeout.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        coordinator.observed.worker_metrics_addrs[0] = Some(silent.local_addr().unwrap());
+        coordinator.mark_failed(0, &Error::new(ErrorKind::TimedOut, "no heartbeat"));
+        let started = Instant::now();
+        let merged = coordinator.merge.barrier_publish(
+            PHASE_CONSTRUCTED,
+            &cluster,
+            &obs,
+            &coordinator.observed,
+        );
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "the barrier took {took:?}"
+        );
+        let text = merged.encode();
+        assert!(
+            !text.contains("pgrid_cluster_worker_metrics_port"),
+            "{text}"
+        );
         drop(coordinator);
         worker.join().unwrap();
     }
