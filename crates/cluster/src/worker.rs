@@ -333,26 +333,31 @@ pub struct ShardOverlay {
 
 impl ShardOverlay {
     /// The worker's one wait.  Every pass services the data plane and
-    /// heartbeats.  A worker `parked` at a phase's barrier also advances
-    /// the recovery round in flight or, with none, handles the next control
-    /// message ([`ShardOverlay::on_parked`]): the coordinator says nothing
-    /// to an adopter between the `AddressBook` and its `RecoveryDone`.
-    /// Only a pass that handled nothing sleeps.  The wait ends at
-    /// `Proceed`, or at the first pass `done` — told whether the pass
-    /// handled anything — accepts; for a parked worker that is `TimedOut`.
+    /// heartbeats.  A worker `parked` at a phase's barrier first handles
+    /// every waiting control message ([`ShardOverlay::on_parked`]) until one
+    /// starts a recovery round, so a new address book is applied before the
+    /// data plane answers a pull that raced it; the passes then advance the
+    /// round (the coordinator says nothing to an adopter between the
+    /// `AddressBook` and its `RecoveryDone`).  Only a pass that handled
+    /// nothing sleeps.  The wait ends at `Proceed`, or at the first pass
+    /// `done` — told whether the pass handled anything — accepts; for a
+    /// parked worker that is `TimedOut`.
     fn pump(&mut self, parked: Option<u8>, mut done: impl FnMut(bool) -> bool) -> Result<()> {
         loop {
-            let mut busy = self.runtime.service_network() > 0;
-            self.maybe_heartbeat();
-            if let Some(phase) = parked {
-                if self.heal.round.is_some() {
-                    self.step_recovery()?;
-                } else if let Some(msg) = self.ctl.try_recv()? {
-                    if self.on_parked(msg, phase)? {
-                        return Ok(());
-                    }
-                    busy = true;
+            let mut busy = false;
+            while let Some(phase) = parked.filter(|_| self.heal.round.is_none()) {
+                let Some(msg) = self.ctl.try_recv()? else {
+                    break;
+                };
+                if self.on_parked(msg, phase)? {
+                    return Ok(());
                 }
+                busy = true;
+            }
+            busy |= self.runtime.service_network() > 0;
+            self.maybe_heartbeat();
+            if parked.is_some() && self.heal.round.is_some() {
+                self.step_recovery()?;
             }
             if done(busy) {
                 return match parked {
@@ -1361,6 +1366,60 @@ mod tests {
             parked_for < RECOVERY_SETTLE / 4,
             "parked for {parked_for:?}"
         );
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_parked_worker_applies_its_address_book_before_answering_a_pull() {
+        use pgrid_net::message::Message;
+        use pgrid_transport::frame::{encode_frame, payload_slices};
+        // Remote peer 6 moves from the closed port to a reactor this test
+        // owns; the book saying so waits on the control channel.
+        let mut moved = ReactorTransport::with_config(ReactorConfig {
+            n_event_threads: 1,
+            ..ReactorConfig::default()
+        });
+        moved.register(PeerId(6)).unwrap();
+        let moved_to = moved.listen_addr().unwrap();
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let (addr, coordinator) = scripted_coordinator(move |mut ctl| {
+            let peer_addrs = vec![(6, moved_to)];
+            ctl.send(&ClusterMsg::AddressBook { peer_addrs }).unwrap();
+            ctl.send(&ClusterMsg::Proceed {
+                phase: PHASE_CONSTRUCTED,
+            })
+            .unwrap();
+            sent_tx.send(()).unwrap();
+            while ctl.recv_timeout(Duration::from_secs(5)).is_ok() {}
+        });
+        let mut overlay = parked_worker(addr);
+        // Peer 6's pull for hosted peer 1 already waits in the worker's
+        // inbox: the reactor delivers a frame for a hosted peer in place,
+        // and counts it in flight until the runtime polls it.
+        let pull = Message::ReplicaPull { origin: PeerId(6) }.encode();
+        let transport = overlay.runtime.transport_mut();
+        transport.send(0, PeerId(1), encode_frame(&[pull])).unwrap();
+        assert_eq!(transport.in_flight(), 1);
+        sent_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        overlay.park(PHASE_CONSTRUCTED).unwrap();
+        // The answer reaches peer 6 at its new address, not the old one.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (to, frame) = loop {
+            overlay.runtime.service_network();
+            if let Some(arrived) = moved.poll(0).pop() {
+                break arrived;
+            }
+            assert!(Instant::now() < deadline, "the push never reached peer 6");
+            std::thread::yield_now();
+        };
+        let payload = payload_slices(frame.as_slice()).unwrap().next().unwrap();
+        let push = Message::decode_slice(payload);
+        assert!(
+            matches!(&push, Some(Message::ReplicaPush { entries, .. }) if entries.len() == 3),
+            "{to:?}: {push:?}"
+        );
+        drop(overlay);
+        coordinator.join().unwrap();
     }
 
     #[test]
