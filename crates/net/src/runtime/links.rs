@@ -208,11 +208,6 @@ impl<T> Links<T> {
 }
 
 impl<T: Transport> Runtime<T> {
-    /// The transport address of a peer.
-    pub fn peer_addr(&self, peer: usize) -> PeerAddr {
-        self.links.addrs[peer]
-    }
-
     /// Frame-level counters of the underlying transport.
     pub fn transport_stats(&self) -> TransportStats {
         self.links.transport.stats()

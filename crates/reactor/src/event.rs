@@ -13,14 +13,17 @@
 //! waker), and reconnects are driven by a timer list with capped
 //! exponential backoff plus deterministic jitter ([`backoff_delay`]).
 //!
-//! **A frame pays a share of a batch's syscalls and locks, not its own.**
-//! The write queue is taken up to [`BATCH_BYTES`] of records at a time
-//! under one short lock (pairs are moved, nothing is encoded under it),
-//! encoded into the out-buffer and handed to one `write`; a read's worth
-//! of records is parsed into a connection-local queue and moved into the
-//! inbox under one lock.  When a connection dies mid-batch the one record
-//! the cursor cut in half is lost; the records behind it go back to the
-//! head of the link queue ([`split_batch`]).
+//! **A frame pays a share of a batch's syscalls and locks, not its own,
+//! and no allocation.**  The caller's `send` encodes each record into the
+//! link's byte write queue; the thread swaps the whole queue for its own
+//! drained out-buffer under one short lock and hands it to `write`.  A
+//! read's worth of records is copied straight out of the connection's
+//! reader into the byte inbox under one lock, up to the inbox bound; what
+//! is past it stays unread in the reader.  When a connection dies
+//! mid-write the one record the cursor cut in half is lost; the records
+//! behind it go back to the head of the link queue ([`split_batch`]).
+//! Buffers a large frame grew are given back once drained
+//! ([`crate::linux::recycle`]).
 //!
 //! **Park/wake.**  A sender rings the eventfd only when the thread is
 //! parked: the thread stores `parked = true`, *then* looks once more at
@@ -34,14 +37,13 @@
 //! frame.  The rare rings (an accepted connection, `poll` freeing a full
 //! inbox, shutdown) stay unconditional, which is always safe.
 
-use crate::linux::{lock, Command, Link, Shared, ThreadShared};
-use crate::mux::{encode_record, MuxError, MuxReader, KIND_RAW, RECORD_HEADER};
+use crate::linux::{lock, recycle, Command, Link, Shared, ThreadShared, RETAIN_BYTES};
+use crate::mux::{encode_record, records, MuxError, MuxReader, KIND_RAW, RECORD_HEADER};
 use crate::sys::{
     accept_nonblocking, close_fd, connect_nonblocking, read_fd, set_nodelay, take_socket_error,
     write_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::os::fd::RawFd;
@@ -68,10 +70,8 @@ const IDLE_TIMEOUT_MS: i32 = 500;
 /// Retry tick while any connection is paused on a full inbox.
 const INBOX_RETRY_MS: i32 = 5;
 
-/// Encoded bytes one refill takes from a write queue (and one `read`
-/// asks for): a batch always holds one record, then whole records up to
-/// this.
-const BATCH_BYTES: usize = 64 * 1024;
+/// Bytes one `read` asks for.
+const READ_BYTES: usize = 64 * 1024;
 
 const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
@@ -91,20 +91,23 @@ fn backoff_delay(addr: SocketAddr, attempt: u32) -> Duration {
     Duration::from_millis(delay_ms + j % (delay_ms / 2 + 1))
 }
 
-/// Where the write cursor `out_pos` left a batch encoded back to back from
-/// offset 0: `(written, cut)` — records wholly on the wire, and whether
-/// the next one is cut in half.  The records after those were not started.
-/// A buffer holding only the hello has an empty batch.
-fn split_batch(batch: &[(u64, Bytes)], out_pos: usize) -> (usize, bool) {
-    let mut end = 0;
-    for (written, (_, frame)) in batch.iter().enumerate() {
+/// Where the write cursor `out_pos` left an out-buffer of records encoded
+/// back to back from offset 0: `(written, cut, rest)` — records wholly on
+/// the wire, whether the next one is cut in half, and the offset of the
+/// records behind those, which were not started.  A buffer holding only
+/// the hello holds no record: nothing in it is cut or owed.
+fn split_batch(out: &[u8], out_pos: usize) -> (usize, bool, usize) {
+    let (mut written, mut end) = (0, 0);
+    for (_, frame) in records(out) {
         let start = end;
         end += RECORD_HEADER + frame.len();
         if end > out_pos {
-            return (written, start < out_pos);
+            let cut = start < out_pos;
+            return (written, cut, if cut { end } else { start });
         }
+        written += 1;
     }
-    (batch.len(), false)
+    (written, false, out.len())
 }
 
 /// One connection owned by an event thread.
@@ -118,16 +121,14 @@ struct Conn {
     /// Peer hello received; resets the reconnect budget.
     established: bool,
     reader: MuxReader,
-    /// Parsed records the inbox had no room for yet, oldest first.
-    parsed: VecDeque<(u64, Bytes)>,
-    /// The records encoded in `out_buf`, kept until the next refill so a
-    /// dying connection can give back the ones it never started.
-    batch: Vec<(u64, Bytes)>,
+    /// Bytes being written: the hello, then each write queue swapped out
+    /// whole, records back to back.
     out_buf: Vec<u8>,
     out_pos: usize,
     writable: bool,
     readable: bool,
-    /// Reading stopped because the inbox was full; records wait in `parsed`.
+    /// Reading stopped because the inbox was full; records wait unread in
+    /// `reader`.
     paused_on_inbox: bool,
     /// Dial attempt this connection represents (outbound, pre-hello).
     attempt: u32,
@@ -141,8 +142,6 @@ impl Conn {
             connecting,
             established: false,
             reader: MuxReader::new(),
-            parsed: VecDeque::new(),
-            batch: Vec::new(),
             out_buf: Vec::new(),
             out_pos: 0,
             writable: false,
@@ -150,6 +149,14 @@ impl Conn {
             paused_on_inbox: false,
             attempt,
         }
+    }
+
+    /// Queues the hello: the first bytes a connection writes.
+    fn greet(&mut self) {
+        self.writable = true;
+        self.out_buf.clear();
+        self.out_buf.extend_from_slice(&crate::mux::hello());
+        self.out_pos = 0;
     }
 }
 
@@ -169,6 +176,8 @@ pub(crate) struct EventLoop {
     next_inbound: usize,
     /// Every connection's `read` lands here before its reader copies it.
     read_buf: Vec<u8>,
+    /// The connections [`EventLoop::service_all`] visits, kept for reuse.
+    tokens: Vec<u64>,
 }
 
 impl EventLoop {
@@ -196,7 +205,8 @@ impl EventLoop {
             next_token: TOKEN_BASE,
             timers: Vec::new(),
             next_inbound: 0,
-            read_buf: vec![0; BATCH_BYTES],
+            read_buf: vec![0; READ_BYTES],
+            tokens: Vec::new(),
         })
     }
 
@@ -244,7 +254,7 @@ impl EventLoop {
             || !lock(&self.threads[self.index].commands).is_empty()
             || self.conns.values().any(|conn| {
                 conn.link.as_ref().is_some_and(|link| {
-                    conn.writable && !conn.connecting && !lock(&link.queue).frames.is_empty()
+                    conn.writable && !conn.connecting && lock(&link.queue).frames > 0
                 })
             })
     }
@@ -274,10 +284,8 @@ impl EventLoop {
             match take_socket_error(conn.fd) {
                 Ok(()) => {
                     conn.connecting = false;
-                    conn.writable = true;
                     set_nodelay(conn.fd);
-                    conn.out_buf = crate::mux::hello().to_vec();
-                    conn.out_pos = 0;
+                    conn.greet();
                 }
                 Err(_) => {
                     self.close_conn(token, true);
@@ -329,8 +337,7 @@ impl EventLoop {
         set_nodelay(fd);
         self.shared.registered_fds.fetch_add(1, Ordering::Relaxed);
         let mut conn = Conn::new(fd, None, false, 0);
-        conn.writable = true;
-        conn.out_buf = crate::mux::hello().to_vec();
+        conn.greet();
         self.conns.insert(token, conn);
     }
 
@@ -370,8 +377,7 @@ impl EventLoop {
                 let mut conn = Conn::new(fd, Some(link), !connected, attempt);
                 if connected {
                     set_nodelay(fd);
-                    conn.writable = true;
-                    conn.out_buf = crate::mux::hello().to_vec();
+                    conn.greet();
                 }
                 self.conns.insert(token, conn);
                 self.by_addr.insert(addr, token);
@@ -400,8 +406,9 @@ impl EventLoop {
         let dropped = {
             let mut queue = lock(&link.queue);
             queue.failed = true;
-            let dropped = queue.frames.len() as u64;
-            queue.frames.clear();
+            let dropped = queue.frames as u64;
+            recycle(&mut queue.records);
+            queue.frames = 0;
             queue.bytes = 0;
             link.notify_space(&queue);
             dropped
@@ -444,12 +451,15 @@ impl EventLoop {
     }
 
     fn service_all(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
+        let mut tokens = std::mem::take(&mut self.tokens);
+        tokens.clear();
+        tokens.extend(self.conns.keys().copied());
+        for &token in &tokens {
             if self.service_read(token) {
                 let _ = self.service_write(token);
             }
         }
+        self.tokens = tokens;
     }
 
     /// Reads and parses as much as the socket and the inbox allow.
@@ -485,9 +495,9 @@ impl EventLoop {
         }
     }
 
-    /// Past the peer's hello, parses every complete record out of the
-    /// reader, then moves as many as the inbox has room for under one lock;
-    /// the rest wait in `conn.parsed` with the connection paused.
+    /// Past the peer's hello, copies complete records out of the reader
+    /// into the inbox under one lock until the inbox is full; the rest stay
+    /// unread in the reader with the connection paused.
     fn deliver(shared: &Shared, conn: &mut Conn) -> Result<(), MuxError> {
         if !conn.established {
             let Some(_reserved_flags) = conn.reader.take_hello()? else {
@@ -496,25 +506,26 @@ impl EventLoop {
             conn.established = true;
             conn.attempt = 0;
         }
-        let parsed = loop {
-            match conn.reader.next_record() {
-                Ok(Some((_kind, dest, frame))) => conn.parsed.push_back((dest, frame)),
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        if !conn.parsed.is_empty() {
-            let mut inbox = lock(&shared.inbox);
-            let room = shared.inbox_capacity.saturating_sub(inbox.len());
-            inbox.extend(conn.parsed.drain(..room.min(conn.parsed.len())));
-        }
-        conn.paused_on_inbox = !conn.parsed.is_empty();
-        // A corrupt record stays at the reader's cursor: it is reported once
-        // the intact records before it have been delivered.
-        if conn.paused_on_inbox {
+        if conn.reader.buffered() < RECORD_HEADER {
+            // Not even a header: nothing to deliver, nothing to lock for.
+            conn.paused_on_inbox = false;
             return Ok(());
         }
-        parsed
+        let mut inbox = lock(&shared.inbox);
+        // A corrupt record stays at the reader's cursor: it is reported once
+        // the intact records before it are in the inbox.
+        while inbox.frames < shared.inbox_capacity {
+            let Some((dest, frame)) = conn.reader.next_borrowed()? else {
+                break;
+            };
+            encode_record(&mut inbox.records, KIND_RAW, dest, frame);
+            inbox.frames += 1;
+        }
+        conn.paused_on_inbox = inbox.frames >= shared.inbox_capacity;
+        drop(inbox);
+        // A read lands behind a partial record: keep room for both.
+        conn.reader.release(READ_BYTES + RETAIN_BYTES);
+        Ok(())
     }
 
     /// Flushes the out-buffer and refills it from the link's write queue.
@@ -555,39 +566,27 @@ impl EventLoop {
         }
     }
 
-    /// Moves the next batch off the link's write queue and encodes it into
-    /// the out-buffer.  Returns whether there is anything to write.
+    /// Swaps the link's whole write queue in for the written out-buffer.
+    /// Returns whether there is anything to write.
     fn refill_out_buf(conn: &mut Conn) -> bool {
-        conn.out_buf.clear();
+        recycle(&mut conn.out_buf);
         conn.out_pos = 0;
-        conn.batch.clear();
         // Inbound connections only ever write their hello.
         let Some(link) = &conn.link else {
             return false;
         };
-        {
-            let mut queue = lock(&link.queue);
-            let mut encoded = 0;
-            while let Some((_, frame)) = queue.frames.front() {
-                encoded += RECORD_HEADER + frame.len();
-                if encoded > BATCH_BYTES && !conn.batch.is_empty() {
-                    break;
-                }
-                queue.bytes -= frame.len();
-                conn.batch.extend(queue.frames.pop_front());
-            }
-            link.notify_space(&queue);
-        }
-        for (dest, frame) in &conn.batch {
-            encode_record(&mut conn.out_buf, KIND_RAW, *dest, frame.as_slice());
-        }
-        !conn.batch.is_empty()
+        let mut queue = lock(&link.queue);
+        std::mem::swap(&mut queue.records, &mut conn.out_buf);
+        queue.frames = 0;
+        queue.bytes = 0;
+        link.notify_space(&queue);
+        !conn.out_buf.is_empty()
     }
 
     /// Closes a connection; when it carried a link, runs the reconnect
     /// policy (`errored` distinguishes failure from shutdown).
     fn close_conn(&mut self, token: u64, errored: bool) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+        let Some(conn) = self.conns.remove(&token) else {
             return;
         };
         self.epoll.del(conn.fd);
@@ -598,20 +597,21 @@ impl EventLoop {
         };
         self.by_addr.remove(&link.addr);
         // A record half-written when the connection died is gone for good
-        // (the remote drops the truncated tail); the records of the batch
-        // behind it rejoin the queued frames, ahead of them, and get
-        // another chance after the redial.
-        let (written, cut) = split_batch(&conn.batch, conn.out_pos);
+        // (the remote drops the truncated tail); the records behind it
+        // rejoin the queued ones, ahead of them, and get another chance
+        // after the redial.
+        let (_written, cut, rest) = split_batch(&conn.out_buf, conn.out_pos);
         if cut {
             self.shared.dropped_frames.fetch_add(1, Ordering::Relaxed);
         }
-        {
-            let mut queue = lock(&link.queue);
-            for (dest, frame) in conn.batch.drain(written + usize::from(cut)..).rev() {
-                queue.bytes += frame.len();
-                queue.frames.push_front((dest, frame));
-            }
+        let unstarted = &conn.out_buf[rest..];
+        let mut queue = lock(&link.queue);
+        for (_, frame) in records(unstarted) {
+            queue.frames += 1;
+            queue.bytes += frame.len();
         }
+        queue.records.splice(..0, unstarted.iter().copied());
+        drop(queue);
         if !errored {
             return;
         }
@@ -643,19 +643,20 @@ impl EventLoop {
 mod tests {
     use super::*;
 
-    /// Every place a dying connection's write cursor can stand in a batch,
-    /// against what is then on the wire, lost, and owed a second chance.
+    /// Every place a dying connection's write cursor can stand in an
+    /// out-buffer, against what is then on the wire, lost, and owed a
+    /// second chance.
     #[test]
     fn split_batch_at_every_kind_of_cursor() {
-        let batch: Vec<(u64, Bytes)> = [5usize, 0, 300]
+        let batch: Vec<(u64, Vec<u8>)> = [5usize, 0, 300]
             .iter()
-            .map(|&len| (len as u64, Bytes::from(vec![0xAB; len])))
+            .map(|&len| (len as u64, vec![0xAB; len]))
             .collect();
         // Record i occupies [bounds[i], bounds[i + 1]) of the out-buffer.
         let bounds = [0, 18, 31, 344];
         let mut encoded = Vec::new();
         for (dest, frame) in &batch {
-            encode_record(&mut encoded, KIND_RAW, *dest, frame.as_slice());
+            encode_record(&mut encoded, KIND_RAW, *dest, frame);
         }
         assert_eq!(
             encoded.len(),
@@ -679,23 +680,30 @@ mod tests {
             (344, 3, false), // everything written
         ];
         for (out_pos, written, cut) in table {
+            let (got_written, got_cut, rest) = split_batch(&encoded, out_pos);
+            assert_eq!((got_written, got_cut), (written, cut), "out_pos {out_pos}");
+            // The three parts account for every record exactly once: the
+            // bytes behind `rest` are the requeued records, whole.
+            let requeued = &batch[written + usize::from(cut)..];
             assert_eq!(
-                split_batch(&batch, out_pos),
-                (written, cut),
+                rest,
+                bounds[written + usize::from(cut)],
                 "out_pos {out_pos}"
             );
-            // The three parts account for every record exactly once.
-            let requeued = &batch[written + usize::from(cut)..];
-            assert_eq!(written + usize::from(cut) + requeued.len(), batch.len());
+            let behind: Vec<(u64, Vec<u8>)> = records(&encoded[rest..])
+                .map(|(dest, frame)| (dest, frame.to_vec()))
+                .collect();
+            assert_eq!(behind, requeued, "out_pos {out_pos}");
         }
         // A buffer holding only the hello carries no record: a half-written
         // hello is not a dropped frame, wherever the cursor stands.
         for out_pos in 0..=crate::mux::HELLO_LEN {
-            assert_eq!(split_batch(&[], out_pos), (0, false));
+            let hello = crate::mux::hello();
+            assert_eq!(split_batch(&hello, out_pos), (0, false, hello.len()));
         }
         // A batch of one: the cut record is the only loss, nothing requeues.
-        assert_eq!(split_batch(&batch[..1], 9), (0, true));
-        assert_eq!(split_batch(&batch[..1], 18), (1, false));
+        assert_eq!(split_batch(&encoded[..18], 9), (0, true, 18));
+        assert_eq!(split_batch(&encoded[..18], 18), (1, false, 18));
     }
 
     fn one_thread_loop() -> (EventLoop, Arc<ThreadShared>, Arc<Shared>) {
@@ -732,7 +740,7 @@ mod tests {
         conn.writable = true;
         event_loop.conns.insert(TOKEN_BASE, conn);
         assert!(!event_loop.handed_work(), "an empty queue");
-        lock(&link.queue).frames.push_back((1, Bytes::new()));
+        lock(&link.queue).push(1, &[]);
         assert!(event_loop.handed_work(), "a frame for a writable socket");
         event_loop.conns.get_mut(&TOKEN_BASE).unwrap().writable = false;
         assert!(!event_loop.handed_work(), "EPOLLOUT will wake for this one");
@@ -757,26 +765,26 @@ mod tests {
     fn a_dying_connection_requeues_what_it_never_started() {
         let (mut event_loop, _thread, shared) = one_thread_loop();
         let link = link_to_nowhere();
-        let frame = |dest: u64| (dest, Bytes::from(vec![dest as u8; 100]));
+        let frame = |dest: u64| vec![dest as u8; 100];
         {
             let mut queue = lock(&link.queue);
-            queue.frames.extend([frame(10), frame(11)]);
-            queue.bytes = 200;
+            queue.push(10, &frame(10));
+            queue.push(11, &frame(11));
+            assert_eq!(queue.bytes, 200);
         }
         // No descriptor behind it: closing -1 fails harmlessly.
         let mut conn = Conn::new(-1, Some(link.clone()), false, 0);
-        conn.batch = (0..4).map(frame).collect();
-        for (dest, frame) in &conn.batch {
-            encode_record(&mut conn.out_buf, KIND_RAW, *dest, frame.as_slice());
+        for dest in 0..4 {
+            encode_record(&mut conn.out_buf, KIND_RAW, dest, &frame(dest));
         }
         // Record 0 written, record 1 cut mid-payload, 2 and 3 never started.
         conn.out_pos = (RECORD_HEADER + 100) + RECORD_HEADER + 50;
         event_loop.conns.insert(TOKEN_BASE, conn);
         event_loop.close_conn(TOKEN_BASE, false);
         let queue = lock(&link.queue);
-        let dests: Vec<u64> = queue.frames.iter().map(|(dest, _)| *dest).collect();
+        let dests: Vec<u64> = records(&queue.records).map(|(dest, _)| dest).collect();
         assert_eq!(dests, [2, 3, 10, 11]);
-        assert_eq!(queue.bytes, 400);
+        assert_eq!((queue.frames, queue.bytes), (4, 400));
         assert_eq!(shared.dropped_frames.load(Ordering::Relaxed), 1);
     }
 }

@@ -3,32 +3,37 @@
 //! [`ReactorTransport`] owns the address book and the per-link bounded
 //! write queues; a small fixed pool of event threads (see
 //! [`crate::event`]) owns every socket.  The two halves meet at three
-//! points, none of which ever blocks an event thread:
+//! points, none of which ever blocks an event thread, and the two that
+//! carry frames carry encoded bytes in reused buffers, so no event thread
+//! allocates or frees anything per frame:
 //!
-//! * **write queues** — `send` parks the frame in the destination link's
-//!   bounded queue and rings the owning event thread's eventfd *only when
-//!   that thread is parked* ([`ThreadShared::wake`]; the protocol is in
-//!   [`crate::event`]'s docs), so a burst of sends costs one ring; the
-//!   thread takes the queue a batch at a time.  A full queue makes the
-//!   *caller* wait (bounded, surfacing as a send error on timeout, which
-//!   feeds the runtime's Suspect/Dead link life-cycle).
-//! * **the shared inbox** — event threads move each read's reassembled
-//!   frames in under one lock, `poll` takes the whole deque under one;
+//! * **a byte write queue per link** — `send` appends the frame's mux
+//!   record to the destination link's bounded queue and rings the owning
+//!   event thread's eventfd *only when that thread is parked*
+//!   ([`ThreadShared::wake`]; the protocol is in [`crate::event`]'s docs),
+//!   so a burst of sends costs one ring; the thread swaps the whole queue
+//!   for its own drained out-buffer.  A full queue makes the *caller* wait
+//!   (bounded, surfacing as a send error on timeout, which feeds the
+//!   runtime's Suspect/Dead link life-cycle).
+//! * **the byte inbox** — event threads copy each complete record out of
+//!   their reader into it under one lock per read, `poll` swaps it for a
+//!   spare under one and copies it once into the block its frames view;
 //!   when the inbox is at capacity they *pause reading* that connection
 //!   instead of blocking, so TCP flow control pushes back on the remote
 //!   writer and a slow receiver costs the sender wire backpressure, not
 //!   the receiver unbounded memory.
-//! * **commands** — new links and accepted connections are handed to the
-//!   owning event thread through a tiny mailbox plus (unconditional)
-//!   eventfd ring.
+//! * **the commands mailbox** — new links and accepted connections are
+//!   handed to the owning event thread through a tiny mailbox plus
+//!   (unconditional) eventfd ring.
 //!
-//! Frames between two *locally hosted* peers never touch a socket: they go
-//! straight into the inbox, which is what lets one worker host 50k+ peers
-//! through a construction timeline without 50k listening sockets — the
-//! whole transport uses one listener, one eventfd per event thread, and
-//! one connection per remote process.
+//! Frames between two *locally hosted* peers never touch a socket or a
+//! lock: they wait in a queue only the caller touches, which is what lets
+//! one worker host 50k+ peers through a construction timeline without 50k
+//! listening sockets — the whole transport uses one listener, one eventfd
+//! per event thread, and one connection per remote process.
 
 use crate::event::EventLoop;
+use crate::mux::{encode_record, records, KIND_RAW};
 use crate::sys::EventFd;
 use crate::ReactorConfig;
 use bytes::Bytes;
@@ -37,7 +42,7 @@ use pgrid_transport::{
     Millis, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError, TransportStats,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -55,15 +60,35 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Capacity a drained byte buffer keeps: one that a large frame grew (a
+/// multi-MiB `ReplicaPush`) gives the rest back instead of pinning the
+/// largest burst for the life of the transport.
+pub(crate) const RETAIN_BYTES: usize = 64 << 10;
+
+/// Empties `buf` for reuse, giving back its capacity past [`RETAIN_BYTES`].
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(RETAIN_BYTES);
+}
+
+/// Mux records that event threads have read for [`Transport::poll`].
+#[derive(Default)]
+pub(crate) struct Inbox {
+    /// Whole records back to back, in arrival order per connection.
+    pub records: Vec<u8>,
+    /// Records in `records`.
+    pub frames: usize,
+}
+
 /// State shared between the caller and every event thread.
+#[derive(Default)]
 pub(crate) struct Shared {
-    /// Reassembled frames awaiting [`Transport::poll`], as
-    /// `(destination peer, frame)`.
-    pub inbox: Mutex<VecDeque<(u64, Bytes)>>,
-    /// Wire-side inbox bound: event threads pause reading a connection
-    /// rather than push past this.  Local deliveries are exempt (the
-    /// caller pushing is also the only drainer — blocking it would
-    /// deadlock).
+    /// Wire records awaiting [`Transport::poll`].
+    pub inbox: Mutex<Inbox>,
+    /// Wire-side inbox bound in frames: event threads pause reading a
+    /// connection rather than push past this.  Local deliveries do not go
+    /// through the inbox (the caller pushing is also the only drainer —
+    /// blocking it would deadlock).
     pub inbox_capacity: usize,
     pub stop: AtomicBool,
     pub epoll_wakeups: AtomicU64,
@@ -76,23 +101,23 @@ pub(crate) struct Shared {
 impl Shared {
     pub fn new(inbox_capacity: usize) -> Shared {
         Shared {
-            inbox: Mutex::new(VecDeque::new()),
             inbox_capacity: inbox_capacity.max(1),
-            stop: AtomicBool::new(false),
-            epoll_wakeups: AtomicU64::new(0),
-            partial_writes: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            dropped_frames: AtomicU64::new(0),
-            registered_fds: AtomicU64::new(0),
+            ..Shared::default()
         }
     }
 }
 
 /// The mutable interior of one link's write queue.
+#[derive(Default)]
 pub(crate) struct LinkQueue {
-    /// Whole frames waiting to be written, with their destination peer
-    /// (several peers share one link when they live in the same process).
-    pub frames: VecDeque<(u64, Bytes)>,
+    /// Mux records waiting to be written, back to back, oldest first: each
+    /// names its destination peer (several peers share one link when they
+    /// live in the same process).
+    pub records: Vec<u8>,
+    /// Records in `records`.
+    pub frames: usize,
+    /// Frame bytes in `records`, headers not counted: what the capacity
+    /// bound and the `write_queue_bytes` counter measure.
     pub bytes: usize,
     /// Senders blocked in `space.wait_timeout` right now.
     pub waiters: usize,
@@ -101,6 +126,15 @@ pub(crate) struct LinkQueue {
     pub failed: bool,
     /// Set at shutdown so nothing ever waits on a dead transport.
     pub closed: bool,
+}
+
+impl LinkQueue {
+    /// Appends `frame` for peer `dest` as one record.
+    pub fn push(&mut self, dest: u64, frame: &[u8]) {
+        encode_record(&mut self.records, KIND_RAW, dest, frame);
+        self.frames += 1;
+        self.bytes += frame.len();
+    }
 }
 
 /// One outbound link: the bounded write queue feeding a remote process.
@@ -123,13 +157,7 @@ impl Link {
         Link {
             addr,
             thread: (hasher.finish() as usize) % n_threads.max(1),
-            queue: Mutex::new(LinkQueue {
-                frames: VecDeque::new(),
-                bytes: 0,
-                waiters: 0,
-                failed: false,
-                closed: false,
-            }),
+            queue: Mutex::new(LinkQueue::default()),
             space: Condvar::new(),
             active: AtomicBool::new(false),
             capacity_bytes: capacity_bytes.max(1),
@@ -164,12 +192,23 @@ pub(crate) struct ThreadShared {
 
 impl ThreadShared {
     /// Rings the eventfd if the thread is parked; call *after* publishing
-    /// the work.  An awake thread looks again before it parks.
+    /// the work.  An awake thread looks again before it parks.  The flag is
+    /// read before it is swapped, so a send to an awake thread writes no
+    /// shared cache line.
     pub fn wake(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
             self.waker.ring();
         }
     }
+}
+
+/// Where frames for one peer go.
+enum Route {
+    /// Hosted here, behind the shared listener.
+    Local,
+    /// Hosted by the process listening at the address; the link to it once
+    /// a send has looked it up (reset when the peer moves).
+    Remote(SocketAddr, Option<Arc<Link>>),
 }
 
 /// The poll-driven multiplexed transport (Linux).
@@ -177,17 +216,26 @@ impl ThreadShared {
 /// See the crate docs for the architecture; the short version: all local
 /// peers share one listening socket, all sockets live on `n_event_threads`
 /// epoll loops, and the caller talks to them through bounded queues.
+///
+/// `poll` hands out the frames read off the wire, then the frames sent
+/// between hosted peers: first in, first out per connection and per local
+/// sender, with no order promised across them.
 pub struct ReactorTransport {
     config: ReactorConfig,
-    addrs: HashMap<PeerId, SocketAddr>,
-    local: HashSet<PeerId>,
+    /// Every known peer: one lookup per send.
+    routes: HashMap<PeerId, Route>,
     listen_addr: Option<SocketAddr>,
+    /// One link per remote address, shared by every peer behind it.
     links: HashMap<SocketAddr, Arc<Link>>,
     threads: Vec<JoinHandle<()>>,
     thread_shared: Arc<Vec<Arc<ThreadShared>>>,
     shared: Arc<Shared>,
     stats: TransportStats,
-    local_frames_sent: u64,
+    /// Frames between hosted peers awaiting `poll`, oldest first; only the
+    /// caller touches them.
+    local: VecDeque<(PeerId, Bytes)>,
+    /// The inbox buffer `poll` drained last, swapped in for the next one.
+    spare: Vec<u8>,
 }
 
 impl Default for ReactorTransport {
@@ -209,15 +257,15 @@ impl ReactorTransport {
         let shared = Arc::new(Shared::new(config.inbox_capacity));
         ReactorTransport {
             config,
-            addrs: HashMap::new(),
-            local: HashSet::new(),
+            routes: HashMap::new(),
             listen_addr: None,
             links: HashMap::new(),
             threads: Vec::new(),
             thread_shared: Arc::new(Vec::new()),
             shared,
             stats: TransportStats::default(),
-            local_frames_sent: 0,
+            local: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -287,12 +335,8 @@ impl ReactorTransport {
         Ok(())
     }
 
-    fn send_remote(
-        &mut self,
-        to: PeerId,
-        addr: SocketAddr,
-        frame: Bytes,
-    ) -> Result<(), TransportError> {
+    /// The link to `addr`, made on first use and cached in `to`'s route.
+    fn link_to(&mut self, to: PeerId, addr: SocketAddr) -> Result<Arc<Link>, TransportError> {
         self.ensure_started()?;
         let (capacity, n_threads) = (self.config.write_queue_bytes, self.thread_shared.len());
         let link = self
@@ -300,113 +344,122 @@ impl ReactorTransport {
             .entry(addr)
             .or_insert_with(|| Arc::new(Link::new(addr, capacity, n_threads)))
             .clone();
-        let frame_len = frame.len();
-        let enqueue_error: Option<io::Error> = {
-            let mut queue = lock(&link.queue);
-            let deadline = Instant::now() + self.config.send_timeout;
-            let mut timed_out = false;
-            while !queue.failed
-                && !queue.closed
-                && !queue.frames.is_empty()
-                && queue.bytes + frame_len > link.capacity_bytes
-            {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    timed_out = true;
-                    break;
-                };
-                queue.waiters += 1;
-                let (guard, wait) = link
-                    .space
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-                queue.waiters -= 1;
-                if wait.timed_out() {
-                    timed_out = true;
-                    break;
-                }
+        self.routes
+            .insert(to, Route::Remote(addr, Some(link.clone())));
+        Ok(link)
+    }
+
+    /// Appends `frame` to `link`'s write queue, waiting for space up to the
+    /// send timeout, and makes sure an event thread drains it.
+    fn enqueue(&self, link: &Arc<Link>, to: PeerId, frame: &[u8]) -> Result<(), TransportError> {
+        let mut queue = lock(&link.queue);
+        // The clock is read only once the queue is found full.
+        let (mut deadline, mut timed_out) = (None, false);
+        while !timed_out
+            && !queue.failed
+            && !queue.closed
+            && queue.frames > 0
+            && queue.bytes + frame.len() > link.capacity_bytes
+        {
+            let deadline =
+                *deadline.get_or_insert_with(|| Instant::now() + self.config.send_timeout);
+            queue.waiters += 1;
+            let (guard, wait) = link
+                .space
+                .wait_timeout(queue, deadline.saturating_duration_since(Instant::now()))
+                .unwrap_or_else(PoisonError::into_inner);
+            queue = guard;
+            queue.waiters -= 1;
+            timed_out = wait.timed_out();
+        }
+        let (kind, error) = if std::mem::take(&mut queue.failed) {
+            // The event thread gave up on this link; this send reports the
+            // failure (resetting the flag so a later send re-dials), so the
+            // runtime's link life-cycle sees a dead endpoint as a failed
+            // send, not as silence.
+            let error = "reactor link failed after reconnect attempts";
+            (io::ErrorKind::BrokenPipe, error)
+        } else if timed_out {
+            (io::ErrorKind::TimedOut, "reactor write queue full")
+        } else if queue.closed {
+            (io::ErrorKind::NotConnected, "reactor transport shut down")
+        } else {
+            queue.push(to.0, frame);
+            drop(queue);
+            let thread = &self.thread_shared[link.thread];
+            // Loaded first: a link that is already owned costs no write.
+            if !link.active.load(Ordering::SeqCst) && !link.active.swap(true, Ordering::SeqCst) {
+                lock(&thread.commands).push(Command::Dial(link.clone()));
             }
-            if queue.failed {
-                // The event thread gave up on this link; this send reports
-                // the failure (resetting the flag so a later send re-dials),
-                // so the runtime's link life-cycle sees a dead endpoint as a
-                // failed send, not as silence.
-                queue.failed = false;
-                Some(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "reactor link failed after reconnect attempts",
-                ))
-            } else if timed_out {
-                Some(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "reactor write queue full",
-                ))
-            } else if queue.closed {
-                Some(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "reactor transport shut down",
-                ))
-            } else {
-                queue.frames.push_back((to.0, frame));
-                queue.bytes += frame_len;
-                None
-            }
+            thread.wake();
+            return Ok(());
         };
-        if let Some(error) = enqueue_error {
-            return Err(TransportError::Io(error));
-        }
-        let thread = &self.thread_shared[link.thread];
-        if !link.active.swap(true, Ordering::SeqCst) {
-            lock(&thread.commands).push(Command::Dial(link.clone()));
-        }
-        thread.wake();
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += frame_len as u64;
-        Ok(())
+        Err(TransportError::Io(io::Error::new(kind, error)))
     }
 }
 
 impl Transport for ReactorTransport {
     fn register(&mut self, peer: PeerId) -> Result<PeerAddr, TransportError> {
-        if self.local.contains(&peer) || self.addrs.contains_key(&peer) {
+        if self.routes.contains_key(&peer) {
             return Err(TransportError::AlreadyRegistered(peer));
         }
         self.ensure_started()?;
-        self.local.insert(peer);
+        self.routes.insert(peer, Route::Local);
         Ok(PeerAddr::Socket(self.listen_addr.expect("started")))
     }
 
     fn send(&mut self, _now: Millis, to: PeerId, frame: Bytes) -> Result<(), TransportError> {
-        if self.local.contains(&to) {
-            // Local delivery: straight into the inbox, no socket, no
-            // capacity wait (the caller is the drainer).
-            let frame_len = frame.len() as u64;
-            lock(&self.shared.inbox).push_back((to.0, frame));
-            self.stats.frames_sent += 1;
-            self.stats.bytes_sent += frame_len;
-            self.local_frames_sent += 1;
-            return Ok(());
+        let frame_len = frame.len() as u64;
+        match self.routes.get(&to) {
+            None => return Err(TransportError::UnknownPeer(to)),
+            // Local delivery: no socket, no lock, no capacity wait (the
+            // caller is the drainer).
+            Some(Route::Local) => self.local.push_back((to, frame)),
+            Some(Route::Remote(_, Some(link))) => self.enqueue(link, to, frame.as_slice())?,
+            Some(&Route::Remote(addr, None)) => {
+                let link = self.link_to(to, addr)?;
+                self.enqueue(&link, to, frame.as_slice())?;
+            }
         }
-        let addr = *self.addrs.get(&to).ok_or(TransportError::UnknownPeer(to))?;
-        self.send_remote(to, addr, frame)
+        self.stats.frames_sent += 1;
+        self.stats.bytes_sent += frame_len;
+        Ok(())
     }
 
-    fn poll(&mut self, _now: Millis) -> Vec<(PeerId, Bytes)> {
-        let drained = std::mem::take(&mut *lock(&self.shared.inbox));
-        if drained.len() >= self.shared.inbox_capacity {
+    fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)> {
+        let mut delivered = Vec::new();
+        self.poll_into(now, &mut delivered);
+        delivered
+    }
+
+    fn poll_into(&mut self, _now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
+        let frames = {
+            let mut inbox = lock(&self.shared.inbox);
+            std::mem::swap(&mut inbox.records, &mut self.spare);
+            std::mem::take(&mut inbox.frames)
+        };
+        if frames >= self.shared.inbox_capacity {
             // Event threads paused reading while the inbox was full; tell
             // them space opened up rather than waiting for their retry tick.
             for ts in self.thread_shared.iter() {
                 ts.waker.ring();
             }
         }
-        let mut delivered = Vec::with_capacity(drained.len());
-        for (dest, frame) in drained {
+        let start = out.len();
+        out.reserve(frames + self.local.len());
+        if frames > 0 {
+            // One copy and one allocation per poll: every wire frame is a
+            // view of this block.
+            let block = Bytes::copy_from_slice(&self.spare);
+            let wire = records(block.as_slice());
+            out.extend(wire.map(|(dest, frame)| (PeerId(dest), block.slice_ref(frame))));
+            recycle(&mut self.spare);
+        }
+        out.extend(self.local.drain(..));
+        for (_, frame) in &out[start..] {
             self.stats.frames_delivered += 1;
             self.stats.bytes_delivered += frame.len() as u64;
-            delivered.push((PeerId(dest), frame));
         }
-        delivered
     }
 
     fn next_due(&self) -> Option<Millis> {
@@ -421,10 +474,7 @@ impl Transport for ReactorTransport {
         // Only frames addressed to locally hosted peers can ever show up in
         // this process's poll; frames to remote peers are delivered by the
         // process that hosts them and must not stall the local clock.
-        // Saturating: with remote peers this transport also receives frames
-        // it never sent, so delivered may exceed the local send count.
-        self.local_frames_sent
-            .saturating_sub(self.stats.frames_delivered) as usize
+        self.local.len()
     }
 
     fn stats(&self) -> TransportStats {
@@ -433,11 +483,13 @@ impl Transport for ReactorTransport {
         let mut queue_bytes = 0u64;
         for link in self.links.values() {
             let queue = lock(&link.queue);
-            queue_frames += queue.frames.len() as u64;
+            queue_frames += queue.frames as u64;
             queue_bytes += queue.bytes as u64;
         }
         stats.reactor = Some(ReactorStats {
-            registered_peers: self.local.len() as u64,
+            registered_peers: (self.routes.values())
+                .filter(|route| matches!(route, Route::Local))
+                .count() as u64,
             registered_fds: self.shared.registered_fds.load(Ordering::Relaxed),
             epoll_wakeups: self.shared.epoll_wakeups.load(Ordering::Relaxed),
             write_queue_frames: queue_frames,
@@ -450,10 +502,10 @@ impl Transport for ReactorTransport {
     }
 
     fn addr_of(&self, peer: PeerId) -> Option<PeerAddr> {
-        if self.local.contains(&peer) {
-            return self.listen_addr.map(PeerAddr::Socket);
+        match self.routes.get(&peer)? {
+            Route::Local => self.listen_addr.map(PeerAddr::Socket),
+            Route::Remote(addr, _) => Some(PeerAddr::Socket(*addr)),
         }
-        self.addrs.get(&peer).copied().map(PeerAddr::Socket)
     }
 }
 
@@ -463,32 +515,31 @@ impl SocketTransport for ReactorTransport {
         peer: PeerId,
         addr: SocketAddr,
     ) -> Result<PeerAddr, TransportError> {
-        if self.local.contains(&peer) || self.addrs.contains_key(&peer) {
+        if self.routes.contains_key(&peer) {
             return Err(TransportError::AlreadyRegistered(peer));
         }
-        self.addrs.insert(peer, addr);
+        self.routes.insert(peer, Route::Remote(addr, None));
         Ok(PeerAddr::Socket(addr))
     }
 
     fn update_remote(&mut self, peer: PeerId, addr: SocketAddr) -> Result<(), TransportError> {
-        if self.local.contains(&peer) {
+        if matches!(self.routes.get(&peer), Some(Route::Local)) {
             return Err(TransportError::AlreadyRegistered(peer));
         }
-        // Links are keyed by address, so re-pointing the peer is just a map
-        // update: the next send dials (or reuses) the new endpoint's link.
-        self.addrs.insert(peer, addr);
+        // Links are keyed by address, so re-pointing the peer drops its
+        // cached link: the next send dials (or reuses) the new endpoint's.
+        self.routes.insert(peer, Route::Remote(addr, None));
         Ok(())
     }
 
     fn register_takeover(&mut self, peer: PeerId) -> Result<PeerAddr, TransportError> {
-        if self.local.contains(&peer) {
+        if matches!(self.routes.get(&peer), Some(Route::Local)) {
             return Err(TransportError::AlreadyRegistered(peer));
         }
         self.ensure_started()?;
         // Adopting a peer costs no file descriptor: it joins the local set
         // behind the shared listener.
-        self.addrs.remove(&peer);
-        self.local.insert(peer);
+        self.routes.insert(peer, Route::Local);
         Ok(PeerAddr::Socket(self.listen_addr.expect("started")))
     }
 }

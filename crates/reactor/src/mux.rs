@@ -112,9 +112,34 @@ pub fn encode_record(out: &mut Vec<u8>, kind: u8, dest: u64, payload: &[u8]) {
     out.put(payload);
 }
 
-/// Reads one record header: kind, destination peer, payload length.
-fn record_header(data: &mut &[u8]) -> Option<(u8, u64, usize)> {
-    Some((Be::u8(data)?, Be::u64(data)?, Be::u32(data)? as usize))
+/// Reads the record at the head of `data` without copying: its destination
+/// peer and its payload, which ends the record.  `Ok(None)` while `data`
+/// holds less than one whole record.
+fn split_record(data: &[u8]) -> Result<Option<(u64, &[u8])>, MuxError> {
+    let mut rest = data;
+    let header = (Be::u8(&mut rest), Be::u64(&mut rest), Be::u32(&mut rest));
+    let (Some(kind), Some(dest), Some(len)) = header else {
+        return Ok(None);
+    };
+    let len = len as usize;
+    if kind != KIND_RAW {
+        return Err(MuxError::BadKind(kind));
+    }
+    // A whole frame: its body bound plus the 4-byte length prefix.
+    if len > MAX_FRAME_BYTES + 4 {
+        return Err(MuxError::Oversized(len));
+    }
+    Ok(Be::bytes(&mut rest, len).map(|payload| (dest, payload)))
+}
+
+/// The whole records at the head of `data`, in order, as
+/// `(destination, payload)`; stops at the first incomplete or corrupt one.
+pub fn records(mut data: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    std::iter::from_fn(move || {
+        let (dest, payload) = split_record(data).ok()??;
+        data = data.get(RECORD_HEADER.saturating_add(payload.len())..)?;
+        Some((dest, payload))
+    })
 }
 
 /// One parsed record: kind, destination peer, payload bytes.
@@ -124,7 +149,8 @@ pub type Record = (u8, u64, Bytes);
 ///
 /// Feed received chunks with [`MuxReader::extend`]; call
 /// [`MuxReader::take_hello`] until it yields the peer's flags, then
-/// [`MuxReader::next_record`] for each complete record.
+/// [`MuxReader::next_borrowed`] (or [`MuxReader::next_record`], which
+/// copies) for each complete record.
 #[derive(Debug, Default)]
 pub struct MuxReader {
     buf: Vec<u8>,
@@ -156,6 +182,16 @@ impl MuxReader {
         self.buf.get(self.pos..).unwrap_or_default()
     }
 
+    /// Once every buffered byte is consumed, gives back the capacity past
+    /// `retain` bytes that a large record grew.
+    pub(crate) fn release(&mut self, retain: usize) {
+        if self.pos == self.buf.len() && self.buf.capacity() > retain {
+            self.buf.clear();
+            self.pos = 0;
+            self.buf.shrink_to(retain);
+        }
+    }
+
     /// Consumes the peer hello once its 6 bytes are buffered, returning the
     /// flags byte; `None` while incomplete.
     pub fn take_hello(&mut self) -> Result<Option<u8>, MuxError> {
@@ -167,111 +203,22 @@ impl MuxReader {
         Ok(Some(flags))
     }
 
-    /// Returns the next complete record, `None` when more bytes are needed.
-    ///
-    /// The payload is copied out once: a frame the caller holds on to must
-    /// not pin the whole read chunk it arrived in.
+    /// Consumes the next complete record and lends out its destination and
+    /// payload, which stay in the reader's buffer until the next
+    /// [`MuxReader::extend`]; `None` when more bytes are needed.
+    pub fn next_borrowed(&mut self) -> Result<Option<(u64, &[u8])>, MuxError> {
+        let unread = self.buf.get(self.pos..).unwrap_or_default();
+        let Some((dest, payload)) = split_record(unread)? else {
+            return Ok(None);
+        };
+        self.pos = (self.pos.saturating_add(RECORD_HEADER)).saturating_add(payload.len());
+        Ok(Some((dest, payload)))
+    }
+
+    /// [`MuxReader::next_borrowed`] with the payload copied out: a frame the
+    /// caller holds on to must not pin the whole read chunk it arrived in.
     pub fn next_record(&mut self) -> Result<Option<Record>, MuxError> {
-        let mut data = self.unread();
-        let Some((kind, dest, len)) = record_header(&mut data) else {
-            return Ok(None);
-        };
-        if kind != KIND_RAW {
-            return Err(MuxError::BadKind(kind));
-        }
-        // A whole frame: its body bound plus the 4-byte length prefix.
-        if len > MAX_FRAME_BYTES + 4 {
-            return Err(MuxError::Oversized(len));
-        }
-        let Some(payload) = Be::bytes(&mut data, len) else {
-            return Ok(None);
-        };
-        let payload = Bytes::from(payload);
-        // `data` is the tail of `buf` behind the record.
-        self.pos = self.buf.len().saturating_sub(data.len());
-        Ok(Some((kind, dest, payload)))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hello_roundtrips_and_rejects_garbage() {
-        assert_eq!(hello().len(), HELLO_LEN);
-        assert_eq!(parse_hello(&hello()), Ok(0));
-        assert_eq!(parse_hello(b"PGRY\x01\x00"), Err(MuxError::BadMagic));
-        assert_eq!(
-            parse_hello(b"PGRX\x63\x00"),
-            Err(MuxError::BadVersion(0x63))
-        );
-    }
-
-    #[test]
-    fn a_short_hello_is_an_error_at_every_length() {
-        let hello = hello();
-        for len in 0..HELLO_LEN {
-            assert_eq!(parse_hello(&hello[..len]), Err(MuxError::ShortHello(len)));
-        }
-    }
-
-    #[test]
-    fn records_reassemble_at_every_chunk_size() {
-        let payloads: Vec<(u8, u64, Vec<u8>)> = vec![
-            (KIND_RAW, 0, vec![]),
-            (KIND_RAW, 42, vec![7u8; 300]),
-            (KIND_RAW, u64::MAX, (0..=255u8).collect()),
-        ];
-        let mut stream: Vec<u8> = hello().to_vec();
-        for (kind, dest, payload) in &payloads {
-            encode_record(&mut stream, *kind, *dest, payload);
-        }
-        for chunk_size in [1usize, 2, 5, 13, 64, stream.len()] {
-            let mut reader = MuxReader::new();
-            let mut hello_flags = None;
-            let mut got = Vec::new();
-            for chunk in stream.chunks(chunk_size) {
-                reader.extend(chunk);
-                if hello_flags.is_none() {
-                    hello_flags = reader.take_hello().unwrap();
-                    if hello_flags.is_none() {
-                        continue;
-                    }
-                }
-                while let Some(record) = reader.next_record().unwrap() {
-                    got.push(record);
-                }
-            }
-            assert_eq!(hello_flags, Some(0), "chunks of {chunk_size}");
-            assert_eq!(got.len(), payloads.len());
-            for ((kind, dest, payload), (got_kind, got_dest, got_payload)) in
-                payloads.iter().zip(&got)
-            {
-                assert_eq!(kind, got_kind);
-                assert_eq!(dest, got_dest);
-                assert_eq!(payload.as_slice(), got_payload.as_slice());
-            }
-            assert_eq!(reader.buffered(), 0);
-        }
-    }
-
-    #[test]
-    fn corrupt_records_are_rejected() {
-        let mut reader = MuxReader::new();
-        reader.extend(&[9u8; RECORD_HEADER]);
-        assert!(matches!(reader.next_record(), Err(MuxError::BadKind(9))));
-        // Kind 1 is unassigned, like every other non-zero kind.
-        let mut reader = MuxReader::new();
-        let mut kind_one = Vec::new();
-        encode_record(&mut kind_one, 1, 7, b"payload");
-        reader.extend(&kind_one);
-        assert_eq!(reader.next_record(), Err(MuxError::BadKind(1)));
-        let mut reader = MuxReader::new();
-        let mut huge = vec![KIND_RAW];
-        huge.extend_from_slice(&0u64.to_be_bytes());
-        huge.extend_from_slice(&u32::MAX.to_be_bytes());
-        reader.extend(&huge);
-        assert!(matches!(reader.next_record(), Err(MuxError::Oversized(_))));
+        let record = self.next_borrowed()?;
+        Ok(record.map(|(dest, payload)| (KIND_RAW, dest, Bytes::from(payload))))
     }
 }

@@ -4,7 +4,8 @@
 //! bit-identical frames regardless of where the cuts land.
 
 use pgrid_reactor::mux::{
-    encode_record, hello, parse_hello, MuxError, MuxReader, HELLO_LEN, KIND_RAW, RECORD_HEADER,
+    encode_record, hello, parse_hello, records, MuxError, MuxReader, HELLO_LEN, KIND_RAW,
+    RECORD_HEADER,
 };
 use pgrid_transport::frame::MAX_FRAME_BYTES;
 use proptest::prelude::*;
@@ -200,6 +201,62 @@ proptest! {
         }
     }
 
+    // The borrowed read the event threads use and the copying read agree
+    // on arbitrary bytes at arbitrary chunking: the same records, the same
+    // error, and the same bytes left buffered after every step.
+    #[test]
+    fn the_borrowed_and_the_copying_read_agree(
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        splits in proptest::collection::vec(any::<usize>(), 0..16),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stream = Vec::new();
+        for (dest, frame) in arbitrary_frames(&mut rng, 3) {
+            encode_record(&mut stream, KIND_RAW, dest, &frame);
+        }
+        if rng.gen_bool(0.5) {
+            stream.push(KIND_RAW);
+        }
+        stream.extend(noise);
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let (mut copying, mut borrowed) = (MuxReader::new(), MuxReader::new());
+        let mut fed = 0;
+        'feed: for cut in cuts {
+            copying.extend(&stream[fed..cut]);
+            borrowed.extend(&stream[fed..cut]);
+            fed = cut;
+            loop {
+                let copied = copying
+                    .next_record()
+                    .map(|record| record.map(|(_, dest, payload)| (dest, payload.as_slice().to_vec())));
+                let lent = borrowed
+                    .next_borrowed()
+                    .map(|record| record.map(|(dest, payload)| (dest, payload.to_vec())));
+                prop_assert_eq!(&copied, &lent);
+                prop_assert_eq!(copying.buffered(), borrowed.buffered());
+                match copied {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(_) => break 'feed,
+                }
+            }
+        }
+        // The walk `poll` takes over a block of records stops where a
+        // reader fed the whole stream stops.
+        let mut whole = MuxReader::new();
+        whole.extend(&stream);
+        let mut read = Vec::new();
+        while let Ok(Some((dest, payload))) = whole.next_borrowed() {
+            read.push((dest, payload.to_vec()));
+        }
+        let walked: Vec<(u64, Vec<u8>)> =
+            records(&stream).map(|(dest, payload)| (dest, payload.to_vec())).collect();
+        prop_assert_eq!(walked, read);
+    }
+
     // Whatever the reserved flags byte carries, a hello with the right
     // magic and version parses and hands the byte back.
     #[test]
@@ -253,4 +310,83 @@ fn record_bytes_are_pinned() {
     let (kind, dest, payload) = reader.next_record().unwrap().unwrap();
     assert_eq!((kind, dest), (KIND_RAW, 0x0102_0304_0506_0708));
     assert_eq!(payload.as_slice(), b"pgrid");
+}
+
+// The codec's own unit cases: hellos, chunked reassembly, corrupt records.
+
+#[test]
+fn hello_roundtrips_and_rejects_garbage() {
+    assert_eq!(hello().len(), HELLO_LEN);
+    assert_eq!(parse_hello(&hello()), Ok(0));
+    assert_eq!(parse_hello(b"PGRY\x01\x00"), Err(MuxError::BadMagic));
+    assert_eq!(
+        parse_hello(b"PGRX\x63\x00"),
+        Err(MuxError::BadVersion(0x63))
+    );
+}
+
+#[test]
+fn a_short_hello_is_an_error_at_every_length() {
+    let hello = hello();
+    for len in 0..HELLO_LEN {
+        assert_eq!(parse_hello(&hello[..len]), Err(MuxError::ShortHello(len)));
+    }
+}
+
+#[test]
+fn records_reassemble_at_every_chunk_size() {
+    let payloads: Vec<(u8, u64, Vec<u8>)> = vec![
+        (KIND_RAW, 0, vec![]),
+        (KIND_RAW, 42, vec![7u8; 300]),
+        (KIND_RAW, u64::MAX, (0..=255u8).collect()),
+    ];
+    let mut stream: Vec<u8> = hello().to_vec();
+    for (kind, dest, payload) in &payloads {
+        encode_record(&mut stream, *kind, *dest, payload);
+    }
+    for chunk_size in [1usize, 2, 5, 13, 64, stream.len()] {
+        let mut reader = MuxReader::new();
+        let mut hello_flags = None;
+        let mut got = Vec::new();
+        for chunk in stream.chunks(chunk_size) {
+            reader.extend(chunk);
+            if hello_flags.is_none() {
+                hello_flags = reader.take_hello().unwrap();
+                if hello_flags.is_none() {
+                    continue;
+                }
+            }
+            while let Some(record) = reader.next_record().unwrap() {
+                got.push(record);
+            }
+        }
+        assert_eq!(hello_flags, Some(0), "chunks of {chunk_size}");
+        assert_eq!(got.len(), payloads.len());
+        for ((kind, dest, payload), (got_kind, got_dest, got_payload)) in payloads.iter().zip(&got)
+        {
+            assert_eq!(kind, got_kind);
+            assert_eq!(dest, got_dest);
+            assert_eq!(payload.as_slice(), got_payload.as_slice());
+        }
+        assert_eq!(reader.buffered(), 0);
+    }
+}
+
+#[test]
+fn corrupt_records_are_rejected() {
+    let mut reader = MuxReader::new();
+    reader.extend(&[9u8; RECORD_HEADER]);
+    assert!(matches!(reader.next_record(), Err(MuxError::BadKind(9))));
+    // Kind 1 is unassigned, like every other non-zero kind.
+    let mut reader = MuxReader::new();
+    let mut kind_one = Vec::new();
+    encode_record(&mut kind_one, 1, 7, b"payload");
+    reader.extend(&kind_one);
+    assert_eq!(reader.next_record(), Err(MuxError::BadKind(1)));
+    let mut reader = MuxReader::new();
+    let mut huge = vec![KIND_RAW];
+    huge.extend_from_slice(&0u64.to_be_bytes());
+    huge.extend_from_slice(&u32::MAX.to_be_bytes());
+    reader.extend(&huge);
+    assert!(matches!(reader.next_record(), Err(MuxError::Oversized(_))));
 }

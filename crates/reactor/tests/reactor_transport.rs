@@ -218,12 +218,13 @@ fn a_parked_event_thread_never_misses_a_send() {
 
 #[test]
 fn batch_edges_deliver_the_multiset_sent_in_per_destination_order() {
-    // The write path takes whole records off the queue up to 64 KiB of
-    // encoded bytes (record header + frame): sizes that end a
-    // record just under, at and just over that bound, far over it, and
-    // the degenerate small ones, interleaved over three destinations.
-    // What must hold is the admissible outcome — every frame once, FIFO
-    // per destination — not where the batches happened to be cut.
+    // The write path hands the whole queue to `write` and the read path
+    // asks for 64 KiB at a time, so reads cut the stream anywhere: sizes
+    // that end a record (header + frame) just under, at and just over
+    // 64 KiB, far over it, and the degenerate small ones, interleaved
+    // over three destinations.  What must hold is the admissible outcome
+    // — every frame once, FIFO per destination — not where the reads
+    // happened to cut.
     const BATCH: usize = 64 * 1024;
     const HEADER: usize = pgrid_reactor::mux::RECORD_HEADER;
     let sizes = [
@@ -360,4 +361,23 @@ fn fifty_thousand_peers_register_on_a_handful_of_fds() {
     let expected = (0..50_000u64).step_by(499).count();
     let got = poll_n(&mut t, expected);
     assert_eq!(got.len(), expected);
+}
+
+#[test]
+fn in_flight_counts_a_local_frame_after_wire_deliveries() {
+    // Frames that arrived over the wire were never sent locally: they must
+    // not cancel out a local frame still waiting for its poll.
+    let mut host = ReactorTransport::new();
+    let mut sender = ReactorTransport::new();
+    let addr = socket_addr(host.register(PeerId(1)).unwrap());
+    sender.register_remote(PeerId(1), addr).unwrap();
+    let frame = encode_frame(&[payload(4, 40)]);
+    for _ in 0..3 {
+        sender.send(0, PeerId(1), frame.clone()).unwrap();
+    }
+    assert_eq!(poll_n(&mut host, 3).len(), 3);
+    host.send(0, PeerId(1), frame.clone()).unwrap();
+    assert_eq!(host.in_flight(), 1, "the local frame is still in flight");
+    assert_eq!(host.poll(0), [(PeerId(1), frame)]);
+    assert_eq!(host.in_flight(), 0);
 }
