@@ -51,7 +51,7 @@ use pgrid_reactor::{ReactorConfig, ReactorTransport};
 use pgrid_scenario::deployment::{worker_scenario, Timeline};
 use pgrid_scenario::scenario::MINUTE_MS;
 use pgrid_scenario::{Phase, RuntimeHost, Scenario};
-use pgrid_transport::{PeerAddr, SocketTransport, Transport};
+use pgrid_transport::{SocketTransport, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Error, ErrorKind, Result};
 use std::net::{SocketAddr, TcpStream};
@@ -425,8 +425,7 @@ impl ShardOverlay {
                             .runtime
                             .transport_mut()
                             .update_remote(PeerId(peer), addr);
-                        self.runtime
-                            .set_peer_addr(peer as usize, PeerAddr::Socket(addr));
+                        self.runtime.revive_link(peer as usize);
                     }
                 }
                 self.start_recovery();

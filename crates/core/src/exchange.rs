@@ -32,9 +32,7 @@ use crate::peer::PeerState;
 use crate::reference::BalanceParams;
 use crate::routing::RoutingEntry;
 use crate::store::StoreRead;
-use pgrid_partition::probabilities::{
-    corrected_effective, effective_probabilities, heuristic_effective,
-};
+use pgrid_partition::probabilities::{effective_probabilities, heuristic_effective};
 use rand::Rng;
 
 /// Lower bound on the balanced-split probability.
@@ -47,15 +45,18 @@ use rand::Rng;
 /// skewed distributions (Section 2.2).
 pub const MIN_BALANCED_SPLIT_PROBABILITY: f64 = 0.02;
 
+/// Peers one initiated interaction may contact, referrals included: the
+/// simulator follows at most this many refer hops, the message runtime at
+/// most `MAX_REFER_HOPS - 1` referrals between two ticks of a peer.
+pub const MAX_REFER_HOPS: usize = 6;
+
 /// Which probability functions the construction uses for its split
 /// decisions — the knob behind the "theory vs. heuristics" experiment
-/// (Figure 6d) and the corrected-probability ablation.
+/// (Figure 6d).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ProbabilityStrategy {
     /// Exact AEP probabilities.
     Aep,
-    /// Sampling-bias corrected AEP probabilities.
-    AepCorrected,
     /// The heuristic probability functions of Figure 6d.
     Heuristic,
 }
@@ -86,14 +87,9 @@ pub struct Assessment {
     pub splittable: bool,
     /// Capture–recapture estimate of the distinct keys in the partition.
     pub estimated_keys: f64,
-    /// Estimated number of replica peers of the partition.
-    pub estimated_replicas: f64,
     /// Estimated fraction of the partition's load in its lower half
     /// (the `p̂` of Section 3.2).
     pub p_lower: f64,
-    /// Number of local keys behind the ratio estimate (used to pick the
-    /// correction grid of the corrected strategy).
-    pub samples: usize,
 }
 
 /// Effective decision probabilities for one encounter, evaluated at the
@@ -251,9 +247,7 @@ impl ExchangeEngine {
                 && estimated_replicas >= 2.0 * self.params.n_min as f64,
             splittable,
             estimated_keys,
-            estimated_replicas,
             p_lower,
-            samples: total.max(1),
         }
     }
 
@@ -263,16 +257,6 @@ impl ExchangeEngine {
         let (alpha, q0, q1) = match self.strategy {
             ProbabilityStrategy::Aep => effective_probabilities(assessment.p_lower),
             ProbabilityStrategy::Heuristic => heuristic_effective(assessment.p_lower),
-            ProbabilityStrategy::AepCorrected => {
-                // Bucket the sample size so the correction grids are reused
-                // across interactions instead of being recomputed for every
-                // distinct store size.
-                let bucket = [5usize, 10, 20, 40, 80]
-                    .into_iter()
-                    .min_by_key(|&b| b.abs_diff(assessment.samples))
-                    .unwrap_or(10);
-                corrected_effective(assessment.p_lower, bucket)
-            }
         };
         DecisionProbabilities {
             alpha: alpha.max(MIN_BALANCED_SPLIT_PROBABILITY),
@@ -538,7 +522,6 @@ mod tests {
         assert!(assessment.overloaded);
         assert!(assessment.estimated_keys >= 10.0);
         assert!((assessment.p_lower - 0.5).abs() < 0.01);
-        assert_eq!(assessment.samples, 20);
     }
 
     #[test]
@@ -558,7 +541,6 @@ mod tests {
         let assessment = e.assess(&empty, &empty, &Path::root());
         assert!(!assessment.overloaded);
         assert_eq!(assessment.p_lower, 0.5);
-        assert_eq!(assessment.samples, 1);
     }
 
     #[test]

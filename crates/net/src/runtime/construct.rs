@@ -26,7 +26,7 @@
 use super::clock::EventKind;
 use super::{Millis, Peer, Runtime};
 use crate::message::{ExchangeOutcome, Message};
-use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine};
+use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine, MAX_REFER_HOPS};
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::routing::{PeerId, RoutingEntry};
@@ -42,10 +42,6 @@ use std::cmp::min_by_key;
 /// Interval between construction ticks of a peer, in virtual milliseconds;
 /// a backed-off peer ticks ten times less often.
 const CONSTRUCT_INTERVAL_MS: Millis = 5_000;
-
-/// Peers one tick's exchange may contact, referrals included, as in the
-/// simulator.
-const MAX_REFER_HOPS: u8 = 6;
 
 impl<T: Transport> Runtime<T> {
     /// Brings a peer online and connects it to `fanout` random already-online
@@ -537,7 +533,9 @@ impl Peer {
                 // followed at once, as the simulator follows its refer
                 // chains; peers of a partition seldom meet otherwise, and
                 // their stores never converge.
-                if state.shares_partition_with(&path) && self.referrals + 1 < MAX_REFER_HOPS {
+                if state.shares_partition_with(&path)
+                    && usize::from(self.referrals) + 1 < MAX_REFER_HOPS
+                {
                     self.referrals += 1;
                     send = Some((peer, self.offer()));
                 }

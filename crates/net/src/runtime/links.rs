@@ -34,7 +34,7 @@ use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
 use pgrid_transport::frame;
-use pgrid_transport::{LinkFault, PeerAddr, Transport, TransportStats};
+use pgrid_transport::{LinkFault, Transport, TransportStats};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -135,7 +135,6 @@ fn names_known_peers(arrived: &Arrived<'_>, n: u64) -> bool {
 /// The transport and everything queued towards it.
 pub(super) struct Links<T> {
     pub(super) transport: T,
-    addrs: Vec<PeerAddr>,
     /// Link life-cycle per destination peer (absent = Connected).  Only
     /// ever populated by transport send failures, which virtual-time
     /// backends never produce.
@@ -161,10 +160,9 @@ pub(super) struct Links<T> {
 }
 
 impl<T> Links<T> {
-    pub(super) fn new(transport: T, addrs: Vec<PeerAddr>) -> Links<T> {
+    pub(super) fn new(transport: T) -> Links<T> {
         Links {
             transport,
-            addrs,
             health: HashMap::new(),
             staged: Vec::new(),
             staged_index: Vec::new(),
@@ -225,13 +223,6 @@ impl<T: Transport> Runtime<T> {
     /// healing partition window); returns whether the backend emulates it.
     pub fn inject_link_fault(&mut self, fault: LinkFault) -> bool {
         self.links.transport.inject_fault(fault)
-    }
-
-    /// Replaces the cached address of `peer` after its endpoint moved
-    /// during recovery, and clears any Suspect/Dead link state towards it.
-    pub fn set_peer_addr(&mut self, peer: usize, addr: PeerAddr) {
-        self.links.addrs[peer] = addr;
-        self.revive_link(peer);
     }
 
     /// Clears the link life-cycle state towards `peer` (its endpoint came

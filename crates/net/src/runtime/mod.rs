@@ -302,16 +302,14 @@ impl<T: Transport> Runtime<T> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = config.balance_params();
         let (states, original_entries) = generate_peers(&config, &mut rng);
-        let mut addrs = Vec::with_capacity(config.n_peers);
         for i in 0..config.n_peers {
             let peer = PeerId(i as u64);
-            if let Some(addr) = transport.addr_of(peer) {
+            if transport.addr_of(peer).is_some() {
                 // Already wired: a hosted endpoint the caller registered up
                 // front (to publish its address during rendezvous) or a
                 // remote registration.
-                addrs.push(addr);
             } else if shard.contains(&i) {
-                addrs.push(transport.register(peer)?);
+                transport.register(peer)?;
             } else {
                 return Err(TransportError::UnknownPeer(peer));
             }
@@ -340,7 +338,7 @@ impl<T: Transport> Runtime<T> {
             original_entries,
             engine: ExchangeEngine::new(params),
             clock: Clock::default(),
-            links: Links::new(transport, addrs),
+            links: Links::new(transport),
             lookups: Lookups::default(),
             recovery: Recovery::default(),
             shard,

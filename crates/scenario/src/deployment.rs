@@ -8,8 +8,8 @@
 
 use crate::exec;
 use crate::scenario::{
-    churn_events, join_time, ChurnEvent, JoinEvent, QuerySpec, Scenario, CONTROL_SEED_SALT,
-    MINUTE_MS, RANGE_LOAD_WIDTH,
+    churn_events, join_time, ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, MINUTE_MS,
+    RANGE_LOAD_WIDTH,
 };
 use pgrid_core::balance::measure_overlay;
 use pgrid_core::histogram::LogHistogram;
@@ -330,25 +330,42 @@ pub fn worker_scenario(
     worker_index: u32,
     shard_len: usize,
 ) -> Scenario {
-    let mut builder = Scenario::builder(config.seed)
-        .raw_control_seed(config.seed ^ CONTROL_SEED_SALT ^ ((worker_index as u64) << 32))
-        .join_schedule(timeline.join_end_min, join_plan(config, timeline))
-        .replicate(timeline.replicate_end_min)
-        .start_construction()
-        .run_until(timeline.construct_end_min);
+    let mut phases = vec![
+        Phase::JoinSchedule {
+            until_min: timeline.join_end_min,
+            events: join_plan(config, timeline),
+        },
+        Phase::Replicate {
+            until_min: timeline.replicate_end_min,
+        },
+        Phase::StartConstruction,
+        Phase::RunUntil {
+            until_min: timeline.construct_end_min,
+        },
+    ];
     // The optional range window, as wide as in one process.
     if timeline.range_end_min > timeline.construct_end_min {
-        builder = builder.range_load(timeline.range_end_min, shard_len, RANGE_LOAD_WIDTH);
+        phases.push(Phase::RangeLoad {
+            until_min: timeline.range_end_min,
+            issuers: shard_len,
+            width: RANGE_LOAD_WIDTH,
+        });
     }
-    builder
-        .query_load_from(timeline.query_end_min, shard_len)
-        .churn_schedule(
-            timeline.end_min,
-            churn_plan(config, timeline),
-            Some(QuerySpec { issuers: shard_len }),
-        )
-        .drain()
-        .build()
+    phases.extend([
+        Phase::QueryLoad {
+            until_min: timeline.query_end_min,
+            issuers: shard_len,
+        },
+        Phase::ChurnSchedule {
+            until_min: timeline.end_min,
+            events: churn_plan(config, timeline),
+            queries: Some(QuerySpec { issuers: shard_len }),
+        },
+        Phase::Drain,
+    ]);
+    let mut scenario = Scenario::new(config.seed, phases);
+    scenario.control_seed ^= (worker_index as u64) << 32;
+    scenario
 }
 
 #[cfg(test)]

@@ -33,14 +33,17 @@
 //! use pgrid_net::runtime::{NetConfig, Runtime};
 //!
 //! let config = NetConfig { n_peers: 16, seed: 9, ..NetConfig::default() };
-//! let scenario = Scenario::builder(config.seed)
-//!     .join_wave(2, 4)
-//!     .replicate(3)
-//!     .start_construction()
-//!     .run_until(8)
-//!     .query_load(10)
-//!     .drain()
-//!     .build();
+//! let scenario = Scenario::new(
+//!     config.seed,
+//!     vec![
+//!         Phase::JoinWave { until_min: 2, fanout: 4 },
+//!         Phase::Replicate { until_min: 3 },
+//!         Phase::StartConstruction,
+//!         Phase::RunUntil { until_min: 8 },
+//!         Phase::QueryLoad { until_min: 10, issuers: 0 },
+//!         Phase::Drain,
+//!     ],
+//! );
 //! let mut overlay = Runtime::new(config);
 //! let report = pgrid_scenario::exec::run(&mut overlay, &scenario);
 //! assert!(report.end_min >= 10);
@@ -55,9 +58,7 @@ pub mod scenario;
 pub mod snapshot;
 
 pub use exec::{run, run_hosted, RuntimeHost, ScenarioReport};
-pub use scenario::{
-    ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,
-};
+pub use scenario::{ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, RANGE_LOAD_WIDTH};
 pub use snapshot::OverlaySnapshot;
 
 /// Convenient re-exports of the most frequently used items.
@@ -68,7 +69,7 @@ pub mod prelude {
     };
     pub use crate::exec::{run, ScenarioReport};
     pub use crate::scenario::{
-        ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, ScenarioBuilder, RANGE_LOAD_WIDTH,
+        ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, RANGE_LOAD_WIDTH,
     };
     pub use crate::snapshot::OverlaySnapshot;
 }

@@ -211,20 +211,21 @@ pub const RANGE_LOAD_WIDTH: f64 = 0.15;
 /// query workload derive from.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
-    /// Seed of the executor's control RNG (already salted; see
-    /// [`Scenario::builder`] and [`ScenarioBuilder::raw_control_seed`]).
+    /// Seed of the executor's control RNG, used verbatim ([`Scenario::new`]
+    /// salts the engine seed with [`CONTROL_SEED_SALT`]; the cluster worker
+    /// assigns its own per-worker seed).
     pub control_seed: u64,
     /// The phases, executed in order.
     pub phases: Vec<Phase>,
 }
 
 impl Scenario {
-    /// Starts building a scenario whose control RNG derives from `seed`
-    /// (the engine seed; the builder salts it with [`CONTROL_SEED_SALT`]).
-    pub fn builder(seed: u64) -> ScenarioBuilder {
-        ScenarioBuilder {
+    /// The program `phases` with a control RNG derived from `seed` (the
+    /// engine seed, salted with [`CONTROL_SEED_SALT`]).
+    pub fn new(seed: u64, phases: Vec<Phase>) -> Scenario {
+        Scenario {
             control_seed: seed ^ CONTROL_SEED_SALT,
-            phases: Vec::new(),
+            phases,
         }
     }
 
@@ -235,180 +236,44 @@ impl Scenario {
     /// config with the same `seed`, this is the run `figures --
     /// --assert-reference` checks against `EXPERIMENTS.md`.
     pub fn from_timeline(seed: u64, timeline: &Timeline) -> Scenario {
-        let mut builder = Scenario::builder(seed)
-            .join_wave(timeline.join_end_min, JOIN_FANOUT)
-            .replicate(timeline.replicate_end_min)
-            .start_construction()
-            .run_until(timeline.construct_end_min);
+        let mut phases = vec![
+            Phase::JoinWave {
+                until_min: timeline.join_end_min,
+                fanout: JOIN_FANOUT,
+            },
+            Phase::Replicate {
+                until_min: timeline.replicate_end_min,
+            },
+            Phase::StartConstruction,
+            Phase::RunUntil {
+                until_min: timeline.construct_end_min,
+            },
+        ];
         // The optional range window sits between construction and the
         // lookup load; the reference timelines leave it disabled
         // (`range_end_min: 0`), so it draws nothing from the control RNG.
         if timeline.range_end_min > timeline.construct_end_min {
-            builder = builder.range_load(timeline.range_end_min, 0, RANGE_LOAD_WIDTH);
+            phases.push(Phase::RangeLoad {
+                until_min: timeline.range_end_min,
+                issuers: 0,
+                width: RANGE_LOAD_WIDTH,
+            });
         }
-        builder
-            .query_load(timeline.query_end_min)
-            .churn(
-                timeline.end_min,
-                CHURN_LEAD_MS,
-                CHURN_DOWNTIME_MS,
-                CHURN_GAP_MS,
-                Some(QuerySpec { issuers: 0 }),
-            )
-            .drain()
-            .build()
-    }
-}
-
-/// Fluent builder of [`Scenario`]s.
-#[derive(Clone, Debug)]
-pub struct ScenarioBuilder {
-    control_seed: u64,
-    phases: Vec<Phase>,
-}
-
-impl ScenarioBuilder {
-    /// Overrides the (already salted) control seed verbatim — the cluster
-    /// worker uses this to decorrelate per-worker query streams.
-    pub fn raw_control_seed(mut self, control_seed: u64) -> ScenarioBuilder {
-        self.control_seed = control_seed;
-        self
-    }
-
-    /// Appends an arbitrary phase.
-    pub fn phase(mut self, phase: Phase) -> ScenarioBuilder {
-        self.phases.push(phase);
-        self
-    }
-
-    /// Appends a [`Phase::JoinWave`].
-    pub fn join_wave(self, until_min: u64, fanout: usize) -> ScenarioBuilder {
-        self.phase(Phase::JoinWave { until_min, fanout })
-    }
-
-    /// Appends a [`Phase::JoinSchedule`].
-    pub fn join_schedule(self, until_min: u64, events: Vec<JoinEvent>) -> ScenarioBuilder {
-        self.phase(Phase::JoinSchedule { until_min, events })
-    }
-
-    /// Appends a [`Phase::Replicate`].
-    pub fn replicate(self, until_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::Replicate { until_min })
-    }
-
-    /// Appends a [`Phase::StartConstruction`].
-    pub fn start_construction(self) -> ScenarioBuilder {
-        self.phase(Phase::StartConstruction)
-    }
-
-    /// Appends a [`Phase::RunUntil`].
-    pub fn run_until(self, until_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::RunUntil { until_min })
-    }
-
-    /// Appends a [`Phase::ConstructUntilQuiescent`].
-    pub fn construct_until_quiescent(self, check_every_min: u64, max_min: u64) -> ScenarioBuilder {
-        self.phase(Phase::ConstructUntilQuiescent {
-            check_every_min,
-            max_min,
-        })
-    }
-
-    /// Appends a [`Phase::QueryLoad`] issued by the whole population.
-    pub fn query_load(self, until_min: u64) -> ScenarioBuilder {
-        self.query_load_from(until_min, 0)
-    }
-
-    /// Appends a [`Phase::QueryLoad`] with an explicit issuer count.
-    pub fn query_load_from(self, until_min: u64, issuers: usize) -> ScenarioBuilder {
-        self.phase(Phase::QueryLoad { until_min, issuers })
-    }
-
-    /// Appends a [`Phase::RangeLoad`].
-    pub fn range_load(self, until_min: u64, issuers: usize, width: f64) -> ScenarioBuilder {
-        self.phase(Phase::RangeLoad {
-            until_min,
-            issuers,
-            width,
-        })
-    }
-
-    /// Appends a [`Phase::Churn`].
-    pub fn churn(
-        self,
-        until_min: u64,
-        lead_ms: Millis,
-        downtime_ms: (Millis, Millis),
-        gap_ms: (Millis, Millis),
-        queries: Option<QuerySpec>,
-    ) -> ScenarioBuilder {
-        self.phase(Phase::Churn {
-            until_min,
-            lead_ms,
-            downtime_ms,
-            gap_ms,
-            queries,
-        })
-    }
-
-    /// Appends a [`Phase::ChurnSchedule`].
-    pub fn churn_schedule(
-        self,
-        until_min: u64,
-        events: Vec<ChurnEvent>,
-        queries: Option<QuerySpec>,
-    ) -> ScenarioBuilder {
-        self.phase(Phase::ChurnSchedule {
-            until_min,
-            events,
-            queries,
-        })
-    }
-
-    /// Appends a [`Phase::ShiftDistribution`].
-    pub fn shift_distribution(
-        self,
-        distribution: Distribution,
-        keys_per_peer: usize,
-    ) -> ScenarioBuilder {
-        self.phase(Phase::ShiftDistribution {
-            distribution,
-            keys_per_peer,
-        })
-    }
-
-    /// Appends a [`Phase::Partition`].
-    pub fn partition(
-        self,
-        groups: Vec<Vec<usize>>,
-        from_min: u64,
-        until_min: u64,
-    ) -> ScenarioBuilder {
-        self.phase(Phase::Partition {
-            groups,
-            from_min,
-            until_min,
-        })
-    }
-
-    /// Appends a [`Phase::Snapshot`].
-    pub fn snapshot(self, label: &str) -> ScenarioBuilder {
-        self.phase(Phase::Snapshot {
-            label: label.to_string(),
-        })
-    }
-
-    /// Appends a [`Phase::Drain`].
-    pub fn drain(self) -> ScenarioBuilder {
-        self.phase(Phase::Drain)
-    }
-
-    /// Finishes the program.
-    pub fn build(self) -> Scenario {
-        Scenario {
-            control_seed: self.control_seed,
-            phases: self.phases,
-        }
+        phases.extend([
+            Phase::QueryLoad {
+                until_min: timeline.query_end_min,
+                issuers: 0,
+            },
+            Phase::Churn {
+                until_min: timeline.end_min,
+                lead_ms: CHURN_LEAD_MS,
+                downtime_ms: CHURN_DOWNTIME_MS,
+                gap_ms: CHURN_GAP_MS,
+                queries: Some(QuerySpec { issuers: 0 }),
+            },
+            Phase::Drain,
+        ]);
+        Scenario::new(seed, phases)
     }
 }
 
@@ -451,20 +316,5 @@ mod tests {
             scenario.phases[5],
             Phase::QueryLoad { until_min, .. } if until_min == timeline.query_end_min
         ));
-    }
-
-    #[test]
-    fn builder_keeps_declaration_order() {
-        let scenario = Scenario::builder(1)
-            .snapshot("a")
-            .run_until(5)
-            .snapshot("b")
-            .build();
-        assert!(matches!(&scenario.phases[0], Phase::Snapshot { label } if label == "a"));
-        assert!(matches!(
-            scenario.phases[1],
-            Phase::RunUntil { until_min: 5 }
-        ));
-        assert!(matches!(&scenario.phases[2], Phase::Snapshot { label } if label == "b"));
     }
 }

@@ -25,10 +25,11 @@ fn identical_timestamps_resolve_in_schedule_order() {
     for peer in 0..8 {
         overlay.join_peer(peer, 3);
     }
-    let scenario = Scenario::builder(3)
-        .churn_schedule(
-            1,
-            vec![
+    let scenario = Scenario::new(
+        3,
+        vec![Phase::ChurnSchedule {
+            until_min: 1,
+            events: vec![
                 ChurnEvent {
                     peer: 0,
                     at: 1_000,
@@ -40,9 +41,9 @@ fn identical_timestamps_resolve_in_schedule_order() {
                     downtime: 1_000,
                 },
             ],
-            None,
-        )
-        .build();
+            queries: None,
+        }],
+    );
 
     // Drive manually to observe the intermediate states.
     let mut probe = runtime(8, 3);
@@ -63,16 +64,29 @@ fn identical_timestamps_resolve_in_schedule_order() {
 
 #[test]
 fn runs_are_deterministic_and_phase_order_is_declaration_order() {
-    let scenario = Scenario::builder(21)
-        .join_wave(2, 4)
-        .replicate(3)
-        .snapshot("replicated")
-        .start_construction()
-        .run_until(10)
-        .snapshot("constructed")
-        .query_load(12)
-        .drain()
-        .build();
+    let scenario = Scenario::new(
+        21,
+        vec![
+            Phase::JoinWave {
+                until_min: 2,
+                fanout: 4,
+            },
+            Phase::Replicate { until_min: 3 },
+            Phase::Snapshot {
+                label: "replicated".into(),
+            },
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 10 },
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            Phase::QueryLoad {
+                until_min: 12,
+                issuers: 0,
+            },
+            Phase::Drain,
+        ],
+    );
 
     let run = |seed| {
         let mut overlay = runtime(24, seed);
@@ -123,11 +137,17 @@ fn hooks_observe_every_phase_in_order() {
             Ok(())
         }
     }
-    let scenario = Scenario::builder(1)
-        .join_wave(1, 3)
-        .run_until(2)
-        .drain()
-        .build();
+    let scenario = Scenario::new(
+        1,
+        vec![
+            Phase::JoinWave {
+                until_min: 1,
+                fanout: 3,
+            },
+            Phase::RunUntil { until_min: 2 },
+            Phase::Drain,
+        ],
+    );
     let mut recorder = Recorder(runtime(8, 1), Vec::new());
     pgrid_scenario::run_hosted(&mut recorder, &scenario).unwrap();
     assert_eq!(recorder.1, vec![0, 1, 2]);

@@ -37,64 +37,90 @@ fn every_phase(seed: u64, n_peers: usize) -> Scenario {
         (n_peers / 2..n_peers).collect::<Vec<_>>(),
     ];
     let query_spec = |issuers| Some(QuerySpec { issuers });
-    Scenario::builder(seed)
-        .join_wave(2, 6)
-        // Two peers re-join with fixed contacts, as a cluster join plan
-        // would hand them.
-        .join_schedule(
-            3,
-            vec![
-                JoinEvent {
-                    at: 2 * MINUTE + 30_000,
-                    peer: 3,
-                    neighbours: vec![PeerId(0), PeerId(1)],
-                },
-                JoinEvent {
-                    at: 2 * MINUTE + 50_000,
-                    peer: 30,
-                    neighbours: vec![PeerId(4), PeerId(5), PeerId(6)],
-                },
-            ],
-        )
-        .replicate(5)
-        .snapshot("replicated")
-        .start_construction()
-        .run_until(12)
-        .construct_until_quiescent(1, 10)
-        .snapshot("constructed")
-        .query_load(24)
-        .range_load(26, 0, 0.1)
-        .snapshot("queried")
-        .partition(halves, 27, 29)
-        .churn(
-            32,
-            2 * MINUTE,
-            (MINUTE, 2 * MINUTE),
-            (2 * MINUTE, 4 * MINUTE),
-            query_spec(0),
-        )
-        .snapshot("churned")
-        .churn_schedule(
-            35,
-            vec![
-                ChurnEvent {
-                    peer: 7,
-                    at: 33 * MINUTE,
-                    downtime: MINUTE,
-                },
-                ChurnEvent {
-                    peer: 19,
-                    at: 33 * MINUTE + 20_000,
-                    downtime: 90_000,
-                },
-            ],
-            query_spec(n_peers / 2),
-        )
-        .shift_distribution(Distribution::Pareto { shape: 1.0 }, 5)
-        .run_until(40)
-        .snapshot("shifted")
-        .drain()
-        .build()
+    let snapshot = |label: &str| Phase::Snapshot {
+        label: label.to_string(),
+    };
+    Scenario::new(
+        seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 2,
+                fanout: 6,
+            },
+            // Two peers re-join with fixed contacts, as a cluster join plan
+            // would hand them.
+            Phase::JoinSchedule {
+                until_min: 3,
+                events: vec![
+                    JoinEvent {
+                        at: 2 * MINUTE + 30_000,
+                        peer: 3,
+                        neighbours: vec![PeerId(0), PeerId(1)],
+                    },
+                    JoinEvent {
+                        at: 2 * MINUTE + 50_000,
+                        peer: 30,
+                        neighbours: vec![PeerId(4), PeerId(5), PeerId(6)],
+                    },
+                ],
+            },
+            Phase::Replicate { until_min: 5 },
+            snapshot("replicated"),
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 12 },
+            Phase::ConstructUntilQuiescent {
+                check_every_min: 1,
+                max_min: 10,
+            },
+            snapshot("constructed"),
+            Phase::QueryLoad {
+                until_min: 24,
+                issuers: 0,
+            },
+            Phase::RangeLoad {
+                until_min: 26,
+                issuers: 0,
+                width: 0.1,
+            },
+            snapshot("queried"),
+            Phase::Partition {
+                groups: halves,
+                from_min: 27,
+                until_min: 29,
+            },
+            Phase::Churn {
+                until_min: 32,
+                lead_ms: 2 * MINUTE,
+                downtime_ms: (MINUTE, 2 * MINUTE),
+                gap_ms: (2 * MINUTE, 4 * MINUTE),
+                queries: query_spec(0),
+            },
+            snapshot("churned"),
+            Phase::ChurnSchedule {
+                until_min: 35,
+                events: vec![
+                    ChurnEvent {
+                        peer: 7,
+                        at: 33 * MINUTE,
+                        downtime: MINUTE,
+                    },
+                    ChurnEvent {
+                        peer: 19,
+                        at: 33 * MINUTE + 20_000,
+                        downtime: 90_000,
+                    },
+                ],
+                queries: query_spec(n_peers / 2),
+            },
+            Phase::ShiftDistribution {
+                distribution: Distribution::Pareto { shape: 1.0 },
+                keys_per_peer: 5,
+            },
+            Phase::RunUntil { until_min: 40 },
+            snapshot("shifted"),
+            Phase::Drain,
+        ],
+    )
 }
 
 fn rows(report: &ScenarioReport) -> Vec<Row> {

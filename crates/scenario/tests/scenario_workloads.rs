@@ -36,29 +36,42 @@ fn config(n_peers: usize, seed: u64) -> NetConfig {
 /// Churn-heavy construction: peers start leaving while the trie is still
 /// being partitioned.
 fn churn_heavy_scenario(seed: u64) -> Scenario {
-    Scenario::builder(seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        // Churn *during* construction: every peer repeatedly drops for
-        // 1–2 minutes with 2–4 minute gaps while partitioning runs.
-        .churn(
-            20,
-            3 * MINUTE,
-            (MINUTE, 2 * MINUTE),
-            (2 * MINUTE, 4 * MINUTE),
-            None,
-        )
-        .snapshot("churned-construction")
-        // Re-arm tick chains that died while their peer was offline (the
-        // churn window kills chains whose tick fires during a downtime),
-        // then let the survivors finish partitioning.
-        .start_construction()
-        .run_until(23)
-        .snapshot("recovered")
-        .query_load(27)
-        .drain()
-        .build()
+    Scenario::new(
+        seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            // Churn *during* construction: every peer repeatedly drops
+            // while partitioning runs.
+            Phase::Churn {
+                until_min: 20,
+                lead_ms: 3 * MINUTE,
+                downtime_ms: (MINUTE, 2 * MINUTE),
+                gap_ms: (2 * MINUTE, 4 * MINUTE),
+                queries: None,
+            },
+            Phase::Snapshot {
+                label: "churned-construction".into(),
+            },
+            // Re-arm tick chains that died while their peer was offline (the
+            // churn window kills chains whose tick fires during a downtime),
+            // then let the survivors finish partitioning.
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 23 },
+            Phase::Snapshot {
+                label: "recovered".into(),
+            },
+            Phase::QueryLoad {
+                until_min: 27,
+                issuers: 0,
+            },
+            Phase::Drain,
+        ],
+    )
 }
 
 fn assert_churn_heavy(report: &ScenarioReport, n_peers: usize) {
@@ -121,16 +134,31 @@ fn churn_heavy_construction_on_tcp() {
 /// Mixed lookup + range load after construction: every issued range must
 /// resolve with full interval coverage of its `[lo, hi]` bounds.
 fn range_load_scenario(seed: u64) -> Scenario {
-    Scenario::builder(seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        .run_until(22)
-        .snapshot("constructed")
-        .query_load(24)
-        .range_load(26, 8, 0.2)
-        .drain()
-        .build()
+    Scenario::new(
+        seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 22 },
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            Phase::QueryLoad {
+                until_min: 24,
+                issuers: 0,
+            },
+            Phase::RangeLoad {
+                until_min: 26,
+                issuers: 8,
+                width: 0.2,
+            },
+            Phase::Drain,
+        ],
+    )
 }
 
 fn assert_range_load(report: &ScenarioReport) {
@@ -177,21 +205,32 @@ fn dead_tick_chains_rearm_and_quiescence_is_reachable_after_churn() {
     // peers must not wedge `ConstructUntilQuiescent`.
     let config = config(32, 5);
     let mut overlay = Runtime::new(config.clone());
-    let scenario = Scenario::builder(config.seed)
-        .join_wave(2, 6)
-        .replicate(4)
-        .start_construction()
-        .churn(
-            15,
-            2 * MINUTE,
-            (MINUTE, 2 * MINUTE),
-            (MINUTE, 2 * MINUTE),
-            None,
-        )
-        .snapshot("after-churn")
-        .start_construction()
-        .construct_until_quiescent(1, 60)
-        .build();
+    let scenario = Scenario::new(
+        config.seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 2,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 4 },
+            Phase::StartConstruction,
+            Phase::Churn {
+                until_min: 15,
+                lead_ms: 2 * MINUTE,
+                downtime_ms: (MINUTE, 2 * MINUTE),
+                gap_ms: (MINUTE, 2 * MINUTE),
+                queries: None,
+            },
+            Phase::Snapshot {
+                label: "after-churn".into(),
+            },
+            Phase::StartConstruction,
+            Phase::ConstructUntilQuiescent {
+                check_every_min: 1,
+                max_min: 60,
+            },
+        ],
+    );
     let report = pgrid_scenario::run(&mut overlay, &scenario);
     assert!(
         overlay.construction_quiescent(),
@@ -211,17 +250,36 @@ fn a_distribution_shift_re_engages_construction_on_loopback() {
     // again after the shift instead of reporting quiescence at once.
     let config = config(48, 7);
     let mut overlay = Runtime::new(config.clone());
-    let scenario = Scenario::builder(config.seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        .construct_until_quiescent(1, 60)
-        .snapshot("constructed")
-        .shift_distribution(Distribution::Pareto { shape: 1.0 }, config.keys_per_peer)
-        .snapshot("shifted")
-        .construct_until_quiescent(1, 60)
-        .snapshot("rebuilt")
-        .build();
+    let construct = Phase::ConstructUntilQuiescent {
+        check_every_min: 1,
+        max_min: 60,
+    };
+    let scenario = Scenario::new(
+        config.seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            construct.clone(),
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            Phase::ShiftDistribution {
+                distribution: Distribution::Pareto { shape: 1.0 },
+                keys_per_peer: config.keys_per_peer,
+            },
+            Phase::Snapshot {
+                label: "shifted".into(),
+            },
+            construct,
+            Phase::Snapshot {
+                label: "rebuilt".into(),
+            },
+        ],
+    );
     let keys_before = overlay.original_entries_of(IndexId::PRIMARY).len();
     let report = pgrid_scenario::run(&mut overlay, &scenario);
     assert_eq!(

@@ -5,7 +5,7 @@ use pgrid_workload::distributions::Distribution;
 
 /// Which probability functions the construction uses for its split
 /// decisions — the knob behind the "theory vs. heuristics" experiment
-/// (Figure 6d) and the corrected-probability ablation.
+/// (Figure 6d).
 ///
 /// This is the shared [`pgrid_core::exchange::ProbabilityStrategy`] under
 /// its historical simulator name.

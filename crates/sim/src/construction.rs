@@ -60,10 +60,6 @@ use rand::SeedableRng;
 /// constant, e.g. 2).
 const MAX_FRUITLESS_ATTEMPTS: u32 = 2;
 
-/// Maximum number of refer hops followed within one initiated interaction
-/// before giving up.
-pub(crate) const MAX_REFER_HOPS: usize = 6;
-
 /// How many times the normal fruitless budget a locally-overloaded peer may
 /// keep initiating before it, too, backs off and waits to be contacted.
 const OVERLOADED_PATIENCE: u32 = 8;

@@ -40,8 +40,8 @@
 //! post-batch peer states — from a copy of that stream.
 
 use crate::config::SimConfig;
-use crate::construction::MAX_REFER_HOPS;
 use crate::unstructured::UnstructuredOverlay;
+use pgrid_core::exchange::MAX_REFER_HOPS;
 use pgrid_core::peer::PeerState;
 use pgrid_core::route;
 use pgrid_core::routing::RoutingEntry;

@@ -17,28 +17,40 @@ use pgrid::prelude::*;
 const MINUTE: u64 = 60_000;
 
 fn scenario(seed: u64) -> Scenario {
-    Scenario::builder(seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        // Churn during construction: drops of 1–2 minutes with 2–4 minute
-        // gaps, starting while partitioning is in full swing.
-        .churn(
-            20,
-            3 * MINUTE,
-            (MINUTE, 2 * MINUTE),
-            (2 * MINUTE, 4 * MINUTE),
-            None,
-        )
-        .snapshot("churned construction")
-        // Re-arm tick chains that died while their peer was offline, so
-        // the survivors finish partitioning before the query load.
-        .start_construction()
-        .run_until(23)
-        .snapshot("recovered")
-        .query_load(27)
-        .drain()
-        .build()
+    Scenario::new(
+        seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            // Churn while partitioning is in full swing.
+            Phase::Churn {
+                until_min: 20,
+                lead_ms: 3 * MINUTE,
+                downtime_ms: (MINUTE, 2 * MINUTE),
+                gap_ms: (2 * MINUTE, 4 * MINUTE),
+                queries: None,
+            },
+            Phase::Snapshot {
+                label: "churned construction".into(),
+            },
+            // Re-arm tick chains that died while their peer was offline, so
+            // the survivors finish partitioning before the query load.
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 23 },
+            Phase::Snapshot {
+                label: "recovered".into(),
+            },
+            Phase::QueryLoad {
+                until_min: 27,
+                issuers: 0,
+            },
+            Phase::Drain,
+        ],
+    )
 }
 
 #[cfg_attr(test, allow(dead_code))]

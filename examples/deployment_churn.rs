@@ -40,22 +40,37 @@ fn run(smoke: bool) {
     // The Section-5 timeline, spelled out with the scenario builder (the
     // canned `Scenario::from_timeline` builds the same program), plus two
     // snapshots.
-    let scenario = Scenario::builder(config.seed)
-        .join_wave(timeline.join_end_min, JOIN_FANOUT)
-        .replicate(timeline.replicate_end_min)
-        .start_construction()
-        .run_until(timeline.construct_end_min)
-        .snapshot("constructed")
-        .query_load(timeline.query_end_min)
-        .churn(
-            timeline.end_min,
-            CHURN_LEAD_MS,
-            CHURN_DOWNTIME_MS,
-            CHURN_GAP_MS,
-            Some(QuerySpec { issuers: 0 }),
-        )
-        .drain()
-        .build();
+    let scenario = Scenario::new(
+        config.seed,
+        vec![
+            Phase::JoinWave {
+                until_min: timeline.join_end_min,
+                fanout: JOIN_FANOUT,
+            },
+            Phase::Replicate {
+                until_min: timeline.replicate_end_min,
+            },
+            Phase::StartConstruction,
+            Phase::RunUntil {
+                until_min: timeline.construct_end_min,
+            },
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            Phase::QueryLoad {
+                until_min: timeline.query_end_min,
+                issuers: 0,
+            },
+            Phase::Churn {
+                until_min: timeline.end_min,
+                lead_ms: CHURN_LEAD_MS,
+                downtime_ms: CHURN_DOWNTIME_MS,
+                gap_ms: CHURN_GAP_MS,
+                queries: Some(QuerySpec { issuers: 0 }),
+            },
+            Phase::Drain,
+        ],
+    );
 
     println!(
         "running the deployment scenario: {} peers, {} phases, phases join<{} replicate<{} construct<{} query<{} churn<{} (minutes)",

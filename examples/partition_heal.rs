@@ -8,7 +8,7 @@
 //!
 //! The overlay is constructed on a healthy network, then the loopback
 //! transport drops every frame crossing a two-halves split for a few
-//! minutes of the query load ([`Scenario::builder`]'s `partition` phase —
+//! minutes of the query load ([`Phase::Partition`] —
 //! seeded fault injection, so the run is reproducible).  Queries whose key
 //! lives on the issuing side still succeed; cross-partition lookups fail
 //! until the window closes, after which the same load converges again —
@@ -26,22 +26,44 @@ fn scenario(seed: u64, n_peers: usize) -> Scenario {
         (0..n_peers / 2).collect::<Vec<_>>(),
         (n_peers / 2..n_peers).collect::<Vec<_>>(),
     ];
-    Scenario::builder(seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        .run_until(16)
-        .snapshot("constructed")
-        // The split is armed now and the transport enforces the window:
-        // every frame crossing the halves between minutes 17 and 20 is
-        // dropped, then the network heals on its own.
-        .partition(halves, 17, 20)
-        .query_load(20)
-        .snapshot("partitioned")
-        .query_load(24)
-        .snapshot("healed")
-        .drain()
-        .build()
+    Scenario::new(
+        seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            Phase::RunUntil { until_min: 16 },
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            // The split is armed now and the transport enforces the window:
+            // every frame crossing the halves between minutes 17 and 20 is
+            // dropped, then the network heals on its own.
+            Phase::Partition {
+                groups: halves,
+                from_min: 17,
+                until_min: 20,
+            },
+            Phase::QueryLoad {
+                until_min: 20,
+                issuers: 0,
+            },
+            Phase::Snapshot {
+                label: "partitioned".into(),
+            },
+            Phase::QueryLoad {
+                until_min: 24,
+                issuers: 0,
+            },
+            Phase::Snapshot {
+                label: "healed".into(),
+            },
+            Phase::Drain,
+        ],
+    )
 }
 
 #[cfg_attr(test, allow(dead_code))]

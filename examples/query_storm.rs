@@ -40,16 +40,33 @@ fn run(smoke: bool) {
         ..NetConfig::default()
     };
 
-    let scenario = Scenario::builder(config.seed)
-        .join_wave(3, 6)
-        .replicate(5)
-        .start_construction()
-        .run_until(construct_min)
-        .snapshot("constructed")
-        .range_load(range_min, 0, RANGE_LOAD_WIDTH)
-        .query_load(query_min)
-        .drain()
-        .build();
+    let scenario = Scenario::new(
+        config.seed,
+        vec![
+            Phase::JoinWave {
+                until_min: 3,
+                fanout: 6,
+            },
+            Phase::Replicate { until_min: 5 },
+            Phase::StartConstruction,
+            Phase::RunUntil {
+                until_min: construct_min,
+            },
+            Phase::Snapshot {
+                label: "constructed".into(),
+            },
+            Phase::RangeLoad {
+                until_min: range_min,
+                issuers: 0,
+                width: RANGE_LOAD_WIDTH,
+            },
+            Phase::QueryLoad {
+                until_min: query_min,
+                issuers: 0,
+            },
+            Phase::Drain,
+        ],
+    );
 
     println!(
         "query storm: {} peers, construct<{} range<{} lookups<{} (minutes)",

@@ -46,16 +46,33 @@ fn run(smoke: bool) {
 
         // One scenario: build the uniform index, then shift the extraction
         // function to Pareto and let the network re-balance.
-        let scenario = Scenario::builder(config.seed)
-            .join_wave(3, 6)
-            .replicate(5)
-            .start_construction()
-            .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
-            .snapshot("uniform index")
-            .shift_distribution(shifted, config.keys_per_peer)
-            .construct_until_quiescent(1, CONSTRUCT_MAX_MIN)
-            .snapshot("after shift")
-            .build();
+        let settle = Phase::ConstructUntilQuiescent {
+            check_every_min: 1,
+            max_min: CONSTRUCT_MAX_MIN,
+        };
+        let scenario = Scenario::new(
+            config.seed,
+            vec![
+                Phase::JoinWave {
+                    until_min: 3,
+                    fanout: 6,
+                },
+                Phase::Replicate { until_min: 5 },
+                Phase::StartConstruction,
+                settle.clone(),
+                Phase::Snapshot {
+                    label: "uniform index".into(),
+                },
+                Phase::ShiftDistribution {
+                    distribution: shifted,
+                    keys_per_peer: config.keys_per_peer,
+                },
+                settle,
+                Phase::Snapshot {
+                    label: "after shift".into(),
+                },
+            ],
+        );
         let mut overlay = Runtime::new(config.clone());
         let report = pgrid::scenario::run(&mut overlay, &scenario);
 
