@@ -26,7 +26,7 @@
 //!    [`PeerState`]s (the simulator applies it directly; the deployment
 //!    runtime serialises the equivalent transition into its wire protocol).
 
-use crate::key::DataEntry;
+use crate::key::{DataEntry, Key};
 use crate::path::{Path, MAX_PATH_LEN};
 use crate::peer::PeerState;
 use crate::reference::BalanceParams;
@@ -271,8 +271,15 @@ impl ExchangeEngine {
     /// runtimes (a peer with local evidence never goes dormant).
     pub fn locally_overloaded(&self, peer: &PeerState) -> bool {
         let own = peer.store.covered(&peer.path);
-        own.len() >= 2 * self.params.delta_max
-            && matches!((own.first(), own.last()), (Some(lo), Some(hi)) if lo.key != hi.key)
+        let span = own.first().zip(own.last()).map(|(lo, hi)| (lo.key, hi.key));
+        self.overloaded(own.len(), span)
+    }
+
+    /// [`ExchangeEngine::locally_overloaded`] on the numbers a
+    /// [`Summary`](crate::store::Summary) of the peer's partition carries:
+    /// `count` entries whose keys span `span`.
+    pub fn overloaded(&self, count: usize, span: Option<(Key, Key)>) -> bool {
+        count >= 2 * self.params.delta_max && matches!(span, Some((lo, hi)) if lo != hi)
     }
 
     /// The bilateral decision of Figure 2 for one encounter.

@@ -145,12 +145,14 @@ impl RoutingTable {
         }
     }
 
-    /// Iterator over `(level, entry)` pairs.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, &RoutingEntry)> {
-        self.levels
-            .iter()
-            .enumerate()
-            .flat_map(|(lvl, level)| level.refs().iter().map(move |e| (lvl, e)))
+    /// Iterator over `(level, entry)` pairs, level by level.  It knows its
+    /// length, so a `collect` allocates once, at the right size.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (usize, &RoutingEntry)> {
+        let len = self.levels.iter().map(|level| usize::from(level.len)).sum();
+        let mut walk = (self.levels.iter().enumerate())
+            .flat_map(|(lvl, level)| level.refs().iter().map(move |e| (lvl, e)));
+        // `len` counts every reference the walk yields.
+        (0..len).map(move |_| walk.next().expect("a reference for every one counted"))
     }
 
     /// Checks the structural routing invariant against the owner's path:

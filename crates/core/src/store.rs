@@ -28,8 +28,10 @@
 //! | `len`, `iter`, `clone`, `shares_storage_with` | O(1) |
 //! | `contains`, `contains_key`, the lower bound of `range`, `restricted`, `count_in`, `key_span_in` | a search of the 15 splitters + O(log(k / 16)) in one window |
 //! | the upper bound of `range` | a gallop from the lower bound, O(log r) for `r` entries in range |
-//! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares |
+//! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares; the first two none on one piece of a shared run |
 //! | `digest` | one walk, O(k), two multiply chains side by side |
+//! | `summary` kept in a [`SummaryMemo`] of this run and path | O(1), a pointer comparison |
+//! | `summary` under another path, or of another run | a search and the `digest` walk of what the path covers |
 //! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run (and its splitters) iff something is new |
 //! | `split_retain` | two splitter searches + two `memcpy`s |
 //! | `from_entries` | sort + dedup, O(k log k) (O(k) on sorted input) |
@@ -48,7 +50,7 @@ use crate::path::Path;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The entries of the ascending `run` covered by `path`.
 fn covered<'a>(run: &'a [DataEntry], path: &Path) -> &'a [DataEntry] {
@@ -105,6 +107,38 @@ fn digest(run: &[DataEntry]) -> u64 {
         ids = (ids ^ entry.id.0).wrapping_mul(DIGEST_MUL).rotate_left(31);
     }
     keys ^ ids.rotate_left(32)
+}
+
+/// The count and [`StoreRead::digest`] of a store's entries under one path
+/// (what an exchange offers), and their smallest and largest key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Summary {
+    /// Number of entries under the path.
+    pub count: usize,
+    /// Their digest.
+    pub digest: u64,
+    /// Their smallest and largest key; `None` when there are none.
+    pub span: Option<(Key, Key)>,
+}
+
+impl Summary {
+    fn of(run: &[DataEntry]) -> Summary {
+        Summary {
+            count: run.len(),
+            digest: digest(run),
+            span: run.first().zip(run.last()).map(|(lo, hi)| (lo.key, hi.key)),
+        }
+    }
+}
+
+/// A [`Summary`], the path it was taken under and a weak handle on the run
+/// it was taken of, kept by a caller that asks again (a peer, each tick).
+/// While the handle lives the run keeps its entries: `Arc::make_mut` moves
+/// a run with weak handles rather than change it in place, every other
+/// mutator writes a new run, and the allocation is not reused.
+#[derive(Default)]
+pub struct SummaryMemo {
+    taken: Option<(Weak<Run>, Path, Summary)>,
 }
 
 /// Read-only access to a set of entries held as one ascending run,
@@ -174,10 +208,14 @@ pub trait StoreRead {
     }
 
     /// Entries of `self` that are missing in `target` (what anti-entropy
-    /// would push from here to there), ascending.
+    /// would push from here to there), ascending: none, and no walk, when
+    /// both are the same piece of one shared run.
     fn missing_in(&self, target: &impl StoreRead) -> Vec<DataEntry> {
         let theirs = target.as_slice();
         let mut missing = Vec::new();
+        if std::ptr::eq(self.as_slice(), theirs) {
+            return missing;
+        }
         let mut j = 0;
         for entry in self.as_slice() {
             while j < theirs.len() && theirs[j] < *entry {
@@ -475,6 +513,20 @@ impl KeyStore {
         RestrictedView {
             run: self.covered(path),
         }
+    }
+
+    /// The [`Summary`] of the entries covered by `path`: from `memo` if it
+    /// was taken of this run under this path (the run is not read), else
+    /// walked (the `true`) and kept in `memo`.
+    pub fn summary(&self, path: &Path, memo: &mut SummaryMemo) -> (Summary, bool) {
+        if let Some((run, at, summary)) = &memo.taken {
+            if at == path && std::ptr::eq(run.as_ptr(), Arc::as_ptr(&self.run)) {
+                return (*summary, false);
+            }
+        }
+        let summary = Summary::of(self.run.covered(path));
+        memo.taken = Some((Arc::downgrade(&self.run), *path, summary));
+        (summary, true)
     }
 
     /// Removes and returns all entries (ascending), leaving the store empty.

@@ -1,8 +1,9 @@
 //! Oracle test of `RoutingTable`: random `add` scripts replayed on the
 //! fixed-slot table and on a `Vec<Vec<RoutingEntry>>` reference (the table
 //! as it was kept before the levels moved into fixed slots) must agree on
-//! every level, on the iteration order, on the number of levels and on the
-//! random stream, after every step.
+//! every level, on the iteration order and the length the iteration
+//! reports, on the number of levels and on the random stream, after every
+//! step.
 //!
 //! Levels 0–12 are drawn with a bias towards the first three, and peers
 //! come from a pool of nine, so duplicate references, full levels (and
@@ -76,6 +77,12 @@ fn check_agrees(
         .enumerate()
         .flat_map(|(l, refs)| refs.iter().map(move |e| (l, *e)))
         .collect();
+    // The walk knows how many references it has left, at every step.
+    let mut walk = table.entries();
+    for left in (0..=expected.len()).rev() {
+        prop_assert_eq!(walk.len(), left);
+        prop_assert_eq!(walk.next().is_some(), left > 0);
+    }
     prop_assert_eq!(got, expected);
     prop_assert_eq!(
         table_rng.clone().gen::<u64>(),

@@ -12,12 +12,18 @@
 //! The summary an exchange offers — the count and digest of a store's
 //! entries under a path — is checked here too: equal exactly when those
 //! entries are, blind to everything outside the path, and a recorded
-//! constant for a fixed run.
+//! constant for a fixed run.  A summary a `SummaryMemo` keeps is checked
+//! against a fresh walk after every kind of mutation, and so is the
+//! overload test that reads it.
 
+use pgrid_core::exchange::ExchangeEngine;
 use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::{Path, MAX_PATH_LEN};
+use pgrid_core::peer::PeerState;
+use pgrid_core::reference::BalanceParams;
 use pgrid_core::replication::reconcile;
-use pgrid_core::store::{KeyStore, StoreRead};
+use pgrid_core::routing::PeerId;
+use pgrid_core::store::{KeyStore, StoreRead, SummaryMemo};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -221,6 +227,39 @@ fn step(
             prop_assert_eq!(&KeyStore::from_entries(input), &*store);
         }
     }
+    Ok(())
+}
+
+/// `store`'s summary under `path`, as `memo` keeps it, is the one a fresh
+/// walk of the covered entries gives, and a second call takes it from the
+/// memo; the overload test on it agrees with
+/// `ExchangeEngine::locally_overloaded` on a peer holding `store` at
+/// `path`.
+fn check_summary(store: &KeyStore, path: &Path, memo: &mut SummaryMemo) -> TestCaseResult {
+    let view = store.restricted(path);
+    let fresh = (view.len(), view.digest(), store.key_span_in(path));
+    let (summary, _) = store.summary(path, memo);
+    prop_assert_eq!(
+        (path, summary.count, summary.digest, summary.span),
+        (path, fresh.0, fresh.1, fresh.2)
+    );
+    let (again, walked) = store.summary(path, memo);
+    prop_assert_eq!(again, summary);
+    prop_assert!(
+        !walked,
+        "an unchanged run under an unchanged path was walked again"
+    );
+    // Two entries make a partition overloaded, so both answers occur.
+    let engine = ExchangeEngine::new(BalanceParams::new(1, 1));
+    let peer = PeerState {
+        path: *path,
+        store: store.clone(),
+        ..PeerState::new(PeerId(0), 1)
+    };
+    prop_assert_eq!(
+        engine.overloaded(summary.count, summary.span),
+        engine.locally_overloaded(&peer)
+    );
     Ok(())
 }
 
@@ -445,6 +484,44 @@ proptest! {
             check_agrees(&store, &model, probe, &other)?;
             for (snapshot, frozen) in &snapshots {
                 prop_assert!(snapshot.iter().eq(frozen.iter()), "a snapshot changed");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 2048 }))]
+
+    // The model test's operation script — inserts and removes with and
+    // without a live snapshot, merges, splits, drains, reconciliations that
+    // leave two stores on one run — runs between summaries a memo keeps;
+    // the path moves now and then over a run that did not change.  After
+    // every step the store's memo and each snapshot's own memo hold a fresh
+    // walk's summary.
+    #[test]
+    fn a_memoised_summary_is_the_summary_of_a_fresh_walk(
+        words in proptest::collection::vec(any::<u64>(), 0..160),
+    ) {
+        let mut store = KeyStore::new();
+        let mut model = Model::new();
+        let mut snapshots: Vec<(KeyStore, Model)> = Vec::new();
+        let mut memos: Vec<SummaryMemo> = Vec::new();
+        let mut memo = SummaryMemo::default();
+        let mut path = Path::root();
+        let mut words = words.into_iter();
+        while let Some(op) = words.next() {
+            store.summary(&path, &mut memo);
+            match op >> 3 & 7 {
+                0 => path = path_of(op >> 6),
+                // Later in-place mutations find the run unshared again.
+                1 => snapshots.clear(),
+                _ => {}
+            }
+            step(&mut store, &mut model, &mut snapshots, &mut words, op)?;
+            check_summary(&store, &path, &mut memo)?;
+            memos.resize_with(snapshots.len(), SummaryMemo::default);
+            for ((snapshot, _), memo) in snapshots.iter().zip(&mut memos) {
+                check_summary(snapshot, &path, memo)?;
             }
         }
     }

@@ -205,7 +205,8 @@ impl DurableStore {
 
         // Shared storage means the store was not touched since its last
         // observation; only a store that was copied needs the walk.
-        let (added, removed) = if store.shares_storage_with(&mirror.entries) {
+        let shared = store.shares_storage_with(&mirror.entries);
+        let (added, removed) = if shared {
             (Vec::new(), Vec::new())
         } else {
             (
@@ -226,8 +227,11 @@ impl DurableStore {
                 encode_delta_into(index, peer, &delta, buf)
             })?;
         }
-        // The log now says what the store holds: (re-)share its storage.
-        mirror.entries = store.clone();
+        // The log now says what the store holds: share its storage, unless
+        // the mirror already does.
+        if !shared {
+            mirror.entries = store.clone();
+        }
         mirror.path = path;
         if let Some(routing) = delta.routing {
             mirror.routing = routing;

@@ -24,13 +24,13 @@
 //! peer at once, at most `MAX_REFER_HOPS - 1` times between two ticks.
 
 use super::clock::EventKind;
-use super::{Millis, Peer, Runtime};
+use super::{Millis, NetMetrics, Peer, Runtime};
 use crate::message::{ExchangeOutcome, Message};
 use pgrid_core::exchange::{ExchangeDecision, ExchangeEngine, MAX_REFER_HOPS};
 use pgrid_core::key::DataEntry;
 use pgrid_core::path::Path;
 use pgrid_core::routing::{PeerId, RoutingEntry};
-use pgrid_core::store::{KeyStore, StoreRead};
+use pgrid_core::store::{KeyStore, StoreRead, Summary};
 use pgrid_core::wire::{Be, Entries};
 use pgrid_obs::trace::AMBIENT_TRACE;
 use pgrid_transport::Transport;
@@ -97,6 +97,7 @@ impl<T: Transport> Runtime<T> {
             }
         }
         self.peers[peer].neighbours = neighbours;
+        self.contacts.offsets.clear();
         self.rebuild_online_cache();
     }
 
@@ -170,7 +171,7 @@ impl<T: Transport> Runtime<T> {
         self.hosted_peers()
             .map(|p| &self.peers[p])
             .filter(|p| p.state.online && p.tick_armed)
-            .all(|p| p.backing_off(&self.engine))
+            .all(|p| p.backing_off(self.engine.locally_overloaded(&p.state)))
     }
 
     pub(super) fn construct_tick(&mut self, peer: usize) {
@@ -186,10 +187,12 @@ impl<T: Transport> Runtime<T> {
         // a much lower rate, which provides the background anti-entropy
         // that keeps replicas converged during the operational phase (and
         // shows up as the residual maintenance bandwidth of Figure 8).
-        let backing_off = ticking.backing_off(&self.engine);
+        let own = ticking.own_summary(&mut self.metrics);
+        let backing_off = ticking.backing_off(self.engine.overloaded(own.count, own.span));
         ticking.referrals = 0;
         if let Some(target) = self.random_contact(peer) {
-            self.send(target, self.peers[peer].offer());
+            let offer = self.peers[peer].offer(&mut self.metrics);
+            self.send(target, offer);
         }
         let interval = CONSTRUCT_INTERVAL_MS * if backing_off { 10 } else { 1 };
         let jitter = self.rng.gen_range(0..interval);
@@ -220,7 +223,15 @@ impl<T: Transport> Runtime<T> {
         // the responder's run, never change it in place.
         let own = me.state.store.clone();
         let known = own.restricted(&path);
-        if known.len() == count as usize && known.digest() == digest {
+        let same = known.len() == count as usize
+            && digest
+                == if path == me.state.path {
+                    me.own_summary(&mut self.metrics).digest
+                } else {
+                    self.metrics.digested_entries += known.len();
+                    known.digest()
+                };
+        if same {
             let outcome = me.decide_exchange(&self.engine, from, path, &known, &mut self.rng);
             self.reply_exchange(responder, from, outcome, true);
         } else {
@@ -302,9 +313,13 @@ impl<T: Transport> Runtime<T> {
             .learn_reference(responder, responder_path, &mut self.rng);
         if let ExchangeOutcome::Want { path } = outcome {
             self.answer_want(initiator, responder.0 as usize, path);
-        } else if let Some((to, message)) =
-            me.apply_decision(responder, responder_path, outcome, &mut self.rng)
-        {
+        } else if let Some((to, message)) = me.apply_decision(
+            responder,
+            responder_path,
+            outcome,
+            &mut self.rng,
+            &mut self.metrics,
+        ) {
             self.send(to.0 as usize, message);
         }
         self.lookups.invalidate_routes(initiator);
@@ -315,9 +330,10 @@ impl<T: Transport> Runtime<T> {
     /// the initiator's path is still `path`; a path that has moved is
     /// offered afresh, so no decision is taken on a stale one.
     fn answer_want(&mut self, initiator: usize, responder: usize, path: Path) {
-        let me = &self.peers[initiator];
+        let me = &mut self.peers[initiator];
         if me.state.path != path {
-            return self.send(responder, me.offer());
+            let offer = me.offer(&mut self.metrics);
+            return self.send(responder, offer);
         }
         let run = me.state.store.restricted(&path);
         let bytes = self.links.stage(responder, |buf| {
@@ -330,21 +346,33 @@ impl<T: Transport> Runtime<T> {
 impl Peer {
     /// Whether the peer ticks at the slow rate: after repeated fruitless
     /// exchanges, unless its store clearly indicates an overloaded, still
-    /// splittable partition.
-    fn backing_off(&self, engine: &ExchangeEngine) -> bool {
-        self.fruitless >= 4 && !engine.locally_overloaded(&self.state)
+    /// splittable partition ([`ExchangeEngine::overloaded`]).
+    fn backing_off(&self, overloaded: bool) -> bool {
+        self.fruitless >= 4 && !overloaded
+    }
+
+    /// The summary of the peer's own partition, from its memo while path
+    /// and run are unchanged; a walk is counted in
+    /// [`NetMetrics::digested_entries`].
+    fn own_summary(&mut self, metrics: &mut NetMetrics) -> Summary {
+        let state = &self.state;
+        let (summary, walked) = state.store.summary(&state.path, &mut self.summary);
+        if walked {
+            metrics.digested_entries += summary.count;
+        }
+        summary
     }
 
     /// The `Offer` that opens an exchange: the peer's path and the count
-    /// and digest of its entries there, summarised where they lie.  It is
-    /// maintenance traffic and never enveloped.
-    fn offer(&self) -> Message {
-        let run = self.state.store.restricted(&self.state.path);
+    /// and digest of its entries there.  It is maintenance traffic and
+    /// never enveloped.
+    fn offer(&mut self, metrics: &mut NetMetrics) -> Message {
+        let summary = self.own_summary(metrics);
         Message::Offer {
             from: self.state.id,
             path: self.state.path,
-            count: u32::try_from(run.len()).unwrap_or(u32::MAX),
-            digest: run.digest(),
+            count: u32::try_from(summary.count).unwrap_or(u32::MAX),
+            digest: summary.digest,
         }
     }
 
@@ -522,6 +550,7 @@ impl Peer {
         responder_path: Path,
         outcome: ExchangeOutcome,
         rng: &mut StdRng,
+        metrics: &mut NetMetrics,
     ) -> Option<(PeerId, Message)> {
         let state = &mut self.state;
         let mut send = None;
@@ -537,7 +566,7 @@ impl Peer {
                     && usize::from(self.referrals) + 1 < MAX_REFER_HOPS
                 {
                     self.referrals += 1;
-                    send = Some((peer, self.offer()));
+                    send = Some((peer, self.offer(metrics)));
                 }
                 false
             }

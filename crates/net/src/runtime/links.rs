@@ -201,7 +201,7 @@ impl<T> Links<T> {
     /// Whether the link to `peer` is usable as a forwarding target (hosted
     /// peers always are; remote ones unless their link is Dead).
     pub(super) fn ok(&self, peer: usize) -> bool {
-        !matches!(self.health.get(&peer), Some(LinkHealth::Dead))
+        self.health.is_empty() || !matches!(self.health.get(&peer), Some(LinkHealth::Dead))
     }
 }
 
@@ -315,11 +315,14 @@ impl<T: Transport> Runtime<T> {
         let lost = self
             .rng
             .gen_bool(self.config.loss_probability.clamp(0.0, 1.0));
-        let suppressed = match self.links.health.get(&to) {
-            Some(LinkHealth::Dead) => true,
-            Some(LinkHealth::Suspect { retry_at, .. }) => now < *retry_at,
-            _ => false,
-        };
+        // No link is looked up until a send has failed.
+        let healthy = self.links.health.is_empty();
+        let suppressed = !healthy
+            && match self.links.health.get(&to) {
+                Some(LinkHealth::Dead) => true,
+                Some(LinkHealth::Suspect { retry_at, .. }) => now < *retry_at,
+                _ => false,
+            };
         if lost || suppressed {
             self.metrics.messages_lost += payloads.len();
             return;
@@ -355,7 +358,7 @@ impl<T: Transport> Runtime<T> {
             // escalates the link's life-cycle state.
             self.metrics.messages_lost += payloads.len();
             self.record_link_failure(to);
-        } else {
+        } else if !healthy {
             // A successful retry heals the link.
             self.links.health.remove(&to);
         }

@@ -17,6 +17,7 @@ use pgrid_obs::trace::NO_TRACE;
 use pgrid_transport::Transport;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How often a stalled range walk is restarted before the origin reports
 /// the range incomplete.
@@ -52,18 +53,15 @@ impl Coverage {
         }
         self.intervals.push((from, upto));
         self.intervals.sort_unstable();
-        let mut merged: Vec<(Key, Key)> = Vec::with_capacity(self.intervals.len());
-        for &(a, b) in &self.intervals {
-            match merged.last_mut() {
-                // Merge overlapping or adjacent intervals ([x, k] and
-                // [k+1, y] are contiguous key ranges).
-                Some(last) if a.0 <= last.1 .0.saturating_add(1) => {
-                    last.1 = last.1.max(b);
-                }
-                _ => merged.push((a, b)),
+        // Merge overlapping or adjacent intervals ([x, k] and [k+1, y] are
+        // contiguous key ranges) in place.
+        self.intervals.dedup_by(|(a, b), last| {
+            let joins = a.0 <= last.1 .0.saturating_add(1);
+            if joins {
+                last.1 = last.1.max(*b);
             }
-        }
-        self.intervals = merged;
+            joins
+        });
     }
 
     /// Whether one merged interval covers all of `[lo, hi]`.
@@ -131,12 +129,36 @@ impl RangeState {
     }
 }
 
+/// Hashes a query id with one multiply by 2⁶⁴ / φ, which varies both the
+/// low bits a table indexes by and the high bits it tags slots with.  The
+/// runtime issues the ids itself, so none needs SipHash's defence against
+/// crafted collisions.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an id hashes as one u64")
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Outstanding queries by the id the runtime issued them under.
+type ById<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// Origin-side query state and the routing memo.
 #[derive(Default)]
 pub(super) struct Lookups {
     next_id: u64,
-    queries: HashMap<u64, PendingQuery>,
-    ranges: HashMap<u64, RangeState>,
+    queries: ById<PendingQuery>,
+    ranges: ById<RangeState>,
     /// Expiry deadlines of outstanding queries in issue order.  The
     /// timeout is a constant, so the queue is naturally sorted and expiry
     /// is a lazy front-sweep instead of one heap event per query (the

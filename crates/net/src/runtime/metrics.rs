@@ -7,7 +7,7 @@ use super::{check_index, Millis};
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::index::IndexId;
 use pgrid_core::key::{DataEntry, Key};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Classified bandwidth counters for one time bucket.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -189,7 +189,7 @@ impl QueryAggregates {
 #[derive(Clone, Debug)]
 pub struct NetMetrics {
     /// Bandwidth per one-minute bucket of virtual time.
-    pub bandwidth_per_minute: HashMap<u64, BandwidthSample>,
+    pub bandwidth_per_minute: BTreeMap<u64, BandwidthSample>,
     /// Bounded query statistics.
     pub query_stats: QueryAggregates,
     /// The most recent resolved lookups, capped at
@@ -235,12 +235,15 @@ pub struct NetMetrics {
     /// Entries merged into warm-restored peers by reconciliation (what
     /// the log had missed since its last sync).
     pub reconciled_entries: usize,
+    /// Entries walked to digest a partition, for an offer or a responder's
+    /// check of one (a memoised summary walks none).
+    pub digested_entries: usize,
 }
 
 impl Default for NetMetrics {
     fn default() -> Self {
         NetMetrics {
-            bandwidth_per_minute: HashMap::new(),
+            bandwidth_per_minute: BTreeMap::new(),
             query_stats: QueryAggregates::default(),
             query_samples: VecDeque::new(),
             range_samples: VecDeque::new(),
@@ -258,6 +261,7 @@ impl Default for NetMetrics {
             peers_recovered_warm: 0,
             peers_reconciled: 0,
             reconciled_entries: 0,
+            digested_entries: 0,
         }
     }
 }
@@ -458,11 +462,16 @@ impl NetMetrics {
     /// Charges `size` wire bytes sent at `now` to the query or the
     /// maintenance class of that minute's bucket.
     pub(super) fn account(&mut self, now: Millis, size: usize, query_traffic: bool) {
-        let entry = self.bandwidth_per_minute.entry(now / 60_000).or_default();
+        let minute = now / 60_000;
+        // Time only moves forward: the bucket is the last one or a new one.
+        let bucket = match self.bandwidth_per_minute.last_entry() {
+            Some(last) if *last.key() == minute => last.into_mut(),
+            _ => self.bandwidth_per_minute.entry(minute).or_default(),
+        };
         if query_traffic {
-            entry.query_bytes += size;
+            bucket.query_bytes += size;
         } else {
-            entry.maintenance_bytes += size;
+            bucket.maintenance_bytes += size;
         }
     }
 }

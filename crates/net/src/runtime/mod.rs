@@ -68,6 +68,7 @@ use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::peer::PeerState;
 use pgrid_core::reference::BalanceParams;
 use pgrid_core::routing::{self, PeerId};
+use pgrid_core::store::SummaryMemo;
 use pgrid_obs::recorder::FlightRecorder;
 use pgrid_obs::trace::{Tracer, NO_TRACE};
 use pgrid_transport::loopback::{LoopbackConfig, LoopbackTransport};
@@ -168,6 +169,36 @@ struct Peer {
     fruitless: u32,
     /// Referrals followed since the last tick.
     referrals: u8,
+    /// The summary of its own partition the peer last took.
+    summary: SummaryMemo,
+}
+
+/// A flat copy of the neighbour lists, which `random_contact` walks: peer
+/// `i`'s are `ids[offsets[i]..offsets[i + 1]]`, in `Peer::neighbours`
+/// order, so a draw picks the same peer.  A join empties it; the next walk
+/// rebuilds it.
+#[derive(Default)]
+struct Contacts {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Contacts {
+    fn rebuild(&mut self, peers: &[Peer]) {
+        let narrow = |n: u64| u32::try_from(n).expect("fewer than 2^32 peers and links");
+        self.ids.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        for peer in peers {
+            self.ids.extend(peer.neighbours.iter().map(|n| narrow(n.0)));
+            self.offsets.push(narrow(self.ids.len() as u64));
+        }
+    }
+
+    /// The neighbours of `peer`.
+    fn of(&self, peer: usize) -> &[u32] {
+        &self.ids[self.offsets[peer] as usize..self.offsets[peer + 1] as usize]
+    }
 }
 
 /// Panics unless `index` is the one index a runtime hosts.
@@ -197,6 +228,8 @@ pub struct Runtime<T: Transport = LoopbackTransport> {
     pub metrics: NetMetrics,
     /// All peers (index = peer id).
     peers: Vec<Peer>,
+    /// The neighbour lists, flat.
+    contacts: Contacts,
     /// The ground-truth data assignment.
     original_entries: Vec<DataEntry>,
     engine: ExchangeEngine,
@@ -333,8 +366,10 @@ impl<T: Transport> Runtime<T> {
                     tick_armed: false,
                     fruitless: 0,
                     referrals: 0,
+                    summary: SummaryMemo::default(),
                 })
                 .collect(),
+            contacts: Contacts::default(),
             original_entries,
             engine: ExchangeEngine::new(params),
             clock: Clock::default(),
@@ -463,16 +498,20 @@ impl<T: Transport> Runtime<T> {
     /// Approximates a uniform random peer sample by a short random walk over
     /// the unstructured neighbour lists.
     fn random_contact(&mut self, from: usize) -> Option<usize> {
+        if self.contacts.offsets.is_empty() {
+            self.contacts.rebuild(&self.peers);
+        }
+        let contacts = &self.contacts;
         let mut current = from;
         for _ in 0..6 {
-            match self.peers[current].neighbours.choose(&mut self.rng) {
-                Some(pick) => current = pick.0 as usize,
+            match contacts.of(current).choose(&mut self.rng) {
+                Some(&pick) => current = pick as usize,
                 None => break,
             }
         }
         if current == from {
             // Fall back to a direct neighbour.
-            current = self.peers[from].neighbours.choose(&mut self.rng)?.0 as usize;
+            current = *contacts.of(from).choose(&mut self.rng)? as usize;
         }
         (current != from).then_some(current)
     }

@@ -179,7 +179,7 @@ impl ReportInputs {
                 .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
                 .collect(),
             queries: runtime.metrics.query_stats.clone(),
-            bandwidth_per_minute: runtime.metrics.bandwidth_per_minute.clone(),
+            bandwidth_per_minute: HashMap::from_iter(runtime.metrics.bandwidth_per_minute.clone()),
             online_at_end: runtime.online_count(),
             transport: runtime.transport_stats(),
         }
