@@ -20,7 +20,7 @@
 
 use pgrid_bench::{format_header, format_row, mean, std_dev};
 use pgrid_net::runtime::NetConfig;
-use pgrid_partition::experiment::{run_sweep, SweepConfig};
+use pgrid_partition::experiment::{run_sweep, ModelStats, SweepConfig};
 use pgrid_partition::probabilities::{alpha_of_p, alpha_second_derivative, q_of_p};
 use pgrid_scenario::deployment::{run_deployment, DeploymentReport, Timeline};
 use pgrid_sim::config::{ConstructionStrategy, SimConfig};
@@ -179,20 +179,12 @@ fn fig3() {
     println!("\n=== Figure 3: decision probabilities and their curvature ===");
     println!(
         "{}",
-        format_header(
-            "p",
-            &["alpha(p)".into(), "q(p)".into(), "alpha''(p)".into()]
-        )
+        format_header("p", &["alpha(p)", "q(p)", "alpha''(p)"])
     );
     for i in 1..=30 {
         let p = i as f64 / 100.0;
-        println!(
-            "{}",
-            format_row(
-                &format!("{p:.2}"),
-                &[alpha_of_p(p), q_of_p(p), alpha_second_derivative(p)]
-            )
-        );
+        let cells = [alpha_of_p(p), q_of_p(p), alpha_second_derivative(p)];
+        println!("{}", format_row(&format!("{p:.2}"), &cells));
     }
     println!("(the curvature explodes approaching the critical ratio 1 - ln 2 ≈ 0.307,");
     println!(" which is where sampling errors hurt the most — cf. Figure 3 of the paper)");
@@ -210,63 +202,21 @@ fn fig4_fig5(effort: &Effort) {
         ..SweepConfig::default()
     };
     let rows = run_sweep(&config);
-    println!("\nFigure 4 — mean(peers on side 0) - n*p:");
-    println!(
-        "{}",
-        format_header(
-            "p",
-            &[
-                "MVA".into(),
-                "SAM".into(),
-                "AEP".into(),
-                "COR".into(),
-                "AUT".into()
-            ]
-        )
-    );
-    for row in &rows {
-        println!(
-            "{}",
-            format_row(
-                &format!("{:.2}", row.p),
-                &[
-                    row.mva.mean_deviation,
-                    row.sam.mean_deviation,
-                    row.aep.mean_deviation,
-                    row.cor.mean_deviation,
-                    row.aut.mean_deviation,
-                ]
-            )
-        );
-    }
-    println!("\nFigure 5 — mean total number of interactions:");
-    println!(
-        "{}",
-        format_header(
-            "p",
-            &[
-                "MVA".into(),
-                "SAM".into(),
-                "AEP".into(),
-                "COR".into(),
-                "AUT".into()
-            ]
-        )
-    );
-    for row in &rows {
-        println!(
-            "{}",
-            format_row(
-                &format!("{:.2}", row.p),
-                &[
-                    row.mva.mean_interactions,
-                    row.sam.mean_interactions,
-                    row.aep.mean_interactions,
-                    row.cor.mean_interactions,
-                    row.aut.mean_interactions,
-                ]
-            )
-        );
+    let models = ["MVA", "SAM", "AEP", "COR", "AUT"];
+    for (title, interactions) in [
+        ("Figure 4 — mean(peers on side 0) - n*p", false),
+        ("Figure 5 — mean total number of interactions", true),
+    ] {
+        let stat = |m: &ModelStats| match interactions {
+            false => m.mean_deviation,
+            true => m.mean_interactions,
+        };
+        println!("\n{title}:");
+        println!("{}", format_header("p", &models));
+        for row in &rows {
+            let cells = [&row.mva, &row.sam, &row.aep, &row.cor, &row.aut].map(stat);
+            println!("{}", format_row(&format!("{:.2}", row.p), &cells));
+        }
     }
 }
 
@@ -316,60 +266,57 @@ fn fig6_population(effort: &Effort) {
     }
 }
 
-/// Figure 6b: varying the required replication factor.
-fn fig6b(effort: &Effort) {
-    println!("\n=== Figure 6b: deviation for n = 256, n_min in {{5, 10, 15, 20, 25}} ===");
+/// Prints one deviation table at the first population size: a row per
+/// `(label, config)`, a cell per workload of the paper's suite.
+fn deviation_table(effort: &Effort, first: &str, rows: Vec<(String, SimConfig)>) {
     let n_peers = *effort.populations.first().unwrap_or(&256);
-    let labels: Vec<String> = Distribution::paper_suite()
-        .iter()
-        .map(|d| d.label())
-        .collect();
-    println!("{}", format_header("n_min", &labels));
-    for &n_min in &[5usize, 10, 15, 20, 25] {
-        let cells: Vec<f64> = Distribution::paper_suite()
+    let suite = Distribution::paper_suite();
+    let labels: Vec<String> = suite.iter().map(|d| d.label()).collect();
+    println!("{}", format_header(first, &labels));
+    for (label, config) in rows {
+        let cells: Vec<f64> = suite
             .iter()
-            .map(|d| {
+            .map(|&distribution| {
                 let config = SimConfig {
                     n_peers,
-                    n_min,
-                    distribution: *d,
-                    seed: 0xF6B,
-                    ..SimConfig::default()
+                    distribution,
+                    ..config.clone()
                 };
                 run_repeated(&config, effort.repetitions).deviation
             })
             .collect();
-        println!("{}", format_row(&n_min.to_string(), &cells));
+        println!("{}", format_row(&label, &cells));
     }
+}
+
+/// Figure 6b: varying the required replication factor.
+fn fig6b(effort: &Effort) {
+    println!("\n=== Figure 6b: deviation for n = 256, n_min in {{5, 10, 15, 20, 25}} ===");
+    let rows = [5usize, 10, 15, 20, 25].map(|n_min| {
+        let config = SimConfig {
+            n_min,
+            seed: 0xF6B,
+            ..SimConfig::default()
+        };
+        (n_min.to_string(), config)
+    });
+    deviation_table(effort, "n_min", rows.into());
 }
 
 /// Figure 6c: varying the storage bound (the sample available to the load
 /// estimate).
 fn fig6c(effort: &Effort) {
     println!("\n=== Figure 6c: deviation for n = 256, delta_max in {{10, 20, 30}} * n_min ===");
-    let n_peers = *effort.populations.first().unwrap_or(&256);
-    let labels: Vec<String> = Distribution::paper_suite()
-        .iter()
-        .map(|d| d.label())
-        .collect();
-    println!("{}", format_header("delta/n_min", &labels));
-    for &m in &[10usize, 20, 30] {
-        let cells: Vec<f64> = Distribution::paper_suite()
-            .iter()
-            .map(|d| {
-                let config = SimConfig {
-                    n_peers,
-                    n_min: 5,
-                    delta_max: Some(m * 5),
-                    distribution: *d,
-                    seed: 0xF6C,
-                    ..SimConfig::default()
-                };
-                run_repeated(&config, effort.repetitions).deviation
-            })
-            .collect();
-        println!("{}", format_row(&m.to_string(), &cells));
-    }
+    let rows = [10usize, 20, 30].map(|m| {
+        let config = SimConfig {
+            n_min: 5,
+            delta_max: Some(m * 5),
+            seed: 0xF6C,
+            ..SimConfig::default()
+        };
+        (m.to_string(), config)
+    });
+    deviation_table(effort, "delta/n_min", rows.into());
 }
 
 /// Figure 6d: theoretically derived probabilities versus heuristics.
@@ -377,51 +324,34 @@ fn fig6d(effort: &Effort) {
     println!(
         "\n=== Figure 6d: theory vs. heuristic probabilities (deviation, n_min = 5 and 10) ==="
     );
-    let n_peers = *effort.populations.first().unwrap_or(&256);
-    let labels: Vec<String> = Distribution::paper_suite()
-        .iter()
-        .map(|d| d.label())
-        .collect();
-    println!("{}", format_header("variant", &labels));
-    for &n_min in &[5usize, 10] {
+    let mut rows = Vec::new();
+    for n_min in [5usize, 10] {
         for (name, strategy) in [
             ("theory", ConstructionStrategy::Aep),
             ("heuristic", ConstructionStrategy::Heuristic),
         ] {
-            let cells: Vec<f64> = Distribution::paper_suite()
-                .iter()
-                .map(|d| {
-                    let config = SimConfig {
-                        n_peers,
-                        n_min,
-                        distribution: *d,
-                        strategy,
-                        seed: 0xF6D,
-                        ..SimConfig::default()
-                    };
-                    run_repeated(&config, effort.repetitions).deviation
-                })
-                .collect();
-            println!("{}", format_row(&format!("{name}-{n_min}"), &cells));
+            let config = SimConfig {
+                n_min,
+                strategy,
+                seed: 0xF6D,
+                ..SimConfig::default()
+            };
+            rows.push((format!("{name}-{n_min}"), config));
         }
     }
+    deviation_table(effort, "variant", rows);
 }
 
 /// Section 4.3: parallel versus sequential construction complexity.
 fn complexity(effort: &Effort) {
     println!("\n=== Section 4.3: construction complexity, parallel vs. sequential ===");
-    println!(
-        "{}",
-        format_header(
-            "n",
-            &[
-                "par rounds".into(),
-                "par inter/peer".into(),
-                "seq latency".into(),
-                "seq msg/peer".into(),
-            ]
-        )
-    );
+    let columns = [
+        "par rounds",
+        "par inter/peer",
+        "seq latency",
+        "seq msg/peer",
+    ];
+    println!("{}", format_header("n", &columns));
     for &n in &effort.populations {
         let config = SimConfig {
             n_peers: n,
@@ -430,18 +360,13 @@ fn complexity(effort: &Effort) {
         };
         let parallel = run_repeated(&config, effort.repetitions.max(1));
         let sequential = construct_sequentially(&config);
-        println!(
-            "{}",
-            format_row(
-                &n.to_string(),
-                &[
-                    parallel.rounds,
-                    parallel.interactions_per_peer,
-                    sequential.latency as f64,
-                    sequential.messages as f64 / n as f64,
-                ]
-            )
-        );
+        let cells = [
+            parallel.rounds,
+            parallel.interactions_per_peer,
+            sequential.latency as f64,
+            sequential.messages as f64 / n as f64,
+        ];
+        println!("{}", format_row(&n.to_string(), &cells));
     }
 }
 
@@ -461,33 +386,17 @@ fn deployment(effort: &Effort) -> DeploymentReport {
     let report = run_deployment(&config, &timeline);
 
     println!("\nFigures 7 & 8 & 9 — per-minute time series:");
-    println!(
-        "{}",
-        format_header(
-            "minute",
-            &[
-                "peers".into(),
-                "maint B/s".into(),
-                "query B/s".into(),
-                "lat mean s".into(),
-                "lat std s".into(),
-            ]
-        )
-    );
+    let columns = ["peers", "maint B/s", "query B/s", "lat mean s", "lat std s"];
+    println!("{}", format_header("minute", &columns));
     for sample in report.timeline.iter().step_by(2) {
-        println!(
-            "{}",
-            format_row(
-                &sample.minute.to_string(),
-                &[
-                    sample.peers_online as f64,
-                    sample.maintenance_bps,
-                    sample.query_bps,
-                    sample.query_latency_mean_s,
-                    sample.query_latency_std_s,
-                ]
-            )
-        );
+        let cells = [
+            sample.peers_online as f64,
+            sample.maintenance_bps,
+            sample.query_bps,
+            sample.query_latency_mean_s,
+            sample.query_latency_std_s,
+        ];
+        println!("{}", format_row(&sample.minute.to_string(), &cells));
     }
 
     let query_phase: Vec<f64> = report

@@ -22,7 +22,7 @@ pub fn format_row(label: &str, cells: &[f64]) -> String {
 }
 
 /// Formats a header row matching [`format_row`].
-pub fn format_header(label: &str, columns: &[String]) -> String {
+pub fn format_header(label: &str, columns: &[impl std::fmt::Display]) -> String {
     let mut out = format!("{label:<14}");
     for column in columns {
         out.push_str(&format!(" {column:>10}"));

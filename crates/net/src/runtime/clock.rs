@@ -1,7 +1,6 @@
 //! The event clock: virtual time, the timer queue ([`Clock`]) and the loop
 //! that merges timer events with frame arrivals ([`Runtime::run_until`]).
 
-use super::links::recycle;
 use super::{Millis, Runtime};
 use pgrid_transport::Transport;
 use std::cmp::Reverse;
@@ -56,6 +55,11 @@ impl<T: Transport> Runtime<T> {
     /// frames and flushes any responses, without advancing the virtual
     /// clock.  Returns the number of frames handled.
     ///
+    /// The frames arrive as bytes in the runtime's reused inbox
+    /// ([`Transport::poll_frames`]) and each is handled from a borrowed
+    /// slice of it; the inbox is then emptied, keeping at most
+    /// [`pgrid_transport::Frames::RETAIN_BYTES`] of capacity.
+    ///
     /// Real-time backends only need this outside [`Runtime::run_until`]: a
     /// cluster worker parked at a phase barrier keeps calling it so
     /// cross-shard exchanges initiated by slower processes are still
@@ -63,12 +67,12 @@ impl<T: Transport> Runtime<T> {
     pub fn service_network(&mut self) -> usize {
         // No handler polls, so the inbox can be lent out for the loop.
         let mut inbox = std::mem::take(&mut self.links.inbox);
-        self.links.transport.poll_into(self.clock.now, &mut inbox);
+        self.links.transport.poll_frames(self.clock.now, &mut inbox);
         let handled = inbox.len();
-        for (to, frame_bytes) in inbox.drain(..) {
+        for (to, frame_bytes) in inbox.iter() {
             self.deliver_frame(to, frame_bytes);
         }
-        recycle(&mut inbox);
+        inbox.recycle();
         self.links.inbox = inbox;
         self.flush_pending();
         handled

@@ -19,8 +19,14 @@
 //! loss draw from the runtime's RNG, taken before the link-health check
 //! and before the transport draws its latency.
 //!
-//! **Arrival** is the mirror image: a poll's frames land in `Links::inbox`
-//! (kept, like the arena, from one poll to the next),
+//! A shipped frame is laid out in `Links::frame_buf` and lent to the
+//! transport as a slice ([`Transport::send_slice`]); the loopback copies it
+//! into its calendar bucket, so no frame costs a heap block of its own.
+//!
+//! **Arrival** is the mirror image: a poll's frames land back to back in
+//! `Links::inbox`, one [`Frames`] byte buffer kept (emptied, at most
+//! [`Frames::RETAIN_BYTES`]) from one poll to the next, which the loopback
+//! fills by swapping in a whole calendar bucket;
 //! [`frame::payload_slices`] validates the whole frame before the first
 //! message is dispatched, and each payload is validated in full by
 //! [`Arrived::decode`] from its borrowed slice before it is dispatched.
@@ -30,11 +36,10 @@
 
 use super::{Millis, Runtime};
 use crate::message::{Arrived, ExchangeOutcome, Message};
-use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_obs::trace::{AMBIENT_TRACE, NO_TRACE};
 use pgrid_transport::frame;
-use pgrid_transport::{LinkFault, Transport, TransportStats};
+use pgrid_transport::{Frames, LinkFault, Transport, TransportStats};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -147,7 +152,7 @@ pub(super) struct Links<T> {
     /// Scratch the frame being shipped is laid out in.
     frame_buf: Vec<u8>,
     /// The frames one poll handed over, kept (empty) from poll to poll.
-    pub(super) inbox: Vec<(PeerId, Bytes)>,
+    pub(super) inbox: Frames,
     /// The peer whose handler/event is currently executing (the `from` of
     /// anything it sends).
     pub(super) actor: usize,
@@ -167,7 +172,7 @@ impl<T> Links<T> {
             staged: Vec::new(),
             staged_index: Vec::new(),
             frame_buf: Vec::new(),
-            inbox: Vec::new(),
+            inbox: Frames::default(),
             actor: 0,
             frames_traced: 0,
             arrivals_traced: 0,
@@ -193,9 +198,7 @@ impl<T> Links<T> {
     /// hold on to.
     #[cfg(test)]
     pub(super) fn retained_bytes(&self) -> usize {
-        self.staged.capacity()
-            + self.frame_buf.capacity()
-            + self.inbox.capacity() * std::mem::size_of::<(PeerId, Bytes)>()
+        self.staged.capacity() + self.frame_buf.capacity() + self.inbox.capacity()
     }
 
     /// Whether the link to `peer` is usable as a forwarding target (hosted
@@ -348,10 +351,10 @@ impl<T: Transport> Runtime<T> {
             &mut links.frame_buf,
             payloads.iter().map(|s| &staged[s.start..s.end]),
         );
-        let frame = Bytes::copy_from_slice(&links.frame_buf);
+        let from = PeerId(from as u64);
         if links
             .transport
-            .send_from(now, PeerId(from as u64), PeerId(to as u64), frame)
+            .send_slice(now, from, PeerId(to as u64), &links.frame_buf)
             .is_err()
         {
             // A broken connection behaves like loss on the wire — and
@@ -400,7 +403,7 @@ impl<T: Transport> Runtime<T> {
     /// Validates an arrived frame — all of it, before anything is
     /// dispatched — and handles its messages, each validated in full
     /// before it is handled.
-    pub(super) fn deliver_frame(&mut self, to: PeerId, frame_bytes: Bytes) {
+    pub(super) fn deliver_frame(&mut self, to: PeerId, frame_bytes: &[u8]) {
         let to = to.0 as usize;
         // A frame for a peer this runtime does not host can only come from
         // a mis-wired address book — or from a sender that has not yet
@@ -409,7 +412,7 @@ impl<T: Transport> Runtime<T> {
             self.metrics.decode_failures += 1;
             return;
         }
-        let Ok(payloads) = frame::payload_slices(frame_bytes.as_slice()) else {
+        let Ok(payloads) = frame::payload_slices(frame_bytes) else {
             self.metrics.decode_failures += 1;
             self.recorder.note(
                 self.clock.now,

@@ -937,7 +937,7 @@ fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
 
     // Control: the intact frame delivers both messages.
     let intact = encode_frame(&[join.clone(), join.clone()]);
-    rt.deliver_frame(PeerId(3), intact.clone());
+    rt.deliver_frame(PeerId(3), intact.as_slice());
     assert_eq!(counters(&rt), (2, 0));
 
     // The second payload claims more bytes than the frame holds (the
@@ -947,7 +947,7 @@ fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
     bytes.pop();
     let body_len = (bytes.len() - 4) as u32;
     bytes[..4].copy_from_slice(&body_len.to_be_bytes());
-    rt.deliver_frame(PeerId(3), Bytes::from(bytes));
+    rt.deliver_frame(PeerId(3), &bytes);
     assert_eq!(counters(&rt), (2, 1));
 
     // A well-formed frame around an undecodable payload: that payload is
@@ -961,7 +961,7 @@ fn a_corrupt_frame_delivers_nothing_and_a_corrupt_payload_only_itself() {
         Bytes::from(padded),
         join,
     ]);
-    rt.deliver_frame(PeerId(3), mixed);
+    rt.deliver_frame(PeerId(3), mixed.as_slice());
     assert_eq!(counters(&rt), (4, 3));
 }
 
@@ -982,7 +982,7 @@ fn an_exchange_in_a_trace_envelope_is_answered_like_a_bare_one() {
     };
     let answer = |message: &Message| {
         let mut rt = fixed_latency_runtime();
-        rt.deliver_frame(PeerId(3), encode_frame(&[message.encode()]));
+        rt.deliver_frame(PeerId(3), encode_frame(&[message.encode()]).as_slice());
         assert_eq!(rt.metrics.messages_delivered, 1);
         rt.flush_pending();
         (shipped_frames(&mut rt), primary(&rt, 3).clone())
@@ -1157,7 +1157,7 @@ fn offers_from_unknown_peers_never_reach_the_routing_table() {
         .map(|offer| offer.encode())
         .collect();
     let failures = rt.metrics.decode_failures;
-    rt.deliver_frame(PeerId(0), encode_frame(&offers));
+    rt.deliver_frame(PeerId(0), encode_frame(&offers).as_slice());
     assert_eq!(rt.metrics.decode_failures, failures + 40);
     assert!(primary(&rt, 0)
         .routing

@@ -139,9 +139,9 @@ pub fn expected_effective(p: f64, sample_size: usize, corrected: bool) -> (f64, 
     let s = sample_size;
     if corrected {
         (
-            bernstein_dyn(&|x| corrected_effective(x, s).0, p, s).clamp(1e-6, 1.0),
-            bernstein_dyn(&|x| corrected_effective(x, s).1, p, s).clamp(0.0, 1.0),
-            bernstein_dyn(&|x| corrected_effective(x, s).2, p, s).clamp(0.0, 1.0),
+            bernstein(|x| corrected_effective(x, s).0, p, s).clamp(1e-6, 1.0),
+            bernstein(|x| corrected_effective(x, s).1, p, s).clamp(0.0, 1.0),
+            bernstein(|x| corrected_effective(x, s).2, p, s).clamp(0.0, 1.0),
         )
     } else {
         (
@@ -152,34 +152,10 @@ pub fn expected_effective(p: f64, sample_size: usize, corrected: bool) -> (f64, 
     }
 }
 
-/// Bernstein smoothing for closures (the [`bernstein`] helper takes plain
-/// function pointers).
-fn bernstein_dyn(f: &dyn Fn(f64) -> f64, x: f64, s: usize) -> f64 {
-    (0..=s)
-        .map(|j| binomial_pmf(s, j, x) * f(j as f64 / s as f64))
-        .sum()
-}
-
-/// Binomial probability mass function, computed in log space for stability.
-pub fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
-    assert!(k <= n);
-    if p <= 0.0 {
-        return if k == 0 { 1.0 } else { 0.0 };
-    }
-    if p >= 1.0 {
-        return if k == n { 1.0 } else { 0.0 };
-    }
-    let mut log = 0.0;
-    for i in 0..k {
-        log += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
-    }
-    (log + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln()).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probabilities::P_CRITICAL;
+    use crate::probabilities::{binomial_pmf, P_CRITICAL};
 
     #[test]
     fn fluid_model_matches_closed_forms() {

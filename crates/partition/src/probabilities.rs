@@ -379,7 +379,7 @@ pub fn corrected_grid(sample_size: usize) -> Vec<(f64, f64, f64)> {
             }
             let desired_shift = -error / sensitivity;
             for j in 0..=s {
-                let w = binomial_weight(s, j, p);
+                let w = binomial_pmf(s, j, p);
                 node_error[j] += w * desired_shift;
                 node_weight[j] += w;
             }
@@ -399,7 +399,7 @@ pub fn corrected_grid(sample_size: usize) -> Vec<(f64, f64, f64)> {
 fn bernstein_grid(g: &[(f64, f64, f64)], s: usize, x: f64) -> (f64, f64, f64) {
     let mut acc = (0.0, 0.0, 0.0);
     for (j, val) in g.iter().enumerate() {
-        let w = binomial_weight(s, j, x);
+        let w = binomial_pmf(s, j, x);
         acc.0 += w * val.0;
         acc.1 += w * val.1;
         acc.2 += w * val.2;
@@ -407,7 +407,9 @@ fn bernstein_grid(g: &[(f64, f64, f64)], s: usize, x: f64) -> (f64, f64, f64) {
     acc
 }
 
-fn binomial_weight(n: usize, k: usize, p: f64) -> f64 {
+/// Binomial probability mass function, computed in log space for stability.
+pub fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
+    assert!(k <= n);
     if p <= 0.0 {
         return if k == 0 { 1.0 } else { 0.0 };
     }
@@ -423,31 +425,11 @@ fn binomial_weight(n: usize, k: usize, p: f64) -> f64 {
 
 /// Degree-`s` Bernstein smoothing of `f` at `x`, i.e. the expectation of
 /// `f(j/s)` for `j ~ Binomial(s, x)`.
-pub fn bernstein(f: fn(f64) -> f64, x: f64, s: usize) -> f64 {
+pub fn bernstein(f: impl Fn(f64) -> f64, x: f64, s: usize) -> f64 {
     let x = x.clamp(0.0, 1.0);
     let mut total = 0.0;
-    // log-space binomial pmf for numerical stability
     for j in 0..=s {
-        let mut log = 0.0;
-        for i in 0..j {
-            log += ((s - i) as f64).ln() - ((i + 1) as f64).ln();
-        }
-        let pmf = if x <= 0.0 {
-            if j == 0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else if x >= 1.0 {
-            if j == s {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (log + j as f64 * x.ln() + (s - j) as f64 * (1.0 - x).ln()).exp()
-        };
-        total += pmf * f(j as f64 / s as f64);
+        total += binomial_pmf(s, j, x) * f(j as f64 / s as f64);
     }
     total
 }

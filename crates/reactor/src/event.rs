@@ -323,19 +323,25 @@ impl EventLoop {
         }
     }
 
-    fn adopt_inbound(&mut self, fd: RawFd) {
+    /// Registers `fd` with this thread's epoll under a fresh token; closes
+    /// it instead when that fails.
+    fn watch(&mut self, fd: RawFd) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
-        if self
-            .epoll
-            .add(fd, EPOLLIN | EPOLLOUT | EPOLLET, token)
-            .is_err()
-        {
+        let events = EPOLLIN | EPOLLOUT | EPOLLET;
+        if self.epoll.add(fd, events, token).is_err() {
             close_fd(fd);
-            return;
+            return None;
         }
-        set_nodelay(fd);
         self.shared.registered_fds.fetch_add(1, Ordering::Relaxed);
+        Some(token)
+    }
+
+    fn adopt_inbound(&mut self, fd: RawFd) {
+        let Some(token) = self.watch(fd) else {
+            return;
+        };
+        set_nodelay(fd);
         let mut conn = Conn::new(fd, None, false, 0);
         conn.greet();
         self.conns.insert(token, conn);
@@ -361,18 +367,9 @@ impl EventLoop {
         }
         match connect_nonblocking(link.addr) {
             Ok((fd, connected)) => {
-                let token = self.next_token;
-                self.next_token += 1;
-                if self
-                    .epoll
-                    .add(fd, EPOLLIN | EPOLLOUT | EPOLLET, token)
-                    .is_err()
-                {
-                    close_fd(fd);
-                    self.redial_later(link, attempt);
-                    return;
-                }
-                self.shared.registered_fds.fetch_add(1, Ordering::Relaxed);
+                let Some(token) = self.watch(fd) else {
+                    return self.redial_later(link, attempt);
+                };
                 let addr = link.addr;
                 let mut conn = Conn::new(fd, Some(link), !connected, attempt);
                 if connected {

@@ -16,8 +16,10 @@
 //!   (bounded, surfacing as a send error on timeout, which feeds the
 //!   runtime's Suspect/Dead link life-cycle).
 //! * **the byte inbox** — event threads copy each complete record out of
-//!   their reader into it under one lock per read, `poll` swaps it for a
-//!   spare under one and copies it once into the block its frames view;
+//!   their reader into it under one lock per read, a poll swaps it for a
+//!   spare under one and copies it once: into the block its `Bytes` frames
+//!   view (`poll_into`), or straight into the caller's reused
+//!   [`pgrid_transport::Frames`] (`poll_frames`, what the runtime calls);
 //!   when the inbox is at capacity they *pause reading* that connection
 //!   instead of blocking, so TCP flow control pushes back on the remote
 //!   writer and a slow receiver costs the sender wire backpressure, not
@@ -39,7 +41,8 @@ use crate::ReactorConfig;
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_transport::{
-    Millis, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError, TransportStats,
+    Frames, Millis, PeerAddr, ReactorStats, SocketTransport, Transport, TransportError,
+    TransportStats,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -349,6 +352,24 @@ impl ReactorTransport {
         Ok(link)
     }
 
+    /// Swaps the records the event threads have read into `spare`;
+    /// returns how many there are.
+    fn take_inbox(&mut self) -> usize {
+        let frames = {
+            let mut inbox = lock(&self.shared.inbox);
+            std::mem::swap(&mut inbox.records, &mut self.spare);
+            std::mem::take(&mut inbox.frames)
+        };
+        if frames >= self.shared.inbox_capacity {
+            // Event threads paused reading while the inbox was full; tell
+            // them space opened up rather than waiting for their retry tick.
+            for ts in self.thread_shared.iter() {
+                ts.waker.ring();
+            }
+        }
+        frames
+    }
+
     /// Appends `frame` to `link`'s write queue, waiting for space up to the
     /// send timeout, and makes sure an event thread drains it.
     fn enqueue(&self, link: &Arc<Link>, to: PeerId, frame: &[u8]) -> Result<(), TransportError> {
@@ -408,43 +429,35 @@ impl Transport for ReactorTransport {
         Ok(PeerAddr::Socket(self.listen_addr.expect("started")))
     }
 
-    fn send(&mut self, _now: Millis, to: PeerId, frame: Bytes) -> Result<(), TransportError> {
-        let frame_len = frame.len() as u64;
+    fn send(&mut self, now: Millis, to: PeerId, frame: Bytes) -> Result<(), TransportError> {
+        self.send_slice(now, to, to, frame.as_slice())
+    }
+
+    fn send_slice(
+        &mut self,
+        _now: Millis,
+        _from: PeerId,
+        to: PeerId,
+        frame: &[u8],
+    ) -> Result<(), TransportError> {
         match self.routes.get(&to) {
             None => return Err(TransportError::UnknownPeer(to)),
             // Local delivery: no socket, no lock, no capacity wait (the
             // caller is the drainer).
-            Some(Route::Local) => self.local.push_back((to, frame)),
-            Some(Route::Remote(_, Some(link))) => self.enqueue(link, to, frame.as_slice())?,
+            Some(Route::Local) => self.local.push_back((to, Bytes::copy_from_slice(frame))),
+            Some(Route::Remote(_, Some(link))) => self.enqueue(link, to, frame)?,
             Some(&Route::Remote(addr, None)) => {
                 let link = self.link_to(to, addr)?;
-                self.enqueue(&link, to, frame.as_slice())?;
+                self.enqueue(&link, to, frame)?;
             }
         }
         self.stats.frames_sent += 1;
-        self.stats.bytes_sent += frame_len;
+        self.stats.bytes_sent += frame.len() as u64;
         Ok(())
     }
 
-    fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)> {
-        let mut delivered = Vec::new();
-        self.poll_into(now, &mut delivered);
-        delivered
-    }
-
     fn poll_into(&mut self, _now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
-        let frames = {
-            let mut inbox = lock(&self.shared.inbox);
-            std::mem::swap(&mut inbox.records, &mut self.spare);
-            std::mem::take(&mut inbox.frames)
-        };
-        if frames >= self.shared.inbox_capacity {
-            // Event threads paused reading while the inbox was full; tell
-            // them space opened up rather than waiting for their retry tick.
-            for ts in self.thread_shared.iter() {
-                ts.waker.ring();
-            }
-        }
+        let frames = self.take_inbox();
         let start = out.len();
         out.reserve(frames + self.local.len());
         if frames > 0 {
@@ -460,6 +473,20 @@ impl Transport for ReactorTransport {
             self.stats.frames_delivered += 1;
             self.stats.bytes_delivered += frame.len() as u64;
         }
+    }
+
+    fn poll_frames(&mut self, _now: Millis, out: &mut Frames) {
+        self.take_inbox();
+        let (frames, bytes) = (out.len(), out.byte_len());
+        for (dest, frame) in records(&self.spare) {
+            out.push(PeerId(dest), frame);
+        }
+        recycle(&mut self.spare);
+        for (to, frame) in self.local.drain(..) {
+            out.push(to, frame.as_slice());
+        }
+        self.stats.frames_delivered += (out.len() - frames) as u64;
+        self.stats.bytes_delivered += (out.byte_len() - bytes) as u64;
     }
 
     fn next_due(&self) -> Option<Millis> {

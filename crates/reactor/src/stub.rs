@@ -53,9 +53,7 @@ impl Transport for ReactorTransport {
         Err(unsupported())
     }
 
-    fn poll(&mut self, _now: Millis) -> Vec<(PeerId, Bytes)> {
-        Vec::new()
-    }
+    fn poll_into(&mut self, _now: Millis, _out: &mut Vec<(PeerId, Bytes)>) {}
 
     fn next_due(&self) -> Option<Millis> {
         None

@@ -8,8 +8,8 @@
 
 use crate::exec;
 use crate::scenario::{
-    churn_events, join_time, ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario, MINUTE_MS,
-    RANGE_LOAD_WIDTH,
+    churn_events, join_time, timeline_phases, ChurnEvent, JoinEvent, Phase, QuerySpec, Scenario,
+    MINUTE_MS,
 };
 use pgrid_core::balance::measure_overlay;
 use pgrid_core::histogram::LogHistogram;
@@ -330,39 +330,16 @@ pub fn worker_scenario(
     worker_index: u32,
     shard_len: usize,
 ) -> Scenario {
-    let mut phases = vec![
-        Phase::JoinSchedule {
-            until_min: timeline.join_end_min,
-            events: join_plan(config, timeline),
-        },
-        Phase::Replicate {
-            until_min: timeline.replicate_end_min,
-        },
-        Phase::StartConstruction,
-        Phase::RunUntil {
-            until_min: timeline.construct_end_min,
-        },
-    ];
-    // The optional range window, as wide as in one process.
-    if timeline.range_end_min > timeline.construct_end_min {
-        phases.push(Phase::RangeLoad {
-            until_min: timeline.range_end_min,
-            issuers: shard_len,
-            width: RANGE_LOAD_WIDTH,
-        });
-    }
-    phases.extend([
-        Phase::QueryLoad {
-            until_min: timeline.query_end_min,
-            issuers: shard_len,
-        },
-        Phase::ChurnSchedule {
-            until_min: timeline.end_min,
-            events: churn_plan(config, timeline),
-            queries: Some(QuerySpec { issuers: shard_len }),
-        },
-        Phase::Drain,
-    ]);
+    let join = Phase::JoinSchedule {
+        until_min: timeline.join_end_min,
+        events: join_plan(config, timeline),
+    };
+    let churn = Phase::ChurnSchedule {
+        until_min: timeline.end_min,
+        events: churn_plan(config, timeline),
+        queries: Some(QuerySpec { issuers: shard_len }),
+    };
+    let phases = timeline_phases(timeline, join, shard_len, churn);
     let mut scenario = Scenario::new(config.seed, phases);
     scenario.control_seed ^= (worker_index as u64) << 32;
     scenario

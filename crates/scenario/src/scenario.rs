@@ -236,45 +236,59 @@ impl Scenario {
     /// config with the same `seed`, this is the run `figures --
     /// --assert-reference` checks against `EXPERIMENTS.md`.
     pub fn from_timeline(seed: u64, timeline: &Timeline) -> Scenario {
-        let mut phases = vec![
-            Phase::JoinWave {
-                until_min: timeline.join_end_min,
-                fanout: JOIN_FANOUT,
-            },
-            Phase::Replicate {
-                until_min: timeline.replicate_end_min,
-            },
-            Phase::StartConstruction,
-            Phase::RunUntil {
-                until_min: timeline.construct_end_min,
-            },
-        ];
-        // The optional range window sits between construction and the
-        // lookup load; the reference timelines leave it disabled
-        // (`range_end_min: 0`), so it draws nothing from the control RNG.
-        if timeline.range_end_min > timeline.construct_end_min {
-            phases.push(Phase::RangeLoad {
-                until_min: timeline.range_end_min,
-                issuers: 0,
-                width: RANGE_LOAD_WIDTH,
-            });
-        }
-        phases.extend([
-            Phase::QueryLoad {
-                until_min: timeline.query_end_min,
-                issuers: 0,
-            },
-            Phase::Churn {
-                until_min: timeline.end_min,
-                lead_ms: CHURN_LEAD_MS,
-                downtime_ms: CHURN_DOWNTIME_MS,
-                gap_ms: CHURN_GAP_MS,
-                queries: Some(QuerySpec { issuers: 0 }),
-            },
-            Phase::Drain,
-        ]);
-        Scenario::new(seed, phases)
+        let join = Phase::JoinWave {
+            until_min: timeline.join_end_min,
+            fanout: JOIN_FANOUT,
+        };
+        let churn = Phase::Churn {
+            until_min: timeline.end_min,
+            lead_ms: CHURN_LEAD_MS,
+            downtime_ms: CHURN_DOWNTIME_MS,
+            gap_ms: CHURN_GAP_MS,
+            queries: Some(QuerySpec { issuers: 0 }),
+        };
+        Scenario::new(seed, timeline_phases(timeline, join, 0, churn))
     }
+}
+
+/// The Section-5 timeline around its `join` and `churn` phases:
+/// replication, construction, the optional range window, the lookup load
+/// from `issuers` issuers, `churn` and the drain.  The range window sits
+/// between construction and the lookup load; the reference timelines leave
+/// it disabled (`range_end_min: 0`), so it draws nothing from the control
+/// RNG.
+pub(crate) fn timeline_phases(
+    timeline: &Timeline,
+    join: Phase,
+    issuers: usize,
+    churn: Phase,
+) -> Vec<Phase> {
+    let mut phases = vec![
+        join,
+        Phase::Replicate {
+            until_min: timeline.replicate_end_min,
+        },
+        Phase::StartConstruction,
+        Phase::RunUntil {
+            until_min: timeline.construct_end_min,
+        },
+    ];
+    if timeline.range_end_min > timeline.construct_end_min {
+        phases.push(Phase::RangeLoad {
+            until_min: timeline.range_end_min,
+            issuers,
+            width: RANGE_LOAD_WIDTH,
+        });
+    }
+    phases.extend([
+        Phase::QueryLoad {
+            until_min: timeline.query_end_min,
+            issuers,
+        },
+        churn,
+        Phase::Drain,
+    ]);
+    phases
 }
 
 #[cfg(test)]

@@ -18,6 +18,13 @@
 //! batching any number of encoded protocol messages into one length-prefixed
 //! unit (the per-tick batching of exchange messages).  The runtime encodes
 //! and decodes messages; the transport never looks inside a payload.
+//!
+//! A frame crosses the trait in one of two forms.  The runtime lends it as
+//! a slice ([`Transport::send_slice`]) and collects arrivals in
+//! [`Frames`], one reused byte buffer ([`Transport::poll_frames`]), so a
+//! frame costs it no heap block; the `Bytes` methods stay for callers that
+//! keep a frame, and each form defaults to the other, so a backend that
+//! only knows `Bytes` sees every frame.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,6 +34,7 @@ pub mod loopback;
 
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
+use pgrid_core::wire::{Be, Order};
 
 /// Milliseconds of virtual time (the deployment runtime's clock).
 pub type Millis = u64;
@@ -160,11 +168,11 @@ fn add(sum: &mut u64, value: u64) {
 pub struct TransportStats {
     /// Frames handed to the transport for delivery.
     pub frames_sent: u64,
-    /// Frames handed out by [`Transport::poll`].
+    /// Frames handed out by the polls ([`Transport::poll_frames`] too).
     pub frames_delivered: u64,
     /// Total frame bytes sent.
     pub bytes_sent: u64,
-    /// Total frame bytes handed out by [`Transport::poll`].
+    /// Total frame bytes handed out by the polls.
     pub bytes_delivered: u64,
     /// Event-loop gauges of the reactor backend; `None` elsewhere.
     pub reactor: Option<ReactorStats>,
@@ -266,6 +274,87 @@ impl TransportStats {
     }
 }
 
+/// Frames back to back in one reused byte buffer, each behind its
+/// destination and its length (8 bytes each): the arrivals of
+/// [`Transport::poll_frames`], and a loopback calendar bucket.
+/// [`Frames::recycle`] keeps at most [`Frames::RETAIN_BYTES`] of capacity.
+#[derive(Debug, Default)]
+pub struct Frames {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+/// Bytes stored ahead of each frame in a [`Frames`] buffer.
+const FRAME_HEADER: usize = 16;
+
+impl Frames {
+    /// Capacity an emptied buffer keeps; what a burst grew it past that
+    /// is given back.
+    pub const RETAIN_BYTES: usize = 384;
+
+    /// Appends a copy of `frame`, for `to`.
+    pub fn push(&mut self, to: PeerId, frame: &[u8]) {
+        Be::put_u64(&mut self.bytes, to.0);
+        Be::put_u64(&mut self.bytes, frame.len() as u64);
+        self.bytes.extend_from_slice(frame);
+        self.len += 1;
+    }
+
+    /// Moves every frame of `other` behind this buffer's and recycles
+    /// `other`.  Into an empty buffer the two swap storage, copying nothing.
+    pub fn append(&mut self, other: &mut Frames) {
+        if self.len == 0 {
+            std::mem::swap(self, other);
+        } else {
+            self.bytes.extend_from_slice(&other.bytes);
+            self.len += other.len;
+        }
+        other.recycle();
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the buffer holds no frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes of all frames together, headers not counted.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len() - FRAME_HEADER * self.len
+    }
+
+    /// Heap bytes the buffer holds on to.
+    pub fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// The frames in order, each with its destination.
+    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &[u8])> + '_ {
+        frames_in(&self.bytes)
+    }
+
+    /// Empties the buffer for reuse, keeping at most
+    /// [`Frames::RETAIN_BYTES`] of capacity.
+    pub fn recycle(&mut self) {
+        self.bytes.clear();
+        self.bytes.shrink_to(Self::RETAIN_BYTES);
+        self.len = 0;
+    }
+}
+
+/// The frames [`Frames::push`] laid out in `bytes`, in order.
+fn frames_in(mut bytes: &[u8]) -> impl Iterator<Item = (PeerId, &[u8])> {
+    std::iter::from_fn(move || {
+        let to = Be::u64(&mut bytes)?;
+        let len = Be::u64(&mut bytes)?;
+        Some((PeerId(to), Be::bytes(&mut bytes, len as usize)?))
+    })
+}
+
 /// A frame carrier between registered peers.
 ///
 /// The caller owns time: virtual-time backends (loopback) stamp deliveries
@@ -301,14 +390,43 @@ pub trait Transport {
         false
     }
 
+    /// [`Transport::send_from`] of a frame the caller keeps: the backend
+    /// copies what it needs.  The default copies it into a `Bytes`.
+    fn send_slice(
+        &mut self,
+        now: Millis,
+        from: PeerId,
+        to: PeerId,
+        frame: &[u8],
+    ) -> Result<(), TransportError> {
+        self.send_from(now, from, to, Bytes::copy_from_slice(frame))
+    }
+
     /// Returns the frames that have arrived for delivery by virtual time
-    /// `now`, in arrival order, as `(destination, frame)` pairs.
-    fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)>;
+    /// `now`, in arrival order, as `(destination, frame)` pairs.  A backend
+    /// implements this or [`Transport::poll_into`]; each defaults to the
+    /// other.
+    fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
 
     /// [`Transport::poll`] into a buffer the caller keeps: appends what has
     /// arrived to `out` instead of returning a fresh vector per call.
     fn poll_into(&mut self, now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
         out.extend(self.poll(now));
+    }
+
+    /// [`Transport::poll_into`] into a byte buffer the caller keeps:
+    /// appends a copy of each arrived frame to `out`.  The default copies
+    /// what `poll_into` hands out.
+    fn poll_frames(&mut self, now: Millis, out: &mut Frames) {
+        let mut arrived = Vec::new();
+        self.poll_into(now, &mut arrived);
+        for (to, frame) in &arrived {
+            out.push(*to, frame.as_slice());
+        }
     }
 
     /// Virtual time at which the next queued frame becomes deliverable.

@@ -38,8 +38,16 @@
 //! frames due in one millisecond the overflowed one is always the earlier
 //! send (see `Calendar::release`), so where a frame waited never shows in
 //! the order it leaves in.
+//!
+//! A bucket is a [`Frames`]: its frames' bytes back to back in one buffer,
+//! copied in from the sender's slice, so a frame in flight costs no heap
+//! block of its own (an overflowed frame keeps an owned copy).  A bucket
+//! released into an empty [`Transport::poll_frames`] buffer swaps storage
+//! with it instead of being copied, and an emptied bucket keeps at most
+//! [`Frames::RETAIN_BYTES`], so the empty calendar holds at most `slots`
+//! times that however large a frame or a burst was.
 
-use crate::{LinkFault, Millis, PeerAddr, Transport, TransportError, TransportStats};
+use crate::{Frames, LinkFault, Millis, PeerAddr, Transport, TransportError, TransportStats};
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use rand::rngs::StdRng;
@@ -57,11 +65,6 @@ const MIN_SLOTS: u64 = 64;
 /// Largest ring (a 2 s latency model); a wider model spills its far frames
 /// to the overflow heap instead of growing the ring with it.
 const MAX_SLOTS: u64 = 4_096;
-
-/// Bucket capacity kept from one release to the next; what a burst grew a
-/// bucket beyond it is given back when the bucket is emptied.  (At 64 the
-/// `journal` workload's construction bursts left 2.6 MiB in 512 buckets.)
-const BUCKET_RETAIN: usize = 8;
 
 /// Latency model and seed of the loopback backend.
 #[derive(Copy, Clone, Debug)]
@@ -84,30 +87,9 @@ impl Default for LoopbackConfig {
     }
 }
 
-/// A frame in the overflow heap.
-struct Queued {
-    due: Millis,
-    seq: u64,
-    to: PeerId,
-    frame: Bytes,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
+/// A frame in the overflow heap: `(due, seq, to, frame)`, and `seq` is
+/// unique, so the order never looks past it.
+type Queued = Reverse<(Millis, u64, PeerId, Box<[u8]>)>;
 
 /// The frames in flight (see the module documentation).
 ///
@@ -117,12 +99,12 @@ impl Ord for Queued {
 /// of ring frames.  While the ring holds a frame, `base` only moves forward
 /// and never past the earliest one.
 struct Calendar {
-    buckets: Vec<Vec<(PeerId, Bytes)>>,
+    buckets: Vec<Frames>,
     occupied: Vec<u64>,
     mask: u64,
     base: Millis,
     ring_len: usize,
-    overflow: BinaryHeap<Reverse<Queued>>,
+    overflow: BinaryHeap<Queued>,
 }
 
 impl Calendar {
@@ -135,7 +117,7 @@ impl Calendar {
             .next_power_of_two()
             .max(MIN_SLOTS);
         Calendar {
-            buckets: (0..slots).map(|_| Vec::new()).collect(),
+            buckets: (0..slots).map(|_| Frames::default()).collect(),
             occupied: vec![0; (slots / 64) as usize],
             mask: slots - 1,
             base: 0,
@@ -148,7 +130,7 @@ impl Calendar {
         self.ring_len + self.overflow.len()
     }
 
-    fn push(&mut self, now: Millis, due: Millis, seq: u64, to: PeerId, frame: Bytes) {
+    fn push(&mut self, now: Millis, due: Millis, seq: u64, to: PeerId, frame: &[u8]) {
         if self.ring_len == 0 {
             // Nothing holds the window in place: open it where the sender
             // is, wherever an earlier `poll` left it.
@@ -156,16 +138,11 @@ impl Calendar {
         }
         if due >= self.base && due - self.base <= self.mask {
             let index = (due & self.mask) as usize;
-            self.buckets[index].push((to, frame));
+            self.buckets[index].push(to, frame);
             self.occupied[index / 64] |= 1 << (index % 64);
             self.ring_len += 1;
         } else {
-            self.overflow.push(Reverse(Queued {
-                due,
-                seq,
-                to,
-                frame,
-            }));
+            self.overflow.push(Reverse((due, seq, to, frame.into())));
         }
     }
 
@@ -190,7 +167,7 @@ impl Calendar {
     }
 
     fn overflow_next_due(&self) -> Option<Millis> {
-        self.overflow.peek().map(|Reverse(queued)| queued.due)
+        self.overflow.peek().map(|Reverse(queued)| queued.0)
     }
 
     fn next_due(&self) -> Option<Millis> {
@@ -206,21 +183,20 @@ impl Calendar {
     /// overflows only while its millisecond lies outside the window, and
     /// the window never moves off a millisecond that holds a ring frame, so
     /// all of them were sent before anything in the bucket.
-    fn release(&mut self, now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
+    fn release(&mut self, now: Millis, out: &mut Frames) {
         loop {
             let ring_due = self.ring_next_due().filter(|&due| due <= now);
             let heap_due = self.overflow_next_due().filter(|&due| due <= now);
             match (ring_due, heap_due) {
                 (ring_due, Some(due)) if ring_due.map_or(true, |ring| due <= ring) => {
-                    let Reverse(queued) = self.overflow.pop().expect("peeked above");
-                    out.push((queued.to, queued.frame));
+                    let Reverse((_, _, to, frame)) = self.overflow.pop().expect("peeked above");
+                    out.push(to, &frame);
                 }
                 (Some(due), _) => {
                     let index = (due & self.mask) as usize;
                     let bucket = &mut self.buckets[index];
                     self.ring_len -= bucket.len();
                     out.append(bucket);
-                    bucket.shrink_to(BUCKET_RETAIN);
                     self.occupied[index / 64] &= !(1 << (index % 64));
                     self.base = due;
                 }
@@ -229,6 +205,10 @@ impl Calendar {
         }
         // Every ring frame left is due after `now`.
         self.base = self.base.max(now);
+        if self.overflow.is_empty() {
+            // A burst through the heap gives back all but `MIN_SLOTS` slots.
+            self.overflow.shrink_to(MIN_SLOTS as usize);
+        }
     }
 }
 
@@ -248,6 +228,9 @@ pub struct LoopbackTransport {
     /// Whether peer `i` is registered.  Peer ids are dense (`0..n_peers`
     /// everywhere in the workspace), so the table is indexed by id.
     registered: Vec<bool>,
+    /// The `Bytes` polls' staging, kept so the buckets it swaps with keep
+    /// their retained capacity.
+    arrived: Frames,
     seq: u64,
     stats: TransportStats,
     /// Injected faults.  All empty/zero by default, in which case the
@@ -270,6 +253,7 @@ impl LoopbackTransport {
             config,
             queue: Calendar::new(config.latency_max_ms.max(config.latency_min_ms)),
             registered: Vec::new(),
+            arrived: Frames::default(),
             seq: 0,
             stats: TransportStats::default(),
             jitter_max_ms: 0,
@@ -303,19 +287,17 @@ impl LoopbackTransport {
 
     /// Stable per-directed-link latency offset, drawn lazily on first use.
     fn link_jitter_for(&mut self, from: PeerId, to: PeerId) -> u64 {
-        if self.jitter_max_ms == 0 {
+        let (rng, max) = (&mut self.jitter_rng, self.jitter_max_ms);
+        if max == 0 {
             return 0;
         }
-        match self.link_jitter.entry((from, to)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let draw = self.jitter_rng.gen_range(0..=self.jitter_max_ms);
-                *v.insert(draw)
-            }
-        }
+        *self
+            .link_jitter
+            .entry((from, to))
+            .or_insert_with(|| rng.gen_range(0..=max))
     }
 
-    fn enqueue(&mut self, now: Millis, to: PeerId, extra_latency: Millis, frame: Bytes) {
+    fn enqueue(&mut self, now: Millis, to: PeerId, extra_latency: Millis, frame: &[u8]) {
         let latency = self.rng.gen_range(
             self.config.latency_min_ms..=self.config.latency_max_ms.max(self.config.latency_min_ms),
         );
@@ -355,7 +337,7 @@ impl Transport for LoopbackTransport {
         if !self.is_registered(to) {
             return Err(TransportError::UnknownPeer(to));
         }
-        self.enqueue(now, to, 0, frame);
+        self.enqueue(now, to, 0, frame.as_slice());
         Ok(())
     }
 
@@ -365,6 +347,16 @@ impl Transport for LoopbackTransport {
         from: PeerId,
         to: PeerId,
         frame: Bytes,
+    ) -> Result<(), TransportError> {
+        self.send_slice(now, from, to, frame.as_slice())
+    }
+
+    fn send_slice(
+        &mut self,
+        now: Millis,
+        from: PeerId,
+        to: PeerId,
+        frame: &[u8],
     ) -> Result<(), TransportError> {
         if !self.is_registered(to) {
             return Err(TransportError::UnknownPeer(to));
@@ -404,19 +396,24 @@ impl Transport for LoopbackTransport {
         true
     }
 
-    fn poll(&mut self, now: Millis) -> Vec<(PeerId, Bytes)> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
+    fn poll_into(&mut self, now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
+        // One block per poll; each frame is a view of it.
+        let mut arrived = std::mem::take(&mut self.arrived);
+        self.poll_frames(now, &mut arrived);
+        if !arrived.is_empty() {
+            let block = Bytes::copy_from_slice(&arrived.bytes);
+            let frames = crate::frames_in(block.as_slice());
+            out.extend(frames.map(|(to, frame)| (to, block.slice_ref(frame))));
+        }
+        arrived.recycle();
+        self.arrived = arrived;
     }
 
-    fn poll_into(&mut self, now: Millis, out: &mut Vec<(PeerId, Bytes)>) {
-        let arrived = out.len();
+    fn poll_frames(&mut self, now: Millis, out: &mut Frames) {
+        let (frames, bytes) = (out.len(), out.byte_len());
         self.queue.release(now, out);
-        for (_, frame) in &out[arrived..] {
-            self.stats.frames_delivered += 1;
-            self.stats.bytes_delivered += frame.len() as u64;
-        }
+        self.stats.frames_delivered += (out.len() - frames) as u64;
+        self.stats.bytes_delivered += (out.byte_len() - bytes) as u64;
     }
 
     fn next_due(&self) -> Option<Millis> {

@@ -1,9 +1,16 @@
 //! Oracle test of `LoopbackTransport`'s delivery schedule: random scripts
-//! of `register`, `send`, `send_from`, fault injections and `poll`s are
-//! applied to the transport and to a reference model — one plain
-//! `BinaryHeap` ordered by `(due, seq)`, fed the same latency draws — and
-//! after every step the delivered `(to, frame)` sequence, `next_due()`,
+//! of `register`, `send`, `send_from`, `send_slice`, fault injections and
+//! polls are applied to the transport and to a reference model — one
+//! plain `BinaryHeap` ordered by `(due, seq)`, fed the same latency draws —
+//! and after every step the delivered `(to, frame)` sequence, `next_due()`,
 //! `in_flight()`, `frames_dropped()` and `stats()` must be equal.
+//!
+//! Frames enter through the `Bytes` methods and the byte method
+//! (`send_slice`) and leave through `poll`, `poll_into` and `poll_frames`,
+//! mixed at random; `poll_into` and `poll_frames` append behind what the
+//! caller's buffer already holds (a bucket released into an empty
+//! `Frames` swaps storage with it, into a non-empty one it is copied), so
+//! each frame must land at its position behind the ones kept there.
 //!
 //! The model shares no queue logic with the transport, so whatever the
 //! transport keeps its frames in, the order it hands them out in is *the*
@@ -16,7 +23,7 @@
 use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_transport::loopback::{LoopbackConfig, LoopbackTransport};
-use pgrid_transport::{LinkFault, Millis, Transport, TransportError, TransportStats};
+use pgrid_transport::{Frames, LinkFault, Millis, Transport, TransportError, TransportStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,6 +167,50 @@ fn delivered(frames: Vec<(PeerId, Bytes)>) -> Vec<(u64, Vec<u8>)> {
         .collect()
 }
 
+fn copied(frames: &Frames) -> Vec<(u64, Vec<u8>)> {
+    let frames = frames.iter();
+    frames.map(|(to, frame)| (to.0, frame.to_vec())).collect()
+}
+
+/// The frames a poll at `now` hands out, through the entry point `how`
+/// picks.  `poll_into` appends to a vector holding one frame already, and
+/// `poll_frames` to `kept`, which holds whatever earlier polls left in it
+/// unless `how` empties it first: the frames before the new ones must stay
+/// as they were.
+fn poll_via(
+    transport: &mut LoopbackTransport,
+    now: Millis,
+    how: u64,
+    kept: &mut Frames,
+) -> Result<Vec<(u64, Vec<u8>)>, TestCaseError> {
+    match how % 4 {
+        0 => Ok(delivered(transport.poll(now))),
+        1 => {
+            let first = (PeerId(99), Bytes::from(vec![0xEE; 3]));
+            let mut out = vec![first.clone()];
+            transport.poll_into(now, &mut out);
+            prop_assert!(out[0] == first, "poll_into moved what was there");
+            Ok(delivered(out.split_off(1)))
+        }
+        _ => {
+            if how % 4 == 2 {
+                kept.recycle();
+            }
+            let before = copied(kept);
+            transport.poll_frames(now, kept);
+            let mut after = copied(kept);
+            prop_assert_eq!(kept.len(), after.len());
+            prop_assert_eq!(
+                kept.byte_len(),
+                after.iter().map(|(_, frame)| frame.len()).sum::<usize>()
+            );
+            let fresh = after.split_off(before.len());
+            prop_assert!(after == before, "poll_frames moved what was there");
+            Ok(fresh)
+        }
+    }
+}
+
 /// The latency models the scripts run on: the default WAN model, zero
 /// latency, a range far wider than the default, and a constant (every frame
 /// of one instant shares a due time, so `seq` alone orders them).
@@ -189,12 +240,29 @@ fn check_agrees(transport: &LoopbackTransport, model: &Model) -> TestCaseResult 
     Ok(())
 }
 
+/// Sends `bytes` from `from` through the `Bytes` method or the byte one.
+fn send_via(
+    transport: &mut LoopbackTransport,
+    now: Millis,
+    (from, to): (u64, u64),
+    bytes: &[u8],
+    as_slice: bool,
+) -> Sent {
+    let (from, to) = (PeerId(from), PeerId(to));
+    sent(if as_slice {
+        transport.send_slice(now, from, to, bytes)
+    } else {
+        transport.send_from(now, from, to, Bytes::copy_from_slice(bytes))
+    })
+}
+
 /// Applies one step decoded from `words` to both sides.
 fn step(
     transport: &mut LoopbackTransport,
     model: &mut Model,
     now: &mut Millis,
     tag: &mut u64,
+    kept: &mut Frames,
     words: &mut impl Iterator<Item = u64>,
     op: u64,
 ) -> TestCaseResult {
@@ -233,27 +301,18 @@ fn step(
         4..=6 => {
             let (from, to, bytes) = (peer(word()), peer(word()), frame());
             prop_assert_eq!(
-                sent(transport.send_from(
-                    *now,
-                    PeerId(from),
-                    PeerId(to),
-                    Bytes::from(bytes.clone())
-                )),
+                send_via(transport, *now, (from, to), &bytes, op & 32 != 0),
                 model.send_from(*now, from, to, &bytes)
             );
         }
         7 => {
-            // A burst at one instant: many frames per millisecond bucket.
+            // A burst at one instant: many frames per millisecond bucket,
+            // through both entry points.
             let (from, to) = (peer(word()), peer(word()));
             for _ in 0..word() % 24 {
-                let bytes = frame();
+                let (bytes, as_slice) = (frame(), word() % 2 == 0);
                 prop_assert_eq!(
-                    sent(transport.send_from(
-                        *now,
-                        PeerId(from),
-                        PeerId(to),
-                        Bytes::from(bytes.clone())
-                    )),
+                    send_via(transport, *now, (from, to), &bytes, as_slice),
                     model.send_from(*now, from, to, &bytes)
                 );
             }
@@ -297,14 +356,17 @@ fn step(
         }
         14 => {
             // Everything still in flight, whenever it is due.
-            prop_assert_eq!(delivered(transport.poll(u64::MAX)), model.poll(u64::MAX));
+            let how = word();
+            let out = poll_via(transport, u64::MAX, how, kept)?;
+            prop_assert_eq!(out, model.poll(u64::MAX));
         }
         _ => {}
     }
     // Most steps end in a poll at the script's clock, which may have stood
     // still or gone backwards since the last one.
     if op % 16 != 14 && (op >> 4) % 4 != 0 {
-        prop_assert_eq!(delivered(transport.poll(*now)), model.poll(*now));
+        let out = poll_via(transport, *now, op >> 6, kept)?;
+        prop_assert_eq!(out, model.poll(*now));
     }
     check_agrees(transport, model)
 }
@@ -332,10 +394,10 @@ proptest! {
         }
         check_agrees(&transport, &model)?;
 
-        let (mut now, mut tag) = (seed % 1_000, 0u64);
+        let (mut now, mut tag, mut kept) = (seed % 1_000, 0u64, Frames::default());
         let mut words = words.into_iter();
         while let Some(op) = words.next() {
-            step(&mut transport, &mut model, &mut now, &mut tag, &mut words, op)?;
+            step(&mut transport, &mut model, &mut now, &mut tag, &mut kept, &mut words, op)?;
         }
         // Nothing is lost: the rest comes out, in order, and nothing stays.
         prop_assert_eq!(delivered(transport.poll(u64::MAX)), model.poll(u64::MAX));
