@@ -1,15 +1,10 @@
-//! The event clock: virtual time, the timer queue ([`Clock`]) and the loop
-//! that merges timer events with frame arrivals ([`Runtime::run_until`]).
+//! The event clock: virtual time, the timer queue ([`Clock`]) and the one
+//! loop that merges it with [`Transport::next_due`] ([`Runtime::run_until`]).
 
 use super::{Millis, Runtime};
 use pgrid_transport::Transport;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// How many consecutive empty polls a real-time transport may stall the
-/// virtual clock while frames are in flight (at 200µs each) before the
-/// runtime proceeds anyway.
-const MAX_REALTIME_STALLS: u32 = 500;
 
 /// A timer event.  The derived order is never consulted: the queue orders
 /// by `(time, seq)` first and `seq` is unique.
@@ -60,10 +55,10 @@ impl<T: Transport> Runtime<T> {
     /// slice of it; the inbox is then emptied, keeping at most
     /// [`pgrid_transport::Frames::RETAIN_BYTES`] of capacity.
     ///
-    /// Real-time backends only need this outside [`Runtime::run_until`]: a
-    /// cluster worker parked at a phase barrier keeps calling it so
-    /// cross-shard exchanges initiated by slower processes are still
-    /// answered while the local timeline waits.
+    /// Outside [`Runtime::run_until`] this serves a transport whose frames
+    /// arrive while the clock stands still: a cluster worker parked at a
+    /// phase barrier keeps calling it so cross-shard exchanges initiated by
+    /// slower processes are still answered while the local timeline waits.
     pub fn service_network(&mut self) -> usize {
         // No handler polls, so the inbox can be lent out for the loop.
         let mut inbox = std::mem::take(&mut self.links.inbox);
@@ -81,31 +76,13 @@ impl<T: Transport> Runtime<T> {
     /// Advances virtual time to `until`, processing timer events and frame
     /// deliveries in order.
     ///
-    /// With a virtual-time transport (loopback) frame arrivals are merged
-    /// deterministically with the timer queue.  With a real-time transport
-    /// (the reactor) arrived frames are always drained first, and while frames are
-    /// still in flight the virtual clock briefly waits for the wire instead
-    /// of racing ahead (for a bounded number of polls, `MAX_REALTIME_STALLS`).
+    /// One loop for every transport: frames are handled at the instant
+    /// [`Transport::next_due`] names, frames first on a tie with a timer.
+    /// The reactor names `0` while it holds a frame, so what the wire has
+    /// produced goes before any timer and the loop never waits for it.
     pub fn run_until(&mut self, until: Millis) {
         self.flush_pending();
-        let mut stalls = 0u32;
         loop {
-            if self.links.transport.is_realtime() {
-                // Expire overdue queries *before* draining the wire: a
-                // response that arrives after its deadline must count as a
-                // late response, never as a success (the timeout verdict
-                // is final — see `expire_timeouts`).
-                self.expire_timeouts(self.clock.now, false);
-                if self.service_network() > 0 {
-                    stalls = 0;
-                    continue;
-                }
-                if self.links.transport.in_flight() > 0 && stalls < MAX_REALTIME_STALLS {
-                    stalls += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-            }
             let frame_due = self.links.transport.next_due().filter(|&t| t <= until);
             let timer_due = self
                 .clock

@@ -186,7 +186,7 @@ impl QueryAggregates {
 }
 
 /// Aggregate statistics collected by the runtime.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NetMetrics {
     /// Bandwidth per one-minute bucket of virtual time.
     pub bandwidth_per_minute: BTreeMap<u64, BandwidthSample>,
@@ -198,8 +198,9 @@ pub struct NetMetrics {
     /// The most recent resolved range queries, capped at
     /// [`NetMetrics::sample_cap`].
     pub range_samples: VecDeque<RangeSample>,
-    /// Capacity of the two sample rings (from
-    /// [`NetConfig::query_sample_cap`](super::NetConfig::query_sample_cap)).
+    /// Capacity of the two sample rings: the runtime sets it from
+    /// [`NetConfig::query_sample_cap`](super::NetConfig::query_sample_cap);
+    /// `0` (the derived default) keeps no samples.
     pub sample_cap: usize,
     /// Messages lost in transit.
     pub messages_lost: usize,
@@ -238,32 +239,6 @@ pub struct NetMetrics {
     /// Entries walked to digest a partition, for an offer or a responder's
     /// check of one (a memoised summary walks none).
     pub digested_entries: usize,
-}
-
-impl Default for NetMetrics {
-    fn default() -> Self {
-        NetMetrics {
-            bandwidth_per_minute: BTreeMap::new(),
-            query_stats: QueryAggregates::default(),
-            query_samples: VecDeque::new(),
-            range_samples: VecDeque::new(),
-            sample_cap: DEFAULT_QUERY_SAMPLE_CAP,
-            messages_lost: 0,
-            messages_delivered: 0,
-            messages_to_offline: 0,
-            decode_failures: 0,
-            multi_message_frames: 0,
-            links_suspected: 0,
-            links_dead: 0,
-            peers_adopted: 0,
-            peers_recovered_replica: 0,
-            peers_recovered_local: 0,
-            peers_recovered_warm: 0,
-            peers_reconciled: 0,
-            reconciled_entries: 0,
-            digested_entries: 0,
-        }
-    }
 }
 
 /// Appends to a sample ring holding at most `cap` items, dropping the

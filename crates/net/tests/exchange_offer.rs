@@ -73,10 +73,6 @@ impl Transport for Recording {
         self.inner.next_due()
     }
 
-    fn is_realtime(&self) -> bool {
-        false
-    }
-
     fn in_flight(&self) -> usize {
         self.inner.in_flight()
     }

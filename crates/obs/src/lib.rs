@@ -29,6 +29,17 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Scrape requests and registry snapshots are bytes from outside the process.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects
+    )
+)]
 
 pub mod json;
 pub mod log;

@@ -81,7 +81,7 @@ impl FlightRecorder {
             kind,
             detail,
         });
-        self.noted += 1;
+        self.noted = self.noted.saturating_add(1);
     }
 
     /// Notes currently held.

@@ -181,7 +181,7 @@ impl MetricsRegistry {
         }
         let key = label_key(labels);
         assert!(
-            key.windows(2).all(|w| w[0].0 != w[1].0),
+            key.iter().zip(key.iter().skip(1)).all(|(a, b)| a.0 != b.0),
             "duplicate label name on metric {name}"
         );
         key

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// What the responder serves: the latest rendered metrics snapshot and
@@ -33,17 +33,17 @@ impl ScrapeState {
 
     /// Replaces the published `/metrics` body.
     pub fn publish_metrics(&self, text: String) {
-        *self.metrics.lock().unwrap() = text;
+        *lock(&self.metrics) = text;
     }
 
     /// The currently published metrics text.
     pub fn metrics(&self) -> String {
-        self.metrics.lock().unwrap().clone()
+        lock(&self.metrics).clone()
     }
 
     /// Adds trace events to the published set (grouped by trace ID).
     pub fn publish_trace_events(&self, events: &[TraceEvent]) {
-        let mut traces = self.traces.lock().unwrap();
+        let mut traces = lock(&self.traces);
         for (id, mut chain) in assemble(events) {
             traces.entry(id).or_default().append(&mut chain);
         }
@@ -51,7 +51,7 @@ impl ScrapeState {
 
     /// The reassembled chain of one trace as JSONL (`None` if unknown).
     pub fn trace_jsonl(&self, id: u64) -> Option<String> {
-        let traces = self.traces.lock().unwrap();
+        let traces = lock(&self.traces);
         let chain = traces.get(&id)?;
         let mut ordered = chain.clone();
         order_chain(&mut ordered);
@@ -65,8 +65,14 @@ impl ScrapeState {
 
     /// All published trace IDs.
     pub fn trace_ids(&self) -> Vec<u64> {
-        self.traces.lock().unwrap().keys().copied().collect()
+        lock(&self.traces).keys().copied().collect()
     }
+}
+
+/// Locks `mutex`, recovering a poisoned guard: every critical section
+/// above leaves its value whole, so a panicked publisher stops no scrape.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running scrape responder; shuts down on [`ScrapeServer::shutdown`]
@@ -146,11 +152,10 @@ fn respond(mut stream: TcpStream, state: &ScrapeState) -> std::io::Result<()> {
     let mut chunk = [0u8; 512];
     loop {
         let n = match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => break,
             Ok(n) => n,
-            Err(_) => break,
         };
-        head.extend_from_slice(&chunk[..n]);
+        head.extend_from_slice(chunk.get(..n).unwrap_or_default());
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 4096 {
             break;
         }

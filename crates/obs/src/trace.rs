@@ -117,7 +117,7 @@ impl Tracer {
             return NO_TRACE;
         }
         let id = self.next_id;
-        self.next_id += 1;
+        self.next_id = self.next_id.wrapping_add(1);
         id
     }
 
@@ -137,7 +137,7 @@ impl Tracer {
             return;
         }
         if self.events.len() >= self.capacity {
-            self.dropped += 1;
+            self.dropped = self.dropped.saturating_add(1);
             return;
         }
         let wall_micros = std::time::SystemTime::now()
@@ -206,7 +206,8 @@ pub fn intern_kind(name: &str) -> &'static str {
     use std::collections::BTreeMap;
     use std::sync::{Mutex, OnceLock};
     static EXTRA: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut extra = EXTRA.get_or_init(Default::default).lock().unwrap();
+    let mut extra = (EXTRA.get_or_init(Default::default).lock())
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(kind) = extra.get(name) {
         return kind;
     }

@@ -490,7 +490,10 @@ impl Transport for ReactorTransport {
     }
 
     fn next_due(&self) -> Option<Millis> {
-        None
+        // Due now while a poll would hand out a frame: one sent between
+        // hosted peers, or one the event threads have read off the wire.
+        let holds = !self.local.is_empty() || lock(&self.shared.inbox).frames > 0;
+        holds.then_some(0)
     }
 
     fn is_realtime(&self) -> bool {
@@ -498,9 +501,8 @@ impl Transport for ReactorTransport {
     }
 
     fn in_flight(&self) -> usize {
-        // Only frames addressed to locally hosted peers can ever show up in
-        // this process's poll; frames to remote peers are delivered by the
-        // process that hosts them and must not stall the local clock.
+        // Frames to remote peers are delivered by the process that hosts
+        // them, so only the ones between hosted peers count.
         self.local.len()
     }
 

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use pgrid_core::routing::PeerId;
 use pgrid_reactor::{ReactorConfig, ReactorTransport};
 use pgrid_transport::frame::{decode_frame, encode_frame};
-use pgrid_transport::{PeerAddr, SocketTransport, Transport, TransportError};
+use pgrid_transport::{Frames, PeerAddr, SocketTransport, Transport, TransportError};
 use std::time::{Duration, Instant};
 
 fn payload(tag: u8, len: usize) -> Bytes {
@@ -380,4 +380,34 @@ fn in_flight_counts_a_local_frame_after_wire_deliveries() {
     assert_eq!(host.in_flight(), 1, "the local frame is still in flight");
     assert_eq!(host.poll(0), [(PeerId(1), frame)]);
     assert_eq!(host.in_flight(), 0);
+}
+
+#[test]
+fn next_due_says_due_now_exactly_while_a_poll_would_hand_out_a_frame() {
+    // The runtime's one event loop polls whenever `next_due` says so and
+    // never waits for the wire, so the answer must track what a poll finds.
+    let mut host = ReactorTransport::new();
+    let addr = socket_addr(host.register(PeerId(1)).unwrap());
+    assert_eq!(host.next_due(), None, "an idle transport holds nothing");
+
+    let frame = encode_frame(&[payload(6, 24)]);
+    host.send(0, PeerId(1), frame.clone()).unwrap();
+    assert_eq!(host.next_due(), Some(0), "a local frame is due now");
+    assert_eq!(host.poll(0), [(PeerId(1), frame.clone())]);
+    assert_eq!(host.next_due(), None);
+
+    let mut sender = ReactorTransport::new();
+    sender.register_remote(PeerId(1), addr).unwrap();
+    sender.send(0, PeerId(1), frame.clone()).unwrap();
+    assert_eq!(sender.next_due(), None, "a remote frame is its host's");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while host.next_due().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    assert_eq!(host.next_due(), Some(0), "a wire frame is due now");
+    let mut frames = Frames::default();
+    host.poll_frames(0, &mut frames);
+    let got: Vec<_> = frames.iter().collect();
+    assert_eq!(got, [(PeerId(1), frame.as_slice())]);
+    assert_eq!(host.next_due(), None, "the poll took every frame");
 }

@@ -357,10 +357,10 @@ fn frames_in(mut bytes: &[u8]) -> impl Iterator<Item = (PeerId, &[u8])> {
 
 /// A frame carrier between registered peers.
 ///
-/// The caller owns time: virtual-time backends (loopback) stamp deliveries
-/// on the virtual clock passed to [`Transport::send`] and release them from
-/// [`Transport::poll`] once `now` has caught up; real-time backends (the
-/// reactor) ignore the virtual clock and deliver whatever the wire has produced.
+/// The caller owns time and asks one thing of it, [`Transport::next_due`]:
+/// loopback stamps deliveries on the virtual clock passed to
+/// [`Transport::send`] and releases them once `now` has caught up; the
+/// reactor ignores the clock and hands out whatever the wire has produced.
 pub trait Transport {
     /// Registers a peer endpoint and returns its address.
     fn register(&mut self, peer: PeerId) -> Result<PeerAddr, TransportError>;
@@ -429,16 +429,21 @@ pub trait Transport {
         }
     }
 
-    /// Virtual time at which the next queued frame becomes deliverable.
-    /// `None` for real-time backends (and when nothing is queued).
+    /// Virtual time at which the next frame can be handed out, `None` when
+    /// nothing can.  A backend that ignores the virtual clock answers
+    /// `Some(0)`, "due now", while a poll would hand out a frame.
     fn next_due(&self) -> Option<Millis>;
 
     /// Whether frames travel in real time (sockets) rather than virtual
-    /// time — real-time callers must keep polling while frames are
-    /// [`Transport::in_flight`].
-    fn is_realtime(&self) -> bool;
+    /// time.  Nothing reads it, since [`Transport::next_due`] says all a
+    /// caller needs; it goes once the benchmark harness's `TracedTransport`
+    /// stops forwarding it.
+    fn is_realtime(&self) -> bool {
+        false
+    }
 
-    /// Number of frames sent but not yet handed out by [`Transport::poll`].
+    /// Number of frames sent to peers of this process but not yet handed
+    /// out by [`Transport::poll`]; no event loop waits on it.
     fn in_flight(&self) -> usize;
 
     /// Counters.

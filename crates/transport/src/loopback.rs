@@ -420,10 +420,6 @@ impl Transport for LoopbackTransport {
         self.queue.next_due()
     }
 
-    fn is_realtime(&self) -> bool {
-        false
-    }
-
     fn in_flight(&self) -> usize {
         self.queue.len()
     }

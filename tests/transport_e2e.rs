@@ -101,6 +101,39 @@ fn reactor_and_loopback_deployments_agree() {
 }
 
 #[test]
+fn a_single_process_reactor_deployment_equals_an_instant_loopback_one() {
+    // Both transports hand a frame to the runtime's one event loop at the
+    // instant it was sent, in send order: the loopback because its latency
+    // is zero, the reactor because a frame between hosted peers is due at
+    // once.  So everything but the transport's own counters is equal.
+    if !pgrid::reactor::supported() {
+        eprintln!("skipping: the reactor transport needs Linux epoll");
+        return;
+    }
+    let timeline = Timeline {
+        range_end_min: 31,
+        ..short_timeline()
+    };
+    for seed in [21, 7, 101, 5, 9] {
+        let config = config(seed);
+        let loopback = run_deployment_with(&config, &timeline, LoopbackTransport::instant())
+            .expect("loopback endpoints must register");
+        let reactor = run_deployment_with(&config, &timeline, ReactorTransport::new())
+            .expect("reactor endpoints must register");
+        assert!(reactor.ranges_issued > 0, "seed {seed}: no range");
+        let without_transport = |report: DeploymentReport| DeploymentReport {
+            transport: TransportStats::default(),
+            ..report
+        };
+        assert_eq!(
+            without_transport(reactor),
+            without_transport(loopback),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
 fn per_tick_batching_packs_messages_into_shared_frames() {
     let mut rt = Runtime::new(config(33));
     for peer in 0..36 {
