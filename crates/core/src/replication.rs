@@ -9,14 +9,15 @@
 //! anti-entropy exchange between two replicas of one partition.
 //!
 //! Reconciled replicas hold the same set, so [`reconcile`] leaves them
-//! holding the same *storage*: one walk over the two sorted runs says what
-//! each side misses, the union is written at most once, and both
+//! holding the same *storage*: a counting walk over the two sorted runs
+//! says what each side misses, a writing walk makes the union at most
+//! once (both in two lanes, see [`crate::store`]), and both
 //! [`KeyStore`]s end up as copy-on-write handles on it.  A partition
 //! replicated `m` times therefore costs one run, not `m`, until a replica's
 //! content next changes — and that replica then writes its own new run,
 //! leaving the others' untouched.
 
-use crate::store::{KeyStore, StoreRead};
+use crate::store::{KeyStore, Overlap, StoreRead};
 
 /// Outcome of an anti-entropy exchange between two replicas.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,17 +44,17 @@ impl ReconcileOutcome {
 /// its run and the other side takes a handle on it; only when both miss
 /// something is a new run (the union) written, once.
 pub fn reconcile(a: &mut KeyStore, b: &mut KeyStore) -> ReconcileOutcome {
-    let common = a.intersection_size_with(b);
+    let overlap = Overlap::of(a.as_slice(), b.as_slice());
     let outcome = ReconcileOutcome {
-        a_to_b: a.len() - common,
-        b_to_a: b.len() - common,
+        a_to_b: a.len() - overlap.common(),
+        b_to_a: b.len() - overlap.common(),
     };
     if outcome.b_to_a > 0 {
-        if outcome.a_to_b == 0 {
-            *a = b.clone();
+        *a = if outcome.a_to_b == 0 {
+            b.clone()
         } else {
-            a.merge_run(b.as_slice(), outcome.b_to_a);
-        }
+            overlap.union()
+        };
     }
     *b = a.clone();
     outcome

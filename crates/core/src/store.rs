@@ -28,15 +28,22 @@
 //! | `len`, `iter`, `clone`, `shares_storage_with` | O(1) |
 //! | `contains`, `contains_key`, the lower bound of `range`, `restricted`, `count_in`, `key_span_in` | a search of the 15 splitters + O(log(k / 16)) in one window |
 //! | the upper bound of `range` | a gallop from the lower bound, O(log r) for `r` entries in range |
-//! | `intersection_size_with`, `missing_in`, content `==` | one walk, O(k₁ + k₂) compares; the first two none on one piece of a shared run |
+//! | `intersection_size_with`, `differences`, content `==` | one walk, O(k₁ + k₂) compares, the first in two lanes; the first two none on one piece of a shared run |
 //! | `digest` | one walk, O(k), two multiply chains side by side |
 //! | `summary` kept in a [`SummaryMemo`] of this run and path | O(1), a pointer comparison |
 //! | `summary` under another path, or of another run | a search and the `digest` walk of what the path covers |
-//! | `merge_batch` | sort of the batch + one counting walk; one merge into a new run (and its splitters) iff something is new |
+//! | `merge_batch` | sort of the batch + one counting walk in two lanes; iff something is new, one writing walk in two lanes into a new run of the union's exact size (and its splitters) |
 //! | `split_retain` | two splitter searches + two `memcpy`s |
 //! | `from_entries` | sort + dedup, O(k log k) (O(k) on sorted input) |
 //! | `insert`, `remove` | binary search + shift, **O(k)** — population and tests only |
 //! | first mutation of a shared run | one `memcpy` of the run |
+//!
+//! A merge walk (`intersection_size_with`, `merge_batch`, `reconcile`) is
+//! a chain of steps each waiting for the compare before it to move the
+//! cursors, so it runs in two lanes that share no entry — the longer run
+//! cut at its middle entry, the other where that entry falls in the
+//! `(key, id)` order — stepped in one loop: the CPU overlaps the two chains.
+//! Runs of fewer than 32 entries stay one lane.
 //!
 //! A [`RestrictedView`] is a plain sub-slice of the run: its searches are
 //! ordinary binary searches over the few entries of one partition.
@@ -45,7 +52,7 @@
 //! after [`crate::replication::reconcile`]; whoever mutates first writes a
 //! new run and leaves the other handle untouched.
 
-use crate::key::{DataEntry, Key};
+use crate::key::{DataEntry, DataId, Key};
 use crate::path::Path;
 use std::cmp::Ordering;
 use std::fmt;
@@ -64,25 +71,90 @@ fn rank(entry: &DataEntry) -> u128 {
     (u128::from(entry.key.0) << 64) | u128::from(entry.id.0)
 }
 
-/// Number of entries two ascending runs have in common: one merge walk, or
-/// no walk at all when both are the same piece of one shared run (two
-/// reconciled replicas assessing each other again).
+/// Below this many entries in the longer run a merge walk runs in one lane.
+const LANE_MIN: usize = 32;
+
+/// The pieces of two ascending runs that each lane of a merge walk takes.
+type Lanes<'a> = [(&'a [DataEntry], &'a [DataEntry]); 2];
+
+/// A merge walk over two lanes that share no entry; returns each lane's
+/// entries in common and, with `WRITE`, writes each lane's piece of the
+/// union into its `out`.  Both lanes step in one loop, so their two chains
+/// of dependent loads and compares overlap; then each runs to its end.
 ///
-/// The walk advances both cursors by comparison results instead of
-/// branching on them: whether `a` or `b` holds the smaller entry is a coin
-/// flip the branch predictor loses about half the time.
-fn common_len(a: &[DataEntry], b: &[DataEntry]) -> usize {
-    if std::ptr::eq(a, b) {
-        return a.len();
+/// A step advances the cursors by comparison results instead of branching
+/// on them: which piece holds the smaller entry is a coin flip the branch
+/// predictor loses about half the time.  A step takes one entry of the
+/// union, so `k` steps that read `i + j` entries met `i + j - k` in common.
+fn walk<const WRITE: bool>(lanes: Lanes<'_>, mut out: [&mut [DataEntry]; 2]) -> [usize; 2] {
+    let (mut i, mut j, mut k) = ([0; 2], [0; 2], [0; 2]);
+    let mut step = |l: usize| {
+        let (Some(x), Some(y)) = (lanes[l].0.get(i[l]), lanes[l].1.get(j[l])) else {
+            return false;
+        };
+        let (rx, ry) = (rank(x), rank(y));
+        if WRITE {
+            out[l][k[l]] = if rx <= ry { *x } else { *y };
+        }
+        i[l] += usize::from(rx <= ry);
+        j[l] += usize::from(ry <= rx);
+        k[l] += 1;
+        true
+    };
+    while step(0) & step(1) {}
+    while step(0) {}
+    while step(1) {}
+    for (l, out) in out.iter_mut().enumerate().filter(|_| WRITE) {
+        // One of the lane's pieces is used up; the other's rest ends it.
+        let (a, b) = (&lanes[l].0[i[l]..], &lanes[l].1[j[l]..]);
+        out[k[l]..].copy_from_slice(if a.is_empty() { b } else { a });
     }
-    let (mut i, mut j, mut common) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (rank(&a[i]), rank(&b[j]));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-        common += usize::from(x == y);
+    [0, 1].map(|l| i[l] + j[l] - k[l])
+}
+
+/// The count pass of a merge walk over two ascending runs, kept for the
+/// write pass.  The walk runs in two lanes that share no entry: the longer
+/// run cut at its middle entry, the other where that entry falls in the
+/// `(key, id)` order.
+pub(crate) struct Overlap<'a> {
+    lanes: Lanes<'a>,
+    common: [usize; 2],
+}
+
+impl<'a> Overlap<'a> {
+    /// Counts what `a` and `b` have in common: no walk at all when both
+    /// are the same piece of one shared run (two reconciled replicas
+    /// assessing each other again).
+    pub(crate) fn of(a: &'a [DataEntry], b: &'a [DataEntry]) -> Overlap<'a> {
+        let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
+        let (m, n) = match a.get(a.len() / 2) {
+            Some(middle) if a.len() >= LANE_MIN => (a.len() / 2, b.partition_point(|e| e < middle)),
+            _ => (a.len(), b.len()),
+        };
+        let lanes = [(&a[..m], &b[..n]), (&a[m..], &b[n..])];
+        let common = if std::ptr::eq(a, b) {
+            lanes.map(|(a, _)| a.len())
+        } else {
+            walk::<false>(lanes, [&mut [], &mut []])
+        };
+        Overlap { lanes, common }
     }
-    common
+
+    /// Number of entries in common.
+    pub(crate) fn common(&self) -> usize {
+        self.common[0] + self.common[1]
+    }
+
+    /// A store of the union, written once at its exact size: the second
+    /// lane from where the first lane's piece ends.
+    pub(crate) fn union(&self) -> KeyStore {
+        let [size, rest] =
+            [0, 1].map(|l| self.lanes[l].0.len() + self.lanes[l].1.len() - self.common[l]);
+        let mut union = vec![DataEntry::new(Key::MIN, DataId(0)); size + rest];
+        let (first, second) = union.split_at_mut(size);
+        walk::<true>(self.lanes, [first, second]);
+        KeyStore::of_run(union)
+    }
 }
 
 /// Starting states of [`StoreRead::digest`]'s two lanes (the first
@@ -195,7 +267,7 @@ pub trait StoreRead {
     /// Size of the set intersection with another readable store (number of
     /// common entries).
     fn intersection_size_with(&self, other: &impl StoreRead) -> usize {
-        common_len(self.as_slice(), other.as_slice())
+        Overlap::of(self.as_slice(), other.as_slice()).common()
     }
 
     /// A 64-bit digest of the entries, word at a time and with no state
@@ -207,25 +279,29 @@ pub trait StoreRead {
         digest(self.as_slice())
     }
 
-    /// Entries of `self` that are missing in `target` (what anti-entropy
-    /// would push from here to there), ascending: none, and no walk, when
-    /// both are the same piece of one shared run.
-    fn missing_in(&self, target: &impl StoreRead) -> Vec<DataEntry> {
-        let theirs = target.as_slice();
-        let mut missing = Vec::new();
-        if std::ptr::eq(self.as_slice(), theirs) {
-            return missing;
+    /// Entries of `self` missing in `other`, and of `other` missing in
+    /// `self` (what anti-entropy would push each way), both ascending, from
+    /// one walk: none, and no walk, when both are the same piece of one
+    /// shared run.
+    fn differences(&self, other: &impl StoreRead) -> (Vec<DataEntry>, Vec<DataEntry>) {
+        let (ours, theirs) = (self.as_slice(), other.as_slice());
+        let (mut only_ours, mut only_theirs) = (Vec::new(), Vec::new());
+        if std::ptr::eq(ours, theirs) {
+            return (only_ours, only_theirs);
         }
-        let mut j = 0;
-        for entry in self.as_slice() {
-            while j < theirs.len() && theirs[j] < *entry {
-                j += 1;
+        let (mut i, mut j) = (0, 0);
+        while let (Some(x), Some(y)) = (ours.get(i), theirs.get(j)) {
+            match x.cmp(y) {
+                Ordering::Less => only_ours.push(*x),
+                Ordering::Greater => only_theirs.push(*y),
+                Ordering::Equal => {}
             }
-            if theirs.get(j) != Some(entry) {
-                missing.push(*entry);
-            }
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
-        missing
+        only_ours.extend_from_slice(&ours[i..]);
+        only_theirs.extend_from_slice(&theirs[j..]);
+        (only_ours, only_theirs)
     }
 }
 
@@ -469,42 +545,12 @@ impl KeyStore {
     pub fn merge_batch(&mut self, mut entries: Vec<DataEntry>) -> usize {
         entries.sort_unstable();
         entries.dedup();
-        let new = entries.len() - common_len(&self.run.entries, &entries);
-        self.merge_run(&entries, new);
+        let overlap = Overlap::of(&self.run.entries, &entries);
+        let new = entries.len() - overlap.common();
+        if new > 0 {
+            *self = overlap.union();
+        }
         new
-    }
-
-    /// Merges a strictly ascending `run`, `new` of whose entries are not
-    /// stored yet, into the store: the union is written once, at its exact
-    /// size, unless there is nothing to add.
-    pub(crate) fn merge_run(&mut self, run: &[DataEntry], new: usize) {
-        if new == 0 {
-            return;
-        }
-        let old = self.run.entries.as_slice();
-        let mut union = Vec::with_capacity(old.len() + new);
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < run.len() {
-            match old[i].cmp(&run[j]) {
-                Ordering::Less => {
-                    union.push(old[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    union.push(run[j]);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    union.push(old[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        union.extend_from_slice(&old[i..]);
-        union.extend_from_slice(&run[j..]);
-        debug_assert_eq!(union.len(), old.len() + new);
-        *self = KeyStore::of_run(union);
     }
 
     /// A borrowed view of this store restricted to the entries covered by
@@ -705,8 +751,8 @@ mod tests {
         let snapshot = a2.clone();
         assert_eq!(a2.merge_batch(vec![entry(0.2, 2), entry(0.1, 1)]), 0);
         assert!(a2.shares_storage_with(&snapshot));
-        // also exercise missing_in
-        let missing = b.missing_in(&a);
+        // also exercise differences
+        let missing = b.differences(&a).0;
         assert_eq!(missing.len(), 2);
         a.merge_batch(missing);
         assert_eq!(a.len(), 4);
@@ -725,7 +771,7 @@ mod tests {
         assert_eq!(a.intersection_size_with(&b), 5);
         assert_eq!(b.intersection_size_with(&a), 5);
         assert_eq!(a.intersection_size_with(&KeyStore::new()), 0);
-        assert_eq!(a.missing_in(&b).len() + b.len(), 15, "size of the union");
+        assert_eq!(a.differences(&b).0.len() + b.len(), 15, "size of the union");
     }
 
     #[test]
@@ -806,7 +852,7 @@ mod tests {
             a.intersection_size_with(&b),
             "view intersection must match the owned store's"
         );
-        assert_eq!(view_a.missing_in(&b), a.missing_in(&b));
+        assert_eq!(view_a.differences(&b), a.differences(&b));
         // A view only sees entries inside its bounds.
         let lower = a.restricted(&Path::parse("0"));
         assert_eq!(lower.len(), 3);

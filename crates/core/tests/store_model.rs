@@ -15,6 +15,10 @@
 //! constant for a fixed run.  A summary a `SummaryMemo` keeps is checked
 //! against a fresh walk after every kind of mutation, and so is the
 //! overload test that reads it.
+//!
+//! The merge walks run in two lanes from 32 entries on; they are checked
+//! on runs either side of that threshold, with the second run wholly below
+//! or above the first's middle entry, and across one key with many ids.
 
 use pgrid_core::exchange::ExchangeEngine;
 use pgrid_core::key::{DataEntry, DataId, Key};
@@ -140,15 +144,17 @@ fn check_agrees(store: &KeyStore, model: &Model, probe: u64, other: &KeyStore) -
     // Set operations against another store, both ways, whole and viewed.
     let theirs: Model = other.iter().copied().collect();
     let missing: Vec<DataEntry> = model.difference(&theirs).copied().collect();
-    prop_assert_eq!(store.missing_in(other), missing);
     let wanted: Vec<DataEntry> = theirs.difference(model).copied().collect();
-    prop_assert_eq!(other.missing_in(store), wanted);
+    prop_assert_eq!(store.differences(other), (missing.clone(), wanted.clone()));
+    prop_assert_eq!(other.differences(store), (wanted, missing));
     let common = model.intersection(&theirs).count();
     prop_assert_eq!(store.intersection_size_with(other), common);
     prop_assert_eq!(other.intersection_size_with(store), common);
     let common_in_view = covered.iter().filter(|e| theirs.contains(e)).count();
     prop_assert_eq!(view.intersection_size_with(other), common_in_view);
-    prop_assert_eq!(view.missing_in(other).len(), covered.len() - common_in_view);
+    let (only_view, only_other) = view.differences(other);
+    prop_assert_eq!(only_view.len(), covered.len() - common_in_view);
+    prop_assert_eq!(only_other.len(), other.len() - common_in_view);
     Ok(())
 }
 
@@ -540,4 +546,113 @@ fn the_digest_of_a_fixed_run_is_a_recorded_constant() {
     let lower = Path::root().child(false);
     assert_eq!(run.restricted(&lower).len(), 51);
     assert_eq!(run.restricted(&lower).digest(), 4_400_146_484_834_906_285);
+}
+
+/// Below this many entries in the longer run a merge walk runs in one lane;
+/// from it on, the walk cuts the longer run at its middle entry.
+const LANE_MIN: usize = 32;
+
+/// Two sets of up to `8 * LANE_MIN` entries each, of the shape `shape`
+/// picks: overlapping; all of `b` below `a`'s middle entry, or all of it at
+/// or above (`a` the longer, so that entry is where the walk cuts);
+/// identical; disjoint but interleaved; or nearly all under one key with
+/// different ids.
+fn lane_case(shape: u64, words: &[u64]) -> (Model, Model) {
+    let spread = |w: u64, ids: u64| {
+        DataEntry::new(
+            Key((w % 4096).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            DataId(w >> 48 & ids),
+        )
+    };
+    let (len_a, len_b) = (
+        (shape >> 8) as usize % (8 * LANE_MIN + 1),
+        (shape >> 20) as usize % (8 * LANE_MIN + 1),
+    );
+    let (left, right) = words.split_at(words.len() / 2);
+    let a: Model = left.iter().take(len_a).map(|&w| spread(w, 3)).collect();
+    let b: Model = right.iter().take(len_b).map(|&w| spread(w, 3)).collect();
+    let middle = a.iter().nth(a.len() / 2).copied();
+    let below = |e: &DataEntry| middle.is_some_and(|m| *e < m);
+    match shape % 6 {
+        0 => {
+            let shared = a.iter().step_by(1 + (shape >> 32) as usize % 4).copied();
+            (a.clone(), b.into_iter().chain(shared).collect())
+        }
+        kind @ (1 | 2) => {
+            // `b` is no longer than `a`, so the walk cuts at `a`'s middle.
+            let side: Model = a
+                .iter()
+                .chain(&b)
+                .filter(|e| below(e) == (kind == 1))
+                .copied()
+                .collect();
+            let b = side.into_iter().step_by(2).take(a.len()).collect();
+            (a, b)
+        }
+        3 => (a.clone(), a),
+        4 => {
+            let odd = |w: u64| DataEntry::new(Key((w % 64) << 58), DataId(2 * (w >> 48) + 1));
+            let even = |w: u64| DataEntry::new(Key((w % 64) << 58), DataId(2 * (w >> 48)));
+            (
+                left.iter().take(len_a).map(|&w| even(w)).collect(),
+                right.iter().take(len_b).map(|&w| odd(w)).collect(),
+            )
+        }
+        _ => {
+            // Ids under one key, so the cut falls inside it; a few other keys.
+            let one_key = |w: u64| match w % 16 {
+                0 => spread(w, 3),
+                _ => DataEntry::new(Key(0x8000_0000_0000_0000), DataId(w >> 32 & 0x1ff)),
+            };
+            (
+                left.iter().take(len_a).map(|&w| one_key(w)).collect(),
+                right.iter().take(len_b).map(|&w| one_key(w)).collect(),
+            )
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 2048 }))]
+
+    // The two-lane merge walks — the count behind `intersection_size_with`,
+    // `merge_batch`'s and `reconcile`'s returned counts, and the union they
+    // write — against the model, both ways round, on runs from empty to 8x
+    // the lane threshold; and the sharing `reconcile` leaves behind.
+    #[test]
+    fn merge_walks_agree_with_the_model_across_the_lane_cut(
+        shape in any::<u64>(),
+        words in proptest::collection::vec(any::<u64>(), 0..16 * LANE_MIN + 2),
+    ) {
+        let (a, b) = lane_case(shape, &words);
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let union: Vec<DataEntry> = x.union(y).copied().collect();
+            let (only_x, only_y) = (x.difference(y).count(), y.difference(x).count());
+            let common = x.intersection(y).count();
+            let store_x: KeyStore = x.iter().copied().collect();
+            let store_y: KeyStore = y.iter().rev().copied().collect();
+            prop_assert_eq!(store_x.intersection_size_with(&store_y), common);
+            prop_assert_eq!(store_x.restricted(&Path::root()).intersection_size_with(&store_y), common);
+
+            // The batch unsorted and with duplicates, as it arrives.
+            let mut merged = store_x.clone();
+            let batch = y.iter().rev().chain(y.iter().step_by(3)).copied().collect();
+            prop_assert_eq!(merged.merge_batch(batch), only_y);
+            prop_assert_eq!(merged.as_slice(), union.as_slice());
+            prop_assert_eq!(merged.shares_storage_with(&store_x), only_y == 0);
+
+            let (mut first, mut second) = (store_x.clone(), store_y.clone());
+            let outcome = reconcile(&mut first, &mut second);
+            prop_assert_eq!((outcome.a_to_b, outcome.b_to_a), (only_x, only_y));
+            prop_assert_eq!(first.as_slice(), union.as_slice());
+            prop_assert!(first.shares_storage_with(&second));
+            // A side that missed nothing kept its run; only when both
+            // missed something is a new run written.
+            prop_assert_eq!(first.shares_storage_with(&store_x), only_y == 0);
+            prop_assert_eq!(second.shares_storage_with(&store_y), only_x == 0 && only_y > 0);
+            // Reconciled again, the shared run has nothing to move.
+            prop_assert_eq!(reconcile(&mut first, &mut second).total_transferred(), 0);
+            prop_assert_eq!(first.intersection_size_with(&second), union.len());
+        }
+    }
 }

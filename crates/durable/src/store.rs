@@ -85,7 +85,7 @@ impl MirrorImage {
         // store): `entries \ removed`, then one merge of `added`.
         if !delta.removed.is_empty() {
             let removed = KeyStore::from_entries(delta.removed);
-            self.entries = KeyStore::from_entries(self.entries.missing_in(&removed));
+            self.entries = KeyStore::from_entries(self.entries.differences(&removed).0);
         }
         self.entries.merge_batch(delta.added);
         if let Some(routing) = delta.routing {
@@ -203,17 +203,9 @@ impl DurableStore {
             return Ok(true);
         };
 
-        // Shared storage means the store was not touched since its last
-        // observation; only a store that was copied needs the walk.
-        let shared = store.shares_storage_with(&mirror.entries);
-        let (added, removed) = if shared {
-            (Vec::new(), Vec::new())
-        } else {
-            (
-                store.missing_in(&mirror.entries),
-                mirror.entries.missing_in(store),
-            )
-        };
+        // A store untouched since its last observation still shares the
+        // mirror's run, and `differences` walks nothing.
+        let (added, removed) = store.differences(&mirror.entries);
         let delta = PeerDelta {
             path: (mirror.path != path).then_some(path),
             added,
@@ -227,11 +219,8 @@ impl DurableStore {
                 encode_delta_into(index, peer, &delta, buf)
             })?;
         }
-        // The log now says what the store holds: share its storage, unless
-        // the mirror already does.
-        if !shared {
-            mirror.entries = store.clone();
-        }
+        // The log now says what the store holds: share its storage.
+        mirror.entries = store.clone();
         mirror.path = path;
         if let Some(routing) = delta.routing {
             mirror.routing = routing;

@@ -431,8 +431,7 @@ impl Peer {
                     // Become replicas: hand over what the initiator is
                     // missing, pull what the responder is missing (it
                     // arrived with the request).
-                    let to_initiator = responder_store.missing_in(initiator_store);
-                    let to_responder = initiator_store.missing_in(&responder_store);
+                    let (to_initiator, to_responder) = responder_store.differences(initiator_store);
                     let state = &mut self.state;
                     if !state.replicas.contains(&initiator) {
                         state.replicas.push(initiator);
